@@ -27,8 +27,10 @@ from .spaces import (
     TableRule,
     TowerRule,
     _component_keys,
-    _UnionFind,
-    plane_edges,
+    _connected_labels,
+    _partition_from_keys,
+    _spanning_tree,
+    delaunay_edges,
 )
 
 NOISE_NUM = 1
@@ -100,48 +102,25 @@ def _structured_values(rule, radius: float) -> Optional[set[float]]:
 
 
 def _mst_weights(space: FiniteSpace, subset: np.ndarray) -> list[float]:
-    """Single-linkage merge heights of the subset (Kruskal over its edges)."""
-    pos = {int(p): k for k, p in enumerate(subset)}
-    uf = _UnionFind(len(subset))
-    weights = []
-    for i, j, w in _subset_edges(space, subset, pos):
-        if uf.union(pos[i], pos[j]):
-            weights.append(w)
-    return sorted(set(weights))
+    """Single-linkage merge heights of the subset: its minimum spanning
+    tree's distinct edge weights."""
+    # distinct points lie at positive distance, so no weight is a zero
+    weights = _spanning_tree(len(subset), *_subset_edges(space, subset))[2]
+    return sorted(set(weights.tolist()))
 
 
-def _subset_edges(space: FiniteSpace, subset: np.ndarray, pos: dict):
-    """Edges of the induced subspace, ascending by weight. For plane spaces
-    a fresh Delaunay triangulation of the subset is used; its threshold
-    components agree with the full graph's because it contains the MST."""
+def _subset_edges(space: FiniteSpace, subset: np.ndarray):
+    """Edges (i, j, weight) of the induced subspace, in subset positions.
+    For plane spaces a fresh Delaunay triangulation of the subset is used;
+    its threshold components agree with the full graph's because it
+    contains the MST."""
     if isinstance(space.rule, PlaneRule):
-        from scipy.spatial import Delaunay
-
-        pts = np.asarray([space.labels[int(p)] for p in subset], dtype=float)
-        tri = Delaunay(pts)
-        pairs = set()
-        for simplex in tri.simplices:
-            for a in range(3):
-                for b in range(a + 1, 3):
-                    x, y = int(simplex[a]), int(simplex[b])
-                    pairs.add((x, y) if x < y else (y, x))
-        plist = sorted(pairs)
-        ww = [
-            round(math.hypot(pts[x][0] - pts[y][0], pts[x][1] - pts[y][1]), 9)
-            for x, y in plist
-        ]
-        for k in np.argsort(ww, kind="stable"):
-            x, y = plist[int(k)]
-            yield int(subset[x]), int(subset[y]), float(ww[int(k)])
-        return
+        return delaunay_edges(space.coords[subset])
     if len(subset) > DENSE_LIMIT:
         raise ValueError("subset too large for dense edge enumeration")
     sub = np.asarray([space.dists_from(int(i))[subset] for i in subset])
     iu, ju = np.triu_indices(len(subset), k=1)
-    order = np.argsort(sub[iu, ju], kind="stable")
-    for k in order:
-        a, b = int(iu[k]), int(ju[k])
-        yield int(subset[a]), int(subset[b]), float(sub[a, b])
+    return iu, ju, sub[iu, ju]
 
 
 def _window_labels(
@@ -154,37 +133,17 @@ def _window_labels(
     itself.
     """
     out: dict[float, np.ndarray] = {}
-    structured = not isinstance(space.rule, (PlaneRule, TableRule))
-    if structured:
+    if not isinstance(space.rule, (PlaneRule, TableRule)):
         sublabels = [space.labels[int(i)] for i in subset]
-        view = _LabelView(sublabels, space.rule)
         for eps in tested:
-            keys = _component_keys(view, space.rule, float(eps), 0)
-            code_of: dict = {}
-            codes = np.empty(len(keys), dtype=np.int64)
-            for k, key in enumerate(keys):
-                codes[k] = code_of.setdefault(key, len(code_of))
-            out[eps] = codes
+            keys = _component_keys(sublabels, space.rule, float(eps), 0)
+            out[eps] = _partition_from_keys(eps, keys).point_block
         return out
-    pos = {int(p): k for k, p in enumerate(subset)}
-    uf = _UnionFind(len(subset))
-    edges = _subset_edges(space, subset, pos)
-    pending = sorted(set(float(t) for t in tested))
-    edge = next(edges, None)
-    for eps in pending:
-        while edge is not None and edge[2] <= eps:
-            uf.union(pos[edge[0]], pos[edge[1]])
-            edge = next(edges, None)
-        out[eps] = np.asarray([uf.find(k) for k in range(len(subset))])
+    ii, jj, ww = _subset_edges(space, subset)
+    for eps in tested:
+        keep = ww <= eps
+        out[eps] = _connected_labels(len(subset), ii[keep], jj[keep])
     return out
-
-
-class _LabelView:
-    """Just enough of the FiniteSpace surface for _component_keys."""
-
-    def __init__(self, labels, rule):
-        self.labels = labels
-        self.rule = rule
 
 
 def _cluster_scales(vals: Sequence[float], rel: float = 1e-7) -> list[float]:
@@ -390,8 +349,8 @@ def oscillation(
         # coordinate keys classify it even on an arbitrary subset
         kk = None
         if not isinstance(source.rule, (PlaneRule, TableRule)):
-            view = _LabelView([source.labels[int(i)] for i in src_idx], source.rule)
-            kk = _component_keys(view, source.rule, float(delta), 0)
+            sublabels = [source.labels[int(i)] for i in src_idx]
+            kk = _component_keys(sublabels, source.rule, float(delta), 0)
         if kk is not None:
             groups: dict = {}
             for k, key in enumerate(kk):

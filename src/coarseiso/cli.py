@@ -196,7 +196,6 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--c", type=float, default=1.1)
     sub.add_argument("--deltas", type=str, default=None, help="comma-separated scales")
     sub.add_argument("--format", choices=("json", "table"), default="json")
-    sub.add_argument("--seed", type=int, default=0, help="reserved for randomized suites")
     sub.add_argument("--point-budget", type=int, default=None)
     sub.add_argument("--out", type=str, default=None, help="also write the JSON payload here")
 

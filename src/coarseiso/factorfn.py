@@ -14,7 +14,7 @@ finite or both infinite.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from typing import Mapping
 
 from .extnat import INF, ExtNat, IntoExtNat
 from .primes import factorize, is_prime
@@ -126,11 +126,6 @@ def ff_sub(f: FactorFunction, g: FactorFunction) -> FactorFunction:
     return FactorFunction.from_dict(values, new_default)
 
 
-def ff_min(f: FactorFunction, g: FactorFunction) -> FactorFunction:
-    values = {p: f.get(p).min(g.get(p)) for p in _union_primes(f, g)}
-    return FactorFunction.from_dict(values, f.default.min(g.default))
-
-
 def ff_render(f: FactorFunction) -> str:
     parts: list[str] = []
     if f.default != 0:
@@ -182,7 +177,3 @@ def ff_to_nat(f: FactorFunction) -> int:
     for p, v in f.entries:
         n *= p ** v.finite_value()
     return n
-
-
-def iter_pairs(f: FactorFunction) -> Iterable[tuple[int, ExtNat]]:
-    return iter(f.entries)

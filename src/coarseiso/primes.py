@@ -24,11 +24,6 @@ def first_primes(count: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def nth_prime(index: int) -> int:
-    """1-indexed: nth_prime(1) == 2."""
-    return int(sympy.prime(index))
-
-
 def factorize(n: int) -> dict[int, int]:
     """Prime factorization of a positive integer as {prime: exponent}."""
     if n < 1:

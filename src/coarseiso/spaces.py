@@ -28,7 +28,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -259,6 +259,7 @@ class FiniteSpace:
         self.index: dict[Label, int] = {l: i for i, l in enumerate(self.labels)}
         self._coords: Optional[np.ndarray] = None
         self._dmat: Optional[np.ndarray] = None
+        self._edges: Optional[tuple[np.ndarray, np.ndarray, np.ndarray]] = None
 
     def __len__(self) -> int:
         return len(self.labels)
@@ -333,7 +334,12 @@ class FiniteSpace:
         if payload.get("version") != 1:
             raise ValueError("unsupported serialization version")
         r = payload["inner_radius"]
-        rule = _rule_from_descriptor(payload["rule"])
+        desc = payload["rule"]
+        if desc["kind"] == "table":
+            # a table descriptor carries no flag of its own; the space's holds
+            rule: MetricRule = TableRule(np.asarray(desc["matrix"]), payload["ultrametric"])
+        else:
+            rule = _rule_from_descriptor(desc)
         return FiniteSpace(
             [tuple(l) for l in payload["labels"]],
             rule,
@@ -362,8 +368,6 @@ def _rule_from_descriptor(desc: dict) -> MetricRule:
         )
     if kind == "plane":
         return PlaneRule()
-    if kind == "table":
-        return TableRule(np.asarray(desc["matrix"]), ultrametric=False)
     raise ValueError(f"unknown rule kind {kind!r}")
 
 
@@ -656,6 +660,8 @@ class ComponentPartition:
 
 
 def _partition_from_keys(epsilon: Num, keys: Sequence) -> ComponentPartition:
+    """Partition grouping points by key: structural coordinate keys or
+    connected-component labels."""
     groups: dict = {}
     for i, key in enumerate(keys):
         groups.setdefault(key, []).append(i)
@@ -671,112 +677,87 @@ def _partition_from_keys(epsilon: Num, keys: Sequence) -> ComponentPartition:
     )
 
 
-def _partition_from_labels_array(epsilon: Num, roots: np.ndarray) -> ComponentPartition:
-    order = np.arange(len(roots))
-    groups: dict[int, list[int]] = {}
-    for i in order:
-        groups.setdefault(int(roots[i]), []).append(int(i))
-    blocks = sorted(groups.values(), key=lambda blk: blk[0])
-    point_block = np.empty(len(roots), dtype=np.int64)
-    for b, blk in enumerate(blocks):
-        point_block[blk] = b
-    return ComponentPartition(
-        epsilon,
-        tuple(tuple(blk) for blk in blocks),
-        tuple(blk[0] for blk in blocks),
-        point_block,
-    )
-
-
-class _UnionFind:
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-
-    def find(self, a: int) -> int:
-        p = self.parent
-        while p[a] != a:
-            p[a] = p[p[a]]
-            a = p[a]
-        return a
-
-    def union(self, a: int, b: int) -> bool:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        if rb < ra:
-            ra, rb = rb, ra
-        self.parent[rb] = ra
-        return True
-
-    def roots(self) -> np.ndarray:
-        return np.asarray([self.find(i) for i in range(len(self.parent))])
-
-
-def _component_keys(space: FiniteSpace, rule: MetricRule, eps: float, offset: int):
-    """Structural component keys for rule-backed spaces, or None."""
+def _component_keys(labels: Sequence[Label], rule: MetricRule, eps: float, offset: int):
+    """Structural component keys of labels under a rule, or None."""
     if isinstance(rule, TowerRule):
         kept = [i for i, lvl in enumerate(rule.levels) if lvl > eps]
-        return [tuple(l[offset + i] for i in kept) for l in space.labels]
+        return [tuple(l[offset + i] for i in kept) for l in labels]
     if isinstance(rule, GroupBallRule):
         r = rule.free_rank
         width = r + len(rule.cyclic_orders)
         kept = [i for i, lvl in enumerate(rule.cyclic_levels) if lvl > eps]
         if eps >= 1 or r == 0:
-            return [tuple(l[offset + r + i] for i in kept) for l in space.labels]
-        return [l[offset:offset + width] for l in space.labels]  # below the free scale
+            return [tuple(l[offset + r + i] for i in kept) for l in labels]
+        return [l[offset:offset + width] for l in labels]  # below the free scale
     if isinstance(rule, ProductRule):
-        lk = _component_keys(space, rule.left, eps, offset)
-        rk = _component_keys(space, rule.right, eps, offset + rule.split)
+        lk = _component_keys(labels, rule.left, eps, offset)
+        rk = _component_keys(labels, rule.right, eps, offset + rule.split)
         if lk is None or rk is None:
             return None
         return list(zip(lk, rk))
     return None
 
 
-_DELAUNAY_CACHE: dict[int, tuple] = {}
+def delaunay_edges(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Delaunay edge list (i, j, weight) of planar points, each edge once
+    with i < j and its PlaneRule distance. The Delaunay graph contains the
+    Euclidean MST, so thresholding it yields the same connected components,
+    and the same single-linkage heights, as the full distance graph."""
+    from scipy.spatial import Delaunay
+
+    s = np.sort(Delaunay(pts).simplices, axis=1)
+    pairs = np.unique(np.concatenate([s[:, [0, 1]], s[:, [0, 2]], s[:, [1, 2]]]), axis=0)
+    ii, jj = pairs[:, 0], pairs[:, 1]
+    ww = np.round(np.hypot(pts[ii, 0] - pts[jj, 0], pts[ii, 1] - pts[jj, 1]), PLANE_DECIMALS)
+    return ii, jj, ww
 
 
 def plane_edges(space: FiniteSpace) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Delaunay edge list (i, j, weight) of a plane fixture. The Delaunay
-    graph contains the Euclidean MST, so thresholding it yields the same
-    connected components as thresholding the full distance graph."""
-    key = id(space)
-    if key not in _DELAUNAY_CACHE:
-        from scipy.spatial import Delaunay
+    """Delaunay edges of a plane fixture, cached on the space."""
+    if space._edges is None:
+        space._edges = delaunay_edges(np.asarray(space.labels, dtype=float))
+    return space._edges
 
-        pts = np.asarray(space.labels, dtype=float)
-        tri = Delaunay(pts)
-        pairs = set()
-        for simplex in tri.simplices:
-            for a in range(3):
-                for b in range(a + 1, 3):
-                    i, j = int(simplex[a]), int(simplex[b])
-                    pairs.add((i, j) if i < j else (j, i))
-        ii = np.asarray([p[0] for p in pairs])
-        jj = np.asarray([p[1] for p in pairs])
-        ww = np.round(np.hypot(pts[ii, 0] - pts[jj, 0], pts[ii, 1] - pts[jj, 1]),
-                      PLANE_DECIMALS)
-        order = np.argsort(ww, kind="stable")
-        _DELAUNAY_CACHE[key] = (ii[order], jj[order], ww[order])
-    return _DELAUNAY_CACHE[key]
+
+def _connected_labels(n: int, ii: np.ndarray, jj: np.ndarray) -> np.ndarray:
+    """Connected-component label of each of n nodes under the edges (ii, jj)."""
+    from scipy.sparse import coo_matrix
+    from scipy.sparse.csgraph import connected_components
+
+    # unit weights: coo_matrix sums duplicate pairs, and a sum stays nonzero
+    graph = coo_matrix((np.ones(len(ii)), (ii, jj)), shape=(n, n))
+    return connected_components(graph, directed=False)[1]
+
+
+def _spanning_tree(n: int, ii: np.ndarray, jj: np.ndarray, ww: np.ndarray):
+    """Minimum spanning tree (rows, cols, weights) of the graph on n nodes
+    with edges (ii, jj, ww). Each pair must appear once with a positive
+    weight: coo_matrix sums duplicates and csgraph reads a zero as no edge."""
+    from scipy.sparse import coo_matrix
+    from scipy.sparse.csgraph import minimum_spanning_tree
+
+    tree = minimum_spanning_tree(coo_matrix((ww, (ii, jj)), shape=(n, n))).tocoo()
+    return tree.row, tree.col, tree.data
 
 
 def _graph_components(space: FiniteSpace, eps: float) -> np.ndarray:
-    """Union-find roots of the graph with edges d <= eps."""
+    """Component labels of the graph with edges d <= eps."""
     n = len(space)
-    uf = _UnionFind(n)
     if isinstance(space.rule, PlaneRule):
         ii, jj, ww = plane_edges(space)
-        for k in range(len(ww)):
-            if ww[k] > eps:
-                break
-            uf.union(int(ii[k]), int(jj[k]))
-    else:
-        for i in range(n):
-            row = space.dists_from(i)
-            for j in np.flatnonzero(row[i + 1:] <= eps) + i + 1:
-                uf.union(i, int(j))
-    return uf.roots()
+        keep = ww <= eps
+        return _connected_labels(n, ii[keep], jj[keep])
+    # rows in blocks, each block's edges joined to a star forest of the
+    # components so far, so memory stays near one block of rows
+    labels = np.arange(n)
+    step = max(1, 2**20 // n)
+    for start in range(0, n, step):
+        rows = np.asarray([space.dists_from(i) for i in range(start, min(n, start + step))])
+        bi, bj = np.nonzero(rows <= eps)
+        roots = np.unique(labels, return_index=True)[1][labels]
+        ii = np.concatenate([bi + start, np.arange(n)])
+        labels = _connected_labels(n, ii, np.concatenate([bj, roots]))
+    return labels
 
 
 def epsilon_components(space: FiniteSpace, epsilon: Num) -> ComponentPartition:
@@ -786,10 +767,10 @@ def epsilon_components(space: FiniteSpace, epsilon: Num) -> ComponentPartition:
         raise ValueError("epsilon must be >= 0")
     keys = None
     if space.structural and not isinstance(space.rule, (TableRule, PlaneRule)):
-        keys = _component_keys(space, space.rule, eps, 0)
-    if keys is not None:
-        return _partition_from_keys(epsilon, keys)
-    return _partition_from_labels_array(epsilon, _graph_components(space, eps))
+        keys = _component_keys(space.labels, space.rule, eps, 0)
+    if keys is None:
+        keys = _graph_components(space, eps)
+    return _partition_from_keys(epsilon, keys)
 
 
 def _quotient_tower_parts(rule: MetricRule, eps: float, offset: int):
@@ -842,31 +823,32 @@ def quotient_with_projection(
         q = FiniteSpace(labels, rule, base_block, space.inner_radius)
         return q, partition
 
-    # generic path: single-linkage merge heights above epsilon
+    # generic path: single-linkage merge heights of the blocks, read off the
+    # minimum spanning tree of the block graph (lightest edge per block pair)
     reps = partition.representatives
     b = len(reps)
     if b > DENSE_LIMIT:
         raise BudgetError(f"quotient with {b} blocks exceeds the dense limit")
+    if isinstance(space.rule, PlaneRule):
+        ii, jj, ww = plane_edges(space)
+    else:
+        ii, jj = np.triu_indices(len(space), k=1)
+        ww = space.dmat()[ii, jj]
+    bi, bj = partition.point_block[ii], partition.point_block[jj]
+    # cross-block weights exceed eps >= 0, so none reads as a missing edge
+    cross = bi != bj
+    key = np.minimum(bi, bj)[cross] * b + np.maximum(bi, bj)[cross]
+    ww = ww[cross]
+    order = np.argsort(ww, kind="stable")
+    key, first = np.unique(key[order], return_index=True)
+    ti, tj, tw = _spanning_tree(b, key // b, key % b, ww[order][first])
     qd = np.zeros((b, b))
-    uf = _UnionFind(b)
-    groups: dict[int, set[int]] = {i: {i} for i in range(b)}
-    merged = b
-    for i, j, w in _ascending_edges(space):
-        if w <= eps:
-            continue
-        bi, bj = int(partition.point_block[i]), int(partition.point_block[j])
-        ri, rj = uf.find(bi), uf.find(bj)
-        if ri == rj:
-            continue
-        for a in groups[ri]:
-            for c in groups[rj]:
-                qd[a, c] = qd[c, a] = w
-        uf.union(ri, rj)
-        root = uf.find(ri)
-        groups[root] = groups[ri] | groups[rj]
-        merged -= 1
-        if merged == 1:
-            break
+    cluster = np.arange(b)
+    for k in np.argsort(tw, kind="stable"):
+        left = cluster == cluster[ti[k]]
+        right = cluster == cluster[tj[k]]
+        qd[np.ix_(left, right)] = qd[np.ix_(right, left)] = tw[k]
+        cluster[right] = cluster[ti[k]]
     base_block = int(partition.point_block[space.basepoint])
     base_spread = float(np.max(space.dists_from(space.basepoint)[list(partition.blocks[base_block])]))
     inner = max(0.0, float(space.inner_radius) - base_spread)
@@ -878,21 +860,6 @@ def quotient_with_projection(
 
 def quotient_space(space: FiniteSpace, epsilon: Num) -> FiniteSpace:
     return quotient_with_projection(space, epsilon)[0]
-
-
-def _ascending_edges(space: FiniteSpace) -> Iterable[tuple[int, int, float]]:
-    """All graph edges needed for single-linkage, ascending by weight."""
-    if isinstance(space.rule, PlaneRule):
-        ii, jj, ww = plane_edges(space)
-        for k in range(len(ww)):
-            yield int(ii[k]), int(jj[k]), float(ww[k])
-        return
-    m = space.dmat()
-    iu, ju = np.triu_indices(len(space), k=1)
-    order = np.argsort(m[iu, ju], kind="stable")
-    for k in order:
-        i, j = int(iu[k]), int(ju[k])
-        yield i, j, float(m[i, j])
 
 
 def _verify_ultrametric(space: FiniteSpace, sample: int = 512) -> None:

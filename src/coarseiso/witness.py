@@ -67,12 +67,6 @@ class WitnessMap:
     def __len__(self) -> int:
         return len(self.table)
 
-    def apply(self, src_index: int) -> int:
-        for s, t in self.table:
-            if s == src_index:
-                return t
-        raise KeyError(src_index)
-
     def as_dict(self) -> Dict[int, int]:
         return {s: t for s, t in self.table}
 

@@ -7,10 +7,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from coarseiso.analysis import (
+    _mst_weights,
+    _window_labels,
     asdim_cover,
     empirical_phi,
     estimate_factorizing_step,
@@ -20,6 +22,9 @@ from coarseiso.analysis import (
 from coarseiso.factorfn import FactorFunction, ZERO_FF
 from coarseiso.groups import parse_group
 from coarseiso.spaces import (
+    FiniteSpace,
+    PlaneRule,
+    TableRule,
     build_truncation,
     canonical_ultrametric,
     cantor_cube_truncation,
@@ -279,3 +284,34 @@ def test_empirical_phi_divides_full_profile(sp):
     total = math.prod(sp.rule.orders)
     for p in phi.support_primes:
         assert total % p ** phi.get(p).finite_value() == 0
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.booleans(), st.data())
+def test_mst_and_window_graph_match_single_linkage(plane, data):
+    # Delaunay (plane) and dense (table) edge graphs against scipy's
+    # single-linkage merge heights on the same all-pairs distances
+    from scipy.cluster.hierarchy import cophenet, linkage
+    from scipy.spatial.distance import squareform
+
+    if plane:
+        # random grid points: ties, cocircular quadruples, long hull edges
+        pts = data.draw(st.lists(st.tuples(st.integers(0, 40), st.integers(0, 40)),
+                                 min_size=3, max_size=60, unique=True))
+        labels = sorted((x / 4, y / 4) for x, y in pts)
+        assume(np.linalg.matrix_rank(np.asarray(labels) - labels[0]) == 2)
+        sp = FiniteSpace(labels, PlaneRule(), 0, 0)
+        subset = np.arange(len(sp))
+    else:
+        zb = zball(3, 2)
+        sp = FiniteSpace(zb.labels, TableRule(zb.dmat(), ultrametric=False), zb.basepoint, 3)
+        subset = np.asarray(sorted(data.draw(st.sets(st.integers(0, len(zb) - 1), min_size=2))))
+    tree = linkage(squareform(sp.dmat()[np.ix_(subset, subset)]), "single")
+    heights = sorted(set(tree[:, 2].tolist()))
+    assert _mst_weights(sp, subset) == heights
+
+    coph = squareform(cophenet(tree))
+    scales = [0.0] + heights + [h * 0.999 for h in heights]
+    window = _window_labels(sp, subset, scales)
+    for eps in scales:
+        assert np.array_equal(window[eps][:, None] == window[eps][None, :], coph <= eps)

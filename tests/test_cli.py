@@ -3,9 +3,14 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import coarseiso
 from coarseiso.cli import main
 
 
@@ -174,3 +179,19 @@ class TestOutput:
         assert code == 0
         measured = payload["verification"]["measured"]["forward"]
         assert set(measured) >= {"1.0", "2.0", "5.0"}
+
+
+def test_witness_chain_leaves_scipy_unloaded():
+    # scipy is imported only where plane fixtures or non-structural spaces
+    # need it, so free-rank witness chains never pay for loading it
+    code = (
+        "import contextlib, io, sys\n"
+        "from coarseiso.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert main(['witness', 'Z + C2', 'Z', '--radius', '16']) == 0\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    src = str(Path(coarseiso.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

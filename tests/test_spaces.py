@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import gc
 import json
 import math
+import weakref
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from coarseiso.factorfn import FactorFunction
@@ -15,6 +17,7 @@ from coarseiso.groups import parse_group
 from coarseiso.spaces import (
     BudgetError,
     FiniteSpace,
+    PlaneRule,
     TableRule,
     build_truncation,
     canonical_ultrametric,
@@ -24,6 +27,7 @@ from coarseiso.spaces import (
     example31_fixture,
     k_point_space,
     make_schedule,
+    plane_edges,
     product_space,
     quotient_space,
     quotient_with_projection,
@@ -40,6 +44,44 @@ def ff(values, default=0):
 
 def dist_values(space):
     return sorted(set(np.asarray(space.dmat()).ravel().tolist()))
+
+
+def threshold_blocks(m, eps):
+    """Components of the all-pairs graph with edges d <= eps, by
+    breadth-first search over the dense matrix; blocks ordered by their
+    minimal index."""
+    owner = np.full(len(m), -1)
+    for s in range(len(m)):
+        if owner[s] < 0:
+            owner[s] = s
+            frontier = np.array([s])
+            while len(frontier):
+                frontier = np.flatnonzero((m[frontier] <= eps).any(axis=0) & (owner < 0))
+                owner[frontier] = s
+    return tuple(tuple(np.flatnonzero(owner == s).tolist()) for s in np.unique(owner))
+
+
+def plane_cloud(points):
+    """Plane space on distinct points, None when they are collinear."""
+    labels = sorted((x / 4, y / 4) for x, y in points)
+    if np.linalg.matrix_rank(np.asarray(labels) - labels[0]) < 2:
+        return None
+    return FiniteSpace(labels, PlaneRule(), 0, 0)
+
+
+plane_spaces = st.one_of(
+    st.tuples(st.integers(1, 3), st.sampled_from([0.1, 0.25, 0.5])).map(
+        lambda t: example31_fixture(t[0], t[1], 5)
+    ),
+    st.lists(st.tuples(st.integers(0, 40), st.integers(0, 40)), min_size=3, max_size=60,
+             unique=True).map(plane_cloud).filter(lambda sp: sp is not None),
+)
+
+
+def unstructured(sp):
+    """Copy of a space that must take the graph path for its components."""
+    return FiniteSpace(sp.labels, sp.rule, sp.basepoint, sp.inner_radius,
+                       sp.ultrametric, structural=False)
 
 
 class TestSchedules:
@@ -206,28 +248,29 @@ class TestComponents:
         with pytest.raises(ValueError):
             epsilon_components(zball(2), -1)
 
-    def test_matches_graph_search_on_plane(self):
+    @settings(max_examples=40, deadline=None)
+    @given(plane_spaces, st.sampled_from([0.05, 0.3, 0.5, 1.0, 2.0, 4.0]))
+    def test_matches_graph_search_on_plane(self, sp, eps):
+        # Delaunay-edge components against the all-pairs threshold graph
+        assert epsilon_components(sp, eps).blocks == threshold_blocks(sp.dmat(), eps)
+
+    def test_graph_path_over_several_row_blocks(self):
+        # ~3000 points: the graph path reads its distance rows in blocks,
+        # and runs of the line must join across block boundaries
+        zb = zball(1500)
+        line = subspace(zb, [i for i, (v,) in enumerate(zb.labels) if (v + 48) % 97])
+        assert not line.structural
+        run = [(v + 48) // 97 for (v,) in line.labels]
+        want = tuple(tuple(i for i, k in enumerate(run) if k == r) for r in sorted(set(run)))
+        assert epsilon_components(line, 1).blocks == want
+
+    def test_plane_edges_freed_with_their_space(self):
         sp = example31_fixture(2, 0.25, 5)
-        part = epsilon_components(sp, 1.0)
-        # brute-force union-find over the dense matrix
-        m = sp.dmat()
-        n = len(sp)
-        parent = list(range(n))
-
-        def find(a):
-            while parent[a] != a:
-                parent[a] = parent[parent[a]]
-                a = parent[a]
-            return a
-
-        for i in range(n):
-            for j in range(i + 1, n):
-                if m[i, j] <= 1.0:
-                    ri, rj = find(i), find(j)
-                    if ri != rj:
-                        parent[max(ri, rj)] = min(ri, rj)
-        want = len({find(i) for i in range(n)})
-        assert part.count == want
+        epsilon_components(sp, 1.0)
+        ref = weakref.ref(plane_edges(sp)[2])
+        del sp
+        gc.collect()
+        assert ref() is None
 
 
 class TestSubspace:
@@ -347,6 +390,7 @@ class TestSerialization:
         q = quotient_space(example31_fixture(1, 0.5, 3), 1.0)
         back = FiniteSpace.from_json(q.to_json())
         assert np.allclose(back.dmat(), q.dmat())
+        assert back.rule.is_ultrametric == q.rule.is_ultrametric
 
     def test_version_guard(self):
         payload = json.loads(zball(1).to_json())
@@ -387,3 +431,43 @@ def test_quotient_block_count_matches_partition(sp, eps):
 @given(small_towers)
 def test_serialization_round_trip_random(sp):
     assert FiniteSpace.from_json(sp.to_json()) == sp
+
+
+rule_spaces = st.one_of(
+    small_towers,
+    st.tuples(st.integers(1, 4), st.integers(1, 2)).map(lambda t: zball(*t)),
+    st.sampled_from(["Z + C2", "Z + C3 + C2", "Z^2 + C2", "C2^inf + C3"]).map(
+        lambda g: build_truncation(parse_group(g), radius=4)
+    ),
+    st.tuples(
+        st.lists(st.integers(2, 3), min_size=1, max_size=3).map(tower_space),
+        st.integers(1, 3),
+    ).map(lambda t: product_space(t[0], zball(t[1]))),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(rule_spaces, st.sampled_from([0, 0.5, 1, 2, 3, 4, 5]))
+def test_structural_keys_match_graph_components(sp, eps):
+    assert sp.structural
+    keyed = epsilon_components(sp, eps)
+    graph = epsilon_components(unstructured(sp), eps)
+    assert keyed.blocks == graph.blocks == threshold_blocks(sp.dmat(), eps)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(1, 2), st.integers(0, 3), st.data())
+def test_generic_quotient_matches_single_linkage(rank, eps, data):
+    from scipy.cluster.hierarchy import cophenet, linkage
+    from scipy.spatial.distance import squareform
+
+    zb = zball(6 if rank == 1 else 3, rank)
+    picked = data.draw(st.sets(st.integers(0, len(zb) - 1), min_size=1))
+    sub = subspace(zb, sorted(picked | {zb.basepoint}))
+    assume(len(sub) >= 2 and not sub.structural)
+    q, part = quotient_with_projection(sub, eps)
+    coph = squareform(cophenet(linkage(squareform(sub.dmat()), "single")))
+    same_block = part.point_block[:, None] == part.point_block[None, :]
+    assert np.array_equal(coph <= eps, same_block)
+    reps = list(part.representatives)
+    assert np.array_equal(q.dmat(), coph[np.ix_(reps, reps)])

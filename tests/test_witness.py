@@ -58,7 +58,7 @@ class TestWitnessMap:
     def test_apply_and_len(self):
         w = identity_witness(tower_space([2, 3]))
         assert len(w) == 6
-        assert w.apply(4) == 4
+        assert w.as_dict()[4] == 4
 
     def test_json_shape(self):
         w = identity_witness(tower_space([2, 3]))
