@@ -21,11 +21,8 @@ from .primes import factorize, primes_upto
 from .spaces import (
     DENSE_LIMIT,
     FiniteSpace,
-    GroupBallRule,
     PlaneRule,
-    ProductRule,
-    TableRule,
-    TowerRule,
+    SupRule,
     _component_keys,
     _connected_labels,
     _partition_from_keys,
@@ -82,23 +79,13 @@ class StepEstimate:
         }
 
 
-def _structured_values(rule, radius: float) -> Optional[set[float]]:
-    """Realized distance values of constructor-built spaces, if enumerable."""
-    if isinstance(rule, TowerRule):
-        return {0.0} | {float(l) for l in rule.levels}
-    if isinstance(rule, GroupBallRule):
-        vals = {0.0}
-        if rule.free_rank:
-            vals |= {float(k) for k in range(1, int(radius) + 1)}
-        vals |= {float(l) for l in rule.cyclic_levels}
-        return vals
-    if isinstance(rule, ProductRule):
-        lv = _structured_values(rule.left, radius)
-        rv = _structured_values(rule.right, radius)
-        if lv is None or rv is None:
-            return None
-        return lv | rv
-    return None
+def _structured_values(rule: SupRule, radius: float) -> set[float]:
+    """Distance values a sup rule can realize up to the radius: the cyclic
+    levels, and every integer up to the radius when a coordinate is free."""
+    vals = {0.0} | {float(lvl) for o, lvl in zip(rule.orders, rule.levels) if o}
+    if 0 in rule.orders:
+        vals |= {float(k) for k in range(1, int(radius) + 1)}
+    return vals
 
 
 def _mst_weights(space: FiniteSpace, subset: np.ndarray) -> list[float]:
@@ -128,15 +115,15 @@ def _window_labels(
 ) -> dict[float, np.ndarray]:
     """Component labels of the induced subspace at each tested scale.
 
-    Windows are balls around the basepoint, so for constructor-built rules
-    the intrinsic coordinate keys classify chain components of the subspace
-    itself.
+    Windows are balls around the basepoint, and a ball of a structural
+    space is again a box, so there the coordinate keys classify chain
+    components of the subspace itself.
     """
     out: dict[float, np.ndarray] = {}
-    if not isinstance(space.rule, (PlaneRule, TableRule)):
+    if space.structural and isinstance(space.rule, SupRule):
         sublabels = [space.labels[int(i)] for i in subset]
         for eps in tested:
-            keys = _component_keys(sublabels, space.rule, float(eps), 0)
+            keys = _component_keys(sublabels, space.rule, float(eps))
             out[eps] = _partition_from_keys(eps, keys).point_block
         return out
     ii, jj, ww = _subset_edges(space, subset)
@@ -190,8 +177,8 @@ def estimate_factorizing_step(
     windows = tuple(f * radius for f in window_fractions)
     delta_cap = windows[0]
 
-    values = _structured_values(space.rule, radius)
-    if values is not None:
+    if isinstance(space.rule, SupRule):
+        values = _structured_values(space.rule, radius)
         candidates = sorted(v for v in values if v <= radius)
     else:
         candidates = _mst_weights(space, np.flatnonzero(bd <= radius))
@@ -258,7 +245,8 @@ def empirical_phi(space: FiniteSpace, prime_bound: int = 97) -> FactorFunction:
                 best[p] = e
 
     rule = space.rule
-    if isinstance(rule, TowerRule) and len(space) == int(np.prod(rule.orders or [1])):
+    full_tower = isinstance(rule, SupRule) and rule.layout == "tower"
+    if full_tower and len(space) == math.prod(rule.orders):
         acc: dict[int, int] = {}
         radius = float(space.inner_radius)
         for o, lvl in zip(rule.orders, rule.levels):
@@ -284,45 +272,22 @@ def empirical_phi(space: FiniteSpace, prime_bound: int = 97) -> FactorFunction:
 
 
 def _sup_diameter(space: FiniteSpace, idx: np.ndarray) -> float:
-    """Diameter of an index set. For sup-metric rules this is the max of the
-    per-coordinate diameters; otherwise pairwise."""
+    """Diameter of an index set. For a sup rule this is the max over the
+    coordinates of each one's spread: the range of a free coordinate, the
+    level of a cyclic one that varies. Otherwise pairwise."""
     if len(idx) <= 1:
         return 0.0
     rule = space.rule
-    if isinstance(rule, (TowerRule, GroupBallRule, ProductRule)):
+    if isinstance(rule, SupRule):
         sub = space.coords[idx]
-        return float(_coordwise_diameter(rule, sub, 0))
+        spread = sub.max(axis=0) - sub.min(axis=0)
+        free = np.asarray(rule.orders) == 0
+        spans = np.where(free, spread, (spread != 0) * np.asarray(rule.levels))
+        return float(spans.max(initial=0.0))
     best = 0.0
     for k in idx:
         best = max(best, float(np.max(space.dists_from(int(k))[idx])))
     return best
-
-
-def _coordwise_diameter(rule, sub: np.ndarray, offset: int) -> float:
-    if isinstance(rule, TowerRule):
-        d = 0.0
-        for i, lvl in enumerate(rule.levels):
-            col = sub[:, offset + i]
-            if col.max() != col.min():
-                d = max(d, float(lvl))
-        return d
-    if isinstance(rule, GroupBallRule):
-        d = 0.0
-        r = rule.free_rank
-        for i in range(r):
-            col = sub[:, offset + i]
-            d = max(d, float(col.max() - col.min()))
-        for i, lvl in enumerate(rule.cyclic_levels):
-            col = sub[:, offset + r + i]
-            if col.max() != col.min():
-                d = max(d, float(lvl))
-        return d
-    if isinstance(rule, ProductRule):
-        return max(
-            _coordwise_diameter(rule.left, sub, offset),
-            _coordwise_diameter(rule.right, sub, offset + rule.split),
-        )
-    raise TypeError("coordinate diameter needs a sup-metric rule")
 
 
 def oscillation(
@@ -347,11 +312,9 @@ def oscillation(
     if source.ultrametric:
         # in an ultrametric the within-delta relation is an equivalence, so
         # coordinate keys classify it even on an arbitrary subset
-        kk = None
-        if not isinstance(source.rule, (PlaneRule, TableRule)):
+        if isinstance(source.rule, SupRule):
             sublabels = [source.labels[int(i)] for i in src_idx]
-            kk = _component_keys(sublabels, source.rule, float(delta), 0)
-        if kk is not None:
+            kk = _component_keys(sublabels, source.rule, float(delta))
             groups: dict = {}
             for k, key in enumerate(kk):
                 groups.setdefault(key, []).append(k)
@@ -404,7 +367,7 @@ def foelner_search(
     if not math.isfinite(radius):
         radius = float(np.max(bd))
     rule = space.rule
-    pure_free = isinstance(rule, GroupBallRule) and not rule.cyclic_orders
+    pure_free = isinstance(rule, SupRule) and rule.layout == "group-ball" and not any(rule.orders)
     k = 0
     while k + epsilon <= radius:
         inside = np.flatnonzero(bd <= k)

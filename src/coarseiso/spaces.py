@@ -6,16 +6,21 @@ the truncation faithfully represents the ambient space it samples. Distances
 are integers for the algebraic models (exact in float64) and 64-bit floats
 rounded to 1e-9 for plane fixtures.
 
-Metric conventions:
+Metric conventions: every constructor-built space is one sup rule over its
+label coordinates, d(x, y) = max over coordinates of
 
-* group balls: d(x, y) = max(sup-norm of the free-coordinate difference,
-  highest schedule level among differing cyclic coordinates). This is the
-  exhaustion metric min{n : x - y lies in F_n} for F_n = [-n, n]^r x
-  (product of the cyclic summands scheduled at levels <= n).
-* towers: d(x, y) = level of the highest differing coordinate. Canonical
-  towers put summand i (1-based) at level i + 1, so the free-part scale 1
-  stays below every torsion scale.
-* products: sup metric, preserving ultrametricity when both factors have it.
+* |x_c - y_c| for a free coordinate (a Z summand, level 1), and
+* L_c * [x_c != y_c] for a cyclic coordinate of order o_c at level L_c.
+
+Group balls put their free coordinates first and schedule the cyclic ones
+at strictly increasing levels >= 2, which makes d the exhaustion metric
+min{n : x - y lies in F_n} for F_n = [-n, n]^r x (product of the cyclic
+summands scheduled at levels <= n). Towers have cyclic coordinates only,
+at strictly increasing levels, so d is the level of the highest differing
+coordinate; canonical towers put summand i (1-based) at level i + 1, so the
+free-part scale 1 stays below every torsion scale. Products concatenate
+their factors' coordinates, and a rule without free coordinates is an
+ultrametric.
 
 Points are stored in ascending lexicographic label order, so the minimal
 index of a subset is also its lexicographically minimal label.
@@ -53,129 +58,114 @@ class BudgetError(ValueError):
 # metric rules
 
 
+Layout = Union[str, tuple]
+
+
 @dataclass(frozen=True)
-class TowerRule:
-    """Ultrametric on a product of cyclic groups: distance between distinct
-    points is the level of the highest coordinate where they differ."""
+class SupRule:
+    """Sup metric over label coordinates. A free coordinate (order 0, level
+    1) contributes |x - y|; a cyclic coordinate of order o >= 2 at level L
+    contributes L * [x != y].
+
+    ``layout`` records how the constructors assembled the coordinates:
+    "tower", "group-ball", or (split, left, right) for a product whose left
+    factor owns the first ``split`` coordinates. Distances never read it;
+    the serialized descriptor and the product split do.
+    """
 
     orders: tuple[int, ...]
     levels: tuple[int, ...]
+    layout: Layout
 
-    def __post_init__(self) -> None:
-        if len(self.orders) != len(self.levels):
+    @staticmethod
+    def tower(orders: Sequence[int], levels: Sequence[int]) -> "SupRule":
+        """Ultrametric on a product of cyclic groups: the distance between
+        distinct points is the level of the highest differing coordinate."""
+        if len(orders) != len(levels):
             raise ValueError("orders and levels must have equal length")
-        if any(o < 2 for o in self.orders):
+        if any(o < 2 for o in orders):
             raise ValueError("cyclic orders must be >= 2")
-        if any(b <= a for a, b in zip(self.levels, self.levels[1:])):
+        if any(b <= a for a, b in zip(levels, levels[1:])):
             raise ValueError("levels must be strictly increasing")
-        if self.levels and self.levels[0] < 1:
+        if levels and levels[0] < 1:
             raise ValueError("levels must be >= 1")
+        return SupRule(tuple(orders), tuple(levels), "tower")
+
+    @staticmethod
+    def group_ball(
+        free_rank: int, cyclic_orders: Sequence[int] = (), cyclic_levels: Sequence[int] = ()
+    ) -> "SupRule":
+        """Exhaustion metric on Z^r x (cyclic part): free generators at
+        level 1, cyclic levels strictly increasing and >= 2."""
+        if free_rank < 0:
+            raise ValueError("free rank must be >= 0")
+        if len(cyclic_orders) != len(cyclic_levels):
+            raise ValueError("orders and levels must have equal length")
+        if any(o < 2 for o in cyclic_orders):
+            raise ValueError("cyclic orders must be >= 2")
+        if any(lvl < 2 for lvl in cyclic_levels):
+            raise ValueError("cyclic levels must be >= 2")
+        if any(b <= a for a, b in zip(cyclic_levels, cyclic_levels[1:])):
+            raise ValueError("cyclic levels must be strictly increasing")
+        return SupRule(
+            (0,) * free_rank + tuple(cyclic_orders),
+            (1,) * free_rank + tuple(cyclic_levels),
+            "group-ball",
+        )
+
+    @staticmethod
+    def product(left: "SupRule", right: "SupRule") -> "SupRule":
+        """Sup metric on concatenated labels."""
+        layout = (len(left.orders), left.layout, right.layout)
+        return SupRule(left.orders + right.orders, left.levels + right.levels, layout)
+
+    @property
+    def split(self) -> Optional[int]:
+        """Coordinates owned by the left factor of a product, else None."""
+        return self.layout[0] if isinstance(self.layout, tuple) else None
 
     @property
     def is_ultrametric(self) -> bool:
-        return True
+        return 0 not in self.orders
 
     def distance(self, a: Label, b: Label) -> int:
         d = 0
-        for x, y, lvl in zip(a, b, self.levels):
-            if x != y:
-                d = lvl
-        return d
-
-    def dists(self, row: np.ndarray, coords: np.ndarray) -> np.ndarray:
-        if not self.levels:
-            return np.zeros(len(coords))
-        lv = np.asarray(self.levels)
-        return np.max(np.where(coords != row, lv, 0), axis=1).astype(float)
-
-    def descriptor(self) -> dict:
-        return {"kind": "tower", "orders": list(self.orders), "levels": list(self.levels)}
-
-
-@dataclass(frozen=True)
-class GroupBallRule:
-    """Exhaustion metric on Z^r x (cyclic part): max of the free sup-norm
-    and the levels of differing cyclic coordinates. Free generators sit at
-    level 1; cyclic levels are strictly increasing and >= 2."""
-
-    free_rank: int
-    cyclic_orders: tuple[int, ...] = ()
-    cyclic_levels: tuple[int, ...] = ()
-
-    def __post_init__(self) -> None:
-        if self.free_rank < 0:
-            raise ValueError("free rank must be >= 0")
-        if len(self.cyclic_orders) != len(self.cyclic_levels):
-            raise ValueError("orders and levels must have equal length")
-        if any(lvl < 2 for lvl in self.cyclic_levels):
-            raise ValueError("cyclic levels must be >= 2")
-        if any(b <= a for a, b in zip(self.cyclic_levels, self.cyclic_levels[1:])):
-            raise ValueError("cyclic levels must be strictly increasing")
-
-    @property
-    def is_ultrametric(self) -> bool:
-        return self.free_rank == 0
-
-    def distance(self, a: Label, b: Label) -> int:
-        r = self.free_rank
-        d = max((abs(x - y) for x, y in zip(a[:r], b[:r])), default=0)
-        for x, y, lvl in zip(a[r:], b[r:], self.cyclic_levels):
-            if x != y:
+        for x, y, o, lvl in zip(a, b, self.orders, self.levels):
+            if o == 0:
+                d = max(d, abs(x - y))
+            elif x != y:
                 d = max(d, lvl)
         return d
 
     def dists(self, row: np.ndarray, coords: np.ndarray) -> np.ndarray:
-        r = self.free_rank
+        # one column at a time: an (n, k) temporary reduced with max(axis=1)
+        # is slower on the narrow labels the constructors build
         d = np.zeros(len(coords))
-        if r:
-            d = np.max(np.abs(coords[:, :r] - row[:r]), axis=1).astype(float)
-        if self.cyclic_orders:
-            lv = np.asarray(self.cyclic_levels)
-            cyc = np.max(np.where(coords[:, r:] != row[r:], lv, 0), axis=1)
-            d = np.maximum(d, cyc)
+        for c, (o, lvl) in enumerate(zip(self.orders, self.levels)):
+            col = coords[:, c]
+            if o == 0:
+                np.maximum(d, np.abs(col - row[c]), out=d)
+            else:
+                np.maximum(d, (col != row[c]) * lvl, out=d)
         return d
 
     def descriptor(self) -> dict:
-        return {
-            "kind": "group-ball",
-            "free_rank": self.free_rank,
-            "cyclic_orders": list(self.cyclic_orders),
-            "cyclic_levels": list(self.cyclic_levels),
-        }
-
-
-@dataclass(frozen=True)
-class ProductRule:
-    """Sup metric on concatenated labels; the left factor owns the first
-    `split` coordinates."""
-
-    left: "MetricRule"
-    right: "MetricRule"
-    split: int
-
-    @property
-    def is_ultrametric(self) -> bool:
-        return self.left.is_ultrametric and self.right.is_ultrametric
-
-    def distance(self, a: Label, b: Label) -> Num:
-        s = self.split
-        return max(
-            self.left.distance(a[:s], b[:s]), self.right.distance(a[s:], b[s:])
-        )
-
-    def dists(self, row: np.ndarray, coords: np.ndarray) -> np.ndarray:
-        s = self.split
-        return np.maximum(
-            self.left.dists(row[:s], coords[:, :s]),
-            self.right.dists(row[s:], coords[:, s:]),
-        )
-
-    def descriptor(self) -> dict:
+        if self.layout == "tower":
+            return {"kind": "tower", "orders": list(self.orders), "levels": list(self.levels)}
+        if self.layout == "group-ball":
+            r = self.orders.count(0)
+            return {
+                "kind": "group-ball",
+                "free_rank": r,
+                "cyclic_orders": list(self.orders[r:]),
+                "cyclic_levels": list(self.levels[r:]),
+            }
+        s, left, right = self.layout
         return {
             "kind": "product",
-            "split": self.split,
-            "left": self.left.descriptor(),
-            "right": self.right.descriptor(),
+            "split": s,
+            "left": SupRule(self.orders[:s], self.levels[:s], left).descriptor(),
+            "right": SupRule(self.orders[s:], self.levels[s:], right).descriptor(),
         }
 
 
@@ -221,7 +211,7 @@ class TableRule:
         )
 
 
-MetricRule = Union[TowerRule, GroupBallRule, ProductRule, PlaneRule, TableRule]
+MetricRule = Union[SupRule, PlaneRule, TableRule]
 
 
 # ---------------------------------------------------------------------------
@@ -249,6 +239,10 @@ class FiniteSpace:
             raise ValueError("duplicate point labels")
         if not 0 <= basepoint < len(self.labels):
             raise ValueError("basepoint index out of range")
+        if isinstance(rule, SupRule) and any(len(l) != len(rule.orders) for l in self.labels):
+            raise ValueError("label width differs from the rule's coordinate count")
+        if isinstance(rule, TableRule) and len(rule.matrix) != len(self.labels):
+            raise ValueError("distance table size differs from the point count")
         self.rule = rule
         self.basepoint = basepoint
         self.inner_radius = inner_radius
@@ -283,7 +277,8 @@ class FiniteSpace:
             if isinstance(self.rule, TableRule):
                 self._coords = np.arange(len(self))[:, None]
             else:
-                self._coords = np.asarray(self.labels, dtype=float)
+                # column-major: the row kernels read one coordinate at a time
+                self._coords = np.asfortranarray(np.asarray(self.labels, dtype=float))
         return self._coords
 
     def d(self, i: int, j: int) -> Num:
@@ -353,19 +348,17 @@ class FiniteSpace:
 def _rule_from_descriptor(desc: dict) -> MetricRule:
     kind = desc["kind"]
     if kind == "tower":
-        return TowerRule(tuple(desc["orders"]), tuple(desc["levels"]))
+        return SupRule.tower(desc["orders"], desc["levels"])
     if kind == "group-ball":
-        return GroupBallRule(
-            desc["free_rank"],
-            tuple(desc["cyclic_orders"]),
-            tuple(desc["cyclic_levels"]),
-        )
+        return SupRule.group_ball(desc["free_rank"], desc["cyclic_orders"], desc["cyclic_levels"])
     if kind == "product":
-        return ProductRule(
-            _rule_from_descriptor(desc["left"]),
-            _rule_from_descriptor(desc["right"]),
-            desc["split"],
-        )
+        left = _rule_from_descriptor(desc["left"])
+        right = _rule_from_descriptor(desc["right"])
+        if not (isinstance(left, SupRule) and isinstance(right, SupRule)):
+            raise ValueError("product factors must be sup-metric rules")
+        if desc["split"] != len(left.orders):
+            raise ValueError("product split differs from the width of its left factor")
+        return SupRule.product(left, right)
     if kind == "plane":
         return PlaneRule()
     raise ValueError(f"unknown rule kind {kind!r}")
@@ -449,7 +442,7 @@ def build_truncation(
         count *= o
     _check_budget(count, point_budget)
 
-    rule = GroupBallRule(free_rank, tuple(o for o, _ in kept), tuple(l for _, l in kept))
+    rule = SupRule.group_ball(free_rank, [o for o, _ in kept], [l for _, l in kept])
     ranges = [range(-radius, radius + 1)] * free_rank + [range(o) for o, _ in kept]
     labels = [tuple(p) for p in itertools.product(*ranges)]
     basepoint = labels.index((0,) * (free_rank + len(kept)))
@@ -459,7 +452,7 @@ def build_truncation(
 def zball(radius: int, rank: int = 1, point_budget: Optional[int] = None) -> FiniteSpace:
     """Sup-metric ball of Z^rank."""
     _check_budget((2 * radius + 1) ** rank, point_budget)
-    rule = GroupBallRule(rank)
+    rule = SupRule.group_ball(rank)
     labels = [tuple(p) for p in itertools.product(range(-radius, radius + 1), repeat=rank)]
     return FiniteSpace(labels, rule, labels.index((0,) * rank), radius)
 
@@ -479,7 +472,7 @@ def tower_space(
     for o in orders:
         count *= o
     _check_budget(count, point_budget)
-    rule = TowerRule(orders, levels)
+    rule = SupRule.tower(orders, levels)
     labels = [tuple(p) for p in itertools.product(*[range(o) for o in orders])]
     inner = levels[-1] if levels else 0
     return FiniteSpace(labels, rule, labels.index((0,) * len(orders)), inner)
@@ -554,7 +547,7 @@ def k_point_space(k: int) -> FiniteSpace:
     if k < 1:
         raise ValueError("k must be >= 1")
     if k == 1:
-        return FiniteSpace([()], TowerRule((), ()), 0, math.inf)
+        return FiniteSpace([()], SupRule.tower((), ()), 0, math.inf)
     sp = tower_space([k], levels=[1])
     return FiniteSpace(sp.labels, sp.rule, sp.basepoint, math.inf)
 
@@ -593,11 +586,10 @@ def product_space(
     x: FiniteSpace, y: FiniteSpace, point_budget: Optional[int] = None
 ) -> FiniteSpace:
     """Cartesian product with the sup metric."""
-    if isinstance(x.rule, TableRule) or isinstance(y.rule, TableRule):
-        raise ValueError("products of table-backed spaces are not supported")
+    if not (isinstance(x.rule, SupRule) and isinstance(y.rule, SupRule)):
+        raise ValueError("products need sup-metric factors")
     _check_budget(len(x) * len(y), point_budget)
-    split = len(x.labels[0]) if x.labels else 0
-    rule = ProductRule(x.rule, y.rule, split)
+    rule = SupRule.product(x.rule, y.rule)
     labels = [a + b for a in x.labels for b in y.labels]
     base = x.labels[x.basepoint] + y.labels[y.basepoint]
     inner = min(x.inner_radius, y.inner_radius)
@@ -677,25 +669,11 @@ def _partition_from_keys(epsilon: Num, keys: Sequence) -> ComponentPartition:
     )
 
 
-def _component_keys(labels: Sequence[Label], rule: MetricRule, eps: float, offset: int):
-    """Structural component keys of labels under a rule, or None."""
-    if isinstance(rule, TowerRule):
-        kept = [i for i, lvl in enumerate(rule.levels) if lvl > eps]
-        return [tuple(l[offset + i] for i in kept) for l in labels]
-    if isinstance(rule, GroupBallRule):
-        r = rule.free_rank
-        width = r + len(rule.cyclic_orders)
-        kept = [i for i, lvl in enumerate(rule.cyclic_levels) if lvl > eps]
-        if eps >= 1 or r == 0:
-            return [tuple(l[offset + r + i] for i in kept) for l in labels]
-        return [l[offset:offset + width] for l in labels]  # below the free scale
-    if isinstance(rule, ProductRule):
-        lk = _component_keys(labels, rule.left, eps, offset)
-        rk = _component_keys(labels, rule.right, eps, offset + rule.split)
-        if lk is None or rk is None:
-            return None
-        return list(zip(lk, rk))
-    return None
+def _component_keys(labels: Sequence[Label], rule: SupRule, eps: float) -> list[tuple]:
+    """Structural component keys: the coordinates above eps. Points of a
+    full box that agree there are chained by steps of at most eps."""
+    kept = [c for c, lvl in enumerate(rule.levels) if lvl > eps]
+    return [tuple(l[c] for c in kept) for l in labels]
 
 
 def delaunay_edges(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -765,38 +743,26 @@ def epsilon_components(space: FiniteSpace, epsilon: Num) -> ComponentPartition:
     eps = float(epsilon)
     if eps < 0:
         raise ValueError("epsilon must be >= 0")
-    keys = None
-    if space.structural and not isinstance(space.rule, (TableRule, PlaneRule)):
-        keys = _component_keys(space.labels, space.rule, eps, 0)
-    if keys is None:
+    if space.structural and isinstance(space.rule, SupRule):
+        keys = _component_keys(space.labels, space.rule, eps)
+    else:
         keys = _graph_components(space, eps)
     return _partition_from_keys(epsilon, keys)
 
 
-def _quotient_tower_parts(rule: MetricRule, eps: float, offset: int):
-    """(kept coord positions, orders, levels) for the structural quotient,
-    or None when the rule needs the generic path."""
-    if isinstance(rule, TowerRule):
-        kept = [(offset + i, rule.orders[i], rule.levels[i])
-                for i in range(len(rule.orders)) if rule.levels[i] > eps]
-        return kept
-    if isinstance(rule, GroupBallRule):
-        if eps < 1 and rule.free_rank > 0:
-            return None
-        r = rule.free_rank
-        return [(offset + r + i, rule.cyclic_orders[i], rule.cyclic_levels[i])
-                for i in range(len(rule.cyclic_orders)) if rule.cyclic_levels[i] > eps]
-    if isinstance(rule, ProductRule):
-        lk = _quotient_tower_parts(rule.left, eps, offset)
-        rk = _quotient_tower_parts(rule.right, eps, offset + rule.split)
-        if lk is None or rk is None:
-            return None
-        merged = lk + rk
-        merged.sort(key=lambda t: t[2])
-        if any(b[2] == a[2] for a, b in zip(merged, merged[1:])):
-            return None  # coinciding levels across factors: generic path
-        return merged
-    return None
+def _quotient_tower_parts(rule: SupRule, eps: float) -> Optional[list[int]]:
+    """Positions of the cyclic coordinates above eps, by ascending level:
+    the tower of the structural quotient. None when the rule needs the
+    generic path: eps below a free coordinate's scale, or two kept levels
+    coincide (across product factors)."""
+    if eps < 1 and 0 in rule.orders:
+        return None
+    kept = sorted((c for c, (o, lvl) in enumerate(zip(rule.orders, rule.levels))
+                   if o and lvl > eps), key=lambda c: rule.levels[c])
+    levels = [rule.levels[c] for c in kept]
+    if len(set(levels)) != len(levels):
+        return None
+    return kept
 
 
 def quotient_with_projection(
@@ -810,15 +776,15 @@ def quotient_with_projection(
     """
     eps = float(epsilon)
     parts = None
-    if space.structural and not isinstance(space.rule, (TableRule, PlaneRule)):
-        parts = _quotient_tower_parts(space.rule, eps, 0)
+    if space.structural and isinstance(space.rule, SupRule):
+        parts = _quotient_tower_parts(space.rule, eps)
     partition = epsilon_components(space, epsilon)
 
     if parts is not None:
-        positions = [p for p, _, _ in parts]
-        labels = [tuple(space.labels[rep][p] for p in positions)
+        labels = [tuple(space.labels[rep][c] for c in parts)
                   for rep in partition.representatives]
-        rule = TowerRule(tuple(o for _, o, _ in parts), tuple(l for _, _, l in parts))
+        rule = SupRule.tower([space.rule.orders[c] for c in parts],
+                             [space.rule.levels[c] for c in parts])
         base_block = int(partition.point_block[space.basepoint])
         q = FiniteSpace(labels, rule, base_block, space.inner_radius)
         return q, partition

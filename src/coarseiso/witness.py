@@ -23,11 +23,7 @@ from .factorfn import FactorFunction, ff_add, ff_equal, ff_sub, phi_of_nat
 from .groups import GroupDescription, coarse_isomorphic
 from .spaces import (
     FiniteSpace,
-    GroupBallRule,
-    PlaneRule,
-    ProductRule,
-    TableRule,
-    TowerRule,
+    SupRule,
     enumerate_summands,
     epsilon_components,
     k_point_space,
@@ -180,14 +176,18 @@ class WitnessReport:
         }
 
 
+def _product_split(space: FiniteSpace) -> Optional[int]:
+    """Label coordinates owned by the left factor of a product space."""
+    return space.rule.split if isinstance(space.rule, SupRule) else None
+
+
 def _check_isometry_claim(
     w: WitnessMap, claim: dict, si: np.ndarray, ti: np.ndarray, out: List[str]
 ) -> None:
-    rule = w.source.rule
-    if not isinstance(rule, ProductRule):
+    split = _product_split(w.source)
+    if split is None:
         out.append("per-component-isometry claim on a non-product source")
         return
-    split = rule.split
     eps = float(claim.get("epsilon", 0))
     groups: Dict[tuple, List[int]] = {}
     for k in range(len(si)):
@@ -314,19 +314,9 @@ def verify_witness(w: WitnessMap, deltas: Optional[Sequence[float]] = None) -> W
 # constructors
 
 
-def _label_add(rule, a: tuple, b: tuple) -> tuple:
+def _label_add(rule: SupRule, a: tuple, b: tuple) -> tuple:
     """Group addition on labels; the shift isometries of the builders."""
-    if isinstance(rule, TowerRule):
-        return tuple((x + y) % o for x, y, o in zip(a, b, rule.orders))
-    if isinstance(rule, GroupBallRule):
-        r = rule.free_rank
-        free = tuple(x + y for x, y in zip(a[:r], b[:r]))
-        cyc = tuple((x + y) % o for x, y, o in zip(a[r:], b[r:], rule.cyclic_orders))
-        return free + cyc
-    if isinstance(rule, ProductRule):
-        s = rule.split
-        return _label_add(rule.left, a[:s], b[:s]) + _label_add(rule.right, a[s:], b[s:])
-    raise ValueError("labels of this space carry no group structure")
+    return tuple((x + y) % o if o else x + y for x, y, o in zip(a, b, rule.orders))
 
 
 def factorization_witness(
@@ -344,10 +334,10 @@ def factorization_witness(
     eps = float(epsilon)
     if eps < 0:
         raise ValueError("epsilon must be >= 0")
-    if isinstance(space.rule, (PlaneRule, TableRule)):
+    if not isinstance(space.rule, SupRule):
         raise ValueError("factorization needs a group-structured space")
     quotient, part = quotient_with_projection(space, eps)
-    if isinstance(quotient.rule, TableRule):
+    if not isinstance(quotient.rule, SupRule):
         raise ValueError("factorization needs a structural quotient at this scale")
 
     base = space.basepoint
@@ -477,7 +467,8 @@ def tower_alignment_witness(
     moduli bounds come from; the recorded claims are the exact aligned-ball
     statements the bijection satisfies.
     """
-    if not isinstance(u_space.rule, TowerRule) or not isinstance(v_space.rule, TowerRule):
+    if not all(isinstance(sp.rule, SupRule) and sp.rule.layout == "tower"
+               for sp in (u_space, v_space)):
         raise ValueError("alignment needs tower-built spaces")
     uo, ul = u_space.rule.orders, u_space.rule.levels
     vo, vl = v_space.rule.orders, v_space.rule.levels
@@ -621,10 +612,9 @@ def invert_witness(f: WitnessMap, deltas: Sequence[float] = ()) -> WitnessMap:
 def component_multiplicity(w: WitnessMap, epsilon: float) -> int:
     """Number of right-factor slices of the source meeting each component of
     the target at the given scale; raises when the count is not constant."""
-    rule = w.source.rule
-    if not isinstance(rule, ProductRule):
+    split = _product_split(w.source)
+    if split is None:
         raise ValueError("source of the witness is not a product")
-    split = rule.split
     d = w.source.dists_from(w.source.basepoint)
     part = epsilon_components(w.target, float(epsilon))
     slices: Dict[int, set] = {}

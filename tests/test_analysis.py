@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from coarseiso.analysis import (
     _mst_weights,
+    _sup_diameter,
     _window_labels,
     asdim_cover,
     empirical_phi,
@@ -315,3 +316,64 @@ def test_mst_and_window_graph_match_single_linkage(plane, data):
     window = _window_labels(sp, subset, scales)
     for eps in scales:
         assert np.array_equal(window[eps][:, None] == window[eps][None, :], coph <= eps)
+
+
+def test_window_labels_of_a_holed_line_take_the_graph_path():
+    # a line ball with two gaps is not a box: coordinate keys would call it
+    # one block at eps = 1, where it has three
+    zb = zball(12)
+    sp = subspace(zb, [i for i, (v,) in enumerate(zb.labels) if v not in (3, 4, -7, -8)])
+    assert not sp.structural
+    window = _window_labels(sp, np.arange(len(sp)), [1.0, 3.0])
+    assert len(np.unique(window[1.0])) == epsilon_components(sp, 1).count == 3
+    assert len(np.unique(window[3.0])) == epsilon_components(sp, 3).count == 1
+    est = estimate_factorizing_step(sp)
+    assert (est.estimate, est.stable_from) == (2.0, 3.0)
+
+
+ultrametric_factors = st.one_of(
+    st.lists(st.integers(2, 3), min_size=1, max_size=3).map(tower_space),
+    st.integers(1, 4).map(k_point_space),
+    st.tuples(st.integers(2, 3), st.integers(1, 4)).map(
+        lambda t: tower_space([t[0]], levels=[t[1]])
+    ),
+)
+ultrametric_spaces = st.one_of(
+    ultrametric_factors,
+    st.tuples(ultrametric_factors, ultrametric_factors).map(lambda t: product_space(*t)),
+)
+sup_spaces = st.one_of(
+    ultrametric_spaces,
+    st.tuples(st.integers(1, 4), st.integers(1, 2)).map(lambda t: zball(*t)),
+    st.sampled_from(["Z + C2", "Z + C3 + C2"]).map(
+        lambda g: build_truncation(parse_group(g), radius=3)
+    ),
+    st.tuples(ultrametric_factors, st.integers(1, 3)).map(
+        lambda t: product_space(zball(t[1]), t[0])
+    ),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(ultrametric_spaces, sup_spaces, st.sampled_from([0.0, 0.5, 1.0, 2.0, 3.0, 4.0]),
+       st.data())
+def test_oscillation_shortcut_matches_all_pairs(source, target, delta, data):
+    # the key-and-diameter shortcut on random subsets and injective maps
+    assert source.ultrametric
+    n = min(len(source), len(target), 30)
+    src = data.draw(st.lists(st.integers(0, len(source) - 1), min_size=1, max_size=n,
+                             unique=True))
+    dst = data.draw(st.lists(st.integers(0, len(target) - 1), min_size=len(src),
+                             max_size=len(src), unique=True))
+    src, dst = np.asarray(src), np.asarray(dst)
+    want = brute_oscillation(source, target, src, dst, delta)
+    assert oscillation(source, target, src, dst, delta) == want
+
+
+@settings(max_examples=60, deadline=None)
+@given(sup_spaces, st.data())
+def test_sup_diameter_matches_pairwise_maximum(sp, data):
+    idx = np.asarray(sorted(data.draw(st.sets(st.integers(0, len(sp) - 1), min_size=1,
+                                              max_size=40))))
+    want = max(float(sp.d(int(a), int(b))) for a in idx for b in idx)
+    assert _sup_diameter(sp, idx) == want

@@ -36,6 +36,7 @@ from coarseiso.spaces import (
     validate_metric,
     zball,
 )
+from coarseiso.witness import space_id
 
 
 def ff(values, default=0):
@@ -326,6 +327,21 @@ class TestQuotient:
         assert q.ultrametric
         validate_metric(q)
 
+    def test_quotient_below_the_free_scale_keeps_every_point(self):
+        sp = build_truncation(parse_group("Z + C2"), radius=2)
+        q, part = quotient_with_projection(sp, 0.5)
+        assert isinstance(q.rule, TableRule)
+        assert part.count == len(sp)
+        assert dist_values(q) == [0.0, 1.0, 2.0]  # single-linkage heights
+
+    def test_coinciding_product_levels_take_the_generic_path(self):
+        # two factors with a cyclic coordinate at level 3 each: no tower
+        p = product_space(tower_space([2], levels=[3]), tower_space([3], levels=[3]))
+        q, part = quotient_with_projection(p, 1)
+        assert isinstance(q.rule, TableRule)
+        assert part.count == len(p)
+        assert np.array_equal(q.dmat(), p.dmat())
+
     def test_quotient_distances_exceed_epsilon(self):
         q = quotient_space(tower_space([2, 2, 3]), 2)
         vals = [v for v in dist_values(q) if v > 0]
@@ -391,6 +407,29 @@ class TestSerialization:
         back = FiniteSpace.from_json(q.to_json())
         assert np.allclose(back.dmat(), q.dmat())
         assert back.rule.is_ultrametric == q.rule.is_ultrametric
+
+    def test_product_split_must_match_left_width(self):
+        # a split off the left factor's width would read the wrong columns
+        sp = product_space(tower_space([2]), tower_space([2], levels=[3]))
+        payload = json.loads(sp.to_json())
+        for split in (0, 2):
+            payload["rule"]["split"] = split
+            with pytest.raises(ValueError, match="split"):
+                FiniteSpace.from_json(json.dumps(payload))
+
+    def test_label_width_must_match_rule(self):
+        # the column kernel would ignore an extra coordinate
+        for rank, labels in ((1, [[-1, 0], [0, 0], [1, 0]]), (2, [[v] for v in range(9)])):
+            payload = json.loads(zball(1, rank).to_json())
+            payload["labels"] = labels
+            with pytest.raises(ValueError, match="width"):
+                FiniteSpace.from_json(json.dumps(payload))
+
+    def test_table_size_must_match_points(self):
+        payload = json.loads(quotient_space(example31_fixture(1, 0.5, 3), 1.0).to_json())
+        payload["labels"] = payload["labels"][:-1]
+        with pytest.raises(ValueError, match="table size"):
+            FiniteSpace.from_json(json.dumps(payload))
 
     def test_version_guard(self):
         payload = json.loads(zball(1).to_json())
@@ -471,3 +510,136 @@ def test_generic_quotient_matches_single_linkage(rank, eps, data):
     assert np.array_equal(coph <= eps, same_block)
     reps = list(part.representatives)
     assert np.array_equal(q.dmat(), coph[np.ix_(reps, reps)])
+
+
+# pinned serialized form and space id of every constructor: witnesses name
+# their spaces by these ids, and saved spaces must load unchanged
+_zb3 = zball(3)
+GOLDEN = {
+    "zball": lambda: zball(1),
+    "zball-rank2": lambda: zball(1, rank=2),
+    "truncation": lambda: build_truncation(parse_group("Z + C2 + C3"), radius=2),
+    "tower": lambda: tower_space([2, 3]),
+    "canonical-full": lambda: canonical_ultrametric(ff({2: 1, 3: 1}), 2),
+    "canonical-partial": lambda: canonical_ultrametric(ff({2: 5}), 2),
+    "k-point": lambda: k_point_space(3),
+    "one-point": lambda: k_point_space(1),
+    "cantor": lambda: cantor_cube_truncation(2),
+    "product-left": lambda: product_space(
+        product_space(zball(1), tower_space([2])), k_point_space(2)),
+    "product-right": lambda: product_space(
+        zball(1), product_space(tower_space([2]), k_point_space(2))),
+    "subspace": lambda: subspace(_zb3, [_zb3.index[(v,)] for v in (-1, 0, 2)]),
+    "quotient": lambda: quotient_space(build_truncation(parse_group("Z + C2 + C3"), radius=4), 1),
+}
+GOLDEN_JSON = {
+    "zball": (
+        '{"version": 1, "basepoint": 1, "inner_radius": 1, "ultrametric": false, "structural": true, "labels": [[-1], [0], [1]], "rule": {"kind": "group-ball", "free_rank": 1, "cyclic_orders": [], "cyclic_levels": []}}',
+        "group-ball-3-9b5500d2b3cb",
+    ),
+    "zball-rank2": (
+        '{"version": 1, "basepoint": 4, "inner_radius": 1, "ultrametric": false, "structural": true, "labels": [[-1, -1], [-1, 0], [-1, 1], [0, -1], [0, 0], [0, 1], [1, -1], [1, 0], [1, 1]], "rule": {"kind": "group-ball", "free_rank": 2, "cyclic_orders": [], "cyclic_levels": []}}',
+        "group-ball-9-37cdf98ad8de",
+    ),
+    "truncation": (
+        '{"version": 1, "basepoint": 4, "inner_radius": 2, "ultrametric": false, "structural": true, "labels": [[-2, 0], [-2, 1], [-1, 0], [-1, 1], [0, 0], [0, 1], [1, 0], [1, 1], [2, 0], [2, 1]], "rule": {"kind": "group-ball", "free_rank": 1, "cyclic_orders": [2], "cyclic_levels": [2]}}',
+        "group-ball-10-ebbdc389c576",
+    ),
+    "tower": (
+        '{"version": 1, "basepoint": 0, "inner_radius": 3, "ultrametric": true, "structural": true, "labels": [[0, 0], [0, 1], [0, 2], [1, 0], [1, 1], [1, 2]], "rule": {"kind": "tower", "orders": [2, 3], "levels": [2, 3]}}',
+        "tower-6-b578561dd7ea",
+    ),
+    "canonical-full": (
+        '{"version": 1, "basepoint": 0, "inner_radius": "inf", "ultrametric": true, "structural": true, "labels": [[0, 0], [0, 1], [0, 2], [1, 0], [1, 1], [1, 2]], "rule": {"kind": "tower", "orders": [2, 3], "levels": [2, 3]}}',
+        "tower-6-b578561dd7ea",
+    ),
+    "canonical-partial": (
+        '{"version": 1, "basepoint": 0, "inner_radius": 3, "ultrametric": true, "structural": true, "labels": [[0, 0], [0, 1], [1, 0], [1, 1]], "rule": {"kind": "tower", "orders": [2, 2], "levels": [2, 3]}}',
+        "tower-4-9960663098e4",
+    ),
+    "k-point": (
+        '{"version": 1, "basepoint": 0, "inner_radius": "inf", "ultrametric": true, "structural": true, "labels": [[0], [1], [2]], "rule": {"kind": "tower", "orders": [3], "levels": [1]}}',
+        "tower-3-aaea608467e3",
+    ),
+    "one-point": (
+        '{"version": 1, "basepoint": 0, "inner_radius": "inf", "ultrametric": true, "structural": true, "labels": [[]], "rule": {"kind": "tower", "orders": [], "levels": []}}',
+        "tower-1-39cf22dcb8a9",
+    ),
+    "cantor": (
+        '{"version": 1, "basepoint": 0, "inner_radius": 4, "ultrametric": true, "structural": true, "labels": [[0, 0], [0, 1], [1, 0], [1, 1]], "rule": {"kind": "tower", "orders": [2, 2], "levels": [2, 4]}}',
+        "tower-4-a8864b4e50e7",
+    ),
+    "product-left": (
+        '{"version": 1, "basepoint": 4, "inner_radius": 1, "ultrametric": false, "structural": true, "labels": [[-1, 0, 0], [-1, 0, 1], [-1, 1, 0], [-1, 1, 1], [0, 0, 0], [0, 0, 1], [0, 1, 0], [0, 1, 1], [1, 0, 0], [1, 0, 1], [1, 1, 0], [1, 1, 1]], "rule": {"kind": "product", "split": 2, "left": {"kind": "product", "split": 1, "left": {"kind": "group-ball", "free_rank": 1, "cyclic_orders": [], "cyclic_levels": []}, "right": {"kind": "tower", "orders": [2], "levels": [2]}}, "right": {"kind": "tower", "orders": [2], "levels": [1]}}}',
+        "product-12-08cb647bc024",
+    ),
+    "product-right": (
+        '{"version": 1, "basepoint": 4, "inner_radius": 1, "ultrametric": false, "structural": true, "labels": [[-1, 0, 0], [-1, 0, 1], [-1, 1, 0], [-1, 1, 1], [0, 0, 0], [0, 0, 1], [0, 1, 0], [0, 1, 1], [1, 0, 0], [1, 0, 1], [1, 1, 0], [1, 1, 1]], "rule": {"kind": "product", "split": 1, "left": {"kind": "group-ball", "free_rank": 1, "cyclic_orders": [], "cyclic_levels": []}, "right": {"kind": "product", "split": 1, "left": {"kind": "tower", "orders": [2], "levels": [2]}, "right": {"kind": "tower", "orders": [2], "levels": [1]}}}}',
+        "product-12-6d6d3f1818cd",
+    ),
+    "subspace": (
+        '{"version": 1, "basepoint": 1, "inner_radius": 3, "ultrametric": false, "structural": false, "labels": [[-1], [0], [2]], "rule": {"kind": "group-ball", "free_rank": 1, "cyclic_orders": [], "cyclic_levels": []}}',
+        "group-ball-3-edd67b6553e4",
+    ),
+    "quotient": (
+        '{"version": 1, "basepoint": 0, "inner_radius": 4, "ultrametric": true, "structural": true, "labels": [[0, 0], [0, 1], [0, 2], [1, 0], [1, 1], [1, 2]], "rule": {"kind": "tower", "orders": [2, 3], "levels": [2, 4]}}',
+        "tower-6-1456dd026f1c",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_serialization_is_pinned(name):
+    sp = GOLDEN[name]()
+    text, ident = GOLDEN_JSON[name]
+    assert sp.to_json() == text
+    assert space_id(sp) == ident
+    assert FiniteSpace.from_json(text) == sp
+
+
+def _factor(kind, a, b):
+    """A small factor space and its coordinates, each ("free", 1) or
+    ("cyclic", level), stated independently of the space's rule."""
+    if kind == "ball":
+        return zball(a, b), [("free", 1)] * b
+    if kind == "tower":
+        orders = [2 + (a + i) % 2 for i in range(b)]
+        return tower_space(orders), [("cyclic", i + 2) for i in range(b)]
+    if kind == "levels":
+        return tower_space([a + 2], levels=[b + 1]), [("cyclic", b + 1)]
+    return k_point_space(a + 1), [] if a == 0 else [("cyclic", 1)]
+
+
+sup_factors = st.tuples(
+    st.sampled_from(["ball", "tower", "levels", "points"]), st.integers(0, 2), st.integers(1, 3)
+).map(lambda t: _factor(*t))
+
+
+def _product(pair):
+    (x, cx), (y, cy) = pair
+    assume(len(x) * len(y) <= 400)
+    return product_space(x, y), cx + cy
+
+
+nested_products = st.recursive(
+    sup_factors, lambda inner: st.tuples(inner, inner).map(_product), max_leaves=4
+)
+
+
+def recount(labels, coords, i, j):
+    a, b = labels[i], labels[j]
+    d = 0
+    for (kind, level), x, y in zip(coords, a, b, strict=True):
+        d = max(d, abs(x - y) if kind == "free" else level * (x != y))
+    return d
+
+
+@settings(max_examples=40, deadline=None)
+@given(nested_products, st.data())
+def test_row_kernel_matches_coordinate_recount(built, data):
+    sp, coords = built
+    for i in data.draw(st.lists(st.integers(0, len(sp) - 1), min_size=1, max_size=5)):
+        want = [recount(sp.labels, coords, i, j) for j in range(len(sp))]
+        assert sp.dists_from(i).tolist() == want
+        assert [sp.d(i, j) for j in range(len(sp))] == want
+    assert FiniteSpace.from_json(sp.to_json()) == sp

@@ -28,6 +28,7 @@ from coarseiso.spaces import (
 )
 from coarseiso.witness import (
     WitnessMap,
+    _label_add,
     absorption_witness,
     component_multiplicity,
     compose_witness,
@@ -152,6 +153,10 @@ class TestFactorization:
     def test_plane_fixture_rejected(self):
         with pytest.raises(ValueError):
             factorization_witness(example31_fixture(1, 0.5, 3), 1.0)
+
+    def test_label_add_wraps_cyclic_coordinates_only(self):
+        sp = product_space(build_truncation(parse_group("Z + C3"), radius=4), tower_space([2]))
+        assert _label_add(sp.rule, (-3, 2, 1), (5, 2, 1)) == (2, 1, 0)
 
 
 class TestTowerAlignment:
