@@ -28,6 +28,7 @@ from .spaces import (
     _partition_from_keys,
     _spanning_tree,
     delaunay_edges,
+    row_blocks,
 )
 
 NOISE_NUM = 1
@@ -38,12 +39,14 @@ NOISE_DEN = 8  # a block is significant when 8 * size >= largest block
 DENSE_CACHE_LIMIT = 3000
 
 
-def dist_rows(space: FiniteSpace):
-    """Row accessor, backed by the cached dense matrix on small spaces."""
+def dist_block(space: FiniteSpace, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Distances d[rows][:, cols] for index arrays: read from the cached
+    dense matrix on spaces up to DENSE_CACHE_LIMIT points, computed from
+    the coordinates above it."""
     if len(space) <= DENSE_CACHE_LIMIT:
-        m = space.dmat()
-        return lambda i: m[i]
-    return lambda i: space.dists_from(i)
+        # whole rows first, then the columns: faster than an np.ix_ gather
+        return space.dmat()[rows].take(cols, axis=1)
+    return space.dists_block(rows, cols)
 
 
 # ---------------------------------------------------------------------------
@@ -103,11 +106,17 @@ def _subset_edges(space: FiniteSpace, subset: np.ndarray):
     contains the MST."""
     if isinstance(space.rule, PlaneRule):
         return delaunay_edges(space.coords[subset])
-    if len(subset) > DENSE_LIMIT:
+    n = len(subset)
+    if n > DENSE_LIMIT:
         raise ValueError("subset too large for dense edge enumeration")
-    sub = np.asarray([space.dists_from(int(i))[subset] for i in subset])
-    iu, ju = np.triu_indices(len(subset), k=1)
-    return iu, ju, sub[iu, ju]
+    ii, jj, ww = [], [], []
+    for blk in row_blocks(n, n):
+        # the pairs i < j of this block of rows, in row-major order
+        bi, bj = np.triu_indices(blk.stop - blk.start, k=blk.start + 1, m=n)
+        ii.append(bi + blk.start)
+        jj.append(bj)
+        ww.append(dist_block(space, subset[blk], subset)[bi, bj])
+    return np.concatenate(ii), np.concatenate(jj), np.concatenate(ww)
 
 
 def _window_labels(
@@ -284,10 +293,8 @@ def _sup_diameter(space: FiniteSpace, idx: np.ndarray) -> float:
         free = np.asarray(rule.orders) == 0
         spans = np.where(free, spread, (spread != 0) * np.asarray(rule.levels))
         return float(spans.max(initial=0.0))
-    best = 0.0
-    for k in idx:
-        best = max(best, float(np.max(space.dists_from(int(k))[idx])))
-    return best
+    blocks = row_blocks(len(idx), len(idx))
+    return max(float(dist_block(space, idx[blk], idx).max()) for blk in blocks)
 
 
 def oscillation(
@@ -323,13 +330,10 @@ def oscillation(
                 best = max(best, _sup_diameter(target, dst_idx[members]))
             return best
     best = 0.0
-    srow, trow = dist_rows(source), dist_rows(target)
-    for k in range(len(src_idx)):
-        row = srow(int(src_idx[k]))[src_idx]
-        near = np.flatnonzero(row <= float(delta) + 1e-12)
-        if len(near):
-            tr = trow(int(dst_idx[k]))[dst_idx[near]]
-            best = max(best, float(np.max(tr)))
+    for blk in row_blocks(len(src_idx), len(src_idx)):
+        near = dist_block(source, src_idx[blk], src_idx) <= float(delta) + 1e-12
+        tr = dist_block(target, dst_idx[blk], dst_idx)
+        best = max(best, float(np.max(tr, where=near, initial=0.0)))
     return best
 
 

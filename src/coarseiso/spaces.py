@@ -45,6 +45,11 @@ from .primes import first_primes
 DEFAULT_POINT_BUDGET = 10**6
 DENSE_LIMIT = 6500
 PLANE_DECIMALS = 9
+# entries of one block of distance rows (2 MB of float64): every blocked
+# distance read sizes its blocks to about this many, which bounds its
+# transient memory; blocks four times larger were no faster and raised the
+# peak memory of witness chains by about an eighth
+BLOCK_ENTRIES = 2**18
 
 Num = Union[int, float, Fraction]
 Label = tuple
@@ -137,16 +142,21 @@ class SupRule:
                 d = max(d, lvl)
         return d
 
-    def dists(self, row: np.ndarray, coords: np.ndarray) -> np.ndarray:
-        # one column at a time: an (n, k) temporary reduced with max(axis=1)
-        # is slower on the narrow labels the constructors build
-        d = np.zeros(len(coords))
+    def dists(self, rows: np.ndarray, coords: np.ndarray) -> np.ndarray:
+        """Distances from one row (k,) or a block of rows (b, k) to every
+        point of coords (n, k): shape (n,) or (b, n)."""
+        # one column at a time into one scratch buffer: an (n, k) temporary
+        # reduced with max(axis=1) is slower on the narrow labels the
+        # constructors build, and fresh temporaries per column cost page faults
+        d = np.zeros(rows.shape[:-1] + (len(coords),))
+        tmp = np.empty_like(d)
         for c, (o, lvl) in enumerate(zip(self.orders, self.levels)):
-            col = coords[:, c]
+            col, x = coords[:, c], rows[..., c, None]
             if o == 0:
-                np.maximum(d, np.abs(col - row[c]), out=d)
+                np.abs(np.subtract(col, x, out=tmp), out=tmp)
             else:
-                np.maximum(d, (col != row[c]) * lvl, out=d)
+                np.multiply(np.not_equal(col, x, out=tmp), lvl, out=tmp)
+            np.maximum(d, tmp, out=d)
         return d
 
     def descriptor(self) -> dict:
@@ -180,10 +190,12 @@ class PlaneRule:
     def distance(self, a: Label, b: Label) -> float:
         return round(math.hypot(a[0] - b[0], a[1] - b[1]), PLANE_DECIMALS)
 
-    def dists(self, row: np.ndarray, coords: np.ndarray) -> np.ndarray:
-        return np.round(
-            np.hypot(coords[:, 0] - row[0], coords[:, 1] - row[1]), PLANE_DECIMALS
-        )
+    def dists(self, rows: np.ndarray, coords: np.ndarray) -> np.ndarray:
+        """Distances from one row (2,) or a block of rows (b, 2) to every
+        point of coords (n, 2): shape (n,) or (b, n)."""
+        dx = coords[:, 0] - rows[..., 0, None]
+        dy = coords[:, 1] - rows[..., 1, None]
+        return np.round(np.hypot(dx, dy), PLANE_DECIMALS)
 
     def descriptor(self) -> dict:
         return {"kind": "plane"}
@@ -216,6 +228,13 @@ MetricRule = Union[SupRule, PlaneRule, TableRule]
 
 # ---------------------------------------------------------------------------
 # the space itself
+
+
+def row_blocks(rows: int, width: int) -> list[slice]:
+    """Consecutive slices of range(rows), each of about BLOCK_ENTRIES
+    entries when a row has `width` of them."""
+    step = max(1, BLOCK_ENTRIES // max(1, width))
+    return [slice(start, min(rows, start + step)) for start in range(0, rows, step)]
 
 
 class FiniteSpace:
@@ -291,6 +310,13 @@ class FiniteSpace:
             return self.rule.matrix[i]
         return self.rule.dists(self.coords[i], self.coords)
 
+    def dists_block(self, rows, cols) -> np.ndarray:
+        """Distances d[rows][:, cols], computed from the rule; rows and cols
+        are index arrays or slices."""
+        if isinstance(self.rule, TableRule):
+            return self.rule.matrix[rows][:, cols]
+        return self.rule.dists(self.coords[rows], self.coords[cols])
+
     def dmat(self) -> np.ndarray:
         """Dense distance matrix; refuses above DENSE_LIMIT points."""
         if self._dmat is None:
@@ -300,9 +326,9 @@ class FiniteSpace:
                 n = len(self)
                 if n > DENSE_LIMIT:
                     raise BudgetError(f"dense matrix of {n} points exceeds {DENSE_LIMIT}")
-                m = np.zeros((n, n))
-                for i in range(n):
-                    m[i] = self.dists_from(i)
+                m = np.empty((n, n))
+                for blk in row_blocks(n, n):
+                    m[blk] = self.dists_block(blk, slice(None))
                 self._dmat = m
         return self._dmat
 
@@ -335,7 +361,7 @@ class FiniteSpace:
             rule: MetricRule = TableRule(np.asarray(desc["matrix"]), payload["ultrametric"])
         else:
             rule = _rule_from_descriptor(desc)
-        return FiniteSpace(
+        space = FiniteSpace(
             [tuple(l) for l in payload["labels"]],
             rule,
             payload["basepoint"],
@@ -343,6 +369,26 @@ class FiniteSpace:
             payload["ultrametric"],
             payload.get("structural", True),
         )
+        if isinstance(rule, SupRule):
+            _check_sup_labels(space)
+        return space
+
+
+def _check_sup_labels(space: FiniteSpace) -> None:
+    """Reject serialized sup-rule labels that no constructor builds: a
+    cyclic value outside range(order), or a structural flag on a label set
+    with a free coordinate that does not fill a box, where coordinate keys
+    would merge components that no chain joins."""
+    rule = space.rule
+    cols = space.coords.T
+    for col, o in zip(cols, rule.orders):
+        if o and not np.all((col >= 0) & (col < o) & (col == np.floor(col))):
+            raise ValueError(f"cyclic label value outside [0, {o})")
+    if space.structural and not rule.is_ultrametric:
+        values = [np.unique(col) for col in cols]
+        gaps = any(o == 0 and v[-1] - v[0] + 1 != len(v) for v, o in zip(values, rule.orders))
+        if gaps or math.prod(len(v) for v in values) != len(space):
+            raise ValueError("structural flag on labels that do not fill a box")
 
 
 def _rule_from_descriptor(desc: dict) -> MetricRule:
@@ -728,12 +774,10 @@ def _graph_components(space: FiniteSpace, eps: float) -> np.ndarray:
     # rows in blocks, each block's edges joined to a star forest of the
     # components so far, so memory stays near one block of rows
     labels = np.arange(n)
-    step = max(1, 2**20 // n)
-    for start in range(0, n, step):
-        rows = np.asarray([space.dists_from(i) for i in range(start, min(n, start + step))])
-        bi, bj = np.nonzero(rows <= eps)
+    for blk in row_blocks(n, n):
+        bi, bj = np.nonzero(space.dists_block(blk, slice(None)) <= eps)
         roots = np.unique(labels, return_index=True)[1][labels]
-        ii = np.concatenate([bi + start, np.arange(n)])
+        ii = np.concatenate([bi + blk.start, np.arange(n)])
         labels = _connected_labels(n, ii, np.concatenate([bj, roots]))
     return labels
 

@@ -18,7 +18,7 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .analysis import dist_rows, oscillation
+from .analysis import dist_block, oscillation
 from .factorfn import FactorFunction, ff_add, ff_equal, ff_sub, phi_of_nat
 from .groups import GroupDescription, coarse_isomorphic
 from .spaces import (
@@ -29,6 +29,7 @@ from .spaces import (
     k_point_space,
     product_space,
     quotient_with_projection,
+    row_blocks,
     subspace,
     tower_space,
     zball,
@@ -194,24 +195,23 @@ def _check_isometry_claim(
         groups.setdefault(w.source.labels[si[k]][split:], []).append(k)
     part = epsilon_components(w.target, eps)
     sizes = [len(b) for b in part.blocks]
-    srow, trow = dist_rows(w.source), dist_rows(w.target)
     for key, members in groups.items():
-        bad = 0
-        for i in range(len(members)):
-            a = members[i]
-            drow_s = srow(si[a])
-            drow_t = trow(ti[a])
-            for j in range(i + 1, len(members)):
-                b = members[j]
-                if abs(float(drow_s[si[b]]) - float(drow_t[ti[b]])) > _TOL:
-                    out.append(
-                        f"slice {key}: images of {w.source.labels[si[a]]} and "
-                        f"{w.source.labels[si[b]]} are at distance {drow_t[ti[b]]}, "
-                        f"not {drow_s[si[b]]}"
-                    )
-                    bad += 1
-                    break
-            if bad:
+        pos = np.asarray(members)
+        for blk in row_blocks(len(pos), len(pos)):
+            ds = dist_block(w.source, si[pos[blk]], si[pos])
+            dt = dist_block(w.target, ti[pos[blk]], ti[pos])
+            # the pairs i < j of this block of rows that break the isometry;
+            # argmax finds the first in row-major order, as a pairwise scan would
+            bad = np.abs(ds - dt) > _TOL
+            bad &= np.arange(blk.start, blk.stop)[:, None] < np.arange(len(pos))
+            if bad.any():
+                i, j = np.unravel_index(np.argmax(bad), bad.shape)
+                a, b = pos[blk.start + i], pos[j]
+                out.append(
+                    f"slice {key}: images of {w.source.labels[si[a]]} and "
+                    f"{w.source.labels[si[b]]} are at distance {dt[i, j]}, "
+                    f"not {ds[i, j]}"
+                )
                 break
         blocks_hit = {int(part.point_block[ti[k]]) for k in members}
         if len(blocks_hit) > 1:

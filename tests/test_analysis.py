@@ -11,7 +11,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from coarseiso.analysis import (
+    DENSE_CACHE_LIMIT,
     _mst_weights,
+    _subset_edges,
     _sup_diameter,
     _window_labels,
     asdim_cover,
@@ -33,6 +35,7 @@ from coarseiso.spaces import (
     example31_fixture,
     k_point_space,
     product_space,
+    row_blocks,
     subspace,
     tower_space,
     zball,
@@ -49,6 +52,16 @@ def brute_oscillation(source, target, src_idx, dst_idx, delta):
         for b in range(len(src_idx)):
             if source.d(int(src_idx[a]), int(src_idx[b])) <= delta:
                 best = max(best, float(target.d(int(dst_idx[a]), int(dst_idx[b]))))
+    return best
+
+
+def rowwise_oscillation(source, target, src_idx, dst_idx, delta):
+    """The one-row-at-a-time loop the blocked kernel replaced."""
+    best = 0.0
+    for k in range(len(src_idx)):
+        row = source.dists_from(int(src_idx[k]))[src_idx]
+        near = np.flatnonzero(row <= delta + 1e-12)
+        best = max(best, float(np.max(target.dists_from(int(dst_idx[k]))[dst_idx[near]])))
     return best
 
 
@@ -377,3 +390,78 @@ def test_sup_diameter_matches_pairwise_maximum(sp, data):
                                               max_size=40))))
     want = max(float(sp.d(int(a), int(b))) for a in idx for b in idx)
     assert _sup_diameter(sp, idx) == want
+
+
+def as_table(sp):
+    """The same points and distances behind a dense table rule."""
+    return FiniteSpace(sp.labels, TableRule(sp.dmat(), ultrametric=False), sp.basepoint,
+                       sp.inner_radius)
+
+
+# sources that take the exhaustive path: free coordinates, plane samples
+# and tables (a table never takes the coordinate-key shortcut)
+exhaustive_spaces = st.one_of(
+    sup_spaces.filter(lambda sp: not sp.ultrametric),
+    st.tuples(st.integers(1, 2), st.sampled_from([0.25, 0.5])).map(
+        lambda t: example31_fixture(t[0], t[1], 3)
+    ),
+    sup_spaces.map(as_table),
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(exhaustive_spaces, st.one_of(sup_spaces, exhaustive_spaces),
+       st.sampled_from([0.0, 0.5, 1.0, 2.0, 3.0, 4.5]), st.data())
+def test_block_oscillation_matches_all_pairs(source, target, delta, data):
+    # random subsets of the source and random injective maps
+    n = min(len(source), len(target), 40)
+    src = data.draw(st.lists(st.integers(0, len(source) - 1), min_size=1, max_size=n,
+                             unique=True))
+    dst = data.draw(st.lists(st.integers(0, len(target) - 1), min_size=len(src),
+                             max_size=len(src), unique=True))
+    src, dst = np.asarray(src), np.asarray(dst)
+    want = brute_oscillation(source, target, src, dst, delta)
+    assert oscillation(source, target, src, dst, delta) == want
+
+
+def test_block_oscillation_over_several_blocks_and_uncached_rows():
+    # a 1200-point table map needs several row blocks; zball(1600) has 3201
+    # points, above DENSE_CACHE_LIMIT, so its rows come from coordinates
+    rng = np.random.default_rng(7)
+    n = 1200
+    m = rng.integers(1, 6, size=(n, n)).astype(float)
+    m = np.minimum(m, m.T)
+    np.fill_diagonal(m, 0.0)
+    table = FiniteSpace([(i,) for i in range(n)], TableRule(m, ultrametric=False), 0, 5)
+    line = zball(1600)
+    assert len(line) > DENSE_CACHE_LIMIT and len(row_blocks(n, n)) > 1
+    src = rng.permutation(n)
+    dst = rng.choice(len(line), size=n, replace=False)
+    for delta in (1.0, 3.0):
+        assert oscillation(table, line, src, dst, delta) == rowwise_oscillation(
+            table, line, src, dst, delta)
+    for delta in (40.0, 800.0):
+        assert oscillation(line, table, dst, src, delta) == rowwise_oscillation(
+            line, table, dst, src, delta)
+
+
+def test_subset_edges_over_several_blocks():
+    # every pair i < j once, in row-major order, for cached and uncached rows
+    rng = np.random.default_rng(2)
+    for sp in (zball(20, 2), zball(30, 2)):
+        subset = np.sort(rng.choice(len(sp), size=1100, replace=False))
+        assert len(row_blocks(len(subset), len(subset))) > 1
+        ii, jj, ww = _subset_edges(sp, subset)
+        iu, ju = np.triu_indices(len(subset), k=1)
+        assert np.array_equal(ii, iu) and np.array_equal(jj, ju)
+        want = [sp.d(int(subset[i]), int(subset[j])) for i, j in zip(iu[::997], ju[::997])]
+        assert ww[::997].tolist() == want
+
+
+def test_sup_diameter_of_a_table_over_several_blocks():
+    # the two ends of the line come last, so only the last row block sees
+    # the widest pair
+    table = as_table(zball(700))
+    idx = np.concatenate([np.arange(1, len(table) - 1), [0, len(table) - 1]])
+    assert len(row_blocks(len(idx), len(idx))) > 1
+    assert _sup_diameter(table, idx) == 1400.0

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import subprocess
@@ -179,6 +180,40 @@ class TestOutput:
         assert code == 0
         measured = payload["verification"]["measured"]["forward"]
         assert set(measured) >= {"1.0", "2.0", "5.0"}
+
+
+# Full `witness` payloads captured before the distance kernels were blocked:
+# (argv, sha256 of the payload dumped with sorted keys, validity radius,
+# table size, recorded moduli). The verification block re-measures exactly
+# the recorded moduli and reports no violation.
+GOLDEN_WITNESSES = [
+    (
+        ("witness", "Z + C4", "Z + C2", "--radius", "8"),
+        "c1a00935e9c9d4bf52af2adb893fdedbebec4e777fdf92b77d27290b407d32e2",
+        3.0,
+        28,
+        {"forward": {"1.0": 2.0, "2.0": 5.0}, "backward": {"1.0": 2.0, "2.0": 3.0}},
+    ),
+    (
+        ("witness", "Z^2 + C2", "Z^2", "--radius", "8"),
+        "52efa3ecbc7538fdcf7e9d14332dc5aa7417bd26cd5f1acef875951a817e7b42",
+        3.0,
+        98,
+        {"forward": {"1.0": 2.0, "2.0": 5.0}, "backward": {"1.0": 2.0, "2.0": 2.0}},
+    ),
+]
+
+
+@pytest.mark.parametrize("argv,digest,validity,size,moduli", GOLDEN_WITNESSES,
+                         ids=["rank-1", "rank-2"])
+def test_witness_output_is_pinned(capsys, argv, digest, validity, size, moduli):
+    code, payload = run_json(capsys, *argv)
+    assert code == 0
+    w = payload["witness"]
+    assert (w["validity_radius"], len(w["pairs"]), w["moduli"]) == (validity, size, moduli)
+    assert payload["verification"] == {"ok": True, "violations": [], "measured": moduli}
+    text = json.dumps(payload, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def test_witness_chain_leaves_scipy_unloaded():

@@ -31,6 +31,7 @@ from coarseiso.spaces import (
     product_space,
     quotient_space,
     quotient_with_projection,
+    row_blocks,
     subspace,
     tower_space,
     validate_metric,
@@ -265,6 +266,24 @@ class TestComponents:
         want = tuple(tuple(i for i, k in enumerate(run) if k == r) for r in sorted(set(run)))
         assert epsilon_components(line, 1).blocks == want
 
+    def test_block_dmat_matches_stacked_rows(self):
+        # sup rules with free and cyclic coordinates, the plane (same
+        # rounding) and a table, each filled over several row blocks
+        rng = np.random.default_rng(5)
+        line = zball(1100)
+        spaces = [
+            zball(20, 2),
+            product_space(build_truncation(parse_group("Z + C3"), radius=60), tower_space([2, 2])),
+            example31_fixture(4, 0.01, 5),
+            FiniteSpace(line.labels, TableRule(line.dmat(), ultrametric=False), 0, 5),
+        ]
+        for sp in spaces:
+            n = len(sp)
+            assert len(row_blocks(n, n)) > 1
+            assert np.array_equal(sp.dmat(), np.stack([sp.dists_from(i) for i in range(n)]))
+            rows, cols = rng.choice(n, size=50), rng.choice(n, size=70)
+            assert np.array_equal(sp.dists_block(rows, cols), sp.dmat()[np.ix_(rows, cols)])
+
     def test_plane_edges_freed_with_their_space(self):
         sp = example31_fixture(2, 0.25, 5)
         epsilon_components(sp, 1.0)
@@ -429,6 +448,31 @@ class TestSerialization:
         payload = json.loads(quotient_space(example31_fixture(1, 0.5, 3), 1.0).to_json())
         payload["labels"] = payload["labels"][:-1]
         with pytest.raises(ValueError, match="table size"):
+            FiniteSpace.from_json(json.dumps(payload))
+
+    def test_structural_flag_must_fit_a_box(self):
+        # coordinate keys on a holed line would read one component at eps=1
+        zb = zball(12)
+        sub = subspace(zb, [i for i, (v,) in enumerate(zb.labels) if v not in (3, 4, -7, -8)])
+        payload = json.loads(sub.to_json())
+        assert epsilon_components(FiniteSpace.from_json(json.dumps(payload)), 1).count == 3
+        payload["structural"] = True
+        with pytest.raises(ValueError, match="box"):
+            FiniteSpace.from_json(json.dumps(payload))
+        # a full box, and any subset of an ultrametric, may carry the flag
+        for sp in (product_space(zball(2), tower_space([3])), subspace(tower_space([2, 3]), [0, 5])):
+            payload = json.loads(sp.to_json())
+            payload["structural"] = True
+            assert FiniteSpace.from_json(json.dumps(payload)).structural
+
+    def test_cyclic_labels_must_lie_below_the_order(self):
+        payload = json.loads(tower_space([2, 2]).to_json())
+        payload["labels"][-1] = [1, 7]
+        with pytest.raises(ValueError, match="cyclic label"):
+            FiniteSpace.from_json(json.dumps(payload))
+        payload = json.loads(product_space(zball(1), tower_space([3])).to_json())
+        payload["labels"][0] = [-1, -1]
+        with pytest.raises(ValueError, match="cyclic label"):
             FiniteSpace.from_json(json.dumps(payload))
 
     def test_version_guard(self):

@@ -19,15 +19,19 @@ from hypothesis import strategies as st
 from coarseiso.analysis import oscillation
 from coarseiso.groups import parse_group
 from coarseiso.spaces import (
+    FiniteSpace,
+    TableRule,
     build_truncation,
     example31_fixture,
     k_point_space,
     product_space,
+    row_blocks,
     tower_space,
     zball,
 )
 from coarseiso.witness import (
     WitnessMap,
+    _check_isometry_claim,
     _label_add,
     absorption_witness,
     component_multiplicity,
@@ -49,6 +53,29 @@ def brute_oscillation(source, target, pairs, delta):
             if source.d(a, c) <= delta:
                 best = max(best, float(target.d(b, d)))
     return best
+
+
+def first_isometry_breaks(w, si, ti):
+    """Pairwise scan of each right-factor slice, in member order: the first
+    pair whose source and target distances differ, as (slice, a, b)."""
+    split = w.source.rule.split
+    groups = {}
+    for k in range(len(si)):
+        groups.setdefault(w.source.labels[si[k]][split:], []).append(k)
+    out = []
+    for key, members in groups.items():
+        pairs = ((a, b) for i, a in enumerate(members) for b in members[i + 1:])
+        for a, b in pairs:
+            if abs(w.source.d(si[a], si[b]) - w.target.d(ti[a], ti[b])) > 1e-9:
+                out.append((key, w.source.labels[si[a]], w.source.labels[si[b]]))
+                break
+    return out
+
+
+def isometry_messages(w, si, ti):
+    out = []
+    _check_isometry_claim(w, {"kind": "per-component-isometry", "epsilon": 1.0}, si, ti, out)
+    return [v for v in out if "distance" in v]
 
 
 def identity_witness(space):
@@ -153,6 +180,36 @@ class TestFactorization:
     def test_plane_fixture_rejected(self):
         with pytest.raises(ValueError):
             factorization_witness(example31_fixture(1, 0.5, 3), 1.0)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.sampled_from(["Z + C2", "Z + C3", "Z^2 + C2"]), st.randoms(use_true_random=False))
+    def test_isometry_check_reports_the_first_broken_pair(self, group, rnd):
+        # shuffled images inside the table against a pairwise scan
+        w = factorization_witness(build_truncation(parse_group(group), radius=3), 1.0)
+        si = np.asarray([s for s, _ in w.table])
+        ti = np.asarray([t for _, t in w.table])
+        picks = rnd.sample(range(len(ti)), rnd.randint(2, 4))
+        ti[picks] = ti[picks[::-1]]
+        want = first_isometry_breaks(w, si, ti)
+        got = isometry_messages(w, si, ti)
+        assert len(got) == len(want)
+        for msg, (key, a, b) in zip(got, want):
+            assert msg.startswith(f"slice {key}: images of {a} and {b} are at distance ")
+
+    def test_isometry_check_over_several_row_blocks(self):
+        # slices of 1101 points span several row blocks; the one broken pair
+        # sits in the last block, so the message names exactly it
+        sp = product_space(zball(550), tower_space([2]))
+        m = sp.dmat().copy()
+        a, b = sp.index[(449, 1)], sp.index[(499, 1)]
+        m[a, b] = m[b, a] = 51.0
+        target = FiniteSpace(sp.labels, TableRule(m, ultrametric=False), sp.basepoint, 550)
+        idx = np.arange(len(sp))
+        assert len(row_blocks(1101, 1101)) > 1
+        w = WitnessMap(sp, target, tuple(zip(idx, idx)), {}, {}, 550.0)
+        assert isometry_messages(w, idx, idx) == [
+            "slice (1,): images of (449, 1) and (499, 1) are at distance 51.0, not 50.0"
+        ]
 
     def test_label_add_wraps_cyclic_coordinates_only(self):
         sp = product_space(build_truncation(parse_group("Z + C3"), radius=4), tower_space([2]))
