@@ -39,12 +39,14 @@ NOISE_DEN = 8  # a block is significant when 8 * size >= largest block
 DENSE_CACHE_LIMIT = 3000
 
 
-def dist_block(space: FiniteSpace, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+def cached_block(space: FiniteSpace, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
     """Distances d[rows][:, cols] for index arrays: read from the cached
     dense matrix on spaces up to DENSE_CACHE_LIMIT points, computed from
     the coordinates above it."""
     if len(space) <= DENSE_CACHE_LIMIT:
-        # whole rows first, then the columns: faster than an np.ix_ gather
+        # whole rows first, then the columns: a transient of len(rows) x
+        # len(space) entries, but faster than an np.ix_ gather on the
+        # near-full subsets that oscillation reads
         return space.dmat()[rows].take(cols, axis=1)
     return space.dists_block(rows, cols)
 
@@ -110,12 +112,12 @@ def _subset_edges(space: FiniteSpace, subset: np.ndarray):
     if n > DENSE_LIMIT:
         raise ValueError("subset too large for dense edge enumeration")
     ii, jj, ww = [], [], []
-    for blk in row_blocks(n, n):
+    for blk in row_blocks(n):
         # the pairs i < j of this block of rows, in row-major order
         bi, bj = np.triu_indices(blk.stop - blk.start, k=blk.start + 1, m=n)
         ii.append(bi + blk.start)
         jj.append(bj)
-        ww.append(dist_block(space, subset[blk], subset)[bi, bj])
+        ww.append(cached_block(space, subset[blk], subset)[bi, bj])
     return np.concatenate(ii), np.concatenate(jj), np.concatenate(ww)
 
 
@@ -293,8 +295,8 @@ def _sup_diameter(space: FiniteSpace, idx: np.ndarray) -> float:
         free = np.asarray(rule.orders) == 0
         spans = np.where(free, spread, (spread != 0) * np.asarray(rule.levels))
         return float(spans.max(initial=0.0))
-    blocks = row_blocks(len(idx), len(idx))
-    return max(float(dist_block(space, idx[blk], idx).max()) for blk in blocks)
+    blocks = row_blocks(len(idx))
+    return max(float(cached_block(space, idx[blk], idx).max()) for blk in blocks)
 
 
 def oscillation(
@@ -330,9 +332,9 @@ def oscillation(
                 best = max(best, _sup_diameter(target, dst_idx[members]))
             return best
     best = 0.0
-    for blk in row_blocks(len(src_idx), len(src_idx)):
-        near = dist_block(source, src_idx[blk], src_idx) <= float(delta) + 1e-12
-        tr = dist_block(target, dst_idx[blk], dst_idx)
+    for blk in row_blocks(len(src_idx)):
+        near = cached_block(source, src_idx[blk], src_idx) <= float(delta) + 1e-12
+        tr = cached_block(target, dst_idx[blk], dst_idx)
         best = max(best, float(np.max(tr, where=near, initial=0.0)))
     return best
 

@@ -45,10 +45,10 @@ from .primes import first_primes
 DEFAULT_POINT_BUDGET = 10**6
 DENSE_LIMIT = 6500
 PLANE_DECIMALS = 9
-# entries of one block of distance rows (2 MB of float64): every blocked
-# distance read sizes its blocks to about this many, which bounds its
-# transient memory; blocks four times larger were no faster and raised the
-# peak memory of witness chains by about an eighth
+# entries of one block of distance rows (2 MB of float64): row_blocks sizes
+# every blocked distance read so that one block of its result holds about
+# this many; blocks four times larger were no faster and raised the peak
+# memory of witness chains by about an eighth
 BLOCK_ENTRIES = 2**18
 
 Num = Union[int, float, Fraction]
@@ -147,9 +147,12 @@ class SupRule:
         point of coords (n, k): shape (n,) or (b, n)."""
         # one column at a time into one scratch buffer: an (n, k) temporary
         # reduced with max(axis=1) is slower on the narrow labels the
-        # constructors build, and fresh temporaries per column cost page faults
-        d = np.zeros(rows.shape[:-1] + (len(coords),))
-        tmp = np.empty_like(d)
+        # constructors build, and fresh temporaries per column cost page
+        # faults. The result and the scratch share one allocation: freed as
+        # two, they let malloc hand the pages of each row block back to the
+        # system, and the next block faults them in again
+        d, tmp = np.empty((2,) + rows.shape[:-1] + (len(coords),))
+        d.fill(0)
         for c, (o, lvl) in enumerate(zip(self.orders, self.levels)):
             col, x = coords[:, c], rows[..., c, None]
             if o == 0:
@@ -230,11 +233,11 @@ MetricRule = Union[SupRule, PlaneRule, TableRule]
 # the space itself
 
 
-def row_blocks(rows: int, width: int) -> list[slice]:
-    """Consecutive slices of range(rows), each of about BLOCK_ENTRIES
-    entries when a row has `width` of them."""
-    step = max(1, BLOCK_ENTRIES // max(1, width))
-    return [slice(start, min(rows, start + step)) for start in range(0, rows, step)]
+def row_blocks(n: int) -> list[slice]:
+    """Consecutive slices of range(n), each of about BLOCK_ENTRIES entries
+    when a row has n of them."""
+    step = max(1, BLOCK_ENTRIES // max(1, n))
+    return [slice(start, min(n, start + step)) for start in range(0, n, step)]
 
 
 class FiniteSpace:
@@ -306,15 +309,13 @@ class FiniteSpace:
         return self.rule.distance(self.labels[i], self.labels[j])
 
     def dists_from(self, i: int) -> np.ndarray:
-        if isinstance(self.rule, TableRule):
-            return self.rule.matrix[i]
-        return self.rule.dists(self.coords[i], self.coords)
+        return self.dists_block(i, slice(None))
 
     def dists_block(self, rows, cols) -> np.ndarray:
-        """Distances d[rows][:, cols], computed from the rule; rows and cols
-        are index arrays or slices."""
+        """Distances d[rows][..., cols], computed from the rule; rows is an
+        index, an index array or a slice, cols an index array or a slice."""
         if isinstance(self.rule, TableRule):
-            return self.rule.matrix[rows][:, cols]
+            return self.rule.matrix[rows][..., cols]
         return self.rule.dists(self.coords[rows], self.coords[cols])
 
     def dmat(self) -> np.ndarray:
@@ -327,7 +328,7 @@ class FiniteSpace:
                 if n > DENSE_LIMIT:
                     raise BudgetError(f"dense matrix of {n} points exceeds {DENSE_LIMIT}")
                 m = np.empty((n, n))
-                for blk in row_blocks(n, n):
+                for blk in row_blocks(n):
                     m[blk] = self.dists_block(blk, slice(None))
                 self._dmat = m
         return self._dmat
@@ -375,19 +376,23 @@ class FiniteSpace:
 
 
 def _check_sup_labels(space: FiniteSpace) -> None:
-    """Reject serialized sup-rule labels that no constructor builds: a
-    cyclic value outside range(order), or a structural flag on a label set
-    with a free coordinate that does not fill a box, where coordinate keys
-    would merge components that no chain joins."""
+    """Reject serialized sup-rule labels that would read wrong distances or
+    components: a cyclic value outside range(order), or a structural flag
+    on labels that are not a box of integer free values times a set of
+    cyclic values. Coordinate keys are exact on such a product (unit steps
+    cross the box, the cyclic part differs only in coordinates the key
+    drops), and would merge components that no chain joins on any other."""
     rule = space.rule
-    cols = space.coords.T
-    for col, o in zip(cols, rule.orders):
-        if o and not np.all((col >= 0) & (col < o) & (col == np.floor(col))):
+    free = np.asarray(rule.orders) == 0
+    free_cols, cyclic_cols = space.coords.T[free], space.coords.T[~free]
+    for col, o in zip(cyclic_cols, np.asarray(rule.orders)[~free]):
+        if not np.all((col >= 0) & (col < o) & (col == np.floor(col))):
             raise ValueError(f"cyclic label value outside [0, {o})")
-    if space.structural and not rule.is_ultrametric:
-        values = [np.unique(col) for col in cols]
-        gaps = any(o == 0 and v[-1] - v[0] + 1 != len(v) for v, o in zip(values, rule.orders))
-        if gaps or math.prod(len(v) for v in values) != len(space):
+    if space.structural:
+        # distinct labels inside box x cyclic set fill it when they are as many
+        box = math.prod((free_cols.max(axis=1) - free_cols.min(axis=1) + 1).tolist())
+        cyclic = {tuple(l) for l in cyclic_cols.T.tolist()}
+        if np.any(free_cols != np.floor(free_cols)) or box * len(cyclic) != len(space):
             raise ValueError("structural flag on labels that do not fill a box")
 
 
@@ -774,7 +779,7 @@ def _graph_components(space: FiniteSpace, eps: float) -> np.ndarray:
     # rows in blocks, each block's edges joined to a star forest of the
     # components so far, so memory stays near one block of rows
     labels = np.arange(n)
-    for blk in row_blocks(n, n):
+    for blk in row_blocks(n):
         bi, bj = np.nonzero(space.dists_block(blk, slice(None)) <= eps)
         roots = np.unique(labels, return_index=True)[1][labels]
         ii = np.concatenate([bi + blk.start, np.arange(n)])

@@ -18,7 +18,7 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .analysis import dist_block, oscillation
+from .analysis import cached_block, oscillation
 from .factorfn import FactorFunction, ff_add, ff_equal, ff_sub, phi_of_nat
 from .groups import GroupDescription, coarse_isomorphic
 from .spaces import (
@@ -197,9 +197,9 @@ def _check_isometry_claim(
     sizes = [len(b) for b in part.blocks]
     for key, members in groups.items():
         pos = np.asarray(members)
-        for blk in row_blocks(len(pos), len(pos)):
-            ds = dist_block(w.source, si[pos[blk]], si[pos])
-            dt = dist_block(w.target, ti[pos[blk]], ti[pos])
+        for blk in row_blocks(len(pos)):
+            ds = cached_block(w.source, si[pos[blk]], si[pos])
+            dt = cached_block(w.target, ti[pos[blk]], ti[pos])
             # the pairs i < j of this block of rows that break the isometry;
             # argmax finds the first in row-major order, as a pairwise scan would
             bad = np.abs(ds - dt) > _TOL

@@ -434,7 +434,7 @@ def test_block_oscillation_over_several_blocks_and_uncached_rows():
     np.fill_diagonal(m, 0.0)
     table = FiniteSpace([(i,) for i in range(n)], TableRule(m, ultrametric=False), 0, 5)
     line = zball(1600)
-    assert len(line) > DENSE_CACHE_LIMIT and len(row_blocks(n, n)) > 1
+    assert len(line) > DENSE_CACHE_LIMIT and len(row_blocks(n)) > 1
     src = rng.permutation(n)
     dst = rng.choice(len(line), size=n, replace=False)
     for delta in (1.0, 3.0):
@@ -450,7 +450,7 @@ def test_subset_edges_over_several_blocks():
     rng = np.random.default_rng(2)
     for sp in (zball(20, 2), zball(30, 2)):
         subset = np.sort(rng.choice(len(sp), size=1100, replace=False))
-        assert len(row_blocks(len(subset), len(subset))) > 1
+        assert len(row_blocks(len(subset))) > 1
         ii, jj, ww = _subset_edges(sp, subset)
         iu, ju = np.triu_indices(len(subset), k=1)
         assert np.array_equal(ii, iu) and np.array_equal(jj, ju)
@@ -463,5 +463,5 @@ def test_sup_diameter_of_a_table_over_several_blocks():
     # the widest pair
     table = as_table(zball(700))
     idx = np.concatenate([np.arange(1, len(table) - 1), [0, len(table) - 1]])
-    assert len(row_blocks(len(idx), len(idx))) > 1
+    assert len(row_blocks(len(idx))) > 1
     assert _sup_diameter(table, idx) == 1400.0

@@ -279,7 +279,7 @@ class TestComponents:
         ]
         for sp in spaces:
             n = len(sp)
-            assert len(row_blocks(n, n)) > 1
+            assert len(row_blocks(n)) > 1
             assert np.array_equal(sp.dmat(), np.stack([sp.dists_from(i) for i in range(n)]))
             rows, cols = rng.choice(n, size=50), rng.choice(n, size=70)
             assert np.array_equal(sp.dists_block(rows, cols), sp.dmat()[np.ix_(rows, cols)])
@@ -459,11 +459,22 @@ class TestSerialization:
         payload["structural"] = True
         with pytest.raises(ValueError, match="box"):
             FiniteSpace.from_json(json.dumps(payload))
-        # a full box, and any subset of an ultrametric, may carry the flag
-        for sp in (product_space(zball(2), tower_space([3])), subspace(tower_space([2, 3]), [0, 5])):
-            payload = json.loads(sp.to_json())
-            payload["structural"] = True
-            assert FiniteSpace.from_json(json.dumps(payload)).structural
+        # a half step inside a "box" of the right count: keys would split
+        # (0, 0) from (0.5, 0) at eps=0.5
+        payload = json.loads(product_space(zball(1), tower_space([2])).to_json())
+        payload.update(labels=[[0, 0], [0.5, 0], [0, 1]], basepoint=0)
+        with pytest.raises(ValueError, match="box"):
+            FiniteSpace.from_json(json.dumps(payload))
+        # a full box, any subset of an ultrametric, and a box times such a
+        # subset may carry the flag; the constructors set it on all three
+        cyclic = subspace(tower_space([2, 3]), [0, 5])
+        for sp in (product_space(zball(2), tower_space([3])), cyclic,
+                   product_space(zball(2), cyclic), product_space(cyclic, zball(1, 2))):
+            assert sp.structural
+            back = FiniteSpace.from_json(sp.to_json())
+            assert back.structural and back == sp
+            for eps in (0, 0.5, 1, 2, 3, 4):
+                assert epsilon_components(back, eps).blocks == threshold_blocks(sp.dmat(), eps)
 
     def test_cyclic_labels_must_lie_below_the_order(self):
         payload = json.loads(tower_space([2, 2]).to_json())
@@ -536,6 +547,32 @@ def test_structural_keys_match_graph_components(sp, eps):
     keyed = epsilon_components(sp, eps)
     graph = epsilon_components(unstructured(sp), eps)
     assert keyed.blocks == graph.blocks == threshold_blocks(sp.dmat(), eps)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([
+    product_space(zball(2), tower_space([2, 3])),
+    product_space(tower_space([3]), zball(1, 2)),
+    product_space(product_space(zball(1), tower_space([2])), zball(2)),
+]), st.data())
+def test_structural_flag_accepted_only_where_keys_are_exact(sp, data):
+    # a payload's structural flag is accepted exactly on a free box times a
+    # set of cyclic values, and there coordinate keys give the components
+    picked = sorted(data.draw(st.sets(st.integers(0, len(sp) - 1), min_size=1)))
+    sub = subspace(sp, picked, basepoint=picked[0])
+    payload = json.loads(sub.to_json())
+    payload["structural"] = True
+    free = [c for c, o in enumerate(sp.rule.orders) if o == 0]
+    box = {tuple(l[c] for c in free) for l in sub.labels}
+    rest = {tuple(v for c, v in enumerate(l) if c not in free) for l in sub.labels}
+    spans = [max(b[k] for b in box) - min(b[k] for b in box) + 1 for k in range(len(free))]
+    if math.prod(spans) * len(rest) != len(sub):
+        with pytest.raises(ValueError, match="box"):
+            FiniteSpace.from_json(json.dumps(payload))
+        return
+    back = FiniteSpace.from_json(json.dumps(payload))
+    for eps in (0, 0.5, 1, 2, 3, 4):
+        assert epsilon_components(back, eps).blocks == threshold_blocks(sub.dmat(), eps)
 
 
 @settings(max_examples=30, deadline=None)

@@ -205,7 +205,7 @@ class TestFactorization:
         m[a, b] = m[b, a] = 51.0
         target = FiniteSpace(sp.labels, TableRule(m, ultrametric=False), sp.basepoint, 550)
         idx = np.arange(len(sp))
-        assert len(row_blocks(1101, 1101)) > 1
+        assert len(row_blocks(1101)) > 1
         w = WitnessMap(sp, target, tuple(zip(idx, idx)), {}, {}, 550.0)
         assert isometry_messages(w, idx, idx) == [
             "slice (1,): images of (449, 1) and (499, 1) are at distance 51.0, not 50.0"
