@@ -28,6 +28,7 @@ from .spaces import (
     _partition_from_keys,
     _spanning_tree,
     delaunay_edges,
+    plane_edges,
     row_blocks,
 )
 
@@ -102,11 +103,14 @@ def _mst_weights(space: FiniteSpace, subset: np.ndarray) -> list[float]:
 
 
 def _subset_edges(space: FiniteSpace, subset: np.ndarray):
-    """Edges (i, j, weight) of the induced subspace, in subset positions.
-    For plane spaces a fresh Delaunay triangulation of the subset is used;
-    its threshold components agree with the full graph's because it
-    contains the MST."""
+    """Edges (i, j, weight) of the induced subspace on ascending distinct
+    indices, in subset positions. For plane spaces a Delaunay triangulation
+    of the subset is used: the space's cached one when the subset is the
+    whole space, a fresh one otherwise. Its threshold components agree
+    with the full graph's because it contains the MST."""
     if isinstance(space.rule, PlaneRule):
+        if len(subset) == len(space):
+            return plane_edges(space)
         return delaunay_edges(space.coords[subset])
     n = len(subset)
     if n > DENSE_LIMIT:
@@ -206,7 +210,8 @@ def estimate_factorizing_step(
         labels_d = labelings[w][delta]
         labels_e = labelings[w][eps]
         members = labels_d == labels_d[base_pos[w]]
-        _, sizes = np.unique(labels_e[members], return_counts=True)
+        # labels absent from the block count 0, and 0 never passes the test
+        sizes = np.bincount(labels_e[members])
         return int(np.sum(sizes * NOISE_DEN >= np.max(sizes) * NOISE_NUM))
 
     stable: dict[float, bool] = {}
@@ -374,6 +379,10 @@ def foelner_search(
         radius = float(np.max(bd))
     rule = space.rule
     pure_free = isinstance(rule, SupRule) and rule.layout == "group-ball" and not any(rule.orders)
+    # the balls grow with k, so the neighbourhood mark carries over and only
+    # the rows of points new to the ball are read
+    mark = np.zeros(len(space), dtype=bool)
+    counted = np.zeros(len(space), dtype=bool)
     k = 0
     while k + epsilon <= radius:
         inside = np.flatnonzero(bd <= k)
@@ -386,9 +395,13 @@ def foelner_search(
             else:
                 if len(space) > max_points:
                     raise ValueError("space too large for the neighborhood recount")
-                mark = np.zeros(len(space), dtype=bool)
-                for i in inside:
-                    mark |= space.dists_from(int(i)) <= epsilon
+                new = inside[~counted[inside]]
+                counted[new] = True
+                for blk in row_blocks(len(space)):
+                    if blk.start >= len(new):
+                        break
+                    near = space.dists_block(new[blk], slice(None)) <= epsilon
+                    mark |= near.any(axis=0)
                 nbr = int(np.sum(mark))
             if nbr <= c * size:
                 return FoelnerSet(

@@ -727,24 +727,53 @@ def _component_keys(labels: Sequence[Label], rule: SupRule, eps: float) -> list[
     return [tuple(l[c] for c in kept) for l in labels]
 
 
+def _triangulation_pairs(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Pairs (i, j), i < j, of points joined in the Delaunay triangulation,
+    read from Qhull's per-vertex neighbour lists. Points on one line have
+    no triangulation; there the pairs are the path through them in order
+    along the line, which is their MST."""
+    from scipy.spatial import Delaunay, QhullError
+
+    n = len(pts)
+    if n >= 3:
+        try:
+            indptr, nbrs = Delaunay(pts).vertex_neighbor_vertices
+        except QhullError as exc:
+            error = str(exc).splitlines()[0]
+        else:
+            ii = np.repeat(np.arange(n), np.diff(indptr))
+            keep = ii < nbrs
+            return ii[keep], nbrs[keep]
+    # lexicographic order is the order along a line, vertical ones included
+    along = np.lexsort((pts[:, 1], pts[:, 0]))
+    if n >= 3:
+        a, b = pts[along[0]], pts[along[-1]]
+        cross = (b[0] - a[0]) * (pts[:, 1] - a[1]) - (b[1] - a[1]) * (pts[:, 0] - a[0])
+        if np.any(cross != 0):
+            raise ValueError(f"plane points admit no triangulation: {error}")
+    return np.minimum(along[:-1], along[1:]), np.maximum(along[:-1], along[1:])
+
+
 def delaunay_edges(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Delaunay edge list (i, j, weight) of planar points, each edge once
-    with i < j and its PlaneRule distance. The Delaunay graph contains the
-    Euclidean MST, so thresholding it yields the same connected components,
-    and the same single-linkage heights, as the full distance graph."""
-    from scipy.spatial import Delaunay
-
-    s = np.sort(Delaunay(pts).simplices, axis=1)
-    pairs = np.unique(np.concatenate([s[:, [0, 1]], s[:, [0, 2]], s[:, [1, 2]]]), axis=0)
-    ii, jj = pairs[:, 0], pairs[:, 1]
+    with i < j and its PlaneRule distance, in ascending (i, j) order. The
+    Delaunay graph contains the Euclidean MST, so thresholding it yields the
+    same connected components, and the same single-linkage heights, as the
+    full distance graph."""
+    n = len(pts)
+    ii, jj = _triangulation_pairs(pts)
+    key = np.sort(ii.astype(np.int64) * n + jj)
+    ii, jj = key // n, key % n
     ww = np.round(np.hypot(pts[ii, 0] - pts[jj, 0], pts[ii, 1] - pts[jj, 1]), PLANE_DECIMALS)
     return ii, jj, ww
 
 
 def plane_edges(space: FiniteSpace) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Delaunay edges of a plane fixture, cached on the space."""
+    """Delaunay edges of a plane fixture, cached on the space: one
+    triangulation serves its components, quotients and whole-space step
+    windows."""
     if space._edges is None:
-        space._edges = delaunay_edges(np.asarray(space.labels, dtype=float))
+        space._edges = delaunay_edges(space.coords)
     return space._edges
 
 

@@ -465,3 +465,84 @@ def test_sup_diameter_of_a_table_over_several_blocks():
     idx = np.concatenate([np.arange(1, len(table) - 1), [0, len(table) - 1]])
     assert len(row_blocks(len(idx))) > 1
     assert _sup_diameter(table, idx) == 1400.0
+
+
+def test_step_on_a_line_matches_the_all_pairs_table():
+    # plane points on one line have no triangulation; the path along the
+    # line stands in for it, and the dense all-pairs graph is the oracle
+    for direction in ((1, 0), (1, 2), (0, -1)):
+        for count in (1, 2, 10, 40):
+            steps = [t + 2 * (t // 5) for t in range(count)]  # a gap after every 5th
+            pts = [(t * direction[0] / 4, t * direction[1] / 4) for t in steps]
+            sp = FiniteSpace(sorted(pts), PlaneRule(), 0, 0)
+            got = estimate_factorizing_step(sp).to_json()
+            assert got == estimate_factorizing_step(as_table(sp)).to_json()
+
+
+def test_step_and_components_share_one_triangulation(monkeypatch):
+    # the candidate MST and the whole-space window read the cached plane
+    # edges, so only the 0.5 and 0.75 windows triangulate anew; a later
+    # components call triangulates nothing
+    import scipy.spatial
+
+    sizes = []
+    real = scipy.spatial.Delaunay
+
+    def counting(pts, *args, **kwargs):
+        sizes.append(len(pts))
+        return real(pts, *args, **kwargs)
+
+    monkeypatch.setattr(scipy.spatial, "Delaunay", counting)
+    sp = example31_fixture(8, 0.01, 50)
+    estimate_factorizing_step(sp)
+    assert len(sizes) == 3 and sizes.count(len(sp)) == 1
+    epsilon_components(sp, 1.0)
+    assert len(sizes) == 3
+
+
+def rowwise_foelner(space, c, epsilon):
+    """The recount the blocked search replaced: one distance row per point
+    of the ball, started over at every k. (k, size, neighborhood size) of
+    the first Foelner ball, or None."""
+    bd = space.dists_from(space.basepoint)
+    radius = float(space.inner_radius)
+    if not math.isfinite(radius):
+        radius = float(np.max(bd))
+    k = 0
+    while k + epsilon <= radius:
+        inside = np.flatnonzero(bd <= k)
+        if len(inside):
+            mark = np.zeros(len(space), dtype=bool)
+            for i in inside:
+                mark |= space.dists_from(int(i)) <= epsilon
+            nbr = int(np.sum(mark))
+            if nbr <= c * len(inside):
+                return k, len(inside), nbr
+        k += 1
+    return None
+
+
+def foelner_triple(space, c, epsilon):
+    f = foelner_search(space, c, epsilon)
+    return None if f is None else (f.k, f.size, f.neighborhood_size)
+
+
+def pure_free(sp):
+    return sp.rule.layout == "group-ball" and not any(sp.rule.orders)
+
+
+@settings(max_examples=60, deadline=None)
+@given(sup_spaces.filter(lambda sp: not pure_free(sp)),
+       st.sampled_from([1.05, 1.2, 1.5, 2.0, 3.0]), st.sampled_from([0.5, 1.0, 2.0, 3.0]))
+def test_foelner_recount_matches_the_rowwise_loop(sp, c, epsilon):
+    assert foelner_triple(sp, c, epsilon) == rowwise_foelner(sp, c, epsilon)
+
+
+def test_foelner_recount_over_several_row_blocks():
+    # 2178 points: a block holds 120 rows, and from k = 8 on a new shell
+    # of the ball adds more than that
+    sp = build_truncation(parse_group("Z^2 + C2"), radius=16)
+    assert not pure_free(sp) and len(row_blocks(len(sp))) > 1
+    for c, epsilon, want in ((1.25, 1.0, (8, 578, 722)), (1.5, 2.0, (9, 722, 1058)),
+                             (2.0, 3.0, (7, 450, 882)), (1.2, 2.0, None)):
+        assert foelner_triple(sp, c, epsilon) == rowwise_foelner(sp, c, epsilon) == want

@@ -216,6 +216,42 @@ def test_witness_output_is_pinned(capsys, argv, digest, validity, size, moduli):
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
+# Plane-fixture payloads captured before the Delaunay edges were read from
+# Qhull's neighbour lists: (argv, sha256 of the payload dumped with sorted
+# keys, points, estimate or block count).
+GOLDEN_PLANE = [
+    (("step", "example31:20:0.01"),
+     "79dbe7c8d4fa818f90af4411d73a44d6c8469a9d3bd9ff53070537ac507a46be", 6573, 3.241451542),
+    (("step", "example31:24:0.0125"),
+     "c6e9f7ebc8f3927b0dff3b94f7e7f365fe9e438c9f7b1c0988c8ccd12bed8f30", 6275, 3.233185308),
+    (("components", "example31:40:0.0125", "--epsilon", "3"),
+     "9fd6e812a63ed395885b4610c6c367c1c908c646453a4cfc75e9950028c8a5b5", 10291, 451),
+]
+
+
+@pytest.mark.parametrize("argv,digest,points,value", GOLDEN_PLANE,
+                         ids=["step-0.01", "step-0.0125", "components-0.0125"])
+def test_plane_output_is_pinned(capsys, argv, digest, points, value):
+    code, payload = run_json(capsys, *argv)
+    assert code == 0
+    key = "estimate" if argv[0] == "step" else "blocks"
+    assert (payload["points"], payload[key]) == (points, value)
+    text = json.dumps(payload, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def test_plane_fixture_on_one_line(capsys):
+    # clamp 0.5 at grid 0.5 keeps only x = 0 on each branch: three points
+    # on the x-axis, which Qhull cannot triangulate
+    code, payload = run_json(capsys, "components", "example31:2:0.5:0.5", "--epsilon", "1")
+    assert code == 0
+    assert (payload["points"], payload["blocks"], payload["sizes"]) == (3, 3, [1, 1, 1])
+    code, payload = run_json(capsys, "components", "example31:2:0.5:0.5", "--epsilon", "7")
+    assert (code, payload["blocks"]) == (0, 1)
+    code, payload = run_json(capsys, "step", "example31:2:0.5:0.5")
+    assert code == 0 and payload["inconclusive"]
+
+
 def test_witness_chain_leaves_scipy_unloaded():
     # scipy is imported only where plane fixtures or non-structural spaces
     # need it, so free-rank witness chains never pay for loading it

@@ -22,6 +22,7 @@ from coarseiso.spaces import (
     build_truncation,
     canonical_ultrametric,
     cantor_cube_truncation,
+    delaunay_edges,
     enumerate_summands,
     epsilon_components,
     example31_fixture,
@@ -291,6 +292,108 @@ class TestComponents:
         del sp
         gc.collect()
         assert ref() is None
+
+
+def simplex_edges(pts):
+    """Delaunay edges from the triangles: every side, sorted and made unique
+    with np.unique(axis=0). The reference for the neighbour-list read."""
+    from scipy.spatial import Delaunay
+
+    s = np.sort(Delaunay(pts).simplices, axis=1)
+    pairs = np.unique(np.concatenate([s[:, [0, 1]], s[:, [0, 2]], s[:, [1, 2]]]), axis=0)
+    ii, jj = pairs[:, 0], pairs[:, 1]
+    ww = np.round(np.hypot(pts[ii, 0] - pts[jj, 0], pts[ii, 1] - pts[jj, 1]), 9)
+    return ii, jj, ww
+
+
+def lattice(width, height, step=1.0):
+    """Integer grid points scaled by step: every unit square is
+    co-circular, so Qhull has to split it."""
+    return np.array([(x * step, y * step) for x in range(width) for y in range(height)])
+
+
+def line_space(count, direction, gaps):
+    """Plane space on `count` points of one line through the origin, spaced
+    by 1/4 times the direction, with a gap of `gaps` after every 3rd point."""
+    dx, dy = direction
+    steps = np.cumsum([1 + (gaps if k % 3 == 2 else 0) for k in range(count)]) - 1
+    labels = sorted((t * dx / 4, t * dy / 4) for t in steps.tolist())
+    return FiniteSpace(labels, PlaneRule(), 0, 0)
+
+
+def single_linkage_quotient(sp, eps):
+    """Partition and quotient table of the all-pairs single linkage."""
+    from scipy.cluster.hierarchy import cophenet, linkage
+    from scipy.spatial.distance import squareform
+
+    if len(sp) == 1:
+        return np.ones((1, 1), dtype=bool), np.zeros((1, 1))
+    coph = squareform(cophenet(linkage(squareform(sp.dmat()), "single")))
+    return coph <= eps, coph
+
+
+class TestDelaunayEdges:
+    @pytest.mark.parametrize("make", [
+        # the example31 fixtures of both benchmark grids
+        lambda: example31_fixture(20, 0.01, 1000).coords,
+        lambda: example31_fixture(24, 0.0125, 1000).coords,
+        lambda: np.random.default_rng(3).uniform(-5, 5, size=(3000, 2)),
+        lambda: np.random.default_rng(4).normal(size=(500, 2)),
+        lambda: lattice(40, 30),
+        lambda: lattice(7, 50, 0.25),
+    ], ids=["fixture-0.01", "fixture-0.0125", "uniform", "normal", "lattice", "lattice-quarter"])
+    def test_neighbour_lists_match_simplex_sides(self, make):
+        pts = make()
+        got, want = delaunay_edges(pts), simplex_edges(pts)
+        for a, b in zip(got, want):
+            assert np.array_equal(a, b)
+
+    @settings(max_examples=40, deadline=None)
+    @given(plane_spaces)
+    def test_neighbour_lists_match_simplex_sides_random(self, sp):
+        for a, b in zip(delaunay_edges(sp.coords), simplex_edges(sp.coords)):
+            assert np.array_equal(a, b)
+
+    def test_collinear_points_give_the_path_along_the_line(self):
+        pts = np.array([(2.0, 4.0), (0.0, 0.0), (3.0, 6.0), (1.0, 2.0)])
+        ii, jj, ww = delaunay_edges(pts)
+        # along the line: points 1, 3, 0, 2
+        assert (ii.tolist(), jj.tolist()) == ([0, 0, 1], [2, 3, 3])
+        assert ww.tolist() == [round(math.sqrt(5), 9)] * 3
+
+    def test_vertical_line_and_tiny_inputs(self):
+        ii, jj, _ = delaunay_edges(np.array([(0.0, 3.0), (0.0, 1.0), (0.0, 2.0)]))
+        assert (ii.tolist(), jj.tolist()) == ([0, 1], [2, 2])
+        for n in (0, 1):
+            assert all(len(a) == 0 for a in delaunay_edges(np.zeros((n, 2))))
+        ii, jj, ww = delaunay_edges(np.array([(0.0, 0.0), (3.0, 4.0)]))
+        assert (ii.tolist(), jj.tolist(), ww.tolist()) == ([0], [1], [5.0])
+
+    def test_untriangulable_points_off_one_line_raise_value_error(self):
+        with pytest.raises(ValueError, match="no triangulation"):
+            delaunay_edges(np.array([(0.0, 0.0), (1.0, 1e-17), (2.0, 0.0)]))
+
+
+class TestFlatPlane:
+    """Plane spaces with no triangulation: one line, or under three points."""
+
+    flat = [line_space(10, (1, 0), 0), line_space(10, (1, 2), 3), line_space(12, (0, -1), 1),
+            line_space(1, (1, 0), 0), line_space(2, (3, 1), 0)]
+    ids = ["line", "slanted-gaps", "vertical-gaps", "one-point", "two-points"]
+
+    @pytest.mark.parametrize("sp", flat, ids=ids)
+    @pytest.mark.parametrize("eps", [0.0, 0.25, 0.6, 1.0, 1.2, 5.0])
+    def test_components_match_all_pairs(self, sp, eps):
+        assert epsilon_components(sp, eps).blocks == threshold_blocks(sp.dmat(), eps)
+
+    @pytest.mark.parametrize("sp", flat, ids=ids)
+    @pytest.mark.parametrize("eps", [0.0, 0.3, 0.6, 1.2])
+    def test_generic_quotient_matches_single_linkage(self, sp, eps):
+        q, part = quotient_with_projection(sp, eps)
+        same, coph = single_linkage_quotient(sp, eps)
+        assert np.array_equal(part.point_block[:, None] == part.point_block[None, :], same)
+        reps = list(part.representatives)
+        assert np.array_equal(q.dmat(), coph[np.ix_(reps, reps)])
 
 
 class TestSubspace:
