@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -43,11 +43,13 @@ DENSE_CACHE_LIMIT = 3000
 def cached_block(space: FiniteSpace, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
     """Distances d[rows][:, cols] for index arrays: read from the cached
     dense matrix on spaces up to DENSE_CACHE_LIMIT points, computed from
-    the coordinates above it."""
+    the coordinates above it. Its readers are the subset edges of step
+    estimation and the witness isometry check; oscillation computes its
+    blocks itself."""
     if len(space) <= DENSE_CACHE_LIMIT:
         # whole rows first, then the columns: a transient of len(rows) x
         # len(space) entries, but faster than an np.ix_ gather on the
-        # near-full subsets that oscillation reads
+        # near-full subsets these readers take
         return space.dmat()[rows].take(cols, axis=1)
     return space.dists_block(rows, cols)
 
@@ -300,8 +302,78 @@ def _sup_diameter(space: FiniteSpace, idx: np.ndarray) -> float:
         free = np.asarray(rule.orders) == 0
         spans = np.where(free, spread, (spread != 0) * np.asarray(rule.levels))
         return float(spans.max(initial=0.0))
-    blocks = row_blocks(len(idx))
-    return max(float(cached_block(space, idx[blk], idx).max()) for blk in blocks)
+    return max(float(space.dists_block(idx[blk], idx).max()) for blk in row_blocks(len(idx)))
+
+
+_INT_DTYPES = (np.int8, np.int16, np.int32, np.int64)
+
+
+def _int_coords(coords: np.ndarray, levels: Sequence[int]) -> np.ndarray:
+    """Sup-rule coordinates in the narrowest integer dtype that holds every
+    value, every difference of two values and every level, so that the
+    kernel's differences and level products cannot wrap. Coordinates that
+    are not all integers, or need more than 64 bits, stay float64."""
+    if np.any(coords != np.floor(coords)):
+        return coords
+    # the width of the range of the values and 0 bounds every value and
+    # every difference in absolute value, spread or not
+    width = max([float(coords.max(initial=0)) - float(coords.min(initial=0)), *levels])
+    for dtype in _INT_DTYPES:
+        if width <= np.iinfo(dtype).max:
+            return np.asfortranarray(coords.astype(dtype))
+    return coords
+
+
+def _pair_blocks(space: FiniteSpace, idx: np.ndarray) -> Callable[[slice], np.ndarray]:
+    """Reader of the table's distances by row block: block blk holds the
+    distances from idx[blk] to idx[blk.start:], which covers the pairs
+    i <= j of those rows. Sup rules compute it from integer coordinates,
+    plane and table rules through dists_block."""
+    rule = space.rule
+    if isinstance(rule, SupRule):
+        coords = _int_coords(space.coords[idx], rule.levels)
+        return lambda blk: rule.dists(coords[blk], coords[blk.start:])
+    return lambda blk: space.dists_block(idx[blk], idx[blk.start:])
+
+
+def _within(dtype: np.dtype, delta: float) -> Union[int, float]:
+    """Bound b with d <= b exactly when d <= delta + 1e-12, for distances d
+    of the dtype: an integer distance passes when it is at most the floor,
+    and an integer bound keeps the comparison in the block's dtype."""
+    bound = delta + 1e-12
+    if np.issubdtype(dtype, np.integer):
+        info = np.iinfo(dtype)
+        return math.floor(min(max(bound, info.min), info.max))
+    return bound
+
+
+def _keyed_oscillation(
+    source: FiniteSpace, target: FiniteSpace, src_idx: np.ndarray, dst_idx: np.ndarray,
+    delta: float,
+) -> float:
+    """Max target diameter over the delta-blocks of an ultrametric sup
+    source: there the within-delta relation is an equivalence, and
+    coordinate keys classify it even on an arbitrary subset."""
+    sublabels = [source.labels[int(i)] for i in src_idx]
+    groups: dict = {}
+    for k, key in enumerate(_component_keys(sublabels, source.rule, delta)):
+        groups.setdefault(key, []).append(k)
+    return max(_sup_diameter(target, dst_idx[members]) for members in groups.values())
+
+
+def _pair_oscillation(
+    source: FiniteSpace, target: FiniteSpace, src_idx: np.ndarray, dst_idx: np.ndarray,
+    deltas: list[float],
+) -> list[float]:
+    """Oscillation at every scale from one pass over the pairs i <= j; a
+    masked-out pair reads 0, which is no larger than any distance."""
+    read_s, read_t = _pair_blocks(source, src_idx), _pair_blocks(target, dst_idx)
+    values = [0.0] * len(deltas)
+    for blk in row_blocks(len(src_idx)):
+        ds, dt = read_s(blk), read_t(blk)
+        for k, d in enumerate(deltas):
+            values[k] = max(values[k], float((dt * (ds <= _within(ds.dtype, d))).max()))
+    return values
 
 
 def oscillation(
@@ -309,39 +381,33 @@ def oscillation(
     target: FiniteSpace,
     src_idx: np.ndarray,
     dst_idx: np.ndarray,
-    delta: float,
-) -> float:
+    delta: Union[float, Sequence[float]],
+) -> Union[float, list[float]]:
     """Largest target distance between images of source points within delta.
 
-    Exhaustive over the given pairs. For an ultrametric source the delta-
-    relation is an equivalence, so the value is the max image diameter over
-    the delta-blocks.
+    delta is one scale, which gives one float, or a sequence of scales,
+    which gives a list with one value per scale. Exhaustive over the given
+    pairs: one pass over the pairs i <= j measures every scale, masking the
+    target block by multiplication (distances are >= 0). Every rule is
+    symmetric, so these pairs are all of them. Sup-rule blocks are computed
+    in a narrow integer dtype, plane and table blocks through dists_block;
+    no dense matrix is read. For an ultrametric sup source the delta-
+    relation is an equivalence, so there the value is the max image
+    diameter over the delta-blocks, found from coordinate keys.
     """
     src_idx = np.asarray(src_idx)
     dst_idx = np.asarray(dst_idx)
     if len(src_idx) != len(dst_idx):
         raise ValueError("mismatched map table")
-    if len(src_idx) == 0:
-        return 0.0
-    if source.ultrametric:
-        # in an ultrametric the within-delta relation is an equivalence, so
-        # coordinate keys classify it even on an arbitrary subset
-        if isinstance(source.rule, SupRule):
-            sublabels = [source.labels[int(i)] for i in src_idx]
-            kk = _component_keys(sublabels, source.rule, float(delta))
-            groups: dict = {}
-            for k, key in enumerate(kk):
-                groups.setdefault(key, []).append(k)
-            best = 0.0
-            for members in groups.values():
-                best = max(best, _sup_diameter(target, dst_idx[members]))
-            return best
-    best = 0.0
-    for blk in row_blocks(len(src_idx)):
-        near = cached_block(source, src_idx[blk], src_idx) <= float(delta) + 1e-12
-        tr = cached_block(target, dst_idx[blk], dst_idx)
-        best = max(best, float(np.max(tr, where=near, initial=0.0)))
-    return best
+    scalar = np.ndim(delta) == 0
+    deltas = [float(delta)] if scalar else [float(d) for d in delta]
+    if not len(src_idx) or not deltas:
+        values = [0.0] * len(deltas)
+    elif source.ultrametric and isinstance(source.rule, SupRule):
+        values = [_keyed_oscillation(source, target, src_idx, dst_idx, d) for d in deltas]
+    else:
+        values = _pair_oscillation(source, target, src_idx, dst_idx, deltas)
+    return values[0] if scalar else values
 
 
 # ---------------------------------------------------------------------------

@@ -144,14 +144,16 @@ class SupRule:
 
     def dists(self, rows: np.ndarray, coords: np.ndarray) -> np.ndarray:
         """Distances from one row (k,) or a block of rows (b, k) to every
-        point of coords (n, k): shape (n,) or (b, n)."""
+        point of coords (n, k): shape (n,) or (b, n), in the dtype of
+        coords. Integer coords must be wide enough for every difference and
+        every level, or the arithmetic overflows."""
         # one column at a time into one scratch buffer: an (n, k) temporary
         # reduced with max(axis=1) is slower on the narrow labels the
         # constructors build, and fresh temporaries per column cost page
         # faults. The result and the scratch share one allocation: freed as
         # two, they let malloc hand the pages of each row block back to the
         # system, and the next block faults them in again
-        d, tmp = np.empty((2,) + rows.shape[:-1] + (len(coords),))
+        d, tmp = np.empty((2,) + rows.shape[:-1] + (len(coords),), dtype=coords.dtype)
         d.fill(0)
         for c, (o, lvl) in enumerate(zip(self.orders, self.levels)):
             col, x = coords[:, c], rows[..., c, None]
@@ -360,6 +362,10 @@ class FiniteSpace:
         if desc["kind"] == "table":
             # a table descriptor carries no flag of its own; the space's holds
             rule: MetricRule = TableRule(np.asarray(desc["matrix"]), payload["ultrametric"])
+            # oscillation reads each pair once, as (i, j) with i <= j
+            m = rule.matrix
+            if not np.array_equal(m, m.T) or np.any(np.diag(m) != 0):
+                raise ValueError("distance table must be symmetric with a zero diagonal")
         else:
             rule = _rule_from_descriptor(desc)
         space = FiniteSpace(

@@ -150,8 +150,8 @@ def _finish(
     if not deltas:
         deltas = [validity]
     si, ti = _restrict_to_validity(source, table, validity)
-    fwd = {d: float(oscillation(source, target, si, ti, d)) for d in deltas}
-    bwd = {d: float(oscillation(target, source, ti, si, d)) for d in deltas}
+    fwd = dict(zip(deltas, oscillation(source, target, si, ti, deltas)))
+    bwd = dict(zip(deltas, oscillation(target, source, ti, si, deltas)))
     return WitnessMap(source, target, table, fwd, bwd, float(validity), claims)
 
 
@@ -276,14 +276,11 @@ def verify_witness(w: WitnessMap, deltas: Optional[Sequence[float]] = None) -> W
         )
 
     check = sorted(w.forward_moduli) if deltas is None else sorted(float(x) for x in deltas)
-    fwd: Dict[float, float] = {}
-    bwd: Dict[float, float] = {}
+    check = [delta for delta in check if delta <= w.validity_radius + _TOL]
+    fwd = dict(zip(check, oscillation(w.source, w.target, si, ti, check)))
+    bwd = dict(zip(check, oscillation(w.target, w.source, ti, si, check)))
     for delta in check:
-        if delta > w.validity_radius + _TOL:
-            continue
-        mf = float(oscillation(w.source, w.target, si, ti, delta))
-        mb = float(oscillation(w.target, w.source, ti, si, delta))
-        fwd[delta], bwd[delta] = mf, mb
+        mf, mb = fwd[delta], bwd[delta]
         rf, rb = w.forward_moduli.get(delta), w.backward_moduli.get(delta)
         if rf is None:
             violations.append(f"no recorded forward modulus at delta={delta}")

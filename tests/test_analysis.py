@@ -10,8 +10,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from coarseiso import spaces as spaces_mod
 from coarseiso.analysis import (
     DENSE_CACHE_LIMIT,
+    _int_coords,
     _mst_weights,
     _subset_edges,
     _sup_diameter,
@@ -367,10 +369,19 @@ sup_spaces = st.one_of(
 )
 
 
+def assert_scales_agree(source, target, src, dst, deltas):
+    """The sequence call, the scalar calls and the all-pairs oracle agree
+    at every scale."""
+    want = [brute_oscillation(source, target, src, dst, d) for d in deltas]
+    assert [oscillation(source, target, src, dst, d) for d in deltas] == want
+    assert oscillation(source, target, src, dst, deltas) == want
+
+
 @settings(max_examples=60, deadline=None)
-@given(ultrametric_spaces, sup_spaces, st.sampled_from([0.0, 0.5, 1.0, 2.0, 3.0, 4.0]),
+@given(ultrametric_spaces, sup_spaces,
+       st.lists(st.sampled_from([0.0, 0.5, 1.0, 2.0, 3.0, 4.0]), min_size=1, max_size=4),
        st.data())
-def test_oscillation_shortcut_matches_all_pairs(source, target, delta, data):
+def test_oscillation_shortcut_matches_all_pairs(source, target, deltas, data):
     # the key-and-diameter shortcut on random subsets and injective maps
     assert source.ultrametric
     n = min(len(source), len(target), 30)
@@ -378,9 +389,7 @@ def test_oscillation_shortcut_matches_all_pairs(source, target, delta, data):
                              unique=True))
     dst = data.draw(st.lists(st.integers(0, len(target) - 1), min_size=len(src),
                              max_size=len(src), unique=True))
-    src, dst = np.asarray(src), np.asarray(dst)
-    want = brute_oscillation(source, target, src, dst, delta)
-    assert oscillation(source, target, src, dst, delta) == want
+    assert_scales_agree(source, target, np.asarray(src), np.asarray(dst), deltas)
 
 
 @settings(max_examples=60, deadline=None)
@@ -411,22 +420,22 @@ exhaustive_spaces = st.one_of(
 
 @settings(max_examples=80, deadline=None)
 @given(exhaustive_spaces, st.one_of(sup_spaces, exhaustive_spaces),
-       st.sampled_from([0.0, 0.5, 1.0, 2.0, 3.0, 4.5]), st.data())
-def test_block_oscillation_matches_all_pairs(source, target, delta, data):
+       st.lists(st.sampled_from([0.0, 0.5, 1.0, 2.0, 3.0, 4.5]), min_size=1, max_size=4),
+       st.data())
+def test_block_oscillation_matches_all_pairs(source, target, deltas, data):
     # random subsets of the source and random injective maps
     n = min(len(source), len(target), 40)
     src = data.draw(st.lists(st.integers(0, len(source) - 1), min_size=1, max_size=n,
                              unique=True))
     dst = data.draw(st.lists(st.integers(0, len(target) - 1), min_size=len(src),
                              max_size=len(src), unique=True))
-    src, dst = np.asarray(src), np.asarray(dst)
-    want = brute_oscillation(source, target, src, dst, delta)
-    assert oscillation(source, target, src, dst, delta) == want
+    assert_scales_agree(source, target, np.asarray(src), np.asarray(dst), deltas)
 
 
 def test_block_oscillation_over_several_blocks_and_uncached_rows():
-    # a 1200-point table map needs several row blocks; zball(1600) has 3201
-    # points, above DENSE_CACHE_LIMIT, so its rows come from coordinates
+    # a 1200-point table map needs several row blocks, and zball(1600) has
+    # 3201 points, above DENSE_CACHE_LIMIT; the all-pairs row loop is the
+    # oracle (brute_oscillation would take minutes here)
     rng = np.random.default_rng(7)
     n = 1200
     m = rng.integers(1, 6, size=(n, n)).astype(float)
@@ -437,12 +446,54 @@ def test_block_oscillation_over_several_blocks_and_uncached_rows():
     assert len(line) > DENSE_CACHE_LIMIT and len(row_blocks(n)) > 1
     src = rng.permutation(n)
     dst = rng.choice(len(line), size=n, replace=False)
-    for delta in (1.0, 3.0):
-        assert oscillation(table, line, src, dst, delta) == rowwise_oscillation(
-            table, line, src, dst, delta)
-    for delta in (40.0, 800.0):
-        assert oscillation(line, table, dst, src, delta) == rowwise_oscillation(
-            line, table, dst, src, delta)
+    for source, target, si, ti, deltas in ((table, line, src, dst, [3.0, 1.0]),
+                                           (line, table, dst, src, [40.0, 800.0, 0.0])):
+        want = [rowwise_oscillation(source, target, si, ti, d) for d in deltas]
+        assert [oscillation(source, target, si, ti, d) for d in deltas] == want
+        assert oscillation(source, target, si, ti, deltas) == want
+
+
+@pytest.mark.parametrize("make", [
+    lambda: (zball(12), build_truncation(parse_group("Z + C3"), radius=6)),
+    lambda: (example31_fixture(1, 0.5, 3), zball(20)),
+    lambda: (as_table(product_space(zball(4), tower_space([3]))), example31_fixture(1, 0.5, 3)),
+])
+def test_pair_pass_over_many_small_blocks(make, monkeypatch):
+    # blocks of a few rows each: every row block reads only the columns from
+    # its first row on, and the pairs i <= j still cover all pairs
+    monkeypatch.setattr(spaces_mod, "BLOCK_ENTRIES", 32)
+    source, target = make()
+    rng = np.random.default_rng(3)
+    n = min(len(source), len(target), 30)
+    src = rng.choice(len(source), size=n, replace=False)
+    dst = rng.choice(len(target), size=n, replace=False)
+    assert len(row_blocks(n)) > 3
+    assert_scales_agree(source, target, src, dst, [0.0, 1.0, 2.5, 4.0, 30.0])
+
+
+def test_int_coords_hold_values_far_from_zero_and_large_levels():
+    # a spread of 10 fits 8 bits, but labels near 20000 do not
+    line = zball(20000)
+    edge = [line.index[(v,)] for v in range(19990, 20001)]
+    near_edge = subspace(line, edge, basepoint=edge[0])
+    assert _int_coords(near_edge.coords, near_edge.rule.levels).dtype == np.int16
+    small = zball(5)
+    src, dst = np.arange(len(near_edge)), np.arange(len(near_edge))[::-1].copy()
+    assert_scales_agree(near_edge, small, src, dst, [0.0, 1.0, 3.0])
+    assert_scales_agree(small, near_edge, dst, src, [0.0, 1.0, 3.0])
+    far = FiniteSpace([(2**40 + v,) for v in range(11)], line.rule, 0, 5, structural=False)
+    assert _int_coords(far.coords, far.rule.levels).dtype == np.int64
+    assert_scales_agree(far, small, np.arange(11), np.arange(11)[::-1].copy(), [1.0, 2.0])
+    # levels above 127 and 32767 need wider products than the values do
+    tall = product_space(zball(2), tower_space([2, 3], levels=[300, 70000]))
+    assert _int_coords(tall.coords, tall.rule.levels).dtype == np.int32
+    idx = np.arange(len(tall))
+    perm = np.random.default_rng(5).permutation(len(tall))
+    assert_scales_agree(tall, tall, idx, perm, [1.0, 2.0, 300.0, 70000.0])
+    # non-integer sup labels keep their float coordinates
+    frac = FiniteSpace([(0.0,), (0.5,), (2.0,)], zball(1).rule, 0, 1, structural=False)
+    assert _int_coords(frac.coords, frac.rule.levels).dtype == np.float64
+    assert_scales_agree(frac, frac, np.arange(3), np.array([2, 0, 1]), [0.5, 1.5])
 
 
 def test_subset_edges_over_several_blocks():

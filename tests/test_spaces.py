@@ -589,6 +589,19 @@ class TestSerialization:
         with pytest.raises(ValueError, match="cyclic label"):
             FiniteSpace.from_json(json.dumps(payload))
 
+    def test_table_must_be_symmetric_with_a_zero_diagonal(self):
+        # oscillation reads each pair of a table once, as (i, j) with i <= j
+        payload = json.loads(quotient_space(example31_fixture(1, 0.5, 3), 1.0).to_json())
+        good = np.asarray(payload["rule"]["matrix"])
+        assert len(good) > 1
+        skew, diag = good.copy(), good.copy()
+        skew[0, 1] += 1.0
+        diag[1, 1] = 0.5
+        for m in (skew, diag):
+            payload["rule"]["matrix"] = m.tolist()
+            with pytest.raises(ValueError, match="symmetric with a zero diagonal"):
+                FiniteSpace.from_json(json.dumps(payload))
+
     def test_version_guard(self):
         payload = json.loads(zball(1).to_json())
         payload["version"] = 2

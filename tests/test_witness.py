@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from coarseiso import witness as witness_mod
 from coarseiso.analysis import oscillation
 from coarseiso.groups import parse_group
 from coarseiso.spaces import (
@@ -289,6 +290,22 @@ class TestAbsorption:
     def test_k_must_be_at_least_two(self):
         with pytest.raises(ValueError):
             absorption_witness(1, 10)
+
+
+def test_finish_and_verify_measure_each_direction_once(monkeypatch):
+    # every scale of a table comes from one forward and one backward call
+    calls = []
+
+    def counting(source, target, src_idx, dst_idx, deltas):
+        calls.append(list(deltas))
+        return oscillation(source, target, src_idx, dst_idx, deltas)
+
+    monkeypatch.setattr(witness_mod, "oscillation", counting)
+    w = absorption_witness(3, 30, deltas=(3.0,))
+    assert calls == [[1.0, 2.0, 3.0, 4.0, 8.0]] * 2
+    calls.clear()
+    assert verify_witness(w).ok
+    assert calls == [[1.0, 2.0, 3.0, 4.0, 8.0]] * 2
 
 
 class TestCombinators:
