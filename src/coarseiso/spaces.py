@@ -760,24 +760,28 @@ def _triangulation_pairs(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.minimum(along[:-1], along[1:]), np.maximum(along[:-1], along[1:])
 
 
+def _plane_pair_dists(pts: np.ndarray, ii: np.ndarray, jj: np.ndarray) -> np.ndarray:
+    """PlaneRule distances of the point pairs (ii[k], jj[k])."""
+    return np.round(np.hypot(pts[ii, 0] - pts[jj, 0], pts[ii, 1] - pts[jj, 1]), PLANE_DECIMALS)
+
+
 def delaunay_edges(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Delaunay edge list (i, j, weight) of planar points, each edge once
     with i < j and its PlaneRule distance, in ascending (i, j) order. The
-    Delaunay graph contains the Euclidean MST, so thresholding it yields the
-    same connected components, and the same single-linkage heights, as the
-    full distance graph."""
+    Delaunay graph contains the Euclidean MST, so its minimum spanning tree
+    gives the single-linkage heights of the full distance graph: step
+    estimation and the generic plane quotient read them from here."""
     n = len(pts)
     ii, jj = _triangulation_pairs(pts)
     key = np.sort(ii.astype(np.int64) * n + jj)
     ii, jj = key // n, key % n
-    ww = np.round(np.hypot(pts[ii, 0] - pts[jj, 0], pts[ii, 1] - pts[jj, 1]), PLANE_DECIMALS)
-    return ii, jj, ww
+    return ii, jj, _plane_pair_dists(pts, ii, jj)
 
 
 def plane_edges(space: FiniteSpace) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Delaunay edges of a plane fixture, cached on the space: one
-    triangulation serves its components, quotients and whole-space step
-    windows."""
+    triangulation serves its generic quotients and whole-space step
+    windows. Epsilon-components need none (see _plane_components)."""
     if space._edges is None:
         space._edges = delaunay_edges(space.coords)
     return space._edges
@@ -804,13 +808,120 @@ def _spanning_tree(n: int, ii: np.ndarray, jj: np.ndarray, ww: np.ndarray):
     return tree.row, tree.col, tree.data
 
 
+def _squeeze(cells: np.ndarray) -> np.ndarray:
+    """Integer cell coordinates renumbered from 0 with every gap above 3
+    cut to 4: differences of at most 3 keep their value, larger ones stay
+    above 3, and the range stays below 4 * len(cells)."""
+    vals, where = np.unique(cells, return_inverse=True)
+    return np.concatenate(([0], np.cumsum(np.minimum(np.diff(vals), 4))))[where]
+
+
+def _grid_scale(extent: float, eps: float) -> tuple[float, bool]:
+    """Cells per unit length of the grid _plane_components reads at eps,
+    for coordinates of absolute value at most extent, and whether points
+    one cell apart may be joined untested (see there for the bounds)."""
+    h = 0.5 * 10.0**-PLANE_DECIMALS
+    rel, e = 2.0**-40, 2.0**-8
+    slack = h * (1 + rel)
+    # the factors (1 - rel) and (1 + rel)^2 beyond the bounds stated in
+    # _plane_components cover the rounding of computing them
+    inv = (3 - e) / ((eps + slack) / (1 - rel)) * (1 - rel)
+    if extent > 0:
+        inv = min(inv, 2.0**44 / extent * (1 - rel))
+    if eps > slack:
+        inv_join = math.sqrt(2) * (2 + e) * (1 + rel) ** 3 / (eps - slack)
+        if inv_join <= inv:
+            return inv_join, True
+    return inv, False
+
+
+def _plane_components(pts: np.ndarray, eps: float) -> np.ndarray:
+    """Component labels of the graph joining plane points at PlaneRule
+    distance <= eps, read from a grid of square cells; no triangulation.
+
+    Exactness. For points at Euclidean distance d, PlaneRule reads r with
+    |r - d| <= h + rel * (d + h): h is half a unit of the last kept
+    decimal, and rel = 2^-40 bounds the float error of the difference,
+    hypot and the rounding. A point's cell is floor(x * inv) per axis, with
+    x * inv rounded to a float; inv <= 2^44 / max|x| keeps that error, in
+    cells, under e = 2^-8 for the difference of two points.
+
+    * Reach: r <= eps gives d <= D = (eps + h * (1 + rel)) / (1 - rel), so
+      the cells of such a pair differ by less than D * inv + e + 1 per
+      axis: by at most 3 (Chebyshev) whenever inv <= (3 - e) / D.
+    * Join: points in one cell or in 8-adjacent cells differ by under
+      (2 + e) / inv per axis, so r <= eps once inv is at least
+      sqrt(2) * (2 + e) * (1 + rel) / (eps - h * (1 + rel)): a cell side
+      just under eps / (2 sqrt 2). The occupied cells joined to their
+      neighbours give the first components.
+    * Test: pairs in cells 2 or 3 apart are read exactly, r <= eps, but
+      only between cells still in different components, and the
+      components they join are joined once more.
+
+    Below eps of about 36 h no side meets both bounds on inv (at eps = 0
+    none meets the join bound): the cells then honour the reach alone,
+    nothing joins untested, and every pair up to 3 cells apart, one cell
+    included, is read. _squeeze renumbers the grid, so cell keys stay far
+    below 2^63 at any scale of coordinates or eps. Pairs are expanded in
+    chunks of about BLOCK_ENTRIES, so memory stays bounded, but the number
+    read is quadratic in the points per cell: a cloud that packs many
+    points into a few cells around components that stay apart at eps
+    costs up to O(n^2) distance reads.
+    """
+    n = len(pts)
+    inv, join = _grid_scale(float(np.max(np.abs(pts))), eps)
+    cx = _squeeze(np.floor(pts[:, 0] * inv).astype(np.int64))
+    cy = _squeeze(np.floor(pts[:, 1] * inv).astype(np.int64))
+    width = int(cy.max()) + 4  # offsets of up to 3 in y never wrap onto a cell
+    keys, cell = np.unique(cx * width + cy, return_inverse=True)
+    ncell = len(keys)
+
+    def neighbours(offsets):
+        # (a, b) for every occupied cell a whose cell at an offset is occupied
+        aa, bb = [], []
+        for dx, dy in offsets:
+            want = keys + (dx * width + dy)
+            pos = np.searchsorted(keys, want)
+            hit = np.flatnonzero(keys[np.minimum(pos, ncell - 1)] == want)
+            aa.append(hit)
+            bb.append(pos[hit])
+        return np.concatenate(aa), np.concatenate(bb)
+
+    # one of each pair of opposite offsets up to 3 cells, by Chebyshev reach
+    half = [(dx, dy) for dx in range(4) for dy in range(-3, 4) if dx > 0 or dy > 0]
+    if join:
+        comp = _connected_labels(ncell, *neighbours(o for o in half if max(map(abs, o)) == 1))
+        a, b = neighbours(o for o in half if max(map(abs, o)) > 1)
+        keep = comp[a] != comp[b]
+        a, b, comp = a[keep], b[keep], comp[cell]
+    else:
+        a, b = neighbours([(0, 0)] + half)
+        comp = np.arange(n)
+    # points by cell: those of cell c are order[start[c]:start[c] + count[c]]
+    order = np.argsort(cell, kind="stable")
+    count = np.bincount(cell, minlength=ncell)
+    start = np.cumsum(count) - count
+    sizes = count[a] * count[b]
+    ends, total = np.cumsum(sizes), int(sizes.sum())
+    ii, jj = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
+    for lo in range(0, total, BLOCK_ENTRIES):
+        g = np.arange(lo, min(total, lo + BLOCK_ENTRIES))
+        k = np.searchsorted(ends, g, side="right")
+        t = g - (ends[k] - sizes[k])
+        i = order[start[a[k]] + t // count[b[k]]]
+        j = order[start[b[k]] + t % count[b[k]]]
+        hit = (comp[i] != comp[j]) & (_plane_pair_dists(pts, i, j) <= eps)
+        ii.append(comp[i[hit]])
+        jj.append(comp[j[hit]])
+    return _connected_labels(int(comp.max()) + 1, np.concatenate(ii), np.concatenate(jj))[comp]
+
+
 def _graph_components(space: FiniteSpace, eps: float) -> np.ndarray:
-    """Component labels of the graph with edges d <= eps."""
+    """Component labels of the graph with edges d <= eps: from a cell grid
+    on the plane (_plane_components), else from distance rows in blocks."""
     n = len(space)
     if isinstance(space.rule, PlaneRule):
-        ii, jj, ww = plane_edges(space)
-        keep = ww <= eps
-        return _connected_labels(n, ii[keep], jj[keep])
+        return _plane_components(space.coords, eps)
     # rows in blocks, each block's edges joined to a star forest of the
     # components so far, so memory stays near one block of rows
     labels = np.arange(n)
@@ -822,11 +933,20 @@ def _graph_components(space: FiniteSpace, eps: float) -> np.ndarray:
     return labels
 
 
-def epsilon_components(space: FiniteSpace, epsilon: Num) -> ComponentPartition:
-    """Partition into epsilon-chain components."""
+def _check_epsilon(epsilon: Num) -> float:
     eps = float(epsilon)
-    if eps < 0:
-        raise ValueError("epsilon must be >= 0")
+    if not eps >= 0:  # NaN included
+        raise ValueError(f"epsilon must be >= 0, got {epsilon}")
+    return eps
+
+
+def epsilon_components(space: FiniteSpace, epsilon: Num) -> ComponentPartition:
+    """Partition into epsilon-chain components: from coordinate keys on
+    structural sup-rule spaces, else from the graph of pairs at distance
+    <= epsilon (_graph_components), which on the plane is read from a cell
+    grid without triangulating. Epsilon may be inf; NaN or a negative
+    value raises ValueError."""
+    eps = _check_epsilon(epsilon)
     if space.structural and isinstance(space.rule, SupRule):
         keys = _component_keys(space.labels, space.rule, eps)
     else:
@@ -858,7 +978,7 @@ def quotient_with_projection(
     delta-component; on towers and group balls this is the level of the
     highest differing retained coordinate, computed directly.
     """
-    eps = float(epsilon)
+    eps = _check_epsilon(epsilon)
     parts = None
     if space.structural and isinstance(space.rule, SupRule):
         parts = _quotient_tower_parts(space.rule, eps)

@@ -37,6 +37,7 @@ from coarseiso.spaces import (
     example31_fixture,
     k_point_space,
     product_space,
+    quotient_with_projection,
     row_blocks,
     subspace,
     tower_space,
@@ -531,9 +532,10 @@ def test_step_on_a_line_matches_the_all_pairs_table():
 
 
 def test_step_and_components_share_one_triangulation(monkeypatch):
-    # the candidate MST and the whole-space window read the cached plane
-    # edges, so only the 0.5 and 0.75 windows triangulate anew; a later
-    # components call triangulates nothing
+    # components come from a cell grid and triangulate nothing; the
+    # candidate MST and the whole-space window of a step read the cached
+    # plane edges, so only the 0.5 and 0.75 windows triangulate anew; a
+    # generic plane quotient triangulates its space once
     import scipy.spatial
 
     sizes = []
@@ -544,11 +546,15 @@ def test_step_and_components_share_one_triangulation(monkeypatch):
         return real(pts, *args, **kwargs)
 
     monkeypatch.setattr(scipy.spatial, "Delaunay", counting)
+    epsilon_components(example31_fixture(8, 0.01, 50), 1.0)
+    assert sizes == []
     sp = example31_fixture(8, 0.01, 50)
     estimate_factorizing_step(sp)
     assert len(sizes) == 3 and sizes.count(len(sp)) == 1
     epsilon_components(sp, 1.0)
     assert len(sizes) == 3
+    quotient_with_projection(example31_fixture(8, 0.01, 50), 1.0)
+    assert len(sizes) == 4 and sizes[-1] == len(sp)
 
 
 def rowwise_foelner(space, c, epsilon):

@@ -226,11 +226,14 @@ GOLDEN_PLANE = [
      "c6e9f7ebc8f3927b0dff3b94f7e7f365fe9e438c9f7b1c0988c8ccd12bed8f30", 6275, 3.233185308),
     (("components", "example31:40:0.0125", "--epsilon", "3"),
      "9fd6e812a63ed395885b4610c6c367c1c908c646453a4cfc75e9950028c8a5b5", 10291, 451),
+    # captured before components were read from a cell grid
+    (("components", "example31:80:0.01", "--epsilon", "0.5"),
+     "ec36be285a41b0bfee7d641c4071b8e6f9ebbd580d8134fa20c4b10abc586c3b", 25353, 2187),
 ]
 
 
 @pytest.mark.parametrize("argv,digest,points,value", GOLDEN_PLANE,
-                         ids=["step-0.01", "step-0.0125", "components-0.0125"])
+                         ids=["step-0.01", "step-0.0125", "components-0.0125", "components-0.01"])
 def test_plane_output_is_pinned(capsys, argv, digest, points, value):
     code, payload = run_json(capsys, *argv)
     assert code == 0
@@ -252,17 +255,40 @@ def test_plane_fixture_on_one_line(capsys):
     assert code == 0 and payload["inconclusive"]
 
 
-def test_witness_chain_leaves_scipy_unloaded():
-    # scipy is imported only where plane fixtures or non-structural spaces
-    # need it, so free-rank witness chains never pay for loading it
+def scipy_modules_after(argv, package):
+    """Names of the modules of `package` loaded after one CLI call in a
+    fresh interpreter."""
     code = (
         "import contextlib, io, sys\n"
         "from coarseiso.cli import main\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
-        "    assert main(['witness', 'Z + C2', 'Z', '--radius', '16']) == 0\n"
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        f"    assert main({list(argv)!r}) == 0\n"
+        f"print(sorted(m for m in sys.modules if m == {package!r} or m.startswith({package + '.'!r})))\n"
     )
     src = str(Path(coarseiso.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "[]"
+    return out.stdout.strip()
+
+
+def test_witness_chain_leaves_scipy_unloaded():
+    # scipy is imported only where plane fixtures or non-structural spaces
+    # need it, so free-rank witness chains never pay for loading it
+    assert scipy_modules_after(["witness", "Z + C2", "Z", "--radius", "16"], "scipy") == "[]"
+
+
+def test_plane_components_leave_scipy_spatial_unloaded():
+    # plane components come from a cell grid: no Qhull triangulation
+    argv = ["components", "example31:4:0.05", "--epsilon", "1.0"]
+    assert scipy_modules_after(argv, "scipy.spatial") == "[]"
+    assert scipy_modules_after(["step", "example31:2:0.25"], "scipy.spatial") != "[]"
+
+
+@pytest.mark.parametrize("argv", [
+    ("components", "Z + C2", "--radius", "3", "--epsilon", "nan"),
+    ("components", "example31:2:0.1", "--epsilon", "nan"),
+], ids=["sup", "plane"])
+def test_nan_epsilon_exits_2(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert "epsilon" in err

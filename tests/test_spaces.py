@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import gc
+import itertools
 import json
 import math
 import weakref
@@ -12,6 +13,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from coarseiso import spaces as spaces_mod
 from coarseiso.factorfn import FactorFunction
 from coarseiso.groups import parse_group
 from coarseiso.spaces import (
@@ -38,6 +40,7 @@ from coarseiso.spaces import (
     validate_metric,
     zball,
 )
+from coarseiso.spaces import _grid_scale
 from coarseiso.witness import space_id
 
 
@@ -251,10 +254,24 @@ class TestComponents:
         with pytest.raises(ValueError):
             epsilon_components(zball(2), -1)
 
+    @pytest.mark.parametrize("make", [
+        lambda: build_truncation(parse_group("Z + C2"), radius=3),
+        lambda: example31_fixture(2, 0.25, 5),
+        lambda: FiniteSpace(zball(4).labels, TableRule(zball(4).dmat(), ultrametric=False), 0, 4),
+    ], ids=["sup", "plane", "table"])
+    def test_nan_epsilon_rejected_and_inf_gives_one_block(self, make):
+        # NaN compares false with everything, so `eps < 0` let it through
+        sp = make()
+        for call in (epsilon_components, quotient_with_projection):
+            with pytest.raises(ValueError, match="epsilon"):
+                call(sp, math.nan)
+        assert epsilon_components(sp, math.inf).count == 1
+        assert epsilon_components(unstructured(sp), math.inf).count == 1
+
     @settings(max_examples=40, deadline=None)
     @given(plane_spaces, st.sampled_from([0.05, 0.3, 0.5, 1.0, 2.0, 4.0]))
     def test_matches_graph_search_on_plane(self, sp, eps):
-        # Delaunay-edge components against the all-pairs threshold graph
+        # cell-grid components against the all-pairs threshold graph
         assert epsilon_components(sp, eps).blocks == threshold_blocks(sp.dmat(), eps)
 
     def test_graph_path_over_several_row_blocks(self):
@@ -394,6 +411,159 @@ class TestFlatPlane:
         assert np.array_equal(part.point_block[:, None] == part.point_block[None, :], same)
         reps = list(part.representatives)
         assert np.array_equal(q.dmat(), coph[np.ix_(reps, reps)])
+
+
+def plane_points(points):
+    """Plane space on distinct (x, y) points, in label order."""
+    return FiniteSpace(sorted({(float(x), float(y)) for x, y in points}), PlaneRule(), 0, 0)
+
+
+def rounded_distances(sp):
+    """Distinct PlaneRule distances of the pairs of a space, ascending."""
+    return sorted(set(sp.dmat()[np.triu_indices(len(sp), k=1)].tolist()))
+
+
+def around(v):
+    """v and its float neighbours."""
+    return [float(np.nextafter(v, -np.inf)), v, float(np.nextafter(v, np.inf))]
+
+
+class TestGridComponents:
+    """Plane components read from the cell grid, against the all-pairs
+    threshold graph, where the grid's bounds are tight."""
+
+    @staticmethod
+    def check(sp, eps):
+        assert epsilon_components(sp, eps).blocks == threshold_blocks(sp.dmat(), eps)
+
+    @pytest.mark.parametrize("eps", [0.3, 2.0])
+    def test_pairs_on_and_beside_cell_boundaries(self, eps):
+        # cell corners k / inv, each also one ulp below and above, paired
+        # with anchors at the far side of the origin's cell: one cell and
+        # 8-adjacent cells join untested, and pairs 2 to 3 cells apart are
+        # read, the nearest of them well within eps
+        inv, join = _grid_scale(4.0 / _grid_scale(1.0, eps)[0], eps)
+        assert join
+        corners = sorted({v for k in range(5) for v in around(k / inv)})
+        below = float(np.nextafter(1 / inv, 0))
+        anchors = [(0.0, 0.0), (below, 0.0), (below, below)]
+        for a in anchors:
+            for b in itertools.product(corners, repeat=2):
+                if a != b:
+                    sp = plane_points([a, b])
+                    want = 1 if sp.d(0, 1) <= eps else 2
+                    assert epsilon_components(sp, eps).count == want, (a, b)
+
+    def test_pair_rounded_onto_epsilon_is_read_rounded(self):
+        # hypot is 0.50000000016, which PlaneRule rounds to 0.5; the two
+        # points are 2 cells apart, so the grid reads this pair exactly
+        sp = plane_points([(0.0, 0.0), (0.3, 0.4000000002)])
+        assert sp.d(0, 1) == 0.5
+        assert epsilon_components(sp, 0.5).count == 1
+        assert epsilon_components(sp, np.nextafter(0.5, 0)).count == 2
+
+    @pytest.mark.parametrize("shape", [(9, 7, 1.0), (12, 5, 0.25), (6, 6, 0.1)])
+    def test_co_circular_lattices_with_holes(self, shape):
+        # every unit square is co-circular; dropping a third of the points
+        # leaves components that hinge on sides or diagonals, at scales
+        # equal to the step or to its rounded diagonal
+        w, h, step = shape
+        pts = lattice(w, h, step)
+        keep = np.random.default_rng(w * h).random(len(pts)) < 0.65
+        sp = plane_points(pts[keep])
+        for v in (step, round(step * math.sqrt(2), 9), 2 * step):
+            for eps in around(v):
+                self.check(sp, eps)
+        self.check(plane_points(pts), step)
+
+    @settings(max_examples=40, deadline=None)
+    @given(plane_spaces, st.integers(0, 10**6), st.sampled_from([-1, 0, 1]))
+    def test_epsilon_at_a_pair_distance_and_its_neighbours(self, sp, pick, side):
+        values = rounded_distances(sp)
+        eps = around(values[pick % len(values)])[side + 1]
+        self.check(sp, eps)
+
+    @pytest.mark.parametrize("make", [
+        lambda: example31_fixture(2, 0.25, 5),
+        lambda: plane_points(lattice(8, 6, 0.5)),
+        lambda: plane_points(np.random.default_rng(8).uniform(-3, 3, size=(60, 2))),
+    ], ids=["fixture", "lattice", "uniform"])
+    def test_zero_epsilon_and_at_or_above_the_diameter(self, make):
+        sp = make()
+        diameter = float(sp.dmat().max())
+        assert epsilon_components(sp, 0).count == len(sp)
+        for eps in [diameter, float(np.nextafter(diameter, np.inf)), 2 * diameter, math.inf]:
+            assert epsilon_components(sp, eps).count == 1
+        self.check(sp, float(np.nextafter(diameter, 0)))
+
+    @pytest.mark.parametrize("sp", TestFlatPlane.flat, ids=TestFlatPlane.ids)
+    def test_flat_spaces_at_their_pair_distances(self, sp):
+        for v in rounded_distances(sp) or [0.0]:
+            for eps in around(v):
+                self.check(sp, max(eps, 0.0))
+
+    @pytest.mark.parametrize("spacing", [1e-11, 2e-10])
+    @pytest.mark.parametrize("eps", [0.0, 1e-10, 4e-10, 5e-10, 6e-10, 1e-9, 1.5e-9, 1.7e-9,
+                                     1e-8, 2e-8, 5e-8])
+    def test_near_coincident_points_at_tiny_epsilon(self, eps, spacing):
+        # points on a small grid near (1, -1): PlaneRule reads pairs closer
+        # than 5e-10 as 0, so even eps = 0 joins some of them, and pairs a
+        # little farther than eps may read as eps
+        rng = np.random.default_rng(11)
+        steps = rng.choice(60 * 60, size=80, replace=False)
+        sp = plane_points([(1 + (k // 60) * spacing, -1 + (k % 60) * spacing)
+                           for k in steps.tolist()])
+        self.check(sp, eps)
+
+    @pytest.mark.parametrize("eps", [1e-6, 1.2e-6, 2.5e-7, 3e-6])
+    def test_coordinates_near_a_million_at_micro_epsilon(self, eps):
+        rng = np.random.default_rng(12)
+        steps = rng.choice(40 * 40, size=150, replace=False)
+        sp = plane_points([(1e6 + (k // 40) * 2.5e-7, -1e6 + (k % 40) * 3e-7) for k in steps.tolist()])
+        assert _grid_scale(1e6, eps)[1]
+        for v in [eps] + [d for d in rounded_distances(sp) if abs(d - eps) < 5e-8][:5]:
+            self.check(sp, v)
+
+    def test_cell_keys_stay_in_int64_across_a_wide_extent(self):
+        # about 2^43 cells per axis at eps = 1e-6: keys taken as
+        # x_cell * (y cells + 4) + y_cell would wrap past 2^64, and these
+        # cells would meet there: (2^21, 0) on (0, 0) with 2^43 y cells
+        eps = 1e-6
+        inv, join = _grid_scale(2.0**22, eps)
+        assert join
+        pts = [(0.5 / inv, 0.5 / inv), (0.5 / inv, (2**43 - 3.5) / inv),
+               ((2**21 + 0.5) / inv, 0.5 / inv), (2.0**22, 0.5 / inv)]
+        sp = plane_points(pts)
+        assert epsilon_components(sp, eps).count == 4
+        self.check(sp, eps)
+
+    @pytest.mark.parametrize("eps", [0.0, 0.25, 1.0])
+    def test_dense_cells_expand_in_small_chunks(self, eps, monkeypatch):
+        # clusters of 40 points a few cells apart: tens of chunks of 32
+        # pairs, several inside one pair of cells
+        monkeypatch.setattr(spaces_mod, "BLOCK_ENTRIES", 32)
+        rng = np.random.default_rng(13)
+        centres = [(0.0, 0.0), (eps + 0.02, 0.0), (0.0, eps + 0.1), (eps, eps)]
+        radius = 0.04 * eps + 2e-10
+        pts = [(cx + radius * math.cos(a), cy + radius * math.sin(a)) for cx, cy in centres
+               for a in rng.uniform(0, 2 * math.pi, size=40)]
+        self.check(plane_points(pts), eps)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.lists(st.tuples(st.integers(-12, 12), st.integers(-12, 12)), min_size=2,
+                    max_size=6, unique=True),
+           st.integers(0, 2**32 - 1), st.sampled_from([0.5, 1.0, 1.5]))
+    def test_random_dense_clusters(self, centres, seed, eps):
+        # clusters of 1 to 30 points around centres on a grid of eps / 4
+        rng = np.random.default_rng(seed)
+        pts = [(cx * eps / 4 + dx, cy * eps / 4 + dy) for cx, cy in centres
+               for dx, dy in rng.normal(scale=eps / 20, size=(rng.integers(1, 30), 2))]
+        old = spaces_mod.BLOCK_ENTRIES
+        spaces_mod.BLOCK_ENTRIES = 32
+        try:
+            self.check(plane_points(pts), eps)
+        finally:
+            spaces_mod.BLOCK_ENTRIES = old
 
 
 class TestSubspace:
