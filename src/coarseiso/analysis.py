@@ -23,9 +23,8 @@ from .spaces import (
     FiniteSpace,
     PlaneRule,
     SupRule,
+    _check_epsilon,
     _component_keys,
-    _connected_labels,
-    _partition_from_keys,
     _spanning_tree,
     delaunay_edges,
     plane_edges,
@@ -96,14 +95,6 @@ def _structured_values(rule: SupRule, radius: float) -> set[float]:
     return vals
 
 
-def _mst_weights(space: FiniteSpace, subset: np.ndarray) -> list[float]:
-    """Single-linkage merge heights of the subset: its minimum spanning
-    tree's distinct edge weights."""
-    # distinct points lie at positive distance, so no weight is a zero
-    weights = _spanning_tree(len(subset), *_subset_edges(space, subset))[2]
-    return sorted(set(weights.tolist()))
-
-
 def _subset_edges(space: FiniteSpace, subset: np.ndarray):
     """Edges (i, j, weight) of the induced subspace on ascending distinct
     indices, in subset positions. For plane spaces a Delaunay triangulation
@@ -127,27 +118,73 @@ def _subset_edges(space: FiniteSpace, subset: np.ndarray):
     return np.concatenate(ii), np.concatenate(jj), np.concatenate(ww)
 
 
-def _window_labels(
-    space: FiniteSpace, subset: np.ndarray, tested: Sequence[float]
-) -> dict[float, np.ndarray]:
-    """Component labels of the induced subspace at each tested scale.
+def _kruskal_chain(n: int, ii: np.ndarray, jj: np.ndarray, ww: np.ndarray):
+    """Chain (order, gap) of the graph on n nodes with edges (ii, jj, ww),
+    from one Kruskal pass over its minimum spanning tree: each cluster is
+    kept as a linked list, and a merge at height w appends one list to the
+    other with w at the junction. Nodes the tree leaves apart are joined
+    at height inf."""
+    # csgraph reads a zero weight as no edge, so the tree is taken on the
+    # ranks of the weights, which keep their order, and read back
+    values, rank = np.unique(ww, return_inverse=True)
+    ti, tj, tr = _spanning_tree(n, ii, jj, rank + 1.0)
+    by = np.argsort(tr, kind="stable")
+    heights = values[tr[by].astype(np.int64) - 1]
+    parent = list(range(n))
+    head, tail = list(range(n)), list(range(n))
+    succ = [-1] * n
+    after = [math.inf] * n  # height at which a node joins its successor
+    for a, b, w in zip(ti[by].tolist(), tj[by].tolist(), heights.tolist()):
+        while parent[a] != a:
+            parent[a] = a = parent[parent[a]]
+        while parent[b] != b:
+            parent[b] = b = parent[parent[b]]
+        succ[tail[a]] = head[b]
+        after[tail[a]] = w
+        tail[a] = tail[b]
+        parent[b] = a
+    order: list[int] = []
+    for r in range(n):
+        if parent[r] == r:
+            k = head[r]
+            while k >= 0:
+                order.append(k)
+                k = succ[k]
+    idx = np.asarray(order, dtype=np.int64)
+    # a tree's tail joins nothing, so the next tree starts at inf
+    return idx, np.concatenate(([math.inf], np.asarray(after)[idx[:-1]]))
 
-    Windows are balls around the basepoint, and a ball of a structural
-    space is again a box, so there the coordinate keys classify chain
-    components of the subspace itself.
+
+def _sup_chain(coords: np.ndarray, levels: Sequence[int]):
+    """Chain (order, gap) of a box of sup-rule coordinates: the rows sorted
+    by coordinates of descending level, each gap the level of the first
+    coordinate in which two neighbours differ (1 when only free ones do)."""
+    if len(coords) <= 1:  # distinct labels of width 0 are one point
+        return np.arange(len(coords)), np.full(len(coords), math.inf)
+    desc = np.argsort(-np.asarray(levels), kind="stable")
+    keys = coords[:, desc]
+    order = np.lexsort(keys.T[::-1])
+    ranked = keys[order]
+    first = np.argmax(ranked[1:] != ranked[:-1], axis=1)
+    return order, np.concatenate(([math.inf], np.asarray(levels, dtype=float)[desc][first]))
+
+
+def _chain_order(space: FiniteSpace, subset: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Single-linkage chain of the induced subspace on ascending distinct
+    indices: an order of the subset positions, and gap[k] the height at
+    which order[k - 1] and order[k] merge (gap[0] = inf). Every
+    eps-component, at every eps, is one contiguous run of the order, cut
+    where gap > eps, and the cophenetic distance of order[i] and order[j],
+    i < j, is max(gap[i + 1:j + 1]) (Gower & Ross, 1969).
+
+    On a structural sup space the subset must be a ball, which there is
+    again a box: the chain is then a lexsort of the coordinates (as the
+    coordinate keys of _component_keys classify components). Otherwise it
+    is read from the minimum spanning tree of _subset_edges.
     """
-    out: dict[float, np.ndarray] = {}
     if space.structural and isinstance(space.rule, SupRule):
-        sublabels = [space.labels[int(i)] for i in subset]
-        for eps in tested:
-            keys = _component_keys(sublabels, space.rule, float(eps))
-            out[eps] = _partition_from_keys(eps, keys).point_block
-        return out
-    ii, jj, ww = _subset_edges(space, subset)
-    for eps in tested:
-        keep = ww <= eps
-        out[eps] = _connected_labels(len(subset), ii[keep], jj[keep])
-    return out
+        return _sup_chain(space.coords[subset], space.rule.levels)
+    return _kruskal_chain(len(subset), *_subset_edges(space, subset))
 
 
 def _cluster_scales(vals: Sequence[float], rel: float = 1e-7) -> list[float]:
@@ -194,27 +231,48 @@ def estimate_factorizing_step(
     windows = tuple(f * radius for f in window_fractions)
     delta_cap = windows[0]
 
+    # windows are nested balls, so windows of one size are one subset, and
+    # the chain of the candidate ball serves the window equal to it
+    chains: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+
+    def chain(sub: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        if len(sub) not in chains:
+            chains[len(sub)] = _chain_order(space, sub)
+        return chains[len(sub)]
+
     if isinstance(space.rule, SupRule):
         values = _structured_values(space.rule, radius)
         candidates = sorted(v for v in values if v <= radius)
     else:
-        candidates = _mst_weights(space, np.flatnonzero(bd <= radius))
-        candidates = sorted(set([0.0] + list(candidates)))
+        # single-linkage merge heights: the finite gaps of the chain
+        gap = chain(np.flatnonzero(bd <= radius))[1]
+        candidates = sorted({0.0} | set(gap[np.isfinite(gap)].tolist()))
 
     tested = _select_tested([c for c in candidates if c <= delta_cap], max_tested)
     subsets = [np.flatnonzero(bd <= w) for w in windows]
     inconclusive = len(subsets[0]) < 16 or len([c for c in tested if c > 0]) < 2
 
-    labelings = [_window_labels(space, sub, tested) for sub in subsets]
-    base_pos = [int(np.flatnonzero(sub == base)[0]) for sub in subsets]
+    # per window and tested scale: the run boundaries of the chain (every
+    # position with gap > scale, then the window size) and the run sizes;
+    # per coarser scale delta, the basepoint's run [lo, hi) of the chain
+    runs, spans = [], []
+    for sub in subsets:
+        order, gap = chain(sub)
+        at = int(np.flatnonzero(sub[order] == base)[0])
+        bounds = {eps: np.append(np.flatnonzero(gap > eps), len(sub)) for eps in tested}
+        runs.append({eps: (b, np.diff(b)) for eps, b in bounds.items()})
+        spans.append({})
+        for delta, b in bounds.items():
+            k = int(b.searchsorted(at, side="right"))
+            spans[-1][delta] = (b[k - 1], b[k])
 
     def sig_count(w: int, eps: float, delta: float) -> int:
-        labels_d = labelings[w][delta]
-        labels_e = labelings[w][eps]
-        members = labels_d == labels_d[base_pos[w]]
-        # labels absent from the block count 0, and 0 never passes the test
-        sizes = np.bincount(labels_e[members])
-        return int(np.sum(sizes * NOISE_DEN >= np.max(sizes) * NOISE_NUM))
+        # the eps-blocks of the basepoint's delta-component are the eps-runs
+        # inside its delta-run: eps <= delta, so a cut at delta is one at eps
+        lo, hi = spans[w][delta]
+        bounds, sizes = runs[w][eps]
+        block = sizes[bounds.searchsorted(lo):bounds.searchsorted(hi)]
+        return int(np.count_nonzero(block * NOISE_DEN >= block.max() * NOISE_NUM))
 
     stable: dict[float, bool] = {}
     for eps in tested:
@@ -435,7 +493,9 @@ def foelner_search(
     space: FiniteSpace, c: float, epsilon: float, max_points: int = 30000
 ) -> Optional[FoelnerSet]:
     """First basepoint ball F = O_k with |O_epsilon(F)| <= c|F|, growing k
-    while the enlarged set stays inside the faithfulness radius."""
+    while the enlarged set stays inside the faithfulness radius. Epsilon
+    may be inf; NaN or a negative value raises ValueError."""
+    _check_epsilon(epsilon)
     if c <= 1:
         raise ValueError("growth factor must exceed 1")
     base = space.basepoint
@@ -546,8 +606,10 @@ def asdim_cover(rank: int, epsilon: float, radius: int) -> Cover:
 
     rank <= 2 uses staggered bricks of side 2*ceil(epsilon)*(rank+1);
     rank 3 uses the body-centered nearest-site cells, whose corners have
-    degree four.
+    degree four. Epsilon must be finite and >= 0.
     """
+    if not math.isfinite(_check_epsilon(epsilon)):
+        raise ValueError(f"cover epsilon must be finite, got {epsilon}")
     if rank not in (0, 1, 2, 3):
         raise ValueError("rank must be between 0 and 3")
     eps = max(1, math.ceil(epsilon))

@@ -53,6 +53,12 @@ def _build_space(desc: str, args: argparse.Namespace) -> FiniteSpace:
     return build_truncation(g, radius=args.radius, point_budget=args.point_budget)
 
 
+def _scale(value: float):
+    """A scale as the JSON payload holds it: "inf" for an infinite one, as
+    FiniteSpace.to_json writes an infinite inner radius."""
+    return "inf" if value == math.inf else value
+
+
 def _emit(payload: dict, args: argparse.Namespace) -> None:
     text = json.dumps(payload, indent=2, default=str)
     if args.out:
@@ -115,7 +121,7 @@ def _cmd_components(args: argparse.Namespace) -> int:
     sizes = sorted((len(b) for b in part.blocks), reverse=True)
     payload = {
         "points": len(space),
-        "epsilon": args.epsilon,
+        "epsilon": _scale(args.epsilon),
         "blocks": len(part.blocks),
         "sizes": sizes[:32],
         "representatives": [
@@ -153,7 +159,7 @@ def _cmd_foelner(args: argparse.Namespace) -> int:
         "neighborhood_size": f.neighborhood_size,
         "ratio": f.ratio,
         "c": args.c,
-        "epsilon": args.epsilon,
+        "epsilon": _scale(args.epsilon),
         "satisfied": f.ratio <= args.c,
     }
     _emit(payload, args)
@@ -169,7 +175,7 @@ def _cmd_cover(args: argparse.Namespace) -> int:
     cover = asdim_cover(rank.finite_value(), args.epsilon, args.radius)
     payload = {
         "rank": cover.rank,
-        "epsilon": cover.epsilon,
+        "epsilon": _scale(cover.epsilon),
         "radius": cover.radius,
         "mesh": cover.mesh,
         "multiplicity": cover.multiplicity,

@@ -258,7 +258,7 @@ class FiniteSpace:
         ultrametric: Optional[bool] = None,
         structural: bool = True,
     ):
-        self.labels: tuple[Label, ...] = tuple(tuple(l) for l in labels)
+        self.labels: tuple[Label, ...] = tuple(map(tuple, labels))
         if len(set(self.labels)) != len(self.labels):
             raise ValueError("duplicate point labels")
         if not 0 <= basepoint < len(self.labels):
@@ -274,7 +274,7 @@ class FiniteSpace:
         # chain components may use coordinate shortcuts only when the label
         # set is a full product box; arbitrary subsets break contiguity
         self.structural = structural
-        self.index: dict[Label, int] = {l: i for i, l in enumerate(self.labels)}
+        self._index: Optional[dict[Label, int]] = None
         self._coords: Optional[np.ndarray] = None
         self._dmat: Optional[np.ndarray] = None
         self._edges: Optional[tuple[np.ndarray, np.ndarray, np.ndarray]] = None
@@ -294,6 +294,13 @@ class FiniteSpace:
             and self.basepoint == other.basepoint
             and self.rule == other.rule
         )
+
+    @property
+    def index(self) -> dict[Label, int]:
+        """Position of each label, built on first read."""
+        if self._index is None:
+            self._index = {l: i for i, l in enumerate(self.labels)}
+        return self._index
 
     @property
     def coords(self) -> np.ndarray:
@@ -667,25 +674,43 @@ def example31_fixture(
     if grid_step <= 0 or clamp <= 0:
         raise ValueError("grid_step and clamp must be positive")
     kmax = int(math.floor((math.pi / 2) / grid_step))
-    xs = []
+    xs, ys = [], []
     for k in range(-kmax, kmax + 1):
         x = k * grid_step
-        if abs(x) < math.pi / 2 and abs(math.tan(x)) <= clamp:
-            xs.append(x)
+        if abs(x) < math.pi / 2:
+            t = math.tan(x)
+            if abs(t) <= clamp:
+                xs.append(x)
+                # round is odd, so the odd branches negate the rounded value
+                ys.append(round(t, PLANE_DECIMALS))
     _check_budget((branches + 1) * len(xs), point_budget)
-    labels = []
-    for n in range(branches + 1):
-        sign = -1.0 if n % 2 else 1.0
-        for x in xs:
-            labels.append(
-                (round(x + 2 * math.pi * n, PLANE_DECIMALS),
-                 round(sign * math.tan(x), PLANE_DECIMALS))
-            )
-    labels.sort()
-    space = FiniteSpace(labels, PlaneRule(), labels.index((0.0, 0.0)), 0)
+    n = np.arange(branches + 1)
+    px = _round_decimals((np.asarray(xs) + (2 * math.pi * n)[:, None]).ravel(), PLANE_DECIMALS)
+    py = (np.where(n % 2, -1.0, 1.0)[:, None] * np.asarray(ys)).ravel()
+    order = np.lexsort((py, px))
+    px, py = px[order], py[order]
+    base = int(np.flatnonzero((px == 0) & (py == 0))[0])
+    space = FiniteSpace(list(zip(px.tolist(), py.tolist())), PlaneRule(), base, 0)
+    space._coords = np.asfortranarray(np.stack([px, py], axis=1))
     # the whole sample is the known region; faithfulness ends at its extent
     space.inner_radius = float(np.max(space.dists_from(space.basepoint)))
     return space
+
+
+def _round_decimals(values: np.ndarray, decimals: int) -> np.ndarray:
+    """round(v, decimals) for every float v, bit for bit: numpy's rint of
+    v * 10^decimals picks the integer Python's round does unless the scaled
+    value lies within its own rounding error of a half (the product is off
+    by at most half a unit in its last place), and those values, large ones
+    included, go through Python's round."""
+    scale = 10.0**decimals
+    scaled = values * scale
+    out = np.rint(scaled) / scale
+    frac = scaled - np.floor(scaled)
+    near = ~(np.abs(frac - 0.5) > 1e-6 + 2 * np.spacing(np.abs(scaled)))  # NaN included
+    for k in np.flatnonzero(near).tolist():
+        out[k] = round(float(values[k]), decimals)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -708,16 +733,28 @@ class ComponentPartition:
         return len(self.blocks)
 
 
-def _partition_from_keys(epsilon: Num, keys: Sequence) -> ComponentPartition:
-    """Partition grouping points by key: structural coordinate keys or
-    connected-component labels."""
-    groups: dict = {}
-    for i, key in enumerate(keys):
-        groups.setdefault(key, []).append(i)
-    blocks = sorted(groups.values(), key=lambda blk: blk[0])
-    point_block = np.empty(len(keys), dtype=np.int64)
-    for b, blk in enumerate(blocks):
-        point_block[blk] = b
+def _partition_from_keys(
+    epsilon: Num, keys: Union[Sequence[tuple], np.ndarray]
+) -> ComponentPartition:
+    """Partition grouping points by key: structural coordinate keys, or an
+    array of connected-component labels."""
+    if isinstance(keys, np.ndarray):
+        _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+        # blocks numbered by their first point, members in ascending order
+        rank = np.empty(len(first), dtype=np.int64)
+        rank[np.argsort(first)] = np.arange(len(first))
+        point_block = rank[inverse]
+        members = np.argsort(point_block, kind="stable").tolist()
+        ends = np.cumsum(np.bincount(point_block)).tolist()
+        blocks = [members[a:b] for a, b in zip([0] + ends, ends)]
+    else:
+        groups: dict = {}
+        for i, key in enumerate(keys):
+            groups.setdefault(key, []).append(i)
+        blocks = sorted(groups.values(), key=lambda blk: blk[0])
+        point_block = np.empty(len(keys), dtype=np.int64)
+        for b, blk in enumerate(blocks):
+            point_block[blk] = b
     return ComponentPartition(
         epsilon,
         tuple(tuple(blk) for blk in blocks),

@@ -13,11 +13,12 @@ from hypothesis import strategies as st
 from coarseiso import spaces as spaces_mod
 from coarseiso.analysis import (
     DENSE_CACHE_LIMIT,
+    _chain_order,
     _int_coords,
-    _mst_weights,
+    _select_tested,
+    _structured_values,
     _subset_edges,
     _sup_diameter,
-    _window_labels,
     asdim_cover,
     empirical_phi,
     estimate_factorizing_step,
@@ -29,6 +30,7 @@ from coarseiso.groups import parse_group
 from coarseiso.spaces import (
     FiniteSpace,
     PlaneRule,
+    SupRule,
     TableRule,
     build_truncation,
     canonical_ultrametric,
@@ -303,9 +305,17 @@ def test_empirical_phi_divides_full_profile(sp):
         assert total % p ** phi.get(p).finite_value() == 0
 
 
+def chain_labels(order, gap, eps):
+    """Component label of each subset position at eps: the chain's runs
+    cut where gap > eps."""
+    labels = np.empty(len(order), dtype=np.int64)
+    labels[order] = np.cumsum(gap > eps)
+    return labels
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.booleans(), st.data())
-def test_mst_and_window_graph_match_single_linkage(plane, data):
+def test_chain_order_matches_single_linkage(plane, data):
     # Delaunay (plane) and dense (table) edge graphs against scipy's
     # single-linkage merge heights on the same all-pairs distances
     from scipy.cluster.hierarchy import cophenet, linkage
@@ -325,24 +335,31 @@ def test_mst_and_window_graph_match_single_linkage(plane, data):
         subset = np.asarray(sorted(data.draw(st.sets(st.integers(0, len(zb) - 1), min_size=2))))
     tree = linkage(squareform(sp.dmat()[np.ix_(subset, subset)]), "single")
     heights = sorted(set(tree[:, 2].tolist()))
-    assert _mst_weights(sp, subset) == heights
+    order, gap = _chain_order(sp, subset)
+    assert sorted(order.tolist()) == list(range(len(subset)))
+    assert gap[0] == math.inf and sorted(set(gap[1:].tolist())) == heights
 
     coph = squareform(cophenet(tree))
     scales = [0.0] + heights + [h * 0.999 for h in heights]
-    window = _window_labels(sp, subset, scales)
     for eps in scales:
-        assert np.array_equal(window[eps][:, None] == window[eps][None, :], coph <= eps)
+        labels = chain_labels(order, gap, eps)
+        assert np.array_equal(labels[:, None] == labels[None, :], coph <= eps)
 
 
-def test_window_labels_of_a_holed_line_take_the_graph_path():
+def test_chain_of_a_holed_line_takes_the_graph_path():
     # a line ball with two gaps is not a box: coordinate keys would call it
     # one block at eps = 1, where it has three
     zb = zball(12)
     sp = subspace(zb, [i for i, (v,) in enumerate(zb.labels) if v not in (3, 4, -7, -8)])
     assert not sp.structural
-    window = _window_labels(sp, np.arange(len(sp)), [1.0, 3.0])
-    assert len(np.unique(window[1.0])) == epsilon_components(sp, 1).count == 3
-    assert len(np.unique(window[3.0])) == epsilon_components(sp, 3).count == 1
+    order, gap = _chain_order(sp, np.arange(len(sp)))
+    # three runs of unit steps, joined across the gaps of 3
+    assert sorted(gap[1:].tolist()) == [1.0] * (len(sp) - 3) + [3.0, 3.0]
+    labels = {eps: chain_labels(order, gap, eps) for eps in (1.0, 3.0)}
+    assert len(np.unique(labels[1.0])) == epsilon_components(sp, 1).count == 3
+    assert len(np.unique(labels[3.0])) == epsilon_components(sp, 3).count == 1
+    blocks = epsilon_components(sp, 1).point_block
+    assert np.array_equal(labels[1.0][:, None] == labels[1.0], blocks[:, None] == blocks)
     est = estimate_factorizing_step(sp)
     assert (est.estimate, est.stable_from) == (2.0, 3.0)
 
@@ -406,6 +423,157 @@ def as_table(sp):
     """The same points and distances behind a dense table rule."""
     return FiniteSpace(sp.labels, TableRule(sp.dmat(), ultrametric=False), sp.basepoint,
                        sp.inner_radius)
+
+
+def chain_cophenet(order, gap):
+    """Cophenetic matrix a chain states, in subset positions: the largest
+    gap between two points along the order."""
+    m = np.zeros((len(order), len(order)))
+    for i in range(len(order)):
+        m[order[i], order[i + 1:]] = np.maximum.accumulate(gap[i + 1:])
+    return np.maximum(m, m.T)
+
+
+def single_linkage_cophenet(sp, subset):
+    from scipy.cluster.hierarchy import cophenet, linkage
+    from scipy.spatial.distance import squareform
+
+    if len(subset) < 2:
+        return np.zeros((len(subset), len(subset)))
+    d = sp.dmat()[np.ix_(subset, subset)]
+    return squareform(cophenet(linkage(squareform(d, checks=False), "single")))
+
+
+@st.composite
+def plane_grids(draw):
+    # grid points: ties and cocircular quadruples; maybe one point doubled
+    # 1e-12 away, a pair whose rounded distance is 0
+    pts = draw(st.lists(st.tuples(st.integers(0, 24), st.integers(0, 24)),
+                        min_size=1, max_size=50, unique=True))
+    labels = [(x / 4, y / 4) for x, y in pts]
+    if draw(st.booleans()):
+        x, y = draw(st.sampled_from(labels))
+        labels.append((x + 1e-12, y))
+    return FiniteSpace(sorted(labels), PlaneRule(), 0, 0)
+
+
+coinciding_levels = st.sampled_from([
+    product_space(tower_space([2], levels=[2]), tower_space([3], levels=[2])),
+    product_space(zball(2), k_point_space(3)),
+    product_space(k_point_space(2), product_space(zball(1, 2), k_point_space(3))),
+    product_space(tower_space([2, 2], levels=[1, 3]), zball(2)),
+])
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.one_of(sup_spaces, coinciding_levels, plane_grids(), sup_spaces.map(as_table)),
+       st.data())
+def test_chain_order_matches_cophenet(sp, data):
+    # every chain against scipy's single linkage: structural spaces on balls
+    # (boxes), ultrametric ones on any subset too, and every other space
+    # (plane grids, non-structural subsets, tables) on any subset
+    if sp.structural and isinstance(sp.rule, SupRule):
+        if sp.ultrametric and data.draw(st.booleans()):
+            subset = sorted(data.draw(st.sets(st.integers(0, len(sp) - 1), min_size=1)))
+        else:
+            radius = data.draw(st.sampled_from([0, 0.5, 1, 2, 3, 5]))
+            subset = sp.ball(sp.basepoint, radius)
+    else:
+        if isinstance(sp.rule, SupRule) and data.draw(st.booleans()):
+            picked = sorted(data.draw(st.sets(st.integers(0, len(sp) - 1), min_size=1)))
+            sp = subspace(sp, picked, basepoint=picked[0])
+        subset = sorted(data.draw(st.sets(st.integers(0, len(sp) - 1), min_size=1)))
+    subset = np.asarray(subset, dtype=np.int64)
+    order, gap = _chain_order(sp, subset)
+    assert sorted(order.tolist()) == list(range(len(subset)))
+    assert gap[0] == math.inf
+    assert np.array_equal(chain_cophenet(order, gap), single_linkage_cophenet(sp, subset))
+
+
+def all_pairs_step(space, max_tested=48, fractions=(0.5, 0.75, 1.0)):
+    """estimate_factorizing_step as a per-scale loop on the all-pairs
+    distances: single-linkage candidates from scipy, one connected-components
+    pass per window and scale, and each block count a bincount."""
+    from scipy.cluster.hierarchy import linkage
+    from scipy.sparse.csgraph import connected_components
+    from scipy.spatial.distance import squareform
+
+    m, base = space.dmat(), space.basepoint
+    bd = m[base]
+    radius = float(space.inner_radius)
+    if not math.isfinite(radius) or radius <= 0:
+        radius = float(bd.max())
+    windows = [f * radius for f in fractions]
+    if isinstance(space.rule, SupRule):
+        candidates = sorted(v for v in _structured_values(space.rule, radius) if v <= radius)
+    else:
+        full = np.flatnonzero(bd <= radius)
+        heights = set()
+        if len(full) > 1:
+            heights = set(linkage(squareform(m[np.ix_(full, full)], checks=False),
+                                  "single")[:, 2].tolist())
+        candidates = sorted({0.0} | heights)
+    tested = _select_tested([c for c in candidates if c <= windows[0]], max_tested)
+    subsets = [np.flatnonzero(bd <= w) for w in windows]
+    labels = [{eps: connected_components(m[np.ix_(sub, sub)] <= eps, directed=False)[1]
+               for eps in tested} for sub in subsets]
+
+    def sig_count(w, eps, delta):
+        at = int(np.flatnonzero(subsets[w] == base)[0])
+        members = labels[w][delta] == labels[w][delta][at]
+        sizes = np.bincount(labels[w][eps][members])
+        return int(np.sum(sizes * 8 >= np.max(sizes)))
+
+    stable = {eps: all(len({sig_count(w, eps, delta) for w in range(len(windows))}) == 1
+                       for delta in tested if eps <= delta <= windows[0]) for eps in tested}
+    unstable = [e for e in tested if not stable[e]]
+    stable_vals = [e for e in tested if stable[e]]
+    return {
+        "estimate": max(unstable) if unstable else 0.0,
+        "stable_from": min(stable_vals) if stable_vals else None,
+        "candidates": candidates,
+        "tested": tested,
+        "windows": windows,
+        "inconclusive": (len(subsets[0]) < 16 or len([c for c in tested if c > 0]) < 2
+                         or not stable_vals),
+    }
+
+
+@st.composite
+def step_spaces(draw):
+    kind = draw(st.sampled_from(["plane", "sup", "subset", "table"]))
+    if kind == "plane":
+        # clusters of grid points: nested blocks of uneven sizes
+        centres = draw(st.lists(st.tuples(st.integers(0, 12), st.integers(0, 12)),
+                                min_size=1, max_size=4, unique=True))
+        pts = draw(st.lists(st.tuples(st.sampled_from(centres), st.integers(0, 3),
+                                      st.integers(0, 3)), min_size=3, max_size=40))
+        labels = sorted({(c[0] * 2 + dx / 4, c[1] * 2 + dy / 4) for c, dx, dy in pts})
+        assume(len(labels) >= 3)
+        return FiniteSpace(labels, PlaneRule(), draw(st.integers(0, len(labels) - 1)), 0)
+    sp = draw(sup_spaces)
+    if kind == "subset":
+        picked = sorted(draw(st.sets(st.integers(0, len(sp) - 1), min_size=1)))
+        return subspace(sp, picked, basepoint=draw(st.sampled_from(picked)))
+    return as_table(sp) if kind == "table" else sp
+
+
+@settings(max_examples=60, deadline=None)
+@given(step_spaces())
+def test_step_estimate_matches_the_all_pairs_loop(sp):
+    assert estimate_factorizing_step(sp).to_json() == all_pairs_step(sp)
+
+
+def test_zero_distance_pair_stays_joined_at_zero():
+    # csgraph reads a zero weight as no edge; the chain keeps the pair at 0
+    sp = FiniteSpace([(0.0, 0.0), (1e-12, 0.0), (1.0, 0.0), (0.0, 2.0)], PlaneRule(), 0, 0)
+    assert sp.d(0, 1) == 0.0
+    order, gap = _chain_order(sp, np.arange(4))
+    assert sorted(gap.tolist()) == [0.0, 1.0, 2.0, math.inf]
+    at_zero = chain_labels(order, gap, 0.0)
+    assert at_zero[0] == at_zero[1] and len(set(at_zero.tolist())) == 3
+    est = estimate_factorizing_step(sp)
+    assert est.candidates == (0.0, 1.0, 2.0)
 
 
 # sources that take the exhaustive path: free coordinates, plane samples
@@ -555,6 +723,31 @@ def test_step_and_components_share_one_triangulation(monkeypatch):
     assert len(sizes) == 3
     quotient_with_projection(example31_fixture(8, 0.01, 50), 1.0)
     assert len(sizes) == 4 and sizes[-1] == len(sp)
+
+
+def test_step_work_is_pinned(monkeypatch):
+    # every tested scale of a window is read from one chain: a step job
+    # runs no connected-components pass (141 before the chains) and three
+    # triangulations, one per window, the whole-space one shared with the
+    # candidates
+    import scipy.sparse.csgraph
+    import scipy.spatial
+
+    calls = {"Delaunay": 0, "connected_components": 0}
+
+    def counting(module, name):
+        real = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counting(scipy.spatial, "Delaunay")
+    counting(scipy.sparse.csgraph, "connected_components")
+    estimate_factorizing_step(example31_fixture(20, 0.01, 1000))
+    assert calls == {"Delaunay": 3, "connected_components": 0}
 
 
 def rowwise_foelner(space, c, epsilon):

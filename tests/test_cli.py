@@ -229,11 +229,15 @@ GOLDEN_PLANE = [
     # captured before components were read from a cell grid
     (("components", "example31:80:0.01", "--epsilon", "0.5"),
      "ec36be285a41b0bfee7d641c4071b8e6f9ebbd580d8134fa20c4b10abc586c3b", 25353, 2187),
+    # captured before step scales were read from single-linkage chains
+    (("step", "example31:30:0.01"),
+     "91c133b6034ae16943fbdf899a4b110e7c3579791cba23d9790a50a501c82635", 9703, 3.241451542),
 ]
 
 
 @pytest.mark.parametrize("argv,digest,points,value", GOLDEN_PLANE,
-                         ids=["step-0.01", "step-0.0125", "components-0.0125", "components-0.01"])
+                         ids=["step-0.01", "step-0.0125", "components-0.0125", "components-0.01",
+                              "step-30-0.01"])
 def test_plane_output_is_pinned(capsys, argv, digest, points, value):
     code, payload = run_json(capsys, *argv)
     assert code == 0
@@ -292,3 +296,34 @@ def test_nan_epsilon_exits_2(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert (code, out) == (2, "")
     assert "epsilon" in err
+
+
+def strict_json(text):
+    """json.loads that refuses the non-JSON constants NaN and Infinity."""
+    def refuse(name):
+        raise ValueError(f"non-JSON constant {name}")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+def test_infinite_epsilon_prints_strict_json(capsys):
+    code, out, err = run(capsys, "components", "Z + C2", "--radius", "3", "--epsilon", "inf")
+    assert (code, err) == (0, "")
+    payload = strict_json(out)
+    assert (payload["epsilon"], payload["blocks"]) == ("inf", 1)
+    # no box fits under an infinite epsilon, and a cover needs a finite one
+    code, out, err = run(capsys, "foelner", "Z", "--radius", "20", "--epsilon", "inf")
+    assert (code, out) == (2, "") and "enlarge --radius" in err
+    code, out, err = run(capsys, "cover", "Z^2", "--radius", "10", "--epsilon", "inf")
+    assert (code, out) == (2, "") and "epsilon" in err
+
+
+@pytest.mark.parametrize("command", [
+    ("foelner", "Z", "--radius", "20", "--c", "1.1"),
+    ("cover", "Z^2", "--radius", "10"),
+], ids=["foelner", "cover"])
+@pytest.mark.parametrize("epsilon", ["nan", "-1"])
+def test_foelner_and_cover_reject_a_bad_epsilon(capsys, command, epsilon):
+    code, out, err = run(capsys, *command, "--epsilon", epsilon)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: epsilon must be >= 0")

@@ -40,7 +40,7 @@ from coarseiso.spaces import (
     validate_metric,
     zball,
 )
-from coarseiso.spaces import _grid_scale
+from coarseiso.spaces import _grid_scale, _partition_from_keys, _round_decimals
 from coarseiso.witness import space_id
 
 
@@ -218,11 +218,72 @@ class TestExample31:
         xs = sorted(l[0] for l in sp.labels)
         assert xs[5] - xs[0] == pytest.approx(2 * math.pi, abs=1e-4)
 
+    @staticmethod
+    def point_loop(branches, grid_step, clamp):
+        """The per-point builder the array build replaced: labels, basepoint."""
+        kmax = int(math.floor((math.pi / 2) / grid_step))
+        xs = []
+        for k in range(-kmax, kmax + 1):
+            x = k * grid_step
+            if abs(x) < math.pi / 2 and abs(math.tan(x)) <= clamp:
+                xs.append(x)
+        labels = []
+        for n in range(branches + 1):
+            sign = -1.0 if n % 2 else 1.0
+            for x in xs:
+                labels.append((round(x + 2 * math.pi * n, 9), round(sign * math.tan(x), 9)))
+        labels.sort()
+        return labels, labels.index((0.0, 0.0))
+
+    @pytest.mark.parametrize("branches,grid_step,clamp", [
+        (1, 0.5, 3), (2, 0.5, 0.5), (20, 0.01, 1000), (31, 0.0125, 1000),
+        (7, 0.003, 50), (300, 0.05, 3), (1000, 0.3, 1e6),
+    ])
+    def test_array_build_matches_the_point_loop(self, branches, grid_step, clamp):
+        # bit for bit, signed zeros included, in labels and coordinates
+        labels, base = self.point_loop(branches, grid_step, clamp)
+        sp = example31_fixture(branches, grid_step, clamp)
+        want = np.asarray(labels).view(np.int64)
+        assert np.array_equal(np.asarray(sp.labels).view(np.int64), want)
+        assert np.array_equal(sp.coords.view(np.int64), want)
+        assert sp.basepoint == base
+        assert sp.inner_radius == float(np.max(sp.dists_from(base)))
+
+    def test_rounding_near_a_half_matches_python_round(self):
+        # values whose scaled fraction sits at or next to one half, where
+        # numpy's rint of v * 1e9 picks the other integer about half the
+        # time, and values too large for any fraction
+        rng = np.random.default_rng(3)
+        halves = (rng.integers(-10**12, 10**12, 3000) + 0.5) / 1e9
+        values = np.concatenate([
+            halves, np.nextafter(halves, np.inf), np.nextafter(halves, -np.inf),
+            [0.0, -0.0, 5e-10, -5e-10, 1.5e-9, 2.5e-10, 1e17, -3e15, 2.0**52 + 0.5, 2.0**60],
+        ])
+        want = np.asarray([round(float(v), 9) for v in values])
+        assert np.sum(np.round(values, 9) != want) > 100  # the naive rounding misses
+        assert np.array_equal(_round_decimals(values, 9).view(np.int64), want.view(np.int64))
+
     def test_rejects_bad_args(self):
         with pytest.raises(ValueError):
             example31_fixture(0, 0.5, 3)
         with pytest.raises(ValueError):
             example31_fixture(1, -0.1, 3)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(-3, 40), min_size=1, max_size=60))
+def test_partition_of_a_label_array_matches_the_key_loop(keys):
+    got = _partition_from_keys(1.0, np.asarray(keys))
+    want = _partition_from_keys(1.0, [(k,) for k in keys])
+    assert (got.blocks, got.representatives) == (want.blocks, want.representatives)
+    assert np.array_equal(got.point_block, want.point_block)
+
+
+def test_label_index_is_built_on_first_read():
+    sp = example31_fixture(2, 0.25, 3)
+    assert sp._index is None
+    assert all(sp.index[l] == i for i, l in enumerate(sp.labels))
+    assert sp.index is sp.index
 
 
 class TestComponents:
