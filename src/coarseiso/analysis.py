@@ -97,15 +97,44 @@ def _structured_values(rule: SupRule, radius: float) -> set[float]:
 
 def _subset_edges(space: FiniteSpace, subset: np.ndarray):
     """Edges (i, j, weight) of the induced subspace on ascending distinct
-    indices, in subset positions. For plane spaces a Delaunay triangulation
-    of the subset is used: the space's cached one when the subset is the
-    whole space, a fresh one otherwise. Its threshold components agree
-    with the full graph's because it contains the MST."""
-    if isinstance(space.rule, PlaneRule):
-        if len(subset) == len(space):
-            return plane_edges(space)
-        return delaunay_edges(space.coords[subset])
+    indices, in subset positions, i < j, in ascending (i, j) order.
+
+    A plane subset S gets a graph with the single-linkage heights of all
+    its pairs: the edges of the space's cached Delaunay triangulation T
+    inside S, plus those of a Delaunay triangulation of its border V, the
+    points of S with a T-neighbour outside S. Deleting the outside points
+    from T leaves every other triangle Delaunay for S, and the triangles
+    that fill the holes have their corners in V. So a pair of S whose
+    closed diameter disc holds no other point of S, an edge of every
+    Delaunay triangulation of S, is an edge of T or a pair of V with the
+    same empty disc, an edge of every triangulation of V. By induction on
+    length every pair of S is joined by a path of edges no longer than
+    itself, and rounding keeps the order of lengths. Other rules
+    enumerate all pairs.
+    """
     n = len(subset)
+    if isinstance(space.rule, PlaneRule):
+        ii, jj, ww = plane_edges(space)
+        if n == len(space):
+            return ii, jj, ww
+        pos = np.full(len(space), -1, dtype=np.int64)
+        pos[subset] = np.arange(n)
+        pi, pj = pos[ii], pos[jj]
+        # pos rises with the index, so an edge inside S keeps pi < pj, and
+        # the larger end of a crossing edge is its end in S
+        inside = (pi >= 0) & (pj >= 0)
+        border = np.unique(np.maximum(pi, pj)[(pi >= 0) != (pj >= 0)])
+        try:
+            bi, bj, bw = delaunay_edges(space.coords[subset[border]])
+        except ValueError:
+            # Qhull cannot triangulate the border alone (nearly on one line,
+            # or with a pair it sets aside); any set between the border and
+            # S serves the argument, and S is the largest
+            border = np.arange(n)
+            bi, bj, bw = delaunay_edges(space.coords[subset])
+        key = np.concatenate((pi[inside] * n + pj[inside], border[bi] * n + border[bj]))
+        key, first = np.unique(key, return_index=True)
+        return key // n, key % n, np.concatenate((ww[inside], bw))[first]
     if n > DENSE_LIMIT:
         raise ValueError("subset too large for dense edge enumeration")
     ii, jj, ww = [], [], []

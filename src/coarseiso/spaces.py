@@ -655,9 +655,9 @@ def product_space(
     _check_budget(len(x) * len(y), point_budget)
     rule = SupRule.product(x.rule, y.rule)
     labels = [a + b for a in x.labels for b in y.labels]
-    base = x.labels[x.basepoint] + y.labels[y.basepoint]
     inner = min(x.inner_radius, y.inner_radius)
-    return FiniteSpace(labels, rule, labels.index(base), inner,
+    # the labels run over x's points in the outer loop, y's in the inner one
+    return FiniteSpace(labels, rule, x.basepoint * len(y) + y.basepoint, inner,
                        structural=x.structural and y.structural)
 
 
@@ -772,7 +772,10 @@ def _component_keys(labels: Sequence[Label], rule: SupRule, eps: float) -> list[
 
 def _triangulation_pairs(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Pairs (i, j), i < j, of points joined in the Delaunay triangulation,
-    read from Qhull's per-vertex neighbour lists. Points on one line have
+    read from Qhull's per-vertex neighbour lists. Qhull triangulates the
+    points moved to their bounding-box centre: far from the origin it would
+    set near-coincident points aside as coplanar and give them no edge, and
+    a point it still sets aside is a ValueError. Points on one line have
     no triangulation; there the pairs are the path through them in order
     along the line, which is their MST."""
     from scipy.spatial import Delaunay, QhullError
@@ -780,10 +783,14 @@ def _triangulation_pairs(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     n = len(pts)
     if n >= 3:
         try:
-            indptr, nbrs = Delaunay(pts).vertex_neighbor_vertices
+            tri = Delaunay(pts - (pts.max(axis=0) + pts.min(axis=0)) / 2)
         except QhullError as exc:
             error = str(exc).splitlines()[0]
         else:
+            if len(tri.coplanar):
+                raise ValueError(f"plane points too close to triangulate: Qhull set aside "
+                                 f"{len(tri.coplanar)} of {n} points")
+            indptr, nbrs = tri.vertex_neighbor_vertices
             ii = np.repeat(np.arange(n), np.diff(indptr))
             keep = ii < nbrs
             return ii[keep], nbrs[keep]
@@ -804,10 +811,13 @@ def _plane_pair_dists(pts: np.ndarray, ii: np.ndarray, jj: np.ndarray) -> np.nda
 
 def delaunay_edges(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Delaunay edge list (i, j, weight) of planar points, each edge once
-    with i < j and its PlaneRule distance, in ascending (i, j) order. The
-    Delaunay graph contains the Euclidean MST, so its minimum spanning tree
-    gives the single-linkage heights of the full distance graph: step
-    estimation and the generic plane quotient read them from here."""
+    with i < j and its PlaneRule distance, in ascending (i, j) order. A
+    pair whose closed diameter disc holds no other point is an edge of
+    every Delaunay triangulation, so every pair is joined by a path of
+    edges no longer than itself: the minimum spanning tree of these edges
+    gives the single-linkage heights of the full distance graph, which
+    step estimation and the generic plane quotient read from here. Every
+    point has its edges: one Qhull sets aside is a ValueError."""
     n = len(pts)
     ii, jj = _triangulation_pairs(pts)
     key = np.sort(ii.astype(np.int64) * n + jj)
@@ -817,8 +827,10 @@ def delaunay_edges(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]
 
 def plane_edges(space: FiniteSpace) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Delaunay edges of a plane fixture, cached on the space: one
-    triangulation serves its generic quotients and whole-space step
-    windows. Epsilon-components need none (see _plane_components)."""
+    triangulation serves its generic quotients, the step candidates and
+    every step window, a smaller window keeping the edges inside it and
+    adding a triangulation of its border (see analysis._subset_edges).
+    Epsilon-components need none (see _plane_components)."""
     if space._edges is None:
         space._edges = delaunay_edges(space.coords)
     return space._edges

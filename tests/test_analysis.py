@@ -15,6 +15,7 @@ from coarseiso.analysis import (
     DENSE_CACHE_LIMIT,
     _chain_order,
     _int_coords,
+    _kruskal_chain,
     _select_tested,
     _structured_values,
     _subset_edges,
@@ -678,6 +679,135 @@ def test_subset_edges_over_several_blocks():
         assert ww[::997].tolist() == want
 
 
+@st.composite
+def window_planes(draw):
+    """Plane point sets for the window edges: uniform, co-circular lattice
+    squares, points on one circle, clusters and coordinates near 1e6, maybe
+    with one point doubled at a rounded distance of 0."""
+    kind = draw(st.sampled_from(["uniform", "lattice", "circle", "clusters", "far"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    size = draw(st.integers(3, 90))
+    if kind == "uniform":
+        pts = rng.uniform(-3, 3, size=(size, 2))
+    elif kind == "lattice":
+        w, h = draw(st.integers(2, 12)), draw(st.integers(2, 12))
+        pts = np.array([(x, y) for x in range(w) for y in range(h)]) * draw(
+            st.sampled_from([1.0, 0.25]))
+    elif kind == "circle":
+        angles = rng.choice(64, size=min(size, 40), replace=False) * (2 * math.pi / 64)
+        pts = 2 * np.stack([np.cos(angles), np.sin(angles)], axis=1)
+        if draw(st.booleans()):
+            pts = np.vstack([pts, [(0.0, 0.0)]])
+    elif kind == "clusters":
+        centres = rng.uniform(-10, 10, size=(draw(st.integers(1, 4)), 2))
+        pts = centres[rng.integers(len(centres), size=size)] + rng.normal(0, 0.3, (size, 2))
+    else:
+        grid = np.array([(x, y) for x in range(9) for y in range(9)]) * 1e-3
+        pts = 1e6 + (grid if draw(st.booleans()) else rng.uniform(0, 0.05, size=(size, 2)))
+    labels = {(float(x), float(y)) for x, y in pts}
+    if draw(st.booleans()):
+        x, y = draw(st.sampled_from(sorted(labels)))
+        # 2e-10 apart, 2 ulps near 1e6: it reads as 0, and Qhull still
+        # tells the two points apart
+        labels.add((x + 2e-10, y))
+    return FiniteSpace(sorted(labels), PlaneRule(), 0, 0)
+
+
+def window_cophenet(sp, subset):
+    """Cophenetic matrix of the chain of _subset_edges(sp, subset), after
+    checking that the edges come once each, i < j, in ascending order."""
+    n = len(subset)
+    ii, jj, ww = _subset_edges(sp, subset)
+    assert np.all(ii < jj) and np.all(np.diff(ii * n + jj) > 0)
+    return chain_cophenet(*_kruskal_chain(n, ii, jj, ww))
+
+
+@settings(max_examples=150, deadline=None)
+@given(window_planes(), st.sampled_from(["ball", "mask", "half"]), st.data())
+def test_window_edges_keep_every_single_linkage_height(sp, shape, data):
+    # the space's triangulation inside the subset plus the border's own
+    # triangulation against scipy's single linkage on all rounded pairs:
+    # the argument for it holds for any subset, balls or not
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**16)))
+    if shape == "ball":
+        d = sp.dists_from(data.draw(st.integers(0, len(sp) - 1)))
+        subset = np.flatnonzero(d <= data.draw(st.sampled_from([0.2, 0.5, 0.75, 0.9])) * d.max())
+    elif shape == "mask":
+        subset = np.flatnonzero(rng.random(len(sp)) < data.draw(st.sampled_from([0.2, 0.5, 0.9])))
+    else:
+        normal = np.array([math.cos(t := rng.uniform(0, 2 * math.pi)), math.sin(t)])
+        side = sp.coords @ normal
+        subset = np.flatnonzero(side <= np.quantile(side, rng.uniform(0.1, 0.9)))
+    assume(0 < len(subset) < len(sp))
+    assert np.array_equal(window_cophenet(sp, subset), single_linkage_cophenet(sp, subset))
+
+
+@pytest.mark.parametrize("rows", [2, 3])
+@pytest.mark.parametrize("columns", [1, 2, 5, 8])
+def test_window_with_a_collinear_border(rows, columns):
+    # the first columns of a lattice: the border is the last column kept,
+    # 2 or 3 points on one vertical line, which Qhull cannot triangulate;
+    # the path along the line stands in for it
+    sp = FiniteSpace(sorted((float(x), float(y)) for x in range(10) for y in range(rows)),
+                     PlaneRule(), 0, 0)
+    subset = np.flatnonzero(sp.coords[:, 0] < columns)
+    ii, jj, _ = spaces_mod.plane_edges(sp)
+    inside = np.isin(ii, subset) != np.isin(jj, subset)
+    border = np.union1d(ii[inside], jj[inside])
+    assert len(np.intersect1d(border, subset)) == rows
+    assert np.array_equal(window_cophenet(sp, subset), single_linkage_cophenet(sp, subset))
+
+
+def test_window_whose_border_qhull_cannot_triangulate():
+    # a square's corners and centre; the ball around (2, 0) drops (-2, 0),
+    # and its border, (0, 2), (0, 0) and (0, -2), is one line up to the
+    # rounding of cos(pi / 2): Qhull finds it flat, so the window's own
+    # points are triangulated instead
+    angles = np.arange(4) * (math.pi / 2)
+    labels = [(2 * math.cos(a), 2 * math.sin(a)) for a in angles] + [(0.0, 0.0)]
+    sp = FiniteSpace(sorted(labels), PlaneRule(), 0, 0)
+    subset = np.flatnonzero(sp.dists_from(sp.index[(2.0, 0.0)]) <= 2.9)
+    assert len(subset) == 4
+    with pytest.raises(ValueError, match="no triangulation"):
+        spaces_mod.delaunay_edges(sp.coords[np.abs(sp.coords[:, 0]) < 1e-9])
+    assert np.array_equal(window_cophenet(sp, subset), single_linkage_cophenet(sp, subset))
+
+
+def far_lattice():
+    """30 x 30 lattice, spacing 1e-3, at (1e6, 1e6): Qhull set aside 896 of
+    its 900 points when it triangulated them where they lie."""
+    return FiniteSpace(sorted((1e6 + x * 1e-3, 1e6 + y * 1e-3)
+                              for x in range(30) for y in range(30)), PlaneRule(), 0, 0)
+
+
+def tiny_cloud():
+    """80 points of a 1e-11 grid near (1, -1): 69 set aside there."""
+    rng = np.random.default_rng(11)
+    steps = rng.choice(60 * 60, size=80, replace=False)
+    return FiniteSpace(sorted((1 + (k // 60) * 1e-11, -1 + (k % 60) * 1e-11)
+                              for k in steps.tolist()), PlaneRule(), 0, 0)
+
+
+@pytest.mark.parametrize("make", [tiny_cloud, far_lattice], ids=["tiny-cloud", "far-lattice"])
+def test_whole_space_chain_joins_points_far_from_the_origin(make):
+    # the chain has no infinite gap, and its gaps are scipy's single-linkage
+    # heights on all rounded pairs, each as often
+    from scipy.cluster.hierarchy import linkage
+    from scipy.spatial.distance import squareform
+
+    sp = make()
+    order, gap = _chain_order(sp, np.arange(len(sp)))
+    assert np.count_nonzero(np.isinf(gap[1:])) == 0
+    heights = linkage(squareform(sp.dmat(), checks=False), "single")[:, 2]
+    assert sorted(gap[1:].tolist()) == sorted(heights.tolist())
+
+
+def test_far_lattice_steps_at_its_spacing():
+    # with the points set aside, candidates were [0.0, 0.029]
+    est = estimate_factorizing_step(far_lattice())
+    assert est.candidates == (0.0, 0.001)
+
+
 def test_sup_diameter_of_a_table_over_several_blocks():
     # the two ends of the line come last, so only the last row block sees
     # the widest pair
@@ -701,9 +831,9 @@ def test_step_on_a_line_matches_the_all_pairs_table():
 
 def test_step_and_components_share_one_triangulation(monkeypatch):
     # components come from a cell grid and triangulate nothing; the
-    # candidate MST and the whole-space window of a step read the cached
-    # plane edges, so only the 0.5 and 0.75 windows triangulate anew; a
-    # generic plane quotient triangulates its space once
+    # candidate MST and every window of a step read the cached plane
+    # edges, so only the borders of the 0.5 and 0.75 windows triangulate
+    # anew; a generic plane quotient triangulates its space once
     import scipy.spatial
 
     sizes = []
@@ -728,26 +858,32 @@ def test_step_and_components_share_one_triangulation(monkeypatch):
 def test_step_work_is_pinned(monkeypatch):
     # every tested scale of a window is read from one chain: a step job
     # runs no connected-components pass (141 before the chains) and three
-    # triangulations, one per window, the whole-space one shared with the
-    # candidates
+    # triangulations: the whole space, shared with the candidates, and the
+    # borders of the 0.5 and 0.75 windows, 429 of 6,573 points together
+    # (9,963 when each window was triangulated whole)
     import scipy.sparse.csgraph
     import scipy.spatial
 
     calls = {"Delaunay": 0, "connected_components": 0}
+    sizes = []
 
     def counting(module, name):
         real = getattr(module, name)
 
         def wrapper(*args, **kwargs):
             calls[name] += 1
+            if name == "Delaunay":
+                sizes.append(len(args[0]))
             return real(*args, **kwargs)
 
         monkeypatch.setattr(module, name, wrapper)
 
     counting(scipy.spatial, "Delaunay")
     counting(scipy.sparse.csgraph, "connected_components")
-    estimate_factorizing_step(example31_fixture(20, 0.01, 1000))
+    sp = example31_fixture(20, 0.01, 1000)
+    estimate_factorizing_step(sp)
     assert calls == {"Delaunay": 3, "connected_components": 0}
+    assert sizes[0] == len(sp) and sum(sizes[1:]) < 0.1 * len(sp)
 
 
 def rowwise_foelner(space, c, epsilon):

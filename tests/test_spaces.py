@@ -374,10 +374,12 @@ class TestComponents:
 
 def simplex_edges(pts):
     """Delaunay edges from the triangles: every side, sorted and made unique
-    with np.unique(axis=0). The reference for the neighbour-list read."""
+    with np.unique(axis=0). The reference for the neighbour-list read; it
+    triangulates the points moved to their bounding-box centre, as
+    delaunay_edges does, so that both read one triangulation."""
     from scipy.spatial import Delaunay
 
-    s = np.sort(Delaunay(pts).simplices, axis=1)
+    s = np.sort(Delaunay(pts - (pts.max(axis=0) + pts.min(axis=0)) / 2).simplices, axis=1)
     pairs = np.unique(np.concatenate([s[:, [0, 1]], s[:, [0, 2]], s[:, [1, 2]]]), axis=0)
     ii, jj = pairs[:, 0], pairs[:, 1]
     ww = np.round(np.hypot(pts[ii, 0] - pts[jj, 0], pts[ii, 1] - pts[jj, 1]), 9)
@@ -450,6 +452,14 @@ class TestDelaunayEdges:
     def test_untriangulable_points_off_one_line_raise_value_error(self):
         with pytest.raises(ValueError, match="no triangulation"):
             delaunay_edges(np.array([(0.0, 0.0), (1.0, 1e-17), (2.0, 0.0)]))
+
+    def test_points_qhull_sets_aside_raise_value_error(self):
+        # a point 1e-16 beside the centre of a square: Qhull sets it aside
+        # as coplanar even at the origin, where it would get no edge
+        pts = np.array([(-1.0, -1.0), (1.0, -1.0), (-1.0, 1.0), (1.0, 1.0), (0.0, 0.0),
+                        (1e-16, 0.0)])
+        with pytest.raises(ValueError, match="set aside 1 of 6 points"):
+            delaunay_edges(pts)
 
 
 class TestFlatPlane:
@@ -712,6 +722,22 @@ class TestProduct:
     def test_basepoint_pairs(self):
         p = product_space(zball(2), tower_space([3]))
         assert p.labels[p.basepoint] == (0, 0)
+
+    @pytest.mark.parametrize("x, y", [
+        (zball(2), tower_space([3])),
+        (k_point_space(1), zball(3)),
+        (zball(2, 2), k_point_space(1)),
+        (k_point_space(1), k_point_space(1)),
+        (k_point_space(3), zball(1, 2)),
+        (build_truncation(parse_group("Z + C3"), radius=4), product_space(zball(1), k_point_space(2))),
+    ])
+    def test_basepoint_is_found_by_position(self, x, y):
+        # the labels run over x's points in the outer loop, so the pair of
+        # basepoints sits at x.basepoint * len(y) + y.basepoint
+        p = product_space(x, y)
+        want = p.labels.index(x.labels[x.basepoint] + y.labels[y.basepoint])
+        assert p.basepoint == want
+        assert p.labels[p.basepoint] == x.labels[x.basepoint] + y.labels[y.basepoint]
 
     def test_component_projection(self):
         # components of a product at eps below the right factor's scale are
