@@ -9,6 +9,7 @@ relation, 1 for false, 2 for errors; everything else uses 0/2.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -35,7 +36,7 @@ from .spaces import (
     epsilon_components,
     example31_fixture,
 )
-from .witness import iso_witness_chain, verify_witness
+from .witness import _check_deltas, iso_witness_chain, verify_witness
 
 _FIXTURE_PREFIX = "example31"
 
@@ -104,6 +105,7 @@ def _cmd_witness(args: argparse.Namespace) -> int:
     w = iso_witness_chain(
         g1, g2, radius=args.radius, depth=args.depth,
         prime_bound=args.prime_bound, deltas=deltas or (),
+        point_budget=args.point_budget,
     )
     report = verify_witness(w, deltas)
     payload = {
@@ -190,7 +192,7 @@ def _cmd_cover(args: argparse.Namespace) -> int:
 def _parse_deltas(raw: Optional[str]) -> Optional[list[float]]:
     if raw is None:
         return None
-    out = [float(x) for x in raw.split(",") if x.strip()]
+    out = _check_deltas(x for x in raw.split(",") if x.strip())
     return out or None
 
 
@@ -254,9 +256,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on the first call: building it costs about as much
+    as a small command, and parsing leaves it unchanged."""
+    return build_parser()
+
+
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.fn(args)
     except ValueError as exc:

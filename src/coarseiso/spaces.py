@@ -263,7 +263,7 @@ class FiniteSpace:
             raise ValueError("duplicate point labels")
         if not 0 <= basepoint < len(self.labels):
             raise ValueError("basepoint index out of range")
-        if isinstance(rule, SupRule) and any(len(l) != len(rule.orders) for l in self.labels):
+        if isinstance(rule, SupRule) and set(map(len, self.labels)) != {len(rule.orders)}:
             raise ValueError("label width differs from the rule's coordinate count")
         if isinstance(rule, TableRule) and len(rule.matrix) != len(self.labels):
             raise ValueError("distance table size differs from the point count")
@@ -276,6 +276,7 @@ class FiniteSpace:
         self.structural = structural
         self._index: Optional[dict[Label, int]] = None
         self._coords: Optional[np.ndarray] = None
+        self._base_dists: Optional[np.ndarray] = None
         self._dmat: Optional[np.ndarray] = None
         self._edges: Optional[tuple[np.ndarray, np.ndarray, np.ndarray]] = None
 
@@ -311,6 +312,16 @@ class FiniteSpace:
                 # column-major: the row kernels read one coordinate at a time
                 self._coords = np.asfortranarray(np.asarray(self.labels, dtype=float))
         return self._coords
+
+    @property
+    def base_dists(self) -> np.ndarray:
+        """Distances from the basepoint, computed on first read. Read-only:
+        every reader shares the one array."""
+        if self._base_dists is None:
+            d = self.dists_from(self.basepoint)
+            d.setflags(write=False)
+            self._base_dists = d
+        return self._base_dists
 
     def d(self, i: int, j: int) -> Num:
         if isinstance(self.rule, TableRule):
@@ -508,17 +519,33 @@ def build_truncation(
 
     rule = SupRule.group_ball(free_rank, [o for o, _ in kept], [l for _, l in kept])
     ranges = [range(-radius, radius + 1)] * free_rank + [range(o) for o, _ in kept]
-    labels = [tuple(p) for p in itertools.product(*ranges)]
-    basepoint = labels.index((0,) * (free_rank + len(kept)))
-    return FiniteSpace(labels, rule, basepoint, radius)
+    return _box_space(ranges, rule, radius)
+
+
+def _box_space(ranges: Sequence[range], rule: SupRule, inner_radius: Num) -> FiniteSpace:
+    """The integer box of the ranges, pointed at its all-zero label. Labels
+    run in itertools.product order, the last coordinate fastest, so the
+    coordinates and the basepoint's index come from the ranges by
+    arithmetic, without reading a label."""
+    sizes = [len(r) for r in ranges]
+    basepoint = 0
+    for r in ranges:
+        basepoint = basepoint * len(r) + r.index(0)
+    space = FiniteSpace(list(itertools.product(*ranges)), rule, basepoint, inner_radius)
+    coords = np.empty((len(space), len(ranges)), order="F")
+    for c, r in enumerate(ranges):
+        column = np.repeat(np.arange(r.start, r.stop, dtype=float), math.prod(sizes[c + 1 :]))
+        coords[:, c] = np.tile(column, math.prod(sizes[:c]))
+    space._coords = coords
+    return space
 
 
 def zball(radius: int, rank: int = 1, point_budget: Optional[int] = None) -> FiniteSpace:
     """Sup-metric ball of Z^rank."""
+    if radius < 0:
+        raise ValueError("radius must be >= 0")
     _check_budget((2 * radius + 1) ** rank, point_budget)
-    rule = SupRule.group_ball(rank)
-    labels = [tuple(p) for p in itertools.product(range(-radius, radius + 1), repeat=rank)]
-    return FiniteSpace(labels, rule, labels.index((0,) * rank), radius)
+    return _box_space([range(-radius, radius + 1)] * rank, SupRule.group_ball(rank), radius)
 
 
 def tower_space(
@@ -537,9 +564,7 @@ def tower_space(
         count *= o
     _check_budget(count, point_budget)
     rule = SupRule.tower(orders, levels)
-    labels = [tuple(p) for p in itertools.product(*[range(o) for o in orders])]
-    inner = levels[-1] if levels else 0
-    return FiniteSpace(labels, rule, labels.index((0,) * len(orders)), inner)
+    return _box_space([range(o) for o in orders], rule, levels[-1] if levels else 0)
 
 
 def enumerate_summands(phi: FactorFunction, depth: int, prime_bound: int = 97) -> list[int]:
@@ -657,8 +682,14 @@ def product_space(
     labels = [a + b for a in x.labels for b in y.labels]
     inner = min(x.inner_radius, y.inner_radius)
     # the labels run over x's points in the outer loop, y's in the inner one
-    return FiniteSpace(labels, rule, x.basepoint * len(y) + y.basepoint, inner,
-                       structural=x.structural and y.structural)
+    space = FiniteSpace(labels, rule, x.basepoint * len(y) + y.basepoint, inner,
+                        structural=x.structural and y.structural)
+    width = len(x.rule.orders)
+    coords = np.empty((len(space), width + len(y.rule.orders)), order="F")
+    coords[:, :width] = np.repeat(x.coords, len(y), axis=0)
+    coords[:, width:] = np.tile(y.coords, (len(x), 1))
+    space._coords = coords
+    return space
 
 
 def example31_fixture(
@@ -693,7 +724,7 @@ def example31_fixture(
     space = FiniteSpace(list(zip(px.tolist(), py.tolist())), PlaneRule(), base, 0)
     space._coords = np.asfortranarray(np.stack([px, py], axis=1))
     # the whole sample is the known region; faithfulness ends at its extent
-    space.inner_radius = float(np.max(space.dists_from(space.basepoint)))
+    space.inner_radius = float(np.max(space.base_dists))
     return space
 
 
@@ -1069,7 +1100,7 @@ def quotient_with_projection(
         qd[np.ix_(left, right)] = qd[np.ix_(right, left)] = tw[k]
         cluster[right] = cluster[ti[k]]
     base_block = int(partition.point_block[space.basepoint])
-    base_spread = float(np.max(space.dists_from(space.basepoint)[list(partition.blocks[base_block])]))
+    base_spread = float(np.max(space.base_dists[list(partition.blocks[base_block])]))
     inner = max(0.0, float(space.inner_radius) - base_spread)
     labels = [space.labels[rep] for rep in reps]
     q = FiniteSpace(labels, TableRule(qd, ultrametric=True), base_block, inner, True)

@@ -11,6 +11,7 @@ never propagated arithmetically.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -96,63 +97,74 @@ def space_id(space: FiniteSpace) -> str:
     return f"{kind}-{len(space)}-{digest}"
 
 
-def _validity_from_pairs(source: FiniteSpace, pairs: Sequence[Tuple[int, int]]) -> float:
-    """Largest realized radius around the source basepoint whose ball is
-    entirely covered by the table."""
-    have = np.zeros(len(source), dtype=bool)
-    for s, _ in pairs:
-        have[s] = True
-    d = source.dists_from(source.basepoint)
-    if have.all():
-        return float(source.inner_radius)
-    lim = float(d[~have].min())
-    below = d[d < lim - _TOL]
-    if not len(below):
-        return -1.0
-    return float(below.max())
+def _check_deltas(deltas: Iterable[float]) -> List[float]:
+    """Scales as floats; a NaN or negative scale is a ValueError."""
+    out = [float(x) for x in deltas]
+    for x in out:
+        if not x >= 0:  # NaN included
+            raise ValueError(f"delta must be >= 0, got {x}")
+    return out
 
 
-def _restrict_to_validity(
-    source: FiniteSpace, pairs: Sequence[Tuple[int, int]], validity: float
-) -> tuple[np.ndarray, np.ndarray]:
-    d = source.dists_from(source.basepoint)
-    kept = [(s, t) for s, t in pairs if d[s] <= validity + _TOL]
-    si = np.asarray([s for s, _ in kept], dtype=int)
-    ti = np.asarray([t for _, t in kept], dtype=int)
-    return si, ti
+def _table_arrays(w: WitnessMap) -> tuple[np.ndarray, np.ndarray]:
+    """Source and target index arrays of the table, in table order."""
+    flat = np.fromiter(itertools.chain.from_iterable(w.table), dtype=np.int64,
+                       count=2 * len(w.table))
+    return flat[0::2], flat[1::2]
+
+
+def _inside(space: FiniteSpace, idx: np.ndarray, radius: float) -> np.ndarray:
+    """Mask of the points idx within radius of the basepoint."""
+    return space.base_dists[idx] <= radius + _TOL
 
 
 def _finish(
     source: FiniteSpace,
     target: FiniteSpace,
-    pairs: Iterable[Tuple[int, int]],
+    src: Sequence[int],
+    dst: Sequence[int],
     claims: Tuple[dict, ...],
     extra_deltas: Sequence[float] = (),
     validity_cap: Optional[float] = None,
     context: str = "witness",
 ) -> WitnessMap:
-    """Normalize the table, derive the validity radius and measure moduli.
+    """Normalize the table given as source and target index arrays, derive
+    the validity radius and measure moduli.
 
     Every constructor and combinator routes through here, so recorded moduli
-    are measured values by construction.
+    are measured values by construction. The validity radius is the largest
+    realized distance from the source basepoint whose closed ball the table
+    covers entirely.
     """
-    table = tuple(sorted((int(s), int(t)) for s, t in pairs))
-    if len({s for s, _ in table}) != len(table):
+    extra = _check_deltas(extra_deltas)
+    si = np.asarray(src, dtype=np.int64)
+    ti = np.asarray(dst, dtype=np.int64)
+    # a table that passes has distinct sources, so ordering by source alone
+    # gives the (source, target) order
+    order = np.argsort(si, kind="stable")
+    si, ti = si[order], ti[order]
+    if np.any(si[1:] == si[:-1]):
         raise ValueError(f"{context}: table maps a source point twice")
-    validity = _validity_from_pairs(source, table)
+    d = source.base_dists
+    have = np.zeros(len(source), dtype=bool)
+    have[si] = True
+    if have.all():
+        validity = float(source.inner_radius)
+    else:
+        below = d[d < d[~have].min() - _TOL]
+        validity = float(below.max()) if len(below) else -1.0
     if validity_cap is not None:
         validity = min(validity, float(validity_cap))
     if validity < 0:
         raise ValueError(f"{context}: empty validity region")
-    deltas = sorted(
-        {float(x) for x in (*STANDARD_DELTAS, *extra_deltas) if 0 <= float(x) <= validity + _TOL}
-    )
+    deltas = sorted({x for x in (*STANDARD_DELTAS, *extra) if x <= validity + _TOL})
     if not deltas:
         deltas = [validity]
-    si, ti = _restrict_to_validity(source, table, validity)
-    fwd = dict(zip(deltas, oscillation(source, target, si, ti, deltas)))
-    bwd = dict(zip(deltas, oscillation(target, source, ti, si, deltas)))
-    return WitnessMap(source, target, table, fwd, bwd, float(validity), claims)
+    keep = _inside(source, si, validity)
+    fwd = dict(zip(deltas, oscillation(source, target, si[keep], ti[keep], deltas)))
+    bwd = dict(zip(deltas, oscillation(target, source, ti[keep], si[keep], deltas)))
+    table = tuple(zip(si.tolist(), ti.tolist()))
+    return WitnessMap(source, target, table, fwd, bwd, validity, claims)
 
 
 # ---------------------------------------------------------------------------
@@ -256,26 +268,24 @@ def verify_witness(w: WitnessMap, deltas: Optional[Sequence[float]] = None) -> W
     structural claim. Violations are the report's content, not exceptions.
     """
     violations: List[str] = []
-    si, ti = _restrict_to_validity(w.source, w.table, w.validity_radius)
+    si, ti = _table_arrays(w)
+    keep = _inside(w.source, si, w.validity_radius)
+    si, ti = si[keep], ti[keep]
 
-    if len(set(si.tolist())) != len(si):
+    if len(np.unique(si)) != len(si):
         violations.append("table maps a source point twice")
-    if len(set(ti.tolist())) != len(ti):
+    if len(np.unique(ti)) != len(ti):
         violations.append("table is not injective on the validity region")
 
-    d = w.source.dists_from(w.source.basepoint)
-    covered = set(si.tolist())
-    missing = [
-        i
-        for i in range(len(w.source))
-        if d[i] <= w.validity_radius + _TOL and i not in covered
-    ]
-    for i in missing[:3]:
+    d = w.source.base_dists
+    uncovered = d <= w.validity_radius + _TOL
+    uncovered[si] = False
+    for i in np.flatnonzero(uncovered)[:3]:
         violations.append(
             f"source point {w.source.labels[i]} at distance {d[i]} has no entry"
         )
 
-    check = sorted(w.forward_moduli) if deltas is None else sorted(float(x) for x in deltas)
+    check = sorted(w.forward_moduli) if deltas is None else sorted(_check_deltas(deltas))
     check = [delta for delta in check if delta <= w.validity_radius + _TOL]
     fwd = dict(zip(check, oscillation(w.source, w.target, si, ti, check)))
     bwd = dict(zip(check, oscillation(w.target, w.source, ti, si, check)))
@@ -349,12 +359,12 @@ def factorization_witness(
 
     radius = float(space.inner_radius)
     if not math.isfinite(radius):
-        radius = float(np.max(space.dists_from(base))) if len(space) > 1 else eps
+        radius = float(np.max(space.base_dists)) if len(space) > 1 else eps
     scales = [eps + k for k in range(1, int(math.floor(radius - eps + _TOL)) + 1)]
     if not scales or scales[-1] < radius - _TOL:
         scales.append(radius)
 
-    dbase = space.dists_from(base)
+    dbase = space.base_dists
     prev_scale = eps
     for scale in scales:
         if len(covered) == len(space):
@@ -392,12 +402,12 @@ def factorization_witness(
         covered.update(component)
         prev_scale = scale
 
-    qlabels = quotient.labels
-    pairs = [
-        (source.index[labels[y] + qlabels[zb]], w) for (y, zb), w in mapping.items()
-    ]
+    # source point (fiber point k, quotient point zb) sits at k * |quotient| + zb
+    ys, zbs = np.asarray(list(mapping), dtype=np.int64).T
+    si = np.searchsorted(fiber_idx, ys) * len(quotient) + zbs
+    ti = np.fromiter(mapping.values(), dtype=np.int64, count=len(mapping))
     claims = ({"kind": "per-component-isometry", "epsilon": eps},)
-    return _finish(source, space, pairs, claims, extra_deltas=deltas, context="factorization")
+    return _finish(source, space, si, ti, claims, extra_deltas=deltas, context="factorization")
 
 
 @dataclass
@@ -486,14 +496,14 @@ def tower_alignment_witness(
             break
         a = next(a2 for a2 in range(a + 1, a_len + 1) if uprod[a2] % vprod[b] == 0)
 
-    table = []
-    for i, lab in enumerate(u_space.labels):
+    ti = []
+    for lab in u_space.labels:
         rank = sum(x * uprod[k] for k, x in enumerate(lab))
         digits = []
         for o in vo:
             rank, r = divmod(rank, o)
             digits.append(r)
-        table.append((i, v_space.index[tuple(digits)]))
+        ti.append(v_space.index[tuple(digits)])
 
     claim_pairs = []
     for a, _ in pairs:
@@ -505,25 +515,30 @@ def tower_alignment_witness(
     claims = ({"kind": "ball-respecting", "pairs": claim_pairs},) if claim_pairs else ()
 
     witness = _finish(
-        u_space, v_space, table, claims, extra_deltas=deltas, context="alignment"
+        u_space, v_space, np.arange(len(u_space)), ti, claims, extra_deltas=deltas,
+        context="alignment",
     )
     return TowerAlignment(tuple(uo), tuple(ul), tuple(vo), tuple(vl), tuple(pairs), witness)
 
 
-def absorption_witness(k: int, radius: int, deltas: Sequence[float] = ()) -> WitnessMap:
+def absorption_witness(
+    k: int, radius: int, deltas: Sequence[float] = (), point_budget: Optional[int] = None
+) -> WitnessMap:
     """Witness for folding a line ball into (shorter line ball) x (k points),
     by digit split n -> (n div k, n mod k) with floor division toward minus
     infinity."""
     k = int(k)
     if k < 2:
         raise ValueError("k must be >= 2")
-    source = zball(int(radius))
-    target = product_space(zball(math.ceil(radius / k)), k_point_space(k))
-    pairs = []
-    for i, (n,) in enumerate(source.labels):
-        q, r = divmod(n, k)
-        pairs.append((i, target.index[(q, r)]))
-    return _finish(source, target, pairs, (), extra_deltas=deltas, context="absorption")
+    source = zball(int(radius), point_budget=point_budget)
+    short = math.ceil(radius / k)
+    target = product_space(zball(short, point_budget=point_budget), k_point_space(k),
+                           point_budget)
+    q, r = np.divmod(np.arange(-int(radius), int(radius) + 1), k)
+    # (q, r) sits at (q + short) * k + r: q runs from -short, r from 0
+    ti = (q + short) * k + r
+    return _finish(source, target, np.arange(len(source)), ti, (), extra_deltas=deltas,
+                   context="absorption")
 
 
 def relabel_witness(
@@ -537,13 +552,14 @@ def relabel_witness(
     Covers regroupings of iterated products and factor reorderings, which
     leave all sup-metric distances unchanged."""
     tr = translate or (lambda lab: lab)
-    pairs = []
-    for i, lab in enumerate(source.labels):
-        j = target.index.get(tr(lab))
-        if j is None:
-            raise ValueError(f"relabel: no target point for label {lab}")
-        pairs.append((i, j))
-    return _finish(source, target, pairs, (), extra_deltas=deltas, context="relabel")
+    index = target.index
+    ti = np.fromiter((index.get(tr(lab), -1) for lab in source.labels), dtype=np.int64,
+                     count=len(source))
+    missing = np.flatnonzero(ti < 0)
+    if len(missing):
+        raise ValueError(f"relabel: no target point for label {source.labels[missing[0]]}")
+    return _finish(source, target, np.arange(len(source)), ti, (), extra_deltas=deltas,
+                   context="relabel")
 
 
 # ---------------------------------------------------------------------------
@@ -556,19 +572,14 @@ def compose_witness(f: WitnessMap, g: WitnessMap, deltas: Sequence[float] = ()) 
     the moduli of the result are re-measured, never multiplied through."""
     if not (f.target == g.source):
         raise ValueError("compose: stages do not share a space")
-    dmid = g.source.dists_from(g.source.basepoint)
-    dsrc = f.source.dists_from(f.source.basepoint)
-    gmap = g.as_dict()
-    pairs = []
-    for s, mid in f.table:
-        if dsrc[s] > f.validity_radius + _TOL:
-            continue
-        if dmid[mid] > g.validity_radius + _TOL:
-            continue
-        t = gmap.get(mid)
-        if t is not None:
-            pairs.append((s, t))
-    return _finish(f.source, g.target, pairs, (), extra_deltas=deltas, context="compose")
+    fs, fm = _table_arrays(f)
+    gs, gt = _table_arrays(g)
+    image = np.full(len(g.source), -1, dtype=np.int64)
+    image[gs] = gt
+    keep = _inside(f.source, fs, f.validity_radius) & _inside(g.source, fm, g.validity_radius)
+    keep &= image[fm] >= 0
+    return _finish(f.source, g.target, fs[keep], image[fm[keep]], (), extra_deltas=deltas,
+                   context="compose")
 
 
 def product_witness(
@@ -580,26 +591,23 @@ def product_witness(
     """Coordinatewise product of two witnesses under the sup metric."""
     source = product_space(f.source, g.source, point_budget)
     target = product_space(f.target, g.target, point_budget)
-    pairs = []
-    for s1, t1 in f.table:
-        ls, lt = f.source.labels[s1], f.target.labels[t1]
-        for s2, t2 in g.table:
-            s = source.index[ls + g.source.labels[s2]]
-            t = target.index[lt + g.target.labels[t2]]
-            pairs.append((s, t))
+    fs, ft = _table_arrays(f)
+    gs, gt = _table_arrays(g)
+    # product_space puts the pair (a, b) at a * |second factor| + b
+    si = (fs[:, None] * len(g.source) + gs).ravel()
+    ti = (ft[:, None] * len(g.target) + gt).ravel()
     cap = min(f.validity_radius, g.validity_radius)
     return _finish(
-        source, target, pairs, (), extra_deltas=deltas, validity_cap=cap, context="product"
+        source, target, si, ti, (), extra_deltas=deltas, validity_cap=cap, context="product"
     )
 
 
 def invert_witness(f: WitnessMap, deltas: Sequence[float] = ()) -> WitnessMap:
     """Reverse the table; validity is re-derived on the target side."""
-    targets = [t for _, t in f.table]
-    if len(set(targets)) != len(targets):
+    fs, ft = _table_arrays(f)
+    if len(np.unique(ft)) != len(ft):
         raise ValueError("invert: table is not injective")
-    pairs = [(t, s) for s, t in f.table]
-    return _finish(f.target, f.source, pairs, (), extra_deltas=deltas, context="invert")
+    return _finish(f.target, f.source, ft, fs, (), extra_deltas=deltas, context="invert")
 
 
 # ---------------------------------------------------------------------------
@@ -612,7 +620,7 @@ def component_multiplicity(w: WitnessMap, epsilon: float) -> int:
     split = _product_split(w.source)
     if split is None:
         raise ValueError("source of the witness is not a product")
-    d = w.source.dists_from(w.source.basepoint)
+    d = w.source.base_dists
     part = epsilon_components(w.target, float(epsilon))
     slices: Dict[int, set] = {}
     for s, t in w.table:
@@ -643,10 +651,12 @@ def _capped_enum(phi: FactorFunction, depth: int, prime_bound: int) -> List[int]
     return enumerate_summands(phi, depth, prime_bound)
 
 
-def _torsion_tower(orders: Sequence[int], complete: bool) -> FiniteSpace:
+def _torsion_tower(
+    orders: Sequence[int], complete: bool, point_budget: Optional[int] = None
+) -> FiniteSpace:
     """Tower truncation; a fully enumerated finite torsion part is the whole
     group, so its metric is trusted at every radius."""
-    sp = tower_space(orders)
+    sp = tower_space(orders, point_budget=point_budget)
     if complete:
         return FiniteSpace(sp.labels, sp.rule, sp.basepoint, math.inf)
     return sp
@@ -666,6 +676,7 @@ def iso_witness_chain(
     depth: int = 4,
     prime_bound: int = 97,
     deltas: Sequence[float] = (),
+    point_budget: Optional[int] = None,
 ) -> WitnessMap:
     """End-to-end witness between truncations of two coarsely isomorphic
     groups of equal finite rank.
@@ -674,7 +685,14 @@ def iso_witness_chain(
     multiplier's part and the common remainder, folds the multiplier part
     into the first line coordinate, and lands on the shared middle space.
     The composite is the first chain followed by the inverse of the second.
+    Every space built on the way is held to point_budget (None: the default
+    budget); a larger one is a BudgetError.
     """
+    if radius < 0:
+        raise ValueError("radius must be >= 0")
+    if depth < 0:
+        raise ValueError("depth must be >= 0")
+    pb = point_budget
     verdict = coarse_isomorphic(g1, g2)
     if not verdict.result:
         raise ValueError(f"groups are not coarsely isomorphic ({verdict.case_label})")
@@ -687,49 +705,53 @@ def iso_witness_chain(
     diff = ff_sub(c1.phi, phi_of_nat(n))
     rest_orders = _capped_enum(diff, depth, prime_bound)
     full = diff.total_mass.is_finite and len(rest_orders) == diff.total_mass.finite_value()
-    rest = _torsion_tower(rest_orders, full)
+    rest = _torsion_tower(rest_orders, full, pb)
 
     if rank == 0:
         orders1 = _capped_enum(c1.phi, depth, prime_bound)
         orders2 = _capped_enum(c2.phi, depth, prime_bound)
         mass = c1.phi.total_mass
         full1 = mass.is_finite and len(orders1) == mass.finite_value()
-        u1 = _torsion_tower(orders1, full1)
-        u2 = _torsion_tower(orders2, full1)
+        u1 = _torsion_tower(orders1, full1, pb)
+        u2 = _torsion_tower(orders2, full1, pb)
         return tower_alignment_witness(u1, u2, deltas=deltas).witness
 
     base_r = max(2, int(radius) // max(n * m, 1))
     common_r = n * m * base_r
 
     if rank == 1:
-        middle = product_space(zball(common_r), rest)
+        middle = product_space(zball(common_r, point_budget=pb), rest, pb)
     else:
         middle = product_space(
-            zball(common_r), product_space(zball(common_r, rank - 1), rest)
+            zball(common_r, point_budget=pb),
+            product_space(zball(common_r, rank - 1, pb), rest, pb),
+            pb,
         )
 
     def side(k_abs: int, first_r: int) -> WitnessMap:
         primes = _prime_multiset(k_abs)
-        u = _torsion_tower(list(rest_orders) + primes, full)
-        first = zball(first_r)
+        u = _torsion_tower(list(rest_orders) + primes, full, pb)
+        first = zball(first_r, point_budget=pb)
         if rank == 1:
             zpart = first
         else:
-            zpart = product_space(first, zball(common_r, rank - 1))
-        start = product_space(zpart, u)
+            zpart = product_space(first, zball(common_r, rank - 1, pb), pb)
+        start = product_space(zpart, u, pb)
         if k_abs == 1:
             return relabel_witness(start, middle)
         mixed = tower_space(
             [k_abs] + list(rest_orders),
             levels=[1] + list(range(2, len(rest_orders) + 2)),
+            point_budget=pb,
         )
         if full:
             mixed = FiniteSpace(mixed.labels, mixed.rule, mixed.basepoint, math.inf)
         w1 = product_witness(
-            relabel_witness(zpart, zpart), tower_alignment_witness(u, mixed).witness
+            relabel_witness(zpart, zpart), tower_alignment_witness(u, mixed).witness,
+            point_budget=pb,
         )
         if rank == 1:
-            folded = product_space(product_space(first, k_point_space(k_abs)), rest)
+            folded = product_space(product_space(first, k_point_space(k_abs), pb), rest, pb)
             w2 = relabel_witness(w1.target, folded)
         else:
             tail = rank - 1
@@ -738,16 +760,17 @@ def iso_witness_chain(
                 return (lab[0], lab[1 + tail]) + lab[1 : 1 + tail] + lab[2 + tail :]
 
             folded = product_space(
-                product_space(first, k_point_space(k_abs)),
-                product_space(zball(common_r, tail), rest),
+                product_space(first, k_point_space(k_abs), pb),
+                product_space(zball(common_r, tail, pb), rest, pb),
+                pb,
             )
             w2 = relabel_witness(w1.target, folded, translate=shuffle)
-        unfold = invert_witness(absorption_witness(k_abs, k_abs * first_r))
+        unfold = invert_witness(absorption_witness(k_abs, k_abs * first_r, point_budget=pb))
         if rank == 1:
-            w3 = product_witness(unfold, relabel_witness(rest, rest))
+            w3 = product_witness(unfold, relabel_witness(rest, rest), point_budget=pb)
         else:
-            keep = product_space(zball(common_r, rank - 1), rest)
-            w3 = product_witness(unfold, relabel_witness(keep, keep))
+            keep = product_space(zball(common_r, rank - 1, pb), rest, pb)
+            w3 = product_witness(unfold, relabel_witness(keep, keep), point_budget=pb)
         return compose_witness(compose_witness(w1, w2), w3)
 
     left = side(n, m * base_r)

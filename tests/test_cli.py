@@ -327,3 +327,61 @@ def test_foelner_and_cover_reject_a_bad_epsilon(capsys, command, epsilon):
     code, out, err = run(capsys, *command, "--epsilon", epsilon)
     assert (code, out) == (2, "")
     assert err.startswith("error: epsilon must be >= 0")
+
+
+def test_reused_parser_prints_what_a_fresh_one_prints(capsys, monkeypatch, tmp_path):
+    from coarseiso import cli
+
+    argvs = [
+        ("witness", "Z + C2", "Z", "--radius", "8", "--deltas", "1,3"),
+        ("classify", "iso", "C4", "C2 + C2", "--format", "table"),
+        ("invariants", "Z^2 + C12", "--out", "{out}"),
+        ("classify", "maybe", "C2", "C2"),
+        ("components", "Z + C2", "--radius", "3", "--epsilon", "2.5"),
+        ("witness", "Z + C2", "Z", "--radius", "8", "--format", "xml"),
+        ("step", "C2^inf", "--depth", "3", "--format", "table"),
+        ("cover", "Z^2", "--radius", "6", "--out", "{out}"),
+        ("invariants", "Z^2 + C12"),
+    ]
+
+    def run_all(tag):
+        seen = []
+        for k, argv in enumerate(argvs):
+            out = tmp_path / f"{tag}-{k}.json"
+            argv = [a.format(out=out) for a in argv]
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:
+                code = ("exit", exc.code)
+            captured = capsys.readouterr()
+            written = out.read_text() if out.exists() else None
+            seen.append((code, captured.out, captured.err, written))
+        return seen
+
+    assert cli._parser() is cli._parser()
+    reused = run_all("reused")
+    monkeypatch.setattr(cli, "_parser", cli.build_parser)
+    fresh = run_all("fresh")
+    assert reused == fresh
+    # the runs cover a success, a failed parse and a written --out file each
+    assert [s[0] for s in fresh] == [0, 0, 0, ("exit", 2), 0, ("exit", 2), 0, 0, 0]
+    assert fresh[2][3] is not None and fresh[2][3] == fresh[8][1]
+    assert fresh[1][1].startswith("result: true")
+
+
+@pytest.mark.parametrize("delta", ["nan", "-1", "2,-0.5"])
+def test_witness_rejects_a_bad_delta(capsys, delta):
+    code, out, err = run(capsys, "witness", "Z", "Z + C2", "--radius", "8", "--deltas", delta)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: delta must be >= 0, got ")
+
+
+@pytest.mark.parametrize("argv,message", [
+    (("witness", "Z + C2", "Z", "--radius", "16", "--point-budget", "5"), "budget of 5"),
+    (("witness", "Z", "Z", "--radius", "-5"), "radius must be >= 0"),
+    (("witness", "C2", "C2", "--depth", "-1"), "depth must be >= 0"),
+], ids=["budget", "radius", "depth"])
+def test_witness_rejects_out_of_range_sizes(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert message in err

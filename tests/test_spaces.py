@@ -200,6 +200,11 @@ class TestBuilders:
         with pytest.raises(BudgetError):
             build_truncation(parse_group("Z^2"), radius=600, point_budget=10**6)
 
+    def test_negative_radius_rejected(self):
+        for rank in (1, 2):
+            with pytest.raises(ValueError, match="radius must be >= 0"):
+                zball(-1, rank)
+
     def test_duplicate_labels_rejected(self):
         with pytest.raises(ValueError):
             FiniteSpace([(0,), (0,)], zball(1).rule, 0, 1)
@@ -798,7 +803,12 @@ class TestSerialization:
 
     def test_label_width_must_match_rule(self):
         # the column kernel would ignore an extra coordinate
-        for rank, labels in ((1, [[-1, 0], [0, 0], [1, 0]]), (2, [[v] for v in range(9)])):
+        # every label is checked, not only the first
+        cases = (
+            (1, [[-1, 0], [0, 0], [1, 0]]), (2, [[v] for v in range(9)]),
+            (1, [[-1], [0], [1, 0]]), (2, [[0, v] for v in range(8)] + [[1]]),
+        )
+        for rank, labels in cases:
             payload = json.loads(zball(1, rank).to_json())
             payload["labels"] = labels
             with pytest.raises(ValueError, match="width"):

@@ -8,6 +8,7 @@ silently accepted.
 from __future__ import annotations
 
 import dataclasses
+import inspect
 import json
 import math
 
@@ -20,12 +21,14 @@ from coarseiso import witness as witness_mod
 from coarseiso.analysis import oscillation
 from coarseiso.groups import parse_group
 from coarseiso.spaces import (
+    BudgetError,
     FiniteSpace,
     TableRule,
     build_truncation,
     example31_fixture,
     k_point_space,
     product_space,
+    quotient_with_projection,
     row_blocks,
     tower_space,
     zball,
@@ -110,8 +113,8 @@ class TestWitnessMap:
         from coarseiso.witness import _finish
 
         sp = tower_space([2])
-        with pytest.raises(ValueError):
-            _finish(sp, sp, [(0, 0), (0, 1)], ())
+        with pytest.raises(ValueError, match="maps a source point twice"):
+            _finish(sp, sp, [0, 0], [0, 1], ())
 
 
 class TestVerification:
@@ -177,6 +180,20 @@ class TestFactorization:
         w = factorization_witness(sp, 2.0)
         assert len(w) == len(sp)
         assert verify_witness(w).ok
+
+    @pytest.mark.parametrize("group,eps", [
+        ("Z + C2", 1.0), ("Z + C3", 1.0), ("Z^2 + C2", 1.0), ("C2^inf", 2.0), ("C3^inf", 2.0),
+    ])
+    def test_each_slice_lands_in_its_component(self, group, eps):
+        # a source point (fiber point, quotient point z) maps into component z
+        sp = build_truncation(parse_group(group), radius=6)
+        w = factorization_witness(sp, eps)
+        quotient, part = quotient_with_projection(sp, eps)
+        slice_of = {lab: z for z, lab in enumerate(quotient.labels)}
+        split = w.source.rule.split
+        blocks = [int(part.point_block[t]) for _, t in w.table]
+        assert blocks == [slice_of[w.source.labels[s][split:]] for s, _ in w.table]
+        assert len(set(blocks)) == len(quotient) > 1
 
     def test_plane_fixture_rejected(self):
         with pytest.raises(ValueError):
@@ -395,6 +412,73 @@ class TestChain:
         big = iso_witness_chain(parse_group("Z + C2"), parse_group("Z"), radius=60)
         assert big.validity_radius > small.validity_radius
         assert verify_witness(big).ok
+
+    @pytest.mark.parametrize("kwargs,message", [
+        ({"radius": -1}, "radius must be >= 0"),
+        ({"depth": -1}, "depth must be >= 0"),
+        ({"deltas": (1.0, math.nan)}, "delta must be >= 0, got nan"),
+        ({"deltas": (-1,)}, "delta must be >= 0, got -1.0"),
+    ], ids=["radius", "depth", "nan-delta", "negative-delta"])
+    @pytest.mark.parametrize("pair", [("Z + C2", "Z"), ("C2", "C2")], ids=["rank-1", "rank-0"])
+    def test_rejects_out_of_range_arguments(self, pair, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            iso_witness_chain(*map(parse_group, pair), **kwargs)
+
+    @pytest.mark.parametrize("pair", [
+        ("Z + C2", "Z"), ("Z^2 + C4", "Z^2"), ("C2^inf", "C4^inf"),
+    ], ids=["rank-1", "rank-2", "rank-0"])
+    def test_every_built_space_keeps_the_point_budget(self, monkeypatch, pair):
+        sizes = []
+        init = FiniteSpace.__init__
+
+        def recording(self, labels, *args, **kwargs):
+            init(self, labels, *args, **kwargs)
+            sizes.append(len(self))
+
+        monkeypatch.setattr(FiniteSpace, "__init__", recording)
+        groups = [parse_group(g) for g in pair]
+        w = iso_witness_chain(*groups, radius=12, depth=3)
+        largest = max(sizes)
+        monkeypatch.setattr(FiniteSpace, "__init__", init)
+        within = iso_witness_chain(*groups, radius=12, depth=3, point_budget=largest)
+        assert within.to_json() == w.to_json()
+        with pytest.raises(BudgetError, match=f"{largest} points exceed the budget"):
+            iso_witness_chain(*groups, radius=12, depth=3, point_budget=largest - 1)
+
+
+@pytest.mark.parametrize("pair", [
+    ("Z + C2", "Z"), ("Z", "Z + C2"), ("Z + C12", "Z + C3"), ("Z^2 + C4", "Z^2"),
+    ("Z^2 + C2", "Z^2 + C4"), ("Z + C2^inf", "Z + C2^inf + C3"), ("C2^inf", "C4^inf"),
+])
+def test_chain_passes_its_point_budget_to_every_builder(monkeypatch, pair):
+    seen = []
+
+    def recording(name):
+        fn = getattr(witness_mod, name)
+        signature = inspect.signature(fn)
+
+        def wrapper(*args, **kwargs):
+            seen.append((name, signature.bind(*args, **kwargs).arguments.get("point_budget")))
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name in ("zball", "tower_space", "product_space"):
+        monkeypatch.setattr(witness_mod, name, recording(name))
+    iso_witness_chain(*map(parse_group, pair), radius=12, depth=3, point_budget=10**5)
+    assert {name for name, _ in seen} >= {"tower_space"}
+    assert [budget for _, budget in seen] == [10**5] * len(seen)
+
+
+@pytest.mark.parametrize("deltas", [(math.nan,), (2.0, -0.5)], ids=["nan", "negative"])
+def test_bad_scales_are_rejected_before_measuring(deltas):
+    sp = zball(3)
+    with pytest.raises(ValueError, match="delta must be >= 0"):
+        witness_mod._finish(sp, sp, [0, 1], [0, 1], (), extra_deltas=deltas)
+    with pytest.raises(ValueError, match="delta must be >= 0"):
+        relabel_witness(sp, sp, deltas=deltas)
+    with pytest.raises(ValueError, match="delta must be >= 0"):
+        verify_witness(identity_witness(sp), deltas)
 
 
 class TestComponentMultiplicity:

@@ -1,0 +1,359 @@
+"""The witness combinators on index arrays against the tuple-and-dict code
+they replaced.
+
+The oracle below is that code, kept verbatim under `old_` names: tables as
+sorted (source, target) tuples, labels looked up through `space.index`,
+validity and restriction from per-pair loops. Every case must give the same
+table, validity radius, moduli and error message.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
+
+from coarseiso import witness as witness_mod
+from coarseiso.analysis import oscillation
+from coarseiso.groups import parse_group
+from coarseiso.spaces import (
+    build_truncation,
+    k_point_space,
+    product_space,
+    tower_space,
+    zball,
+)
+from coarseiso.witness import (
+    STANDARD_DELTAS,
+    WitnessMap,
+    compose_witness,
+    invert_witness,
+    product_witness,
+    relabel_witness,
+)
+
+_TOL = 1e-9
+
+
+# ---------------------------------------------------------------------------
+# the oracle: label tuples, dict lookups and per-pair loops
+
+
+def old_validity_from_pairs(source, pairs):
+    have = np.zeros(len(source), dtype=bool)
+    for s, _ in pairs:
+        have[s] = True
+    d = source.dists_from(source.basepoint)
+    if have.all():
+        return float(source.inner_radius)
+    lim = float(d[~have].min())
+    below = d[d < lim - _TOL]
+    if not len(below):
+        return -1.0
+    return float(below.max())
+
+
+def old_restrict_to_validity(source, pairs, validity):
+    d = source.dists_from(source.basepoint)
+    kept = [(s, t) for s, t in pairs if d[s] <= validity + _TOL]
+    si = np.asarray([s for s, _ in kept], dtype=int)
+    ti = np.asarray([t for _, t in kept], dtype=int)
+    return si, ti
+
+
+def old_finish(source, target, pairs, claims, extra_deltas=(), validity_cap=None,
+               context="witness"):
+    table = tuple(sorted((int(s), int(t)) for s, t in pairs))
+    if len({s for s, _ in table}) != len(table):
+        raise ValueError(f"{context}: table maps a source point twice")
+    validity = old_validity_from_pairs(source, table)
+    if validity_cap is not None:
+        validity = min(validity, float(validity_cap))
+    if validity < 0:
+        raise ValueError(f"{context}: empty validity region")
+    deltas = sorted(
+        {float(x) for x in (*STANDARD_DELTAS, *extra_deltas) if 0 <= float(x) <= validity + _TOL}
+    )
+    if not deltas:
+        deltas = [validity]
+    si, ti = old_restrict_to_validity(source, table, validity)
+    fwd = dict(zip(deltas, oscillation(source, target, si, ti, deltas)))
+    bwd = dict(zip(deltas, oscillation(target, source, ti, si, deltas)))
+    return WitnessMap(source, target, table, fwd, bwd, float(validity), claims)
+
+
+def old_relabel(source, target, translate=None, deltas=()):
+    tr = translate or (lambda lab: lab)
+    pairs = []
+    for i, lab in enumerate(source.labels):
+        j = target.index.get(tr(lab))
+        if j is None:
+            raise ValueError(f"relabel: no target point for label {lab}")
+        pairs.append((i, j))
+    return old_finish(source, target, pairs, (), extra_deltas=deltas, context="relabel")
+
+
+def old_compose(f, g, deltas=()):
+    if not (f.target == g.source):
+        raise ValueError("compose: stages do not share a space")
+    dmid = g.source.dists_from(g.source.basepoint)
+    dsrc = f.source.dists_from(f.source.basepoint)
+    gmap = g.as_dict()
+    pairs = []
+    for s, mid in f.table:
+        if dsrc[s] > f.validity_radius + _TOL:
+            continue
+        if dmid[mid] > g.validity_radius + _TOL:
+            continue
+        t = gmap.get(mid)
+        if t is not None:
+            pairs.append((s, t))
+    return old_finish(f.source, g.target, pairs, (), extra_deltas=deltas, context="compose")
+
+
+def old_product(f, g, deltas=(), point_budget=None):
+    source = product_space(f.source, g.source, point_budget)
+    target = product_space(f.target, g.target, point_budget)
+    pairs = []
+    for s1, t1 in f.table:
+        ls, lt = f.source.labels[s1], f.target.labels[t1]
+        for s2, t2 in g.table:
+            s = source.index[ls + g.source.labels[s2]]
+            t = target.index[lt + g.target.labels[t2]]
+            pairs.append((s, t))
+    cap = min(f.validity_radius, g.validity_radius)
+    return old_finish(
+        source, target, pairs, (), extra_deltas=deltas, validity_cap=cap, context="product"
+    )
+
+
+def old_invert(f, deltas=()):
+    targets = [t for _, t in f.table]
+    if len(set(targets)) != len(targets):
+        raise ValueError("invert: table is not injective")
+    pairs = [(t, s) for s, t in f.table]
+    return old_finish(f.target, f.source, pairs, (), extra_deltas=deltas, context="invert")
+
+
+# ---------------------------------------------------------------------------
+# comparison
+
+
+def outcome(fn, *args, **kwargs):
+    try:
+        return fn(*args, **kwargs)
+    except ValueError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def assert_same(new, old):
+    """Equal witnesses, or the same error text from both. Returns the kind
+    of outcome, for the hypothesis statistics."""
+    if isinstance(old, str) or isinstance(new, str):
+        assert new == old
+        return old.split(":")[-1].strip()
+    assert new.table == old.table
+    assert all(type(x) is int for pair in new.table for x in pair)
+    assert new.validity_radius == old.validity_radius
+    assert type(new.validity_radius) is float
+    assert new.forward_moduli == old.forward_moduli
+    assert new.backward_moduli == old.backward_moduli
+    assert new.claims == old.claims
+    assert new.source == old.source and new.target == old.target
+    return "witness"
+
+
+# ---------------------------------------------------------------------------
+# strategies
+
+
+@st.composite
+def factors(draw):
+    kind = draw(st.sampled_from(["zball", "tower", "points"]))
+    if kind == "zball":
+        return zball(draw(st.integers(0, 3)), draw(st.integers(1, 2)))
+    if kind == "tower":
+        orders = draw(st.lists(st.integers(2, 3), max_size=2))
+        return tower_space(orders)
+    # level-1 cyclic coordinate, or no coordinate at all for k = 1
+    return k_point_space(draw(st.integers(1, 3)))
+
+
+@st.composite
+def sup_products(draw, max_points=150):
+    space = draw(factors())
+    for _ in range(draw(st.integers(0, 2))):
+        other = draw(factors())
+        if len(space) * len(other) > max_points:
+            break
+        space = product_space(space, other) if draw(st.booleans()) else product_space(other, space)
+    return space
+
+
+@st.composite
+def index_tables(draw, source, target, twice=True):
+    """A shuffled table from source indices to target indices: total or
+    partial, mostly holding the basepoint, injective or not, and now and
+    then (when twice) with a source mapped twice."""
+    n, m = len(source), len(target)
+    dropped = draw(st.one_of(st.just(0), st.integers(0, 2), st.integers(0, n)))
+    src = draw(st.permutations(range(n)))[: n - dropped]
+    if src and source.basepoint not in src and draw(st.integers(0, 3)):
+        src[0] = source.basepoint
+    if len(src) <= m and draw(st.integers(0, 3)):
+        dst = draw(st.permutations(range(m)))[: len(src)]
+    else:
+        dst = draw(st.lists(st.integers(0, m - 1), min_size=len(src), max_size=len(src)))
+    if twice and src and draw(st.integers(0, 9)) == 9:
+        src, dst = src + [src[0]], dst + [draw(st.integers(0, m - 1))]
+    return src, dst
+
+
+caps = st.one_of(st.none(), st.sampled_from([0.0, 0.5, 1.0, 2.0, 5.0, math.inf]))
+extra_scales = st.lists(st.sampled_from([0.0, 0.5, 1.0, 3.0, 100.0]), max_size=2)
+
+
+@st.composite
+def witnesses(draw, source=None, target=None):
+    """A witness made by the oracle from a random table, or None when the
+    table has no validity region or maps a source point twice."""
+    source = draw(sup_products()) if source is None else source
+    target = draw(sup_products()) if target is None else target
+    src, dst = draw(index_tables(source, target, twice=False))
+    w = outcome(old_finish, source, target, list(zip(src, dst)), (),
+                validity_cap=draw(caps))
+    return None if isinstance(w, str) else w
+
+
+# ---------------------------------------------------------------------------
+# the differential tests
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_finish_matches_the_tuple_code(data):
+    source, target = data.draw(sup_products()), data.draw(sup_products())
+    src, dst = data.draw(index_tables(source, target))
+    cap, extra = data.draw(caps), data.draw(extra_scales)
+    new = outcome(witness_mod._finish, source, target, src, dst, (),
+                  extra_deltas=extra, validity_cap=cap, context="probe")
+    old = outcome(old_finish, source, target, list(zip(src, dst)), (),
+                  extra_deltas=extra, validity_cap=cap, context="probe")
+    event(assert_same(new, old))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_compose_matches_the_tuple_code(data):
+    middle = data.draw(sup_products())
+    f = data.draw(witnesses(target=middle))
+    g = data.draw(witnesses(source=middle))
+    if f is None or g is None:
+        return
+    extra = data.draw(extra_scales)
+    event(assert_same(outcome(compose_witness, f, g, extra), outcome(old_compose, f, g, extra)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_product_matches_the_tuple_code(data):
+    f = data.draw(witnesses(source=data.draw(sup_products(40)), target=data.draw(sup_products(40))))
+    g = data.draw(witnesses(source=data.draw(sup_products(12)), target=data.draw(sup_products(12))))
+    if f is None or g is None:
+        return
+    extra = data.draw(extra_scales)
+    event(assert_same(outcome(product_witness, f, g, extra), outcome(old_product, f, g, extra)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(witnesses(), extra_scales)
+def test_invert_matches_the_tuple_code(f, extra):
+    if f is None:
+        return
+    event(assert_same(outcome(invert_witness, f, extra), outcome(old_invert, f, extra)))
+
+
+@st.composite
+def relabel_cases(draw):
+    """A source box, a target box whose free part is padded and which may
+    hold the factors in the other order, and a translation of the free
+    coordinates by up to one step beyond the padding."""
+    r, rank, pad = draw(st.integers(0, 3)), draw(st.integers(1, 2)), draw(st.integers(0, 2))
+    other = draw(st.sampled_from(
+        [k_point_space(1), k_point_space(2), tower_space([3]), tower_space([2, 3])]
+    ))
+    swap = draw(st.booleans())
+    offset = tuple(draw(st.integers(-pad - 1, pad + 1)) for _ in range(rank))
+    source = product_space(zball(r, rank), other)
+    big = zball(r + pad, rank)
+    target = product_space(other, big) if swap else product_space(big, other)
+
+    def translate(lab):
+        free = tuple(x + o for x, o in zip(lab[:rank], offset))
+        return lab[rank:] + free if swap else free + lab[rank:]
+
+    plain = not swap and not any(offset) and draw(st.booleans())
+    return source, target, None if plain else translate
+
+
+@settings(max_examples=60, deadline=None)
+@given(relabel_cases(), extra_scales)
+def test_relabel_matches_the_tuple_code(case, extra):
+    source, target, translate = case
+    event(assert_same(
+        outcome(relabel_witness, source, target, translate, extra),
+        outcome(old_relabel, source, target, translate, extra),
+    ).split(" for label")[0])
+
+
+def test_chain_combinators_match_the_tuple_code(monkeypatch):
+    """A whole rank-2 chain run through the oracle combinators, stage by
+    stage, against the array ones."""
+    g1, g2 = parse_group("Z^2 + C4"), parse_group("Z^2")
+    new = witness_mod.iso_witness_chain(g1, g2, radius=12, deltas=(3.0,))
+    for name, fn in [("compose_witness", old_compose), ("product_witness", old_product),
+                     ("invert_witness", old_invert), ("relabel_witness", old_relabel)]:
+        monkeypatch.setattr(witness_mod, name, fn)
+    assert_same(new, witness_mod.iso_witness_chain(g1, g2, radius=12, deltas=(3.0,)))
+
+
+# ---------------------------------------------------------------------------
+# coordinates built from arrays
+
+
+def parsed(space):
+    """Coordinates and basepoint as they were read from the labels."""
+    coords = np.asfortranarray(np.asarray(space.labels, dtype=float))
+    zero = space.labels.index((0,) * len(space.labels[0]))
+    return coords, zero
+
+
+@settings(max_examples=60, deadline=None)
+@given(sup_products(300))
+def test_product_coordinates_match_the_labels(space):
+    coords, _ = parsed(space)
+    assert space.coords.dtype == np.float64 and space.coords.flags.f_contiguous
+    assert space.coords.shape == coords.shape
+    assert np.array_equal(space.coords, coords)
+    # every factor is pointed at its all-zero label, so the product is too
+    assert space.basepoint == parsed(space)[1]
+    assert np.array_equal(space.base_dists, space.dists_from(space.basepoint))
+    assert not space.base_dists.flags.writeable
+    assert space.base_dists is space.base_dists
+
+
+@pytest.mark.parametrize("space", [
+    zball(0), zball(3), zball(2, 2), zball(1, 3), zball(2, 0), tower_space([]),
+    tower_space([2, 3, 2]), tower_space([5], levels=[1]), k_point_space(1),
+    build_truncation(parse_group("Z^2 + C3 + C2"), radius=4),
+    build_truncation(parse_group("C2^inf"), radius=9),
+], ids=lambda sp: repr(sp))
+def test_box_coordinates_match_the_labels(space):
+    coords, zero = parsed(space)
+    assert space.coords.dtype == np.float64 and space.coords.flags.f_contiguous
+    assert space.coords.shape == coords.shape
+    assert np.array_equal(space.coords, coords)
+    assert space.basepoint == zero
