@@ -423,15 +423,16 @@ def _pair_blocks(space: FiniteSpace, idx: np.ndarray) -> Callable[[slice], np.nd
     return lambda blk: space.dists_block(idx[blk], idx[blk.start:])
 
 
-def _within(dtype: np.dtype, delta: float) -> Union[int, float]:
-    """Bound b with d <= b exactly when d <= delta + 1e-12, for distances d
-    of the dtype: an integer distance passes when it is at most the floor,
-    and an integer bound keeps the comparison in the block's dtype."""
-    bound = delta + 1e-12
+def _within(dtype: np.dtype, deltas: Sequence[float]) -> list[Union[int, float]]:
+    """Bound b per scale with d <= b exactly when d <= delta + 1e-12, for
+    distances d of the dtype: an integer distance passes when it is at most
+    the floor, and an integer bound keeps the comparison in the block's
+    dtype."""
+    bounds = [delta + 1e-12 for delta in deltas]
     if np.issubdtype(dtype, np.integer):
         info = np.iinfo(dtype)
-        return math.floor(min(max(bound, info.min), info.max))
-    return bound
+        return [math.floor(min(max(b, info.min), info.max)) for b in bounds]
+    return bounds
 
 
 def _keyed_oscillation(
@@ -451,16 +452,28 @@ def _keyed_oscillation(
 def _pair_oscillation(
     source: FiniteSpace, target: FiniteSpace, src_idx: np.ndarray, dst_idx: np.ndarray,
     deltas: list[float],
-) -> list[float]:
-    """Oscillation at every scale from one pass over the pairs i <= j; a
-    masked-out pair reads 0, which is no larger than any distance."""
+) -> tuple[list[float], list[float]]:
+    """Forward and backward oscillation at every scale from one pass over
+    the pairs i <= j: each row block's source and target distances are
+    computed once and serve both directions; a masked-out pair reads 0,
+    which is no larger than any distance."""
     read_s, read_t = _pair_blocks(source, src_idx), _pair_blocks(target, dst_idx)
-    values = [0.0] * len(deltas)
+    fwd, bwd = [0.0] * len(deltas), [0.0] * len(deltas)
+    bound_s = bound_t = None
     for blk in row_blocks(len(src_idx)):
         ds, dt = read_s(blk), read_t(blk)
-        for k, d in enumerate(deltas):
-            values[k] = max(values[k], float((dt * (ds <= _within(ds.dtype, d))).max()))
-    return values
+        if bound_s is None:  # every block of a reader has the same dtype
+            bound_s, bound_t = _within(ds.dtype, deltas), _within(dt.dtype, deltas)
+        for k in range(len(deltas)):
+            fwd[k] = max(fwd[k], float((dt * (ds <= bound_s[k])).max()))
+            bwd[k] = max(bwd[k], float((ds * (dt <= bound_t[k])).max()))
+    return fwd, bwd
+
+
+def _keyed(space: FiniteSpace) -> bool:
+    """Whether oscillation out of the space can take the coordinate-key
+    shortcut: an ultrametric sup space."""
+    return space.ultrametric and isinstance(space.rule, SupRule)
 
 
 def oscillation(
@@ -469,18 +482,24 @@ def oscillation(
     src_idx: np.ndarray,
     dst_idx: np.ndarray,
     delta: Union[float, Sequence[float]],
-) -> Union[float, list[float]]:
-    """Largest target distance between images of source points within delta.
+) -> Union[tuple[float, float], tuple[list[float], list[float]]]:
+    """Forward and backward oscillation of a table: the largest target
+    distance between images of source points within delta, and the largest
+    source distance between preimages of target points within delta.
 
-    delta is one scale, which gives one float, or a sequence of scales,
-    which gives a list with one value per scale. Exhaustive over the given
-    pairs: one pass over the pairs i <= j measures every scale, masking the
-    target block by multiplication (distances are >= 0). Every rule is
-    symmetric, so these pairs are all of them. Sup-rule blocks are computed
-    in a narrow integer dtype, plane and table blocks through dists_block;
-    no dense matrix is read. For an ultrametric sup source the delta-
-    relation is an equivalence, so there the value is the max image
-    diameter over the delta-blocks, found from coordinate keys.
+    delta is one scale, which gives a pair of floats, or a sequence of
+    scales, which gives a pair of lists with one value per scale. The
+    backward value is the forward value of the reversed table, so
+    oscillation(target, source, dst_idx, src_idx, delta) gives the same
+    pair swapped. Exhaustive over the given pairs: one pass over the pairs
+    i <= j measures both directions at every scale, masking each side's
+    block by the other's (distances are >= 0). Every rule is symmetric, so
+    these pairs are all of them. Sup-rule blocks are computed in a narrow
+    integer dtype, plane and table blocks through dists_block; no dense
+    matrix is read. When both spaces are ultrametric sup spaces the delta-
+    relation is an equivalence on each side, so there each direction is
+    the max image diameter over the delta-blocks, found from coordinate
+    keys; when only one is, the pair pass serves both directions.
     """
     src_idx = np.asarray(src_idx)
     dst_idx = np.asarray(dst_idx)
@@ -489,12 +508,13 @@ def oscillation(
     scalar = np.ndim(delta) == 0
     deltas = [float(delta)] if scalar else [float(d) for d in delta]
     if not len(src_idx) or not deltas:
-        values = [0.0] * len(deltas)
-    elif source.ultrametric and isinstance(source.rule, SupRule):
-        values = [_keyed_oscillation(source, target, src_idx, dst_idx, d) for d in deltas]
+        fwd, bwd = [0.0] * len(deltas), [0.0] * len(deltas)
+    elif _keyed(source) and _keyed(target):
+        fwd = [_keyed_oscillation(source, target, src_idx, dst_idx, d) for d in deltas]
+        bwd = [_keyed_oscillation(target, source, dst_idx, src_idx, d) for d in deltas]
     else:
-        values = _pair_oscillation(source, target, src_idx, dst_idx, deltas)
-    return values[0] if scalar else values
+        fwd, bwd = _pair_oscillation(source, target, src_idx, dst_idx, deltas)
+    return (fwd[0], bwd[0]) if scalar else (fwd, bwd)
 
 
 # ---------------------------------------------------------------------------

@@ -161,8 +161,8 @@ def _finish(
     if not deltas:
         deltas = [validity]
     keep = _inside(source, si, validity)
-    fwd = dict(zip(deltas, oscillation(source, target, si[keep], ti[keep], deltas)))
-    bwd = dict(zip(deltas, oscillation(target, source, ti[keep], si[keep], deltas)))
+    measured = oscillation(source, target, si[keep], ti[keep], deltas)
+    fwd, bwd = (dict(zip(deltas, v)) for v in measured)
     table = tuple(zip(si.tolist(), ti.tolist()))
     return WitnessMap(source, target, table, fwd, bwd, validity, claims)
 
@@ -265,7 +265,10 @@ def verify_witness(w: WitnessMap, deltas: Optional[Sequence[float]] = None) -> W
 
     Checks totality and injectivity on the validity region, exact agreement
     of the recorded moduli with re-measured oscillation values, and every
-    structural claim. Violations are the report's content, not exceptions.
+    structural claim. Without deltas the scales checked are every scale
+    recorded in either direction; a recorded scale above the validity
+    radius is a violation, as _finish never records one. Violations are
+    the report's content, not exceptions.
     """
     violations: List[str] = []
     si, ti = _table_arrays(w)
@@ -285,10 +288,16 @@ def verify_witness(w: WitnessMap, deltas: Optional[Sequence[float]] = None) -> W
             f"source point {w.source.labels[i]} at distance {d[i]} has no entry"
         )
 
-    check = sorted(w.forward_moduli) if deltas is None else sorted(_check_deltas(deltas))
+    recorded = sorted(set(w.forward_moduli) | set(w.backward_moduli))
+    for delta in recorded:
+        if delta > w.validity_radius + _TOL:
+            violations.append(
+                f"modulus recorded at delta={delta}, above the validity radius "
+                f"{w.validity_radius}"
+            )
+    check = recorded if deltas is None else sorted(_check_deltas(deltas))
     check = [delta for delta in check if delta <= w.validity_radius + _TOL]
-    fwd = dict(zip(check, oscillation(w.source, w.target, si, ti, check)))
-    bwd = dict(zip(check, oscillation(w.target, w.source, ti, si, check)))
+    fwd, bwd = (dict(zip(check, v)) for v in oscillation(w.source, w.target, si, ti, check))
     for delta in check:
         mf, mb = fwd[delta], bwd[delta]
         rf, rb = w.forward_moduli.get(delta), w.backward_moduli.get(delta)

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from coarseiso import analysis as analysis_mod
 from coarseiso import spaces as spaces_mod
 from coarseiso.analysis import (
     DENSE_CACHE_LIMIT,
@@ -145,11 +146,13 @@ class TestOscillation:
         sp = zball(20)
         idx = np.arange(len(sp))
         for delta in (1.0, 3.0, 7.0):
-            assert oscillation(sp, sp, idx, idx, delta) == delta
+            assert oscillation(sp, sp, idx, idx, delta) == (delta, delta)
 
     def test_empty_table(self):
         sp = zball(2)
-        assert oscillation(sp, sp, np.array([]), np.array([]), 1.0) == 0.0
+        assert oscillation(sp, sp, np.array([]), np.array([]), 1.0) == (0.0, 0.0)
+        assert oscillation(sp, sp, np.array([]), np.array([]), [1.0, 2.0]) == (
+            [0.0, 0.0], [0.0, 0.0])
 
     def test_mismatched_lengths(self):
         sp = zball(2)
@@ -162,7 +165,8 @@ class TestOscillation:
         rev = idx[::-1].copy()
         for delta in (0.0, 1.0, 2.0, 5.0):
             want = brute_oscillation(sp, sp, idx, rev, delta)
-            assert oscillation(sp, sp, idx, rev, delta) == want
+            back = brute_oscillation(sp, sp, rev, idx, delta)
+            assert oscillation(sp, sp, idx, rev, delta) == (want, back)
 
     def test_matches_brute_force_tower_to_ball(self):
         t = tower_space([2, 3])
@@ -171,7 +175,8 @@ class TestOscillation:
         dst = np.array([zb.index[(v,)] for v in (-3, -2, -1, 1, 2, 3)])
         for delta in (2.0, 3.0):
             want = brute_oscillation(t, zb, src, dst, delta)
-            assert oscillation(t, zb, src, dst, delta) == want
+            back = brute_oscillation(zb, t, dst, src, delta)
+            assert oscillation(t, zb, src, dst, delta) == (want, back)
 
     def test_subset_source_ultrametric_path(self):
         t = tower_space([2, 2, 2])
@@ -180,7 +185,8 @@ class TestOscillation:
         zb = zball(4)
         for delta in (2.0, 3.0, 4.0):
             want = brute_oscillation(t, zb, sub, dst, delta)
-            assert oscillation(t, zb, sub, dst, delta) == want
+            back = brute_oscillation(zb, t, dst, sub, delta)
+            assert oscillation(t, zb, sub, dst, delta) == (want, back)
 
 
 class TestFoelner:
@@ -281,7 +287,8 @@ small_towers = st.lists(
 @given(small_towers, st.integers(min_value=1, max_value=5))
 def test_oscillation_of_identity_bounded_by_delta(sp, delta):
     idx = np.arange(len(sp))
-    assert oscillation(sp, sp, idx, idx, float(delta)) <= delta
+    forward, backward = oscillation(sp, sp, idx, idx, float(delta))
+    assert forward <= delta and backward <= delta
 
 
 @settings(max_examples=25, deadline=None)
@@ -291,8 +298,9 @@ def test_oscillation_matches_brute_force_random_maps(sp, rnd):
     src = np.arange(n)
     dst = np.asarray(rnd.sample(range(n), n))
     for delta in (2.0, 3.0):
-        assert oscillation(sp, sp, src, dst, delta) == brute_oscillation(
-            sp, sp, src, dst, delta
+        assert oscillation(sp, sp, src, dst, delta) == (
+            brute_oscillation(sp, sp, src, dst, delta),
+            brute_oscillation(sp, sp, dst, src, delta),
         )
 
 
@@ -390,10 +398,11 @@ sup_spaces = st.one_of(
 
 def assert_scales_agree(source, target, src, dst, deltas):
     """The sequence call, the scalar calls and the all-pairs oracle agree
-    at every scale."""
+    at every scale, forward and backward."""
     want = [brute_oscillation(source, target, src, dst, d) for d in deltas]
-    assert [oscillation(source, target, src, dst, d) for d in deltas] == want
-    assert oscillation(source, target, src, dst, deltas) == want
+    back = [brute_oscillation(target, source, dst, src, d) for d in deltas]
+    assert [oscillation(source, target, src, dst, d) for d in deltas] == list(zip(want, back))
+    assert oscillation(source, target, src, dst, deltas) == (want, back)
 
 
 @settings(max_examples=60, deadline=None)
@@ -619,8 +628,9 @@ def test_block_oscillation_over_several_blocks_and_uncached_rows():
     for source, target, si, ti, deltas in ((table, line, src, dst, [3.0, 1.0]),
                                            (line, table, dst, src, [40.0, 800.0, 0.0])):
         want = [rowwise_oscillation(source, target, si, ti, d) for d in deltas]
-        assert [oscillation(source, target, si, ti, d) for d in deltas] == want
-        assert oscillation(source, target, si, ti, deltas) == want
+        back = [rowwise_oscillation(target, source, ti, si, d) for d in deltas]
+        assert [oscillation(source, target, si, ti, d) for d in deltas] == list(zip(want, back))
+        assert oscillation(source, target, si, ti, deltas) == (want, back)
 
 
 @pytest.mark.parametrize("make", [
@@ -639,6 +649,49 @@ def test_pair_pass_over_many_small_blocks(make, monkeypatch):
     dst = rng.choice(len(target), size=n, replace=False)
     assert len(row_blocks(n)) > 3
     assert_scales_agree(source, target, src, dst, [0.0, 1.0, 2.5, 4.0, 30.0])
+
+
+def fractional_line():
+    """Sup labels that are not integers: the kernel keeps float coordinates."""
+    return FiniteSpace([(v / 2,) for v in range(-9, 10)], zball(1).rule, 9, 4, structural=False)
+
+
+@pytest.mark.parametrize("make,keyed", [
+    pytest.param(lambda: (zball(4, 2), zball(5, 2)), False, id="sup-free"),
+    pytest.param(lambda: (tower_space([2, 3, 2]), tower_space([6, 2], levels=[2, 3])), True,
+                 id="tower-with-tower"),
+    pytest.param(lambda: (tower_space([2, 2, 3]), zball(20)), False,
+                 id="ultrametric-with-free"),
+    pytest.param(lambda: (zball(20), tower_space([2, 2, 3])), False,
+                 id="free-with-ultrametric"),
+    pytest.param(lambda: (example31_fixture(1, 0.25, 3), example31_fixture(1, 0.5, 3)), False,
+                 id="plane"),
+    pytest.param(lambda: (as_table(zball(3, 2)), as_table(tower_space([7, 7]))), False,
+                 id="table"),
+    pytest.param(lambda: (example31_fixture(1, 0.25, 3), zball(30)), False,
+                 id="plane-with-integer-sup"),
+    pytest.param(lambda: (example31_fixture(1, 0.25, 3), fractional_line()), False,
+                 id="plane-with-float-sup"),
+    pytest.param(lambda: (zball(30), example31_fixture(1, 0.25, 3)), False,
+                 id="integer-sup-with-plane"),
+])
+def test_both_directions_match_all_pairs(make, keyed, monkeypatch):
+    # the backward value is the all-pairs forward value of the reversed
+    # table; two ultrametric sup sides take the coordinate keys, every
+    # other pair of spaces one pair pass for both directions
+    passes = []
+    pair_pass = analysis_mod._pair_oscillation
+    monkeypatch.setattr(analysis_mod, "_pair_oscillation",
+                        lambda *a: passes.append(a[4]) or pair_pass(*a))
+    source, target = make()
+    rng = np.random.default_rng(11)
+    n = min(len(source), len(target), 40)
+    src = rng.choice(len(source), size=n, replace=False)
+    dst = rng.choice(len(target), size=n, replace=False)
+    deltas = [0.0, 0.5, 1.0, 2.0, 3.0, 7.5]
+    assert_scales_agree(source, target, src, dst, deltas)
+    # the scalar calls, then the sequence call
+    assert passes == ([] if keyed else [[d] for d in deltas] + [deltas])
 
 
 def test_int_coords_hold_values_far_from_zero_and_large_levels():

@@ -201,11 +201,36 @@ GOLDEN_WITNESSES = [
         98,
         {"forward": {"1.0": 2.0, "2.0": 5.0}, "backward": {"1.0": 2.0, "2.0": 2.0}},
     ),
+    # captured before both directions were measured in one pass
+    (
+        ("witness", "Z + C12", "Z + C3", "--radius", "70"),
+        "6b81e33d7a66c5c6aba5c9985461d41eac215b4615db4c4e272fe67b292ad7a4",
+        16.0,
+        396,
+        {"forward": {"1.0": 4.0, "2.0": 11.0, "4.0": 19.0, "8.0": 35.0},
+         "backward": {"1.0": 4.0, "2.0": 4.0, "4.0": 4.0, "8.0": 4.0}},
+    ),
+    (
+        ("witness", "Z + C2^inf", "Z + C2^inf + C3"),
+        "91691ba0afb4636ec9e3fc931753997de129310e7955ea3787fa3fbe7089026a",
+        3.0,
+        28,
+        {"forward": {"1.0": 5.0, "2.0": 5.0}, "backward": {"1.0": 3.0, "2.0": 6.0}},
+    ),
+    (
+        ("witness", "C4^inf", "C2^inf", "--depth", "6"),
+        "1582895b94728a9e38efcb3557efe37e1c11a06617b6787e83aec0d92598ddfc",
+        7.0,
+        64,
+        {"forward": {"1.0": 0.0, "2.0": 2.0, "4.0": 4.0},
+         "backward": {"1.0": 0.0, "2.0": 2.0, "4.0": 4.0}},
+    ),
 ]
 
 
 @pytest.mark.parametrize("argv,digest,validity,size,moduli", GOLDEN_WITNESSES,
-                         ids=["rank-1", "rank-2"])
+                         ids=["rank-1", "rank-2", "rank-1-radius-70", "torsion-tower",
+                              "rank-0-depth-6"])
 def test_witness_output_is_pinned(capsys, argv, digest, validity, size, moduli):
     code, payload = run_json(capsys, *argv)
     assert code == 0

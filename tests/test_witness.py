@@ -152,6 +152,34 @@ class TestVerification:
         rep = verify_witness(dataclasses.replace(w, forward_moduli=moduli))
         assert not rep.ok
 
+    def test_backward_only_scale_is_checked(self):
+        # a scale recorded only backward is measured and compared too
+        w = iso_witness_chain(parse_group("Z + C2"), parse_group("Z"), radius=16)
+        assert w.validity_radius == 7.0 and 3.0 not in w.forward_moduli
+        backward = {**w.backward_moduli, 3.0: 999}
+        rep = verify_witness(dataclasses.replace(w, backward_moduli=backward))
+        assert not rep.ok
+        measured = rep.backward[3.0]
+        assert rep.violations == (
+            "no recorded forward modulus at delta=3.0",
+            f"backward modulus at delta=3.0: recorded 999, measured {measured}",
+        )
+
+    def test_scale_above_validity_is_reported(self):
+        # _finish records no scale above the validity radius
+        w = iso_witness_chain(parse_group("Z + C2"), parse_group("Z"), radius=16)
+        forward = {**w.forward_moduli, 1e6: 0}
+        rep = verify_witness(dataclasses.replace(w, forward_moduli=forward))
+        assert not rep.ok
+        assert rep.violations == (
+            "modulus recorded at delta=1000000.0, above the validity radius 7.0",
+        )
+        assert 1e6 not in rep.forward
+        rep = verify_witness(dataclasses.replace(w, forward_moduli=forward), deltas=[1.0])
+        assert rep.violations == (
+            "modulus recorded at delta=1000000.0, above the validity radius 7.0",
+        )
+
     def test_report_json(self):
         rep = verify_witness(identity_witness(tower_space([2])))
         payload = rep.to_json()
@@ -250,9 +278,11 @@ class TestTowerAlignment:
         al = tower_alignment_witness(u, v)
         src = np.asarray([s for s, _ in al.witness.table])
         dst = np.asarray([t for _, t in al.witness.table])
+        reversed_pairs = [(t, s) for s, t in al.witness.table]
         for delta in (2.0, 3.0, 4.0):
-            measured = oscillation(u, v, src, dst, delta)
-            assert measured <= al.modulus(delta)
+            forward, backward = oscillation(u, v, src, dst, delta)
+            assert forward <= al.modulus(delta)
+            assert backward == brute_oscillation(v, u, reversed_pairs, delta)
 
     def test_alternating_interleave(self):
         u = tower_space([2, 3, 2, 3])
@@ -310,7 +340,7 @@ class TestAbsorption:
 
 
 def test_finish_and_verify_measure_each_direction_once(monkeypatch):
-    # every scale of a table comes from one forward and one backward call
+    # every scale of a table, in both directions, comes from one call
     calls = []
 
     def counting(source, target, src_idx, dst_idx, deltas):
@@ -319,10 +349,10 @@ def test_finish_and_verify_measure_each_direction_once(monkeypatch):
 
     monkeypatch.setattr(witness_mod, "oscillation", counting)
     w = absorption_witness(3, 30, deltas=(3.0,))
-    assert calls == [[1.0, 2.0, 3.0, 4.0, 8.0]] * 2
+    assert calls == [[1.0, 2.0, 3.0, 4.0, 8.0]]
     calls.clear()
     assert verify_witness(w).ok
-    assert calls == [[1.0, 2.0, 3.0, 4.0, 8.0]] * 2
+    assert calls == [[1.0, 2.0, 3.0, 4.0, 8.0]]
 
 
 class TestCombinators:

@@ -80,8 +80,11 @@ def old_finish(source, target, pairs, claims, extra_deltas=(), validity_cap=None
     if not deltas:
         deltas = [validity]
     si, ti = old_restrict_to_validity(source, table, validity)
-    fwd = dict(zip(deltas, oscillation(source, target, si, ti, deltas)))
-    bwd = dict(zip(deltas, oscillation(target, source, ti, si, deltas)))
+    # each direction from its own call, the other value of each call as a check
+    fwd, bwd_check = oscillation(source, target, si, ti, deltas)
+    bwd, fwd_check = oscillation(target, source, ti, si, deltas)
+    assert (fwd, bwd) == (fwd_check, bwd_check)
+    fwd, bwd = dict(zip(deltas, fwd)), dict(zip(deltas, bwd))
     return WitnessMap(source, target, table, fwd, bwd, float(validity), claims)
 
 
