@@ -28,7 +28,7 @@ index of a subset is also its lexicographically minimal label.
 
 from __future__ import annotations
 
-import itertools
+import copy
 import json
 import math
 from dataclasses import dataclass, field
@@ -247,26 +247,48 @@ class FiniteSpace:
 
     inner_radius is the distance up to which every ambient point near the
     basepoint is present with exact distances.
+
+    A space is built from its point labels, or from ``coords``: an
+    integer-valued (n, k) array under a sup rule, whose rows are the
+    labels. Those are then made only when something reads them, as tuples
+    of Python ints in row order. Both paths check the same things:
+    distinct points, a basepoint in range, and the rule's label width.
     """
 
     def __init__(
         self,
-        labels: Sequence[Label],
+        labels: Optional[Sequence[Label]],
         rule: MetricRule,
         basepoint: int,
         inner_radius: Num,
         ultrametric: Optional[bool] = None,
         structural: bool = True,
+        *,
+        coords: Optional[np.ndarray] = None,
     ):
-        self.labels: tuple[Label, ...] = tuple(map(tuple, labels))
-        if len(set(self.labels)) != len(self.labels):
-            raise ValueError("duplicate point labels")
-        if not 0 <= basepoint < len(self.labels):
+        self._labels: Optional[tuple[Label, ...]] = None
+        self._coords: Optional[np.ndarray] = None
+        if coords is None:
+            self._labels = tuple(map(tuple, labels))
+            n = len(self._labels)
+            if len(set(self._labels)) != n:
+                raise ValueError("duplicate point labels")
+            widths = set(map(len, self._labels))
+        else:
+            self._coords = _integer_coords(coords, rule)
+            n = len(self._coords)
+            if _has_equal_rows(self._coords):
+                raise ValueError("duplicate point labels")
+            widths = {self._coords.shape[1]}
+        if not 0 <= basepoint < n:
             raise ValueError("basepoint index out of range")
-        if isinstance(rule, SupRule) and set(map(len, self.labels)) != {len(rule.orders)}:
+        if isinstance(rule, SupRule) and widths != {len(rule.orders)}:
             raise ValueError("label width differs from the rule's coordinate count")
-        if isinstance(rule, TableRule) and len(rule.matrix) != len(self.labels):
+        if isinstance(rule, PlaneRule) and widths != {2}:
+            raise ValueError("plane labels must be (x, y) pairs")
+        if isinstance(rule, TableRule) and len(rule.matrix) != n:
             raise ValueError("distance table size differs from the point count")
+        self._n = n
         self.rule = rule
         self.basepoint = basepoint
         self.inner_radius = inner_radius
@@ -275,26 +297,51 @@ class FiniteSpace:
         # set is a full product box; arbitrary subsets break contiguity
         self.structural = structural
         self._index: Optional[dict[Label, int]] = None
-        self._coords: Optional[np.ndarray] = None
         self._base_dists: Optional[np.ndarray] = None
         self._dmat: Optional[np.ndarray] = None
         self._edges: Optional[tuple[np.ndarray, np.ndarray, np.ndarray]] = None
 
+    def with_inner_radius(self, inner_radius: Num) -> "FiniteSpace":
+        """The same points, rule and basepoint, faithful up to another
+        radius. Shares this space's coordinates, labels and caches."""
+        space = copy.copy(self)
+        space.inner_radius = inner_radius
+        return space
+
     def __len__(self) -> int:
-        return len(self.labels)
+        return self._n
 
     def __repr__(self) -> str:
         kind = self.rule.descriptor()["kind"]
         return f"FiniteSpace({len(self)} points, {kind}, R={self.inner_radius})"
 
     def __eq__(self, other: object) -> bool:
+        """Same rule, basepoint and points: labels under a table rule, whose
+        coordinates are only positions, coordinates otherwise."""
         if not isinstance(other, FiniteSpace):
             return NotImplemented
-        return (
-            self.labels == other.labels
-            and self.basepoint == other.basepoint
-            and self.rule == other.rule
-        )
+        if self is other:
+            return True
+        if self.rule != other.rule or self.basepoint != other.basepoint:
+            return False
+        if isinstance(self.rule, TableRule):
+            return self.labels == other.labels
+        return np.array_equal(self.coords, other.coords)
+
+    @property
+    def labels(self) -> tuple[Label, ...]:
+        """Point labels in index order; a coordinate-built space makes them
+        on first read."""
+        if self._labels is None:
+            self._labels = tuple(map(tuple, self.label_lists()))
+        return self._labels
+
+    def label_lists(self) -> list[list]:
+        """[list(l) for l in self.labels], read from the coordinates while
+        the label tuples are unbuilt."""
+        if self._labels is None:
+            return self._coords.astype(np.int64).tolist()
+        return [list(l) for l in self._labels]
 
     @property
     def index(self) -> dict[Label, int]:
@@ -365,7 +412,7 @@ class FiniteSpace:
             "inner_radius": "inf" if r == math.inf else r,
             "ultrametric": self.ultrametric,
             "structural": self.structural,
-            "labels": [list(l) for l in self.labels],
+            "labels": self.label_lists(),
             "rule": self.rule.descriptor(),
         }
         return json.dumps(payload)
@@ -397,6 +444,40 @@ class FiniteSpace:
         if isinstance(rule, SupRule):
             _check_sup_labels(space)
         return space
+
+
+def _integer_coords(coords: np.ndarray, rule: MetricRule) -> np.ndarray:
+    """Coordinates given for a space, as the float64 column-major array the
+    row kernels read; they must be integers, under a sup rule."""
+    if not isinstance(rule, SupRule):
+        raise ValueError("coordinate-built spaces need a sup rule")
+    coords = np.asfortranarray(coords, dtype=float)
+    if coords.ndim != 2:
+        raise ValueError("coordinates must be an (n, k) array")
+    # floats hold every integer up to 2^53 exactly
+    if not np.all((np.abs(coords) <= 2.0**53) & (coords == np.trunc(coords))):
+        raise ValueError("coordinates must be integers")
+    return coords
+
+
+def _ascends(coords: np.ndarray) -> bool:
+    """Whether the rows of an (n, k) array, k >= 1, strictly ascend in
+    lexicographic order: one pass per column, from the last."""
+    later = np.zeros(max(0, len(coords) - 1), dtype=bool)
+    for col in coords.T[::-1]:
+        a, b = col[:-1], col[1:]
+        later = (b > a) | ((b == a) & later)
+    return bool(later.all())
+
+
+def _has_equal_rows(coords: np.ndarray) -> bool:
+    """Whether two rows of an (n, k) array are equal. Rows that already
+    ascend, as the constructors lay them out, are distinct; others are
+    put in lexicographic order by a lexsort and neighbours compared, so no
+    packed key can overflow."""
+    if coords.shape[1] == 0:
+        return len(coords) > 1
+    return not _ascends(coords) and not _ascends(coords[np.lexsort(coords.T[::-1])])
 
 
 def _check_sup_labels(space: FiniteSpace) -> None:
@@ -523,21 +604,19 @@ def build_truncation(
 
 
 def _box_space(ranges: Sequence[range], rule: SupRule, inner_radius: Num) -> FiniteSpace:
-    """The integer box of the ranges, pointed at its all-zero label. Labels
+    """The integer box of the ranges, pointed at its all-zero label. Points
     run in itertools.product order, the last coordinate fastest, so the
     coordinates and the basepoint's index come from the ranges by
-    arithmetic, without reading a label."""
+    arithmetic."""
     sizes = [len(r) for r in ranges]
     basepoint = 0
     for r in ranges:
         basepoint = basepoint * len(r) + r.index(0)
-    space = FiniteSpace(list(itertools.product(*ranges)), rule, basepoint, inner_radius)
-    coords = np.empty((len(space), len(ranges)), order="F")
+    coords = np.empty((math.prod(sizes), len(ranges)), order="F")
     for c, r in enumerate(ranges):
         column = np.repeat(np.arange(r.start, r.stop, dtype=float), math.prod(sizes[c + 1 :]))
         coords[:, c] = np.tile(column, math.prod(sizes[:c]))
-    space._coords = coords
-    return space
+    return FiniteSpace(None, rule, basepoint, inner_radius, coords=coords)
 
 
 def zball(radius: int, rank: int = 1, point_budget: Optional[int] = None) -> FiniteSpace:
@@ -628,17 +707,15 @@ def canonical_ultrametric(
     supply = _enumerable_mass(phi, primes)
     # a fully enumerated profile is the whole group, faithful at every scale
     inner: Num = math.inf if supply is not None and len(orders) == supply else depth + 1
-    return FiniteSpace(space.labels, space.rule, space.basepoint, inner)
+    return space.with_inner_radius(inner)
 
 
 def k_point_space(k: int) -> FiniteSpace:
     """{0..k-1} with the 2-valued metric (distinct points at distance 1)."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    if k == 1:
-        return FiniteSpace([()], SupRule.tower((), ()), 0, math.inf)
-    sp = tower_space([k], levels=[1])
-    return FiniteSpace(sp.labels, sp.rule, sp.basepoint, math.inf)
+    sp = tower_space([k], levels=[1]) if k > 1 else tower_space([])
+    return sp.with_inner_radius(math.inf)
 
 
 def cantor_cube_truncation(depth: int, point_budget: Optional[int] = None) -> FiniteSpace:
@@ -648,7 +725,7 @@ def cantor_cube_truncation(depth: int, point_budget: Optional[int] = None) -> Fi
         raise ValueError("depth must be <= 20")
     sp = tower_space([2] * depth, levels=[2**i for i in range(1, depth + 1)],
                      point_budget=point_budget)
-    return FiniteSpace(sp.labels, sp.rule, sp.basepoint, 2**depth if depth else 0)
+    return sp.with_inner_radius(2**depth if depth else 0)
 
 
 def subspace(space: FiniteSpace, indices: Sequence[int], basepoint: Optional[int] = None) -> FiniteSpace:
@@ -674,22 +751,21 @@ def subspace(space: FiniteSpace, indices: Sequence[int], basepoint: Optional[int
 def product_space(
     x: FiniteSpace, y: FiniteSpace, point_budget: Optional[int] = None
 ) -> FiniteSpace:
-    """Cartesian product with the sup metric."""
+    """Cartesian product with the sup metric, built from the factors'
+    coordinates, which must be integers."""
     if not (isinstance(x.rule, SupRule) and isinstance(y.rule, SupRule)):
         raise ValueError("products need sup-metric factors")
     _check_budget(len(x) * len(y), point_budget)
     rule = SupRule.product(x.rule, y.rule)
-    labels = [a + b for a in x.labels for b in y.labels]
     inner = min(x.inner_radius, y.inner_radius)
-    # the labels run over x's points in the outer loop, y's in the inner one
-    space = FiniteSpace(labels, rule, x.basepoint * len(y) + y.basepoint, inner,
-                        structural=x.structural and y.structural)
+    # the points run over x's in the outer loop, y's in the inner one, and
+    # each one's label is the x label followed by the y label
     width = len(x.rule.orders)
-    coords = np.empty((len(space), width + len(y.rule.orders)), order="F")
+    coords = np.empty((len(x) * len(y), width + len(y.rule.orders)), order="F")
     coords[:, :width] = np.repeat(x.coords, len(y), axis=0)
     coords[:, width:] = np.tile(y.coords, (len(x), 1))
-    space._coords = coords
-    return space
+    return FiniteSpace(None, rule, x.basepoint * len(y) + y.basepoint, inner,
+                       structural=x.structural and y.structural, coords=coords)
 
 
 def example31_fixture(

@@ -11,11 +11,10 @@ never propagated arithmetically.
 from __future__ import annotations
 
 import hashlib
-import itertools
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -25,6 +24,7 @@ from .groups import GroupDescription, coarse_isomorphic
 from .spaces import (
     FiniteSpace,
     SupRule,
+    TableRule,
     enumerate_summands,
     epsilon_components,
     k_point_space,
@@ -44,29 +44,86 @@ _TOL = 1e-9
 # the witness record
 
 
-@dataclass
+@dataclass(init=False, eq=False)
 class WitnessMap:
     """Table-backed map between two built spaces.
 
-    ``table`` holds (source index, target index) pairs. The map must cover
-    every source point within ``validity_radius`` of the source basepoint and
-    be injective there; ``forward_moduli`` and ``backward_moduli`` are the
-    oscillation values measured over that region at the declared scales.
+    The table maps source index ``src[k]`` to target index ``dst[k]``; both
+    are read-only int64 arrays. The map must cover every source point
+    within ``validity_radius`` of the source basepoint and be injective
+    there; ``forward_moduli`` and ``backward_moduli`` are the oscillation
+    values measured over that region at the declared scales.
+
+    A ``table`` of (source, target) pairs may be given in place of the
+    arrays, and when given it replaces them, so that
+    ``dataclasses.replace(w, table=...)`` swaps the table.
     """
 
     source: FiniteSpace
     target: FiniteSpace
-    table: Tuple[Tuple[int, int], ...]
+    src: np.ndarray
+    dst: np.ndarray
     forward_moduli: Dict[float, float]
     backward_moduli: Dict[float, float]
     validity_radius: float
     claims: Tuple[dict, ...] = ()
 
+    def __init__(
+        self,
+        source: FiniteSpace,
+        target: FiniteSpace,
+        table: Optional[Sequence[Tuple[int, int]]] = None,
+        forward_moduli: Optional[Dict[float, float]] = None,
+        backward_moduli: Optional[Dict[float, float]] = None,
+        validity_radius: Optional[float] = None,
+        claims: Tuple[dict, ...] = (),
+        *,
+        src: Optional[Sequence[int]] = None,
+        dst: Optional[Sequence[int]] = None,
+    ):
+        if table is not None:
+            src, dst = np.asarray(table, dtype=np.int64).reshape(-1, 2).T
+        if src is None or dst is None or validity_radius is None:
+            raise TypeError("a witness needs its table and validity radius")
+        self.src, self.dst = np.array(src, dtype=np.int64), np.array(dst, dtype=np.int64)
+        if self.src.ndim != 1 or self.src.shape != self.dst.shape:
+            raise ValueError("mismatched map table")
+        self.src.setflags(write=False)
+        self.dst.setflags(write=False)
+        self.source, self.target = source, target
+        self.forward_moduli = {} if forward_moduli is None else forward_moduli
+        self.backward_moduli = {} if backward_moduli is None else backward_moduli
+        self.validity_radius = validity_radius
+        self.claims = claims
+        self._table: Optional[Tuple[Tuple[int, int], ...]] = None
+
+    @property
+    def table(self) -> Tuple[Tuple[int, int], ...]:
+        """(source index, target index) pairs as Python ints, in table
+        order; built on first read."""
+        if self._table is None:
+            self._table = tuple(zip(self.src.tolist(), self.dst.tolist()))
+        return self._table
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, WitnessMap):
+            return NotImplemented
+        return (
+            self.source == other.source
+            and self.target == other.target
+            and np.array_equal(self.src, other.src)
+            and np.array_equal(self.dst, other.dst)
+            and self.forward_moduli == other.forward_moduli
+            and self.backward_moduli == other.backward_moduli
+            and self.validity_radius == other.validity_radius
+            and self.claims == other.claims
+        )
+
     def __len__(self) -> int:
-        return len(self.table)
+        return len(self.src)
 
     def as_dict(self) -> Dict[int, int]:
-        return {s: t for s, t in self.table}
+        return dict(zip(self.src.tolist(), self.dst.tolist()))
 
     def to_json(self) -> dict:
         validity = (
@@ -76,7 +133,7 @@ class WitnessMap:
             "source_id": space_id(self.source),
             "target_id": space_id(self.target),
             "validity_radius": validity,
-            "pairs": [[s, t] for s, t in self.table],
+            "pairs": np.stack((self.src, self.dst), axis=1).tolist(),
             "moduli": {
                 "forward": {str(d): v for d, v in sorted(self.forward_moduli.items())},
                 "backward": {str(d): v for d, v in sorted(self.backward_moduli.items())},
@@ -88,7 +145,7 @@ class WitnessMap:
 def space_id(space: FiniteSpace) -> str:
     """Content hash naming a built space in serialized witnesses."""
     payload = json.dumps(
-        [space.rule.descriptor(), space.basepoint, [list(l) for l in space.labels]],
+        [space.rule.descriptor(), space.basepoint, space.label_lists()],
         sort_keys=True,
         default=str,
     )
@@ -108,9 +165,7 @@ def _check_deltas(deltas: Iterable[float]) -> List[float]:
 
 def _table_arrays(w: WitnessMap) -> tuple[np.ndarray, np.ndarray]:
     """Source and target index arrays of the table, in table order."""
-    flat = np.fromiter(itertools.chain.from_iterable(w.table), dtype=np.int64,
-                       count=2 * len(w.table))
-    return flat[0::2], flat[1::2]
+    return w.src, w.dst
 
 
 def _inside(space: FiniteSpace, idx: np.ndarray, radius: float) -> np.ndarray:
@@ -163,8 +218,7 @@ def _finish(
     keep = _inside(source, si, validity)
     measured = oscillation(source, target, si[keep], ti[keep], deltas)
     fwd, bwd = (dict(zip(deltas, v)) for v in measured)
-    table = tuple(zip(si.tolist(), ti.tolist()))
-    return WitnessMap(source, target, table, fwd, bwd, validity, claims)
+    return WitnessMap(source, target, None, fwd, bwd, validity, claims, src=si, dst=ti)
 
 
 # ---------------------------------------------------------------------------
@@ -505,14 +559,13 @@ def tower_alignment_witness(
             break
         a = next(a2 for a2 in range(a + 1, a_len + 1) if uprod[a2] % vprod[b] == 0)
 
-    ti = []
-    for lab in u_space.labels:
-        rank = sum(x * uprod[k] for k, x in enumerate(lab))
-        digits = []
-        for o in vo:
-            rank, r = divmod(rank, o)
-            digits.append(r)
-        ti.append(v_space.index[tuple(digits)])
+    rank = u_space.coords.astype(np.int64) @ np.asarray(uprod[:-1], dtype=np.int64)
+    digits = np.empty((len(u_space), len(vo)))
+    for c, o in enumerate(vo):
+        rank, digits[:, c] = np.divmod(rank, o)
+    ti = _match_rows(digits, v_space.coords)
+    if np.any(ti < 0):
+        raise ValueError("alignment: a rank has no point in the second tower")
 
     claim_pairs = []
     for a, _ in pairs:
@@ -550,20 +603,54 @@ def absorption_witness(
                    context="absorption")
 
 
+def _label_rows(space: FiniteSpace) -> np.ndarray:
+    """The labels as an (n, k) array: the coordinates, except under a
+    table rule, whose coordinates are positions."""
+    if isinstance(space.rule, TableRule):
+        return np.asarray(space.labels, dtype=float).reshape(len(space), -1)
+    return space.coords
+
+
+def _match_rows(rows: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """Index of each row of rows among the distinct rows of table, -1 where
+    none is equal: one lexsort of both, table rows first among equal ones,
+    then a comparison of neighbours."""
+    if rows.shape[1] != table.shape[1]:
+        return np.full(len(rows), -1, dtype=np.int64)
+    if np.array_equal(rows, table):
+        return np.arange(len(rows))
+    both = np.concatenate([table, rows])
+    is_row = np.arange(len(both)) >= len(table)
+    order = np.lexsort((is_row, *both.T))
+    ordered = both[order]
+    opens = np.ones(len(both), dtype=bool)
+    opens[1:] = np.any(ordered[1:] != ordered[:-1], axis=1)
+    group = np.cumsum(opens) - 1
+    # a group holds a table row exactly when its first member is one
+    first = order[opens]
+    hit = np.where(first < len(table), first, -1)
+    out = np.empty(len(rows), dtype=np.int64)
+    at = is_row[order]
+    out[order[at] - len(table)] = hit[group[at]]
+    return out
+
+
 def relabel_witness(
     source: FiniteSpace,
     target: FiniteSpace,
-    translate: Optional[Callable[[tuple], tuple]] = None,
+    columns: Optional[Sequence[int]] = None,
     deltas: Sequence[float] = (),
 ) -> WitnessMap:
-    """Bijection matching labels, optionally through a coordinate shuffle.
+    """Bijection matching labels, optionally after reordering the source's
+    coordinates: target coordinate c is source coordinate columns[c].
 
     Covers regroupings of iterated products and factor reorderings, which
-    leave all sup-metric distances unchanged."""
-    tr = translate or (lambda lab: lab)
-    index = target.index
-    ti = np.fromiter((index.get(tr(lab), -1) for lab in source.labels), dtype=np.int64,
-                     count=len(source))
+    leave all sup-metric distances unchanged. Labels are matched by a sort
+    of both coordinate arrays, not one lookup per label."""
+    rows = _label_rows(source)
+    if columns is not None:
+        rows = rows[:, list(columns)]
+    ti = _match_rows(rows, _label_rows(target))
     missing = np.flatnonzero(ti < 0)
     if len(missing):
         raise ValueError(f"relabel: no target point for label {source.labels[missing[0]]}")
@@ -666,9 +753,7 @@ def _torsion_tower(
     """Tower truncation; a fully enumerated finite torsion part is the whole
     group, so its metric is trusted at every radius."""
     sp = tower_space(orders, point_budget=point_budget)
-    if complete:
-        return FiniteSpace(sp.labels, sp.rule, sp.basepoint, math.inf)
-    return sp
+    return sp.with_inner_radius(math.inf) if complete else sp
 
 
 def _prime_multiset(n: int) -> List[int]:
@@ -754,7 +839,7 @@ def iso_witness_chain(
             point_budget=pb,
         )
         if full:
-            mixed = FiniteSpace(mixed.labels, mixed.rule, mixed.basepoint, math.inf)
+            mixed = mixed.with_inner_radius(math.inf)
         w1 = product_witness(
             relabel_witness(zpart, zpart), tower_alignment_witness(u, mixed).witness,
             point_budget=pb,
@@ -763,17 +848,16 @@ def iso_witness_chain(
             folded = product_space(product_space(first, k_point_space(k_abs), pb), rest, pb)
             w2 = relabel_witness(w1.target, folded)
         else:
+            # (line, rest of the ball, k points, tower) -> (line, k points, rest, tower)
             tail = rank - 1
-
-            def shuffle(lab: tuple) -> tuple:
-                return (lab[0], lab[1 + tail]) + lab[1 : 1 + tail] + lab[2 + tail :]
-
+            width = len(w1.target.rule.orders)
+            shuffle = [0, 1 + tail, *range(1, 1 + tail), *range(2 + tail, width)]
             folded = product_space(
                 product_space(first, k_point_space(k_abs), pb),
                 product_space(zball(common_r, tail, pb), rest, pb),
                 pb,
             )
-            w2 = relabel_witness(w1.target, folded, translate=shuffle)
+            w2 = relabel_witness(w1.target, folded, columns=shuffle)
         unfold = invert_witness(absorption_witness(k_abs, k_abs * first_r, point_budget=pb))
         if rank == 1:
             w3 = product_witness(unfold, relabel_witness(rest, rest), point_budget=pb)

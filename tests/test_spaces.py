@@ -1107,3 +1107,153 @@ def test_row_kernel_matches_coordinate_recount(built, data):
         assert sp.dists_from(i).tolist() == want
         assert [sp.d(i, j) for j in range(len(sp))] == want
     assert FiniteSpace.from_json(sp.to_json()) == sp
+
+
+# ---------------------------------------------------------------------------
+# spaces built from coordinates against the label tuples they replaced
+
+
+def old_box_labels(ranges):
+    return list(itertools.product(*ranges))
+
+
+def old_product_labels(x, y):
+    return [a + b for a in x.labels for b in y.labels]
+
+
+def assert_labels(space, want):
+    """Unbuilt labels that read as the wanted tuples of Python ints."""
+    assert space._labels is None
+    assert len(space) == len(want)
+    assert space.labels == tuple(want)
+    assert all(type(v) is int for lab in space.labels for v in lab)
+    assert space.labels is space.labels
+
+
+@pytest.mark.parametrize("radius", [0, 1, 3])
+@pytest.mark.parametrize("rank", [1, 2, 3])
+def test_zball_labels_match_the_product_loop(radius, rank):
+    assert_labels(zball(radius, rank), old_box_labels([range(-radius, radius + 1)] * rank))
+
+
+@pytest.mark.parametrize("orders", [[], [2], [3, 2], [2, 3, 5]])
+def test_tower_labels_match_the_product_loop(orders):
+    assert_labels(tower_space(orders), old_box_labels([range(o) for o in orders]))
+    rewrapped = canonical_ultrametric(ff({2: 1, 3: 1, 5: 1}), len(orders))
+    assert rewrapped.labels == tuple(old_box_labels([range(o) for o in rewrapped.rule.orders]))
+
+
+@pytest.mark.parametrize("k", [1, 2, 5])
+def test_k_point_labels_match_the_old_builder(k):
+    sp = k_point_space(k)
+    labels = [()] if k == 1 else [(i,) for i in range(k)]
+    assert_labels(sp, labels)
+    rule = spaces_mod.SupRule.tower(*(((), ()) if k == 1 else ((k,), (1,))))
+    old = FiniteSpace(labels, rule, 0, math.inf)
+    assert sp == old and space_id(sp) == space_id(old) and sp.to_json() == old.to_json()
+
+
+@settings(max_examples=40, deadline=None)
+@given(nested_products, nested_products)
+def test_product_labels_match_concatenation(a, b):
+    x, y = a[0], b[0]
+    assume(len(x) * len(y) <= 600)
+    want = old_product_labels(x, y)
+    sp = product_space(x, y)
+    assert_labels(sp, want)
+    assert sp.basepoint == want.index(x.labels[x.basepoint] + y.labels[y.basepoint])
+
+
+def test_coordinate_rows_are_checked_like_labels():
+    rule = spaces_mod.SupRule.tower((2, 3), (2, 3))
+    with pytest.raises(ValueError, match="duplicate point labels"):
+        FiniteSpace(None, rule, 0, 1, coords=np.array([[0, 1], [1, 2], [0, 1]]))
+    # rows out of order are sorted before neighbours are compared
+    with pytest.raises(ValueError, match="duplicate point labels"):
+        FiniteSpace(None, rule, 0, 1, coords=np.array([[1, 2], [0, 0], [1, 0], [1, 2]]))
+    sp = FiniteSpace(None, rule, 1, 1, coords=np.array([[1, 2], [0, 0], [1, 0]]))
+    assert sp.labels == ((1, 2), (0, 0), (1, 0))
+    with pytest.raises(ValueError, match="basepoint index out of range"):
+        FiniteSpace(None, rule, 3, 1, coords=np.array([[1, 2], [0, 0], [1, 0]]))
+    with pytest.raises(ValueError, match="label width"):
+        FiniteSpace(None, rule, 0, 1, coords=np.array([[1], [0]]))
+    with pytest.raises(ValueError, match="duplicate point labels"):
+        FiniteSpace(None, spaces_mod.SupRule.tower((), ()), 0, 1, coords=np.empty((2, 0)))
+    for bad in ([[0.5, 0], [1, 0]], [[np.nan, 0], [1, 0]], [[2.0**60, 0], [1, 0]]):
+        with pytest.raises(ValueError, match="coordinates must be integers"):
+            FiniteSpace(None, rule, 0, 1, coords=np.array(bad))
+    with pytest.raises(ValueError, match="need a sup rule"):
+        FiniteSpace(None, PlaneRule(), 0, 1, coords=np.array([[0, 0], [1, 0]]))
+
+
+def _label_equal(a, b):
+    return a.labels == b.labels and a.basepoint == b.basepoint and a.rule == b.rule
+
+
+@settings(max_examples=60, deadline=None)
+@given(nested_products, nested_products, st.data())
+def test_equality_agrees_with_label_equality(a, b, data):
+    x, y = a[0], b[0]
+    copy = FiniteSpace(x.labels, x.rule, x.basepoint, x.inner_radius)
+    assert copy == x and x == copy and _label_equal(copy, x)
+    assert (x == y) == _label_equal(x, y)
+    # one label moved: a label-built space against the coordinate-built one
+    if len(x) > 1 and len(x.rule.orders):
+        k = data.draw(st.integers(0, len(x) - 1))
+        labels = list(x.labels)
+        labels[k] = (labels[k][0] + 1000,) + labels[k][1:]
+        moved = FiniteSpace(labels, x.rule, x.basepoint, x.inner_radius)
+        assert (moved == x) is False and _label_equal(moved, x) is False
+    other = FiniteSpace(x.labels, x.rule, (x.basepoint + 1) % len(x), x.inner_radius)
+    assert (other == x) == _label_equal(other, x)
+
+
+def test_table_spaces_compare_labels():
+    rule = TableRule(np.array([[0.0, 1.0], [1.0, 0.0]]), True)
+    a = FiniteSpace([(0,), (1,)], rule, 0, 1)
+    assert a == FiniteSpace([(0,), (1,)], rule, 0, 1)
+    assert a != FiniteSpace([(0,), (2,)], rule, 0, 1)
+
+
+def test_plane_labels_must_be_pairs():
+    with pytest.raises(ValueError, match=r"plane labels must be \(x, y\) pairs"):
+        FiniteSpace([(0.0, 0.0, 1.0), (0.0, 0.0, 2.0)], PlaneRule(), 0, 1)
+    with pytest.raises(ValueError, match=r"plane labels must be \(x, y\) pairs"):
+        FiniteSpace([(0.0,), (1.0,)], PlaneRule(), 0, 1)
+    with pytest.raises(ValueError, match=r"plane labels must be \(x, y\) pairs"):
+        FiniteSpace([(0.0, 0.0), (1.0,)], PlaneRule(), 0, 1)
+
+
+def old_space_id(space):
+    """space_id as it read every label tuple."""
+    import hashlib
+
+    payload = json.dumps(
+        [space.rule.descriptor(), space.basepoint, [list(l) for l in space.labels]],
+        sort_keys=True,
+        default=str,
+    )
+    digest = hashlib.sha1(payload.encode()).hexdigest()[:12]
+    return f"{space.rule.descriptor()['kind']}-{len(space)}-{digest}"
+
+
+@pytest.mark.parametrize("make", [
+    lambda: zball(4), lambda: zball(2, 3), lambda: tower_space([2, 3, 2]),
+    lambda: k_point_space(1), lambda: k_point_space(3),
+    lambda: product_space(product_space(zball(2), k_point_space(3)),
+                          product_space(zball(1, 2), tower_space([2, 5]))),
+    lambda: product_space(k_point_space(1), product_space(tower_space([3]), zball(0))),
+    lambda: example31_fixture(2, 0.25, 3),
+    lambda: quotient_space(example31_fixture(2, 0.25, 3), 1.0),
+    lambda: subspace(zball(3), [0, 2, 3]),
+], ids=["zball", "zball-3", "tower", "k1", "k3", "nested", "nested-k1", "plane", "table",
+        "subspace"])
+def test_space_id_matches_the_label_dump(make):
+    sp = make()
+    unbuilt = sp._labels is None
+    ident = space_id(sp)
+    # the id reads the coordinates, and builds no label tuple
+    assert (sp._labels is None) == unbuilt
+    assert ident == old_space_id(sp)
+    assert sp.to_json() == make().to_json()
+    assert json.loads(sp.to_json())["labels"] == [list(l) for l in sp.labels]

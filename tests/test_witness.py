@@ -398,7 +398,7 @@ class TestCombinators:
 
     def test_relabel_with_translation(self):
         sp = tower_space([2, 2])
-        w = relabel_witness(sp, sp, translate=lambda lab: (lab[1], lab[0]))
+        w = relabel_witness(sp, sp, columns=(1, 0))
         assert verify_witness(w).ok
         assert w.forward_moduli == w.backward_moduli
 
