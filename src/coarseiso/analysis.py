@@ -18,40 +18,10 @@ import numpy as np
 from .extnat import ExtNat
 from .factorfn import FactorFunction
 from .primes import factorize, primes_upto
-from .spaces import (
-    DENSE_LIMIT,
-    FiniteSpace,
-    PlaneRule,
-    SupRule,
-    _check_epsilon,
-    _component_keys,
-    _spanning_tree,
-    delaunay_edges,
-    plane_edges,
-    row_blocks,
-)
+from .spaces import FiniteSpace, _check_epsilon, row_blocks
 
 NOISE_NUM = 1
 NOISE_DEN = 8  # a block is significant when 8 * size >= largest block
-
-# spaces up to this size get a dense matrix cached for repeated row access;
-# above it the O(n^2) memory outweighs the row recomputation
-DENSE_CACHE_LIMIT = 3000
-
-
-def cached_block(space: FiniteSpace, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """Distances d[rows][:, cols] for index arrays: read from the cached
-    dense matrix on spaces up to DENSE_CACHE_LIMIT points, computed from
-    the coordinates above it. Its readers are the subset edges of step
-    estimation and the witness isometry check; oscillation computes its
-    blocks itself."""
-    if len(space) <= DENSE_CACHE_LIMIT:
-        # whole rows first, then the columns: a transient of len(rows) x
-        # len(space) entries, but faster than an np.ix_ gather on the
-        # near-full subsets these readers take
-        return space.dmat()[rows].take(cols, axis=1)
-    return space.dists_block(rows, cols)
-
 
 # ---------------------------------------------------------------------------
 # factorizing-step estimation
@@ -84,136 +54,6 @@ class StepEstimate:
             "windows": list(self.windows),
             "inconclusive": self.inconclusive,
         }
-
-
-def _structured_values(rule: SupRule, radius: float) -> set[float]:
-    """Distance values a sup rule can realize up to the radius: the cyclic
-    levels, and every integer up to the radius when a coordinate is free."""
-    vals = {0.0} | {float(lvl) for o, lvl in zip(rule.orders, rule.levels) if o}
-    if 0 in rule.orders:
-        vals |= {float(k) for k in range(1, int(radius) + 1)}
-    return vals
-
-
-def _subset_edges(space: FiniteSpace, subset: np.ndarray):
-    """Edges (i, j, weight) of the induced subspace on ascending distinct
-    indices, in subset positions, i < j, in ascending (i, j) order.
-
-    A plane subset S gets a graph with the single-linkage heights of all
-    its pairs: the edges of the space's cached Delaunay triangulation T
-    inside S, plus those of a Delaunay triangulation of its border V, the
-    points of S with a T-neighbour outside S. Deleting the outside points
-    from T leaves every other triangle Delaunay for S, and the triangles
-    that fill the holes have their corners in V. So a pair of S whose
-    closed diameter disc holds no other point of S, an edge of every
-    Delaunay triangulation of S, is an edge of T or a pair of V with the
-    same empty disc, an edge of every triangulation of V. By induction on
-    length every pair of S is joined by a path of edges no longer than
-    itself, and rounding keeps the order of lengths. Other rules
-    enumerate all pairs.
-    """
-    n = len(subset)
-    if isinstance(space.rule, PlaneRule):
-        ii, jj, ww = plane_edges(space)
-        if n == len(space):
-            return ii, jj, ww
-        pos = np.full(len(space), -1, dtype=np.int64)
-        pos[subset] = np.arange(n)
-        pi, pj = pos[ii], pos[jj]
-        # pos rises with the index, so an edge inside S keeps pi < pj, and
-        # the larger end of a crossing edge is its end in S
-        inside = (pi >= 0) & (pj >= 0)
-        border = np.unique(np.maximum(pi, pj)[(pi >= 0) != (pj >= 0)])
-        try:
-            bi, bj, bw = delaunay_edges(space.coords[subset[border]])
-        except ValueError:
-            # Qhull cannot triangulate the border alone (nearly on one line,
-            # or with a pair it sets aside); any set between the border and
-            # S serves the argument, and S is the largest
-            border = np.arange(n)
-            bi, bj, bw = delaunay_edges(space.coords[subset])
-        key = np.concatenate((pi[inside] * n + pj[inside], border[bi] * n + border[bj]))
-        key, first = np.unique(key, return_index=True)
-        return key // n, key % n, np.concatenate((ww[inside], bw))[first]
-    if n > DENSE_LIMIT:
-        raise ValueError("subset too large for dense edge enumeration")
-    ii, jj, ww = [], [], []
-    for blk in row_blocks(n):
-        # the pairs i < j of this block of rows, in row-major order
-        bi, bj = np.triu_indices(blk.stop - blk.start, k=blk.start + 1, m=n)
-        ii.append(bi + blk.start)
-        jj.append(bj)
-        ww.append(cached_block(space, subset[blk], subset)[bi, bj])
-    return np.concatenate(ii), np.concatenate(jj), np.concatenate(ww)
-
-
-def _kruskal_chain(n: int, ii: np.ndarray, jj: np.ndarray, ww: np.ndarray):
-    """Chain (order, gap) of the graph on n nodes with edges (ii, jj, ww),
-    from one Kruskal pass over its minimum spanning tree: each cluster is
-    kept as a linked list, and a merge at height w appends one list to the
-    other with w at the junction. Nodes the tree leaves apart are joined
-    at height inf."""
-    # csgraph reads a zero weight as no edge, so the tree is taken on the
-    # ranks of the weights, which keep their order, and read back
-    values, rank = np.unique(ww, return_inverse=True)
-    ti, tj, tr = _spanning_tree(n, ii, jj, rank + 1.0)
-    by = np.argsort(tr, kind="stable")
-    heights = values[tr[by].astype(np.int64) - 1]
-    parent = list(range(n))
-    head, tail = list(range(n)), list(range(n))
-    succ = [-1] * n
-    after = [math.inf] * n  # height at which a node joins its successor
-    for a, b, w in zip(ti[by].tolist(), tj[by].tolist(), heights.tolist()):
-        while parent[a] != a:
-            parent[a] = a = parent[parent[a]]
-        while parent[b] != b:
-            parent[b] = b = parent[parent[b]]
-        succ[tail[a]] = head[b]
-        after[tail[a]] = w
-        tail[a] = tail[b]
-        parent[b] = a
-    order: list[int] = []
-    for r in range(n):
-        if parent[r] == r:
-            k = head[r]
-            while k >= 0:
-                order.append(k)
-                k = succ[k]
-    idx = np.asarray(order, dtype=np.int64)
-    # a tree's tail joins nothing, so the next tree starts at inf
-    return idx, np.concatenate(([math.inf], np.asarray(after)[idx[:-1]]))
-
-
-def _sup_chain(coords: np.ndarray, levels: Sequence[int]):
-    """Chain (order, gap) of a box of sup-rule coordinates: the rows sorted
-    by coordinates of descending level, each gap the level of the first
-    coordinate in which two neighbours differ (1 when only free ones do)."""
-    if len(coords) <= 1:  # distinct labels of width 0 are one point
-        return np.arange(len(coords)), np.full(len(coords), math.inf)
-    desc = np.argsort(-np.asarray(levels), kind="stable")
-    keys = coords[:, desc]
-    order = np.lexsort(keys.T[::-1])
-    ranked = keys[order]
-    first = np.argmax(ranked[1:] != ranked[:-1], axis=1)
-    return order, np.concatenate(([math.inf], np.asarray(levels, dtype=float)[desc][first]))
-
-
-def _chain_order(space: FiniteSpace, subset: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Single-linkage chain of the induced subspace on ascending distinct
-    indices: an order of the subset positions, and gap[k] the height at
-    which order[k - 1] and order[k] merge (gap[0] = inf). Every
-    eps-component, at every eps, is one contiguous run of the order, cut
-    where gap > eps, and the cophenetic distance of order[i] and order[j],
-    i < j, is max(gap[i + 1:j + 1]) (Gower & Ross, 1969).
-
-    On a structural sup space the subset must be a ball, which there is
-    again a box: the chain is then a lexsort of the coordinates (as the
-    coordinate keys of _component_keys classify components). Otherwise it
-    is read from the minimum spanning tree of _subset_edges.
-    """
-    if space.structural and isinstance(space.rule, SupRule):
-        return _sup_chain(space.coords[subset], space.rule.levels)
-    return _kruskal_chain(len(subset), *_subset_edges(space, subset))
 
 
 def _cluster_scales(vals: Sequence[float], rel: float = 1e-7) -> list[float]:
@@ -266,17 +106,10 @@ def estimate_factorizing_step(
 
     def chain(sub: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         if len(sub) not in chains:
-            chains[len(sub)] = _chain_order(space, sub)
+            chains[len(sub)] = space.rule.chain(space, sub)
         return chains[len(sub)]
 
-    if isinstance(space.rule, SupRule):
-        values = _structured_values(space.rule, radius)
-        candidates = sorted(v for v in values if v <= radius)
-    else:
-        # single-linkage merge heights: the finite gaps of the chain
-        gap = chain(np.flatnonzero(bd <= radius))[1]
-        candidates = sorted({0.0} | set(gap[np.isfinite(gap)].tolist()))
-
+    candidates = space.rule.step_candidates(radius, lambda: chain(np.flatnonzero(bd <= radius)))
     tested = _select_tested([c for c in candidates if c <= delta_cap], max_tested)
     subsets = [np.flatnonzero(bd <= w) for w in windows]
     inconclusive = len(subsets[0]) < 16 or len([c for c in tested if c > 0]) < 2
@@ -343,32 +176,14 @@ def empirical_phi(space: FiniteSpace, prime_bound: int = 97) -> FactorFunction:
         raise ValueError("empirical phi is defined for ultrametric spaces")
     plist = primes_upto(prime_bound)
     best: dict[int, int] = {}
-
-    def absorb(count: int) -> None:
-        for p, e in factorize(count).items():
+    bd = space.dists_from(space.basepoint)
+    radius = float(space.inner_radius)
+    if not math.isfinite(radius):
+        radius = float(np.max(bd))
+    for eps in np.unique(bd[bd <= radius]):
+        for p, e in factorize(int(np.sum(bd <= eps))).items():
             if p <= prime_bound and e > best.get(p, 0):
                 best[p] = e
-
-    rule = space.rule
-    full_tower = isinstance(rule, SupRule) and rule.layout == "tower"
-    if full_tower and len(space) == math.prod(rule.orders):
-        acc: dict[int, int] = {}
-        radius = float(space.inner_radius)
-        for o, lvl in zip(rule.orders, rule.levels):
-            if lvl > radius:
-                break
-            for p, e in factorize(o).items():
-                acc[p] = acc.get(p, 0) + e
-            for p, e in acc.items():
-                if p <= prime_bound and e > best.get(p, 0):
-                    best[p] = e
-    else:
-        bd = space.dists_from(space.basepoint)
-        radius = float(space.inner_radius)
-        if not math.isfinite(radius):
-            radius = float(np.max(bd))
-        for eps in np.unique(bd[bd <= radius]):
-            absorb(int(np.sum(bd <= eps)))
     return FactorFunction.from_dict({p: ExtNat(e) for p, e in best.items() if p in plist})
 
 
@@ -376,51 +191,14 @@ def empirical_phi(space: FiniteSpace, prime_bound: int = 97) -> FactorFunction:
 # oscillation
 
 
-def _sup_diameter(space: FiniteSpace, idx: np.ndarray) -> float:
-    """Diameter of an index set. For a sup rule this is the max over the
-    coordinates of each one's spread: the range of a free coordinate, the
-    level of a cyclic one that varies. Otherwise pairwise."""
-    if len(idx) <= 1:
-        return 0.0
-    rule = space.rule
-    if isinstance(rule, SupRule):
-        sub = space.coords[idx]
-        spread = sub.max(axis=0) - sub.min(axis=0)
-        free = np.asarray(rule.orders) == 0
-        spans = np.where(free, spread, (spread != 0) * np.asarray(rule.levels))
-        return float(spans.max(initial=0.0))
-    return max(float(space.dists_block(idx[blk], idx).max()) for blk in row_blocks(len(idx)))
-
-
-_INT_DTYPES = (np.int8, np.int16, np.int32, np.int64)
-
-
-def _int_coords(coords: np.ndarray, levels: Sequence[int]) -> np.ndarray:
-    """Sup-rule coordinates in the narrowest integer dtype that holds every
-    value, every difference of two values and every level, so that the
-    kernel's differences and level products cannot wrap. Coordinates that
-    are not all integers, or need more than 64 bits, stay float64."""
-    if np.any(coords != np.floor(coords)):
-        return coords
-    # the width of the range of the values and 0 bounds every value and
-    # every difference in absolute value, spread or not
-    width = max([float(coords.max(initial=0)) - float(coords.min(initial=0)), *levels])
-    for dtype in _INT_DTYPES:
-        if width <= np.iinfo(dtype).max:
-            return np.asfortranarray(coords.astype(dtype))
-    return coords
-
-
 def _pair_blocks(space: FiniteSpace, idx: np.ndarray) -> Callable[[slice], np.ndarray]:
     """Reader of the table's distances by row block: block blk holds the
     distances from idx[blk] to idx[blk.start:], which covers the pairs
-    i <= j of those rows. Sup rules compute it from integer coordinates,
-    plane and table rules through dists_block."""
+    i <= j of those rows, computed by the rule from the kernel coordinates
+    of the table's points (narrowed to integers under a sup rule)."""
     rule = space.rule
-    if isinstance(rule, SupRule):
-        coords = _int_coords(space.coords[idx], rule.levels)
-        return lambda blk: rule.dists(coords[blk], coords[blk.start:])
-    return lambda blk: space.dists_block(idx[blk], idx[blk.start:])
+    coords = rule.kernel_coords(space.coords[idx])
+    return lambda blk: rule.dists(coords[blk], coords[blk.start:])
 
 
 def _within(dtype: np.dtype, deltas: Sequence[float]) -> list[Union[int, float]]:
@@ -436,17 +214,17 @@ def _within(dtype: np.dtype, deltas: Sequence[float]) -> list[Union[int, float]]
 
 
 def _keyed_oscillation(
-    source: FiniteSpace, target: FiniteSpace, src_idx: np.ndarray, dst_idx: np.ndarray,
-    delta: float,
-) -> float:
-    """Max target diameter over the delta-blocks of an ultrametric sup
-    source: there the within-delta relation is an equivalence, and
-    coordinate keys classify it even on an arbitrary subset."""
-    sublabels = [source.labels[int(i)] for i in src_idx]
-    groups: dict = {}
-    for k, key in enumerate(_component_keys(sublabels, source.rule, delta)):
-        groups.setdefault(key, []).append(k)
-    return max(_sup_diameter(target, dst_idx[members]) for members in groups.values())
+    target: FiniteSpace, dst_idx: np.ndarray, blocks: list[np.ndarray]
+) -> list[float]:
+    """Max target diameter over the delta-blocks of the source, at each
+    scale: blocks holds the block id of each source point per scale."""
+    out = []
+    for ids in blocks:
+        order = np.argsort(ids, kind="stable")
+        cuts = np.flatnonzero(np.diff(ids[order])) + 1
+        out.append(max(target.rule.diameter(target, dst_idx[members])
+                       for members in np.split(order, cuts)))
+    return out
 
 
 def _pair_oscillation(
@@ -470,12 +248,6 @@ def _pair_oscillation(
     return fwd, bwd
 
 
-def _keyed(space: FiniteSpace) -> bool:
-    """Whether oscillation out of the space can take the coordinate-key
-    shortcut: an ultrametric sup space."""
-    return space.ultrametric and isinstance(space.rule, SupRule)
-
-
 def oscillation(
     source: FiniteSpace,
     target: FiniteSpace,
@@ -494,12 +266,12 @@ def oscillation(
     pair swapped. Exhaustive over the given pairs: one pass over the pairs
     i <= j measures both directions at every scale, masking each side's
     block by the other's (distances are >= 0). Every rule is symmetric, so
-    these pairs are all of them. Sup-rule blocks are computed in a narrow
-    integer dtype, plane and table blocks through dists_block; no dense
-    matrix is read. When both spaces are ultrametric sup spaces the delta-
-    relation is an equivalence on each side, so there each direction is
-    the max image diameter over the delta-blocks, found from coordinate
-    keys; when only one is, the pair pass serves both directions.
+    these pairs are all of them. Each block comes from the rule's kernel
+    (MetricRule.kernel_coords); no dense matrix is read. When both rules
+    read the delta-blocks of their points without distances
+    (MetricRule.delta_blocks: ultrametric sup spaces, from coordinate
+    keys), each direction is the max image diameter over those blocks;
+    otherwise the pair pass serves both directions.
     """
     src_idx = np.asarray(src_idx)
     dst_idx = np.asarray(dst_idx)
@@ -509,9 +281,11 @@ def oscillation(
     deltas = [float(delta)] if scalar else [float(d) for d in delta]
     if not len(src_idx) or not deltas:
         fwd, bwd = [0.0] * len(deltas), [0.0] * len(deltas)
-    elif _keyed(source) and _keyed(target):
-        fwd = [_keyed_oscillation(source, target, src_idx, dst_idx, d) for d in deltas]
-        bwd = [_keyed_oscillation(target, source, dst_idx, src_idx, d) for d in deltas]
+    elif (keys_s := source.rule.delta_blocks(source, src_idx, deltas)) is not None and (
+        keys_t := target.rule.delta_blocks(target, dst_idx, deltas)
+    ) is not None:
+        fwd = _keyed_oscillation(target, dst_idx, keys_s)
+        bwd = _keyed_oscillation(source, src_idx, keys_t)
     else:
         fwd, bwd = _pair_oscillation(source, target, src_idx, dst_idx, deltas)
     return (fwd[0], bwd[0]) if scalar else (fwd, bwd)
@@ -552,8 +326,6 @@ def foelner_search(
     radius = float(space.inner_radius)
     if not math.isfinite(radius):
         radius = float(np.max(bd))
-    rule = space.rule
-    pure_free = isinstance(rule, SupRule) and rule.layout == "group-ball" and not any(rule.orders)
     # the balls grow with k, so the neighbourhood mark carries over and only
     # the rows of points new to the ball are read
     mark = np.zeros(len(space), dtype=bool)
@@ -563,11 +335,8 @@ def foelner_search(
         inside = np.flatnonzero(bd <= k)
         size = len(inside)
         if size:
-            if pure_free:
-                # a box fattened by epsilon is again a box, so a ball count
-                # around the basepoint is the exact recount
-                nbr = int(np.sum(bd <= k + epsilon))
-            else:
+            nbr = space.rule.ball_neighbourhood(bd, k, epsilon)
+            if nbr is None:
                 if len(space) > max_points:
                     raise ValueError("space too large for the neighborhood recount")
                 new = inside[~counted[inside]]

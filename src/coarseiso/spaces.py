@@ -24,6 +24,11 @@ ultrametric.
 
 Points are stored in ascending lexicographic label order, so the minimal
 index of a subset is also its lexicographically minimal label.
+
+Every path whose method depends on the metric is a method of the rule, so
+callers never test a rule's type: SupRule (group balls, towers, products),
+PlaneRule (the example-3.1 curve) and TableRule (generic quotients and
+deserialized tables) share the generic paths of MetricRule.
 """
 
 from __future__ import annotations
@@ -66,8 +71,114 @@ class BudgetError(ValueError):
 Layout = Union[str, tuple]
 
 
+class MetricRule:
+    """A way to compute distances, and every path that depends on it.
+
+    A rule reads a block of distances from rows of kernel coordinates
+    (``dists``) and one distance from two point indices (``distance``, kept
+    apart from the row kernels as their scalar oracle). The methods here
+    are the generic paths, written once from ``FiniteSpace.dists_block``:
+    the threshold graph read in row blocks for epsilon-components, the
+    pairwise diameter, and the Kruskal chain over all pairs of a subset.
+    SupRule and PlaneRule override those their structure reads exactly and
+    faster; TableRule keeps them all.
+    """
+
+    split: Optional[int] = None  # coordinates owned by a product's left factor
+
+    def coords_of(self, labels: Sequence[Label]) -> np.ndarray:
+        """Kernel coordinates of a label-built space: the labels, as a
+        column-major float64 array (the kernels read one coordinate at a
+        time)."""
+        return np.asfortranarray(np.asarray(labels, dtype=float))
+
+    def kernel_coords(self, coords: np.ndarray) -> np.ndarray:
+        """Coordinates as the pair pass of oscillation hands them to dists."""
+        return coords
+
+    def label_rows(self, space: "FiniteSpace") -> np.ndarray:
+        """The labels as an (n, k) array."""
+        return space.coords
+
+    def restrict(self, space: "FiniteSpace", idx: np.ndarray) -> "MetricRule":
+        """The rule of the subspace on the ascending indices idx."""
+        return self
+
+    def check_loaded(self, space: "FiniteSpace") -> None:
+        """Reject a deserialized space whose labels this rule would misread."""
+
+    def diameter(self, space: "FiniteSpace", idx: np.ndarray) -> float:
+        """Diameter of an index set, pairwise in row blocks."""
+        if len(idx) <= 1:
+            return 0.0
+        return max(float(space.dists_block(idx[blk], idx).max()) for blk in row_blocks(len(idx)))
+
+    def subset_edges(self, space: "FiniteSpace", subset: np.ndarray):
+        """Edges (i, j, weight) of the induced subspace on ascending
+        distinct indices, in subset positions, i < j, in ascending (i, j)
+        order: here every pair, with its distance."""
+        n = len(subset)
+        if n > DENSE_LIMIT:
+            raise BudgetError(f"edges of {n} points exceed the dense limit {DENSE_LIMIT}")
+        ii, jj, ww = [], [], []
+        for blk in row_blocks(n):
+            # the pairs i < j of this block of rows, in row-major order
+            bi, bj = np.triu_indices(blk.stop - blk.start, k=blk.start + 1, m=n)
+            ii.append(bi + blk.start)
+            jj.append(bj)
+            ww.append(space.dists_block(subset[blk], subset)[bi, bj])
+        return np.concatenate(ii), np.concatenate(jj), np.concatenate(ww)
+
+    def chain(self, space: "FiniteSpace", subset: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Single-linkage chain of the induced subspace on ascending
+        distinct indices: an order of the subset positions, and gap[k] the
+        height at which order[k - 1] and order[k] merge (gap[0] = inf).
+        Every eps-component, at every eps, is one contiguous run of the
+        order, cut where gap > eps, and the cophenetic distance of order[i]
+        and order[j], i < j, is max(gap[i + 1:j + 1]) (Gower & Ross, 1969).
+        Here it is read from the minimum spanning tree of subset_edges."""
+        return _kruskal_chain(len(subset), *self.subset_edges(space, subset))
+
+    def components(self, space: "FiniteSpace", eps: float) -> np.ndarray:
+        """Component label of each point in the graph with edges d <= eps:
+        rows in blocks, each block's edges joined to a star forest of the
+        components so far, so memory stays near one block of rows."""
+        n = len(space)
+        labels = np.arange(n)
+        for blk in row_blocks(n):
+            bi, bj = np.nonzero(space.dists_block(blk, slice(None)) <= eps)
+            roots = np.unique(labels, return_index=True)[1][labels]
+            ii = np.concatenate([bi + blk.start, np.arange(n)])
+            labels = _connected_labels(n, ii, np.concatenate([bj, roots]))
+        return labels
+
+    def delta_blocks(
+        self, space: "FiniteSpace", idx: np.ndarray, deltas: Sequence[float]
+    ) -> Optional[list[np.ndarray]]:
+        """Block id of each point of idx at each scale, where the relation
+        d <= delta is an equivalence on them that the rule reads without
+        distances; None here, where it is not read so."""
+        return None
+
+    def step_candidates(self, radius: float, ball_chain) -> list[float]:
+        """Scales step estimation tests, up to the radius: the finite gaps
+        of ball_chain(), the chain of the basepoint ball of that radius."""
+        gap = ball_chain()[1]
+        return sorted({0.0} | set(gap[np.isfinite(gap)].tolist()))
+
+    def quotient_parts(self, space: "FiniteSpace", eps: float) -> Optional[list[int]]:
+        """Coordinates of the tower the eps-quotient is, or None when the
+        quotient takes the generic path; it always does here."""
+        return None
+
+    def ball_neighbourhood(self, bd: np.ndarray, k: int, eps: float) -> Optional[int]:
+        """Points within eps of the basepoint's k-ball, when the distances
+        bd from the basepoint alone give them; None here."""
+        return None
+
+
 @dataclass(frozen=True)
-class SupRule:
+class SupRule(MetricRule):
     """Sup metric over label coordinates. A free coordinate (order 0, level
     1) contributes |x - y|; a cyclic coordinate of order o >= 2 at level L
     contributes L * [x != y].
@@ -75,7 +186,9 @@ class SupRule:
     ``layout`` records how the constructors assembled the coordinates:
     "tower", "group-ball", or (split, left, right) for a product whose left
     factor owns the first ``split`` coordinates. Distances never read it;
-    the serialized descriptor and the product split do.
+    the serialized descriptor, the product split and the Foelner ball count
+    do. The paths below that read coordinate structure across points
+    (components, chain, quotient) need a structural space: a full box.
     """
 
     orders: tuple[int, ...]
@@ -119,8 +232,10 @@ class SupRule:
         )
 
     @staticmethod
-    def product(left: "SupRule", right: "SupRule") -> "SupRule":
-        """Sup metric on concatenated labels."""
+    def product(left: MetricRule, right: MetricRule) -> "SupRule":
+        """Sup metric on concatenated labels; both factors must be sup rules."""
+        if not (isinstance(left, SupRule) and isinstance(right, SupRule)):
+            raise ValueError("products need sup-metric factors")
         layout = (len(left.orders), left.layout, right.layout)
         return SupRule(left.orders + right.orders, left.levels + right.levels, layout)
 
@@ -133,9 +248,13 @@ class SupRule:
     def is_ultrametric(self) -> bool:
         return 0 not in self.orders
 
-    def distance(self, a: Label, b: Label) -> int:
+    def check_labels(self, n: int, widths: set) -> None:
+        if widths != {len(self.orders)}:
+            raise ValueError("label width differs from the rule's coordinate count")
+
+    def distance(self, space: "FiniteSpace", i: int, j: int) -> int:
         d = 0
-        for x, y, o, lvl in zip(a, b, self.orders, self.levels):
+        for x, y, o, lvl in zip(space.labels[i], space.labels[j], self.orders, self.levels):
             if o == 0:
                 d = max(d, abs(x - y))
             elif x != y:
@@ -164,6 +283,116 @@ class SupRule:
             np.maximum(d, tmp, out=d)
         return d
 
+    def kernel_coords(self, coords: np.ndarray) -> np.ndarray:
+        """The coordinates in the narrowest integer dtype that holds every
+        value, every difference of two values and every level, so that the
+        kernel's differences and level products cannot wrap. Coordinates
+        that are not all integers, or need more than 64 bits, stay float64."""
+        if np.any(coords != np.floor(coords)):
+            return coords
+        # the width of the range of the values and 0 bounds every value and
+        # every difference in absolute value, spread or not
+        width = max([float(coords.max(initial=0)) - float(coords.min(initial=0)), *self.levels])
+        for dtype in (np.int8, np.int16, np.int32, np.int64):
+            if width <= np.iinfo(dtype).max:
+                return np.asfortranarray(coords.astype(dtype))
+        return coords
+
+    def check_loaded(self, space: "FiniteSpace") -> None:
+        """Reject serialized labels that would read wrong distances or
+        components: a cyclic value outside range(order), or a structural
+        flag on labels that are not a box of integer free values times a
+        set of cyclic values. Coordinate keys are exact on such a product
+        (unit steps cross the box, the cyclic part differs only in
+        coordinates the key drops), and would merge components that no
+        chain joins on any other."""
+        free = np.asarray(self.orders) == 0
+        free_cols, cyclic_cols = space.coords.T[free], space.coords.T[~free]
+        for col, o in zip(cyclic_cols, np.asarray(self.orders)[~free]):
+            if not np.all((col >= 0) & (col < o) & (col == np.floor(col))):
+                raise ValueError(f"cyclic label value outside [0, {o})")
+        if space.structural:
+            # distinct labels inside box x cyclic set fill it when they are as many
+            box = math.prod((free_cols.max(axis=1) - free_cols.min(axis=1) + 1).tolist())
+            cyclic = {tuple(l) for l in cyclic_cols.T.tolist()}
+            if np.any(free_cols != np.floor(free_cols)) or box * len(cyclic) != len(space):
+                raise ValueError("structural flag on labels that do not fill a box")
+
+    def _keys(self, coords: np.ndarray, eps: float) -> np.ndarray:
+        """Block id of each row of coordinates by its coordinates above eps."""
+        return _row_groups(coords[:, np.asarray(self.levels) > eps])
+
+    def components(self, space: "FiniteSpace", eps: float) -> np.ndarray:
+        """Coordinate keys on a structural space: points of a full box that
+        agree above eps are chained by steps of at most eps."""
+        if space.structural:
+            return self._keys(space.coords, eps)
+        return super().components(space, eps)
+
+    def delta_blocks(self, space, idx, deltas):
+        """Coordinate keys on an ultrametric space, where within delta is
+        an equivalence on any subset."""
+        if not space.ultrametric:
+            return None
+        coords = space.coords[idx]
+        return [self._keys(coords, delta) for delta in deltas]
+
+    def diameter(self, space: "FiniteSpace", idx: np.ndarray) -> float:
+        """The max over the coordinates of each one's spread: the range of
+        a free coordinate, the level of a cyclic one that varies."""
+        if len(idx) <= 1:
+            return 0.0
+        sub = space.coords[idx]
+        spread = sub.max(axis=0) - sub.min(axis=0)
+        free = np.asarray(self.orders) == 0
+        spans = np.where(free, spread, (spread != 0) * np.asarray(self.levels))
+        return float(spans.max(initial=0.0))
+
+    def chain(self, space: "FiniteSpace", subset: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """On a structural space the subset must be a ball, which there is
+        again a box: the rows sorted by coordinates of descending level,
+        each gap the level of the first coordinate in which two neighbours
+        differ (1 when only free ones do), as the coordinate keys of
+        components classify them."""
+        if not space.structural:
+            return super().chain(space, subset)
+        coords = space.coords[subset]
+        if len(coords) <= 1:  # distinct labels of width 0 are one point
+            return np.arange(len(coords)), np.full(len(coords), math.inf)
+        desc = np.argsort(-np.asarray(self.levels), kind="stable")
+        keys = coords[:, desc]
+        order = np.lexsort(keys.T[::-1])
+        ranked = keys[order]
+        first = np.argmax(ranked[1:] != ranked[:-1], axis=1)
+        return order, np.concatenate(([math.inf], np.asarray(self.levels, dtype=float)[desc][first]))
+
+    def step_candidates(self, radius: float, ball_chain) -> list[float]:
+        """The distance values the rule can realize: the cyclic levels, and
+        every integer up to the radius when a coordinate is free."""
+        vals = {0.0} | {float(lvl) for o, lvl in zip(self.orders, self.levels) if o}
+        if 0 in self.orders:
+            vals |= {float(k) for k in range(1, int(radius) + 1)}
+        return sorted(v for v in vals if v <= radius)
+
+    def quotient_parts(self, space: "FiniteSpace", eps: float) -> Optional[list[int]]:
+        """On a structural space, the positions of the cyclic coordinates
+        above eps, by ascending level. None when eps is below a free
+        coordinate's scale, or two kept levels coincide (across product
+        factors)."""
+        if not space.structural or (eps < 1 and 0 in self.orders):
+            return None
+        kept = sorted((c for c, (o, lvl) in enumerate(zip(self.orders, self.levels))
+                       if o and lvl > eps), key=lambda c: self.levels[c])
+        levels = [self.levels[c] for c in kept]
+        return kept if len(set(levels)) == len(levels) else None
+
+    def ball_neighbourhood(self, bd: np.ndarray, k: int, eps: float) -> Optional[int]:
+        """On a free group ball a box fattened by eps is again a box, so a
+        ball count around the basepoint is the exact count."""
+        if self.layout == "group-ball" and not any(self.orders):
+            return int(np.sum(bd <= k + eps))
+        return None
+
     def descriptor(self) -> dict:
         if self.layout == "tower":
             return {"kind": "tower", "orders": list(self.orders), "levels": list(self.levels)}
@@ -185,14 +414,19 @@ class SupRule:
 
 
 @dataclass(frozen=True)
-class PlaneRule:
+class PlaneRule(MetricRule):
     """Euclidean plane distance rounded to 1e-9; labels are (x, y) floats."""
 
     @property
     def is_ultrametric(self) -> bool:
         return False
 
-    def distance(self, a: Label, b: Label) -> float:
+    def check_labels(self, n: int, widths: set) -> None:
+        if widths != {2}:
+            raise ValueError("plane labels must be (x, y) pairs")
+
+    def distance(self, space: "FiniteSpace", i: int, j: int) -> float:
+        a, b = space.labels[i], space.labels[j]
         return round(math.hypot(a[0] - b[0], a[1] - b[1]), PLANE_DECIMALS)
 
     def dists(self, rows: np.ndarray, coords: np.ndarray) -> np.ndarray:
@@ -202,12 +436,52 @@ class PlaneRule:
         dy = coords[:, 1] - rows[..., 1, None]
         return np.round(np.hypot(dx, dy), PLANE_DECIMALS)
 
+    def subset_edges(self, space: "FiniteSpace", subset: np.ndarray):
+        """A graph with the single-linkage heights of all pairs of the
+        subset S: the edges of the space's cached Delaunay triangulation T
+        inside S, plus those of a Delaunay triangulation of its border V,
+        the points of S with a T-neighbour outside S. Deleting the outside
+        points from T leaves every other triangle Delaunay for S, and the
+        triangles that fill the holes have their corners in V. So a pair of
+        S whose closed diameter disc holds no other point of S, an edge of
+        every Delaunay triangulation of S, is an edge of T or a pair of V
+        with the same empty disc, an edge of every triangulation of V. By
+        induction on length every pair of S is joined by a path of edges
+        no longer than itself, and rounding keeps the order of lengths."""
+        n = len(subset)
+        ii, jj, ww = plane_edges(space)
+        if n == len(space):
+            return ii, jj, ww
+        pos = np.full(len(space), -1, dtype=np.int64)
+        pos[subset] = np.arange(n)
+        pi, pj = pos[ii], pos[jj]
+        # pos rises with the index, so an edge inside S keeps pi < pj, and
+        # the larger end of a crossing edge is its end in S
+        inside = (pi >= 0) & (pj >= 0)
+        border = np.unique(np.maximum(pi, pj)[(pi >= 0) != (pj >= 0)])
+        try:
+            bi, bj, bw = delaunay_edges(space.coords[subset[border]])
+        except ValueError:
+            # Qhull cannot triangulate the border alone (nearly on one line,
+            # or with a pair it sets aside); any set between the border and
+            # S serves the argument, and S is the largest
+            border = np.arange(n)
+            bi, bj, bw = delaunay_edges(space.coords[subset])
+        key = np.concatenate((pi[inside] * n + pj[inside], border[bi] * n + border[bj]))
+        key, first = np.unique(key, return_index=True)
+        return key // n, key % n, np.concatenate((ww[inside], bw))[first]
+
+    def components(self, space: "FiniteSpace", eps: float) -> np.ndarray:
+        """From a grid of cells, without triangulating (_plane_components)."""
+        return _plane_components(space.coords, eps)
+
     def descriptor(self) -> dict:
         return {"kind": "plane"}
 
 
-class TableRule:
-    """Dense distance table indexed by point position."""
+class TableRule(MetricRule):
+    """Dense distance table indexed by point position: the kernel
+    coordinates of a table space are the positions."""
 
     def __init__(self, matrix: np.ndarray, ultrametric: bool):
         self.matrix = np.asarray(matrix, dtype=float)
@@ -219,6 +493,25 @@ class TableRule:
     def is_ultrametric(self) -> bool:
         return self._ultrametric
 
+    def check_labels(self, n: int, widths: set) -> None:
+        if len(self.matrix) != n:
+            raise ValueError("distance table size differs from the point count")
+
+    def distance(self, space: "FiniteSpace", i: int, j: int) -> float:
+        return self.matrix[i, j]
+
+    def dists(self, rows: np.ndarray, coords: np.ndarray) -> np.ndarray:
+        return self.matrix[rows[..., 0]][..., coords[:, 0]]
+
+    def coords_of(self, labels: Sequence[Label]) -> np.ndarray:
+        return np.arange(len(labels))[:, None]
+
+    def label_rows(self, space: "FiniteSpace") -> np.ndarray:
+        return np.asarray(space.labels, dtype=float).reshape(len(space), -1)
+
+    def restrict(self, space: "FiniteSpace", idx: np.ndarray) -> "TableRule":
+        return TableRule(self.matrix[np.ix_(idx, idx)], space.ultrametric)
+
     def descriptor(self) -> dict:
         return {"kind": "table", "matrix": self.matrix.tolist()}
 
@@ -226,9 +519,6 @@ class TableRule:
         return isinstance(other, TableRule) and np.array_equal(
             self.matrix, other.matrix
         )
-
-
-MetricRule = Union[SupRule, PlaneRule, TableRule]
 
 
 # ---------------------------------------------------------------------------
@@ -282,12 +572,7 @@ class FiniteSpace:
             widths = {self._coords.shape[1]}
         if not 0 <= basepoint < n:
             raise ValueError("basepoint index out of range")
-        if isinstance(rule, SupRule) and widths != {len(rule.orders)}:
-            raise ValueError("label width differs from the rule's coordinate count")
-        if isinstance(rule, PlaneRule) and widths != {2}:
-            raise ValueError("plane labels must be (x, y) pairs")
-        if isinstance(rule, TableRule) and len(rule.matrix) != n:
-            raise ValueError("distance table size differs from the point count")
+        rule.check_labels(n, widths)
         self._n = n
         self.rule = rule
         self.basepoint = basepoint
@@ -316,17 +601,14 @@ class FiniteSpace:
         return f"FiniteSpace({len(self)} points, {kind}, R={self.inner_radius})"
 
     def __eq__(self, other: object) -> bool:
-        """Same rule, basepoint and points: labels under a table rule, whose
-        coordinates are only positions, coordinates otherwise."""
+        """Same rule, basepoint and points, compared as label rows."""
         if not isinstance(other, FiniteSpace):
             return NotImplemented
         if self is other:
             return True
         if self.rule != other.rule or self.basepoint != other.basepoint:
             return False
-        if isinstance(self.rule, TableRule):
-            return self.labels == other.labels
-        return np.array_equal(self.coords, other.coords)
+        return np.array_equal(self.rule.label_rows(self), other.rule.label_rows(other))
 
     @property
     def labels(self) -> tuple[Label, ...]:
@@ -352,12 +634,9 @@ class FiniteSpace:
 
     @property
     def coords(self) -> np.ndarray:
+        """Kernel coordinates, the rows the rule's dists reads."""
         if self._coords is None:
-            if isinstance(self.rule, TableRule):
-                self._coords = np.arange(len(self))[:, None]
-            else:
-                # column-major: the row kernels read one coordinate at a time
-                self._coords = np.asfortranarray(np.asarray(self.labels, dtype=float))
+            self._coords = self.rule.coords_of(self.labels)
         return self._coords
 
     @property
@@ -371,9 +650,7 @@ class FiniteSpace:
         return self._base_dists
 
     def d(self, i: int, j: int) -> Num:
-        if isinstance(self.rule, TableRule):
-            return self.rule.matrix[i, j]
-        return self.rule.distance(self.labels[i], self.labels[j])
+        return self.rule.distance(self, i, j)
 
     def dists_from(self, i: int) -> np.ndarray:
         return self.dists_block(i, slice(None))
@@ -381,23 +658,18 @@ class FiniteSpace:
     def dists_block(self, rows, cols) -> np.ndarray:
         """Distances d[rows][..., cols], computed from the rule; rows is an
         index, an index array or a slice, cols an index array or a slice."""
-        if isinstance(self.rule, TableRule):
-            return self.rule.matrix[rows][..., cols]
         return self.rule.dists(self.coords[rows], self.coords[cols])
 
     def dmat(self) -> np.ndarray:
         """Dense distance matrix; refuses above DENSE_LIMIT points."""
         if self._dmat is None:
-            if isinstance(self.rule, TableRule):
-                self._dmat = self.rule.matrix
-            else:
-                n = len(self)
-                if n > DENSE_LIMIT:
-                    raise BudgetError(f"dense matrix of {n} points exceeds {DENSE_LIMIT}")
-                m = np.empty((n, n))
-                for blk in row_blocks(n):
-                    m[blk] = self.dists_block(blk, slice(None))
-                self._dmat = m
+            n = len(self)
+            if n > DENSE_LIMIT:
+                raise BudgetError(f"dense matrix of {n} points exceeds {DENSE_LIMIT}")
+            m = np.empty((n, n))
+            for blk in row_blocks(n):
+                m[blk] = self.dists_block(blk, slice(None))
+            self._dmat = m
         return self._dmat
 
     def ball(self, i: int, radius: Num) -> np.ndarray:
@@ -423,16 +695,7 @@ class FiniteSpace:
         if payload.get("version") != 1:
             raise ValueError("unsupported serialization version")
         r = payload["inner_radius"]
-        desc = payload["rule"]
-        if desc["kind"] == "table":
-            # a table descriptor carries no flag of its own; the space's holds
-            rule: MetricRule = TableRule(np.asarray(desc["matrix"]), payload["ultrametric"])
-            # oscillation reads each pair once, as (i, j) with i <= j
-            m = rule.matrix
-            if not np.array_equal(m, m.T) or np.any(np.diag(m) != 0):
-                raise ValueError("distance table must be symmetric with a zero diagonal")
-        else:
-            rule = _rule_from_descriptor(desc)
+        rule = _rule_from_descriptor(payload["rule"], payload["ultrametric"])
         space = FiniteSpace(
             [tuple(l) for l in payload["labels"]],
             rule,
@@ -441,8 +704,7 @@ class FiniteSpace:
             payload["ultrametric"],
             payload.get("structural", True),
         )
-        if isinstance(rule, SupRule):
-            _check_sup_labels(space)
+        rule.check_loaded(space)
         return space
 
 
@@ -480,41 +742,27 @@ def _has_equal_rows(coords: np.ndarray) -> bool:
     return not _ascends(coords) and not _ascends(coords[np.lexsort(coords.T[::-1])])
 
 
-def _check_sup_labels(space: FiniteSpace) -> None:
-    """Reject serialized sup-rule labels that would read wrong distances or
-    components: a cyclic value outside range(order), or a structural flag
-    on labels that are not a box of integer free values times a set of
-    cyclic values. Coordinate keys are exact on such a product (unit steps
-    cross the box, the cyclic part differs only in coordinates the key
-    drops), and would merge components that no chain joins on any other."""
-    rule = space.rule
-    free = np.asarray(rule.orders) == 0
-    free_cols, cyclic_cols = space.coords.T[free], space.coords.T[~free]
-    for col, o in zip(cyclic_cols, np.asarray(rule.orders)[~free]):
-        if not np.all((col >= 0) & (col < o) & (col == np.floor(col))):
-            raise ValueError(f"cyclic label value outside [0, {o})")
-    if space.structural:
-        # distinct labels inside box x cyclic set fill it when they are as many
-        box = math.prod((free_cols.max(axis=1) - free_cols.min(axis=1) + 1).tolist())
-        cyclic = {tuple(l) for l in cyclic_cols.T.tolist()}
-        if np.any(free_cols != np.floor(free_cols)) or box * len(cyclic) != len(space):
-            raise ValueError("structural flag on labels that do not fill a box")
-
-
-def _rule_from_descriptor(desc: dict) -> MetricRule:
+def _rule_from_descriptor(desc: dict, ultrametric: bool) -> MetricRule:
+    """The rule a descriptor names; a table descriptor carries no flag of
+    its own, so its ultrametric flag is the space's."""
     kind = desc["kind"]
+    if kind == "table":
+        rule = TableRule(np.asarray(desc["matrix"]), ultrametric)
+        # oscillation reads each pair once, as (i, j) with i <= j
+        m = rule.matrix
+        if not np.array_equal(m, m.T) or np.any(np.diag(m) != 0):
+            raise ValueError("distance table must be symmetric with a zero diagonal")
+        return rule
     if kind == "tower":
         return SupRule.tower(desc["orders"], desc["levels"])
     if kind == "group-ball":
         return SupRule.group_ball(desc["free_rank"], desc["cyclic_orders"], desc["cyclic_levels"])
     if kind == "product":
-        left = _rule_from_descriptor(desc["left"])
-        right = _rule_from_descriptor(desc["right"])
-        if not (isinstance(left, SupRule) and isinstance(right, SupRule)):
-            raise ValueError("product factors must be sup-metric rules")
-        if desc["split"] != len(left.orders):
+        rule = SupRule.product(_rule_from_descriptor(desc["left"], ultrametric),
+                               _rule_from_descriptor(desc["right"], ultrametric))
+        if desc["split"] != rule.split:
             raise ValueError("product split differs from the width of its left factor")
-        return SupRule.product(left, right)
+        return rule
     if kind == "plane":
         return PlaneRule()
     raise ValueError(f"unknown rule kind {kind!r}")
@@ -733,10 +981,7 @@ def subspace(space: FiniteSpace, indices: Sequence[int], basepoint: Optional[int
     ambient one and must belong to the subset."""
     idx = np.asarray(sorted(int(i) for i in indices))
     labels = [space.labels[int(i)] for i in idx]
-    if isinstance(space.rule, TableRule):
-        rule: MetricRule = TableRule(space.rule.matrix[np.ix_(idx, idx)], space.ultrametric)
-    else:
-        rule = space.rule
+    rule = space.rule.restrict(space, idx)
     base = space.basepoint if basepoint is None else basepoint
     where = np.flatnonzero(idx == base)
     if not len(where):
@@ -752,11 +997,9 @@ def product_space(
     x: FiniteSpace, y: FiniteSpace, point_budget: Optional[int] = None
 ) -> FiniteSpace:
     """Cartesian product with the sup metric, built from the factors'
-    coordinates, which must be integers."""
-    if not (isinstance(x.rule, SupRule) and isinstance(y.rule, SupRule)):
-        raise ValueError("products need sup-metric factors")
-    _check_budget(len(x) * len(y), point_budget)
+    coordinates, which must be integers; both rules must be sup rules."""
     rule = SupRule.product(x.rule, y.rule)
+    _check_budget(len(x) * len(y), point_budget)
     inner = min(x.inner_radius, y.inner_radius)
     # the points run over x's in the outer loop, y's in the inner one, and
     # each one's label is the x label followed by the y label
@@ -840,28 +1083,16 @@ class ComponentPartition:
         return len(self.blocks)
 
 
-def _partition_from_keys(
-    epsilon: Num, keys: Union[Sequence[tuple], np.ndarray]
-) -> ComponentPartition:
-    """Partition grouping points by key: structural coordinate keys, or an
-    array of connected-component labels."""
-    if isinstance(keys, np.ndarray):
-        _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-        # blocks numbered by their first point, members in ascending order
-        rank = np.empty(len(first), dtype=np.int64)
-        rank[np.argsort(first)] = np.arange(len(first))
-        point_block = rank[inverse]
-        members = np.argsort(point_block, kind="stable").tolist()
-        ends = np.cumsum(np.bincount(point_block)).tolist()
-        blocks = [members[a:b] for a, b in zip([0] + ends, ends)]
-    else:
-        groups: dict = {}
-        for i, key in enumerate(keys):
-            groups.setdefault(key, []).append(i)
-        blocks = sorted(groups.values(), key=lambda blk: blk[0])
-        point_block = np.empty(len(keys), dtype=np.int64)
-        for b, blk in enumerate(blocks):
-            point_block[blk] = b
+def _partition_from_keys(epsilon: Num, keys: np.ndarray) -> ComponentPartition:
+    """Partition grouping points by an array of keys: one block per value."""
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    # blocks numbered by their first point, members in ascending order
+    rank = np.empty(len(first), dtype=np.int64)
+    rank[np.argsort(first)] = np.arange(len(first))
+    point_block = rank[inverse]
+    members = np.argsort(point_block, kind="stable").tolist()
+    ends = np.cumsum(np.bincount(point_block)).tolist()
+    blocks = [members[a:b] for a, b in zip([0] + ends, ends)]
     return ComponentPartition(
         epsilon,
         tuple(tuple(blk) for blk in blocks),
@@ -870,11 +1101,18 @@ def _partition_from_keys(
     )
 
 
-def _component_keys(labels: Sequence[Label], rule: SupRule, eps: float) -> list[tuple]:
-    """Structural component keys: the coordinates above eps. Points of a
-    full box that agree there are chained by steps of at most eps."""
-    kept = [c for c, lvl in enumerate(rule.levels) if lvl > eps]
-    return [tuple(l[c] for c in kept) for l in labels]
+def _row_groups(rows: np.ndarray) -> np.ndarray:
+    """Group id of each row of an (n, k) array, equal rows sharing one:
+    one lexsort, then a comparison of neighbours."""
+    if rows.shape[1] == 0:
+        return np.zeros(len(rows), dtype=np.int64)
+    order = np.lexsort(rows.T[::-1])
+    ranked = rows[order]
+    opens = np.ones(len(rows), dtype=np.int64)
+    opens[1:] = np.any(ranked[1:] != ranked[:-1], axis=1)
+    ids = np.empty(len(rows), dtype=np.int64)
+    ids[order] = np.cumsum(opens)
+    return ids
 
 
 def _triangulation_pairs(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -936,7 +1174,7 @@ def plane_edges(space: FiniteSpace) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     """Delaunay edges of a plane fixture, cached on the space: one
     triangulation serves its generic quotients, the step candidates and
     every step window, a smaller window keeping the edges inside it and
-    adding a triangulation of its border (see analysis._subset_edges).
+    adding a triangulation of its border (see PlaneRule.subset_edges).
     Epsilon-components need none (see _plane_components)."""
     if space._edges is None:
         space._edges = delaunay_edges(space.coords)
@@ -962,6 +1200,43 @@ def _spanning_tree(n: int, ii: np.ndarray, jj: np.ndarray, ww: np.ndarray):
 
     tree = minimum_spanning_tree(coo_matrix((ww, (ii, jj)), shape=(n, n))).tocoo()
     return tree.row, tree.col, tree.data
+
+
+def _kruskal_chain(n: int, ii: np.ndarray, jj: np.ndarray, ww: np.ndarray):
+    """Chain (order, gap) of the graph on n nodes with edges (ii, jj, ww),
+    from one Kruskal pass over its minimum spanning tree: each cluster is
+    kept as a linked list, and a merge at height w appends one list to the
+    other with w at the junction. Nodes the tree leaves apart are joined
+    at height inf."""
+    # csgraph reads a zero weight as no edge, so the tree is taken on the
+    # ranks of the weights, which keep their order, and read back
+    values, rank = np.unique(ww, return_inverse=True)
+    ti, tj, tr = _spanning_tree(n, ii, jj, rank + 1.0)
+    by = np.argsort(tr, kind="stable")
+    heights = values[tr[by].astype(np.int64) - 1]
+    parent = list(range(n))
+    head, tail = list(range(n)), list(range(n))
+    succ = [-1] * n
+    after = [math.inf] * n  # height at which a node joins its successor
+    for a, b, w in zip(ti[by].tolist(), tj[by].tolist(), heights.tolist()):
+        while parent[a] != a:
+            parent[a] = a = parent[parent[a]]
+        while parent[b] != b:
+            parent[b] = b = parent[parent[b]]
+        succ[tail[a]] = head[b]
+        after[tail[a]] = w
+        tail[a] = tail[b]
+        parent[b] = a
+    order: list[int] = []
+    for r in range(n):
+        if parent[r] == r:
+            k = head[r]
+            while k >= 0:
+                order.append(k)
+                k = succ[k]
+    idx = np.asarray(order, dtype=np.int64)
+    # a tree's tail joins nothing, so the next tree starts at inf
+    return idx, np.concatenate(([math.inf], np.asarray(after)[idx[:-1]]))
 
 
 def _squeeze(cells: np.ndarray) -> np.ndarray:
@@ -1072,23 +1347,6 @@ def _plane_components(pts: np.ndarray, eps: float) -> np.ndarray:
     return _connected_labels(int(comp.max()) + 1, np.concatenate(ii), np.concatenate(jj))[comp]
 
 
-def _graph_components(space: FiniteSpace, eps: float) -> np.ndarray:
-    """Component labels of the graph with edges d <= eps: from a cell grid
-    on the plane (_plane_components), else from distance rows in blocks."""
-    n = len(space)
-    if isinstance(space.rule, PlaneRule):
-        return _plane_components(space.coords, eps)
-    # rows in blocks, each block's edges joined to a star forest of the
-    # components so far, so memory stays near one block of rows
-    labels = np.arange(n)
-    for blk in row_blocks(n):
-        bi, bj = np.nonzero(space.dists_block(blk, slice(None)) <= eps)
-        roots = np.unique(labels, return_index=True)[1][labels]
-        ii = np.concatenate([bi + blk.start, np.arange(n)])
-        labels = _connected_labels(n, ii, np.concatenate([bj, roots]))
-    return labels
-
-
 def _check_epsilon(epsilon: Num) -> float:
     eps = float(epsilon)
     if not eps >= 0:  # NaN included
@@ -1097,32 +1355,11 @@ def _check_epsilon(epsilon: Num) -> float:
 
 
 def epsilon_components(space: FiniteSpace, epsilon: Num) -> ComponentPartition:
-    """Partition into epsilon-chain components: from coordinate keys on
-    structural sup-rule spaces, else from the graph of pairs at distance
-    <= epsilon (_graph_components), which on the plane is read from a cell
-    grid without triangulating. Epsilon may be inf; NaN or a negative
-    value raises ValueError."""
+    """Partition into epsilon-chain components, grouped by the component
+    labels the rule reads (MetricRule.components). Epsilon may be inf; NaN
+    or a negative value raises ValueError."""
     eps = _check_epsilon(epsilon)
-    if space.structural and isinstance(space.rule, SupRule):
-        keys = _component_keys(space.labels, space.rule, eps)
-    else:
-        keys = _graph_components(space, eps)
-    return _partition_from_keys(epsilon, keys)
-
-
-def _quotient_tower_parts(rule: SupRule, eps: float) -> Optional[list[int]]:
-    """Positions of the cyclic coordinates above eps, by ascending level:
-    the tower of the structural quotient. None when the rule needs the
-    generic path: eps below a free coordinate's scale, or two kept levels
-    coincide (across product factors)."""
-    if eps < 1 and 0 in rule.orders:
-        return None
-    kept = sorted((c for c, (o, lvl) in enumerate(zip(rule.orders, rule.levels))
-                   if o and lvl > eps), key=lambda c: rule.levels[c])
-    levels = [rule.levels[c] for c in kept]
-    if len(set(levels)) != len(levels):
-        return None
-    return kept
+    return _partition_from_keys(epsilon, space.rule.components(space, eps))
 
 
 def quotient_with_projection(
@@ -1135,9 +1372,7 @@ def quotient_with_projection(
     highest differing retained coordinate, computed directly.
     """
     eps = _check_epsilon(epsilon)
-    parts = None
-    if space.structural and isinstance(space.rule, SupRule):
-        parts = _quotient_tower_parts(space.rule, eps)
+    parts = space.rule.quotient_parts(space, eps)
     partition = epsilon_components(space, epsilon)
 
     if parts is not None:
@@ -1155,11 +1390,7 @@ def quotient_with_projection(
     b = len(reps)
     if b > DENSE_LIMIT:
         raise BudgetError(f"quotient with {b} blocks exceeds the dense limit")
-    if isinstance(space.rule, PlaneRule):
-        ii, jj, ww = plane_edges(space)
-    else:
-        ii, jj = np.triu_indices(len(space), k=1)
-        ww = space.dmat()[ii, jj]
+    ii, jj, ww = space.rule.subset_edges(space, np.arange(len(space)))
     bi, bj = partition.point_block[ii], partition.point_block[jj]
     # cross-block weights exceed eps >= 0, so none reads as a missing edge
     cross = bi != bj

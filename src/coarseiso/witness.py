@@ -18,13 +18,13 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .analysis import cached_block, oscillation
+from .analysis import oscillation
 from .factorfn import FactorFunction, ff_add, ff_equal, ff_sub, phi_of_nat
 from .groups import GroupDescription, coarse_isomorphic
 from .spaces import (
     FiniteSpace,
     SupRule,
-    TableRule,
+    _row_groups,
     enumerate_summands,
     epsilon_components,
     k_point_space,
@@ -163,11 +163,6 @@ def _check_deltas(deltas: Iterable[float]) -> List[float]:
     return out
 
 
-def _table_arrays(w: WitnessMap) -> tuple[np.ndarray, np.ndarray]:
-    """Source and target index arrays of the table, in table order."""
-    return w.src, w.dst
-
-
 def _inside(space: FiniteSpace, idx: np.ndarray, radius: float) -> np.ndarray:
     """Mask of the points idx within radius of the basepoint."""
     return space.base_dists[idx] <= radius + _TOL
@@ -243,15 +238,10 @@ class WitnessReport:
         }
 
 
-def _product_split(space: FiniteSpace) -> Optional[int]:
-    """Label coordinates owned by the left factor of a product space."""
-    return space.rule.split if isinstance(space.rule, SupRule) else None
-
-
 def _check_isometry_claim(
     w: WitnessMap, claim: dict, si: np.ndarray, ti: np.ndarray, out: List[str]
 ) -> None:
-    split = _product_split(w.source)
+    split = w.source.rule.split
     if split is None:
         out.append("per-component-isometry claim on a non-product source")
         return
@@ -264,8 +254,8 @@ def _check_isometry_claim(
     for key, members in groups.items():
         pos = np.asarray(members)
         for blk in row_blocks(len(pos)):
-            ds = cached_block(w.source, si[pos[blk]], si[pos])
-            dt = cached_block(w.target, ti[pos[blk]], ti[pos])
+            ds = w.source.dists_block(si[pos[blk]], si[pos])
+            dt = w.target.dists_block(ti[pos[blk]], ti[pos])
             # the pairs i < j of this block of rows that break the isometry;
             # argmax finds the first in row-major order, as a pairwise scan would
             bad = np.abs(ds - dt) > _TOL
@@ -325,7 +315,7 @@ def verify_witness(w: WitnessMap, deltas: Optional[Sequence[float]] = None) -> W
     the report's content, not exceptions.
     """
     violations: List[str] = []
-    si, ti = _table_arrays(w)
+    si, ti = w.src, w.dst
     keep = _inside(w.source, si, w.validity_radius)
     si, ti = si[keep], ti[keep]
 
@@ -603,36 +593,17 @@ def absorption_witness(
                    context="absorption")
 
 
-def _label_rows(space: FiniteSpace) -> np.ndarray:
-    """The labels as an (n, k) array: the coordinates, except under a
-    table rule, whose coordinates are positions."""
-    if isinstance(space.rule, TableRule):
-        return np.asarray(space.labels, dtype=float).reshape(len(space), -1)
-    return space.coords
-
-
 def _match_rows(rows: np.ndarray, table: np.ndarray) -> np.ndarray:
     """Index of each row of rows among the distinct rows of table, -1 where
-    none is equal: one lexsort of both, table rows first among equal ones,
-    then a comparison of neighbours."""
+    none is equal: the rows of both grouped by one lexsort."""
     if rows.shape[1] != table.shape[1]:
         return np.full(len(rows), -1, dtype=np.int64)
     if np.array_equal(rows, table):
         return np.arange(len(rows))
-    both = np.concatenate([table, rows])
-    is_row = np.arange(len(both)) >= len(table)
-    order = np.lexsort((is_row, *both.T))
-    ordered = both[order]
-    opens = np.ones(len(both), dtype=bool)
-    opens[1:] = np.any(ordered[1:] != ordered[:-1], axis=1)
-    group = np.cumsum(opens) - 1
-    # a group holds a table row exactly when its first member is one
-    first = order[opens]
-    hit = np.where(first < len(table), first, -1)
-    out = np.empty(len(rows), dtype=np.int64)
-    at = is_row[order]
-    out[order[at] - len(table)] = hit[group[at]]
-    return out
+    group = _row_groups(np.concatenate([table, rows]))
+    where = np.full(len(group) + 1, -1, dtype=np.int64)
+    where[group[: len(table)]] = np.arange(len(table))
+    return where[group[len(table):]]
 
 
 def relabel_witness(
@@ -647,10 +618,10 @@ def relabel_witness(
     Covers regroupings of iterated products and factor reorderings, which
     leave all sup-metric distances unchanged. Labels are matched by a sort
     of both coordinate arrays, not one lookup per label."""
-    rows = _label_rows(source)
+    rows = source.rule.label_rows(source)
     if columns is not None:
         rows = rows[:, list(columns)]
-    ti = _match_rows(rows, _label_rows(target))
+    ti = _match_rows(rows, target.rule.label_rows(target))
     missing = np.flatnonzero(ti < 0)
     if len(missing):
         raise ValueError(f"relabel: no target point for label {source.labels[missing[0]]}")
@@ -668,8 +639,7 @@ def compose_witness(f: WitnessMap, g: WitnessMap, deltas: Sequence[float] = ()) 
     the moduli of the result are re-measured, never multiplied through."""
     if not (f.target == g.source):
         raise ValueError("compose: stages do not share a space")
-    fs, fm = _table_arrays(f)
-    gs, gt = _table_arrays(g)
+    fs, fm, gs, gt = f.src, f.dst, g.src, g.dst
     image = np.full(len(g.source), -1, dtype=np.int64)
     image[gs] = gt
     keep = _inside(f.source, fs, f.validity_radius) & _inside(g.source, fm, g.validity_radius)
@@ -687,8 +657,7 @@ def product_witness(
     """Coordinatewise product of two witnesses under the sup metric."""
     source = product_space(f.source, g.source, point_budget)
     target = product_space(f.target, g.target, point_budget)
-    fs, ft = _table_arrays(f)
-    gs, gt = _table_arrays(g)
+    fs, ft, gs, gt = f.src, f.dst, g.src, g.dst
     # product_space puts the pair (a, b) at a * |second factor| + b
     si = (fs[:, None] * len(g.source) + gs).ravel()
     ti = (ft[:, None] * len(g.target) + gt).ravel()
@@ -700,7 +669,7 @@ def product_witness(
 
 def invert_witness(f: WitnessMap, deltas: Sequence[float] = ()) -> WitnessMap:
     """Reverse the table; validity is re-derived on the target side."""
-    fs, ft = _table_arrays(f)
+    fs, ft = f.src, f.dst
     if len(np.unique(ft)) != len(ft):
         raise ValueError("invert: table is not injective")
     return _finish(f.target, f.source, ft, fs, (), extra_deltas=deltas, context="invert")
@@ -713,7 +682,7 @@ def invert_witness(f: WitnessMap, deltas: Sequence[float] = ()) -> WitnessMap:
 def component_multiplicity(w: WitnessMap, epsilon: float) -> int:
     """Number of right-factor slices of the source meeting each component of
     the target at the given scale; raises when the count is not constant."""
-    split = _product_split(w.source)
+    split = w.source.rule.split
     if split is None:
         raise ValueError("source of the witness is not a product")
     d = w.source.base_dists

@@ -13,14 +13,7 @@ from hypothesis import strategies as st
 from coarseiso import analysis as analysis_mod
 from coarseiso import spaces as spaces_mod
 from coarseiso.analysis import (
-    DENSE_CACHE_LIMIT,
-    _chain_order,
-    _int_coords,
-    _kruskal_chain,
     _select_tested,
-    _structured_values,
-    _subset_edges,
-    _sup_diameter,
     asdim_cover,
     empirical_phi,
     estimate_factorizing_step,
@@ -34,6 +27,7 @@ from coarseiso.spaces import (
     PlaneRule,
     SupRule,
     TableRule,
+    _kruskal_chain,
     build_truncation,
     canonical_ultrametric,
     cantor_cube_truncation,
@@ -344,7 +338,7 @@ def test_chain_order_matches_single_linkage(plane, data):
         subset = np.asarray(sorted(data.draw(st.sets(st.integers(0, len(zb) - 1), min_size=2))))
     tree = linkage(squareform(sp.dmat()[np.ix_(subset, subset)]), "single")
     heights = sorted(set(tree[:, 2].tolist()))
-    order, gap = _chain_order(sp, subset)
+    order, gap = sp.rule.chain(sp, subset)
     assert sorted(order.tolist()) == list(range(len(subset)))
     assert gap[0] == math.inf and sorted(set(gap[1:].tolist())) == heights
 
@@ -361,7 +355,7 @@ def test_chain_of_a_holed_line_takes_the_graph_path():
     zb = zball(12)
     sp = subspace(zb, [i for i, (v,) in enumerate(zb.labels) if v not in (3, 4, -7, -8)])
     assert not sp.structural
-    order, gap = _chain_order(sp, np.arange(len(sp)))
+    order, gap = sp.rule.chain(sp, np.arange(len(sp)))
     # three runs of unit steps, joined across the gaps of 3
     assert sorted(gap[1:].tolist()) == [1.0] * (len(sp) - 3) + [3.0, 3.0]
     labels = {eps: chain_labels(order, gap, eps) for eps in (1.0, 3.0)}
@@ -426,7 +420,7 @@ def test_sup_diameter_matches_pairwise_maximum(sp, data):
     idx = np.asarray(sorted(data.draw(st.sets(st.integers(0, len(sp) - 1), min_size=1,
                                               max_size=40))))
     want = max(float(sp.d(int(a), int(b))) for a in idx for b in idx)
-    assert _sup_diameter(sp, idx) == want
+    assert sp.rule.diameter(sp, idx) == want
 
 
 def as_table(sp):
@@ -494,7 +488,7 @@ def test_chain_order_matches_cophenet(sp, data):
             sp = subspace(sp, picked, basepoint=picked[0])
         subset = sorted(data.draw(st.sets(st.integers(0, len(sp) - 1), min_size=1)))
     subset = np.asarray(subset, dtype=np.int64)
-    order, gap = _chain_order(sp, subset)
+    order, gap = sp.rule.chain(sp, subset)
     assert sorted(order.tolist()) == list(range(len(subset)))
     assert gap[0] == math.inf
     assert np.array_equal(chain_cophenet(order, gap), single_linkage_cophenet(sp, subset))
@@ -515,7 +509,13 @@ def all_pairs_step(space, max_tested=48, fractions=(0.5, 0.75, 1.0)):
         radius = float(bd.max())
     windows = [f * radius for f in fractions]
     if isinstance(space.rule, SupRule):
-        candidates = sorted(v for v in _structured_values(space.rule, radius) if v <= radius)
+        # the values a sup rule realizes: cyclic levels, and every integer
+        # up to the radius when a coordinate is free
+        rule = space.rule
+        values = {0.0} | {float(lvl) for o, lvl in zip(rule.orders, rule.levels) if o}
+        if 0 in rule.orders:
+            values |= {float(k) for k in range(1, int(radius) + 1)}
+        candidates = sorted(v for v in values if v <= radius)
     else:
         full = np.flatnonzero(bd <= radius)
         heights = set()
@@ -578,7 +578,7 @@ def test_zero_distance_pair_stays_joined_at_zero():
     # csgraph reads a zero weight as no edge; the chain keeps the pair at 0
     sp = FiniteSpace([(0.0, 0.0), (1e-12, 0.0), (1.0, 0.0), (0.0, 2.0)], PlaneRule(), 0, 0)
     assert sp.d(0, 1) == 0.0
-    order, gap = _chain_order(sp, np.arange(4))
+    order, gap = sp.rule.chain(sp, np.arange(4))
     assert sorted(gap.tolist()) == [0.0, 1.0, 2.0, math.inf]
     at_zero = chain_labels(order, gap, 0.0)
     assert at_zero[0] == at_zero[1] and len(set(at_zero.tolist())) == 3
@@ -613,8 +613,8 @@ def test_block_oscillation_matches_all_pairs(source, target, deltas, data):
 
 def test_block_oscillation_over_several_blocks_and_uncached_rows():
     # a 1200-point table map needs several row blocks, and zball(1600) has
-    # 3201 points, above DENSE_CACHE_LIMIT; the all-pairs row loop is the
-    # oracle (brute_oscillation would take minutes here)
+    # 3201 points; the all-pairs row loop is the oracle (brute_oscillation
+    # would take minutes here)
     rng = np.random.default_rng(7)
     n = 1200
     m = rng.integers(1, 6, size=(n, n)).astype(float)
@@ -622,7 +622,7 @@ def test_block_oscillation_over_several_blocks_and_uncached_rows():
     np.fill_diagonal(m, 0.0)
     table = FiniteSpace([(i,) for i in range(n)], TableRule(m, ultrametric=False), 0, 5)
     line = zball(1600)
-    assert len(line) > DENSE_CACHE_LIMIT and len(row_blocks(n)) > 1
+    assert len(row_blocks(n)) > 1
     src = rng.permutation(n)
     dst = rng.choice(len(line), size=n, replace=False)
     for source, target, si, ti, deltas in ((table, line, src, dst, [3.0, 1.0]),
@@ -699,23 +699,23 @@ def test_int_coords_hold_values_far_from_zero_and_large_levels():
     line = zball(20000)
     edge = [line.index[(v,)] for v in range(19990, 20001)]
     near_edge = subspace(line, edge, basepoint=edge[0])
-    assert _int_coords(near_edge.coords, near_edge.rule.levels).dtype == np.int16
+    assert near_edge.rule.kernel_coords(near_edge.coords).dtype == np.int16
     small = zball(5)
     src, dst = np.arange(len(near_edge)), np.arange(len(near_edge))[::-1].copy()
     assert_scales_agree(near_edge, small, src, dst, [0.0, 1.0, 3.0])
     assert_scales_agree(small, near_edge, dst, src, [0.0, 1.0, 3.0])
     far = FiniteSpace([(2**40 + v,) for v in range(11)], line.rule, 0, 5, structural=False)
-    assert _int_coords(far.coords, far.rule.levels).dtype == np.int64
+    assert far.rule.kernel_coords(far.coords).dtype == np.int64
     assert_scales_agree(far, small, np.arange(11), np.arange(11)[::-1].copy(), [1.0, 2.0])
     # levels above 127 and 32767 need wider products than the values do
     tall = product_space(zball(2), tower_space([2, 3], levels=[300, 70000]))
-    assert _int_coords(tall.coords, tall.rule.levels).dtype == np.int32
+    assert tall.rule.kernel_coords(tall.coords).dtype == np.int32
     idx = np.arange(len(tall))
     perm = np.random.default_rng(5).permutation(len(tall))
     assert_scales_agree(tall, tall, idx, perm, [1.0, 2.0, 300.0, 70000.0])
     # non-integer sup labels keep their float coordinates
     frac = FiniteSpace([(0.0,), (0.5,), (2.0,)], zball(1).rule, 0, 1, structural=False)
-    assert _int_coords(frac.coords, frac.rule.levels).dtype == np.float64
+    assert frac.rule.kernel_coords(frac.coords).dtype == np.float64
     assert_scales_agree(frac, frac, np.arange(3), np.array([2, 0, 1]), [0.5, 1.5])
 
 
@@ -725,7 +725,7 @@ def test_subset_edges_over_several_blocks():
     for sp in (zball(20, 2), zball(30, 2)):
         subset = np.sort(rng.choice(len(sp), size=1100, replace=False))
         assert len(row_blocks(len(subset))) > 1
-        ii, jj, ww = _subset_edges(sp, subset)
+        ii, jj, ww = sp.rule.subset_edges(sp, subset)
         iu, ju = np.triu_indices(len(subset), k=1)
         assert np.array_equal(ii, iu) and np.array_equal(jj, ju)
         want = [sp.d(int(subset[i]), int(subset[j])) for i, j in zip(iu[::997], ju[::997])]
@@ -767,10 +767,10 @@ def window_planes(draw):
 
 
 def window_cophenet(sp, subset):
-    """Cophenetic matrix of the chain of _subset_edges(sp, subset), after
+    """Cophenetic matrix of the chain of the subset edges of sp, after
     checking that the edges come once each, i < j, in ascending order."""
     n = len(subset)
-    ii, jj, ww = _subset_edges(sp, subset)
+    ii, jj, ww = sp.rule.subset_edges(sp, subset)
     assert np.all(ii < jj) and np.all(np.diff(ii * n + jj) > 0)
     return chain_cophenet(*_kruskal_chain(n, ii, jj, ww))
 
@@ -849,7 +849,7 @@ def test_whole_space_chain_joins_points_far_from_the_origin(make):
     from scipy.spatial.distance import squareform
 
     sp = make()
-    order, gap = _chain_order(sp, np.arange(len(sp)))
+    order, gap = sp.rule.chain(sp, np.arange(len(sp)))
     assert np.count_nonzero(np.isinf(gap[1:])) == 0
     heights = linkage(squareform(sp.dmat(), checks=False), "single")[:, 2]
     assert sorted(gap[1:].tolist()) == sorted(heights.tolist())
@@ -867,7 +867,7 @@ def test_sup_diameter_of_a_table_over_several_blocks():
     table = as_table(zball(700))
     idx = np.concatenate([np.arange(1, len(table) - 1), [0, len(table) - 1]])
     assert len(row_blocks(len(idx))) > 1
-    assert _sup_diameter(table, idx) == 1400.0
+    assert table.rule.diameter(table, idx) == 1400.0
 
 
 def test_step_on_a_line_matches_the_all_pairs_table():

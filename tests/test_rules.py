@@ -1,0 +1,213 @@
+"""The metric-rule protocol: every path a rule chooses, checked against a
+brute-force oracle built from the scalar distance `FiniteSpace.d`, and a
+count of the places in the package that still test a rule's type."""
+
+from __future__ import annotations
+
+import ast
+import math
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from coarseiso.groups import parse_group
+from coarseiso.spaces import (
+    build_truncation,
+    epsilon_components,
+    example31_fixture,
+    product_space,
+    quotient_space,
+    subspace,
+    tower_space,
+    zball,
+)
+
+# the four kinds of space the rules serve
+SPACES = {
+    "sup-box": lambda: product_space(build_truncation(parse_group("Z + C3"), radius=3),
+                                     tower_space([2], levels=[5])),
+    "sup-subset": lambda: subspace(zball(4, 2), [i for i in range(81) if i % 7 not in (2, 3)]),
+    "plane": lambda: example31_fixture(2, 0.2, 3),
+    "table": lambda: quotient_space(example31_fixture(2, 0.2, 3), 0.1),
+}
+
+
+@pytest.fixture(scope="module", params=list(SPACES))
+def case(request):
+    sp = SPACES[request.param]()
+    n = len(sp)
+    d = np.array([[float(sp.d(i, j)) for j in range(n)] for i in range(n)])
+    return request.param, sp, d
+
+
+def test_the_four_kinds_are_what_they_say(case):
+    kind, sp, _ = case
+    assert type(sp.rule).__name__ == {"sup-box": "SupRule", "sup-subset": "SupRule",
+                                      "plane": "PlaneRule", "table": "TableRule"}[kind]
+    if kind.startswith("sup"):
+        assert sp.structural == (kind == "sup-box")
+    assert len(sp) >= 30
+
+
+def test_distance_blocks_match_the_scalar_distance(case):
+    _, sp, d = case
+    rng = np.random.default_rng(1)
+    assert np.array_equal(sp.dists_block(slice(None), slice(None)), d)
+    assert np.array_equal(sp.dmat(), d)
+    for i in (0, sp.basepoint, len(sp) - 1):
+        assert np.array_equal(sp.dists_from(i), d[i])
+    rows, cols = rng.choice(len(sp), 7), rng.choice(len(sp), 11)
+    assert np.array_equal(sp.dists_block(rows, cols), d[np.ix_(rows, cols)])
+    assert np.array_equal(sp.dists_block(slice(3, 9), cols), d[3:9][:, cols])
+
+
+def test_diameter_is_the_largest_pairwise_distance(case):
+    _, sp, d = case
+    rng = np.random.default_rng(2)
+    subsets = [np.arange(len(sp)), np.array([sp.basepoint]), np.zeros(0, dtype=np.int64)]
+    subsets += [np.sort(rng.choice(len(sp), size, replace=False)) for size in (2, 5, 17)]
+    for idx in subsets:
+        want = float(d[np.ix_(idx, idx)].max()) if len(idx) > 1 else 0.0
+        assert sp.rule.diameter(sp, idx) == want
+
+
+def cophenetic(d: np.ndarray) -> np.ndarray:
+    from scipy.cluster.hierarchy import cophenet, linkage
+    from scipy.spatial.distance import squareform
+
+    if len(d) < 2:
+        return np.zeros_like(d)
+    return squareform(cophenet(linkage(squareform(d, checks=False), "single")))
+
+
+def test_chain_gives_the_single_linkage_heights(case):
+    # basepoint balls, which the structural sup chain needs, and the whole space
+    _, sp, d = case
+    for radius in sorted(set(d[sp.basepoint].tolist()))[::3] + [math.inf]:
+        subset = np.flatnonzero(d[sp.basepoint] <= radius)
+        order, gap = sp.rule.chain(sp, subset)
+        assert sorted(order.tolist()) == list(range(len(subset))) and gap[0] == math.inf
+        coph = np.zeros((len(subset), len(subset)))
+        for a in range(len(order)):
+            coph[order[a], order[a + 1:]] = np.maximum.accumulate(gap[a + 1:])
+        assert np.array_equal(np.maximum(coph, coph.T), cophenetic(d[np.ix_(subset, subset)]))
+
+
+def test_components_are_those_of_the_threshold_graph(case):
+    from scipy.sparse.csgraph import connected_components
+
+    _, sp, d = case
+    values = sorted(set(d.ravel().tolist()))
+    for eps in [0.0, *values[1::4], values[-1], math.inf]:
+        labels = connected_components(d <= eps, directed=False)[1]
+        blocks = epsilon_components(sp, eps).point_block
+        assert np.array_equal(blocks[:, None] == blocks, labels[:, None] == labels)
+
+
+# ---------------------------------------------------------------------------
+# rule-type tests in the package
+
+RULE_CLASSES = {"SupRule", "PlaneRule", "TableRule"}
+# the most places outside the rule classes that may test a rule's type:
+# the input preconditions of coordinate-built spaces, factorization (space
+# and quotient) and tower alignment
+TYPE_TEST_LIMIT = 5
+
+
+def _mentions(node: ast.AST, names: set) -> bool:
+    return any((isinstance(n, ast.Name) and n.id in names)
+               or (isinstance(n, ast.Attribute) and n.attr in names) for n in ast.walk(node))
+
+
+def _on_rule(node: ast.AST) -> bool:
+    """Whether an expression names a rule: `rule`, `x.rule`, `left_rule`."""
+    return (isinstance(node, ast.Name) and node.id.endswith("rule")) or (
+        isinstance(node, ast.Attribute) and node.attr.endswith("rule"))
+
+
+def _kind_read(node: ast.AST) -> bool:
+    return isinstance(node, ast.Subscript) and isinstance(node.slice, ast.Constant) \
+        and node.slice.value == "kind"
+
+
+def rule_type_tests(source: str) -> list[int]:
+    """Lines outside the bodies of the rule classes that test a rule's
+    type, in any spelling: isinstance or issubclass against a rule class,
+    type(...), __class__ or __name__, a comparison with a rule class name,
+    a comparison of a descriptor's "kind" (outside _rule_from_descriptor,
+    which reads descriptors), a hasattr or getattr probe, or a tag
+    attribute read off a rule (kind, layout, tag, is_*)."""
+    lines: set[int] = set()
+
+    def probe(node: ast.AST, func: str, kinds: set) -> bool:
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+            name = node.func.id
+            if name in ("isinstance", "issubclass") and len(node.args) == 2:
+                return _mentions(node.args[1], RULE_CLASSES | {"MetricRule"})
+            return name in ("hasattr", "getattr") or (name == "type" and len(node.args) == 1)
+        if isinstance(node, ast.Attribute):
+            if node.attr in ("__class__", "__name__", "__qualname__"):
+                return True
+            tag = node.attr in ("kind", "layout", "tag") or (
+                node.attr.startswith("is_") and node.attr != "is_ultrametric")
+            return tag and _on_rule(node.value)
+        if isinstance(node, ast.Compare):
+            operands = [node.left, *node.comparators]
+            if any(isinstance(o, ast.Constant) and o.value in RULE_CLASSES for o in operands):
+                return True
+            if func != "_rule_from_descriptor":
+                return any(_kind_read(o) or (isinstance(o, ast.Name) and o.id in kinds)
+                           for o in operands)
+        return False
+
+    def visit(node: ast.AST, func: str, kinds: set) -> None:
+        if isinstance(node, ast.ClassDef) and node.name in RULE_CLASSES:
+            return
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            # names bound to a descriptor's kind inside this function
+            func, kinds = node.name, {
+                t.id for n in ast.walk(node) if isinstance(n, ast.Assign) and _kind_read(n.value)
+                for t in n.targets if isinstance(t, ast.Name)}
+        if probe(node, func, kinds):
+            lines.add(node.lineno)
+        for child in ast.iter_child_nodes(node):
+            visit(child, func, kinds)
+
+    visit(ast.parse(source), "", set())
+    return sorted(lines)
+
+
+@pytest.mark.parametrize("snippet", [
+    "isinstance(space.rule, TableRule)",
+    "isinstance(r, (SupRule, PlaneRule))",
+    "issubclass(cls, spaces.MetricRule)",
+    "type(space.rule) is PlaneRule",
+    "space.rule.__class__",
+    "type(rule).__name__",
+    "name == 'TableRule'",
+    "space.rule.descriptor()['kind'] != 'plane'",
+    "def f(space):\n    k = space.rule.descriptor()['kind']\n    return k == 'table'",
+    "hasattr(space.rule, 'matrix')",
+    "getattr(space.rule, 'orders', None)",
+    "space.rule.layout == 'tower'",
+    "space.rule.kind",
+    "rule.is_table",
+])
+def test_every_spelling_of_a_type_test_is_counted(snippet):
+    assert len(rule_type_tests(snippet)) == 1
+
+
+def test_rule_methods_and_other_reads_are_not_counted():
+    source = ("space.rule.is_ultrametric\nargs.format == 'table'\nkind = claim.get('kind')\n"
+              "kind == 'ball-respecting'\nspace.rule.diameter(space, idx)\n"
+              "def _rule_from_descriptor(desc):\n    return desc['kind'] == 'tower'\n"
+              "class SupRule:\n    def split(self):\n        return isinstance(self, SupRule)\n")
+    assert rule_type_tests(source) == []
+
+
+def test_few_places_test_a_rule_type():
+    package = Path(__file__).resolve().parent.parent / "src" / "coarseiso"
+    found = [f"{path.name}:{line}" for path in sorted(package.glob("*.py"))
+             for line in rule_type_tests(path.read_text())]
+    assert len(found) <= TYPE_TEST_LIMIT, found

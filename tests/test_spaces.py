@@ -279,9 +279,15 @@ class TestExample31:
 @given(st.lists(st.integers(-3, 40), min_size=1, max_size=60))
 def test_partition_of_a_label_array_matches_the_key_loop(keys):
     got = _partition_from_keys(1.0, np.asarray(keys))
-    want = _partition_from_keys(1.0, [(k,) for k in keys])
-    assert (got.blocks, got.representatives) == (want.blocks, want.representatives)
-    assert np.array_equal(got.point_block, want.point_block)
+    # the dict loop over tuple keys that partitions once took
+    groups: dict = {}
+    for i, key in enumerate((k,) for k in keys):
+        groups.setdefault(key, []).append(i)
+    blocks = sorted(groups.values(), key=lambda blk: blk[0])
+    assert got.blocks == tuple(tuple(blk) for blk in blocks)
+    assert got.representatives == tuple(blk[0] for blk in blocks)
+    assert got.point_block.tolist() == [next(b for b, blk in enumerate(blocks) if i in blk)
+                                        for i in range(len(keys))]
 
 
 def test_label_index_is_built_on_first_read():

@@ -385,7 +385,6 @@ def test_box_coordinates_match_the_labels(space):
 def test_table_is_read_from_the_index_arrays():
     sp = tower_space([2, 3])
     w = relabel_witness(sp, sp)
-    assert witness_mod._table_arrays(w) == (w.src, w.dst)
     for a in (w.src, w.dst):
         assert a.dtype == np.int64 and not a.flags.writeable
     assert w._table is None
@@ -414,3 +413,26 @@ def test_chain_builds_no_label_tuple_of_its_end_spaces():
     assert w.source._labels is None and w.target._labels is None
     assert w._table is None
     assert payload["pairs"] == [list(pair) for pair in w.table]
+
+
+@pytest.mark.parametrize("g1,g2,size", [
+    ("Z + C12", "Z + C3", {"radius": 70}),
+    ("C4^inf", "C2^inf", {"depth": 6}),
+])
+def test_tower_chains_build_no_label_tuple(g1, g2, size, monkeypatch):
+    """Oscillation between towers and their ball claims group points by
+    coordinate keys, so building, verifying and serializing these chains
+    makes no label tuple of any space."""
+    built = []
+    labels = FiniteSpace.labels
+
+    def traced(space):
+        if space._labels is None:
+            built.append(len(space))
+        return labels.fget(space)
+
+    monkeypatch.setattr(FiniteSpace, "labels", property(traced))
+    w = witness_mod.iso_witness_chain(parse_group(g1), parse_group(g2), **size)
+    assert verify_witness(w).ok
+    w.to_json()
+    assert built == []
