@@ -321,8 +321,7 @@ def foelner_search(
     _check_epsilon(epsilon)
     if c <= 1:
         raise ValueError("growth factor must exceed 1")
-    base = space.basepoint
-    bd = space.dists_from(base)
+    bd = space.base_dists
     radius = float(space.inner_radius)
     if not math.isfinite(radius):
         radius = float(np.max(bd))
@@ -335,7 +334,7 @@ def foelner_search(
         inside = np.flatnonzero(bd <= k)
         size = len(inside)
         if size:
-            nbr = space.rule.ball_neighbourhood(bd, k, epsilon)
+            nbr = space.rule.ball_neighbourhood(space, k, epsilon)
             if nbr is None:
                 if len(space) > max_points:
                     raise ValueError("space too large for the neighborhood recount")

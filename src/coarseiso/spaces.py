@@ -171,9 +171,9 @@ class MetricRule:
         quotient takes the generic path; it always does here."""
         return None
 
-    def ball_neighbourhood(self, bd: np.ndarray, k: int, eps: float) -> Optional[int]:
+    def ball_neighbourhood(self, space: "FiniteSpace", k: int, eps: float) -> Optional[int]:
         """Points within eps of the basepoint's k-ball, when the distances
-        bd from the basepoint alone give them; None here."""
+        from the basepoint alone give them; None here."""
         return None
 
 
@@ -386,11 +386,11 @@ class SupRule(MetricRule):
         levels = [self.levels[c] for c in kept]
         return kept if len(set(levels)) == len(levels) else None
 
-    def ball_neighbourhood(self, bd: np.ndarray, k: int, eps: float) -> Optional[int]:
-        """On a free group ball a box fattened by eps is again a box, so a
-        ball count around the basepoint is the exact count."""
-        if self.layout == "group-ball" and not any(self.orders):
-            return int(np.sum(bd <= k + eps))
+    def ball_neighbourhood(self, space: "FiniteSpace", k: int, eps: float) -> Optional[int]:
+        """On a structural free group ball a box fattened by eps is again a
+        box, so a ball count around the basepoint is the exact count."""
+        if space.structural and self.layout == "group-ball" and not any(self.orders):
+            return int(np.sum(space.base_dists <= k + eps))
         return None
 
     def descriptor(self) -> dict:
@@ -1191,27 +1191,20 @@ def _connected_labels(n: int, ii: np.ndarray, jj: np.ndarray) -> np.ndarray:
     return connected_components(graph, directed=False)[1]
 
 
-def _spanning_tree(n: int, ii: np.ndarray, jj: np.ndarray, ww: np.ndarray):
-    """Minimum spanning tree (rows, cols, weights) of the graph on n nodes
-    with edges (ii, jj, ww). Each pair must appear once with a positive
-    weight: coo_matrix sums duplicates and csgraph reads a zero as no edge."""
-    from scipy.sparse import coo_matrix
-    from scipy.sparse.csgraph import minimum_spanning_tree
-
-    tree = minimum_spanning_tree(coo_matrix((ww, (ii, jj)), shape=(n, n))).tocoo()
-    return tree.row, tree.col, tree.data
-
-
 def _kruskal_chain(n: int, ii: np.ndarray, jj: np.ndarray, ww: np.ndarray):
     """Chain (order, gap) of the graph on n nodes with edges (ii, jj, ww),
     from one Kruskal pass over its minimum spanning tree: each cluster is
     kept as a linked list, and a merge at height w appends one list to the
     other with w at the junction. Nodes the tree leaves apart are joined
-    at height inf."""
+    at height inf. Each pair must appear once: coo_matrix sums duplicates."""
+    from scipy.sparse import coo_matrix
+    from scipy.sparse.csgraph import minimum_spanning_tree
+
     # csgraph reads a zero weight as no edge, so the tree is taken on the
     # ranks of the weights, which keep their order, and read back
     values, rank = np.unique(ww, return_inverse=True)
-    ti, tj, tr = _spanning_tree(n, ii, jj, rank + 1.0)
+    tree = minimum_spanning_tree(coo_matrix((rank + 1.0, (ii, jj)), shape=(n, n))).tocoo()
+    ti, tj, tr = tree.row, tree.col, tree.data
     by = np.argsort(tr, kind="stable")
     heights = values[tr[by].astype(np.int64) - 1]
     parent = list(range(n))
@@ -1376,36 +1369,32 @@ def quotient_with_projection(
     partition = epsilon_components(space, epsilon)
 
     if parts is not None:
-        labels = [tuple(space.labels[rep][c] for c in parts)
-                  for rep in partition.representatives]
+        coords = space.coords[list(partition.representatives)][:, parts]
         rule = SupRule.tower([space.rule.orders[c] for c in parts],
                              [space.rule.levels[c] for c in parts])
         base_block = int(partition.point_block[space.basepoint])
-        q = FiniteSpace(labels, rule, base_block, space.inner_radius)
+        q = FiniteSpace(None, rule, base_block, space.inner_radius, coords=coords)
         return q, partition
 
     # generic path: single-linkage merge heights of the blocks, read off the
-    # minimum spanning tree of the block graph (lightest edge per block pair)
+    # chain of the block graph (lightest edge per block pair)
     reps = partition.representatives
     b = len(reps)
     if b > DENSE_LIMIT:
         raise BudgetError(f"quotient with {b} blocks exceeds the dense limit")
     ii, jj, ww = space.rule.subset_edges(space, np.arange(len(space)))
     bi, bj = partition.point_block[ii], partition.point_block[jj]
-    # cross-block weights exceed eps >= 0, so none reads as a missing edge
     cross = bi != bj
     key = np.minimum(bi, bj)[cross] * b + np.maximum(bi, bj)[cross]
     ww = ww[cross]
     order = np.argsort(ww, kind="stable")
     key, first = np.unique(key[order], return_index=True)
-    ti, tj, tw = _spanning_tree(b, key // b, key % b, ww[order][first])
+    chain, gap = _kruskal_chain(b, key // b, key % b, ww[order][first])
+    # the merge height of chain[i] and chain[j], i < j, is max(gap[i + 1:j + 1])
     qd = np.zeros((b, b))
-    cluster = np.arange(b)
-    for k in np.argsort(tw, kind="stable"):
-        left = cluster == cluster[ti[k]]
-        right = cluster == cluster[tj[k]]
-        qd[np.ix_(left, right)] = qd[np.ix_(right, left)] = tw[k]
-        cluster[right] = cluster[ti[k]]
+    for i in range(b - 1):
+        qd[chain[i], chain[i + 1:]] = np.maximum.accumulate(gap[i + 1:])
+    qd = np.maximum(qd, qd.T)
     base_block = int(partition.point_block[space.basepoint])
     base_spread = float(np.max(space.base_dists[list(partition.blocks[base_block])]))
     inner = max(0.0, float(space.inner_radius) - base_spread)

@@ -24,6 +24,7 @@ from .groups import GroupDescription, coarse_isomorphic
 from .spaces import (
     FiniteSpace,
     SupRule,
+    _partition_from_keys,
     _row_groups,
     enumerate_summands,
     epsilon_components,
@@ -246,12 +247,11 @@ def _check_isometry_claim(
         out.append("per-component-isometry claim on a non-product source")
         return
     eps = float(claim.get("epsilon", 0))
-    groups: Dict[tuple, List[int]] = {}
-    for k in range(len(si)):
-        groups.setdefault(w.source.labels[si[k]][split:], []).append(k)
     part = epsilon_components(w.target, eps)
-    sizes = [len(b) for b in part.blocks]
-    for key, members in groups.items():
+    sizes = np.bincount(part.point_block)
+    # the slices by their right-factor coordinates, in order of first appearance
+    slices = _partition_from_keys(eps, _row_groups(w.source.coords[si][:, split:]))
+    for members in slices.blocks:
         pos = np.asarray(members)
         for blk in row_blocks(len(pos)):
             ds = w.source.dists_block(si[pos[blk]], si[pos])
@@ -264,44 +264,46 @@ def _check_isometry_claim(
                 i, j = np.unravel_index(np.argmax(bad), bad.shape)
                 a, b = pos[blk.start + i], pos[j]
                 out.append(
-                    f"slice {key}: images of {w.source.labels[si[a]]} and "
-                    f"{w.source.labels[si[b]]} are at distance {dt[i, j]}, "
-                    f"not {ds[i, j]}"
+                    f"slice {w.source.labels[si[pos[0]]][split:]}: images of "
+                    f"{w.source.labels[si[a]]} and {w.source.labels[si[b]]} are at "
+                    f"distance {dt[i, j]}, not {ds[i, j]}"
                 )
                 break
-        blocks_hit = {int(part.point_block[ti[k]]) for k in members}
-        if len(blocks_hit) > 1:
-            out.append(f"slice {key}: image spans {len(blocks_hit)} target components")
-        elif len(members) != sizes[next(iter(blocks_hit))]:
+        hit = np.unique(part.point_block[ti[pos]])
+        if len(hit) > 1:
+            out.append(f"slice {w.source.labels[si[pos[0]]][split:]}: image spans "
+                       f"{len(hit)} target components")
+        elif len(pos) != sizes[hit[0]]:
             out.append(
-                f"slice {key}: image covers {len(members)} of "
-                f"{sizes[next(iter(blocks_hit))]} points of its target component"
+                f"slice {w.source.labels[si[pos[0]]][split:]}: image covers {len(pos)} "
+                f"of {sizes[hit[0]]} points of its target component"
             )
 
 
 def _check_ball_claim(
     w: WitnessMap, claim: dict, si: np.ndarray, ti: np.ndarray, out: List[str]
 ) -> None:
-    img_of = dict(zip(si.tolist(), ti.tolist()))
+    """Each claimed pair (ru, rv): every source ball at scale ru that the
+    table maps whole has an image that is a union of target balls at scale
+    rv. The (source ball, target ball) pairs of the table are counted in
+    one pass and compared with the target ball sizes; the first source ball
+    that breaks the claim, by representative, is reported."""
+    # a source mapped twice keeps its last image, as a lookup table would
+    last = len(si) - 1 - np.unique(si[::-1], return_index=True)[1]
+    si, ti = si[last], ti[last]
     for ru, rv in claim.get("pairs", ()):
         psrc = epsilon_components(w.source, float(ru))
-        ptgt = epsilon_components(w.target, float(rv))
-        tgt_sizes = [len(b) for b in ptgt.blocks]
-        for block in psrc.blocks:
-            img = [img_of[i] for i in block if i in img_of]
-            if not img:
-                continue
-            per_tgt: Dict[int, int] = {}
-            for t in img:
-                tb = int(ptgt.point_block[t])
-                per_tgt[tb] = per_tgt.get(tb, 0) + 1
-            partial = [tb for tb, c in per_tgt.items() if c != tgt_sizes[tb]]
-            if partial and len(img) == len(block):
-                out.append(
-                    f"ball at {w.source.labels[block[0]]} (scale {ru}): image is "
-                    f"not a union of target balls at scale {rv}"
-                )
-                break
+        tb = epsilon_components(w.target, float(rv)).point_block
+        sb, ntb = psrc.point_block, int(tb.max()) + 1
+        whole = np.bincount(sb[si], minlength=psrc.count) == np.bincount(sb)
+        pairs, counts = np.unique(sb[si] * ntb + tb[ti], return_counts=True)
+        bad = pairs[counts != np.bincount(tb)[pairs % ntb]] // ntb
+        bad = bad[whole[bad]]
+        if len(bad):
+            out.append(
+                f"ball at {w.source.labels[psrc.representatives[bad.min()]]} (scale {ru}): "
+                f"image is not a union of target balls at scale {rv}"
+            )
 
 
 def verify_witness(w: WitnessMap, deltas: Optional[Sequence[float]] = None) -> WitnessReport:
@@ -374,93 +376,35 @@ def verify_witness(w: WitnessMap, deltas: Optional[Sequence[float]] = None) -> W
 # constructors
 
 
-def _label_add(rule: SupRule, a: tuple, b: tuple) -> tuple:
-    """Group addition on labels; the shift isometries of the builders."""
-    return tuple((x + y) % o if o else x + y for x, y, o in zip(a, b, rule.orders))
-
-
 def factorization_witness(
     space: FiniteSpace, epsilon: float, deltas: Sequence[float] = ()
 ) -> WitnessMap:
     """Witness for splitting a space into (component of the basepoint) x
     (component quotient) at the given scale.
 
-    Works stage by stage: at each scale step the newly connected components
-    are translated copies of already-mapped ones, so the table extends by
-    composing with the shift that moves the basepoint onto the component's
-    representative. Representatives are the nearest points to the basepoint
-    (ties by label), which keeps the translated copies inside the truncation.
+    On a structural space the split is a move of coordinates: the cyclic
+    coordinates above epsilon key the components and are the quotient's
+    coordinates. So the source point (fiber point y, quotient point z) maps
+    to y with those coordinates replaced by z's, wherever that point exists.
     """
     eps = float(epsilon)
     if eps < 0:
         raise ValueError("epsilon must be >= 0")
-    if not isinstance(space.rule, SupRule):
-        raise ValueError("factorization needs a group-structured space")
-    quotient, part = quotient_with_projection(space, eps)
-    if not isinstance(quotient.rule, SupRule):
+    kept = space.rule.quotient_parts(space, eps)
+    if kept is None:
         raise ValueError("factorization needs a structural quotient at this scale")
-
-    base = space.basepoint
-    labels = space.labels
-    base_block = int(part.point_block[base])
-    fiber_idx = sorted(part.blocks[base_block])
-    fiber = subspace(space, fiber_idx)
+    quotient, part = quotient_with_projection(space, eps)
+    fiber = subspace(space, part.blocks[int(part.point_block[space.basepoint])])
     source = product_space(fiber, quotient)
 
-    mapping: Dict[Tuple[int, int], int] = {(y, base_block): y for y in fiber_idx}
-    covered = set(fiber_idx)
-
-    radius = float(space.inner_radius)
-    if not math.isfinite(radius):
-        radius = float(np.max(space.base_dists)) if len(space) > 1 else eps
-    scales = [eps + k for k in range(1, int(math.floor(radius - eps + _TOL)) + 1)]
-    if not scales or scales[-1] < radius - _TOL:
-        scales.append(radius)
-
-    dbase = space.base_dists
-    prev_scale = eps
-    for scale in scales:
-        if len(covered) == len(space):
-            break
-        cur = epsilon_components(space, scale)
-        component = cur.blocks[int(cur.point_block[base])]
-        fresh = [i for i in component if i not in covered]
-        if fresh:
-            prev = epsilon_components(space, prev_scale)
-            group_ids = sorted({int(prev.point_block[i]) for i in fresh})
-            base_label = labels[base]
-
-            def rep_key(i: int) -> tuple:
-                # ties by coordinatewise deviation keep the shift inside the box
-                dev = tuple(abs(x - y) for x, y in zip(labels[i], base_label))
-                return (float(dbase[i]), dev, labels[i])
-
-            reps = []
-            for gid in group_ids:
-                block = prev.blocks[gid]
-                x = min(block, key=rep_key)
-                reps.append((float(dbase[x]), labels[x], x))
-            snapshot = list(mapping.items())
-            for _, _, x in sorted(reps):
-                xl = labels[x]
-                for (y, zb), w in snapshot:
-                    wl = _label_add(space.rule, labels[w], xl)
-                    wi = space.index.get(wl)
-                    if wi is None:
-                        continue
-                    key = (y, int(part.point_block[wi]))
-                    if key not in mapping:
-                        mapping[key] = wi
-                        covered.add(wi)
-        covered.update(component)
-        prev_scale = scale
-
-    # source point (fiber point k, quotient point zb) sits at k * |quotient| + zb
-    ys, zbs = np.asarray(list(mapping), dtype=np.int64).T
-    si = np.searchsorted(fiber_idx, ys) * len(quotient) + zbs
-    ti = np.fromiter(mapping.values(), dtype=np.int64, count=len(mapping))
+    width = fiber.coords.shape[1]
+    rows = source.coords[:, :width].copy()
+    rows[:, kept] = source.coords[:, width:]
+    ti = _match_rows(rows, space.coords)
+    si = np.flatnonzero(ti >= 0)
     claims = ({"kind": "per-component-isometry", "epsilon": eps},)
-    return _finish(source, space, si, ti, claims, extra_deltas=deltas, context="factorization")
+    return _finish(source, space, si, ti[si], claims, extra_deltas=deltas,
+                   context="factorization")
 
 
 @dataclass
@@ -685,21 +629,20 @@ def component_multiplicity(w: WitnessMap, epsilon: float) -> int:
     split = w.source.rule.split
     if split is None:
         raise ValueError("source of the witness is not a product")
-    d = w.source.base_dists
-    part = epsilon_components(w.target, float(epsilon))
-    slices: Dict[int, set] = {}
-    for s, t in w.table:
-        if d[s] > w.validity_radius + _TOL:
-            continue
-        slices.setdefault(int(part.point_block[t]), set()).add(w.source.labels[s][split:])
-    if not slices:
+    keep = _inside(w.source, w.src, w.validity_radius)
+    si, ti = w.src[keep], w.dst[keep]
+    if not len(si):
         raise ValueError("no table entries inside the validity region")
-    counts = {b: len(v) for b, v in slices.items()}
-    values = sorted(set(counts.values()))
+    part = epsilon_components(w.target, float(epsilon))
+    slices = _row_groups(w.source.coords[si][:, split:])
+    # the distinct (target component, slice) pairs, counted per component
+    m = int(slices.max()) + 1
+    blocks, counts = np.unique(np.unique(part.point_block[ti] * m + slices) // m,
+                               return_counts=True)
+    values = np.unique(counts)
     if len(values) == 1:
-        return values[0]
-    lo = min(b for b, c in counts.items() if c == values[0])
-    hi = min(b for b, c in counts.items() if c == values[-1])
+        return int(values[0])
+    lo, hi = blocks[counts == values[0]].min(), blocks[counts == values[-1]].min()
     raise ValueError(
         f"component at {w.target.labels[part.representatives[lo]]} meets "
         f"{values[0]} slices but component at "

@@ -194,6 +194,15 @@ class TestFoelner:
         f = foelner_search(tower_space([2, 2, 2]), 1.1, 2)
         assert (f.k, f.size, f.neighborhood_size, f.ratio) == (2, 2, 2, 1.0)
 
+    def test_non_structural_ball_is_recounted(self):
+        # a ball count would include the missing label 2 in the neighbourhood
+        zb = zball(10)
+        sp = subspace(zb, [i for i, lab in enumerate(zb.labels) if lab != (2,)])
+        f = foelner_search(sp, 1.3, 1)
+        assert (f.k, f.size, f.neighborhood_size) == (2, 4, 5)
+        near = sp.dmat()[list(f.indices)].min(axis=0) <= 1
+        assert f.neighborhood_size == int(near.sum())
+
     def test_no_box_fits(self):
         assert foelner_search(zball(5), 1.01, 3) is None
 

@@ -982,6 +982,17 @@ def test_generic_quotient_matches_single_linkage(rank, eps, data):
     assert np.array_equal(q.dmat(), coph[np.ix_(reps, reps)])
 
 
+@pytest.mark.parametrize("args", [(1, 0.5, 3), (3, 0.1, 3), (4, 0.05, 6)])
+@pytest.mark.parametrize("eps", [0.2, 0.5, 1.0, 3.0])
+def test_plane_quotient_matches_single_linkage(args, eps):
+    sp = example31_fixture(*args)
+    q, part = quotient_with_projection(sp, eps)
+    same, coph = single_linkage_quotient(sp, eps)
+    assert np.array_equal(part.point_block[:, None] == part.point_block[None, :], same)
+    reps = list(part.representatives)
+    assert np.array_equal(q.dmat(), coph[np.ix_(reps, reps)])
+
+
 # pinned serialized form and space id of every constructor: witnesses name
 # their spaces by these ids, and saved spaces must load unchanged
 _zb3 = zball(3)

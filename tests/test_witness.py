@@ -36,7 +36,6 @@ from coarseiso.spaces import (
 from coarseiso.witness import (
     WitnessMap,
     _check_isometry_claim,
-    _label_add,
     absorption_witness,
     component_multiplicity,
     compose_witness,
@@ -256,10 +255,6 @@ class TestFactorization:
         assert isometry_messages(w, idx, idx) == [
             "slice (1,): images of (449, 1) and (499, 1) are at distance 51.0, not 50.0"
         ]
-
-    def test_label_add_wraps_cyclic_coordinates_only(self):
-        sp = product_space(build_truncation(parse_group("Z + C3"), radius=4), tower_space([2]))
-        assert _label_add(sp.rule, (-3, 2, 1), (5, 2, 1)) == (2, 1, 0)
 
 
 class TestTowerAlignment:

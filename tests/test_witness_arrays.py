@@ -4,7 +4,9 @@ they replaced.
 The oracle below is that code, kept verbatim under `old_` names: tables as
 sorted (source, target) tuples, labels looked up through `space.index`,
 validity and restriction from per-pair loops. Every case must give the same
-table, validity radius, moduli and error message.
+table, validity radius, moduli and error message. The staged factorization
+and the claim checks that grouped points by label tuples are kept the same
+way, against the coordinate relabel and the array checks.
 """
 
 from __future__ import annotations
@@ -19,13 +21,20 @@ from hypothesis import strategies as st
 
 from coarseiso import witness as witness_mod
 from coarseiso.analysis import oscillation
+from coarseiso.factorfn import FactorFunction
 from coarseiso.groups import parse_group
 from coarseiso.spaces import (
     FiniteSpace,
+    SupRule,
     TableRule,
     build_truncation,
+    canonical_ultrametric,
+    epsilon_components,
+    example31_fixture,
     k_point_space,
     product_space,
+    quotient_with_projection,
+    subspace,
     tower_space,
     zball,
 )
@@ -436,3 +445,278 @@ def test_tower_chains_build_no_label_tuple(g1, g2, size, monkeypatch):
     assert verify_witness(w).ok
     w.to_json()
     assert built == []
+
+
+# ---------------------------------------------------------------------------
+# factorization and the claim checks against the label-tuple code
+
+
+def old_label_add(rule, a, b):
+    return tuple((x + y) % o if o else x + y for x, y, o in zip(a, b, rule.orders))
+
+
+def old_factorization(space, epsilon, deltas=()):
+    """The staged factorization: each newly connected component is a
+    translate of mapped ones, found by adding label tuples."""
+    eps = float(epsilon)
+    if eps < 0:
+        raise ValueError("epsilon must be >= 0")
+    if not isinstance(space.rule, SupRule):
+        raise ValueError("factorization needs a group-structured space")
+    quotient, part = quotient_with_projection(space, eps)
+    if not isinstance(quotient.rule, SupRule):
+        raise ValueError("factorization needs a structural quotient at this scale")
+    base = space.basepoint
+    labels = space.labels
+    base_block = int(part.point_block[base])
+    fiber_idx = sorted(part.blocks[base_block])
+    source = product_space(subspace(space, fiber_idx), quotient)
+    mapping = {(y, base_block): y for y in fiber_idx}
+    covered = set(fiber_idx)
+    radius = float(space.inner_radius)
+    if not math.isfinite(radius):
+        radius = float(np.max(space.base_dists)) if len(space) > 1 else eps
+    scales = [eps + k for k in range(1, int(math.floor(radius - eps + _TOL)) + 1)]
+    if not scales or scales[-1] < radius - _TOL:
+        scales.append(radius)
+    dbase = space.base_dists
+    prev_scale = eps
+    for scale in scales:
+        if len(covered) == len(space):
+            break
+        cur = epsilon_components(space, scale)
+        component = cur.blocks[int(cur.point_block[base])]
+        fresh = [i for i in component if i not in covered]
+        if fresh:
+            prev = epsilon_components(space, prev_scale)
+            group_ids = sorted({int(prev.point_block[i]) for i in fresh})
+
+            def rep_key(i):
+                dev = tuple(abs(x - y) for x, y in zip(labels[i], labels[base]))
+                return (float(dbase[i]), dev, labels[i])
+
+            reps = []
+            for gid in group_ids:
+                x = min(prev.blocks[gid], key=rep_key)
+                reps.append((float(dbase[x]), labels[x], x))
+            snapshot = list(mapping.items())
+            for _, _, x in sorted(reps):
+                for (y, zb), w in snapshot:
+                    wi = space.index.get(old_label_add(space.rule, labels[w], labels[x]))
+                    if wi is None:
+                        continue
+                    key = (y, int(part.point_block[wi]))
+                    if key not in mapping:
+                        mapping[key] = wi
+                        covered.add(wi)
+        covered.update(component)
+        prev_scale = scale
+    ys, zbs = np.asarray(list(mapping), dtype=np.int64).T
+    si = np.searchsorted(fiber_idx, ys) * len(quotient) + zbs
+    pairs = list(zip(si.tolist(), mapping.values()))
+    claims = ({"kind": "per-component-isometry", "epsilon": eps},)
+    return old_finish(source, space, pairs, claims, extra_deltas=deltas, context="factorization")
+
+
+def old_isometry_claim(w, claim, si, ti, out):
+    split = w.source.rule.split
+    if split is None:
+        out.append("per-component-isometry claim on a non-product source")
+        return
+    part = epsilon_components(w.target, float(claim.get("epsilon", 0)))
+    groups = {}
+    for k in range(len(si)):
+        groups.setdefault(w.source.labels[si[k]][split:], []).append(k)
+    for key, members in groups.items():
+        pairs = ((a, b) for i, a in enumerate(members) for b in members[i + 1:])
+        for a, b in pairs:
+            ds, dt = w.source.d(si[a], si[b]), w.target.d(ti[a], ti[b])
+            if abs(ds - dt) > _TOL:
+                out.append(f"slice {key}: images of {w.source.labels[si[a]]} and "
+                           f"{w.source.labels[si[b]]} are at distance {float(dt)}, "
+                           f"not {float(ds)}")
+                break
+        hit = {int(part.point_block[ti[k]]) for k in members}
+        size = len(part.blocks[next(iter(hit))])
+        if len(hit) > 1:
+            out.append(f"slice {key}: image spans {len(hit)} target components")
+        elif len(members) != size:
+            out.append(f"slice {key}: image covers {len(members)} of {size} points of "
+                       f"its target component")
+
+
+def old_ball_claim(w, claim, si, ti, out):
+    img_of = dict(zip(si.tolist(), ti.tolist()))
+    for ru, rv in claim.get("pairs", ()):
+        psrc = epsilon_components(w.source, float(ru))
+        ptgt = epsilon_components(w.target, float(rv))
+        tgt_sizes = [len(b) for b in ptgt.blocks]
+        for block in psrc.blocks:
+            img = [img_of[i] for i in block if i in img_of]
+            if not img:
+                continue
+            per_tgt = {}
+            for t in img:
+                tb = int(ptgt.point_block[t])
+                per_tgt[tb] = per_tgt.get(tb, 0) + 1
+            partial = [tb for tb, c in per_tgt.items() if c != tgt_sizes[tb]]
+            if partial and len(img) == len(block):
+                out.append(f"ball at {w.source.labels[block[0]]} (scale {ru}): image is "
+                           f"not a union of target balls at scale {rv}")
+                break
+
+
+def old_multiplicity(w, epsilon):
+    split = w.source.rule.split
+    if split is None:
+        raise ValueError("source of the witness is not a product")
+    d = w.source.base_dists
+    part = epsilon_components(w.target, float(epsilon))
+    slices = {}
+    for s, t in w.table:
+        if d[s] > w.validity_radius + _TOL:
+            continue
+        slices.setdefault(int(part.point_block[t]), set()).add(w.source.labels[s][split:])
+    if not slices:
+        raise ValueError("no table entries inside the validity region")
+    counts = {b: len(v) for b, v in slices.items()}
+    values = sorted(set(counts.values()))
+    if len(values) == 1:
+        return values[0]
+    lo = min(b for b, c in counts.items() if c == values[0])
+    hi = min(b for b, c in counts.items() if c == values[-1])
+    raise ValueError(
+        f"component at {w.target.labels[part.representatives[lo]]} meets "
+        f"{values[0]} slices but component at "
+        f"{w.target.labels[part.representatives[hi]]} meets {values[-1]}"
+    )
+
+
+FACTORED = [
+    *(build_truncation(parse_group(g), radius=r)
+      for g in ["Z + C2", "Z + C3", "Z^2 + C2", "C2^inf", "C3^inf", "Z + C6", "Z + C2^inf",
+                "Z + C2 + C3", "C4^inf", "Z", "C6 + C2^inf"] for r in (2, 5)),
+    tower_space([2, 3]), tower_space([2, 2, 2]), tower_space([3, 2], levels=[1, 3]),
+    canonical_ultrametric(FactorFunction.from_dict({2: 2, 3: 1}), 3),
+    product_space(zball(3), tower_space([2], levels=[5])),
+    product_space(tower_space([2]), build_truncation(parse_group("Z + C3"), radius=3)),
+    product_space(zball(2), tower_space([2, 3])),
+]
+
+
+@pytest.mark.parametrize("space", FACTORED, ids=repr)
+@pytest.mark.parametrize("eps", [0.0, 0.5, 1.0, 2.0, 3.0, 4.0, 6.0])
+def test_factorization_matches_the_staged_code(space, eps):
+    """The relabel gives the staged table wherever the staged loop covers
+    the space; where it stopped short (at the inner radius), the relabel
+    maps a superset with the same validity radius and moduli."""
+    new = outcome(witness_mod.factorization_witness, space, eps, (3.0,))
+    old = outcome(old_factorization, space, eps, (3.0,))
+    if isinstance(old, str) or len(old) == len(space):
+        assert_same(new, old)
+    else:
+        assert set(old.table) < set(new.table)
+        assert new.validity_radius == old.validity_radius
+        assert new.forward_moduli == old.forward_moduli
+        assert new.backward_moduli == old.backward_moduli
+        assert new.source == old.source and new.claims == old.claims
+    if not isinstance(new, str):
+        assert verify_witness(new).violations == verify_witness(old).violations
+
+
+def test_factorization_maps_more_than_the_staged_code_past_the_inner_radius():
+    space = product_space(zball(3), tower_space([2], levels=[5]))
+    for eps in (1.0, 4.0):
+        new, old = witness_mod.factorization_witness(space, eps), old_factorization(space, eps)
+        assert (len(new), len(old), new.validity_radius) == (14, 7, 3.0)
+
+
+def test_factorization_of_the_plane_needs_a_structural_quotient():
+    with pytest.raises(ValueError, match="structural quotient"):
+        witness_mod.factorization_witness(example31_fixture(1, 0.5, 3), 1.0)
+
+
+def perturbed(rnd, w):
+    """The table of w with images swapped, entries dropped and now and then
+    a source mapped twice, as (si, ti)."""
+    si, ti = w.src.copy(), w.dst.copy()
+    for _ in range(rnd.randint(0, 3)):
+        a, b = rnd.randrange(len(ti)), rnd.randrange(len(ti))
+        ti[[a, b]] = ti[[b, a]]
+    keep = np.asarray([rnd.random() > 0.2 for _ in si]) if rnd.randint(0, 1) else np.ones(
+        len(si), dtype=bool)
+    si, ti = si[keep], ti[keep]
+    if len(si) and rnd.randint(0, 4) == 0:
+        si = np.append(si, si[rnd.randrange(len(si))])
+        ti = np.append(ti, rnd.randrange(len(w.target)))
+    return si, ti
+
+
+ALIGNED = [((2, 2, 2), (8,), None), ((2, 3, 2, 3), (6, 6), None), ((2, 2, 3), (3, 4), None),
+           ((4, 4), (2, 2, 2, 2), None), ((2,) * 6, (4,) * 3, None), ((2, 3), (6,), (1,))]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(ALIGNED), st.randoms(use_true_random=False))
+def test_ball_claim_matches_the_dict_loop(case, rnd):
+    uo, vo, vl = case
+    w = witness_mod.tower_alignment_witness(tower_space(uo), tower_space(vo, levels=vl)).witness
+    claim = w.claims[0]
+    si, ti = perturbed(rnd, w)
+    new, old = [], []
+    witness_mod._check_ball_claim(w, claim, si, ti, new)
+    old_ball_claim(w, claim, si, ti, old)
+    event("violation" if old else "clean")
+    assert new == old
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(FACTORED[:12]), st.sampled_from([1.0, 2.0]),
+       st.randoms(use_true_random=False))
+def test_isometry_claim_matches_the_dict_loop(space, eps, rnd):
+    w = outcome(witness_mod.factorization_witness, space, eps)
+    if isinstance(w, str):
+        return
+    si, ti = perturbed(rnd, w)
+    new, old = [], []
+    witness_mod._check_isometry_claim(w, w.claims[0], si, ti, new)
+    old_isometry_claim(w, w.claims[0], si, ti, old)
+    event("violation" if old else "clean")
+    assert new == old
+
+
+def multiplicity_cases():
+    al = witness_mod.tower_alignment_witness(tower_space([2, 2, 2]), tower_space([8], levels=[2]))
+    inv = witness_mod.invert_witness(witness_mod.absorption_witness(3, 30))
+    yield product_witness(al.witness, relabel_witness(k_point_space(1), k_point_space(1)))
+    yield inv
+    yield witness_mod.factorization_witness(build_truncation(parse_group("Z + C3"), radius=5), 1)
+    yield witness_mod.factorization_witness(tower_space([2, 3, 2]), 2)
+    for seed in range(6):
+        rng = np.random.default_rng(seed)
+        dst = inv.dst.copy()
+        picks = rng.choice(len(dst), size=3, replace=False)
+        dst[picks] = dst[picks[::-1]]
+        yield dataclasses.replace(inv, table=tuple(zip(inv.src.tolist(), dst.tolist())))
+
+
+@pytest.mark.parametrize("eps", [0.5, 1.0, 2.0, 3.0])
+def test_component_multiplicity_matches_the_dict_loop(eps):
+    for w in multiplicity_cases():
+        assert outcome(witness_mod.component_multiplicity, w, eps) == outcome(
+            old_multiplicity, w, eps)
+
+
+def test_tower_alignment_verifies_without_label_tuples(monkeypatch):
+    """The ball claim and the moduli of a tower alignment are checked on
+    index and coordinate arrays: verification makes no label tuple, no
+    label index and no tuple table."""
+    u, v = tower_space([2] * 8), tower_space([4] * 4)
+    w = witness_mod.tower_alignment_witness(u, v).witness
+    built = []
+    for name in ("labels", "index"):
+        prop = getattr(FiniteSpace, name)
+        monkeypatch.setattr(FiniteSpace, name, property(
+            lambda space, prop=prop, name=name: built.append(name) or prop.fget(space)))
+    assert verify_witness(w).ok
+    assert built == [] and w._table is None
