@@ -9,6 +9,7 @@ quotient construction is trustworthy.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Union
@@ -79,6 +80,59 @@ def _select_tested(candidates: Sequence[float], max_tested: int) -> list[float]:
     return sorted(set(rest[i] for i in idx) | set(head) | {0.0})
 
 
+def _base_runs(gap: np.ndarray, at: int, deltas: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
+    """The basepoint's run [lo, hi) of a chain at each of the ascending
+    scales: a run is cut where gap > delta, and the basepoint sits at
+    position at. The largest gap met walking out from the basepoint grows
+    with the distance walked, so the first cut on each side is one
+    searchsorted of that running maximum for all scales at once."""
+    delta = np.asarray(deltas, dtype=float)
+    # gap[0] = inf, so the walk to the left always meets a cut
+    left = np.maximum.accumulate(gap[at::-1])
+    right = np.maximum.accumulate(gap[at + 1:])
+    lo = at - left.searchsorted(delta, side="right")
+    return lo, at + 1 + right.searchsorted(delta, side="right")
+
+
+def _significant_counts(
+    gap: np.ndarray, at: int, eps: float, lo: np.ndarray, hi: np.ndarray
+) -> np.ndarray:
+    """Significant eps-blocks of each of the basepoint's runs [lo, hi) of a
+    chain at ascending coarser scales. The eps-blocks inside a delta-run
+    are the eps-runs inside it, since eps <= delta makes every cut at delta
+    one at eps. The delta-runs nest around the basepoint's eps-run, so the
+    largest block of each is the larger of two running maxima walking out
+    from that run, and the largest blocks grow with delta. So each eps-run
+    counts at the scales from the first delta-run that holds it up to the
+    first whose largest block is too large for it: an interval of scales,
+    and the counts are the running sum of the intervals' ends."""
+    if not len(lo):
+        return lo
+    # the eps-runs of the last delta-run, the largest; it starts at a cut
+    start = int(lo[-1])
+    bounds = np.append(np.flatnonzero(gap[start:hi[-1]] > eps), hi[-1] - start)
+    sizes = np.diff(bounds)
+    own = int(bounds.searchsorted(at - start, side="right")) - 1
+    # delta-run k holds the eps-runs [a[k], b[k]), with a[k] <= own < b[k]
+    a, b = bounds.searchsorted(lo - start), bounds.searchsorted(hi - start)
+    left = np.maximum.accumulate(sizes[own::-1])
+    right = np.maximum.accumulate(sizes[own:])
+    top = np.maximum(left[own - a], right[b - 1 - own])
+    # a run too small for the least largest block counts at no scale
+    runs = np.flatnonzero(sizes * NOISE_DEN >= top[0] * NOISE_NUM)
+    # each counts from the first delta-run that holds it (the runs left of
+    # the basepoint's by the starts a, which fall with delta, the others
+    # by the ends b) up to the first whose largest block is too large
+    cut = int(runs.searchsorted(own))
+    first = np.concatenate(((-a).searchsorted(-runs[:cut]),
+                            b.searchsorted(runs[cut:], side="right")))
+    stop = (top * NOISE_NUM).searchsorted(sizes[runs] * NOISE_DEN, side="right")
+    keep = first < stop
+    slots = len(a) + 1
+    ends = np.bincount(first[keep], minlength=slots) - np.bincount(stop[keep], minlength=slots)
+    return np.cumsum(ends[:-1])
+
+
 def estimate_factorizing_step(
     space: FiniteSpace,
     max_tested: int = 48,
@@ -114,39 +168,18 @@ def estimate_factorizing_step(
     subsets = [np.flatnonzero(bd <= w) for w in windows]
     inconclusive = len(subsets[0]) < 16 or len([c for c in tested if c > 0]) < 2
 
-    # per window and tested scale: the run boundaries of the chain (every
-    # position with gap > scale, then the window size) and the run sizes;
-    # per coarser scale delta, the basepoint's run [lo, hi) of the chain
-    runs, spans = [], []
+    # per window, the significant counts at each tested scale eps over its
+    # coarser tested scales; eps is stable when every window counts alike
+    top = bisect.bisect_right(tested, delta_cap)
+    counts = []
     for sub in subsets:
         order, gap = chain(sub)
         at = int(np.flatnonzero(sub[order] == base)[0])
-        bounds = {eps: np.append(np.flatnonzero(gap > eps), len(sub)) for eps in tested}
-        runs.append({eps: (b, np.diff(b)) for eps, b in bounds.items()})
-        spans.append({})
-        for delta, b in bounds.items():
-            k = int(b.searchsorted(at, side="right"))
-            spans[-1][delta] = (b[k - 1], b[k])
-
-    def sig_count(w: int, eps: float, delta: float) -> int:
-        # the eps-blocks of the basepoint's delta-component are the eps-runs
-        # inside its delta-run: eps <= delta, so a cut at delta is one at eps
-        lo, hi = spans[w][delta]
-        bounds, sizes = runs[w][eps]
-        block = sizes[bounds.searchsorted(lo):bounds.searchsorted(hi)]
-        return int(np.count_nonzero(block * NOISE_DEN >= block.max() * NOISE_NUM))
-
-    stable: dict[float, bool] = {}
-    for eps in tested:
-        ok = True
-        for delta in tested:
-            if delta < eps or delta > delta_cap:
-                continue
-            counts = {sig_count(w, eps, delta) for w in range(len(subsets))}
-            if len(counts) > 1:
-                ok = False
-                break
-        stable[eps] = ok
+        lo, hi = _base_runs(gap, at, tested[:top])
+        counts.append([_significant_counts(gap, at, eps, lo[k:], hi[k:])
+                       for k, eps in enumerate(tested)])
+    stable = {eps: all(np.array_equal(counts[0][k], c[k]) for c in counts[1:])
+              for k, eps in enumerate(tested)}
 
     unstable = [e for e in tested if not stable[e]]
     stable_vals = [e for e in tested if stable[e]]

@@ -126,9 +126,7 @@ def _cmd_components(args: argparse.Namespace) -> int:
         "epsilon": _scale(args.epsilon),
         "blocks": len(part.blocks),
         "sizes": sizes[:32],
-        "representatives": [
-            list(space.labels[r]) for r in part.representatives[:16]
-        ],
+        "representatives": space.label_lists(part.representatives[:16]),
     }
     _emit(payload, args)
     return 0

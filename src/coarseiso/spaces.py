@@ -96,6 +96,16 @@ class MetricRule:
         """Coordinates as the pair pass of oscillation hands them to dists."""
         return coords
 
+    def checked_coords(self, coords: np.ndarray) -> np.ndarray:
+        """Coordinates given for a space, as the float64 column-major array
+        the row kernels read, once this rule's precondition holds: here
+        none does, so a space of this rule is built from its labels."""
+        raise ValueError("coordinate-built spaces need a sup or plane rule")
+
+    def label_lists(self, coords: np.ndarray) -> list[list]:
+        """The labels of rows of coordinates, as lists of Python floats."""
+        return coords.tolist()
+
     def label_rows(self, space: "FiniteSpace") -> np.ndarray:
         """The labels as an (n, k) array."""
         return space.coords
@@ -283,6 +293,18 @@ class SupRule(MetricRule):
             np.maximum(d, tmp, out=d)
         return d
 
+    def checked_coords(self, coords: np.ndarray) -> np.ndarray:
+        """Integer coordinates of an (n, k) array."""
+        coords = _float_rows(coords)
+        # floats hold every integer up to 2^53 exactly
+        if not np.all((np.abs(coords) <= 2.0**53) & (coords == np.trunc(coords))):
+            raise ValueError("coordinates must be integers")
+        return coords
+
+    def label_lists(self, coords: np.ndarray) -> list[list]:
+        """The labels of rows of coordinates, as lists of Python ints."""
+        return coords.astype(np.int64).tolist()
+
     def kernel_coords(self, coords: np.ndarray) -> np.ndarray:
         """The coordinates in the narrowest integer dtype that holds every
         value, every difference of two values and every level, so that the
@@ -425,6 +447,15 @@ class PlaneRule(MetricRule):
         if widths != {2}:
             raise ValueError("plane labels must be (x, y) pairs")
 
+    def checked_coords(self, coords: np.ndarray) -> np.ndarray:
+        """Finite (x, y) rows of an (n, 2) array."""
+        coords = _float_rows(coords)
+        if coords.shape[1] != 2:
+            raise ValueError("plane labels must be (x, y) pairs")
+        if not np.all(np.isfinite(coords)):
+            raise ValueError("plane coordinates must be finite")
+        return coords
+
     def distance(self, space: "FiniteSpace", i: int, j: int) -> float:
         a, b = space.labels[i], space.labels[j]
         return round(math.hypot(a[0] - b[0], a[1] - b[1]), PLANE_DECIMALS)
@@ -538,11 +569,13 @@ class FiniteSpace:
     inner_radius is the distance up to which every ambient point near the
     basepoint is present with exact distances.
 
-    A space is built from its point labels, or from ``coords``: an
-    integer-valued (n, k) array under a sup rule, whose rows are the
-    labels. Those are then made only when something reads them, as tuples
-    of Python ints in row order. Both paths check the same things:
-    distinct points, a basepoint in range, and the rule's label width.
+    A space is built from its point labels, or from ``coords``: an (n, k)
+    array whose rows are the labels, integers under a sup rule and finite
+    (x, y) pairs under a plane rule (MetricRule.checked_coords). Those are
+    then made only when something reads them, as tuples of Python ints or
+    floats in row order (MetricRule.label_lists). Both paths check the same
+    things: distinct points, a basepoint in range, and the rule's label
+    width.
     """
 
     def __init__(
@@ -565,7 +598,7 @@ class FiniteSpace:
                 raise ValueError("duplicate point labels")
             widths = set(map(len, self._labels))
         else:
-            self._coords = _integer_coords(coords, rule)
+            self._coords = rule.checked_coords(coords)
             n = len(self._coords)
             if _has_equal_rows(self._coords):
                 raise ValueError("duplicate point labels")
@@ -618,12 +651,15 @@ class FiniteSpace:
             self._labels = tuple(map(tuple, self.label_lists()))
         return self._labels
 
-    def label_lists(self) -> list[list]:
-        """[list(l) for l in self.labels], read from the coordinates while
-        the label tuples are unbuilt."""
+    def label_lists(self, idx: Optional[Sequence[int]] = None) -> list[list]:
+        """[list(self.labels[i]) for i in idx], every point when idx is
+        None, read from the coordinates while the label tuples are unbuilt."""
         if self._labels is None:
-            return self._coords.astype(np.int64).tolist()
-        return [list(l) for l in self._labels]
+            rows = self._coords if idx is None else self._coords[np.asarray(idx, dtype=np.int64)]
+            return self.rule.label_lists(rows)
+        if idx is None:
+            return [list(l) for l in self._labels]
+        return [list(self._labels[i]) for i in idx]
 
     @property
     def index(self) -> dict[Label, int]:
@@ -708,17 +744,12 @@ class FiniteSpace:
         return space
 
 
-def _integer_coords(coords: np.ndarray, rule: MetricRule) -> np.ndarray:
+def _float_rows(coords: np.ndarray) -> np.ndarray:
     """Coordinates given for a space, as the float64 column-major array the
-    row kernels read; they must be integers, under a sup rule."""
-    if not isinstance(rule, SupRule):
-        raise ValueError("coordinate-built spaces need a sup rule")
+    row kernels read; they must be an (n, k) array."""
     coords = np.asfortranarray(coords, dtype=float)
     if coords.ndim != 2:
         raise ValueError("coordinates must be an (n, k) array")
-    # floats hold every integer up to 2^53 exactly
-    if not np.all((np.abs(coords) <= 2.0**53) & (coords == np.trunc(coords))):
-        raise ValueError("coordinates must be integers")
     return coords
 
 
@@ -979,8 +1010,7 @@ def cantor_cube_truncation(depth: int, point_budget: Optional[int] = None) -> Fi
 def subspace(space: FiniteSpace, indices: Sequence[int], basepoint: Optional[int] = None) -> FiniteSpace:
     """Induced metric on a subset of points. The basepoint defaults to the
     ambient one and must belong to the subset."""
-    idx = np.asarray(sorted(int(i) for i in indices))
-    labels = [space.labels[int(i)] for i in idx]
+    idx = np.asarray(sorted(int(i) for i in indices), dtype=np.int64)
     rule = space.rule.restrict(space, idx)
     base = space.basepoint if basepoint is None else basepoint
     where = np.flatnonzero(idx == base)
@@ -989,8 +1019,12 @@ def subspace(space: FiniteSpace, indices: Sequence[int], basepoint: Optional[int
     # ultrametric rules classify chains pointwise, so subsets keep their
     # shortcuts; sup-metric boxes lose contiguity and must go exhaustive
     structural = space.structural and (space.ultrametric or len(idx) == len(space))
-    return FiniteSpace(labels, rule, int(where[0]), space.inner_radius,
-                       space.ultrametric, structural)
+    if space._labels is None:  # coordinate-built: the rows pass on, no label is made
+        labels, coords = None, space.coords[idx]
+    else:
+        labels, coords = [space.labels[i] for i in idx.tolist()], None
+    return FiniteSpace(labels, rule, int(where[0]), space.inner_radius, space.ultrametric,
+                       structural, coords=coords)
 
 
 def product_space(
@@ -1040,8 +1074,7 @@ def example31_fixture(
     order = np.lexsort((py, px))
     px, py = px[order], py[order]
     base = int(np.flatnonzero((px == 0) & (py == 0))[0])
-    space = FiniteSpace(list(zip(px.tolist(), py.tolist())), PlaneRule(), base, 0)
-    space._coords = np.asfortranarray(np.stack([px, py], axis=1))
+    space = FiniteSpace(None, PlaneRule(), base, 0, coords=np.stack([px, py], axis=1))
     # the whole sample is the known region; faithfulness ends at its extent
     space.inner_radius = float(np.max(space.base_dists))
     return space
@@ -1398,7 +1431,7 @@ def quotient_with_projection(
     base_block = int(partition.point_block[space.basepoint])
     base_spread = float(np.max(space.base_dists[list(partition.blocks[base_block])]))
     inner = max(0.0, float(space.inner_radius) - base_spread)
-    labels = [space.labels[rep] for rep in reps]
+    labels = [tuple(l) for l in space.label_lists(reps)]
     q = FiniteSpace(labels, TableRule(qd, ultrametric=True), base_block, inner, True)
     _verify_ultrametric(q)
     return q, partition

@@ -249,8 +249,16 @@ def _check_isometry_claim(
     eps = float(claim.get("epsilon", 0))
     part = epsilon_components(w.target, eps)
     sizes = np.bincount(part.point_block)
-    # the slices by their right-factor coordinates, in order of first appearance
-    slices = _partition_from_keys(eps, _row_groups(w.source.coords[si][:, split:]))
+    # each source point's slice, by its right-factor coordinates. The table
+    # stops at the validity radius, so only a slice that lies inside the
+    # validity region is held to cover its whole target component. In a
+    # factorization source a slice is one source eps-component: the fiber
+    # is one, and quotient points lie more than eps apart
+    keys = _row_groups(w.source.coords[:, split:])
+    inside = _inside(w.source, np.arange(len(w.source)), w.validity_radius)
+    whole = np.bincount(keys[inside], minlength=int(keys.max()) + 1) == np.bincount(keys)
+    # the slices of the table, in order of first appearance
+    slices = _partition_from_keys(eps, keys[si])
     for members in slices.blocks:
         pos = np.asarray(members)
         for blk in row_blocks(len(pos)):
@@ -273,7 +281,7 @@ def _check_isometry_claim(
         if len(hit) > 1:
             out.append(f"slice {w.source.labels[si[pos[0]]][split:]}: image spans "
                        f"{len(hit)} target components")
-        elif len(pos) != sizes[hit[0]]:
+        elif len(pos) != sizes[hit[0]] and whole[keys[si[pos[0]]]]:
             out.append(
                 f"slice {w.source.labels[si[pos[0]]][split:]}: image covers {len(pos)} "
                 f"of {sizes[hit[0]]} points of its target component"

@@ -583,6 +583,162 @@ def test_step_estimate_matches_the_all_pairs_loop(sp):
     assert estimate_factorizing_step(sp).to_json() == all_pairs_step(sp)
 
 
+def sig_count_step(space, max_tested=48, window_fractions=(0.5, 0.75, 1.0)):
+    """estimate_factorizing_step with the stability check it had as one
+    sig_count call per (eps, delta, window): the run boundaries of each
+    window's chain at every tested scale, the basepoint's delta-run, and
+    the significant eps-runs inside it counted one at a time."""
+    base = space.basepoint
+    bd = space.dists_from(base)
+    radius = float(space.inner_radius)
+    if not math.isfinite(radius) or radius <= 0:
+        radius = float(np.max(bd))
+    windows = tuple(f * radius for f in window_fractions)
+    delta_cap = windows[0]
+    full = np.flatnonzero(bd <= radius)
+    candidates = space.rule.step_candidates(radius, lambda: space.rule.chain(space, full))
+    tested = _select_tested([c for c in candidates if c <= delta_cap], max_tested)
+    subsets = [np.flatnonzero(bd <= w) for w in windows]
+    inconclusive = len(subsets[0]) < 16 or len([c for c in tested if c > 0]) < 2
+
+    runs, spans = [], []
+    for sub in subsets:
+        order, gap = space.rule.chain(space, sub)
+        at = int(np.flatnonzero(sub[order] == base)[0])
+        bounds = {eps: np.append(np.flatnonzero(gap > eps), len(sub)) for eps in tested}
+        runs.append({eps: (b, np.diff(b)) for eps, b in bounds.items()})
+        spans.append({})
+        for delta, b in bounds.items():
+            k = int(b.searchsorted(at, side="right"))
+            spans[-1][delta] = (b[k - 1], b[k])
+
+    def sig_count(w, eps, delta):
+        lo, hi = spans[w][delta]
+        bounds, sizes = runs[w][eps]
+        block = sizes[bounds.searchsorted(lo):bounds.searchsorted(hi)]
+        return int(np.count_nonzero(block * 8 >= block.max()))
+
+    stable = {}
+    for eps in tested:
+        ok = True
+        for delta in tested:
+            if delta < eps or delta > delta_cap:
+                continue
+            if len({sig_count(w, eps, delta) for w in range(len(subsets))}) > 1:
+                ok = False
+                break
+        stable[eps] = ok
+    unstable = [e for e in tested if not stable[e]]
+    stable_vals = [e for e in tested if stable[e]]
+    # every count, per window and scale eps, over its coarser scales
+    counts = [[[sig_count(w, eps, delta) for delta in tested if eps <= delta <= delta_cap]
+               for eps in tested] for w in range(len(subsets))]
+    return analysis_mod.StepEstimate(
+        estimate=max(unstable) if unstable else 0.0,
+        stable_from=min(stable_vals) if stable_vals else None,
+        candidates=tuple(candidates),
+        tested=tuple(tested),
+        windows=windows,
+        inconclusive=inconclusive or not stable_vals,
+    ), counts
+
+
+def window_counts(space, est):
+    """The significant counts the vectorised check reads, per window and
+    tested scale, from the same chains."""
+    top = sum(1 for d in est.tested if d <= est.windows[0])
+    out = []
+    for w in est.windows:
+        sub = np.flatnonzero(space.dists_from(space.basepoint) <= w)
+        order, gap = space.rule.chain(space, sub)
+        at = int(np.flatnonzero(sub[order] == space.basepoint)[0])
+        lo, hi = analysis_mod._base_runs(gap, at, est.tested[:top])
+        out.append([analysis_mod._significant_counts(gap, at, eps, lo[k:], hi[k:]).tolist()
+                    for k, eps in enumerate(est.tested)])
+    return out
+
+
+@st.composite
+def tied_plane_clouds(draw):
+    """Points of a coarse integer lattice, scaled: many chain gaps tie, at
+    the lattice steps and their diagonals. Small ones give windows under
+    16 points."""
+    pts = draw(st.lists(st.tuples(st.integers(0, 9), st.integers(0, 9)),
+                        min_size=2, max_size=60, unique=True))
+    scale = draw(st.sampled_from([1.0, 0.5, 0.3]))
+    labels = sorted((x * scale, y * scale) for x, y in pts)
+    return FiniteSpace(labels, PlaneRule(), draw(st.integers(0, len(labels) - 1)), 0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(tied_plane_clouds(), step_spaces()),
+       st.lists(st.sampled_from([0.0, 0.3, 0.5, 0.75, 1.0, 1.25]), min_size=1, max_size=4),
+       st.sampled_from([4, 8, 48]))
+def test_step_stability_matches_the_sig_count_loop(sp, fractions, max_tested):
+    got = estimate_factorizing_step(sp, max_tested, tuple(fractions))
+    want, counts = sig_count_step(sp, max_tested, tuple(fractions))
+    assert got == want
+    assert window_counts(sp, got) == counts
+
+
+def run_counts(gap, at, eps, deltas):
+    """Per scale delta, the significant eps-runs of the basepoint's
+    delta-run of a chain, each run boundary found on its own."""
+    def cuts(scale):
+        return np.append(np.flatnonzero(gap > scale), len(gap))
+
+    bounds = cuts(eps)
+    sizes, out = np.diff(bounds), []
+    for delta in deltas:
+        d = cuts(delta)
+        k = int(d.searchsorted(at, side="right"))
+        block = sizes[bounds.searchsorted(d[k - 1]):bounds.searchsorted(d[k])]
+        out.append(int(np.count_nonzero(block * 8 >= block.max())))
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.integers(1, 20), st.sampled_from([1.0, 2.0, 3.0, 4.0]),
+                          st.sampled_from([0.0, 0.5, 1.0])), min_size=1, max_size=10),
+       st.data())
+def test_significant_counts_match_one_run_at_a_time(runs, data):
+    # bare chains of runs with tied gaps: a cut, then gaps inside the run;
+    # the largest run of a delta-run may lie on either side of the
+    # basepoint's, or be its own
+    gap = np.concatenate([[cut] + [inner] * (size - 1) for size, cut, inner in runs])
+    gap[0] = math.inf
+    at = data.draw(st.integers(0, len(gap) - 1))
+    scales = sorted(set(data.draw(st.lists(
+        st.sampled_from([0.0, 0.5, 1.0, 2.0, 3.0, 4.0]), min_size=1, max_size=6))))
+    k = data.draw(st.integers(0, len(scales) - 1))
+    lo, hi = analysis_mod._base_runs(gap, at, scales)
+    got = analysis_mod._significant_counts(gap, at, scales[k], lo[k:], hi[k:])
+    assert got.tolist() == run_counts(gap, at, scales[k], scales[k:])
+
+
+@pytest.mark.parametrize("at", [0, 1, 21])
+def test_significant_counts_see_the_largest_run_on_either_side(at):
+    # runs of 1, 20 and 1 points, one run at 2: the largest run is right of
+    # the basepoint's at 0, its own at 1 and left of it at 21; the runs of
+    # one point are never significant beside it
+    gap = np.array([math.inf, 2.0] + [0.0] * 19 + [2.0])
+    lo, hi = analysis_mod._base_runs(gap, at, [0.5, 2.0])
+    got = analysis_mod._significant_counts(gap, at, 0.5, lo, hi)
+    assert got.tolist() == run_counts(gap, at, 0.5, [0.5, 2.0]) == [1, 1]
+
+
+def test_step_stability_on_the_curve_fixture_matches_the_sig_count_loop():
+    # windows of thousands of points, 48 tested scales, and spans cut
+    # from the cached Delaunay edges
+    sp = example31_fixture(12, 0.02, 200)
+    for fractions in ((0.5, 0.75, 1.0), (1.0, 0.5), (0.3,)):
+        for max_tested in (4, 48):
+            got = estimate_factorizing_step(sp, max_tested, fractions)
+            want, counts = sig_count_step(sp, max_tested, fractions)
+            assert got == want
+            assert window_counts(sp, got) == counts
+
+
 def test_zero_distance_pair_stays_joined_at_zero():
     # csgraph reads a zero weight as no edge; the chain keeps the pair at 0
     sp = FiniteSpace([(0.0, 0.0), (1e-12, 0.0), (1.0, 0.0), (0.0, 2.0)], PlaneRule(), 0, 0)

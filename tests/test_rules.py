@@ -110,8 +110,8 @@ def test_components_are_those_of_the_threshold_graph(case):
 
 RULE_CLASSES = {"SupRule", "PlaneRule", "TableRule"}
 # the most places outside the rule classes that may test a rule's type:
-# the input preconditions of coordinate-built spaces and tower alignment
-TYPE_TEST_LIMIT = 2
+# the input precondition of tower alignment
+TYPE_TEST_LIMIT = 1
 
 
 def _mentions(node: ast.AST, names: set) -> bool:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import gc
+import hashlib
 import itertools
 import json
 import math
@@ -1078,6 +1079,26 @@ def test_serialization_is_pinned(name):
     assert FiniteSpace.from_json(text) == sp
 
 
+def test_coordinate_built_plane_fixture_serializes_like_the_label_built_one():
+    # the fixture is built from its coordinate rows; the same points given
+    # as (x, y) label tuples serialize, name and compare alike, and the text
+    # and id are those the label-built fixture had
+    sp = example31_fixture(3, 0.1, 20)
+    assert sp._labels is None
+    text = sp.to_json()
+    by_labels = FiniteSpace(list(zip(*sp.coords.T.tolist())), PlaneRule(), sp.basepoint,
+                            sp.inner_radius)
+    assert by_labels.to_json() == text
+    assert space_id(sp) == space_id(by_labels) == "plane-124-b8059fa2e51c"
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "3eb4cb4ce25f41794ef4f562889d02d7286273e5f287b02fc5e3776fba71d22d")
+    assert sp == by_labels and by_labels == sp
+    loaded = FiniteSpace.from_json(text)
+    assert loaded == sp and sp == loaded and loaded.to_json() == text
+    assert sp._labels is None
+    assert sp.labels == by_labels.labels
+
+
 def _factor(kind, a, b):
     """A small factor space and its coordinates, each ("free", 1) or
     ("cyclic", level), stated independently of the space's rule."""
@@ -1199,8 +1220,17 @@ def test_coordinate_rows_are_checked_like_labels():
     for bad in ([[0.5, 0], [1, 0]], [[np.nan, 0], [1, 0]], [[2.0**60, 0], [1, 0]]):
         with pytest.raises(ValueError, match="coordinates must be integers"):
             FiniteSpace(None, rule, 0, 1, coords=np.array(bad))
-    with pytest.raises(ValueError, match="need a sup rule"):
-        FiniteSpace(None, PlaneRule(), 0, 1, coords=np.array([[0, 0], [1, 0]]))
+    # a table reads positions, not coordinates; plane rows are finite pairs
+    with pytest.raises(ValueError, match="need a sup or plane rule"):
+        FiniteSpace(None, TableRule(np.zeros((2, 2)), True), 0, 1, coords=np.array([[0], [1]]))
+    with pytest.raises(ValueError, match=r"\(x, y\) pairs"):
+        FiniteSpace(None, PlaneRule(), 0, 1, coords=np.array([[0.0, 0, 0], [1, 0, 0]]))
+    with pytest.raises(ValueError, match="must be finite"):
+        FiniteSpace(None, PlaneRule(), 0, 1, coords=np.array([[0.5, 0], [np.nan, 1]]))
+    with pytest.raises(ValueError, match="duplicate point labels"):
+        FiniteSpace(None, PlaneRule(), 0, 1, coords=np.array([[0.5, 0], [1, 2.5], [0.5, 0]]))
+    plane = FiniteSpace(None, PlaneRule(), 1, 1, coords=np.array([[1, 2.5], [0.5, 0]]))
+    assert plane.labels == ((1.0, 2.5), (0.5, 0.0))
 
 
 def _label_equal(a, b):

@@ -222,6 +222,31 @@ class TestFactorization:
         assert blocks == [slice_of[w.source.labels[s][split:]] for s, _ in w.table]
         assert len(set(blocks)) == len(quotient) > 1
 
+    def test_slice_cut_by_the_validity_radius_verifies(self):
+        # the one slice at 3 is the whole 30-point space, but the table ends
+        # at the validity radius 2, which holds 10 of its points: it covers
+        # what the region holds of its target component, not all of it
+        w = factorization_witness(product_space(zball(2), tower_space([2, 3])), 3.0)
+        assert w.validity_radius == 2.0 and len(w.source) == 30
+        assert verify_witness(w).violations == ()
+
+    def test_slice_inside_the_region_must_cover_its_component(self):
+        # at 2 the slices are 10 points each, and only the basepoint's lies
+        # inside the validity radius; one image dropped from it is a
+        # violation, one dropped outside the region is not
+        w = factorization_witness(product_space(zball(2), tower_space([2, 3])), 2.0)
+        keep = witness_mod._inside(w.source, w.src, w.validity_radius)
+        si, ti = w.src[keep], w.dst[keep]
+        assert len(si) == 10 and verify_witness(w).ok
+        out = []
+        _check_isometry_claim(w, w.claims[0], si[1:], ti[1:], out)
+        assert out == ["slice (0,): image covers 9 of 10 points of its target component"]
+        out = []
+        far = np.flatnonzero(~keep)[0]
+        rest = np.delete(np.arange(len(w.src)), far)
+        _check_isometry_claim(w, w.claims[0], w.src[rest], w.dst[rest], out)
+        assert out == []
+
     def test_plane_fixture_rejected(self):
         with pytest.raises(ValueError):
             factorization_witness(example31_fixture(1, 0.5, 3), 1.0)

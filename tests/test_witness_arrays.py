@@ -523,7 +523,14 @@ def old_isometry_claim(w, claim, si, ti, out):
     if split is None:
         out.append("per-component-isometry claim on a non-product source")
         return
-    part = epsilon_components(w.target, float(claim.get("epsilon", 0)))
+    eps = float(claim.get("epsilon", 0))
+    part = epsilon_components(w.target, eps)
+    # source components held to cover their target components: those
+    # with every point inside the validity region
+    inside = {i for i in range(len(w.source))
+              if w.source.d(w.source.basepoint, i) <= w.validity_radius + _TOL}
+    src_part = epsilon_components(w.source, eps)
+    whole = [set(blk) <= inside for blk in src_part.blocks]
     groups = {}
     for k in range(len(si)):
         groups.setdefault(w.source.labels[si[k]][split:], []).append(k)
@@ -540,7 +547,7 @@ def old_isometry_claim(w, claim, si, ti, out):
         size = len(part.blocks[next(iter(hit))])
         if len(hit) > 1:
             out.append(f"slice {key}: image spans {len(hit)} target components")
-        elif len(members) != size:
+        elif len(members) != size and all(whole[src_part.point_block[si[k]]] for k in members):
             out.append(f"slice {key}: image covers {len(members)} of {size} points of "
                        f"its target component")
 
@@ -671,7 +678,7 @@ def test_ball_claim_matches_the_dict_loop(case, rnd):
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.sampled_from(FACTORED[:12]), st.sampled_from([1.0, 2.0]),
+@given(st.sampled_from(FACTORED[:12] + FACTORED[-1:]), st.sampled_from([1.0, 2.0, 3.0]),
        st.randoms(use_true_random=False))
 def test_isometry_claim_matches_the_dict_loop(space, eps, rnd):
     w = outcome(witness_mod.factorization_witness, space, eps)
@@ -720,3 +727,23 @@ def test_tower_alignment_verifies_without_label_tuples(monkeypatch):
             lambda space, prop=prop, name=name: built.append(name) or prop.fget(space)))
     assert verify_witness(w).ok
     assert built == [] and w._table is None
+
+
+def test_factorization_and_plane_jobs_make_no_label_tuples(monkeypatch, capsys):
+    """Subspaces of coordinate-built spaces, and plane fixtures, are built
+    from coordinate rows: a factorization witness on Z + C2^inf (2,080
+    points) and its verification, and a plane step and components job,
+    make no label tuple."""
+    from coarseiso.cli import main
+
+    built = []
+    prop = FiniteSpace.labels
+    monkeypatch.setattr(FiniteSpace, "labels", property(
+        lambda space: built.append(len(space)) or prop.fget(space)))
+    sp = build_truncation(parse_group("Z + C2^inf"), radius=32)
+    w = witness_mod.factorization_witness(sp, 1.0)
+    assert len(sp) == 2080 and verify_witness(w).ok
+    assert main(["step", "example31:6:0.05"]) == 0
+    assert main(["components", "example31:6:0.05", "--epsilon", "1.0"]) == 0
+    assert '"representatives": [' in capsys.readouterr().out
+    assert built == []
