@@ -18,7 +18,7 @@ import numpy as np
 
 from .extnat import ExtNat
 from .factorfn import FactorFunction
-from .primes import factorize, primes_upto
+from .primes import factorize
 from .spaces import FiniteSpace, _check_epsilon, row_blocks
 
 NOISE_NUM = 1
@@ -207,7 +207,6 @@ def empirical_phi(space: FiniteSpace, prime_bound: int = 97) -> FactorFunction:
     spaces, where balls are subgroups of the ambient model."""
     if not space.ultrametric:
         raise ValueError("empirical phi is defined for ultrametric spaces")
-    plist = primes_upto(prime_bound)
     best: dict[int, int] = {}
     bd = space.dists_from(space.basepoint)
     radius = float(space.inner_radius)
@@ -217,7 +216,7 @@ def empirical_phi(space: FiniteSpace, prime_bound: int = 97) -> FactorFunction:
         for p, e in factorize(int(np.sum(bd <= eps))).items():
             if p <= prime_bound and e > best.get(p, 0):
                 best[p] = e
-    return FactorFunction.from_dict({p: ExtNat(e) for p, e in best.items() if p in plist})
+    return FactorFunction.from_dict({p: ExtNat(e) for p, e in best.items()})
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from coarseiso import analysis as analysis_mod
+from coarseiso import primes as primes_mod
 from coarseiso import spaces as spaces_mod
 from coarseiso.analysis import (
     _select_tested,
@@ -100,6 +101,20 @@ class TestEmpiricalPhi:
     def test_prime_bound_filters(self):
         sp = tower_space([101])
         assert empirical_phi(sp, prime_bound=97) == ZERO_FF
+
+    def test_huge_prime_bound_sizes_nothing(self, monkeypatch):
+        # the bound only filters the primes factorize found, so a value far
+        # beyond any ball order must not size a sieve (10 GB at 10**10)
+        def sieve_guard(bound):
+            assert bound <= 10**5, f"sieve of {bound} bytes"
+            return sieve(bound)
+
+        sieve = primes_mod.primes_upto
+        monkeypatch.setattr(primes_mod, "primes_upto", sieve_guard)
+        monkeypatch.setattr(analysis_mod, "primes_upto", sieve_guard, raising=False)
+        sp = canonical_ultrametric(ff({2: 3, 5: 1, 101: 1}), 5, prime_bound=101)
+        assert empirical_phi(sp, prime_bound=10**10) == ff({2: 3, 5: 1, 101: 1})
+        assert empirical_phi(sp, prime_bound=97) == ff({2: 3, 5: 1})
 
 
 class TestStepEstimate:

@@ -284,7 +284,7 @@ def test_plane_fixture_on_one_line(capsys):
     assert code == 0 and payload["inconclusive"]
 
 
-def scipy_modules_after(argv, package):
+def modules_after(argv, package):
     """Names of the modules of `package` loaded after one CLI call in a
     fresh interpreter."""
     code = (
@@ -303,14 +303,26 @@ def scipy_modules_after(argv, package):
 def test_witness_chain_leaves_scipy_unloaded():
     # scipy is imported only where plane fixtures or non-structural spaces
     # need it, so free-rank witness chains never pay for loading it
-    assert scipy_modules_after(["witness", "Z + C2", "Z", "--radius", "16"], "scipy") == "[]"
+    assert modules_after(["witness", "Z + C2", "Z", "--radius", "16"], "scipy") == "[]"
 
 
 def test_plane_components_leave_scipy_spatial_unloaded():
     # plane components come from a cell grid: no Qhull triangulation
     argv = ["components", "example31:4:0.05", "--epsilon", "1.0"]
-    assert scipy_modules_after(argv, "scipy.spatial") == "[]"
-    assert scipy_modules_after(["step", "example31:2:0.25"], "scipy.spatial") != "[]"
+    assert modules_after(argv, "scipy.spatial") == "[]"
+    assert modules_after(["step", "example31:2:0.25"], "scipy.spatial") != "[]"
+
+
+@pytest.mark.parametrize("argv", [
+    ("classify", "iso", "Z + C2", "Z"),
+    ("invariants", "Z + C12"),
+    ("witness", "Z + C2", "Z", "--radius", "16"),
+    ("step", "example31:2:0.25"),
+], ids=["classify", "invariants", "witness", "step"])
+def test_cli_leaves_sympy_unloaded(argv):
+    # primes come from the standard library; importing sympy would cost
+    # more than the rest of the cold start together
+    assert modules_after(argv, "sympy") == "[]"
 
 
 @pytest.mark.parametrize("argv", [
