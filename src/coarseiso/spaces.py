@@ -86,29 +86,24 @@ class MetricRule:
 
     split: Optional[int] = None  # coordinates owned by a product's left factor
 
-    def coords_of(self, labels: Sequence[Label]) -> np.ndarray:
-        """Kernel coordinates of a label-built space: the labels, as a
-        column-major float64 array (the kernels read one coordinate at a
-        time)."""
-        return np.asfortranarray(np.asarray(labels, dtype=float))
+    def checked_coords(self, labels) -> np.ndarray:
+        """The (n, k) array of the label rows given for a space, once this
+        rule's precondition holds: here rows of one width, in their own
+        numeric dtype (_label_array)."""
+        return _label_array(labels, None, "point labels differ in width")
+
+    def kernel_rows(self, space: "FiniteSpace", idx) -> np.ndarray:
+        """The rows dists reads for the points idx (an index, an index
+        array or a slice): their label rows here."""
+        return space.coords[idx]
 
     def kernel_coords(self, coords: np.ndarray) -> np.ndarray:
-        """Coordinates as the pair pass of oscillation hands them to dists."""
+        """Kernel rows as the pair pass of oscillation hands them to dists."""
         return coords
 
-    def checked_coords(self, coords: np.ndarray) -> np.ndarray:
-        """Coordinates given for a space, as the float64 column-major array
-        the row kernels read, once this rule's precondition holds: here
-        none does, so a space of this rule is built from its labels."""
-        raise ValueError("coordinate-built spaces need a sup or plane rule")
-
     def label_lists(self, coords: np.ndarray) -> list[list]:
-        """The labels of rows of coordinates, as lists of Python floats."""
+        """The labels of label rows, as lists of Python numbers."""
         return coords.tolist()
-
-    def label_rows(self, space: "FiniteSpace") -> np.ndarray:
-        """The labels as an (n, k) array."""
-        return space.coords
 
     def restrict(self, space: "FiniteSpace", idx: np.ndarray) -> "MetricRule":
         """The rule of the subspace on the ascending indices idx."""
@@ -258,10 +253,6 @@ class SupRule(MetricRule):
     def is_ultrametric(self) -> bool:
         return 0 not in self.orders
 
-    def check_labels(self, n: int, widths: set) -> None:
-        if widths != {len(self.orders)}:
-            raise ValueError("label width differs from the rule's coordinate count")
-
     def distance(self, space: "FiniteSpace", i: int, j: int) -> int:
         d = 0
         for x, y, o, lvl in zip(space.labels[i], space.labels[j], self.orders, self.levels):
@@ -293,13 +284,19 @@ class SupRule(MetricRule):
             np.maximum(d, tmp, out=d)
         return d
 
-    def checked_coords(self, coords: np.ndarray) -> np.ndarray:
-        """Integer coordinates of an (n, k) array."""
-        coords = _float_rows(coords)
-        # floats hold every integer up to 2^53 exactly
-        if not np.all((np.abs(coords) <= 2.0**53) & (coords == np.trunc(coords))):
+    def checked_coords(self, labels) -> np.ndarray:
+        """Integer coordinates of magnitude at most 2^53, which float64
+        holds exactly, as the column-major float64 array the row kernels
+        read (one coordinate at a time)."""
+        rows = _label_array(labels, len(self.orders),
+                            "label width differs from the rule's coordinate count")
+        if rows.dtype.kind == "f":
+            whole = np.all((np.abs(rows) <= 2.0**53) & (rows == np.trunc(rows)))
+        else:  # exact bounds on integers of any width
+            whole = not rows.size or -(2**53) <= int(rows.min()) and int(rows.max()) <= 2**53
+        if not whole:
             raise ValueError("coordinates must be integers")
-        return coords
+        return np.asfortranarray(rows, dtype=float)
 
     def label_lists(self, coords: np.ndarray) -> list[list]:
         """The labels of rows of coordinates, as lists of Python ints."""
@@ -309,9 +306,7 @@ class SupRule(MetricRule):
         """The coordinates in the narrowest integer dtype that holds every
         value, every difference of two values and every level, so that the
         kernel's differences and level products cannot wrap. Coordinates
-        that are not all integers, or need more than 64 bits, stay float64."""
-        if np.any(coords != np.floor(coords)):
-            return coords
+        that need more than 64 bits stay float64."""
         # the width of the range of the values and 0 bounds every value and
         # every difference in absolute value, spread or not
         width = max([float(coords.max(initial=0)) - float(coords.min(initial=0)), *self.levels])
@@ -323,21 +318,20 @@ class SupRule(MetricRule):
     def check_loaded(self, space: "FiniteSpace") -> None:
         """Reject serialized labels that would read wrong distances or
         components: a cyclic value outside range(order), or a structural
-        flag on labels that are not a box of integer free values times a
-        set of cyclic values. Coordinate keys are exact on such a product
-        (unit steps cross the box, the cyclic part differs only in
-        coordinates the key drops), and would merge components that no
-        chain joins on any other."""
+        flag on labels that are not a box of free values times a set of
+        cyclic values. Coordinate keys are exact on such a product (unit
+        steps cross the box, the cyclic part differs only in coordinates
+        the key drops), and would merge components that no chain joins on
+        any other."""
         free = np.asarray(self.orders) == 0
         free_cols, cyclic_cols = space.coords.T[free], space.coords.T[~free]
         for col, o in zip(cyclic_cols, np.asarray(self.orders)[~free]):
-            if not np.all((col >= 0) & (col < o) & (col == np.floor(col))):
+            if not np.all((col >= 0) & (col < o)):
                 raise ValueError(f"cyclic label value outside [0, {o})")
         if space.structural:
             # distinct labels inside box x cyclic set fill it when they are as many
             box = math.prod((free_cols.max(axis=1) - free_cols.min(axis=1) + 1).tolist())
-            cyclic = {tuple(l) for l in cyclic_cols.T.tolist()}
-            if np.any(free_cols != np.floor(free_cols)) or box * len(cyclic) != len(space):
+            if box * len({tuple(l) for l in cyclic_cols.T.tolist()}) != len(space):
                 raise ValueError("structural flag on labels that do not fill a box")
 
     def _keys(self, coords: np.ndarray, eps: float) -> np.ndarray:
@@ -443,15 +437,10 @@ class PlaneRule(MetricRule):
     def is_ultrametric(self) -> bool:
         return False
 
-    def check_labels(self, n: int, widths: set) -> None:
-        if widths != {2}:
-            raise ValueError("plane labels must be (x, y) pairs")
-
-    def checked_coords(self, coords: np.ndarray) -> np.ndarray:
-        """Finite (x, y) rows of an (n, 2) array."""
-        coords = _float_rows(coords)
-        if coords.shape[1] != 2:
-            raise ValueError("plane labels must be (x, y) pairs")
+    def checked_coords(self, labels) -> np.ndarray:
+        """Finite (x, y) rows, as a column-major float64 array."""
+        coords = np.asfortranarray(
+            _label_array(labels, 2, "plane labels must be (x, y) pairs"), dtype=float)
         if not np.all(np.isfinite(coords)):
             raise ValueError("plane coordinates must be finite")
         return coords
@@ -512,7 +501,8 @@ class PlaneRule(MetricRule):
 
 class TableRule(MetricRule):
     """Dense distance table indexed by point position: the kernel
-    coordinates of a table space are the positions."""
+    coordinates of a table space are its positions, and its labels only
+    name the points (a quotient's are its representatives' labels)."""
 
     def __init__(self, matrix: np.ndarray, ultrametric: bool):
         self.matrix = np.asarray(matrix, dtype=float)
@@ -524,21 +514,24 @@ class TableRule(MetricRule):
     def is_ultrametric(self) -> bool:
         return self._ultrametric
 
-    def check_labels(self, n: int, widths: set) -> None:
-        if len(self.matrix) != n:
+    def checked_coords(self, labels) -> np.ndarray:
+        """Finite names of one width, one per row of the table."""
+        rows = super().checked_coords(labels)
+        if not np.all(np.isfinite(rows)):
+            raise ValueError("point labels must be finite numbers")
+        if len(rows) != len(self.matrix):
             raise ValueError("distance table size differs from the point count")
+        return rows
+
+    def kernel_rows(self, space: "FiniteSpace", idx) -> np.ndarray:
+        """Positions, which index the table; names do not."""
+        return np.arange(len(space))[:, None][idx]
 
     def distance(self, space: "FiniteSpace", i: int, j: int) -> float:
         return self.matrix[i, j]
 
     def dists(self, rows: np.ndarray, coords: np.ndarray) -> np.ndarray:
         return self.matrix[rows[..., 0]][..., coords[:, 0]]
-
-    def coords_of(self, labels: Sequence[Label]) -> np.ndarray:
-        return np.arange(len(labels))[:, None]
-
-    def label_rows(self, space: "FiniteSpace") -> np.ndarray:
-        return np.asarray(space.labels, dtype=float).reshape(len(space), -1)
 
     def restrict(self, space: "FiniteSpace", idx: np.ndarray) -> "TableRule":
         return TableRule(self.matrix[np.ix_(idx, idx)], space.ultrametric)
@@ -569,13 +562,15 @@ class FiniteSpace:
     inner_radius is the distance up to which every ambient point near the
     basepoint is present with exact distances.
 
-    A space is built from its point labels, or from ``coords``: an (n, k)
-    array whose rows are the labels, integers under a sup rule and finite
-    (x, y) pairs under a plane rule (MetricRule.checked_coords). Those are
-    then made only when something reads them, as tuples of Python ints or
-    floats in row order (MetricRule.label_lists). Both paths check the same
-    things: distinct points, a basepoint in range, and the rule's label
-    width.
+    The points are the rows of one (n, k) array, ``coords``: integers
+    under a sup rule, finite (x, y) pairs under a plane rule, and names
+    under a table rule, whose kernel reads positions. The labels, given
+    as a sequence of rows or as ``coords`` (an array or a sequence of
+    rows, taken when given), become that array at once. Every route,
+    subspaces and deserialized spaces included, checks the same things:
+    the rule's width and values (MetricRule.checked_coords), distinct
+    rows, and a basepoint in range. Label tuples are made only when
+    something reads them (MetricRule.label_lists).
     """
 
     def __init__(
@@ -589,24 +584,12 @@ class FiniteSpace:
         *,
         coords: Optional[np.ndarray] = None,
     ):
-        self._labels: Optional[tuple[Label, ...]] = None
-        self._coords: Optional[np.ndarray] = None
-        if coords is None:
-            self._labels = tuple(map(tuple, labels))
-            n = len(self._labels)
-            if len(set(self._labels)) != n:
-                raise ValueError("duplicate point labels")
-            widths = set(map(len, self._labels))
-        else:
-            self._coords = rule.checked_coords(coords)
-            n = len(self._coords)
-            if _has_equal_rows(self._coords):
-                raise ValueError("duplicate point labels")
-            widths = {self._coords.shape[1]}
-        if not 0 <= basepoint < n:
+        self.coords = rule.checked_coords(labels if coords is None else coords)
+        if _has_equal_rows(self.coords):
+            raise ValueError("duplicate point labels")
+        if not 0 <= basepoint < len(self.coords):
             raise ValueError("basepoint index out of range")
-        rule.check_labels(n, widths)
-        self._n = n
+        self._labels: Optional[tuple[Label, ...]] = None
         self.rule = rule
         self.basepoint = basepoint
         self.inner_radius = inner_radius
@@ -621,13 +604,13 @@ class FiniteSpace:
 
     def with_inner_radius(self, inner_radius: Num) -> "FiniteSpace":
         """The same points, rule and basepoint, faithful up to another
-        radius. Shares this space's coordinates, labels and caches."""
+        radius. Shares this space's rows, labels and caches."""
         space = copy.copy(self)
         space.inner_radius = inner_radius
         return space
 
     def __len__(self) -> int:
-        return self._n
+        return len(self.coords)
 
     def __repr__(self) -> str:
         kind = self.rule.descriptor()["kind"]
@@ -641,25 +624,20 @@ class FiniteSpace:
             return True
         if self.rule != other.rule or self.basepoint != other.basepoint:
             return False
-        return np.array_equal(self.rule.label_rows(self), other.rule.label_rows(other))
+        return np.array_equal(self.coords, other.coords)
 
     @property
     def labels(self) -> tuple[Label, ...]:
-        """Point labels in index order; a coordinate-built space makes them
-        on first read."""
+        """Point labels in index order, made on first read."""
         if self._labels is None:
             self._labels = tuple(map(tuple, self.label_lists()))
         return self._labels
 
     def label_lists(self, idx: Optional[Sequence[int]] = None) -> list[list]:
         """[list(self.labels[i]) for i in idx], every point when idx is
-        None, read from the coordinates while the label tuples are unbuilt."""
-        if self._labels is None:
-            rows = self._coords if idx is None else self._coords[np.asarray(idx, dtype=np.int64)]
-            return self.rule.label_lists(rows)
-        if idx is None:
-            return [list(l) for l in self._labels]
-        return [list(self._labels[i]) for i in idx]
+        None, read from the rows."""
+        rows = self.coords if idx is None else self.coords[np.asarray(idx, dtype=np.int64)]
+        return self.rule.label_lists(rows)
 
     @property
     def index(self) -> dict[Label, int]:
@@ -667,13 +645,6 @@ class FiniteSpace:
         if self._index is None:
             self._index = {l: i for i, l in enumerate(self.labels)}
         return self._index
-
-    @property
-    def coords(self) -> np.ndarray:
-        """Kernel coordinates, the rows the rule's dists reads."""
-        if self._coords is None:
-            self._coords = self.rule.coords_of(self.labels)
-        return self._coords
 
     @property
     def base_dists(self) -> np.ndarray:
@@ -694,7 +665,8 @@ class FiniteSpace:
     def dists_block(self, rows, cols) -> np.ndarray:
         """Distances d[rows][..., cols], computed from the rule; rows is an
         index, an index array or a slice, cols an index array or a slice."""
-        return self.rule.dists(self.coords[rows], self.coords[cols])
+        kernel = self.rule.kernel_rows
+        return self.rule.dists(kernel(self, rows), kernel(self, cols))
 
     def dmat(self) -> np.ndarray:
         """Dense distance matrix; refuses above DENSE_LIMIT points."""
@@ -733,7 +705,7 @@ class FiniteSpace:
         r = payload["inner_radius"]
         rule = _rule_from_descriptor(payload["rule"], payload["ultrametric"])
         space = FiniteSpace(
-            [tuple(l) for l in payload["labels"]],
+            payload["labels"],
             rule,
             payload["basepoint"],
             math.inf if r == "inf" else r,
@@ -744,13 +716,33 @@ class FiniteSpace:
         return space
 
 
-def _float_rows(coords: np.ndarray) -> np.ndarray:
-    """Coordinates given for a space, as the float64 column-major array the
-    row kernels read; they must be an (n, k) array."""
-    coords = np.asfortranarray(coords, dtype=float)
-    if coords.ndim != 2:
+def _label_array(labels, width: Optional[int], width_error: str) -> np.ndarray:
+    """The (n, k) array of label rows given as an array or a sequence of
+    rows, in their own dtype, which must be numeric: every row must have
+    the width, or one width when it is None. Widths are read before numpy
+    sees the rows, so ragged rows raise width_error, not a shape error."""
+    if isinstance(labels, np.ndarray):
+        if labels.ndim != 2:
+            raise ValueError("coordinates must be an (n, k) array")
+        widths = {labels.shape[1]}
+    else:
+        labels = list(labels)
+        widths = set(map(len, labels))
+    if len(widths) > 1 or (width is not None and widths - {width}):
+        raise ValueError(width_error)
+    if not len(labels):
+        return np.empty((0, width or 0))
+    rows = np.asarray(labels)
+    if rows.dtype.kind == "O":  # integers beyond 64 bits, or not numbers at all
+        try:
+            rows = rows.astype(float)
+        except (TypeError, ValueError):
+            raise ValueError("point labels must be numbers") from None
+    if rows.dtype.kind not in "iuf":
+        raise ValueError("point labels must be numbers")
+    if rows.ndim != 2:
         raise ValueError("coordinates must be an (n, k) array")
-    return coords
+    return rows
 
 
 def _ascends(coords: np.ndarray) -> bool:
@@ -895,7 +887,7 @@ def _box_space(ranges: Sequence[range], rule: SupRule, inner_radius: Num) -> Fin
     for c, r in enumerate(ranges):
         column = np.repeat(np.arange(r.start, r.stop, dtype=float), math.prod(sizes[c + 1 :]))
         coords[:, c] = np.tile(column, math.prod(sizes[:c]))
-    return FiniteSpace(None, rule, basepoint, inner_radius, coords=coords)
+    return FiniteSpace(coords, rule, basepoint, inner_radius)
 
 
 def zball(radius: int, rank: int = 1, point_budget: Optional[int] = None) -> FiniteSpace:
@@ -931,15 +923,13 @@ def enumerate_summands(phi: FactorFunction, depth: int, prime_bound: int = 97) -
     Stage s emits one copy of prime p_i when i + (copies already emitted
     for p_i) == s, primes ascending. Every prime with infinite multiplicity
     recurs infinitely often, and a positive default walks through all primes
-    below the bound.
+    up to the bound. The walk stops early when it has spent every prime.
     """
-    primes = [p for p in first_primes(64) if p <= prime_bound]
-    if phi.default == 0:
-        primes = [p for p in primes if phi.get(p) != 0]
+    primes = _walked_primes(phi, depth, prime_bound)
+    values = [phi.get(p) for p in primes]
     cap = depth
-    supply = _enumerable_mass(phi, primes)
-    if supply is not None:
-        cap = min(depth, supply)
+    if all(v.is_finite for v in values):
+        cap = min(depth, sum(v.finite_value() for v in values))
     out: list[int] = []
     stage = 0
     while len(out) < cap:
@@ -957,17 +947,15 @@ def enumerate_summands(phi: FactorFunction, depth: int, prime_bound: int = 97) -
     return out
 
 
-def _enumerable_mass(phi: FactorFunction, primes: Sequence[int]) -> Optional[int]:
-    """Total summand count reachable below the prime bound, None if infinite."""
-    if phi.default != 0:
-        return None
-    total = 0
-    for p in primes:
-        e = phi.get(p)
-        if not e.is_finite:
-            return None
-        total += e.finite_value()
-    return total
+def _walked_primes(phi: FactorFunction, depth: int, prime_bound: int) -> list[int]:
+    """The primes up to the bound that enumerate_summands walks, ascending:
+    the support when the default is 0. Otherwise the first depth primes
+    plus one per explicit entry: each prime of value >= 1 emits by the
+    stage of its index, only an explicit entry can be 0, so the first
+    depth summands come from these, and no sieve is sized from the bound."""
+    if phi.default == 0:
+        return [p for p in phi.support_primes if p <= prime_bound]
+    return [p for p in first_primes(depth + len(phi.entries)) if p <= prime_bound]
 
 
 def canonical_ultrametric(
@@ -982,10 +970,10 @@ def canonical_ultrametric(
         raise ValueError("depth must be >= 0")
     orders = enumerate_summands(phi, depth, prime_bound)
     space = tower_space(orders, point_budget=point_budget)
-    primes = [p for p in first_primes(64) if p <= prime_bound]
-    supply = _enumerable_mass(phi, primes)
-    # a fully enumerated profile is the whole group, faithful at every scale
-    inner: Num = math.inf if supply is not None and len(orders) == supply else depth + 1
+    # a fully enumerated profile is the whole group, faithful at every
+    # scale; a support prime above the bound leaves some of it out
+    mass = phi.total_mass
+    inner: Num = math.inf if mass.is_finite and len(orders) == mass.finite_value() else depth + 1
     return space.with_inner_radius(inner)
 
 
@@ -1019,12 +1007,8 @@ def subspace(space: FiniteSpace, indices: Sequence[int], basepoint: Optional[int
     # ultrametric rules classify chains pointwise, so subsets keep their
     # shortcuts; sup-metric boxes lose contiguity and must go exhaustive
     structural = space.structural and (space.ultrametric or len(idx) == len(space))
-    if space._labels is None:  # coordinate-built: the rows pass on, no label is made
-        labels, coords = None, space.coords[idx]
-    else:
-        labels, coords = [space.labels[i] for i in idx.tolist()], None
-    return FiniteSpace(labels, rule, int(where[0]), space.inner_radius, space.ultrametric,
-                       structural, coords=coords)
+    return FiniteSpace(space.coords[idx], rule, int(where[0]), space.inner_radius,
+                       space.ultrametric, structural)
 
 
 def product_space(
@@ -1041,8 +1025,8 @@ def product_space(
     coords = np.empty((len(x) * len(y), width + len(y.rule.orders)), order="F")
     coords[:, :width] = np.repeat(x.coords, len(y), axis=0)
     coords[:, width:] = np.tile(y.coords, (len(x), 1))
-    return FiniteSpace(None, rule, x.basepoint * len(y) + y.basepoint, inner,
-                       structural=x.structural and y.structural, coords=coords)
+    return FiniteSpace(coords, rule, x.basepoint * len(y) + y.basepoint, inner,
+                       structural=x.structural and y.structural)
 
 
 def example31_fixture(
@@ -1074,7 +1058,7 @@ def example31_fixture(
     order = np.lexsort((py, px))
     px, py = px[order], py[order]
     base = int(np.flatnonzero((px == 0) & (py == 0))[0])
-    space = FiniteSpace(None, PlaneRule(), base, 0, coords=np.stack([px, py], axis=1))
+    space = FiniteSpace(np.stack([px, py], axis=1), PlaneRule(), base, 0)
     # the whole sample is the known region; faithfulness ends at its extent
     space.inner_radius = float(np.max(space.base_dists))
     return space
@@ -1406,7 +1390,7 @@ def quotient_with_projection(
         rule = SupRule.tower([space.rule.orders[c] for c in parts],
                              [space.rule.levels[c] for c in parts])
         base_block = int(partition.point_block[space.basepoint])
-        q = FiniteSpace(None, rule, base_block, space.inner_radius, coords=coords)
+        q = FiniteSpace(coords, rule, base_block, space.inner_radius)
         return q, partition
 
     # generic path: single-linkage merge heights of the blocks, read off the
@@ -1431,8 +1415,9 @@ def quotient_with_projection(
     base_block = int(partition.point_block[space.basepoint])
     base_spread = float(np.max(space.base_dists[list(partition.blocks[base_block])]))
     inner = max(0.0, float(space.inner_radius) - base_spread)
-    labels = [tuple(l) for l in space.label_lists(reps)]
-    q = FiniteSpace(labels, TableRule(qd, ultrametric=True), base_block, inner, True)
+    # the representatives' labels name the blocks, ints under a sup rule
+    q = FiniteSpace(space.label_lists(reps), TableRule(qd, ultrametric=True), base_block,
+                    inner, True)
     _verify_ultrametric(q)
     return q, partition
 

@@ -570,10 +570,10 @@ def relabel_witness(
     Covers regroupings of iterated products and factor reorderings, which
     leave all sup-metric distances unchanged. Labels are matched by a sort
     of both coordinate arrays, not one lookup per label."""
-    rows = source.rule.label_rows(source)
+    rows = source.coords
     if columns is not None:
         rows = rows[:, list(columns)]
-    ti = _match_rows(rows, target.rule.label_rows(target))
+    ti = _match_rows(rows, target.coords)
     missing = np.flatnonzero(ti < 0)
     if len(missing):
         raise ValueError(f"relabel: no target point for label {source.labels[missing[0]]}")

@@ -831,11 +831,6 @@ def test_pair_pass_over_many_small_blocks(make, monkeypatch):
     assert_scales_agree(source, target, src, dst, [0.0, 1.0, 2.5, 4.0, 30.0])
 
 
-def fractional_line():
-    """Sup labels that are not integers: the kernel keeps float coordinates."""
-    return FiniteSpace([(v / 2,) for v in range(-9, 10)], zball(1).rule, 9, 4, structural=False)
-
-
 @pytest.mark.parametrize("make,keyed", [
     pytest.param(lambda: (zball(4, 2), zball(5, 2)), False, id="sup-free"),
     pytest.param(lambda: (tower_space([2, 3, 2]), tower_space([6, 2], levels=[2, 3])), True,
@@ -850,8 +845,6 @@ def fractional_line():
                  id="table"),
     pytest.param(lambda: (example31_fixture(1, 0.25, 3), zball(30)), False,
                  id="plane-with-integer-sup"),
-    pytest.param(lambda: (example31_fixture(1, 0.25, 3), fractional_line()), False,
-                 id="plane-with-float-sup"),
     pytest.param(lambda: (zball(30), example31_fixture(1, 0.25, 3)), False,
                  id="integer-sup-with-plane"),
 ])
@@ -893,10 +886,6 @@ def test_int_coords_hold_values_far_from_zero_and_large_levels():
     idx = np.arange(len(tall))
     perm = np.random.default_rng(5).permutation(len(tall))
     assert_scales_agree(tall, tall, idx, perm, [1.0, 2.0, 300.0, 70000.0])
-    # non-integer sup labels keep their float coordinates
-    frac = FiniteSpace([(0.0,), (0.5,), (2.0,)], zball(1).rule, 0, 1, structural=False)
-    assert frac.rule.kernel_coords(frac.coords).dtype == np.float64
-    assert_scales_agree(frac, frac, np.arange(3), np.array([2, 0, 1]), [0.5, 1.5])
 
 
 def test_subset_edges_over_several_blocks():

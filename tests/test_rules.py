@@ -1,6 +1,7 @@
 """The metric-rule protocol: every path a rule chooses, checked against a
-brute-force oracle built from the scalar distance `FiniteSpace.d`, and a
-count of the places in the package that still test a rule's type."""
+brute-force oracle built from the scalar distance `FiniteSpace.d`, a count
+of the places in the package that still test a rule's type, and a check
+that points have one store."""
 
 from __future__ import annotations
 
@@ -13,6 +14,7 @@ import pytest
 
 from coarseiso.groups import parse_group
 from coarseiso.spaces import (
+    FiniteSpace,
     build_truncation,
     epsilon_components,
     example31_fixture,
@@ -23,7 +25,8 @@ from coarseiso.spaces import (
     zball,
 )
 
-# the four kinds of space the rules serve
+# the four kinds of space the rules serve, and one of each rule read back
+# from its JSON text
 SPACES = {
     "sup-box": lambda: product_space(build_truncation(parse_group("Z + C3"), radius=3),
                                      tower_space([2], levels=[5])),
@@ -31,6 +34,9 @@ SPACES = {
     "plane": lambda: example31_fixture(2, 0.2, 3),
     "table": lambda: quotient_space(example31_fixture(2, 0.2, 3), 0.1),
 }
+RELOADED = {f"{kind}-json": kind for kind in ("sup-subset", "plane", "table")}
+SPACES.update({name: lambda kind=kind: FiniteSpace.from_json(SPACES[kind]().to_json())
+               for name, kind in RELOADED.items()})
 
 
 @pytest.fixture(scope="module", params=list(SPACES))
@@ -42,12 +48,16 @@ def case(request):
 
 
 def test_the_four_kinds_are_what_they_say(case):
-    kind, sp, _ = case
+    name, sp, _ = case
+    kind = RELOADED.get(name, name)
     assert type(sp.rule).__name__ == {"sup-box": "SupRule", "sup-subset": "SupRule",
                                       "plane": "PlaneRule", "table": "TableRule"}[kind]
     if kind.startswith("sup"):
         assert sp.structural == (kind == "sup-box")
     assert len(sp) >= 30
+    if name in RELOADED:
+        built = SPACES[kind]()
+        assert sp == built and sp.to_json() == built.to_json()
 
 
 def test_distance_blocks_match_the_scalar_distance(case):
@@ -210,3 +220,58 @@ def test_few_places_test_a_rule_type():
     found = [f"{path.name}:{line}" for path in sorted(package.glob("*.py"))
              for line in rule_type_tests(path.read_text())]
     assert len(found) <= TYPE_TEST_LIMIT, found
+
+
+# ---------------------------------------------------------------------------
+# one store of points
+
+# label paths a space no longer has: its points are the rows of one array
+REMOVED_LABEL_PATHS = {"check_labels", "coords_of", "label_rows"}
+
+
+def label_store_reads(source: str) -> list[int]:
+    """Lines that define a removed label path (a function or an assigned
+    name), or read the label-tuple cache `_labels` outside FiniteSpace."""
+    lines: set[int] = set()
+
+    def visit(node: ast.AST, in_space: bool) -> None:
+        in_space = in_space or (isinstance(node, ast.ClassDef) and node.name == "FiniteSpace")
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) \
+                and node.name in REMOVED_LABEL_PATHS:
+            lines.add(node.lineno)
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            if any(_mentions(t, REMOVED_LABEL_PATHS) for t in targets):
+                lines.add(node.lineno)
+        if isinstance(node, ast.Attribute) and node.attr == "_labels" and not in_space:
+            lines.add(node.lineno)
+        for child in ast.iter_child_nodes(node):
+            visit(child, in_space)
+
+    visit(ast.parse(source), False)
+    return sorted(lines)
+
+
+@pytest.mark.parametrize("snippet", [
+    "class TableRule:\n    def label_rows(self, space):\n        return space.coords",
+    "def coords_of(labels):\n    return labels",
+    "class SupRule:\n    check_labels = None",
+    "rule.coords_of = len",
+    "if space._labels is None:\n    pass",
+    "class Other:\n    def f(self, space):\n        return space._labels",
+])
+def test_every_label_path_is_counted(snippet):
+    assert len(label_store_reads(snippet)) == 1
+
+
+def test_reads_inside_the_space_are_not_counted():
+    source = ("class FiniteSpace:\n    def labels(self):\n        return self._labels\n"
+              "space.labels\nspace.label_lists()\nrule.checked_coords(rows)\n")
+    assert label_store_reads(source) == []
+
+
+def test_no_module_keeps_a_second_label_store():
+    package = Path(__file__).resolve().parent.parent / "src" / "coarseiso"
+    found = [f"{path.name}:{line}" for path in sorted(package.glob("*.py"))
+             for line in label_store_reads(path.read_text())]
+    assert found == []

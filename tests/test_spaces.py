@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from coarseiso import spaces as spaces_mod
 from coarseiso.factorfn import FactorFunction
 from coarseiso.groups import parse_group
+from coarseiso.primes import primes_upto
 from coarseiso.spaces import (
     BudgetError,
     FiniteSpace,
@@ -169,6 +170,35 @@ class TestBuilders:
         # asking deeper than the profile carries returns the whole profile
         assert enumerate_summands(ff({2: 2, 3: 1}), 6) == [2, 2, 3]
         assert enumerate_summands(ff({101: 2}), 4) == []  # above the bound
+
+    def test_support_primes_past_the_first_64_are_walked_up_to_the_bound(self):
+        # 313 is the 65th prime: a bound of 1000 keeps it, and C2 + C313 is
+        # the whole 626-point group
+        sp = canonical_ultrametric(ff({2: 1, 313: 1}), 4, prime_bound=1000)
+        assert sp.rule.orders == (2, 313) and len(sp) == 626
+        assert math.isinf(sp.inner_radius)
+        # a support prime above the bound is dropped, so the 2 points left
+        # are not the whole group and keep the depth's horizon
+        for phi, bound in ((ff({2: 1, 101: 1}), 97), (ff({2: 1, 313: 1}), 97)):
+            sp = canonical_ultrametric(phi, 4, prime_bound=bound)
+            assert sp.rule.orders == (2,) and sp.inner_radius == 5
+
+    @pytest.mark.parametrize("phi", [
+        ff({}, default=1), ff({2: 0}, default=1), ff({2: 0, 3: 0, 5: 0, 7: 0}, default=2),
+        ff({2: 3, 3: 0, 11: None}, default=1), ff({5: 0, 313: 4}, default=None),
+    ])
+    @pytest.mark.parametrize("depth", [1, 4, 9])
+    @pytest.mark.parametrize("bound", [2, 5, 97, 1000])
+    def test_summands_of_a_positive_default_match_a_walk_of_every_prime(self, phi, depth, bound):
+        # the stage walk over every prime up to the bound, which
+        # enumerate_summands cuts short without changing the summands
+        primes = primes_upto(bound)
+        want: list[int] = []
+        for stage in range(1, depth + len(primes) + 2):
+            for i, p in enumerate(primes[:stage], start=1):
+                if len(want) < depth and phi.get(p) > stage - i:
+                    want.append(p)
+        assert enumerate_summands(phi, depth, bound) == want
 
     def test_summand_enumeration_staged_diagonal(self):
         # finite exponents drain stage by stage, primes ascending
@@ -836,11 +866,11 @@ class TestSerialization:
         payload["structural"] = True
         with pytest.raises(ValueError, match="box"):
             FiniteSpace.from_json(json.dumps(payload))
-        # a half step inside a "box" of the right count: keys would split
-        # (0, 0) from (0.5, 0) at eps=0.5
+        # a half step inside a "box" of the right count, where keys would
+        # split (0, 0) from (0.5, 0) at eps=0.5: sup labels are integers
         payload = json.loads(product_space(zball(1), tower_space([2])).to_json())
         payload.update(labels=[[0, 0], [0.5, 0], [0, 1]], basepoint=0)
-        with pytest.raises(ValueError, match="box"):
+        with pytest.raises(ValueError, match="coordinates must be integers"):
             FiniteSpace.from_json(json.dumps(payload))
         # a full box, any subset of an ultrametric, and a box times such a
         # subset may carry the flag; the constructors set it on all three
@@ -1099,6 +1129,107 @@ def test_coordinate_built_plane_fixture_serializes_like_the_label_built_one():
     assert sp.labels == by_labels.labels
 
 
+# spaces whose points moved from label tuples to the one row array: the
+# serialized text (by its sha256) and the id are those the label tuples gave
+ROW_PINS = {
+    "label-sup-subset": (
+        lambda: FiniteSpace([(-2, 1), (0, 0), (1, 2), (3, 0)],
+                            build_truncation(parse_group("Z + C3"), radius=3).rule, 1, 3,
+                            structural=False),
+        "group-ball-4-fe3d59f8df1f",
+        "6207e47472ac9f300bb1419040de3c4632fe8fda1875dbae503e99e4fd3209f7",
+    ),
+    "json-tower": (
+        lambda: FiniteSpace.from_json(tower_space([2, 3, 2]).to_json()),
+        "tower-12-cd78c30efde6",
+        "1162ee4e0d6227176c8144195dae893f3be1109c3e07cb54b58374930c46db71",
+    ),
+    "sup-quotient": (
+        lambda: quotient_space(subspace(zball(8), [i for i in range(17) if i % 5 != 2]), 1),
+        "table-4-d2402208de6f",
+        "ca195bca616b72fedb8d3c3bdc905eda640d6219e3e8112f66dfdcbbb6476900",
+    ),
+    "plane-quotient": (
+        lambda: quotient_space(example31_fixture(1, 0.5, 3), 1.0),
+        "table-6-fa4105a85ca0",
+        "faceb689cc1d18a14de356fd8a706a9df514d14d1fcc7309bb828e0ddccae325",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ROW_PINS))
+def test_row_built_spaces_serialize_as_their_label_tuples_did(name):
+    make, ident, digest = ROW_PINS[name]
+    sp = make()
+    text = sp.to_json()
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+    assert space_id(sp) == ident
+    back = FiniteSpace.from_json(text)
+    assert back == sp and back.to_json() == text and space_id(back) == ident
+    # a quotient's names keep the dtype of its representatives' labels
+    kind = {"sup-quotient": int, "plane-quotient": float}.get(name, int)
+    assert all(type(v) is kind for lab in sp.labels for v in lab)
+
+
+SUP_RULE = spaces_mod.SupRule.group_ball(1, [3], [2])
+TABLE_RULE = TableRule(np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 2.0], [2.0, 2.0, 0.0]]), True)
+NAN, INF = float("nan"), float("inf")
+
+MALFORMED = {
+    "plane-nan": (PlaneRule(), [(0.0, 0.0), (NAN, 1.0), (1.0, 0.0)], "must be finite"),
+    "plane-inf": (PlaneRule(), [(0.0, 0.0), (1.0, -INF), (1.0, 0.0)], "must be finite"),
+    "sup-ragged": (SUP_RULE, [(0, 0), (1,), (2, 1)], "width"),
+    "plane-ragged": (PlaneRule(), [(0.0, 0.0), (1.0,), (2.0, 1.0)], r"\(x, y\) pairs"),
+    "table-ragged": (TABLE_RULE, [(1,), (2,), (3, 4)], "width"),
+    "sup-wide": (SUP_RULE, [(0, 0, 0), (1, 0, 0), (2, 0, 0)], "width"),
+    "plane-narrow": (PlaneRule(), [(0.0,), (1.0,), (2.0,)], r"\(x, y\) pairs"),
+    "sup-duplicate": (SUP_RULE, [(0, 0), (1, 2), (0, 0)], "duplicate point labels"),
+    "plane-duplicate": (PlaneRule(), [(0.5, 0.0), (1.0, 2.5), (0.5, 0.0)],
+                        "duplicate point labels"),
+    "table-duplicate": (TABLE_RULE, [(1,), (2,), (1,)], "duplicate point labels"),
+    "sup-fractional": (SUP_RULE, [(0, 0), (0.5, 1), (2, 1)], "coordinates must be integers"),
+    "sup-beyond-2^53": (SUP_RULE, [(0, 0), (2**53 + 1, 1), (2, 1)],
+                        "coordinates must be integers"),
+    "table-non-numeric": (TABLE_RULE, [("a",), ("b",), ("c",)], "must be numbers"),
+    "table-size": (TABLE_RULE, [(1,), (2,)], "table size"),
+}
+
+
+def _routes(rule, labels):
+    """Every route that builds a space from given label rows."""
+    rect = len(set(map(len, labels))) == 1
+    payload = {"version": 1, "basepoint": 0, "inner_radius": 1,
+               "ultrametric": rule.is_ultrametric, "structural": False,
+               "labels": [list(l) for l in labels], "rule": rule.descriptor()}
+    return {
+        "labels": lambda: FiniteSpace(labels, rule, 0, 1, structural=False),
+        "coords": lambda: FiniteSpace(None, rule, 0, 1, structural=False,
+                                      coords=np.array(labels) if rect else labels),
+        "json": lambda: FiniteSpace.from_json(json.dumps(payload)),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_points_raise_one_error_on_every_route(case):
+    rule, labels, message = MALFORMED[case]
+    errors = set()
+    for route, build in _routes(rule, labels).items():
+        with pytest.raises(ValueError, match=message) as exc:
+            build()
+        errors.add(str(exc.value))
+    assert len(errors) == 1, errors
+
+
+@pytest.mark.parametrize("rule,good", [
+    (PlaneRule(), [(0.0, 0.0), (1.0, 0.0), (2.0, 1.0)]),
+    (SUP_RULE, [(0, 0), (1, 2), (2, 1)]),
+    (TABLE_RULE, [(1,), (2,), (3,)]),
+], ids=["plane", "sup", "table"])
+def test_good_points_build_alike_on_every_route(rule, good):
+    built = [build() for build in _routes(rule, good).values()]
+    assert all(sp == built[0] and sp.to_json() == built[0].to_json() for sp in built)
+
+
 def _factor(kind, a, b):
     """A small factor space and its coordinates, each ("free", 1) or
     ("cyclic", level), stated independently of the space's rule."""
@@ -1220,9 +1351,11 @@ def test_coordinate_rows_are_checked_like_labels():
     for bad in ([[0.5, 0], [1, 0]], [[np.nan, 0], [1, 0]], [[2.0**60, 0], [1, 0]]):
         with pytest.raises(ValueError, match="coordinates must be integers"):
             FiniteSpace(None, rule, 0, 1, coords=np.array(bad))
-    # a table reads positions, not coordinates; plane rows are finite pairs
-    with pytest.raises(ValueError, match="need a sup or plane rule"):
-        FiniteSpace(None, TableRule(np.zeros((2, 2)), True), 0, 1, coords=np.array([[0], [1]]))
+    # a table's rows name its points, and its kernel reads their positions
+    table = FiniteSpace(None, TableRule(np.array([[0.0, 3.0], [3.0, 0.0]]), True), 0, 1,
+                        coords=np.array([[7], [5]]))
+    assert table.labels == ((7,), (5,)) and table.dists_from(0).tolist() == [0.0, 3.0]
+    # plane rows are finite pairs
     with pytest.raises(ValueError, match=r"\(x, y\) pairs"):
         FiniteSpace(None, PlaneRule(), 0, 1, coords=np.array([[0.0, 0, 0], [1, 0, 0]]))
     with pytest.raises(ValueError, match="must be finite"):
