@@ -85,6 +85,7 @@ class MetricRule:
     """
 
     split: Optional[int] = None  # coordinates owned by a product's left factor
+    is_ultrametric = False
 
     def checked_coords(self, labels) -> np.ndarray:
         """The (n, k) array of the label rows given for a space, once this
@@ -109,8 +110,9 @@ class MetricRule:
         """The rule of the subspace on the ascending indices idx."""
         return self
 
-    def check_loaded(self, space: "FiniteSpace") -> None:
-        """Reject a deserialized space whose labels this rule would misread."""
+    def fills_box(self, coords: np.ndarray) -> bool:
+        """Whether the rule's coordinate key paths are exact on these rows."""
+        return True
 
     def diameter(self, space: "FiniteSpace", idx: np.ndarray) -> float:
         """Diameter of an index set, pairwise in row blocks."""
@@ -193,7 +195,7 @@ class SupRule(MetricRule):
     factor owns the first ``split`` coordinates. Distances never read it;
     the serialized descriptor, the product split and the Foelner ball count
     do. The paths below that read coordinate structure across points
-    (components, chain, quotient) need a structural space: a full box.
+    (components, chain, quotient) need a structural space (fills_box).
     """
 
     orders: tuple[int, ...]
@@ -286,8 +288,8 @@ class SupRule(MetricRule):
 
     def checked_coords(self, labels) -> np.ndarray:
         """Integer coordinates of magnitude at most 2^53, which float64
-        holds exactly, as the column-major float64 array the row kernels
-        read (one coordinate at a time)."""
+        holds exactly, each cyclic one in range(order), as the column-major
+        float64 array the row kernels read (one coordinate at a time)."""
         rows = _label_array(labels, len(self.orders),
                             "label width differs from the rule's coordinate count")
         if rows.dtype.kind == "f":
@@ -296,7 +298,11 @@ class SupRule(MetricRule):
             whole = not rows.size or -(2**53) <= int(rows.min()) and int(rows.max()) <= 2**53
         if not whole:
             raise ValueError("coordinates must be integers")
-        return np.asfortranarray(rows, dtype=float)
+        coords = np.asfortranarray(rows, dtype=float)
+        for col, o in zip(coords.T, self.orders):
+            if o and not np.all((col >= 0) & (col < o)):
+                raise ValueError(f"cyclic label value outside [0, {o})")
+        return coords
 
     def label_lists(self, coords: np.ndarray) -> list[list]:
         """The labels of rows of coordinates, as lists of Python ints."""
@@ -315,24 +321,20 @@ class SupRule(MetricRule):
                 return np.asfortranarray(coords.astype(dtype))
         return coords
 
-    def check_loaded(self, space: "FiniteSpace") -> None:
-        """Reject serialized labels that would read wrong distances or
-        components: a cyclic value outside range(order), or a structural
-        flag on labels that are not a box of free values times a set of
-        cyclic values. Coordinate keys are exact on such a product (unit
-        steps cross the box, the cyclic part differs only in coordinates
-        the key drops), and would merge components that no chain joins on
-        any other."""
+    def fills_box(self, coords: np.ndarray) -> bool:
+        """Whether the rows are a box of free values times a set of cyclic
+        tuples (any rows of an ultrametric are): there unit steps cross the
+        box and keys drop only cyclic coordinates. Distinct rows inside box
+        x cyclic set fill it when they are as many; a full cyclic group
+        needs no sort."""
         free = np.asarray(self.orders) == 0
-        free_cols, cyclic_cols = space.coords.T[free], space.coords.T[~free]
-        for col, o in zip(cyclic_cols, np.asarray(self.orders)[~free]):
-            if not np.all((col >= 0) & (col < o)):
-                raise ValueError(f"cyclic label value outside [0, {o})")
-        if space.structural:
-            # distinct labels inside box x cyclic set fill it when they are as many
-            box = math.prod((free_cols.max(axis=1) - free_cols.min(axis=1) + 1).tolist())
-            if box * len({tuple(l) for l in cyclic_cols.T.tolist()}) != len(space):
-                raise ValueError("structural flag on labels that do not fill a box")
+        if not free.any():
+            return True
+        cols = coords[:, free]
+        box = math.prod(int(hi) - int(lo) + 1
+                        for hi, lo in zip(cols.max(axis=0).tolist(), cols.min(axis=0).tolist()))
+        n, full = len(coords), math.prod(np.asarray(self.orders)[~free].tolist())
+        return n == box * full or n == box * len(np.unique(_row_groups(coords[:, ~free])))
 
     def _keys(self, coords: np.ndarray, eps: float) -> np.ndarray:
         """Block id of each row of coordinates by its coordinates above eps."""
@@ -433,10 +435,6 @@ class SupRule(MetricRule):
 class PlaneRule(MetricRule):
     """Euclidean plane distance rounded to 1e-9; labels are (x, y) floats."""
 
-    @property
-    def is_ultrametric(self) -> bool:
-        return False
-
     def checked_coords(self, labels) -> np.ndarray:
         """Finite (x, y) rows, as a column-major float64 array."""
         coords = np.asfortranarray(
@@ -467,9 +465,14 @@ class PlaneRule(MetricRule):
         every Delaunay triangulation of S, is an edge of T or a pair of V
         with the same empty disc, an edge of every triangulation of V. By
         induction on length every pair of S is joined by a path of edges
-        no longer than itself, and rounding keeps the order of lengths."""
+        no longer than itself, and rounding keeps the order of lengths.
+        Where Qhull refuses the points (too close, or nearly on one line)
+        every pair is an edge: exact, and refused above DENSE_LIMIT."""
         n = len(subset)
-        ii, jj, ww = plane_edges(space)
+        try:
+            ii, jj, ww = plane_edges(space)
+        except ValueError:
+            return super().subset_edges(space, subset)
         if n == len(space):
             return ii, jj, ww
         pos = np.full(len(space), -1, dtype=np.int64)
@@ -482,11 +485,13 @@ class PlaneRule(MetricRule):
         try:
             bi, bj, bw = delaunay_edges(space.coords[subset[border]])
         except ValueError:
-            # Qhull cannot triangulate the border alone (nearly on one line,
-            # or with a pair it sets aside); any set between the border and
-            # S serves the argument, and S is the largest
+            # Qhull cannot triangulate the border alone; any set between the
+            # border and S serves the argument, and S is the largest
             border = np.arange(n)
-            bi, bj, bw = delaunay_edges(space.coords[subset])
+            try:
+                bi, bj, bw = delaunay_edges(space.coords[subset])
+            except ValueError:
+                return super().subset_edges(space, subset)
         key = np.concatenate((pi[inside] * n + pj[inside], border[bi] * n + border[bj]))
         key, first = np.unique(key, return_index=True)
         return key // n, key % n, np.concatenate((ww[inside], bw))[first]
@@ -506,13 +511,9 @@ class TableRule(MetricRule):
 
     def __init__(self, matrix: np.ndarray, ultrametric: bool):
         self.matrix = np.asarray(matrix, dtype=float)
-        self._ultrametric = ultrametric
+        self.is_ultrametric = ultrametric
         if self.matrix.ndim != 2 or self.matrix.shape[0] != self.matrix.shape[1]:
             raise ValueError("distance table must be square")
-
-    @property
-    def is_ultrametric(self) -> bool:
-        return self._ultrametric
 
     def checked_coords(self, labels) -> np.ndarray:
         """Finite names of one width, one per row of the table."""
@@ -534,7 +535,7 @@ class TableRule(MetricRule):
         return self.matrix[rows[..., 0]][..., coords[:, 0]]
 
     def restrict(self, space: "FiniteSpace", idx: np.ndarray) -> "TableRule":
-        return TableRule(self.matrix[np.ix_(idx, idx)], space.ultrametric)
+        return TableRule(self.matrix[np.ix_(idx, idx)], self.is_ultrametric)
 
     def descriptor(self) -> dict:
         return {"kind": "table", "matrix": self.matrix.tolist()}
@@ -570,7 +571,8 @@ class FiniteSpace:
     subspaces and deserialized spaces included, checks the same things:
     the rule's width and values (MetricRule.checked_coords), distinct
     rows, and a basepoint in range. Label tuples are made only when
-    something reads them (MetricRule.label_lists).
+    something reads them (MetricRule.label_lists). ``ultrametric`` and
+    ``structural`` are read from the rule and the points, never given.
     """
 
     def __init__(
@@ -579,8 +581,6 @@ class FiniteSpace:
         rule: MetricRule,
         basepoint: int,
         inner_radius: Num,
-        ultrametric: Optional[bool] = None,
-        structural: bool = True,
         *,
         coords: Optional[np.ndarray] = None,
     ):
@@ -593,10 +593,7 @@ class FiniteSpace:
         self.rule = rule
         self.basepoint = basepoint
         self.inner_radius = inner_radius
-        self.ultrametric = rule.is_ultrametric if ultrametric is None else ultrametric
-        # chain components may use coordinate shortcuts only when the label
-        # set is a full product box; arbitrary subsets break contiguity
-        self.structural = structural
+        self._structural: Optional[bool] = None
         self._index: Optional[dict[Label, int]] = None
         self._base_dists: Optional[np.ndarray] = None
         self._dmat: Optional[np.ndarray] = None
@@ -625,6 +622,18 @@ class FiniteSpace:
         if self.rule != other.rule or self.basepoint != other.basepoint:
             return False
         return np.array_equal(self.coords, other.coords)
+
+    @property
+    def ultrametric(self) -> bool:
+        return self.rule.is_ultrametric
+
+    @property
+    def structural(self) -> bool:
+        """Whether the rule's coordinate key paths are exact on these
+        points (MetricRule.fills_box), read on first use."""
+        if self._structural is None:
+            self._structural = self.rule.fills_box(self.coords)
+        return self._structural
 
     @property
     def labels(self) -> tuple[Label, ...]:
@@ -704,15 +713,12 @@ class FiniteSpace:
             raise ValueError("unsupported serialization version")
         r = payload["inner_radius"]
         rule = _rule_from_descriptor(payload["rule"], payload["ultrametric"])
-        space = FiniteSpace(
-            payload["labels"],
-            rule,
-            payload["basepoint"],
-            math.inf if r == "inf" else r,
-            payload["ultrametric"],
-            payload.get("structural", True),
-        )
-        rule.check_loaded(space)
+        if rule.is_ultrametric != payload["ultrametric"]:
+            raise ValueError("ultrametric flag differs from the rule's")
+        space = FiniteSpace(payload["labels"], rule, payload["basepoint"],
+                            math.inf if r == "inf" else r)
+        if payload.get("structural", True) and not space.structural:
+            raise ValueError("structural flag on labels that do not fill a box")
         return space
 
 
@@ -767,7 +773,7 @@ def _has_equal_rows(coords: np.ndarray) -> bool:
 
 def _rule_from_descriptor(desc: dict, ultrametric: bool) -> MetricRule:
     """The rule a descriptor names; a table descriptor carries no flag of
-    its own, so its ultrametric flag is the space's."""
+    its own, so its ultrametric flag is the space's, and is checked."""
     kind = desc["kind"]
     if kind == "table":
         rule = TableRule(np.asarray(desc["matrix"]), ultrametric)
@@ -775,6 +781,8 @@ def _rule_from_descriptor(desc: dict, ultrametric: bool) -> MetricRule:
         m = rule.matrix
         if not np.array_equal(m, m.T) or np.any(np.diag(m) != 0):
             raise ValueError("distance table must be symmetric with a zero diagonal")
+        if ultrametric:
+            _verify_ultrametric(m)
         return rule
     if kind == "tower":
         return SupRule.tower(desc["orders"], desc["levels"])
@@ -1004,11 +1012,7 @@ def subspace(space: FiniteSpace, indices: Sequence[int], basepoint: Optional[int
     where = np.flatnonzero(idx == base)
     if not len(where):
         raise ValueError("basepoint must belong to the subset")
-    # ultrametric rules classify chains pointwise, so subsets keep their
-    # shortcuts; sup-metric boxes lose contiguity and must go exhaustive
-    structural = space.structural and (space.ultrametric or len(idx) == len(space))
-    return FiniteSpace(space.coords[idx], rule, int(where[0]), space.inner_radius,
-                       space.ultrametric, structural)
+    return FiniteSpace(space.coords[idx], rule, int(where[0]), space.inner_radius)
 
 
 def product_space(
@@ -1025,8 +1029,7 @@ def product_space(
     coords = np.empty((len(x) * len(y), width + len(y.rule.orders)), order="F")
     coords[:, :width] = np.repeat(x.coords, len(y), axis=0)
     coords[:, width:] = np.tile(y.coords, (len(x), 1))
-    return FiniteSpace(coords, rule, x.basepoint * len(y) + y.basepoint, inner,
-                       structural=x.structural and y.structural)
+    return FiniteSpace(coords, rule, x.basepoint * len(y) + y.basepoint, inner)
 
 
 def example31_fixture(
@@ -1415,32 +1418,28 @@ def quotient_with_projection(
     base_block = int(partition.point_block[space.basepoint])
     base_spread = float(np.max(space.base_dists[list(partition.blocks[base_block])]))
     inner = max(0.0, float(space.inner_radius) - base_spread)
+    _verify_ultrametric(qd)
     # the representatives' labels name the blocks, ints under a sup rule
-    q = FiniteSpace(space.label_lists(reps), TableRule(qd, ultrametric=True), base_block,
-                    inner, True)
-    _verify_ultrametric(q)
-    return q, partition
+    return FiniteSpace(space.label_lists(reps), TableRule(qd, True), base_block, inner), partition
 
 
 def quotient_space(space: FiniteSpace, epsilon: Num) -> FiniteSpace:
     return quotient_with_projection(space, epsilon)[0]
 
 
-def _verify_ultrametric(space: FiniteSpace, sample: int = 512) -> None:
-    n = len(space)
-    m = space.dmat() if n <= sample else None
-    if m is not None:
+def _verify_ultrametric(m: np.ndarray, sample: int = 512) -> None:
+    """The strong triangle inequality d(a, b) <= max(d(a, c), d(c, b)) on
+    a square distance matrix: checked for every triple up to `sample`
+    points, and on 2,000 seeded random triples above that."""
+    n = len(m)
+    if n <= sample:
         for k in range(n):
-            lhs = m
-            rhs = np.maximum(m[:, k][:, None], m[k][None, :])
-            if np.any(lhs > rhs + 1e-12):
+            if np.any(m > np.maximum(m[:, k][:, None], m[k][None, :]) + 1e-12):
                 raise ValueError("strong triangle inequality violated")
         return
-    rng = np.random.default_rng(0)
-    idx = rng.integers(0, n, size=(2000, 3))
-    for a, b, c in idx:
-        if space.d(a, b) > max(space.d(a, c), space.d(c, b)) + 1e-12:
-            raise ValueError("strong triangle inequality violated")
+    a, b, c = np.random.default_rng(0).integers(0, n, size=(2000, 3)).T
+    if np.any(m[a, b] > np.maximum(m[a, c], m[c, b]) + 1e-12):
+        raise ValueError("strong triangle inequality violated")
 
 
 def validate_metric(space: FiniteSpace, exhaustive_limit: int = 512) -> None:
@@ -1459,7 +1458,7 @@ def validate_metric(space: FiniteSpace, exhaustive_limit: int = 512) -> None:
             if np.any(m > m[:, k][:, None] + m[k][None, :] + 1e-9):
                 raise ValueError("triangle inequality violated")
         if space.ultrametric:
-            _verify_ultrametric(space)
+            _verify_ultrametric(m)
         return
     rng = np.random.default_rng(1)
     for a, b, c in rng.integers(0, n, size=(4000, 3)):

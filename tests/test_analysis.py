@@ -877,7 +877,7 @@ def test_int_coords_hold_values_far_from_zero_and_large_levels():
     src, dst = np.arange(len(near_edge)), np.arange(len(near_edge))[::-1].copy()
     assert_scales_agree(near_edge, small, src, dst, [0.0, 1.0, 3.0])
     assert_scales_agree(small, near_edge, dst, src, [0.0, 1.0, 3.0])
-    far = FiniteSpace([(2**40 + v,) for v in range(11)], line.rule, 0, 5, structural=False)
+    far = FiniteSpace([(2**40 + v,) for v in range(11)], line.rule, 0, 5)
     assert far.rule.kernel_coords(far.coords).dtype == np.int64
     assert_scales_agree(far, small, np.arange(11), np.arange(11)[::-1].copy(), [1.0, 2.0])
     # levels above 127 and 32767 need wider products than the values do
@@ -1028,6 +1028,40 @@ def test_far_lattice_steps_at_its_spacing():
     # with the points set aside, candidates were [0.0, 0.029]
     est = estimate_factorizing_step(far_lattice())
     assert est.candidates == (0.0, 0.001)
+
+
+def doubled_cluster():
+    """Points around 4 seeded centres in [-10, 10]^2, spread 0.3, with the
+    first one doubled 1e-12 away: Qhull sets 1 of the 15 points aside."""
+    rng = np.random.default_rng(11)
+    n = int(rng.integers(3, 91))
+    centres = rng.uniform(-10, 10, size=(4, 2))
+    pts = centres[rng.integers(0, 4, size=n)] + rng.normal(0, 0.3, size=(n, 2))
+    pts = np.vstack([pts, pts[:1] + [1e-12, 0]])
+    return FiniteSpace(sorted(map(tuple, pts.tolist())), PlaneRule(), 0, 0)
+
+
+def nearly_collinear_triple():
+    """Three points of a 0.3 lattice that Qhull finds flat, though the
+    float cross product of their offsets is not 0."""
+    return FiniteSpace([(0.0, 0.0), (0.8999999999999999, 0.3),
+                        (2.6999999999999997, 0.8999999999999999)], PlaneRule(), 0, 0)
+
+
+@pytest.mark.parametrize("make,refusal", [(doubled_cluster, "set aside 1 of 15"),
+                                          (nearly_collinear_triple, "no triangulation")],
+                         ids=["doubled-cluster", "nearly-collinear"])
+def test_step_where_qhull_refuses_the_points_matches_the_all_pairs_table(make, refusal):
+    # Qhull refuses the whole set, so every edge set falls back to all pairs
+    sp = make()
+    with pytest.raises(ValueError, match=refusal):
+        spaces_mod.plane_edges(sp)
+    assert estimate_factorizing_step(sp) == estimate_factorizing_step(as_table(sp))
+    for subset in (np.arange(len(sp)), np.flatnonzero(sp.base_dists <= sp.base_dists.max() / 2)):
+        assert np.array_equal(window_cophenet(sp, subset), single_linkage_cophenet(sp, subset))
+    q, part = quotient_with_projection(sp, 0.5)
+    q_table, part_table = quotient_with_projection(as_table(sp), 0.5)
+    assert part.blocks == part_table.blocks and np.array_equal(q.dmat(), q_table.dmat())
 
 
 def test_sup_diameter_of_a_table_over_several_blocks():

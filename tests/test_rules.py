@@ -1,23 +1,30 @@
 """The metric-rule protocol: every path a rule chooses, checked against a
 brute-force oracle built from the scalar distance `FiniteSpace.d`, a count
-of the places in the package that still test a rule's type, and a check
-that points have one store."""
+of the places in the package that still test a rule's type, a check that
+points have one store, and the derived `structural` property against a
+brute-force box test."""
 
 from __future__ import annotations
 
 import ast
+import itertools
 import math
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coarseiso.groups import parse_group
 from coarseiso.spaces import (
     FiniteSpace,
+    MetricRule,
+    SupRule,
     build_truncation,
     epsilon_components,
     example31_fixture,
+    k_point_space,
     product_space,
     quotient_space,
     subspace,
@@ -274,4 +281,156 @@ def test_no_module_keeps_a_second_label_store():
     package = Path(__file__).resolve().parent.parent / "src" / "coarseiso"
     found = [f"{path.name}:{line}" for path in sorted(package.glob("*.py"))
              for line in label_store_reads(path.read_text())]
+    assert found == []
+
+
+# ---------------------------------------------------------------------------
+# the structural property, derived from the rule and the points
+
+
+def box_by_enumeration(sp) -> bool:
+    """Whether the labels are exactly every free value in its coordinate's
+    range combined with every cyclic tuple that occurs, built with
+    itertools.product; True under plane and table rules."""
+    if not isinstance(sp.rule, SupRule):
+        return True
+    free = [c for c, o in enumerate(sp.rule.orders) if o == 0]
+    cyclic = [c for c, o in enumerate(sp.rule.orders) if o]
+    labels = set(sp.labels)
+    ranges = [range(min(l[c] for l in labels), max(l[c] for l in labels) + 1) for c in free]
+    tuples = {tuple(l[c] for c in cyclic) for l in labels}
+    filled = set()
+    for values, rest in itertools.product(itertools.product(*ranges), tuples):
+        row = [0] * len(sp.rule.orders)
+        for c, v in zip(free + cyclic, values + rest):
+            row[c] = v
+        filled.add(tuple(row))
+    return filled == labels
+
+
+def chain_runs(order, gap, eps):
+    """Run of each subset position when the chain is cut where gap > eps."""
+    runs = np.empty(len(order), dtype=np.int64)
+    runs[order] = np.cumsum(gap > eps)
+    return runs
+
+
+def same_partition(a, b) -> bool:
+    return np.array_equal(a[:, None] == a, b[:, None] == b)
+
+
+def assert_keys_match_the_generic_paths(sp):
+    """On a structural space the rule's components equal the threshold
+    graph's, and its chain of each basepoint ball (of any subset on an
+    ultrametric) has the runs of the Kruskal chain at every gap."""
+    assert sp.structural
+    base = sp.dists_from(sp.basepoint)
+    subsets = [np.flatnonzero(base <= r) for r in sorted(set(base.tolist()))]
+    if sp.ultrametric:
+        subsets.append(np.arange(0, len(sp), 2))
+    values = sorted(set(sp.dmat().ravel().tolist()))
+    for eps in [*values, 0.5, math.inf]:
+        assert same_partition(sp.rule.components(sp, eps), MetricRule.components(sp.rule, sp, eps))
+    for subset in subsets:
+        keyed, generic = sp.rule.chain(sp, subset), MetricRule.chain(sp.rule, sp, subset)
+        for eps in sorted(set(keyed[1].tolist()) | set(generic[1].tolist()) | {0.0}):
+            assert same_partition(chain_runs(*keyed, eps), chain_runs(*generic, eps))
+
+
+def test_structural_is_the_box_test(case):
+    _, sp, _ = case
+    assert sp.structural == box_by_enumeration(sp)
+    if sp.structural and isinstance(sp.rule, SupRule):
+        assert_keys_match_the_generic_paths(sp)
+
+
+SUP_PARENTS = [
+    zball(3, 2),
+    build_truncation(parse_group("Z + C3 + C2"), radius=2),
+    product_space(zball(2), tower_space([2, 3])),
+    tower_space([2, 3, 2]),
+    # products whose levels coincide across their factors
+    product_space(tower_space([2], levels=[2]), tower_space([3], levels=[2])),
+    product_space(zball(2), k_point_space(3)),
+    product_space(tower_space([2, 2], levels=[1, 3]), zball(2)),
+]
+
+
+@st.composite
+def sup_subsets(draw):
+    """A sub-box of a parent (an interval of each free coordinate times a
+    set of its cyclic tuples), or any subset of one."""
+    sp = draw(st.sampled_from(SUP_PARENTS))
+    coords = sp.coords
+    if draw(st.booleans()):
+        keep = np.ones(len(sp), dtype=bool)
+        cyclic = [c for c, o in enumerate(sp.rule.orders) if o]
+        for c, o in enumerate(sp.rule.orders):
+            if o == 0:
+                lo, hi = sorted(draw(st.lists(st.sampled_from(sorted(set(coords[:, c]))),
+                                              min_size=2, max_size=2)))
+                keep &= (lo <= coords[:, c]) & (coords[:, c] <= hi)
+        tuples = sorted({tuple(row) for row in coords[:, cyclic].tolist()})
+        chosen = draw(st.sets(st.sampled_from(tuples), min_size=1)) if tuples else set()
+        keep &= np.array([tuple(row) in chosen for row in coords[:, cyclic].tolist()]) \
+            if tuples else True
+        picked = np.flatnonzero(keep).tolist()
+    else:
+        picked = sorted(draw(st.sets(st.integers(0, len(sp) - 1), min_size=1)))
+    return subspace(sp, picked, basepoint=draw(st.sampled_from(picked)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(sup_subsets())
+def test_structural_subsets_are_the_boxes(sub):
+    assert sub.structural == box_by_enumeration(sub)
+    if sub.structural:
+        assert_keys_match_the_generic_paths(sub)
+
+
+# ---------------------------------------------------------------------------
+# flags a space no longer takes
+
+REMOVED_FLAGS = {"ultrametric", "structural"}
+
+
+def declared_flags(source: str) -> list[int]:
+    """Lines that pass FiniteSpace an ultrametric= or structural= keyword
+    or more than its four positional arguments, or that define
+    check_loaded (a function or an assigned name)."""
+    lines: set[int] = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call) and _mentions(node.func, {"FiniteSpace"}) and (
+                len(node.args) > 4 or any(kw.arg in REMOVED_FLAGS for kw in node.keywords)):
+            lines.add(node.lineno)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name == "check_loaded":
+            lines.add(node.lineno)
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            if any(_mentions(t, {"check_loaded"}) for t in targets):
+                lines.add(node.lineno)
+    return sorted(lines)
+
+
+@pytest.mark.parametrize("snippet", [
+    "FiniteSpace(labels, rule, 0, 1, ultrametric=True)",
+    "spaces.FiniteSpace(labels, rule, 0, 1, structural=False)",
+    "FiniteSpace(labels, rule, 0, 1, None, False)",
+    "class SupRule:\n    def check_loaded(self, space):\n        pass",
+    "rule.check_loaded = len",
+])
+def test_every_declared_flag_is_counted(snippet):
+    assert len(declared_flags(snippet)) == 1
+
+
+def test_derived_flags_and_table_flags_are_not_counted():
+    source = ("TableRule(m, ultrametric=True)\nFiniteSpace(labels, rule, 0, 1, coords=rows)\n"
+              "space.structural\nspace.ultrametric\nrule.fills_box(coords)\n")
+    assert declared_flags(source) == []
+
+
+def test_no_module_declares_a_derived_flag():
+    package = Path(__file__).resolve().parent.parent / "src" / "coarseiso"
+    found = [f"{path.name}:{line}" for path in sorted(package.glob("*.py"))
+             for line in declared_flags(path.read_text())]
     assert found == []

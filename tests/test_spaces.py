@@ -21,6 +21,7 @@ from coarseiso.primes import primes_upto
 from coarseiso.spaces import (
     BudgetError,
     FiniteSpace,
+    MetricRule,
     PlaneRule,
     TableRule,
     build_truncation,
@@ -86,10 +87,10 @@ plane_spaces = st.one_of(
 )
 
 
-def unstructured(sp):
-    """Copy of a space that must take the graph path for its components."""
-    return FiniteSpace(sp.labels, sp.rule, sp.basepoint, sp.inner_radius,
-                       sp.ultrametric, structural=False)
+def graph_components(sp, eps):
+    """Components read on the generic threshold-graph path, whatever path
+    the space's rule would take."""
+    return _partition_from_keys(eps, MetricRule.components(sp.rule, sp, float(eps)))
 
 
 class TestSchedules:
@@ -369,7 +370,7 @@ class TestComponents:
             with pytest.raises(ValueError, match="epsilon"):
                 call(sp, math.nan)
         assert epsilon_components(sp, math.inf).count == 1
-        assert epsilon_components(unstructured(sp), math.inf).count == 1
+        assert graph_components(sp, math.inf).count == 1
 
     @settings(max_examples=40, deadline=None)
     @given(plane_spaces, st.sampled_from([0.05, 0.3, 0.5, 1.0, 2.0, 4.0]))
@@ -691,10 +692,18 @@ class TestSubspace:
         with pytest.raises(ValueError):
             subspace(zb, [zb.index[(v,)] for v in (1, 2)])
 
-    def test_box_subsets_drop_the_shortcut(self):
+    def test_points_5_apart_are_two_1_components(self):
+        # given labels took a structural flag by default, and coordinate
+        # keys read these two points as one 1-component
+        line = FiniteSpace([(0,), (5,)], spaces_mod.SupRule.group_ball(1), 0, 5)
+        assert not line.structural
+        assert epsilon_components(line, 1).count == 2
+
+    def test_sub_boxes_keep_the_shortcut_and_holed_subsets_drop_it(self):
         zb = zball(5)
         assert zb.structural
-        assert not subspace(zb, [zb.index[(v,)] for v in (0, 1)]).structural
+        assert subspace(zb, [zb.index[(v,)] for v in (0, 1)]).structural
+        assert not subspace(zb, [zb.index[(v,)] for v in (0, 2)]).structural
 
     def test_ultrametric_subsets_keep_it(self):
         t = tower_space([2, 2, 3])
@@ -822,6 +831,32 @@ class TestSerialization:
         back = FiniteSpace.from_json(sub.to_json())
         assert not back.structural
         assert epsilon_components(back, 1).count == 2
+
+    def test_ultrametric_flag_must_be_the_rule_s(self):
+        # zball(4) loaded as an ultrametric measured the forward oscillation
+        # of its identity at delta = 1 as 8, reading coordinate keys
+        for sp, flag in ((zball(4), True), (tower_space([2, 3]), False),
+                         (example31_fixture(1, 0.5, 3), True)):
+            payload = json.loads(sp.to_json())
+            payload["ultrametric"] = flag
+            with pytest.raises(ValueError, match="ultrametric flag differs"):
+                FiniteSpace.from_json(json.dumps(payload))
+
+    def test_a_false_structural_flag_is_read_from_the_points(self):
+        payload = json.loads(zball(4).to_json())
+        payload["structural"] = False
+        back = FiniteSpace.from_json(json.dumps(payload))
+        assert back.structural and back.to_json() == zball(4).to_json()
+
+    def test_table_flagged_ultrametric_must_be_one(self):
+        # a metric line: d(0, 2) = 2 exceeds max(d(0, 1), d(1, 2)) = 1
+        payload = {"version": 1, "basepoint": 0, "inner_radius": 1, "ultrametric": True,
+                   "structural": True, "labels": [[0], [1], [2]],
+                   "rule": {"kind": "table", "matrix": [[0, 1, 2], [1, 0, 1], [2, 1, 0]]}}
+        with pytest.raises(ValueError, match="strong triangle inequality"):
+            FiniteSpace.from_json(json.dumps(payload))
+        payload["ultrametric"] = False
+        assert not FiniteSpace.from_json(json.dumps(payload)).ultrametric
 
     def test_table_round_trip(self):
         q = quotient_space(example31_fixture(1, 0.5, 3), 1.0)
@@ -965,7 +1000,7 @@ rule_spaces = st.one_of(
 def test_structural_keys_match_graph_components(sp, eps):
     assert sp.structural
     keyed = epsilon_components(sp, eps)
-    graph = epsilon_components(unstructured(sp), eps)
+    graph = graph_components(sp, eps)
     assert keyed.blocks == graph.blocks == threshold_blocks(sp.dmat(), eps)
 
 
@@ -1134,8 +1169,7 @@ def test_coordinate_built_plane_fixture_serializes_like_the_label_built_one():
 ROW_PINS = {
     "label-sup-subset": (
         lambda: FiniteSpace([(-2, 1), (0, 0), (1, 2), (3, 0)],
-                            build_truncation(parse_group("Z + C3"), radius=3).rule, 1, 3,
-                            structural=False),
+                            build_truncation(parse_group("Z + C3"), radius=3).rule, 1, 3),
         "group-ball-4-fe3d59f8df1f",
         "6207e47472ac9f300bb1419040de3c4632fe8fda1875dbae503e99e4fd3209f7",
     ),
@@ -1192,6 +1226,8 @@ MALFORMED = {
                         "coordinates must be integers"),
     "table-non-numeric": (TABLE_RULE, [("a",), ("b",), ("c",)], "must be numbers"),
     "table-size": (TABLE_RULE, [(1,), (2,)], "table size"),
+    "sup-cyclic-range": (spaces_mod.SupRule.tower((2,), (2,)), [(0,), (5,)],
+                         r"cyclic label value outside \[0, 2\)"),
 }
 
 
@@ -1202,8 +1238,8 @@ def _routes(rule, labels):
                "ultrametric": rule.is_ultrametric, "structural": False,
                "labels": [list(l) for l in labels], "rule": rule.descriptor()}
     return {
-        "labels": lambda: FiniteSpace(labels, rule, 0, 1, structural=False),
-        "coords": lambda: FiniteSpace(None, rule, 0, 1, structural=False,
+        "labels": lambda: FiniteSpace(labels, rule, 0, 1),
+        "coords": lambda: FiniteSpace(None, rule, 0, 1,
                                       coords=np.array(labels) if rect else labels),
         "json": lambda: FiniteSpace.from_json(json.dumps(payload)),
     }
@@ -1377,12 +1413,21 @@ def test_equality_agrees_with_label_equality(a, b, data):
     copy = FiniteSpace(x.labels, x.rule, x.basepoint, x.inner_radius)
     assert copy == x and x == copy and _label_equal(copy, x)
     assert (x == y) == _label_equal(x, y)
-    # one label moved: a label-built space against the coordinate-built one
+    # one label moved by 1000 in a free coordinate, or dropped where all
+    # are cyclic (a moved cyclic value would leave the group): a
+    # label-built space against the coordinate-built one
     if len(x) > 1 and len(x.rule.orders):
-        k = data.draw(st.integers(0, len(x) - 1))
+        k = data.draw(st.integers(0, len(x) - 2))
+        k += k >= x.basepoint  # never the basepoint
         labels = list(x.labels)
-        labels[k] = (labels[k][0] + 1000,) + labels[k][1:]
-        moved = FiniteSpace(labels, x.rule, x.basepoint, x.inner_radius)
+        free = [c for c, o in enumerate(x.rule.orders) if o == 0]
+        if free:
+            c = free[0]
+            labels[k] = labels[k][:c] + (labels[k][c] + 1000,) + labels[k][c + 1:]
+            moved = FiniteSpace(labels, x.rule, x.basepoint, x.inner_radius)
+        else:
+            del labels[k]
+            moved = FiniteSpace(labels, x.rule, x.basepoint - (k < x.basepoint), x.inner_radius)
         assert (moved == x) is False and _label_equal(moved, x) is False
     other = FiniteSpace(x.labels, x.rule, (x.basepoint + 1) % len(x), x.inner_radius)
     assert (other == x) == _label_equal(other, x)
