@@ -154,9 +154,10 @@ class MetricRule:
         labels = np.arange(n)
         for blk in row_blocks(n):
             bi, bj = np.nonzero(space.dists_block(blk, slice(None)) <= eps)
-            roots = np.unique(labels, return_index=True)[1][labels]
+            # each point's label is the least index of its component so
+            # far, a point of it: joining the two keeps those components
             ii = np.concatenate([bi + blk.start, np.arange(n)])
-            labels = _connected_labels(n, ii, np.concatenate([bj, roots]))
+            labels = _connected_labels(n, ii, np.concatenate([bj, labels]))
         return labels
 
     def delta_blocks(
@@ -194,8 +195,9 @@ class SupRule(MetricRule):
     "tower", "group-ball", or (split, left, right) for a product whose left
     factor owns the first ``split`` coordinates. Distances never read it;
     the serialized descriptor, the product split and the Foelner ball count
-    do. The paths below that read coordinate structure across points
-    (components, chain, quotient) need a structural space (fills_box).
+    do. The paths below that read coordinate structure across points need
+    rows that fill a box (fills_box): the whole space for components and
+    quotients (a structural space), the subset for chains.
     """
 
     orders: tuple[int, ...]
@@ -367,16 +369,17 @@ class SupRule(MetricRule):
         return float(spans.max(initial=0.0))
 
     def chain(self, space: "FiniteSpace", subset: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """On a structural space the subset must be a ball, which there is
-        again a box: the rows sorted by coordinates of descending level,
-        each gap the level of the first coordinate in which two neighbours
-        differ (1 when only free ones do), as the coordinate keys of
-        components classify them."""
-        if not space.structural:
-            return super().chain(space, subset)
+        """Where the subset's rows fill a box (fills_box; a ball of a
+        structural space does): the rows sorted by coordinates of
+        descending level, each gap the level of the first coordinate in
+        which two neighbours differ (1 when only free ones do), as the
+        coordinate keys of components classify them. Elsewhere from the
+        minimum spanning tree (MetricRule.chain)."""
         coords = space.coords[subset]
         if len(coords) <= 1:  # distinct labels of width 0 are one point
             return np.arange(len(coords)), np.full(len(coords), math.inf)
+        if not self.fills_box(coords):
+            return super().chain(space, subset)
         desc = np.argsort(-np.asarray(self.levels), kind="stable")
         keys = coords[:, desc]
         order = np.lexsort(keys.T[::-1])
@@ -597,7 +600,8 @@ class FiniteSpace:
         self._index: Optional[dict[Label, int]] = None
         self._base_dists: Optional[np.ndarray] = None
         self._dmat: Optional[np.ndarray] = None
-        self._edges: Optional[tuple[np.ndarray, np.ndarray, np.ndarray]] = None
+        # plane_edges: the Delaunay edges, or the message of Qhull's refusal
+        self._edges: Optional[Union[tuple[np.ndarray, np.ndarray, np.ndarray], str]] = None
 
     def with_inner_radius(self, inner_radius: Num) -> "FiniteSpace":
         """The same points, rule and basepoint, faithful up to another
@@ -1195,20 +1199,57 @@ def plane_edges(space: FiniteSpace) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     triangulation serves its generic quotients, the step candidates and
     every step window, a smaller window keeping the edges inside it and
     adding a triangulation of its border (see PlaneRule.subset_edges).
+    Qhull's refusal of the points is cached too, and raised on every call.
     Epsilon-components need none (see _plane_components)."""
+    if isinstance(space._edges, str):
+        raise ValueError(space._edges)
     if space._edges is None:
-        space._edges = delaunay_edges(space.coords)
+        try:
+            space._edges = delaunay_edges(space.coords)
+        except ValueError as exc:
+            # the message only: a stored exception would hold its frames
+            space._edges = str(exc)
+            raise
     return space._edges
 
 
 def _connected_labels(n: int, ii: np.ndarray, jj: np.ndarray) -> np.ndarray:
-    """Connected-component label of each of n nodes under the edges (ii, jj)."""
-    from scipy.sparse import coo_matrix
-    from scipy.sparse.csgraph import connected_components
+    """Connected-component label of each of n nodes under the edges
+    (ii, jj): the least index in its component. Duplicate edges,
+    self-loops and isolated nodes are allowed.
 
-    # unit weights: coo_matrix sums duplicate pairs, and a sum stays nonzero
-    graph = coo_matrix((np.ones(len(ii)), (ii, jj)), shape=(n, n))
-    return connected_components(graph, directed=False)[1]
+    Hook and shortcut (after Shiloach & Vishkin, 1982). Labels start as
+    the nodes' own indices, and every label stays at most its node and a
+    node of its component. A round hooks the larger label of each edge
+    whose ends still carry two labels onto the smaller one (a label
+    offered several keeps the least, which the bound below needs), then
+    jumps pointers (labels[labels]) until nothing changes, so that every
+    label is a root, its own label. A round without such an edge ends the
+    pass: each component then has one label, a root, and so its least
+    index.
+
+    Rounds. After round t every node's label is at most the least index
+    within t edges of it, so a pass hooks in at most as many rounds as the
+    largest component's diameter. On a path it needs at most
+    ceil(log2 n): the labels of a path stay contiguous runs, and only a
+    run whose label is below every neighbour's stays a root, so each round
+    at least halves the runs. Shuffled paths of 10^6 nodes take 13 rounds,
+    bit-reversed ones 19. Each round reads only the edges still crossing
+    two labels, and each jump halves the depth of the label forest, so a
+    round makes at most log2(n) + 2 jumps."""
+    labels = np.arange(n)
+    while True:
+        a, b = labels[ii], labels[jj]
+        cross = a != b
+        if not cross.any():
+            return labels
+        ii, jj, a, b = ii[cross], jj[cross], a[cross], b[cross]
+        np.minimum.at(labels, np.maximum(a, b), np.minimum(a, b))
+        while True:
+            jumped = labels[labels]
+            if np.array_equal(jumped, labels):
+                break
+            labels = jumped
 
 
 def _kruskal_chain(n: int, ii: np.ndarray, jj: np.ndarray, ww: np.ndarray):

@@ -25,6 +25,7 @@ from coarseiso.factorfn import FactorFunction, ZERO_FF
 from coarseiso.groups import parse_group
 from coarseiso.spaces import (
     FiniteSpace,
+    MetricRule,
     PlaneRule,
     SupRule,
     TableRule,
@@ -498,10 +499,10 @@ coinciding_levels = st.sampled_from([
        st.data())
 def test_chain_order_matches_cophenet(sp, data):
     # every chain against scipy's single linkage: structural spaces on balls
-    # (boxes), ultrametric ones on any subset too, and every other space
-    # (plane grids, non-structural subsets, tables) on any subset
+    # (boxes) and on any subset, and every other space (plane grids,
+    # non-structural subsets, tables) on any subset
     if sp.structural and isinstance(sp.rule, SupRule):
-        if sp.ultrametric and data.draw(st.booleans()):
+        if data.draw(st.booleans()):
             subset = sorted(data.draw(st.sets(st.integers(0, len(sp) - 1), min_size=1)))
         else:
             radius = data.draw(st.sampled_from([0, 0.5, 1, 2, 3, 5]))
@@ -516,6 +517,33 @@ def test_chain_order_matches_cophenet(sp, data):
     assert sorted(order.tolist()) == list(range(len(subset)))
     assert gap[0] == math.inf
     assert np.array_equal(chain_cophenet(order, gap), single_linkage_cophenet(sp, subset))
+
+
+def test_sup_chain_of_a_subset_that_fills_no_box_reads_distances():
+    # -5 and -3 are 2 apart; sorted coordinates alone would join them at 1,
+    # as if -4 lay between them
+    zb = zball(5)
+    subset = np.array([0, 2])
+    assert zb.label_lists(subset) == [[-5], [-3]]
+    order, gap = zb.rule.chain(zb, subset)
+    assert gap.tolist() == [math.inf, 2.0]
+    generic = MetricRule.chain(zb.rule, zb, subset)
+    assert np.array_equal(order, generic[0]) and np.array_equal(gap, generic[1])
+
+
+@pytest.mark.parametrize("group,radius", [("Z + C2^inf", 16), ("C2^inf", 64)])
+def test_sup_step_reads_its_ball_chains_from_coordinates(monkeypatch, group, radius):
+    # the candidate ball and the windows of a step are balls, which fill a
+    # box, so no chain falls back to the minimum spanning tree, and the
+    # estimate is the all-pairs loop's
+    sp = build_truncation(parse_group(group), radius=radius)
+    want = all_pairs_step(sp)
+
+    def refuse(*args):
+        raise AssertionError("a ball chain left the coordinate path")
+
+    monkeypatch.setattr(MetricRule, "chain", refuse)
+    assert estimate_factorizing_step(sp).to_json() == want
 
 
 def all_pairs_step(space, max_tested=48, fractions=(0.5, 0.75, 1.0)):
@@ -1062,6 +1090,30 @@ def test_step_where_qhull_refuses_the_points_matches_the_all_pairs_table(make, r
     q, part = quotient_with_projection(sp, 0.5)
     q_table, part_table = quotient_with_projection(as_table(sp), 0.5)
     assert part.blocks == part_table.blocks and np.array_equal(q.dmat(), q_table.dmat())
+    # the cached refusal is raised again on every later call
+    for _ in range(2):
+        with pytest.raises(ValueError, match=refusal):
+            spaces_mod.plane_edges(sp)
+
+
+def test_a_refused_space_runs_qhull_once(monkeypatch):
+    # the candidate chain and the three windows of a step all fall back to
+    # all pairs; Qhull's refusal of the whole space is read once and cached
+    calls = []
+    real = spaces_mod._triangulation_pairs
+
+    def counting(pts):
+        calls.append(len(pts))
+        return real(pts)
+
+    monkeypatch.setattr(spaces_mod, "_triangulation_pairs", counting)
+    sp = doubled_cluster()
+    want = estimate_factorizing_step(as_table(sp))
+    assert estimate_factorizing_step(sp) == want
+    assert calls == [len(sp)]
+    with pytest.raises(ValueError, match="set aside 1 of 15"):
+        spaces_mod.plane_edges(sp)
+    assert calls == [len(sp)]
 
 
 def test_sup_diameter_of_a_table_over_several_blocks():
@@ -1117,10 +1169,9 @@ def test_step_work_is_pinned(monkeypatch):
     # triangulations: the whole space, shared with the candidates, and the
     # borders of the 0.5 and 0.75 windows, 429 of 6,573 points together
     # (9,963 when each window was triangulated whole)
-    import scipy.sparse.csgraph
     import scipy.spatial
 
-    calls = {"Delaunay": 0, "connected_components": 0}
+    calls = {"Delaunay": 0, "_connected_labels": 0}
     sizes = []
 
     def counting(module, name):
@@ -1135,10 +1186,10 @@ def test_step_work_is_pinned(monkeypatch):
         monkeypatch.setattr(module, name, wrapper)
 
     counting(scipy.spatial, "Delaunay")
-    counting(scipy.sparse.csgraph, "connected_components")
+    counting(spaces_mod, "_connected_labels")
     sp = example31_fixture(20, 0.01, 1000)
     estimate_factorizing_step(sp)
-    assert calls == {"Delaunay": 3, "connected_components": 0}
+    assert calls == {"Delaunay": 3, "_connected_labels": 0}
     assert sizes[0] == len(sp) and sum(sizes[1:]) < 0.1 * len(sp)
 
 

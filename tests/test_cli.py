@@ -306,10 +306,11 @@ def test_witness_chain_leaves_scipy_unloaded():
     assert modules_after(["witness", "Z + C2", "Z", "--radius", "16"], "scipy") == "[]"
 
 
-def test_plane_components_leave_scipy_spatial_unloaded():
-    # plane components come from a cell grid: no Qhull triangulation
+def test_plane_components_leave_scipy_unloaded():
+    # plane components come from a cell grid joined by a numpy kernel: no
+    # Qhull triangulation and no sparse graph; a step still triangulates
     argv = ["components", "example31:4:0.05", "--epsilon", "1.0"]
-    assert modules_after(argv, "scipy.spatial") == "[]"
+    assert modules_after(argv, "scipy") == "[]"
     assert modules_after(["step", "example31:2:0.25"], "scipy.spatial") != "[]"
 
 

@@ -43,7 +43,7 @@ from coarseiso.spaces import (
     validate_metric,
     zball,
 )
-from coarseiso.spaces import _grid_scale, _partition_from_keys, _round_decimals
+from coarseiso.spaces import _connected_labels, _grid_scale, _partition_from_keys, _round_decimals
 from coarseiso.witness import space_id
 
 
@@ -678,6 +678,74 @@ class TestGridComponents:
             self.check(plane_points(pts), eps)
         finally:
             spaces_mod.BLOCK_ENTRIES = old
+
+
+def assert_least_index_labels(n, ii, jj):
+    """_connected_labels against scipy's connected_components: each node's
+    label must be the least index of its component in scipy's partition,
+    which asserts both the partition and the labels MetricRule.components
+    reads as roots."""
+    from scipy.sparse import coo_matrix
+    from scipy.sparse.csgraph import connected_components
+
+    ii, jj = np.asarray(ii, dtype=np.int64), np.asarray(jj, dtype=np.int64)
+    got = _connected_labels(n, ii, jj)
+    graph = coo_matrix((np.ones(len(ii)), (ii, jj)), shape=(n, n))
+    ref = connected_components(graph, directed=False)[1]
+    least = np.full(n, n)
+    np.minimum.at(least, ref, np.arange(n))
+    assert np.array_equal(got, least[ref])
+
+
+def path(ids):
+    return ids[:-1], ids[1:]
+
+
+class TestConnectedLabels:
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 40).flatmap(lambda n: st.tuples(
+        st.just(n),
+        st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=3 * n)
+        if n else st.just([]))))
+    def test_matches_csgraph_on_multigraphs(self, case):
+        # duplicate edges, self-loops and isolated nodes; n = 0 and 1, and
+        # no edges at all
+        n, edges = case
+        ii, jj = zip(*edges) if edges else ((), ())
+        assert_least_index_labels(n, ii, jj)
+
+    @pytest.mark.parametrize("family", [
+        "path-shuffled", "path-sorted", "path-zigzag", "path-shuffled-in-pieces",
+        "star-largest-centre", "grid-shuffled", "binary-tree-reversed-heap",
+    ])
+    def test_matches_csgraph_on_large_families(self, family):
+        n = 10**5
+        rng = np.random.default_rng(17)
+        if family == "path-shuffled":
+            ii, jj = path(rng.permutation(n))
+        elif family == "path-sorted":
+            ii, jj = path(np.arange(n))
+        elif family == "path-zigzag":
+            # 0, n - 1, 1, n - 2, ...: every other node a local minimum
+            k = np.arange(n)
+            ii, jj = path(np.where(k % 2 == 0, k // 2, n - 1 - k // 2))
+        elif family == "path-shuffled-in-pieces":
+            ii, jj = path(rng.permutation(n))
+            keep = np.arange(n - 1) % 997 != 0
+            ii, jj = ii[keep], jj[keep]
+        elif family == "star-largest-centre":
+            ii, jj = np.full(n - 1, n - 1), np.arange(n - 1)
+        elif family == "grid-shuffled":
+            side = math.isqrt(n)
+            ids = rng.permutation(n)[: side * side].reshape(side, side)
+            ii = np.concatenate([ids[:, :-1].ravel(), ids[:-1, :].ravel()])
+            jj = np.concatenate([ids[:, 1:].ravel(), ids[1:, :].ravel()])
+        else:
+            # heap position h has children 2h + 1 and 2h + 2, and ids run
+            # the other way: every child's id is below its parent's
+            h = np.arange(1, n)
+            ii, jj = n - 1 - h, n - 1 - (h - 1) // 2
+        assert_least_index_labels(n, ii, jj)
 
 
 class TestSubspace:
