@@ -15,6 +15,8 @@ import math
 import sys
 from typing import Optional
 
+import numpy as np
+
 from .analysis import (
     asdim_cover,
     empirical_phi,
@@ -120,12 +122,12 @@ def _cmd_witness(args: argparse.Namespace) -> int:
 def _cmd_components(args: argparse.Namespace) -> int:
     space = _build_space(args.space, args)
     part = epsilon_components(space, args.epsilon)
-    sizes = sorted((len(b) for b in part.blocks), reverse=True)
+    sizes = np.sort(np.bincount(part.point_block))[::-1][:32]
     payload = {
         "points": len(space),
         "epsilon": _scale(args.epsilon),
-        "blocks": len(part.blocks),
-        "sizes": sizes[:32],
+        "blocks": part.count,
+        "sizes": sizes.tolist(),
         "representatives": space.label_lists(part.representatives[:16]),
     }
     _emit(payload, args)

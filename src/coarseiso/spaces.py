@@ -37,6 +37,7 @@ import copy
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
@@ -1091,38 +1092,49 @@ def _round_decimals(values: np.ndarray, decimals: int) -> np.ndarray:
 # components and quotients
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ComponentPartition:
     """Epsilon-chain components. Blocks are ordered by representative, and
     each representative is the lexicographically minimal point (equivalently
-    minimal index) of its block."""
+    minimal index) of its block. point_block[i] is the block of point i;
+    the block tuples are built only when read. Partitions are equal, and
+    hash alike, when their epsilon and their blocks are equal."""
 
     epsilon: Num
-    blocks: tuple[tuple[int, ...], ...]
     representatives: tuple[int, ...]
-    point_block: np.ndarray = field(compare=False, repr=False)
+    point_block: np.ndarray = field(repr=False)
 
     @property
     def count(self) -> int:
-        return len(self.blocks)
+        return len(self.representatives)
+
+    @cached_property
+    def blocks(self) -> tuple[tuple[int, ...], ...]:
+        """The members of each block in ascending order, built on first read."""
+        members = np.argsort(self.point_block, kind="stable").tolist()
+        ends = np.cumsum(np.bincount(self.point_block)).tolist()
+        return tuple(tuple(members[a:b]) for a, b in zip([0] + ends, ends))
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, ComponentPartition):
+            return NotImplemented
+        # blocks numbered by their least point make point_block canonical
+        return (self.epsilon == other.epsilon
+                and self.representatives == other.representatives
+                and np.array_equal(self.point_block, other.point_block))
+
+    def __hash__(self) -> int:
+        return hash((self.epsilon, self.representatives, len(self.point_block)))
 
 
 def _partition_from_keys(epsilon: Num, keys: np.ndarray) -> ComponentPartition:
     """Partition grouping points by an array of keys: one block per value."""
     _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-    # blocks numbered by their first point, members in ascending order
+    # blocks numbered by their first point
+    by_first = np.argsort(first)
     rank = np.empty(len(first), dtype=np.int64)
-    rank[np.argsort(first)] = np.arange(len(first))
-    point_block = rank[inverse]
-    members = np.argsort(point_block, kind="stable").tolist()
-    ends = np.cumsum(np.bincount(point_block)).tolist()
-    blocks = [members[a:b] for a, b in zip([0] + ends, ends)]
-    return ComponentPartition(
-        epsilon,
-        tuple(tuple(blk) for blk in blocks),
-        tuple(blk[0] for blk in blocks),
-        point_block,
-    )
+    rank[by_first] = np.arange(len(first))
+    return ComponentPartition(epsilon, tuple(first[by_first].tolist()), rank[inverse])
 
 
 def _row_groups(rows: np.ndarray) -> np.ndarray:
@@ -1347,58 +1359,80 @@ def _plane_components(pts: np.ndarray, eps: float) -> np.ndarray:
     none meets the join bound): the cells then honour the reach alone,
     nothing joins untested, and every pair up to 3 cells apart, one cell
     included, is read. _squeeze renumbers the grid, so cell keys stay far
-    below 2^63 at any scale of coordinates or eps. Pairs are expanded in
-    chunks of about BLOCK_ENTRIES, so memory stays bounded, but the number
-    read is quadratic in the points per cell: a cloud that packs many
-    points into a few cells around components that stay apart at eps
-    costs up to O(n^2) distance reads.
+    below 2^63 at any scale of coordinates or eps.
+
+    Cell pairs come from key ranges. A cell's key is cx * width + cy, and
+    width exceeds every cy by 7, so the occupied cells of column cx + dx
+    within 3 in y are one run of the sorted keys, found by two
+    searchsorted calls per dx, and a pair's key difference dx * width + dy
+    tells a pair one cell apart from a farther one. Point pairs are
+    expanded in chunks of at most BLOCK_ENTRIES (_slot_chunks), a cell
+    pair larger than that split across chunks, so memory stays bounded,
+    but the number read is quadratic in the points per cell: a cloud that
+    packs many points into a few cells around components that stay apart
+    at eps costs up to O(n^2) distance reads.
     """
-    n = len(pts)
     inv, join = _grid_scale(float(np.max(np.abs(pts))), eps)
     cx = _squeeze(np.floor(pts[:, 0] * inv).astype(np.int64))
     cy = _squeeze(np.floor(pts[:, 1] * inv).astype(np.int64))
-    width = int(cy.max()) + 4  # offsets of up to 3 in y never wrap onto a cell
+    # offsets of up to 3 in y never wrap onto another column, and a key
+    # difference dx * width + dy, |dy| <= 3, names its offset
+    width = int(cy.max()) + 7
     keys, cell = np.unique(cx * width + cy, return_inverse=True)
     ncell = len(keys)
-
-    def neighbours(offsets):
-        # (a, b) for every occupied cell a whose cell at an offset is occupied
-        aa, bb = [], []
-        for dx, dy in offsets:
-            want = keys + (dx * width + dy)
-            pos = np.searchsorted(keys, want)
-            hit = np.flatnonzero(keys[np.minimum(pos, ncell - 1)] == want)
-            aa.append(hit)
-            bb.append(pos[hit])
-        return np.concatenate(aa), np.concatenate(bb)
-
-    # one of each pair of opposite offsets up to 3 cells, by Chebyshev reach
-    half = [(dx, dy) for dx in range(4) for dy in range(-3, 4) if dx > 0 or dy > 0]
+    # cell pairs (a, b) up to 3 cells apart, one of each opposite pair, as
+    # runs lo[r]:hi[r] of the sorted keys. In its own column a cell pairs
+    # with those above it, and also with itself where nothing joins untested
+    own = np.arange(ncell)
+    lo = [own + join]
+    hi = [np.searchsorted(keys, keys + 3, side="right")]
+    for dx in range(1, 4):
+        lo.append(np.searchsorted(keys, keys + (dx * width - 3)))
+        hi.append(np.searchsorted(keys, keys + (dx * width + 3), side="right"))
+    lo, hi = np.concatenate(lo), np.concatenate(hi)
+    runs = hi - lo
+    a = np.repeat(np.tile(own, 4), runs)
+    b = np.arange(len(a)) + np.repeat(lo - (np.cumsum(runs) - runs), runs)
     if join:
-        comp = _connected_labels(ncell, *neighbours(o for o in half if max(map(abs, o)) == 1))
-        a, b = neighbours(o for o in half if max(map(abs, o)) > 1)
+        diff = keys[b] - keys[a]
+        near = (diff == 1) | (np.abs(diff - width) <= 1)  # Chebyshev 1
+        comp = _connected_labels(ncell, a[near], b[near])
+        far = ~near
+        a, b = a[far], b[far]
         keep = comp[a] != comp[b]
         a, b, comp = a[keep], b[keep], comp[cell]
     else:
-        a, b = neighbours([(0, 0)] + half)
-        comp = np.arange(n)
+        comp = np.arange(len(pts))
     # points by cell: those of cell c are order[start[c]:start[c] + count[c]]
     order = np.argsort(cell, kind="stable")
     count = np.bincount(cell, minlength=ncell)
     start = np.cumsum(count) - count
-    sizes = count[a] * count[b]
-    ends, total = np.cumsum(sizes), int(sizes.sum())
+    ia, jb, nb = start[a], start[b], count[b]
     ii, jj = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
-    for lo in range(0, total, BLOCK_ENTRIES):
-        g = np.arange(lo, min(total, lo + BLOCK_ENTRIES))
-        k = np.searchsorted(ends, g, side="right")
-        t = g - (ends[k] - sizes[k])
-        i = order[start[a[k]] + t // count[b[k]]]
-        j = order[start[b[k]] + t % count[b[k]]]
-        hit = (comp[i] != comp[j]) & (_plane_pair_dists(pts, i, j) <= eps)
+    for k, t in _slot_chunks(count[a] * nb):
+        row, col = np.divmod(t, nb[k])
+        i, j = order[ia[k] + row], order[jb[k] + col]
+        hit = _plane_pair_dists(pts, i, j) <= eps
         ii.append(comp[i[hit]])
         jj.append(comp[j[hit]])
     return _connected_labels(int(comp.max()) + 1, np.concatenate(ii), np.concatenate(jj))[comp]
+
+
+def _slot_chunks(sizes: np.ndarray):
+    """The slots of items of the given sizes, in item order, as pairs (k, t)
+    of arrays, slot t of item k, in chunks of at most BLOCK_ENTRIES slots;
+    an item larger than that is split across chunks."""
+    ends = np.cumsum(sizes)
+    total = int(ends[-1]) if len(ends) else 0
+    for lo in range(0, total, BLOCK_ENTRIES):
+        hi = min(total, lo + BLOCK_ENTRIES)
+        # items k0 .. k1 - 1 hold the slots lo .. hi - 1
+        k0 = int(np.searchsorted(ends, lo, side="right"))
+        k1 = int(np.searchsorted(ends, hi - 1, side="right")) + 1
+        first = ends[k0:k1] - sizes[k0:k1]
+        span = np.minimum(ends[k0:k1], hi) - np.maximum(first, lo)
+        yield (np.repeat(np.arange(k0, k1), span),
+               np.arange(lo, hi) - np.repeat(first, span))
 
 
 def _check_epsilon(epsilon: Num) -> float:
@@ -1457,7 +1491,7 @@ def quotient_with_projection(
         qd[chain[i], chain[i + 1:]] = np.maximum.accumulate(gap[i + 1:])
     qd = np.maximum(qd, qd.T)
     base_block = int(partition.point_block[space.basepoint])
-    base_spread = float(np.max(space.base_dists[list(partition.blocks[base_block])]))
+    base_spread = float(np.max(space.base_dists[partition.point_block == base_block]))
     inner = max(0.0, float(space.inner_radius) - base_spread)
     _verify_ultrametric(qd)
     # the representatives' labels name the blocks, ints under a sup rule

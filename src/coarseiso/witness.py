@@ -257,10 +257,13 @@ def _check_isometry_claim(
     keys = _row_groups(w.source.coords[:, split:])
     inside = _inside(w.source, np.arange(len(w.source)), w.validity_radius)
     whole = np.bincount(keys[inside], minlength=int(keys.max()) + 1) == np.bincount(keys)
-    # the slices of the table, in order of first appearance
-    slices = _partition_from_keys(eps, keys[si])
-    for members in slices.blocks:
-        pos = np.asarray(members)
+    # the slices of the table, in order of first appearance, each as its
+    # ascending table positions, cut from one stable argsort
+    slices = _partition_from_keys(eps, keys[si]).point_block
+    members = np.argsort(slices, kind="stable")
+    ends = np.cumsum(np.bincount(slices)).tolist()
+    for lo, hi in zip([0] + ends, ends):
+        pos = members[lo:hi]
         for blk in row_blocks(len(pos)):
             ds = w.source.dists_block(si[pos[blk]], si[pos])
             dt = w.target.dists_block(ti[pos[blk]], ti[pos])
@@ -402,7 +405,7 @@ def factorization_witness(
     if kept is None:
         raise ValueError("factorization needs a structural quotient at this scale")
     quotient, part = quotient_with_projection(space, eps)
-    fiber = subspace(space, part.blocks[int(part.point_block[space.basepoint])])
+    fiber = subspace(space, np.flatnonzero(part.point_block == part.point_block[space.basepoint]))
     source = product_space(fiber, quotient)
 
     width = fiber.coords.shape[1]

@@ -322,6 +322,41 @@ def test_partition_of_a_label_array_matches_the_key_loop(keys):
                                         for i in range(len(keys))]
 
 
+def test_partition_blocks_are_built_on_first_read():
+    part = epsilon_components(tower_space([2, 3]), 2)
+    assert "blocks" not in part.__dict__
+    assert part.count == 3
+    assert part.blocks == ((0, 3), (1, 4), (2, 5))
+    assert part.blocks is part.blocks
+
+
+class TestPartitionEquality:
+    def test_equal_partitions_are_equal_and_hash_alike(self):
+        sp = tower_space([2, 3])
+        a = epsilon_components(sp, 2)
+        b = _partition_from_keys(2, np.array([5, 1, 7, 5, 1, 7]))
+        assert a == b and hash(a) == hash(b)
+        assert a == epsilon_components(sp, 2.0) and hash(a) == hash(epsilon_components(sp, 2.0))
+        assert len({a, b}) == 1
+
+    def test_another_epsilon_is_unequal(self):
+        sp = tower_space([2, 3])
+        assert epsilon_components(sp, 2) != epsilon_components(sp, 2.5)
+
+    def test_other_blocks_are_unequal(self):
+        # the same representatives and block sizes, different members
+        a = _partition_from_keys(1.0, np.array([0, 1, 0, 1]))
+        b = _partition_from_keys(1.0, np.array([0, 1, 1, 0]))
+        assert a.representatives == b.representatives == (0, 1)
+        assert a != b and a.blocks != b.blocks
+        assert a != _partition_from_keys(1.0, np.array([0, 1, 0]))
+        assert a != _partition_from_keys(1.0, np.array([0, 0, 0, 0]))
+
+    def test_a_partition_is_not_its_blocks(self):
+        part = epsilon_components(tower_space([2, 3]), 2)
+        assert part != part.blocks
+
+
 def test_label_index_is_built_on_first_read():
     sp = example31_fixture(2, 0.25, 3)
     assert sp._index is None
@@ -678,6 +713,62 @@ class TestGridComponents:
             self.check(plane_points(pts), eps)
         finally:
             spaces_mod.BLOCK_ENTRIES = old
+
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.tuples(st.integers(-4, 4), st.integers(-4, 4)), min_size=0, max_size=4,
+                    unique=True),
+           st.lists(st.integers(3, 16), min_size=6, max_size=6),
+           st.integers(0, 2**32 - 1), st.sampled_from([0.5, 1.0, 3.0]), st.integers(1, 8))
+    def test_chunks_split_a_crowded_cell_pair(self, centres, sizes, seed, eps, limit):
+        # clusters crowded into single cells of side about eps / 2.83. Two
+        # of them sit mid-cell 1.02 eps apart, 3 cells, far from the rest,
+        # so their cell pair is read and never joined: at least 9 slots,
+        # more than a chunk
+        rng = np.random.default_rng(seed)
+        spots = [(0.18 * eps, 0.18 * eps), (1.2 * eps, 0.18 * eps)]
+        spots += [(40 * eps + cx * eps / 3, cy * eps / 3) for cx, cy in centres]
+        pts = [(x + dx, y + dy) for (x, y), size in zip(spots, sizes)
+               for dx, dy in rng.normal(scale=eps / 4000, size=(size, 2))]
+        sp = plane_points(pts)
+        chunks, items = [], []
+        expand = spaces_mod._slot_chunks
+
+        def recorded(slots):
+            items.append(slots)
+            for k, t in expand(slots):
+                chunks.append(len(k))
+                yield k, t
+
+        old = spaces_mod.BLOCK_ENTRIES, spaces_mod._slot_chunks
+        spaces_mod.BLOCK_ENTRIES, spaces_mod._slot_chunks = limit, recorded
+        try:
+            got = epsilon_components(sp, eps)
+        finally:
+            spaces_mod.BLOCK_ENTRIES, spaces_mod._slot_chunks = old
+        assert got == graph_components(sp, eps)
+        assert max(items[0]) > limit and max(chunks) <= limit
+        assert sum(chunks) == int(items[0].sum())
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(0, 30), max_size=12), st.integers(1, 40))
+def test_slot_chunks_match_the_plain_expansion(sizes, limit):
+    # every slot of every item, in order, in chunks of at most limit; all
+    # but the last chunk full, so an item larger than a chunk is split
+    sizes = np.asarray(sizes, dtype=np.int64)
+    old = spaces_mod.BLOCK_ENTRIES
+    spaces_mod.BLOCK_ENTRIES = limit
+    try:
+        chunks = list(spaces_mod._slot_chunks(sizes))
+    finally:
+        spaces_mod.BLOCK_ENTRIES = old
+    want_k = [k for k, size in enumerate(sizes.tolist()) for _ in range(size)]
+    want_t = [t for size in sizes.tolist() for t in range(size)]
+    assert [len(k) for k, _ in chunks] == [min(limit, len(want_k) - lo)
+                                           for lo in range(0, len(want_k), limit)]
+    assert [x for k, _ in chunks for x in k.tolist()] == want_k
+    assert [x for _, t in chunks for x in t.tolist()] == want_t
 
 
 def assert_least_index_labels(n, ii, jj):

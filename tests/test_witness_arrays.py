@@ -24,6 +24,7 @@ from coarseiso.analysis import oscillation
 from coarseiso.factorfn import FactorFunction
 from coarseiso.groups import parse_group
 from coarseiso.spaces import (
+    ComponentPartition,
     FiniteSpace,
     SupRule,
     TableRule,
@@ -747,3 +748,18 @@ def test_factorization_and_plane_jobs_make_no_label_tuples(monkeypatch, capsys):
     assert main(["components", "example31:6:0.05", "--epsilon", "1.0"]) == 0
     assert '"representatives": [' in capsys.readouterr().out
     assert built == []
+
+
+def test_partition_readers_build_no_block_tuples(monkeypatch):
+    """The factorization fiber, the per-component isometry check of its
+    verification and the generic quotient's base spread read point_block,
+    never the block tuples."""
+    read = []
+    monkeypatch.setattr(ComponentPartition, "blocks",
+                        property(lambda part: read.append(part.count)))
+    sp = build_truncation(parse_group("Z + C2^inf"), radius=32)
+    w = witness_mod.factorization_witness(sp, 1.0)
+    assert verify_witness(w).ok
+    q, part = quotient_with_projection(example31_fixture(2, 0.25, 5), 1.0)
+    assert isinstance(q.rule, TableRule) and part.count == len(q)
+    assert read == []
