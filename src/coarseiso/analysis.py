@@ -19,7 +19,7 @@ import numpy as np
 from .extnat import ExtNat
 from .factorfn import FactorFunction
 from .primes import factorize
-from .spaces import FiniteSpace, _check_epsilon, row_blocks
+from .spaces import FiniteSpace, _check_epsilon, level_chain, row_blocks
 
 NOISE_NUM = 1
 NOISE_DEN = 8  # a block is significant when 8 * size >= largest block
@@ -245,18 +245,22 @@ def _within(dtype: np.dtype, deltas: Sequence[float]) -> list[Union[int, float]]
     return bounds
 
 
-def _keyed_oscillation(
-    target: FiniteSpace, dst_idx: np.ndarray, blocks: list[np.ndarray]
-) -> list[float]:
-    """Max target diameter over the delta-blocks of the source, at each
-    scale: blocks holds the block id of each source point per scale."""
-    out = []
-    for ids in blocks:
-        order = np.argsort(ids, kind="stable")
-        cuts = np.flatnonzero(np.diff(ids[order])) + 1
-        out.append(max(target.rule.diameter(target, dst_idx[members])
-                       for members in np.split(order, cuts)))
-    return out
+def _keyed_oscillation(src: tuple, dst: tuple, deltas: list[float]) -> list[float]:
+    """Max image diameter over the delta-blocks of the source, at each
+    scale, where each side is the (rows, levels) of its points
+    (MetricRule.level_rows). The blocks are the runs of the source's chain
+    cut where a gap is beyond the pair pass's bound (level_chain, _within).
+    The largest image diameter over them is the largest level of a target
+    column that varies in some run: in which two neighbours along the
+    chain differ, with a gap within the bound between them. So a column
+    counts from the least such gap on, one pass for all scales."""
+    order, gap = level_chain(*src)
+    rows, levels = dst
+    ranked = rows[order]
+    differ = ranked[1:] != ranked[:-1]
+    # NaN where a column never differs: it counts at no scale
+    least = np.fmin.reduce(np.where(differ, gap[1:, None], np.nan), axis=0, initial=np.nan)
+    return [float(levels[least <= bound].max(initial=0.0)) for bound in _within(gap.dtype, deltas)]
 
 
 def _pair_oscillation(
@@ -300,10 +304,10 @@ def oscillation(
     block by the other's (distances are >= 0). Every rule is symmetric, so
     these pairs are all of them. Each block comes from the rule's kernel
     (MetricRule.kernel_coords); no dense matrix is read. When both rules
-    read the delta-blocks of their points without distances
-    (MetricRule.delta_blocks: ultrametric sup spaces, from coordinate
-    keys), each direction is the max image diameter over those blocks;
-    otherwise the pair pass serves both directions.
+    give the rows and column levels of their points (MetricRule.level_rows:
+    ultrametric sup spaces), each direction is the max image diameter over
+    the delta-blocks of the other side, on the same bound as the pair pass
+    (_keyed_oscillation); otherwise the pair pass serves both directions.
     """
     src_idx = np.asarray(src_idx)
     dst_idx = np.asarray(dst_idx)
@@ -313,11 +317,10 @@ def oscillation(
     deltas = [float(delta)] if scalar else [float(d) for d in delta]
     if not len(src_idx) or not deltas:
         fwd, bwd = [0.0] * len(deltas), [0.0] * len(deltas)
-    elif (keys_s := source.rule.delta_blocks(source, src_idx, deltas)) is not None and (
-        keys_t := target.rule.delta_blocks(target, dst_idx, deltas)
-    ) is not None:
-        fwd = _keyed_oscillation(target, dst_idx, keys_s)
-        bwd = _keyed_oscillation(source, src_idx, keys_t)
+    elif (rows_s := source.rule.level_rows(source, src_idx)) is not None \
+            and (rows_t := target.rule.level_rows(target, dst_idx)) is not None:
+        fwd = _keyed_oscillation(rows_s, rows_t, deltas)
+        bwd = _keyed_oscillation(rows_t, rows_s, deltas)
     else:
         fwd, bwd = _pair_oscillation(source, target, src_idx, dst_idx, deltas)
     return (fwd[0], bwd[0]) if scalar else (fwd, bwd)

@@ -26,9 +26,10 @@ Points are stored in ascending lexicographic label order, so the minimal
 index of a subset is also its lexicographically minimal label.
 
 Every path whose method depends on the metric is a method of the rule, so
-callers never test a rule's type: SupRule (group balls, towers, products),
-PlaneRule (the example-3.1 curve) and TableRule (generic quotients and
-deserialized tables) share the generic paths of MetricRule.
+callers never test a rule's type outside one input check of tower
+alignment (tests/test_rules.py counts them): SupRule (group balls, towers,
+products), PlaneRule (the example-3.1 curve) and TableRule (generic
+quotients and deserialized tables) share the generic paths of MetricRule.
 """
 
 from __future__ import annotations
@@ -79,10 +80,10 @@ class MetricRule:
     (``dists``) and one distance from two point indices (``distance``, kept
     apart from the row kernels as their scalar oracle). The methods here
     are the generic paths, written once from ``FiniteSpace.dists_block``:
-    the threshold graph read in row blocks for epsilon-components, the
-    pairwise diameter, and the Kruskal chain over all pairs of a subset.
-    SupRule and PlaneRule override those their structure reads exactly and
-    faster; TableRule keeps them all.
+    the threshold graph read in row blocks for epsilon-components, and the
+    Kruskal chain over all pairs of a subset. SupRule and PlaneRule
+    override those their structure reads exactly and faster; TableRule
+    keeps them all.
     """
 
     split: Optional[int] = None  # coordinates owned by a product's left factor
@@ -114,12 +115,6 @@ class MetricRule:
     def fills_box(self, coords: np.ndarray) -> bool:
         """Whether the rule's coordinate key paths are exact on these rows."""
         return True
-
-    def diameter(self, space: "FiniteSpace", idx: np.ndarray) -> float:
-        """Diameter of an index set, pairwise in row blocks."""
-        if len(idx) <= 1:
-            return 0.0
-        return max(float(space.dists_block(idx[blk], idx).max()) for blk in row_blocks(len(idx)))
 
     def subset_edges(self, space: "FiniteSpace", subset: np.ndarray):
         """Edges (i, j, weight) of the induced subspace on ascending
@@ -161,12 +156,10 @@ class MetricRule:
             labels = _connected_labels(n, ii, np.concatenate([bj, labels]))
         return labels
 
-    def delta_blocks(
-        self, space: "FiniteSpace", idx: np.ndarray, deltas: Sequence[float]
-    ) -> Optional[list[np.ndarray]]:
-        """Block id of each point of idx at each scale, where the relation
-        d <= delta is an equivalence on them that the rule reads without
-        distances; None here, where it is not read so."""
+    def level_rows(self, space: "FiniteSpace", idx) -> Optional[tuple[np.ndarray, np.ndarray]]:
+        """The rows of the points idx (repeats allowed) and the level of
+        each column, where two rows are the largest level of a column in
+        which they differ apart (level_chain); None here."""
         return None
 
     def step_candidates(self, radius: float, ball_chain) -> list[float]:
@@ -339,54 +332,31 @@ class SupRule(MetricRule):
         n, full = len(coords), math.prod(np.asarray(self.orders)[~free].tolist())
         return n == box * full or n == box * len(np.unique(_row_groups(coords[:, ~free])))
 
-    def _keys(self, coords: np.ndarray, eps: float) -> np.ndarray:
-        """Block id of each row of coordinates by its coordinates above eps."""
-        return _row_groups(coords[:, np.asarray(self.levels) > eps])
-
     def components(self, space: "FiniteSpace", eps: float) -> np.ndarray:
         """Coordinate keys on a structural space: points of a full box that
         agree above eps are chained by steps of at most eps."""
         if space.structural:
-            return self._keys(space.coords, eps)
+            return _row_groups(space.coords[:, np.asarray(self.levels) > eps])
         return super().components(space, eps)
 
-    def delta_blocks(self, space, idx, deltas):
-        """Coordinate keys on an ultrametric space, where within delta is
-        an equivalence on any subset."""
-        if not space.ultrametric:
-            return None
-        coords = space.coords[idx]
-        return [self._keys(coords, delta) for delta in deltas]
-
-    def diameter(self, space: "FiniteSpace", idx: np.ndarray) -> float:
-        """The max over the coordinates of each one's spread: the range of
-        a free coordinate, the level of a cyclic one that varies."""
-        if len(idx) <= 1:
-            return 0.0
-        sub = space.coords[idx]
-        spread = sub.max(axis=0) - sub.min(axis=0)
-        free = np.asarray(self.orders) == 0
-        spans = np.where(free, spread, (spread != 0) * np.asarray(self.levels))
-        return float(spans.max(initial=0.0))
+    def level_rows(self, space, idx):
+        """On an ultrametric, whose coordinates are all cyclic."""
+        return (space.coords[idx], np.asarray(self.levels, dtype=float)) \
+            if self.is_ultrametric else None
 
     def chain(self, space: "FiniteSpace", subset: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Where the subset's rows fill a box (fills_box; a ball of a
         structural space does): the rows sorted by coordinates of
         descending level, each gap the level of the first coordinate in
-        which two neighbours differ (1 when only free ones do), as the
-        coordinate keys of components classify them. Elsewhere from the
-        minimum spanning tree (MetricRule.chain)."""
+        which two neighbours differ (level_chain; 1 when only free ones
+        do), as the coordinate keys of components classify them. Elsewhere
+        from the minimum spanning tree (MetricRule.chain)."""
         coords = space.coords[subset]
         if len(coords) <= 1:  # distinct labels of width 0 are one point
             return np.arange(len(coords)), np.full(len(coords), math.inf)
         if not self.fills_box(coords):
             return super().chain(space, subset)
-        desc = np.argsort(-np.asarray(self.levels), kind="stable")
-        keys = coords[:, desc]
-        order = np.lexsort(keys.T[::-1])
-        ranked = keys[order]
-        first = np.argmax(ranked[1:] != ranked[:-1], axis=1)
-        return order, np.concatenate(([math.inf], np.asarray(self.levels, dtype=float)[desc][first]))
+        return level_chain(coords, np.asarray(self.levels, dtype=float))
 
     def step_candidates(self, radius: float, ball_chain) -> list[float]:
         """The distance values the rule can realize: the cyclic levels, and
@@ -398,9 +368,9 @@ class SupRule(MetricRule):
 
     def quotient_parts(self, space: "FiniteSpace", eps: float) -> Optional[list[int]]:
         """On a structural space, the positions of the cyclic coordinates
-        above eps, by ascending level. None when eps is below a free
-        coordinate's scale, or two kept levels coincide (across product
-        factors)."""
+        above eps, by ascending level, which factorization_witness reads
+        too. None when eps is below a free coordinate's scale, or two kept
+        levels coincide (across product factors)."""
         if not space.structural or (eps < 1 and 0 in self.orders):
             return None
         kept = sorted((c for c, (o, lvl) in enumerate(zip(self.orders, self.levels))
@@ -1137,6 +1107,23 @@ def _partition_from_keys(epsilon: Num, keys: np.ndarray) -> ComponentPartition:
     return ComponentPartition(epsilon, tuple(first[by_first].tolist()), rank[inverse])
 
 
+def level_chain(rows: np.ndarray, levels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Chain (order, gap) of at least one row, as MetricRule.chain states
+    it, where two rows are the largest level of a column in which they
+    differ apart: one lexsort of the columns by descending level, each gap
+    the level of the first column in which two neighbours differ, 0 when
+    none does. The columns above any delta come first, so the rows within
+    delta of each other, those that agree there, are a run cut where
+    gap > delta, and equal rows are never cut."""
+    desc = np.argsort(-levels, kind="stable")
+    keys = rows[:, desc]
+    order = np.lexsort(keys.T[::-1]) if len(desc) else np.arange(len(rows))
+    ranked = keys[order]
+    # a last column of level 0 in which every two rows differ
+    differ = np.column_stack((ranked[1:] != ranked[:-1], np.ones(len(rows) - 1, dtype=bool)))
+    return order, np.concatenate(([math.inf], np.append(levels[desc], 0.0)[differ.argmax(axis=1)]))
+
+
 def _row_groups(rows: np.ndarray) -> np.ndarray:
     """Group id of each row of an (n, k) array, equal rows sharing one:
     one lexsort, then a comparison of neighbours."""
@@ -1212,7 +1199,9 @@ def plane_edges(space: FiniteSpace) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     every step window, a smaller window keeping the edges inside it and
     adding a triangulation of its border (see PlaneRule.subset_edges).
     Qhull's refusal of the points is cached too, and raised on every call.
-    Epsilon-components need none (see _plane_components)."""
+    Epsilon-components need none (see _plane_components). So a step on
+    example31:20:0.01 triangulates 6,573 + 225 + 204 points, where whole
+    windows took 6,573 + 5,929 + 4,034."""
     if isinstance(space._edges, str):
         raise ValueError(space._edges)
     if space._edges is None:
@@ -1378,8 +1367,14 @@ def _plane_components(pts: np.ndarray, eps: float) -> np.ndarray:
     # offsets of up to 3 in y never wrap onto another column, and a key
     # difference dx * width + dy, |dy| <= 3, names its offset
     width = int(cy.max()) + 7
-    keys, cell = np.unique(cx * width + cy, return_inverse=True)
+    # points by cell, from one stable sort of their keys: those of cell c
+    # are order[start[c]:start[c] + count[c]], and the cells ascend by key
+    key = cx * width + cy
+    order = np.argsort(key, kind="stable")
+    start = np.flatnonzero(np.diff(key[order], prepend=-1))
+    keys = key[order[start]]
     ncell = len(keys)
+    count = np.diff(start, append=len(pts))
     # cell pairs (a, b) up to 3 cells apart, one of each opposite pair, as
     # runs lo[r]:hi[r] of the sorted keys. In its own column a cell pairs
     # with those above it, and also with itself where nothing joins untested
@@ -1396,17 +1391,15 @@ def _plane_components(pts: np.ndarray, eps: float) -> np.ndarray:
     if join:
         diff = keys[b] - keys[a]
         near = (diff == 1) | (np.abs(diff - width) <= 1)  # Chebyshev 1
-        comp = _connected_labels(ncell, a[near], b[near])
+        cells = _connected_labels(ncell, a[near], b[near])
         far = ~near
         a, b = a[far], b[far]
-        keep = comp[a] != comp[b]
-        a, b, comp = a[keep], b[keep], comp[cell]
+        keep = cells[a] != cells[b]
+        a, b = a[keep], b[keep]
+        comp = np.empty(len(pts), dtype=np.int64)
+        comp[order] = np.repeat(cells, count)
     else:
         comp = np.arange(len(pts))
-    # points by cell: those of cell c are order[start[c]:start[c] + count[c]]
-    order = np.argsort(cell, kind="stable")
-    count = np.bincount(cell, minlength=ncell)
-    start = np.cumsum(count) - count
     ia, jb, nb = start[a], start[b], count[b]
     ii, jj = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
     for k, t in _slot_chunks(count[a] * nb):
@@ -1457,45 +1450,46 @@ def quotient_with_projection(
 
     d(A, B) = least realized delta >= epsilon at which A and B fall in one
     delta-component; on towers and group balls this is the level of the
-    highest differing retained coordinate, computed directly.
+    highest differing retained coordinate, computed directly. Elsewhere it
+    is read off the space's chain (MetricRule.chain): its runs cut where
+    gap > epsilon are the blocks, a ValueError if they are not, and two
+    blocks are the largest gap between them along the order apart.
     """
     eps = _check_epsilon(epsilon)
     parts = space.rule.quotient_parts(space, eps)
     partition = epsilon_components(space, epsilon)
+    base_block = int(partition.point_block[space.basepoint])
 
     if parts is not None:
         coords = space.coords[list(partition.representatives)][:, parts]
         rule = SupRule.tower([space.rule.orders[c] for c in parts],
                              [space.rule.levels[c] for c in parts])
-        base_block = int(partition.point_block[space.basepoint])
         q = FiniteSpace(coords, rule, base_block, space.inner_radius)
         return q, partition
 
     # generic path: single-linkage merge heights of the blocks, read off the
-    # chain of the block graph (lightest edge per block pair)
-    reps = partition.representatives
-    b = len(reps)
+    # space's chain, whose runs cut where gap > eps are the blocks
+    b = partition.count
     if b > DENSE_LIMIT:
         raise BudgetError(f"quotient with {b} blocks exceeds the dense limit")
-    ii, jj, ww = space.rule.subset_edges(space, np.arange(len(space)))
-    bi, bj = partition.point_block[ii], partition.point_block[jj]
-    cross = bi != bj
-    key = np.minimum(bi, bj)[cross] * b + np.maximum(bi, bj)[cross]
-    ww = ww[cross]
-    order = np.argsort(ww, kind="stable")
-    key, first = np.unique(key[order], return_index=True)
-    chain, gap = _kruskal_chain(b, key // b, key % b, ww[order][first])
+    order, gap = space.rule.chain(space, np.arange(len(space)))
+    cut = gap > eps
+    cut[0] = True  # gap[0] = inf, and eps may be inf too
+    ranked = partition.point_block[order]
+    chain, gap = ranked[cut], gap[cut]
+    if len(chain) != b or np.any(ranked != chain[np.cumsum(cut) - 1]):
+        raise ValueError(f"the chain's runs at {epsilon} differ from the components")
     # the merge height of chain[i] and chain[j], i < j, is max(gap[i + 1:j + 1])
     qd = np.zeros((b, b))
     for i in range(b - 1):
         qd[chain[i], chain[i + 1:]] = np.maximum.accumulate(gap[i + 1:])
     qd = np.maximum(qd, qd.T)
-    base_block = int(partition.point_block[space.basepoint])
     base_spread = float(np.max(space.base_dists[partition.point_block == base_block]))
     inner = max(0.0, float(space.inner_radius) - base_spread)
     _verify_ultrametric(qd)
     # the representatives' labels name the blocks, ints under a sup rule
-    return FiniteSpace(space.label_lists(reps), TableRule(qd, True), base_block, inner), partition
+    labels = space.label_lists(partition.representatives)
+    return FiniteSpace(labels, TableRule(qd, True), base_block, inner), partition
 
 
 def quotient_space(space: FiniteSpace, epsilon: Num) -> FiniteSpace:

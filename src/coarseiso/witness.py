@@ -258,7 +258,8 @@ def _check_isometry_claim(
     inside = _inside(w.source, np.arange(len(w.source)), w.validity_radius)
     whole = np.bincount(keys[inside], minlength=int(keys.max()) + 1) == np.bincount(keys)
     # the slices of the table, in order of first appearance, each as its
-    # ascending table positions, cut from one stable argsort
+    # ascending table positions, cut from one stable argsort; distances
+    # are read in row blocks, and no dense matrix is built
     slices = _partition_from_keys(eps, keys[si]).point_block
     members = np.argsort(slices, kind="stable")
     ends = np.cumsum(np.bincount(slices)).tolist()

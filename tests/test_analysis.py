@@ -441,11 +441,113 @@ def test_oscillation_shortcut_matches_all_pairs(source, target, deltas, data):
 
 @settings(max_examples=60, deadline=None)
 @given(sup_spaces, st.data())
-def test_sup_diameter_matches_pairwise_maximum(sp, data):
+def test_oscillation_from_one_point_is_the_image_diameter(sp, data):
+    # every source point is the one point, so the forward value is the
+    # diameter of the image, and a table that repeats it hides nothing
     idx = np.asarray(sorted(data.draw(st.sets(st.integers(0, len(sp) - 1), min_size=1,
                                               max_size=40))))
     want = max(float(sp.d(int(a), int(b))) for a in idx for b in idx)
-    assert sp.rule.diameter(sp, idx) == want
+    point = k_point_space(1)
+    assert oscillation(point, sp, np.zeros(len(idx), dtype=np.int64), idx, 0.0) == (want, 0.0)
+
+
+def loop_oscillation(source, target, src_idx, dst_idx, delta):
+    """The per-block loop the one-pass keyed path replaced: the source
+    points grouped by their coordinates of level above delta (on the pair
+    pass's bound, delta + 1e-12), and the largest image diameter over the
+    groups, each the largest level of a target coordinate that varies in
+    it. Both spaces must be ultrametric sup spaces."""
+    above = np.asarray(source.rule.levels) > delta + 1e-12
+    keys = spaces_mod._row_groups(source.coords[src_idx][:, above])
+    order = np.argsort(keys, kind="stable")
+    cuts = np.flatnonzero(np.diff(keys[order])) + 1
+
+    def diameter(idx):
+        rows = target.coords[idx]
+        varies = rows.max(axis=0) != rows.min(axis=0)
+        return float(np.asarray(target.rule.levels, dtype=float)[varies].max(initial=0.0))
+
+    return max(diameter(dst_idx[members]) for members in np.split(order, cuts))
+
+
+def near_levels(*spaces):
+    """0, 0.5, and every level of the spaces' rules, with the scales
+    5e-13 below and above it: the pair pass counts a distance within
+    delta up to delta + 1e-12."""
+    levels = sorted({float(lvl) for sp in spaces for lvl in sp.rule.levels})
+    return [0.0, 0.5] + [lvl + off for lvl in levels for off in (-5e-13, 0.0, 5e-13)]
+
+
+def assert_keyed_matches_every_oracle(source, target, src, dst, deltas):
+    """The keyed path agrees, at every scale and in both directions, with
+    the pair pass on table copies of the spaces, the per-block loop, and
+    brute_oscillation at the pair pass's bound."""
+    got = oscillation(source, target, src, dst, deltas)
+    assert got == oscillation(as_table(source), as_table(target), src, dst, deltas)
+    assert got == ([loop_oscillation(source, target, src, dst, d) for d in deltas],
+                   [loop_oscillation(target, source, dst, src, d) for d in deltas])
+    assert got == ([brute_oscillation(source, target, src, dst, d + 1e-12) for d in deltas],
+                   [brute_oscillation(target, source, dst, src, d + 1e-12) for d in deltas])
+
+
+coinciding_products = st.tuples(st.integers(2, 3), st.integers(2, 3), st.integers(1, 3)).map(
+    lambda t: product_space(tower_space([t[0]], levels=[t[2]]),
+                            tower_space([t[1], 2], levels=[t[2], t[2] + 1])))
+
+
+@st.composite
+def ultrametric_subsets(draw):
+    """A subspace of a tower, a k-point space, a product of them, or a
+    product of towers whose levels coincide across the factors."""
+    sp = draw(st.one_of(ultrametric_spaces, coinciding_products))
+    picked = sorted(draw(st.sets(st.integers(0, len(sp) - 1), min_size=1, max_size=16)))
+    return subspace(sp, picked, basepoint=picked[0])
+
+
+@settings(max_examples=200, deadline=None)
+@given(ultrametric_subsets(), ultrametric_subsets(), st.data())
+def test_keyed_oscillation_matches_the_pair_pass_and_the_loop(source, target, data):
+    # tables that may repeat a source or a target index, of one point up,
+    # at scales on both sides of every level
+    assert source.ultrametric and target.ultrametric
+    size = data.draw(st.integers(1, 20))
+    src = np.asarray(data.draw(st.lists(st.integers(0, len(source) - 1), min_size=size,
+                                        max_size=size)))
+    dst = np.asarray(data.draw(st.lists(st.integers(0, len(target) - 1), min_size=size,
+                                        max_size=size)))
+    assert_keyed_matches_every_oracle(source, target, src, dst, near_levels(source, target))
+
+
+def test_keyed_oscillation_counts_a_level_just_above_the_scale():
+    # 2 - 5e-13 is within the pair pass's 1e-12 of level 2, so the points
+    # that differ only at level 2 are one block, and the map splits them
+    sp = tower_space([2, 2])
+    src, dst = np.arange(4), np.array([0, 2, 1, 3])
+    assert oscillation(sp, sp, src, dst, 2 - 5e-13) == (3.0, 3.0)
+    assert oscillation(as_table(sp), as_table(sp), src, dst, 2 - 5e-13) == (3.0, 3.0)
+    assert_keyed_matches_every_oracle(sp, sp, src, dst, near_levels(sp))
+
+
+@pytest.mark.parametrize("source, target", [
+    (tower_space([2, 2]), tower_space([3])),
+    (product_space(tower_space([2], levels=[2]), tower_space([3], levels=[2])), k_point_space(3)),
+    (k_point_space(1), tower_space([2, 3])),
+    (zball(3), build_truncation(parse_group("Z + C2"), radius=2)),
+])
+def test_repeated_indices_agree_on_every_path(source, target):
+    # a source index mapped to two targets, and a target hit from two
+    # sources: equal rows are one block at every scale, 0 included, so a
+    # path that splits them reads 0 where the others read a distance
+    rng = np.random.default_rng(11)
+    src = rng.integers(0, len(source), size=12)
+    dst = rng.integers(0, len(target), size=12)
+    src[1], dst[1] = src[0], (dst[0] + 1) % len(target)
+    deltas = [0.0, 0.5, 1.0, 2.0, 3.0, 5.0]
+    want = ([brute_oscillation(source, target, src, dst, d) for d in deltas],
+            [brute_oscillation(target, source, dst, src, d) for d in deltas])
+    assert want[0][0] > 0
+    assert oscillation(source, target, src, dst, deltas) == want
+    assert oscillation(as_table(source), as_table(target), src, dst, deltas) == want
 
 
 def as_table(sp):
@@ -1116,13 +1218,14 @@ def test_a_refused_space_runs_qhull_once(monkeypatch):
     assert calls == [len(sp)]
 
 
-def test_sup_diameter_of_a_table_over_several_blocks():
-    # the two ends of the line come last, so only the last row block sees
-    # the widest pair
+def test_image_diameter_of_a_table_over_several_blocks():
+    # the two ends of the line come last, so only the last row block of
+    # the pair pass sees the widest pair
     table = as_table(zball(700))
     idx = np.concatenate([np.arange(1, len(table) - 1), [0, len(table) - 1]])
     assert len(row_blocks(len(idx))) > 1
-    assert table.rule.diameter(table, idx) == 1400.0
+    point = np.zeros(len(idx), dtype=np.int64)
+    assert oscillation(k_point_space(1), table, point, idx, 0.0) == (1400.0, 0.0)
 
 
 def test_step_on_a_line_matches_the_all_pairs_table():

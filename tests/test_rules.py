@@ -1,8 +1,8 @@
 """The metric-rule protocol: every path a rule chooses, checked against a
 brute-force oracle built from the scalar distance `FiniteSpace.d`, a count
-of the places in the package that still test a rule's type, a check that
-points have one store, and the derived `structural` property against a
-brute-force box test."""
+of the places in the package that still test a rule's type, checks that
+points have one store and that removed rule methods stay gone, and the
+derived `structural` property against a brute-force box test."""
 
 from __future__ import annotations
 
@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from coarseiso.analysis import oscillation
 from coarseiso.groups import parse_group
 from coarseiso.spaces import (
     FiniteSpace,
@@ -79,14 +80,17 @@ def test_distance_blocks_match_the_scalar_distance(case):
     assert np.array_equal(sp.dists_block(slice(3, 9), cols), d[3:9][:, cols])
 
 
-def test_diameter_is_the_largest_pairwise_distance(case):
+def test_oscillation_from_one_point_is_the_image_diameter(case):
+    # every source point is the one point, so the forward value is the
+    # largest distance between images
     _, sp, d = case
     rng = np.random.default_rng(2)
     subsets = [np.arange(len(sp)), np.array([sp.basepoint]), np.zeros(0, dtype=np.int64)]
     subsets += [np.sort(rng.choice(len(sp), size, replace=False)) for size in (2, 5, 17)]
     for idx in subsets:
         want = float(d[np.ix_(idx, idx)].max()) if len(idx) > 1 else 0.0
-        assert sp.rule.diameter(sp, idx) == want
+        point = np.zeros(len(idx), dtype=np.int64)
+        assert oscillation(k_point_space(1), sp, point, idx, 0.0) == (want, 0.0)
 
 
 def cophenetic(d: np.ndarray) -> np.ndarray:
@@ -216,7 +220,7 @@ def test_every_spelling_of_a_type_test_is_counted(snippet):
 
 def test_rule_methods_and_other_reads_are_not_counted():
     source = ("space.rule.is_ultrametric\nargs.format == 'table'\nkind = claim.get('kind')\n"
-              "kind == 'ball-respecting'\nspace.rule.diameter(space, idx)\n"
+              "kind == 'ball-respecting'\nspace.rule.chain(space, idx)\n"
               "def _rule_from_descriptor(desc):\n    return desc['kind'] == 'tower'\n"
               "class SupRule:\n    def split(self):\n        return isinstance(self, SupRule)\n")
     assert rule_type_tests(source) == []
@@ -281,6 +285,54 @@ def test_no_module_keeps_a_second_label_store():
     package = Path(__file__).resolve().parent.parent / "src" / "coarseiso"
     found = [f"{path.name}:{line}" for path in sorted(package.glob("*.py"))
              for line in label_store_reads(path.read_text())]
+    assert found == []
+
+
+# ---------------------------------------------------------------------------
+# rule methods that are gone
+
+# the keyed path of oscillation reads level_rows and takes no diameter
+REMOVED_RULE_METHODS = {"diameter", "delta_blocks"}
+
+
+def removed_method_uses(source: str) -> list[int]:
+    """Lines that define a removed rule method (a function or an assigned
+    name) or read one off a rule."""
+    lines: set[int] = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) \
+                and node.name in REMOVED_RULE_METHODS:
+            lines.add(node.lineno)
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            if any(_mentions(t, REMOVED_RULE_METHODS) for t in targets):
+                lines.add(node.lineno)
+        if isinstance(node, ast.Attribute) and node.attr in REMOVED_RULE_METHODS \
+                and _on_rule(node.value):
+            lines.add(node.lineno)
+    return sorted(lines)
+
+
+@pytest.mark.parametrize("snippet", [
+    "class SupRule:\n    def diameter(self, space, idx):\n        return 0.0",
+    "class MetricRule:\n    delta_blocks = None",
+    "fwd = max(target.rule.diameter(target, idx) for idx in blocks)",
+    "keys = source.rule.delta_blocks",
+])
+def test_every_removed_rule_method_is_counted(snippet):
+    assert len(removed_method_uses(snippet)) == 1
+
+
+def test_other_diameters_are_not_counted():
+    source = ("cover.mesh\nspace.rule.level_rows(space, idx)\n"
+              "def chain(self, space, subset):\n    return self.diameter_of(subset)\n")
+    assert removed_method_uses(source) == []
+
+
+def test_no_module_keeps_a_removed_rule_method():
+    package = Path(__file__).resolve().parent.parent / "src" / "coarseiso"
+    found = [f"{path.name}:{line}" for path in sorted(package.glob("*.py"))
+             for line in removed_method_uses(path.read_text())]
     assert found == []
 
 

@@ -920,6 +920,69 @@ class TestQuotient:
         vals = [v for v in dist_values(q) if v > 0]
         assert vals and min(vals) > 2
 
+    @pytest.mark.parametrize("make", [
+        lambda: example31_fixture(1, 0.5, 3),
+        lambda: example31_fixture(3, 0.1, 3),
+        lambda: example31_fixture(4, 0.05, 6),
+        lambda: FiniteSpace(sorted(map(tuple, np.round(
+            np.random.default_rng(5).uniform(-3, 3, size=(300, 2)), 3).tolist())),
+            PlaneRule(), 0, 0),
+        lambda: subspace(zball(6, 2), [i for i in range(169) if i % 5 and i % 11 != 3]),
+        lambda: as_table(tower_space([2, 3, 2])),
+        lambda: product_space(tower_space([2, 2], levels=[2, 3]), tower_space([3], levels=[3])),
+        lambda: product_space(zball(3), tower_space([2])),
+    ], ids=["fixture-1", "fixture-3", "fixture-4", "plane-cloud", "holed-zball", "tower-table",
+            "coinciding-levels", "below-the-free-scale"])
+    def test_generic_quotient_matches_the_block_graph(self, make):
+        # every scale where the quotient takes the generic path, among 0,
+        # up to 13 of the space's distances and the midpoints beside them
+        sp = make()
+        values = dist_values(sp)
+        picked = values[:: max(1, len(values) // 13)]
+        scales = sorted({0.0, *picked, *((a + b) / 2 for a, b in zip(picked, picked[1:]))})
+        tested = 0
+        for eps in scales:
+            if sp.rule.quotient_parts(sp, eps) is not None or \
+                    epsilon_components(sp, eps).count > spaces_mod.DENSE_LIMIT:
+                continue
+            tested += 1
+            q, part = quotient_with_projection(sp, eps)
+            assert np.array_equal(q.rule.matrix, block_graph_quotient(sp, part))
+        assert tested >= 2
+
+    def test_generic_quotient_refuses_a_chain_whose_runs_are_not_the_blocks(self):
+        sp = as_table(tower_space([2, 2]))
+        order, gap = sp.rule.chain(sp, np.arange(4))
+        # the points of two blocks at eps 2 interleaved, one run each
+        sp.rule.chain = lambda space, subset: (order[[0, 2, 1, 3]], gap)
+        with pytest.raises(ValueError, match="runs"):
+            quotient_with_projection(sp, 2)
+
+
+def as_table(sp):
+    """The same points and distances behind a dense table rule."""
+    return FiniteSpace(sp.labels, TableRule(sp.dmat(), ultrametric=False), sp.basepoint,
+                       sp.inner_radius)
+
+
+def block_graph_quotient(space, partition):
+    """The generic quotient's table as the block graph gave it: the
+    lightest edge between each two blocks, one Kruskal chain over those
+    edges, and the running maxima of its gaps."""
+    b = partition.count
+    ii, jj, ww = space.rule.subset_edges(space, np.arange(len(space)))
+    bi, bj = partition.point_block[ii], partition.point_block[jj]
+    cross = bi != bj
+    key = np.minimum(bi, bj)[cross] * b + np.maximum(bi, bj)[cross]
+    ww = ww[cross]
+    order = np.argsort(ww, kind="stable")
+    key, first = np.unique(key[order], return_index=True)
+    chain, gap = spaces_mod._kruskal_chain(b, key // b, key % b, ww[order][first])
+    qd = np.zeros((b, b))
+    for i in range(b - 1):
+        qd[chain[i], chain[i + 1:]] = np.maximum.accumulate(gap[i + 1:])
+    return np.maximum(qd, qd.T)
+
 
 class TestProduct:
     def test_sup_metric(self):
