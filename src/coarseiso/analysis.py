@@ -23,6 +23,7 @@ from .spaces import FiniteSpace, _check_epsilon, level_chain, row_blocks
 
 NOISE_NUM = 1
 NOISE_DEN = 8  # a block is significant when 8 * size >= largest block
+RECOUNT_LIMIT = 30000  # foelner_search recounts neighbourhoods up to here
 
 # ---------------------------------------------------------------------------
 # factorizing-step estimation
@@ -347,12 +348,12 @@ class FoelnerSet:
         }
 
 
-def foelner_search(
-    space: FiniteSpace, c: float, epsilon: float, max_points: int = 30000
-) -> Optional[FoelnerSet]:
+def foelner_search(space: FiniteSpace, c: float, epsilon: float) -> Optional[FoelnerSet]:
     """First basepoint ball F = O_k with |O_epsilon(F)| <= c|F|, growing k
     while the enlarged set stays inside the faithfulness radius. Epsilon
-    may be inf; NaN or a negative value raises ValueError."""
+    may be inf; NaN or a negative value raises ValueError, and so does a
+    neighbourhood recount (no rule shortcut) on more than RECOUNT_LIMIT
+    points."""
     _check_epsilon(epsilon)
     if c <= 1:
         raise ValueError("growth factor must exceed 1")
@@ -371,7 +372,7 @@ def foelner_search(
         if size:
             nbr = space.rule.ball_neighbourhood(space, k, epsilon)
             if nbr is None:
-                if len(space) > max_points:
+                if len(space) > RECOUNT_LIMIT:
                     raise ValueError("space too large for the neighborhood recount")
                 new = inside[~counted[inside]]
                 counted[new] = True

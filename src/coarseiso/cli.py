@@ -51,7 +51,7 @@ def _build_space(desc: str, args: argparse.Namespace) -> FiniteSpace:
         branches = int(parts[1]) if len(parts) > 1 else 50
         step = float(parts[2]) if len(parts) > 2 else 0.01
         clamp = float(parts[3]) if len(parts) > 3 else 1000.0
-        return example31_fixture(branches, step, clamp)
+        return example31_fixture(branches, step, clamp, args.point_budget)
     g = parse_group(desc)
     return build_truncation(g, radius=args.radius, point_budget=args.point_budget)
 
@@ -196,16 +196,25 @@ def _parse_deltas(raw: Optional[str]) -> Optional[list[float]]:
     return out or None
 
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--prime-bound", type=int, default=97)
-    sub.add_argument("--radius", type=int, default=24)
-    sub.add_argument("--depth", type=int, default=4)
-    sub.add_argument("--epsilon", type=float, default=1.0)
-    sub.add_argument("--c", type=float, default=1.1)
-    sub.add_argument("--deltas", type=str, default=None, help="comma-separated scales")
-    sub.add_argument("--format", choices=("json", "table"), default="json")
-    sub.add_argument("--point-budget", type=int, default=None)
-    sub.add_argument("--out", type=str, default=None, help="also write the JSON payload here")
+# every flag, in usage order; each command takes --format, --out and the
+# flags its _cmd_* reads, so a flag it would ignore is a parse error
+_FLAGS = {
+    "--prime-bound": dict(type=int, default=97),
+    "--radius": dict(type=int, default=24),
+    "--depth": dict(type=int, default=4),
+    "--epsilon": dict(type=float, default=1.0),
+    "--c": dict(type=float, default=1.1),
+    "--deltas": dict(type=str, default=None, help="comma-separated scales"),
+    "--format": dict(choices=("json", "table"), default="json"),
+    "--point-budget": dict(type=int, default=None),
+    "--out": dict(type=str, default=None, help="also write the JSON payload here"),
+}
+
+
+def _add_flags(sub: argparse.ArgumentParser, *reads: str) -> None:
+    for flag, spec in _FLAGS.items():
+        if flag in reads or flag in ("--format", "--out"):
+            sub.add_argument(flag, **spec)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -217,40 +226,40 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = commands.add_parser("invariants", help="free rank, phi and canonical form")
     p.add_argument("group")
-    _add_common(p)
+    _add_flags(p)
     p.set_defaults(fn=_cmd_invariants)
 
     p = commands.add_parser("classify", help="decide a coarse relation between two groups")
     p.add_argument("relation", choices=("equiv", "iso"))
     p.add_argument("g1")
     p.add_argument("g2")
-    _add_common(p)
+    _add_flags(p)
     p.set_defaults(fn=_cmd_classify)
 
     p = commands.add_parser("witness", help="build and verify an isomorphism witness chain")
     p.add_argument("g1")
     p.add_argument("g2")
-    _add_common(p)
+    _add_flags(p, "--radius", "--depth", "--prime-bound", "--deltas", "--point-budget")
     p.set_defaults(fn=_cmd_witness)
 
     p = commands.add_parser("components", help="epsilon-component partition of a built space")
     p.add_argument("space", help="group description or example31[:branches[:step[:clamp]]]")
-    _add_common(p)
+    _add_flags(p, "--radius", "--point-budget", "--epsilon")
     p.set_defaults(fn=_cmd_components)
 
     p = commands.add_parser("step", help="estimate the factorizing step of a built space")
     p.add_argument("space", help="group description or example31[:branches[:step[:clamp]]]")
-    _add_common(p)
+    _add_flags(p, "--radius", "--point-budget", "--prime-bound")
     p.set_defaults(fn=_cmd_step)
 
     p = commands.add_parser("foelner", help="search a Foelner box in a built space")
     p.add_argument("space")
-    _add_common(p)
+    _add_flags(p, "--radius", "--point-budget", "--c", "--epsilon")
     p.set_defaults(fn=_cmd_foelner)
 
     p = commands.add_parser("cover", help="uniformly bounded cover of a free-abelian ball")
     p.add_argument("group")
-    _add_common(p)
+    _add_flags(p, "--radius", "--epsilon")
     p.set_defaults(fn=_cmd_cover)
 
     return parser

@@ -19,6 +19,8 @@ from typing import Mapping
 from .extnat import INF, ExtNat, IntoExtNat
 from .primes import factorize, is_prime
 
+NAT_LIMIT = 10**6  # the largest integer phi_of_nat factors
+
 
 @dataclass(frozen=True)
 class FactorFunction:
@@ -160,12 +162,13 @@ def ff_parse(text: str) -> FactorFunction:
     return FactorFunction.from_dict(values, default)
 
 
-def phi_of_nat(n: int, limit: int = 10**6) -> FactorFunction:
-    """Factor function of a positive integer (finite support, default 0)."""
+def phi_of_nat(n: int) -> FactorFunction:
+    """Factor function of a positive integer up to NAT_LIMIT (finite
+    support, default 0)."""
     if n < 1:
         raise ValueError(f"expected a positive integer, got {n}")
-    if n > limit:
-        raise ValueError(f"{n} exceeds the factorization limit {limit}")
+    if n > NAT_LIMIT:
+        raise ValueError(f"{n} exceeds the factorization limit {NAT_LIMIT}")
     return FactorFunction.from_dict(factorize(n))
 
 

@@ -30,6 +30,10 @@ callers never test a rule's type outside one input check of tower
 alignment (tests/test_rules.py counts them): SupRule (group balls, towers,
 products), PlaneRule (the example-3.1 curve) and TableRule (generic
 quotients and deserialized tables) share the generic paths of MetricRule.
+
+scipy is imported only for a whole minimum spanning tree: Qhull in
+_triangulation_pairs and csgraph in _kruskal_chain. Components, plane ones
+included, need neither (_connected_labels), so they load no scipy.
 """
 
 from __future__ import annotations
@@ -52,6 +56,8 @@ from .primes import first_primes
 DEFAULT_POINT_BUDGET = 10**6
 DENSE_LIMIT = 6500
 PLANE_DECIMALS = 9
+# validate_metric and the ultrametric check read every triple up to here
+EXHAUSTIVE_LIMIT = 512
 # entries of one block of distance rows (2 MB of float64): row_blocks sizes
 # every blocked distance read so that one block of its result holds about
 # this many; blocks four times larger were no faster and raised the peak
@@ -113,7 +119,8 @@ class MetricRule:
         return self
 
     def fills_box(self, coords: np.ndarray) -> bool:
-        """Whether the rule's coordinate key paths are exact on these rows."""
+        """Whether the rule's coordinate key paths are exact on these rows;
+        always here, where no key path is taken."""
         return True
 
     def subset_edges(self, space: "FiniteSpace", subset: np.ndarray):
@@ -540,25 +547,22 @@ class FiniteSpace:
     The points are the rows of one (n, k) array, ``coords``: integers
     under a sup rule, finite (x, y) pairs under a plane rule, and names
     under a table rule, whose kernel reads positions. The labels, given
-    as a sequence of rows or as ``coords`` (an array or a sequence of
-    rows, taken when given), become that array at once. Every route,
-    subspaces and deserialized spaces included, checks the same things:
-    the rule's width and values (MetricRule.checked_coords), distinct
-    rows, and a basepoint in range. Label tuples are made only when
+    as an array or a sequence of rows, become that array at once. Every
+    route, subspaces and deserialized spaces included, checks the same
+    things: the rule's width and values (MetricRule.checked_coords),
+    distinct rows, and a basepoint in range. Label tuples are made only when
     something reads them (MetricRule.label_lists). ``ultrametric`` and
     ``structural`` are read from the rule and the points, never given.
     """
 
     def __init__(
         self,
-        labels: Optional[Sequence[Label]],
+        labels: Union[np.ndarray, Sequence[Label]],
         rule: MetricRule,
         basepoint: int,
         inner_radius: Num,
-        *,
-        coords: Optional[np.ndarray] = None,
     ):
-        self.coords = rule.checked_coords(labels if coords is None else coords)
+        self.coords = rule.checked_coords(labels)
         if _has_equal_rows(self.coords):
             raise ValueError("duplicate point labels")
         if not 0 <= basepoint < len(self.coords):
@@ -683,6 +687,10 @@ class FiniteSpace:
 
     @staticmethod
     def from_json(text: str) -> "FiniteSpace":
+        """The space to_json wrote. Refuses an ultrametric flag that differs
+        from a sup or plane rule's, a table flagged ultrametric that breaks
+        the strong triangle inequality, and "structural": true on points
+        that fill no box; "structural": false is read from the points."""
         payload = json.loads(text)
         if payload.get("version") != 1:
             raise ValueError("unsupported serialization version")
@@ -784,9 +792,6 @@ def _check_budget(count: int, point_budget: Optional[int]) -> None:
         raise BudgetError(f"{count} points exceed the budget of {budget}")
 
 
-Schedule = Sequence[tuple[Union[str, int], int]]
-
-
 def make_schedule(g: GroupDescription, radius: int) -> list[tuple[Union[str, int], int]]:
     """Default exhaustion schedule: free generators at level 1, cyclic copies
     at doubling levels 2, 4, 8, ... round-robin across the summand types up
@@ -814,46 +819,18 @@ def make_schedule(g: GroupDescription, radius: int) -> list[tuple[Union[str, int
 
 
 def build_truncation(
-    g: GroupDescription,
-    schedule: Optional[Schedule] = None,
-    radius: int = 8,
-    point_budget: Optional[int] = None,
+    g: GroupDescription, radius: int = 8, point_budget: Optional[int] = None
 ) -> FiniteSpace:
     """Ball of the given radius around the identity in the exhaustion metric
-    described by the schedule."""
+    of make_schedule(g, radius); SupRule.group_ball checks its orders and
+    levels."""
     if radius < 0:
         raise ValueError("radius must be >= 0")
-    if schedule is None:
-        schedule = make_schedule(g, radius)
-    free_rank = 0
-    orders: list[int] = []
-    levels: list[int] = []
-    for gen, level in schedule:
-        if gen == "Z":
-            if level != 1:
-                raise ValueError("free generators must sit at level 1")
-            free_rank += 1
-        else:
-            order = int(gen)
-            if order < 2:
-                raise ValueError(f"cyclic order must be >= 2, got {order}")
-            if level < 2:
-                raise ValueError("cyclic levels must be >= 2")
-            if levels and level <= levels[-1]:
-                raise ValueError("cyclic levels must be strictly increasing")
-            orders.append(order)
-            levels.append(level)
-    if g.free_rank_part != free_rank:
-        raise ValueError("schedule free generators disagree with the description")
-
-    kept = [(o, l) for o, l in zip(orders, levels) if l <= radius]
-    count = (2 * radius + 1) ** free_rank
-    for o, _ in kept:
-        count *= o
-    _check_budget(count, point_budget)
-
-    rule = SupRule.group_ball(free_rank, [o for o, _ in kept], [l for _, l in kept])
-    ranges = [range(-radius, radius + 1)] * free_rank + [range(o) for o, _ in kept]
+    cyclic = [(o, level) for o, level in make_schedule(g, radius) if o != "Z"]
+    free_rank = g.free_rank_part.finite_value()
+    _check_budget((2 * radius + 1) ** free_rank * math.prod(o for o, _ in cyclic), point_budget)
+    rule = SupRule.group_ball(free_rank, [o for o, _ in cyclic], [l for _, l in cyclic])
+    ranges = [range(-radius, radius + 1)] * free_rank + [range(o) for o, _ in cyclic]
     return _box_space(ranges, rule, radius)
 
 
@@ -1014,7 +991,9 @@ def example31_fixture(
     point_budget: Optional[int] = None,
 ) -> FiniteSpace:
     """Grid sample of the plane curve (x + 2 pi n, (-1)^n tan x) for
-    n = 0..branches, x on the grid {k * grid_step} with |tan x| <= clamp."""
+    n = 0..branches, x on the grid {k * grid_step} with |tan x| <= clamp.
+    tan and its rounding run once per grid x, and the branches as arrays
+    (_round_decimals), every label bit-identical to rounding it alone."""
     if branches < 1:
         raise ValueError("branches must be >= 1")
     if grid_step <= 0 or clamp <= 0:
@@ -1067,8 +1046,10 @@ class ComponentPartition:
     """Epsilon-chain components. Blocks are ordered by representative, and
     each representative is the lexicographically minimal point (equivalently
     minimal index) of its block. point_block[i] is the block of point i;
-    the block tuples are built only when read. Partitions are equal, and
-    hash alike, when their epsilon and their blocks are equal."""
+    the block tuples are built only when read, and the components report,
+    the factorization fiber, the generic quotient and the isometry claim
+    never read them. Partitions are equal, and hash alike, when their
+    epsilon and their blocks are equal."""
 
     epsilon: Num
     representatives: tuple[int, ...]
@@ -1496,12 +1477,12 @@ def quotient_space(space: FiniteSpace, epsilon: Num) -> FiniteSpace:
     return quotient_with_projection(space, epsilon)[0]
 
 
-def _verify_ultrametric(m: np.ndarray, sample: int = 512) -> None:
+def _verify_ultrametric(m: np.ndarray) -> None:
     """The strong triangle inequality d(a, b) <= max(d(a, c), d(c, b)) on
-    a square distance matrix: checked for every triple up to `sample`
-    points, and on 2,000 seeded random triples above that."""
+    a square distance matrix: checked for every triple up to
+    EXHAUSTIVE_LIMIT points, and on 2,000 seeded random triples above."""
     n = len(m)
-    if n <= sample:
+    if n <= EXHAUSTIVE_LIMIT:
         for k in range(n):
             if np.any(m > np.maximum(m[:, k][:, None], m[k][None, :]) + 1e-12):
                 raise ValueError("strong triangle inequality violated")
@@ -1511,10 +1492,11 @@ def _verify_ultrametric(m: np.ndarray, sample: int = 512) -> None:
         raise ValueError("strong triangle inequality violated")
 
 
-def validate_metric(space: FiniteSpace, exhaustive_limit: int = 512) -> None:
-    """Metric axioms; exhaustive up to the limit, randomized spot checks above."""
+def validate_metric(space: FiniteSpace) -> None:
+    """Metric axioms; exhaustive up to EXHAUSTIVE_LIMIT points, 4,000
+    seeded random triples above."""
     n = len(space)
-    if n <= exhaustive_limit:
+    if n <= EXHAUSTIVE_LIMIT:
         m = space.dmat()
         if np.any(np.abs(np.diag(m)) > 0):
             raise ValueError("nonzero self-distance")

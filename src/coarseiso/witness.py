@@ -183,9 +183,10 @@ def _finish(
     the validity radius and measure moduli.
 
     Every constructor and combinator routes through here, so recorded moduli
-    are measured values by construction. The validity radius is the largest
-    realized distance from the source basepoint whose closed ball the table
-    covers entirely.
+    are measured values by construction: one oscillation call for every
+    scale and both directions. The table is kept sorted by source. The
+    validity radius is the largest realized distance from the source
+    basepoint whose closed ball the table covers entirely.
     """
     extra = _check_deltas(extra_deltas)
     si = np.asarray(src, dtype=np.int64)
@@ -322,11 +323,12 @@ def verify_witness(w: WitnessMap, deltas: Optional[Sequence[float]] = None) -> W
     """Re-measure a witness from its table alone.
 
     Checks totality and injectivity on the validity region, exact agreement
-    of the recorded moduli with re-measured oscillation values, and every
-    structural claim. Without deltas the scales checked are every scale
-    recorded in either direction; a recorded scale above the validity
-    radius is a violation, as _finish never records one. Violations are
-    the report's content, not exceptions.
+    of the recorded moduli with oscillation values re-measured in one call
+    and cached nowhere, and every structural claim. Without deltas the
+    scales checked are every scale recorded in either direction; a
+    recorded scale above the validity radius is a violation, as _finish
+    never records one. Claims are checked on index and coordinate arrays,
+    and labels only word a violation, which is content, not an exception.
     """
     violations: List[str] = []
     si, ti = w.src, w.dst
@@ -398,6 +400,7 @@ def factorization_witness(
     coordinates above epsilon key the components and are the quotient's
     coordinates. So the source point (fiber point y, quotient point z) maps
     to y with those coordinates replaced by z's, wherever that point exists.
+    Any other space is a ValueError.
     """
     eps = float(epsilon)
     if eps < 0:
@@ -478,10 +481,11 @@ def tower_alignment_witness(
     """Align two tower truncations with the same factor content.
 
     The bijection sends a point to its little-endian mixed-radix rank in the
-    first tower and decodes that rank in the second. The greedy interleaving
-    (smallest admissible index each time) records the divisibility chain the
-    moduli bounds come from; the recorded claims are the exact aligned-ball
-    statements the bijection satisfies.
+    first tower and decodes that rank in the second, as arrays matched to
+    the second tower's rows as relabel_witness matches. The greedy
+    interleaving (smallest admissible index each time) records the
+    divisibility chain the moduli bounds come from; the recorded claims are
+    the exact aligned-ball statements the bijection satisfies.
     """
     if not all(isinstance(sp.rule, SupRule) and sp.rule.layout == "tower"
                for sp in (u_space, v_space)):
@@ -573,7 +577,8 @@ def relabel_witness(
 
     Covers regroupings of iterated products and factor reorderings, which
     leave all sup-metric distances unchanged. Labels are matched by a sort
-    of both coordinate arrays, not one lookup per label."""
+    of both coordinate arrays, not one lookup per label; a source label
+    without a target is a ValueError that names it."""
     rows = source.coords
     if columns is not None:
         rows = rows[:, list(columns)]
@@ -737,23 +742,17 @@ def iso_witness_chain(
     base_r = max(2, int(radius) // max(n * m, 1))
     common_r = n * m * base_r
 
-    if rank == 1:
-        middle = product_space(zball(common_r, point_budget=pb), rest, pb)
-    else:
-        middle = product_space(
-            zball(common_r, point_budget=pb),
-            product_space(zball(common_r, rank - 1, pb), rest, pb),
-            pb,
-        )
+    # the middle space is the line, then behind it the ball's other rank - 1
+    # free coordinates and the common remainder
+    line = zball(common_r, point_budget=pb)
+    behind = rest if rank == 1 else product_space(zball(common_r, rank - 1, pb), rest, pb)
+    middle = product_space(line, behind, pb)
 
     def side(k_abs: int, first_r: int) -> WitnessMap:
         primes = _prime_multiset(k_abs)
         u = _torsion_tower(list(rest_orders) + primes, full, pb)
         first = zball(first_r, point_budget=pb)
-        if rank == 1:
-            zpart = first
-        else:
-            zpart = product_space(first, zball(common_r, rank - 1, pb), pb)
+        zpart = first if rank == 1 else product_space(first, zball(common_r, rank - 1, pb), pb)
         start = product_space(zpart, u, pb)
         if k_abs == 1:
             return relabel_witness(start, middle)
@@ -768,26 +767,15 @@ def iso_witness_chain(
             relabel_witness(zpart, zpart), tower_alignment_witness(u, mixed).witness,
             point_budget=pb,
         )
-        if rank == 1:
-            folded = product_space(product_space(first, k_point_space(k_abs), pb), rest, pb)
-            w2 = relabel_witness(w1.target, folded)
-        else:
-            # (line, rest of the ball, k points, tower) -> (line, k points, rest, tower)
-            tail = rank - 1
-            width = len(w1.target.rule.orders)
-            shuffle = [0, 1 + tail, *range(1, 1 + tail), *range(2 + tail, width)]
-            folded = product_space(
-                product_space(first, k_point_space(k_abs), pb),
-                product_space(zball(common_r, tail, pb), rest, pb),
-                pb,
-            )
-            w2 = relabel_witness(w1.target, folded, columns=shuffle)
+        # (line, rest of the ball, k points, tower) -> (line, k points, rest,
+        # tower); at rank 1 there is no rest of the ball and the columns stay
+        tail = rank - 1
+        width = len(w1.target.rule.orders)
+        shuffle = [0, 1 + tail, *range(1, 1 + tail), *range(2 + tail, width)]
+        folded = product_space(product_space(first, k_point_space(k_abs), pb), behind, pb)
+        w2 = relabel_witness(w1.target, folded, columns=shuffle)
         unfold = invert_witness(absorption_witness(k_abs, k_abs * first_r, point_budget=pb))
-        if rank == 1:
-            w3 = product_witness(unfold, relabel_witness(rest, rest), point_budget=pb)
-        else:
-            keep = product_space(zball(common_r, rank - 1, pb), rest, pb)
-            w3 = product_witness(unfold, relabel_witness(keep, keep), point_budget=pb)
+        w3 = product_witness(unfold, relabel_witness(behind, behind), point_budget=pb)
         return compose_witness(compose_witness(w1, w2), w3)
 
     left = side(n, m * base_r)

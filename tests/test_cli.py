@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import ast
 import gc
 import hashlib
+import inspect
 import json
 import os
 import shlex
@@ -422,7 +424,7 @@ def test_reused_parser_prints_what_a_fresh_one_prints(capsys, monkeypatch, tmp_p
         ("classify", "maybe", "C2", "C2"),
         ("components", "Z + C2", "--radius", "3", "--epsilon", "2.5"),
         ("witness", "Z + C2", "Z", "--radius", "8", "--format", "xml"),
-        ("step", "C2^inf", "--depth", "3", "--format", "table"),
+        ("step", "C2^inf", "--radius", "16", "--format", "table"),
         ("cover", "Z^2", "--radius", "6", "--out", "{out}"),
         ("invariants", "Z^2 + C12"),
     ]
@@ -468,3 +470,68 @@ def test_witness_rejects_out_of_range_sizes(capsys, argv, message):
     code, out, err = run(capsys, *argv)
     assert (code, out) == (2, "")
     assert message in err
+
+
+POSITIONAL = {"group", "relation", "g1", "g2", "space"}
+# each command's positional arguments, and the flags it reads besides
+# --format and --out
+COMMAND_FLAGS = {
+    "invariants": (("Z",), set()),
+    "classify": (("iso", "Z", "Z"), set()),
+    "witness": (("Z", "Z"), {"radius", "depth", "prime_bound", "deltas", "point_budget"}),
+    "components": (("Z",), {"radius", "point_budget", "epsilon"}),
+    "step": (("Z",), {"radius", "point_budget", "prime_bound"}),
+    "foelner": (("Z",), {"radius", "point_budget", "c", "epsilon"}),
+    "cover": (("Z",), {"radius", "epsilon"}),
+}
+
+
+def args_read(name, tree):
+    """Attributes of `args` that module function `name` reads, with those
+    read by the module functions it passes `args` to."""
+    fn = next(n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == name)
+    read = set()
+    for node in ast.walk(fn):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) \
+                and node.value.id == "args":
+            read.add(node.attr)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
+                and any(isinstance(a, ast.Name) and a.id == "args" for a in node.args):
+            read |= args_read(node.func.id, tree)
+    return read
+
+
+@pytest.mark.parametrize("command", sorted(COMMAND_FLAGS))
+def test_each_command_takes_the_flags_it_reads(command):
+    # the parser's flags are the declared ones, and so are the flags the
+    # command's function reads
+    positional, flags = COMMAND_FLAGS[command]
+    args = cli.build_parser().parse_args([command, *positional])
+    assert set(vars(args)) - POSITIONAL - {"command", "fn"} == flags | {"format", "out"}
+    tree = ast.parse(inspect.getsource(cli))
+    assert args_read(args.fn.__name__, tree) - POSITIONAL == flags | {"format", "out"}
+
+
+@pytest.mark.parametrize("argv", [
+    ("invariants", "Z", "--radius", "3"),
+    ("classify", "iso", "Z", "Z", "--epsilon", "1"),
+    ("witness", "Z + C2", "Z", "--epsilon", "1"),
+    ("components", "Z", "--depth", "3"),
+    ("step", "C2^inf", "--depth", "3", "--epsilon", "9", "--c", "5"),
+    ("foelner", "Z", "--prime-bound", "7"),
+    ("cover", "Z^2", "--point-budget", "5"),
+], ids=lambda argv: argv[0])
+def test_an_unread_flag_exits_2(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    captured = capsys.readouterr()
+    assert (exc.value.code, captured.out) == (2, "")
+    unread = argv[1 + len(COMMAND_FLAGS[argv[0]][0]):]
+    assert "error: unrecognized arguments: " + " ".join(unread) in captured.err
+
+
+def test_fixture_components_keep_the_point_budget(capsys):
+    code, out, err = run(capsys, "components", "example31:2:0.5", "--epsilon", "1",
+                         "--point-budget", "1")
+    assert (code, out) == (2, "")
+    assert "21 points exceed the budget of 1" in err

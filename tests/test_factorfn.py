@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+from unittest import mock
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from coarseiso import factorfn
 from coarseiso.extnat import INF, ExtNat
 from coarseiso.factorfn import (
     ZERO_FF,
@@ -65,7 +68,9 @@ class TestPhiOfNat:
     def test_limit_enforced(self):
         with pytest.raises(ValueError):
             phi_of_nat(10**6 + 1)
-        assert phi_of_nat(10**6 + 1, limit=10**7) is not None
+        # the module constant is the only bound
+        with mock.patch.object(factorfn, "NAT_LIMIT", 10**7):
+            assert phi_of_nat(10**6 + 1) is not None
 
     def test_product_reconstructs(self):
         assert ff_to_nat(phi_of_nat(98_280)) == 98_280
@@ -188,7 +193,8 @@ def test_equal_implies_almost_equal(f, g):
 @settings(max_examples=60)
 @given(st.integers(min_value=1, max_value=10**4), st.integers(min_value=1, max_value=10**4))
 def test_phi_multiplicative(a, b):
-    lhs = phi_of_nat(a * b, limit=10**8)
+    with mock.patch.object(factorfn, "NAT_LIMIT", 10**8):
+        lhs = phi_of_nat(a * b)
     rhs = ff_add(phi_of_nat(a), phi_of_nat(b))
     assert ff_equal(lhs, rhs)
 

@@ -443,11 +443,11 @@ def test_structural_subsets_are_the_boxes(sub):
 # ---------------------------------------------------------------------------
 # flags a space no longer takes
 
-REMOVED_FLAGS = {"ultrametric", "structural"}
+REMOVED_FLAGS = {"ultrametric", "structural", "coords"}
 
 
 def declared_flags(source: str) -> list[int]:
-    """Lines that pass FiniteSpace an ultrametric= or structural= keyword
+    """Lines that pass FiniteSpace an ultrametric=, structural= or coords= keyword
     or more than its four positional arguments, or that define
     check_loaded (a function or an assigned name)."""
     lines: set[int] = set()
@@ -468,6 +468,7 @@ def declared_flags(source: str) -> list[int]:
     "FiniteSpace(labels, rule, 0, 1, ultrametric=True)",
     "spaces.FiniteSpace(labels, rule, 0, 1, structural=False)",
     "FiniteSpace(labels, rule, 0, 1, None, False)",
+    "FiniteSpace(None, rule, 0, 1, coords=rows)",
     "class SupRule:\n    def check_loaded(self, space):\n        pass",
     "rule.check_loaded = len",
 ])
@@ -476,7 +477,7 @@ def test_every_declared_flag_is_counted(snippet):
 
 
 def test_derived_flags_and_table_flags_are_not_counted():
-    source = ("TableRule(m, ultrametric=True)\nFiniteSpace(labels, rule, 0, 1, coords=rows)\n"
+    source = ("TableRule(m, ultrametric=True)\nFiniteSpace(rows, rule, 0, 1)\n"
               "space.structural\nspace.ultrametric\nrule.fills_box(coords)\n")
     assert declared_flags(source) == []
 

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import gc
 import hashlib
+import importlib
+import inspect
 import itertools
 import json
 import math
@@ -1461,8 +1463,7 @@ def _routes(rule, labels):
                "labels": [list(l) for l in labels], "rule": rule.descriptor()}
     return {
         "labels": lambda: FiniteSpace(labels, rule, 0, 1),
-        "coords": lambda: FiniteSpace(None, rule, 0, 1,
-                                      coords=np.array(labels) if rect else labels),
+        "array": lambda: FiniteSpace(np.array(labels) if rect else labels, rule, 0, 1),
         "json": lambda: FiniteSpace.from_json(json.dumps(payload)),
     }
 
@@ -1594,33 +1595,33 @@ def test_product_labels_match_concatenation(a, b):
 def test_coordinate_rows_are_checked_like_labels():
     rule = spaces_mod.SupRule.tower((2, 3), (2, 3))
     with pytest.raises(ValueError, match="duplicate point labels"):
-        FiniteSpace(None, rule, 0, 1, coords=np.array([[0, 1], [1, 2], [0, 1]]))
+        FiniteSpace(np.array([[0, 1], [1, 2], [0, 1]]), rule, 0, 1)
     # rows out of order are sorted before neighbours are compared
     with pytest.raises(ValueError, match="duplicate point labels"):
-        FiniteSpace(None, rule, 0, 1, coords=np.array([[1, 2], [0, 0], [1, 0], [1, 2]]))
-    sp = FiniteSpace(None, rule, 1, 1, coords=np.array([[1, 2], [0, 0], [1, 0]]))
+        FiniteSpace(np.array([[1, 2], [0, 0], [1, 0], [1, 2]]), rule, 0, 1)
+    sp = FiniteSpace(np.array([[1, 2], [0, 0], [1, 0]]), rule, 1, 1)
     assert sp.labels == ((1, 2), (0, 0), (1, 0))
     with pytest.raises(ValueError, match="basepoint index out of range"):
-        FiniteSpace(None, rule, 3, 1, coords=np.array([[1, 2], [0, 0], [1, 0]]))
+        FiniteSpace(np.array([[1, 2], [0, 0], [1, 0]]), rule, 3, 1)
     with pytest.raises(ValueError, match="label width"):
-        FiniteSpace(None, rule, 0, 1, coords=np.array([[1], [0]]))
+        FiniteSpace(np.array([[1], [0]]), rule, 0, 1)
     with pytest.raises(ValueError, match="duplicate point labels"):
-        FiniteSpace(None, spaces_mod.SupRule.tower((), ()), 0, 1, coords=np.empty((2, 0)))
+        FiniteSpace(np.empty((2, 0)), spaces_mod.SupRule.tower((), ()), 0, 1)
     for bad in ([[0.5, 0], [1, 0]], [[np.nan, 0], [1, 0]], [[2.0**60, 0], [1, 0]]):
         with pytest.raises(ValueError, match="coordinates must be integers"):
-            FiniteSpace(None, rule, 0, 1, coords=np.array(bad))
+            FiniteSpace(np.array(bad), rule, 0, 1)
     # a table's rows name its points, and its kernel reads their positions
-    table = FiniteSpace(None, TableRule(np.array([[0.0, 3.0], [3.0, 0.0]]), True), 0, 1,
-                        coords=np.array([[7], [5]]))
+    table = FiniteSpace(np.array([[7], [5]]), TableRule(np.array([[0.0, 3.0], [3.0, 0.0]]), True),
+                        0, 1)
     assert table.labels == ((7,), (5,)) and table.dists_from(0).tolist() == [0.0, 3.0]
     # plane rows are finite pairs
     with pytest.raises(ValueError, match=r"\(x, y\) pairs"):
-        FiniteSpace(None, PlaneRule(), 0, 1, coords=np.array([[0.0, 0, 0], [1, 0, 0]]))
+        FiniteSpace(np.array([[0.0, 0, 0], [1, 0, 0]]), PlaneRule(), 0, 1)
     with pytest.raises(ValueError, match="must be finite"):
-        FiniteSpace(None, PlaneRule(), 0, 1, coords=np.array([[0.5, 0], [np.nan, 1]]))
+        FiniteSpace(np.array([[0.5, 0], [np.nan, 1]]), PlaneRule(), 0, 1)
     with pytest.raises(ValueError, match="duplicate point labels"):
-        FiniteSpace(None, PlaneRule(), 0, 1, coords=np.array([[0.5, 0], [1, 2.5], [0.5, 0]]))
-    plane = FiniteSpace(None, PlaneRule(), 1, 1, coords=np.array([[1, 2.5], [0.5, 0]]))
+        FiniteSpace(np.array([[0.5, 0], [1, 2.5], [0.5, 0]]), PlaneRule(), 0, 1)
+    plane = FiniteSpace(np.array([[1, 2.5], [0.5, 0]]), PlaneRule(), 1, 1)
     assert plane.labels == ((1.0, 2.5), (0.5, 0.0))
 
 
@@ -1704,3 +1705,22 @@ def test_space_id_matches_the_label_dump(make):
     assert ident == old_space_id(sp)
     assert sp.to_json() == make().to_json()
     assert json.loads(sp.to_json())["labels"] == [list(l) for l in sp.labels]
+
+
+@pytest.mark.parametrize("fn,removed", [
+    ("spaces.build_truncation", "schedule"),
+    ("spaces.validate_metric", "exhaustive_limit"),
+    ("spaces._verify_ultrametric", "sample"),
+    ("spaces.FiniteSpace", "coords"),
+    ("analysis.foelner_search", "max_points"),
+    ("factorfn.phi_of_nat", "limit"),
+])
+def test_removed_parameters_stay_removed(fn, removed):
+    # no caller set these; their values are module constants now
+    module, name = fn.split(".")
+    obj = getattr(importlib.import_module(f"coarseiso.{module}"), name)
+    assert removed not in inspect.signature(obj).parameters
+
+
+def test_schedule_alias_is_gone():
+    assert not hasattr(spaces_mod, "Schedule")
