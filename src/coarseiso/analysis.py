@@ -24,6 +24,11 @@ from .spaces import FiniteSpace, _check_epsilon, level_chain, row_blocks
 NOISE_NUM = 1
 NOISE_DEN = 8  # a block is significant when 8 * size >= largest block
 RECOUNT_LIMIT = 30000  # foelner_search recounts neighbourhoods up to here
+# oscillation's window route: the least table it takes (the pair pass was
+# faster below about this many entries), and the most cells per entry in
+# each side's coordinate box
+WINDOW_MIN = 325
+BOX_PER_ENTRY = 4
 
 # ---------------------------------------------------------------------------
 # factorizing-step estimation
@@ -238,30 +243,103 @@ def _within(dtype: np.dtype, deltas: Sequence[float]) -> list[Union[int, float]]
     """Bound b per scale with d <= b exactly when d <= delta + 1e-12, for
     distances d of the dtype: an integer distance passes when it is at most
     the floor, and an integer bound keeps the comparison in the block's
-    dtype."""
+    dtype. A NaN scale's bound admits no distance, as NaN does in a float
+    block."""
     bounds = [delta + 1e-12 for delta in deltas]
     if np.issubdtype(dtype, np.integer):
         info = np.iinfo(dtype)
-        return [math.floor(min(max(b, info.min), info.max)) for b in bounds]
+        return [math.floor(min(max(b, info.min), info.max)) if b == b else info.min
+                for b in bounds]
     return bounds
 
 
 def _keyed_oscillation(src: tuple, dst: tuple, deltas: list[float]) -> list[float]:
     """Max image diameter over the delta-blocks of the source, at each
-    scale, where each side is the (rows, levels) of its points
-    (MetricRule.level_rows). The blocks are the runs of the source's chain
-    cut where a gap is beyond the pair pass's bound (level_chain, _within).
-    The largest image diameter over them is the largest level of a target
-    column that varies in some run: in which two neighbours along the
-    chain differ, with a gap within the bound between them. So a column
-    counts from the least such gap on, one pass for all scales."""
-    order, gap = level_chain(*src)
-    rows, levels = dst
+    scale, where each side is the (rows, orders, levels) of its points
+    (MetricRule.sup_rows) and has cyclic columns only. The blocks are the
+    runs of the source's chain cut where a gap is beyond the pair pass's
+    bound (level_chain, _within). The largest image diameter over them is
+    the largest level of a target column that varies in some run: in which
+    two neighbours along the chain differ, with a gap within the bound
+    between them. So a column counts from the least such gap on, one pass
+    for all scales."""
+    order, gap = level_chain(src[0], np.asarray(src[2], dtype=float))
+    rows, levels = dst[0], np.asarray(dst[2], dtype=float)
     ranked = rows[order]
     differ = ranked[1:] != ranked[:-1]
     # NaN where a column never differs: it counts at no scale
     least = np.fmin.reduce(np.where(differ, gap[1:, None], np.nan), axis=0, initial=np.nan)
     return [float(levels[least <= bound].max(initial=0.0)) for bound in _within(gap.dtype, deltas)]
+
+
+def _widen(x: np.ndarray, axis: int, reached: int, radius: int) -> np.ndarray:
+    """Maxima over the windows of a radius along axis, clipped at its ends,
+    from x, the maxima over the windows of the reached radius r. The window
+    of radius r + s around i is the union of the r-windows around i - s, i
+    and i + s when s <= 2r + 1. When s <= r + 1 too, the part of the window
+    on the far side of an r-window centred off the axis is off the axis as
+    well, so leaving that r-window out is exact. Each step shifts by at
+    most r + 1, so the radius at least doubles per step; a radius that
+    covers the axis leaves it one cell."""
+    if radius >= x.shape[axis] - 1:
+        return x.max(axis=axis, keepdims=True)
+    before = (slice(None),) * axis
+    while reached < radius:
+        step = min(radius - reached, reached + 1)
+        head, tail = before + (slice(step, None),), before + (slice(None, -step),)
+        y = x.copy()
+        y_head, y_tail = y[head], y[tail]
+        np.maximum(y_head, x[tail], out=y_head)
+        np.maximum(y_tail, x[head], out=y_tail)
+        x, reached = y, reached + step
+    return x
+
+
+def _window_oscillation(src: tuple, dst: tuple, deltas: list[float]) -> list[float]:
+    """Forward oscillation at each scale, where each side is the (rows,
+    orders, levels) of its points (MetricRule.sup_rows), from window maxima
+    over the source's coordinate box. The source points within an integer
+    bound b of a row (the pair pass's, _within) are a window: radius b on
+    each free axis, the whole axis on a cyclic one of level <= b, the row's
+    own value on the others. So each target column is read alone: its
+    largest value in a cell's window less its least value in the cell,
+    over the cells, is the largest difference between images of points
+    within b (pairs are symmetric). A free column counts that value, and a
+    cyclic one its level when the value is positive. The cells hold the
+    largest and least target value of the table's points there (-inf and
+    +inf where none is), and the windows grow scale by scale, the bounds
+    ascending; a collapsed axis stays one cell."""
+    rows, orders, levels = src
+    values, t_orders, t_levels = dst
+    offset = rows - rows.min(axis=0)
+    shape = tuple(int(w) + 1 for w in offset.max(axis=0).tolist())
+    size, k = math.prod(shape), values.shape[1]
+    # row-major cell numbers, exact in float64 below 2^53
+    cell = (offset @ [float(math.prod(shape[c + 1:])) for c in range(len(shape))]).astype(np.int64)
+    high, low = np.full((k, size), -np.inf), np.full((k, size), np.inf)
+    if np.bincount(cell).max() == 1:
+        high[:, cell] = low[:, cell] = values.T
+    else:  # repeated source rows share a cell
+        for c in range(k):
+            np.maximum.at(high[c], cell, values[:, c])
+            np.minimum.at(low[c], cell, values[:, c])
+    top, low = high.reshape((k,) + shape), low.reshape((k,) + shape)
+    free = [a for a, o in enumerate(orders, start=1) if o == 0]
+    cyclic = [(a, lvl) for a, (o, lvl) in enumerate(zip(orders, levels), start=1) if o]
+    bounds = _within(np.dtype(np.int64), deltas)  # sup distances are integers
+    out, reached = {}, 0
+    for bound in sorted(set(b for b in bounds if b >= 0)):
+        if bound > reached:
+            for axis in free:
+                top = _widen(top, axis, reached, bound)
+        collapse = tuple(a for a, lvl in cyclic if lvl <= bound and top.shape[a] > 1)
+        if collapse:
+            top = top.max(axis=collapse, keepdims=True)
+        reached = bound
+        spread = (top - low).reshape(k, size).max(axis=1).tolist()
+        out[bound] = float(max([v if o == 0 else lvl * (v > 0)
+                                for v, o, lvl in zip(spread, t_orders, t_levels)], default=0))
+    return [out.get(b, 0.0) for b in bounds]
 
 
 def _pair_oscillation(
@@ -285,6 +363,29 @@ def _pair_oscillation(
     return fwd, bwd
 
 
+def _box_cells(rows: np.ndarray) -> int:
+    """Cells of the coordinate box of at least one row."""
+    return math.prod(int(w) + 1 for w in (rows.max(axis=0) - rows.min(axis=0)).tolist())
+
+
+def _route(source: FiniteSpace, target: FiniteSpace, src_idx: np.ndarray,
+           dst_idx: np.ndarray) -> tuple[str, Optional[tuple]]:
+    """The route oscillation takes for a non-empty table, with the sides
+    its kernel reads (MetricRule.sup_rows) when it is not the pair pass:
+    "keyed" when both sides have cyclic columns only, "window" when both
+    are sup rows of at least WINDOW_MIN entries whose coordinate boxes
+    hold at most BOX_PER_ENTRY cells per entry, and "pairs" otherwise."""
+    sides = (source.rule.sup_rows(source, src_idx), target.rule.sup_rows(target, dst_idx))
+    if None in sides:
+        return "pairs", None
+    if all(all(orders) for _, orders, _ in sides):
+        return "keyed", sides
+    n = len(src_idx)
+    if n >= WINDOW_MIN and all(_box_cells(rows) <= BOX_PER_ENTRY * n for rows, _, _ in sides):
+        return "window", sides
+    return "pairs", None
+
+
 def oscillation(
     source: FiniteSpace,
     target: FiniteSpace,
@@ -300,15 +401,27 @@ def oscillation(
     scales, which gives a pair of lists with one value per scale. The
     backward value is the forward value of the reversed table, so
     oscillation(target, source, dst_idx, src_idx, delta) gives the same
-    pair swapped. Exhaustive over the given pairs: one pass over the pairs
-    i <= j measures both directions at every scale, masking each side's
-    block by the other's (distances are >= 0). Every rule is symmetric, so
-    these pairs are all of them. Each block comes from the rule's kernel
-    (MetricRule.kernel_coords); no dense matrix is read. When both rules
-    give the rows and column levels of their points (MetricRule.level_rows:
-    ultrametric sup spaces), each direction is the max image diameter over
-    the delta-blocks of the other side, on the same bound as the pair pass
-    (_keyed_oscillation); otherwise the pair pass serves both directions.
+    pair swapped. Every route is exact over the given pairs, on one bound
+    per scale (_within), and _route picks it:
+
+    - keyed, when both rules give sup rows with cyclic columns only
+      (MetricRule.sup_rows; ultrametric sup spaces): each direction is the
+      max image diameter over the delta-blocks of the other side, read off
+      one sort of its rows (_keyed_oscillation). On the tower-align tables
+      (2,187-5,184 points, 3-8 ms for both directions) neither it nor the
+      window route was faster on all of them, and it needs no dense box.
+    - window, when both rules give sup rows, the table has at least
+      WINDOW_MIN entries and each side's coordinate box holds at most
+      BOX_PER_ENTRY cells per entry: each direction from window maxima
+      over the other side's box (_window_oscillation). Timed call by call
+      against the pair pass on the tables of free-chain benchmark rounds
+      (2-vCPU x86 VM), it was slower below about WINDOW_MIN entries and
+      faster above, 2-3x at 450-1,000 entries and 15-75x at 10-40 thousand.
+    - pairs, otherwise: one pass over the pairs i <= j measures both
+      directions at every scale, masking each side's block by the other's
+      (distances are >= 0). Every rule is symmetric, so these pairs are all
+      of them. Each block comes from the rule's kernel
+      (MetricRule.kernel_coords); no dense matrix is read.
     """
     src_idx = np.asarray(src_idx)
     dst_idx = np.asarray(dst_idx)
@@ -318,12 +431,13 @@ def oscillation(
     deltas = [float(delta)] if scalar else [float(d) for d in delta]
     if not len(src_idx) or not deltas:
         fwd, bwd = [0.0] * len(deltas), [0.0] * len(deltas)
-    elif (rows_s := source.rule.level_rows(source, src_idx)) is not None \
-            and (rows_t := target.rule.level_rows(target, dst_idx)) is not None:
-        fwd = _keyed_oscillation(rows_s, rows_t, deltas)
-        bwd = _keyed_oscillation(rows_t, rows_s, deltas)
     else:
-        fwd, bwd = _pair_oscillation(source, target, src_idx, dst_idx, deltas)
+        route, sides = _route(source, target, src_idx, dst_idx)
+        if route == "pairs":
+            fwd, bwd = _pair_oscillation(source, target, src_idx, dst_idx, deltas)
+        else:
+            kernel = _keyed_oscillation if route == "keyed" else _window_oscillation
+            fwd, bwd = kernel(*sides, deltas), kernel(*sides[::-1], deltas)
     return (fwd[0], bwd[0]) if scalar else (fwd, bwd)
 
 

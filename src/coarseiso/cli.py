@@ -41,19 +41,28 @@ from .spaces import (
 from .witness import _check_deltas, iso_witness_chain, verify_witness
 
 _FIXTURE_PREFIX = "example31"
+DEFAULT_RADIUS = 24
+
+
+def _radius(args: argparse.Namespace) -> int:
+    """--radius, or DEFAULT_RADIUS when it is not given."""
+    return DEFAULT_RADIUS if args.radius is None else args.radius
 
 
 def _build_space(desc: str, args: argparse.Namespace) -> FiniteSpace:
-    """Positional space argument: a group description, or the plane fixture
-    as example31[:branches[:step[:clamp]]]."""
+    """Positional space argument: a group description, built to --radius,
+    or the plane fixture as example31[:branches[:step[:clamp]]], which sets
+    its own extent, so an explicit --radius with it is a ValueError."""
     if desc.startswith(_FIXTURE_PREFIX):
+        if args.radius is not None:
+            raise ValueError(f"{_FIXTURE_PREFIX} sets its own extent; drop --radius")
         parts = desc.split(":")
         branches = int(parts[1]) if len(parts) > 1 else 50
         step = float(parts[2]) if len(parts) > 2 else 0.01
         clamp = float(parts[3]) if len(parts) > 3 else 1000.0
         return example31_fixture(branches, step, clamp, args.point_budget)
     g = parse_group(desc)
-    return build_truncation(g, radius=args.radius, point_budget=args.point_budget)
+    return build_truncation(g, radius=_radius(args), point_budget=args.point_budget)
 
 
 def _scale(value: float):
@@ -105,7 +114,7 @@ def _cmd_witness(args: argparse.Namespace) -> int:
         return 2
     deltas = _parse_deltas(args.deltas)
     w = iso_witness_chain(
-        g1, g2, radius=args.radius, depth=args.depth,
+        g1, g2, radius=_radius(args), depth=args.depth,
         prime_bound=args.prime_bound, deltas=deltas or (),
         point_budget=args.point_budget,
     )
@@ -151,7 +160,7 @@ def _cmd_foelner(args: argparse.Namespace) -> int:
     if f is None:
         print(
             f"error: no box with |O_{args.epsilon}(F)| <= {args.c}|F| fits in "
-            f"radius {args.radius}; enlarge --radius",
+            f"radius {_radius(args)}; enlarge --radius",
             file=sys.stderr,
         )
         return 2
@@ -174,7 +183,7 @@ def _cmd_cover(args: argparse.Namespace) -> int:
     if rank.is_infinite or rank.finite_value() > 3:
         print("error: cover construction handles free rank 0..3", file=sys.stderr)
         return 2
-    cover = asdim_cover(rank.finite_value(), args.epsilon, args.radius)
+    cover = asdim_cover(rank.finite_value(), args.epsilon, _radius(args))
     payload = {
         "rank": cover.rank,
         "epsilon": _scale(cover.epsilon),
@@ -200,7 +209,7 @@ def _parse_deltas(raw: Optional[str]) -> Optional[list[float]]:
 # flags its _cmd_* reads, so a flag it would ignore is a parse error
 _FLAGS = {
     "--prime-bound": dict(type=int, default=97),
-    "--radius": dict(type=int, default=24),
+    "--radius": dict(type=int, default=None),  # _radius reads it
     "--depth": dict(type=int, default=4),
     "--epsilon": dict(type=float, default=1.0),
     "--c": dict(type=float, default=1.1),

@@ -163,10 +163,11 @@ class MetricRule:
             labels = _connected_labels(n, ii, np.concatenate([bj, labels]))
         return labels
 
-    def level_rows(self, space: "FiniteSpace", idx) -> Optional[tuple[np.ndarray, np.ndarray]]:
-        """The rows of the points idx (repeats allowed) and the level of
-        each column, where two rows are the largest level of a column in
-        which they differ apart (level_chain); None here."""
+    def sup_rows(self, space: "FiniteSpace", idx) -> Optional[tuple]:
+        """The rows of the points idx (repeats allowed), with the order and
+        level of each column, where the distance of two rows is the largest
+        over the columns of |x - y| on a free one (order 0) and the level
+        on a cyclic one in which they differ; None here."""
         return None
 
     def step_candidates(self, radius: float, ball_chain) -> list[float]:
@@ -346,10 +347,8 @@ class SupRule(MetricRule):
             return _row_groups(space.coords[:, np.asarray(self.levels) > eps])
         return super().components(space, eps)
 
-    def level_rows(self, space, idx):
-        """On an ultrametric, whose coordinates are all cyclic."""
-        return (space.coords[idx], np.asarray(self.levels, dtype=float)) \
-            if self.is_ultrametric else None
+    def sup_rows(self, space, idx):
+        return space.coords[idx], self.orders, self.levels
 
     def chain(self, space: "FiniteSpace", subset: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Where the subset's rows fill a box (fills_box; a ball of a
@@ -1012,10 +1011,14 @@ def example31_fixture(
     n = np.arange(branches + 1)
     px = _round_decimals((np.asarray(xs) + (2 * math.pi * n)[:, None]).ravel(), PLANE_DECIMALS)
     py = (np.where(n % 2, -1.0, 1.0)[:, None] * np.asarray(ys)).ravel()
-    order = np.lexsort((py, px))
-    px, py = px[order], py[order]
-    base = int(np.flatnonzero((px == 0) & (py == 0))[0])
-    space = FiniteSpace(np.stack([px, py], axis=1), PlaneRule(), base, 0)
+    coords = np.stack([px, py], axis=1)
+    # the branches hold disjoint x ranges and x ascends in each, so the rows
+    # ascend already unless rounding gave two of them one x (a grid step
+    # below 1e-9 can)
+    if not _ascends(coords):
+        coords = coords[np.lexsort((py, px))]
+    base = int(np.flatnonzero((coords[:, 0] == 0) & (coords[:, 1] == 0))[0])
+    space = FiniteSpace(coords, PlaneRule(), base, 0)
     # the whole sample is the known region; faithfulness ends at its extent
     space.inner_radius = float(np.max(space.base_dists))
     return space

@@ -1018,6 +1018,165 @@ def test_int_coords_hold_values_far_from_zero_and_large_levels():
     assert_scales_agree(tall, tall, idx, perm, [1.0, 2.0, 300.0, 70000.0])
 
 
+# the window route of oscillation, called through its kernel so that it runs
+# at every table size (the routing sends tables below WINDOW_MIN to the
+# pair pass)
+
+def window_route(source, target, src, dst, deltas):
+    """Both directions from the window-maximum kernel."""
+    fwd = source.rule.sup_rows(source, src), target.rule.sup_rows(target, dst)
+    return (analysis_mod._window_oscillation(*fwd, deltas),
+            analysis_mod._window_oscillation(*fwd[::-1], deltas))
+
+
+def window_scales(*spaces):
+    """0, 0.5, every level of the spaces' rules with the scales 5e-13 below
+    and above it, free window radii up to 4 and between them, an infinite,
+    a NaN and a negative scale."""
+    return near_levels(*spaces) + [2.0, 2.5, 3.0, 4.0, math.inf, math.nan, -1.0]
+
+
+def assert_window_matches_the_pair_pass(source, target, src, dst, deltas):
+    """The window kernel agrees, at every scale and in both directions,
+    with the pair pass and with brute_oscillation at the pair pass's bound
+    (a NaN or negative scale admits no pair, so it reads 0)."""
+    got = window_route(source, target, src, dst, deltas)
+    assert got == tuple(analysis_mod._pair_oscillation(source, target, src, dst, deltas))
+    assert got == ([brute_oscillation(source, target, src, dst, d + 1e-12) for d in deltas],
+                   [brute_oscillation(target, source, dst, src, d + 1e-12) for d in deltas])
+
+
+window_spaces = st.one_of(
+    sup_spaces,
+    st.sampled_from([k_point_space(1), zball(2, 0)]),  # width 0
+    st.sampled_from(["Z^2 + C2", "Z + C2 + C3"]).map(
+        lambda g: build_truncation(parse_group(g), radius=2)),
+    st.tuples(st.integers(1, 3), st.integers(2, 3), st.integers(1, 3)).map(
+        lambda t: product_space(tower_space([t[1]], levels=[t[2]]), zball(t[0]))),
+)
+
+
+@st.composite
+def holed_sup_spaces(draw):
+    """A sup space with some of its points dropped, which may leave holes
+    in its box."""
+    sp = draw(window_spaces)
+    kept = sorted(draw(st.sets(st.integers(0, len(sp) - 1), min_size=1, max_size=len(sp))))
+    return subspace(sp, kept, basepoint=kept[0])
+
+
+@settings(max_examples=250, deadline=None)
+@given(holed_sup_spaces(), holed_sup_spaces(), st.data())
+def test_window_route_matches_the_pair_pass_and_all_pairs(source, target, data):
+    # tables of one entry up, any width 0 included, that may map a source
+    # point to two targets (two entries in one cell) or hit a target twice
+    size = data.draw(st.integers(1, 24))
+    src = np.asarray(data.draw(st.lists(st.integers(0, len(source) - 1), min_size=size,
+                                        max_size=size)))
+    dst = np.asarray(data.draw(st.lists(st.integers(0, len(target) - 1), min_size=size,
+                                        max_size=size)))
+    assert_window_matches_the_pair_pass(source, target, src, dst, window_scales(source, target))
+
+
+@pytest.mark.parametrize("source, target", [
+    (k_point_space(1), zball(3, 2)),
+    (zball(2, 0), build_truncation(parse_group("Z + C2"), radius=3)),
+    (zball(3, 2), k_point_space(1)),
+    (k_point_space(1), zball(2, 0)),
+], ids=["point-to-square", "rank-0-to-product", "square-to-point", "point-to-point"])
+def test_window_route_on_width_zero_sides(source, target):
+    # a side of width 0 is one cell of an empty box: every entry is within
+    # any scale >= 0 of every other on that side, and within no negative one
+    rng = np.random.default_rng(4)
+    src = rng.integers(0, len(source), size=9)
+    dst = rng.integers(0, len(target), size=9)
+    deltas = window_scales(source, target)
+    assert_window_matches_the_pair_pass(source, target, src, dst, deltas)
+    fwd, _ = window_route(source, target, src, dst, [0.0, -1.0])
+    if source.coords.shape[1] == 0:
+        assert fwd == [max(float(target.d(int(a), int(b))) for a in dst for b in dst), 0.0]
+    if target.coords.shape[1] == 0:
+        assert fwd == [0.0, 0.0]
+
+
+def test_window_route_counts_a_window_of_exactly_the_scale():
+    # on a line, points 0..6 mapped to an alternating image: at delta = k
+    # the window reaches k steps and no further, and a cyclic axis of
+    # level 2 joins its two values at delta = 2 exactly
+    line = zball(10)
+    src = np.array([line.index[(v,)] for v in range(7)])
+    dst = np.array([line.index[(v,)] for v in (0, 9, 0, -9, 0, 9, 0)])
+    deltas = [0.0, 1.0, 2.0 - 5e-13, 2.0 + 5e-13, 3.0]
+    # backward, the target value 0 has the preimages 0, 2, 4 and 6
+    assert window_route(line, line, src, dst, deltas) == ([0.0, 9.0, 18.0, 18.0, 18.0],
+                                                          [6.0] * 5)
+    # (a, b) -> the image; points that differ in a alone are 2 apart
+    ring = tower_space([2, 2], levels=[2, 3])
+    src, dst = np.arange(4), np.array([line.index[(v,)] for v in (0, 5, 1, 9)])
+    got = window_route(ring, line, src, dst, [1.0, 2.0 - 5e-13, 2.0, 3.0 - 5e-13])
+    assert got[0] == [0.0, 4.0, 4.0, 9.0]
+    assert_window_matches_the_pair_pass(ring, line, src, dst, window_scales(ring, line))
+
+
+def test_window_route_keeps_every_entry_of_a_shared_cell():
+    # two entries in one source cell: the cell holds their largest and
+    # least image, so a later write does not hide the earlier one
+    line = zball(10)
+    src = np.array([line.index[(v,)] for v in (0, 0, 1)])
+    dst = np.array([line.index[(v,)] for v in (4, -4, 0)])
+    assert window_route(line, line, src, dst, [0.0, 1.0]) == ([8.0, 8.0], [0.0, 0.0])
+    assert window_route(line, line, src[::-1].copy(), dst[::-1].copy(), [0.0]) == ([8.0], [0.0])
+
+
+def test_window_route_over_large_tables():
+    # boxes of many cells and several doubling steps per scale, against the
+    # pair pass (brute_oscillation would take minutes here)
+    rng = np.random.default_rng(9)
+    ball = build_truncation(parse_group("Z^2 + C2"), radius=12)
+    line = zball(400)
+    deltas = [0.0, 1.0, 2.0, 3.0, 7.0, 40.0, 400.0, math.inf]
+    for source, target in ((ball, line), (line, ball), (ball, ball)):
+        src = rng.permutation(len(source))[:len(source) - 7]
+        dst = rng.integers(0, len(target), size=len(src))
+        got = window_route(source, target, src, dst, deltas)
+        assert got == tuple(analysis_mod._pair_oscillation(source, target, src, dst, deltas))
+
+
+def spread_points(sp, step):
+    """Every step-th point: a box with holes between them."""
+    return subspace(sp, list(range(0, len(sp), step)))
+
+
+@pytest.mark.parametrize("make, route", [
+    pytest.param(lambda: (tower_space([2, 2, 3, 3, 2]), tower_space([6, 2, 6], levels=[2, 3, 4])),
+                 "keyed", id="tower-with-tower"),
+    pytest.param(lambda: (zball(20, 2), build_truncation(parse_group("Z^2 + C2"), radius=14)),
+                 "window", id="free-with-free"),
+    pytest.param(lambda: (tower_space([2, 2, 3, 3, 2, 3, 2]), zball(300)), "window",
+                 id="ultrametric-with-free"),
+    pytest.param(lambda: (zball(300), tower_space([2, 2, 3, 3, 2, 3, 2])), "window",
+                 id="free-with-ultrametric"),
+    pytest.param(lambda: (zball(12), zball(12)), "pairs", id="below-window-min"),
+    pytest.param(lambda: (spread_points(zball(2000), 5), zball(400)), "pairs",
+                 id="sparse-source-box"),
+    pytest.param(lambda: (zball(400), spread_points(zball(2000), 5)), "pairs",
+                 id="sparse-target-box"),
+    pytest.param(lambda: (example31_fixture(8, 0.01, 50), zball(2000)), "pairs", id="plane"),
+    pytest.param(lambda: (as_table(zball(400)), zball(400)), "pairs", id="table"),
+])
+def test_each_kind_of_table_takes_its_route(make, route):
+    source, target = make()
+    n = min(len(source), len(target))
+    rng = np.random.default_rng(1)
+    src = rng.permutation(len(source))[:n]
+    dst = rng.permutation(len(target))[:n]
+    assert analysis_mod._route(source, target, src, dst)[0] == route
+    if route == "window":
+        deltas = [0.0, 1.0, 2.0, 5.0]
+        assert oscillation(source, target, src, dst, deltas) == tuple(
+            analysis_mod._pair_oscillation(source, target, src, dst, deltas))
+
+
 def test_subset_edges_over_several_blocks():
     # every pair i < j once, in row-major order, for cached and uncached rows
     rng = np.random.default_rng(2)

@@ -535,3 +535,27 @@ def test_fixture_components_keep_the_point_budget(capsys):
                          "--point-budget", "1")
     assert (code, out) == (2, "")
     assert "21 points exceed the budget of 1" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("components", "example31:2:0.5", "--radius", "3", "--epsilon", "1"),
+    ("components", "example31:2:0.5", "--radius", "24", "--epsilon", "1"),
+    ("step", "example31:2:0.5", "--radius", "3"),
+    ("foelner", "example31:2:0.5", "--radius", "3", "--epsilon", "100", "--c", "1.01"),
+], ids=["components", "components-default-value", "step", "foelner"])
+def test_a_fixture_with_a_radius_exits_2(capsys, argv):
+    # the fixture sets its own extent, so a radius given with it would be
+    # ignored; one equal to the default is refused too
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == "error: example31 sets its own extent; drop --radius\n"
+
+
+def test_a_fixture_without_a_radius_and_a_group_with_one_still_run(capsys):
+    code, payload = run_json(capsys, "components", "example31:2:0.5", "--epsilon", "1")
+    assert (code, payload["points"]) == (0, 21)
+    code, payload = run_json(capsys, "components", "Z", "--radius", "3", "--epsilon", "1")
+    assert (code, payload["points"]) == (0, 7)
+    # without --radius a group is built to the default radius
+    code, payload = run_json(capsys, "components", "Z", "--epsilon", "1")
+    assert (code, payload["points"]) == (0, 2 * cli.DEFAULT_RADIUS + 1)

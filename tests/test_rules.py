@@ -291,8 +291,9 @@ def test_no_module_keeps_a_second_label_store():
 # ---------------------------------------------------------------------------
 # rule methods that are gone
 
-# the keyed path of oscillation reads level_rows and takes no diameter
-REMOVED_RULE_METHODS = {"diameter", "delta_blocks"}
+# oscillation's keyed and window routes read sup_rows, which replaced
+# level_rows, and take no diameter
+REMOVED_RULE_METHODS = {"diameter", "delta_blocks", "level_rows"}
 
 
 def removed_method_uses(source: str) -> list[int]:
@@ -318,13 +319,14 @@ def removed_method_uses(source: str) -> list[int]:
     "class MetricRule:\n    delta_blocks = None",
     "fwd = max(target.rule.diameter(target, idx) for idx in blocks)",
     "keys = source.rule.delta_blocks",
+    "rows = space.rule.level_rows(space, idx)",
 ])
 def test_every_removed_rule_method_is_counted(snippet):
     assert len(removed_method_uses(snippet)) == 1
 
 
 def test_other_diameters_are_not_counted():
-    source = ("cover.mesh\nspace.rule.level_rows(space, idx)\n"
+    source = ("cover.mesh\nspace.rule.sup_rows(space, idx)\n"
               "def chain(self, space, subset):\n    return self.diameter_of(subset)\n")
     assert removed_method_uses(source) == []
 

@@ -302,6 +302,37 @@ class TestExample31:
         assert np.sum(np.round(values, 9) != want) > 100  # the naive rounding misses
         assert np.array_equal(_round_decimals(values, 9).view(np.int64), want.view(np.int64))
 
+    @pytest.mark.parametrize("args, digest", [
+        ((2, 0.5, 1000.0), "45bde4691acd4a61"), ((1, 0.25, 3.0), "22218d8f8525e7af"),
+        ((8, 0.01, 50.0), "2b638df7ba41cc8a"), ((3, 0.3, 0.5), "f4b12e8f137f7b05"),
+        ((5, 0.001, 2.0), "dcdcef937101301f"), ((25, 0.0125, 1000.0), "38b0ed4f9d87487f"),
+        ((50, 0.01, 1000.0), "714c7959459151e7"), ((87, 0.01, 1000.0), "e3f8175a0e749337"),
+    ])
+    def test_rows_ascend_without_a_sort(self, args, digest, monkeypatch):
+        # the branches' x ranges are disjoint and x ascends in each, so the
+        # rows come out in order: no lexsort runs, and the coordinates,
+        # basepoint and radius keep the digests of the sorting build
+        sorts = []
+        lexsort = np.lexsort
+        monkeypatch.setattr(np, "lexsort", lambda keys: sorts.append(len(keys)) or lexsort(keys))
+        sp = example31_fixture(*args)
+        assert sorts == []
+        payload = sp.coords.tobytes() + repr((sp.basepoint, sp.inner_radius)).encode()
+        assert hashlib.sha256(payload).hexdigest()[:16] == digest
+
+    def test_rows_that_rounding_leaves_out_of_order_are_sorted(self, monkeypatch):
+        # x rounded to whole numbers gives many points of a branch one x,
+        # and y falls as x grows on an odd branch, so those rows need the sort
+        rounded = spaces_mod._round_decimals
+        monkeypatch.setattr(spaces_mod, "_round_decimals", lambda values, _: rounded(values, 0))
+        sorts = []
+        lexsort = np.lexsort
+        monkeypatch.setattr(np, "lexsort", lambda keys: sorts.append(len(keys)) or lexsort(keys))
+        sp = example31_fixture(2, 0.25, 1000)
+        assert sorts == [2]
+        rows = [tuple(r) for r in sp.coords.tolist()]
+        assert rows == sorted(rows) and sp.labels[sp.basepoint] == (0.0, 0.0)
+
     def test_rejects_bad_args(self):
         with pytest.raises(ValueError):
             example31_fixture(0, 0.5, 3)

@@ -375,6 +375,24 @@ def test_finish_and_verify_measure_each_direction_once(monkeypatch):
     assert calls == [[1.0, 2.0, 3.0, 4.0, 8.0]]
 
 
+def test_rank_two_chain_at_radius_100_takes_the_window_route(monkeypatch):
+    # every table of the chain and its verification at or above WINDOW_MIN
+    # takes the window route; the pair pass reads only smaller tables
+    from coarseiso import analysis as analysis_mod
+
+    routes, pair_sizes = [], []
+    route, pair_pass = analysis_mod._route, analysis_mod._pair_oscillation
+    monkeypatch.setattr(analysis_mod, "_route",
+                        lambda *a: routes.append(route(*a)[0]) or route(*a))
+    monkeypatch.setattr(analysis_mod, "_pair_oscillation",
+                        lambda *a: pair_sizes.append(len(a[2])) or pair_pass(*a))
+    w = iso_witness_chain(parse_group("Z^2 + C4"), parse_group("Z^2"), radius=100)
+    assert verify_witness(w).ok
+    assert all(n < analysis_mod.WINDOW_MIN for n in pair_sizes), pair_sizes
+    assert (routes.count("window"), routes.count("keyed"), routes.count("pairs")) == (10, 1, 3)
+    assert len(pair_sizes) == 3
+
+
 class TestCombinators:
     def test_compose_identities(self):
         sp = tower_space([2, 3])
