@@ -10,9 +10,11 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import math
 import sys
+from json.encoder import encode_basestring_ascii
 from typing import Optional
 
 import numpy as np
@@ -71,8 +73,67 @@ def _scale(value: float):
     return "inf" if value == math.inf else value
 
 
+def _key_text(key) -> str:
+    """A dict key as json writes it: a str, or the text of a float, int,
+    bool or None, quoted; any other key is a TypeError, as in json."""
+    if not isinstance(key, str):
+        if not (key is None or isinstance(key, (int, float))):
+            raise TypeError(f"keys must be str, int, float, bool or None, not {key!r}")
+        key = _json_text(key)
+    return encode_basestring_ascii(key)
+
+
+def _int_rows(rows, indent: str) -> Optional[str]:
+    """The items of a list of rows of Python ints, all of one width k >= 1
+    (a witness table), as json.dumps(indent=2) writes them at this indent,
+    by one format of the flat ints into a template of the rows; None for
+    any other list."""
+    if not set(map(type, rows)) <= {list, tuple} or len(set(map(len, rows))) != 1:
+        return None
+    flat = tuple(itertools.chain.from_iterable(rows))
+    if not flat or set(map(type, flat)) != {int}:
+        return None
+    inner = indent + "  "
+    row = "[\n" + inner + (",\n" + inner).join(["%d"] * len(rows[0])) + "\n" + indent + "]"
+    return (",\n" + indent).join([row] * len(rows)) % flat
+
+
+def _json_text(value, indent: str = "") -> str:
+    """json.dumps(value, indent=2, default=str) nested at this indent,
+    without json's pure-Python encoder, which indent selects: the same
+    rules as it, and a table of int rows written in one format."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if value is True or value is False:
+        return "true" if value else "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        if value != value:
+            return "NaN"
+        if value in (math.inf, -math.inf):
+            return "Infinity" if value > 0 else "-Infinity"
+        return float.__repr__(value)
+    inner = indent + "  "
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        items = _int_rows(value, inner) or (",\n" + inner).join(
+            [_json_text(v, inner) for v in value])
+        return f"[\n{inner}{items}\n{indent}]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = (",\n" + inner).join(
+            [f"{_key_text(k)}: {_json_text(v, inner)}" for k, v in value.items()])
+        return f"{{\n{inner}{items}\n{indent}}}"
+    return _json_text(str(value), indent)
+
+
 def _emit(payload: dict, args: argparse.Namespace) -> None:
-    text = json.dumps(payload, indent=2, default=str)
+    text = _json_text(payload)
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text + "\n")
@@ -158,11 +219,14 @@ def _cmd_foelner(args: argparse.Namespace) -> int:
     space = _build_space(args.space, args)
     f = foelner_search(space, args.c, args.epsilon)
     if f is None:
-        print(
-            f"error: no box with |O_{args.epsilon}(F)| <= {args.c}|F| fits in "
-            f"radius {_radius(args)}; enlarge --radius",
-            file=sys.stderr,
+        # the fixture's extent is its own, so --radius cannot enlarge it
+        room = (
+            f"the fixture's extent, radius {space.inner_radius}"
+            if args.space.startswith(_FIXTURE_PREFIX)
+            else f"radius {_radius(args)}; enlarge --radius"
         )
+        print(f"error: no box with |O_{args.epsilon}(F)| <= {args.c}|F| fits in {room}",
+              file=sys.stderr)
         return 2
     payload = {
         "k": f.k,

@@ -144,15 +144,15 @@ class WitnessMap:
 
 
 def space_id(space: FiniteSpace) -> str:
-    """Content hash naming a built space in serialized witnesses."""
-    payload = json.dumps(
-        [space.rule.descriptor(), space.basepoint, space.label_lists()],
-        sort_keys=True,
-        default=str,
-    )
-    digest = hashlib.sha1(payload.encode()).hexdigest()[:12]
-    kind = space.rule.descriptor()["kind"]
-    return f"{kind}-{len(space)}-{digest}"
+    """Content hash naming a built space in serialized witnesses: the SHA-1
+    of json.dumps([descriptor, basepoint, label_lists()], sort_keys=True,
+    default=str), whose labels the rule writes (MetricRule.label_json)."""
+    descriptor = space.rule.descriptor()
+    head = json.dumps([descriptor, space.basepoint], sort_keys=True, default=str)
+    sha = hashlib.sha1(f"{head[:-1]}, ".encode())
+    sha.update(space.rule.label_json(space.coords))
+    sha.update(b"]")
+    return f"{descriptor['kind']}-{len(space)}-{sha.hexdigest()[:12]}"
 
 
 def _check_deltas(deltas: Iterable[float]) -> List[float]:

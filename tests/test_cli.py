@@ -7,16 +7,21 @@ import gc
 import hashlib
 import inspect
 import json
+import json.encoder
+import math
 import os
 import shlex
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import coarseiso
-from coarseiso import cli
+from coarseiso import cli, spaces
 from coarseiso.cli import main
 
 
@@ -331,6 +336,108 @@ def test_readme_example_runs(capsys, argv):
     assert code == 0 and isinstance(payload, dict)
 
 
+# one call of each command, beside the pinned and README calls above
+EVERY_COMMAND = [
+    ("invariants", "Z^2 + C12"),
+    ("classify", "iso", "Z + C2", "Z"),
+    ("classify", "equiv", "Z^2", "Z"),
+    ("witness", "Z + C2", "Z", "--radius", "16"),
+    ("components", "Z + C2", "--radius", "3", "--epsilon", "inf"),
+    ("step", "C2^inf", "--radius", "16"),
+    ("foelner", "Z", "--radius", "100", "--c", "1.1", "--epsilon", "1"),
+    ("cover", "Z^2", "--epsilon", "5", "--radius", "40"),
+]
+PRINTED = ([tuple(argv) for argv, *_ in GOLDEN_WITNESSES + GOLDEN_PLANE]
+           + [tuple(argv) for argv in README_CALLS] + EVERY_COMMAND)
+
+
+@pytest.mark.parametrize("argv", dict.fromkeys(PRINTED), ids=" ".join)
+def test_printed_text_is_the_indented_dump_of_the_payload(capsys, monkeypatch, tmp_path, argv):
+    payloads = []
+    emit = cli._emit
+    monkeypatch.setattr(cli, "_emit", lambda payload, args: payloads.append(payload) or emit(payload, args))
+    path = tmp_path / "payload.json"
+    code = main([*argv, "--out", str(path)])
+    captured = capsys.readouterr()
+    text = json.dumps(payloads[0], indent=2, default=str) + "\n"
+    assert (code in (0, 1), captured.err) == (True, "")
+    assert captured.out == text
+    assert path.read_text() == text
+
+
+def test_the_largest_witness_prints_its_pinned_bytes(capsys):
+    # sha256 of the whole stdout (9,604 pairs, two 40k-point space ids),
+    # captured while json.dumps(indent=2) wrote it and json dumped the labels
+    code, out, err = run(capsys, "witness", "Z^2 + C4", "Z^2", "--radius", "100")
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        "0e449bb56e799654df8eccd45763102382817fe2d634f6e44365865fa8eb3ef2"
+
+
+def test_a_witness_job_runs_no_pure_python_encoder_and_no_label_list(capsys, monkeypatch):
+    # both fast paths of the output layer, guarded by counts: the payload
+    # is written without json's indented encoder, and the space ids from
+    # the coordinate arrays
+    calls = []
+
+    def counted(name, fn):
+        return lambda *a, **k: calls.append(name) or fn(*a, **k)
+
+    monkeypatch.setattr(json.encoder, "_make_iterencode",
+                        counted("encoder", json.encoder._make_iterencode))
+    for rule in (spaces.MetricRule, spaces.SupRule):
+        monkeypatch.setattr(rule, "label_lists", counted("labels", rule.label_lists))
+    code, payload = run_json(capsys, "witness", "Z + C12", "Z + C3", "--radius", "70")
+    assert code == 0 and len(payload["witness"]["pairs"]) == 396
+    assert calls == []
+    json.dumps({"a": [1]}, indent=2)
+    spaces.zball(1).label_lists()
+    assert calls == ["encoder", "labels"]  # the counters count
+
+
+SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(-(2**70), 2**70), st.floats(),
+    st.sampled_from([-0.0, 1e16, 1e-7, 5e-324, math.inf, -math.inf, math.nan]),
+    st.text(st.characters(codec="utf-8"), max_size=6),  # non-ASCII and control characters
+    # not json types, so written through default=str; a float64 is a float
+    st.sampled_from([np.int64(-3), np.float64(2.5), np.float32(0.1), np.bool_(True)]),
+)
+INT_ROWS = st.integers(0, 3).flatmap(lambda k: st.lists(
+    st.one_of(st.lists(st.integers(-(2**70), 2**70), min_size=k, max_size=k),
+              st.tuples(*[st.integers(-5, 5)] * k)), max_size=12))
+MIXED_ROWS = st.lists(st.lists(st.one_of(st.integers(-5, 5), SCALARS), min_size=2, max_size=2),
+                      min_size=1, max_size=4)
+RAGGED_ROWS = st.lists(st.lists(st.integers(-5, 5), max_size=3), min_size=2, max_size=6)
+PAYLOADS = st.recursive(
+    st.one_of(SCALARS, INT_ROWS, MIXED_ROWS, RAGGED_ROWS),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4), st.tuples(inner, inner),
+        st.dictionaries(st.one_of(st.text(max_size=4), st.integers(-9, 9), st.floats(),
+                                  st.booleans(), st.none()), inner, max_size=4)),
+    max_leaves=24,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(PAYLOADS)
+@example([[1, True], [2, 3]])  # rows that "%d" would write wrongly
+@example([[1, 2.0], [2, 3]])
+@example([[1, 2], [3]])
+@example({"pairs": [(0, 5), (1, 4)], "k": [[-(2**70)]]})
+def test_writer_matches_the_indented_json_dump(value):
+    assert cli._json_text(value) == json.dumps(value, indent=2, default=str)
+
+
+@pytest.mark.parametrize("value", [
+    {(1, 2): 3}, {np.int64(1): 2}, [{"a": {1j: 0}}],
+], ids=["tuple", "numpy", "nested"])
+def test_writer_refuses_the_keys_json_refuses(value):
+    with pytest.raises(TypeError, match="keys must be str, int, float, bool or None"):
+        json.dumps(value, indent=2, default=str)
+    with pytest.raises(TypeError, match="keys must be str, int, float, bool or None"):
+        cli._json_text(value)
+
+
 def modules_after(argv, package):
     """Names of the modules of `package` loaded after one CLI call in a
     fresh interpreter."""
@@ -549,6 +656,15 @@ def test_a_fixture_with_a_radius_exits_2(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert (code, out) == (2, "")
     assert err == "error: example31 sets its own extent; drop --radius\n"
+
+
+def test_foelner_on_a_fixture_names_its_extent(capsys):
+    # the search ran to the fixture's own extent, which --radius cannot
+    # enlarge; a group description keeps the --radius advice
+    code, out, err = run(capsys, "foelner", "example31:2:0.5", "--epsilon", "100", "--c", "1.01")
+    assert (code, out) == (2, "")
+    assert err == ("error: no box with |O_100.0(F)| <= 1.01|F| fits in the fixture's extent, "
+                   "radius 19.917651136\n")
 
 
 def test_a_fixture_without_a_radius_and_a_group_with_one_still_run(capsys):

@@ -10,6 +10,7 @@ import itertools
 import json
 import math
 import weakref
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -1011,10 +1012,68 @@ def block_graph_quotient(space, partition):
     order = np.argsort(ww, kind="stable")
     key, first = np.unique(key[order], return_index=True)
     chain, gap = spaces_mod._kruskal_chain(b, key // b, key % b, ww[order][first])
+    return loop_chain_heights(chain, gap)
+
+
+def loop_chain_heights(chain, gap):
+    """The merge heights of the blocks chain[i] as the generic quotient
+    filled them, one running maximum of the gaps per block."""
+    b = len(chain)
     qd = np.zeros((b, b))
     for i in range(b - 1):
         qd[chain[i], chain[i + 1:]] = np.maximum.accumulate(gap[i + 1:])
     return np.maximum(qd, qd.T)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: example31_fixture(3, 0.1, 3),
+    lambda: example31_fixture(8, 0.01, 1000),  # 2,817 blocks at eps 0: 31 row blocks
+    lambda: as_table(tower_space([2, 3, 2])),
+    lambda: quotient_space(example31_fixture(4, 0.05, 6), 0.02),
+], ids=["fixture-3", "fixture-8", "tower-table", "quotient-table"])
+@pytest.mark.parametrize("eps", [0, 0.02, 1, math.inf])
+def test_generic_quotient_table_matches_the_loop(make, eps):
+    sp = make()
+    seen = []
+    fill = spaces_mod._chain_heights
+    with mock.patch.object(spaces_mod, "_chain_heights",
+                           lambda chain, gap: seen.append((chain, gap)) or fill(chain, gap)):
+        q, part = quotient_with_projection(sp, eps)
+    [(chain, gap)] = seen
+    assert len(chain) == part.count
+    assert np.array_equal(q.rule.matrix, loop_chain_heights(chain, gap))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 40).flatmap(lambda b: st.tuples(
+    st.permutations(range(b)),
+    st.lists(st.sampled_from([0.0, 0.5, 1.0, 2.0, 7.25]), min_size=b - 1, max_size=b - 1),
+    st.integers(1, 3 * b * b))))
+def test_chain_heights_match_the_loop_across_row_blocks(case):
+    # ties and zero gaps; BLOCK_ENTRIES small enough to cut the rows into
+    # blocks of every size from one row to all of them
+    chain, gaps, entries = case
+    chain, gap = np.array(chain), np.array([math.inf, *gaps])
+    with mock.patch.object(spaces_mod, "BLOCK_ENTRIES", entries):
+        table = spaces_mod._chain_heights(chain, gap)
+    assert np.array_equal(table, loop_chain_heights(chain, gap))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.tuples(st.integers(-40, 40), st.integers(-40, 40)), min_size=2, max_size=60,
+                unique=True),
+       st.sampled_from([0.0, 0.02, 1.0, 2.5, 6.0, math.inf]))
+def test_quotient_of_a_plane_cloud_matches_the_loop(points, eps):
+    sp = FiniteSpace(sorted((x / 4, y / 4) for x, y in points), PlaneRule(), 0, 0)
+    seen = []
+    fill = spaces_mod._chain_heights
+    with mock.patch.object(spaces_mod, "BLOCK_ENTRIES", 64), \
+            mock.patch.object(spaces_mod, "_chain_heights",
+                              lambda chain, gap: seen.append((chain, gap)) or fill(chain, gap)):
+        q, part = quotient_with_projection(sp, eps)
+    [(chain, gap)] = seen
+    assert np.array_equal(q.rule.matrix, loop_chain_heights(chain, gap))
+    assert np.array_equal(q.rule.matrix, block_graph_quotient(sp, part))
 
 
 class TestProduct:
@@ -1703,6 +1762,26 @@ def test_plane_labels_must_be_pairs():
         FiniteSpace([(0.0, 0.0), (1.0,)], PlaneRule(), 0, 1)
 
 
+def rank_two_chain_at_radius_100():
+    """The witness chain of `coarseiso witness "Z^2 + C4" "Z^2" --radius
+    100`: 41,004 source and 40,401 target points."""
+    from coarseiso.witness import iso_witness_chain
+
+    return iso_witness_chain(parse_group("Z^2 + C4"), parse_group("Z^2"), radius=100)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 4).flatmap(lambda k: st.lists(
+    st.lists(st.one_of(st.integers(-3, 3), st.integers(-(2**53), 2**53)), min_size=k, max_size=k),
+    min_size=1, max_size=30)))
+def test_sup_label_json_is_the_dump_of_the_label_lists(rows):
+    # narrow columns are written from one text per value, wide ones by
+    # one format; both print what json prints
+    coords = np.asfortranarray(rows, dtype=float).reshape(len(rows), -1)
+    rule = spaces_mod.SupRule.group_ball(coords.shape[1])
+    assert rule.label_json(coords) == json.dumps(rule.label_lists(coords)).encode()
+
+
 def old_space_id(space):
     """space_id as it read every label tuple."""
     import hashlib
@@ -1725,8 +1804,12 @@ def old_space_id(space):
     lambda: example31_fixture(2, 0.25, 3),
     lambda: quotient_space(example31_fixture(2, 0.25, 3), 1.0),
     lambda: subspace(zball(3), [0, 2, 3]),
+    lambda: rank_two_chain_at_radius_100().source,
+    lambda: rank_two_chain_at_radius_100().target,
+    lambda: FiniteSpace([(-(2**53), -7, 1), (-3, 0, 0), (-1, 2**53, 1)],
+                        spaces_mod.SupRule.group_ball(2, [2], [2]), 1, 3),
 ], ids=["zball", "zball-3", "tower", "k1", "k3", "nested", "nested-k1", "plane", "table",
-        "subspace"])
+        "subspace", "radius-100-source", "radius-100-target", "negative"])
 def test_space_id_matches_the_label_dump(make):
     sp = make()
     unbuilt = sp._labels is None
