@@ -14,7 +14,7 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -324,11 +324,13 @@ def verify_witness(w: WitnessMap, deltas: Optional[Sequence[float]] = None) -> W
 
     Checks totality and injectivity on the validity region, exact agreement
     of the recorded moduli with oscillation values re-measured in one call
-    and cached nowhere, and every structural claim. Without deltas the
-    scales checked are every scale recorded in either direction; a
-    recorded scale above the validity radius is a violation, as _finish
-    never records one. Claims are checked on index and coordinate arrays,
-    and labels only word a violation, which is content, not an exception.
+    and cached nowhere, and every structural claim. The scales checked are
+    every scale recorded in either direction, plus the given deltas, each up
+    to the validity radius; a given scale with no recorded modulus is a
+    violation, and so is a recorded scale above the validity radius, as
+    _finish never records one. Claims are checked on index and coordinate
+    arrays, and labels only word a violation, which is content, not an
+    exception.
     """
     violations: List[str] = []
     si, ti = w.src, w.dst
@@ -355,7 +357,8 @@ def verify_witness(w: WitnessMap, deltas: Optional[Sequence[float]] = None) -> W
                 f"modulus recorded at delta={delta}, above the validity radius "
                 f"{w.validity_radius}"
             )
-    check = recorded if deltas is None else sorted(_check_deltas(deltas))
+    # given scales add to the recorded ones, never replace them
+    check = sorted(set(recorded).union(_check_deltas(() if deltas is None else deltas)))
     check = [delta for delta in check if delta <= w.validity_radius + _TOL]
     fwd, bwd = (dict(zip(check, v)) for v in oscillation(w.source, w.target, si, ti, check))
     for delta in check:
@@ -566,6 +569,33 @@ def _match_rows(rows: np.ndarray, table: np.ndarray) -> np.ndarray:
     return where[group[len(table):]]
 
 
+class _Stage(NamedTuple):
+    """A table the combinators read as they read a WitnessMap's, with no
+    moduli: the identity on a space, or a relabel that is composed away."""
+
+    source: FiniteSpace
+    target: FiniteSpace
+    src: np.ndarray
+    dst: np.ndarray
+    validity_radius: float
+
+
+def _relabel_stage(
+    source: FiniteSpace, target: FiniteSpace, columns: Optional[Sequence[int]] = None
+) -> _Stage:
+    """The table of relabel_witness(source, target, columns), valid where
+    _finish would find it valid: it covers the source, so to the source's
+    inner radius."""
+    rows = source.coords
+    if columns is not None:
+        rows = rows[:, list(columns)]
+    ti = _match_rows(rows, target.coords)
+    missing = np.flatnonzero(ti < 0)
+    if len(missing):
+        raise ValueError(f"relabel: no target point for label {source.labels[missing[0]]}")
+    return _Stage(source, target, np.arange(len(source)), ti, float(source.inner_radius))
+
+
 def relabel_witness(
     source: FiniteSpace,
     target: FiniteSpace,
@@ -579,25 +609,21 @@ def relabel_witness(
     leave all sup-metric distances unchanged. Labels are matched by a sort
     of both coordinate arrays, not one lookup per label; a source label
     without a target is a ValueError that names it."""
-    rows = source.coords
-    if columns is not None:
-        rows = rows[:, list(columns)]
-    ti = _match_rows(rows, target.coords)
-    missing = np.flatnonzero(ti < 0)
-    if len(missing):
-        raise ValueError(f"relabel: no target point for label {source.labels[missing[0]]}")
-    return _finish(source, target, np.arange(len(source)), ti, (), extra_deltas=deltas,
-                   context="relabel")
+    r = _relabel_stage(source, target, columns)
+    return _finish(source, target, r.src, r.dst, (), extra_deltas=deltas, context="relabel")
 
 
 # ---------------------------------------------------------------------------
 # combinators
 
 
-def compose_witness(f: WitnessMap, g: WitnessMap, deltas: Sequence[float] = ()) -> WitnessMap:
-    """Compose two witnesses sharing their middle space. Entries are kept
-    only where the first stage stays within the second stage's validity;
-    the moduli of the result are re-measured, never multiplied through."""
+def compose_witness(
+    f: Union[WitnessMap, _Stage], g: Union[WitnessMap, _Stage], deltas: Sequence[float] = ()
+) -> WitnessMap:
+    """Compose two witnesses sharing their middle space; either stage may be
+    a bare relabel table. Entries are kept only where the first stage stays
+    within the second stage's validity; the moduli of the result are
+    re-measured, never multiplied through."""
     if not (f.target == g.source):
         raise ValueError("compose: stages do not share a space")
     fs, fm, gs, gt = f.src, f.dst, g.src, g.dst
@@ -610,12 +636,15 @@ def compose_witness(f: WitnessMap, g: WitnessMap, deltas: Sequence[float] = ()) 
 
 
 def product_witness(
-    f: WitnessMap,
-    g: WitnessMap,
+    f: Union[WitnessMap, FiniteSpace],
+    g: Union[WitnessMap, FiniteSpace],
     deltas: Sequence[float] = (),
     point_budget: Optional[int] = None,
 ) -> WitnessMap:
-    """Coordinatewise product of two witnesses under the sup metric."""
+    """Coordinatewise product of two witnesses under the sup metric; a space
+    as either factor is the identity on it, as relabel_witness(space, space)
+    would record it."""
+    f, g = (_relabel_stage(x, x) if isinstance(x, FiniteSpace) else x for x in (f, g))
     source = product_space(f.source, g.source, point_budget)
     target = product_space(f.target, g.target, point_budget)
     fs, ft, gs, gt = f.src, f.dst, g.src, g.dst
@@ -708,6 +737,21 @@ def iso_witness_chain(
     multiplier's part and the common remainder, folds the multiplier part
     into the first line coordinate, and lands on the shared middle space.
     The composite is the first chain followed by the inverse of the second.
+
+    A side with multiplier k >= 2 starts from (ball, tower) and runs three
+    stages: w1, the ball times the tower alignment to (k points,
+    remainder); the column shuffle to (shorter line, k points, behind);
+    and w3, the inverted absorption of (shorter line, k points) into the
+    line, times what lies behind the line. Identity and relabel steps are
+    not witnesses of their own: the ball and what lies behind enter the
+    products as spaces, and the shuffle is a bare relabel table composed
+    into w1. A side with k = 1 starts from (line ball, remainder), which at
+    rank 1 is the middle space itself and at higher rank the same points
+    grouped apart; that relabel, and its inverse on the right, is a bare
+    table composed into the end. So the witnesses measured are the
+    alignment, w1, the absorption and its inverse, w3 and the two
+    compositions of each side with k >= 2, the inverse of such a right
+    side, and the end.
     Every space built on the way is held to point_budget (None: the default
     budget); a larger one is a BudgetError.
     """
@@ -745,17 +789,17 @@ def iso_witness_chain(
     # the middle space is the line, then behind it the ball's other rank - 1
     # free coordinates and the common remainder
     line = zball(common_r, point_budget=pb)
-    behind = rest if rank == 1 else product_space(zball(common_r, rank - 1, pb), rest, pb)
+    ball_tail = zball(common_r, rank - 1, pb) if rank > 1 else None
+    behind = rest if rank == 1 else product_space(ball_tail, rest, pb)
     middle = product_space(line, behind, pb)
 
-    def side(k_abs: int, first_r: int) -> WitnessMap:
-        primes = _prime_multiset(k_abs)
-        u = _torsion_tower(list(rest_orders) + primes, full, pb)
+    def side(k_abs: int) -> WitnessMap:
+        """The chain of a side with multiplier k_abs >= 2 into the middle
+        space."""
+        first_r = common_r // k_abs
         first = zball(first_r, point_budget=pb)
-        zpart = first if rank == 1 else product_space(first, zball(common_r, rank - 1, pb), pb)
-        start = product_space(zpart, u, pb)
-        if k_abs == 1:
-            return relabel_witness(start, middle)
+        zpart = first if rank == 1 else product_space(first, ball_tail, pb)
+        u = _torsion_tower(list(rest_orders) + _prime_multiset(k_abs), full, pb)
         mixed = tower_space(
             [k_abs] + list(rest_orders),
             levels=[1] + list(range(2, len(rest_orders) + 2)),
@@ -763,21 +807,26 @@ def iso_witness_chain(
         )
         if full:
             mixed = mixed.with_inner_radius(math.inf)
-        w1 = product_witness(
-            relabel_witness(zpart, zpart), tower_alignment_witness(u, mixed).witness,
-            point_budget=pb,
-        )
+        w1 = product_witness(zpart, tower_alignment_witness(u, mixed).witness, point_budget=pb)
+        unfold = invert_witness(absorption_witness(k_abs, common_r, point_budget=pb))
+        # w3 starts from (shorter line, k points, behind)
+        w3 = product_witness(unfold, behind, point_budget=pb)
         # (line, rest of the ball, k points, tower) -> (line, k points, rest,
         # tower); at rank 1 there is no rest of the ball and the columns stay
         tail = rank - 1
         width = len(w1.target.rule.orders)
         shuffle = [0, 1 + tail, *range(1, 1 + tail), *range(2 + tail, width)]
-        folded = product_space(product_space(first, k_point_space(k_abs), pb), behind, pb)
-        w2 = relabel_witness(w1.target, folded, columns=shuffle)
-        unfold = invert_witness(absorption_witness(k_abs, k_abs * first_r, point_budget=pb))
-        w3 = product_witness(unfold, relabel_witness(behind, behind), point_budget=pb)
+        w2 = _relabel_stage(w1.target, w3.source, shuffle)
         return compose_witness(compose_witness(w1, w2), w3)
 
-    left = side(n, m * base_r)
-    right = side(m, n * base_r)
-    return compose_witness(left, invert_witness(right), deltas=deltas)
+    # the start space (line ball, remainder) of a side with k = 1 is the
+    # middle space at rank 1; at higher rank the ball is grouped apart from
+    # the remainder, and only the layout differs. It holds as many points
+    # as the middle space, so building it before the sides moves no
+    # BudgetError
+    start = middle
+    if rank > 1 and min(n, m) == 1:
+        start = product_space(product_space(line, ball_tail, pb), rest, pb)
+    left = side(n) if n > 1 else _relabel_stage(start, middle)
+    back = invert_witness(side(m)) if m > 1 else _relabel_stage(middle, start)
+    return compose_witness(left, back, deltas=deltas)

@@ -191,6 +191,17 @@ class TestOutput:
         measured = payload["verification"]["measured"]["forward"]
         assert set(measured) >= {"1.0", "2.0", "5.0"}
 
+    @pytest.mark.parametrize("deltas", ["1,2,5", "inf", "3"])
+    def test_deltas_verify_every_recorded_scale(self, capsys, deltas):
+        # the given scales add to the recorded ones, never narrow them
+        code, payload = run_json(
+            capsys, "witness", "Z + C2", "Z", "--radius", "60", "--deltas", deltas,
+        )
+        assert code == 0
+        moduli = payload["witness"]["moduli"]
+        assert payload["verification"] == {"ok": True, "violations": [], "measured": moduli}
+        assert set(moduli["forward"]) >= {"1.0", "2.0", "4.0", "8.0"}
+
 
 # Full `witness` payloads captured before the distance kernels were blocked:
 # (argv, sha256 of the payload dumped with sorted keys, validity radius,
@@ -372,6 +383,34 @@ def test_the_largest_witness_prints_its_pinned_bytes(capsys):
     assert (code, err) == (0, "")
     assert hashlib.sha256(out.encode()).hexdigest() == \
         "0e449bb56e799654df8eccd45763102382817fe2d634f6e44365865fa8eb3ef2"
+
+
+# one round of the free-chain benchmark workload (seed 5, round 0), written
+# out here so that this test does not depend on the benchmark's job lists
+FREE_CHAIN_ROUND = [
+    ("witness", "Z + C2", "Z", "--radius", "193"),
+    ("witness", "Z + C2^inf + C3", "Z + C2^inf", "--radius", "19"),
+    ("witness", "Z^2 + C2", "Z^2 + C4", "--radius", "6"),
+    ("witness", "Z + C3", "Z + C12", "--radius", "82"),
+    ("witness", "Z + C2^inf", "Z + C2^inf + C3", "--radius", "13"),
+    ("witness", "Z^2", "Z^2 + C4", "--radius", "13"),
+    ("witness", "Z^2 + C4", "Z^2 + C2", "--radius", "11"),
+    ("witness", "Z", "Z + C2", "--radius", "97"),
+    ("witness", "Z^2 + C4", "Z^2", "--radius", "16"),
+    ("witness", "Z + C12", "Z + C3", "--radius", "67"),
+]
+
+
+def test_a_free_chain_round_prints_its_pinned_bytes(capsys):
+    # sha256 of the ten stdouts joined, captured while the chain still
+    # measured a witness for every identity and relabel step
+    outs = []
+    for argv in FREE_CHAIN_ROUND:
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, "")
+        outs.append(out)
+    assert hashlib.sha256("".join(outs).encode()).hexdigest() == \
+        "c57a1d8304e0038e6ef9b3f9f52da84c0897c8a21de29d69f342a67d4a133672"
 
 
 def test_a_witness_job_runs_no_pure_python_encoder_and_no_label_list(capsys, monkeypatch):

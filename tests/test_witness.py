@@ -179,6 +179,25 @@ class TestVerification:
             "modulus recorded at delta=1000000.0, above the validity radius 7.0",
         )
 
+    def test_given_scales_add_to_the_recorded_ones(self):
+        w = iso_witness_chain(parse_group("Z + C2"), parse_group("Z"), radius=60,
+                              deltas=(1, 2, 5))
+        assert sorted(w.forward_moduli) == [1.0, 2.0, 4.0, 5.0, 8.0]
+        bad = dataclasses.replace(w, forward_moduli={**w.forward_moduli, 8.0: 99})
+        rep = verify_witness(bad, [1, 2, 5])
+        assert rep.violations == (
+            f"forward modulus at delta=8.0: recorded 99, measured {w.forward_moduli[8.0]}",
+        )
+        for deltas in ([1, 2, 5], [math.inf], [], None):
+            rep = verify_witness(w, deltas)
+            assert rep.ok
+            assert (rep.forward, rep.backward) == (w.forward_moduli, w.backward_moduli)
+        # a given scale without a record is reported, and measured
+        rep = verify_witness(w, [3])
+        assert rep.violations == ("no recorded forward modulus at delta=3.0",
+                                  "no recorded backward modulus at delta=3.0")
+        assert sorted(rep.forward) == [1.0, 2.0, 3.0, 4.0, 5.0, 8.0]
+
     def test_report_json(self):
         rep = verify_witness(identity_witness(tower_space([2])))
         payload = rep.to_json()
@@ -377,7 +396,8 @@ def test_finish_and_verify_measure_each_direction_once(monkeypatch):
 
 def test_rank_two_chain_at_radius_100_takes_the_window_route(monkeypatch):
     # every table of the chain and its verification at or above WINDOW_MIN
-    # takes the window route; the pair pass reads only smaller tables
+    # takes the window route; the pair pass reads only smaller tables. The
+    # chain measures 8 witnesses, and verification re-measures the last
     from coarseiso import analysis as analysis_mod
 
     routes, pair_sizes = [], []
@@ -389,8 +409,34 @@ def test_rank_two_chain_at_radius_100_takes_the_window_route(monkeypatch):
     w = iso_witness_chain(parse_group("Z^2 + C4"), parse_group("Z^2"), radius=100)
     assert verify_witness(w).ok
     assert all(n < analysis_mod.WINDOW_MIN for n in pair_sizes), pair_sizes
-    assert (routes.count("window"), routes.count("keyed"), routes.count("pairs")) == (10, 1, 3)
-    assert len(pair_sizes) == 3
+    assert (routes.count("window"), routes.count("keyed"), routes.count("pairs")) == (6, 1, 2)
+    assert len(pair_sizes) == 2
+
+
+@pytest.mark.parametrize("pair,finished,built", [
+    (("Z + C2", "Z"), 8, 14),
+    (("Z^2 + C4", "Z^2"), 8, 19),
+], ids=["rank-1", "rank-2"])
+def test_chain_measures_no_identity_or_relabel_step(monkeypatch, pair, finished, built):
+    # a side with k >= 2 measures 7 witnesses and the end 1; identity
+    # factors and relabels are tables, not witnesses
+    witnesses, spaces = [], []
+    finish, init = witness_mod._finish, FiniteSpace.__init__
+
+    def recording_finish(*args, **kwargs):
+        witnesses.append(finish(*args, **kwargs))
+        return witnesses[-1]
+
+    def recording_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        spaces.append(self)
+
+    monkeypatch.setattr(witness_mod, "_finish", recording_finish)
+    monkeypatch.setattr(FiniteSpace, "__init__", recording_init)
+    iso_witness_chain(*map(parse_group, pair), radius=16)
+    assert (len(witnesses), len(spaces)) == (finished, built)
+    for w in witnesses:
+        assert not (w.source == w.target and np.array_equal(w.src, w.dst)), w
 
 
 class TestCombinators:

@@ -338,15 +338,182 @@ def test_relabel_of_table_spaces_matches_labels_not_positions():
                 outcome(old_relabel, source, target, [1, 0]))
 
 
-def test_chain_combinators_match_the_tuple_code(monkeypatch):
-    """A whole rank-2 chain run through the oracle combinators, stage by
-    stage, against the array ones."""
-    g1, g2 = parse_group("Z^2 + C4"), parse_group("Z^2")
+def old_operand(f):
+    """A product operand as the tuple code took it: a space stands for the
+    identity witness on it."""
+    return old_relabel(f, f) if isinstance(f, FiniteSpace) else f
+
+
+@pytest.mark.parametrize("g1,g2", [
+    ("Z^2 + C4", "Z^2"), ("Z^2", "Z^2 + C4"), ("Z + C2", "Z + C3"), ("Z", "Z"),
+])
+def test_chain_combinators_match_the_tuple_code(monkeypatch, g1, g2):
+    """A whole chain run through the oracle combinators, stage by stage,
+    against the array ones. The chain hands products spaces for identity
+    factors, and compositions bare relabel tables; the oracle takes a space
+    as relabel_witness(space, space), and builds each relabel table as the
+    tuple code's relabel witness."""
+    g1, g2 = parse_group(g1), parse_group(g2)
     new = witness_mod.iso_witness_chain(g1, g2, radius=12, deltas=(3.0,))
-    for name, fn in [("compose_witness", old_compose), ("product_witness", old_product),
-                     ("invert_witness", old_invert), ("relabel_witness", old_relabel)]:
-        monkeypatch.setattr(witness_mod, name, fn)
+    calls = {}
+
+    def oracle(name, fn):
+        def run(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(witness_mod, name, run)
+
+    oracle("compose_witness", old_compose)
+    oracle("product_witness",
+           lambda f, g, deltas=(), point_budget=None:
+           old_product(old_operand(f), old_operand(g), deltas, point_budget))
+    oracle("invert_witness", old_invert)
+    oracle("relabel_witness", old_relabel)
+    oracle("_relabel_stage", old_relabel)
     assert_same(new, witness_mod.iso_witness_chain(g1, g2, radius=12, deltas=(3.0,)))
+    # every table of the chain came from an oracle
+    assert calls.get("compose_witness") and calls.get("_relabel_stage")
+
+
+# ---------------------------------------------------------------------------
+# the chain as it measured every identity and relabel step
+
+
+def old_iso_witness_chain(g1, g2, radius=24, depth=4, prime_bound=97, deltas=(),
+                          point_budget=None):
+    """The chain before identity factors entered products as spaces and
+    relabels were composed as bare tables: 10 measured witnesses for a side
+    with k >= 2, a relabel for a side with k = 1, then an inverse and the
+    end. Its combinators are the tuple code above."""
+    w = witness_mod
+    if radius < 0:
+        raise ValueError("radius must be >= 0")
+    if depth < 0:
+        raise ValueError("depth must be >= 0")
+    pb = point_budget
+    verdict = w.coarse_isomorphic(g1, g2)
+    if not verdict.result:
+        raise ValueError(f"groups are not coarsely isomorphic ({verdict.case_label})")
+    c1, c2 = verdict.invariants
+    if c1.r.is_infinite:
+        raise ValueError("infinite rank carries no table-backed witness here")
+    rank = c1.r.finite_value()
+    n, m = verdict.multipliers if verdict.multipliers else (1, 1)
+
+    diff = w.ff_sub(c1.phi, w.phi_of_nat(n))
+    rest_orders = w._capped_enum(diff, depth, prime_bound)
+    full = diff.total_mass.is_finite and len(rest_orders) == diff.total_mass.finite_value()
+    rest = w._torsion_tower(rest_orders, full, pb)
+
+    if rank == 0:
+        orders1 = w._capped_enum(c1.phi, depth, prime_bound)
+        orders2 = w._capped_enum(c2.phi, depth, prime_bound)
+        mass = c1.phi.total_mass
+        full1 = mass.is_finite and len(orders1) == mass.finite_value()
+        u1 = w._torsion_tower(orders1, full1, pb)
+        u2 = w._torsion_tower(orders2, full1, pb)
+        return w.tower_alignment_witness(u1, u2, deltas=deltas).witness
+
+    base_r = max(2, int(radius) // max(n * m, 1))
+    common_r = n * m * base_r
+    line = zball(common_r, point_budget=pb)
+    behind = rest if rank == 1 else product_space(zball(common_r, rank - 1, pb), rest, pb)
+    middle = product_space(line, behind, pb)
+
+    def side(k_abs, first_r):
+        primes = w._prime_multiset(k_abs)
+        u = w._torsion_tower(list(rest_orders) + primes, full, pb)
+        first = zball(first_r, point_budget=pb)
+        zpart = first if rank == 1 else product_space(first, zball(common_r, rank - 1, pb), pb)
+        start = product_space(zpart, u, pb)
+        if k_abs == 1:
+            return old_relabel(start, middle)
+        mixed = tower_space(
+            [k_abs] + list(rest_orders),
+            levels=[1] + list(range(2, len(rest_orders) + 2)),
+            point_budget=pb,
+        )
+        if full:
+            mixed = mixed.with_inner_radius(math.inf)
+        w1 = old_product(
+            old_relabel(zpart, zpart), w.tower_alignment_witness(u, mixed).witness,
+            point_budget=pb,
+        )
+        tail = rank - 1
+        width = len(w1.target.rule.orders)
+        shuffle = [0, 1 + tail, *range(1, 1 + tail), *range(2 + tail, width)]
+        folded = product_space(product_space(first, k_point_space(k_abs), pb), behind, pb)
+        w2 = old_relabel(w1.target, folded, columns=shuffle)
+        unfold = old_invert(w.absorption_witness(k_abs, k_abs * first_r, point_budget=pb))
+        w3 = old_product(unfold, old_relabel(behind, behind), point_budget=pb)
+        return old_compose(old_compose(w1, w2), w3)
+
+    left = side(n, m * base_r)
+    right = side(m, n * base_r)
+    return old_compose(left, old_invert(right), deltas=deltas)
+
+
+# each free-chain slot of the benchmark at its two base radii, both ways
+# round, and the pairs whose multipliers are both 1 or whose rank is 3
+CHAIN_CASES = [
+    *[(a, b, radius) for g1, g2, radii in [
+        ("Z + C12", "Z + C3", (64, 80)),
+        ("Z + C2", "Z", (96, 192)),
+        ("Z + C2^inf", "Z + C2^inf + C3", (12, 18)),
+        ("Z^2 + C4", "Z^2", (12, 16)),
+        ("Z^2 + C2", "Z^2 + C4", (6, 10)),
+    ] for radius in radii for a, b in [(g1, g2), (g2, g1)]],
+    ("Z", "Z", 12), ("Z^2", "Z^2", 6), ("Z^2 + C2^inf", "Z^2 + C4^inf", 6),
+    ("Z^3 + C2", "Z^3", 4), ("Z^3", "Z^3 + C2", 4),
+]
+
+
+@pytest.mark.parametrize("g1,g2,radius", CHAIN_CASES)
+def test_chain_matches_the_chain_that_measured_every_step(g1, g2, radius):
+    g1, g2 = parse_group(g1), parse_group(g2)
+    new, old = (chain(g1, g2, radius=radius)
+                for chain in (witness_mod.iso_witness_chain, old_iso_witness_chain))
+    assert_same(new, old)
+    assert new.source.inner_radius == old.source.inner_radius
+    assert new.target.inner_radius == old.target.inner_radius
+    assert new.to_json() == old.to_json()
+
+
+@pytest.mark.parametrize("g1,g2,radius", [
+    ("Z + C2", "Z", 16), ("Z", "Z + C2", 16), ("Z + C2", "Z + C3", 24),
+    ("Z^2 + C4", "Z^2", 8), ("Z^2", "Z^2 + C4", 8), ("Z", "Z", 8),
+])
+def test_chain_with_extra_scales_matches_the_old_chain(g1, g2, radius):
+    g1, g2 = parse_group(g1), parse_group(g2)
+    for deltas in [(0.5,), (3,), (100,), (0.5, 3, 100)]:
+        assert_same(outcome(witness_mod.iso_witness_chain, g1, g2, radius=radius, deltas=deltas),
+                    outcome(old_iso_witness_chain, g1, g2, radius=radius, deltas=deltas))
+
+
+@pytest.mark.parametrize("g1,g2,radius", [
+    ("Z + C2", "Z", 16), ("Z", "Z + C2", 16), ("Z + C2", "Z + C3", 24),
+    ("Z^2 + C4", "Z^2", 8), ("Z^2", "Z^2 + C4", 8), ("Z^3 + C2", "Z^3", 4), ("Z", "Z", 8),
+    ("Z^2", "Z^2", 6),
+])
+def test_chain_one_point_over_budget_fails_as_the_old_chain(monkeypatch, g1, g2, radius):
+    g1, g2 = parse_group(g1), parse_group(g2)
+    sizes = []
+    init = FiniteSpace.__init__
+
+    def recording(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        sizes.append(len(self))
+
+    monkeypatch.setattr(FiniteSpace, "__init__", recording)
+    old_iso_witness_chain(g1, g2, radius=radius)
+    monkeypatch.setattr(FiniteSpace, "__init__", init)
+    largest = max(sizes)
+    new = outcome(witness_mod.iso_witness_chain, g1, g2, radius=radius, point_budget=largest - 1)
+    assert new == f"BudgetError: {largest} points exceed the budget of {largest - 1}"
+    assert new == outcome(old_iso_witness_chain, g1, g2, radius=radius,
+                          point_budget=largest - 1)
+    assert_same(witness_mod.iso_witness_chain(g1, g2, radius=radius, point_budget=largest),
+                old_iso_witness_chain(g1, g2, radius=radius, point_budget=largest))
 
 
 # ---------------------------------------------------------------------------
