@@ -235,7 +235,7 @@ def _pair_blocks(space: FiniteSpace, idx: np.ndarray) -> Callable[[slice], np.nd
     i <= j of those rows, computed by the rule from the kernel coordinates
     of the table's points (narrowed to integers under a sup rule)."""
     rule = space.rule
-    coords = rule.kernel_coords(rule.kernel_rows(space, idx))
+    coords = rule.kernel_coords(space.coords[idx])
     return lambda blk: rule.dists(coords[blk], coords[blk.start:])
 
 

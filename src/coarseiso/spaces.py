@@ -28,8 +28,10 @@ index of a subset is also its lexicographically minimal label.
 Every path whose method depends on the metric is a method of the rule, so
 callers never test a rule's type outside one input check of tower
 alignment (tests/test_rules.py counts them): SupRule (group balls, towers,
-products), PlaneRule (the example-3.1 curve) and TableRule (generic
-quotients and deserialized tables) share the generic paths of MetricRule.
+products) and PlaneRule (the example-3.1 curve) share the generic paths of
+MetricRule. Quotients exist only where the structure gives them: the
+epsilon-quotient of a structural tower or group ball is the tower of its
+cyclic coordinates above epsilon, and every other quotient is refused.
 
 scipy is imported only for a whole minimum spanning tree: Qhull in
 _triangulation_pairs and csgraph in _kruskal_chain. Components, plane ones
@@ -88,8 +90,9 @@ class MetricRule:
     are the generic paths, written once from ``FiniteSpace.dists_block``:
     the threshold graph read in row blocks for epsilon-components, and the
     Kruskal chain over all pairs of a subset. SupRule and PlaneRule
-    override those their structure reads exactly and faster; TableRule
-    keeps them all.
+    override those their structure reads exactly and faster, and fall back
+    on them where it does not: a sup subset that fills no box, plane points
+    Qhull refuses.
     """
 
     split: Optional[int] = None  # coordinates owned by a product's left factor
@@ -100,11 +103,6 @@ class MetricRule:
         rule's precondition holds: here rows of one width, in their own
         numeric dtype (_label_array)."""
         return _label_array(labels, None, "point labels differ in width")
-
-    def kernel_rows(self, space: "FiniteSpace", idx) -> np.ndarray:
-        """The rows dists reads for the points idx (an index, an index
-        array or a slice): their label rows here."""
-        return space.coords[idx]
 
     def kernel_coords(self, coords: np.ndarray) -> np.ndarray:
         """Kernel rows as the pair pass of oscillation hands them to dists."""
@@ -117,10 +115,6 @@ class MetricRule:
     def label_json(self, coords: np.ndarray) -> bytes:
         """json.dumps(label_lists(coords)), ASCII-encoded."""
         return json.dumps(self.label_lists(coords)).encode()
-
-    def restrict(self, space: "FiniteSpace", idx: np.ndarray) -> "MetricRule":
-        """The rule of the subspace on the ascending indices idx."""
-        return self
 
     def fills_box(self, coords: np.ndarray) -> bool:
         """Whether the rule's coordinate key paths are exact on these rows;
@@ -182,7 +176,8 @@ class MetricRule:
 
     def quotient_parts(self, space: "FiniteSpace", eps: float) -> Optional[list[int]]:
         """Coordinates of the tower the eps-quotient is, or None when the
-        quotient takes the generic path; it always does here."""
+        space has no structural quotient at eps, which quotient_with_projection
+        then refuses; none here."""
         return None
 
     def ball_neighbourhood(self, space: "FiniteSpace", k: int, eps: float) -> Optional[int]:
@@ -514,48 +509,6 @@ class PlaneRule(MetricRule):
         return {"kind": "plane"}
 
 
-class TableRule(MetricRule):
-    """Dense distance table indexed by point position: the kernel
-    coordinates of a table space are its positions, and its labels only
-    name the points (a quotient's are its representatives' labels)."""
-
-    def __init__(self, matrix: np.ndarray, ultrametric: bool):
-        self.matrix = np.asarray(matrix, dtype=float)
-        self.is_ultrametric = ultrametric
-        if self.matrix.ndim != 2 or self.matrix.shape[0] != self.matrix.shape[1]:
-            raise ValueError("distance table must be square")
-
-    def checked_coords(self, labels) -> np.ndarray:
-        """Finite names of one width, one per row of the table."""
-        rows = super().checked_coords(labels)
-        if not np.all(np.isfinite(rows)):
-            raise ValueError("point labels must be finite numbers")
-        if len(rows) != len(self.matrix):
-            raise ValueError("distance table size differs from the point count")
-        return rows
-
-    def kernel_rows(self, space: "FiniteSpace", idx) -> np.ndarray:
-        """Positions, which index the table; names do not."""
-        return np.arange(len(space))[:, None][idx]
-
-    def distance(self, space: "FiniteSpace", i: int, j: int) -> float:
-        return self.matrix[i, j]
-
-    def dists(self, rows: np.ndarray, coords: np.ndarray) -> np.ndarray:
-        return self.matrix[rows[..., 0]][..., coords[:, 0]]
-
-    def restrict(self, space: "FiniteSpace", idx: np.ndarray) -> "TableRule":
-        return TableRule(self.matrix[np.ix_(idx, idx)], self.is_ultrametric)
-
-    def descriptor(self) -> dict:
-        return {"kind": "table", "matrix": self.matrix.tolist()}
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, TableRule) and np.array_equal(
-            self.matrix, other.matrix
-        )
-
-
 # ---------------------------------------------------------------------------
 # the space itself
 
@@ -574,13 +527,13 @@ class FiniteSpace:
     basepoint is present with exact distances.
 
     The points are the rows of one (n, k) array, ``coords``: integers
-    under a sup rule, finite (x, y) pairs under a plane rule, and names
-    under a table rule, whose kernel reads positions. The labels, given
-    as an array or a sequence of rows, become that array at once. Every
-    route, subspaces and deserialized spaces included, checks the same
-    things: the rule's width and values (MetricRule.checked_coords),
-    distinct rows, and a basepoint in range. Label tuples are made only when
-    something reads them (MetricRule.label_lists). ``ultrametric`` and
+    under a sup rule and finite (x, y) pairs under a plane rule, which the
+    rule's kernel reads. The labels, given as an array or a sequence of
+    rows, become that array at once. Every route, subspaces and
+    deserialized spaces included, checks the same things: the rule's width
+    and values (MetricRule.checked_coords), distinct rows, and a basepoint
+    in range. Label tuples are made only when something reads them
+    (MetricRule.label_lists). ``ultrametric`` and
     ``structural`` are read from the rule and the points, never given.
     """
 
@@ -682,8 +635,7 @@ class FiniteSpace:
     def dists_block(self, rows, cols) -> np.ndarray:
         """Distances d[rows][..., cols], computed from the rule; rows is an
         index, an index array or a slice, cols an index array or a slice."""
-        kernel = self.rule.kernel_rows
-        return self.rule.dists(kernel(self, rows), kernel(self, cols))
+        return self.rule.dists(self.coords[rows], self.coords[cols])
 
     def dmat(self) -> np.ndarray:
         """Dense distance matrix; refuses above DENSE_LIMIT points."""
@@ -716,15 +668,15 @@ class FiniteSpace:
 
     @staticmethod
     def from_json(text: str) -> "FiniteSpace":
-        """The space to_json wrote. Refuses an ultrametric flag that differs
-        from a sup or plane rule's, a table flagged ultrametric that breaks
-        the strong triangle inequality, and "structural": true on points
+        """The space to_json wrote. Refuses a rule kind other than a sup
+        rule's ("tower", "group-ball", "product") or "plane", an ultrametric
+        flag that differs from the rule's, and "structural": true on points
         that fill no box; "structural": false is read from the points."""
         payload = json.loads(text)
         if payload.get("version") != 1:
             raise ValueError("unsupported serialization version")
         r = payload["inner_radius"]
-        rule = _rule_from_descriptor(payload["rule"], payload["ultrametric"])
+        rule = _rule_from_descriptor(payload["rule"])
         if rule.is_ultrametric != payload["ultrametric"]:
             raise ValueError("ultrametric flag differs from the rule's")
         space = FiniteSpace(payload["labels"], rule, payload["basepoint"],
@@ -783,26 +735,16 @@ def _has_equal_rows(coords: np.ndarray) -> bool:
     return not _ascends(coords) and not _ascends(coords[np.lexsort(coords.T[::-1])])
 
 
-def _rule_from_descriptor(desc: dict, ultrametric: bool) -> MetricRule:
-    """The rule a descriptor names; a table descriptor carries no flag of
-    its own, so its ultrametric flag is the space's, and is checked."""
+def _rule_from_descriptor(desc: dict) -> MetricRule:
+    """The rule a descriptor names."""
     kind = desc["kind"]
-    if kind == "table":
-        rule = TableRule(np.asarray(desc["matrix"]), ultrametric)
-        # oscillation reads each pair once, as (i, j) with i <= j
-        m = rule.matrix
-        if not np.array_equal(m, m.T) or np.any(np.diag(m) != 0):
-            raise ValueError("distance table must be symmetric with a zero diagonal")
-        if ultrametric:
-            _verify_ultrametric(m)
-        return rule
     if kind == "tower":
         return SupRule.tower(desc["orders"], desc["levels"])
     if kind == "group-ball":
         return SupRule.group_ball(desc["free_rank"], desc["cyclic_orders"], desc["cyclic_levels"])
     if kind == "product":
-        rule = SupRule.product(_rule_from_descriptor(desc["left"], ultrametric),
-                               _rule_from_descriptor(desc["right"], ultrametric))
+        rule = SupRule.product(_rule_from_descriptor(desc["left"]),
+                               _rule_from_descriptor(desc["right"]))
         if desc["split"] != rule.split:
             raise ValueError("product split differs from the width of its left factor")
         return rule
@@ -988,12 +930,11 @@ def subspace(space: FiniteSpace, indices: Sequence[int], basepoint: Optional[int
     """Induced metric on a subset of points. The basepoint defaults to the
     ambient one and must belong to the subset."""
     idx = np.asarray(sorted(int(i) for i in indices), dtype=np.int64)
-    rule = space.rule.restrict(space, idx)
     base = space.basepoint if basepoint is None else basepoint
     where = np.flatnonzero(idx == base)
     if not len(where):
         raise ValueError("basepoint must belong to the subset")
-    return FiniteSpace(space.coords[idx], rule, int(where[0]), space.inner_radius)
+    return FiniteSpace(space.coords[idx], space.rule, int(where[0]), space.inner_radius)
 
 
 def product_space(
@@ -1080,9 +1021,9 @@ class ComponentPartition:
     each representative is the lexicographically minimal point (equivalently
     minimal index) of its block. point_block[i] is the block of point i;
     the block tuples are built only when read, and the components report,
-    the factorization fiber, the generic quotient and the isometry claim
-    never read them. Partitions are equal, and hash alike, when their
-    epsilon and their blocks are equal."""
+    the factorization fiber and the isometry claim never read them.
+    Partitions are equal, and hash alike, when their epsilon and their
+    blocks are equal."""
 
     epsilon: Num
     representatives: tuple[int, ...]
@@ -1198,7 +1139,7 @@ def delaunay_edges(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     every Delaunay triangulation, so every pair is joined by a path of
     edges no longer than itself: the minimum spanning tree of these edges
     gives the single-linkage heights of the full distance graph, which
-    step estimation and the generic plane quotient read from here. Every
+    step estimation reads from here. Every
     point has its edges: one Qhull sets aside is a ValueError."""
     n = len(pts)
     ii, jj = _triangulation_pairs(pts)
@@ -1209,9 +1150,9 @@ def delaunay_edges(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]
 
 def plane_edges(space: FiniteSpace) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Delaunay edges of a plane fixture, cached on the space: one
-    triangulation serves its generic quotients, the step candidates and
-    every step window, a smaller window keeping the edges inside it and
-    adding a triangulation of its border (see PlaneRule.subset_edges).
+    triangulation serves the step candidates and every step window, a
+    smaller window keeping the edges inside it and adding a triangulation
+    of its border (see PlaneRule.subset_edges).
     Qhull's refusal of the points is cached too, and raised on every call.
     Epsilon-components need none (see _plane_components). So a step on
     example31:20:0.01 triangulates 6,573 + 225 + 204 points, where whole
@@ -1460,80 +1401,28 @@ def epsilon_components(space: FiniteSpace, epsilon: Num) -> ComponentPartition:
 def quotient_with_projection(
     space: FiniteSpace, epsilon: Num
 ) -> tuple[FiniteSpace, ComponentPartition]:
-    """Quotient ultrametric space together with the defining partition.
-
-    d(A, B) = least realized delta >= epsilon at which A and B fall in one
-    delta-component; on towers and group balls this is the level of the
-    highest differing retained coordinate, computed directly. Elsewhere it
-    is read off the space's chain (MetricRule.chain): its runs cut where
-    gap > epsilon are the blocks, a ValueError if they are not, and two
-    blocks are the largest gap between them along the order apart.
+    """Quotient ultrametric space together with the defining partition,
+    on a structural tower or group ball (MetricRule.quotient_parts): the
+    blocks are keyed by the cyclic coordinates above epsilon, and the
+    quotient is the tower of those coordinates. d(A, B), the least realized
+    delta >= epsilon at which A and B fall in one delta-component, is then
+    the level of the highest retained coordinate in which they differ. A
+    NaN or negative epsilon raises ValueError, and so does every other
+    space or scale: plane fixtures, subsets that fill no box, epsilon below
+    a free coordinate's scale, and retained levels that coincide.
     """
     eps = _check_epsilon(epsilon)
     parts = space.rule.quotient_parts(space, eps)
+    if parts is None:
+        raise ValueError(f"{space!r} needs a structural quotient at epsilon {epsilon}: a "
+                         "tower or group ball, epsilon >= 1 where a coordinate is free, "
+                         "and distinct retained levels")
     partition = epsilon_components(space, epsilon)
-    base_block = int(partition.point_block[space.basepoint])
-
-    if parts is not None:
-        coords = space.coords[list(partition.representatives)][:, parts]
-        rule = SupRule.tower([space.rule.orders[c] for c in parts],
-                             [space.rule.levels[c] for c in parts])
-        q = FiniteSpace(coords, rule, base_block, space.inner_radius)
-        return q, partition
-
-    # generic path: single-linkage merge heights of the blocks, read off the
-    # space's chain, whose runs cut where gap > eps are the blocks
-    b = partition.count
-    if b > DENSE_LIMIT:
-        raise BudgetError(f"quotient with {b} blocks exceeds the dense limit")
-    order, gap = space.rule.chain(space, np.arange(len(space)))
-    cut = gap > eps
-    cut[0] = True  # gap[0] = inf, and eps may be inf too
-    ranked = partition.point_block[order]
-    chain, gap = ranked[cut], gap[cut]
-    if len(chain) != b or np.any(ranked != chain[np.cumsum(cut) - 1]):
-        raise ValueError(f"the chain's runs at {epsilon} differ from the components")
-    qd = _chain_heights(chain, gap)
-    base_spread = float(np.max(space.base_dists[partition.point_block == base_block]))
-    inner = max(0.0, float(space.inner_radius) - base_spread)
-    _verify_ultrametric(qd)
-    # the representatives' labels name the blocks, ints under a sup rule
-    labels = space.label_lists(partition.representatives)
-    return FiniteSpace(labels, TableRule(qd, True), base_block, inner), partition
-
-
-def _chain_heights(chain: np.ndarray, gap: np.ndarray) -> np.ndarray:
-    """The table of merge heights of the blocks chain[0], ..., chain[b - 1],
-    indexed by block: chain[i] and chain[j], i < j, merge at
-    max(gap[i + 1:j + 1]). Filled a block of rows at a time, so memory
-    stays near the table and one block of rows: along the chain order the
-    heights from a row to the positions outside its block split at the
-    block's ends into running maxima of the gaps, one along the block and
-    one along the outside, joined by an outer maximum."""
-    b = len(chain)
-    pos = np.arange(b)
-    place = np.empty(b, dtype=np.int64)
-    place[chain] = pos
-    # h[k] = gap[k + 1]: positions i < j merge at max(h[i:j])
-    h = np.append(gap[1:], 0.0)
-    qd = np.empty((b, b))
-    for blk in row_blocks(b):
-        s, e = blk.start, blk.stop
-        # rows i of the block: max(h[j:i]) = max(h[j:s], h[s:i]) for j < s,
-        # and max(h[i:j]) = max(h[i:e], h[e:j]) for j >= e
-        to_s = np.maximum.accumulate(h[:s][::-1])[::-1]
-        from_e = np.maximum.accumulate(np.append(0.0, h[e:]))[: b - e]
-        from_s = np.maximum.accumulate(np.append(0.0, h[s:e - 1]))
-        to_e = np.maximum.accumulate(h[s:e][::-1])[::-1]
-        outer = np.concatenate((to_s, np.zeros(e - s), from_e))[place]
-        rows = np.where((pos < s)[place], from_s[:, None], to_e[:, None])
-        np.maximum(rows, outer, out=rows)
-        # pairs inside the block: a running maximum along each row, mirrored
-        inner = pos[blk]
-        t = np.maximum.accumulate(np.where(inner > inner[:, None], h[inner - 1], 0.0), axis=1)
-        rows[:, chain[blk]] = np.maximum(t, t.T)
-        qd[chain[blk]] = rows
-    return qd
+    coords = space.coords[list(partition.representatives)][:, parts]
+    rule = SupRule.tower([space.rule.orders[c] for c in parts],
+                         [space.rule.levels[c] for c in parts])
+    q = FiniteSpace(coords, rule, int(partition.point_block[space.basepoint]), space.inner_radius)
+    return q, partition
 
 
 def quotient_space(space: FiniteSpace, epsilon: Num) -> FiniteSpace:

@@ -403,15 +403,12 @@ def factorization_witness(
     coordinates above epsilon key the components and are the quotient's
     coordinates. So the source point (fiber point y, quotient point z) maps
     to y with those coordinates replaced by z's, wherever that point exists.
-    Any other space is a ValueError.
+    Any other space or scale, and a NaN or negative epsilon, is the
+    ValueError of quotient_with_projection.
     """
     eps = float(epsilon)
-    if eps < 0:
-        raise ValueError("epsilon must be >= 0")
-    kept = space.rule.quotient_parts(space, eps)
-    if kept is None:
-        raise ValueError("factorization needs a structural quotient at this scale")
     quotient, part = quotient_with_projection(space, eps)
+    kept = space.rule.quotient_parts(space, eps)
     fiber = subspace(space, np.flatnonzero(part.point_block == part.point_block[space.basepoint]))
     source = product_space(fiber, quotient)
 

@@ -4,6 +4,8 @@ and dimension covers, each checked against a hand or brute-force oracle."""
 from __future__ import annotations
 
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,7 +30,6 @@ from coarseiso.spaces import (
     MetricRule,
     PlaneRule,
     SupRule,
-    TableRule,
     _kruskal_chain,
     build_truncation,
     canonical_ultrametric,
@@ -43,6 +44,11 @@ from coarseiso.spaces import (
     tower_space,
     zball,
 )
+
+
+sys.path.insert(0, str(Path(__file__).resolve().parent))
+
+from dense_rule import as_dense, dense_space  # noqa: E402
 
 
 def ff(values, default=0):
@@ -359,7 +365,7 @@ def test_chain_order_matches_single_linkage(plane, data):
         subset = np.arange(len(sp))
     else:
         zb = zball(3, 2)
-        sp = FiniteSpace(zb.labels, TableRule(zb.dmat(), ultrametric=False), zb.basepoint, 3)
+        sp = dense_space(zb.dmat(), zb.basepoint, 3)
         subset = np.asarray(sorted(data.draw(st.sets(st.integers(0, len(zb) - 1), min_size=2))))
     tree = linkage(squareform(sp.dmat()[np.ix_(subset, subset)]), "single")
     heights = sorted(set(tree[:, 2].tolist()))
@@ -483,7 +489,7 @@ def assert_keyed_matches_every_oracle(source, target, src, dst, deltas):
     the pair pass on table copies of the spaces, the per-block loop, and
     brute_oscillation at the pair pass's bound."""
     got = oscillation(source, target, src, dst, deltas)
-    assert got == oscillation(as_table(source), as_table(target), src, dst, deltas)
+    assert got == oscillation(as_dense(source), as_dense(target), src, dst, deltas)
     assert got == ([loop_oscillation(source, target, src, dst, d) for d in deltas],
                    [loop_oscillation(target, source, dst, src, d) for d in deltas])
     assert got == ([brute_oscillation(source, target, src, dst, d + 1e-12) for d in deltas],
@@ -524,7 +530,7 @@ def test_keyed_oscillation_counts_a_level_just_above_the_scale():
     sp = tower_space([2, 2])
     src, dst = np.arange(4), np.array([0, 2, 1, 3])
     assert oscillation(sp, sp, src, dst, 2 - 5e-13) == (3.0, 3.0)
-    assert oscillation(as_table(sp), as_table(sp), src, dst, 2 - 5e-13) == (3.0, 3.0)
+    assert oscillation(as_dense(sp), as_dense(sp), src, dst, 2 - 5e-13) == (3.0, 3.0)
     assert_keyed_matches_every_oracle(sp, sp, src, dst, near_levels(sp))
 
 
@@ -547,13 +553,7 @@ def test_repeated_indices_agree_on_every_path(source, target):
             [brute_oscillation(target, source, dst, src, d) for d in deltas])
     assert want[0][0] > 0
     assert oscillation(source, target, src, dst, deltas) == want
-    assert oscillation(as_table(source), as_table(target), src, dst, deltas) == want
-
-
-def as_table(sp):
-    """The same points and distances behind a dense table rule."""
-    return FiniteSpace(sp.labels, TableRule(sp.dmat(), ultrametric=False), sp.basepoint,
-                       sp.inner_radius)
+    assert oscillation(as_dense(source), as_dense(target), src, dst, deltas) == want
 
 
 def chain_cophenet(order, gap):
@@ -597,7 +597,7 @@ coinciding_levels = st.sampled_from([
 
 
 @settings(max_examples=120, deadline=None)
-@given(st.one_of(sup_spaces, coinciding_levels, plane_grids(), sup_spaces.map(as_table)),
+@given(st.one_of(sup_spaces, coinciding_levels, plane_grids(), sup_spaces.map(as_dense)),
        st.data())
 def test_chain_order_matches_cophenet(sp, data):
     # every chain against scipy's single linkage: structural spaces on balls
@@ -719,7 +719,7 @@ def step_spaces(draw):
     if kind == "subset":
         picked = sorted(draw(st.sets(st.integers(0, len(sp) - 1), min_size=1)))
         return subspace(sp, picked, basepoint=draw(st.sampled_from(picked)))
-    return as_table(sp) if kind == "table" else sp
+    return as_dense(sp) if kind == "table" else sp
 
 
 @settings(max_examples=60, deadline=None)
@@ -903,7 +903,7 @@ exhaustive_spaces = st.one_of(
     st.tuples(st.integers(1, 2), st.sampled_from([0.25, 0.5])).map(
         lambda t: example31_fixture(t[0], t[1], 3)
     ),
-    sup_spaces.map(as_table),
+    sup_spaces.map(as_dense),
 )
 
 
@@ -930,7 +930,7 @@ def test_block_oscillation_over_several_blocks_and_uncached_rows():
     m = rng.integers(1, 6, size=(n, n)).astype(float)
     m = np.minimum(m, m.T)
     np.fill_diagonal(m, 0.0)
-    table = FiniteSpace([(i,) for i in range(n)], TableRule(m, ultrametric=False), 0, 5)
+    table = dense_space(m, 0, 5)
     line = zball(1600)
     assert len(row_blocks(n)) > 1
     src = rng.permutation(n)
@@ -946,7 +946,7 @@ def test_block_oscillation_over_several_blocks_and_uncached_rows():
 @pytest.mark.parametrize("make", [
     lambda: (zball(12), build_truncation(parse_group("Z + C3"), radius=6)),
     lambda: (example31_fixture(1, 0.5, 3), zball(20)),
-    lambda: (as_table(product_space(zball(4), tower_space([3]))), example31_fixture(1, 0.5, 3)),
+    lambda: (as_dense(product_space(zball(4), tower_space([3]))), example31_fixture(1, 0.5, 3)),
 ])
 def test_pair_pass_over_many_small_blocks(make, monkeypatch):
     # blocks of a few rows each: every row block reads only the columns from
@@ -971,7 +971,7 @@ def test_pair_pass_over_many_small_blocks(make, monkeypatch):
                  id="free-with-ultrametric"),
     pytest.param(lambda: (example31_fixture(1, 0.25, 3), example31_fixture(1, 0.5, 3)), False,
                  id="plane"),
-    pytest.param(lambda: (as_table(zball(3, 2)), as_table(tower_space([7, 7]))), False,
+    pytest.param(lambda: (as_dense(zball(3, 2)), as_dense(tower_space([7, 7]))), False,
                  id="table"),
     pytest.param(lambda: (example31_fixture(1, 0.25, 3), zball(30)), False,
                  id="plane-with-integer-sup"),
@@ -1162,7 +1162,7 @@ def spread_points(sp, step):
     pytest.param(lambda: (zball(400), spread_points(zball(2000), 5)), "pairs",
                  id="sparse-target-box"),
     pytest.param(lambda: (example31_fixture(8, 0.01, 50), zball(2000)), "pairs", id="plane"),
-    pytest.param(lambda: (as_table(zball(400)), zball(400)), "pairs", id="table"),
+    pytest.param(lambda: (as_dense(zball(400)), zball(400)), "pairs", id="table"),
 ])
 def test_each_kind_of_table_takes_its_route(make, route):
     source, target = make()
@@ -1345,12 +1345,10 @@ def test_step_where_qhull_refuses_the_points_matches_the_all_pairs_table(make, r
     sp = make()
     with pytest.raises(ValueError, match=refusal):
         spaces_mod.plane_edges(sp)
-    assert estimate_factorizing_step(sp) == estimate_factorizing_step(as_table(sp))
+    assert estimate_factorizing_step(sp) == estimate_factorizing_step(as_dense(sp))
     for subset in (np.arange(len(sp)), np.flatnonzero(sp.base_dists <= sp.base_dists.max() / 2)):
         assert np.array_equal(window_cophenet(sp, subset), single_linkage_cophenet(sp, subset))
-    q, part = quotient_with_projection(sp, 0.5)
-    q_table, part_table = quotient_with_projection(as_table(sp), 0.5)
-    assert part.blocks == part_table.blocks and np.array_equal(q.dmat(), q_table.dmat())
+    assert epsilon_components(sp, 0.5).blocks == epsilon_components(as_dense(sp), 0.5).blocks
     # the cached refusal is raised again on every later call
     for _ in range(2):
         with pytest.raises(ValueError, match=refusal):
@@ -1369,7 +1367,7 @@ def test_a_refused_space_runs_qhull_once(monkeypatch):
 
     monkeypatch.setattr(spaces_mod, "_triangulation_pairs", counting)
     sp = doubled_cluster()
-    want = estimate_factorizing_step(as_table(sp))
+    want = estimate_factorizing_step(as_dense(sp))
     assert estimate_factorizing_step(sp) == want
     assert calls == [len(sp)]
     with pytest.raises(ValueError, match="set aside 1 of 15"):
@@ -1380,7 +1378,7 @@ def test_a_refused_space_runs_qhull_once(monkeypatch):
 def test_image_diameter_of_a_table_over_several_blocks():
     # the two ends of the line come last, so only the last row block of
     # the pair pass sees the widest pair
-    table = as_table(zball(700))
+    table = as_dense(zball(700))
     idx = np.concatenate([np.arange(1, len(table) - 1), [0, len(table) - 1]])
     assert len(row_blocks(len(idx))) > 1
     point = np.zeros(len(idx), dtype=np.int64)
@@ -1396,14 +1394,14 @@ def test_step_on_a_line_matches_the_all_pairs_table():
             pts = [(t * direction[0] / 4, t * direction[1] / 4) for t in steps]
             sp = FiniteSpace(sorted(pts), PlaneRule(), 0, 0)
             got = estimate_factorizing_step(sp).to_json()
-            assert got == estimate_factorizing_step(as_table(sp)).to_json()
+            assert got == estimate_factorizing_step(as_dense(sp)).to_json()
 
 
 def test_step_and_components_share_one_triangulation(monkeypatch):
     # components come from a cell grid and triangulate nothing; the
     # candidate MST and every window of a step read the cached plane
     # edges, so only the borders of the 0.5 and 0.75 windows triangulate
-    # anew; a generic plane quotient triangulates its space once
+    # anew; a plane quotient is refused before anything is triangulated
     import scipy.spatial
 
     sizes = []
@@ -1421,8 +1419,9 @@ def test_step_and_components_share_one_triangulation(monkeypatch):
     assert len(sizes) == 3 and sizes.count(len(sp)) == 1
     epsilon_components(sp, 1.0)
     assert len(sizes) == 3
-    quotient_with_projection(example31_fixture(8, 0.01, 50), 1.0)
-    assert len(sizes) == 4 and sizes[-1] == len(sp)
+    with pytest.raises(ValueError, match="structural quotient"):
+        quotient_with_projection(example31_fixture(8, 0.01, 50), 1.0)
+    assert len(sizes) == 3
 
 
 def test_step_work_is_pinned(monkeypatch):

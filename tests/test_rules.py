@@ -1,5 +1,6 @@
 """The metric-rule protocol: every path a rule chooses, checked against a
-brute-force oracle built from the scalar distance `FiniteSpace.d`, a count
+brute-force oracle built from the scalar distance `FiniteSpace.d`, on the
+package's rules and on a dense table that takes every generic path, a count
 of the places in the package that still test a rule's type, checks that
 points have one store and that removed rule methods stay gone, and the
 derived `structural` property against a brute-force box test."""
@@ -9,6 +10,7 @@ from __future__ import annotations
 import ast
 import itertools
 import math
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -27,22 +29,25 @@ from coarseiso.spaces import (
     example31_fixture,
     k_point_space,
     product_space,
-    quotient_space,
     subspace,
     tower_space,
     zball,
 )
 
-# the four kinds of space the rules serve, and one of each rule read back
-# from its JSON text
+sys.path.insert(0, str(Path(__file__).resolve().parent))
+
+from dense_rule import as_dense  # noqa: E402
+
+# the three kinds of space the rules serve, a dense table of a plane sample,
+# and each package rule read back from its JSON text
 SPACES = {
     "sup-box": lambda: product_space(build_truncation(parse_group("Z + C3"), radius=3),
                                      tower_space([2], levels=[5])),
     "sup-subset": lambda: subspace(zball(4, 2), [i for i in range(81) if i % 7 not in (2, 3)]),
     "plane": lambda: example31_fixture(2, 0.2, 3),
-    "table": lambda: quotient_space(example31_fixture(2, 0.2, 3), 0.1),
+    "dense": lambda: as_dense(example31_fixture(2, 0.2, 3)),
 }
-RELOADED = {f"{kind}-json": kind for kind in ("sup-subset", "plane", "table")}
+RELOADED = {f"{kind}-json": kind for kind in ("sup-subset", "plane")}
 SPACES.update({name: lambda kind=kind: FiniteSpace.from_json(SPACES[kind]().to_json())
                for name, kind in RELOADED.items()})
 
@@ -59,7 +64,7 @@ def test_the_four_kinds_are_what_they_say(case):
     name, sp, _ = case
     kind = RELOADED.get(name, name)
     assert type(sp.rule).__name__ == {"sup-box": "SupRule", "sup-subset": "SupRule",
-                                      "plane": "PlaneRule", "table": "TableRule"}[kind]
+                                      "plane": "PlaneRule", "dense": "DenseRule"}[kind]
     if kind.startswith("sup"):
         assert sp.structural == (kind == "sup-box")
     assert len(sp) >= 30
@@ -129,7 +134,7 @@ def test_components_are_those_of_the_threshold_graph(case):
 # ---------------------------------------------------------------------------
 # rule-type tests in the package
 
-RULE_CLASSES = {"SupRule", "PlaneRule", "TableRule"}
+RULE_CLASSES = {"SupRule", "PlaneRule"}
 # the most places outside the rule classes that may test a rule's type:
 # the input precondition of tower alignment
 TYPE_TEST_LIMIT = 1
@@ -199,13 +204,13 @@ def rule_type_tests(source: str) -> list[int]:
 
 
 @pytest.mark.parametrize("snippet", [
-    "isinstance(space.rule, TableRule)",
+    "isinstance(space.rule, PlaneRule)",
     "isinstance(r, (SupRule, PlaneRule))",
     "issubclass(cls, spaces.MetricRule)",
     "type(space.rule) is PlaneRule",
     "space.rule.__class__",
     "type(rule).__name__",
-    "name == 'TableRule'",
+    "name == 'PlaneRule'",
     "space.rule.descriptor()['kind'] != 'plane'",
     "def f(space):\n    k = space.rule.descriptor()['kind']\n    return k == 'table'",
     "hasattr(space.rule, 'matrix')",
@@ -224,6 +229,14 @@ def test_rule_methods_and_other_reads_are_not_counted():
               "def _rule_from_descriptor(desc):\n    return desc['kind'] == 'tower'\n"
               "class SupRule:\n    def split(self):\n        return isinstance(self, SupRule)\n")
     assert rule_type_tests(source) == []
+
+
+def test_rule_classes_are_the_package_s_rules():
+    # the rule classes the scanner skips are every MetricRule of the
+    # package; the dense rule of the tests is none of them
+    package = {c.__name__ for c in MetricRule.__subclasses__()
+               if c.__module__.startswith("coarseiso.")}
+    assert RULE_CLASSES == package
 
 
 def test_few_places_test_a_rule_type():
@@ -264,7 +277,7 @@ def label_store_reads(source: str) -> list[int]:
 
 
 @pytest.mark.parametrize("snippet", [
-    "class TableRule:\n    def label_rows(self, space):\n        return space.coords",
+    "class PlaneRule:\n    def label_rows(self, space):\n        return space.coords",
     "def coords_of(labels):\n    return labels",
     "class SupRule:\n    check_labels = None",
     "rule.coords_of = len",
@@ -292,8 +305,9 @@ def test_no_module_keeps_a_second_label_store():
 # rule methods that are gone
 
 # oscillation's keyed and window routes read sup_rows, which replaced
-# level_rows, and take no diameter
-REMOVED_RULE_METHODS = {"diameter", "delta_blocks", "level_rows"}
+# level_rows, and take no diameter; dists_block and subspace read the rows
+# and the rule of the space, with no kernel_rows or restrict hook
+REMOVED_RULE_METHODS = {"diameter", "delta_blocks", "level_rows", "kernel_rows", "restrict"}
 
 
 def removed_method_uses(source: str) -> list[int]:
@@ -320,6 +334,8 @@ def removed_method_uses(source: str) -> list[int]:
     "fwd = max(target.rule.diameter(target, idx) for idx in blocks)",
     "keys = source.rule.delta_blocks",
     "rows = space.rule.level_rows(space, idx)",
+    "rows = space.rule.kernel_rows(space, idx)",
+    "class MetricRule:\n    def restrict(self, space, idx):\n        return self",
 ])
 def test_every_removed_rule_method_is_counted(snippet):
     assert len(removed_method_uses(snippet)) == 1
@@ -345,7 +361,7 @@ def test_no_module_keeps_a_removed_rule_method():
 def box_by_enumeration(sp) -> bool:
     """Whether the labels are exactly every free value in its coordinate's
     range combined with every cyclic tuple that occurs, built with
-    itertools.product; True under plane and table rules."""
+    itertools.product; True under every other rule."""
     if not isinstance(sp.rule, SupRule):
         return True
     free = [c for c, o in enumerate(sp.rule.orders) if o == 0]
@@ -479,7 +495,7 @@ def test_every_declared_flag_is_counted(snippet):
 
 
 def test_derived_flags_and_table_flags_are_not_counted():
-    source = ("TableRule(m, ultrametric=True)\nFiniteSpace(rows, rule, 0, 1)\n"
+    source = ("PlaneRule(ultrametric=True)\nFiniteSpace(rows, rule, 0, 1)\n"
               "space.structural\nspace.ultrametric\nrule.fills_box(coords)\n")
     assert declared_flags(source) == []
 

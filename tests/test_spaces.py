@@ -9,8 +9,9 @@ import inspect
 import itertools
 import json
 import math
+import sys
 import weakref
-from unittest import mock
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,7 +27,6 @@ from coarseiso.spaces import (
     FiniteSpace,
     MetricRule,
     PlaneRule,
-    TableRule,
     build_truncation,
     canonical_ultrametric,
     cantor_cube_truncation,
@@ -48,6 +48,10 @@ from coarseiso.spaces import (
 )
 from coarseiso.spaces import _connected_labels, _grid_scale, _partition_from_keys, _round_decimals
 from coarseiso.witness import space_id
+
+sys.path.insert(0, str(Path(__file__).resolve().parent))
+
+from dense_rule import as_dense  # noqa: E402
 
 
 def ff(values, default=0):
@@ -430,8 +434,8 @@ class TestComponents:
     @pytest.mark.parametrize("make", [
         lambda: build_truncation(parse_group("Z + C2"), radius=3),
         lambda: example31_fixture(2, 0.25, 5),
-        lambda: FiniteSpace(zball(4).labels, TableRule(zball(4).dmat(), ultrametric=False), 0, 4),
-    ], ids=["sup", "plane", "table"])
+        lambda: as_dense(zball(4)),
+    ], ids=["sup", "plane", "dense"])
     def test_nan_epsilon_rejected_and_inf_gives_one_block(self, make):
         # NaN compares false with everything, so `eps < 0` let it through
         sp = make()
@@ -459,14 +463,14 @@ class TestComponents:
 
     def test_block_dmat_matches_stacked_rows(self):
         # sup rules with free and cyclic coordinates, the plane (same
-        # rounding) and a table, each filled over several row blocks
+        # rounding) and a dense table, each filled over several row blocks
         rng = np.random.default_rng(5)
         line = zball(1100)
         spaces = [
             zball(20, 2),
             product_space(build_truncation(parse_group("Z + C3"), radius=60), tower_space([2, 2])),
             example31_fixture(4, 0.01, 5),
-            FiniteSpace(line.labels, TableRule(line.dmat(), ultrametric=False), 0, 5),
+            as_dense(line),
         ]
         for sp in spaces:
             n = len(sp)
@@ -585,15 +589,6 @@ class TestFlatPlane:
     @pytest.mark.parametrize("eps", [0.0, 0.25, 0.6, 1.0, 1.2, 5.0])
     def test_components_match_all_pairs(self, sp, eps):
         assert epsilon_components(sp, eps).blocks == threshold_blocks(sp.dmat(), eps)
-
-    @pytest.mark.parametrize("sp", flat, ids=ids)
-    @pytest.mark.parametrize("eps", [0.0, 0.3, 0.6, 1.2])
-    def test_generic_quotient_matches_single_linkage(self, sp, eps):
-        q, part = quotient_with_projection(sp, eps)
-        same, coph = single_linkage_quotient(sp, eps)
-        assert np.array_equal(part.point_block[:, None] == part.point_block[None, :], same)
-        reps = list(part.representatives)
-        assert np.array_equal(q.dmat(), coph[np.ix_(reps, reps)])
 
 
 def plane_points(points):
@@ -919,161 +914,23 @@ class TestQuotient:
         assert len(q) == 2
         assert q.d(0, 1) == 2
 
-    def test_generic_quotient_single_linkage(self):
-        zb = zball(11)
-        line = subspace(zb, [zb.index[(v,)] for v in (0, 1, 2, 10, 11)])
-        q = quotient_space(line, 1)
-        assert len(q) == 2
-        assert q.d(0, 1) == 8.0  # least gap between the two chains
-        assert q.ultrametric
-
-    def test_plane_quotient_is_ultrametric_table(self):
-        sp = example31_fixture(1, 0.5, 3)
-        q = quotient_space(sp, 1.0)
-        assert isinstance(q.rule, TableRule)
-        assert q.ultrametric
-        validate_metric(q)
-
-    def test_quotient_below_the_free_scale_keeps_every_point(self):
-        sp = build_truncation(parse_group("Z + C2"), radius=2)
-        q, part = quotient_with_projection(sp, 0.5)
-        assert isinstance(q.rule, TableRule)
-        assert part.count == len(sp)
-        assert dist_values(q) == [0.0, 1.0, 2.0]  # single-linkage heights
-
-    def test_coinciding_product_levels_take_the_generic_path(self):
-        # two factors with a cyclic coordinate at level 3 each: no tower
-        p = product_space(tower_space([2], levels=[3]), tower_space([3], levels=[3]))
-        q, part = quotient_with_projection(p, 1)
-        assert isinstance(q.rule, TableRule)
-        assert part.count == len(p)
-        assert np.array_equal(q.dmat(), p.dmat())
-
     def test_quotient_distances_exceed_epsilon(self):
         q = quotient_space(tower_space([2, 2, 3]), 2)
         vals = [v for v in dist_values(q) if v > 0]
         assert vals and min(vals) > 2
 
-    @pytest.mark.parametrize("make", [
-        lambda: example31_fixture(1, 0.5, 3),
-        lambda: example31_fixture(3, 0.1, 3),
-        lambda: example31_fixture(4, 0.05, 6),
-        lambda: FiniteSpace(sorted(map(tuple, np.round(
-            np.random.default_rng(5).uniform(-3, 3, size=(300, 2)), 3).tolist())),
-            PlaneRule(), 0, 0),
-        lambda: subspace(zball(6, 2), [i for i in range(169) if i % 5 and i % 11 != 3]),
-        lambda: as_table(tower_space([2, 3, 2])),
-        lambda: product_space(tower_space([2, 2], levels=[2, 3]), tower_space([3], levels=[3])),
-        lambda: product_space(zball(3), tower_space([2])),
-    ], ids=["fixture-1", "fixture-3", "fixture-4", "plane-cloud", "holed-zball", "tower-table",
-            "coinciding-levels", "below-the-free-scale"])
-    def test_generic_quotient_matches_the_block_graph(self, make):
-        # every scale where the quotient takes the generic path, among 0,
-        # up to 13 of the space's distances and the midpoints beside them
+    @pytest.mark.parametrize("make, eps", [
+        (lambda: example31_fixture(1, 0.5, 3), 1.0),
+        (lambda: subspace(zball(11), [11, 12, 13, 21, 22]), 1),
+        (lambda: product_space(tower_space([2], levels=[3]), tower_space([3], levels=[3])), 1),
+        (lambda: build_truncation(parse_group("Z + C2"), radius=2), 0.5),
+    ], ids=["plane", "holed-zball", "coinciding-levels", "below-the-free-scale"])
+    def test_quotient_without_structure_is_refused(self, make, eps):
         sp = make()
-        values = dist_values(sp)
-        picked = values[:: max(1, len(values) // 13)]
-        scales = sorted({0.0, *picked, *((a + b) / 2 for a, b in zip(picked, picked[1:]))})
-        tested = 0
-        for eps in scales:
-            if sp.rule.quotient_parts(sp, eps) is not None or \
-                    epsilon_components(sp, eps).count > spaces_mod.DENSE_LIMIT:
-                continue
-            tested += 1
-            q, part = quotient_with_projection(sp, eps)
-            assert np.array_equal(q.rule.matrix, block_graph_quotient(sp, part))
-        assert tested >= 2
-
-    def test_generic_quotient_refuses_a_chain_whose_runs_are_not_the_blocks(self):
-        sp = as_table(tower_space([2, 2]))
-        order, gap = sp.rule.chain(sp, np.arange(4))
-        # the points of two blocks at eps 2 interleaved, one run each
-        sp.rule.chain = lambda space, subset: (order[[0, 2, 1, 3]], gap)
-        with pytest.raises(ValueError, match="runs"):
-            quotient_with_projection(sp, 2)
-
-
-def as_table(sp):
-    """The same points and distances behind a dense table rule."""
-    return FiniteSpace(sp.labels, TableRule(sp.dmat(), ultrametric=False), sp.basepoint,
-                       sp.inner_radius)
-
-
-def block_graph_quotient(space, partition):
-    """The generic quotient's table as the block graph gave it: the
-    lightest edge between each two blocks, one Kruskal chain over those
-    edges, and the running maxima of its gaps."""
-    b = partition.count
-    ii, jj, ww = space.rule.subset_edges(space, np.arange(len(space)))
-    bi, bj = partition.point_block[ii], partition.point_block[jj]
-    cross = bi != bj
-    key = np.minimum(bi, bj)[cross] * b + np.maximum(bi, bj)[cross]
-    ww = ww[cross]
-    order = np.argsort(ww, kind="stable")
-    key, first = np.unique(key[order], return_index=True)
-    chain, gap = spaces_mod._kruskal_chain(b, key // b, key % b, ww[order][first])
-    return loop_chain_heights(chain, gap)
-
-
-def loop_chain_heights(chain, gap):
-    """The merge heights of the blocks chain[i] as the generic quotient
-    filled them, one running maximum of the gaps per block."""
-    b = len(chain)
-    qd = np.zeros((b, b))
-    for i in range(b - 1):
-        qd[chain[i], chain[i + 1:]] = np.maximum.accumulate(gap[i + 1:])
-    return np.maximum(qd, qd.T)
-
-
-@pytest.mark.parametrize("make", [
-    lambda: example31_fixture(3, 0.1, 3),
-    lambda: example31_fixture(8, 0.01, 1000),  # 2,817 blocks at eps 0: 31 row blocks
-    lambda: as_table(tower_space([2, 3, 2])),
-    lambda: quotient_space(example31_fixture(4, 0.05, 6), 0.02),
-], ids=["fixture-3", "fixture-8", "tower-table", "quotient-table"])
-@pytest.mark.parametrize("eps", [0, 0.02, 1, math.inf])
-def test_generic_quotient_table_matches_the_loop(make, eps):
-    sp = make()
-    seen = []
-    fill = spaces_mod._chain_heights
-    with mock.patch.object(spaces_mod, "_chain_heights",
-                           lambda chain, gap: seen.append((chain, gap)) or fill(chain, gap)):
-        q, part = quotient_with_projection(sp, eps)
-    [(chain, gap)] = seen
-    assert len(chain) == part.count
-    assert np.array_equal(q.rule.matrix, loop_chain_heights(chain, gap))
-
-
-@settings(max_examples=150, deadline=None)
-@given(st.integers(1, 40).flatmap(lambda b: st.tuples(
-    st.permutations(range(b)),
-    st.lists(st.sampled_from([0.0, 0.5, 1.0, 2.0, 7.25]), min_size=b - 1, max_size=b - 1),
-    st.integers(1, 3 * b * b))))
-def test_chain_heights_match_the_loop_across_row_blocks(case):
-    # ties and zero gaps; BLOCK_ENTRIES small enough to cut the rows into
-    # blocks of every size from one row to all of them
-    chain, gaps, entries = case
-    chain, gap = np.array(chain), np.array([math.inf, *gaps])
-    with mock.patch.object(spaces_mod, "BLOCK_ENTRIES", entries):
-        table = spaces_mod._chain_heights(chain, gap)
-    assert np.array_equal(table, loop_chain_heights(chain, gap))
-
-
-@settings(max_examples=40, deadline=None)
-@given(st.lists(st.tuples(st.integers(-40, 40), st.integers(-40, 40)), min_size=2, max_size=60,
-                unique=True),
-       st.sampled_from([0.0, 0.02, 1.0, 2.5, 6.0, math.inf]))
-def test_quotient_of_a_plane_cloud_matches_the_loop(points, eps):
-    sp = FiniteSpace(sorted((x / 4, y / 4) for x, y in points), PlaneRule(), 0, 0)
-    seen = []
-    fill = spaces_mod._chain_heights
-    with mock.patch.object(spaces_mod, "BLOCK_ENTRIES", 64), \
-            mock.patch.object(spaces_mod, "_chain_heights",
-                              lambda chain, gap: seen.append((chain, gap)) or fill(chain, gap)):
-        q, part = quotient_with_projection(sp, eps)
-    [(chain, gap)] = seen
-    assert np.array_equal(q.rule.matrix, loop_chain_heights(chain, gap))
-    assert np.array_equal(q.rule.matrix, block_graph_quotient(sp, part))
+        assert sp.rule.quotient_parts(sp, eps) is None
+        for call in (quotient_with_projection, quotient_space):
+            with pytest.raises(ValueError, match="structural quotient"):
+                call(sp, eps)
 
 
 class TestProduct:
@@ -1115,9 +972,9 @@ class TestProduct:
             assert len(rights) == 1
 
     def test_table_factors_rejected(self):
-        q = quotient_space(example31_fixture(1, 0.5, 3), 1.0)
-        with pytest.raises(ValueError):
-            product_space(q, zball(2))
+        for factor in (example31_fixture(1, 0.5, 3), as_dense(zball(2))):
+            with pytest.raises(ValueError, match="sup-metric factors"):
+                product_space(factor, zball(2))
 
     def test_budget(self):
         with pytest.raises(BudgetError):
@@ -1162,21 +1019,14 @@ class TestSerialization:
         back = FiniteSpace.from_json(json.dumps(payload))
         assert back.structural and back.to_json() == zball(4).to_json()
 
-    def test_table_flagged_ultrametric_must_be_one(self):
-        # a metric line: d(0, 2) = 2 exceeds max(d(0, 1), d(1, 2)) = 1
-        payload = {"version": 1, "basepoint": 0, "inner_radius": 1, "ultrametric": True,
-                   "structural": True, "labels": [[0], [1], [2]],
-                   "rule": {"kind": "table", "matrix": [[0, 1, 2], [1, 0, 1], [2, 1, 0]]}}
-        with pytest.raises(ValueError, match="strong triangle inequality"):
-            FiniteSpace.from_json(json.dumps(payload))
-        payload["ultrametric"] = False
-        assert not FiniteSpace.from_json(json.dumps(payload)).ultrametric
-
-    def test_table_round_trip(self):
-        q = quotient_space(example31_fixture(1, 0.5, 3), 1.0)
-        back = FiniteSpace.from_json(q.to_json())
-        assert np.allclose(back.dmat(), q.dmat())
-        assert back.rule.is_ultrametric == q.rule.is_ultrametric
+    def test_table_kind_is_refused(self):
+        # a dense table is no rule of the package; its payloads do not load
+        for flag in (True, False):
+            payload = {"version": 1, "basepoint": 0, "inner_radius": 1, "ultrametric": flag,
+                       "structural": True, "labels": [[0], [1], [2]],
+                       "rule": {"kind": "table", "matrix": [[0, 1, 2], [1, 0, 2], [2, 2, 0]]}}
+            with pytest.raises(ValueError, match="unknown rule kind 'table'"):
+                FiniteSpace.from_json(json.dumps(payload))
 
     def test_product_split_must_match_left_width(self):
         # a split off the left factor's width would read the wrong columns
@@ -1199,12 +1049,6 @@ class TestSerialization:
             payload["labels"] = labels
             with pytest.raises(ValueError, match="width"):
                 FiniteSpace.from_json(json.dumps(payload))
-
-    def test_table_size_must_match_points(self):
-        payload = json.loads(quotient_space(example31_fixture(1, 0.5, 3), 1.0).to_json())
-        payload["labels"] = payload["labels"][:-1]
-        with pytest.raises(ValueError, match="table size"):
-            FiniteSpace.from_json(json.dumps(payload))
 
     def test_structural_flag_must_fit_a_box(self):
         # coordinate keys on a holed line would read one component at eps=1
@@ -1241,19 +1085,6 @@ class TestSerialization:
         payload["labels"][0] = [-1, -1]
         with pytest.raises(ValueError, match="cyclic label"):
             FiniteSpace.from_json(json.dumps(payload))
-
-    def test_table_must_be_symmetric_with_a_zero_diagonal(self):
-        # oscillation reads each pair of a table once, as (i, j) with i <= j
-        payload = json.loads(quotient_space(example31_fixture(1, 0.5, 3), 1.0).to_json())
-        good = np.asarray(payload["rule"]["matrix"])
-        assert len(good) > 1
-        skew, diag = good.copy(), good.copy()
-        skew[0, 1] += 1.0
-        diag[1, 1] = 0.5
-        for m in (skew, diag):
-            payload["rule"]["matrix"] = m.tolist()
-            with pytest.raises(ValueError, match="symmetric with a zero diagonal"):
-                FiniteSpace.from_json(json.dumps(payload))
 
     def test_version_guard(self):
         payload = json.loads(zball(1).to_json())
@@ -1344,33 +1175,22 @@ def test_structural_flag_accepted_only_where_keys_are_exact(sp, data):
         assert epsilon_components(back, eps).blocks == threshold_blocks(sub.dmat(), eps)
 
 
-@settings(max_examples=30, deadline=None)
-@given(st.integers(1, 2), st.integers(0, 3), st.data())
-def test_generic_quotient_matches_single_linkage(rank, eps, data):
-    from scipy.cluster.hierarchy import cophenet, linkage
-    from scipy.spatial.distance import squareform
-
-    zb = zball(6 if rank == 1 else 3, rank)
-    picked = data.draw(st.sets(st.integers(0, len(zb) - 1), min_size=1))
-    sub = subspace(zb, sorted(picked | {zb.basepoint}))
-    assume(len(sub) >= 2 and not sub.structural)
-    q, part = quotient_with_projection(sub, eps)
-    coph = squareform(cophenet(linkage(squareform(sub.dmat()), "single")))
-    same_block = part.point_block[:, None] == part.point_block[None, :]
-    assert np.array_equal(coph <= eps, same_block)
-    reps = list(part.representatives)
-    assert np.array_equal(q.dmat(), coph[np.ix_(reps, reps)])
-
-
-@pytest.mark.parametrize("args", [(1, 0.5, 3), (3, 0.1, 3), (4, 0.05, 6)])
-@pytest.mark.parametrize("eps", [0.2, 0.5, 1.0, 3.0])
-def test_plane_quotient_matches_single_linkage(args, eps):
-    sp = example31_fixture(*args)
-    q, part = quotient_with_projection(sp, eps)
-    same, coph = single_linkage_quotient(sp, eps)
-    assert np.array_equal(part.point_block[:, None] == part.point_block[None, :], same)
-    reps = list(part.representatives)
-    assert np.array_equal(q.dmat(), coph[np.ix_(reps, reps)])
+@settings(max_examples=60, deadline=None)
+@given(rule_spaces)
+def test_structural_quotient_matches_single_linkage(sp):
+    # the tower of the retained coordinates against scipy's single linkage
+    # on all pairs, at every scale where the space has a structural quotient
+    tested = 0
+    for eps in [k / 2 for k in range(11)] + [math.inf]:
+        if sp.rule.quotient_parts(sp, eps) is None:
+            continue
+        tested += 1
+        q, part = quotient_with_projection(sp, eps)
+        same, coph = single_linkage_quotient(sp, eps)
+        assert np.array_equal(part.point_block[:, None] == part.point_block[None, :], same)
+        reps = list(part.representatives)
+        assert np.array_equal(q.dmat(), coph[np.ix_(reps, reps)])
+    assert tested >= 10
 
 
 # pinned serialized form and space id of every constructor: witnesses name
@@ -1492,16 +1312,6 @@ ROW_PINS = {
         "tower-12-cd78c30efde6",
         "1162ee4e0d6227176c8144195dae893f3be1109c3e07cb54b58374930c46db71",
     ),
-    "sup-quotient": (
-        lambda: quotient_space(subspace(zball(8), [i for i in range(17) if i % 5 != 2]), 1),
-        "table-4-d2402208de6f",
-        "ca195bca616b72fedb8d3c3bdc905eda640d6219e3e8112f66dfdcbbb6476900",
-    ),
-    "plane-quotient": (
-        lambda: quotient_space(example31_fixture(1, 0.5, 3), 1.0),
-        "table-6-fa4105a85ca0",
-        "faceb689cc1d18a14de356fd8a706a9df514d14d1fcc7309bb828e0ddccae325",
-    ),
 }
 
 
@@ -1514,13 +1324,10 @@ def test_row_built_spaces_serialize_as_their_label_tuples_did(name):
     assert space_id(sp) == ident
     back = FiniteSpace.from_json(text)
     assert back == sp and back.to_json() == text and space_id(back) == ident
-    # a quotient's names keep the dtype of its representatives' labels
-    kind = {"sup-quotient": int, "plane-quotient": float}.get(name, int)
-    assert all(type(v) is kind for lab in sp.labels for v in lab)
+    assert all(type(v) is int for lab in sp.labels for v in lab)
 
 
 SUP_RULE = spaces_mod.SupRule.group_ball(1, [3], [2])
-TABLE_RULE = TableRule(np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 2.0], [2.0, 2.0, 0.0]]), True)
 NAN, INF = float("nan"), float("inf")
 
 MALFORMED = {
@@ -1528,18 +1335,15 @@ MALFORMED = {
     "plane-inf": (PlaneRule(), [(0.0, 0.0), (1.0, -INF), (1.0, 0.0)], "must be finite"),
     "sup-ragged": (SUP_RULE, [(0, 0), (1,), (2, 1)], "width"),
     "plane-ragged": (PlaneRule(), [(0.0, 0.0), (1.0,), (2.0, 1.0)], r"\(x, y\) pairs"),
-    "table-ragged": (TABLE_RULE, [(1,), (2,), (3, 4)], "width"),
     "sup-wide": (SUP_RULE, [(0, 0, 0), (1, 0, 0), (2, 0, 0)], "width"),
     "plane-narrow": (PlaneRule(), [(0.0,), (1.0,), (2.0,)], r"\(x, y\) pairs"),
     "sup-duplicate": (SUP_RULE, [(0, 0), (1, 2), (0, 0)], "duplicate point labels"),
     "plane-duplicate": (PlaneRule(), [(0.5, 0.0), (1.0, 2.5), (0.5, 0.0)],
                         "duplicate point labels"),
-    "table-duplicate": (TABLE_RULE, [(1,), (2,), (1,)], "duplicate point labels"),
     "sup-fractional": (SUP_RULE, [(0, 0), (0.5, 1), (2, 1)], "coordinates must be integers"),
     "sup-beyond-2^53": (SUP_RULE, [(0, 0), (2**53 + 1, 1), (2, 1)],
                         "coordinates must be integers"),
-    "table-non-numeric": (TABLE_RULE, [("a",), ("b",), ("c",)], "must be numbers"),
-    "table-size": (TABLE_RULE, [(1,), (2,)], "table size"),
+    "sup-non-numeric": (SUP_RULE, [("a", 0), ("b", 1), ("c", 2)], "must be numbers"),
     "sup-cyclic-range": (spaces_mod.SupRule.tower((2,), (2,)), [(0,), (5,)],
                          r"cyclic label value outside \[0, 2\)"),
 }
@@ -1572,8 +1376,7 @@ def test_malformed_points_raise_one_error_on_every_route(case):
 @pytest.mark.parametrize("rule,good", [
     (PlaneRule(), [(0.0, 0.0), (1.0, 0.0), (2.0, 1.0)]),
     (SUP_RULE, [(0, 0), (1, 2), (2, 1)]),
-    (TABLE_RULE, [(1,), (2,), (3,)]),
-], ids=["plane", "sup", "table"])
+], ids=["plane", "sup"])
 def test_good_points_build_alike_on_every_route(rule, good):
     built = [build() for build in _routes(rule, good).values()]
     assert all(sp == built[0] and sp.to_json() == built[0].to_json() for sp in built)
@@ -1700,10 +1503,6 @@ def test_coordinate_rows_are_checked_like_labels():
     for bad in ([[0.5, 0], [1, 0]], [[np.nan, 0], [1, 0]], [[2.0**60, 0], [1, 0]]):
         with pytest.raises(ValueError, match="coordinates must be integers"):
             FiniteSpace(np.array(bad), rule, 0, 1)
-    # a table's rows name its points, and its kernel reads their positions
-    table = FiniteSpace(np.array([[7], [5]]), TableRule(np.array([[0.0, 3.0], [3.0, 0.0]]), True),
-                        0, 1)
-    assert table.labels == ((7,), (5,)) and table.dists_from(0).tolist() == [0.0, 3.0]
     # plane rows are finite pairs
     with pytest.raises(ValueError, match=r"\(x, y\) pairs"):
         FiniteSpace(np.array([[0.0, 0, 0], [1, 0, 0]]), PlaneRule(), 0, 1)
@@ -1744,13 +1543,6 @@ def test_equality_agrees_with_label_equality(a, b, data):
         assert (moved == x) is False and _label_equal(moved, x) is False
     other = FiniteSpace(x.labels, x.rule, (x.basepoint + 1) % len(x), x.inner_radius)
     assert (other == x) == _label_equal(other, x)
-
-
-def test_table_spaces_compare_labels():
-    rule = TableRule(np.array([[0.0, 1.0], [1.0, 0.0]]), True)
-    a = FiniteSpace([(0,), (1,)], rule, 0, 1)
-    assert a == FiniteSpace([(0,), (1,)], rule, 0, 1)
-    assert a != FiniteSpace([(0,), (2,)], rule, 0, 1)
 
 
 def test_plane_labels_must_be_pairs():
@@ -1802,14 +1594,13 @@ def old_space_id(space):
                           product_space(zball(1, 2), tower_space([2, 5]))),
     lambda: product_space(k_point_space(1), product_space(tower_space([3]), zball(0))),
     lambda: example31_fixture(2, 0.25, 3),
-    lambda: quotient_space(example31_fixture(2, 0.25, 3), 1.0),
     lambda: subspace(zball(3), [0, 2, 3]),
     lambda: rank_two_chain_at_radius_100().source,
     lambda: rank_two_chain_at_radius_100().target,
     lambda: FiniteSpace([(-(2**53), -7, 1), (-3, 0, 0), (-1, 2**53, 1)],
                         spaces_mod.SupRule.group_ball(2, [2], [2]), 1, 3),
-], ids=["zball", "zball-3", "tower", "k1", "k3", "nested", "nested-k1", "plane", "table",
-        "subspace", "radius-100-source", "radius-100-target", "negative"])
+], ids=["zball", "zball-3", "tower", "k1", "k3", "nested", "nested-k1", "plane", "subspace",
+        "radius-100-source", "radius-100-target", "negative"])
 def test_space_id_matches_the_label_dump(make):
     sp = make()
     unbuilt = sp._labels is None
@@ -1825,6 +1616,7 @@ def test_space_id_matches_the_label_dump(make):
     ("spaces.build_truncation", "schedule"),
     ("spaces.validate_metric", "exhaustive_limit"),
     ("spaces._verify_ultrametric", "sample"),
+    ("spaces._rule_from_descriptor", "ultrametric"),
     ("spaces.FiniteSpace", "coords"),
     ("analysis.foelner_search", "max_points"),
     ("factorfn.phi_of_nat", "limit"),

@@ -11,6 +11,8 @@ import dataclasses
 import inspect
 import json
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,7 +25,6 @@ from coarseiso.groups import parse_group
 from coarseiso.spaces import (
     BudgetError,
     FiniteSpace,
-    TableRule,
     build_truncation,
     example31_fixture,
     k_point_space,
@@ -47,6 +48,10 @@ from coarseiso.witness import (
     tower_alignment_witness,
     verify_witness,
 )
+
+sys.path.insert(0, str(Path(__file__).resolve().parent))
+
+from dense_rule import dense_space  # noqa: E402
 
 
 def brute_oscillation(source, target, pairs, delta):
@@ -292,7 +297,7 @@ class TestFactorization:
         m = sp.dmat().copy()
         a, b = sp.index[(449, 1)], sp.index[(499, 1)]
         m[a, b] = m[b, a] = 51.0
-        target = FiniteSpace(sp.labels, TableRule(m, ultrametric=False), sp.basepoint, 550)
+        target = dense_space(m, sp.basepoint, 550)
         idx = np.arange(len(sp))
         assert len(row_blocks(1101)) > 1
         w = WitnessMap(sp, target, tuple(zip(idx, idx)), {}, {}, 550.0)

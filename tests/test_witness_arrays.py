@@ -27,7 +27,6 @@ from coarseiso.spaces import (
     ComponentPartition,
     FiniteSpace,
     SupRule,
-    TableRule,
     build_truncation,
     canonical_ultrametric,
     epsilon_components,
@@ -325,17 +324,6 @@ def test_relabel_matches_the_tuple_code(case, extra):
     old = outcome(old_relabel, source, target, columns, extra)
     # a missing target names the same first missing source label
     event(assert_same(new, old).split(" for label")[0])
-
-
-def test_relabel_of_table_spaces_matches_labels_not_positions():
-    matrix = np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 2.0], [2.0, 2.0, 0.0]])
-    source = FiniteSpace([(0, 5), (1, 5), (2, 7)], TableRule(matrix, True), 0, 2.0)
-    target = FiniteSpace([(1, 5), (0, 5), (2, 7)], TableRule(matrix, True), 1, 2.0)
-    new = relabel_witness(source, target)
-    assert new.dst.tolist() == [1, 0, 2]
-    assert_same(new, old_relabel(source, target))
-    assert_same(outcome(relabel_witness, source, target, [1, 0]),
-                outcome(old_relabel, source, target, [1, 0]))
 
 
 def old_operand(f):
@@ -918,15 +906,12 @@ def test_factorization_and_plane_jobs_make_no_label_tuples(monkeypatch, capsys):
 
 
 def test_partition_readers_build_no_block_tuples(monkeypatch):
-    """The factorization fiber, the per-component isometry check of its
-    verification and the generic quotient's base spread read point_block,
-    never the block tuples."""
+    """The factorization fiber and the per-component isometry check of its
+    verification read point_block, never the block tuples."""
     read = []
     monkeypatch.setattr(ComponentPartition, "blocks",
                         property(lambda part: read.append(part.count)))
     sp = build_truncation(parse_group("Z + C2^inf"), radius=32)
     w = witness_mod.factorization_witness(sp, 1.0)
     assert verify_witness(w).ok
-    q, part = quotient_with_projection(example31_fixture(2, 0.25, 5), 1.0)
-    assert isinstance(q.rule, TableRule) and part.count == len(q)
     assert read == []
