@@ -29,6 +29,7 @@ from coarseiso.spaces import (
     example31_fixture,
     k_point_space,
     product_space,
+    quotient_space,
     subspace,
     tower_space,
     zball,
@@ -38,16 +39,20 @@ sys.path.insert(0, str(Path(__file__).resolve().parent))
 
 from dense_rule import as_dense  # noqa: E402
 
-# the three kinds of space the rules serve, a dense table of a plane sample,
-# and each package rule read back from its JSON text
+# the three kinds of space the rules serve, a structural quotient, dense
+# tables of a plane sample and of the sup subset, and each package rule read
+# back from its JSON text
 SPACES = {
     "sup-box": lambda: product_space(build_truncation(parse_group("Z + C3"), radius=3),
                                      tower_space([2], levels=[5])),
     "sup-subset": lambda: subspace(zball(4, 2), [i for i in range(81) if i % 7 not in (2, 3)]),
     "plane": lambda: example31_fixture(2, 0.2, 3),
+    "sup-quotient": lambda: quotient_space(product_space(zball(2), tower_space([2, 3, 2, 3, 2])),
+                                           2),
     "dense": lambda: as_dense(example31_fixture(2, 0.2, 3)),
+    "dense-sup": lambda: as_dense(SPACES["sup-subset"]()),
 }
-RELOADED = {f"{kind}-json": kind for kind in ("sup-subset", "plane")}
+RELOADED = {f"{kind}-json": kind for kind in ("sup-subset", "plane", "sup-quotient")}
 SPACES.update({name: lambda kind=kind: FiniteSpace.from_json(SPACES[kind]().to_json())
                for name, kind in RELOADED.items()})
 
@@ -64,9 +69,10 @@ def test_the_four_kinds_are_what_they_say(case):
     name, sp, _ = case
     kind = RELOADED.get(name, name)
     assert type(sp.rule).__name__ == {"sup-box": "SupRule", "sup-subset": "SupRule",
-                                      "plane": "PlaneRule", "dense": "DenseRule"}[kind]
+                                      "sup-quotient": "SupRule", "plane": "PlaneRule",
+                                      "dense": "DenseRule", "dense-sup": "DenseRule"}[kind]
     if kind.startswith("sup"):
-        assert sp.structural == (kind == "sup-box")
+        assert sp.structural == (kind != "sup-subset")
     assert len(sp) >= 30
     if name in RELOADED:
         built = SPACES[kind]()

@@ -924,7 +924,13 @@ class TestQuotient:
         (lambda: subspace(zball(11), [11, 12, 13, 21, 22]), 1),
         (lambda: product_space(tower_space([2], levels=[3]), tower_space([3], levels=[3])), 1),
         (lambda: build_truncation(parse_group("Z + C2"), radius=2), 0.5),
-    ], ids=["plane", "holed-zball", "coinciding-levels", "below-the-free-scale"])
+        (lambda: example31_fixture(3, 0.1, 3), 0.2),
+        (lambda: FiniteSpace(sorted(map(tuple, np.round(
+            np.random.default_rng(5).uniform(-3, 3, size=(300, 2)), 3).tolist())),
+            PlaneRule(), 0, 0), 0.5),
+        (lambda: as_dense(tower_space([2, 3, 2])), 2),
+    ], ids=["plane", "holed-zball", "coinciding-levels", "below-the-free-scale", "fixture-3",
+            "plane-cloud", "dense-tower"])
     def test_quotient_without_structure_is_refused(self, make, eps):
         sp = make()
         assert sp.rule.quotient_parts(sp, eps) is None
@@ -1193,6 +1199,43 @@ def test_structural_quotient_matches_single_linkage(sp):
     assert tested >= 10
 
 
+# towers, group balls and products with distinct levels, each quotiented at
+# its levels (where a tie at exactly epsilon joins two blocks), between them
+# and above them all
+STRUCTURAL_QUOTIENTS = {
+    "tower": lambda: tower_space([2, 3, 2]),
+    "tower-gapped-levels": lambda: tower_space([2, 2, 3], levels=[2, 5, 6]),
+    "zball": lambda: zball(5),
+    "zball-rank-2": lambda: zball(2, 2),
+    "group-Z+C2": lambda: build_truncation(parse_group("Z + C2"), radius=4),
+    "group-Z^2+C2": lambda: build_truncation(parse_group("Z^2 + C2"), radius=2),
+    "group-Z+C2^inf": lambda: build_truncation(parse_group("Z + C2^inf"), radius=8),
+    "product-of-towers": lambda: product_space(tower_space([2], levels=[2]),
+                                               tower_space([3], levels=[5])),
+    "product-with-a-line": lambda: product_space(zball(3), tower_space([2, 3])),
+}
+
+
+@pytest.mark.parametrize("eps", [1, 2, 2.5, 3, 4, 5, math.inf])
+@pytest.mark.parametrize("name", list(STRUCTURAL_QUOTIENTS))
+def test_structural_quotient_matches_single_linkage_at_each_level(name, eps):
+    sp = STRUCTURAL_QUOTIENTS[name]()
+    parts = sp.rule.quotient_parts(sp, eps)
+    assert parts is not None
+    q, part = quotient_with_projection(sp, eps)
+    same, coph = single_linkage_quotient(sp, eps)
+    assert np.array_equal(part.point_block[:, None] == part.point_block[None, :], same)
+    reps = list(part.representatives)
+    assert np.array_equal(q.dmat(), coph[np.ix_(reps, reps)])
+    # the quotient is the tower of the cyclic coordinates above eps, based
+    # at the basepoint's block
+    kept = sorted(lvl for o, lvl in zip(sp.rule.orders, sp.rule.levels) if o and lvl > eps)
+    assert q.rule.descriptor() == {"kind": "tower", "orders": [sp.rule.orders[c] for c in parts],
+                                   "levels": kept}
+    assert len(q) == part.count and q.basepoint == part.point_block[sp.basepoint]
+    assert q.ultrametric and q == quotient_space(sp, eps)
+
+
 # pinned serialized form and space id of every constructor: witnesses name
 # their spaces by these ids, and saved spaces must load unchanged
 _zb3 = zball(3)
@@ -1311,6 +1354,15 @@ ROW_PINS = {
         lambda: FiniteSpace.from_json(tower_space([2, 3, 2]).to_json()),
         "tower-12-cd78c30efde6",
         "1162ee4e0d6227176c8144195dae893f3be1109c3e07cb54b58374930c46db71",
+    ),    "sup-quotient": (
+        lambda: quotient_space(product_space(zball(3), tower_space([2, 3, 2])), 2),
+        "tower-6-9002476bf2a5",
+        "6b53398a6bee84b71dc61e615191d5142b88c1a358fceab16be75251af01affb",
+    ),
+    "group-quotient": (
+        lambda: quotient_space(build_truncation(parse_group("Z + C2^inf"), radius=8), 1),
+        "tower-8-3f10b9d141e8",
+        "922059b395fce4895d9a85496b8310eddb084eaec725820d23558ff48a3fae4b",
     ),
 }
 
@@ -1595,12 +1647,13 @@ def old_space_id(space):
     lambda: product_space(k_point_space(1), product_space(tower_space([3]), zball(0))),
     lambda: example31_fixture(2, 0.25, 3),
     lambda: subspace(zball(3), [0, 2, 3]),
+    lambda: quotient_space(product_space(zball(3), tower_space([2, 3, 2])), 2),
     lambda: rank_two_chain_at_radius_100().source,
     lambda: rank_two_chain_at_radius_100().target,
     lambda: FiniteSpace([(-(2**53), -7, 1), (-3, 0, 0), (-1, 2**53, 1)],
                         spaces_mod.SupRule.group_ball(2, [2], [2]), 1, 3),
 ], ids=["zball", "zball-3", "tower", "k1", "k3", "nested", "nested-k1", "plane", "subspace",
-        "radius-100-source", "radius-100-target", "negative"])
+        "quotient", "radius-100-source", "radius-100-target", "negative"])
 def test_space_id_matches_the_label_dump(make):
     sp = make()
     unbuilt = sp._labels is None
