@@ -573,12 +573,14 @@ def asdim_cover(rank: int, epsilon: float, radius: int) -> Cover:
 
     rank <= 2 uses staggered bricks of side 2*ceil(epsilon)*(rank+1);
     rank 3 uses the body-centered nearest-site cells, whose corners have
-    degree four. Epsilon must be finite and >= 0.
+    degree four. Epsilon must be finite and >= 0, and the radius >= 0.
     """
     if not math.isfinite(_check_epsilon(epsilon)):
         raise ValueError(f"cover epsilon must be finite, got {epsilon}")
     if rank not in (0, 1, 2, 3):
         raise ValueError("rank must be between 0 and 3")
+    if radius < 0:
+        raise ValueError("radius must be >= 0")
     eps = max(1, math.ceil(epsilon))
     side = 2 * radius + 1
     if side**max(rank, 1) > 2 * 10**6:

@@ -766,10 +766,13 @@ def _check_budget(count: int, point_budget: Optional[int]) -> None:
 def make_schedule(g: GroupDescription, radius: int) -> list[tuple[Union[str, int], int]]:
     """Default exhaustion schedule: free generators at level 1, cyclic copies
     at doubling levels 2, 4, 8, ... round-robin across the summand types up
-    to the radius."""
+    to the radius. A Call^t tail, one summand type per prime outside the
+    listed orders, cannot be exhausted so and is refused."""
     schedule: list[tuple[Union[str, int], int]] = []
     if g.free_rank_part.is_infinite:
         raise ValueError("infinite free rank has no finite truncation")
+    if g.tail is not None:
+        raise ValueError(f"a Call^{g.tail} tail has no finite truncation")
     schedule.extend(("Z", 1) for _ in range(g.free_rank_part.finite_value()))
     pool: list[tuple[int, ExtNat]] = [(o, m) for o, m in g.summands]
     remaining = {o: m for o, m in pool}
@@ -896,16 +899,23 @@ def canonical_ultrametric(
     point_budget: Optional[int] = None,
 ) -> FiniteSpace:
     """Truncation of the canonical ultrametric group for phi: the product of
-    its first `depth` cyclic summands, summand i at level i + 1."""
+    its first `depth` cyclic summands up to the prime bound, summand i at
+    level i + 1.
+
+    The inner radius is inf when the summands are the whole finite
+    profile. Otherwise it is the level just below the first summand where
+    they part from the enumeration without a bound: len(orders) + 1 when
+    the bound drops nothing, lower where a prime above it would have come
+    first."""
     if depth < 0:
         raise ValueError("depth must be >= 0")
     orders = enumerate_summands(phi, depth, prime_bound)
     space = tower_space(orders, point_budget=point_budget)
-    # a fully enumerated profile is the whole group, faithful at every
-    # scale; a support prime above the bound leaves some of it out
-    mass = phi.total_mass
-    inner: Num = math.inf if mass.is_finite and len(orders) == mass.finite_value() else depth + 1
-    return space.with_inner_radius(inner)
+    full = enumerate_summands(phi, len(orders) + 1, math.inf)
+    if orders == full:
+        return space.with_inner_radius(math.inf)
+    first = next((i for i, (a, b) in enumerate(zip(orders, full)) if a != b), len(orders))
+    return space.with_inner_radius(first + 1)
 
 
 def k_point_space(k: int) -> FiniteSpace:

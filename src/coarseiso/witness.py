@@ -13,7 +13,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -26,7 +26,7 @@ from .spaces import (
     SupRule,
     _partition_from_keys,
     _row_groups,
-    enumerate_summands,
+    canonical_ultrametric,
     epsilon_components,
     k_point_space,
     product_space,
@@ -693,24 +693,6 @@ def component_multiplicity(w: WitnessMap, epsilon: float) -> int:
     )
 
 
-def _capped_enum(phi: FactorFunction, depth: int, prime_bound: int) -> List[int]:
-    mass = phi.total_mass
-    if mass.is_finite:
-        depth = min(depth, mass.finite_value())
-    if depth <= 0:
-        return []
-    return enumerate_summands(phi, depth, prime_bound)
-
-
-def _torsion_tower(
-    orders: Sequence[int], complete: bool, point_budget: Optional[int] = None
-) -> FiniteSpace:
-    """Tower truncation; a fully enumerated finite torsion part is the whole
-    group, so its metric is trusted at every radius."""
-    sp = tower_space(orders, point_budget=point_budget)
-    return sp.with_inner_radius(math.inf) if complete else sp
-
-
 def _prime_multiset(n: int) -> List[int]:
     out: List[int] = []
     for p, e in phi_of_nat(n).entries:
@@ -734,6 +716,10 @@ def iso_witness_chain(
     multiplier's part and the common remainder, folds the multiplier part
     into the first line coordinate, and lands on the shared middle space.
     The composite is the first chain followed by the inverse of the second.
+    The remainder is canonical_ultrametric of phi1 - phi(n), and every
+    tower of the chain is faithful as far as it is. At rank 0, n = m = 1
+    and the profiles are equal, so the witness aligns the one canonical
+    tower with itself.
 
     A side with multiplier k >= 2 starts from (ball, tower) and runs three
     stages: w1, the ball times the tower alignment to (k points,
@@ -760,26 +746,19 @@ def iso_witness_chain(
     verdict = coarse_isomorphic(g1, g2)
     if not verdict.result:
         raise ValueError(f"groups are not coarsely isomorphic ({verdict.case_label})")
-    c1, c2 = verdict.invariants
+    c1 = verdict.invariants[0]
     if c1.r.is_infinite:
         raise ValueError("infinite rank carries no table-backed witness here")
     rank = c1.r.finite_value()
     n, m = verdict.multipliers if verdict.multipliers else (1, 1)
 
-    diff = ff_sub(c1.phi, phi_of_nat(n))
-    rest_orders = _capped_enum(diff, depth, prime_bound)
-    full = diff.total_mass.is_finite and len(rest_orders) == diff.total_mass.finite_value()
-    rest = _torsion_tower(rest_orders, full, pb)
-
+    rest = canonical_ultrametric(ff_sub(c1.phi, phi_of_nat(n)), depth, prime_bound, pb)
     if rank == 0:
-        orders1 = _capped_enum(c1.phi, depth, prime_bound)
-        orders2 = _capped_enum(c2.phi, depth, prime_bound)
-        mass = c1.phi.total_mass
-        full1 = mass.is_finite and len(orders1) == mass.finite_value()
-        u1 = _torsion_tower(orders1, full1, pb)
-        u2 = _torsion_tower(orders2, full1, pb)
-        return tower_alignment_witness(u1, u2, deltas=deltas).witness
+        # n = m = 1 and the two profiles are equal: one tower, aligned
+        # with itself
+        return tower_alignment_witness(rest, rest, deltas=deltas).witness
 
+    rest_orders = list(rest.rule.orders)
     base_r = max(2, int(radius) // max(n * m, 1))
     common_r = n * m * base_r
 
@@ -796,14 +775,14 @@ def iso_witness_chain(
         first_r = common_r // k_abs
         first = zball(first_r, point_budget=pb)
         zpart = first if rank == 1 else product_space(first, ball_tail, pb)
-        u = _torsion_tower(list(rest_orders) + _prime_multiset(k_abs), full, pb)
+        u = tower_space(rest_orders + _prime_multiset(k_abs), point_budget=pb)
         mixed = tower_space(
-            [k_abs] + list(rest_orders),
+            [k_abs] + rest_orders,
             levels=[1] + list(range(2, len(rest_orders) + 2)),
             point_budget=pb,
         )
-        if full:
-            mixed = mixed.with_inner_radius(math.inf)
+        # both towers hold the remainder's summands, faithful as far as it is
+        u, mixed = (sp.with_inner_radius(rest.inner_radius) for sp in (u, mixed))
         w1 = product_witness(zpart, tower_alignment_witness(u, mixed).witness, point_budget=pb)
         unfold = invert_witness(absorption_witness(k_abs, common_r, point_budget=pb))
         # w3 starts from (shorter line, k points, behind)

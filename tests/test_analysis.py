@@ -300,6 +300,12 @@ class TestCover:
         with pytest.raises(ValueError):
             asdim_cover(3, 2, 200)
 
+    @pytest.mark.parametrize("rank", [0, 1, 2, 3])
+    @pytest.mark.parametrize("radius", [-1, -5])
+    def test_negative_radius_rejected(self, rank, radius):
+        with pytest.raises(ValueError, match="radius must be >= 0"):
+            asdim_cover(rank, 1.0, radius)
+
 
 # randomized properties
 

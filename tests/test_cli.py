@@ -618,6 +618,35 @@ def test_witness_rejects_out_of_range_sizes(capsys, argv, message):
     assert message in err
 
 
+@pytest.mark.parametrize("bound,digest,validity,size", [
+    ((), "3ce10fae5e439f3d239d40818151214d44515ab05990c43f31107d9470975b0c", 3.0, 8),
+    (("--prime-bound", "101"),
+     "1442ef9b0bc35c4647a3e57f80eb9ff4b878693fcba220d86eab57a0765e06c3", "inf", 808),
+], ids=["101-dropped", "101-kept"])
+def test_torsion_past_the_prime_bound_is_pinned(capsys, bound, digest, validity, size):
+    # without the bound C101 is the third summand, at level 4, so the C8
+    # tower left by the bound is valid to 3; with C101 kept the tower is
+    # the whole group
+    code, out, err = run(capsys, "witness", "C8 + C101", "C8 + C101", *bound)
+    assert (code, err) == (0, "")
+    w = json.loads(out)["witness"]
+    assert (w["validity_radius"], len(w["pairs"])) == (validity, size)
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("argv,message", [
+    (("components", "Call^inf", "--radius", "8"), "a Call^inf tail has no finite truncation"),
+    (("components", "C2 + Call^1"), "a Call^1 tail has no finite truncation"),
+    (("step", "Z + Call^2", "--radius", "3"), "a Call^2 tail has no finite truncation"),
+    (("foelner", "Call^inf"), "a Call^inf tail has no finite truncation"),
+    (("cover", "Z", "--radius", "-1"), "radius must be >= 0"),
+    (("cover", "Z^0", "--radius", "-1"), "radius must be >= 0"),
+])
+def test_spaces_without_a_finite_truncation_exit_2(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 POSITIONAL = {"group", "relation", "g1", "g2", "space"}
 # each command's positional arguments, and the flags it reads besides
 # --format and --out

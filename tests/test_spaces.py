@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from coarseiso import spaces as spaces_mod
@@ -185,11 +185,46 @@ class TestBuilders:
         sp = canonical_ultrametric(ff({2: 1, 313: 1}), 4, prime_bound=1000)
         assert sp.rule.orders == (2, 313) and len(sp) == 626
         assert math.isinf(sp.inner_radius)
-        # a support prime above the bound is dropped, so the 2 points left
-        # are not the whole group and keep the depth's horizon
+        # a support prime above the bound is dropped: without the bound it
+        # is the second summand, at level 3, so the 2 points left are
+        # faithful only below it
         for phi, bound in ((ff({2: 1, 101: 1}), 97), (ff({2: 1, 313: 1}), 97)):
             sp = canonical_ultrametric(phi, 4, prime_bound=bound)
-            assert sp.rule.orders == (2,) and sp.inner_radius == 5
+            assert sp.rule.orders == (2,) and sp.inner_radius == 2
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.sampled_from([0, 1, None]),
+        st.dictionaries(st.sampled_from([2, 3, 5, 7, 101, 313, 1009]),
+                        st.sampled_from([0, 1, 2, 3, None]), max_size=4),
+        st.integers(min_value=0, max_value=8),
+        st.sampled_from([2, 5, 97, 1000]),
+    )
+    @example(None, {2: 1, 101: 1}, 4, 97)
+    @example(0, {2: 1, 313: 1}, 4, 97)
+    @example(0, {2: 3, 101: 1}, 4, 97)
+    @example(0, {2: 2, 3: 1}, 3, 97)
+    def test_canonical_tower_is_faithful_up_to_the_bound_s_first_cut(
+        self, default, values, depth, bound
+    ):
+        phi = ff(values, default=default)
+        assume(math.prod(enumerate_summands(phi, depth, bound)) <= 20_000)
+        sp = canonical_ultrametric(phi, depth, prime_bound=bound)
+        # the tower built without the bound, one level deeper
+        unbounded = enumerate_summands(phi, depth + 1, 10**6)
+        orders = sp.rule.orders
+        assert sp.rule.levels == tuple(range(2, len(orders) + 2))
+        if math.isinf(sp.inner_radius):
+            # the whole finite profile
+            assert phi.total_mass.is_finite and len(orders) == phi.total_mass.finite_value()
+            assert list(orders) == unbounded
+            return
+        # summand i sits at level i + 2: the same orders at every level up
+        # to the inner radius, and a different one (or none) at the next
+        r = sp.inner_radius
+        assert 1 <= r <= depth + 1
+        assert orders[: r - 1] == tuple(unbounded[: r - 1])
+        assert orders[r - 1 : r] != tuple(unbounded[r - 1 : r])
 
     @pytest.mark.parametrize("phi", [
         ff({}, default=1), ff({2: 0}, default=1), ff({2: 0, 3: 0, 5: 0, 7: 0}, default=2),
@@ -243,6 +278,18 @@ class TestBuilders:
         for rank in (1, 2):
             with pytest.raises(ValueError, match="radius must be >= 0"):
                 zball(-1, rank)
+
+    @pytest.mark.parametrize("desc,tail", [
+        ("Call^inf", "inf"), ("C2 + Call^1", "1"), ("Z + Call^2", "2"),
+        ("Z^2 + C3 + Call^inf", "inf"),
+    ])
+    def test_a_call_tail_is_refused(self, desc, tail):
+        # one summand type per prime outside the listed orders: no schedule
+        # exhausts it, so it is refused, not dropped
+        g = parse_group(desc)
+        for build in (lambda: make_schedule(g, 8), lambda: build_truncation(g, radius=8)):
+            with pytest.raises(ValueError, match=rf"a Call\^{tail} tail has no finite truncation"):
+                build()
 
     def test_duplicate_labels_rejected(self):
         with pytest.raises(ValueError):

@@ -21,11 +21,13 @@ from hypothesis import strategies as st
 
 from coarseiso import witness as witness_mod
 from coarseiso.analysis import oscillation
-from coarseiso.groups import parse_group
+from coarseiso.factorfn import ff_sub, phi_of_nat
+from coarseiso.groups import coarse_isomorphic, parse_group
 from coarseiso.spaces import (
     BudgetError,
     FiniteSpace,
     build_truncation,
+    enumerate_summands,
     example31_fixture,
     k_point_space,
     product_space,
@@ -444,6 +446,46 @@ def test_chain_measures_no_identity_or_relabel_step(monkeypatch, pair, finished,
         assert not (w.source == w.target and np.array_equal(w.src, w.dst)), w
 
 
+def test_rank_zero_chain_aligns_one_tower_with_itself(monkeypatch):
+    # n = m = 1 at rank 0 and the profiles are equal, so the chain builds
+    # the canonical tower once and measures one witness on it
+    spaces, init = [], FiniteSpace.__init__
+
+    def recording_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        spaces.append(self)
+
+    monkeypatch.setattr(FiniteSpace, "__init__", recording_init)
+    w = iso_witness_chain(parse_group("C2^inf"), parse_group("C4^inf"), depth=12)
+    assert len(spaces) == 1 and len(spaces[0]) == 4096
+    assert w.source is w.target and np.array_equal(w.src, w.dst)
+
+
+@pytest.mark.parametrize("pair", [
+    ("C8 + C101", "C8 + C101"), ("Z + C101", "Z + C101"),
+    ("Z + C2 + C101", "Z + C101"), ("Z^2 + C4 + C101", "Z^2 + C101"),
+], ids=["rank-0", "rank-1", "rank-1-absorbing", "rank-2-absorbing"])
+@pytest.mark.parametrize("bound", [97, 101])
+def test_chain_stays_below_the_first_summand_the_bound_drops(pair, bound):
+    g1, g2 = map(parse_group, pair)
+    verdict = coarse_isomorphic(g1, g2)
+    n = verdict.multipliers[0] if verdict.multipliers else 1
+    remainder = ff_sub(verdict.invariants[0].phi, phi_of_nat(n))
+    depth = 4
+    # the remainder's towers without a bound: the first summand above the
+    # bound, i + 2 in level, is where a bounded tower stops being faithful
+    unbounded = enumerate_summands(remainder, depth + 1, 10**6)
+    above = [i for i, p in enumerate(unbounded) if p > bound]
+    if above:
+        horizon = above[0] + 1
+    else:
+        horizon = math.inf if len(unbounded) <= depth else depth + 1
+    assert (horizon < math.inf) == (bound < 101)
+    w = iso_witness_chain(g1, g2, depth=depth, prime_bound=bound)
+    assert w.validity_radius <= horizon
+    assert verify_witness(w).ok
+
+
 class TestCombinators:
     def test_compose_identities(self):
         sp = tower_space([2, 3])
@@ -582,10 +624,16 @@ def test_chain_passes_its_point_budget_to_every_builder(monkeypatch, pair):
 
         return wrapper
 
-    for name in ("zball", "tower_space", "product_space"):
+    for name in ("zball", "tower_space", "product_space", "canonical_ultrametric"):
         monkeypatch.setattr(witness_mod, name, recording(name))
-    iso_witness_chain(*map(parse_group, pair), radius=12, depth=3, point_budget=10**5)
-    assert {name for name, _ in seen} >= {"tower_space"}
+    groups = [parse_group(g) for g in pair]
+    iso_witness_chain(*groups, radius=12, depth=3, point_budget=10**5)
+    # every chain builds its remainder tower; at positive rank the sides
+    # build their own towers too
+    builders = {"canonical_ultrametric"}
+    if groups[0].free_rank_part != 0:
+        builders.add("tower_space")
+    assert {name for name, _ in seen} >= builders
     assert [budget for _, budget in seen] == [10**5] * len(seen)
 
 

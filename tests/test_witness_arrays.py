@@ -29,6 +29,7 @@ from coarseiso.spaces import (
     SupRule,
     build_truncation,
     canonical_ultrametric,
+    enumerate_summands,
     epsilon_components,
     example31_fixture,
     k_point_space,
@@ -367,6 +368,24 @@ def test_chain_combinators_match_the_tuple_code(monkeypatch, g1, g2):
 # the chain as it measured every identity and relabel step
 
 
+def old_capped_enum(phi, depth, prime_bound):
+    """The chain's summands before its towers came from
+    canonical_ultrametric."""
+    mass = phi.total_mass
+    if mass.is_finite:
+        depth = min(depth, mass.finite_value())
+    if depth <= 0:
+        return []
+    return enumerate_summands(phi, depth, prime_bound)
+
+
+def old_torsion_tower(orders, complete, point_budget=None):
+    """Tower truncation; a fully enumerated finite torsion part is the whole
+    group, so its metric is trusted at every radius."""
+    sp = tower_space(orders, point_budget=point_budget)
+    return sp.with_inner_radius(math.inf) if complete else sp
+
+
 def old_iso_witness_chain(g1, g2, radius=24, depth=4, prime_bound=97, deltas=(),
                           point_budget=None):
     """The chain before identity factors entered products as spaces and
@@ -389,17 +408,17 @@ def old_iso_witness_chain(g1, g2, radius=24, depth=4, prime_bound=97, deltas=(),
     n, m = verdict.multipliers if verdict.multipliers else (1, 1)
 
     diff = w.ff_sub(c1.phi, w.phi_of_nat(n))
-    rest_orders = w._capped_enum(diff, depth, prime_bound)
+    rest_orders = old_capped_enum(diff, depth, prime_bound)
     full = diff.total_mass.is_finite and len(rest_orders) == diff.total_mass.finite_value()
-    rest = w._torsion_tower(rest_orders, full, pb)
+    rest = old_torsion_tower(rest_orders, full, pb)
 
     if rank == 0:
-        orders1 = w._capped_enum(c1.phi, depth, prime_bound)
-        orders2 = w._capped_enum(c2.phi, depth, prime_bound)
+        orders1 = old_capped_enum(c1.phi, depth, prime_bound)
+        orders2 = old_capped_enum(c2.phi, depth, prime_bound)
         mass = c1.phi.total_mass
         full1 = mass.is_finite and len(orders1) == mass.finite_value()
-        u1 = w._torsion_tower(orders1, full1, pb)
-        u2 = w._torsion_tower(orders2, full1, pb)
+        u1 = old_torsion_tower(orders1, full1, pb)
+        u2 = old_torsion_tower(orders2, full1, pb)
         return w.tower_alignment_witness(u1, u2, deltas=deltas).witness
 
     base_r = max(2, int(radius) // max(n * m, 1))
@@ -410,7 +429,11 @@ def old_iso_witness_chain(g1, g2, radius=24, depth=4, prime_bound=97, deltas=(),
 
     def side(k_abs, first_r):
         primes = w._prime_multiset(k_abs)
-        u = w._torsion_tower(list(rest_orders) + primes, full, pb)
+        # u is faithful only as far as the remainder is, as in the chain:
+        # the multiplier's primes stacked on top of the remainder are not
+        # the next summands of a canonical tower
+        u = old_torsion_tower(list(rest_orders) + primes, full, pb)
+        u = u.with_inner_radius(rest.inner_radius)
         first = zball(first_r, point_budget=pb)
         zpart = first if rank == 1 else product_space(first, zball(common_r, rank - 1, pb), pb)
         start = product_space(zpart, u, pb)
