@@ -153,7 +153,7 @@ def estimate_factorizing_step(
     candidate is stable when the counts are window-independent.
     """
     base = space.basepoint
-    bd = space.dists_from(base)
+    bd = space.base_dists
     radius = float(space.inner_radius)
     if not math.isfinite(radius) or radius <= 0:
         radius = float(np.max(bd))
@@ -214,7 +214,7 @@ def empirical_phi(space: FiniteSpace, prime_bound: int = 97) -> FactorFunction:
     if not space.ultrametric:
         raise ValueError("empirical phi is defined for ultrametric spaces")
     best: dict[int, int] = {}
-    bd = space.dists_from(space.basepoint)
+    bd = space.base_dists
     radius = float(space.inner_radius)
     if not math.isfinite(radius):
         radius = float(np.max(bd))
@@ -307,8 +307,8 @@ def _window_oscillation(src: tuple, dst: tuple, deltas: list[float]) -> list[flo
     within b (pairs are symmetric). A free column counts that value, and a
     cyclic one its level when the value is positive. The cells hold the
     largest and least target value of the table's points there (-inf and
-    +inf where none is), and the windows grow scale by scale, the bounds
-    ascending; a collapsed axis stays one cell."""
+    +inf where none is), ufunc.at reducing rows that share a cell, and the
+    windows grow scale by scale; a collapsed axis stays one cell."""
     rows, orders, levels = src
     values, t_orders, t_levels = dst
     offset = rows - rows.min(axis=0)
@@ -317,12 +317,9 @@ def _window_oscillation(src: tuple, dst: tuple, deltas: list[float]) -> list[flo
     # row-major cell numbers, exact in float64 below 2^53
     cell = (offset @ [float(math.prod(shape[c + 1:])) for c in range(len(shape))]).astype(np.int64)
     high, low = np.full((k, size), -np.inf), np.full((k, size), np.inf)
-    if np.bincount(cell).max() == 1:
-        high[:, cell] = low[:, cell] = values.T
-    else:  # repeated source rows share a cell
-        for c in range(k):
-            np.maximum.at(high[c], cell, values[:, c])
-            np.minimum.at(low[c], cell, values[:, c])
+    for c in range(k):
+        np.maximum.at(high[c], cell, values[:, c])
+        np.minimum.at(low[c], cell, values[:, c])
     top, low = high.reshape((k,) + shape), low.reshape((k,) + shape)
     free = [a for a, o in enumerate(orders, start=1) if o == 0]
     cyclic = [(a, lvl) for a, (o, lvl) in enumerate(zip(orders, levels), start=1) if o]

@@ -228,15 +228,8 @@ def _cmd_foelner(args: argparse.Namespace) -> int:
         print(f"error: no box with |O_{args.epsilon}(F)| <= {args.c}|F| fits in {room}",
               file=sys.stderr)
         return 2
-    payload = {
-        "k": f.k,
-        "size": f.size,
-        "neighborhood_size": f.neighborhood_size,
-        "ratio": f.ratio,
-        "c": args.c,
-        "epsilon": _scale(args.epsilon),
-        "satisfied": f.ratio <= args.c,
-    }
+    payload = {**f.to_json(), "c": args.c, "epsilon": _scale(args.epsilon),
+               "satisfied": f.ratio <= args.c}
     _emit(payload, args)
     return 0
 
@@ -248,16 +241,9 @@ def _cmd_cover(args: argparse.Namespace) -> int:
         print("error: cover construction handles free rank 0..3", file=sys.stderr)
         return 2
     cover = asdim_cover(rank.finite_value(), args.epsilon, _radius(args))
-    payload = {
-        "rank": cover.rank,
-        "epsilon": _scale(cover.epsilon),
-        "radius": cover.radius,
-        "mesh": cover.mesh,
-        "multiplicity": cover.multiplicity,
-        "blocks": len(cover.blocks),
-        "block_sizes": sorted((len(b) for b in cover.blocks), reverse=True)[:32],
-        "bound": cover.rank + 1,
-    }
+    sizes = sorted((len(b) for b in cover.blocks), reverse=True)[:32]
+    payload = {**cover.to_json(), "epsilon": _scale(cover.epsilon), "block_sizes": sizes,
+               "bound": cover.rank + 1}
     _emit(payload, args)
     return 0
 

@@ -133,4 +133,3 @@ class ExtNat:
 
 
 INF = ExtNat(None)
-ZERO = ExtNat(0)

@@ -170,13 +170,3 @@ def phi_of_nat(n: int) -> FactorFunction:
     if n > NAT_LIMIT:
         raise ValueError(f"{n} exceeds the factorization limit {NAT_LIMIT}")
     return FactorFunction.from_dict(factorize(n))
-
-
-def ff_to_nat(f: FactorFunction) -> int:
-    """Inverse of phi_of_nat; requires finite total mass."""
-    if f.total_mass.is_infinite:
-        raise ValueError("factor function has infinite total mass")
-    n = 1
-    for p, v in f.entries:
-        n *= p ** v.finite_value()
-    return n

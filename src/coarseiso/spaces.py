@@ -471,8 +471,10 @@ class PlaneRule(MetricRule):
         with the same empty disc, an edge of every triangulation of V. By
         induction on length every pair of S is joined by a path of edges
         no longer than itself, and rounding keeps the order of lengths.
-        Where Qhull refuses the points (too close, or nearly on one line)
-        every pair is an edge: exact, and refused above DENSE_LIMIT."""
+        Where Qhull refuses points (too close, or nearly on one line) every
+        pair is an edge: of S if it refuses the space, of V if it refuses
+        the border, as all pairs hold every triangulation's edges; refused
+        above DENSE_LIMIT."""
         n = len(subset)
         try:
             ii, jj, ww = plane_edges(space)
@@ -490,13 +492,7 @@ class PlaneRule(MetricRule):
         try:
             bi, bj, bw = delaunay_edges(space.coords[subset[border]])
         except ValueError:
-            # Qhull cannot triangulate the border alone; any set between the
-            # border and S serves the argument, and S is the largest
-            border = np.arange(n)
-            try:
-                bi, bj, bw = delaunay_edges(space.coords[subset])
-            except ValueError:
-                return super().subset_edges(space, subset)
+            bi, bj, bw = super().subset_edges(space, subset[border])
         key = np.concatenate((pi[inside] * n + pj[inside], border[bi] * n + border[bj]))
         key, first = np.unique(key, return_index=True)
         return key // n, key % n, np.concatenate((ww[inside], bw))[first]
@@ -648,10 +644,6 @@ class FiniteSpace:
                 m[blk] = self.dists_block(blk, slice(None))
             self._dmat = m
         return self._dmat
-
-    def ball(self, i: int, radius: Num) -> np.ndarray:
-        """Indices of the closed ball around point i."""
-        return np.flatnonzero(self.dists_from(i) <= float(radius))
 
     def to_json(self) -> str:
         r = self.inner_radius

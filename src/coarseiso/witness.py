@@ -19,7 +19,7 @@ from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple, 
 import numpy as np
 
 from .analysis import oscillation
-from .factorfn import FactorFunction, ff_add, ff_equal, ff_sub, phi_of_nat
+from .factorfn import ff_sub, phi_of_nat
 from .groups import GroupDescription, coarse_isomorphic
 from .spaces import (
     FiniteSpace,
@@ -56,8 +56,9 @@ class WitnessMap:
     values measured over that region at the declared scales.
 
     A ``table`` of (source, target) pairs may be given in place of the
-    arrays, and when given it replaces them, so that
-    ``dataclasses.replace(w, table=...)`` swaps the table.
+    arrays, and replaces them: ``dataclasses.replace(w, table=...)`` swaps
+    the table. An index that is not a whole number naming a point of its
+    side's space is a ValueError naming the side.
     """
 
     source: FiniteSpace
@@ -83,12 +84,20 @@ class WitnessMap:
         dst: Optional[Sequence[int]] = None,
     ):
         if table is not None:
-            src, dst = np.asarray(table, dtype=np.int64).reshape(-1, 2).T
+            src, dst = np.asarray(table).reshape(-1, 2).T
         if src is None or dst is None or validity_radius is None:
             raise TypeError("a witness needs its table and validity radius")
-        self.src, self.dst = np.array(src, dtype=np.int64), np.array(dst, dtype=np.int64)
-        if self.src.ndim != 1 or self.src.shape != self.dst.shape:
+        src, dst = np.asarray(src), np.asarray(dst)
+        if src.ndim != 1 or src.shape != dst.shape:
             raise ValueError("mismatched map table")
+        for side, space, idx in (("source", source, src), ("target", target, dst)):
+            if len(idx) and not (np.issubdtype(idx.dtype, np.integer)
+                                 and 0 <= idx.min() and idx.max() < len(space)):
+                bad = idx[(idx < 0) | (idx >= len(space)) | (idx != np.floor(idx))]
+                if len(bad):
+                    raise ValueError(f"{side} index {bad[0]} is not one of the {side}'s "
+                                     f"{len(space)} points")
+        self.src, self.dst = src.astype(np.int64), dst.astype(np.int64)
         self.src.setflags(write=False)
         self.dst.setflags(write=False)
         self.source, self.target = source, target
@@ -122,9 +131,6 @@ class WitnessMap:
 
     def __len__(self) -> int:
         return len(self.src)
-
-    def as_dict(self) -> Dict[int, int]:
-        return dict(zip(self.src.tolist(), self.dst.tolist()))
 
     def to_json(self) -> dict:
         validity = (
@@ -461,11 +467,9 @@ class TowerAlignment:
         }
 
 
-def _tower_phi(orders: Sequence[int]) -> FactorFunction:
-    phi = FactorFunction()
-    for o in orders:
-        phi = ff_add(phi, phi_of_nat(int(o)))
-    return phi
+def _prime_multiset(*orders: int) -> List[int]:
+    return sorted(p for o in orders for p, e in phi_of_nat(int(o)).entries
+                  for _ in range(e.finite_value()))
 
 
 def _prefix_products(orders: Sequence[int]) -> List[int]:
@@ -478,7 +482,8 @@ def _prefix_products(orders: Sequence[int]) -> List[int]:
 def tower_alignment_witness(
     u_space: FiniteSpace, v_space: FiniteSpace, deltas: Sequence[float] = ()
 ) -> TowerAlignment:
-    """Align two tower truncations with the same factor content.
+    """Align two tower truncations with the same factor content: the same
+    prime multiset of their orders, so the same total order.
 
     The bijection sends a point to its little-endian mixed-radix rank in the
     first tower and decodes that rank in the second, as arrays matched to
@@ -492,11 +497,9 @@ def tower_alignment_witness(
         raise ValueError("alignment needs tower-built spaces")
     uo, ul = u_space.rule.orders, u_space.rule.levels
     vo, vl = v_space.rule.orders, v_space.rule.levels
-    if not ff_equal(_tower_phi(uo), _tower_phi(vo)):
+    if _prime_multiset(*uo) != _prime_multiset(*vo):
         raise ValueError("factor functions of the towers differ")
     uprod, vprod = _prefix_products(uo), _prefix_products(vo)
-    if uprod[-1] != vprod[-1]:
-        raise ValueError("tower truncations have different total order")
 
     pairs: List[Tuple[int, int]] = []
     a_len, b_len = len(uo), len(vo)
@@ -691,13 +694,6 @@ def component_multiplicity(w: WitnessMap, epsilon: float) -> int:
         f"{values[0]} slices but component at "
         f"{w.target.labels[part.representatives[hi]]} meets {values[-1]}"
     )
-
-
-def _prime_multiset(n: int) -> List[int]:
-    out: List[int] = []
-    for p, e in phi_of_nat(n).entries:
-        out.extend([p] * e.finite_value())
-    return sorted(out)
 
 
 def iso_witness_chain(

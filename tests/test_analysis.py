@@ -614,7 +614,7 @@ def test_chain_order_matches_cophenet(sp, data):
             subset = sorted(data.draw(st.sets(st.integers(0, len(sp) - 1), min_size=1)))
         else:
             radius = data.draw(st.sampled_from([0, 0.5, 1, 2, 3, 5]))
-            subset = sp.ball(sp.basepoint, radius)
+            subset = np.flatnonzero(sp.dists_from(sp.basepoint) <= radius)
     else:
         if isinstance(sp.rule, SupRule) and data.draw(st.booleans()):
             picked = sorted(data.draw(st.sets(st.integers(0, len(sp) - 1), min_size=1)))
@@ -1259,6 +1259,14 @@ def test_window_edges_keep_every_single_linkage_height(sp, shape, data):
     assert np.array_equal(window_cophenet(sp, subset), single_linkage_cophenet(sp, subset))
 
 
+def window_border(sp, subset):
+    """The points of the subset with a neighbour outside it in the space's
+    triangulation."""
+    ii, jj, _ = spaces_mod.plane_edges(sp)
+    crossing = np.isin(ii, subset) != np.isin(jj, subset)
+    return np.intersect1d(np.union1d(ii[crossing], jj[crossing]), subset)
+
+
 @pytest.mark.parametrize("rows", [2, 3])
 @pytest.mark.parametrize("columns", [1, 2, 5, 8])
 def test_window_with_a_collinear_border(rows, columns):
@@ -1268,26 +1276,74 @@ def test_window_with_a_collinear_border(rows, columns):
     sp = FiniteSpace(sorted((float(x), float(y)) for x in range(10) for y in range(rows)),
                      PlaneRule(), 0, 0)
     subset = np.flatnonzero(sp.coords[:, 0] < columns)
-    ii, jj, _ = spaces_mod.plane_edges(sp)
-    inside = np.isin(ii, subset) != np.isin(jj, subset)
-    border = np.union1d(ii[inside], jj[inside])
-    assert len(np.intersect1d(border, subset)) == rows
+    assert len(window_border(sp, subset)) == rows
     assert np.array_equal(window_cophenet(sp, subset), single_linkage_cophenet(sp, subset))
 
 
-def test_window_whose_border_qhull_cannot_triangulate():
+def qhull_sizes(monkeypatch):
+    """The number of points of each scipy.spatial.Delaunay call from here
+    on, in call order."""
+    import scipy.spatial
+
+    sizes, real = [], scipy.spatial.Delaunay
+
+    def recording(pts, *args, **kwargs):
+        sizes.append(len(pts))
+        return real(pts, *args, **kwargs)
+
+    monkeypatch.setattr(scipy.spatial, "Delaunay", recording)
+    return sizes
+
+
+def test_window_whose_border_qhull_cannot_triangulate(monkeypatch):
     # a square's corners and centre; the ball around (2, 0) drops (-2, 0),
     # and its border, (0, 2), (0, 0) and (0, -2), is one line up to the
-    # rounding of cos(pi / 2): Qhull finds it flat, so the window's own
-    # points are triangulated instead
+    # rounding of cos(pi / 2): Qhull finds it flat, so every pair of the
+    # border is read, and Qhull never sees the window's 4 points
     angles = np.arange(4) * (math.pi / 2)
     labels = [(2 * math.cos(a), 2 * math.sin(a)) for a in angles] + [(0.0, 0.0)]
     sp = FiniteSpace(sorted(labels), PlaneRule(), 0, 0)
     subset = np.flatnonzero(sp.dists_from(sp.index[(2.0, 0.0)]) <= 2.9)
     assert len(subset) == 4
+    sizes = qhull_sizes(monkeypatch)
+    assert np.array_equal(window_cophenet(sp, subset), single_linkage_cophenet(sp, subset))
+    assert sizes == [5, 3]
     with pytest.raises(ValueError, match="no triangulation"):
         spaces_mod.delaunay_edges(sp.coords[np.abs(sp.coords[:, 0]) < 1e-9])
+
+
+def doubled_border_point():
+    """Eight points; below the window y > -2 lies only (-2, -3), and the
+    window's border holds (-2, -0.25) and a point 1e-12 beside it, which
+    Qhull sets aside there, though not in the whole space."""
+    return FiniteSpace(sorted([(-0.5, 2.0), (0.5, 2.5), (1.0, 2.5), (-2.0, -0.25),
+                               (-2.0 + 1e-12, -0.25), (0.1, -0.3), (2.5, -0.5),
+                               (-2.0, -3.0)]), PlaneRule(), 0, 0)
+
+
+def bent_lattice_column():
+    """A 6 x 3 lattice with (2, 1) moved 1 ulp right: the border of the
+    window x < 2.5 is the column x = 2, nearly but not exactly one line."""
+    return FiniteSpace(sorted((x + (4.440892098500626e-16 if (x, y) == (2, 1) else 0.0),
+                               float(y)) for x in range(6) for y in range(3)),
+                       PlaneRule(), 0, 0)
+
+
+@pytest.mark.parametrize("make,window,refusal", [
+    (doubled_border_point, lambda c: c[:, 1] > -2, "set aside 1 of 4"),
+    (bent_lattice_column, lambda c: c[:, 0] < 2.5, "no triangulation"),
+], ids=["near-coincident", "nearly-collinear"])
+def test_windows_whose_border_qhull_refuses(monkeypatch, make, window, refusal):
+    # Qhull triangulates the space but refuses the window's border, so the
+    # border's pairs stand in for its triangulation
+    sp = make()
+    subset = np.flatnonzero(window(sp.coords))
+    border = window_border(sp, subset)
+    with pytest.raises(ValueError, match=refusal):
+        spaces_mod.delaunay_edges(sp.coords[border])
+    sizes = qhull_sizes(monkeypatch)
     assert np.array_equal(window_cophenet(sp, subset), single_linkage_cophenet(sp, subset))
+    assert sizes == [len(border)] and len(border) < len(subset) < len(sp)
 
 
 def far_lattice():

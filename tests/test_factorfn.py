@@ -20,7 +20,6 @@ from coarseiso.factorfn import (
     ff_parse,
     ff_render,
     ff_sub,
-    ff_to_nat,
     phi_of_nat,
 )
 
@@ -71,9 +70,6 @@ class TestPhiOfNat:
         # the module constant is the only bound
         with mock.patch.object(factorfn, "NAT_LIMIT", 10**7):
             assert phi_of_nat(10**6 + 1) is not None
-
-    def test_product_reconstructs(self):
-        assert ff_to_nat(phi_of_nat(98_280)) == 98_280
 
 
 class TestArithmetic:

@@ -1,7 +1,9 @@
-"""No module of the package imports a name it never reads. The check uses
-only the standard library's ast: a name counts as read where the module
-loads it, attributes and string annotations included. ``__init__.py`` is
-left out, as its imports are the package's public names."""
+"""No module of the package imports a name it never reads, and no module
+defines a name that the package and the benchmark harness never read. The
+checks use only the standard library's ast: a name counts as read where a
+module loads it, attributes and string annotations included.
+``__init__.py`` may import names it does not read, as its imports are the
+package's public names."""
 
 from __future__ import annotations
 
@@ -10,7 +12,10 @@ from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "coarseiso"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "coarseiso"
+# module-level names the interpreter and packaging read, not the program
+EXEMPT = {"__all__", "__version__"}
 
 
 def _annotations(tree: ast.AST):
@@ -31,6 +36,16 @@ def _loaded(tree: ast.AST) -> set:
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
 
 
+def _annotation_reads(tree: ast.AST) -> set:
+    """The names loaded inside string annotations."""
+    read = set()
+    for annotation in _annotations(tree):
+        for node in ast.walk(annotation):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                read |= _loaded(ast.parse(node.value, mode="eval"))
+    return read
+
+
 def unused_imports(source: str) -> list[str]:
     """The names the source imports and never reads, in import order."""
     tree = ast.parse(source)
@@ -40,11 +55,7 @@ def unused_imports(source: str) -> list[str]:
             imported += [(a.asname or a.name.split(".")[0], node.lineno) for a in node.names]
         elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
             imported += [(a.asname or a.name, node.lineno) for a in node.names]
-    read = _loaded(tree)
-    for annotation in _annotations(tree):
-        for node in ast.walk(annotation):
-            if isinstance(node, ast.Constant) and isinstance(node.value, str):
-                read |= _loaded(ast.parse(node.value, mode="eval"))
+    read = _loaded(tree) | _annotation_reads(tree)
     return [name for name, _ in sorted(imported, key=lambda x: x[1]) if name not in read]
 
 
@@ -80,3 +91,70 @@ def test_no_module_imports_a_name_it_never_reads():
         if path.name != "__init__.py"
     }
     assert found and {name: names for name, names in found.items() if names} == {}
+
+
+def defined_names(source: str) -> list[str]:
+    """The module-level function, class and assigned names of the source,
+    each once, in order of first definition."""
+    names = []
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names += [n.id for t in targets for n in ast.walk(t)
+                      if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)]
+    return list(dict.fromkeys(names))
+
+
+def read_names(source: str) -> set:
+    """The names the source reads: names it loads (string annotations
+    included), attribute names, and the names a from-import takes."""
+    tree = ast.parse(source)
+    read = _loaded(tree) | _annotation_reads(tree)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            read.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            read |= {a.name for a in node.names}
+    return read
+
+
+def unread_names(defining: dict, readers: list) -> list[str]:
+    """module.name for each name a defining module (name: source) defines
+    that no reader source reads, in module order."""
+    read = set().union(*map(read_names, readers)) | EXEMPT
+    return [f"{module}.{name}" for module, source in defining.items()
+            for name in defined_names(source) if name not in read]
+
+
+@pytest.mark.parametrize("snippet, unread", [
+    ("def f():\n    return 1\n", ["m.f"]),
+    ("def f():\n    return f()\n", []),  # a function may read itself
+    ("class A:\n    pass\nA.x = 1\n", []),
+    ("X = 1\nX = 2\nX += 1\n", ["m.X"]),  # stores and updates read nothing
+    ("a, (b, c) = 1, (2, 3)\nprint(a, c)\n", ["m.b"]),
+    ("X: int = 1\nY: 'X'\n", ["m.Y"]),  # a string annotation reads its names
+    ("def f(x: 'A') -> None: ...\nclass A: ...\nf\n", []),
+    ("__all__ = []\n__version__ = '1'\n", []),
+    ("class A:\n    def g(self): ...\n", ["m.A"]),  # methods are not module names
+    ("import os\nos.X = 1\nX = 2\n", []),  # an attribute name counts
+    ("'X'\nX = 1\n", ["m.X"]),  # text is no read
+])
+def test_what_counts_as_a_read(snippet, unread):
+    assert unread_names({"m": snippet}, [snippet]) == unread
+
+
+def test_a_name_read_by_another_module_is_read():
+    defining = {"m": "def f(): ...\ndef g(): ...\nH = 1\n"}
+    readers = [defining["m"], "from m import f\n", "import m\nm.H\n"]
+    assert unread_names(defining, readers) == ["m.g"]
+
+
+def test_every_defined_name_is_read():
+    # the package and the benchmark harness read the package's names; the
+    # tests, which may call anything, do not count
+    defining = {path.stem: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
+    harness = [path.read_text() for path in sorted((ROOT / "perfbench").glob("*.py"))
+               if not path.name.startswith("test_")]
+    assert unread_names(defining, [*defining.values(), *harness]) == []

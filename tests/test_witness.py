@@ -96,7 +96,7 @@ class TestWitnessMap:
     def test_apply_and_len(self):
         w = identity_witness(tower_space([2, 3]))
         assert len(w) == 6
-        assert w.as_dict()[4] == 4
+        assert dict(w.table)[4] == 4
 
     def test_json_shape(self):
         w = identity_witness(tower_space([2, 3]))
@@ -338,9 +338,11 @@ class TestTowerAlignment:
         assert al.pairs == ((1, 1), (2, 1), (3, 2), (4, 2))
         assert verify_witness(al.witness).ok
 
-    def test_profile_mismatch_rejected(self):
+    @pytest.mark.parametrize("u, v", [([2, 2], [8]), ([2, 3], [3, 3]), ([6], [2, 2, 2])])
+    def test_profile_mismatch_rejected(self, u, v):
+        # different totals are different prime multisets: no check of its own
         with pytest.raises(ValueError, match="factor functions"):
-            tower_alignment_witness(tower_space([2, 2]), tower_space([8], levels=[2]))
+            tower_alignment_witness(tower_space(u), tower_space(v, levels=range(2, len(v) + 2)))
 
     def test_requires_towers(self):
         with pytest.raises(ValueError):

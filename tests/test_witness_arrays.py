@@ -119,7 +119,7 @@ def old_compose(f, g, deltas=()):
         raise ValueError("compose: stages do not share a space")
     dmid = g.source.dists_from(g.source.basepoint)
     dsrc = f.source.dists_from(f.source.basepoint)
-    gmap = g.as_dict()
+    gmap = dict(g.table)
     pairs = []
     for s, mid in f.table:
         if dsrc[s] > f.validity_radius + _TOL:
@@ -590,6 +590,49 @@ def test_table_is_read_from_the_index_arrays():
         WitnessMap(sp, sp, None, {}, {}, 1.0)
     with pytest.raises(ValueError, match="mismatched"):
         WitnessMap(sp, sp, None, {}, {}, 1.0, src=[0, 1], dst=[0])
+
+
+@pytest.mark.parametrize("pair, side, index", [
+    ((-1, 4), "source", -1), ((4, -1), "target", -1),
+    ((5, 4), "source", 5), ((4, 5), "target", 5),
+])
+def test_a_table_index_that_is_no_point_is_refused(pair, side, index):
+    # -1 would read as the last point and 5 past the end of zball(2); the
+    # table form, as dataclasses.replace passes it, and the array form
+    # meet the same check
+    w = relabel_witness(zball(2), zball(2))
+    table = (pair,) + w.table[1:]
+    message = f"{side} index {index} is not one of the {side}'s 5 points"
+    with pytest.raises(ValueError, match=message):
+        dataclasses.replace(w, table=table)
+    src, dst = zip(*table)
+    with pytest.raises(ValueError, match=message):
+        WitnessMap(w.source, w.target, None, {}, {}, 1.0, src=src, dst=dst)
+
+
+def test_table_indices_are_whole_numbers_within_both_spaces():
+    w = relabel_witness(zball(2), zball(3))
+    # the ends of both ranges are points
+    ends = dataclasses.replace(w, table=((0, 0), (4, 6)))
+    assert ends.table == ((0, 0), (4, 6))
+    # a float index is read by its value, never truncated: a whole one
+    # names its point, any other is refused on its own side
+    assert dataclasses.replace(w, table=((0.0, 1), (1, 2))).src.tolist() == [0, 1]
+    for table, side, index in ((((0.5, 1), (1, 2)), "source", "0.5"),
+                               (((0, 1), (1, 2.5)), "target", "2.5"),
+                               (((0, math.nan), (1, 2)), "target", "nan")):
+        with pytest.raises(ValueError, match=f"{side} index {index} is not one of"):
+            dataclasses.replace(w, table=table)
+    with pytest.raises(ValueError, match="source index inf is not one of"):
+        WitnessMap(w.source, w.target, None, {}, {}, 1.0, src=[0, math.inf], dst=[1, 2])
+    # an empty table is no index at all
+    for empty in (dataclasses.replace(w, table=()),
+                  WitnessMap(w.source, w.target, None, {}, {}, 1.0, src=[], dst=[])):
+        assert len(empty) == 0 and empty.src.dtype == empty.dst.dtype == np.int64
+    # swapping two images, as the benchmark's tamper check does, still builds
+    swapped = list(w.table)
+    swapped[0], swapped[1] = (0, swapped[1][1]), (1, swapped[0][1])
+    assert not verify_witness(dataclasses.replace(w, table=tuple(swapped))).ok
 
 
 def test_chain_builds_no_label_tuple_of_its_end_spaces():
