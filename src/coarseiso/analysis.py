@@ -462,10 +462,11 @@ class FoelnerSet:
 def foelner_search(space: FiniteSpace, c: float, epsilon: float) -> Optional[FoelnerSet]:
     """First basepoint ball F = O_k with |O_epsilon(F)| <= c|F|, growing k
     while the enlarged set stays inside the faithfulness radius. Epsilon
-    may be inf; NaN or a negative value raises ValueError, and so does a
-    neighbourhood recount (no rule shortcut) on more than RECOUNT_LIMIT
-    points."""
-    _check_epsilon(epsilon)
+    must be finite and >= 0: no ball fits an infinite neighbourhood inside
+    the radius. A ValueError is raised otherwise, and on a neighbourhood
+    recount (no rule shortcut) on more than RECOUNT_LIMIT points."""
+    if not math.isfinite(_check_epsilon(epsilon)):
+        raise ValueError(f"foelner epsilon must be finite, got {epsilon}")
     if c <= 1:
         raise ValueError("growth factor must exceed 1")
     bd = space.base_dists

@@ -33,9 +33,11 @@ MetricRule. Quotients exist only where the structure gives them: the
 epsilon-quotient of a structural tower or group ball is the tower of its
 cyclic coordinates above epsilon, and every other quotient is refused.
 
-scipy is imported only for a whole minimum spanning tree: Qhull in
-_triangulation_pairs and csgraph in _kruskal_chain. Components, plane ones
-included, need neither (_connected_labels), so they load no scipy.
+scipy is imported only on the generic route of a chain, where csgraph
+reduces every pair of a subset to a minimum spanning tree
+(MetricRule.subset_edges). A plane chain reads its tree by bands over a
+cell grid (_band_edges), with no triangulation, and components, plane ones
+included, join by _connected_labels, so neither loads scipy.
 """
 
 from __future__ import annotations
@@ -58,8 +60,20 @@ from .primes import first_primes
 DEFAULT_POINT_BUDGET = 10**6
 DENSE_LIMIT = 6500
 PLANE_DECIMALS = 9
+# a PlaneRule distance r of points at Euclidean distance d has
+# |r - d| <= PLANE_HALF_UNIT + PLANE_REL * (d + PLANE_HALF_UNIT): half a unit
+# of the last kept decimal, and a bound on the float error of the
+# difference, hypot and the rounding (_plane_components)
+PLANE_HALF_UNIT = 0.5 * 10.0**-PLANE_DECIMALS
+PLANE_REL = 2.0**-40
 # validate_metric and the ultrametric check read every triple up to here
 EXHAUSTIVE_LIMIT = 512
+# _band_pairs splits a bucket pair of more point pairs than SPLIT_PAIRS into
+# Morton sub-cells, up to SPLIT_LEVELS levels, and _band_edges skips the
+# bands below the least box gap of at most SKIP_COMPONENTS components
+SPLIT_PAIRS = 256
+SPLIT_LEVELS = 8
+SKIP_COMPONENTS = 64
 # entries of one block of distance rows (2 MB of float64): row_blocks sizes
 # every blocked distance read so that one block of its result holds about
 # this many; blocks four times larger were no faster and raised the peak
@@ -89,10 +103,9 @@ class MetricRule:
     apart from the row kernels as their scalar oracle). The methods here
     are the generic paths, written once from ``FiniteSpace.dists_block``:
     the threshold graph read in row blocks for epsilon-components, and the
-    Kruskal chain over all pairs of a subset. SupRule and PlaneRule
-    override those their structure reads exactly and faster, and fall back
-    on them where it does not: a sup subset that fills no box, plane points
-    Qhull refuses.
+    Kruskal chain over the minimum spanning tree of all pairs of a subset.
+    SupRule and PlaneRule override those their structure reads exactly and
+    faster; SupRule falls back on them where a subset fills no box.
     """
 
     split: Optional[int] = None  # coordinates owned by a product's left factor
@@ -122,9 +135,13 @@ class MetricRule:
         return True
 
     def subset_edges(self, space: "FiniteSpace", subset: np.ndarray):
-        """Edges (i, j, weight) of the induced subspace on ascending
-        distinct indices, in subset positions, i < j, in ascending (i, j)
-        order: here every pair, with its distance."""
+        """Edges (i, j, weight) of a minimum spanning tree of the induced
+        subspace on ascending distinct indices, in subset positions, i < j,
+        in ascending (i, j) order: here of every pair, read in row blocks
+        and reduced by csgraph; refused above DENSE_LIMIT."""
+        from scipy.sparse import coo_matrix
+        from scipy.sparse.csgraph import minimum_spanning_tree
+
         n = len(subset)
         if n > DENSE_LIMIT:
             raise BudgetError(f"edges of {n} points exceed the dense limit {DENSE_LIMIT}")
@@ -135,7 +152,14 @@ class MetricRule:
             ii.append(bi + blk.start)
             jj.append(bj)
             ww.append(space.dists_block(subset[blk], subset)[bi, bj])
-        return np.concatenate(ii), np.concatenate(jj), np.concatenate(ww)
+        # csgraph reads a zero weight as no edge, so the tree is taken on the
+        # ranks of the weights, which keep their order, and read back
+        values, rank = np.unique(np.concatenate(ww), return_inverse=True)
+        tree = minimum_spanning_tree(coo_matrix(
+            (rank + 1.0, (np.concatenate(ii), np.concatenate(jj))), shape=(n, n))).tocoo()
+        lo, hi = np.minimum(tree.row, tree.col), np.maximum(tree.row, tree.col)
+        by = np.argsort(lo.astype(np.int64) * n + hi)
+        return lo[by], hi[by], values[tree.data[by].astype(np.int64) - 1]
 
     def chain(self, space: "FiniteSpace", subset: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Single-linkage chain of the induced subspace on ascending
@@ -144,7 +168,8 @@ class MetricRule:
         Every eps-component, at every eps, is one contiguous run of the
         order, cut where gap > eps, and the cophenetic distance of order[i]
         and order[j], i < j, is max(gap[i + 1:j + 1]) (Gower & Ross, 1969).
-        Here it is read from the minimum spanning tree of subset_edges."""
+        Here it is read from the minimum spanning tree of subset_edges
+        (_kruskal_chain)."""
         return _kruskal_chain(len(subset), *self.subset_edges(space, subset))
 
     def components(self, space: "FiniteSpace", eps: float) -> np.ndarray:
@@ -460,42 +485,21 @@ class PlaneRule(MetricRule):
         return np.round(np.hypot(dx, dy), PLANE_DECIMALS)
 
     def subset_edges(self, space: "FiniteSpace", subset: np.ndarray):
-        """A graph with the single-linkage heights of all pairs of the
-        subset S: the edges of the space's cached Delaunay triangulation T
-        inside S, plus those of a Delaunay triangulation of its border V,
-        the points of S with a T-neighbour outside S. Deleting the outside
-        points from T leaves every other triangle Delaunay for S, and the
-        triangles that fill the holes have their corners in V. So a pair of
-        S whose closed diameter disc holds no other point of S, an edge of
-        every Delaunay triangulation of S, is an edge of T or a pair of V
-        with the same empty disc, an edge of every triangulation of V. By
-        induction on length every pair of S is joined by a path of edges
-        no longer than itself, and rounding keeps the order of lengths.
-        Where Qhull refuses points (too close, or nearly on one line) every
-        pair is an edge: of S if it refuses the space, of V if it refuses
-        the border, as all pairs hold every triangulation's edges; refused
-        above DENSE_LIMIT."""
+        """A minimum spanning tree of the subset S by bands over the cell
+        grid (_band_edges), at any size, with no triangulation: the
+        space's cached tree (plane_edges) when S is the whole space, and
+        otherwise the bands run from that tree's edges inside S, which lie
+        in some minimum spanning tree of S (step 5 there), and only between
+        the components they leave."""
         n = len(subset)
-        try:
-            ii, jj, ww = plane_edges(space)
-        except ValueError:
-            return super().subset_edges(space, subset)
+        ii, jj, ww = plane_edges(space)
         if n == len(space):
             return ii, jj, ww
         pos = np.full(len(space), -1, dtype=np.int64)
         pos[subset] = np.arange(n)
         pi, pj = pos[ii], pos[jj]
-        # pos rises with the index, so an edge inside S keeps pi < pj, and
-        # the larger end of a crossing edge is its end in S
         inside = (pi >= 0) & (pj >= 0)
-        border = np.unique(np.maximum(pi, pj)[(pi >= 0) != (pj >= 0)])
-        try:
-            bi, bj, bw = delaunay_edges(space.coords[subset[border]])
-        except ValueError:
-            bi, bj, bw = super().subset_edges(space, subset[border])
-        key = np.concatenate((pi[inside] * n + pj[inside], border[bi] * n + border[bj]))
-        key, first = np.unique(key, return_index=True)
-        return key // n, key % n, np.concatenate((ww[inside], bw))[first]
+        return _band_edges(space.coords[subset], pi[inside], pj[inside], ww[inside])
 
     def components(self, space: "FiniteSpace", eps: float) -> np.ndarray:
         """From a grid of cells, without triangulating (_plane_components)."""
@@ -553,8 +557,8 @@ class FiniteSpace:
         self._index: Optional[dict[Label, int]] = None
         self._base_dists: Optional[np.ndarray] = None
         self._dmat: Optional[np.ndarray] = None
-        # plane_edges: the Delaunay edges, or the message of Qhull's refusal
-        self._edges: Optional[Union[tuple[np.ndarray, np.ndarray, np.ndarray], str]] = None
+        # plane_edges: the minimum spanning tree of a plane space
+        self._edges: Optional[tuple[np.ndarray, np.ndarray, np.ndarray]] = None
 
     def with_inner_radius(self, inner_radius: Num) -> "FiniteSpace":
         """The same points, rule and basepoint, faithful up to another
@@ -1095,80 +1099,234 @@ def _row_groups(rows: np.ndarray) -> np.ndarray:
     return ids
 
 
-def _triangulation_pairs(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Pairs (i, j), i < j, of points joined in the Delaunay triangulation,
-    read from Qhull's per-vertex neighbour lists. Qhull triangulates the
-    points moved to their bounding-box centre: far from the origin it would
-    set near-coincident points aside as coplanar and give them no edge, and
-    a point it still sets aside is a ValueError. Points on one line have
-    no triangulation; there the pairs are the path through them in order
-    along the line, which is their MST."""
-    from scipy.spatial import Delaunay, QhullError
-
-    n = len(pts)
-    if n >= 3:
-        try:
-            tri = Delaunay(pts - (pts.max(axis=0) + pts.min(axis=0)) / 2)
-        except QhullError as exc:
-            error = str(exc).splitlines()[0]
-        else:
-            if len(tri.coplanar):
-                raise ValueError(f"plane points too close to triangulate: Qhull set aside "
-                                 f"{len(tri.coplanar)} of {n} points")
-            indptr, nbrs = tri.vertex_neighbor_vertices
-            ii = np.repeat(np.arange(n), np.diff(indptr))
-            keep = ii < nbrs
-            return ii[keep], nbrs[keep]
-    # lexicographic order is the order along a line, vertical ones included
-    along = np.lexsort((pts[:, 1], pts[:, 0]))
-    if n >= 3:
-        a, b = pts[along[0]], pts[along[-1]]
-        cross = (b[0] - a[0]) * (pts[:, 1] - a[1]) - (b[1] - a[1]) * (pts[:, 0] - a[0])
-        if np.any(cross != 0):
-            raise ValueError(f"plane points admit no triangulation: {error}")
-    return np.minimum(along[:-1], along[1:]), np.maximum(along[:-1], along[1:])
-
-
 def _plane_pair_dists(pts: np.ndarray, ii: np.ndarray, jj: np.ndarray) -> np.ndarray:
     """PlaneRule distances of the point pairs (ii[k], jj[k])."""
     return np.round(np.hypot(pts[ii, 0] - pts[jj, 0], pts[ii, 1] - pts[jj, 1]), PLANE_DECIMALS)
 
 
-def delaunay_edges(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Delaunay edge list (i, j, weight) of planar points, each edge once
-    with i < j and its PlaneRule distance, in ascending (i, j) order. A
-    pair whose closed diameter disc holds no other point is an edge of
-    every Delaunay triangulation, so every pair is joined by a path of
-    edges no longer than itself: the minimum spanning tree of these edges
-    gives the single-linkage heights of the full distance graph, which
-    step estimation reads from here. Every
-    point has its edges: one Qhull sets aside is a ValueError."""
-    n = len(pts)
-    ii, jj = _triangulation_pairs(pts)
-    key = np.sort(ii.astype(np.int64) * n + jj)
-    ii, jj = key // n, key % n
-    return ii, jj, _plane_pair_dists(pts, ii, jj)
-
-
 def plane_edges(space: FiniteSpace) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Delaunay edges of a plane fixture, cached on the space: one
-    triangulation serves the step candidates and every step window, a
-    smaller window keeping the edges inside it and adding a triangulation
-    of its border (see PlaneRule.subset_edges).
-    Qhull's refusal of the points is cached too, and raised on every call.
-    Epsilon-components need none (see _plane_components). So a step on
-    example31:20:0.01 triangulates 6,573 + 225 + 204 points, where whole
-    windows took 6,573 + 5,929 + 4,034."""
-    if isinstance(space._edges, str):
-        raise ValueError(space._edges)
+    """A minimum spanning tree of a plane space under PlaneRule distances
+    (_band_edges), cached on the space: it gives the step candidates, and
+    every step window starts from its edges inside the window (see
+    PlaneRule.subset_edges). Epsilon-components need none
+    (_plane_components)."""
     if space._edges is None:
-        try:
-            space._edges = delaunay_edges(space.coords)
-        except ValueError as exc:
-            # the message only: a stored exception would hold its frames
-            space._edges = str(exc)
-            raise
+        none = np.zeros(0, dtype=np.int64)
+        space._edges = _band_edges(space.coords, none, none, np.zeros(0))
     return space._edges
+
+
+def _band_edges(pts: np.ndarray, ii: np.ndarray, jj: np.ndarray, ww: np.ndarray):
+    """Edges (i, j, weight) of a minimum spanning tree of plane points
+    under PlaneRule distances that holds the seed edges (ii, jj, ww), a
+    forest that lies in some minimum spanning tree; i < j, in ascending
+    (i, j) order. An exact Kruskal by bands of ratio 4 over the cell grid
+    of _plane_components, with no triangulation.
+
+    The labels start as the components of the seeds. A band reads, at a
+    scale t, the pairs at distance <= t between two components
+    (_band_pairs), keeps the lightest pair of each two, and joins them by a
+    minimum spanning forest (_forest_join); t then grows fourfold. The
+    first t is twice the sqrt(n) / 2-th least distance between neighbouring
+    rows: about the spacing of a uniform cloud whose rows are in
+    lexicographic order, as a space's are, and twice the least spacing
+    along a sampled curve. While at most SKIP_COMPONENTS components
+    remain, t grows fourfold until it reaches the least box gap between two
+    of them. Each step is exact:
+
+    1. Entering a band at t, the labels are the components of the edges
+       taken so far, which hold every pair read at the earlier, smaller
+       scales, so a pair between two of them is longer than the last t.
+       Every pair at distance <= t lies in cells at most 3 apart
+       (_grid_scale), and Kruskal on the contracted graph needs only the
+       lightest pair between two components: each edge the forest takes
+       is a lightest pair leaving a component (the cut property).
+    2. The bounds on the distances between two boxes carry the rounding
+       terms of _grid_scale (PLANE_HALF_UNIT and PLANE_REL), so a bucket
+       pair dropped by them holds no pair that the band keeps.
+    3. The Morton split changes which pairs are read, not which minimum is
+       kept: a sub-pair is dropped by the same bounds.
+    4. No pair between two components is closer than the least gap between
+       their boxes, so the skipped bands are empty: the band at the larger
+       t reads what they would have.
+    5. A seed, an edge of a minimum spanning tree T of a larger space
+       inside a subset W, is the only edge of T across its own cut. So
+       every path in W between its ends crosses that cut by an edge no
+       lighter than it, ties included, and the seeds lie in some minimum
+       spanning tree of W.
+    """
+    n = len(pts)
+    labels = _connected_labels(n, ii, jj)
+    edges = [(ii, jj, ww)]
+    comps = np.count_nonzero(labels == np.arange(n))
+    if comps > 1:
+        rows, k = np.arange(n - 1), math.isqrt(n) // 2
+        step = np.partition(_plane_pair_dists(pts, rows, rows + 1), k)[k]
+        t = 2 * max(float(step), 10.0**-PLANE_DECIMALS)
+    while comps > 1:
+        if comps <= SKIP_COMPONENTS:
+            by = np.argsort(labels, kind="stable")
+            boxes = _run_boxes(pts[by], np.flatnonzero(np.diff(labels[by], prepend=-1)))
+            u, v = np.triu_indices(comps, k=1)
+            floor = float(_box_bounds(boxes[:, u], boxes[:, v])[0].min())
+            while t < floor:
+                t *= 4
+        bi, bj, bw = _band_pairs(pts, labels, t)
+        keep, labels = _forest_join(labels, bi, bj, bw)
+        edges.append((bi[keep], bj[keep], bw[keep]))
+        comps -= len(keep)
+        t *= 4
+    ii, jj, ww = map(np.concatenate, zip(*edges))
+    lo, hi = np.minimum(ii, jj), np.maximum(ii, jj)
+    by = np.argsort(lo * n + hi)
+    return lo[by], hi[by], ww[by]
+
+
+def _run_boxes(pts: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """Bounding boxes (x0, x1, y0, y1), as columns, of the runs of points
+    that begin at the ascending starts."""
+    return np.stack([np.minimum.reduceat(pts[:, 0], starts), np.maximum.reduceat(pts[:, 0], starts),
+                     np.minimum.reduceat(pts[:, 1], starts), np.maximum.reduceat(pts[:, 1], starts)])
+
+
+def _sub_pairs(rs: np.ndarray, rc: np.ndarray, subs: np.ndarray, u: np.ndarray, v: np.ndarray):
+    """Every pair (k, x, y) of the finer runs that start at subs, x inside
+    run u[k] and y inside run v[k] of the runs that start at rs with sizes
+    rc, in ascending (k, x, y) order."""
+    lo = np.searchsorted(subs, rs)
+    many = np.searchsorted(subs, rs + rc) - lo
+    nu, nv = many[u], many[v]
+    slots = nu * nv
+    k = np.repeat(np.arange(len(slots)), slots)
+    s = np.arange(len(k)) - np.repeat(np.cumsum(slots) - slots, slots)
+    return k, lo[u][k] + s // nv[k], lo[v][k] + s % nv[k]
+
+
+def _box_bounds(ubox: np.ndarray, vbox: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Bounds (lower, upper) on the PlaneRule distance of every pair of
+    points of two boxes, given as columns (x0, x1, y0, y1): the Euclidean
+    distance lies between the gap of the boxes and the distance of their
+    farthest corners, each off by at most a relative 2^-52 in floats, and
+    PlaneRule rounds it within PLANE_HALF_UNIT + PLANE_REL * (d + h)."""
+    h, rel = PLANE_HALF_UNIT, PLANE_REL
+    gx = np.maximum(np.maximum(vbox[0] - ubox[1], ubox[0] - vbox[1]), 0)
+    gy = np.maximum(np.maximum(vbox[2] - ubox[3], ubox[2] - vbox[3]), 0)
+    fx = np.maximum(vbox[1] - ubox[0], ubox[1] - vbox[0])
+    fy = np.maximum(vbox[3] - ubox[2], ubox[3] - vbox[2])
+    # the factors beyond (1 - rel) and (1 + rel) cover the rounding of
+    # computing the bounds
+    return (np.hypot(gx, gy) * (1 - rel) ** 2 - h * (1 + rel),
+            (np.hypot(fx, fy) + h) * (1 + rel) ** 2)
+
+
+def _band_pairs(pts: np.ndarray, labels: np.ndarray, t: float):
+    """The lightest pair (i, j, weight) at PlaneRule distance <= t between
+    each two components (labels) that have one, read on the grid of
+    _plane_components at t.
+
+    The points of a cell are bucketed by component, and a bucket pair is
+    one of two distinct components in cells at most 3 apart. A bucket pair
+    whose lower bound (_box_bounds) exceeds t, or the upper bound of
+    another bucket pair of the same two components, or a distance read
+    between them, holds no lightest pair and is dropped. A bucket pair of
+    more than SPLIT_PAIRS point pairs is split into the pairs of its
+    buckets' Morton sub-cells, a quarter of a cell side each level, up to
+    SPLIT_LEVELS levels, and the others are read, in chunks of at most
+    BLOCK_ENTRIES (_slot_chunks). Ties keep the pair read first."""
+    n = len(pts)
+    inv = _grid_scale(float(np.max(np.abs(pts))), t)[0]
+    # x * inv is rounded once, and scaling it by a power of 2 is exact, so
+    # a point's cell is its fine cell shifted right by SPLIT_LEVELS bits
+    fine = np.floor(pts * inv * 2**SPLIT_LEVELS).astype(np.int64)
+    side = 2**SPLIT_LEVELS - 1
+    bits = np.arange(SPLIT_LEVELS)
+    spread = (((np.arange(side + 1)[:, None] >> bits) & 1) << (2 * bits)).sum(axis=1)
+    morton = (spread[fine[:, 0] & side] << 1) | spread[fine[:, 1] & side]
+    # points by cell, then component, then Morton code, so that the
+    # sub-cells of every level are runs of the order
+    perm = np.argsort(labels << (2 * SPLIT_LEVELS) | morton, kind="stable")
+    order, start, count, a, b, _ = _cell_pairs(_squeeze(fine[perm, 0] >> SPLIT_LEVELS),
+                                               _squeeze(fine[perm, 1] >> SPLIT_LEVELS), True)
+    order = perm[order]
+    comp, code, sorted_pts = labels[order], morton[order], pts[order]
+    cut = np.zeros(n, dtype=bool)
+    cut[start] = True
+    cut[1:] |= comp[1:] != comp[:-1]
+    flips = code[1:] ^ code[:-1]
+
+    def runs(level: int):
+        """Starts, sizes and boxes of the runs of one sub-cell of one
+        component: the buckets at level 0."""
+        cuts = cut.copy()
+        cuts[1:] |= (flips >> (2 * (SPLIT_LEVELS - level))) != 0
+        rs = np.flatnonzero(cuts)
+        return rs, np.diff(rs, append=n), _run_boxes(sorted_pts, rs)
+
+    # the bucket pairs of two components in the cell pairs
+    rs, rc, box = runs(0)
+    k, u, v = _sub_pairs(start, count, rs, a, b)
+    keep = (comp[rs[u]] != comp[rs[v]]) & ((a[k] != b[k]) | (u < v))
+    u, v = u[keep], v[keep]
+    cu, cv = comp[rs[u]], comp[rs[v]]
+    keys, key = np.unique(np.minimum(cu, cv) * n + np.maximum(cu, cv), return_inverse=True)
+    bound = np.full(len(keys), math.inf)
+    found = [(np.zeros(0), np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64),
+              np.zeros(0, dtype=np.int64))]
+    level = 0
+    while True:
+        lower, upper = _box_bounds(box[:, u], box[:, v])
+        np.minimum.at(bound, key, upper)
+        keep = lower <= np.minimum(bound[key], t)
+        u, v, key = u[keep], v[keep], key[keep]
+        size = rc[u] * rc[v]
+        small = (size <= SPLIT_PAIRS) | (level == SPLIT_LEVELS)
+        su, sv, sk = u[small], v[small], key[small]
+        for c, slot in _slot_chunks(size[small]):
+            row, col = np.divmod(slot, rc[sv[c]])
+            i, j = order[rs[su[c]] + row], order[rs[sv[c]] + col]
+            r = _plane_pair_dists(pts, i, j)
+            np.minimum.at(bound, sk[c], r)
+            hit = r <= np.minimum(bound[sk[c]], t)
+            found.append((r[hit], i[hit], j[hit], sk[c][hit]))
+        u, v, key = u[~small], v[~small], key[~small]
+        if not len(u):
+            break
+        # each big pair becomes the pairs of its buckets' sub-cells
+        level += 1
+        subs, sizes, box = runs(level)
+        k, u, v = _sub_pairs(rs, rc, subs, u, v)
+        rs, rc, key = subs, sizes, key[k]
+    r, i, j, key = map(np.concatenate, zip(*found))
+    by = np.lexsort((r, key))
+    by = by[np.diff(key[by], prepend=-1) != 0]
+    return i[by], j[by], r[by]
+
+
+def _forest_join(labels: np.ndarray, ii: np.ndarray, jj: np.ndarray, ww: np.ndarray):
+    """The positions of edges (ii, jj, ww) that make a minimum spanning
+    forest of the graph whose nodes are the components labels (each the
+    least index of its points), and the labels after joining them.
+    Boruvka rounds: every component takes its lightest edge to another,
+    ties broken by position in a stable sort by weight, which orders the
+    edges strictly, so the edges taken make no cycle; the components they
+    join are joined (_connected_labels), and a round without such an edge
+    ends the pass."""
+    n, m = len(labels), len(ww)
+    by = np.argsort(ww, kind="stable")
+    a, b = labels[ii[by]], labels[jj[by]]
+    taken = np.zeros(m, dtype=bool)
+    join = np.arange(n)
+    while True:
+        live = np.flatnonzero(a != b)
+        if not len(live):
+            return by[taken], join[labels]
+        best = np.full(n, m)
+        np.minimum.at(best, a[live], live)
+        np.minimum.at(best, b[live], live)
+        pick = np.unique(best[best < m])
+        taken[pick] = True
+        step = _connected_labels(n, a[pick], b[pick])
+        a, b, join = step[a], step[b], step[join]
 
 
 def _connected_labels(n: int, ii: np.ndarray, jj: np.ndarray) -> np.ndarray:
@@ -1212,29 +1370,23 @@ def _connected_labels(n: int, ii: np.ndarray, jj: np.ndarray) -> np.ndarray:
 
 def _kruskal_chain(n: int, ii: np.ndarray, jj: np.ndarray, ww: np.ndarray):
     """Chain (order, gap) of the graph on n nodes with edges (ii, jj, ww),
-    from one Kruskal pass over its minimum spanning tree: each cluster is
-    kept as a linked list, and a merge at height w appends one list to the
-    other with w at the junction. Nodes the tree leaves apart are joined
-    at height inf. Each pair must appear once: coo_matrix sums duplicates."""
-    from scipy.sparse import coo_matrix
-    from scipy.sparse.csgraph import minimum_spanning_tree
-
-    # csgraph reads a zero weight as no edge, so the tree is taken on the
-    # ranks of the weights, which keep their order, and read back
-    values, rank = np.unique(ww, return_inverse=True)
-    tree = minimum_spanning_tree(coo_matrix((rank + 1.0, (ii, jj)), shape=(n, n))).tocoo()
-    ti, tj, tr = tree.row, tree.col, tree.data
-    by = np.argsort(tr, kind="stable")
-    heights = values[tr[by].astype(np.int64) - 1]
+    from one Kruskal pass: the edges sorted by weight are joined by
+    union-find, an edge whose ends are already joined skipped, and each
+    cluster is kept as a linked list; a merge at height w appends one list
+    to the other with w at the junction. Nodes the edges leave apart are
+    joined at height inf."""
+    by = np.argsort(ww, kind="stable")
     parent = list(range(n))
     head, tail = list(range(n)), list(range(n))
     succ = [-1] * n
     after = [math.inf] * n  # height at which a node joins its successor
-    for a, b, w in zip(ti[by].tolist(), tj[by].tolist(), heights.tolist()):
+    for a, b, w in zip(ii[by].tolist(), jj[by].tolist(), ww[by].tolist()):
         while parent[a] != a:
             parent[a] = a = parent[parent[a]]
         while parent[b] != b:
             parent[b] = b = parent[parent[b]]
+        if a == b:
+            continue
         succ[tail[a]] = head[b]
         after[tail[a]] = w
         tail[a] = tail[b]
@@ -1263,8 +1415,7 @@ def _grid_scale(extent: float, eps: float) -> tuple[float, bool]:
     """Cells per unit length of the grid _plane_components reads at eps,
     for coordinates of absolute value at most extent, and whether points
     one cell apart may be joined untested (see there for the bounds)."""
-    h = 0.5 * 10.0**-PLANE_DECIMALS
-    rel, e = 2.0**-40, 2.0**-8
+    h, rel, e = PLANE_HALF_UNIT, PLANE_REL, 2.0**-8
     slack = h * (1 + rel)
     # the factors (1 - rel) and (1 + rel)^2 beyond the bounds stated in
     # _plane_components cover the rounding of computing them
@@ -1307,11 +1458,7 @@ def _plane_components(pts: np.ndarray, eps: float) -> np.ndarray:
     included, is read. _squeeze renumbers the grid, so cell keys stay far
     below 2^63 at any scale of coordinates or eps.
 
-    Cell pairs come from key ranges. A cell's key is cx * width + cy, and
-    width exceeds every cy by 7, so the occupied cells of column cx + dx
-    within 3 in y are one run of the sorted keys, found by two
-    searchsorted calls per dx, and a pair's key difference dx * width + dy
-    tells a pair one cell apart from a farther one. Point pairs are
+    Cell pairs come from key ranges (_cell_pairs). Point pairs are
     expanded in chunks of at most BLOCK_ENTRIES (_slot_chunks), a cell
     pair larger than that split across chunks, so memory stays bounded,
     but the number read is quadratic in the points per cell: a cloud that
@@ -1321,34 +1468,10 @@ def _plane_components(pts: np.ndarray, eps: float) -> np.ndarray:
     inv, join = _grid_scale(float(np.max(np.abs(pts))), eps)
     cx = _squeeze(np.floor(pts[:, 0] * inv).astype(np.int64))
     cy = _squeeze(np.floor(pts[:, 1] * inv).astype(np.int64))
-    # offsets of up to 3 in y never wrap onto another column, and a key
-    # difference dx * width + dy, |dy| <= 3, names its offset
-    width = int(cy.max()) + 7
-    # points by cell, from one stable sort of their keys: those of cell c
-    # are order[start[c]:start[c] + count[c]], and the cells ascend by key
-    key = cx * width + cy
-    order = np.argsort(key, kind="stable")
-    start = np.flatnonzero(np.diff(key[order], prepend=-1))
-    keys = key[order[start]]
-    ncell = len(keys)
-    count = np.diff(start, append=len(pts))
-    # cell pairs (a, b) up to 3 cells apart, one of each opposite pair, as
-    # runs lo[r]:hi[r] of the sorted keys. In its own column a cell pairs
-    # with those above it, and also with itself where nothing joins untested
-    own = np.arange(ncell)
-    lo = [own + join]
-    hi = [np.searchsorted(keys, keys + 3, side="right")]
-    for dx in range(1, 4):
-        lo.append(np.searchsorted(keys, keys + (dx * width - 3)))
-        hi.append(np.searchsorted(keys, keys + (dx * width + 3), side="right"))
-    lo, hi = np.concatenate(lo), np.concatenate(hi)
-    runs = hi - lo
-    a = np.repeat(np.tile(own, 4), runs)
-    b = np.arange(len(a)) + np.repeat(lo - (np.cumsum(runs) - runs), runs)
+    # a cell pairs with itself only where nothing joins untested
+    order, start, count, a, b, near = _cell_pairs(cx, cy, not join)
     if join:
-        diff = keys[b] - keys[a]
-        near = (diff == 1) | (np.abs(diff - width) <= 1)  # Chebyshev 1
-        cells = _connected_labels(ncell, a[near], b[near])
+        cells = _connected_labels(len(start), a[near], b[near])
         far = ~near
         a, b = a[far], b[far]
         keep = cells[a] != cells[b]
@@ -1366,6 +1489,41 @@ def _plane_components(pts: np.ndarray, eps: float) -> np.ndarray:
         ii.append(comp[i[hit]])
         jj.append(comp[j[hit]])
     return _connected_labels(int(comp.max()) + 1, np.concatenate(ii), np.concatenate(jj))[comp]
+
+
+def _cell_pairs(cx: np.ndarray, cy: np.ndarray, itself: bool):
+    """The occupied cells of points in squeezed integer cells (cx, cy) and
+    the cell pairs (a, b) up to 3 cells apart (Chebyshev), one of each
+    opposite pair, a cell paired with itself too when itself is true.
+
+    Points by cell come from one stable sort of the cell keys: those of
+    cell c are order[start[c]:start[c] + count[c]], and the cells ascend by
+    key. A key is cx * width + cy, and width exceeds every cy by 7, so
+    offsets of up to 3 in y never wrap onto another column: the occupied
+    cells of column cx + dx within 3 in y are one run of the sorted keys,
+    found by two searchsorted calls per dx, and a pair's key difference
+    dx * width + dy names its offset. near marks the pairs of distinct
+    cells 1 apart (Chebyshev)."""
+    width = int(cy.max()) + 7
+    key = cx * width + cy
+    order = np.argsort(key, kind="stable")
+    start = np.flatnonzero(np.diff(key[order], prepend=-1))
+    keys = key[order[start]]
+    count = np.diff(start, append=len(key))
+    # runs lo[r]:hi[r] of the sorted keys: in its own column a cell pairs
+    # with those above it
+    own = np.arange(len(keys))
+    lo = [own + (not itself)]
+    hi = [np.searchsorted(keys, keys + 3, side="right")]
+    for dx in range(1, 4):
+        lo.append(np.searchsorted(keys, keys + (dx * width - 3)))
+        hi.append(np.searchsorted(keys, keys + (dx * width + 3), side="right"))
+    lo, hi = np.concatenate(lo), np.concatenate(hi)
+    runs = hi - lo
+    a = np.repeat(np.tile(own, 4), runs)
+    b = np.arange(len(a)) + np.repeat(lo - (np.cumsum(runs) - runs), runs)
+    diff = keys[b] - keys[a]
+    return order, start, count, a, b, (diff == 1) | (np.abs(diff - width) <= 1)
 
 
 def _slot_chunks(sizes: np.ndarray):

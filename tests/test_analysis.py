@@ -232,6 +232,13 @@ class TestFoelner:
         with pytest.raises(ValueError):
             foelner_search(zball(5), 1.0, 1)
 
+    @pytest.mark.parametrize("make", [lambda: zball(100), lambda: example31_fixture(2, 0.5, 5)],
+                             ids=["group", "fixture"])
+    def test_infinite_epsilon_is_refused(self, make):
+        # k + inf never fits in the radius, so no radius could find a box
+        with pytest.raises(ValueError, match="foelner epsilon must be finite, got inf"):
+            foelner_search(make(), 1.1, math.inf)
+
     def test_product_set_stays_in_one_component(self):
         # the found box projects into a single component of the right scale
         p = product_space(zball(20), tower_space([2], levels=[24]))
@@ -880,7 +887,7 @@ def test_significant_counts_see_the_largest_run_on_either_side(at):
 
 def test_step_stability_on_the_curve_fixture_matches_the_sig_count_loop():
     # windows of thousands of points, 48 tested scales, and spans cut
-    # from the cached Delaunay edges
+    # from the cached whole-space tree
     sp = example31_fixture(12, 0.02, 200)
     for fractions in ((0.5, 0.75, 1.0), (1.0, 0.5), (0.3,)):
         for max_tested in (4, 48):
@@ -900,6 +907,22 @@ def test_zero_distance_pair_stays_joined_at_zero():
     assert at_zero[0] == at_zero[1] and len(set(at_zero.tolist())) == 3
     est = estimate_factorizing_step(sp)
     assert est.candidates == (0.0, 1.0, 2.0)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: doubled_cluster(),
+    lambda: FiniteSpace([(float(x), float(y)) for x in range(5) for y in range(4)],
+                        PlaneRule(), 0, 0),
+], ids=["doubled-cluster", "lattice"])
+def test_kruskal_chain_skips_edges_inside_a_cluster(make):
+    # every pair, a graph of many cycles and, on the lattice, ties: an edge
+    # whose ends are joined already is skipped, so the chain is the one of
+    # a minimum spanning tree
+    sp = make()
+    n = len(sp)
+    ii, jj = np.triu_indices(n, k=1)
+    order, gap = _kruskal_chain(n, ii, jj, sp.dmat()[ii, jj])
+    assert np.array_equal(chain_cophenet(order, gap), single_linkage_cophenet(sp, np.arange(n)))
 
 
 # sources that take the exhaustive path: free coordinates, plane samples
@@ -1184,16 +1207,23 @@ def test_each_kind_of_table_takes_its_route(make, route):
 
 
 def test_subset_edges_over_several_blocks():
-    # every pair i < j once, in row-major order, for cached and uncached rows
+    # the generic route reads every pair in row blocks and keeps a minimum
+    # spanning tree: each edge once, i < j, in ascending (i, j) order, with
+    # its distance, spanning the subset, with scipy's single-linkage heights
+    from scipy.cluster.hierarchy import linkage
+    from scipy.spatial.distance import squareform
+
     rng = np.random.default_rng(2)
     for sp in (zball(20, 2), zball(30, 2)):
         subset = np.sort(rng.choice(len(sp), size=1100, replace=False))
-        assert len(row_blocks(len(subset))) > 1
+        n = len(subset)
+        assert len(row_blocks(n)) > 1
         ii, jj, ww = sp.rule.subset_edges(sp, subset)
-        iu, ju = np.triu_indices(len(subset), k=1)
-        assert np.array_equal(ii, iu) and np.array_equal(jj, ju)
-        want = [sp.d(int(subset[i]), int(subset[j])) for i, j in zip(iu[::997], ju[::997])]
-        assert ww[::997].tolist() == want
+        assert len(ii) == n - 1 and np.all(ii < jj) and np.all(np.diff(ii * n + jj) > 0)
+        assert ww.tolist() == [sp.d(int(subset[i]), int(subset[j])) for i, j in zip(ii, jj)]
+        assert not np.any(spaces_mod._connected_labels(n, ii, jj))
+        heights = linkage(squareform(sp.dists_block(subset, subset)), "single")[:, 2]
+        assert sorted(ww.tolist()) == sorted(heights.tolist())
 
 
 @st.composite
@@ -1224,8 +1254,7 @@ def window_planes(draw):
     labels = {(float(x), float(y)) for x, y in pts}
     if draw(st.booleans()):
         x, y = draw(st.sampled_from(sorted(labels)))
-        # 2e-10 apart, 2 ulps near 1e6: it reads as 0, and Qhull still
-        # tells the two points apart
+        # 2e-10 apart, 2 ulps near 1e6: it reads as 0
         labels.add((x + 2e-10, y))
     return FiniteSpace(sorted(labels), PlaneRule(), 0, 0)
 
@@ -1259,91 +1288,47 @@ def test_window_edges_keep_every_single_linkage_height(sp, shape, data):
     assert np.array_equal(window_cophenet(sp, subset), single_linkage_cophenet(sp, subset))
 
 
-def window_border(sp, subset):
-    """The points of the subset with a neighbour outside it in the space's
-    triangulation."""
+def window_seeds(sp, subset):
+    """The edges of the whole space's tree inside the subset, in subset
+    positions."""
     ii, jj, _ = spaces_mod.plane_edges(sp)
-    crossing = np.isin(ii, subset) != np.isin(jj, subset)
-    return np.intersect1d(np.union1d(ii[crossing], jj[crossing]), subset)
+    pos = np.full(len(sp), -1)
+    pos[subset] = np.arange(len(subset))
+    inside = (pos[ii] >= 0) & (pos[jj] >= 0)
+    return pos[ii][inside], pos[jj][inside]
+
+
+def assert_seeded_window(sp, subset):
+    """The window's edges hold every edge of the whole space's tree inside
+    it, and its chain has scipy's single-linkage heights on all rounded
+    pairs."""
+    si, sj = window_seeds(sp, subset)
+    wi, wj, _ = sp.rule.subset_edges(sp, subset)
+    assert set(zip(si.tolist(), sj.tolist())) <= set(zip(wi.tolist(), wj.tolist()))
+    assert np.array_equal(window_cophenet(sp, subset), single_linkage_cophenet(sp, subset))
 
 
 @pytest.mark.parametrize("rows", [2, 3])
 @pytest.mark.parametrize("columns", [1, 2, 5, 8])
-def test_window_with_a_collinear_border(rows, columns):
-    # the first columns of a lattice: the border is the last column kept,
-    # 2 or 3 points on one vertical line, which Qhull cannot triangulate;
-    # the path along the line stands in for it
+def test_seeded_window_of_lattice_columns(rows, columns):
+    # the first columns of a lattice, every step a tie; the window starts
+    # from the whole tree's edges inside it
     sp = FiniteSpace(sorted((float(x), float(y)) for x in range(10) for y in range(rows)),
                      PlaneRule(), 0, 0)
-    subset = np.flatnonzero(sp.coords[:, 0] < columns)
-    assert len(window_border(sp, subset)) == rows
-    assert np.array_equal(window_cophenet(sp, subset), single_linkage_cophenet(sp, subset))
+    assert_seeded_window(sp, np.flatnonzero(sp.coords[:, 0] < columns))
 
 
-def qhull_sizes(monkeypatch):
-    """The number of points of each scipy.spatial.Delaunay call from here
-    on, in call order."""
-    import scipy.spatial
-
-    sizes, real = [], scipy.spatial.Delaunay
-
-    def recording(pts, *args, **kwargs):
-        sizes.append(len(pts))
-        return real(pts, *args, **kwargs)
-
-    monkeypatch.setattr(scipy.spatial, "Delaunay", recording)
-    return sizes
-
-
-def test_window_whose_border_qhull_cannot_triangulate(monkeypatch):
-    # a square's corners and centre; the ball around (2, 0) drops (-2, 0),
-    # and its border, (0, 2), (0, 0) and (0, -2), is one line up to the
-    # rounding of cos(pi / 2): Qhull finds it flat, so every pair of the
-    # border is read, and Qhull never sees the window's 4 points
-    angles = np.arange(4) * (math.pi / 2)
-    labels = [(2 * math.cos(a), 2 * math.sin(a)) for a in angles] + [(0.0, 0.0)]
-    sp = FiniteSpace(sorted(labels), PlaneRule(), 0, 0)
-    subset = np.flatnonzero(sp.dists_from(sp.index[(2.0, 0.0)]) <= 2.9)
-    assert len(subset) == 4
-    sizes = qhull_sizes(monkeypatch)
-    assert np.array_equal(window_cophenet(sp, subset), single_linkage_cophenet(sp, subset))
-    assert sizes == [5, 3]
-    with pytest.raises(ValueError, match="no triangulation"):
-        spaces_mod.delaunay_edges(sp.coords[np.abs(sp.coords[:, 0]) < 1e-9])
-
-
-def doubled_border_point():
-    """Eight points; below the window y > -2 lies only (-2, -3), and the
-    window's border holds (-2, -0.25) and a point 1e-12 beside it, which
-    Qhull sets aside there, though not in the whole space."""
-    return FiniteSpace(sorted([(-0.5, 2.0), (0.5, 2.5), (1.0, 2.5), (-2.0, -0.25),
-                               (-2.0 + 1e-12, -0.25), (0.1, -0.3), (2.5, -0.5),
-                               (-2.0, -3.0)]), PlaneRule(), 0, 0)
-
-
-def bent_lattice_column():
-    """A 6 x 3 lattice with (2, 1) moved 1 ulp right: the border of the
-    window x < 2.5 is the column x = 2, nearly but not exactly one line."""
-    return FiniteSpace(sorted((x + (4.440892098500626e-16 if (x, y) == (2, 1) else 0.0),
-                               float(y)) for x in range(6) for y in range(3)),
-                       PlaneRule(), 0, 0)
-
-
-@pytest.mark.parametrize("make,window,refusal", [
-    (doubled_border_point, lambda c: c[:, 1] > -2, "set aside 1 of 4"),
-    (bent_lattice_column, lambda c: c[:, 0] < 2.5, "no triangulation"),
-], ids=["near-coincident", "nearly-collinear"])
-def test_windows_whose_border_qhull_refuses(monkeypatch, make, window, refusal):
-    # Qhull triangulates the space but refuses the window's border, so the
-    # border's pairs stand in for its triangulation
-    sp = make()
-    subset = np.flatnonzero(window(sp.coords))
-    border = window_border(sp, subset)
-    with pytest.raises(ValueError, match=refusal):
-        spaces_mod.delaunay_edges(sp.coords[border])
-    sizes = qhull_sizes(monkeypatch)
-    assert np.array_equal(window_cophenet(sp, subset), single_linkage_cophenet(sp, subset))
-    assert sizes == [len(border)] and len(border) < len(subset) < len(sp)
+@pytest.mark.parametrize("radius", [2.5, 4.0, 6.5])
+def test_seeded_window_on_a_lattice_where_ties_decide_the_tree(radius):
+    # a disc of a 12 x 12 lattice: the whole tree's paths between points of
+    # the disc leave it, so the seeds leave several components, and the
+    # bands join them by steps that tie with the seeds
+    sp = FiniteSpace(sorted((float(x), float(y)) for x in range(12) for y in range(12)),
+                     PlaneRule(), 0, 0)
+    subset = np.flatnonzero(sp.dists_from(sp.index[(5.0, 6.0)]) <= radius)
+    seeds = spaces_mod._connected_labels(len(subset), *window_seeds(sp, subset))
+    assert len(np.unique(seeds)) > 1
+    assert_seeded_window(sp, subset)
 
 
 def far_lattice():
@@ -1383,7 +1368,7 @@ def test_far_lattice_steps_at_its_spacing():
 
 def doubled_cluster():
     """Points around 4 seeded centres in [-10, 10]^2, spread 0.3, with the
-    first one doubled 1e-12 away: Qhull sets 1 of the 15 points aside."""
+    first one doubled 1e-12 away: Qhull set 1 of the 15 points aside."""
     rng = np.random.default_rng(11)
     n = int(rng.integers(3, 91))
     centres = rng.uniform(-10, 10, size=(4, 2))
@@ -1393,48 +1378,118 @@ def doubled_cluster():
 
 
 def nearly_collinear_triple():
-    """Three points of a 0.3 lattice that Qhull finds flat, though the
+    """Three points of a 0.3 lattice that Qhull found flat, though the
     float cross product of their offsets is not 0."""
     return FiniteSpace([(0.0, 0.0), (0.8999999999999999, 0.3),
                         (2.6999999999999997, 0.8999999999999999)], PlaneRule(), 0, 0)
 
 
-@pytest.mark.parametrize("make,refusal", [(doubled_cluster, "set aside 1 of 15"),
-                                          (nearly_collinear_triple, "no triangulation")],
-                         ids=["doubled-cluster", "nearly-collinear"])
-def test_step_where_qhull_refuses_the_points_matches_the_all_pairs_table(make, refusal):
-    # Qhull refuses the whole set, so every edge set falls back to all pairs
+def doubled_border_point():
+    """Eight points; below the window y > -2 lies only (-2, -3), and the
+    window's border held (-2, -0.25) and a point 1e-12 beside it, which
+    Qhull set aside there, though not in the whole space."""
+    return FiniteSpace(sorted([(-0.5, 2.0), (0.5, 2.5), (1.0, 2.5), (-2.0, -0.25),
+                               (-2.0 + 1e-12, -0.25), (0.1, -0.3), (2.5, -0.5),
+                               (-2.0, -3.0)]), PlaneRule(), 0, 0)
+
+
+def bent_lattice_column():
+    """A 6 x 3 lattice with (2, 1) moved 1 ulp right: the border of the
+    window x < 2.5 was the column x = 2, nearly but not exactly one line."""
+    return FiniteSpace(sorted((x + (4.440892098500626e-16 if (x, y) == (2, 1) else 0.0),
+                               float(y)) for x in range(6) for y in range(3)),
+                       PlaneRule(), 0, 0)
+
+
+def square_with_its_centre():
+    """A square's corners and centre: the ball of radius 2.9 around (2, 0)
+    drops (-2, 0), and keeps (0, 2), (0, 0) and (0, -2), one line up to
+    the rounding of cos(pi / 2), which Qhull found flat."""
+    angles = np.arange(4) * (math.pi / 2)
+    labels = [(2 * math.cos(a), 2 * math.sin(a)) for a in angles] + [(0.0, 0.0)]
+    return FiniteSpace(sorted(labels), PlaneRule(), 0, 0)
+
+
+def beside_the_centre():
+    """A square's corners, its centre and a point 1e-16 beside it, which
+    Qhull set aside even at the origin."""
+    return FiniteSpace(sorted([(-1.0, -1.0), (1.0, -1.0), (-1.0, 1.0), (1.0, 1.0), (0.0, 0.0),
+                               (1e-16, 0.0)]), PlaneRule(), 0, 0)
+
+
+def flat_triple():
+    """Three points 1e-17 off one line: Qhull could not triangulate them,
+    and they are not on one line."""
+    return FiniteSpace([(0.0, 0.0), (1.0, 1e-17), (2.0, 0.0)], PlaneRule(), 0, 0)
+
+
+REFUSED = {
+    "doubled-cluster": (doubled_cluster, None),
+    "nearly-collinear": (nearly_collinear_triple, None),
+    "doubled-border-point": (doubled_border_point, lambda c: c[:, 1] > -2),
+    "bent-lattice-column": (bent_lattice_column, lambda c: c[:, 0] < 2.5),
+    "square-with-its-centre": (square_with_its_centre,
+                               lambda c: np.hypot(c[:, 0] - 2, c[:, 1]) <= 2.9),
+    "beside-the-centre": (beside_the_centre, None),
+    "flat-triple": (flat_triple, None),
+}
+
+
+@pytest.mark.parametrize("name", REFUSED)
+def test_clouds_qhull_refused_match_single_linkage(name):
+    # whole, on the window that Qhull refused (the points, or the window's
+    # border), and on the balls around each point
+    make, window = REFUSED[name]
     sp = make()
-    with pytest.raises(ValueError, match=refusal):
-        spaces_mod.plane_edges(sp)
+    whole = np.arange(len(sp))
+    assert np.array_equal(window_cophenet(sp, whole), single_linkage_cophenet(sp, whole))
+    subsets = [np.flatnonzero(window(sp.coords))] if window else []
+    for centre in range(min(len(sp), 12)):
+        d = sp.dists_from(centre)
+        subsets += [np.flatnonzero(d <= f * d.max()) for f in (0.3, 0.5, 0.75, 0.9)]
+    for subset in subsets:
+        if 0 < len(subset) < len(sp):
+            assert_seeded_window(sp, subset)
+
+
+@pytest.mark.parametrize("make", [doubled_cluster, nearly_collinear_triple],
+                         ids=["doubled-cluster", "nearly-collinear"])
+def test_step_on_clouds_qhull_refused_matches_the_all_pairs_table(make):
+    # the clouds take the band route like any other: the whole tree spans
+    # them, and the step and components agree with the all-pairs table
+    sp = make()
+    ii, jj, _ = spaces_mod.plane_edges(sp)
+    assert len(ii) == len(sp) - 1
+    assert not np.any(spaces_mod._connected_labels(len(sp), ii, jj))
     assert estimate_factorizing_step(sp) == estimate_factorizing_step(as_dense(sp))
-    for subset in (np.arange(len(sp)), np.flatnonzero(sp.base_dists <= sp.base_dists.max() / 2)):
-        assert np.array_equal(window_cophenet(sp, subset), single_linkage_cophenet(sp, subset))
     assert epsilon_components(sp, 0.5).blocks == epsilon_components(as_dense(sp), 0.5).blocks
-    # the cached refusal is raised again on every later call
-    for _ in range(2):
-        with pytest.raises(ValueError, match=refusal):
-            spaces_mod.plane_edges(sp)
 
 
-def test_a_refused_space_runs_qhull_once(monkeypatch):
-    # the candidate chain and the three windows of a step all fall back to
-    # all pairs; Qhull's refusal of the whole space is read once and cached
+@pytest.mark.parametrize("make", [lambda: example31_fixture(8, 0.01, 50), doubled_cluster],
+                         ids=["fixture", "doubled-cluster"])
+def test_components_build_no_tree_and_a_step_builds_the_whole_tree_once(monkeypatch, make):
+    # components come from a cell grid, and a plane quotient is refused,
+    # before any tree is built; a step builds the whole space's tree first
+    # and once, for its candidates, and every window starts from its edges
     calls = []
-    real = spaces_mod._triangulation_pairs
+    real = spaces_mod._band_edges
 
-    def counting(pts):
-        calls.append(len(pts))
-        return real(pts)
+    def recording(pts, ii, jj, ww):
+        calls.append((len(pts), len(ii)))
+        return real(pts, ii, jj, ww)
 
-    monkeypatch.setattr(spaces_mod, "_triangulation_pairs", counting)
-    sp = doubled_cluster()
-    want = estimate_factorizing_step(as_dense(sp))
-    assert estimate_factorizing_step(sp) == want
-    assert calls == [len(sp)]
-    with pytest.raises(ValueError, match="set aside 1 of 15"):
-        spaces_mod.plane_edges(sp)
-    assert calls == [len(sp)]
+    monkeypatch.setattr(spaces_mod, "_band_edges", recording)
+    sp = make()
+    epsilon_components(sp, 1.0)
+    with pytest.raises(ValueError, match="structural quotient"):
+        quotient_with_projection(sp, 1.0)
+    assert calls == []
+    estimate_factorizing_step(sp)
+    assert calls[0] == (len(sp), 0) and len(calls) == 3
+    assert all(0 < seeds < points < len(sp) for points, seeds in calls[1:])
+    estimate_factorizing_step(sp)
+    epsilon_components(sp, 1.0)
+    assert [c for c in calls if c[0] == len(sp)] == [(len(sp), 0)]
 
 
 def test_image_diameter_of_a_table_over_several_blocks():
@@ -1459,61 +1514,53 @@ def test_step_on_a_line_matches_the_all_pairs_table():
             assert got == estimate_factorizing_step(as_dense(sp)).to_json()
 
 
-def test_step_and_components_share_one_triangulation(monkeypatch):
-    # components come from a cell grid and triangulate nothing; the
-    # candidate MST and every window of a step read the cached plane
-    # edges, so only the borders of the 0.5 and 0.75 windows triangulate
-    # anew; a plane quotient is refused before anything is triangulated
-    import scipy.spatial
-
-    sizes = []
-    real = scipy.spatial.Delaunay
-
-    def counting(pts, *args, **kwargs):
-        sizes.append(len(pts))
-        return real(pts, *args, **kwargs)
-
-    monkeypatch.setattr(scipy.spatial, "Delaunay", counting)
-    epsilon_components(example31_fixture(8, 0.01, 50), 1.0)
-    assert sizes == []
-    sp = example31_fixture(8, 0.01, 50)
-    estimate_factorizing_step(sp)
-    assert len(sizes) == 3 and sizes.count(len(sp)) == 1
-    epsilon_components(sp, 1.0)
-    assert len(sizes) == 3
-    with pytest.raises(ValueError, match="structural quotient"):
-        quotient_with_projection(example31_fixture(8, 0.01, 50), 1.0)
-    assert len(sizes) == 3
-
-
 def test_step_work_is_pinned(monkeypatch):
     # every tested scale of a window is read from one chain: a step job
-    # runs no connected-components pass (141 before the chains) and three
-    # triangulations: the whole space, shared with the candidates, and the
-    # borders of the 0.5 and 0.75 windows, 429 of 6,573 points together
-    # (9,963 when each window was triangulated whole)
+    # runs no connected-components pass (141 before the chains) and no
+    # triangulation (three Qhull calls before the bands). The whole space's
+    # tree takes 7 bands; the 0.5 and 0.75 windows start from its edges
+    # inside them, which join each window already
     import scipy.spatial
 
-    calls = {"Delaunay": 0, "_connected_labels": 0}
-    sizes = []
+    calls = {"Delaunay": 0, "epsilon_components": 0, "_plane_components": 0}
 
     def counting(module, name):
         real = getattr(module, name)
 
         def wrapper(*args, **kwargs):
             calls[name] += 1
-            if name == "Delaunay":
-                sizes.append(len(args[0]))
             return real(*args, **kwargs)
 
         monkeypatch.setattr(module, name, wrapper)
 
     counting(scipy.spatial, "Delaunay")
-    counting(spaces_mod, "_connected_labels")
+    counting(spaces_mod, "epsilon_components")
+    counting(spaces_mod, "_plane_components")
+    chains, reads = [], []
+    band_edges, band_pairs, pair_dists = (spaces_mod._band_edges, spaces_mod._band_pairs,
+                                          spaces_mod._plane_pair_dists)
+
+    def edges(pts, ii, jj, ww):
+        chains.append([])
+        return band_edges(pts, ii, jj, ww)
+
+    def pairs(pts, labels, t):
+        chains[-1].append(round(t, 6))
+        return band_pairs(pts, labels, t)
+
+    def dists(pts, ii, jj):
+        reads.append(len(ii))
+        return pair_dists(pts, ii, jj)
+
+    monkeypatch.setattr(spaces_mod, "_band_edges", edges)
+    monkeypatch.setattr(spaces_mod, "_band_pairs", pairs)
+    monkeypatch.setattr(spaces_mod, "_plane_pair_dists", dists)
     sp = example31_fixture(20, 0.01, 1000)
     estimate_factorizing_step(sp)
-    assert calls == {"Delaunay": 3, "_connected_labels": 0}
-    assert sizes[0] == len(sp) and sum(sizes[1:]) < 0.1 * len(sp)
+    assert calls == {"Delaunay": 0, "epsilon_components": 0, "_plane_components": 0}
+    assert chains == [[0.028285, 0.113139, 0.452556, 1.810223, 7.240894, 28.963576, 115.854303],
+                      [], []]
+    assert sum(reads) == 16466 and len(sp) == 6573
 
 
 def rowwise_foelner(space, c, epsilon):

@@ -295,7 +295,7 @@ def test_plane_output_is_pinned(capsys, argv, digest, points, value):
 
 def test_plane_fixture_on_one_line(capsys):
     # clamp 0.5 at grid 0.5 keeps only x = 0 on each branch: three points
-    # on the x-axis, which Qhull cannot triangulate
+    # on the x-axis, which Qhull could not triangulate
     code, payload = run_json(capsys, "components", "example31:2:0.5:0.5", "--epsilon", "1")
     assert code == 0
     assert (payload["points"], payload["blocks"], payload["sizes"]) == (3, 3, [1, 1, 1])
@@ -494,17 +494,18 @@ def modules_after(argv, package):
 
 
 def test_witness_chain_leaves_scipy_unloaded():
-    # scipy is imported only where plane fixtures or non-structural spaces
-    # need it, so free-rank witness chains never pay for loading it
+    # scipy is imported only where non-structural spaces need it, so
+    # free-rank witness chains never pay for loading it
     assert modules_after(["witness", "Z + C2", "Z", "--radius", "16"], "scipy") == "[]"
 
 
 def test_plane_components_leave_scipy_unloaded():
-    # plane components come from a cell grid joined by a numpy kernel: no
-    # Qhull triangulation and no sparse graph; a step still triangulates
+    # plane components come from a cell grid joined by a numpy kernel, and
+    # a step's chains from bands over that grid: no Qhull triangulation and
+    # no sparse graph
     argv = ["components", "example31:4:0.05", "--epsilon", "1.0"]
     assert modules_after(argv, "scipy") == "[]"
-    assert modules_after(["step", "example31:2:0.25"], "scipy.spatial") != "[]"
+    assert modules_after(["step", "example31:2:0.25"], "scipy") == "[]"
 
 
 @pytest.mark.parametrize("argv", [
@@ -542,9 +543,9 @@ def test_infinite_epsilon_prints_strict_json(capsys):
     assert (code, err) == (0, "")
     payload = strict_json(out)
     assert (payload["epsilon"], payload["blocks"]) == ("inf", 1)
-    # no box fits under an infinite epsilon, and a cover needs a finite one
+    # a Foelner box and a cover both need a finite epsilon
     code, out, err = run(capsys, "foelner", "Z", "--radius", "20", "--epsilon", "inf")
-    assert (code, out) == (2, "") and "enlarge --radius" in err
+    assert (code, out, err) == (2, "", "error: foelner epsilon must be finite, got inf\n")
     code, out, err = run(capsys, "cover", "Z^2", "--radius", "10", "--epsilon", "inf")
     assert (code, out) == (2, "") and "epsilon" in err
 

@@ -1,7 +1,8 @@
-"""No module of the package imports a name it never reads, and no module
-defines a name that the package and the benchmark harness never read. The
-checks use only the standard library's ast: a name counts as read where a
-module loads it, attributes and string annotations included.
+"""No module of the package imports a name it never reads, no module
+defines a name that the package and the benchmark harness never read, and
+scipy is imported only inside function bodies and only as scipy.sparse.
+The checks use only the standard library's ast: a name counts as read where
+a module loads it, attributes and string annotations included.
 ``__init__.py`` may import names it does not read, as its imports are the
 package's public names."""
 
@@ -158,3 +159,46 @@ def test_every_defined_name_is_read():
     harness = [path.read_text() for path in sorted((ROOT / "perfbench").glob("*.py"))
                if not path.name.startswith("test_")]
     assert unread_names(defining, [*defining.values(), *harness]) == []
+
+
+def scipy_imports(source: str) -> list[tuple[str, bool]]:
+    """(module, whether inside a function body) for each scipy module the
+    source imports, in source order; a from-import of scipy itself names
+    the submodule it takes."""
+    found = []
+
+    def visit(node: ast.AST, inside: bool) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Import):
+                found.extend((a.name, inside) for a in child.names
+                             if a.name.split(".")[0] == "scipy")
+            elif isinstance(child, ast.ImportFrom) and (child.module or "").split(".")[0] == "scipy":
+                found.extend((f"scipy.{a.name}" if child.module == "scipy" else child.module, inside)
+                             for a in child.names)
+            visit(child, inside or isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)))
+
+    visit(ast.parse(source), False)
+    return found
+
+
+@pytest.mark.parametrize("snippet, imports", [
+    ("import scipy.spatial\n", [("scipy.spatial", False)]),
+    ("import numpy\nimport scipy as sp\n", [("scipy", False)]),
+    ("from scipy import sparse, spatial\n", [("scipy.sparse", False), ("scipy.spatial", False)]),
+    ("def f():\n    from scipy.sparse.csgraph import minimum_spanning_tree\n",
+     [("scipy.sparse.csgraph", True)]),
+    ("class A:\n    import scipy.linalg\n    def g(self):\n        import scipy.sparse\n",
+     [("scipy.linalg", False), ("scipy.sparse", True)]),
+    ("from .spaces import scipy\nimport scipyx\n", []),
+])
+def test_what_counts_as_a_scipy_import(snippet, imports):
+    assert scipy_imports(snippet) == imports
+
+
+def test_scipy_is_imported_only_in_function_bodies_and_only_sparse():
+    # components and plane chains load no scipy; only the generic chain
+    # route reduces every pair of a subset with csgraph
+    found = {path.name: [(module, inside) for module, inside in scipy_imports(path.read_text())
+                         if not (inside and (module + ".").startswith("scipy.sparse."))]
+             for path in sorted(PACKAGE.glob("*.py"))}
+    assert {name: bad for name, bad in found.items() if bad} == {}

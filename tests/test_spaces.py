@@ -19,6 +19,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from coarseiso import spaces as spaces_mod
+from coarseiso.analysis import estimate_factorizing_step
 from coarseiso.factorfn import FactorFunction
 from coarseiso.groups import parse_group
 from coarseiso.primes import primes_upto
@@ -30,7 +31,6 @@ from coarseiso.spaces import (
     build_truncation,
     canonical_ultrametric,
     cantor_cube_truncation,
-    delaunay_edges,
     enumerate_summands,
     epsilon_components,
     example31_fixture,
@@ -535,23 +535,9 @@ class TestComponents:
         assert ref() is None
 
 
-def simplex_edges(pts):
-    """Delaunay edges from the triangles: every side, sorted and made unique
-    with np.unique(axis=0). The reference for the neighbour-list read; it
-    triangulates the points moved to their bounding-box centre, as
-    delaunay_edges does, so that both read one triangulation."""
-    from scipy.spatial import Delaunay
-
-    s = np.sort(Delaunay(pts - (pts.max(axis=0) + pts.min(axis=0)) / 2).simplices, axis=1)
-    pairs = np.unique(np.concatenate([s[:, [0, 1]], s[:, [0, 2]], s[:, [1, 2]]]), axis=0)
-    ii, jj = pairs[:, 0], pairs[:, 1]
-    ww = np.round(np.hypot(pts[ii, 0] - pts[jj, 0], pts[ii, 1] - pts[jj, 1]), 9)
-    return ii, jj, ww
-
-
 def lattice(width, height, step=1.0):
     """Integer grid points scaled by step: every unit square is
-    co-circular, so Qhull has to split it."""
+    co-circular, and ties decide the tree."""
     return np.array([(x * step, y * step) for x in range(width) for y in range(height)])
 
 
@@ -575,54 +561,128 @@ def single_linkage_quotient(sp, eps):
     return coph <= eps, coph
 
 
-class TestDelaunayEdges:
+def prim_heights(pts):
+    """The weights of a minimum spanning tree of plane points under
+    PlaneRule distances, ascending: Prim's algorithm, one distance row at a
+    time, so memory stays linear. They are the single-linkage heights of
+    all pairs, each as often."""
+    rule = PlaneRule()
+    best = rule.dists(pts[0], pts)
+    left = np.ones(len(pts), dtype=bool)
+    left[0] = False
+    heights = []
+    for _ in range(len(pts) - 1):
+        k = int(np.argmin(np.where(left, best, np.inf)))
+        heights.append(float(best[k]))
+        left[k] = False
+        np.minimum(best, rule.dists(pts[k], pts), out=best)
+    return sorted(heights)
+
+
+def assert_minimum_spanning_tree(pts, edges):
+    """The edges come once each, i < j, in ascending (i, j) order, with
+    their PlaneRule distances, and make a spanning tree whose weights are
+    Prim's: a tree of least weight, so a minimum spanning tree."""
+    ii, jj, ww = edges
+    n = len(pts)
+    assert len(ii) == max(n - 1, 0)
+    assert np.all(ii < jj) and np.all(np.diff(ii * n + jj) > 0)
+    assert np.array_equal(ww, np.round(np.hypot(pts[ii, 0] - pts[jj, 0],
+                                                 pts[ii, 1] - pts[jj, 1]), 9))
+    assert not np.any(_connected_labels(n, ii, jj))
+    assert sorted(ww.tolist()) == prim_heights(pts)
+
+
+def band_edges(pts):
+    """The band route's tree of raw points, in their own order, unseeded."""
+    none = np.zeros(0, dtype=np.int64)
+    return spaces_mod._band_edges(np.asarray(pts, dtype=float), none, none, np.zeros(0))
+
+
+def cloud(pts):
+    return FiniteSpace(sorted(map(tuple, np.asarray(pts).tolist())), PlaneRule(), 0, 0)
+
+
+class TestPlaneEdges:
     @pytest.mark.parametrize("make", [
         # the example31 fixtures of both benchmark grids
-        lambda: example31_fixture(20, 0.01, 1000).coords,
-        lambda: example31_fixture(24, 0.0125, 1000).coords,
-        lambda: np.random.default_rng(3).uniform(-5, 5, size=(3000, 2)),
-        lambda: np.random.default_rng(4).normal(size=(500, 2)),
-        lambda: lattice(40, 30),
-        lambda: lattice(7, 50, 0.25),
+        lambda: example31_fixture(20, 0.01, 1000),
+        lambda: example31_fixture(24, 0.0125, 1000),
+        lambda: cloud(np.random.default_rng(3).uniform(-5, 5, size=(3000, 2))),
+        lambda: cloud(np.random.default_rng(4).normal(size=(500, 2))),
+        lambda: cloud(lattice(40, 30)),
+        lambda: cloud(lattice(7, 50, 0.25)),
     ], ids=["fixture-0.01", "fixture-0.0125", "uniform", "normal", "lattice", "lattice-quarter"])
-    def test_neighbour_lists_match_simplex_sides(self, make):
-        pts = make()
-        got, want = delaunay_edges(pts), simplex_edges(pts)
-        for a, b in zip(got, want):
-            assert np.array_equal(a, b)
+    def test_tree_is_a_minimum_spanning_tree(self, make):
+        sp = make()
+        assert_minimum_spanning_tree(sp.coords, plane_edges(sp))
 
     @settings(max_examples=40, deadline=None)
     @given(plane_spaces)
-    def test_neighbour_lists_match_simplex_sides_random(self, sp):
-        for a, b in zip(delaunay_edges(sp.coords), simplex_edges(sp.coords)):
-            assert np.array_equal(a, b)
+    def test_tree_is_a_minimum_spanning_tree_random(self, sp):
+        assert_minimum_spanning_tree(sp.coords, plane_edges(sp))
 
     def test_collinear_points_give_the_path_along_the_line(self):
         pts = np.array([(2.0, 4.0), (0.0, 0.0), (3.0, 6.0), (1.0, 2.0)])
-        ii, jj, ww = delaunay_edges(pts)
+        ii, jj, ww = band_edges(pts)
         # along the line: points 1, 3, 0, 2
         assert (ii.tolist(), jj.tolist()) == ([0, 0, 1], [2, 3, 3])
         assert ww.tolist() == [round(math.sqrt(5), 9)] * 3
 
     def test_vertical_line_and_tiny_inputs(self):
-        ii, jj, _ = delaunay_edges(np.array([(0.0, 3.0), (0.0, 1.0), (0.0, 2.0)]))
+        ii, jj, _ = band_edges([(0.0, 3.0), (0.0, 1.0), (0.0, 2.0)])
         assert (ii.tolist(), jj.tolist()) == ([0, 1], [2, 2])
         for n in (0, 1):
-            assert all(len(a) == 0 for a in delaunay_edges(np.zeros((n, 2))))
-        ii, jj, ww = delaunay_edges(np.array([(0.0, 0.0), (3.0, 4.0)]))
+            assert all(len(a) == 0 for a in band_edges(np.zeros((n, 2))))
+        ii, jj, ww = band_edges([(0.0, 0.0), (3.0, 4.0)])
         assert (ii.tolist(), jj.tolist(), ww.tolist()) == ([0], [1], [5.0])
 
-    def test_untriangulable_points_off_one_line_raise_value_error(self):
-        with pytest.raises(ValueError, match="no triangulation"):
-            delaunay_edges(np.array([(0.0, 0.0), (1.0, 1e-17), (2.0, 0.0)]))
+    def test_points_nearly_on_one_line(self):
+        # Qhull could not triangulate these, nor take them for one line
+        pts = np.array([(0.0, 0.0), (1.0, 1e-17), (2.0, 0.0)])
+        ii, jj, ww = band_edges(pts)
+        assert (ii.tolist(), jj.tolist(), ww.tolist()) == ([0, 1], [1, 2], [1.0, 1.0])
+        assert_minimum_spanning_tree(pts, (ii, jj, ww))
 
-    def test_points_qhull_sets_aside_raise_value_error(self):
-        # a point 1e-16 beside the centre of a square: Qhull sets it aside
-        # as coplanar even at the origin, where it would get no edge
+    def test_a_point_beside_the_centre_of_a_square(self):
+        # 1e-16 beside the centre: Qhull set it aside as coplanar; the pair
+        # reads 0, the only such edge, so every minimum spanning tree has it
         pts = np.array([(-1.0, -1.0), (1.0, -1.0), (-1.0, 1.0), (1.0, 1.0), (0.0, 0.0),
                         (1e-16, 0.0)])
-        with pytest.raises(ValueError, match="set aside 1 of 6 points"):
-            delaunay_edges(pts)
+        edges = band_edges(pts)
+        assert_minimum_spanning_tree(pts, edges)
+        assert (4, 5, 0.0) in zip(*(a.tolist() for a in edges))
+
+    def test_a_uniform_cloud_with_a_point_beside_one_steps(self):
+        # Qhull set the doubled point aside, and every pair of the 7,001
+        # points was above DENSE_LIMIT, so the step raised BudgetError
+        pts = np.random.default_rng(0).uniform(-5, 5, size=(7000, 2))
+        sp = cloud(np.vstack([pts, pts[:1] + [1e-12, 0.0]]))
+        assert len(sp) == 7001 > spaces_mod.DENSE_LIMIT
+        est = estimate_factorizing_step(sp)
+        edges = plane_edges(sp)
+        # the doubled pair reads 0, and the candidates are the tree's heights
+        assert est.candidates == tuple(sorted({0.0, *edges[2].tolist()}))
+        assert_minimum_spanning_tree(sp.coords, edges)
+
+    def test_gaussian_blobs_are_exact_in_few_reads(self, monkeypatch):
+        # without the Morton split the bucket pairs of two blobs' cores read
+        # about 600 point pairs a point; each read point pair counts once
+        reads = []
+        real = spaces_mod._plane_pair_dists
+
+        def counting(pts, ii, jj):
+            reads.append(len(ii))
+            return real(pts, ii, jj)
+
+        rng = np.random.default_rng(1)
+        centres = rng.uniform(-20, 20, size=(5, 2))
+        sp = cloud(np.concatenate([rng.normal(c, 1.0, size=(400, 2)) for c in centres]))
+        monkeypatch.setattr(spaces_mod, "_plane_pair_dists", counting)
+        edges = plane_edges(sp)
+        monkeypatch.undo()
+        assert len(sp) == 2000 and sum(reads) < 20 * len(sp)
+        assert_minimum_spanning_tree(sp.coords, edges)
 
 
 class TestFlatPlane:
