@@ -33,11 +33,11 @@ MetricRule. Quotients exist only where the structure gives them: the
 epsilon-quotient of a structural tower or group ball is the tower of its
 cyclic coordinates above epsilon, and every other quotient is refused.
 
-scipy is imported only on the generic route of a chain, where csgraph
-reduces every pair of a subset to a minimum spanning tree
-(MetricRule.subset_edges). A plane chain reads its tree by bands over a
-cell grid (_band_edges), with no triangulation, and components, plane ones
-included, join by _connected_labels, so neither loads scipy.
+No module imports scipy. The generic chain grows its minimum spanning
+tree by Prim's algorithm, one distance row at a time
+(MetricRule.subset_edges), a plane chain reads its tree by bands over a
+cell grid (_band_edges), and components, plane ones included, join by
+_connected_labels.
 """
 
 from __future__ import annotations
@@ -103,9 +103,10 @@ class MetricRule:
     apart from the row kernels as their scalar oracle). The methods here
     are the generic paths, written once from ``FiniteSpace.dists_block``:
     the threshold graph read in row blocks for epsilon-components, and the
-    Kruskal chain over the minimum spanning tree of all pairs of a subset.
-    SupRule and PlaneRule override those their structure reads exactly and
-    faster; SupRule falls back on them where a subset fills no box.
+    Kruskal chain over a subset's minimum spanning tree, grown by Prim's
+    algorithm from one distance row per point. SupRule and PlaneRule
+    override those their structure reads exactly and faster; SupRule falls
+    back on them where a subset fills no box.
     """
 
     split: Optional[int] = None  # coordinates owned by a product's left factor
@@ -137,29 +138,27 @@ class MetricRule:
     def subset_edges(self, space: "FiniteSpace", subset: np.ndarray):
         """Edges (i, j, weight) of a minimum spanning tree of the induced
         subspace on ascending distinct indices, in subset positions, i < j,
-        in ascending (i, j) order: here of every pair, read in row blocks
-        and reduced by csgraph; refused above DENSE_LIMIT."""
-        from scipy.sparse import coo_matrix
-        from scipy.sparse.csgraph import minimum_spanning_tree
-
+        in ascending (i, j) order: here Prim's tree (Prim, 1957), grown one
+        distance row per point in linear memory; refused above DENSE_LIMIT."""
         n = len(subset)
         if n > DENSE_LIMIT:
             raise BudgetError(f"edges of {n} points exceed the dense limit {DENSE_LIMIT}")
-        ii, jj, ww = [], [], []
-        for blk in row_blocks(n):
-            # the pairs i < j of this block of rows, in row-major order
-            bi, bj = np.triu_indices(blk.stop - blk.start, k=blk.start + 1, m=n)
-            ii.append(bi + blk.start)
-            jj.append(bj)
-            ww.append(space.dists_block(subset[blk], subset)[bi, bj])
-        # csgraph reads a zero weight as no edge, so the tree is taken on the
-        # ranks of the weights, which keep their order, and read back
-        values, rank = np.unique(np.concatenate(ww), return_inverse=True)
-        tree = minimum_spanning_tree(coo_matrix(
-            (rank + 1.0, (np.concatenate(ii), np.concatenate(jj))), shape=(n, n))).tocoo()
-        lo, hi = np.minimum(tree.row, tree.col), np.maximum(tree.row, tree.col)
-        by = np.argsort(lo.astype(np.int64) * n + hi)
-        return lo[by], hi[by], values[tree.data[by].astype(np.int64) - 1]
+        # the first n - t entries of rest are the points outside the tree,
+        # best their least distances to it and near their nearest tree
+        # points; the point taken swaps with the last. Point 0 joins first,
+        # by an edge (0, 0, inf) that is dropped
+        rest, near, best = np.arange(n), np.zeros(n, dtype=np.int64), np.full(n, math.inf)
+        ii, jj, ww = np.empty(n, dtype=np.int64), np.empty(n, dtype=np.int64), np.empty(n)
+        for t in range(n):
+            m, last = int(np.argmin(best[:n - t])), n - t - 1
+            ii[t], jj[t], ww[t] = near[m], rest[m], best[m]
+            rest[m], near[m], best[m] = rest[last], near[last], best[last]
+            d = space.dists_block(subset[jj[t]], subset[rest[:last]])
+            closer = np.flatnonzero(d < best[:last])
+            best[closer], near[closer] = d[closer], jj[t]
+        lo, hi = np.minimum(ii[1:], jj[1:]), np.maximum(ii[1:], jj[1:])
+        by = np.argsort(lo * n + hi)
+        return lo[by], hi[by], ww[1:][by]
 
     def chain(self, space: "FiniteSpace", subset: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Single-linkage chain of the induced subspace on ascending
@@ -1399,8 +1398,8 @@ def _kruskal_chain(n: int, ii: np.ndarray, jj: np.ndarray, ww: np.ndarray):
                 order.append(k)
                 k = succ[k]
     idx = np.asarray(order, dtype=np.int64)
-    # a tree's tail joins nothing, so the next tree starts at inf
-    return idx, np.concatenate(([math.inf], np.asarray(after)[idx[:-1]]))
+    # a tree's tail joins nothing, so each tree starts at inf (cyclically)
+    return idx, np.asarray(after, dtype=float)[np.roll(idx, 1)]
 
 
 def _squeeze(cells: np.ndarray) -> np.ndarray:

@@ -363,7 +363,7 @@ def chain_labels(order, gap, eps):
 @settings(max_examples=25, deadline=None)
 @given(st.booleans(), st.data())
 def test_chain_order_matches_single_linkage(plane, data):
-    # Delaunay (plane) and dense (table) edge graphs against scipy's
+    # band trees (plane) and Prim trees (dense table) against scipy's
     # single-linkage merge heights on the same all-pairs distances
     from scipy.cluster.hierarchy import cophenet, linkage
     from scipy.spatial.distance import squareform
@@ -1226,6 +1226,23 @@ def test_subset_edges_over_several_blocks():
         assert sorted(ww.tolist()) == sorted(heights.tolist())
 
 
+def test_generic_chain_memory_is_linear():
+    # Prim reads one distance row per point joined; the pairs of 3,000
+    # points as arrays held over 300 MB
+    import tracemalloc
+
+    sp = zball(40, 2)
+    subset = np.sort(np.random.default_rng(3).choice(len(sp), size=3000, replace=False))
+    assert not sp.rule.fills_box(sp.coords[subset])
+    tracemalloc.start()
+    try:
+        sp.rule.chain(sp, subset)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+
+
 @st.composite
 def window_planes(draw):
     """Plane point sets for the window edges: uniform, co-circular lattice
@@ -1271,9 +1288,9 @@ def window_cophenet(sp, subset):
 @settings(max_examples=150, deadline=None)
 @given(window_planes(), st.sampled_from(["ball", "mask", "half"]), st.data())
 def test_window_edges_keep_every_single_linkage_height(sp, shape, data):
-    # the space's triangulation inside the subset plus the border's own
-    # triangulation against scipy's single linkage on all rounded pairs:
-    # the argument for it holds for any subset, balls or not
+    # the space's tree inside the subset plus the bands between the
+    # components it leaves against scipy's single linkage on all rounded
+    # pairs: the argument for it holds for any subset, balls or not
     rng = np.random.default_rng(data.draw(st.integers(0, 2**16)))
     if shape == "ball":
         d = sp.dists_from(data.draw(st.integers(0, len(sp) - 1)))
@@ -1503,8 +1520,8 @@ def test_image_diameter_of_a_table_over_several_blocks():
 
 
 def test_step_on_a_line_matches_the_all_pairs_table():
-    # plane points on one line have no triangulation; the path along the
-    # line stands in for it, and the dense all-pairs graph is the oracle
+    # plane points on one line, where the band tree is a path along the
+    # line, against the Prim tree of the dense all-pairs table
     for direction in ((1, 0), (1, 2), (0, -1)):
         for count in (1, 2, 10, 40):
             steps = [t + 2 * (t // 5) for t in range(count)]  # a gap after every 5th

@@ -494,8 +494,8 @@ def modules_after(argv, package):
 
 
 def test_witness_chain_leaves_scipy_unloaded():
-    # scipy is imported only where non-structural spaces need it, so
-    # free-rank witness chains never pay for loading it
+    # no module imports scipy, so free-rank witness chains never pay for
+    # loading it
     assert modules_after(["witness", "Z + C2", "Z", "--radius", "16"], "scipy") == "[]"
 
 

@@ -1,14 +1,17 @@
 """No module of the package imports a name it never reads, no module
 defines a name that the package and the benchmark harness never read, and
-scipy is imported only inside function bodies and only as scipy.sparse.
-The checks use only the standard library's ast: a name counts as read where
-a module loads it, attributes and string annotations included.
+no module imports scipy, nor does a generic chain load it. The checks use
+only the standard library's ast: a name counts as read where a module loads
+it, attributes and string annotations included.
 ``__init__.py`` may import names it does not read, as its imports are the
 package's public names."""
 
 from __future__ import annotations
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -161,44 +164,54 @@ def test_every_defined_name_is_read():
     assert unread_names(defining, [*defining.values(), *harness]) == []
 
 
-def scipy_imports(source: str) -> list[tuple[str, bool]]:
-    """(module, whether inside a function body) for each scipy module the
-    source imports, in source order; a from-import of scipy itself names
-    the submodule it takes."""
+def scipy_imports(source: str) -> list[str]:
+    """Each scipy module the source imports, at any depth, breadth first;
+    a from-import of scipy itself names the submodule it takes."""
     found = []
-
-    def visit(node: ast.AST, inside: bool) -> None:
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, ast.Import):
-                found.extend((a.name, inside) for a in child.names
-                             if a.name.split(".")[0] == "scipy")
-            elif isinstance(child, ast.ImportFrom) and (child.module or "").split(".")[0] == "scipy":
-                found.extend((f"scipy.{a.name}" if child.module == "scipy" else child.module, inside)
-                             for a in child.names)
-            visit(child, inside or isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)))
-
-    visit(ast.parse(source), False)
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found.extend(a.name for a in node.names if a.name.split(".")[0] == "scipy")
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "scipy":
+            found.extend(f"scipy.{a.name}" if node.module == "scipy" else node.module
+                         for a in node.names)
     return found
 
 
 @pytest.mark.parametrize("snippet, imports", [
-    ("import scipy.spatial\n", [("scipy.spatial", False)]),
-    ("import numpy\nimport scipy as sp\n", [("scipy", False)]),
-    ("from scipy import sparse, spatial\n", [("scipy.sparse", False), ("scipy.spatial", False)]),
+    ("import scipy.spatial\n", ["scipy.spatial"]),
+    ("import numpy\nimport scipy as sp\n", ["scipy"]),
+    ("from scipy import sparse, spatial\n", ["scipy.sparse", "scipy.spatial"]),
     ("def f():\n    from scipy.sparse.csgraph import minimum_spanning_tree\n",
-     [("scipy.sparse.csgraph", True)]),
+     ["scipy.sparse.csgraph"]),
     ("class A:\n    import scipy.linalg\n    def g(self):\n        import scipy.sparse\n",
-     [("scipy.linalg", False), ("scipy.sparse", True)]),
+     ["scipy.linalg", "scipy.sparse"]),
     ("from .spaces import scipy\nimport scipyx\n", []),
 ])
 def test_what_counts_as_a_scipy_import(snippet, imports):
     assert scipy_imports(snippet) == imports
 
 
-def test_scipy_is_imported_only_in_function_bodies_and_only_sparse():
-    # components and plane chains load no scipy; only the generic chain
-    # route reduces every pair of a subset with csgraph
-    found = {path.name: [(module, inside) for module, inside in scipy_imports(path.read_text())
-                         if not (inside and (module + ".").startswith("scipy.sparse."))]
-             for path in sorted(PACKAGE.glob("*.py"))}
+def test_no_module_imports_scipy():
+    # components, plane chains and the generic chain (Prim on distance
+    # rows) all run on numpy alone
+    found = {path.name: scipy_imports(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
     assert {name: bad for name, bad in found.items() if bad} == {}
+
+
+def test_a_generic_chain_leaves_scipy_unloaded():
+    # a sup subset that fills no box takes MetricRule's chain, in a fresh
+    # interpreter, so nothing the tests imported counts
+    code = (
+        "import sys\n"
+        "import numpy as np\n"
+        "from coarseiso.spaces import zball\n"
+        "sp, subset = zball(5, 2), np.array([0, 2, 30])\n"
+        "assert not sp.rule.fills_box(sp.coords[subset])\n"
+        "order, gap = sp.rule.chain(sp, subset)\n"
+        "assert sorted(order.tolist()) == [0, 1, 2]\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

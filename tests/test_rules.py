@@ -126,6 +126,14 @@ def test_chain_gives_the_single_linkage_heights(case):
         assert np.array_equal(np.maximum(coph, coph.T), cophenetic(d[np.ix_(subset, subset)]))
 
 
+def test_chain_of_no_points_is_empty(case):
+    # sup spaces, tables (the generic chain) and plane samples (the band
+    # tree) alike: no order and no gap
+    _, sp, _ = case
+    order, gap = sp.rule.chain(sp, np.zeros(0, dtype=np.int64))
+    assert order.shape == gap.shape == (0,)
+
+
 def test_components_are_those_of_the_threshold_graph(case):
     from scipy.sparse.csgraph import connected_components
 
