@@ -175,17 +175,19 @@ def estimate_factorizing_step(
     inconclusive = len(subsets[0]) < 16 or len([c for c in tested if c > 0]) < 2
 
     # per window, the significant counts at each tested scale eps over its
-    # coarser tested scales; eps is stable when every window counts alike
+    # coarser tested scales; eps is stable when every window counts as the
+    # first does, so a later window counts only the scales still stable
     top = bisect.bisect_right(tested, delta_cap)
-    counts = []
+    first: dict[int, np.ndarray] = {}
+    still = list(range(len(tested)))
     for sub in subsets:
         order, gap = chain(sub)
         at = int(np.flatnonzero(sub[order] == base)[0])
         lo, hi = _base_runs(gap, at, tested[:top])
-        counts.append([_significant_counts(gap, at, eps, lo[k:], hi[k:])
-                       for k, eps in enumerate(tested)])
-    stable = {eps: all(np.array_equal(counts[0][k], c[k]) for c in counts[1:])
-              for k, eps in enumerate(tested)}
+        counts = {k: _significant_counts(gap, at, tested[k], lo[k:], hi[k:]) for k in still}
+        first = first or counts
+        still = [k for k in still if np.array_equal(first[k], counts[k])]
+    stable = {eps: k in still for k, eps in enumerate(tested)}
 
     unstable = [e for e in tested if not stable[e]]
     stable_vals = [e for e in tested if stable[e]]

@@ -35,9 +35,10 @@ cyclic coordinates above epsilon, and every other quotient is refused.
 
 No module imports scipy. The generic chain grows its minimum spanning
 tree by Prim's algorithm, one distance row at a time
-(MetricRule.subset_edges), a plane chain reads its tree by bands over a
-cell grid (_band_edges), and components, plane ones included, join by
-_connected_labels.
+(MetricRule.subset_edges). A plane space reads its tree once, by bands
+over a cell grid (_band_edges), and the chain of any of its subsets is cut
+from the chain of that tree (PlaneRule.chain). Components, plane ones
+included, join by _connected_labels.
 """
 
 from __future__ import annotations
@@ -139,10 +140,12 @@ class MetricRule:
         """Edges (i, j, weight) of a minimum spanning tree of the induced
         subspace on ascending distinct indices, in subset positions, i < j,
         in ascending (i, j) order: here Prim's tree (Prim, 1957), grown one
-        distance row per point in linear memory; refused above DENSE_LIMIT."""
+        distance row per point in linear memory. It reads all n(n - 1)/2
+        distances, so it is refused above DENSE_LIMIT points."""
         n = len(subset)
         if n > DENSE_LIMIT:
-            raise BudgetError(f"edges of {n} points exceed the dense limit {DENSE_LIMIT}")
+            raise BudgetError(f"a spanning tree of {n} points reads {n * (n - 1) // 2} distances, "
+                              f"over the {DENSE_LIMIT * (DENSE_LIMIT - 1) // 2} of {DENSE_LIMIT}")
         # the first n - t entries of rest are the points outside the tree,
         # best their least distances to it and near their nearest tree
         # points; the point taken swaps with the last. Point 0 joins first,
@@ -483,22 +486,59 @@ class PlaneRule(MetricRule):
         dy = coords[:, 1] - rows[..., 1, None]
         return np.round(np.hypot(dx, dy), PLANE_DECIMALS)
 
-    def subset_edges(self, space: "FiniteSpace", subset: np.ndarray):
-        """A minimum spanning tree of the subset S by bands over the cell
-        grid (_band_edges), at any size, with no triangulation: the
-        space's cached tree (plane_edges) when S is the whole space, and
-        otherwise the bands run from that tree's edges inside S, which lie
-        in some minimum spanning tree of S (step 5 there), and only between
-        the components they leave."""
+    def chain(self, space: "FiniteSpace", subset: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Cut from the chain of the whole space, which Kruskal reads once
+        from its tree (plane_chain). The subset's points in whole-chain
+        order are stably sorted by their component under the whole tree's
+        edges inside the subset (the seeds). Each such component is a
+        subtree of the whole tree, so two of its points merge in the subset
+        at their height in the whole space: the largest whole-chain gap
+        between them (_range_max), and each component starts at inf. The
+        chain of a component is a path with the same heights as its
+        subtree. When the seeds leave m > 1 components, the bands join them
+        by m - 1 edges (_band_edges, step 5), and Kruskal joins the paths
+        and those edges. It takes every path edge lighter than the lightest
+        joining edge first, and on a path those merge contiguous runs, so
+        the paths are cut into runs at every gap at least that edge, and
+        Kruskal runs over the runs alone: the path edges between
+        consecutive runs, at their cut gaps, and the joining edges."""
         n = len(subset)
-        ii, jj, ww = plane_edges(space)
         if n == len(space):
-            return ii, jj, ww
+            return plane_chain(space)
+        order, gap = plane_chain(space)
         pos = np.full(len(space), -1, dtype=np.int64)
         pos[subset] = np.arange(n)
+        ii, jj, _ = plane_edges(space)
         pi, pj = pos[ii], pos[jj]
         inside = (pi >= 0) & (pj >= 0)
-        return _band_edges(space.coords[subset], pi[inside], pj[inside], ww[inside])
+        labels = _connected_labels(n, pi[inside], pj[inside])
+        # at: the whole-chain positions of the subset's points, by component
+        at = np.flatnonzero(pos[order] >= 0)
+        at = at[np.argsort(labels[pos[order[at]]], kind="stable")]
+        sub = pos[order[at]]
+        comp = labels[sub]
+        cuts = np.full(n, math.inf)
+        same = np.flatnonzero(comp[1:] == comp[:-1]) + 1
+        cuts[same] = _range_max(gap, at[same - 1] + 1, at[same] + 1)
+        if not comp.any():
+            return sub, cuts
+        # the runs start at every cut at least the lightest joining edge;
+        # each finite one is a path edge from the run before it
+        ja, jb, jw = _band_edges(space.coords[subset], labels)
+        cut = cuts >= jw.min()
+        starts, run = np.flatnonzero(cut), np.cumsum(cut) - 1
+        inner = starts[np.isfinite(cuts[starts])]
+        where = np.empty(n, dtype=np.int64)
+        where[sub] = run
+        runs, joins = _kruskal_chain(len(starts), np.concatenate([run[inner] - 1, where[ja]]),
+                                     np.concatenate([run[inner], where[jb]]),
+                                     np.concatenate([cuts[inner], jw]))
+        # the runs in Kruskal's order, each with its gap at its start
+        cuts[starts[runs]] = joins
+        rank = np.empty(len(runs), dtype=np.int64)
+        rank[runs] = np.arange(len(runs))
+        k = np.argsort(rank[run], kind="stable")
+        return sub[k], cuts[k]
 
     def components(self, space: "FiniteSpace", eps: float) -> np.ndarray:
         """From a grid of cells, without triangulating (_plane_components)."""
@@ -556,8 +596,10 @@ class FiniteSpace:
         self._index: Optional[dict[Label, int]] = None
         self._base_dists: Optional[np.ndarray] = None
         self._dmat: Optional[np.ndarray] = None
-        # plane_edges: the minimum spanning tree of a plane space
+        # plane_edges and plane_chain: the minimum spanning tree of a plane
+        # space and its chain
         self._edges: Optional[tuple[np.ndarray, np.ndarray, np.ndarray]] = None
+        self._chain: Optional[tuple[np.ndarray, np.ndarray]] = None
 
     def with_inner_radius(self, inner_radius: Num) -> "FiniteSpace":
         """The same points, rule and basepoint, faithful up to another
@@ -1105,22 +1147,46 @@ def _plane_pair_dists(pts: np.ndarray, ii: np.ndarray, jj: np.ndarray) -> np.nda
 
 def plane_edges(space: FiniteSpace) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """A minimum spanning tree of a plane space under PlaneRule distances
-    (_band_edges), cached on the space: it gives the step candidates, and
-    every step window starts from its edges inside the window (see
-    PlaneRule.subset_edges). Epsilon-components need none
-    (_plane_components)."""
+    (_band_edges), cached on the space: its chain (plane_chain) gives the
+    step candidates, and its edges inside a step window are the seeds
+    that cut the window's chain from it (PlaneRule.chain).
+    Epsilon-components need none (_plane_components)."""
     if space._edges is None:
-        none = np.zeros(0, dtype=np.int64)
-        space._edges = _band_edges(space.coords, none, none, np.zeros(0))
+        space._edges = _band_edges(space.coords, np.arange(len(space)))
     return space._edges
 
 
-def _band_edges(pts: np.ndarray, ii: np.ndarray, jj: np.ndarray, ww: np.ndarray):
-    """Edges (i, j, weight) of a minimum spanning tree of plane points
-    under PlaneRule distances that holds the seed edges (ii, jj, ww), a
-    forest that lies in some minimum spanning tree; i < j, in ascending
-    (i, j) order. An exact Kruskal by bands of ratio 4 over the cell grid
-    of _plane_components, with no triangulation.
+def plane_chain(space: FiniteSpace) -> tuple[np.ndarray, np.ndarray]:
+    """The chain of a whole plane space, from one Kruskal pass over its
+    tree (plane_edges), cached on the space beside the tree."""
+    if space._chain is None:
+        space._chain = _kruskal_chain(len(space), *plane_edges(space))
+    return space._chain
+
+
+def _range_max(values: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """max(values[lo[k]:hi[k]]) for each k, lo < hi: the larger of two
+    overlapping maxima over runs of a power of 2, read from a sparse table
+    of the maxima over the runs of each length 2^j."""
+    levels = np.frexp((hi - lo).astype(float))[1] - 1  # floor(log2(hi - lo))
+    top = int(levels.max(initial=0))
+    table = np.full((top + 1, len(values)), -math.inf)
+    table[0] = values
+    for j in range(1, top + 1):
+        half = 1 << (j - 1)
+        table[j, :len(values) - 2 * half + 1] = np.maximum(
+            table[j - 1, :len(values) - 2 * half + 1], table[j - 1, half:len(values) - half + 1])
+    return np.maximum(table[levels, lo], table[levels, hi - (1 << levels)])
+
+
+def _band_edges(pts: np.ndarray, labels: np.ndarray):
+    """Edges (i, j, weight) that join the components labels (each the
+    least index of its points) of seed edges, a forest that lies in some
+    minimum spanning tree of plane points under PlaneRule distances, into
+    a minimum spanning tree of them; i < j, in ascending (i, j) order. With
+    no seeds (labels = arange(n)), the edges are the whole tree. An exact
+    Kruskal by bands of ratio 4 over the cell grid of _plane_components,
+    with no triangulation.
 
     The labels start as the components of the seeds. A band reads, at a
     scale t, the pairs at distance <= t between two components
@@ -1155,8 +1221,8 @@ def _band_edges(pts: np.ndarray, ii: np.ndarray, jj: np.ndarray, ww: np.ndarray)
        spanning tree of W.
     """
     n = len(pts)
-    labels = _connected_labels(n, ii, jj)
-    edges = [(ii, jj, ww)]
+    none = np.zeros(0, dtype=np.int64)
+    edges = [(none, none, np.zeros(0))]
     comps = np.count_nonzero(labels == np.arange(n))
     if comps > 1:
         rows, k = np.arange(n - 1), math.isqrt(n) // 2

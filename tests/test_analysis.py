@@ -1243,6 +1243,23 @@ def test_generic_chain_memory_is_linear():
     assert peak < 4 * 2**20
 
 
+def test_generic_chain_above_the_limit_is_refused_before_any_read(monkeypatch):
+    # Prim reads all n(n - 1)/2 distances of the subset; 6,501 points are
+    # refused by that count, before the first distance row
+    sp = zball(60, 2)
+    subset = np.sort(np.random.default_rng(5).choice(len(sp), size=6501, replace=False))
+    assert not sp.rule.fills_box(sp.coords[subset])
+
+    def refuse(*args):
+        raise AssertionError("Prim read a distance row")
+
+    monkeypatch.setattr(FiniteSpace, "dists_block", refuse)
+    with pytest.raises(spaces_mod.BudgetError,
+                       match=r"^a spanning tree of 6501 points reads 21128250 distances, "
+                             r"over the 21121750 of 6500$"):
+        sp.rule.chain(sp, subset)
+
+
 @st.composite
 def window_planes(draw):
     """Plane point sets for the window edges: uniform, co-circular lattice
@@ -1276,53 +1293,98 @@ def window_planes(draw):
     return FiniteSpace(sorted(labels), PlaneRule(), 0, 0)
 
 
-def window_cophenet(sp, subset):
-    """Cophenetic matrix of the chain of the subset edges of sp, after
-    checking that the edges come once each, i < j, in ascending order."""
+def window_edges(sp, subset):
+    """The window-tree route: the whole space's tree inside the subset
+    (window_seeds) and the edges the bands join the seeds' components by,
+    after checking that those come once each, i < j, in ascending order,
+    and make the seeds a spanning tree."""
     n = len(subset)
-    ii, jj, ww = sp.rule.subset_edges(sp, subset)
+    si, sj, sw = window_seeds(sp, subset)
+    ii, jj, ww = spaces_mod._band_edges(sp.coords[subset], spaces_mod._connected_labels(n, si, sj))
     assert np.all(ii < jj) and np.all(np.diff(ii * n + jj) > 0)
-    return chain_cophenet(*_kruskal_chain(n, ii, jj, ww))
+    assert len(si) + len(ii) == max(n - 1, 0)
+    return np.concatenate([si, ii]), np.concatenate([sj, jj]), np.concatenate([sw, ww])
+
+
+def window_cophenet(sp, subset):
+    """Cophenetic matrix of the Kruskal chain of the window-tree route."""
+    return chain_cophenet(*_kruskal_chain(len(subset), *window_edges(sp, subset)))
+
+
+def assert_seeded_window(sp, subset):
+    """The plane chain of the subset, cut from the whole space's chain, and
+    the window-tree route both have scipy's single-linkage heights on all
+    rounded pairs."""
+    want = single_linkage_cophenet(sp, subset)
+    order, gap = sp.rule.chain(sp, subset)
+    assert sorted(order.tolist()) == list(range(len(subset)))
+    assert len(subset) == 0 or gap[0] == math.inf
+    assert np.array_equal(chain_cophenet(order, gap), want)
+    assert np.array_equal(window_cophenet(sp, subset), want)
 
 
 @settings(max_examples=150, deadline=None)
 @given(window_planes(), st.sampled_from(["ball", "mask", "half"]), st.data())
 def test_window_edges_keep_every_single_linkage_height(sp, shape, data):
-    # the space's tree inside the subset plus the bands between the
-    # components it leaves against scipy's single linkage on all rounded
-    # pairs: the argument for it holds for any subset, balls or not
+    # the chain cut from the whole space's chain, and the space's tree
+    # inside the subset plus the bands between the components it leaves,
+    # against scipy's single linkage on all rounded pairs: the arguments
+    # for them hold for any subset, balls or not
     rng = np.random.default_rng(data.draw(st.integers(0, 2**16)))
     if shape == "ball":
         d = sp.dists_from(data.draw(st.integers(0, len(sp) - 1)))
         subset = np.flatnonzero(d <= data.draw(st.sampled_from([0.2, 0.5, 0.75, 0.9])) * d.max())
     elif shape == "mask":
-        subset = np.flatnonzero(rng.random(len(sp)) < data.draw(st.sampled_from([0.2, 0.5, 0.9])))
+        # a sparse mask keeps few of the whole tree's edges: many seed components
+        keep = data.draw(st.sampled_from([0.05, 0.2, 0.5, 0.9]))
+        subset = np.flatnonzero(rng.random(len(sp)) < keep)
     else:
         normal = np.array([math.cos(t := rng.uniform(0, 2 * math.pi)), math.sin(t)])
         side = sp.coords @ normal
         subset = np.flatnonzero(side <= np.quantile(side, rng.uniform(0.1, 0.9)))
     assume(0 < len(subset) < len(sp))
-    assert np.array_equal(window_cophenet(sp, subset), single_linkage_cophenet(sp, subset))
+    assert_seeded_window(sp, subset)
 
 
 def window_seeds(sp, subset):
-    """The edges of the whole space's tree inside the subset, in subset
-    positions."""
-    ii, jj, _ = spaces_mod.plane_edges(sp)
+    """The edges (i, j, weight) of the whole space's tree inside the
+    subset, in subset positions."""
+    ii, jj, ww = spaces_mod.plane_edges(sp)
     pos = np.full(len(sp), -1)
     pos[subset] = np.arange(len(subset))
     inside = (pos[ii] >= 0) & (pos[jj] >= 0)
-    return pos[ii][inside], pos[jj][inside]
+    return pos[ii][inside], pos[jj][inside], ww[inside]
 
 
-def assert_seeded_window(sp, subset):
-    """The window's edges hold every edge of the whole space's tree inside
-    it, and its chain has scipy's single-linkage heights on all rounded
-    pairs."""
-    si, sj = window_seeds(sp, subset)
-    wi, wj, _ = sp.rule.subset_edges(sp, subset)
-    assert set(zip(si.tolist(), sj.tolist())) <= set(zip(wi.tolist(), wj.tolist()))
-    assert np.array_equal(window_cophenet(sp, subset), single_linkage_cophenet(sp, subset))
+@pytest.mark.parametrize("step", [1.0, 0.25])
+@pytest.mark.parametrize("keep", [0.3, 0.6, 0.9])
+def test_plane_chain_of_lattice_masks_with_ties(step, keep):
+    # every lattice step is a tie, within a component, between runs and
+    # with the joining edges; the masks leave many seed components
+    sp = FiniteSpace(sorted((x * step, y * step) for x in range(14) for y in range(9)),
+                     PlaneRule(), 0, 0)
+    for seed in range(4):
+        subset = np.flatnonzero(np.random.default_rng(seed).random(len(sp)) < keep)
+        seeds = spaces_mod._connected_labels(len(subset), *window_seeds(sp, subset)[:2])
+        assert len(np.unique(seeds)) > 3
+        assert_seeded_window(sp, subset)
+
+
+def test_plane_chain_of_no_point_one_point_and_the_whole_space():
+    # the whole space's chain is the cached Kruskal chain of its tree
+    sp = example31_fixture(2, 0.25, 5)
+    whole = np.arange(len(sp))
+    for subset in (whole[:0], whole[:1], whole[3:4], whole):
+        assert_seeded_window(sp, subset)
+    assert sp.rule.chain(sp, whole) is spaces_mod.plane_chain(sp)
+
+
+def test_range_max_over_every_range():
+    values = np.random.default_rng(4).permutation(37).astype(float)
+    lo, hi = np.triu_indices(38, k=1)
+    assert spaces_mod._range_max(values, lo, hi).tolist() == [
+        values[a:b].max() for a, b in zip(lo.tolist(), hi.tolist())]
+    assert spaces_mod._range_max(values, lo[:0], hi[:0]).shape == (0,)
 
 
 @pytest.mark.parametrize("rows", [2, 3])
@@ -1343,7 +1405,7 @@ def test_seeded_window_on_a_lattice_where_ties_decide_the_tree(radius):
     sp = FiniteSpace(sorted((float(x), float(y)) for x in range(12) for y in range(12)),
                      PlaneRule(), 0, 0)
     subset = np.flatnonzero(sp.dists_from(sp.index[(5.0, 6.0)]) <= radius)
-    seeds = spaces_mod._connected_labels(len(subset), *window_seeds(sp, subset))
+    seeds = spaces_mod._connected_labels(len(subset), *window_seeds(sp, subset)[:2])
     assert len(np.unique(seeds)) > 1
     assert_seeded_window(sp, subset)
 
@@ -1487,13 +1549,14 @@ def test_step_on_clouds_qhull_refused_matches_the_all_pairs_table(make):
 def test_components_build_no_tree_and_a_step_builds_the_whole_tree_once(monkeypatch, make):
     # components come from a cell grid, and a plane quotient is refused,
     # before any tree is built; a step builds the whole space's tree first
-    # and once, for its candidates, and every window starts from its edges
+    # and once, for its candidates, and a window calls the bands only when
+    # the whole tree's edges inside it (seeds) leave it split
     calls = []
     real = spaces_mod._band_edges
 
-    def recording(pts, ii, jj, ww):
-        calls.append((len(pts), len(ii)))
-        return real(pts, ii, jj, ww)
+    def recording(pts, labels):
+        calls.append((len(pts), int(np.count_nonzero(labels != np.arange(len(pts))))))
+        return real(pts, labels)
 
     monkeypatch.setattr(spaces_mod, "_band_edges", recording)
     sp = make()
@@ -1502,8 +1565,9 @@ def test_components_build_no_tree_and_a_step_builds_the_whole_tree_once(monkeypa
         quotient_with_projection(sp, 1.0)
     assert calls == []
     estimate_factorizing_step(sp)
-    assert calls[0] == (len(sp), 0) and len(calls) == 3
-    assert all(0 < seeds < points < len(sp) for points, seeds in calls[1:])
+    assert calls[0] == (len(sp), 0)
+    assert calls == {2799: [(2799, 0), (1840, 1838)], 15: [(15, 0), (6, 4)]}[len(sp)]
+    assert all(0 < seeds < points - 1 < len(sp) for points, seeds in calls[1:])
     estimate_factorizing_step(sp)
     epsilon_components(sp, 1.0)
     assert [c for c in calls if c[0] == len(sp)] == [(len(sp), 0)]
@@ -1535,8 +1599,10 @@ def test_step_work_is_pinned(monkeypatch):
     # every tested scale of a window is read from one chain: a step job
     # runs no connected-components pass (141 before the chains) and no
     # triangulation (three Qhull calls before the bands). The whole space's
-    # tree takes 7 bands; the 0.5 and 0.75 windows start from its edges
-    # inside them, which join each window already
+    # tree takes 7 bands, and Kruskal joins its 6,572 edges once (16,533
+    # when each window ran its own). Its edges inside the 0.5 and 0.75
+    # windows join each window already, so they call no bands, and a later
+    # window counts only the scales still stable (141 counts before)
     import scipy.spatial
 
     calls = {"Delaunay": 0, "epsilon_components": 0, "_plane_components": 0}
@@ -1557,9 +1623,9 @@ def test_step_work_is_pinned(monkeypatch):
     band_edges, band_pairs, pair_dists = (spaces_mod._band_edges, spaces_mod._band_pairs,
                                           spaces_mod._plane_pair_dists)
 
-    def edges(pts, ii, jj, ww):
+    def edges(pts, labels):
         chains.append([])
-        return band_edges(pts, ii, jj, ww)
+        return band_edges(pts, labels)
 
     def pairs(pts, labels, t):
         chains[-1].append(round(t, 6))
@@ -1569,15 +1635,28 @@ def test_step_work_is_pinned(monkeypatch):
         reads.append(len(ii))
         return pair_dists(pts, ii, jj)
 
+    joined, counted = [], []
+    kruskal_chain, significant_counts = spaces_mod._kruskal_chain, analysis_mod._significant_counts
+
+    def kruskal(n, ii, jj, ww):
+        joined.append(len(ii))
+        return kruskal_chain(n, ii, jj, ww)
+
+    def significant(*args):
+        counted.append(1)
+        return significant_counts(*args)
+
     monkeypatch.setattr(spaces_mod, "_band_edges", edges)
     monkeypatch.setattr(spaces_mod, "_band_pairs", pairs)
     monkeypatch.setattr(spaces_mod, "_plane_pair_dists", dists)
+    monkeypatch.setattr(spaces_mod, "_kruskal_chain", kruskal)
+    monkeypatch.setattr(analysis_mod, "_significant_counts", significant)
     sp = example31_fixture(20, 0.01, 1000)
     estimate_factorizing_step(sp)
     assert calls == {"Delaunay": 0, "epsilon_components": 0, "_plane_components": 0}
-    assert chains == [[0.028285, 0.113139, 0.452556, 1.810223, 7.240894, 28.963576, 115.854303],
-                      [], []]
+    assert chains == [[0.028285, 0.113139, 0.452556, 1.810223, 7.240894, 28.963576, 115.854303]]
     assert sum(reads) == 16466 and len(sp) == 6573
+    assert joined == [6572] and len(counted) == 101
 
 
 def rowwise_foelner(space, c, epsilon):

@@ -595,8 +595,7 @@ def assert_minimum_spanning_tree(pts, edges):
 
 def band_edges(pts):
     """The band route's tree of raw points, in their own order, unseeded."""
-    none = np.zeros(0, dtype=np.int64)
-    return spaces_mod._band_edges(np.asarray(pts, dtype=float), none, none, np.zeros(0))
+    return spaces_mod._band_edges(np.asarray(pts, dtype=float), np.arange(len(pts)))
 
 
 def cloud(pts):
