@@ -124,12 +124,5 @@ class ExtNat:
     def __str__(self) -> str:
         return "inf" if self._value is None else str(self._value)
 
-    @staticmethod
-    def parse(text: str) -> "ExtNat":
-        text = text.strip()
-        if text in ("inf", "infinity", "oo"):
-            return INF
-        return ExtNat(int(text))
-
 
 INF = ExtNat(None)

@@ -84,9 +84,6 @@ class FactorFunction:
         return ff_render(self)
 
 
-ZERO_FF = FactorFunction()
-
-
 def _union_primes(f: FactorFunction, g: FactorFunction) -> list[int]:
     return sorted(set(f.support_primes) | set(g.support_primes))
 
@@ -111,11 +108,6 @@ def ff_le(f: FactorFunction, g: FactorFunction) -> bool:
     return all(f.get(p) <= g.get(p) for p in _union_primes(f, g))
 
 
-def ff_add(f: FactorFunction, g: FactorFunction) -> FactorFunction:
-    values = {p: f.get(p) + g.get(p) for p in _union_primes(f, g)}
-    return FactorFunction.from_dict(values, f.default + g.default)
-
-
 def ff_sub(f: FactorFunction, g: FactorFunction) -> FactorFunction:
     """Pointwise difference; requires g <= f pointwise."""
     new_default = f.default.minus(g.default)
@@ -134,32 +126,6 @@ def ff_render(f: FactorFunction) -> str:
         parts.append(f"default:{f.default}")
     parts.extend(f"{p}:{v}" for p, v in f.entries)
     return ",".join(parts)
-
-
-def ff_parse(text: str) -> FactorFunction:
-    text = text.strip()
-    if not text:
-        return ZERO_FF
-    default = ExtNat(0)
-    values: dict[int, ExtNat] = {}
-    saw_default = False
-    for chunk in text.split(","):
-        key, sep, raw = chunk.partition(":")
-        if not sep:
-            raise ValueError(f"malformed clause {chunk!r}, expected 'prime:exponent'")
-        key = key.strip()
-        value = ExtNat.parse(raw)
-        if key == "default":
-            if saw_default:
-                raise ValueError("repeated default clause")
-            saw_default = True
-            default = value
-            continue
-        p = int(key)
-        if p in values:
-            raise ValueError(f"repeated prime {p}")
-        values[p] = value
-    return FactorFunction.from_dict(values, default)
 
 
 def phi_of_nat(n: int) -> FactorFunction:

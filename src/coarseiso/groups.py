@@ -218,10 +218,6 @@ def canonical_form(g: GroupDescription) -> CanonicalForm:
     return CanonicalForm(free_rank(g), factorizing_function_symbolic(g))
 
 
-def is_locally_finite(g: GroupDescription) -> bool:
-    return g.free_rank_part == 0
-
-
 def is_finitely_generated(g: GroupDescription) -> bool:
     if g.free_rank_part.is_infinite or g.tail is not None:
         return False

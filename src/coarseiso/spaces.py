@@ -33,12 +33,12 @@ MetricRule. Quotients exist only where the structure gives them: the
 epsilon-quotient of a structural tower or group ball is the tower of its
 cyclic coordinates above epsilon, and every other quotient is refused.
 
-No module imports scipy. The generic chain grows its minimum spanning
-tree by Prim's algorithm, one distance row at a time
-(MetricRule.subset_edges). A plane space reads its tree once, by bands
-over a cell grid (_band_edges), and the chain of any of its subsets is cut
-from the chain of that tree (PlaneRule.chain). Components, plane ones
-included, join by _connected_labels.
+No module imports scipy. The generic chain is the order in which Prim's
+algorithm takes the points, one distance row at a time (MetricRule.chain).
+A plane space reads its tree once, by bands over a cell grid (_band_edges),
+and the chain of any of its subsets is cut from the Kruskal chain of that
+tree (PlaneRule.chain). Components, plane ones included, join by
+_connected_labels.
 """
 
 from __future__ import annotations
@@ -67,8 +67,6 @@ PLANE_DECIMALS = 9
 # difference, hypot and the rounding (_plane_components)
 PLANE_HALF_UNIT = 0.5 * 10.0**-PLANE_DECIMALS
 PLANE_REL = 2.0**-40
-# validate_metric and the ultrametric check read every triple up to here
-EXHAUSTIVE_LIMIT = 512
 # _band_pairs splits a bucket pair of more point pairs than SPLIT_PAIRS into
 # Morton sub-cells, up to SPLIT_LEVELS levels, and _band_edges skips the
 # bands below the least box gap of at most SKIP_COMPONENTS components
@@ -103,9 +101,9 @@ class MetricRule:
     (``dists``) and one distance from two point indices (``distance``, kept
     apart from the row kernels as their scalar oracle). The methods here
     are the generic paths, written once from ``FiniteSpace.dists_block``:
-    the threshold graph read in row blocks for epsilon-components, and the
-    Kruskal chain over a subset's minimum spanning tree, grown by Prim's
-    algorithm from one distance row per point. SupRule and PlaneRule
+    the threshold graph read in row blocks for epsilon-components, and a
+    subset's chain in the order Prim's algorithm takes its points, from one
+    distance row per point. SupRule and PlaneRule
     override those their structure reads exactly and faster; SupRule falls
     back on them where a subset fills no box.
     """
@@ -136,33 +134,6 @@ class MetricRule:
         always here, where no key path is taken."""
         return True
 
-    def subset_edges(self, space: "FiniteSpace", subset: np.ndarray):
-        """Edges (i, j, weight) of a minimum spanning tree of the induced
-        subspace on ascending distinct indices, in subset positions, i < j,
-        in ascending (i, j) order: here Prim's tree (Prim, 1957), grown one
-        distance row per point in linear memory. It reads all n(n - 1)/2
-        distances, so it is refused above DENSE_LIMIT points."""
-        n = len(subset)
-        if n > DENSE_LIMIT:
-            raise BudgetError(f"a spanning tree of {n} points reads {n * (n - 1) // 2} distances, "
-                              f"over the {DENSE_LIMIT * (DENSE_LIMIT - 1) // 2} of {DENSE_LIMIT}")
-        # the first n - t entries of rest are the points outside the tree,
-        # best their least distances to it and near their nearest tree
-        # points; the point taken swaps with the last. Point 0 joins first,
-        # by an edge (0, 0, inf) that is dropped
-        rest, near, best = np.arange(n), np.zeros(n, dtype=np.int64), np.full(n, math.inf)
-        ii, jj, ww = np.empty(n, dtype=np.int64), np.empty(n, dtype=np.int64), np.empty(n)
-        for t in range(n):
-            m, last = int(np.argmin(best[:n - t])), n - t - 1
-            ii[t], jj[t], ww[t] = near[m], rest[m], best[m]
-            rest[m], near[m], best[m] = rest[last], near[last], best[last]
-            d = space.dists_block(subset[jj[t]], subset[rest[:last]])
-            closer = np.flatnonzero(d < best[:last])
-            best[closer], near[closer] = d[closer], jj[t]
-        lo, hi = np.minimum(ii[1:], jj[1:]), np.maximum(ii[1:], jj[1:])
-        by = np.argsort(lo * n + hi)
-        return lo[by], hi[by], ww[1:][by]
-
     def chain(self, space: "FiniteSpace", subset: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Single-linkage chain of the induced subspace on ascending
         distinct indices: an order of the subset positions, and gap[k] the
@@ -170,9 +141,34 @@ class MetricRule:
         Every eps-component, at every eps, is one contiguous run of the
         order, cut where gap > eps, and the cophenetic distance of order[i]
         and order[j], i < j, is max(gap[i + 1:j + 1]) (Gower & Ross, 1969).
-        Here it is read from the minimum spanning tree of subset_edges
-        (_kruskal_chain)."""
-        return _kruskal_chain(len(subset), *self.subset_edges(space, subset))
+
+        Here the order is the one in which Prim's algorithm (Prim, 1957)
+        takes the points, one distance row per point in linear memory, and
+        each point's gap is its reach: its least distance to the points
+        taken before it. That is exact, ties included. When the first point
+        of an eps-component C is taken, its reach is above eps, and every
+        other component is fully taken or untouched: a point within eps of
+        the points taken would have been taken first. Until the rest of C is
+        taken, some point of C is within eps of them, and every point
+        outside C is farther, so C is one run, and gap > eps only at its
+        start. It reads all n(n - 1)/2 distances, so it is refused above
+        DENSE_LIMIT points."""
+        n = len(subset)
+        if n > DENSE_LIMIT:
+            raise BudgetError(f"a spanning tree of {n} points reads {n * (n - 1) // 2} distances, "
+                              f"over the {DENSE_LIMIT * (DENSE_LIMIT - 1) // 2} of {DENSE_LIMIT}")
+        # the first n - t entries of rest are the points not yet taken, and
+        # reach their least distances to those taken; the point taken swaps
+        # with the last
+        rest, reach = np.arange(n), np.full(n, math.inf)
+        order, gap = np.empty(n, dtype=np.int64), np.empty(n)
+        for t in range(n):
+            m, last = int(np.argmin(reach[:n - t])), n - t - 1
+            order[t], gap[t] = rest[m], reach[m]
+            rest[m], reach[m] = rest[last], reach[last]
+            np.minimum(reach[:last], space.dists_block(subset[order[t]], subset[rest[:last]]),
+                       out=reach[:last])
+        return order, gap
 
     def components(self, space: "FiniteSpace", eps: float) -> np.ndarray:
         """Component label of each point in the graph with edges d <= eps:
@@ -963,16 +959,6 @@ def k_point_space(k: int) -> FiniteSpace:
     return sp.with_inner_radius(math.inf)
 
 
-def cantor_cube_truncation(depth: int, point_budget: Optional[int] = None) -> FiniteSpace:
-    """Binary strings on coordinates 1..depth with d = max over differing
-    coordinates of 2^n."""
-    if depth > 20:
-        raise ValueError("depth must be <= 20")
-    sp = tower_space([2] * depth, levels=[2**i for i in range(1, depth + 1)],
-                     point_budget=point_budget)
-    return sp.with_inner_radius(2**depth if depth else 0)
-
-
 def subspace(space: FiniteSpace, indices: Sequence[int], basepoint: Optional[int] = None) -> FiniteSpace:
     """Induced metric on a subset of points. The basepoint defaults to the
     ambient one and must belong to the subset."""
@@ -1648,51 +1634,3 @@ def quotient_with_projection(
                          [space.rule.levels[c] for c in parts])
     q = FiniteSpace(coords, rule, int(partition.point_block[space.basepoint]), space.inner_radius)
     return q, partition
-
-
-def quotient_space(space: FiniteSpace, epsilon: Num) -> FiniteSpace:
-    return quotient_with_projection(space, epsilon)[0]
-
-
-def _verify_ultrametric(m: np.ndarray) -> None:
-    """The strong triangle inequality d(a, b) <= max(d(a, c), d(c, b)) on
-    a square distance matrix: checked for every triple up to
-    EXHAUSTIVE_LIMIT points, and on 2,000 seeded random triples above."""
-    n = len(m)
-    if n <= EXHAUSTIVE_LIMIT:
-        for k in range(n):
-            if np.any(m > np.maximum(m[:, k][:, None], m[k][None, :]) + 1e-12):
-                raise ValueError("strong triangle inequality violated")
-        return
-    a, b, c = np.random.default_rng(0).integers(0, n, size=(2000, 3)).T
-    if np.any(m[a, b] > np.maximum(m[a, c], m[c, b]) + 1e-12):
-        raise ValueError("strong triangle inequality violated")
-
-
-def validate_metric(space: FiniteSpace) -> None:
-    """Metric axioms; exhaustive up to EXHAUSTIVE_LIMIT points, 4,000
-    seeded random triples above."""
-    n = len(space)
-    if n <= EXHAUSTIVE_LIMIT:
-        m = space.dmat()
-        if np.any(np.abs(np.diag(m)) > 0):
-            raise ValueError("nonzero self-distance")
-        if np.any(np.abs(m - m.T) > 1e-12):
-            raise ValueError("asymmetric distance")
-        offdiag = m + np.eye(n)
-        if np.any(offdiag <= 0):
-            raise ValueError("distinct points at distance 0")
-        for k in range(n):
-            if np.any(m > m[:, k][:, None] + m[k][None, :] + 1e-9):
-                raise ValueError("triangle inequality violated")
-        if space.ultrametric:
-            _verify_ultrametric(m)
-        return
-    rng = np.random.default_rng(1)
-    for a, b, c in rng.integers(0, n, size=(4000, 3)):
-        dab, dac, dcb = space.d(a, b), space.d(a, c), space.d(c, b)
-        if dab != space.d(b, a):
-            raise ValueError("asymmetric distance")
-        bound = max(dac, dcb) if space.ultrametric else dac + dcb
-        if dab > bound + 1e-9:
-            raise ValueError("triangle inequality violated")

@@ -1,0 +1,75 @@
+"""Oracles the tests compare the package against and the program never
+reads: the metric axioms of a space read on every triple, and the
+addition and text form of factor functions."""
+
+from __future__ import annotations
+
+import numpy as np
+
+from coarseiso.extnat import INF, ExtNat
+from coarseiso.factorfn import FactorFunction
+
+# validate_metric reads every triple of points, so it takes no more than this
+EXHAUSTIVE_LIMIT = 512
+
+
+def validate_metric(space) -> None:
+    """The metric axioms, and the strong triangle inequality on an
+    ultrametric, checked on every triple; a space of more than
+    EXHAUSTIVE_LIMIT points is refused, not sampled."""
+    n = len(space)
+    if n > EXHAUSTIVE_LIMIT:
+        raise ValueError(f"{n} points exceed the {EXHAUSTIVE_LIMIT} whose triples are all read")
+    m = space.dmat()
+    if np.any(np.abs(np.diag(m)) > 0):
+        raise ValueError("nonzero self-distance")
+    if np.any(np.abs(m - m.T) > 1e-12):
+        raise ValueError("asymmetric distance")
+    if np.any(m + np.eye(n) <= 0):
+        raise ValueError("distinct points at distance 0")
+    for k in range(n):
+        if np.any(m > m[:, k][:, None] + m[k][None, :] + 1e-9):
+            raise ValueError("triangle inequality violated")
+        if space.ultrametric and np.any(m > np.maximum(m[:, k][:, None], m[k][None, :]) + 1e-12):
+            raise ValueError("strong triangle inequality violated")
+
+
+def ff_add(f: FactorFunction, g: FactorFunction) -> FactorFunction:
+    """Pointwise sum."""
+    primes = sorted(set(f.support_primes) | set(g.support_primes))
+    return FactorFunction.from_dict({p: f.get(p) + g.get(p) for p in primes},
+                                    f.default + g.default)
+
+
+def parse_extnat(text: str) -> ExtNat:
+    """An extended natural from its text: digits, or inf, infinity or oo."""
+    text = text.strip()
+    return INF if text in ("inf", "infinity", "oo") else ExtNat(int(text))
+
+
+def ff_parse(text: str) -> FactorFunction:
+    """The factor function of comma-separated 'prime:exponent' clauses and
+    at most one 'default:exponent' clause; the inverse of ff_render."""
+    text = text.strip()
+    if not text:
+        return FactorFunction()
+    default = ExtNat(0)
+    values: dict[int, ExtNat] = {}
+    saw_default = False
+    for chunk in text.split(","):
+        key, sep, raw = chunk.partition(":")
+        if not sep:
+            raise ValueError(f"malformed clause {chunk!r}, expected 'prime:exponent'")
+        key = key.strip()
+        value = parse_extnat(raw)
+        if key == "default":
+            if saw_default:
+                raise ValueError("repeated default clause")
+            saw_default = True
+            default = value
+            continue
+        p = int(key)
+        if p in values:
+            raise ValueError(f"repeated prime {p}")
+        values[p] = value
+    return FactorFunction.from_dict(values, default)

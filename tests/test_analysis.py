@@ -23,7 +23,7 @@ from coarseiso.analysis import (
     foelner_search,
     oscillation,
 )
-from coarseiso.factorfn import FactorFunction, ZERO_FF
+from coarseiso.factorfn import FactorFunction
 from coarseiso.groups import parse_group
 from coarseiso.spaces import (
     FiniteSpace,
@@ -33,7 +33,6 @@ from coarseiso.spaces import (
     _kruskal_chain,
     build_truncation,
     canonical_ultrametric,
-    cantor_cube_truncation,
     epsilon_components,
     example31_fixture,
     k_point_space,
@@ -84,10 +83,10 @@ class TestEmpiricalPhi:
         assert empirical_phi(sp) == ff({2: 4})
 
     def test_cantor_cube(self):
-        assert empirical_phi(cantor_cube_truncation(4)) == ff({2: 4})
+        assert empirical_phi(tower_space([2] * 4, levels=[2, 4, 8, 16])) == ff({2: 4})
 
     def test_single_point(self):
-        assert empirical_phi(k_point_space(1)) == ZERO_FF
+        assert empirical_phi(k_point_space(1)) == FactorFunction()
 
     def test_partial_mass_from_deeper_profile(self):
         sp = canonical_ultrametric(ff({2: 3, 5: 1}), 4)
@@ -107,7 +106,7 @@ class TestEmpiricalPhi:
 
     def test_prime_bound_filters(self):
         sp = tower_space([101])
-        assert empirical_phi(sp, prime_bound=97) == ZERO_FF
+        assert empirical_phi(sp, prime_bound=97) == FactorFunction()
 
     def test_huge_prime_bound_sizes_nothing(self, monkeypatch):
         # the bound only filters the primes factorize found, so a value far
@@ -1206,24 +1205,25 @@ def test_each_kind_of_table_takes_its_route(make, route):
             analysis_mod._pair_oscillation(source, target, src, dst, deltas))
 
 
-def test_subset_edges_over_several_blocks():
-    # the generic route reads every pair in row blocks and keeps a minimum
-    # spanning tree: each edge once, i < j, in ascending (i, j) order, with
-    # its distance, spanning the subset, with scipy's single-linkage heights
-    from scipy.cluster.hierarchy import linkage
+def test_generic_chain_over_several_blocks():
+    # the generic route takes the points in Prim's order, one distance row
+    # each: its finite gaps are scipy's single-linkage heights, and its runs
+    # the single-linkage clusters at every height
+    # (single_linkage_cophenet, on the subset's distances alone rather than
+    # the 3,721-point space's dense matrix)
+    from scipy.cluster.hierarchy import cophenet, linkage
     from scipy.spatial.distance import squareform
 
     rng = np.random.default_rng(2)
     for sp in (zball(20, 2), zball(30, 2)):
         subset = np.sort(rng.choice(len(sp), size=1100, replace=False))
         n = len(subset)
-        assert len(row_blocks(n)) > 1
-        ii, jj, ww = sp.rule.subset_edges(sp, subset)
-        assert len(ii) == n - 1 and np.all(ii < jj) and np.all(np.diff(ii * n + jj) > 0)
-        assert ww.tolist() == [sp.d(int(subset[i]), int(subset[j])) for i, j in zip(ii, jj)]
-        assert not np.any(spaces_mod._connected_labels(n, ii, jj))
-        heights = linkage(squareform(sp.dists_block(subset, subset)), "single")[:, 2]
-        assert sorted(ww.tolist()) == sorted(heights.tolist())
+        assert len(row_blocks(n)) > 1 and not sp.rule.fills_box(sp.coords[subset])
+        order, gap = sp.rule.chain(sp, subset)
+        assert sorted(order.tolist()) == list(range(n)) and gap[0] == math.inf
+        tree = linkage(squareform(sp.dists_block(subset, subset)), "single")
+        assert sorted(gap[1:].tolist()) == sorted(tree[:, 2].tolist())
+        assert np.array_equal(chain_cophenet(order, gap), squareform(cophenet(tree)))
 
 
 def test_generic_chain_memory_is_linear():

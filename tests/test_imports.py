@@ -1,10 +1,11 @@
 """No module of the package imports a name it never reads, no module
-defines a name that the package and the benchmark harness never read, and
-no module imports scipy, nor does a generic chain load it. The checks use
-only the standard library's ast: a name counts as read where a module loads
-it, attributes and string annotations included.
+defines a name that the program never reads, and no module imports scipy,
+nor does a generic chain load it. The checks use only the standard
+library's ast: a name counts as read where a module loads it, attributes
+and string annotations included.
 ``__init__.py`` may import names it does not read, as its imports are the
-package's public names."""
+package's public names; they are the names of ``__all__``, and importing a
+name there is no read of it."""
 
 from __future__ import annotations
 
@@ -124,11 +125,13 @@ def read_names(source: str) -> set:
     return read
 
 
-def unread_names(defining: dict, readers: list) -> list[str]:
-    """module.name for each name a defining module (name: source) defines
-    that no reader source reads, in module order."""
-    read = set().union(*map(read_names, readers)) | EXEMPT
-    return [f"{module}.{name}" for module, source in defining.items()
+def unread_names(package: dict, outside: list = ()) -> list[str]:
+    """module.name for each name a package module (name: source) defines
+    that neither the package's other modules than __init__ nor an outside
+    source reads, in module order."""
+    readers = [source for module, source in package.items() if module != "__init__"]
+    read = set().union(*map(read_names, [*readers, *outside])) | EXEMPT
+    return [f"{module}.{name}" for module, source in package.items()
             for name in defined_names(source) if name not in read]
 
 
@@ -144,24 +147,44 @@ def unread_names(defining: dict, readers: list) -> list[str]:
     ("class A:\n    def g(self): ...\n", ["m.A"]),  # methods are not module names
     ("import os\nos.X = 1\nX = 2\n", []),  # an attribute name counts
     ("'X'\nX = 1\n", ["m.X"]),  # text is no read
+    # a re-export is no read: __init__ imports f, and nothing reads it
+    ({"m": "def f(): ...\n", "__init__": "from .m import f\n__all__ = ['f']\n"}, ["m.f"]),
 ])
 def test_what_counts_as_a_read(snippet, unread):
-    assert unread_names({"m": snippet}, [snippet]) == unread
+    package = {"m": snippet} if isinstance(snippet, str) else snippet
+    assert unread_names(package) == unread
 
 
 def test_a_name_read_by_another_module_is_read():
-    defining = {"m": "def f(): ...\ndef g(): ...\nH = 1\n"}
-    readers = [defining["m"], "from m import f\n", "import m\nm.H\n"]
-    assert unread_names(defining, readers) == ["m.g"]
+    package = {"m": "def f(): ...\ndef g(): ...\nH = 1\nJ = 2\n",
+               "n": "from .m import f\n", "__init__": "from .m import g, J\n"}
+    assert unread_names(package, ["import m\nm.H\n"]) == ["m.g", "m.J"]
 
 
 def test_every_defined_name_is_read():
-    # the package and the benchmark harness read the package's names; the
+    # the program reads the package's names: its other modules than
+    # __init__, the benchmark harness and the acceptance criteria; the unit
     # tests, which may call anything, do not count
-    defining = {path.stem: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
-    harness = [path.read_text() for path in sorted((ROOT / "perfbench").glob("*.py"))
+    package = {path.stem: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
+    outside = [path.read_text() for path in sorted((ROOT / "perfbench").glob("*.py"))
                if not path.name.startswith("test_")]
-    assert unread_names(defining, [*defining.values(), *harness]) == []
+    outside.append((ROOT / "tests" / "test_acceptance.py").read_text())
+    assert unread_names(package, outside) == []
+
+
+def init_imports(source: str) -> list[str]:
+    """The names the source's from-imports take, in order."""
+    return [a.asname or a.name for node in ast.parse(source).body
+            if isinstance(node, ast.ImportFrom) for a in node.names]
+
+
+def test_all_lists_the_names_init_imports():
+    import coarseiso
+
+    names = init_imports((PACKAGE / "__init__.py").read_text())
+    assert len(set(coarseiso.__all__)) == len(coarseiso.__all__)
+    assert len(set(names)) == len(names)
+    assert set(coarseiso.__all__) == set(names)
 
 
 def scipy_imports(source: str) -> list[str]:

@@ -29,7 +29,7 @@ from coarseiso.spaces import (
     example31_fixture,
     k_point_space,
     product_space,
-    quotient_space,
+    quotient_with_projection,
     subspace,
     tower_space,
     zball,
@@ -47,8 +47,8 @@ SPACES = {
                                      tower_space([2], levels=[5])),
     "sup-subset": lambda: subspace(zball(4, 2), [i for i in range(81) if i % 7 not in (2, 3)]),
     "plane": lambda: example31_fixture(2, 0.2, 3),
-    "sup-quotient": lambda: quotient_space(product_space(zball(2), tower_space([2, 3, 2, 3, 2])),
-                                           2),
+    "sup-quotient": lambda: quotient_with_projection(
+        product_space(zball(2), tower_space([2, 3, 2, 3, 2])), 2)[0],
     "dense": lambda: as_dense(example31_fixture(2, 0.2, 3)),
     "dense-sup": lambda: as_dense(SPACES["sup-subset"]()),
 }
@@ -406,7 +406,7 @@ def same_partition(a, b) -> bool:
 def assert_keys_match_the_generic_paths(sp):
     """On a structural space the rule's components equal the threshold
     graph's, and its chain of each basepoint ball (of any subset on an
-    ultrametric) has the runs of the Kruskal chain at every gap."""
+    ultrametric) has the runs of the generic chain at every gap."""
     assert sp.structural
     base = sp.dists_from(sp.basepoint)
     subsets = [np.flatnonzero(base <= r) for r in sorted(set(base.tolist()))]

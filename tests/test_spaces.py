@@ -30,7 +30,6 @@ from coarseiso.spaces import (
     PlaneRule,
     build_truncation,
     canonical_ultrametric,
-    cantor_cube_truncation,
     enumerate_summands,
     epsilon_components,
     example31_fixture,
@@ -38,12 +37,10 @@ from coarseiso.spaces import (
     make_schedule,
     plane_edges,
     product_space,
-    quotient_space,
     quotient_with_projection,
     row_blocks,
     subspace,
     tower_space,
-    validate_metric,
     zball,
 )
 from coarseiso.spaces import _connected_labels, _grid_scale, _partition_from_keys, _round_decimals
@@ -51,7 +48,8 @@ from coarseiso.witness import space_id
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
-from dense_rule import as_dense  # noqa: E402
+from dense_rule import as_dense, dense_space  # noqa: E402
+from oracles import validate_metric  # noqa: E402
 
 
 def ff(values, default=0):
@@ -253,7 +251,8 @@ class TestBuilders:
         assert enumerate_summands(ff({2: INF, 3: 1}), 4) == [2, 2, 3, 2]
 
     def test_cantor_cube(self):
-        sp = cantor_cube_truncation(4)
+        # binary strings, d the largest 2^n over differing coordinates n
+        sp = tower_space([2] * 4, levels=[2, 4, 8, 16])
         assert len(sp) == 16
         assert sp.inner_radius == 16
         e = sp.index[(0, 0, 0, 0)]
@@ -1016,12 +1015,12 @@ class TestQuotient:
 
     def test_group_ball_quotient_collapses_free_part(self):
         sp = build_truncation(parse_group("Z + C2"), radius=4)
-        q = quotient_space(sp, 1)
+        q = quotient_with_projection(sp, 1)[0]
         assert len(q) == 2
         assert q.d(0, 1) == 2
 
     def test_quotient_distances_exceed_epsilon(self):
-        q = quotient_space(tower_space([2, 2, 3]), 2)
+        q = quotient_with_projection(tower_space([2, 2, 3]), 2)[0]
         vals = [v for v in dist_values(q) if v > 0]
         assert vals and min(vals) > 2
 
@@ -1040,9 +1039,8 @@ class TestQuotient:
     def test_quotient_without_structure_is_refused(self, make, eps):
         sp = make()
         assert sp.rule.quotient_parts(sp, eps) is None
-        for call in (quotient_with_projection, quotient_space):
-            with pytest.raises(ValueError, match="structural quotient"):
-                call(sp, eps)
+        with pytest.raises(ValueError, match="structural quotient"):
+            quotient_with_projection(sp, eps)
 
 
 class TestProduct:
@@ -1339,7 +1337,7 @@ def test_structural_quotient_matches_single_linkage_at_each_level(name, eps):
     assert q.rule.descriptor() == {"kind": "tower", "orders": [sp.rule.orders[c] for c in parts],
                                    "levels": kept}
     assert len(q) == part.count and q.basepoint == part.point_block[sp.basepoint]
-    assert q.ultrametric and q == quotient_space(sp, eps)
+    assert q.ultrametric and q == quotient_with_projection(sp, eps)[0]
 
 
 # pinned serialized form and space id of every constructor: witnesses name
@@ -1354,13 +1352,14 @@ GOLDEN = {
     "canonical-partial": lambda: canonical_ultrametric(ff({2: 5}), 2),
     "k-point": lambda: k_point_space(3),
     "one-point": lambda: k_point_space(1),
-    "cantor": lambda: cantor_cube_truncation(2),
+    "cantor": lambda: tower_space([2, 2], levels=[2, 4]),
     "product-left": lambda: product_space(
         product_space(zball(1), tower_space([2])), k_point_space(2)),
     "product-right": lambda: product_space(
         zball(1), product_space(tower_space([2]), k_point_space(2))),
     "subspace": lambda: subspace(_zb3, [_zb3.index[(v,)] for v in (-1, 0, 2)]),
-    "quotient": lambda: quotient_space(build_truncation(parse_group("Z + C2 + C3"), radius=4), 1),
+    "quotient": lambda: quotient_with_projection(
+        build_truncation(parse_group("Z + C2 + C3"), radius=4), 1)[0],
 }
 GOLDEN_JSON = {
     "zball": (
@@ -1461,12 +1460,12 @@ ROW_PINS = {
         "tower-12-cd78c30efde6",
         "1162ee4e0d6227176c8144195dae893f3be1109c3e07cb54b58374930c46db71",
     ),    "sup-quotient": (
-        lambda: quotient_space(product_space(zball(3), tower_space([2, 3, 2])), 2),
+        lambda: quotient_with_projection(product_space(zball(3), tower_space([2, 3, 2])), 2)[0],
         "tower-6-9002476bf2a5",
         "6b53398a6bee84b71dc61e615191d5142b88c1a358fceab16be75251af01affb",
     ),
     "group-quotient": (
-        lambda: quotient_space(build_truncation(parse_group("Z + C2^inf"), radius=8), 1),
+        lambda: quotient_with_projection(build_truncation(parse_group("Z + C2^inf"), radius=8), 1)[0],
         "tower-8-3f10b9d141e8",
         "922059b395fce4895d9a85496b8310eddb084eaec725820d23558ff48a3fae4b",
     ),
@@ -1753,7 +1752,7 @@ def old_space_id(space):
     lambda: product_space(k_point_space(1), product_space(tower_space([3]), zball(0))),
     lambda: example31_fixture(2, 0.25, 3),
     lambda: subspace(zball(3), [0, 2, 3]),
-    lambda: quotient_space(product_space(zball(3), tower_space([2, 3, 2])), 2),
+    lambda: quotient_with_projection(product_space(zball(3), tower_space([2, 3, 2])), 2)[0],
     lambda: rank_two_chain_at_radius_100().source,
     lambda: rank_two_chain_at_radius_100().target,
     lambda: FiniteSpace([(-(2**53), -7, 1), (-3, 0, 0), (-1, 2**53, 1)],
@@ -1773,8 +1772,6 @@ def test_space_id_matches_the_label_dump(make):
 
 @pytest.mark.parametrize("fn,removed", [
     ("spaces.build_truncation", "schedule"),
-    ("spaces.validate_metric", "exhaustive_limit"),
-    ("spaces._verify_ultrametric", "sample"),
     ("spaces._rule_from_descriptor", "ultrametric"),
     ("spaces.FiniteSpace", "coords"),
     ("analysis.foelner_search", "max_points"),
@@ -1789,3 +1786,35 @@ def test_removed_parameters_stay_removed(fn, removed):
 
 def test_schedule_alias_is_gone():
     assert not hasattr(spaces_mod, "Schedule")
+
+
+@pytest.mark.parametrize("module, name", [
+    ("spaces", "validate_metric"), ("spaces", "_verify_ultrametric"),
+    ("spaces", "EXHAUSTIVE_LIMIT"), ("spaces", "cantor_cube_truncation"),
+    ("spaces", "quotient_space"), ("factorfn", "ff_add"), ("factorfn", "ff_parse"),
+    ("factorfn", "ZERO_FF"), ("extnat", "ExtNat.parse"), ("groups", "is_locally_finite"),
+])
+def test_test_only_names_left_the_package(module, name):
+    # the metric oracle and the factor-function parser and sum live in
+    # tests/oracles.py; the one-line wrappers gave way to what they wrap
+    owner = importlib.import_module(f"coarseiso.{module}")
+    *path, name = name.split(".")
+    for part in path:
+        owner = getattr(owner, part)
+    assert not hasattr(owner, name) and not hasattr(importlib.import_module("coarseiso"), name)
+
+
+def test_the_metric_oracle_reads_every_triple_or_refuses():
+    # 511 points are read on every triple, 513 are refused, not sampled
+    validate_metric(zball(255))
+    with pytest.raises(ValueError, match="^513 points exceed the 512 whose triples are all read$"):
+        validate_metric(zball(256))
+    # d(0, 2) = 3 > d(0, 1) + d(1, 2); and d(0, 2) = 2 > max(d(0, 1), d(1, 2))
+    # on a table that claims to be an ultrametric
+    with pytest.raises(ValueError, match="^triangle inequality violated$"):
+        validate_metric(dense_space([[0, 1, 3], [1, 0, 1], [3, 1, 0]], 0, 1))
+    sp = dense_space([[0, 1, 2], [1, 0, 1], [2, 1, 0]], 0, 1)
+    validate_metric(sp)
+    sp.rule.is_ultrametric = True
+    with pytest.raises(ValueError, match="^strong triangle inequality violated$"):
+        validate_metric(sp)
