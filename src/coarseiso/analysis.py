@@ -574,6 +574,14 @@ def asdim_cover(rank: int, epsilon: float, radius: int) -> Cover:
     rank <= 2 uses staggered bricks of side 2*ceil(epsilon)*(rank+1);
     rank 3 uses the body-centered nearest-site cells, whose corners have
     degree four. Epsilon must be finite and >= 0, and the radius >= 0.
+
+    The check reads balls of radius e = min(max(1, ceil(epsilon)),
+    2 * radius): a larger ball clipped to the grid of side 2 * radius + 1
+    is the whole grid around every point, so the multiplicity is the same.
+    Refused with a ValueError before anything is built: an epsilon whose
+    brick side int64 cannot hold, and a check whose one slab row,
+    (2e + 1)^rank * side^(rank - 1) entries, exceeds the 3e7 entries that
+    the slabs of _max_ball_multiplicity are sized to.
     """
     if not math.isfinite(_check_epsilon(epsilon)):
         raise ValueError(f"cover epsilon must be finite, got {epsilon}")
@@ -587,6 +595,15 @@ def asdim_cover(rank: int, epsilon: float, radius: int) -> Cover:
         raise ValueError("radius too large for exhaustive verification")
     if rank == 0:
         return Cover(0, epsilon, radius, 0.0, 1, ((tuple(),),))
+    if 2 * eps * (rank + 1) > np.iinfo(np.int64).max:
+        raise ValueError(f"cover epsilon {epsilon} gives a brick side beyond int64")
+    ball = min(eps, side - 1)
+    row = (2 * ball + 1) ** rank * side ** (rank - 1)
+    if row > 3e7:
+        raise ValueError(
+            f"checking balls of radius {ball} on the {side}^{rank} grid reads {row} ids a "
+            "grid row, over the 3e7 of one slab"
+        )
 
     axes = [np.arange(-radius, radius + 1)] * rank
     mesh_grids = np.meshgrid(*axes, indexing="ij")
@@ -597,7 +614,7 @@ def asdim_cover(rank: int, epsilon: float, radius: int) -> Cover:
         ids = _brick_ids(coords, eps, rank)
 
     grid_ids = ids.reshape([side] * rank)
-    mult = _max_ball_multiplicity(grid_ids, eps, rank)
+    mult = _max_ball_multiplicity(grid_ids, ball, rank)
     if mult > rank + 1:
         raise AssertionError(f"cover multiplicity {mult} exceeds {rank + 1}")
 

@@ -35,10 +35,10 @@ cyclic coordinates above epsilon, and every other quotient is refused.
 
 No module imports scipy. The generic chain is the order in which Prim's
 algorithm takes the points, one distance row at a time (MetricRule.chain).
-A plane space reads its tree once, by bands over a cell grid (_band_edges),
-and the chain of any of its subsets is cut from the Kruskal chain of that
-tree (PlaneRule.chain). Components, plane ones included, join by
-_connected_labels.
+A plane space reads its chain and tree once, by one Kruskal pass over the
+candidate pairs of bands over a cell grid (_band_edges, plane_chain), and
+the chain of any of its subsets is cut from that chain (PlaneRule.chain).
+Components, plane ones included, join by _connected_labels.
 """
 
 from __future__ import annotations
@@ -483,21 +483,21 @@ class PlaneRule(MetricRule):
         return np.round(np.hypot(dx, dy), PLANE_DECIMALS)
 
     def chain(self, space: "FiniteSpace", subset: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Cut from the chain of the whole space, which Kruskal reads once
-        from its tree (plane_chain). The subset's points in whole-chain
+        """Cut from the chain of the whole space, which one Kruskal pass
+        reads with its tree (plane_chain). The subset's points in whole-chain
         order are stably sorted by their component under the whole tree's
         edges inside the subset (the seeds). Each such component is a
         subtree of the whole tree, so two of its points merge in the subset
         at their height in the whole space: the largest whole-chain gap
         between them (_range_max), and each component starts at inf. The
         chain of a component is a path with the same heights as its
-        subtree. When the seeds leave m > 1 components, the bands join them
-        by m - 1 edges (_band_edges, step 5), and Kruskal joins the paths
-        and those edges. It takes every path edge lighter than the lightest
-        joining edge first, and on a path those merge contiguous runs, so
-        the paths are cut into runs at every gap at least that edge, and
+        subtree. When the seeds leave m > 1 components, Kruskal joins the
+        paths and the bands' candidate pairs between them (_band_edges,
+        steps 5 and 6). It takes every path edge lighter than the lightest
+        candidate first, and on a path those merge contiguous runs, so the
+        paths are cut into runs at every gap at least that candidate, and
         Kruskal runs over the runs alone: the path edges between
-        consecutive runs, at their cut gaps, and the joining edges."""
+        consecutive runs, at their cut gaps, and the candidates."""
         n = len(subset)
         if n == len(space):
             return plane_chain(space)
@@ -518,7 +518,7 @@ class PlaneRule(MetricRule):
         cuts[same] = _range_max(gap, at[same - 1] + 1, at[same] + 1)
         if not comp.any():
             return sub, cuts
-        # the runs start at every cut at least the lightest joining edge;
+        # the runs start at every cut at least the lightest candidate;
         # each finite one is a path edge from the run before it
         ja, jb, jw = _band_edges(space.coords[subset], labels)
         cut = cuts >= jw.min()
@@ -526,9 +526,9 @@ class PlaneRule(MetricRule):
         inner = starts[np.isfinite(cuts[starts])]
         where = np.empty(n, dtype=np.int64)
         where[sub] = run
-        runs, joins = _kruskal_chain(len(starts), np.concatenate([run[inner] - 1, where[ja]]),
-                                     np.concatenate([run[inner], where[jb]]),
-                                     np.concatenate([cuts[inner], jw]))
+        runs, joins, _ = _kruskal_chain(len(starts), np.concatenate([run[inner] - 1, where[ja]]),
+                                        np.concatenate([run[inner], where[jb]]),
+                                        np.concatenate([cuts[inner], jw]))
         # the runs in Kruskal's order, each with its gap at its start
         cuts[starts[runs]] = joins
         rank = np.empty(len(runs), dtype=np.int64)
@@ -592,10 +592,8 @@ class FiniteSpace:
         self._index: Optional[dict[Label, int]] = None
         self._base_dists: Optional[np.ndarray] = None
         self._dmat: Optional[np.ndarray] = None
-        # plane_edges and plane_chain: the minimum spanning tree of a plane
-        # space and its chain
-        self._edges: Optional[tuple[np.ndarray, np.ndarray, np.ndarray]] = None
-        self._chain: Optional[tuple[np.ndarray, np.ndarray]] = None
+        # (plane_chain, plane_edges): a plane space's chain and tree
+        self._tree: Optional[tuple[tuple, tuple]] = None
 
     def with_inner_radius(self, inner_radius: Num) -> "FiniteSpace":
         """The same points, rule and basepoint, faithful up to another
@@ -1132,22 +1130,26 @@ def _plane_pair_dists(pts: np.ndarray, ii: np.ndarray, jj: np.ndarray) -> np.nda
 
 
 def plane_edges(space: FiniteSpace) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """A minimum spanning tree of a plane space under PlaneRule distances
-    (_band_edges), cached on the space: its chain (plane_chain) gives the
-    step candidates, and its edges inside a step window are the seeds
-    that cut the window's chain from it (PlaneRule.chain).
-    Epsilon-components need none (_plane_components)."""
-    if space._edges is None:
-        space._edges = _band_edges(space.coords, np.arange(len(space)))
-    return space._edges
+    """A minimum spanning tree (i, j, weight) of a plane space, i < j, in
+    ascending (i, j) order: the edges the Kruskal pass of plane_chain
+    joins. Its edges inside a step window are the seeds that cut the
+    window's chain (PlaneRule.chain). Components need none."""
+    plane_chain(space)
+    return space._tree[1]
 
 
 def plane_chain(space: FiniteSpace) -> tuple[np.ndarray, np.ndarray]:
-    """The chain of a whole plane space, from one Kruskal pass over its
-    tree (plane_edges), cached on the space beside the tree."""
-    if space._chain is None:
-        space._chain = _kruskal_chain(len(space), *plane_edges(space))
-    return space._chain
+    """The chain of a whole plane space, from one Kruskal pass over the
+    candidate pairs of its bands (_band_edges). The pass's joins are its
+    tree (plane_edges), and both are cached on the space."""
+    if space._tree is None:
+        n = len(space)
+        ii, jj, ww = _band_edges(space.coords, np.arange(n))
+        order, gap, joined = _kruskal_chain(n, ii, jj, ww)
+        lo, hi = np.minimum(ii[joined], jj[joined]), np.maximum(ii[joined], jj[joined])
+        by = np.argsort(lo * n + hi)
+        space._tree = (order, gap), (lo[by], hi[by], ww[joined][by])
+    return space._tree[0]
 
 
 def _range_max(values: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -1166,18 +1168,17 @@ def _range_max(values: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray
 
 
 def _band_edges(pts: np.ndarray, labels: np.ndarray):
-    """Edges (i, j, weight) that join the components labels (each the
-    least index of its points) of seed edges, a forest that lies in some
-    minimum spanning tree of plane points under PlaneRule distances, into
-    a minimum spanning tree of them; i < j, in ascending (i, j) order. With
-    no seeds (labels = arange(n)), the edges are the whole tree. An exact
-    Kruskal by bands of ratio 4 over the cell grid of _plane_components,
-    with no triangulation.
+    """Candidate pairs (i, j, weight) between the components labels (each
+    the least index of its points) of seed edges, a forest in some minimum
+    spanning tree of plane points under PlaneRule distances: Kruskal over
+    the seeds and the candidates takes a minimum spanning tree of the
+    points (no seeds: labels = arange(n)). Bands of ratio 4 over the cell
+    grid of _plane_components, with no triangulation.
 
     The labels start as the components of the seeds. A band reads, at a
-    scale t, the pairs at distance <= t between two components
-    (_band_pairs), keeps the lightest pair of each two, and joins them by a
-    minimum spanning forest (_forest_join); t then grows fourfold. The
+    scale t, the lightest pair at distance <= t between each two components
+    (_band_pairs). Those are its candidates, and the components they join
+    (_connected_labels) become the labels; t then grows fourfold. The
     first t is twice the sqrt(n) / 2-th least distance between neighbouring
     rows: about the spacing of a uniform cloud whose rows are in
     lexicographic order, as a space's are, and twice the least spacing
@@ -1185,13 +1186,11 @@ def _band_edges(pts: np.ndarray, labels: np.ndarray):
     remain, t grows fourfold until it reaches the least box gap between two
     of them. Each step is exact:
 
-    1. Entering a band at t, the labels are the components of the edges
-       taken so far, which hold every pair read at the earlier, smaller
-       scales, so a pair between two of them is longer than the last t.
-       Every pair at distance <= t lies in cells at most 3 apart
-       (_grid_scale), and Kruskal on the contracted graph needs only the
-       lightest pair between two components: each edge the forest takes
-       is a lightest pair leaving a component (the cut property).
+    1. Entering a band at t, the labels are the components of the seeds
+       and of every pair at distance <= the last t, since a band's
+       candidates join every two components with such a pair. So a pair
+       between two of them is longer than the last t. Every pair at
+       distance <= t lies in cells at most 3 apart (_grid_scale).
     2. The bounds on the distances between two boxes carry the rounding
        terms of _grid_scale (PLANE_HALF_UNIT and PLANE_REL), so a bucket
        pair dropped by them holds no pair that the band keeps.
@@ -1200,7 +1199,16 @@ def _band_edges(pts: np.ndarray, labels: np.ndarray):
     4. No pair between two components is closer than the least gap between
        their boxes, so the skipped bands are empty: the band at the larger
        t reads what they would have.
-    5. A seed, an edge of a minimum spanning tree T of a larger space
+    5. Say Kruskal on all pairs between the seeds' components joins
+       clusters X and Y by a pair of weight w during the band at t, so
+       w <= t. The pair runs from a component A in X to a component B in
+       Y of that band's start, and the lightest A-B pair, a candidate,
+       weighs w, or Kruskal would have joined A and B before. So the
+       candidates hold a minimum spanning tree of the components; with
+       the seeds (step 6) it is one of the points, and Kruskal over both
+       takes one as light. All minimum spanning trees share their
+       single-linkage heights.
+    6. A seed, an edge of a minimum spanning tree T of a larger space
        inside a subset W, is the only edge of T across its own cut. So
        every path in W between its ends crosses that cut by an edge no
        lighter than it, ties included, and the seeds lie in some minimum
@@ -1208,7 +1216,7 @@ def _band_edges(pts: np.ndarray, labels: np.ndarray):
     """
     n = len(pts)
     none = np.zeros(0, dtype=np.int64)
-    edges = [(none, none, np.zeros(0))]
+    pairs = [(none, none, np.zeros(0))]
     comps = np.count_nonzero(labels == np.arange(n))
     if comps > 1:
         rows, k = np.arange(n - 1), math.isqrt(n) // 2
@@ -1223,14 +1231,11 @@ def _band_edges(pts: np.ndarray, labels: np.ndarray):
             while t < floor:
                 t *= 4
         bi, bj, bw = _band_pairs(pts, labels, t)
-        keep, labels = _forest_join(labels, bi, bj, bw)
-        edges.append((bi[keep], bj[keep], bw[keep]))
-        comps -= len(keep)
+        pairs.append((bi, bj, bw))
+        labels = _connected_labels(n, labels[bi], labels[bj])[labels]
+        comps = np.count_nonzero(labels == np.arange(n))
         t *= 4
-    ii, jj, ww = map(np.concatenate, zip(*edges))
-    lo, hi = np.minimum(ii, jj), np.maximum(ii, jj)
-    by = np.argsort(lo * n + hi)
-    return lo[by], hi[by], ww[by]
+    return tuple(map(np.concatenate, zip(*pairs)))
 
 
 def _run_boxes(pts: np.ndarray, starts: np.ndarray) -> np.ndarray:
@@ -1353,33 +1358,6 @@ def _band_pairs(pts: np.ndarray, labels: np.ndarray, t: float):
     return i[by], j[by], r[by]
 
 
-def _forest_join(labels: np.ndarray, ii: np.ndarray, jj: np.ndarray, ww: np.ndarray):
-    """The positions of edges (ii, jj, ww) that make a minimum spanning
-    forest of the graph whose nodes are the components labels (each the
-    least index of its points), and the labels after joining them.
-    Boruvka rounds: every component takes its lightest edge to another,
-    ties broken by position in a stable sort by weight, which orders the
-    edges strictly, so the edges taken make no cycle; the components they
-    join are joined (_connected_labels), and a round without such an edge
-    ends the pass."""
-    n, m = len(labels), len(ww)
-    by = np.argsort(ww, kind="stable")
-    a, b = labels[ii[by]], labels[jj[by]]
-    taken = np.zeros(m, dtype=bool)
-    join = np.arange(n)
-    while True:
-        live = np.flatnonzero(a != b)
-        if not len(live):
-            return by[taken], join[labels]
-        best = np.full(n, m)
-        np.minimum.at(best, a[live], live)
-        np.minimum.at(best, b[live], live)
-        pick = np.unique(best[best < m])
-        taken[pick] = True
-        step = _connected_labels(n, a[pick], b[pick])
-        a, b, join = step[a], step[b], step[join]
-
-
 def _connected_labels(n: int, ii: np.ndarray, jj: np.ndarray) -> np.ndarray:
     """Connected-component label of each of n nodes under the edges
     (ii, jj): the least index in its component. Duplicate edges,
@@ -1421,17 +1399,18 @@ def _connected_labels(n: int, ii: np.ndarray, jj: np.ndarray) -> np.ndarray:
 
 def _kruskal_chain(n: int, ii: np.ndarray, jj: np.ndarray, ww: np.ndarray):
     """Chain (order, gap) of the graph on n nodes with edges (ii, jj, ww),
-    from one Kruskal pass: the edges sorted by weight are joined by
-    union-find, an edge whose ends are already joined skipped, and each
-    cluster is kept as a linked list; a merge at height w appends one list
-    to the other with w at the junction. Nodes the edges leave apart are
-    joined at height inf."""
+    and the positions of the edges joined, in joining order: the edges
+    sorted by weight are joined by union-find, an edge whose ends are
+    already joined skipped, and each cluster is kept as a linked list; a
+    merge at height w appends one list to the other with w at the
+    junction. Nodes the edges leave apart are joined at height inf."""
     by = np.argsort(ww, kind="stable")
     parent = list(range(n))
     head, tail = list(range(n)), list(range(n))
     succ = [-1] * n
     after = [math.inf] * n  # height at which a node joins its successor
-    for a, b, w in zip(ii[by].tolist(), jj[by].tolist(), ww[by].tolist()):
+    joined: list[int] = []
+    for e, a, b, w in zip(by.tolist(), ii[by].tolist(), jj[by].tolist(), ww[by].tolist()):
         while parent[a] != a:
             parent[a] = a = parent[parent[a]]
         while parent[b] != b:
@@ -1442,6 +1421,7 @@ def _kruskal_chain(n: int, ii: np.ndarray, jj: np.ndarray, ww: np.ndarray):
         after[tail[a]] = w
         tail[a] = tail[b]
         parent[b] = a
+        joined.append(e)
     order: list[int] = []
     for r in range(n):
         if parent[r] == r:
@@ -1451,7 +1431,7 @@ def _kruskal_chain(n: int, ii: np.ndarray, jj: np.ndarray, ww: np.ndarray):
                 k = succ[k]
     idx = np.asarray(order, dtype=np.int64)
     # a tree's tail joins nothing, so each tree starts at inf (cyclically)
-    return idx, np.asarray(after, dtype=float)[np.roll(idx, 1)]
+    return idx, np.asarray(after, dtype=float)[np.roll(idx, 1)], np.asarray(joined, dtype=np.int64)
 
 
 def _squeeze(cells: np.ndarray) -> np.ndarray:

@@ -732,7 +732,12 @@ def iso_witness_chain(
     compositions of each side with k >= 2, the inverse of such a right
     side, and the end.
     Every space built on the way is held to point_budget (None: the default
-    budget); a larger one is a BudgetError.
+    budget); a larger one is a BudgetError. A witness valid to less than 1
+    is refused with a ValueError that names its line ball's radius and the
+    remainder tower's inner radius: a small radius leaves the stages little
+    room (`Z^2 ~ Z^2 + C4` at radius 8), and where the prime bound drops a
+    summand of the remainder, the tower is faithful only below it
+    (`Z + C2 + C101 ~ Z + C101` at bound 97 is valid to 0).
     """
     if radius < 0:
         raise ValueError("radius must be >= 0")
@@ -801,4 +806,11 @@ def iso_witness_chain(
         start = product_space(product_space(line, ball_tail, pb), rest, pb)
     left = side(n) if n > 1 else _relabel_stage(start, middle)
     back = invert_witness(side(m)) if m > 1 else _relabel_stage(middle, start)
-    return compose_witness(left, back, deltas=deltas)
+    w = compose_witness(left, back, deltas=deltas)
+    if w.validity_radius < 1:
+        raise ValueError(
+            f"the witness is valid only to {w.validity_radius:g}: its line ball has radius "
+            f"{common_r} (--radius {radius}), and its remainder tower is faithful to "
+            f"{rest.inner_radius} under prime bound {prime_bound} (--prime-bound)"
+        )
+    return w

@@ -1,6 +1,7 @@
 """Oracles the tests compare the package against and the program never
-reads: the metric axioms of a space read on every triple, and the
-addition and text form of factor functions."""
+reads: the metric axioms of a space read on every triple, the heights of
+a minimum spanning tree of plane points, and the addition and text form
+of factor functions."""
 
 from __future__ import annotations
 
@@ -8,6 +9,7 @@ import numpy as np
 
 from coarseiso.extnat import INF, ExtNat
 from coarseiso.factorfn import FactorFunction
+from coarseiso.spaces import PlaneRule
 
 # validate_metric reads every triple of points, so it takes no more than this
 EXHAUSTIVE_LIMIT = 512
@@ -32,6 +34,38 @@ def validate_metric(space) -> None:
             raise ValueError("triangle inequality violated")
         if space.ultrametric and np.any(m > np.maximum(m[:, k][:, None], m[k][None, :]) + 1e-12):
             raise ValueError("strong triangle inequality violated")
+
+
+def prim_heights(pts) -> list[float]:
+    """The weights of a minimum spanning tree of plane points under
+    PlaneRule distances, ascending: Prim's algorithm, one distance row at a
+    time, so memory stays linear. They are the single-linkage heights of
+    all pairs, each as often."""
+    if len(pts) == 0:
+        return []
+    rule = PlaneRule()
+    best = rule.dists(pts[0], pts)
+    left = np.ones(len(pts), dtype=bool)
+    left[0] = False
+    heights = []
+    for _ in range(len(pts) - 1):
+        k = int(np.argmin(np.where(left, best, np.inf)))
+        heights.append(float(best[k]))
+        left[k] = False
+        np.minimum(best, rule.dists(pts[k], pts), out=best)
+    return sorted(heights)
+
+
+def single_linkage_heights(pts) -> list[float]:
+    """scipy's single-linkage heights of plane points on all PlaneRule
+    distances, ascending."""
+    from scipy.cluster.hierarchy import linkage
+    from scipy.spatial.distance import squareform
+
+    if len(pts) < 2:
+        return []
+    d = PlaneRule().dists(pts, pts)
+    return sorted(linkage(squareform(d, checks=False), "single")[:, 2].tolist())
 
 
 def ff_add(f: FactorFunction, g: FactorFunction) -> FactorFunction:

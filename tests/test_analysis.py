@@ -4,6 +4,7 @@ and dimension covers, each checked against a hand or brute-force oracle."""
 from __future__ import annotations
 
 import math
+import re
 import sys
 from pathlib import Path
 
@@ -48,6 +49,7 @@ from coarseiso.spaces import (
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
 from dense_rule import as_dense, dense_space  # noqa: E402
+from oracles import prim_heights, single_linkage_heights  # noqa: E402
 
 
 def ff(values, default=0):
@@ -311,6 +313,54 @@ class TestCover:
     def test_negative_radius_rejected(self, rank, radius):
         with pytest.raises(ValueError, match="radius must be >= 0"):
             asdim_cover(rank, 1.0, radius)
+
+    @pytest.mark.parametrize("rank", [1, 2, 3])
+    def test_ball_check_clamped_to_the_grid_counts_the_same(self, rank):
+        # a ball of radius side - 1 or more, clipped to the grid, is the
+        # whole grid around every point
+        rng = np.random.default_rng(rank)
+        for side in (1, 2, 3, 5):
+            grid = rng.integers(0, 7, size=(side,) * rank)
+            clamped = analysis_mod._max_ball_multiplicity(grid, side - 1, rank)
+            assert clamped == len(np.unique(grid))
+            for eps in (side, side + 1, 2 * side + 3):
+                assert analysis_mod._max_ball_multiplicity(grid, eps, rank) == clamped
+
+    @pytest.mark.parametrize("rank,epsilon,radius", [
+        (1, 3, 1), (1, 40, 4), (2, 9, 3), (2, 5, 2), (3, 7, 2), (3, 2, 1),
+    ])
+    def test_cover_checks_balls_clamped_to_the_grid(self, monkeypatch, rank, epsilon, radius):
+        # the check reads radius 2 * radius where epsilon exceeds it, and
+        # the unclamped check on the same grid counts the same
+        checked = []
+        real = analysis_mod._max_ball_multiplicity
+
+        def recording(grid, eps, rank):
+            checked.append((eps, real(grid, eps, rank), real(grid, math.ceil(epsilon), rank)))
+            return checked[-1][1]
+
+        monkeypatch.setattr(analysis_mod, "_max_ball_multiplicity", recording)
+        cover = asdim_cover(rank, epsilon, radius)
+        (eps, clamped, unclamped), = checked
+        assert eps == min(epsilon, 2 * radius) and clamped == unclamped == cover.multiplicity
+
+    @pytest.mark.parametrize("rank,epsilon,radius,message", [
+        (3, 40, 24, "checking balls of radius 40 on the 49^3 grid reads 1275989841 ids a grid "
+                    "row, over the 3e7 of one slab"),
+        (3, 12, 24, "checking balls of radius 12 on the 49^3 grid reads 37515625 ids"),
+        (2, 1000, 300, "checking balls of radius 600 on the 601^2 grid reads 866883001 ids"),
+        (1, 1e20, 2, "cover epsilon 1e+20 gives a brick side beyond int64"),
+        (3, 2**60, 1, "cover epsilon 1152921504606846976 gives a brick side beyond int64"),
+    ])
+    def test_cover_refuses_before_building(self, monkeypatch, rank, epsilon, radius, message):
+        # the refusals come before any id is computed or counted
+        def fail(*args):
+            raise AssertionError("built")
+
+        for name in ("_max_ball_multiplicity", "_brick_ids", "_bcc_ids"):
+            monkeypatch.setattr(analysis_mod, name, fail)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            asdim_cover(rank, epsilon, radius)
 
 
 # randomized properties
@@ -920,8 +970,10 @@ def test_kruskal_chain_skips_edges_inside_a_cluster(make):
     sp = make()
     n = len(sp)
     ii, jj = np.triu_indices(n, k=1)
-    order, gap = _kruskal_chain(n, ii, jj, sp.dmat()[ii, jj])
+    order, gap, joined = _kruskal_chain(n, ii, jj, sp.dmat()[ii, jj])
     assert np.array_equal(chain_cophenet(order, gap), single_linkage_cophenet(sp, np.arange(n)))
+    assert len(joined) == n - 1
+    assert not np.any(spaces_mod._connected_labels(n, ii[joined], jj[joined]))
 
 
 # sources that take the exhaustive path: free coordinates, plane samples
@@ -1295,20 +1347,26 @@ def window_planes(draw):
 
 def window_edges(sp, subset):
     """The window-tree route: the whole space's tree inside the subset
-    (window_seeds) and the edges the bands join the seeds' components by,
-    after checking that those come once each, i < j, in ascending order,
-    and make the seeds a spanning tree."""
+    (window_seeds) and the bands' candidates between the seeds'
+    components, after checking that every candidate joins two of them, and
+    that Kruskal over the seeds and the candidates takes a spanning tree
+    with Prim's and scipy's single-linkage heights."""
     n = len(subset)
     si, sj, sw = window_seeds(sp, subset)
-    ii, jj, ww = spaces_mod._band_edges(sp.coords[subset], spaces_mod._connected_labels(n, si, sj))
-    assert np.all(ii < jj) and np.all(np.diff(ii * n + jj) > 0)
-    assert len(si) + len(ii) == max(n - 1, 0)
-    return np.concatenate([si, ii]), np.concatenate([sj, jj]), np.concatenate([sw, ww])
+    labels = spaces_mod._connected_labels(n, si, sj)
+    ii, jj, ww = spaces_mod._band_edges(sp.coords[subset], labels)
+    assert np.all(labels[ii] != labels[jj])
+    edges = np.concatenate([si, ii]), np.concatenate([sj, jj]), np.concatenate([sw, ww])
+    joined = _kruskal_chain(n, *edges)[2]
+    assert len(joined) == max(n - 1, 0)
+    pts = sp.coords[subset]
+    assert sorted(edges[2][joined].tolist()) == prim_heights(pts) == single_linkage_heights(pts)
+    return edges
 
 
 def window_cophenet(sp, subset):
     """Cophenetic matrix of the Kruskal chain of the window-tree route."""
-    return chain_cophenet(*_kruskal_chain(len(subset), *window_edges(sp, subset)))
+    return chain_cophenet(*_kruskal_chain(len(subset), *window_edges(sp, subset))[:2])
 
 
 def assert_seeded_window(sp, subset):
@@ -1599,10 +1657,11 @@ def test_step_work_is_pinned(monkeypatch):
     # every tested scale of a window is read from one chain: a step job
     # runs no connected-components pass (141 before the chains) and no
     # triangulation (three Qhull calls before the bands). The whole space's
-    # tree takes 7 bands, and Kruskal joins its 6,572 edges once (16,533
-    # when each window ran its own). Its edges inside the 0.5 and 0.75
-    # windows join each window already, so they call no bands, and a later
-    # window counts only the scales still stable (141 counts before)
+    # tree takes 7 bands, whose 9,063 candidates one Kruskal pass reads,
+    # joining its 6,572 edges (16,533 joins when each window ran its own,
+    # and a Boruvka pass in the bands before). Its edges inside the 0.5
+    # and 0.75 windows join each window already, so they call no bands, and
+    # a later window counts only the scales still stable (141 counts before)
     import scipy.spatial
 
     calls = {"Delaunay": 0, "epsilon_components": 0, "_plane_components": 0}
@@ -1639,8 +1698,9 @@ def test_step_work_is_pinned(monkeypatch):
     kruskal_chain, significant_counts = spaces_mod._kruskal_chain, analysis_mod._significant_counts
 
     def kruskal(n, ii, jj, ww):
-        joined.append(len(ii))
-        return kruskal_chain(n, ii, jj, ww)
+        chain = kruskal_chain(n, ii, jj, ww)
+        joined.append((len(ii), len(chain[2])))
+        return chain
 
     def significant(*args):
         counted.append(1)
@@ -1656,7 +1716,7 @@ def test_step_work_is_pinned(monkeypatch):
     assert calls == {"Delaunay": 0, "epsilon_components": 0, "_plane_components": 0}
     assert chains == [[0.028285, 0.113139, 0.452556, 1.810223, 7.240894, 28.963576, 115.854303]]
     assert sum(reads) == 16466 and len(sp) == 6573
-    assert joined == [6572] and len(counted) == 101
+    assert joined == [(9063, 6572)] and len(counted) == 101
 
 
 def rowwise_foelner(space, c, epsilon):

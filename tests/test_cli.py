@@ -21,7 +21,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import coarseiso
-from coarseiso import cli, spaces
+from coarseiso import analysis, cli, spaces
 from coarseiso.cli import main
 
 
@@ -633,6 +633,44 @@ def test_torsion_past_the_prime_bound_is_pinned(capsys, bound, digest, validity,
     w = json.loads(out)["witness"]
     assert (w["validity_radius"], len(w["pairs"])) == (validity, size)
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("argv,cap", [
+    (("Z + C2 + C101", "Z + C101"), "radius 24 (--radius 24), and its remainder tower is "
+                                    "faithful to 1"),
+    (("Z^2 + C4 + C101", "Z^2 + C101"), "radius 24 (--radius 24), and its remainder tower is "
+                                        "faithful to 1"),
+    (("Z^2", "Z^2 + C4", "--radius", "8"), "radius 8 (--radius 8), and its remainder tower is "
+                                           "faithful to inf"),
+], ids=["rank-1-bound", "rank-2-bound", "rank-2-radius"])
+def test_a_witness_valid_to_0_exits_2_naming_what_caps_it(capsys, argv, cap):
+    # the bound drops C101, so the remainder is faithful to 1, and the
+    # line's stages leave nothing of it; keeping C101 gives a witness. A
+    # small radius leaves nothing either
+    code, out, err = run(capsys, "witness", *argv)
+    assert (code, out) == (2, "")
+    assert err == (f"error: the witness is valid only to 0: its line ball has {cap} under prime "
+                   "bound 97 (--prime-bound)\n")
+    if argv[0] == "Z + C2 + C101":
+        code, payload = run_json(capsys, "witness", *argv, "--prime-bound", "101")
+        assert code == 0 and payload["verification"]["ok"]
+        assert payload["witness"]["validity_radius"] == 11.0
+
+
+def test_cover_refuses_unbounded_checks_before_building(capsys, monkeypatch):
+    # the slab of a check of radius 40 on the rank-3 grid of radius 24
+    # would hold 10.2 GB; epsilon 1e20 overflows int64 bricks
+    def fail(*args):
+        raise AssertionError("built")
+
+    monkeypatch.setattr(analysis, "_max_ball_multiplicity", fail)
+    code, out, err = run(capsys, "cover", "Z^3", "--radius", "24", "--epsilon", "40")
+    assert (code, out) == (2, "")
+    assert err == ("error: checking balls of radius 40 on the 49^3 grid reads 1275989841 ids a "
+                   "grid row, over the 3e7 of one slab\n")
+    code, out, err = run(capsys, "cover", "Z", "--radius", "2", "--epsilon", "1e20")
+    assert (code, out) == (2, "")
+    assert err == "error: cover epsilon 1e+20 gives a brick side beyond int64\n"
 
 
 @pytest.mark.parametrize("argv,message", [

@@ -43,13 +43,19 @@ from coarseiso.spaces import (
     tower_space,
     zball,
 )
-from coarseiso.spaces import _connected_labels, _grid_scale, _partition_from_keys, _round_decimals
+from coarseiso.spaces import (
+    _connected_labels,
+    _grid_scale,
+    _kruskal_chain,
+    _partition_from_keys,
+    _round_decimals,
+)
 from coarseiso.witness import space_id
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
 from dense_rule import as_dense, dense_space  # noqa: E402
-from oracles import validate_metric  # noqa: E402
+from oracles import prim_heights, single_linkage_heights, validate_metric  # noqa: E402
 
 
 def ff(values, default=0):
@@ -560,24 +566,6 @@ def single_linkage_quotient(sp, eps):
     return coph <= eps, coph
 
 
-def prim_heights(pts):
-    """The weights of a minimum spanning tree of plane points under
-    PlaneRule distances, ascending: Prim's algorithm, one distance row at a
-    time, so memory stays linear. They are the single-linkage heights of
-    all pairs, each as often."""
-    rule = PlaneRule()
-    best = rule.dists(pts[0], pts)
-    left = np.ones(len(pts), dtype=bool)
-    left[0] = False
-    heights = []
-    for _ in range(len(pts) - 1):
-        k = int(np.argmin(np.where(left, best, np.inf)))
-        heights.append(float(best[k]))
-        left[k] = False
-        np.minimum(best, rule.dists(pts[k], pts), out=best)
-    return sorted(heights)
-
-
 def assert_minimum_spanning_tree(pts, edges):
     """The edges come once each, i < j, in ascending (i, j) order, with
     their PlaneRule distances, and make a spanning tree whose weights are
@@ -593,8 +581,20 @@ def assert_minimum_spanning_tree(pts, edges):
 
 
 def band_edges(pts):
-    """The band route's tree of raw points, in their own order, unseeded."""
-    return spaces_mod._band_edges(np.asarray(pts, dtype=float), np.arange(len(pts)))
+    """The band route's tree of raw points, in their own order, unseeded:
+    the edges Kruskal joins over the bands' candidates, i < j, in
+    ascending (i, j) order, after checking that every candidate joins two
+    points at their PlaneRule distance, and that the tree has Prim's and
+    scipy's single-linkage heights."""
+    pts = np.asarray(pts, dtype=float)
+    n = len(pts)
+    ii, jj, ww = spaces_mod._band_edges(pts, np.arange(n))
+    assert np.all(ii != jj) and np.array_equal(ww, spaces_mod._plane_pair_dists(pts, ii, jj))
+    joined = _kruskal_chain(n, ii, jj, ww)[2]
+    assert sorted(ww[joined].tolist()) == prim_heights(pts) == single_linkage_heights(pts)
+    lo, hi, ww = np.minimum(ii, jj)[joined], np.maximum(ii, jj)[joined], ww[joined]
+    by = np.argsort(lo * n + hi)
+    return lo[by], hi[by], ww[by]
 
 
 def cloud(pts):

@@ -483,6 +483,13 @@ def test_chain_stays_below_the_first_summand_the_bound_drops(pair, bound):
     else:
         horizon = math.inf if len(unbounded) <= depth else depth + 1
     assert (horizon < math.inf) == (bound < 101)
+    if bound < 101 and n > 1:
+        # the bounded remainder is faithful to 1, and the line's stages
+        # leave nothing of it: a witness valid to 0 is refused
+        with pytest.raises(ValueError, match=r"valid only to 0: .* remainder tower is faithful "
+                                             r"to 1 under prime bound 97 \(--prime-bound\)"):
+            iso_witness_chain(g1, g2, depth=depth, prime_bound=bound)
+        return
     w = iso_witness_chain(g1, g2, depth=depth, prime_bound=bound)
     assert w.validity_radius <= horizon
     assert verify_witness(w).ok

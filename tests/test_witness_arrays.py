@@ -461,7 +461,15 @@ def old_iso_witness_chain(g1, g2, radius=24, depth=4, prime_bound=97, deltas=(),
 
     left = side(n, m * base_r)
     right = side(m, n * base_r)
-    return old_compose(left, old_invert(right), deltas=deltas)
+    end = old_compose(left, old_invert(right), deltas=deltas)
+    # the chain's refusal of a witness valid to less than 1
+    if end.validity_radius < 1:
+        raise ValueError(
+            f"the witness is valid only to {end.validity_radius:g}: its line ball has radius "
+            f"{common_r} (--radius {radius}), and its remainder tower is faithful to "
+            f"{rest.inner_radius} under prime bound {prime_bound} (--prime-bound)"
+        )
+    return end
 
 
 # each free-chain slot of the benchmark at its two base radii, both ways
@@ -516,15 +524,15 @@ def test_chain_one_point_over_budget_fails_as_the_old_chain(monkeypatch, g1, g2,
         sizes.append(len(self))
 
     monkeypatch.setattr(FiniteSpace, "__init__", recording)
-    old_iso_witness_chain(g1, g2, radius=radius)
+    outcome(old_iso_witness_chain, g1, g2, radius=radius)
     monkeypatch.setattr(FiniteSpace, "__init__", init)
     largest = max(sizes)
     new = outcome(witness_mod.iso_witness_chain, g1, g2, radius=radius, point_budget=largest - 1)
     assert new == f"BudgetError: {largest} points exceed the budget of {largest - 1}"
     assert new == outcome(old_iso_witness_chain, g1, g2, radius=radius,
                           point_budget=largest - 1)
-    assert_same(witness_mod.iso_witness_chain(g1, g2, radius=radius, point_budget=largest),
-                old_iso_witness_chain(g1, g2, radius=radius, point_budget=largest))
+    assert_same(outcome(witness_mod.iso_witness_chain, g1, g2, radius=radius, point_budget=largest),
+                outcome(old_iso_witness_chain, g1, g2, radius=radius, point_budget=largest))
 
 
 # ---------------------------------------------------------------------------
