@@ -36,8 +36,10 @@ cyclic coordinates above epsilon, and every other quotient is refused.
 No module imports scipy. The generic chain is the order in which Prim's
 algorithm takes the points, one distance row at a time (MetricRule.chain).
 A plane space reads its chain and tree once, by one Kruskal pass over the
-candidate pairs of bands over a cell grid (_band_edges, plane_chain), and
-the chain of any of its subsets is cut from that chain (PlaneRule.chain).
+candidate pairs of bands (_band_edges, plane_chain): the points are sorted
+once into the Morton order of one fine cell grid, and every band reads its
+cells, buckets and sub-cells as runs of that order. The chain of any of its
+subsets is cut from the whole chain (PlaneRule.chain).
 Components, plane ones included, join by _connected_labels.
 """
 
@@ -68,8 +70,10 @@ PLANE_DECIMALS = 9
 PLANE_HALF_UNIT = 0.5 * 10.0**-PLANE_DECIMALS
 PLANE_REL = 2.0**-40
 # _band_pairs splits a bucket pair of more point pairs than SPLIT_PAIRS into
-# Morton sub-cells, up to SPLIT_LEVELS levels, and _band_edges skips the
-# bands below the least box gap of at most SKIP_COMPONENTS components
+# Morton sub-cells, up to SPLIT_LEVELS levels (the fine grid of _band_edges
+# is 2^SPLIT_LEVELS times finer than its first band's cells), and
+# _band_edges skips the bands below the least box gap of at most
+# SKIP_COMPONENTS components
 SPLIT_PAIRS = 256
 SPLIT_LEVELS = 8
 SKIP_COMPONENTS = 64
@@ -493,7 +497,7 @@ class PlaneRule(MetricRule):
         chain of a component is a path with the same heights as its
         subtree. When the seeds leave m > 1 components, Kruskal joins the
         paths and the bands' candidate pairs between them (_band_edges,
-        steps 5 and 6). It takes every path edge lighter than the lightest
+        steps 7 and 8). It takes every path edge lighter than the lightest
         candidate first, and on a path those merge contiguous runs, so the
         paths are cut into runs at every gap at least that candidate, and
         Kruskal runs over the runs alone: the path edges between
@@ -993,26 +997,27 @@ def example31_fixture(
 ) -> FiniteSpace:
     """Grid sample of the plane curve (x + 2 pi n, (-1)^n tan x) for
     n = 0..branches, x on the grid {k * grid_step} with |tan x| <= clamp.
-    tan and its rounding run once per grid x, and the branches as arrays
-    (_round_decimals), every label bit-identical to rounding it alone."""
+    tan runs once per grid x, by math.tan (numpy's may differ in the last
+    place), and its rounding and the branches as arrays (_round_decimals),
+    every label bit-identical to rounding it alone."""
     if branches < 1:
         raise ValueError("branches must be >= 1")
     if grid_step <= 0 or clamp <= 0:
         raise ValueError("grid_step and clamp must be positive")
-    kmax = int(math.floor((math.pi / 2) / grid_step))
-    xs, ys = [], []
-    for k in range(-kmax, kmax + 1):
-        x = k * grid_step
-        if abs(x) < math.pi / 2:
-            t = math.tan(x)
-            if abs(t) <= clamp:
-                xs.append(x)
-                # round is odd, so the odd branches negate the rounded value
-                ys.append(round(t, PLANE_DECIMALS))
+    # |tan x| <= clamp holds only for |x| <= atan(clamp) (the factor covers
+    # the rounding of atan and tan), so the grid stops there: its arrays
+    # grow with the points kept, not with the grid up to pi / 2
+    kmax = int(math.floor(min(math.pi / 2, math.atan(clamp) * (1 + 2.0**-40)) / grid_step))
+    x = np.arange(-kmax, kmax + 1) * grid_step
+    x = x[np.abs(x) < math.pi / 2]
+    tan = np.fromiter(map(math.tan, x.tolist()), dtype=float, count=len(x))
+    keep = np.abs(tan) <= clamp
+    # round is odd, so the odd branches negate the rounded value
+    xs, ys = x[keep], _round_decimals(tan[keep], PLANE_DECIMALS)
     _check_budget((branches + 1) * len(xs), point_budget)
     n = np.arange(branches + 1)
-    px = _round_decimals((np.asarray(xs) + (2 * math.pi * n)[:, None]).ravel(), PLANE_DECIMALS)
-    py = (np.where(n % 2, -1.0, 1.0)[:, None] * np.asarray(ys)).ravel()
+    px = _round_decimals((xs + (2 * math.pi * n)[:, None]).ravel(), PLANE_DECIMALS)
+    py = (np.where(n % 2, -1.0, 1.0)[:, None] * ys).ravel()
     coords = np.stack([px, py], axis=1)
     # the branches hold disjoint x ranges and x ascends in each, so the rows
     # ascend already unless rounding gave two of them one x (a grid step
@@ -1172,43 +1177,68 @@ def _band_edges(pts: np.ndarray, labels: np.ndarray):
     the least index of its points) of seed edges, a forest in some minimum
     spanning tree of plane points under PlaneRule distances: Kruskal over
     the seeds and the candidates takes a minimum spanning tree of the
-    points (no seeds: labels = arange(n)). Bands of ratio 4 over the cell
-    grid of _plane_components, with no triangulation.
+    points (no seeds: labels = arange(n)). Bands of ratio 4 over one cell
+    grid, read by shifts of one Morton order, with no triangulation.
 
     The labels start as the components of the seeds. A band reads, at a
     scale t, the lightest pair at distance <= t between each two components
     (_band_pairs). Those are its candidates, and the components they join
     (_connected_labels) become the labels; t then grows fourfold. The
-    first t is twice the sqrt(n) / 2-th least distance between neighbouring
-    rows: about the spacing of a uniform cloud whose rows are in
-    lexicographic order, as a space's are, and twice the least spacing
+    first t, t0, is twice the sqrt(n) / 2-th least distance between
+    neighbouring rows: about the spacing of a uniform cloud whose rows are
+    in lexicographic order, as a space's are, and twice the least spacing
     along a sampled curve. While at most SKIP_COMPONENTS components
     remain, t grows fourfold until it reaches the least box gap between two
-    of them. Each step is exact:
+    of them, so t = t0 * 4^b for the b-th fourfold step. Each step is
+    exact:
 
-    1. Entering a band at t, the labels are the components of the seeds
+    1. One grid, read by shifts. The points get fine cells
+       fine = floor(x * inv0 * 2^SPLIT_LEVELS) per axis once, inv0 the
+       scale of _grid_scale at t0 with reach 1 (never its join scale),
+       less their least fine cell per axis. x * inv0 is rounded once and
+       scaling by a power of 2 is exact, so the band at t = t0 * 4^b reads
+       the cells fine >> (SPLIT_LEVELS + 2b), the grid of scale inv0 / 4^b
+       with its origin moved by a whole number of fine cells, which changes
+       no bound on cell differences. Two points at distance <= t lie in
+       cells at most 1 apart per axis on it, since the reach bound of
+       _grid_scale at t0 holds at t on the grid 4^b times coarser:
+       (t0 + s) * 4^b >= t0 * 4^b + s for its slack s. fine stays below
+       2^53, so a shift is clamped at 62 (one cell).
+    2. One order: the points are sorted once, stably, by the Morton code
+       of their fine cells (np.lexsort over two words of 27 interleaved
+       bits per axis), so every aligned cell and sub-cell is a run of
+       that order. With flips = (fx ^ fx') | (fy ^ fy') over neighbouring
+       points, a cell at shift s starts where flips >> s is nonzero.
+    3. Buckets are runs: a bucket is a maximal run of one component inside
+       one cell, and one component may give several buckets in a cell.
+       Each point lies in exactly one bucket, so each pair between two
+       components in cells at most 1 apart lies in exactly one bucket
+       pair: the lightest pair of each two components, the bounds and the
+       Morton split below do not depend on how the buckets fall. The order
+       in which pairs are read does, so a tie may keep another pair of the
+       same weight.
+    4. Entering a band at t, the labels are the components of the seeds
        and of every pair at distance <= the last t, since a band's
        candidates join every two components with such a pair. So a pair
-       between two of them is longer than the last t. Every pair at
-       distance <= t lies in cells at most 3 apart (_grid_scale).
-    2. The bounds on the distances between two boxes carry the rounding
+       between two of them is longer than the last t.
+    5. The bounds on the distances between two boxes carry the rounding
        terms of _grid_scale (PLANE_HALF_UNIT and PLANE_REL), so a bucket
-       pair dropped by them holds no pair that the band keeps.
-    3. The Morton split changes which pairs are read, not which minimum is
-       kept: a sub-pair is dropped by the same bounds.
-    4. No pair between two components is closer than the least gap between
+       pair dropped by them holds no pair that the band keeps. The Morton
+       split changes which pairs are read, not which minimum is kept: a
+       sub-pair is dropped by the same bounds.
+    6. No pair between two components is closer than the least gap between
        their boxes, so the skipped bands are empty: the band at the larger
        t reads what they would have.
-    5. Say Kruskal on all pairs between the seeds' components joins
+    7. Say Kruskal on all pairs between the seeds' components joins
        clusters X and Y by a pair of weight w during the band at t, so
        w <= t. The pair runs from a component A in X to a component B in
        Y of that band's start, and the lightest A-B pair, a candidate,
        weighs w, or Kruskal would have joined A and B before. So the
        candidates hold a minimum spanning tree of the components; with
-       the seeds (step 6) it is one of the points, and Kruskal over both
+       the seeds (step 8) it is one of the points, and Kruskal over both
        takes one as light. All minimum spanning trees share their
        single-linkage heights.
-    6. A seed, an edge of a minimum spanning tree T of a larger space
+    8. A seed, an edge of a minimum spanning tree T of a larger space
        inside a subset W, is the only edge of T across its own cut. So
        every path in W between its ends crosses that cut by an edge no
        lighter than it, ties included, and the seeds lie in some minimum
@@ -1222,6 +1252,13 @@ def _band_edges(pts: np.ndarray, labels: np.ndarray):
         rows, k = np.arange(n - 1), math.isqrt(n) // 2
         step = np.partition(_plane_pair_dists(pts, rows, rows + 1), k)[k]
         t = 2 * max(float(step), 10.0**-PLANE_DECIMALS)
+        inv = _grid_scale(float(np.max(np.abs(pts))), t, 1)[0]
+        fine = np.floor(pts * inv * 2**SPLIT_LEVELS).astype(np.int64)
+        fine -= fine.min(axis=0)
+        order = _morton_order(fine)
+        fine, sorted_pts = fine[order], pts[order]
+        flips = (fine[1:, 0] ^ fine[:-1, 0]) | (fine[1:, 1] ^ fine[:-1, 1])
+        shift = SPLIT_LEVELS
     while comps > 1:
         if comps <= SKIP_COMPONENTS:
             by = np.argsort(labels, kind="stable")
@@ -1230,12 +1267,32 @@ def _band_edges(pts: np.ndarray, labels: np.ndarray):
             floor = float(_box_bounds(boxes[:, u], boxes[:, v])[0].min())
             while t < floor:
                 t *= 4
-        bi, bj, bw = _band_pairs(pts, labels, t)
+                shift += 2
+        bi, bj, bw = _band_pairs(sorted_pts, fine, flips, labels[order], min(shift, 62), t)
+        bi, bj = order[bi], order[bj]
         pairs.append((bi, bj, bw))
         labels = _connected_labels(n, labels[bi], labels[bj])[labels]
         comps = np.count_nonzero(labels == np.arange(n))
         t *= 4
+        shift += 2
     return tuple(map(np.concatenate, zip(*pairs)))
+
+
+def _morton_order(cells: np.ndarray) -> np.ndarray:
+    """The stable order of non-negative integer cells (x, y), each below
+    2^54, by their Morton (Z-order) code: the bits of x and y interleaved,
+    x's above y's, as two words of 27 bits per axis, the high word first.
+    Ties keep index order."""
+    def spread(v):
+        # bit k of v (k < 32) moves to bit 2k
+        for s, mask in ((16, 0x0000FFFF0000FFFF), (8, 0x00FF00FF00FF00FF),
+                        (4, 0x0F0F0F0F0F0F0F0F), (2, 0x3333333333333333),
+                        (1, 0x5555555555555555)):
+            v = (v | (v << s)) & mask
+        return v
+
+    low, high = cells & (2**27 - 1), cells >> 27
+    return np.lexsort([(spread(w[:, 0]) << 1) | spread(w[:, 1]) for w in (low, high)])
 
 
 def _run_boxes(pts: np.ndarray, starts: np.ndarray) -> np.ndarray:
@@ -1275,48 +1332,50 @@ def _box_bounds(ubox: np.ndarray, vbox: np.ndarray) -> tuple[np.ndarray, np.ndar
             (np.hypot(fx, fy) + h) * (1 + rel) ** 2)
 
 
-def _band_pairs(pts: np.ndarray, labels: np.ndarray, t: float):
+def _band_pairs(pts: np.ndarray, fine: np.ndarray, flips: np.ndarray, comp: np.ndarray,
+                shift: int, t: float):
     """The lightest pair (i, j, weight) at PlaneRule distance <= t between
-    each two components (labels) that have one, read on the grid of
-    _plane_components at t.
+    each two components that have one, read on the cells fine >> shift, on
+    which every such pair lies in cells at most 1 apart (_band_edges, step
+    1). The points, their fine cells and their components (comp) are in
+    Morton order, flips[k] = (fx ^ fx') | (fy ^ fy') of points k and k + 1
+    (steps 2 and 3), and i and j index that order.
 
-    The points of a cell are bucketed by component, and a bucket pair is
-    one of two distinct components in cells at most 3 apart. A bucket pair
+    A bucket is a maximal run of one component in one cell, and a bucket
+    pair is one of two distinct components in cells at most 1 apart: only
+    the occupied cells are paired (_cell_pairs, reach 1), and two cells of
+    one bucket each, of one component, are dropped first. A bucket pair
     whose lower bound (_box_bounds) exceeds t, or the upper bound of
     another bucket pair of the same two components, or a distance read
     between them, holds no lightest pair and is dropped. A bucket pair of
     more than SPLIT_PAIRS point pairs is split into the pairs of its
-    buckets' Morton sub-cells, a quarter of a cell side each level, up to
-    SPLIT_LEVELS levels, and the others are read, in chunks of at most
-    BLOCK_ENTRIES (_slot_chunks). Ties keep the pair read first."""
+    buckets' Morton sub-cells, runs of the order too, half a cell side
+    each level, up to SPLIT_LEVELS levels, and the others are read, in
+    chunks of at most BLOCK_ENTRIES (_slot_chunks). Ties keep the pair
+    read first."""
     n = len(pts)
-    inv = _grid_scale(float(np.max(np.abs(pts))), t)[0]
-    # x * inv is rounded once, and scaling it by a power of 2 is exact, so
-    # a point's cell is its fine cell shifted right by SPLIT_LEVELS bits
-    fine = np.floor(pts * inv * 2**SPLIT_LEVELS).astype(np.int64)
-    side = 2**SPLIT_LEVELS - 1
-    bits = np.arange(SPLIT_LEVELS)
-    spread = (((np.arange(side + 1)[:, None] >> bits) & 1) << (2 * bits)).sum(axis=1)
-    morton = (spread[fine[:, 0] & side] << 1) | spread[fine[:, 1] & side]
-    # points by cell, then component, then Morton code, so that the
-    # sub-cells of every level are runs of the order
-    perm = np.argsort(labels << (2 * SPLIT_LEVELS) | morton, kind="stable")
-    order, start, count, a, b, _ = _cell_pairs(_squeeze(fine[perm, 0] >> SPLIT_LEVELS),
-                                               _squeeze(fine[perm, 1] >> SPLIT_LEVELS), True)
-    order = perm[order]
-    comp, code, sorted_pts = labels[order], morton[order], pts[order]
-    cut = np.zeros(n, dtype=bool)
-    cut[start] = True
+    cut = np.ones(n, dtype=bool)
+    cut[1:] = (flips >> shift) != 0
+    start = np.flatnonzero(cut)
+    count = np.diff(start, append=n)
+    cells = fine[start] >> shift
+    # each occupied cell is one run, so _cell_pairs sees it once: by maps
+    # its sorted cells back to the runs
+    by, _, _, a, b, _ = _cell_pairs(_squeeze(cells[:, 0]), _squeeze(cells[:, 1]), 1, True)
+    a, b = by[a], by[b]
     cut[1:] |= comp[1:] != comp[:-1]
-    flips = code[1:] ^ code[:-1]
+    # two cells of one bucket each, of one component, hold no bucket pair
+    one = np.where(np.add.reduceat(cut, start, dtype=np.int64) == 1, comp[start], -1)
+    keep = (one[a] < 0) | (one[a] != one[b])
+    a, b = a[keep], b[keep]
 
     def runs(level: int):
         """Starts, sizes and boxes of the runs of one sub-cell of one
         component: the buckets at level 0."""
         cuts = cut.copy()
-        cuts[1:] |= (flips >> (2 * (SPLIT_LEVELS - level))) != 0
+        cuts[1:] |= (flips >> (shift - level)) != 0
         rs = np.flatnonzero(cuts)
-        return rs, np.diff(rs, append=n), _run_boxes(sorted_pts, rs)
+        return rs, np.diff(rs, append=n), _run_boxes(pts, rs)
 
     # the bucket pairs of two components in the cell pairs
     rs, rc, box = runs(0)
@@ -1339,7 +1398,7 @@ def _band_pairs(pts: np.ndarray, labels: np.ndarray, t: float):
         su, sv, sk = u[small], v[small], key[small]
         for c, slot in _slot_chunks(size[small]):
             row, col = np.divmod(slot, rc[sv[c]])
-            i, j = order[rs[su[c]] + row], order[rs[sv[c]] + col]
+            i, j = rs[su[c]] + row, rs[sv[c]] + col
             r = _plane_pair_dists(pts, i, j)
             np.minimum.at(bound, sk[c], r)
             hit = r <= np.minimum(bound[sk[c]], t)
@@ -1442,15 +1501,18 @@ def _squeeze(cells: np.ndarray) -> np.ndarray:
     return np.concatenate(([0], np.cumsum(np.minimum(np.diff(vals), 4))))[where]
 
 
-def _grid_scale(extent: float, eps: float) -> tuple[float, bool]:
-    """Cells per unit length of the grid _plane_components reads at eps,
-    for coordinates of absolute value at most extent, and whether points
-    one cell apart may be joined untested (see there for the bounds)."""
+def _grid_scale(extent: float, eps: float, reach: int = 3) -> tuple[float, bool]:
+    """Cells per unit length of a grid on which points at PlaneRule
+    distance <= eps lie at most reach cells apart per axis, for
+    coordinates of absolute value at most extent, and whether points one
+    cell apart may be joined untested: _plane_components reads reach 3
+    (see there for the bounds), the bands reach 1 (_band_edges), where
+    the join bound is never met."""
     h, rel, e = PLANE_HALF_UNIT, PLANE_REL, 2.0**-8
     slack = h * (1 + rel)
     # the factors (1 - rel) and (1 + rel)^2 beyond the bounds stated in
     # _plane_components cover the rounding of computing them
-    inv = (3 - e) / ((eps + slack) / (1 - rel)) * (1 - rel)
+    inv = (reach - e) / ((eps + slack) / (1 - rel)) * (1 - rel)
     if extent > 0:
         inv = min(inv, 2.0**44 / extent * (1 - rel))
     if eps > slack:
@@ -1500,7 +1562,7 @@ def _plane_components(pts: np.ndarray, eps: float) -> np.ndarray:
     cx = _squeeze(np.floor(pts[:, 0] * inv).astype(np.int64))
     cy = _squeeze(np.floor(pts[:, 1] * inv).astype(np.int64))
     # a cell pairs with itself only where nothing joins untested
-    order, start, count, a, b, near = _cell_pairs(cx, cy, not join)
+    order, start, count, a, b, near = _cell_pairs(cx, cy, 3, not join)
     if join:
         cells = _connected_labels(len(start), a[near], b[near])
         far = ~near
@@ -1522,20 +1584,21 @@ def _plane_components(pts: np.ndarray, eps: float) -> np.ndarray:
     return _connected_labels(int(comp.max()) + 1, np.concatenate(ii), np.concatenate(jj))[comp]
 
 
-def _cell_pairs(cx: np.ndarray, cy: np.ndarray, itself: bool):
+def _cell_pairs(cx: np.ndarray, cy: np.ndarray, reach: int, itself: bool):
     """The occupied cells of points in squeezed integer cells (cx, cy) and
-    the cell pairs (a, b) up to 3 cells apart (Chebyshev), one of each
-    opposite pair, a cell paired with itself too when itself is true.
+    the cell pairs (a, b) up to reach cells apart (Chebyshev), one of each
+    opposite pair, a cell paired with itself too when itself is true:
+    _plane_components reads reach 3, the bands reach 1.
 
     Points by cell come from one stable sort of the cell keys: those of
     cell c are order[start[c]:start[c] + count[c]], and the cells ascend by
-    key. A key is cx * width + cy, and width exceeds every cy by 7, so
-    offsets of up to 3 in y never wrap onto another column: the occupied
-    cells of column cx + dx within 3 in y are one run of the sorted keys,
-    found by two searchsorted calls per dx, and a pair's key difference
-    dx * width + dy names its offset. near marks the pairs of distinct
-    cells 1 apart (Chebyshev)."""
-    width = int(cy.max()) + 7
+    key. A key is cx * width + cy, and width exceeds every cy by
+    2 * reach + 1, so offsets of up to reach in y never wrap onto another
+    column: the occupied cells of column cx + dx within reach in y are one
+    run of the sorted keys, found by two searchsorted calls per dx, and a
+    pair's key difference dx * width + dy names its offset. near marks the
+    pairs of distinct cells 1 apart (Chebyshev)."""
+    width = int(cy.max()) + 2 * reach + 1
     key = cx * width + cy
     order = np.argsort(key, kind="stable")
     start = np.flatnonzero(np.diff(key[order], prepend=-1))
@@ -1545,13 +1608,13 @@ def _cell_pairs(cx: np.ndarray, cy: np.ndarray, itself: bool):
     # with those above it
     own = np.arange(len(keys))
     lo = [own + (not itself)]
-    hi = [np.searchsorted(keys, keys + 3, side="right")]
-    for dx in range(1, 4):
-        lo.append(np.searchsorted(keys, keys + (dx * width - 3)))
-        hi.append(np.searchsorted(keys, keys + (dx * width + 3), side="right"))
+    hi = [np.searchsorted(keys, keys + reach, side="right")]
+    for dx in range(1, reach + 1):
+        lo.append(np.searchsorted(keys, keys + (dx * width - reach)))
+        hi.append(np.searchsorted(keys, keys + (dx * width + reach), side="right"))
     lo, hi = np.concatenate(lo), np.concatenate(hi)
     runs = hi - lo
-    a = np.repeat(np.tile(own, 4), runs)
+    a = np.repeat(np.tile(own, reach + 1), runs)
     b = np.arange(len(a)) + np.repeat(lo - (np.cumsum(runs) - runs), runs)
     diff = keys[b] - keys[a]
     return order, start, count, a, b, (diff == 1) | (np.abs(diff - width) <= 1)

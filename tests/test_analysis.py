@@ -1468,6 +1468,20 @@ def test_seeded_window_on_a_lattice_where_ties_decide_the_tree(radius):
     assert_seeded_window(sp, subset)
 
 
+def test_seeded_window_of_spread_clusters_split_by_its_seeds():
+    # clusters of spacing 1e-3 spread over 1e4, cut by a slanted strip: the
+    # whole tree's edges leave the window in pieces, and the window's bands
+    # read a fine grid of about 2^30 cells a side, so both Morton words count
+    rng = np.random.default_rng(7)
+    pts = np.concatenate([rng.integers(0, 8, size=(12, 2)) * 1e-3 + c
+                          for c in rng.uniform(-5e3, 5e3, size=(50, 2))])
+    sp = FiniteSpace(sorted(set(map(tuple, pts.tolist()))), PlaneRule(), 0, 0)
+    subset = np.flatnonzero(np.abs(sp.coords[:, 1] - 0.3 * sp.coords[:, 0]) < 2e3)
+    seeds = spaces_mod._connected_labels(len(subset), *window_seeds(sp, subset)[:2])
+    assert len(np.unique(seeds)) > 1
+    assert_seeded_window(sp, subset)
+
+
 def far_lattice():
     """30 x 30 lattice, spacing 1e-3, at (1e6, 1e6): Qhull set aside 896 of
     its 900 points when it triangulated them where they lie."""
@@ -1686,9 +1700,9 @@ def test_step_work_is_pinned(monkeypatch):
         chains.append([])
         return band_edges(pts, labels)
 
-    def pairs(pts, labels, t):
+    def pairs(pts, fine, flips, comp, shift, t):
         chains[-1].append(round(t, 6))
-        return band_pairs(pts, labels, t)
+        return band_pairs(pts, fine, flips, comp, shift, t)
 
     def dists(pts, ii, jj):
         reads.append(len(ii))
@@ -1715,7 +1729,7 @@ def test_step_work_is_pinned(monkeypatch):
     estimate_factorizing_step(sp)
     assert calls == {"Delaunay": 0, "epsilon_components": 0, "_plane_components": 0}
     assert chains == [[0.028285, 0.113139, 0.452556, 1.810223, 7.240894, 28.963576, 115.854303]]
-    assert sum(reads) == 16466 and len(sp) == 6573
+    assert sum(reads) == 23485 and len(sp) == 6573
     assert joined == [(9063, 6572)] and len(counted) == 101
 
 

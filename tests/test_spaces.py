@@ -379,9 +379,15 @@ class TestExample31:
 
     def test_rows_that_rounding_leaves_out_of_order_are_sorted(self, monkeypatch):
         # x rounded to whole numbers gives many points of a branch one x,
-        # and y falls as x grows on an odd branch, so those rows need the sort
-        rounded = spaces_mod._round_decimals
-        monkeypatch.setattr(spaces_mod, "_round_decimals", lambda values, _: rounded(values, 0))
+        # and y falls as x grows on an odd branch, so those rows need the sort;
+        # the fixture rounds y first, and that call keeps its decimals
+        rounded, calls = spaces_mod._round_decimals, []
+
+        def coarse_x(values, decimals):
+            calls.append(len(values))
+            return rounded(values, decimals if len(calls) == 1 else 0)
+
+        monkeypatch.setattr(spaces_mod, "_round_decimals", coarse_x)
         sorts = []
         lexsort = np.lexsort
         monkeypatch.setattr(np, "lexsort", lambda keys: sorts.append(len(keys)) or lexsort(keys))
@@ -389,6 +395,13 @@ class TestExample31:
         assert sorts == [2]
         rows = [tuple(r) for r in sp.coords.tolist()]
         assert rows == sorted(rows) and sp.labels[sp.basepoint] == (0.0, 0.0)
+
+    def test_a_fine_grid_under_a_small_clamp_is_refused_from_the_points_kept(self):
+        # |tan x| <= 1e-3 keeps 2 million of the 3.1e9 grid x below pi / 2:
+        # the grid stops at atan(clamp), so the budget refuses the points
+        # kept without an array of the whole grid
+        with pytest.raises(BudgetError, match="5999997 points exceed"):
+            example31_fixture(2, 1e-9, 1e-3)
 
     def test_rejects_bad_args(self):
         with pytest.raises(ValueError):
@@ -601,6 +614,11 @@ def cloud(pts):
     return FiniteSpace(sorted(map(tuple, np.asarray(pts).tolist())), PlaneRule(), 0, 0)
 
 
+def with_near_twins(pts, count, offset):
+    """The points and a twin offset in x of each of the first count."""
+    return np.concatenate([pts, pts[:count] + [offset, 0.0]])
+
+
 class TestPlaneEdges:
     @pytest.mark.parametrize("make", [
         # the example31 fixtures of both benchmark grids
@@ -681,6 +699,39 @@ class TestPlaneEdges:
         monkeypatch.undo()
         assert len(sp) == 2000 and sum(reads) < 20 * len(sp)
         assert_minimum_spanning_tree(sp.coords, edges)
+
+    @pytest.mark.parametrize("make", [
+        # two clusters 1e7 apart at spacing 1e-4: the fine grid spans about
+        # 2^43 cells per axis, so both Morton words order the points
+        lambda rng: np.concatenate([rng.integers(0, 12, size=(80, 2)) * 1e-4 + c
+                                    for c in ((0.0, 0.0), (1e7, 3e6))]),
+        # clusters of spacing 1e-4 spread over 3e3: the bands read cells of
+        # every size up to about 2^30 fine cells, across the words' split
+        lambda rng: np.concatenate([rng.integers(0, 6, size=(8, 2)) * 1e-4 + c
+                                    for c in rng.uniform(0, 3e3, size=(60, 2))]),
+        # 40 pairs 1e-6 apart in a uniform cloud: the first band's scale is
+        # about 2e-6, and bands of some thousand components read cells of
+        # 2^20 to 2^28 fine cells, across the words' split
+        lambda rng: with_near_twins(rng.uniform(0, 8, size=(1200, 2)), 40, 1e-6),
+        # every coordinate negative, near the origin and far from it
+        lambda rng: rng.uniform(-9, -1, size=(600, 2)),
+        lambda rng: np.concatenate([rng.integers(0, 6, size=(8, 2)) * -1e-4 + c
+                                    for c in rng.uniform(-2e7, -1e7, size=(40, 2))]),
+        # columns of points that share one x, and one column alone
+        lambda rng: np.stack([rng.integers(0, 6, size=500) * 0.5,
+                              rng.uniform(-3, 3, size=500)], axis=1),
+        lambda rng: np.stack([np.full(300, -2.5), rng.uniform(0, 40, size=300)], axis=1),
+    ], ids=["far-clusters", "spread-clusters", "tight-pairs", "negative", "negative-far",
+            "columns", "one-column"])
+    def test_grid_edge_cases_keep_every_single_linkage_height(self, make):
+        # the bands' one grid and one Morton order at its edges, against
+        # Prim's and scipy's single linkage on all pairs
+        for seed in range(3):
+            sp = cloud(np.unique(make(np.random.default_rng(seed)), axis=0))
+            order, gap = spaces_mod.plane_chain(sp)
+            assert sorted(order.tolist()) == list(range(len(sp))) and gap[0] == math.inf
+            want = prim_heights(sp.coords)
+            assert sorted(gap.tolist())[:-1] == want == single_linkage_heights(sp.coords)
 
 
 class TestFlatPlane:
