@@ -19,7 +19,7 @@ import numpy as np
 from .extnat import ExtNat
 from .factorfn import FactorFunction
 from .primes import factorize
-from .spaces import FiniteSpace, _check_epsilon, level_chain, row_blocks
+from .spaces import BudgetError, FiniteSpace, _check_epsilon, level_chain, row_blocks
 
 NOISE_NUM = 1
 NOISE_DEN = 8  # a block is significant when 8 * size >= largest block
@@ -63,12 +63,14 @@ class StepEstimate:
         }
 
 
-def _cluster_scales(vals: Sequence[float], rel: float = 1e-7) -> list[float]:
+def _cluster_scales(vals: Sequence[float]) -> list[float]:
     """Collapse near-duplicate scales produced by coordinate rounding onto
-    the cluster maximum, so one merge event is tested as one candidate."""
+    the cluster maximum, so one merge event is tested as one candidate:
+    a scale within 1e-7 of the last kept one, relative to the larger of the
+    scale and 1, joins its cluster."""
     out: list[float] = []
     for v in sorted(set(float(c) for c in vals)):
-        if out and v - out[-1] <= rel * max(1.0, v):
+        if out and v - out[-1] <= 1e-7 * max(1.0, v):
             out[-1] = v
         else:
             out.append(v)
@@ -390,18 +392,17 @@ def oscillation(
     target: FiniteSpace,
     src_idx: np.ndarray,
     dst_idx: np.ndarray,
-    delta: Union[float, Sequence[float]],
-) -> Union[tuple[float, float], tuple[list[float], list[float]]]:
+    deltas: Sequence[float],
+) -> tuple[list[float], list[float]]:
     """Forward and backward oscillation of a table: the largest target
     distance between images of source points within delta, and the largest
     source distance between preimages of target points within delta.
 
-    delta is one scale, which gives a pair of floats, or a sequence of
-    scales, which gives a pair of lists with one value per scale. The
-    backward value is the forward value of the reversed table, so
-    oscillation(target, source, dst_idx, src_idx, delta) gives the same
-    pair swapped. Every route is exact over the given pairs, on one bound
-    per scale (_within), and _route picks it:
+    deltas is a sequence of scales, and each direction gives a list with
+    one value per scale. The backward value is the forward value of the
+    reversed table, so oscillation(target, source, dst_idx, src_idx,
+    deltas) gives the same pair swapped. Every route is exact over the
+    given pairs, on one bound per scale (_within), and _route picks it:
 
     - keyed, when both rules give sup rows with cyclic columns only
       (MetricRule.sup_rows; ultrametric sup spaces): each direction is the
@@ -426,8 +427,7 @@ def oscillation(
     dst_idx = np.asarray(dst_idx)
     if len(src_idx) != len(dst_idx):
         raise ValueError("mismatched map table")
-    scalar = np.ndim(delta) == 0
-    deltas = [float(delta)] if scalar else [float(d) for d in delta]
+    deltas = [float(d) for d in deltas]
     if not len(src_idx) or not deltas:
         fwd, bwd = [0.0] * len(deltas), [0.0] * len(deltas)
     else:
@@ -437,7 +437,7 @@ def oscillation(
         else:
             kernel = _keyed_oscillation if route == "keyed" else _window_oscillation
             fwd, bwd = kernel(*sides, deltas), kernel(*sides[::-1], deltas)
-    return (fwd[0], bwd[0]) if scalar else (fwd, bwd)
+    return fwd, bwd
 
 
 # ---------------------------------------------------------------------------
@@ -465,8 +465,9 @@ def foelner_search(space: FiniteSpace, c: float, epsilon: float) -> Optional[Foe
     """First basepoint ball F = O_k with |O_epsilon(F)| <= c|F|, growing k
     while the enlarged set stays inside the faithfulness radius. Epsilon
     must be finite and >= 0: no ball fits an infinite neighbourhood inside
-    the radius. A ValueError is raised otherwise, and on a neighbourhood
-    recount (no rule shortcut) on more than RECOUNT_LIMIT points."""
+    the radius. A ValueError is raised otherwise, and a neighbourhood
+    recount (no rule shortcut) on more than RECOUNT_LIMIT points is a
+    BudgetError."""
     if not math.isfinite(_check_epsilon(epsilon)):
         raise ValueError(f"foelner epsilon must be finite, got {epsilon}")
     if c <= 1:
@@ -487,7 +488,8 @@ def foelner_search(space: FiniteSpace, c: float, epsilon: float) -> Optional[Foe
             nbr = space.rule.ball_neighbourhood(space, k, epsilon)
             if nbr is None:
                 if len(space) > RECOUNT_LIMIT:
-                    raise ValueError("space too large for the neighborhood recount")
+                    raise BudgetError(f"{len(space)} points exceed the neighbourhood "
+                                      f"recount's limit of {RECOUNT_LIMIT}")
                 new = inside[~counted[inside]]
                 counted[new] = True
                 for blk in row_blocks(len(space)):

@@ -69,7 +69,7 @@ def _build_space(desc: str, args: argparse.Namespace) -> FiniteSpace:
 
 def _scale(value: float):
     """A scale as the JSON payload holds it: "inf" for an infinite one, as
-    FiniteSpace.to_json writes an infinite inner radius."""
+    WitnessMap.to_json writes an infinite validity radius."""
     return "inf" if value == math.inf else value
 
 
@@ -162,8 +162,7 @@ def _cmd_classify(args: argparse.Namespace) -> int:
     g1, g2 = parse_group(args.g1), parse_group(args.g2)
     check = coarse_equivalent if args.relation == "equiv" else coarse_isomorphic
     verdict = check(g1, g2)
-    payload = json.loads(verdict.to_json())
-    _emit(payload, args)
+    _emit(verdict.to_json(), args)
     return 0 if verdict.result else 1
 
 
@@ -181,7 +180,7 @@ def _cmd_witness(args: argparse.Namespace) -> int:
     )
     report = verify_witness(w, deltas)
     payload = {
-        "verdict": json.loads(verdict.to_json()),
+        "verdict": verdict.to_json(),
         "witness": w.to_json(),
         "verification": report.to_json(),
     }

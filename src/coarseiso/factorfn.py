@@ -67,9 +67,6 @@ class FactorFunction:
         """Primes with an explicit (non-default) entry."""
         return tuple(p for p, _ in self.entries)
 
-    def as_dict(self) -> dict[int, ExtNat]:
-        return dict(self.entries)
-
     @property
     def total_mass(self) -> ExtNat:
         """Sum of all values over all primes."""

@@ -19,7 +19,6 @@ equal, or equal finite positive ranks with phi almost equal.
 
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass
 from typing import Optional
@@ -99,7 +98,7 @@ class Verdict:
     invariants: tuple[CanonicalForm, CanonicalForm]
     multipliers: Optional[tuple[int, int]] = None
 
-    def to_json(self) -> str:
+    def to_json(self) -> dict:
         c1, c2 = self.invariants
         payload: dict = {
             "result": self.result,
@@ -117,7 +116,7 @@ class Verdict:
                 "n": self.multipliers[0],
                 "m": self.multipliers[1],
             }
-        return json.dumps(payload)
+        return payload
 
 
 def _parse_exponent(raw: str | None, position: int) -> ExtNat:

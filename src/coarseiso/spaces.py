@@ -49,7 +49,6 @@ import copy
 import json
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
@@ -102,14 +101,13 @@ class MetricRule:
     """A way to compute distances, and every path that depends on it.
 
     A rule reads a block of distances from rows of kernel coordinates
-    (``dists``) and one distance from two point indices (``distance``, kept
-    apart from the row kernels as their scalar oracle). The methods here
-    are the generic paths, written once from ``FiniteSpace.dists_block``:
-    the threshold graph read in row blocks for epsilon-components, and a
-    subset's chain in the order Prim's algorithm takes its points, from one
-    distance row per point. SupRule and PlaneRule
-    override those their structure reads exactly and faster; SupRule falls
-    back on them where a subset fills no box.
+    (``dists``); every distance the program reads comes from it. The
+    methods here are the generic paths, written once from
+    ``FiniteSpace.dists_block``: the threshold graph read in row blocks for
+    epsilon-components, and a subset's chain in the order Prim's algorithm
+    takes its points, from one distance row per point. SupRule and
+    PlaneRule override those their structure reads exactly and faster;
+    SupRule falls back on them where a subset fills no box.
     """
 
     split: Optional[int] = None  # coordinates owned by a product's left factor
@@ -222,10 +220,10 @@ class SupRule(MetricRule):
     ``layout`` records how the constructors assembled the coordinates:
     "tower", "group-ball", or (split, left, right) for a product whose left
     factor owns the first ``split`` coordinates. Distances never read it;
-    the serialized descriptor, the product split and the Foelner ball count
-    do. The paths below that read coordinate structure across points need
-    rows that fill a box (fills_box): the whole space for components and
-    quotients (a structural space), the subset for chains.
+    the descriptor that space_id hashes, the product split and the Foelner
+    ball count do. The paths below that read coordinate structure across
+    points need rows that fill a box (fills_box): the whole space for
+    components and quotients (a structural space), the subset for chains.
     """
 
     orders: tuple[int, ...]
@@ -284,15 +282,6 @@ class SupRule(MetricRule):
     @property
     def is_ultrametric(self) -> bool:
         return 0 not in self.orders
-
-    def distance(self, space: "FiniteSpace", i: int, j: int) -> int:
-        d = 0
-        for x, y, o, lvl in zip(space.labels[i], space.labels[j], self.orders, self.levels):
-            if o == 0:
-                d = max(d, abs(x - y))
-            elif x != y:
-                d = max(d, lvl)
-        return d
 
     def dists(self, rows: np.ndarray, coords: np.ndarray) -> np.ndarray:
         """Distances from one row (k,) or a block of rows (b, k) to every
@@ -475,10 +464,6 @@ class PlaneRule(MetricRule):
             raise ValueError("plane coordinates must be finite")
         return coords
 
-    def distance(self, space: "FiniteSpace", i: int, j: int) -> float:
-        a, b = space.labels[i], space.labels[j]
-        return round(math.hypot(a[0] - b[0], a[1] - b[1]), PLANE_DECIMALS)
-
     def dists(self, rows: np.ndarray, coords: np.ndarray) -> np.ndarray:
         """Distances from one row (2,) or a block of rows (b, 2) to every
         point of coords (n, 2): shape (n,) or (b, n)."""
@@ -568,12 +553,12 @@ class FiniteSpace:
     The points are the rows of one (n, k) array, ``coords``: integers
     under a sup rule and finite (x, y) pairs under a plane rule, which the
     rule's kernel reads. The labels, given as an array or a sequence of
-    rows, become that array at once. Every route, subspaces and
-    deserialized spaces included, checks the same things: the rule's width
-    and values (MetricRule.checked_coords), distinct rows, and a basepoint
-    in range. Label tuples are made only when something reads them
-    (MetricRule.label_lists). ``ultrametric`` and
-    ``structural`` are read from the rule and the points, never given.
+    rows, become that array at once. Every route, subspaces and quotients
+    included, checks the same things: the rule's width and values
+    (MetricRule.checked_coords), distinct rows, and a basepoint in range.
+    Label tuples are made only when something reads them
+    (MetricRule.label_lists). ``ultrametric`` and ``structural`` are read
+    from the rule and the points, never given.
     """
 
     def __init__(
@@ -593,7 +578,6 @@ class FiniteSpace:
         self.basepoint = basepoint
         self.inner_radius = inner_radius
         self._structural: Optional[bool] = None
-        self._index: Optional[dict[Label, int]] = None
         self._base_dists: Optional[np.ndarray] = None
         self._dmat: Optional[np.ndarray] = None
         # (plane_chain, plane_edges): a plane space's chain and tree
@@ -649,13 +633,6 @@ class FiniteSpace:
         return self.rule.label_lists(rows)
 
     @property
-    def index(self) -> dict[Label, int]:
-        """Position of each label, built on first read."""
-        if self._index is None:
-            self._index = {l: i for i, l in enumerate(self.labels)}
-        return self._index
-
-    @property
     def base_dists(self) -> np.ndarray:
         """Distances from the basepoint, computed on first read. Read-only:
         every reader shares the one array."""
@@ -664,9 +641,6 @@ class FiniteSpace:
             d.setflags(write=False)
             self._base_dists = d
         return self._base_dists
-
-    def d(self, i: int, j: int) -> Num:
-        return self.rule.distance(self, i, j)
 
     def dists_from(self, i: int) -> np.ndarray:
         return self.dists_block(i, slice(None))
@@ -687,39 +661,6 @@ class FiniteSpace:
                 m[blk] = self.dists_block(blk, slice(None))
             self._dmat = m
         return self._dmat
-
-    def to_json(self) -> str:
-        r = self.inner_radius
-        payload = {
-            "version": 1,
-            "basepoint": self.basepoint,
-            "inner_radius": "inf" if r == math.inf else r,
-            "ultrametric": self.ultrametric,
-            "structural": self.structural,
-            "labels": self.label_lists(),
-            "rule": self.rule.descriptor(),
-        }
-        return json.dumps(payload)
-
-    @staticmethod
-    def from_json(text: str) -> "FiniteSpace":
-        """The space to_json wrote. Refuses a rule kind other than a sup
-        rule's ("tower", "group-ball", "product") or "plane", an ultrametric
-        flag that differs from the rule's, and "structural": true on points
-        that fill no box; "structural": false is read from the points."""
-        payload = json.loads(text)
-        if payload.get("version") != 1:
-            raise ValueError("unsupported serialization version")
-        r = payload["inner_radius"]
-        rule = _rule_from_descriptor(payload["rule"])
-        if rule.is_ultrametric != payload["ultrametric"]:
-            raise ValueError("ultrametric flag differs from the rule's")
-        space = FiniteSpace(payload["labels"], rule, payload["basepoint"],
-                            math.inf if r == "inf" else r)
-        if payload.get("structural", True) and not space.structural:
-            raise ValueError("structural flag on labels that do not fill a box")
-        return space
-
 
 def _label_array(labels, width: Optional[int], width_error: str) -> np.ndarray:
     """The (n, k) array of label rows given as an array or a sequence of
@@ -768,24 +709,6 @@ def _has_equal_rows(coords: np.ndarray) -> bool:
     if coords.shape[1] == 0:
         return len(coords) > 1
     return not _ascends(coords) and not _ascends(coords[np.lexsort(coords.T[::-1])])
-
-
-def _rule_from_descriptor(desc: dict) -> MetricRule:
-    """The rule a descriptor names."""
-    kind = desc["kind"]
-    if kind == "tower":
-        return SupRule.tower(desc["orders"], desc["levels"])
-    if kind == "group-ball":
-        return SupRule.group_ball(desc["free_rank"], desc["cyclic_orders"], desc["cyclic_levels"])
-    if kind == "product":
-        rule = SupRule.product(_rule_from_descriptor(desc["left"]),
-                               _rule_from_descriptor(desc["right"]))
-        if desc["split"] != rule.split:
-            raise ValueError("product split differs from the width of its left factor")
-        return rule
-    if kind == "plane":
-        return PlaneRule()
-    raise ValueError(f"unknown rule kind {kind!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -1055,11 +978,9 @@ def _round_decimals(values: np.ndarray, decimals: int) -> np.ndarray:
 class ComponentPartition:
     """Epsilon-chain components. Blocks are ordered by representative, and
     each representative is the lexicographically minimal point (equivalently
-    minimal index) of its block. point_block[i] is the block of point i;
-    the block tuples are built only when read, and the components report,
-    the factorization fiber and the isometry claim never read them.
-    Partitions are equal, and hash alike, when their epsilon and their
-    blocks are equal."""
+    minimal index) of its block. point_block[i] is the block of point i,
+    and the program reads no other form of the blocks. Partitions compare
+    by identity."""
 
     epsilon: Num
     representatives: tuple[int, ...]
@@ -1068,24 +989,6 @@ class ComponentPartition:
     @property
     def count(self) -> int:
         return len(self.representatives)
-
-    @cached_property
-    def blocks(self) -> tuple[tuple[int, ...], ...]:
-        """The members of each block in ascending order, built on first read."""
-        members = np.argsort(self.point_block, kind="stable").tolist()
-        ends = np.cumsum(np.bincount(self.point_block)).tolist()
-        return tuple(tuple(members[a:b]) for a, b in zip([0] + ends, ends))
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, ComponentPartition):
-            return NotImplemented
-        # blocks numbered by their least point make point_block canonical
-        return (self.epsilon == other.epsilon
-                and self.representatives == other.representatives
-                and np.array_equal(self.point_block, other.point_block))
-
-    def __hash__(self) -> int:
-        return hash((self.epsilon, self.representatives, len(self.point_block)))
 
 
 def _partition_from_keys(epsilon: Num, keys: np.ndarray) -> ComponentPartition:

@@ -399,9 +399,7 @@ def verify_witness(w: WitnessMap, deltas: Optional[Sequence[float]] = None) -> W
 # constructors
 
 
-def factorization_witness(
-    space: FiniteSpace, epsilon: float, deltas: Sequence[float] = ()
-) -> WitnessMap:
+def factorization_witness(space: FiniteSpace, epsilon: float) -> WitnessMap:
     """Witness for splitting a space into (component of the basepoint) x
     (component quotient) at the given scale.
 
@@ -424,8 +422,7 @@ def factorization_witness(
     ti = _match_rows(rows, space.coords)
     si = np.flatnonzero(ti >= 0)
     claims = ({"kind": "per-component-isometry", "epsilon": eps},)
-    return _finish(source, space, si, ti[si], claims, extra_deltas=deltas,
-                   context="factorization")
+    return _finish(source, space, si, ti[si], claims, context="factorization")
 
 
 @dataclass
@@ -457,14 +454,6 @@ class TowerAlignment:
         if v % ua == 0:
             return float(self.v_levels[-1]) if self.v_levels else 0.0
         raise ValueError("tower does not absorb the requested ball")
-
-    def to_json(self) -> dict:
-        return {
-            "pairs": [[a, b] for a, b in self.pairs],
-            "u_levels": list(self.u_levels),
-            "v_levels": list(self.v_levels),
-            "witness": self.witness.to_json(),
-        }
 
 
 def _prime_multiset(*orders: int) -> List[int]:
@@ -597,10 +586,7 @@ def _relabel_stage(
 
 
 def relabel_witness(
-    source: FiniteSpace,
-    target: FiniteSpace,
-    columns: Optional[Sequence[int]] = None,
-    deltas: Sequence[float] = (),
+    source: FiniteSpace, target: FiniteSpace, columns: Optional[Sequence[int]] = None
 ) -> WitnessMap:
     """Bijection matching labels, optionally after reordering the source's
     coordinates: target coordinate c is source coordinate columns[c].
@@ -610,7 +596,7 @@ def relabel_witness(
     of both coordinate arrays, not one lookup per label; a source label
     without a target is a ValueError that names it."""
     r = _relabel_stage(source, target, columns)
-    return _finish(source, target, r.src, r.dst, (), extra_deltas=deltas, context="relabel")
+    return _finish(source, target, r.src, r.dst, (), context="relabel")
 
 
 # ---------------------------------------------------------------------------
@@ -638,7 +624,6 @@ def compose_witness(
 def product_witness(
     f: Union[WitnessMap, FiniteSpace],
     g: Union[WitnessMap, FiniteSpace],
-    deltas: Sequence[float] = (),
     point_budget: Optional[int] = None,
 ) -> WitnessMap:
     """Coordinatewise product of two witnesses under the sup metric; a space
@@ -652,17 +637,15 @@ def product_witness(
     si = (fs[:, None] * len(g.source) + gs).ravel()
     ti = (ft[:, None] * len(g.target) + gt).ravel()
     cap = min(f.validity_radius, g.validity_radius)
-    return _finish(
-        source, target, si, ti, (), extra_deltas=deltas, validity_cap=cap, context="product"
-    )
+    return _finish(source, target, si, ti, (), validity_cap=cap, context="product")
 
 
-def invert_witness(f: WitnessMap, deltas: Sequence[float] = ()) -> WitnessMap:
+def invert_witness(f: WitnessMap) -> WitnessMap:
     """Reverse the table; validity is re-derived on the target side."""
     fs, ft = f.src, f.dst
     if len(np.unique(ft)) != len(ft):
         raise ValueError("invert: table is not injective")
-    return _finish(f.target, f.source, ft, fs, (), extra_deltas=deltas, context="invert")
+    return _finish(f.target, f.source, ft, fs, (), context="invert")
 
 
 # ---------------------------------------------------------------------------

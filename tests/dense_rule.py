@@ -18,9 +18,6 @@ class DenseRule(MetricRule):
     def __init__(self, matrix):
         self.matrix = np.asarray(matrix, dtype=float)
 
-    def distance(self, space: FiniteSpace, i: int, j: int) -> float:
-        return self.matrix[space.coords[i, 0], space.coords[j, 0]]
-
     def dists(self, rows: np.ndarray, coords: np.ndarray) -> np.ndarray:
         return self.matrix[rows[..., 0]][..., coords[:, 0]]
 

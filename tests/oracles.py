@@ -1,15 +1,52 @@
 """Oracles the tests compare the package against and the program never
-reads: the metric axioms of a space read on every triple, the heights of
-a minimum spanning tree of plane points, and the addition and text form
-of factor functions."""
+reads: the scalar distance of two points, the metric axioms of a space
+read on every triple, the heights of a minimum spanning tree of plane
+points, and the addition and text form of factor functions; and two
+lookups the program reads in other forms, a label's position and a
+partition's blocks."""
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
 from coarseiso.extnat import INF, ExtNat
 from coarseiso.factorfn import FactorFunction
-from coarseiso.spaces import PlaneRule
+from coarseiso.spaces import PLANE_DECIMALS, PlaneRule, SupRule
+
+def distance(space, i: int, j: int):
+    """The distance of points i and j, read from their two labels alone:
+    the scalar oracle of the rules' row kernels. Under a sup rule the max
+    over coordinates of |x - y| (free) or level * [x != y] (cyclic); under
+    the plane rule the Euclidean distance rounded to PLANE_DECIMALS; any
+    other rule is a dense table (tests/dense_rule.py), read at the labels."""
+    rule, a, b = space.rule, space.labels[i], space.labels[j]
+    if isinstance(rule, PlaneRule):
+        return round(math.hypot(a[0] - b[0], a[1] - b[1]), PLANE_DECIMALS)
+    if not isinstance(rule, SupRule):
+        return rule.matrix[a[0], b[0]]
+    d = 0
+    for x, y, o, lvl in zip(a, b, rule.orders, rule.levels):
+        if o == 0:
+            d = max(d, abs(x - y))
+        elif x != y:
+            d = max(d, lvl)
+    return d
+
+
+def index(space) -> dict:
+    """The position of each label of a space."""
+    return {label: i for i, label in enumerate(space.labels)}
+
+
+def blocks(partition) -> tuple[tuple[int, ...], ...]:
+    """The members of each block of a partition in ascending order, blocks
+    in the partition's order, read from its point_block."""
+    members = np.argsort(partition.point_block, kind="stable").tolist()
+    ends = np.cumsum(np.bincount(partition.point_block)).tolist()
+    return tuple(tuple(members[a:b]) for a, b in zip([0] + ends, ends))
+
 
 # validate_metric reads every triple of points, so it takes no more than this
 EXHAUSTIVE_LIMIT = 512

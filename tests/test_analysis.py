@@ -49,7 +49,7 @@ from coarseiso.spaces import (
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
 from dense_rule import as_dense, dense_space  # noqa: E402
-from oracles import prim_heights, single_linkage_heights  # noqa: E402
+from oracles import blocks, distance, index, prim_heights, single_linkage_heights  # noqa: E402
 
 
 def ff(values, default=0):
@@ -60,9 +60,15 @@ def brute_oscillation(source, target, src_idx, dst_idx, delta):
     best = 0.0
     for a in range(len(src_idx)):
         for b in range(len(src_idx)):
-            if source.d(int(src_idx[a]), int(src_idx[b])) <= delta:
-                best = max(best, float(target.d(int(dst_idx[a]), int(dst_idx[b]))))
+            if distance(source, int(src_idx[a]), int(src_idx[b])) <= delta:
+                best = max(best, float(distance(target, int(dst_idx[a]), int(dst_idx[b]))))
     return best
+
+
+def oscillation_at(source, target, src_idx, dst_idx, delta):
+    """The forward and backward values of oscillation at one scale."""
+    (fwd,), (bwd,) = oscillation(source, target, src_idx, dst_idx, [delta])
+    return fwd, bwd
 
 
 def rowwise_oscillation(source, target, src_idx, dst_idx, delta):
@@ -163,18 +169,18 @@ class TestOscillation:
         sp = zball(20)
         idx = np.arange(len(sp))
         for delta in (1.0, 3.0, 7.0):
-            assert oscillation(sp, sp, idx, idx, delta) == (delta, delta)
+            assert oscillation_at(sp, sp, idx, idx, delta) == (delta, delta)
 
     def test_empty_table(self):
         sp = zball(2)
-        assert oscillation(sp, sp, np.array([]), np.array([]), 1.0) == (0.0, 0.0)
+        assert oscillation_at(sp, sp, np.array([]), np.array([]), 1.0) == (0.0, 0.0)
         assert oscillation(sp, sp, np.array([]), np.array([]), [1.0, 2.0]) == (
             [0.0, 0.0], [0.0, 0.0])
 
     def test_mismatched_lengths(self):
         sp = zball(2)
         with pytest.raises(ValueError):
-            oscillation(sp, sp, np.array([0]), np.array([0, 1]), 1.0)
+            oscillation_at(sp, sp, np.array([0]), np.array([0, 1]), 1.0)
 
     def test_matches_brute_force_on_reversal(self):
         sp = zball(8)
@@ -183,17 +189,17 @@ class TestOscillation:
         for delta in (0.0, 1.0, 2.0, 5.0):
             want = brute_oscillation(sp, sp, idx, rev, delta)
             back = brute_oscillation(sp, sp, rev, idx, delta)
-            assert oscillation(sp, sp, idx, rev, delta) == (want, back)
+            assert oscillation_at(sp, sp, idx, rev, delta) == (want, back)
 
     def test_matches_brute_force_tower_to_ball(self):
         t = tower_space([2, 3])
         zb = zball(3)
         src = np.arange(6)
-        dst = np.array([zb.index[(v,)] for v in (-3, -2, -1, 1, 2, 3)])
+        dst = np.array([index(zb)[(v,)] for v in (-3, -2, -1, 1, 2, 3)])
         for delta in (2.0, 3.0):
             want = brute_oscillation(t, zb, src, dst, delta)
             back = brute_oscillation(zb, t, dst, src, delta)
-            assert oscillation(t, zb, src, dst, delta) == (want, back)
+            assert oscillation_at(t, zb, src, dst, delta) == (want, back)
 
     def test_subset_source_ultrametric_path(self):
         t = tower_space([2, 2, 2])
@@ -203,7 +209,7 @@ class TestOscillation:
         for delta in (2.0, 3.0, 4.0):
             want = brute_oscillation(t, zb, sub, dst, delta)
             back = brute_oscillation(zb, t, dst, sub, delta)
-            assert oscillation(t, zb, sub, dst, delta) == (want, back)
+            assert oscillation_at(t, zb, sub, dst, delta) == (want, back)
 
 
 class TestFoelner:
@@ -232,6 +238,15 @@ class TestFoelner:
     def test_growth_factor_must_exceed_one(self):
         with pytest.raises(ValueError):
             foelner_search(zball(5), 1.0, 1)
+
+    def test_an_oversize_recount_is_a_budget_error(self):
+        # the plane rule has no ball count, so the neighbourhood of the
+        # basepoint's ball would be recounted over every point
+        sp = example31_fixture(96, 0.01, 1000)
+        assert len(sp) == 30361 > analysis_mod.RECOUNT_LIMIT == 30000
+        with pytest.raises(spaces_mod.BudgetError,
+                           match="^30361 points exceed the neighbourhood recount's limit of 30000$"):
+            foelner_search(sp, 1.1, 1.0)
 
     @pytest.mark.parametrize("make", [lambda: zball(100), lambda: example31_fixture(2, 0.5, 5)],
                              ids=["group", "fixture"])
@@ -374,7 +389,7 @@ small_towers = st.lists(
 @given(small_towers, st.integers(min_value=1, max_value=5))
 def test_oscillation_of_identity_bounded_by_delta(sp, delta):
     idx = np.arange(len(sp))
-    forward, backward = oscillation(sp, sp, idx, idx, float(delta))
+    forward, backward = oscillation_at(sp, sp, idx, idx, float(delta))
     assert forward <= delta and backward <= delta
 
 
@@ -385,7 +400,7 @@ def test_oscillation_matches_brute_force_random_maps(sp, rnd):
     src = np.arange(n)
     dst = np.asarray(rnd.sample(range(n), n))
     for delta in (2.0, 3.0):
-        assert oscillation(sp, sp, src, dst, delta) == (
+        assert oscillation_at(sp, sp, src, dst, delta) == (
             brute_oscillation(sp, sp, src, dst, delta),
             brute_oscillation(sp, sp, dst, src, delta),
         )
@@ -484,11 +499,11 @@ sup_spaces = st.one_of(
 
 
 def assert_scales_agree(source, target, src, dst, deltas):
-    """The sequence call, the scalar calls and the all-pairs oracle agree
+    """The sequence call, the one-scale calls and the all-pairs oracle agree
     at every scale, forward and backward."""
     want = [brute_oscillation(source, target, src, dst, d) for d in deltas]
     back = [brute_oscillation(target, source, dst, src, d) for d in deltas]
-    assert [oscillation(source, target, src, dst, d) for d in deltas] == list(zip(want, back))
+    assert [oscillation_at(source, target, src, dst, d) for d in deltas] == list(zip(want, back))
     assert oscillation(source, target, src, dst, deltas) == (want, back)
 
 
@@ -514,9 +529,9 @@ def test_oscillation_from_one_point_is_the_image_diameter(sp, data):
     # diameter of the image, and a table that repeats it hides nothing
     idx = np.asarray(sorted(data.draw(st.sets(st.integers(0, len(sp) - 1), min_size=1,
                                               max_size=40))))
-    want = max(float(sp.d(int(a), int(b))) for a in idx for b in idx)
+    want = max(float(distance(sp, int(a), int(b))) for a in idx for b in idx)
     point = k_point_space(1)
-    assert oscillation(point, sp, np.zeros(len(idx), dtype=np.int64), idx, 0.0) == (want, 0.0)
+    assert oscillation_at(point, sp, np.zeros(len(idx), dtype=np.int64), idx, 0.0) == (want, 0.0)
 
 
 def loop_oscillation(source, target, src_idx, dst_idx, delta):
@@ -591,8 +606,8 @@ def test_keyed_oscillation_counts_a_level_just_above_the_scale():
     # that differ only at level 2 are one block, and the map splits them
     sp = tower_space([2, 2])
     src, dst = np.arange(4), np.array([0, 2, 1, 3])
-    assert oscillation(sp, sp, src, dst, 2 - 5e-13) == (3.0, 3.0)
-    assert oscillation(as_dense(sp), as_dense(sp), src, dst, 2 - 5e-13) == (3.0, 3.0)
+    assert oscillation_at(sp, sp, src, dst, 2 - 5e-13) == (3.0, 3.0)
+    assert oscillation_at(as_dense(sp), as_dense(sp), src, dst, 2 - 5e-13) == (3.0, 3.0)
     assert_keyed_matches_every_oracle(sp, sp, src, dst, near_levels(sp))
 
 
@@ -949,7 +964,7 @@ def test_step_stability_on_the_curve_fixture_matches_the_sig_count_loop():
 def test_zero_distance_pair_stays_joined_at_zero():
     # csgraph reads a zero weight as no edge; the chain keeps the pair at 0
     sp = FiniteSpace([(0.0, 0.0), (1e-12, 0.0), (1.0, 0.0), (0.0, 2.0)], PlaneRule(), 0, 0)
-    assert sp.d(0, 1) == 0.0
+    assert distance(sp, 0, 1) == 0.0
     order, gap = sp.rule.chain(sp, np.arange(4))
     assert sorted(gap.tolist()) == [0.0, 1.0, 2.0, math.inf]
     at_zero = chain_labels(order, gap, 0.0)
@@ -1019,7 +1034,7 @@ def test_block_oscillation_over_several_blocks_and_uncached_rows():
                                            (line, table, dst, src, [40.0, 800.0, 0.0])):
         want = [rowwise_oscillation(source, target, si, ti, d) for d in deltas]
         back = [rowwise_oscillation(target, source, ti, si, d) for d in deltas]
-        assert [oscillation(source, target, si, ti, d) for d in deltas] == list(zip(want, back))
+        assert [oscillation_at(source, target, si, ti, d) for d in deltas] == list(zip(want, back))
         assert oscillation(source, target, si, ti, deltas) == (want, back)
 
 
@@ -1080,7 +1095,7 @@ def test_both_directions_match_all_pairs(make, keyed, monkeypatch):
 def test_int_coords_hold_values_far_from_zero_and_large_levels():
     # a spread of 10 fits 8 bits, but labels near 20000 do not
     line = zball(20000)
-    edge = [line.index[(v,)] for v in range(19990, 20001)]
+    edge = [index(line)[(v,)] for v in range(19990, 20001)]
     near_edge = subspace(line, edge, basepoint=edge[0])
     assert near_edge.rule.kernel_coords(near_edge.coords).dtype == np.int16
     small = zball(5)
@@ -1174,7 +1189,7 @@ def test_window_route_on_width_zero_sides(source, target):
     assert_window_matches_the_pair_pass(source, target, src, dst, deltas)
     fwd, _ = window_route(source, target, src, dst, [0.0, -1.0])
     if source.coords.shape[1] == 0:
-        assert fwd == [max(float(target.d(int(a), int(b))) for a in dst for b in dst), 0.0]
+        assert fwd == [max(float(distance(target, int(a), int(b))) for a in dst for b in dst), 0.0]
     if target.coords.shape[1] == 0:
         assert fwd == [0.0, 0.0]
 
@@ -1184,15 +1199,15 @@ def test_window_route_counts_a_window_of_exactly_the_scale():
     # the window reaches k steps and no further, and a cyclic axis of
     # level 2 joins its two values at delta = 2 exactly
     line = zball(10)
-    src = np.array([line.index[(v,)] for v in range(7)])
-    dst = np.array([line.index[(v,)] for v in (0, 9, 0, -9, 0, 9, 0)])
+    src = np.array([index(line)[(v,)] for v in range(7)])
+    dst = np.array([index(line)[(v,)] for v in (0, 9, 0, -9, 0, 9, 0)])
     deltas = [0.0, 1.0, 2.0 - 5e-13, 2.0 + 5e-13, 3.0]
     # backward, the target value 0 has the preimages 0, 2, 4 and 6
     assert window_route(line, line, src, dst, deltas) == ([0.0, 9.0, 18.0, 18.0, 18.0],
                                                           [6.0] * 5)
     # (a, b) -> the image; points that differ in a alone are 2 apart
     ring = tower_space([2, 2], levels=[2, 3])
-    src, dst = np.arange(4), np.array([line.index[(v,)] for v in (0, 5, 1, 9)])
+    src, dst = np.arange(4), np.array([index(line)[(v,)] for v in (0, 5, 1, 9)])
     got = window_route(ring, line, src, dst, [1.0, 2.0 - 5e-13, 2.0, 3.0 - 5e-13])
     assert got[0] == [0.0, 4.0, 4.0, 9.0]
     assert_window_matches_the_pair_pass(ring, line, src, dst, window_scales(ring, line))
@@ -1202,8 +1217,8 @@ def test_window_route_keeps_every_entry_of_a_shared_cell():
     # two entries in one source cell: the cell holds their largest and
     # least image, so a later write does not hide the earlier one
     line = zball(10)
-    src = np.array([line.index[(v,)] for v in (0, 0, 1)])
-    dst = np.array([line.index[(v,)] for v in (4, -4, 0)])
+    src = np.array([index(line)[(v,)] for v in (0, 0, 1)])
+    dst = np.array([index(line)[(v,)] for v in (4, -4, 0)])
     assert window_route(line, line, src, dst, [0.0, 1.0]) == ([8.0, 8.0], [0.0, 0.0])
     assert window_route(line, line, src[::-1].copy(), dst[::-1].copy(), [0.0]) == ([8.0], [0.0])
 
@@ -1462,7 +1477,7 @@ def test_seeded_window_on_a_lattice_where_ties_decide_the_tree(radius):
     # bands join them by steps that tie with the seeds
     sp = FiniteSpace(sorted((float(x), float(y)) for x in range(12) for y in range(12)),
                      PlaneRule(), 0, 0)
-    subset = np.flatnonzero(sp.dists_from(sp.index[(5.0, 6.0)]) <= radius)
+    subset = np.flatnonzero(sp.dists_from(index(sp)[(5.0, 6.0)]) <= radius)
     seeds = spaces_mod._connected_labels(len(subset), *window_seeds(sp, subset)[:2])
     assert len(np.unique(seeds)) > 1
     assert_seeded_window(sp, subset)
@@ -1613,7 +1628,7 @@ def test_step_on_clouds_qhull_refused_matches_the_all_pairs_table(make):
     assert len(ii) == len(sp) - 1
     assert not np.any(spaces_mod._connected_labels(len(sp), ii, jj))
     assert estimate_factorizing_step(sp) == estimate_factorizing_step(as_dense(sp))
-    assert epsilon_components(sp, 0.5).blocks == epsilon_components(as_dense(sp), 0.5).blocks
+    assert blocks(epsilon_components(sp, 0.5)) == blocks(epsilon_components(as_dense(sp), 0.5))
 
 
 @pytest.mark.parametrize("make", [lambda: example31_fixture(8, 0.01, 50), doubled_cluster],
@@ -1652,7 +1667,7 @@ def test_image_diameter_of_a_table_over_several_blocks():
     idx = np.concatenate([np.arange(1, len(table) - 1), [0, len(table) - 1]])
     assert len(row_blocks(len(idx))) > 1
     point = np.zeros(len(idx), dtype=np.int64)
-    assert oscillation(k_point_space(1), table, point, idx, 0.0) == (1400.0, 0.0)
+    assert oscillation_at(k_point_space(1), table, point, idx, 0.0) == (1400.0, 0.0)
 
 
 def test_step_on_a_line_matches_the_all_pairs_table():

@@ -307,9 +307,9 @@ def test_plane_fixture_on_one_line(capsys):
 
 def test_plane_components_job_builds_no_block_tuple(capsys, monkeypatch):
     # the sizes come from point_block and the count from the
-    # representatives, so the job leaves the block tuples unbuilt. Net
-    # GC-tracked containers are counted with collection held off: the
-    # block tuples alone made 530 on this job
+    # representatives, so the job builds no block tuples. Net GC-tracked
+    # containers are counted with collection held off: the block tuples
+    # alone made 530 on this job
     argv = ["components", "example31:20:0.01", "--epsilon", "1"]
     parts = []
     read = cli.epsilon_components
@@ -327,7 +327,6 @@ def test_plane_components_job_builds_no_block_tuple(capsys, monkeypatch):
     finally:
         gc.set_threshold(*threshold)
     assert json.loads(capsys.readouterr().out)["blocks"] == parts[-1].count
-    assert "blocks" not in parts[-1].__dict__
     assert net < 200
 
 
@@ -772,6 +771,13 @@ def test_foelner_on_a_fixture_names_its_extent(capsys):
     assert (code, out) == (2, "")
     assert err == ("error: no box with |O_100.0(F)| <= 1.01|F| fits in the fixture's extent, "
                    "radius 19.917651136\n")
+
+
+def test_foelner_refuses_an_oversize_recount(capsys):
+    # 30,361 plane points, above the 30,000 whose neighbourhoods are recounted
+    code, out, err = run(capsys, "foelner", "example31:96:0.01")
+    assert (code, out) == (2, "")
+    assert err == "error: 30361 points exceed the neighbourhood recount's limit of 30000\n"
 
 
 def test_a_fixture_without_a_radius_and_a_group_with_one_still_run(capsys):

@@ -1,11 +1,16 @@
 """No module of the package imports a name it never reads, no module
-defines a name that the program never reads, and no module imports scipy,
-nor does a generic chain load it. The checks use only the standard
-library's ast: a name counts as read where a module loads it, attributes
-and string annotations included.
+defines a name or a method that the program never reads, and no module
+imports scipy, nor does a generic chain load it. The checks use only the
+standard library's ast: a name counts as read where a module loads it,
+attributes and string annotations included.
 ``__init__.py`` may import names it does not read, as its imports are the
 package's public names; they are the names of ``__all__``, and importing a
-name there is no read of it."""
+name there is no read of it.
+
+Methods and properties are read by attribute name, as Python finds them:
+a name shared across classes, or with other objects (``to_json`` of every
+report, ``index`` of a list, ``blocks`` of a cover), counts as read for all
+of them. Dunders are exempt, as the interpreter calls them."""
 
 from __future__ import annotations
 
@@ -170,6 +175,64 @@ def test_every_defined_name_is_read():
                if not path.name.startswith("test_")]
     outside.append((ROOT / "tests" / "test_acceptance.py").read_text())
     assert unread_names(package, outside) == []
+
+
+def defined_methods(source: str) -> list[str]:
+    """Class.name for each function (method, property or static method)
+    that a module-level class of the source defines, dunders excepted, in
+    order of definition."""
+    return [f"{node.name}.{item.name}" for node in ast.parse(source).body
+            if isinstance(node, ast.ClassDef) for item in node.body
+            if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and not (item.name.startswith("__") and item.name.endswith("__"))]
+
+
+def attribute_reads(source: str) -> set:
+    """The attribute names the source reads: a bare name is a variable,
+    not a method."""
+    return {node.attr for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Attribute)}
+
+
+def unread_methods(package: dict, outside: list = ()) -> list[str]:
+    """module.Class.name for each method a package module defines whose
+    name neither the package's other modules than __init__, nor the module
+    itself, nor an outside source reads as an attribute, in module order."""
+    readers = [source for module, source in package.items() if module != "__init__"]
+    read = set().union(*map(attribute_reads, [*readers, *outside]))
+    return [f"{module}.{method}" for module, source in package.items()
+            for method in defined_methods(source) if method.split(".")[1] not in read]
+
+
+@pytest.mark.parametrize("snippet, unread", [
+    ("class A:\n    def f(self): ...\n", ["m.A.f"]),
+    ("class A:\n    def f(self): ...\nA().f()\n", []),
+    ("class A:\n    @property\n    def p(self): ...\n", ["m.A.p"]),
+    ("class A:\n    @staticmethod\n    def s(): ...\nA.s\n", []),
+    ("class A:\n    def __eq__(self, other): ...\n    def __hash__(self): ...\n", []),
+    # a name shared across classes, or with another object, is read for all
+    ("class A:\n    def to_json(self): ...\nclass B:\n    def to_json(self): ...\n"
+     "B().to_json()\n", []),
+    ("class A:\n    def index(self): ...\n[1].index(1)\n", []),
+    ("class A:\n    def f(self): ...\n'f'\n", ["m.A.f"]),  # text is no read
+    ("class A:\n    def d(self): ...\nd = 1\nprint(d)\n", ["m.A.d"]),  # a variable is no read
+    ("def f():\n    class A:\n        def g(self): ...\n", []),  # nested classes are not scanned
+    # __init__ reads nothing; another module's read counts
+    ({"m": "class A:\n    def f(self): ...\n", "__init__": "from .m import A\nA.f\n"},
+     ["m.A.f"]),
+    ({"m": "class A:\n    def f(self): ...\n", "n": "def g(a):\n    return a.f()\n"}, []),
+])
+def test_what_counts_as_a_method_read(snippet, unread):
+    package = {"m": snippet} if isinstance(snippet, str) else snippet
+    assert unread_methods(package) == unread
+
+
+def test_every_method_is_read():
+    # the same readers as test_every_defined_name_is_read
+    package = {path.stem: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
+    outside = [path.read_text() for path in sorted((ROOT / "perfbench").glob("*.py"))
+               if not path.name.startswith("test_")]
+    outside.append((ROOT / "tests" / "test_acceptance.py").read_text())
+    assert unread_methods(package, outside) == []
 
 
 def init_imports(source: str) -> list[str]:

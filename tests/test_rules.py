@@ -1,5 +1,5 @@
 """The metric-rule protocol: every path a rule chooses, checked against a
-brute-force oracle built from the scalar distance `FiniteSpace.d`, on the
+brute-force oracle built from the scalar distance of tests/oracles.py, on the
 package's rules and on a dense table that takes every generic path, a count
 of the places in the package that still test a rule's type, checks that
 points have one store and that removed rule methods stay gone, and the
@@ -21,7 +21,6 @@ from hypothesis import strategies as st
 from coarseiso.analysis import oscillation
 from coarseiso.groups import parse_group
 from coarseiso.spaces import (
-    FiniteSpace,
     MetricRule,
     SupRule,
     build_truncation,
@@ -38,10 +37,10 @@ from coarseiso.spaces import (
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
 from dense_rule import as_dense  # noqa: E402
+from oracles import distance  # noqa: E402
 
-# the three kinds of space the rules serve, a structural quotient, dense
-# tables of a plane sample and of the sup subset, and each package rule read
-# back from its JSON text
+# the three kinds of space the rules serve, a structural quotient, and dense
+# tables of a plane sample and of the sup subset
 SPACES = {
     "sup-box": lambda: product_space(build_truncation(parse_group("Z + C3"), radius=3),
                                      tower_space([2], levels=[5])),
@@ -52,31 +51,24 @@ SPACES = {
     "dense": lambda: as_dense(example31_fixture(2, 0.2, 3)),
     "dense-sup": lambda: as_dense(SPACES["sup-subset"]()),
 }
-RELOADED = {f"{kind}-json": kind for kind in ("sup-subset", "plane", "sup-quotient")}
-SPACES.update({name: lambda kind=kind: FiniteSpace.from_json(SPACES[kind]().to_json())
-               for name, kind in RELOADED.items()})
 
 
 @pytest.fixture(scope="module", params=list(SPACES))
 def case(request):
     sp = SPACES[request.param]()
     n = len(sp)
-    d = np.array([[float(sp.d(i, j)) for j in range(n)] for i in range(n)])
+    d = np.array([[float(distance(sp, i, j)) for j in range(n)] for i in range(n)])
     return request.param, sp, d
 
 
 def test_the_four_kinds_are_what_they_say(case):
     name, sp, _ = case
-    kind = RELOADED.get(name, name)
     assert type(sp.rule).__name__ == {"sup-box": "SupRule", "sup-subset": "SupRule",
                                       "sup-quotient": "SupRule", "plane": "PlaneRule",
-                                      "dense": "DenseRule", "dense-sup": "DenseRule"}[kind]
-    if kind.startswith("sup"):
-        assert sp.structural == (kind != "sup-subset")
+                                      "dense": "DenseRule", "dense-sup": "DenseRule"}[name]
+    if name.startswith("sup"):
+        assert sp.structural == (name != "sup-subset")
     assert len(sp) >= 30
-    if name in RELOADED:
-        built = SPACES[kind]()
-        assert sp == built and sp.to_json() == built.to_json()
 
 
 def test_distance_blocks_match_the_scalar_distance(case):
@@ -101,7 +93,7 @@ def test_oscillation_from_one_point_is_the_image_diameter(case):
     for idx in subsets:
         want = float(d[np.ix_(idx, idx)].max()) if len(idx) > 1 else 0.0
         point = np.zeros(len(idx), dtype=np.int64)
-        assert oscillation(k_point_space(1), sp, point, idx, 0.0) == (want, 0.0)
+        assert oscillation(k_point_space(1), sp, point, idx, [0.0]) == ([want], [0.0])
 
 
 def cophenetic(d: np.ndarray) -> np.ndarray:
@@ -174,12 +166,11 @@ def rule_type_tests(source: str) -> list[int]:
     """Lines outside the bodies of the rule classes that test a rule's
     type, in any spelling: isinstance or issubclass against a rule class,
     type(...), __class__ or __name__, a comparison with a rule class name,
-    a comparison of a descriptor's "kind" (outside _rule_from_descriptor,
-    which reads descriptors), a hasattr or getattr probe, or a tag
-    attribute read off a rule (kind, layout, tag, is_*)."""
+    a comparison of a descriptor's "kind", a hasattr or getattr probe, or a
+    tag attribute read off a rule (kind, layout, tag, is_*)."""
     lines: set[int] = set()
 
-    def probe(node: ast.AST, func: str, kinds: set) -> bool:
+    def probe(node: ast.AST, kinds: set) -> bool:
         if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
             name = node.func.id
             if name in ("isinstance", "issubclass") and len(node.args) == 2:
@@ -193,27 +184,25 @@ def rule_type_tests(source: str) -> list[int]:
             return tag and _on_rule(node.value)
         if isinstance(node, ast.Compare):
             operands = [node.left, *node.comparators]
-            if any(isinstance(o, ast.Constant) and o.value in RULE_CLASSES for o in operands):
-                return True
-            if func != "_rule_from_descriptor":
-                return any(_kind_read(o) or (isinstance(o, ast.Name) and o.id in kinds)
-                           for o in operands)
+            return any((isinstance(o, ast.Constant) and o.value in RULE_CLASSES)
+                       or _kind_read(o) or (isinstance(o, ast.Name) and o.id in kinds)
+                       for o in operands)
         return False
 
-    def visit(node: ast.AST, func: str, kinds: set) -> None:
+    def visit(node: ast.AST, kinds: set) -> None:
         if isinstance(node, ast.ClassDef) and node.name in RULE_CLASSES:
             return
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             # names bound to a descriptor's kind inside this function
-            func, kinds = node.name, {
+            kinds = {
                 t.id for n in ast.walk(node) if isinstance(n, ast.Assign) and _kind_read(n.value)
                 for t in n.targets if isinstance(t, ast.Name)}
-        if probe(node, func, kinds):
+        if probe(node, kinds):
             lines.add(node.lineno)
         for child in ast.iter_child_nodes(node):
-            visit(child, func, kinds)
+            visit(child, kinds)
 
-    visit(ast.parse(source), "", set())
+    visit(ast.parse(source), set())
     return sorted(lines)
 
 
@@ -227,6 +216,7 @@ def rule_type_tests(source: str) -> list[int]:
     "name == 'PlaneRule'",
     "space.rule.descriptor()['kind'] != 'plane'",
     "def f(space):\n    k = space.rule.descriptor()['kind']\n    return k == 'table'",
+    "def _rule_from_descriptor(desc):\n    return desc['kind'] == 'tower'",
     "hasattr(space.rule, 'matrix')",
     "getattr(space.rule, 'orders', None)",
     "space.rule.layout == 'tower'",
@@ -240,7 +230,6 @@ def test_every_spelling_of_a_type_test_is_counted(snippet):
 def test_rule_methods_and_other_reads_are_not_counted():
     source = ("space.rule.is_ultrametric\nargs.format == 'table'\nkind = claim.get('kind')\n"
               "kind == 'ball-respecting'\nspace.rule.chain(space, idx)\n"
-              "def _rule_from_descriptor(desc):\n    return desc['kind'] == 'tower'\n"
               "class SupRule:\n    def split(self):\n        return isinstance(self, SupRule)\n")
     assert rule_type_tests(source) == []
 
@@ -320,8 +309,10 @@ def test_no_module_keeps_a_second_label_store():
 
 # oscillation's keyed and window routes read sup_rows, which replaced
 # level_rows, and take no diameter; dists_block and subspace read the rows
-# and the rule of the space, with no kernel_rows or restrict hook
-REMOVED_RULE_METHODS = {"diameter", "delta_blocks", "level_rows", "kernel_rows", "restrict"}
+# and the rule of the space, with no kernel_rows or restrict hook; the
+# scalar distance is an oracle of tests/oracles.py
+REMOVED_RULE_METHODS = {"diameter", "delta_blocks", "level_rows", "kernel_rows", "restrict",
+                        "distance"}
 
 
 def removed_method_uses(source: str) -> list[int]:
@@ -350,6 +341,8 @@ def removed_method_uses(source: str) -> list[int]:
     "rows = space.rule.level_rows(space, idx)",
     "rows = space.rule.kernel_rows(space, idx)",
     "class MetricRule:\n    def restrict(self, space, idx):\n        return self",
+    "class PlaneRule:\n    def distance(self, space, i, j):\n        return 0.0",
+    "return space.rule.distance(space, i, j)",
 ])
 def test_every_removed_rule_method_is_counted(snippet):
     assert len(removed_method_uses(snippet)) == 1

@@ -55,7 +55,14 @@ from coarseiso.witness import space_id
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
 from dense_rule import as_dense, dense_space  # noqa: E402
-from oracles import prim_heights, single_linkage_heights, validate_metric  # noqa: E402
+from oracles import (  # noqa: E402
+    blocks,
+    distance,
+    index,
+    prim_heights,
+    single_linkage_heights,
+    validate_metric,
+)
 
 
 def ff(values, default=0):
@@ -127,13 +134,13 @@ class TestBuilders:
         sp = zball(3)
         assert len(sp) == 7
         assert sp.labels[sp.basepoint] == (0,)
-        assert sp.d(sp.index[(-3,)], sp.index[(3,)]) == 6
+        assert distance(sp, index(sp)[(-3,)], index(sp)[(3,)]) == 6
         validate_metric(sp)
 
     def test_zball_rank_two_sup_metric(self):
         sp = zball(2, rank=2)
         assert len(sp) == 25
-        assert sp.d(sp.index[(0, 0)], sp.index[(2, -1)]) == 2
+        assert distance(sp, index(sp)[(0, 0)], index(sp)[(2, -1)]) == 2
 
     def test_tower_distances_are_levels(self):
         # two cyclic coordinates at levels 2 and 3
@@ -151,10 +158,10 @@ class TestBuilders:
         sp = build_truncation(parse_group("Z + C2"), radius=4)
         # 9 free positions times 2 torsion classes
         assert len(sp) == 18
-        a = sp.index[(0, 0)]
-        b = sp.index[(3, 1)]
-        assert sp.d(a, b) == 3  # sup of the free offset 3 and the level-2 flip
-        assert sp.d(a, sp.index[(0, 1)]) == 2
+        a = index(sp)[(0, 0)]
+        b = index(sp)[(3, 1)]
+        assert distance(sp, a, b) == 3  # sup of the free offset 3 and the level-2 flip
+        assert distance(sp, a, index(sp)[(0, 1)]) == 2
         validate_metric(sp)
 
     def test_canonical_ultrametric_frozen_example(self):
@@ -261,10 +268,10 @@ class TestBuilders:
         sp = tower_space([2] * 4, levels=[2, 4, 8, 16])
         assert len(sp) == 16
         assert sp.inner_radius == 16
-        e = sp.index[(0, 0, 0, 0)]
+        e = index(sp)[(0, 0, 0, 0)]
         for i in range(4):
             lab = tuple(1 if j == i else 0 for j in range(4))
-            assert sp.d(e, sp.index[lab]) == 2 ** (i + 1)
+            assert distance(sp, e, index(sp)[lab]) == 2 ** (i + 1)
 
     def test_k_point_space(self):
         sp = k_point_space(3)
@@ -418,72 +425,30 @@ def test_partition_of_a_label_array_matches_the_key_loop(keys):
     groups: dict = {}
     for i, key in enumerate((k,) for k in keys):
         groups.setdefault(key, []).append(i)
-    blocks = sorted(groups.values(), key=lambda blk: blk[0])
-    assert got.blocks == tuple(tuple(blk) for blk in blocks)
-    assert got.representatives == tuple(blk[0] for blk in blocks)
-    assert got.point_block.tolist() == [next(b for b, blk in enumerate(blocks) if i in blk)
+    want = sorted(groups.values(), key=lambda blk: blk[0])
+    assert blocks(got) == tuple(tuple(blk) for blk in want)
+    assert got.representatives == tuple(blk[0] for blk in want)
+    assert got.point_block.tolist() == [next(b for b, blk in enumerate(want) if i in blk)
                                         for i in range(len(keys))]
-
-
-def test_partition_blocks_are_built_on_first_read():
-    part = epsilon_components(tower_space([2, 3]), 2)
-    assert "blocks" not in part.__dict__
-    assert part.count == 3
-    assert part.blocks == ((0, 3), (1, 4), (2, 5))
-    assert part.blocks is part.blocks
-
-
-class TestPartitionEquality:
-    def test_equal_partitions_are_equal_and_hash_alike(self):
-        sp = tower_space([2, 3])
-        a = epsilon_components(sp, 2)
-        b = _partition_from_keys(2, np.array([5, 1, 7, 5, 1, 7]))
-        assert a == b and hash(a) == hash(b)
-        assert a == epsilon_components(sp, 2.0) and hash(a) == hash(epsilon_components(sp, 2.0))
-        assert len({a, b}) == 1
-
-    def test_another_epsilon_is_unequal(self):
-        sp = tower_space([2, 3])
-        assert epsilon_components(sp, 2) != epsilon_components(sp, 2.5)
-
-    def test_other_blocks_are_unequal(self):
-        # the same representatives and block sizes, different members
-        a = _partition_from_keys(1.0, np.array([0, 1, 0, 1]))
-        b = _partition_from_keys(1.0, np.array([0, 1, 1, 0]))
-        assert a.representatives == b.representatives == (0, 1)
-        assert a != b and a.blocks != b.blocks
-        assert a != _partition_from_keys(1.0, np.array([0, 1, 0]))
-        assert a != _partition_from_keys(1.0, np.array([0, 0, 0, 0]))
-
-    def test_a_partition_is_not_its_blocks(self):
-        part = epsilon_components(tower_space([2, 3]), 2)
-        assert part != part.blocks
-
-
-def test_label_index_is_built_on_first_read():
-    sp = example31_fixture(2, 0.25, 3)
-    assert sp._index is None
-    assert all(sp.index[l] == i for i, l in enumerate(sp.labels))
-    assert sp.index is sp.index
 
 
 class TestComponents:
     def test_gap_splits_the_line(self):
         zb = zball(11)
-        line = subspace(zb, [zb.index[(v,)] for v in (0, 1, 2, 10, 11)])
+        line = subspace(zb, [index(zb)[(v,)] for v in (0, 1, 2, 10, 11)])
         part = epsilon_components(line, 1)
-        got = [[line.labels[i][0] for i in b] for b in part.blocks]
+        got = [[line.labels[i][0] for i in b] for b in blocks(part)]
         assert got == [[0, 1, 2], [10, 11]]
 
     def test_representative_is_min_index(self):
         part = epsilon_components(tower_space([2, 3]), 2)
-        assert part.blocks == ((0, 3), (1, 4), (2, 5))
+        assert blocks(part) == ((0, 3), (1, 4), (2, 5))
         assert part.representatives == (0, 1, 2)
 
     def test_point_block_consistent(self):
         sp = tower_space([2, 2, 2])
         part = epsilon_components(sp, 2)
-        for b, blk in enumerate(part.blocks):
+        for b, blk in enumerate(blocks(part)):
             for i in blk:
                 assert part.point_block[i] == b
 
@@ -514,7 +479,7 @@ class TestComponents:
     @given(plane_spaces, st.sampled_from([0.05, 0.3, 0.5, 1.0, 2.0, 4.0]))
     def test_matches_graph_search_on_plane(self, sp, eps):
         # cell-grid components against the all-pairs threshold graph
-        assert epsilon_components(sp, eps).blocks == threshold_blocks(sp.dmat(), eps)
+        assert blocks(epsilon_components(sp, eps)) == threshold_blocks(sp.dmat(), eps)
 
     def test_graph_path_over_several_row_blocks(self):
         # ~3000 points: the graph path reads its distance rows in blocks,
@@ -524,7 +489,7 @@ class TestComponents:
         assert not line.structural
         run = [(v + 48) // 97 for (v,) in line.labels]
         want = tuple(tuple(i for i, k in enumerate(run) if k == r) for r in sorted(set(run)))
-        assert epsilon_components(line, 1).blocks == want
+        assert blocks(epsilon_components(line, 1)) == want
 
     def test_block_dmat_matches_stacked_rows(self):
         # sup rules with free and cyclic coordinates, the plane (same
@@ -744,7 +709,7 @@ class TestFlatPlane:
     @pytest.mark.parametrize("sp", flat, ids=ids)
     @pytest.mark.parametrize("eps", [0.0, 0.25, 0.6, 1.0, 1.2, 5.0])
     def test_components_match_all_pairs(self, sp, eps):
-        assert epsilon_components(sp, eps).blocks == threshold_blocks(sp.dmat(), eps)
+        assert blocks(epsilon_components(sp, eps)) == threshold_blocks(sp.dmat(), eps)
 
 
 def plane_points(points):
@@ -768,7 +733,7 @@ class TestGridComponents:
 
     @staticmethod
     def check(sp, eps):
-        assert epsilon_components(sp, eps).blocks == threshold_blocks(sp.dmat(), eps)
+        assert blocks(epsilon_components(sp, eps)) == threshold_blocks(sp.dmat(), eps)
 
     @pytest.mark.parametrize("eps", [0.3, 2.0])
     def test_pairs_on_and_beside_cell_boundaries(self, eps):
@@ -785,14 +750,14 @@ class TestGridComponents:
             for b in itertools.product(corners, repeat=2):
                 if a != b:
                     sp = plane_points([a, b])
-                    want = 1 if sp.d(0, 1) <= eps else 2
+                    want = 1 if distance(sp, 0, 1) <= eps else 2
                     assert epsilon_components(sp, eps).count == want, (a, b)
 
     def test_pair_rounded_onto_epsilon_is_read_rounded(self):
         # hypot is 0.50000000016, which PlaneRule rounds to 0.5; the two
         # points are 2 cells apart, so the grid reads this pair exactly
         sp = plane_points([(0.0, 0.0), (0.3, 0.4000000002)])
-        assert sp.d(0, 1) == 0.5
+        assert distance(sp, 0, 1) == 0.5
         assert epsilon_components(sp, 0.5).count == 1
         assert epsilon_components(sp, np.nextafter(0.5, 0)).count == 2
 
@@ -931,7 +896,7 @@ class TestGridComponents:
             got = epsilon_components(sp, eps)
         finally:
             spaces_mod.BLOCK_ENTRIES, spaces_mod._slot_chunks = old
-        assert got == graph_components(sp, eps)
+        assert blocks(got) == blocks(graph_components(sp, eps))
         assert max(items[0]) > limit and max(chunks) <= limit
         assert sum(chunks) == int(items[0].sum())
 
@@ -1027,14 +992,14 @@ class TestConnectedLabels:
 class TestSubspace:
     def test_induced_distances(self):
         zb = zball(5)
-        sub = subspace(zb, [zb.index[(v,)] for v in (-5, 0, 4)])
-        assert sub.d(0, 2) == 9
+        sub = subspace(zb, [index(zb)[(v,)] for v in (-5, 0, 4)])
+        assert distance(sub, 0, 2) == 9
         assert sub.labels == ((-5,), (0,), (4,))
 
     def test_basepoint_must_belong(self):
         zb = zball(5)
         with pytest.raises(ValueError):
-            subspace(zb, [zb.index[(v,)] for v in (1, 2)])
+            subspace(zb, [index(zb)[(v,)] for v in (1, 2)])
 
     def test_points_5_apart_are_two_1_components(self):
         # given labels took a structural flag by default, and coordinate
@@ -1046,14 +1011,14 @@ class TestSubspace:
     def test_sub_boxes_keep_the_shortcut_and_holed_subsets_drop_it(self):
         zb = zball(5)
         assert zb.structural
-        assert subspace(zb, [zb.index[(v,)] for v in (0, 1)]).structural
-        assert not subspace(zb, [zb.index[(v,)] for v in (0, 2)]).structural
+        assert subspace(zb, [index(zb)[(v,)] for v in (0, 1)]).structural
+        assert not subspace(zb, [index(zb)[(v,)] for v in (0, 2)]).structural
 
     def test_ultrametric_subsets_keep_it(self):
         t = tower_space([2, 2, 3])
         sub = subspace(t, [0, 1, 5, 7], basepoint=0)
         assert sub.structural
-        got = [[sub.labels[i] for i in b] for b in epsilon_components(sub, 2).blocks]
+        got = [[sub.labels[i] for i in b] for b in blocks(epsilon_components(sub, 2))]
         assert got == [[(0, 0, 0)], [(0, 0, 1), (1, 0, 1)], [(0, 1, 2)]]
 
 
@@ -1062,13 +1027,13 @@ class TestQuotient:
         q, part = quotient_with_projection(tower_space([2, 3]), 2)
         assert q.rule.descriptor() == {"kind": "tower", "orders": [3], "levels": [3]}
         assert q.labels == ((0,), (1,), (2,))
-        assert part.blocks == ((0, 3), (1, 4), (2, 5))
+        assert blocks(part) == ((0, 3), (1, 4), (2, 5))
 
     def test_group_ball_quotient_collapses_free_part(self):
         sp = build_truncation(parse_group("Z + C2"), radius=4)
         q = quotient_with_projection(sp, 1)[0]
         assert len(q) == 2
-        assert q.d(0, 1) == 2
+        assert distance(q, 0, 1) == 2
 
     def test_quotient_distances_exceed_epsilon(self):
         q = quotient_with_projection(tower_space([2, 2, 3]), 2)[0]
@@ -1128,7 +1093,7 @@ class TestProduct:
         p = product_space(zball(3), tower_space([2], levels=[5]))
         part = epsilon_components(p, 1)
         assert part.count == 2
-        for blk in part.blocks:
+        for blk in blocks(part):
             rights = {p.labels[i][-1] for i in blk}
             assert len(rights) == 1
 
@@ -1140,118 +1105,6 @@ class TestProduct:
     def test_budget(self):
         with pytest.raises(BudgetError):
             product_space(zball(1000), zball(1000), point_budget=10**6)
-
-
-class TestSerialization:
-    @pytest.mark.parametrize("make", [
-        lambda: zball(4),
-        lambda: tower_space([2, 3]),
-        lambda: build_truncation(parse_group("Z + C2"), radius=4),
-        lambda: product_space(zball(2), tower_space([2])),
-    ])
-    def test_round_trip(self, make):
-        sp = make()
-        back = FiniteSpace.from_json(sp.to_json())
-        assert back == sp
-        assert back.ultrametric == sp.ultrametric
-        assert back.inner_radius == sp.inner_radius
-        assert np.array_equal(back.dmat(), sp.dmat())
-
-    def test_structural_flag_survives(self):
-        zb = zball(5)
-        sub = subspace(zb, [zb.index[(v,)] for v in (0, 1, 4)])
-        back = FiniteSpace.from_json(sub.to_json())
-        assert not back.structural
-        assert epsilon_components(back, 1).count == 2
-
-    def test_ultrametric_flag_must_be_the_rule_s(self):
-        # zball(4) loaded as an ultrametric measured the forward oscillation
-        # of its identity at delta = 1 as 8, reading coordinate keys
-        for sp, flag in ((zball(4), True), (tower_space([2, 3]), False),
-                         (example31_fixture(1, 0.5, 3), True)):
-            payload = json.loads(sp.to_json())
-            payload["ultrametric"] = flag
-            with pytest.raises(ValueError, match="ultrametric flag differs"):
-                FiniteSpace.from_json(json.dumps(payload))
-
-    def test_a_false_structural_flag_is_read_from_the_points(self):
-        payload = json.loads(zball(4).to_json())
-        payload["structural"] = False
-        back = FiniteSpace.from_json(json.dumps(payload))
-        assert back.structural and back.to_json() == zball(4).to_json()
-
-    def test_table_kind_is_refused(self):
-        # a dense table is no rule of the package; its payloads do not load
-        for flag in (True, False):
-            payload = {"version": 1, "basepoint": 0, "inner_radius": 1, "ultrametric": flag,
-                       "structural": True, "labels": [[0], [1], [2]],
-                       "rule": {"kind": "table", "matrix": [[0, 1, 2], [1, 0, 2], [2, 2, 0]]}}
-            with pytest.raises(ValueError, match="unknown rule kind 'table'"):
-                FiniteSpace.from_json(json.dumps(payload))
-
-    def test_product_split_must_match_left_width(self):
-        # a split off the left factor's width would read the wrong columns
-        sp = product_space(tower_space([2]), tower_space([2], levels=[3]))
-        payload = json.loads(sp.to_json())
-        for split in (0, 2):
-            payload["rule"]["split"] = split
-            with pytest.raises(ValueError, match="split"):
-                FiniteSpace.from_json(json.dumps(payload))
-
-    def test_label_width_must_match_rule(self):
-        # the column kernel would ignore an extra coordinate
-        # every label is checked, not only the first
-        cases = (
-            (1, [[-1, 0], [0, 0], [1, 0]]), (2, [[v] for v in range(9)]),
-            (1, [[-1], [0], [1, 0]]), (2, [[0, v] for v in range(8)] + [[1]]),
-        )
-        for rank, labels in cases:
-            payload = json.loads(zball(1, rank).to_json())
-            payload["labels"] = labels
-            with pytest.raises(ValueError, match="width"):
-                FiniteSpace.from_json(json.dumps(payload))
-
-    def test_structural_flag_must_fit_a_box(self):
-        # coordinate keys on a holed line would read one component at eps=1
-        zb = zball(12)
-        sub = subspace(zb, [i for i, (v,) in enumerate(zb.labels) if v not in (3, 4, -7, -8)])
-        payload = json.loads(sub.to_json())
-        assert epsilon_components(FiniteSpace.from_json(json.dumps(payload)), 1).count == 3
-        payload["structural"] = True
-        with pytest.raises(ValueError, match="box"):
-            FiniteSpace.from_json(json.dumps(payload))
-        # a half step inside a "box" of the right count, where keys would
-        # split (0, 0) from (0.5, 0) at eps=0.5: sup labels are integers
-        payload = json.loads(product_space(zball(1), tower_space([2])).to_json())
-        payload.update(labels=[[0, 0], [0.5, 0], [0, 1]], basepoint=0)
-        with pytest.raises(ValueError, match="coordinates must be integers"):
-            FiniteSpace.from_json(json.dumps(payload))
-        # a full box, any subset of an ultrametric, and a box times such a
-        # subset may carry the flag; the constructors set it on all three
-        cyclic = subspace(tower_space([2, 3]), [0, 5])
-        for sp in (product_space(zball(2), tower_space([3])), cyclic,
-                   product_space(zball(2), cyclic), product_space(cyclic, zball(1, 2))):
-            assert sp.structural
-            back = FiniteSpace.from_json(sp.to_json())
-            assert back.structural and back == sp
-            for eps in (0, 0.5, 1, 2, 3, 4):
-                assert epsilon_components(back, eps).blocks == threshold_blocks(sp.dmat(), eps)
-
-    def test_cyclic_labels_must_lie_below_the_order(self):
-        payload = json.loads(tower_space([2, 2]).to_json())
-        payload["labels"][-1] = [1, 7]
-        with pytest.raises(ValueError, match="cyclic label"):
-            FiniteSpace.from_json(json.dumps(payload))
-        payload = json.loads(product_space(zball(1), tower_space([3])).to_json())
-        payload["labels"][0] = [-1, -1]
-        with pytest.raises(ValueError, match="cyclic label"):
-            FiniteSpace.from_json(json.dumps(payload))
-
-    def test_version_guard(self):
-        payload = json.loads(zball(1).to_json())
-        payload["version"] = 2
-        with pytest.raises(ValueError):
-            FiniteSpace.from_json(json.dumps(payload))
 
 
 # randomized properties
@@ -1270,7 +1123,7 @@ def test_tower_metric_axioms(sp):
 def test_components_refine_under_smaller_epsilon(sp, eps):
     fine = epsilon_components(sp, eps)
     coarse = epsilon_components(sp, eps + 1)
-    for blk in fine.blocks:
+    for blk in blocks(fine):
         owners = {int(coarse.point_block[i]) for i in blk}
         assert len(owners) == 1
 
@@ -1280,12 +1133,6 @@ def test_quotient_block_count_matches_partition(sp, eps):
     q, part = quotient_with_projection(sp, eps)
     assert len(q) == part.count
     validate_metric(q)
-
-
-@settings(max_examples=30)
-@given(small_towers)
-def test_serialization_round_trip_random(sp):
-    assert FiniteSpace.from_json(sp.to_json()) == sp
 
 
 rule_spaces = st.one_of(
@@ -1307,7 +1154,7 @@ def test_structural_keys_match_graph_components(sp, eps):
     assert sp.structural
     keyed = epsilon_components(sp, eps)
     graph = graph_components(sp, eps)
-    assert keyed.blocks == graph.blocks == threshold_blocks(sp.dmat(), eps)
+    assert blocks(keyed) == blocks(graph) == threshold_blocks(sp.dmat(), eps)
 
 
 @settings(max_examples=60, deadline=None)
@@ -1317,23 +1164,18 @@ def test_structural_keys_match_graph_components(sp, eps):
     product_space(product_space(zball(1), tower_space([2])), zball(2)),
 ]), st.data())
 def test_structural_flag_accepted_only_where_keys_are_exact(sp, data):
-    # a payload's structural flag is accepted exactly on a free box times a
-    # set of cyclic values, and there coordinate keys give the components
+    # a subset is structural exactly when it is a free box times a set of
+    # cyclic values, and there coordinate keys give the components
     picked = sorted(data.draw(st.sets(st.integers(0, len(sp) - 1), min_size=1)))
     sub = subspace(sp, picked, basepoint=picked[0])
-    payload = json.loads(sub.to_json())
-    payload["structural"] = True
     free = [c for c, o in enumerate(sp.rule.orders) if o == 0]
     box = {tuple(l[c] for c in free) for l in sub.labels}
     rest = {tuple(v for c, v in enumerate(l) if c not in free) for l in sub.labels}
     spans = [max(b[k] for b in box) - min(b[k] for b in box) + 1 for k in range(len(free))]
-    if math.prod(spans) * len(rest) != len(sub):
-        with pytest.raises(ValueError, match="box"):
-            FiniteSpace.from_json(json.dumps(payload))
-        return
-    back = FiniteSpace.from_json(json.dumps(payload))
-    for eps in (0, 0.5, 1, 2, 3, 4):
-        assert epsilon_components(back, eps).blocks == threshold_blocks(sub.dmat(), eps)
+    assert sub.structural == (math.prod(spans) * len(rest) == len(sub))
+    if sub.structural:
+        for eps in (0, 0.5, 1, 2, 3, 4):
+            assert blocks(epsilon_components(sub, eps)) == threshold_blocks(sub.dmat(), eps)
 
 
 @settings(max_examples=60, deadline=None)
@@ -1391,8 +1233,20 @@ def test_structural_quotient_matches_single_linkage_at_each_level(name, eps):
     assert q.ultrametric and q == quotient_with_projection(sp, eps)[0]
 
 
-# pinned serialized form and space id of every constructor: witnesses name
-# their spaces by these ids, and saved spaces must load unchanged
+def space_text(sp) -> str:
+    """The JSON text of a space's fields, in the form the package once
+    serialized spaces to: the pins below hold these texts, and their
+    digests, as they were."""
+    r = sp.inner_radius
+    return json.dumps({
+        "version": 1, "basepoint": sp.basepoint, "inner_radius": "inf" if r == math.inf else r,
+        "ultrametric": sp.ultrametric, "structural": sp.structural,
+        "labels": sp.label_lists(), "rule": sp.rule.descriptor(),
+    })
+
+
+# pinned fields and space id of every constructor: witnesses name their
+# spaces by these ids
 _zb3 = zball(3)
 GOLDEN = {
     "zball": lambda: zball(1),
@@ -1408,7 +1262,7 @@ GOLDEN = {
         product_space(zball(1), tower_space([2])), k_point_space(2)),
     "product-right": lambda: product_space(
         zball(1), product_space(tower_space([2]), k_point_space(2))),
-    "subspace": lambda: subspace(_zb3, [_zb3.index[(v,)] for v in (-1, 0, 2)]),
+    "subspace": lambda: subspace(_zb3, [index(_zb3)[(v,)] for v in (-1, 0, 2)]),
     "quotient": lambda: quotient_with_projection(
         build_truncation(parse_group("Z + C2 + C3"), radius=4), 1)[0],
 }
@@ -1472,33 +1326,31 @@ GOLDEN_JSON = {
 def test_serialization_is_pinned(name):
     sp = GOLDEN[name]()
     text, ident = GOLDEN_JSON[name]
-    assert sp.to_json() == text
+    assert space_text(sp) == text
     assert space_id(sp) == ident
-    assert FiniteSpace.from_json(text) == sp
 
 
 def test_coordinate_built_plane_fixture_serializes_like_the_label_built_one():
     # the fixture is built from its coordinate rows; the same points given
-    # as (x, y) label tuples serialize, name and compare alike, and the text
-    # and id are those the label-built fixture had
+    # as (x, y) label tuples have the same fields, name and compare alike,
+    # and the text and id are those the label-built fixture had
     sp = example31_fixture(3, 0.1, 20)
     assert sp._labels is None
-    text = sp.to_json()
+    text = space_text(sp)
     by_labels = FiniteSpace(list(zip(*sp.coords.T.tolist())), PlaneRule(), sp.basepoint,
                             sp.inner_radius)
-    assert by_labels.to_json() == text
+    assert space_text(by_labels) == text
     assert space_id(sp) == space_id(by_labels) == "plane-124-b8059fa2e51c"
     assert hashlib.sha256(text.encode()).hexdigest() == (
         "3eb4cb4ce25f41794ef4f562889d02d7286273e5f287b02fc5e3776fba71d22d")
     assert sp == by_labels and by_labels == sp
-    loaded = FiniteSpace.from_json(text)
-    assert loaded == sp and sp == loaded and loaded.to_json() == text
     assert sp._labels is None
     assert sp.labels == by_labels.labels
 
 
 # spaces whose points moved from label tuples to the one row array: the
-# serialized text (by its sha256) and the id are those the label tuples gave
+# text of their fields (by its sha256) and the id are those the label
+# tuples gave
 ROW_PINS = {
     "label-sup-subset": (
         lambda: FiniteSpace([(-2, 1), (0, 0), (1, 2), (3, 0)],
@@ -1506,11 +1358,13 @@ ROW_PINS = {
         "group-ball-4-fe3d59f8df1f",
         "6207e47472ac9f300bb1419040de3c4632fe8fda1875dbae503e99e4fd3209f7",
     ),
-    "json-tower": (
-        lambda: FiniteSpace.from_json(tower_space([2, 3, 2]).to_json()),
+    "list-tower": (
+        lambda: FiniteSpace(tower_space([2, 3, 2]).label_lists(),
+                            spaces_mod.SupRule.tower([2, 3, 2], [2, 3, 4]), 0, 4),
         "tower-12-cd78c30efde6",
         "1162ee4e0d6227176c8144195dae893f3be1109c3e07cb54b58374930c46db71",
-    ),    "sup-quotient": (
+    ),
+    "sup-quotient": (
         lambda: quotient_with_projection(product_space(zball(3), tower_space([2, 3, 2])), 2)[0],
         "tower-6-9002476bf2a5",
         "6b53398a6bee84b71dc61e615191d5142b88c1a358fceab16be75251af01affb",
@@ -1527,11 +1381,8 @@ ROW_PINS = {
 def test_row_built_spaces_serialize_as_their_label_tuples_did(name):
     make, ident, digest = ROW_PINS[name]
     sp = make()
-    text = sp.to_json()
-    assert hashlib.sha256(text.encode()).hexdigest() == digest
+    assert hashlib.sha256(space_text(sp).encode()).hexdigest() == digest
     assert space_id(sp) == ident
-    back = FiniteSpace.from_json(text)
-    assert back == sp and back.to_json() == text and space_id(back) == ident
     assert all(type(v) is int for lab in sp.labels for v in lab)
 
 
@@ -1560,13 +1411,9 @@ MALFORMED = {
 def _routes(rule, labels):
     """Every route that builds a space from given label rows."""
     rect = len(set(map(len, labels))) == 1
-    payload = {"version": 1, "basepoint": 0, "inner_radius": 1,
-               "ultrametric": rule.is_ultrametric, "structural": False,
-               "labels": [list(l) for l in labels], "rule": rule.descriptor()}
     return {
         "labels": lambda: FiniteSpace(labels, rule, 0, 1),
         "array": lambda: FiniteSpace(np.array(labels) if rect else labels, rule, 0, 1),
-        "json": lambda: FiniteSpace.from_json(json.dumps(payload)),
     }
 
 
@@ -1587,7 +1434,7 @@ def test_malformed_points_raise_one_error_on_every_route(case):
 ], ids=["plane", "sup"])
 def test_good_points_build_alike_on_every_route(rule, good):
     built = [build() for build in _routes(rule, good).values()]
-    assert all(sp == built[0] and sp.to_json() == built[0].to_json() for sp in built)
+    assert all(sp == built[0] and space_text(sp) == space_text(built[0]) for sp in built)
 
 
 def _factor(kind, a, b):
@@ -1634,8 +1481,7 @@ def test_row_kernel_matches_coordinate_recount(built, data):
     for i in data.draw(st.lists(st.integers(0, len(sp) - 1), min_size=1, max_size=5)):
         want = [recount(sp.labels, coords, i, j) for j in range(len(sp))]
         assert sp.dists_from(i).tolist() == want
-        assert [sp.d(i, j) for j in range(len(sp))] == want
-    assert FiniteSpace.from_json(sp.to_json()) == sp
+        assert [distance(sp, i, j) for j in range(len(sp))] == want
 
 
 # ---------------------------------------------------------------------------
@@ -1679,7 +1525,7 @@ def test_k_point_labels_match_the_old_builder(k):
     assert_labels(sp, labels)
     rule = spaces_mod.SupRule.tower(*(((), ()) if k == 1 else ((k,), (1,))))
     old = FiniteSpace(labels, rule, 0, math.inf)
-    assert sp == old and space_id(sp) == space_id(old) and sp.to_json() == old.to_json()
+    assert sp == old and space_id(sp) == space_id(old) and space_text(sp) == space_text(old)
 
 
 @settings(max_examples=40, deadline=None)
@@ -1817,19 +1663,24 @@ def test_space_id_matches_the_label_dump(make):
     # the id reads the coordinates, and builds no label tuple
     assert (sp._labels is None) == unbuilt
     assert ident == old_space_id(sp)
-    assert sp.to_json() == make().to_json()
-    assert json.loads(sp.to_json())["labels"] == [list(l) for l in sp.labels]
+    assert space_text(sp) == space_text(make())
+    assert json.loads(space_text(sp))["labels"] == [list(l) for l in sp.labels]
 
 
 @pytest.mark.parametrize("fn,removed", [
     ("spaces.build_truncation", "schedule"),
-    ("spaces._rule_from_descriptor", "ultrametric"),
     ("spaces.FiniteSpace", "coords"),
     ("analysis.foelner_search", "max_points"),
+    ("analysis._cluster_scales", "rel"),
     ("factorfn.phi_of_nat", "limit"),
+    ("witness.factorization_witness", "deltas"),
+    ("witness.relabel_witness", "deltas"),
+    ("witness.product_witness", "deltas"),
+    ("witness.invert_witness", "deltas"),
 ])
 def test_removed_parameters_stay_removed(fn, removed):
-    # no caller set these; their values are module constants now
+    # no program call set these; their values are module constants or
+    # the standard scales now
     module, name = fn.split(".")
     obj = getattr(importlib.import_module(f"coarseiso.{module}"), name)
     assert removed not in inspect.signature(obj).parameters
@@ -1844,15 +1695,29 @@ def test_schedule_alias_is_gone():
     ("spaces", "EXHAUSTIVE_LIMIT"), ("spaces", "cantor_cube_truncation"),
     ("spaces", "quotient_space"), ("factorfn", "ff_add"), ("factorfn", "ff_parse"),
     ("factorfn", "ZERO_FF"), ("extnat", "ExtNat.parse"), ("groups", "is_locally_finite"),
+    ("spaces", "FiniteSpace.d"), ("spaces", "SupRule.distance"),
+    ("spaces", "PlaneRule.distance"), ("spaces", "FiniteSpace.index"),
+    ("spaces", "ComponentPartition.blocks"), ("spaces", "FiniteSpace.to_json"),
+    ("spaces", "FiniteSpace.from_json"), ("spaces", "_rule_from_descriptor"),
+    ("witness", "TowerAlignment.to_json"), ("factorfn", "FactorFunction.as_dict"),
 ])
 def test_test_only_names_left_the_package(module, name):
-    # the metric oracle and the factor-function parser and sum live in
-    # tests/oracles.py; the one-line wrappers gave way to what they wrap
+    # the metric and distance oracles, the label and block lookups, and the
+    # factor-function parser and sum live in tests/oracles.py; the one-line
+    # wrappers gave way to what they wrap; space serialization is gone
     owner = importlib.import_module(f"coarseiso.{module}")
     *path, name = name.split(".")
     for part in path:
         owner = getattr(owner, part)
     assert not hasattr(owner, name) and not hasattr(importlib.import_module("coarseiso"), name)
+
+
+def test_partitions_compare_by_identity():
+    # nothing in the package compares partitions; the tests compare blocks
+    part = epsilon_components(tower_space([2, 3]), 2)
+    assert spaces_mod.ComponentPartition.__eq__ is object.__eq__
+    assert spaces_mod.ComponentPartition.__hash__ is object.__hash__
+    assert part != epsilon_components(tower_space([2, 3]), 2)
 
 
 def test_the_metric_oracle_reads_every_triple_or_refuses():

@@ -2,7 +2,7 @@
 they replaced.
 
 The oracle below is that code, kept verbatim under `old_` names: tables as
-sorted (source, target) tuples, labels looked up through `space.index`,
+sorted (source, target) tuples, labels looked up through `index(space)`,
 validity and restriction from per-pair loops. Every case must give the same
 table, validity radius, moduli and error message. The staged factorization
 and the claim checks that grouped points by label tuples are kept the same
@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,7 +26,6 @@ from coarseiso.analysis import oscillation
 from coarseiso.factorfn import FactorFunction
 from coarseiso.groups import parse_group
 from coarseiso.spaces import (
-    ComponentPartition,
     FiniteSpace,
     SupRule,
     build_truncation,
@@ -48,6 +49,10 @@ from coarseiso.witness import (
     relabel_witness,
     verify_witness,
 )
+
+sys.path.insert(0, str(Path(__file__).resolve().parent))
+
+from oracles import blocks, distance, index  # noqa: E402
 
 _TOL = 1e-9
 
@@ -102,16 +107,16 @@ def old_finish(source, target, pairs, claims, extra_deltas=(), validity_cap=None
     return WitnessMap(source, target, table, fwd, bwd, float(validity), claims)
 
 
-def old_relabel(source, target, columns=None, deltas=()):
+def old_relabel(source, target, columns=None):
     # the column order as the label translation the dict code took
     tr = (lambda lab: lab) if columns is None else (lambda lab: tuple(lab[c] for c in columns))
-    pairs = []
+    pairs, at = [], index(target)
     for i, lab in enumerate(source.labels):
-        j = target.index.get(tr(lab))
+        j = at.get(tr(lab))
         if j is None:
             raise ValueError(f"relabel: no target point for label {lab}")
         pairs.append((i, j))
-    return old_finish(source, target, pairs, (), extra_deltas=deltas, context="relabel")
+    return old_finish(source, target, pairs, (), context="relabel")
 
 
 def old_compose(f, g, deltas=()):
@@ -132,28 +137,26 @@ def old_compose(f, g, deltas=()):
     return old_finish(f.source, g.target, pairs, (), extra_deltas=deltas, context="compose")
 
 
-def old_product(f, g, deltas=(), point_budget=None):
+def old_product(f, g, point_budget=None):
     source = product_space(f.source, g.source, point_budget)
     target = product_space(f.target, g.target, point_budget)
-    pairs = []
+    pairs, source_at, target_at = [], index(source), index(target)
     for s1, t1 in f.table:
         ls, lt = f.source.labels[s1], f.target.labels[t1]
         for s2, t2 in g.table:
-            s = source.index[ls + g.source.labels[s2]]
-            t = target.index[lt + g.target.labels[t2]]
+            s = source_at[ls + g.source.labels[s2]]
+            t = target_at[lt + g.target.labels[t2]]
             pairs.append((s, t))
     cap = min(f.validity_radius, g.validity_radius)
-    return old_finish(
-        source, target, pairs, (), extra_deltas=deltas, validity_cap=cap, context="product"
-    )
+    return old_finish(source, target, pairs, (), validity_cap=cap, context="product")
 
 
-def old_invert(f, deltas=()):
+def old_invert(f):
     targets = [t for _, t in f.table]
     if len(set(targets)) != len(targets):
         raise ValueError("invert: table is not injective")
     pairs = [(t, s) for s, t in f.table]
-    return old_finish(f.target, f.source, pairs, (), extra_deltas=deltas, context="invert")
+    return old_finish(f.target, f.source, pairs, (), context="invert")
 
 
 # ---------------------------------------------------------------------------
@@ -282,16 +285,15 @@ def test_product_matches_the_tuple_code(data):
     g = data.draw(witnesses(source=data.draw(sup_products(12)), target=data.draw(sup_products(12))))
     if f is None or g is None:
         return
-    extra = data.draw(extra_scales)
-    event(assert_same(outcome(product_witness, f, g, extra), outcome(old_product, f, g, extra)))
+    event(assert_same(outcome(product_witness, f, g), outcome(old_product, f, g)))
 
 
 @settings(max_examples=100, deadline=None)
-@given(witnesses(), extra_scales)
-def test_invert_matches_the_tuple_code(f, extra):
+@given(witnesses())
+def test_invert_matches_the_tuple_code(f):
     if f is None:
         return
-    event(assert_same(outcome(invert_witness, f, extra), outcome(old_invert, f, extra)))
+    event(assert_same(outcome(invert_witness, f), outcome(old_invert, f)))
 
 
 @st.composite
@@ -318,11 +320,11 @@ def relabel_cases(draw):
 
 
 @settings(max_examples=80, deadline=None)
-@given(relabel_cases(), extra_scales)
-def test_relabel_matches_the_tuple_code(case, extra):
+@given(relabel_cases())
+def test_relabel_matches_the_tuple_code(case):
     source, target, columns = case
-    new = outcome(relabel_witness, source, target, columns, extra)
-    old = outcome(old_relabel, source, target, columns, extra)
+    new = outcome(relabel_witness, source, target, columns)
+    old = outcome(old_relabel, source, target, columns)
     # a missing target names the same first missing source label
     event(assert_same(new, old).split(" for label")[0])
 
@@ -354,8 +356,8 @@ def test_chain_combinators_match_the_tuple_code(monkeypatch, g1, g2):
 
     oracle("compose_witness", old_compose)
     oracle("product_witness",
-           lambda f, g, deltas=(), point_budget=None:
-           old_product(old_operand(f), old_operand(g), deltas, point_budget))
+           lambda f, g, point_budget=None:
+           old_product(old_operand(f), old_operand(g), point_budget))
     oracle("invert_witness", old_invert)
     oracle("relabel_witness", old_relabel)
     oracle("_relabel_stage", old_relabel)
@@ -685,7 +687,7 @@ def old_label_add(rule, a, b):
     return tuple((x + y) % o if o else x + y for x, y, o in zip(a, b, rule.orders))
 
 
-def old_factorization(space, epsilon, deltas=()):
+def old_factorization(space, epsilon):
     """The staged factorization: each newly connected component is a
     translate of mapped ones, found by adding label tuples."""
     eps = float(epsilon)
@@ -697,9 +699,9 @@ def old_factorization(space, epsilon, deltas=()):
     if not isinstance(quotient.rule, SupRule):
         raise ValueError("factorization needs a structural quotient at this scale")
     base = space.basepoint
-    labels = space.labels
+    labels, at = space.labels, index(space)
     base_block = int(part.point_block[base])
-    fiber_idx = sorted(part.blocks[base_block])
+    fiber_idx = sorted(blocks(part)[base_block])
     source = product_space(subspace(space, fiber_idx), quotient)
     mapping = {(y, base_block): y for y in fiber_idx}
     covered = set(fiber_idx)
@@ -715,7 +717,7 @@ def old_factorization(space, epsilon, deltas=()):
         if len(covered) == len(space):
             break
         cur = epsilon_components(space, scale)
-        component = cur.blocks[int(cur.point_block[base])]
+        component = blocks(cur)[int(cur.point_block[base])]
         fresh = [i for i in component if i not in covered]
         if fresh:
             prev = epsilon_components(space, prev_scale)
@@ -725,14 +727,14 @@ def old_factorization(space, epsilon, deltas=()):
                 dev = tuple(abs(x - y) for x, y in zip(labels[i], labels[base]))
                 return (float(dbase[i]), dev, labels[i])
 
-            reps = []
+            reps, prev_blocks = [], blocks(prev)
             for gid in group_ids:
-                x = min(prev.blocks[gid], key=rep_key)
+                x = min(prev_blocks[gid], key=rep_key)
                 reps.append((float(dbase[x]), labels[x], x))
             snapshot = list(mapping.items())
             for _, _, x in sorted(reps):
                 for (y, zb), w in snapshot:
-                    wi = space.index.get(old_label_add(space.rule, labels[w], labels[x]))
+                    wi = at.get(old_label_add(space.rule, labels[w], labels[x]))
                     if wi is None:
                         continue
                     key = (y, int(part.point_block[wi]))
@@ -745,7 +747,7 @@ def old_factorization(space, epsilon, deltas=()):
     si = np.searchsorted(fiber_idx, ys) * len(quotient) + zbs
     pairs = list(zip(si.tolist(), mapping.values()))
     claims = ({"kind": "per-component-isometry", "epsilon": eps},)
-    return old_finish(source, space, pairs, claims, extra_deltas=deltas, context="factorization")
+    return old_finish(source, space, pairs, claims, context="factorization")
 
 
 def old_isometry_claim(w, claim, si, ti, out):
@@ -758,23 +760,24 @@ def old_isometry_claim(w, claim, si, ti, out):
     # source components held to cover their target components: those
     # with every point inside the validity region
     inside = {i for i in range(len(w.source))
-              if w.source.d(w.source.basepoint, i) <= w.validity_radius + _TOL}
+              if distance(w.source, w.source.basepoint, i) <= w.validity_radius + _TOL}
     src_part = epsilon_components(w.source, eps)
-    whole = [set(blk) <= inside for blk in src_part.blocks]
+    whole = [set(blk) <= inside for blk in blocks(src_part)]
+    part_blocks = blocks(part)
     groups = {}
     for k in range(len(si)):
         groups.setdefault(w.source.labels[si[k]][split:], []).append(k)
     for key, members in groups.items():
         pairs = ((a, b) for i, a in enumerate(members) for b in members[i + 1:])
         for a, b in pairs:
-            ds, dt = w.source.d(si[a], si[b]), w.target.d(ti[a], ti[b])
+            ds, dt = distance(w.source, si[a], si[b]), distance(w.target, ti[a], ti[b])
             if abs(ds - dt) > _TOL:
                 out.append(f"slice {key}: images of {w.source.labels[si[a]]} and "
                            f"{w.source.labels[si[b]]} are at distance {float(dt)}, "
                            f"not {float(ds)}")
                 break
         hit = {int(part.point_block[ti[k]]) for k in members}
-        size = len(part.blocks[next(iter(hit))])
+        size = len(part_blocks[next(iter(hit))])
         if len(hit) > 1:
             out.append(f"slice {key}: image spans {len(hit)} target components")
         elif len(members) != size and all(whole[src_part.point_block[si[k]]] for k in members):
@@ -787,8 +790,8 @@ def old_ball_claim(w, claim, si, ti, out):
     for ru, rv in claim.get("pairs", ()):
         psrc = epsilon_components(w.source, float(ru))
         ptgt = epsilon_components(w.target, float(rv))
-        tgt_sizes = [len(b) for b in ptgt.blocks]
-        for block in psrc.blocks:
+        tgt_sizes = [len(b) for b in blocks(ptgt)]
+        for block in blocks(psrc):
             img = [img_of[i] for i in block if i in img_of]
             if not img:
                 continue
@@ -847,8 +850,8 @@ def test_factorization_matches_the_staged_code(space, eps):
     """The relabel gives the staged table wherever the staged loop covers
     the space; where it stopped short (at the inner radius), the relabel
     maps a superset with the same validity radius and moduli."""
-    new = outcome(witness_mod.factorization_witness, space, eps, (3.0,))
-    old = outcome(old_factorization, space, eps, (3.0,))
+    new = outcome(witness_mod.factorization_witness, space, eps)
+    old = outcome(old_factorization, space, eps)
     if isinstance(old, str) or len(old) == len(space):
         assert_same(new, old)
     else:
@@ -946,15 +949,14 @@ def test_component_multiplicity_matches_the_dict_loop(eps):
 
 def test_tower_alignment_verifies_without_label_tuples(monkeypatch):
     """The ball claim and the moduli of a tower alignment are checked on
-    index and coordinate arrays: verification makes no label tuple, no
-    label index and no tuple table."""
+    index and coordinate arrays: verification makes no label tuple and no
+    tuple table."""
     u, v = tower_space([2] * 8), tower_space([4] * 4)
     w = witness_mod.tower_alignment_witness(u, v).witness
     built = []
-    for name in ("labels", "index"):
-        prop = getattr(FiniteSpace, name)
-        monkeypatch.setattr(FiniteSpace, name, property(
-            lambda space, prop=prop, name=name: built.append(name) or prop.fget(space)))
+    labels = FiniteSpace.labels
+    monkeypatch.setattr(FiniteSpace, "labels", property(
+        lambda space: built.append("labels") or labels.fget(space)))
     assert verify_witness(w).ok
     assert built == [] and w._table is None
 
@@ -978,14 +980,3 @@ def test_factorization_and_plane_jobs_make_no_label_tuples(monkeypatch, capsys):
     assert '"representatives": [' in capsys.readouterr().out
     assert built == []
 
-
-def test_partition_readers_build_no_block_tuples(monkeypatch):
-    """The factorization fiber and the per-component isometry check of its
-    verification read point_block, never the block tuples."""
-    read = []
-    monkeypatch.setattr(ComponentPartition, "blocks",
-                        property(lambda part: read.append(part.count)))
-    sp = build_truncation(parse_group("Z + C2^inf"), radius=32)
-    w = witness_mod.factorization_witness(sp, 1.0)
-    assert verify_witness(w).ok
-    assert read == []
