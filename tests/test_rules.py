@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 from coarseiso.analysis import oscillation
 from coarseiso.groups import parse_group
 from coarseiso.spaces import (
+    FiniteSpace,
     MetricRule,
     SupRule,
     build_truncation,
@@ -39,8 +40,9 @@ sys.path.insert(0, str(Path(__file__).resolve().parent))
 from dense_rule import as_dense  # noqa: E402
 from oracles import distance  # noqa: E402
 
-# the three kinds of space the rules serve, a structural quotient, and dense
-# tables of a plane sample and of the sup subset
+# the three kinds of space the rules serve, a structural quotient, dense
+# tables of a plane sample and of the sup subset, and each package rule's
+# space rebuilt by the constructor from its label tuples
 SPACES = {
     "sup-box": lambda: product_space(build_truncation(parse_group("Z + C3"), radius=3),
                                      tower_space([2], levels=[5])),
@@ -53,6 +55,17 @@ SPACES = {
 }
 
 
+def rebuilt(sp: FiniteSpace) -> FiniteSpace:
+    """The space made again from its label tuples, rule, basepoint and
+    radius: the sequence-of-rows route of the constructor."""
+    return FiniteSpace(sp.labels, sp.rule, sp.basepoint, sp.inner_radius)
+
+
+REBUILT = {f"{kind}-labels": kind for kind in ("sup-subset", "plane", "sup-quotient")}
+SPACES.update({name: lambda kind=kind: rebuilt(SPACES[kind]())
+               for name, kind in REBUILT.items()})
+
+
 @pytest.fixture(scope="module", params=list(SPACES))
 def case(request):
     sp = SPACES[request.param]()
@@ -63,12 +76,17 @@ def case(request):
 
 def test_the_four_kinds_are_what_they_say(case):
     name, sp, _ = case
+    kind = REBUILT.get(name, name)
     assert type(sp.rule).__name__ == {"sup-box": "SupRule", "sup-subset": "SupRule",
                                       "sup-quotient": "SupRule", "plane": "PlaneRule",
-                                      "dense": "DenseRule", "dense-sup": "DenseRule"}[name]
-    if name.startswith("sup"):
-        assert sp.structural == (name != "sup-subset")
+                                      "dense": "DenseRule", "dense-sup": "DenseRule"}[kind]
+    if kind.startswith("sup"):
+        assert sp.structural == (kind != "sup-subset")
     assert len(sp) >= 30
+    if name in REBUILT:
+        built = SPACES[kind]()
+        assert sp == built and sp.labels == built.labels
+        assert np.array_equal(sp.coords, built.coords) and sp.coords.dtype == built.coords.dtype
 
 
 def test_distance_blocks_match_the_scalar_distance(case):
