@@ -39,7 +39,8 @@ A plane space reads its chain and tree once, by one Kruskal pass over the
 candidate pairs of bands (_band_edges, plane_chain): the points are sorted
 once into the Morton order of one fine cell grid, and every band reads its
 cells, buckets and sub-cells as runs of that order. The chain of any of its
-subsets is cut from the whole chain (PlaneRule.chain).
+subsets is cut from the whole chain (PlaneRule.chain), and the bands a
+subset still needs read the whole space's grid.
 Components, plane ones included, join by _connected_labels.
 """
 
@@ -76,6 +77,14 @@ PLANE_REL = 2.0**-40
 SPLIT_PAIRS = 256
 SPLIT_LEVELS = 8
 SKIP_COMPONENTS = 64
+# _band_pairs reads every point pair of its kept cell pairs directly, with
+# no buckets, while they hold at most DIRECT_PAIRS point pairs a point. On
+# the example31 fixtures of 20-30 branches (grids 0.01 and 0.0125) bands 1-4
+# held 0.5-2.6 a point; every other band measured held at least 19.6
+# (later fixture bands 28-6,475, an 80 x 80 lattice's first band 19.6, a
+# uniform 3,000-point cloud's 177), so any bound from 3 to 16 routes these
+# clouds alike
+DIRECT_PAIRS = 4
 # entries of one block of distance rows (2 MB of float64): row_blocks sizes
 # every blocked distance read so that one block of its result holds about
 # this many; blocks four times larger were no faster and raised the peak
@@ -486,7 +495,12 @@ class PlaneRule(MetricRule):
         candidate first, and on a path those merge contiguous runs, so the
         paths are cut into runs at every gap at least that candidate, and
         Kruskal runs over the runs alone: the path edges between
-        consecutive runs, at their cut gaps, and the candidates."""
+        consecutive runs, at their cut gaps, and the candidates. The bands
+        read the grid the whole space's bands built and cached with its
+        chain (_plane_grid): its t0, fine cells and Morton order, the
+        order filtered to the subset (_grid_subset). A window sorts and
+        scales nothing, and the reach bound of that grid holds for any
+        subset of its points (_band_edges, step 1)."""
         n = len(subset)
         if n == len(space):
             return plane_chain(space)
@@ -509,7 +523,7 @@ class PlaneRule(MetricRule):
             return sub, cuts
         # the runs start at every cut at least the lightest candidate;
         # each finite one is a path edge from the run before it
-        ja, jb, jw = _band_edges(space.coords[subset], labels)
+        ja, jb, jw = _band_edges(space.coords[subset], labels, _grid_subset(space._tree[2], pos))
         cut = cuts >= jw.min()
         starts, run = np.flatnonzero(cut), np.cumsum(cut) - 1
         inner = starts[np.isfinite(cuts[starts])]
@@ -580,8 +594,9 @@ class FiniteSpace:
         self._structural: Optional[bool] = None
         self._base_dists: Optional[np.ndarray] = None
         self._dmat: Optional[np.ndarray] = None
-        # (plane_chain, plane_edges): a plane space's chain and tree
-        self._tree: Optional[tuple[tuple, tuple]] = None
+        # (plane_chain, plane_edges, _plane_grid): a plane space's chain,
+        # tree and the grid of its bands
+        self._tree: Optional[tuple[tuple, tuple, Optional[tuple]]] = None
 
     def with_inner_radius(self, inner_radius: Num) -> "FiniteSpace":
         """The same points, rule and basepoint, faithful up to another
@@ -1049,15 +1064,42 @@ def plane_edges(space: FiniteSpace) -> tuple[np.ndarray, np.ndarray, np.ndarray]
 def plane_chain(space: FiniteSpace) -> tuple[np.ndarray, np.ndarray]:
     """The chain of a whole plane space, from one Kruskal pass over the
     candidate pairs of its bands (_band_edges). The pass's joins are its
-    tree (plane_edges), and both are cached on the space."""
+    tree (plane_edges). Both are cached on the space, with the grid of the
+    bands (_plane_grid), which its windows reuse (PlaneRule.chain)."""
     if space._tree is None:
         n = len(space)
-        ii, jj, ww = _band_edges(space.coords, np.arange(n))
+        grid = _plane_grid(space.coords) if n > 1 else None
+        ii, jj, ww = _band_edges(space.coords, np.arange(n), grid)
         order, gap, joined = _kruskal_chain(n, ii, jj, ww)
         lo, hi = np.minimum(ii[joined], jj[joined]), np.maximum(ii[joined], jj[joined])
         by = np.argsort(lo * n + hi)
-        space._tree = (order, gap), (lo[by], hi[by], ww[joined][by])
+        space._tree = (order, gap), (lo[by], hi[by], ww[joined][by]), grid
     return space._tree[0]
+
+
+def _plane_grid(pts: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
+    """The grid of the bands of two or more plane points (_band_edges,
+    steps 1 and 2): the first scale t0, the points' fine cells in Morton
+    order, and that order."""
+    n = len(pts)
+    rows, k = np.arange(n - 1), math.isqrt(n) // 2
+    step = np.partition(_plane_pair_dists(pts, rows, rows + 1), k)[k]
+    t = 2 * max(float(step), 10.0**-PLANE_DECIMALS)
+    inv = _grid_scale(float(np.max(np.abs(pts))), t, 1)[0]
+    fine = np.floor(pts * inv * 2**SPLIT_LEVELS).astype(np.int64)
+    fine -= fine.min(axis=0)
+    order = _morton_order(fine)
+    return t, fine[order], order
+
+
+def _grid_subset(grid: tuple, pos: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
+    """The grid of a whole space restricted to a subset, pos[i] the subset
+    position of point i or -1: the same t0 and fine cells, and the whole
+    Morton order filtered to the subset, in subset positions."""
+    t, fine, order = grid
+    at = pos[order]
+    inside = at >= 0
+    return t, fine[inside], at[inside]
 
 
 def _range_max(values: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -1075,7 +1117,7 @@ def _range_max(values: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray
     return np.maximum(table[levels, lo], table[levels, hi - (1 << levels)])
 
 
-def _band_edges(pts: np.ndarray, labels: np.ndarray):
+def _band_edges(pts: np.ndarray, labels: np.ndarray, grid: Optional[tuple]):
     """Candidate pairs (i, j, weight) between the components labels (each
     the least index of its points) of seed edges, a forest in some minimum
     spanning tree of plane points under PlaneRule distances: Kruskal over
@@ -1087,18 +1129,23 @@ def _band_edges(pts: np.ndarray, labels: np.ndarray):
     scale t, the lightest pair at distance <= t between each two components
     (_band_pairs). Those are its candidates, and the components they join
     (_connected_labels) become the labels; t then grows fourfold. The
-    first t, t0, is twice the sqrt(n) / 2-th least distance between
-    neighbouring rows: about the spacing of a uniform cloud whose rows are
-    in lexicographic order, as a space's are, and twice the least spacing
-    along a sampled curve. While at most SKIP_COMPONENTS components
-    remain, t grows fourfold until it reaches the least box gap between two
-    of them, so t = t0 * 4^b for the b-th fourfold step. Each step is
-    exact:
+    grid (_plane_grid) gives the first t, t0, the points' fine cells and
+    their Morton order, all in that order: a whole space's own, or the
+    restriction of a larger space's (_grid_subset), as for a step window.
+    Its t0 is twice the sqrt(n) / 2-th least distance between neighbouring
+    rows of the space it was built for: about the spacing of a uniform
+    cloud whose rows are in lexicographic order, as a space's are, and
+    twice the least spacing along a sampled curve. While at most
+    SKIP_COMPONENTS components remain, t grows fourfold until it reaches
+    the least box gap between two of them, so t = t0 * 4^b for the b-th
+    fourfold step. Each step is exact:
 
-    1. One grid, read by shifts. The points get fine cells
-       fine = floor(x * inv0 * 2^SPLIT_LEVELS) per axis once, inv0 the
-       scale of _grid_scale at t0 with reach 1 (never its join scale),
-       less their least fine cell per axis. x * inv0 is rounded once and
+    1. One grid, read by shifts. The points of the space the grid was
+       built for get fine cells fine = floor(x * inv0 * 2^SPLIT_LEVELS)
+       per axis once, inv0 the scale of _grid_scale at t0 with reach 1
+       (never its join scale), less their least fine cell per axis. The
+       bound below holds for every two of those points, so for any subset
+       of them on the same cells. x * inv0 is rounded once and
        scaling by a power of 2 is exact, so the band at t = t0 * 4^b reads
        the cells fine >> (SPLIT_LEVELS + 2b), the grid of scale inv0 / 4^b
        with its origin moved by a whole number of fine cells, which changes
@@ -1110,16 +1157,23 @@ def _band_edges(pts: np.ndarray, labels: np.ndarray):
     2. One order: the points are sorted once, stably, by the Morton code
        of their fine cells (np.lexsort over two words of 27 interleaved
        bits per axis), so every aligned cell and sub-cell is a run of
-       that order. With flips = (fx ^ fx') | (fy ^ fy') over neighbouring
-       points, a cell at shift s starts where flips >> s is nonzero.
-    3. Buckets are runs: a bucket is a maximal run of one component inside
-       one cell, and one component may give several buckets in a cell.
-       Each point lies in exactly one bucket, so each pair between two
-       components in cells at most 1 apart lies in exactly one bucket
-       pair: the lightest pair of each two components, the bounds and the
-       Morton split below do not depend on how the buckets fall. The order
-       in which pairs are read does, so a tie may keep another pair of the
-       same weight.
+       that order, and of that order filtered to any subset. With
+       flips = (fx ^ fx') | (fy ^ fy') over neighbouring points, a cell at
+       shift s starts where flips >> s is nonzero.
+    3. Two reads, one set of pairs. While the cell pairs kept hold at most
+       DIRECT_PAIRS point pairs a point, the band reads each of their
+       point pairs of two components directly, a pair of one cell once.
+       Otherwise it reads buckets: a bucket is a maximal run of one
+       component inside one cell, and one component may give several
+       buckets in a cell. Each point lies in exactly one bucket, so each
+       pair between two components in cells at most 1 apart lies in
+       exactly one bucket pair: the lightest pair of each two components,
+       the bounds and the Morton split below do not depend on how the
+       buckets fall. Either way every pair at distance <= t of two
+       components is read once, so both keep the same weight for each two
+       components. Ties keep the pair read first, so which read a band
+       takes, and in which order its pairs fall, may keep another pair of
+       the same weight: the tree may differ under ties, its heights not.
     4. Entering a band at t, the labels are the components of the seeds
        and of every pair at distance <= the last t, since a band's
        candidates join every two components with such a pair. So a pair
@@ -1152,14 +1206,8 @@ def _band_edges(pts: np.ndarray, labels: np.ndarray):
     pairs = [(none, none, np.zeros(0))]
     comps = np.count_nonzero(labels == np.arange(n))
     if comps > 1:
-        rows, k = np.arange(n - 1), math.isqrt(n) // 2
-        step = np.partition(_plane_pair_dists(pts, rows, rows + 1), k)[k]
-        t = 2 * max(float(step), 10.0**-PLANE_DECIMALS)
-        inv = _grid_scale(float(np.max(np.abs(pts))), t, 1)[0]
-        fine = np.floor(pts * inv * 2**SPLIT_LEVELS).astype(np.int64)
-        fine -= fine.min(axis=0)
-        order = _morton_order(fine)
-        fine, sorted_pts = fine[order], pts[order]
+        t, fine, order = grid
+        sorted_pts = pts[order]
         flips = (fine[1:, 0] ^ fine[:-1, 0]) | (fine[1:, 1] ^ fine[:-1, 1])
         shift = SPLIT_LEVELS
     while comps > 1:
@@ -1244,18 +1292,23 @@ def _band_pairs(pts: np.ndarray, fine: np.ndarray, flips: np.ndarray, comp: np.n
     Morton order, flips[k] = (fx ^ fx') | (fy ^ fy') of points k and k + 1
     (steps 2 and 3), and i and j index that order.
 
-    A bucket is a maximal run of one component in one cell, and a bucket
-    pair is one of two distinct components in cells at most 1 apart: only
-    the occupied cells are paired (_cell_pairs, reach 1), and two cells of
-    one bucket each, of one component, are dropped first. A bucket pair
-    whose lower bound (_box_bounds) exceeds t, or the upper bound of
-    another bucket pair of the same two components, or a distance read
-    between them, holds no lightest pair and is dropped. A bucket pair of
+    Only the occupied cells are paired (_cell_pairs, reach 1), and two
+    cells of one bucket each, of one component, are dropped first. While
+    the cell pairs kept hold at most DIRECT_PAIRS * n point pairs, every
+    pair of two components in them is read directly, in chunks of at most
+    BLOCK_ENTRIES (_slot_chunks), a pair inside one cell once. Otherwise
+    the band reads buckets. A bucket is a maximal run of one component in
+    one cell, and a bucket pair is one of two distinct components in cells
+    at most 1 apart. A bucket pair whose lower bound (_box_bounds) exceeds
+    t, or the upper bound of another bucket pair of the same two
+    components, or a distance read between them, holds no lightest pair
+    and is dropped. A bucket pair of
     more than SPLIT_PAIRS point pairs is split into the pairs of its
     buckets' Morton sub-cells, runs of the order too, half a cell side
     each level, up to SPLIT_LEVELS levels, and the others are read, in
-    chunks of at most BLOCK_ENTRIES (_slot_chunks). Ties keep the pair
-    read first."""
+    chunks too. Either read keeps the lightest pair of each two components
+    by one lexsort, and ties keep the pair read first (_band_edges,
+    step 3)."""
     n = len(pts)
     cut = np.ones(n, dtype=bool)
     cut[1:] = (flips >> shift) != 0
@@ -1271,6 +1324,21 @@ def _band_pairs(pts: np.ndarray, fine: np.ndarray, flips: np.ndarray, comp: np.n
     one = np.where(np.add.reduceat(cut, start, dtype=np.int64) == 1, comp[start], -1)
     keep = (one[a] < 0) | (one[a] != one[b])
     a, b = a[keep], b[keep]
+    found = [(np.zeros(0), np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64),
+              np.zeros(0, dtype=np.int64))]
+    size = count[a] * count[b]
+    if int(size.sum()) <= DIRECT_PAIRS * n:
+        for c, slot in _slot_chunks(size):
+            row, col = np.divmod(slot, count[b[c]])
+            i, j = start[a[c]] + row, start[b[c]] + col
+            ci, cj = comp[i], comp[j]
+            read = (ci != cj) & ((a[c] != b[c]) | (row < col))
+            i, j, ci, cj = i[read], j[read], ci[read], cj[read]
+            r = _plane_pair_dists(pts, i, j)
+            hit = r <= t
+            key = np.minimum(ci[hit], cj[hit]) * n + np.maximum(ci[hit], cj[hit])
+            found.append((r[hit], i[hit], j[hit], key))
+        return _lightest(found)
 
     def runs(level: int):
         """Starts, sizes and boxes of the runs of one sub-cell of one
@@ -1288,8 +1356,6 @@ def _band_pairs(pts: np.ndarray, fine: np.ndarray, flips: np.ndarray, comp: np.n
     cu, cv = comp[rs[u]], comp[rs[v]]
     keys, key = np.unique(np.minimum(cu, cv) * n + np.maximum(cu, cv), return_inverse=True)
     bound = np.full(len(keys), math.inf)
-    found = [(np.zeros(0), np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64),
-              np.zeros(0, dtype=np.int64))]
     level = 0
     while True:
         lower, upper = _box_bounds(box[:, u], box[:, v])
@@ -1314,6 +1380,13 @@ def _band_pairs(pts: np.ndarray, fine: np.ndarray, flips: np.ndarray, comp: np.n
         subs, sizes, box = runs(level)
         k, u, v = _sub_pairs(rs, rc, subs, u, v)
         rs, rc, key = subs, sizes, key[k]
+    return _lightest(found)
+
+
+def _lightest(found: list[tuple]):
+    """The lightest pair (i, j, weight) of each key, from reads (weight,
+    i, j, key) in the order read: one stable lexsort, so ties keep the pair
+    read first."""
     r, i, j, key = map(np.concatenate, zip(*found))
     by = np.lexsort((r, key))
     by = by[np.diff(key[by], prepend=-1) != 0]

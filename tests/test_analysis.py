@@ -1369,7 +1369,10 @@ def window_edges(sp, subset):
     n = len(subset)
     si, sj, sw = window_seeds(sp, subset)
     labels = spaces_mod._connected_labels(n, si, sj)
-    ii, jj, ww = spaces_mod._band_edges(sp.coords[subset], labels)
+    pos = np.full(len(sp), -1)
+    pos[subset] = np.arange(n)
+    ii, jj, ww = spaces_mod._band_edges(sp.coords[subset], labels,
+                                        spaces_mod._grid_subset(sp._tree[2], pos))
     assert np.all(labels[ii] != labels[jj])
     edges = np.concatenate([si, ii]), np.concatenate([sj, jj]), np.concatenate([sw, ww])
     joined = _kruskal_chain(n, *edges)[2]
@@ -1641,9 +1644,9 @@ def test_components_build_no_tree_and_a_step_builds_the_whole_tree_once(monkeypa
     calls = []
     real = spaces_mod._band_edges
 
-    def recording(pts, labels):
+    def recording(pts, labels, grid):
         calls.append((len(pts), int(np.count_nonzero(labels != np.arange(len(pts))))))
-        return real(pts, labels)
+        return real(pts, labels, grid)
 
     monkeypatch.setattr(spaces_mod, "_band_edges", recording)
     sp = make()
@@ -1658,6 +1661,30 @@ def test_components_build_no_tree_and_a_step_builds_the_whole_tree_once(monkeypa
     estimate_factorizing_step(sp)
     epsilon_components(sp, 1.0)
     assert [c for c in calls if c[0] == len(sp)] == [(len(sp), 0)]
+
+
+@pytest.mark.parametrize("make", [lambda: example31_fixture(8, 0.01, 50), doubled_cluster],
+                         ids=["fixture", "doubled-cluster"])
+def test_a_step_sorts_one_morton_order_per_space(monkeypatch, make):
+    # the windows that call bands read the whole space's grid, restricted
+    # to them, and sort no points of their own
+    sorts, bands = [], []
+    morton_order, band_edges = spaces_mod._morton_order, spaces_mod._band_edges
+
+    def sorting(cells):
+        sorts.append(len(cells))
+        return morton_order(cells)
+
+    def recording(pts, labels, grid):
+        bands.append(len(pts))
+        return band_edges(pts, labels, grid)
+
+    monkeypatch.setattr(spaces_mod, "_morton_order", sorting)
+    monkeypatch.setattr(spaces_mod, "_band_edges", recording)
+    sp = make()
+    estimate_factorizing_step(sp)
+    assert len(bands) == 2 and bands[1] < len(sp)
+    assert sorts == [len(sp)]
 
 
 def test_image_diameter_of_a_table_over_several_blocks():
@@ -1690,7 +1717,10 @@ def test_step_work_is_pinned(monkeypatch):
     # joining its 6,572 edges (16,533 joins when each window ran its own,
     # and a Boruvka pass in the bands before). Its edges inside the 0.5
     # and 0.75 windows join each window already, so they call no bands, and
-    # a later window counts only the scales still stable (141 counts before)
+    # a later window counts only the scales still stable (141 counts before).
+    # The grid reads 6,572 neighbouring rows for t0; bands 1-4 read every
+    # pair of their kept cell pairs directly, 20,191 pairs against 9,192
+    # by buckets, and bands 5-7 read 7,721 by buckets
     import scipy.spatial
 
     calls = {"Delaunay": 0, "epsilon_components": 0, "_plane_components": 0}
@@ -1711,9 +1741,9 @@ def test_step_work_is_pinned(monkeypatch):
     band_edges, band_pairs, pair_dists = (spaces_mod._band_edges, spaces_mod._band_pairs,
                                           spaces_mod._plane_pair_dists)
 
-    def edges(pts, labels):
+    def edges(pts, labels, grid):
         chains.append([])
-        return band_edges(pts, labels)
+        return band_edges(pts, labels, grid)
 
     def pairs(pts, fine, flips, comp, shift, t):
         chains[-1].append(round(t, 6))
@@ -1744,7 +1774,7 @@ def test_step_work_is_pinned(monkeypatch):
     estimate_factorizing_step(sp)
     assert calls == {"Delaunay": 0, "epsilon_components": 0, "_plane_components": 0}
     assert chains == [[0.028285, 0.113139, 0.452556, 1.810223, 7.240894, 28.963576, 115.854303]]
-    assert sum(reads) == 23485 and len(sp) == 6573
+    assert sum(reads) == 34484 and len(sp) == 6573
     assert joined == [(9063, 6572)] and len(counted) == 101
 
 

@@ -24,6 +24,10 @@ import coarseiso
 from coarseiso import analysis, cli, spaces
 from coarseiso.cli import main
 
+sys.path.insert(0, str(Path(__file__).resolve().parent))
+
+from oracles import prim_heights  # noqa: E402
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -291,6 +295,27 @@ def test_plane_output_is_pinned(capsys, argv, digest, points, value):
     assert (payload["points"], payload[key]) == (points, value)
     text = json.dumps(payload, sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("argv", [argv for argv, *_ in GOLDEN_PLANE if argv[0] == "step"],
+                         ids=["step-0.01", "step-0.0125", "step-30-0.01"])
+def test_plane_window_chains_keep_their_single_linkage_heights(monkeypatch, argv):
+    # every chain a pinned step reads, the windows' on the whole space's
+    # grid included, has Prim's heights on all pairs of its points
+    chains, chain = [], spaces.PlaneRule.chain
+
+    def recording(self, space, subset):
+        got = chain(self, space, subset)
+        chains.append((space.coords[subset], got[1]))
+        return got
+
+    monkeypatch.setattr(spaces.PlaneRule, "chain", recording)
+    branches, step = argv[1].split(":")[1:]
+    analysis.estimate_factorizing_step(spaces.example31_fixture(int(branches), float(step), 1000))
+    assert len(chains) > 1
+    for pts, gap in chains:
+        assert gap[0] == math.inf
+        assert sorted(gap[1:].tolist()) == prim_heights(pts)
 
 
 def test_plane_fixture_on_one_line(capsys):

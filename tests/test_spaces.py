@@ -12,6 +12,7 @@ import math
 import sys
 import weakref
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -517,6 +518,15 @@ class TestComponents:
         gc.collect()
         assert ref() is None
 
+    def test_plane_grid_freed_with_its_space(self):
+        # the bands' grid, which a step's windows reuse, lives on the space
+        sp = example31_fixture(2, 0.25, 5)
+        estimate_factorizing_step(sp)
+        ref = weakref.ref(sp._tree[2][1])
+        del sp
+        gc.collect()
+        assert ref() is None
+
 
 def lattice(width, height, step=1.0):
     """Integer grid points scaled by step: every unit square is
@@ -566,7 +576,8 @@ def band_edges(pts):
     scipy's single-linkage heights."""
     pts = np.asarray(pts, dtype=float)
     n = len(pts)
-    ii, jj, ww = spaces_mod._band_edges(pts, np.arange(n))
+    grid = spaces_mod._plane_grid(pts) if n > 1 else None
+    ii, jj, ww = spaces_mod._band_edges(pts, np.arange(n), grid)
     assert np.all(ii != jj) and np.array_equal(ww, spaces_mod._plane_pair_dists(pts, ii, jj))
     joined = _kruskal_chain(n, ii, jj, ww)[2]
     assert sorted(ww[joined].tolist()) == prim_heights(pts) == single_linkage_heights(pts)
@@ -697,6 +708,132 @@ class TestPlaneEdges:
             assert sorted(order.tolist()) == list(range(len(sp))) and gap[0] == math.inf
             want = prim_heights(sp.coords)
             assert sorted(gap.tolist())[:-1] == want == single_linkage_heights(sp.coords)
+
+
+def band_inputs(sp, subsets=()):
+    """The arguments of the bands of the whole space and of each subset on
+    the whole space's grid, built without the band loop: at each scale
+    t = t0 * 4^b the labels are the components of every pair at distance
+    <= t / 4 (_band_edges, step 4), until one component is left."""
+    grid = spaces_mod._plane_grid(sp.coords)
+    inputs = []
+    for subset in [np.arange(len(sp)), *subsets]:
+        pos = np.full(len(sp), -1)
+        pos[subset] = np.arange(len(subset))
+        t, fine, order = spaces_mod._grid_subset(grid, pos)
+        pts = sp.coords[subset]
+        flips = (fine[1:, 0] ^ fine[:-1, 0]) | (fine[1:, 1] ^ fine[:-1, 1])
+        i, j = np.triu_indices(len(pts), k=1)
+        r = spaces_mod._plane_pair_dists(pts, i, j)
+        labels, shift = np.arange(len(pts)), spaces_mod.SPLIT_LEVELS
+        while labels.any():
+            inputs.append((pts[order], fine, flips, labels[order], min(shift, 62), t))
+            labels = _connected_labels(len(pts), i[r <= t], j[r <= t])
+            t, shift = 4 * t, shift + 2
+    return inputs
+
+
+def band_weights(args, direct):
+    """{(component, component): weight} of one band, read directly or by
+    buckets as DIRECT_PAIRS forces, after checking that each pair kept
+    joins two components at its PlaneRule distance, within the band's
+    scale, one pair for each two components."""
+    pts, _, _, comp, _, t = args
+    with mock.patch.object(spaces_mod, "DIRECT_PAIRS", math.inf if direct else -1):
+        i, j, r = spaces_mod._band_pairs(*args)
+    assert np.all(comp[i] != comp[j]) and np.all(r <= t)
+    assert np.array_equal(r, spaces_mod._plane_pair_dists(pts, i, j))
+    keys = [tuple(sorted(k)) for k in zip(comp[i].tolist(), comp[j].tolist())]
+    assert len(set(keys)) == len(keys)
+    return dict(zip(keys, r.tolist()))
+
+
+def all_pairs_weights(args):
+    """{(component, component): weight} of the lightest pair at distance
+    <= t between each two components, over all point pairs."""
+    pts, _, _, comp, _, t = args
+    i, j = np.triu_indices(len(pts), k=1)
+    r = spaces_mod._plane_pair_dists(pts, i, j)
+    keep = (comp[i] != comp[j]) & (r <= t)
+    want: dict = {}
+    for a, b, w in zip(comp[i][keep].tolist(), comp[j][keep].tolist(), r[keep].tolist()):
+        key = (min(a, b), max(a, b))
+        want[key] = min(w, want.get(key, math.inf))
+    return want
+
+
+@st.composite
+def band_clouds(draw):
+    """A plane space whose bands tie, nearly tie or run along lines, and a
+    random subset of it: lattices and masks of them, uniform points with
+    twins 1e-9 away, and collinear runs."""
+    kind = draw(st.sampled_from(["lattice", "mask", "twins", "collinear"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    if kind in ("lattice", "mask"):
+        pts = lattice(draw(st.integers(2, 12)), draw(st.integers(2, 12)),
+                      draw(st.sampled_from([1.0, 0.25, 0.1])))
+        if kind == "mask":
+            pts = pts[rng.random(len(pts)) < draw(st.sampled_from([0.3, 0.6, 0.9]))]
+    elif kind == "twins":
+        size = draw(st.integers(3, 90))
+        pts = with_near_twins(rng.uniform(0, 3, size=(size, 2)), size // 3, 1e-9)
+    else:
+        runs = []
+        for _ in range(draw(st.integers(1, 4))):
+            start, angle = rng.uniform(-2, 2, size=2), rng.choice(8) * (math.pi / 4)
+            count, spacing = draw(st.integers(2, 25)), draw(st.sampled_from([0.05, 0.3, 1.0]))
+            steps = np.arange(count)[:, None] * spacing
+            runs.append(start + steps * [math.cos(angle), math.sin(angle)])
+        pts = np.concatenate(runs)
+    labels = sorted(set(map(tuple, np.round(pts, 12).tolist())))
+    assume(len(labels) > 1)
+    sp = FiniteSpace(labels, PlaneRule(), 0, 0)
+    return sp, np.flatnonzero(rng.random(len(sp)) < draw(st.sampled_from([0.3, 0.7])))
+
+
+@settings(max_examples=80, deadline=None)
+@given(band_clouds())
+def test_direct_and_bucket_reads_keep_the_same_lightest_pairs(case):
+    # every band of the whole space and of a subset on its grid, read by
+    # each route, against the lightest pair of each two components over
+    # all point pairs: a route that lost the pairs inside one cell, or
+    # any pair of the kept cell pairs, keeps a heavier pair or none
+    sp, subset = case
+    inputs = band_inputs(sp, [subset] if len(subset) > 1 else [])
+    assert inputs
+    for args in inputs:
+        assert band_weights(args, True) == all_pairs_weights(args) == band_weights(args, False)
+
+
+def band_routes(monkeypatch, sp):
+    """The read each band of the space's tree takes: buckets when it
+    pairs buckets (_sub_pairs), else direct."""
+    routes, pairs, sub_pairs = [], spaces_mod._band_pairs, spaces_mod._sub_pairs
+
+    def recording(*args):
+        routes.append("direct")
+        return pairs(*args)
+
+    def bucketing(*args):
+        routes[-1] = "buckets"
+        return sub_pairs(*args)
+
+    monkeypatch.setattr(spaces_mod, "_band_pairs", recording)
+    monkeypatch.setattr(spaces_mod, "_sub_pairs", bucketing)
+    plane_edges(sp)
+    monkeypatch.undo()
+    return routes
+
+
+def test_fixture_bands_read_directly_and_a_lattice_by_buckets(monkeypatch):
+    # the first four bands of the fixture hold 0.5-2.2 point pairs a point
+    # in their kept cell pairs, the later ones 213 or more; the first band
+    # of an 80 x 80 lattice holds 19.6 a point
+    sp = example31_fixture(20, 0.01, 1000)
+    assert band_routes(monkeypatch, sp) == ["direct"] * 4 + ["buckets"] * 3
+    sp = cloud(lattice(80, 80, 0.25))
+    assert band_routes(monkeypatch, sp)[0] == "buckets"
+    assert_minimum_spanning_tree(sp.coords, plane_edges(sp))
 
 
 class TestFlatPlane:
