@@ -4,11 +4,14 @@
         --runs plane-step:3101-3110 --runs free-chain:3111-3115
 
 DIR is a source checkout (src/ and perfbench/) of each side; give both the
-same perfbench/. Each seed is one pair: `perfbench/run.py --workload W
---seed S --seconds 40` on both sides, the parent first on odd pairs and the
-change first on even ones, one run at a time. The file holds every pair's
-end-to-end metrics and, per side, their median and quartiles, with the
-machine and versions of the run records.
+same perfbench/. The file names the parent by its commit, so the parent DIR
+must be the top of a git checkout: make it with `git worktree add --detach
+DIR SHA`. Any other parent is refused before the first run. Each seed is
+one pair: `perfbench/run.py --workload W --seed S --seconds 40` on both
+sides, the parent first on odd pairs and the change first on even ones, one
+run at a time. The file holds every pair's end-to-end metrics and, per
+side, their median and quartiles, with the machine and versions of the run
+records.
 """
 
 from __future__ import annotations
@@ -47,8 +50,14 @@ def main() -> int:
                         help="WORKLOAD:FIRST-LAST, one pair per seed")
     args = parser.parse_args()
 
-    parent_sha = subprocess.run(["git", "rev-parse", "HEAD"], cwd=args.parent,
-                                capture_output=True, text=True).stdout.strip() or None
+    top, _, parent_sha = subprocess.run(["git", "rev-parse", "--show-toplevel", "HEAD"],
+                                        cwd=args.parent, capture_output=True,
+                                        text=True).stdout.strip().partition("\n")
+    if not parent_sha or Path(top).resolve() != args.parent.resolve():
+        print(f"bench_pairs: {args.parent} is not the top of a git checkout, so its commit "
+              "cannot be named; make it with `git worktree add --detach DIR SHA`",
+              file=sys.stderr)
+        return 2
     out: dict = {"sha": {"parent": parent_sha, "change": None}, "src_sha1": {},
                  "machine": platform.machine(), "seconds": SECONDS, "workloads": {}}
     for spec in args.runs:

@@ -620,14 +620,14 @@ def asdim_cover(rank: int, epsilon: float, radius: int) -> Cover:
     if mult > rank + 1:
         raise AssertionError(f"cover multiplicity {mult} exceeds {rank + 1}")
 
-    mesh = 0.0
-    blocks = []
-    for bid in np.unique(ids):
-        members = coords[ids == bid]
-        spread = float(np.max(members.max(axis=0) - members.min(axis=0)))
-        mesh = max(mesh, spread)
-        blocks.append(tuple(tuple(int(v) for v in row) for row in members))
-    return Cover(rank, epsilon, radius, mesh, int(mult), tuple(blocks))
+    # the blocks by ascending id, each in grid order, from one stable sort;
+    # each block's spread by one reduceat over its run
+    order = np.argsort(ids, kind="stable")
+    members, ids = coords[order], ids[order]
+    starts = np.flatnonzero(np.r_[True, ids[1:] != ids[:-1]])
+    spread = np.maximum.reduceat(members, starts) - np.minimum.reduceat(members, starts)
+    blocks = tuple(tuple(map(tuple, part.tolist())) for part in np.split(members, starts[1:]))
+    return Cover(rank, epsilon, radius, float(spread.max()), int(mult), blocks)
 
 
 def _max_ball_multiplicity(grid_ids: np.ndarray, eps: int, rank: int) -> int:

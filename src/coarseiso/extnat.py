@@ -110,14 +110,6 @@ class ExtNat:
             return INF
         return ExtNat(abs(self._value - other._value))
 
-    def min(self, other: IntoExtNat) -> "ExtNat":
-        other = ExtNat(other)
-        return self if self <= other else other
-
-    def max(self, other: IntoExtNat) -> "ExtNat":
-        other = ExtNat(other)
-        return self if self >= other else other
-
     def __repr__(self) -> str:
         return f"ExtNat({self._value if self._value is not None else 'inf'})"
 

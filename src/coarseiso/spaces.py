@@ -47,7 +47,6 @@ Components, plane ones included, join by _connected_labels.
 from __future__ import annotations
 
 import copy
-import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -135,10 +134,6 @@ class MetricRule:
     def label_lists(self, coords: np.ndarray) -> list[list]:
         """The labels of label rows, as lists of Python numbers."""
         return coords.tolist()
-
-    def label_json(self, coords: np.ndarray) -> bytes:
-        """json.dumps(label_lists(coords)), ASCII-encoded."""
-        return json.dumps(self.label_lists(coords)).encode()
 
     def fills_box(self, coords: np.ndarray) -> bool:
         """Whether the rule's coordinate key paths are exact on these rows;
@@ -335,32 +330,6 @@ class SupRule(MetricRule):
     def label_lists(self, coords: np.ndarray) -> list[list]:
         """The labels of rows of coordinates, as lists of Python ints."""
         return coords.astype(np.int64).tolist()
-
-    def label_json(self, coords: np.ndarray) -> bytes:
-        """json.dumps(label_lists(coords)), ASCII-encoded, written with no
-        nested list and no encoder. When the columns' value ranges hold
-        fewer values than the rows have entries (a twentieth on free-chain
-        witness spaces), each value of a column is written once, with the
-        row's opening or closing bracket attached, and the texts of the
-        entries are gathered and joined; otherwise one bytes format of the
-        flat ints fills a template of the rows. On the 41,004 x 4 and
-        40,401 x 2 coordinates of a radius-100 witness chain this took 8
-        and 3 ms, where json took 34 and 21 ms (best of seven)."""
-        n, k = coords.shape
-        ints = coords.astype(np.int64)
-        lo, hi = ints.min(axis=0), ints.max(axis=0)
-        span = hi - lo + 1
-        if span.sum() >= ints.size:
-            row = b"[" + b", ".join([b"%d"] * k) + b"]"
-            return b"[" + b", ".join([row] * n) % tuple(ints.ravel().tolist()) + b"]"
-        texts = []
-        for c, (a, b) in enumerate(zip(lo.tolist(), hi.tolist())):
-            pre, post = "[" * (c == 0), "]" * (c == k - 1)
-            texts += [f"{pre}{v}{post}" for v in range(a, b + 1)]
-        # value v of column c is text start[c] + v; str joins faster than bytes
-        start = np.cumsum(span) - span - lo
-        entries = np.array(texts, dtype=object)[ints + start]
-        return f"[{', '.join(entries.ravel().tolist())}]".encode()
 
     def kernel_coords(self, coords: np.ndarray) -> np.ndarray:
         """The coordinates in the narrowest integer dtype that holds every

@@ -150,14 +150,16 @@ class WitnessMap:
 
 
 def space_id(space: FiniteSpace) -> str:
-    """Content hash naming a built space in serialized witnesses: the SHA-1
-    of json.dumps([descriptor, basepoint, label_lists()], sort_keys=True,
-    default=str), whose labels the rule writes (MetricRule.label_json)."""
+    """Content hash naming a built space in serialized witnesses:
+    "{kind}-{n}-" and the first 12 hex digits of the SHA-1 of the UTF-8
+    text json.dumps([descriptor, basepoint], sort_keys=True, default=str)
+    followed by the rows' bytes, C-ordered little-endian float64 of
+    coords + 0.0 (so -0.0 hashes as 0.0). Equal spaces get equal ids; the
+    inner radius is not hashed, as equality does not read it."""
     descriptor = space.rule.descriptor()
     head = json.dumps([descriptor, space.basepoint], sort_keys=True, default=str)
-    sha = hashlib.sha1(f"{head[:-1]}, ".encode())
-    sha.update(space.rule.label_json(space.coords))
-    sha.update(b"]")
+    sha = hashlib.sha1(head.encode())
+    sha.update((np.asarray(space.coords, dtype="<f8") + 0.0).tobytes())
     return f"{descriptor['kind']}-{len(space)}-{sha.hexdigest()[:12]}"
 
 
@@ -572,9 +574,12 @@ class _Stage(NamedTuple):
 def _relabel_stage(
     source: FiniteSpace, target: FiniteSpace, columns: Optional[Sequence[int]] = None
 ) -> _Stage:
-    """The table of relabel_witness(source, target, columns), valid where
-    _finish would find it valid: it covers the source, so to the source's
-    inner radius."""
+    """The table of the bijection matching labels, optionally after
+    reordering the source's coordinates: target coordinate c is source
+    coordinate columns[c]. It is valid where _finish would find it valid:
+    it covers the source, so to the source's inner radius. Labels are
+    matched by a sort of both coordinate arrays, not one lookup per label;
+    a source label without a target is a ValueError that names it."""
     rows = source.coords
     if columns is not None:
         rows = rows[:, list(columns)]
@@ -585,17 +590,10 @@ def _relabel_stage(
     return _Stage(source, target, np.arange(len(source)), ti, float(source.inner_radius))
 
 
-def relabel_witness(
-    source: FiniteSpace, target: FiniteSpace, columns: Optional[Sequence[int]] = None
-) -> WitnessMap:
-    """Bijection matching labels, optionally after reordering the source's
-    coordinates: target coordinate c is source coordinate columns[c].
-
-    Covers regroupings of iterated products and factor reorderings, which
-    leave all sup-metric distances unchanged. Labels are matched by a sort
-    of both coordinate arrays, not one lookup per label; a source label
-    without a target is a ValueError that names it."""
-    r = _relabel_stage(source, target, columns)
+def relabel_witness(source: FiniteSpace, target: FiniteSpace) -> WitnessMap:
+    """Bijection matching labels (_relabel_stage). Covers regroupings of
+    iterated products, which leave all sup-metric distances unchanged."""
+    r = _relabel_stage(source, target)
     return _finish(source, target, r.src, r.dst, (), context="relabel")
 
 

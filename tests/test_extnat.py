@@ -115,8 +115,3 @@ def test_minus_undoes_add(a, b):
     # (a + b) - b == a whenever b is finite
     if b.is_finite:
         assert (a + b).minus(b) == a
-
-
-@given(extnats, extnats)
-def test_min_max_bracket(a, b):
-    assert a.min(b) <= a <= a.max(b)

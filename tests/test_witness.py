@@ -532,8 +532,11 @@ class TestCombinators:
             invert_witness(dataclasses.replace(w, table=table))
 
     def test_relabel_with_translation(self):
+        # the chain relabels after a column order by a bare stage, which
+        # compose_witness measures
         sp = tower_space([2, 2])
-        w = relabel_witness(sp, sp, columns=(1, 0))
+        w = compose_witness(witness_mod._relabel_stage(sp, sp, (1, 0)), identity_witness(sp))
+        assert sorted(w.table) == [(0, 0), (1, 2), (2, 1), (3, 3)]
         assert verify_witness(w).ok
         assert w.forward_moduli == w.backward_moduli
 
