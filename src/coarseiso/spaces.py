@@ -219,7 +219,8 @@ class MetricRule:
 class SupRule(MetricRule):
     """Sup metric over label coordinates. A free coordinate (order 0, level
     1) contributes |x - y|; a cyclic coordinate of order o >= 2 at level L
-    contributes L * [x != y].
+    >= 1 contributes L * [x != y]. Other fields are refused, as they make no
+    metric or a rule unequal to its constructor's at equal distances.
 
     ``layout`` records how the constructors assembled the coordinates:
     "tower", "group-ball", or (split, left, right) for a product whose left
@@ -234,18 +235,24 @@ class SupRule(MetricRule):
     levels: tuple[int, ...]
     layout: Layout
 
+    def __post_init__(self):
+        if len(self.orders) != len(self.levels):
+            raise ValueError("orders and levels must have equal length")
+        if any(o < 2 and o != 0 for o in self.orders):
+            raise ValueError("cyclic orders must be >= 2")
+        if any(lvl != 1 for o, lvl in zip(self.orders, self.levels) if o == 0):
+            raise ValueError("free coordinates must be at level 1")
+        if any(lvl < 1 for lvl in self.levels):
+            raise ValueError("levels must be >= 1")
+
     @staticmethod
     def tower(orders: Sequence[int], levels: Sequence[int]) -> "SupRule":
         """Ultrametric on a product of cyclic groups: the distance between
         distinct points is the level of the highest differing coordinate."""
-        if len(orders) != len(levels):
-            raise ValueError("orders and levels must have equal length")
-        if any(o < 2 for o in orders):
+        if 0 in orders:
             raise ValueError("cyclic orders must be >= 2")
         if any(b <= a for a, b in zip(levels, levels[1:])):
             raise ValueError("levels must be strictly increasing")
-        if levels and levels[0] < 1:
-            raise ValueError("levels must be >= 1")
         return SupRule(tuple(orders), tuple(levels), "tower")
 
     @staticmethod
@@ -256,10 +263,6 @@ class SupRule(MetricRule):
         level 1, cyclic levels strictly increasing and >= 2."""
         if free_rank < 0:
             raise ValueError("free rank must be >= 0")
-        if len(cyclic_orders) != len(cyclic_levels):
-            raise ValueError("orders and levels must have equal length")
-        if any(o < 2 for o in cyclic_orders):
-            raise ValueError("cyclic orders must be >= 2")
         if any(lvl < 2 for lvl in cyclic_levels):
             raise ValueError("cyclic levels must be >= 2")
         if any(b <= a for a, b in zip(cyclic_levels, cyclic_levels[1:])):
@@ -785,10 +788,7 @@ def tower_space(
     if levels is None:
         levels = tuple(range(2, len(orders) + 2))
     levels = tuple(int(l) for l in levels)
-    count = 1
-    for o in orders:
-        count *= o
-    _check_budget(count, point_budget)
+    _check_budget(math.prod(orders), point_budget)
     rule = SupRule.tower(orders, levels)
     return _box_space([range(o) for o in orders], rule, levels[-1] if levels else 0)
 

@@ -445,16 +445,10 @@ class TowerAlignment:
 
     def modulus(self, delta: float) -> float:
         i = sum(1 for lvl in self.u_levels if lvl <= delta + _TOL)
-        ua = 1
-        for o in self.u_orders[:i]:
-            ua *= o
-        v = 1
-        for b, o in enumerate(self.v_orders, start=1):
+        ua = math.prod(self.u_orders[:i])
+        for b, v in enumerate(_prefix_products(self.v_orders)):
             if v % ua == 0:
-                return 0.0 if b == 1 else float(self.v_levels[b - 2])
-            v *= o
-        if v % ua == 0:
-            return float(self.v_levels[-1]) if self.v_levels else 0.0
+                return float(self.v_levels[b - 1]) if b else 0.0
         raise ValueError("tower does not absorb the requested ball")
 
 

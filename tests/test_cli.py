@@ -441,25 +441,38 @@ def test_a_free_chain_round_prints_its_pinned_bytes(capsys):
         "5f87f034925fc34fd57ea1d868e90eef3075a757e321049c00d7109d62e42938"
 
 
-def test_a_witness_job_runs_no_pure_python_encoder_and_no_label_list(capsys, monkeypatch):
-    # both fast paths of the output layer, guarded by counts: the payload
-    # is written without json's indented encoder, and the space ids from
+def longest_list(value):
+    """The most entries of any list or tuple inside a payload."""
+    if isinstance(value, dict):
+        value = list(value.values())
+    if not isinstance(value, (list, tuple)):
+        return 0
+    return max([len(value), *map(longest_list, value)])
+
+
+def test_a_witness_job_hands_json_no_table_and_builds_no_label_list(capsys, monkeypatch):
+    # both fast paths of the output layer, guarded by counts: json's
+    # pure-Python encoder, which indent selects, is handed no witness table
+    # (the 396 pairs go through _int_rows), and the space ids are read from
     # the coordinate arrays
-    calls = []
+    calls, handed = [], []
 
     def counted(name, fn):
         return lambda *a, **k: calls.append(name) or fn(*a, **k)
 
-    monkeypatch.setattr(json.encoder, "_make_iterencode",
-                        counted("encoder", json.encoder._make_iterencode))
+    def encoder(*a, make=json.encoder._make_iterencode, **k):
+        encode = make(*a, **k)
+        return lambda value, level: handed.append(longest_list(value)) or encode(value, level)
+
+    monkeypatch.setattr(json.encoder, "_make_iterencode", encoder)
     for rule in (spaces.MetricRule, spaces.SupRule):
         monkeypatch.setattr(rule, "label_lists", counted("labels", rule.label_lists))
     code, payload = run_json(capsys, "witness", "Z + C12", "Z + C3", "--radius", "70")
     assert code == 0 and len(payload["witness"]["pairs"]) == 396
-    assert calls == []
-    json.dumps({"a": [1]}, indent=2)
+    assert calls == [] and len(handed) == 1 and handed[0] <= 32
+    json.dumps({"a": [1, 2, 3]}, indent=2)
     spaces.zball(1).label_lists()
-    assert calls == ["encoder", "labels"]  # the counters count
+    assert calls == ["labels"] and handed[1:] == [3]  # the counters count
 
 
 SCALARS = st.one_of(
@@ -485,24 +498,23 @@ PAYLOADS = st.recursive(
 )
 
 
+WITNESS_FIELDS = st.dictionaries(st.text(max_size=4), PAYLOADS, max_size=3)
+
+
 @settings(max_examples=300, deadline=None)
-@given(PAYLOADS)
-@example([[1, True], [2, 3]])  # rows that "%d" would write wrongly
-@example([[1, 2.0], [2, 3]])
-@example([[1, 2], [3]])
-@example({"pairs": [(0, 5), (1, 4)], "k": [[-(2**70)]]})
-def test_writer_matches_the_indented_json_dump(value):
-    assert cli._json_text(value) == json.dumps(value, indent=2, default=str)
-
-
-@pytest.mark.parametrize("value", [
-    {(1, 2): 3}, {np.int64(1): 2}, [{"a": {1j: 0}}],
-], ids=["tuple", "numpy", "nested"])
-def test_writer_refuses_the_keys_json_refuses(value):
-    with pytest.raises(TypeError, match="keys must be str, int, float, bool or None"):
-        json.dumps(value, indent=2, default=str)
-    with pytest.raises(TypeError, match="keys must be str, int, float, bool or None"):
-        cli._json_text(value)
+@given(st.one_of(INT_ROWS, MIXED_ROWS, RAGGED_ROWS),
+       st.tuples(PAYLOADS, WITNESS_FIELDS, WITNESS_FIELDS, PAYLOADS))
+@example([[1, True], [2, 3]], (None, {}, {}, None))  # rows that "%d" would write wrongly
+@example([[1, 2.0], [2, 3]], (None, {}, {}, None))
+@example([[1, 2], [3]], (None, {}, {}, None))
+@example([(0, 5), (1, 4)], ({"k": [[-(2**70)]]}, {}, {}, None))
+def test_writer_matches_the_indented_json_dump(pairs, fields):
+    # a witness payload: the table spliced in by _int_rows, the rest dumped.
+    # Drawn texts hold at most 6 characters, fewer than the splice's placeholder
+    verdict, before, after, verification = fields
+    payload = {"verdict": verdict, "witness": {**before, "pairs": pairs, **after},
+               "verification": verification}
+    assert cli._json_text(payload) == json.dumps(payload, indent=2, default=str)
 
 
 def modules_after(argv, package):

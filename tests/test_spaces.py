@@ -312,6 +312,52 @@ class TestBuilders:
             FiniteSpace([(0,), (0,)], zball(1).rule, 0, 1)
 
 
+# fields a direct SupRule(...) once accepted, though they make no metric or
+# a rule unequal to its constructor's with every distance equal
+@pytest.mark.parametrize("fields,message", [
+    (((0, 2), (1,), "group-ball"), "orders and levels must have equal length"),  # dists drops a column
+    (((1,), (2,), "tower"), "cyclic orders must be >= 2"),
+    (((-3,), (2,), "tower"), "cyclic orders must be >= 2"),
+    (((0,), (5,), "group-ball"), "free coordinates must be at level 1"),  # group_ball(1)'s metric
+    (((3,), (0,), "tower"), "levels must be >= 1"),  # distinct points at distance 0
+    (((0, 3), (1, -2), "group-ball"), "levels must be >= 1"),
+], ids=["lengths", "order-1", "negative-order", "free-level", "cyclic-level-0",
+        "negative-cyclic-level"])
+def test_sup_rules_refuse_fields_that_make_no_metric(fields, message):
+    with pytest.raises(ValueError, match=message):
+        spaces_mod.SupRule(*fields)
+
+
+@pytest.mark.parametrize("build,message", [
+    (lambda: spaces_mod.SupRule.tower((2, 3), (2,)), "orders and levels must have equal length"),
+    (lambda: spaces_mod.SupRule.tower((1,), (2,)), "cyclic orders must be >= 2"),
+    (lambda: spaces_mod.SupRule.tower((0,), (1,)), "cyclic orders must be >= 2"),
+    (lambda: spaces_mod.SupRule.tower((2,), (0,)), "levels must be >= 1"),
+    (lambda: spaces_mod.SupRule.tower((2, 2), (3, 3)), "levels must be strictly increasing"),
+    (lambda: spaces_mod.SupRule.group_ball(-1), "free rank must be >= 0"),
+    (lambda: spaces_mod.SupRule.group_ball(1, (2,), ()), "orders and levels must have equal length"),
+    (lambda: spaces_mod.SupRule.group_ball(1, (1,), (2,)), "cyclic orders must be >= 2"),
+    (lambda: spaces_mod.SupRule.group_ball(1, (2,), (1,)), "cyclic levels must be >= 2"),
+    (lambda: spaces_mod.SupRule.group_ball(0, (2, 2), (3, 3)),
+     "cyclic levels must be strictly increasing"),
+], ids=["tower-lengths", "tower-order-1", "tower-free", "tower-level-0", "tower-increasing",
+        "ball-rank", "ball-lengths", "ball-order-1", "ball-level-1", "ball-increasing"])
+def test_sup_rule_constructors_keep_their_refusals(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
+
+
+def test_sup_rule_constructors_build_their_fields():
+    rule = spaces_mod.SupRule
+    assert dataclasses.astuple(rule.tower([2, 3], [1, 5])) == ((2, 3), (1, 5), "tower")
+    assert dataclasses.astuple(rule.tower((), ())) == ((), (), "tower")
+    assert dataclasses.astuple(rule.group_ball(2, [3, 2], [2, 4])) == \
+        ((0, 0, 3, 2), (1, 1, 2, 4), "group-ball")
+    assert dataclasses.astuple(rule.group_ball(0)) == ((), (), "group-ball")
+    both = rule.product(rule.group_ball(1), rule.tower([2], [3]))
+    assert dataclasses.astuple(both) == ((0, 2), (1, 3), (1, "group-ball", "tower"))
+
+
 class TestExample31:
     def test_two_branch_sample(self):
         sp = example31_fixture(1, 0.5, 3)

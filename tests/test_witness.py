@@ -9,8 +9,10 @@ from __future__ import annotations
 
 import dataclasses
 import inspect
+import itertools
 import json
 import math
+import random
 import sys
 from pathlib import Path
 
@@ -309,6 +311,22 @@ class TestFactorization:
         ]
 
 
+def product_loop_modulus(al, delta):
+    """TowerAlignment.modulus as it multiplied the orders in its own loop."""
+    i = sum(1 for lvl in al.u_levels if lvl <= delta + witness_mod._TOL)
+    ua = 1
+    for o in al.u_orders[:i]:
+        ua *= o
+    v = 1
+    for b, o in enumerate(al.v_orders, start=1):
+        if v % ua == 0:
+            return 0.0 if b == 1 else float(al.v_levels[b - 2])
+        v *= o
+    if v % ua == 0:
+        return float(al.v_levels[-1]) if al.v_levels else 0.0
+    raise ValueError("tower does not absorb the requested ball")
+
+
 class TestTowerAlignment:
     def test_frozen_small_case(self):
         u, v = tower_space([2, 2, 2]), tower_space([8], levels=[2])
@@ -348,6 +366,30 @@ class TestTowerAlignment:
     def test_requires_towers(self):
         with pytest.raises(ValueError):
             tower_alignment_witness(zball(2), tower_space([2]))
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_modulus_matches_the_product_loop(self, seed):
+        # the towers above, then towers drawn from one shuffled multiset of
+        # primes, grouped into orders two ways, at increasing levels
+        rng = random.Random(seed)
+        pairs = [(([2, 2, 2], None), ([8], [2])), (([2, 3, 2, 3], None), ([6, 6], [2, 3]))]
+        for _ in range(4):
+            primes = [rng.choice((2, 2, 3, 5)) for _ in range(rng.randint(1, 5))]
+            while math.prod(primes) > 600:
+                primes.pop()
+            towers = []
+            for _ in range(2):
+                rng.shuffle(primes)
+                cuts = sorted(rng.sample(range(1, len(primes)), rng.randint(0, len(primes) - 1)))
+                orders = [math.prod(primes[a:b]) for a, b in zip([0, *cuts], [*cuts, len(primes)])]
+                levels = list(itertools.accumulate(rng.randint(1, 3) for _ in orders))
+                towers.append((orders, levels))
+            pairs.append(tuple(towers))
+        for (uo, ul), (vo, vl) in pairs:
+            al = tower_alignment_witness(tower_space(uo, ul), tower_space(vo, vl))
+            levels = sorted(set(al.u_levels) | set(al.v_levels))
+            for delta in {0.0, *levels, *(lvl + 0.5 for lvl in levels), *(lvl - 0.5 for lvl in levels)}:
+                assert al.modulus(delta) == product_loop_modulus(al, delta), (uo, ul, vo, vl, delta)
 
 
 class TestAbsorption:
