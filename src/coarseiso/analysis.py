@@ -24,6 +24,8 @@ from .spaces import BudgetError, FiniteSpace, _check_epsilon, level_chain, row_b
 NOISE_NUM = 1
 NOISE_DEN = 8  # a block is significant when 8 * size >= largest block
 RECOUNT_LIMIT = 30000  # foelner_search recounts neighbourhoods up to here
+MAX_TESTED = 48  # scales a step estimate tests at most
+WINDOW_FRACTIONS = (0.5, 0.75, 1.0)  # its windows, as fractions of the radius
 # oscillation's window route: the least table it takes (the pair pass was
 # faster below about this many entries), and the most cells per entry in
 # each side's coordinate box
@@ -141,25 +143,22 @@ def _significant_counts(
     return np.cumsum(ends[:-1])
 
 
-def estimate_factorizing_step(
-    space: FiniteSpace,
-    max_tested: int = 48,
-    window_fractions: tuple[float, ...] = (0.5, 0.75, 1.0),
-) -> StepEstimate:
+def estimate_factorizing_step(space: FiniteSpace) -> StepEstimate:
     """Estimate the factorizing step by window saturation.
 
     For each candidate scale eps and each coarser tested scale delta, count
     the significant eps-blocks inside the basepoint's delta-component of
-    each window subspace (significant: at least 1/8 of the largest block
-    there, which discards sampling debris near a fixture's boundary). A
-    candidate is stable when the counts are window-independent.
+    each window, the basepoint ball at each of WINDOW_FRACTIONS of the
+    radius (significant: at least 1/8 of the largest block there, which
+    discards sampling debris near a fixture's boundary). A candidate, of at
+    most MAX_TESTED tested, is stable when the counts are window-independent.
     """
     base = space.basepoint
     bd = space.base_dists
     radius = float(space.inner_radius)
     if not math.isfinite(radius) or radius <= 0:
         radius = float(np.max(bd))
-    windows = tuple(f * radius for f in window_fractions)
+    windows = tuple(f * radius for f in WINDOW_FRACTIONS)
     delta_cap = windows[0]
 
     # windows are nested balls, so windows of one size are one subset, and
@@ -172,7 +171,7 @@ def estimate_factorizing_step(
         return chains[len(sub)]
 
     candidates = space.rule.step_candidates(radius, lambda: chain(np.flatnonzero(bd <= radius)))
-    tested = _select_tested([c for c in candidates if c <= delta_cap], max_tested)
+    tested = _select_tested([c for c in candidates if c <= delta_cap], MAX_TESTED)
     subsets = [np.flatnonzero(bd <= w) for w in windows]
     inconclusive = len(subsets[0]) < 16 or len([c for c in tested if c > 0]) < 2
 

@@ -225,10 +225,10 @@ class SupRule(MetricRule):
     ``layout`` records how the constructors assembled the coordinates:
     "tower", "group-ball", or (split, left, right) for a product whose left
     factor owns the first ``split`` coordinates. Distances never read it;
-    the descriptor that space_id hashes, the product split and the Foelner
-    ball count do. The paths below that read coordinate structure across
-    points need rows that fill a box (fills_box): the whole space for
-    components and quotients (a structural space), the subset for chains.
+    the descriptor that space_id hashes and the product split do. The
+    paths below that read coordinate structure across points need rows
+    that fill a box (fills_box): the whole space for components and
+    quotients (a structural space), the subset for chains.
     """
 
     orders: tuple[int, ...]
@@ -407,9 +407,10 @@ class SupRule(MetricRule):
         return kept if len(set(levels)) == len(levels) else None
 
     def ball_neighbourhood(self, space: "FiniteSpace", k: int, eps: float) -> Optional[int]:
-        """On a structural free group ball a box fattened by eps is again a
-        box, so a ball count around the basepoint is the exact count."""
-        if space.structural and self.layout == "group-ball" and not any(self.orders):
+        """On a structural space of free coordinates, a box holding the
+        basepoint p, q is within eps of the k-ball iff d(q, p) <= k + eps
+        (move q toward p by at most k an axis): a ball count is exact."""
+        if space.structural and not any(self.orders):
             return int(np.sum(space.base_dists <= k + eps))
         return None
 
@@ -565,10 +566,7 @@ class FiniteSpace:
         self.inner_radius = inner_radius
         self._structural: Optional[bool] = None
         self._base_dists: Optional[np.ndarray] = None
-        self._dmat: Optional[np.ndarray] = None
-        # (plane_chain, plane_edges, _plane_grid): a plane space's chain,
-        # tree and the grid of its bands
-        self._tree: Optional[tuple[tuple, tuple, Optional[tuple]]] = None
+        self._tree: Optional[tuple] = None  # a plane space's chain, tree and grid (plane_chain)
 
     def with_inner_radius(self, inner_radius: Num) -> "FiniteSpace":
         """The same points, rule and basepoint, faithful up to another
@@ -638,16 +636,14 @@ class FiniteSpace:
         return self.rule.dists(self.coords[rows], self.coords[cols])
 
     def dmat(self) -> np.ndarray:
-        """Dense distance matrix; refuses above DENSE_LIMIT points."""
-        if self._dmat is None:
-            n = len(self)
-            if n > DENSE_LIMIT:
-                raise BudgetError(f"dense matrix of {n} points exceeds {DENSE_LIMIT}")
-            m = np.empty((n, n))
-            for blk in row_blocks(n):
-                m[blk] = self.dists_block(blk, slice(None))
-            self._dmat = m
-        return self._dmat
+        """Dense distance matrix, built anew each call; refuses above DENSE_LIMIT points."""
+        n = len(self)
+        if n > DENSE_LIMIT:
+            raise BudgetError(f"dense matrix of {n} points exceeds {DENSE_LIMIT}")
+        m = np.empty((n, n))
+        for blk in row_blocks(n):
+            m[blk] = self.dists_block(blk, slice(None))
+        return m
 
 def _label_array(labels, width: Optional[int], width_error: str) -> np.ndarray:
     """The (n, k) array of label rows given as an array or a sequence of
@@ -702,10 +698,17 @@ def _has_equal_rows(coords: np.ndarray) -> bool:
 # constructors
 
 
+def _count_text(count: int) -> str:
+    """The count's digits, or past 30 the largest power of 10 below it (ints print 4,300 at most)."""
+    p = int(count.bit_length() * math.log10(2))  # the power is p, p - 1 or p - 2
+    p -= (10**p >= count) + (10**(p - 1) >= count)
+    return str(count) if p < 30 else f"more than 10^{p}"
+
+
 def _check_budget(count: int, point_budget: Optional[int]) -> None:
     budget = DEFAULT_POINT_BUDGET if point_budget is None else point_budget
     if count > budget:
-        raise BudgetError(f"{count} points exceed the budget of {budget}")
+        raise BudgetError(f"{_count_text(count)} points exceed the budget of {_count_text(budget)}")
 
 
 def make_schedule(g: GroupDescription, radius: int) -> list[tuple[Union[str, int], int]]:
@@ -868,12 +871,11 @@ def k_point_space(k: int) -> FiniteSpace:
     return sp.with_inner_radius(math.inf)
 
 
-def subspace(space: FiniteSpace, indices: Sequence[int], basepoint: Optional[int] = None) -> FiniteSpace:
-    """Induced metric on a subset of points. The basepoint defaults to the
-    ambient one and must belong to the subset."""
+def subspace(space: FiniteSpace, indices: Sequence[int]) -> FiniteSpace:
+    """Induced metric on a subset of points, in index order, pointed at the
+    ambient basepoint, which must belong to the subset."""
     idx = np.asarray(sorted(int(i) for i in indices), dtype=np.int64)
-    base = space.basepoint if basepoint is None else basepoint
-    where = np.flatnonzero(idx == base)
+    where = np.flatnonzero(idx == space.basepoint)
     if not len(where):
         raise ValueError("basepoint must belong to the subset")
     return FiniteSpace(space.coords[idx], space.rule, int(where[0]), space.inner_radius)
@@ -1022,27 +1024,25 @@ def _plane_pair_dists(pts: np.ndarray, ii: np.ndarray, jj: np.ndarray) -> np.nda
 
 
 def plane_edges(space: FiniteSpace) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """A minimum spanning tree (i, j, weight) of a plane space, i < j, in
-    ascending (i, j) order: the edges the Kruskal pass of plane_chain
-    joins. Its edges inside a step window are the seeds that cut the
-    window's chain (PlaneRule.chain). Components need none."""
+    """A minimum spanning tree (i, j, weight) of a plane space: the edges
+    the Kruskal pass of plane_chain joins, in joining order, each pair as
+    the bands gave it. Its edges inside a step window, as a set, are the
+    seeds that cut the window's chain (PlaneRule.chain)."""
     plane_chain(space)
     return space._tree[1]
 
 
 def plane_chain(space: FiniteSpace) -> tuple[np.ndarray, np.ndarray]:
     """The chain of a whole plane space, from one Kruskal pass over the
-    candidate pairs of its bands (_band_edges). The pass's joins are its
-    tree (plane_edges). Both are cached on the space, with the grid of the
-    bands (_plane_grid), which its windows reuse (PlaneRule.chain)."""
+    candidate pairs of its bands (_band_edges). The pass's joins, unsorted,
+    are its tree (plane_edges). Both are cached on the space, with the grid
+    of the bands (_plane_grid), which its windows reuse (PlaneRule.chain)."""
     if space._tree is None:
         n = len(space)
         grid = _plane_grid(space.coords) if n > 1 else None
         ii, jj, ww = _band_edges(space.coords, np.arange(n), grid)
         order, gap, joined = _kruskal_chain(n, ii, jj, ww)
-        lo, hi = np.minimum(ii[joined], jj[joined]), np.maximum(ii[joined], jj[joined])
-        by = np.argsort(lo * n + hi)
-        space._tree = (order, gap), (lo[by], hi[by], ww[joined][by]), grid
+        space._tree = (order, gap), (ii[joined], jj[joined], ww[joined]), grid
     return space._tree[0]
 
 

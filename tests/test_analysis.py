@@ -624,7 +624,7 @@ def ultrametric_subsets(draw):
     product of towers whose levels coincide across the factors."""
     sp = draw(st.one_of(ultrametric_spaces, coinciding_products))
     picked = sorted(draw(st.sets(st.integers(0, len(sp) - 1), min_size=1, max_size=16)))
-    return subspace(sp, picked, basepoint=picked[0])
+    return FiniteSpace(sp.coords[picked], sp.rule, 0, sp.inner_radius)
 
 
 @settings(max_examples=200, deadline=None)
@@ -729,7 +729,7 @@ def test_chain_order_matches_cophenet(sp, data):
     else:
         if isinstance(sp.rule, SupRule) and data.draw(st.booleans()):
             picked = sorted(data.draw(st.sets(st.integers(0, len(sp) - 1), min_size=1)))
-            sp = subspace(sp, picked, basepoint=picked[0])
+            sp = FiniteSpace(sp.coords[picked], sp.rule, 0, sp.inner_radius)
         subset = sorted(data.draw(st.sets(st.integers(0, len(sp) - 1), min_size=1)))
     subset = np.asarray(subset, dtype=np.int64)
     order, gap = sp.rule.chain(sp, subset)
@@ -765,10 +765,12 @@ def test_sup_step_reads_its_ball_chains_from_coordinates(monkeypatch, group, rad
     assert estimate_factorizing_step(sp).to_json() == want
 
 
-def all_pairs_step(space, max_tested=48, fractions=(0.5, 0.75, 1.0)):
+def all_pairs_step(space):
     """estimate_factorizing_step as a per-scale loop on the all-pairs
     distances: single-linkage candidates from scipy, one connected-components
-    pass per window and scale, and each block count a bincount."""
+    pass per window and scale, and each block count a bincount; windows at
+    half, three quarters and all of the radius, and at most 48 tested
+    scales."""
     from scipy.cluster.hierarchy import linkage
     from scipy.sparse.csgraph import connected_components
     from scipy.spatial.distance import squareform
@@ -778,7 +780,7 @@ def all_pairs_step(space, max_tested=48, fractions=(0.5, 0.75, 1.0)):
     radius = float(space.inner_radius)
     if not math.isfinite(radius) or radius <= 0:
         radius = float(bd.max())
-    windows = [f * radius for f in fractions]
+    windows = [f * radius for f in (0.5, 0.75, 1.0)]
     if isinstance(space.rule, SupRule):
         # the values a sup rule realizes: cyclic levels, and every integer
         # up to the radius when a coordinate is free
@@ -794,7 +796,7 @@ def all_pairs_step(space, max_tested=48, fractions=(0.5, 0.75, 1.0)):
             heights = set(linkage(squareform(m[np.ix_(full, full)], checks=False),
                                   "single")[:, 2].tolist())
         candidates = sorted({0.0} | heights)
-    tested = _select_tested([c for c in candidates if c <= windows[0]], max_tested)
+    tested = _select_tested([c for c in candidates if c <= windows[0]], 48)
     subsets = [np.flatnonzero(bd <= w) for w in windows]
     labels = [{eps: connected_components(m[np.ix_(sub, sub)] <= eps, directed=False)[1]
                for eps in tested} for sub in subsets]
@@ -835,7 +837,8 @@ def step_spaces(draw):
     sp = draw(sup_spaces)
     if kind == "subset":
         picked = sorted(draw(st.sets(st.integers(0, len(sp) - 1), min_size=1)))
-        return subspace(sp, picked, basepoint=draw(st.sampled_from(picked)))
+        base = draw(st.integers(0, len(picked) - 1))
+        return FiniteSpace(sp.coords[picked], sp.rule, base, sp.inner_radius)
     return as_dense(sp) if kind == "table" else sp
 
 
@@ -845,7 +848,7 @@ def test_step_estimate_matches_the_all_pairs_loop(sp):
     assert estimate_factorizing_step(sp).to_json() == all_pairs_step(sp)
 
 
-def sig_count_step(space, max_tested=48, window_fractions=(0.5, 0.75, 1.0)):
+def sig_count_step(space):
     """estimate_factorizing_step with the stability check it had as one
     sig_count call per (eps, delta, window): the run boundaries of each
     window's chain at every tested scale, the basepoint's delta-run, and
@@ -855,11 +858,11 @@ def sig_count_step(space, max_tested=48, window_fractions=(0.5, 0.75, 1.0)):
     radius = float(space.inner_radius)
     if not math.isfinite(radius) or radius <= 0:
         radius = float(np.max(bd))
-    windows = tuple(f * radius for f in window_fractions)
+    windows = tuple(f * radius for f in (0.5, 0.75, 1.0))
     delta_cap = windows[0]
     full = np.flatnonzero(bd <= radius)
     candidates = space.rule.step_candidates(radius, lambda: space.rule.chain(space, full))
-    tested = _select_tested([c for c in candidates if c <= delta_cap], max_tested)
+    tested = _select_tested([c for c in candidates if c <= delta_cap], 48)
     subsets = [np.flatnonzero(bd <= w) for w in windows]
     inconclusive = len(subsets[0]) < 16 or len([c for c in tested if c > 0]) < 2
 
@@ -933,12 +936,10 @@ def tied_plane_clouds(draw):
 
 
 @settings(max_examples=150, deadline=None)
-@given(st.one_of(tied_plane_clouds(), step_spaces()),
-       st.lists(st.sampled_from([0.0, 0.3, 0.5, 0.75, 1.0, 1.25]), min_size=1, max_size=4),
-       st.sampled_from([4, 8, 48]))
-def test_step_stability_matches_the_sig_count_loop(sp, fractions, max_tested):
-    got = estimate_factorizing_step(sp, max_tested, tuple(fractions))
-    want, counts = sig_count_step(sp, max_tested, tuple(fractions))
+@given(st.one_of(tied_plane_clouds(), step_spaces()))
+def test_step_stability_matches_the_sig_count_loop(sp):
+    got = estimate_factorizing_step(sp)
+    want, counts = sig_count_step(sp)
     assert got == want
     assert window_counts(sp, got) == counts
 
@@ -993,12 +994,10 @@ def test_step_stability_on_the_curve_fixture_matches_the_sig_count_loop():
     # windows of thousands of points, 48 tested scales, and spans cut
     # from the cached whole-space tree
     sp = example31_fixture(12, 0.02, 200)
-    for fractions in ((0.5, 0.75, 1.0), (1.0, 0.5), (0.3,)):
-        for max_tested in (4, 48):
-            got = estimate_factorizing_step(sp, max_tested, fractions)
-            want, counts = sig_count_step(sp, max_tested, fractions)
-            assert got == want
-            assert window_counts(sp, got) == counts
+    got = estimate_factorizing_step(sp)
+    want, counts = sig_count_step(sp)
+    assert got == want
+    assert window_counts(sp, got) == counts
 
 
 def test_zero_distance_pair_stays_joined_at_zero():
@@ -1136,7 +1135,7 @@ def test_int_coords_hold_values_far_from_zero_and_large_levels():
     # a spread of 10 fits 8 bits, but labels near 20000 do not
     line = zball(20000)
     edge = [index(line)[(v,)] for v in range(19990, 20001)]
-    near_edge = subspace(line, edge, basepoint=edge[0])
+    near_edge = FiniteSpace(line.coords[edge], line.rule, 0, line.inner_radius)
     assert near_edge.rule.kernel_coords(near_edge.coords).dtype == np.int16
     small = zball(5)
     src, dst = np.arange(len(near_edge)), np.arange(len(near_edge))[::-1].copy()
@@ -1197,7 +1196,7 @@ def holed_sup_spaces(draw):
     in its box."""
     sp = draw(window_spaces)
     kept = sorted(draw(st.sets(st.integers(0, len(sp) - 1), min_size=1, max_size=len(sp))))
-    return subspace(sp, kept, basepoint=kept[0])
+    return FiniteSpace(sp.coords[kept], sp.rule, 0, sp.inner_radius)
 
 
 @settings(max_examples=250, deadline=None)
@@ -1846,7 +1845,9 @@ def foelner_triple(space, c, epsilon):
 
 
 def pure_free(sp):
-    return sp.rule.layout == "group-ball" and not any(sp.rule.orders)
+    """Whether the search counts a ball, not recounting: a structural space
+    of free coordinates, a group ball or a product of them."""
+    return sp.structural and not any(sp.rule.orders)
 
 
 @settings(max_examples=60, deadline=None)
@@ -1864,3 +1865,35 @@ def test_foelner_recount_over_several_row_blocks():
     for c, epsilon, want in ((1.25, 1.0, (8, 578, 722)), (1.5, 2.0, (9, 722, 1058)),
                              (2.0, 3.0, (7, 450, 882)), (1.2, 2.0, None)):
         assert foelner_triple(sp, c, epsilon) == rowwise_foelner(sp, c, epsilon) == want
+
+
+@pytest.mark.parametrize("radius, c, epsilon, want", [
+    (60, 1.1, 2, (41, 6889, 7569)), (6, 1.4, 1, (5, 121, 169)), (4, 2.0, 0.5, (0, 1, 1)),
+])
+def test_foelner_counts_a_product_of_free_balls_as_the_group_ball(radius, c, epsilon, want):
+    # equal metric spaces, equal answers: the product is the group ball's
+    # box, with its points in the same order
+    product = product_space(zball(radius), zball(radius))
+    assert pure_free(product)
+    f = foelner_search(product, c, epsilon)
+    assert f == foelner_search(zball(radius, 2), c, epsilon)
+    assert foelner_triple(product, c, epsilon) == want
+
+
+@pytest.mark.parametrize("make", [
+    lambda: product_space(zball(5), zball(7)),
+    lambda: product_space(product_space(zball(3), zball(4)), zball(2)),
+    lambda: product_space(zball(4), tower_space([])),
+], ids=["uneven", "three-factors", "with-a-point"])
+def test_foelner_ball_count_of_free_products_matches_the_rowwise_loop(make):
+    sp = make()
+    assert pure_free(sp)
+    for c, epsilon in ((1.05, 0.5), (1.2, 1.0), (1.5, 2.0), (3.0, 3.0)):
+        assert foelner_triple(sp, c, epsilon) == rowwise_foelner(sp, c, epsilon)
+
+
+def test_foelner_on_a_product_past_the_recount_limit():
+    # 58,081 points: a recount would be refused past RECOUNT_LIMIT
+    product = product_space(zball(120), zball(120))
+    assert len(product) == 58081 > analysis_mod.RECOUNT_LIMIT
+    assert foelner_search(product, 1.1, 2) == foelner_search(zball(120, 2), 1.1, 2)

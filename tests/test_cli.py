@@ -791,6 +791,16 @@ def test_fixture_components_keep_the_point_budget(capsys):
     assert "21 points exceed the budget of 1" in err
 
 
+@pytest.mark.parametrize("argv, count", [
+    (("components", "Z^100000", "--radius", "1"), "more than 10^47712"),
+    (("witness", "C2^1000000", "C2^1000000", "--depth", "100000"), "more than 10^30102"),
+], ids=["components", "witness"])
+def test_a_count_past_python_int_text_is_a_budget_refusal(capsys, argv, count):
+    # 3^100000 and 2^100000 points: written out in full, past 4,300 digits,
+    # the count was Python's "Exceeds the limit" message
+    assert run(capsys, *argv) == (2, "", f"error: {count} points exceed the budget of 1000000\n")
+
+
 @pytest.mark.parametrize("argv", [
     ("components", "example31:2:0.5", "--radius", "3", "--epsilon", "1"),
     ("components", "example31:2:0.5", "--radius", "24", "--epsilon", "1"),

@@ -115,3 +115,15 @@ def test_minus_undoes_add(a, b):
     # (a + b) - b == a whenever b is finite
     if b.is_finite:
         assert (a + b).minus(b) == a
+
+
+@pytest.mark.parametrize("value, error, message", [
+    (1.5, TypeError, "ExtNat value must be int or None, got 1.5"),
+    (True, TypeError, "ExtNat value must be int or None, got True"),
+    ("3", TypeError, "ExtNat value must be int or None, got '3'"),
+    (-1, ValueError, "ExtNat value must be nonnegative, got -1"),
+])
+def test_every_refusal_of_outside_input(value, error, message):
+    with pytest.raises(error) as refused:
+        ExtNat(value)
+    assert type(refused.value) is error and str(refused.value) == message

@@ -210,3 +210,13 @@ def test_le_consistent_with_sub(f, g):
     else:
         with pytest.raises(ValueError):
             ff_sub(f, g)
+
+
+@pytest.mark.parametrize("entries, message", [
+    (((2, 1), (2, 3)), "duplicate prime 2"),
+    (((4, 1),), "4 is not prime"),
+], ids=["duplicate-prime", "not-prime"])
+def test_every_refusal_of_outside_input(entries, message):
+    with pytest.raises(ValueError) as refused:
+        FactorFunction(entries=entries)
+    assert type(refused.value) is ValueError and str(refused.value) == message

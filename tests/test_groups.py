@@ -273,3 +273,16 @@ def test_coprime_split_preserves_verdict(a, b):
     split = GroupDescription(ExtNat(1), ((2, INF), (a, ExtNat(1)), (b, ExtNat(1))))
     assert coarse_isomorphic(joined, base) == coarse_isomorphic(split, base)
     assert coarse_isomorphic(joined, split).result is True
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: GroupDescription(summands=((1, 1),)), "cyclic order must be >= 2, got 1"),
+    (lambda: GroupDescription(summands=((10**9 + 1, 1),)),
+     "order 1000000001 exceeds limit 1000000000"),
+    (lambda: GroupDescription(summands=((2, 10**6 + 1),)), "multiplicity overflow at order 2"),
+    (lambda: GroupDescription(free_rank_part=10**6 + 1), "free rank overflow"),
+], ids=["order-1", "order-past-limit", "multiplicity-past-limit", "rank-past-limit"])
+def test_every_refusal_of_a_description_built_directly(make, message):
+    with pytest.raises(ValueError) as refused:
+        make()
+    assert type(refused.value) is ValueError and str(refused.value) == message

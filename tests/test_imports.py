@@ -1,6 +1,7 @@
 """No module of the package imports a name it never reads, no module
-defines a name or a method that the program never reads, and no module
-imports scipy, nor does a generic chain load it. The checks use only the
+defines a name or a method that the program never reads, or a defaulted
+parameter that the program never sets, and no module imports scipy, nor
+does a generic chain load it. The checks use only the
 standard library's ast: a name counts as read where a module loads it,
 attributes and string annotations included.
 ``__init__.py`` may import names it does not read, as its imports are the
@@ -10,7 +11,13 @@ name there is no read of it.
 Methods and properties are read by attribute name, as Python finds them:
 a name shared across classes, or with other objects (``to_json`` of every
 report, ``index`` of a list, ``blocks`` of a cover), counts as read for all
-of them. Dunders are exempt, as the interpreter calls them."""
+of them. Dunders are exempt, as the interpreter calls them.
+
+A defaulted parameter is set where a call by its function's name (``f(...)``
+or ``x.f(...)``) passes it, by keyword or by position, and likewise across
+every function of that name; a call that unpacks ``*args`` or ``**kwargs``
+may set any. Dunders are exempt here too: ``A(...)`` calls ``__init__`` by
+another name."""
 
 from __future__ import annotations
 
@@ -19,6 +26,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from typing import Optional
 
 import pytest
 
@@ -233,6 +241,118 @@ def test_every_method_is_read():
                if not path.name.startswith("test_")]
     outside.append((ROOT / "tests" / "test_acceptance.py").read_text())
     assert unread_methods(package, outside) == []
+
+
+def defaulted_parameters(source: str) -> list[tuple[str, str, str, Optional[int]]]:
+    """(owner, name, parameter, position) for each parameter with a default
+    of each module-level function and each method of a module-level class,
+    dunders excepted, in order of definition. owner is "" for a function
+    and the class for a method; position is the parameter's index among
+    the positional arguments a call passes (self and cls not counted), and
+    None for a keyword-only parameter."""
+    found = []
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.ClassDef):
+            functions = [(node.name, item) for item in node.body
+                         if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))]
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            functions = [("", node)]
+        else:
+            continue
+        for owner, fn in functions:
+            if fn.name.startswith("__") and fn.name.endswith("__"):
+                continue
+            static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                         for d in fn.decorator_list)
+            a = fn.args
+            positional = [*a.posonlyargs, *a.args][1 if owner and not static else 0:]
+            first = len(positional) - len(a.defaults)
+            found += [(owner, fn.name, arg.arg, k) for k, arg in enumerate(positional) if k >= first]
+            found += [(owner, fn.name, arg.arg, None)
+                      for arg, default in zip(a.kwonlyargs, a.kw_defaults) if default is not None]
+    return found
+
+
+def set_parameters(source: str) -> set:
+    """(name, key) for what each call of the source passes to the function
+    it calls by name (f(...) or x.f(...)): key is each keyword it passes,
+    each position below its count of positional arguments, "*" when it
+    unpacks positional arguments and "**" when it unpacks keywords."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Call):
+            continue
+        if isinstance(node.func, ast.Name):
+            name = node.func.id
+        elif isinstance(node.func, ast.Attribute):
+            name = node.func.attr
+        else:
+            continue
+        starred = [i for i, arg in enumerate(node.args) if isinstance(arg, ast.Starred)]
+        found |= {(name, i) for i in range(starred[0] if starred else len(node.args))}
+        if starred:
+            found.add((name, "*"))
+        found |= {(name, "**" if kw.arg is None else kw.arg) for kw in node.keywords}
+    return found
+
+
+def unset_parameters(package: dict, outside: list = ()) -> list[str]:
+    """module.[Class.]function.parameter for each defaulted parameter a
+    package module defines that no call in the package's other modules than
+    __init__, the module itself or an outside source passes, by keyword or
+    by position, in module order."""
+    readers = [source for module, source in package.items() if module != "__init__"]
+    passed = set().union(*map(set_parameters, [*readers, *outside]))
+    unset = []
+    for module, source in package.items():
+        for owner, name, param, position in defaulted_parameters(source):
+            keys = {param, "**"} if position is None else {param, position, "*", "**"}
+            if not any((name, key) in passed for key in keys):
+                unset.append(".".join(filter(None, (module, owner, name, param))))
+    return unset
+
+
+@pytest.mark.parametrize("snippet, unset", [
+    ("def f(x, y=1): ...\n", ["m.f.y"]),
+    ("def f(x, y=1): ...\nf(1, 2)\n", []),  # by position
+    ("def f(x, y=1): ...\nf(1, y=2)\n", []),  # by keyword
+    ("def f(x, y=1): ...\nf(1)\nf(x=1)\n", ["m.f.y"]),
+    ("def f(x, y=1, z=2): ...\nf(1, 2)\n", ["m.f.z"]),
+    ("def f(x=1, *, y=2): ...\nf(1, 2, 3)\n", ["m.f.y"]),  # positions set no keyword-only one
+    ("def f(x=1, *, y=2): ...\nf(y=1, x=2)\n", []),
+    ("def f(x=1): ...\nf(*args)\n", []),  # unpacked arguments may set anything
+    ("def f(x=1): ...\nf(**kwargs)\n", []),
+    ("def f(x=1): ...\nf(0, *args)\n", []),
+    ("def f(x, y=1): ...\nf(*args, x=1)\n", []),
+    ("def f(x=1): ...\n'f(1)'\n", ["m.f.x"]),  # text is no call
+    ("def f(x=1): ...\ng = f\ng(1)\n", ["m.f.x"]),  # a call by another name sets nothing
+    # self and cls are no positions of a call; a static method has neither
+    ("class A:\n    def f(self, x=1): ...\nA().f(1)\n", []),
+    ("class A:\n    def f(self, x, y=1): ...\nA().f(1)\n", ["m.A.f.y"]),
+    ("class A:\n    @classmethod\n    def f(cls, x=1): ...\nA.f(1)\n", []),
+    ("class A:\n    @staticmethod\n    def f(x, y=1): ...\nA.f(1)\n", ["m.A.f.y"]),
+    ("class A:\n    @staticmethod\n    def f(x, y=1): ...\nA.f(1, 2)\n", []),
+    ("class A:\n    def __init__(self, x=1): ...\nA()\n", []),  # dunders are exempt
+    # a call by a shared name sets it for every function of that name
+    ("def f(x=1): ...\nclass A:\n    def f(self, x=1): ...\nf(x=2)\n", []),
+    ("def get(a, b=None): ...\n{}.get(1, 2)\n", []),
+    ("def f():\n    def g(x=1): ...\n", []),  # nested functions are not scanned
+    ({"m": "def f(x=1): ...\n", "__init__": "from .m import f\nf(2)\n"}, ["m.f.x"]),
+    ({"m": "def f(x=1): ...\n", "n": "from .m import f\nf(2)\n"}, []),
+])
+def test_what_counts_as_a_set_parameter(snippet, unset):
+    package = {"m": snippet} if isinstance(snippet, str) else snippet
+    assert unset_parameters(package) == unset
+
+
+def test_every_parameter_is_set():
+    # the same readers as test_every_defined_name_is_read: a default that
+    # only unit tests override is a knob the program never turns
+    package = {path.stem: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
+    outside = [path.read_text() for path in sorted((ROOT / "perfbench").glob("*.py"))
+               if not path.name.startswith("test_")]
+    outside.append((ROOT / "tests" / "test_acceptance.py").read_text())
+    assert unset_parameters(package, outside) == []
 
 
 def init_imports(source: str) -> list[str]:

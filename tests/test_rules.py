@@ -472,7 +472,8 @@ def sup_subsets(draw):
         picked = np.flatnonzero(keep).tolist()
     else:
         picked = sorted(draw(st.sets(st.integers(0, len(sp) - 1), min_size=1)))
-    return subspace(sp, picked, basepoint=draw(st.sampled_from(picked)))
+    base = draw(st.integers(0, len(picked) - 1))
+    return FiniteSpace(sp.coords[picked], sp.rule, base, sp.inner_radius)
 
 
 @settings(max_examples=80, deadline=None)

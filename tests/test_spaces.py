@@ -604,13 +604,15 @@ def single_linkage_quotient(sp, eps):
 
 
 def assert_minimum_spanning_tree(pts, edges):
-    """The edges come once each, i < j, in ascending (i, j) order, with
-    their PlaneRule distances, and make a spanning tree whose weights are
-    Prim's: a tree of least weight, so a minimum spanning tree."""
+    """The edges join two points each, come once each in any order and
+    either direction, with their PlaneRule distances, and make a spanning
+    tree whose weights are Prim's: a tree of least weight, so a minimum
+    spanning tree."""
     ii, jj, ww = edges
     n = len(pts)
     assert len(ii) == max(n - 1, 0)
-    assert np.all(ii < jj) and np.all(np.diff(ii * n + jj) > 0)
+    lo, hi = np.minimum(ii, jj), np.maximum(ii, jj)
+    assert np.all(lo < hi) and len(np.unique(lo * n + hi)) == len(lo)
     assert np.array_equal(ww, np.round(np.hypot(pts[ii, 0] - pts[jj, 0],
                                                  pts[ii, 1] - pts[jj, 1]), 9))
     assert not np.any(_connected_labels(n, ii, jj))
@@ -662,6 +664,24 @@ class TestPlaneEdges:
     @given(plane_spaces)
     def test_tree_is_a_minimum_spanning_tree_random(self, sp):
         assert_minimum_spanning_tree(sp.coords, plane_edges(sp))
+
+    @pytest.mark.parametrize("make", [
+        lambda: example31_fixture(12, 0.02, 200),
+        lambda: cloud(lattice(7, 50, 0.25)),
+        lambda: cloud(np.random.default_rng(5).uniform(-5, 5, size=(800, 2))),
+    ], ids=["fixture", "lattice-quarter", "uniform"])
+    def test_tree_is_the_kruskal_joins_in_joining_order(self, make):
+        # the edges the pass over the bands' candidates joins, as the
+        # bands gave them, so their weights ascend; no sorted copy is kept
+        sp = make()
+        n = len(sp)
+        ii, jj, ww = spaces_mod._band_edges(sp.coords, np.arange(n),
+                                            spaces_mod._plane_grid(sp.coords))
+        joined = _kruskal_chain(n, ii, jj, ww)[2]
+        edges = plane_edges(sp)
+        assert all(np.array_equal(a, b[joined]) for a, b in zip(edges, (ii, jj, ww)))
+        assert np.all(np.diff(edges[2]) >= 0)
+        assert_minimum_spanning_tree(sp.coords, edges)
 
     def test_collinear_points_give_the_path_along_the_line(self):
         pts = np.array([(2.0, 4.0), (0.0, 0.0), (3.0, 6.0), (1.0, 2.0)])
@@ -1202,7 +1222,7 @@ class TestSubspace:
 
     def test_ultrametric_subsets_keep_it(self):
         t = tower_space([2, 2, 3])
-        sub = subspace(t, [0, 1, 5, 7], basepoint=0)
+        sub = subspace(t, [0, 1, 5, 7])
         assert sub.structural
         got = [[sub.labels[i] for i in b] for b in blocks(epsilon_components(sub, 2))]
         assert got == [[(0, 0, 0)], [(0, 0, 1), (1, 0, 1)], [(0, 1, 2)]]
@@ -1353,7 +1373,7 @@ def test_structural_flag_accepted_only_where_keys_are_exact(sp, data):
     # a subset is structural exactly when it is a free box times a set of
     # cyclic values, and there coordinate keys give the components
     picked = sorted(data.draw(st.sets(st.integers(0, len(sp) - 1), min_size=1)))
-    sub = subspace(sp, picked, basepoint=picked[0])
+    sub = FiniteSpace(sp.coords[picked], sp.rule, 0, sp.inner_radius)
     free = [c for c, o in enumerate(sp.rule.orders) if o == 0]
     box = {tuple(l[c] for c in free) for l in sub.labels}
     rest = {tuple(v for c, v in enumerate(l) if c not in free) for l in sub.labels}
@@ -1945,10 +1965,13 @@ def test_space_ids_build_no_label_tuples():
     ("witness.product_witness", "deltas"),
     ("witness.invert_witness", "deltas"),
     ("witness.relabel_witness", "columns"),
+    ("analysis.estimate_factorizing_step", "max_tested"),
+    ("analysis.estimate_factorizing_step", "window_fractions"),
+    ("spaces.subspace", "basepoint"),
 ])
 def test_removed_parameters_stay_removed(fn, removed):
-    # no program call set these; their values are module constants or
-    # the standard scales now
+    # no program call set these; their values are module constants, the
+    # standard scales or the ambient basepoint now
     module, name = fn.split(".")
     obj = getattr(importlib.import_module(f"coarseiso.{module}"), name)
     assert removed not in inspect.signature(obj).parameters
@@ -2006,3 +2029,55 @@ def test_the_metric_oracle_reads_every_triple_or_refuses():
     sp.rule.is_ultrametric = True
     with pytest.raises(ValueError, match="^strong triangle inequality violated$"):
         validate_metric(sp)
+
+
+@pytest.mark.parametrize("make, error, message", [
+    (lambda: zball(3300).dmat(), BudgetError, "dense matrix of 6601 points exceeds 6500"),
+    (lambda: FiniteSpace(np.zeros(3), spaces_mod.SupRule.group_ball(1), 0, 0), ValueError,
+     "coordinates must be an (n, k) array"),
+    (lambda: FiniteSpace([[[1]], [[2]]], spaces_mod.SupRule.group_ball(1), 0, 0), ValueError,
+     "coordinates must be an (n, k) array"),
+    (lambda: FiniteSpace([(1,), (object(),)], spaces_mod.SupRule.group_ball(1), 0, 0),
+     ValueError, "point labels must be numbers"),
+    (lambda: FiniteSpace([(1,), ("1",)], spaces_mod.SupRule.group_ball(1), 0, 0), ValueError,
+     "point labels must be numbers"),
+    # None becomes NaN on the way to float64
+    (lambda: FiniteSpace([(1,), (None,)], spaces_mod.SupRule.group_ball(1), 0, 0), ValueError,
+     "coordinates must be integers"),
+    (lambda: FiniteSpace([(1.0, 2.0), (None, 0.0)], PlaneRule(), 0, 0), ValueError,
+     "plane coordinates must be finite"),
+    (lambda: build_truncation(parse_group("Z + C2"), radius=-1), ValueError,
+     "radius must be >= 0"),
+    (lambda: canonical_ultrametric(FactorFunction.from_dict({2: 1}), -1), ValueError,
+     "depth must be >= 0"),
+    (lambda: k_point_space(0), ValueError, "k must be >= 1"),
+], ids=["dense-limit", "array-of-one-axis", "rows-of-rows", "not-a-number", "text",
+        "none-sup", "none-plane", "negative-radius", "negative-depth", "no-point"])
+def test_every_refusal_of_outside_input(make, error, message):
+    with pytest.raises(error) as refused:
+        make()
+    assert type(refused.value) is error and str(refused.value) == message
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: zball(10, rank=10000), "more than 10^13222 points exceed the budget of 1000000"),
+    (lambda: tower_space([2] * 20000), "more than 10^6020 points exceed the budget of 1000000"),
+    (lambda: zball(1, rank=100, point_budget=10**40),
+     "more than 10^47 points exceed the budget of more than 10^39"),
+    (lambda: zball(1, rank=3, point_budget=26), "27 points exceed the budget of 26"),
+], ids=["ball-of-rank-10000", "tower-of-20000", "budget-past-30-digits", "small"])
+def test_budget_refusals_word_counts_of_any_size(make, message):
+    # past 4,300 digits Python refuses to write an int, so a count that
+    # large was a plain ValueError about int conversion
+    with pytest.raises(BudgetError) as refused:
+        make()
+    assert str(refused.value) == message
+
+
+def test_counts_past_30_digits_name_the_power_of_10_they_exceed():
+    assert spaces_mod._count_text(10**30) == "1" + "0" * 30
+    assert spaces_mod._count_text(10**30 + 1) == "more than 10^30"
+    for e in range(100, 20000, 997):
+        for count in (10**e, 10**e + 1, 2**e, 3**e, 10**(e + 1) - 1):
+            power = int(spaces_mod._count_text(count).removeprefix("more than 10^"))
+            assert 10**power < count <= 10**(power + 1)

@@ -35,6 +35,7 @@ from coarseiso.spaces import (
     product_space,
     quotient_with_projection,
     row_blocks,
+    subspace,
     tower_space,
     zball,
 )
@@ -759,3 +760,40 @@ def test_absorption_always_bijective_and_clean(k, radius):
     assert len(w) == 2 * radius + 1
     assert len({t for _, t in w.table}) == len(w)
     assert verify_witness(w).ok
+
+
+def _table_witness(source, target, src, dst, claims=(), validity=2.0):
+    """A witness of the table with no recorded moduli, so verify_witness
+    checks no scale, and only the table and the claims can be at fault."""
+    return WitnessMap(source, target, None, {}, {}, validity, claims, src=src, dst=dst)
+
+
+@pytest.mark.parametrize("make, violation", [
+    (lambda: _table_witness(zball(2), zball(2), range(5), range(5),
+                            ({"kind": "per-component-isometry", "epsilon": 0},)),
+     "per-component-isometry claim on a non-product source"),
+    (lambda: _table_witness(zball(2), zball(3), [0, 0, 1, 2, 3, 4], [0, 1, 2, 3, 4, 5]),
+     "table maps a source point twice"),
+    (lambda: _table_witness(zball(2), zball(2), range(5), range(5), ({"kind": "spiral"},)),
+     "unknown claim kind 'spiral'"),
+], ids=["isometry-on-no-product", "source-twice", "unknown-claim"])
+def test_every_violation_of_a_given_witness(make, violation):
+    report = verify_witness(make())
+    assert not report.ok and report.violations == (violation,)
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: tower_alignment_witness(tower_space([2, 2]), subspace(tower_space([4]), [0, 1, 2])),
+     "alignment: a rank has no point in the second tower"),
+    (lambda: relabel_witness(zball(2), tower_space([2])), "relabel: no target point for label (-2,)"),
+    # labels of another width match no target row
+    (lambda: relabel_witness(zball(1), zball(1, 2)), "relabel: no target point for label (-1,)"),
+    # the one entry, label (-1, 0), lies 1 from the basepoint, outside radius 0
+    (lambda: component_multiplicity(_table_witness(
+        product_space(zball(1), tower_space([2])), zball(1), [0], [0], validity=0.0), 1),
+     "no table entries inside the validity region"),
+], ids=["alignment-rank-missing", "relabel-label-missing", "relabel-width", "no-entries"])
+def test_every_refusal_of_outside_input(make, message):
+    with pytest.raises(ValueError) as refused:
+        make()
+    assert type(refused.value) is ValueError and str(refused.value) == message
