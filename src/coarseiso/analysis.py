@@ -44,11 +44,13 @@ class StepEstimate:
     the observation window (0 when none does): a resolution-limited lower
     bound for the ambient factorizing step. stable_from is the smallest
     tested scale whose counts agree across all windows at every tested
-    coarser scale; quotients taken there are safe.
+    coarser scale; quotients taken there are safe. The largest tested
+    scale always does: every window counts one block there, the basepoint's
+    run.
     """
 
     estimate: float
-    stable_from: Optional[float]
+    stable_from: float
     candidates: tuple[float, ...]
     tested: tuple[float, ...]
     windows: tuple[float, ...]
@@ -107,17 +109,16 @@ def _base_runs(gap: np.ndarray, at: int, deltas: Sequence[float]) -> tuple[np.nd
 def _significant_counts(
     gap: np.ndarray, at: int, eps: float, lo: np.ndarray, hi: np.ndarray
 ) -> np.ndarray:
-    """Significant eps-blocks of each of the basepoint's runs [lo, hi) of a
-    chain at ascending coarser scales. The eps-blocks inside a delta-run
-    are the eps-runs inside it, since eps <= delta makes every cut at delta
-    one at eps. The delta-runs nest around the basepoint's eps-run, so the
-    largest block of each is the larger of two running maxima walking out
-    from that run, and the largest blocks grow with delta. So each eps-run
-    counts at the scales from the first delta-run that holds it up to the
-    first whose largest block is too large for it: an interval of scales,
-    and the counts are the running sum of the intervals' ends."""
-    if not len(lo):
-        return lo
+    """Significant eps-blocks of each of the basepoint's runs [lo, hi), one
+    or more, of a chain at ascending coarser scales. The eps-blocks inside
+    a delta-run are the eps-runs inside it, since eps <= delta makes every
+    cut at delta one at eps. The delta-runs nest around the basepoint's
+    eps-run, so the largest block of each is the larger of two running
+    maxima walking out from that run, and the largest blocks grow with
+    delta. So each eps-run counts at the scales from the first delta-run
+    that holds it up to the first whose largest block is too large for it:
+    an interval of scales, and the counts are the running sum of the
+    intervals' ends."""
     # the eps-runs of the last delta-run, the largest; it starts at a cut
     start = int(lo[-1])
     bounds = np.append(np.flatnonzero(gap[start:hi[-1]] > eps), hi[-1] - start)
@@ -191,11 +192,8 @@ def estimate_factorizing_step(space: FiniteSpace) -> StepEstimate:
     stable = {eps: k in still for k, eps in enumerate(tested)}
 
     unstable = [e for e in tested if not stable[e]]
-    stable_vals = [e for e in tested if stable[e]]
     estimate = max(unstable) if unstable else 0.0
-    stable_from = min(stable_vals) if stable_vals else None
-    if stable_from is None:
-        inconclusive = True
+    stable_from = min(e for e in tested if stable[e])
     return StepEstimate(
         estimate=estimate,
         stable_from=stable_from,

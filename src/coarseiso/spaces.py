@@ -27,27 +27,29 @@ index of a subset is also its lexicographically minimal label.
 
 Every path whose method depends on the metric is a method of the rule, so
 callers never test a rule's type outside one input check of tower
-alignment (tests/test_rules.py counts them): SupRule (group balls, towers,
-products) and PlaneRule (the example-3.1 curve) share the generic paths of
-MetricRule. Quotients exist only where the structure gives them: the
-epsilon-quotient of a structural tower or group ball is the tower of its
-cyclic coordinates above epsilon, and every other quotient is refused.
+alignment (tests/test_rules.py counts them), and each method has one
+route: SupRule (group balls, towers, products) reads coordinate keys and
+refuses the chains and components of points that fill no box, and
+PlaneRule (the example-3.1 curve) reads cell grids and bands. MetricRule
+holds only the defaults they share. Quotients exist only where the
+structure gives them: the epsilon-quotient of a structural tower or group
+ball is the tower of its cyclic coordinates above epsilon, and every other
+quotient is refused.
 
-No module imports scipy. The generic chain is the order in which Prim's
-algorithm takes the points, one distance row at a time (MetricRule.chain).
-A plane space reads its chain and tree once, by one Kruskal pass over the
-candidate pairs of bands (_band_edges, plane_chain): the points are sorted
-once into the Morton order of one fine cell grid, and every band reads its
-cells, buckets and sub-cells as runs of that order. The chain of any of its
-subsets is cut from the whole chain (PlaneRule.chain), and the bands a
-subset still needs read the whole space's grid.
-Components, plane ones included, join by _connected_labels.
+No module imports scipy. A plane space reads its chain and tree once, by
+one Kruskal pass over the candidate pairs of bands (_band_edges,
+plane_chain): the points are sorted once into the Morton order of one fine
+cell grid, and every band reads its cells, buckets and sub-cells as runs
+of that order. The chain of any of its subsets is cut from the whole chain
+(PlaneRule.chain), and the bands a subset still needs read the whole
+space's grid. Plane components join by _connected_labels.
 """
 
 from __future__ import annotations
 
 import copy
 import math
+import numbers
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence, Union
@@ -109,23 +111,21 @@ class MetricRule:
     """A way to compute distances, and every path that depends on it.
 
     A rule reads a block of distances from rows of kernel coordinates
-    (``dists``); every distance the program reads comes from it. The
-    methods here are the generic paths, written once from
-    ``FiniteSpace.dists_block``: the threshold graph read in row blocks for
-    epsilon-components, and a subset's chain in the order Prim's algorithm
-    takes its points, from one distance row per point. SupRule and
-    PlaneRule override those their structure reads exactly and faster;
-    SupRule falls back on them where a subset fills no box.
+    (``dists``); every distance the program reads comes from it. Each rule
+    checks its own labels (``checked_coords``) and reads its structure in
+    its own ``components(space, eps)``, the component label of each point in
+    the graph with edges d <= eps, and ``chain(space, subset)``, the
+    single-linkage chain of the induced subspace on ascending distinct
+    indices: an order of the subset positions, and gap[k] the height at
+    which order[k - 1] and order[k] merge (gap[0] = inf). Every
+    eps-component, at every eps, is one contiguous run of the order, cut
+    where gap > eps, and the cophenetic distance of order[i] and order[j],
+    i < j, is max(gap[i + 1:j + 1]) (Gower & Ross, 1969). The methods here
+    are the defaults the rules share.
     """
 
     split: Optional[int] = None  # coordinates owned by a product's left factor
     is_ultrametric = False
-
-    def checked_coords(self, labels) -> np.ndarray:
-        """The (n, k) array of the label rows given for a space, once this
-        rule's precondition holds: here rows of one width, in their own
-        numeric dtype (_label_array)."""
-        return _label_array(labels, None, "point labels differ in width")
 
     def kernel_coords(self, coords: np.ndarray) -> np.ndarray:
         """Kernel rows as the pair pass of oscillation hands them to dists."""
@@ -139,56 +139,6 @@ class MetricRule:
         """Whether the rule's coordinate key paths are exact on these rows;
         always here, where no key path is taken."""
         return True
-
-    def chain(self, space: "FiniteSpace", subset: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Single-linkage chain of the induced subspace on ascending
-        distinct indices: an order of the subset positions, and gap[k] the
-        height at which order[k - 1] and order[k] merge (gap[0] = inf).
-        Every eps-component, at every eps, is one contiguous run of the
-        order, cut where gap > eps, and the cophenetic distance of order[i]
-        and order[j], i < j, is max(gap[i + 1:j + 1]) (Gower & Ross, 1969).
-
-        Here the order is the one in which Prim's algorithm (Prim, 1957)
-        takes the points, one distance row per point in linear memory, and
-        each point's gap is its reach: its least distance to the points
-        taken before it. That is exact, ties included. When the first point
-        of an eps-component C is taken, its reach is above eps, and every
-        other component is fully taken or untouched: a point within eps of
-        the points taken would have been taken first. Until the rest of C is
-        taken, some point of C is within eps of them, and every point
-        outside C is farther, so C is one run, and gap > eps only at its
-        start. It reads all n(n - 1)/2 distances, so it is refused above
-        DENSE_LIMIT points."""
-        n = len(subset)
-        if n > DENSE_LIMIT:
-            raise BudgetError(f"a spanning tree of {n} points reads {n * (n - 1) // 2} distances, "
-                              f"over the {DENSE_LIMIT * (DENSE_LIMIT - 1) // 2} of {DENSE_LIMIT}")
-        # the first n - t entries of rest are the points not yet taken, and
-        # reach their least distances to those taken; the point taken swaps
-        # with the last
-        rest, reach = np.arange(n), np.full(n, math.inf)
-        order, gap = np.empty(n, dtype=np.int64), np.empty(n)
-        for t in range(n):
-            m, last = int(np.argmin(reach[:n - t])), n - t - 1
-            order[t], gap[t] = rest[m], reach[m]
-            rest[m], reach[m] = rest[last], reach[last]
-            np.minimum(reach[:last], space.dists_block(subset[order[t]], subset[rest[:last]]),
-                       out=reach[:last])
-        return order, gap
-
-    def components(self, space: "FiniteSpace", eps: float) -> np.ndarray:
-        """Component label of each point in the graph with edges d <= eps:
-        rows in blocks, each block's edges joined to a star forest of the
-        components so far, so memory stays near one block of rows."""
-        n = len(space)
-        labels = np.arange(n)
-        for blk in row_blocks(n):
-            bi, bj = np.nonzero(space.dists_block(blk, slice(None)) <= eps)
-            # each point's label is the least index of its component so
-            # far, a point of it: joining the two keeps those components
-            ii = np.concatenate([bi + blk.start, np.arange(n)])
-            labels = _connected_labels(n, ii, np.concatenate([bj, labels]))
-        return labels
 
     def sup_rows(self, space: "FiniteSpace", idx) -> Optional[tuple]:
         """The rows of the points idx (repeats allowed), with the order and
@@ -215,6 +165,13 @@ class MetricRule:
         return None
 
 
+def _no_box(space: "FiniteSpace", n: int) -> ValueError:
+    """The refusal of a sup rule's coordinate keys on n points of the space
+    that fill no box."""
+    return ValueError(f"{n} points of {space!r} fill no box: a sup rule reads chains and "
+                      "components only on boxes")
+
+
 @dataclass(frozen=True)
 class SupRule(MetricRule):
     """Sup metric over label coordinates. A free coordinate (order 0, level
@@ -228,7 +185,9 @@ class SupRule(MetricRule):
     the descriptor that space_id hashes and the product split do. The
     paths below that read coordinate structure across points need rows
     that fill a box (fills_box): the whole space for components and
-    quotients (a structural space), the subset for chains.
+    quotients (a structural space), the subset for chains. They refuse
+    any other rows: every space the program builds fills a box, and only
+    hand-given rows or a subspace of chosen points can fill none.
     """
 
     orders: tuple[int, ...]
@@ -364,26 +323,27 @@ class SupRule(MetricRule):
 
     def components(self, space: "FiniteSpace", eps: float) -> np.ndarray:
         """Coordinate keys on a structural space: points of a full box that
-        agree above eps are chained by steps of at most eps."""
-        if space.structural:
-            return _row_groups(space.coords[:, np.asarray(self.levels) > eps])
-        return super().components(space, eps)
+        agree above eps are chained by steps of at most eps. Any other
+        space is refused (_no_box)."""
+        if not space.structural:
+            raise _no_box(space, len(space))
+        return _row_groups(space.coords[:, np.asarray(self.levels) > eps])
 
     def sup_rows(self, space, idx):
         return space.coords[idx], self.orders, self.levels
 
     def chain(self, space: "FiniteSpace", subset: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Where the subset's rows fill a box (fills_box; a ball of a
+        """On a subset whose rows fill a box (fills_box; a ball of a
         structural space does): the rows sorted by coordinates of
         descending level, each gap the level of the first coordinate in
         which two neighbours differ (level_chain; 1 when only free ones
-        do), as the coordinate keys of components classify them. Elsewhere
-        from the minimum spanning tree (MetricRule.chain)."""
+        do), as the coordinate keys of components classify them. Any other
+        subset is refused (_no_box)."""
         coords = space.coords[subset]
         if len(coords) <= 1:  # distinct labels of width 0 are one point
             return np.arange(len(coords)), np.full(len(coords), math.inf)
         if not self.fills_box(coords):
-            return super().chain(space, subset)
+            raise _no_box(space, len(coords))
         return level_chain(coords, np.asarray(self.levels, dtype=float))
 
     def step_candidates(self, radius: float, ball_chain) -> list[float]:
@@ -542,7 +502,7 @@ class FiniteSpace:
     rule's kernel reads. The labels, given as an array or a sequence of
     rows, become that array at once. Every route, subspaces and quotients
     included, checks the same things: the rule's width and values
-    (MetricRule.checked_coords), distinct rows, and a basepoint in range.
+    (the rule's checked_coords), distinct rows, and a basepoint in range.
     Label tuples are made only when something reads them
     (MetricRule.label_lists). ``ultrametric`` and ``structural`` are read
     from the rule and the points, never given.
@@ -645,11 +605,11 @@ class FiniteSpace:
             m[blk] = self.dists_block(blk, slice(None))
         return m
 
-def _label_array(labels, width: Optional[int], width_error: str) -> np.ndarray:
-    """The (n, k) array of label rows given as an array or a sequence of
-    rows, in their own dtype, which must be numeric: every row must have
-    the width, or one width when it is None. Widths are read before numpy
-    sees the rows, so ragged rows raise width_error, not a shape error."""
+def _label_array(labels, width: int, width_error: str) -> np.ndarray:
+    """The (n, width) array of label rows given as an array or a sequence
+    of rows, in their own dtype, which must be numeric. Widths are read
+    before numpy sees the rows, so ragged rows raise width_error, not a
+    shape error."""
     if isinstance(labels, np.ndarray):
         if labels.ndim != 2:
             raise ValueError("coordinates must be an (n, k) array")
@@ -657,21 +617,30 @@ def _label_array(labels, width: Optional[int], width_error: str) -> np.ndarray:
     else:
         labels = list(labels)
         widths = set(map(len, labels))
-    if len(widths) > 1 or (width is not None and widths - {width}):
+    if widths - {width}:
         raise ValueError(width_error)
     if not len(labels):
-        return np.empty((0, width or 0))
+        return np.empty((0, width))
     rows = np.asarray(labels)
     if rows.dtype.kind == "O":  # integers beyond 64 bits, or not numbers at all
-        try:
-            rows = rows.astype(float)
-        except (TypeError, ValueError):
-            raise ValueError("point labels must be numbers") from None
+        # astype would read None as NaN and text as the number it spells
+        if not all(isinstance(v, numbers.Real) for v in rows.flat):
+            raise ValueError("point labels must be numbers")
+        rows = np.vectorize(_as_float, otypes=[float])(rows)
     if rows.dtype.kind not in "iuf":
         raise ValueError("point labels must be numbers")
     if rows.ndim != 2:
         raise ValueError("coordinates must be an (n, k) array")
     return rows
+
+
+def _as_float(v: numbers.Real) -> float:
+    """v as a float64; infinite where v is an integer past float64's range,
+    which every rule refuses as it refuses infinite coordinates."""
+    try:
+        return float(v)
+    except OverflowError:
+        return math.inf if v > 0 else -math.inf
 
 
 def _ascends(coords: np.ndarray) -> bool:

@@ -115,20 +115,6 @@ class WitnessMap:
             self._table = tuple(zip(self.src.tolist(), self.dst.tolist()))
         return self._table
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, WitnessMap):
-            return NotImplemented
-        return (
-            self.source == other.source
-            and self.target == other.target
-            and np.array_equal(self.src, other.src)
-            and np.array_equal(self.dst, other.dst)
-            and self.forward_moduli == other.forward_moduli
-            and self.backward_moduli == other.backward_moduli
-            and self.validity_radius == other.validity_radius
-            and self.claims == other.claims
-        )
-
     def __len__(self) -> int:
         return len(self.src)
 

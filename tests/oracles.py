@@ -1,9 +1,10 @@
 """Oracles the tests compare the package against and the program never
 reads: the scalar distance of two points, the metric axioms of a space
-read on every triple, the heights of a minimum spanning tree of plane
-points, and the addition and text form of factor functions; and two
-lookups the program reads in other forms, a label's position and a
-partition's blocks."""
+read on every triple, the chain and components of any space read from its
+distance rows alone, the heights of a minimum spanning tree of plane
+points, the equality of two witness maps, and the addition and text form
+of factor functions; and two lookups the program reads in other forms, a
+label's position and a partition's blocks."""
 
 from __future__ import annotations
 
@@ -13,7 +14,8 @@ import numpy as np
 
 from coarseiso.extnat import INF, ExtNat
 from coarseiso.factorfn import FactorFunction
-from coarseiso.spaces import PLANE_DECIMALS, PlaneRule, SupRule
+from coarseiso.spaces import PLANE_DECIMALS, PlaneRule, SupRule, _connected_labels, row_blocks
+
 
 def distance(space, i: int, j: int):
     """The distance of points i and j, read from their two labels alone:
@@ -73,6 +75,47 @@ def validate_metric(space) -> None:
             raise ValueError("strong triangle inequality violated")
 
 
+def prim_chain(space, subset: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The single-linkage chain of the subset (MetricRule) in the order in
+    which Prim's algorithm (Prim, 1957) takes its points, one distance row
+    per point in linear memory, each point's gap its reach: its least
+    distance to the points taken before it. That is exact, ties included.
+    When the first point of an eps-component C is taken, its reach is
+    above eps, and every other component is fully taken or untouched: a
+    point within eps of the points taken would have been taken first.
+    Until the rest of C is taken, some point of C is within eps of them,
+    and every point outside C is farther, so C is one run, and gap > eps
+    only at its start."""
+    n = len(subset)
+    # the first n - t entries of rest are the points not yet taken, and
+    # reach their least distances to those taken; the point taken swaps
+    # with the last
+    rest, reach = np.arange(n), np.full(n, math.inf)
+    order, gap = np.empty(n, dtype=np.int64), np.empty(n)
+    for t in range(n):
+        m, last = int(np.argmin(reach[:n - t])), n - t - 1
+        order[t], gap[t] = rest[m], reach[m]
+        rest[m], reach[m] = rest[last], reach[last]
+        np.minimum(reach[:last], space.dists_block(subset[order[t]], subset[rest[:last]]),
+                   out=reach[:last])
+    return order, gap
+
+
+def graph_components(space, eps: float) -> np.ndarray:
+    """Component label of each point in the graph with edges d <= eps:
+    rows in blocks, each block's edges joined to a star forest of the
+    components so far, so memory stays near one block of rows."""
+    n = len(space)
+    labels = np.arange(n)
+    for blk in row_blocks(n):
+        bi, bj = np.nonzero(space.dists_block(blk, slice(None)) <= eps)
+        # each point's label is the least index of its component so far, a
+        # point of it: joining the two keeps those components
+        ii = np.concatenate([bi + blk.start, np.arange(n)])
+        labels = _connected_labels(n, ii, np.concatenate([bj, labels]))
+    return labels
+
+
 def prim_heights(pts) -> list[float]:
     """The weights of a minimum spanning tree of plane points under
     PlaneRule distances, ascending: Prim's algorithm, one distance row at a
@@ -103,6 +146,16 @@ def single_linkage_heights(pts) -> list[float]:
         return []
     d = PlaneRule().dists(pts, pts)
     return sorted(linkage(squareform(d, checks=False), "single")[:, 2].tolist())
+
+
+def same_witness(a, b) -> bool:
+    """Whether two witness maps hold equal spaces, tables, moduli, validity
+    radii and claims; the maps themselves compare by identity."""
+    return (a.source == b.source and a.target == b.target
+            and np.array_equal(a.src, b.src) and np.array_equal(a.dst, b.dst)
+            and a.forward_moduli == b.forward_moduli
+            and a.backward_moduli == b.backward_moduli
+            and a.validity_radius == b.validity_radius and a.claims == b.claims)
 
 
 def ff_add(f: FactorFunction, g: FactorFunction) -> FactorFunction:

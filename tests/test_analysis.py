@@ -29,7 +29,6 @@ from coarseiso.factorfn import FactorFunction
 from coarseiso.groups import parse_group
 from coarseiso.spaces import (
     FiniteSpace,
-    MetricRule,
     PlaneRule,
     SupRule,
     _kruskal_chain,
@@ -50,7 +49,17 @@ from coarseiso.spaces import (
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
 from dense_rule import as_dense, dense_space  # noqa: E402
-from oracles import blocks, distance, index, prim_heights, single_linkage_heights  # noqa: E402
+from oracles import (  # noqa: E402
+    blocks,
+    distance,
+    index,
+    prim_chain,
+    prim_heights,
+    single_linkage_heights,
+)
+
+# the refusal of a sup rule's chains and components on points that fill no box
+NO_BOX = r"^\d+ points of FiniteSpace\(.*\) fill no box: a sup rule reads chains and"
 
 
 def ff(values, default=0):
@@ -497,12 +506,19 @@ def test_chain_order_matches_single_linkage(plane, data):
         assert np.array_equal(labels[:, None] == labels[None, :], coph <= eps)
 
 
-def test_chain_of_a_holed_line_takes_the_graph_path():
+def test_a_holed_line_is_refused_and_its_table_splits_at_the_gaps():
     # a line ball with two gaps is not a box: coordinate keys would call it
-    # one block at eps = 1, where it has three
+    # one block at eps = 1, where it has three. So its sup rule refuses its
+    # chain, components and step, and its table reads them
     zb = zball(12)
-    sp = subspace(zb, [i for i, (v,) in enumerate(zb.labels) if v not in (3, 4, -7, -8)])
-    assert not sp.structural
+    holed = subspace(zb, [i for i, (v,) in enumerate(zb.labels) if v not in (3, 4, -7, -8)])
+    assert not holed.structural
+    for refused in (lambda: holed.rule.chain(holed, np.arange(len(holed))),
+                    lambda: epsilon_components(holed, 1),
+                    lambda: estimate_factorizing_step(holed)):
+        with pytest.raises(ValueError, match=NO_BOX):
+            refused()
+    sp = as_dense(holed)
     order, gap = sp.rule.chain(sp, np.arange(len(sp)))
     # three runs of unit steps, joined across the gaps of 3
     assert sorted(gap[1:].tolist()) == [1.0] * (len(sp) - 3) + [3.0, 3.0]
@@ -511,8 +527,9 @@ def test_chain_of_a_holed_line_takes_the_graph_path():
     assert len(np.unique(labels[3.0])) == epsilon_components(sp, 3).count == 1
     blocks = epsilon_components(sp, 1).point_block
     assert np.array_equal(labels[1.0][:, None] == labels[1.0], blocks[:, None] == blocks)
+    # a table tests only its chain's gaps, 1 and 3, so 2 is no candidate
     est = estimate_factorizing_step(sp)
-    assert (est.estimate, est.stable_from) == (2.0, 3.0)
+    assert (est.estimate, est.stable_from) == (1.0, 3.0)
 
 
 ultrametric_factors = st.one_of(
@@ -732,37 +749,36 @@ def test_chain_order_matches_cophenet(sp, data):
             sp = FiniteSpace(sp.coords[picked], sp.rule, 0, sp.inner_radius)
         subset = sorted(data.draw(st.sets(st.integers(0, len(sp) - 1), min_size=1)))
     subset = np.asarray(subset, dtype=np.int64)
+    if isinstance(sp.rule, SupRule) and not sp.rule.fills_box(sp.coords[subset]):
+        # a sup rule keys only boxes; the tables above serve the rest
+        with pytest.raises(ValueError, match=NO_BOX):
+            sp.rule.chain(sp, subset)
+        return
     order, gap = sp.rule.chain(sp, subset)
     assert sorted(order.tolist()) == list(range(len(subset)))
     assert gap[0] == math.inf
     assert np.array_equal(chain_cophenet(order, gap), single_linkage_cophenet(sp, subset))
 
 
-def test_sup_chain_of_a_subset_that_fills_no_box_reads_distances():
+def test_sup_chain_of_a_subset_that_fills_no_box_is_refused():
     # -5 and -3 are 2 apart; sorted coordinates alone would join them at 1,
-    # as if -4 lay between them
+    # as if -4 lay between them, so the sup rule refuses them
     zb = zball(5)
     subset = np.array([0, 2])
     assert zb.label_lists(subset) == [[-5], [-3]]
-    order, gap = zb.rule.chain(zb, subset)
-    assert gap.tolist() == [math.inf, 2.0]
-    generic = MetricRule.chain(zb.rule, zb, subset)
-    assert np.array_equal(order, generic[0]) and np.array_equal(gap, generic[1])
+    with pytest.raises(ValueError, match=r"^2 points of FiniteSpace\(11 points, group-ball, "
+                                         r"R=5\) fill no box"):
+        zb.rule.chain(zb, subset)
+    assert prim_chain(zb, subset)[1].tolist() == [math.inf, 2.0]
 
 
 @pytest.mark.parametrize("group,radius", [("Z + C2^inf", 16), ("C2^inf", 64)])
-def test_sup_step_reads_its_ball_chains_from_coordinates(monkeypatch, group, radius):
+def test_sup_step_reads_its_ball_chains_from_coordinates(group, radius):
     # the candidate ball and the windows of a step are balls, which fill a
-    # box, so no chain falls back to the minimum spanning tree, and the
-    # estimate is the all-pairs loop's
+    # box, so the sup rule keys every chain, and the estimate is the
+    # all-pairs loop's
     sp = build_truncation(parse_group(group), radius=radius)
-    want = all_pairs_step(sp)
-
-    def refuse(*args):
-        raise AssertionError("a ball chain left the coordinate path")
-
-    monkeypatch.setattr(MetricRule, "chain", refuse)
-    assert estimate_factorizing_step(sp).to_json() == want
+    assert estimate_factorizing_step(sp).to_json() == all_pairs_step(sp)
 
 
 def all_pairs_step(space):
@@ -836,9 +852,12 @@ def step_spaces(draw):
         return FiniteSpace(labels, PlaneRule(), draw(st.integers(0, len(labels) - 1)), 0)
     sp = draw(sup_spaces)
     if kind == "subset":
+        # a sup rule keys a subset that fills a box; the table of any other
+        # reads its distances
         picked = sorted(draw(st.sets(st.integers(0, len(sp) - 1), min_size=1)))
         base = draw(st.integers(0, len(picked) - 1))
-        return FiniteSpace(sp.coords[picked], sp.rule, base, sp.inner_radius)
+        sub = FiniteSpace(sp.coords[picked], sp.rule, base, sp.inner_radius)
+        return sub if sub.structural else as_dense(sub)
     return as_dense(sp) if kind == "table" else sp
 
 
@@ -1150,6 +1169,9 @@ def test_int_coords_hold_values_far_from_zero_and_large_levels():
     idx = np.arange(len(tall))
     perm = np.random.default_rng(5).permutation(len(tall))
     assert_scales_agree(tall, tall, idx, perm, [1.0, 2.0, 300.0, 70000.0])
+    # a level past int64 leaves the coordinates float64
+    huge = tower_space([2], levels=[2**64])
+    assert huge.rule.kernel_coords(huge.coords).dtype == np.float64
 
 
 # the window route of oscillation, called through its kernel so that it runs
@@ -1311,12 +1333,12 @@ def test_each_kind_of_table_takes_its_route(make, route):
             analysis_mod._pair_oscillation(source, target, src, dst, deltas))
 
 
-def test_generic_chain_over_several_blocks():
-    # the generic route takes the points in Prim's order, one distance row
-    # each: its finite gaps are scipy's single-linkage heights, and its runs
-    # the single-linkage clusters at every height
-    # (single_linkage_cophenet, on the subset's distances alone rather than
-    # the 3,721-point space's dense matrix)
+def test_prim_chain_over_several_blocks():
+    # the oracle takes the points in Prim's order, one distance row each:
+    # its finite gaps are scipy's single-linkage heights, and its runs the
+    # single-linkage clusters at every height (single_linkage_cophenet, on
+    # the subset's distances alone rather than the 3,721-point space's
+    # dense matrix)
     from scipy.cluster.hierarchy import cophenet, linkage
     from scipy.spatial.distance import squareform
 
@@ -1324,46 +1346,12 @@ def test_generic_chain_over_several_blocks():
     for sp in (zball(20, 2), zball(30, 2)):
         subset = np.sort(rng.choice(len(sp), size=1100, replace=False))
         n = len(subset)
-        assert len(row_blocks(n)) > 1 and not sp.rule.fills_box(sp.coords[subset])
-        order, gap = sp.rule.chain(sp, subset)
+        assert len(row_blocks(n)) > 1
+        order, gap = prim_chain(sp, subset)
         assert sorted(order.tolist()) == list(range(n)) and gap[0] == math.inf
         tree = linkage(squareform(sp.dists_block(subset, subset)), "single")
         assert sorted(gap[1:].tolist()) == sorted(tree[:, 2].tolist())
         assert np.array_equal(chain_cophenet(order, gap), squareform(cophenet(tree)))
-
-
-def test_generic_chain_memory_is_linear():
-    # Prim reads one distance row per point joined; the pairs of 3,000
-    # points as arrays held over 300 MB
-    import tracemalloc
-
-    sp = zball(40, 2)
-    subset = np.sort(np.random.default_rng(3).choice(len(sp), size=3000, replace=False))
-    assert not sp.rule.fills_box(sp.coords[subset])
-    tracemalloc.start()
-    try:
-        sp.rule.chain(sp, subset)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 4 * 2**20
-
-
-def test_generic_chain_above_the_limit_is_refused_before_any_read(monkeypatch):
-    # Prim reads all n(n - 1)/2 distances of the subset; 6,501 points are
-    # refused by that count, before the first distance row
-    sp = zball(60, 2)
-    subset = np.sort(np.random.default_rng(5).choice(len(sp), size=6501, replace=False))
-    assert not sp.rule.fills_box(sp.coords[subset])
-
-    def refuse(*args):
-        raise AssertionError("Prim read a distance row")
-
-    monkeypatch.setattr(FiniteSpace, "dists_block", refuse)
-    with pytest.raises(spaces_mod.BudgetError,
-                       match=r"^a spanning tree of 6501 points reads 21128250 distances, "
-                             r"over the 21121750 of 6500$"):
-        sp.rule.chain(sp, subset)
 
 
 @st.composite

@@ -441,6 +441,18 @@ def test_a_free_chain_round_prints_its_pinned_bytes(capsys):
         "5f87f034925fc34fd57ea1d868e90eef3075a757e321049c00d7109d62e42938"
 
 
+def test_a_rank_3_cover_prints_its_pinned_bytes(capsys):
+    # the one pinned CLI call that reaches the rank-3 lattice ids
+    # (_bcc_ids): sha256 of the whole stdout
+    code, out, err = run(capsys, "cover", "Z^3", "--radius", "10", "--epsilon", "0.5")
+    assert (code, err) == (0, "")
+    payload = json.loads(out)
+    assert (payload["rank"], payload["blocks"], payload["multiplicity"], payload["bound"]) == \
+        (3, 27, 4, 4)
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        "fee18fb4b38b9a442cf5de7f51c8528faa35aca65a268d5f93f3c9ddf52ce734"
+
+
 def longest_list(value):
     """The most entries of any list or tuple inside a payload."""
     if isinstance(value, dict):

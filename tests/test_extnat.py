@@ -58,6 +58,10 @@ class TestOrderAndValue:
         assert ExtNat(4) <= 4
         assert ExtNat(3) < 4
         assert INF != 4
+        assert ExtNat(4) != "4"
+
+    def test_repr_names_the_value(self):
+        assert (repr(ExtNat(3)), repr(INF)) == ("ExtNat(3)", "ExtNat(inf)")
 
     def test_finite_value(self):
         assert ExtNat(9).finite_value() == 9

@@ -125,6 +125,9 @@ class TestComparisons:
     def test_almost_equal_inf_vs_finite(self):
         assert not ff_almost_equal(ff({2: INF}), ff({2: 3}))
 
+    def test_total_mass_of_a_positive_default_is_inf(self):
+        assert ff({}, default=1).total_mass == INF and ff({2: 3}).total_mass == 3
+
     def test_almost_equal_default_mismatch(self):
         assert not ff_almost_equal(ff({}, default=1), FactorFunction())
 
@@ -140,6 +143,9 @@ class TestTextForm:
     def test_roundtrip(self, text):
         f = ff_parse(text)
         assert ff_parse(ff_render(f)) == f
+
+    def test_str_is_the_rendering(self):
+        assert str(ff({2: 3}, default=1)) == "default:1,2:3"
 
     def test_render_canonical(self):
         assert ff_render(ff({3: 1, 2: INF})) == "2:inf,3:1"

@@ -88,6 +88,13 @@ class TestRendering:
     def test_parse_render_identity(self, text):
         assert render_group(parse_group(text)) == text
 
+    def test_str_is_the_rendering(self):
+        assert str(parse_group("Z + C2^inf")) == "Z + C2^inf"
+
+    def test_zero_multiplicities_and_tails_drop(self):
+        g = GroupDescription(ExtNat(1), ((2, ExtNat(0)), (3, ExtNat(1))), ExtNat(0))
+        assert (g.summands, g.tail) == (((3, ExtNat(1)),), None)
+
 
 class TestInvariants:
     def test_free_rank(self):

@@ -1,9 +1,10 @@
 """No module of the package imports a name it never reads, no module
 defines a name or a method that the program never reads, or a defaulted
-parameter that the program never sets, and no module imports scipy, nor
-does a generic chain load it. The checks use only the
-standard library's ast: a name counts as read where a module loads it,
-attributes and string annotations included.
+parameter that the program never sets, and no module imports scipy
+(tests/test_cli.py checks that witness chains and plane components leave
+it unloaded). The checks use only the standard library's ast: a name
+counts as read where a module loads it, attributes and string annotations
+included.
 ``__init__.py`` may import names it does not read, as its imports are the
 package's public names; they are the names of ``__all__``, and importing a
 name there is no read of it.
@@ -22,9 +23,6 @@ another name."""
 from __future__ import annotations
 
 import ast
-import os
-import subprocess
-import sys
 from pathlib import Path
 from typing import Optional
 
@@ -398,26 +396,6 @@ def test_what_counts_as_a_scipy_import(snippet, imports):
 
 
 def test_no_module_imports_scipy():
-    # components, plane chains and the generic chain (Prim on distance
-    # rows) all run on numpy alone
+    # sup keys, plane chains and plane components all run on numpy alone
     found = {path.name: scipy_imports(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
     assert {name: bad for name, bad in found.items() if bad} == {}
-
-
-def test_a_generic_chain_leaves_scipy_unloaded():
-    # a sup subset that fills no box takes MetricRule's chain, in a fresh
-    # interpreter, so nothing the tests imported counts
-    code = (
-        "import sys\n"
-        "import numpy as np\n"
-        "from coarseiso.spaces import zball\n"
-        "sp, subset = zball(5, 2), np.array([0, 2, 30])\n"
-        "assert not sp.rule.fills_box(sp.coords[subset])\n"
-        "order, gap = sp.rule.chain(sp, subset)\n"
-        "assert sorted(order.tolist()) == [0, 1, 2]\n"
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
-    )
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "[]"

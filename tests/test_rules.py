@@ -1,6 +1,6 @@
 """The metric-rule protocol: every path a rule chooses, checked against a
 brute-force oracle built from the scalar distance of tests/oracles.py, on the
-package's rules and on a dense table that takes every generic path, a count
+package's rules and on a dense table that takes the oracles' paths, a count
 of the places in the package that still test a rule's type, checks that
 points have one store and that removed rule methods stay gone, and the
 derived `structural` property against a brute-force box test."""
@@ -38,11 +38,13 @@ from coarseiso.spaces import (
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
 from dense_rule import as_dense  # noqa: E402
-from oracles import distance  # noqa: E402
+from oracles import distance, graph_components, prim_chain  # noqa: E402
 
-# the three kinds of space the rules serve, a structural quotient, dense
+# the three kinds of space the rules hold, a structural quotient, dense
 # tables of a plane sample and of the sup subset, and each package rule's
-# space rebuilt by the constructor from its label tuples
+# space rebuilt by the constructor from its label tuples. The sup subset
+# fills no box, so its rule refuses its chains and components (NO_BOX), and
+# its table serves them
 SPACES = {
     "sup-box": lambda: product_space(build_truncation(parse_group("Z + C3"), radius=3),
                                      tower_space([2], levels=[5])),
@@ -123,11 +125,25 @@ def cophenetic(d: np.ndarray) -> np.ndarray:
     return squareform(cophenet(linkage(squareform(d, checks=False), "single")))
 
 
+NO_BOX = r"^\d+ points of FiniteSpace\(.*\) fill no box: a sup rule reads chains and"
+
+
+def refused(sp, subset) -> bool:
+    """Whether a sup rule refuses the subset's chain, as it fills no box."""
+    if not isinstance(sp.rule, SupRule) or sp.rule.fills_box(sp.coords[subset]):
+        return False
+    with pytest.raises(ValueError, match=NO_BOX):
+        sp.rule.chain(sp, subset)
+    return True
+
+
 def test_chain_gives_the_single_linkage_heights(case):
     # basepoint balls, which the structural sup chain needs, and the whole space
     _, sp, d = case
     for radius in sorted(set(d[sp.basepoint].tolist()))[::3] + [math.inf]:
         subset = np.flatnonzero(d[sp.basepoint] <= radius)
+        if refused(sp, subset):
+            continue
         order, gap = sp.rule.chain(sp, subset)
         assert sorted(order.tolist()) == list(range(len(subset))) and gap[0] == math.inf
         coph = np.zeros((len(subset), len(subset)))
@@ -149,6 +165,10 @@ def test_components_are_those_of_the_threshold_graph(case):
 
     _, sp, d = case
     values = sorted(set(d.ravel().tolist()))
+    if isinstance(sp.rule, SupRule) and not sp.structural:
+        with pytest.raises(ValueError, match=NO_BOX):
+            epsilon_components(sp, 1)
+        return
     for eps in [0.0, *values[1::4], values[-1], math.inf]:
         labels = connected_components(d <= eps, directed=False)[1]
         blocks = epsilon_components(sp, eps).point_block
@@ -414,10 +434,10 @@ def same_partition(a, b) -> bool:
     return np.array_equal(a[:, None] == a, b[:, None] == b)
 
 
-def assert_keys_match_the_generic_paths(sp):
+def assert_keys_match_the_oracles(sp):
     """On a structural space the rule's components equal the threshold
     graph's, and its chain of each basepoint ball (of any subset on an
-    ultrametric) has the runs of the generic chain at every gap."""
+    ultrametric) has the runs of Prim's chain at every gap."""
     assert sp.structural
     base = sp.dists_from(sp.basepoint)
     subsets = [np.flatnonzero(base <= r) for r in sorted(set(base.tolist()))]
@@ -425,9 +445,9 @@ def assert_keys_match_the_generic_paths(sp):
         subsets.append(np.arange(0, len(sp), 2))
     values = sorted(set(sp.dmat().ravel().tolist()))
     for eps in [*values, 0.5, math.inf]:
-        assert same_partition(sp.rule.components(sp, eps), MetricRule.components(sp.rule, sp, eps))
+        assert same_partition(sp.rule.components(sp, eps), graph_components(sp, eps))
     for subset in subsets:
-        keyed, generic = sp.rule.chain(sp, subset), MetricRule.chain(sp.rule, sp, subset)
+        keyed, generic = sp.rule.chain(sp, subset), prim_chain(sp, subset)
         for eps in sorted(set(keyed[1].tolist()) | set(generic[1].tolist()) | {0.0}):
             assert same_partition(chain_runs(*keyed, eps), chain_runs(*generic, eps))
 
@@ -436,7 +456,7 @@ def test_structural_is_the_box_test(case):
     _, sp, _ = case
     assert sp.structural == box_by_enumeration(sp)
     if sp.structural and isinstance(sp.rule, SupRule):
-        assert_keys_match_the_generic_paths(sp)
+        assert_keys_match_the_oracles(sp)
 
 
 SUP_PARENTS = [
@@ -481,7 +501,7 @@ def sup_subsets(draw):
 def test_structural_subsets_are_the_boxes(sub):
     assert sub.structural == box_by_enumeration(sub)
     if sub.structural:
-        assert_keys_match_the_generic_paths(sub)
+        assert_keys_match_the_oracles(sub)
 
 
 # ---------------------------------------------------------------------------

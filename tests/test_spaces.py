@@ -30,7 +30,6 @@ from coarseiso.primes import primes_upto
 from coarseiso.spaces import (
     BudgetError,
     FiniteSpace,
-    MetricRule,
     PlaneRule,
     build_truncation,
     canonical_ultrametric,
@@ -62,6 +61,7 @@ from dense_rule import as_dense, dense_space  # noqa: E402
 from oracles import (  # noqa: E402
     blocks,
     distance,
+    graph_components,
     index,
     prim_heights,
     single_linkage_heights,
@@ -109,10 +109,10 @@ plane_spaces = st.one_of(
 )
 
 
-def graph_components(sp, eps):
-    """Components read on the generic threshold-graph path, whatever path
-    the space's rule would take."""
-    return _partition_from_keys(eps, MetricRule.components(sp.rule, sp, float(eps)))
+def graph_partition(sp, eps):
+    """Components read on the threshold graph (graph_components), whatever
+    path the space's rule would take."""
+    return _partition_from_keys(eps, graph_components(sp, float(eps)))
 
 
 class TestSchedules:
@@ -484,9 +484,13 @@ def test_partition_of_a_label_array_matches_the_key_loop(keys):
 
 class TestComponents:
     def test_gap_splits_the_line(self):
+        # the holed line fills no box, so its sup rule refuses it, and its
+        # table splits it at the gap
         zb = zball(11)
         line = subspace(zb, [index(zb)[(v,)] for v in (0, 1, 2, 10, 11)])
-        part = epsilon_components(line, 1)
+        with pytest.raises(ValueError, match="^5 points of .* fill no box"):
+            epsilon_components(line, 1)
+        part = epsilon_components(as_dense(line), 1)
         got = [[line.labels[i][0] for i in b] for b in blocks(part)]
         assert got == [[0, 1, 2], [10, 11]]
 
@@ -523,7 +527,7 @@ class TestComponents:
             with pytest.raises(ValueError, match="epsilon"):
                 call(sp, math.nan)
         assert epsilon_components(sp, math.inf).count == 1
-        assert graph_components(sp, math.inf).count == 1
+        assert graph_partition(sp, math.inf).count == 1
 
     @settings(max_examples=40, deadline=None)
     @given(plane_spaces, st.sampled_from([0.05, 0.3, 0.5, 1.0, 2.0, 4.0]))
@@ -531,15 +535,15 @@ class TestComponents:
         # cell-grid components against the all-pairs threshold graph
         assert blocks(epsilon_components(sp, eps)) == threshold_blocks(sp.dmat(), eps)
 
-    def test_graph_path_over_several_row_blocks(self):
-        # ~3000 points: the graph path reads its distance rows in blocks,
-        # and runs of the line must join across block boundaries
+    def test_graph_oracle_over_several_row_blocks(self):
+        # ~3000 points: the threshold-graph oracle reads its distance rows
+        # in blocks, and runs of the line must join across block boundaries
         zb = zball(1500)
         line = subspace(zb, [i for i, (v,) in enumerate(zb.labels) if (v + 48) % 97])
-        assert not line.structural
+        assert len(spaces_mod.row_blocks(len(line))) > 1
         run = [(v + 48) // 97 for (v,) in line.labels]
         want = tuple(tuple(i for i, k in enumerate(run) if k == r) for r in sorted(set(run)))
-        assert blocks(epsilon_components(line, 1)) == want
+        assert blocks(graph_partition(line, 1)) == want
 
     def test_block_dmat_matches_stacked_rows(self):
         # sup rules with free and cyclic coordinates, the plane (same
@@ -1102,7 +1106,7 @@ class TestGridComponents:
             got = epsilon_components(sp, eps)
         finally:
             spaces_mod.BLOCK_ENTRIES, spaces_mod._slot_chunks = old
-        assert blocks(got) == blocks(graph_components(sp, eps))
+        assert blocks(got) == blocks(graph_partition(sp, eps))
         assert max(items[0]) > limit and max(chunks) <= limit
         assert sum(chunks) == int(items[0].sum())
 
@@ -1130,8 +1134,8 @@ def test_slot_chunks_match_the_plain_expansion(sizes, limit):
 def assert_least_index_labels(n, ii, jj):
     """_connected_labels against scipy's connected_components: each node's
     label must be the least index of its component in scipy's partition,
-    which asserts both the partition and the labels MetricRule.components
-    reads as roots."""
+    which asserts both the partition and the labels the plane components
+    and graph_components read as roots."""
     from scipy.sparse import coo_matrix
     from scipy.sparse.csgraph import connected_components
 
@@ -1209,10 +1213,13 @@ class TestSubspace:
 
     def test_points_5_apart_are_two_1_components(self):
         # given labels took a structural flag by default, and coordinate
-        # keys read these two points as one 1-component
+        # keys read these two points as one 1-component; they fill no box,
+        # so the sup rule refuses them, and their table counts two
         line = FiniteSpace([(0,), (5,)], spaces_mod.SupRule.group_ball(1), 0, 5)
         assert not line.structural
-        assert epsilon_components(line, 1).count == 2
+        with pytest.raises(ValueError, match="^2 points of .* fill no box"):
+            epsilon_components(line, 1)
+        assert epsilon_components(as_dense(line), 1).count == 2
 
     def test_sub_boxes_keep_the_shortcut_and_holed_subsets_drop_it(self):
         zb = zball(5)
@@ -1359,7 +1366,7 @@ rule_spaces = st.one_of(
 def test_structural_keys_match_graph_components(sp, eps):
     assert sp.structural
     keyed = epsilon_components(sp, eps)
-    graph = graph_components(sp, eps)
+    graph = graph_partition(sp, eps)
     assert blocks(keyed) == blocks(graph) == threshold_blocks(sp.dmat(), eps)
 
 
@@ -1783,7 +1790,7 @@ def _label_equal(a, b):
 def test_equality_agrees_with_label_equality(a, b, data):
     x, y = a[0], b[0]
     copy = FiniteSpace(x.labels, x.rule, x.basepoint, x.inner_radius)
-    assert copy == x and x == copy and _label_equal(copy, x)
+    assert copy == x and x == copy and _label_equal(copy, x) and x != x.labels
     assert (x == y) == _label_equal(x, y)
     # one label moved by 1000 in a free coordinate, or dropped where all
     # are cyclic (a moved cyclic value would leave the group): a
@@ -1993,13 +2000,18 @@ def test_schedule_alias_is_gone():
     ("witness", "TowerAlignment.to_json"), ("factorfn", "FactorFunction.as_dict"),
     ("spaces", "MetricRule.label_json"), ("spaces", "SupRule.label_json"),
     ("extnat", "ExtNat.min"), ("extnat", "ExtNat.max"),
+    ("spaces", "MetricRule.chain"), ("spaces", "MetricRule.components"),
+    ("spaces", "MetricRule.checked_coords"),
 ])
 def test_test_only_names_left_the_package(module, name):
     # the metric and distance oracles, the label and block lookups, and the
     # factor-function parser and sum live in tests/oracles.py; the one-line
     # wrappers gave way to what they wrap; space serialization is gone, and
     # with it, once space ids hashed the rows, the rules' label writers;
-    # nothing in the package read ExtNat's min and max
+    # nothing in the package read ExtNat's min and max; the Prim chain and
+    # the threshold-graph components, which only the tests took, are
+    # prim_chain and graph_components there; each rule checks its own
+    # labels
     owner = importlib.import_module(f"coarseiso.{module}")
     *path, name = name.split(".")
     for part in path:
@@ -2031,6 +2043,15 @@ def test_the_metric_oracle_reads_every_triple_or_refuses():
         validate_metric(sp)
 
 
+def two_points_5_apart():
+    """A sup line of two points 5 apart, which fill no box."""
+    return FiniteSpace([(0,), (5,)], spaces_mod.SupRule.group_ball(1), 0, 5)
+
+
+NO_BOX = ("2 points of FiniteSpace(2 points, group-ball, R=5) fill no box: a sup rule reads "
+          "chains and components only on boxes")
+
+
 @pytest.mark.parametrize("make, error, message", [
     (lambda: zball(3300).dmat(), BudgetError, "dense matrix of 6601 points exceeds 6500"),
     (lambda: FiniteSpace(np.zeros(3), spaces_mod.SupRule.group_ball(1), 0, 0), ValueError,
@@ -2041,18 +2062,39 @@ def test_the_metric_oracle_reads_every_triple_or_refuses():
      ValueError, "point labels must be numbers"),
     (lambda: FiniteSpace([(1,), ("1",)], spaces_mod.SupRule.group_ball(1), 0, 0), ValueError,
      "point labels must be numbers"),
-    # None becomes NaN on the way to float64
+    # None and text are no numbers, though numpy's float cast reads them as
+    # NaN and as the number the text spells
     (lambda: FiniteSpace([(1,), (None,)], spaces_mod.SupRule.group_ball(1), 0, 0), ValueError,
-     "coordinates must be integers"),
+     "point labels must be numbers"),
     (lambda: FiniteSpace([(1.0, 2.0), (None, 0.0)], PlaneRule(), 0, 0), ValueError,
+     "point labels must be numbers"),
+    (lambda: FiniteSpace([(2**70,), ("1",)], spaces_mod.SupRule.group_ball(1), 0, 0),
+     ValueError, "point labels must be numbers"),
+    # an int past 64 bits makes the rows objects, read as float64
+    (lambda: FiniteSpace([(2**70,), (1,)], spaces_mod.SupRule.group_ball(1), 0, 0),
+     ValueError, "coordinates must be integers"),
+    # an int past float64's range reads as infinite
+    (lambda: FiniteSpace([(10**400,), (1,)], spaces_mod.SupRule.group_ball(1), 0, 0),
+     ValueError, "coordinates must be integers"),
+    (lambda: FiniteSpace([(1.0, 2.0), (-(10**400), 0.0)], PlaneRule(), 0, 0), ValueError,
      "plane coordinates must be finite"),
+    (lambda: FiniteSpace([], spaces_mod.SupRule.group_ball(1), 0, 0), ValueError,
+     "basepoint index out of range"),
     (lambda: build_truncation(parse_group("Z + C2"), radius=-1), ValueError,
      "radius must be >= 0"),
     (lambda: canonical_ultrametric(FactorFunction.from_dict({2: 1}), -1), ValueError,
      "depth must be >= 0"),
     (lambda: k_point_space(0), ValueError, "k must be >= 1"),
+    # a sup space that fills no box: no coordinate keys read it
+    (lambda: epsilon_components(two_points_5_apart(), 1), ValueError, NO_BOX),
+    (lambda: spaces_mod.SupRule.group_ball(1).chain(two_points_5_apart(), np.arange(2)),
+     ValueError, NO_BOX),
+    (lambda: estimate_factorizing_step(two_points_5_apart()), ValueError, NO_BOX),
 ], ids=["dense-limit", "array-of-one-axis", "rows-of-rows", "not-a-number", "text",
-        "none-sup", "none-plane", "negative-radius", "negative-depth", "no-point"])
+        "none-sup", "none-plane", "text-beside-a-wide-int", "wide-int", "huge-int-sup",
+        "huge-int-plane", "no-labels",
+        "negative-radius", "negative-depth", "no-point", "components-of-no-box",
+        "chain-of-no-box", "step-of-no-box"])
 def test_every_refusal_of_outside_input(make, error, message):
     with pytest.raises(error) as refused:
         make()

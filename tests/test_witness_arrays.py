@@ -52,7 +52,7 @@ from coarseiso.witness import (
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
-from oracles import blocks, distance, index  # noqa: E402
+from oracles import blocks, distance, index, same_witness  # noqa: E402
 
 _TOL = 1e-9
 
@@ -602,10 +602,12 @@ def test_table_is_read_from_the_index_arrays():
     # a table given in place of the arrays replaces them
     swapped = dataclasses.replace(w, table=((0, 1), (1, 0)))
     assert swapped.src.tolist() == [0, 1] and swapped.dst.tolist() == [1, 0]
-    assert swapped.table == ((0, 1), (1, 0)) and swapped != w
-    assert dataclasses.replace(w, forward_moduli=dict(w.forward_moduli)) == w
-    assert WitnessMap(sp, sp, w.table, w.forward_moduli, w.backward_moduli,
-                      w.validity_radius) == w
+    assert swapped.table == ((0, 1), (1, 0)) and not same_witness(swapped, w)
+    assert same_witness(dataclasses.replace(w, forward_moduli=dict(w.forward_moduli)), w)
+    assert same_witness(WitnessMap(sp, sp, w.table, w.forward_moduli, w.backward_moduli,
+                                   w.validity_radius), w)
+    # maps compare by identity, as nothing in the package compares them
+    assert WitnessMap.__eq__ is object.__eq__ and WitnessMap.__hash__ is object.__hash__
     with pytest.raises(TypeError, match="needs its table"):
         WitnessMap(sp, sp, None, {}, {}, 1.0)
     with pytest.raises(ValueError, match="mismatched"):
