@@ -74,19 +74,19 @@ class WitnessMap:
         self,
         source: FiniteSpace,
         target: FiniteSpace,
-        table: Optional[Sequence[Tuple[int, int]]] = None,
-        forward_moduli: Optional[Dict[float, float]] = None,
-        backward_moduli: Optional[Dict[float, float]] = None,
-        validity_radius: Optional[float] = None,
+        forward_moduli: Dict[float, float],
+        backward_moduli: Dict[float, float],
+        validity_radius: float,
         claims: Tuple[dict, ...] = (),
         *,
         src: Optional[Sequence[int]] = None,
         dst: Optional[Sequence[int]] = None,
+        table: Optional[Sequence[Tuple[int, int]]] = None,
     ):
         if table is not None:
             src, dst = np.asarray(table).reshape(-1, 2).T
-        if src is None or dst is None or validity_radius is None:
-            raise TypeError("a witness needs its table and validity radius")
+        if src is None or dst is None:
+            raise TypeError("a witness needs its table")
         src, dst = np.asarray(src), np.asarray(dst)
         if src.ndim != 1 or src.shape != dst.shape:
             raise ValueError("mismatched map table")
@@ -101,8 +101,8 @@ class WitnessMap:
         self.src.setflags(write=False)
         self.dst.setflags(write=False)
         self.source, self.target = source, target
-        self.forward_moduli = {} if forward_moduli is None else forward_moduli
-        self.backward_moduli = {} if backward_moduli is None else backward_moduli
+        self.forward_moduli = forward_moduli
+        self.backward_moduli = backward_moduli
         self.validity_radius = validity_radius
         self.claims = claims
         self._table: Optional[Tuple[Tuple[int, int], ...]] = None
@@ -163,26 +163,35 @@ def _inside(space: FiniteSpace, idx: np.ndarray, radius: float) -> np.ndarray:
     return space.base_dists[idx] <= radius + _TOL
 
 
-def _finish(
+class _Stage(NamedTuple):
+    """A table and its validity radius, with no moduli: what _finish
+    measures, and what the combinators read as they read a WitnessMap's.
+    The chain's identity, relabel, alignment, absorption and inversion
+    steps are stages; only its products and compositions are measured."""
+
+    source: FiniteSpace
+    target: FiniteSpace
+    src: np.ndarray
+    dst: np.ndarray
+    validity_radius: float
+
+
+def _stage(
     source: FiniteSpace,
     target: FiniteSpace,
     src: Sequence[int],
     dst: Sequence[int],
-    claims: Tuple[dict, ...],
-    extra_deltas: Sequence[float] = (),
     validity_cap: Optional[float] = None,
     context: str = "witness",
-) -> WitnessMap:
-    """Normalize the table given as source and target index arrays, derive
-    the validity radius and measure moduli.
+) -> _Stage:
+    """Normalize the table given as source and target index arrays and
+    derive its validity radius.
 
-    Every constructor and combinator routes through here, so recorded moduli
-    are measured values by construction: one oscillation call for every
-    scale and both directions. The table is kept sorted by source. The
-    validity radius is the largest realized distance from the source
-    basepoint whose closed ball the table covers entirely.
+    The table is kept sorted by source. The validity radius is the largest
+    realized distance from the source basepoint whose closed ball the table
+    covers entirely, capped at validity_cap. A source point mapped twice,
+    or a table that leaves no region valid, is a ValueError.
     """
-    extra = _check_deltas(extra_deltas)
     si = np.asarray(src, dtype=np.int64)
     ti = np.asarray(dst, dtype=np.int64)
     # a table that passes has distinct sources, so ordering by source alone
@@ -203,13 +212,25 @@ def _finish(
         validity = min(validity, float(validity_cap))
     if validity < 0:
         raise ValueError(f"{context}: empty validity region")
+    return _Stage(source, target, si, ti, validity)
+
+
+def _finish(
+    stage: _Stage, claims: Tuple[dict, ...] = (), extra_deltas: Sequence[float] = ()
+) -> WitnessMap:
+    """Measure a stage's moduli and record them as a witness. Every
+    constructor and combinator ends here, so recorded moduli are measured
+    values by construction: one oscillation call for every scale and both
+    directions, over the table's entries inside the validity radius."""
+    extra = _check_deltas(extra_deltas)
+    source, target, si, ti, validity = stage
     deltas = sorted({x for x in (*STANDARD_DELTAS, *extra) if x <= validity + _TOL})
     if not deltas:
         deltas = [validity]
     keep = _inside(source, si, validity)
     measured = oscillation(source, target, si[keep], ti[keep], deltas)
     fwd, bwd = (dict(zip(deltas, v)) for v in measured)
-    return WitnessMap(source, target, None, fwd, bwd, validity, claims, src=si, dst=ti)
+    return WitnessMap(source, target, fwd, bwd, validity, claims, src=si, dst=ti)
 
 
 # ---------------------------------------------------------------------------
@@ -410,7 +431,7 @@ def factorization_witness(space: FiniteSpace, epsilon: float) -> WitnessMap:
     ti = _match_rows(rows, space.coords)
     si = np.flatnonzero(ti >= 0)
     claims = ({"kind": "per-component-isometry", "epsilon": eps},)
-    return _finish(source, space, si, ti[si], claims, context="factorization")
+    return _finish(_stage(source, space, si, ti[si], context="factorization"), claims)
 
 
 @dataclass
@@ -450,26 +471,41 @@ def _prefix_products(orders: Sequence[int]) -> List[int]:
     return out
 
 
+def _alignment_stage(u_space: FiniteSpace, v_space: FiniteSpace) -> _Stage:
+    """The table of tower_alignment_witness: a point's little-endian
+    mixed-radix rank in the first tower, decoded in the second, as arrays
+    matched to the second tower's rows as relabel_witness matches. Towers
+    of different factor content are a ValueError."""
+    if not all(isinstance(sp.rule, SupRule) and sp.rule.layout == "tower"
+               for sp in (u_space, v_space)):
+        raise ValueError("alignment needs tower-built spaces")
+    uo, vo = u_space.rule.orders, v_space.rule.orders
+    if _prime_multiset(*uo) != _prime_multiset(*vo):
+        raise ValueError("factor functions of the towers differ")
+    rank = u_space.coords.astype(np.int64) @ np.asarray(_prefix_products(uo)[:-1], dtype=np.int64)
+    digits = np.empty((len(u_space), len(vo)))
+    for c, o in enumerate(vo):
+        rank, digits[:, c] = np.divmod(rank, o)
+    ti = _match_rows(digits, v_space.coords)
+    if np.any(ti < 0):
+        raise ValueError("alignment: a rank has no point in the second tower")
+    return _stage(u_space, v_space, np.arange(len(u_space)), ti, context="alignment")
+
+
 def tower_alignment_witness(
     u_space: FiniteSpace, v_space: FiniteSpace, deltas: Sequence[float] = ()
 ) -> TowerAlignment:
     """Align two tower truncations with the same factor content: the same
     prime multiset of their orders, so the same total order.
 
-    The bijection sends a point to its little-endian mixed-radix rank in the
-    first tower and decodes that rank in the second, as arrays matched to
-    the second tower's rows as relabel_witness matches. The greedy
+    The bijection is the rank map of _alignment_stage. The greedy
     interleaving (smallest admissible index each time) records the
     divisibility chain the moduli bounds come from; the recorded claims are
     the exact aligned-ball statements the bijection satisfies.
     """
-    if not all(isinstance(sp.rule, SupRule) and sp.rule.layout == "tower"
-               for sp in (u_space, v_space)):
-        raise ValueError("alignment needs tower-built spaces")
+    stage = _alignment_stage(u_space, v_space)
     uo, ul = u_space.rule.orders, u_space.rule.levels
     vo, vl = v_space.rule.orders, v_space.rule.levels
-    if _prime_multiset(*uo) != _prime_multiset(*vo):
-        raise ValueError("factor functions of the towers differ")
     uprod, vprod = _prefix_products(uo), _prefix_products(vo)
 
     pairs: List[Tuple[int, int]] = []
@@ -483,14 +519,6 @@ def tower_alignment_witness(
             break
         a = next(a2 for a2 in range(a + 1, a_len + 1) if uprod[a2] % vprod[b] == 0)
 
-    rank = u_space.coords.astype(np.int64) @ np.asarray(uprod[:-1], dtype=np.int64)
-    digits = np.empty((len(u_space), len(vo)))
-    for c, o in enumerate(vo):
-        rank, digits[:, c] = np.divmod(rank, o)
-    ti = _match_rows(digits, v_space.coords)
-    if np.any(ti < 0):
-        raise ValueError("alignment: a rank has no point in the second tower")
-
     claim_pairs = []
     for a, _ in pairs:
         b2 = max(b for b in range(b_len + 1) if uprod[a] % vprod[b] == 0)
@@ -499,12 +527,21 @@ def tower_alignment_witness(
         if [ru, rv] not in claim_pairs:
             claim_pairs.append([ru, rv])
     claims = ({"kind": "ball-respecting", "pairs": claim_pairs},) if claim_pairs else ()
-
-    witness = _finish(
-        u_space, v_space, np.arange(len(u_space)), ti, claims, extra_deltas=deltas,
-        context="alignment",
-    )
+    witness = _finish(stage, claims, deltas)
     return TowerAlignment(tuple(uo), tuple(ul), tuple(vo), tuple(vl), tuple(pairs), witness)
+
+
+def _absorption_stage(
+    k: int, line: FiniteSpace, short: FiniteSpace, point_budget: Optional[int]
+) -> _Stage:
+    """The table of absorption_witness from its two line balls, line of
+    radius r and short of radius ceil(r / k), onto (short) x (k points)."""
+    radius, short_r = len(line) // 2, len(short) // 2
+    target = product_space(short, k_point_space(k), point_budget)
+    q, r = np.divmod(np.arange(-radius, radius + 1), k)
+    # (q, r) sits at (q + short_r) * k + r: q runs from -short_r, r from 0
+    ti = (q + short_r) * k + r
+    return _stage(line, target, np.arange(len(line)), ti, context="absorption")
 
 
 def absorption_witness(
@@ -516,15 +553,9 @@ def absorption_witness(
     k = int(k)
     if k < 2:
         raise ValueError("k must be >= 2")
-    source = zball(int(radius), point_budget=point_budget)
-    short = math.ceil(radius / k)
-    target = product_space(zball(short, point_budget=point_budget), k_point_space(k),
-                           point_budget)
-    q, r = np.divmod(np.arange(-int(radius), int(radius) + 1), k)
-    # (q, r) sits at (q + short) * k + r: q runs from -short, r from 0
-    ti = (q + short) * k + r
-    return _finish(source, target, np.arange(len(source)), ti, (), extra_deltas=deltas,
-                   context="absorption")
+    line = zball(int(radius), point_budget=point_budget)
+    short = zball(math.ceil(radius / k), point_budget=point_budget)
+    return _finish(_absorption_stage(k, line, short, point_budget), (), deltas)
 
 
 def _match_rows(rows: np.ndarray, table: np.ndarray) -> np.ndarray:
@@ -540,26 +571,15 @@ def _match_rows(rows: np.ndarray, table: np.ndarray) -> np.ndarray:
     return where[group[len(table):]]
 
 
-class _Stage(NamedTuple):
-    """A table the combinators read as they read a WitnessMap's, with no
-    moduli: the identity on a space, or a relabel that is composed away."""
-
-    source: FiniteSpace
-    target: FiniteSpace
-    src: np.ndarray
-    dst: np.ndarray
-    validity_radius: float
-
-
 def _relabel_stage(
     source: FiniteSpace, target: FiniteSpace, columns: Optional[Sequence[int]] = None
 ) -> _Stage:
     """The table of the bijection matching labels, optionally after
     reordering the source's coordinates: target coordinate c is source
-    coordinate columns[c]. It is valid where _finish would find it valid:
-    it covers the source, so to the source's inner radius. Labels are
-    matched by a sort of both coordinate arrays, not one lookup per label;
-    a source label without a target is a ValueError that names it."""
+    coordinate columns[c]. It is valid where _stage would find it valid: it
+    covers the source, so to the source's inner radius. Labels are matched
+    by a sort of both coordinate arrays, not one lookup per label; a source
+    label without a target is a ValueError that names it."""
     rows = source.coords
     if columns is not None:
         rows = rows[:, list(columns)]
@@ -573,8 +593,7 @@ def _relabel_stage(
 def relabel_witness(source: FiniteSpace, target: FiniteSpace) -> WitnessMap:
     """Bijection matching labels (_relabel_stage). Covers regroupings of
     iterated products, which leave all sup-metric distances unchanged."""
-    r = _relabel_stage(source, target)
-    return _finish(source, target, r.src, r.dst, (), context="relabel")
+    return _finish(_relabel_stage(source, target))
 
 
 # ---------------------------------------------------------------------------
@@ -584,10 +603,10 @@ def relabel_witness(source: FiniteSpace, target: FiniteSpace) -> WitnessMap:
 def compose_witness(
     f: Union[WitnessMap, _Stage], g: Union[WitnessMap, _Stage], deltas: Sequence[float] = ()
 ) -> WitnessMap:
-    """Compose two witnesses sharing their middle space; either stage may be
-    a bare relabel table. Entries are kept only where the first stage stays
-    within the second stage's validity; the moduli of the result are
-    re-measured, never multiplied through."""
+    """Compose two witnesses sharing their middle space; either may be a
+    bare stage. Entries are kept only where the first stays within the
+    second's validity; the moduli of the result are re-measured, never
+    multiplied through."""
     if not (f.target == g.source):
         raise ValueError("compose: stages do not share a space")
     fs, fm, gs, gt = f.src, f.dst, g.src, g.dst
@@ -595,18 +614,18 @@ def compose_witness(
     image[gs] = gt
     keep = _inside(f.source, fs, f.validity_radius) & _inside(g.source, fm, g.validity_radius)
     keep &= image[fm] >= 0
-    return _finish(f.source, g.target, fs[keep], image[fm[keep]], (), extra_deltas=deltas,
-                   context="compose")
+    stage = _stage(f.source, g.target, fs[keep], image[fm[keep]], context="compose")
+    return _finish(stage, (), deltas)
 
 
 def product_witness(
-    f: Union[WitnessMap, FiniteSpace],
-    g: Union[WitnessMap, FiniteSpace],
+    f: Union[WitnessMap, _Stage, FiniteSpace],
+    g: Union[WitnessMap, _Stage, FiniteSpace],
     point_budget: Optional[int] = None,
 ) -> WitnessMap:
-    """Coordinatewise product of two witnesses under the sup metric; a space
-    as either factor is the identity on it, as relabel_witness(space, space)
-    would record it."""
+    """Coordinatewise product of two witnesses under the sup metric; either
+    factor may be a bare stage, and a space is the identity on it, as
+    relabel_witness(space, space) would record it."""
     f, g = (_relabel_stage(x, x) if isinstance(x, FiniteSpace) else x for x in (f, g))
     source = product_space(f.source, g.source, point_budget)
     target = product_space(f.target, g.target, point_budget)
@@ -615,15 +634,20 @@ def product_witness(
     si = (fs[:, None] * len(g.source) + gs).ravel()
     ti = (ft[:, None] * len(g.target) + gt).ravel()
     cap = min(f.validity_radius, g.validity_radius)
-    return _finish(source, target, si, ti, (), validity_cap=cap, context="product")
+    return _finish(_stage(source, target, si, ti, validity_cap=cap, context="product"))
+
+
+def _invert_stage(f: Union[WitnessMap, _Stage]) -> _Stage:
+    """The reversed table; validity is re-derived on the target side. A
+    table that is not injective is a ValueError."""
+    if len(np.unique(f.dst)) != len(f.dst):
+        raise ValueError("invert: table is not injective")
+    return _stage(f.target, f.source, f.dst, f.src, context="invert")
 
 
 def invert_witness(f: WitnessMap) -> WitnessMap:
-    """Reverse the table; validity is re-derived on the target side."""
-    fs, ft = f.src, f.dst
-    if len(np.unique(ft)) != len(ft):
-        raise ValueError("invert: table is not injective")
-    return _finish(f.target, f.source, ft, fs, (), context="invert")
+    """Reverse the table (_invert_stage)."""
+    return _finish(_invert_stage(f))
 
 
 # ---------------------------------------------------------------------------
@@ -682,16 +706,16 @@ def iso_witness_chain(
     stages: w1, the ball times the tower alignment to (k points,
     remainder); the column shuffle to (shorter line, k points, behind);
     and w3, the inverted absorption of (shorter line, k points) into the
-    line, times what lies behind the line. Identity and relabel steps are
-    not witnesses of their own: the ball and what lies behind enter the
-    products as spaces, and the shuffle is a bare relabel table composed
-    into w1. A side with k = 1 starts from (line ball, remainder), which at
-    rank 1 is the middle space itself and at higher rank the same points
-    grouped apart; that relabel, and its inverse on the right, is a bare
-    table composed into the end. So the witnesses measured are the
-    alignment, w1, the absorption and its inverse, w3 and the two
-    compositions of each side with k >= 2, the inverse of such a right
-    side, and the end.
+    line, times what lies behind the line. Identity, relabel, alignment,
+    absorption and inversion steps are not witnesses of their own: the ball
+    and what lies behind enter the products as spaces, the others as bare
+    tables (_Stage), and the shuffle is a relabel table composed into w1. A
+    side with k = 1 starts from (line ball, remainder), which at rank 1 is
+    the middle space itself and at higher rank the same points grouped
+    apart; that relabel, and its inverse on the right, is a bare table
+    composed into the end, as is the inverse of a right side with k >= 2.
+    So the witnesses measured are w1, w3 and the two compositions of each
+    side with k >= 2, and the end.
     Every space built on the way is held to point_budget (None: the default
     budget); a larger one is a BudgetError. A witness valid to less than 1
     is refused with a ValueError that names its line ball's radius and the
@@ -745,8 +769,9 @@ def iso_witness_chain(
         )
         # both towers hold the remainder's summands, faithful as far as it is
         u, mixed = (sp.with_inner_radius(rest.inner_radius) for sp in (u, mixed))
-        w1 = product_witness(zpart, tower_alignment_witness(u, mixed).witness, point_budget=pb)
-        unfold = invert_witness(absorption_witness(k_abs, common_r, point_budget=pb))
+        w1 = product_witness(zpart, _alignment_stage(u, mixed), point_budget=pb)
+        # first is the shorter line ball, as k_abs divides common_r
+        unfold = _invert_stage(_absorption_stage(k_abs, line, first, pb))
         # w3 starts from (shorter line, k points, behind)
         w3 = product_witness(unfold, behind, point_budget=pb)
         # (line, rest of the ball, k points, tower) -> (line, k points, rest,
@@ -766,7 +791,7 @@ def iso_witness_chain(
     if rank > 1 and min(n, m) == 1:
         start = product_space(product_space(line, ball_tail, pb), rest, pb)
     left = side(n) if n > 1 else _relabel_stage(start, middle)
-    back = invert_witness(side(m)) if m > 1 else _relabel_stage(middle, start)
+    back = _invert_stage(side(m)) if m > 1 else _relabel_stage(middle, start)
     w = compose_witness(left, back, deltas=deltas)
     if w.validity_radius < 1:
         raise ValueError(

@@ -17,8 +17,8 @@ of them. Dunders are exempt, as the interpreter calls them.
 A defaulted parameter is set where a call by its function's name (``f(...)``
 or ``x.f(...)``) passes it, by keyword or by position, and likewise across
 every function of that name; a call that unpacks ``*args`` or ``**kwargs``
-may set any. Dunders are exempt here too: ``A(...)`` calls ``__init__`` by
-another name."""
+may set any. A call by a class's name (``A(...)``) is a call of its
+``__init__``; other dunders are exempt here too."""
 
 from __future__ import annotations
 
@@ -244,10 +244,10 @@ def test_every_method_is_read():
 def defaulted_parameters(source: str) -> list[tuple[str, str, str, Optional[int]]]:
     """(owner, name, parameter, position) for each parameter with a default
     of each module-level function and each method of a module-level class,
-    dunders excepted, in order of definition. owner is "" for a function
-    and the class for a method; position is the parameter's index among
-    the positional arguments a call passes (self and cls not counted), and
-    None for a keyword-only parameter."""
+    dunders but ``__init__`` excepted, in order of definition. owner is ""
+    for a function and the class for a method; position is the parameter's
+    index among the positional arguments a call passes (self and cls not
+    counted), and None for a keyword-only parameter."""
     found = []
     for node in ast.parse(source).body:
         if isinstance(node, ast.ClassDef):
@@ -258,7 +258,7 @@ def defaulted_parameters(source: str) -> list[tuple[str, str, str, Optional[int]
         else:
             continue
         for owner, fn in functions:
-            if fn.name.startswith("__") and fn.name.endswith("__"):
+            if fn.name.startswith("__") and fn.name.endswith("__") and fn.name != "__init__":
                 continue
             static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
                          for d in fn.decorator_list)
@@ -305,7 +305,8 @@ def unset_parameters(package: dict, outside: list = ()) -> list[str]:
     for module, source in package.items():
         for owner, name, param, position in defaulted_parameters(source):
             keys = {param, "**"} if position is None else {param, position, "*", "**"}
-            if not any((name, key) in passed for key in keys):
+            called = owner if name == "__init__" else name
+            if not any((called, key) in passed for key in keys):
                 unset.append(".".join(filter(None, (module, owner, name, param))))
     return unset
 
@@ -330,7 +331,11 @@ def unset_parameters(package: dict, outside: list = ()) -> list[str]:
     ("class A:\n    @classmethod\n    def f(cls, x=1): ...\nA.f(1)\n", []),
     ("class A:\n    @staticmethod\n    def f(x, y=1): ...\nA.f(1)\n", ["m.A.f.y"]),
     ("class A:\n    @staticmethod\n    def f(x, y=1): ...\nA.f(1, 2)\n", []),
-    ("class A:\n    def __init__(self, x=1): ...\nA()\n", []),  # dunders are exempt
+    # a call by the class's name calls __init__; other dunders are exempt
+    ("class A:\n    def __init__(self, x=1): ...\nA()\n", ["m.A.__init__.x"]),
+    ("class A:\n    def __init__(self, x=1): ...\nA(2)\n", []),
+    ("class A:\n    def __init__(self, *, x=1): ...\nA(x=2)\n", []),
+    ("class A:\n    def __call__(self, x=1): ...\nA()()\n", []),
     # a call by a shared name sets it for every function of that name
     ("def f(x=1): ...\nclass A:\n    def f(self, x=1): ...\nf(x=2)\n", []),
     ("def get(a, b=None): ...\n{}.get(1, 2)\n", []),
@@ -350,7 +355,14 @@ def test_every_parameter_is_set():
     outside = [path.read_text() for path in sorted((ROOT / "perfbench").glob("*.py"))
                if not path.name.startswith("test_")]
     outside.append((ROOT / "tests" / "test_acceptance.py").read_text())
-    assert unset_parameters(package, outside) == []
+    assert unset_parameters(package, outside) == [
+        # a table of pairs in place of the arrays: only the benchmark's
+        # self-check passes one, through dataclasses.replace (ROADMAP item 1)
+        "witness.WitnessMap.__init__.table",
+        # the public constructor keeps the budget every space builder takes;
+        # the chain builds its absorption table from balls it holds
+        "witness.absorption_witness.point_budget",
+    ]
 
 
 def init_imports(source: str) -> list[str]:

@@ -119,12 +119,12 @@ class TestWitnessMap:
         assert w.to_json()["validity_radius"] == "inf"
 
     def test_duplicate_sources_rejected(self):
-        # every constructor funnels through the same finishing step
-        from coarseiso.witness import _finish
+        # every constructor funnels through the same staging step
+        from coarseiso.witness import _stage
 
         sp = tower_space([2])
         with pytest.raises(ValueError, match="maps a source point twice"):
-            _finish(sp, sp, [0, 0], [0, 1], ())
+            _stage(sp, sp, [0, 0], [0, 1])
 
 
 class TestVerification:
@@ -306,7 +306,7 @@ class TestFactorization:
         target = dense_space(m, sp.basepoint, 550)
         idx = np.arange(len(sp))
         assert len(row_blocks(1101)) > 1
-        w = WitnessMap(sp, target, tuple(zip(idx, idx)), {}, {}, 550.0)
+        w = WitnessMap(sp, target, {}, {}, 550.0, table=tuple(zip(idx, idx)))
         assert isometry_messages(w, idx, idx) == [
             "slice (1,): images of (449, 1) and (499, 1) are at distance 51.0, not 50.0"
         ]
@@ -444,7 +444,9 @@ def test_finish_and_verify_measure_each_direction_once(monkeypatch):
 def test_rank_two_chain_at_radius_100_takes_the_window_route(monkeypatch):
     # every table of the chain and its verification at or above WINDOW_MIN
     # takes the window route; the pair pass reads only smaller tables. The
-    # chain measures 8 witnesses, and verification re-measures the last
+    # chain measures 5 witnesses, and verification re-measures the last.
+    # The small tables (the alignment, the absorption and its inverse) are
+    # stages now, so no table takes the keyed route or the pair pass
     from coarseiso import analysis as analysis_mod
 
     routes, pair_sizes = [], []
@@ -456,17 +458,18 @@ def test_rank_two_chain_at_radius_100_takes_the_window_route(monkeypatch):
     w = iso_witness_chain(parse_group("Z^2 + C4"), parse_group("Z^2"), radius=100)
     assert verify_witness(w).ok
     assert all(n < analysis_mod.WINDOW_MIN for n in pair_sizes), pair_sizes
-    assert (routes.count("window"), routes.count("keyed"), routes.count("pairs")) == (6, 1, 2)
-    assert len(pair_sizes) == 2
+    assert (routes.count("window"), routes.count("keyed"), routes.count("pairs")) == (6, 0, 0)
+    assert len(pair_sizes) == 0
 
 
 @pytest.mark.parametrize("pair,finished,built", [
-    (("Z + C2", "Z"), 8, 14),
-    (("Z^2 + C4", "Z^2"), 8, 19),
+    (("Z + C2", "Z"), 5, 12),
+    (("Z^2 + C4", "Z^2"), 5, 17),
 ], ids=["rank-1", "rank-2"])
 def test_chain_measures_no_identity_or_relabel_step(monkeypatch, pair, finished, built):
-    # a side with k >= 2 measures 7 witnesses and the end 1; identity
-    # factors and relabels are tables, not witnesses
+    # a side with k >= 2 measures 4 witnesses (its two products and two
+    # compositions) and the end 1; identity factors, relabels, the
+    # alignment, the absorption and inverses are tables, not witnesses
     witnesses, spaces = [], []
     finish, init = witness_mod._finish, FiniteSpace.__init__
 
@@ -691,7 +694,7 @@ def test_chain_passes_its_point_budget_to_every_builder(monkeypatch, pair):
 def test_bad_scales_are_rejected_before_measuring(deltas):
     sp = zball(3)
     with pytest.raises(ValueError, match="delta must be >= 0"):
-        witness_mod._finish(sp, sp, [0, 1], [0, 1], (), extra_deltas=deltas)
+        witness_mod._finish(witness_mod._relabel_stage(sp, sp), (), deltas)
     with pytest.raises(ValueError, match="delta must be >= 0"):
         verify_witness(identity_witness(sp), deltas)
 
@@ -765,7 +768,7 @@ def test_absorption_always_bijective_and_clean(k, radius):
 def _table_witness(source, target, src, dst, claims=(), validity=2.0):
     """A witness of the table with no recorded moduli, so verify_witness
     checks no scale, and only the table and the claims can be at fault."""
-    return WitnessMap(source, target, None, {}, {}, validity, claims, src=src, dst=dst)
+    return WitnessMap(source, target, {}, {}, validity, claims, src=src, dst=dst)
 
 
 @pytest.mark.parametrize("make, violation", [

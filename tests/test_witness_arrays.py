@@ -6,7 +6,9 @@ sorted (source, target) tuples, labels looked up through `index(space)`,
 validity and restriction from per-pair loops. Every case must give the same
 table, validity radius, moduli and error message. The staged factorization
 and the claim checks that grouped points by label tuples are kept the same
-way, against the coordinate relabel and the array checks.
+way, against the coordinate relabel and the array checks. `old_alignment`
+and `old_absorption` are written in the same style for the chain's
+alignment and absorption tables, which had no tuple code of their own.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from hypothesis import strategies as st
 
 from coarseiso import witness as witness_mod
 from coarseiso.analysis import oscillation
+from coarseiso.cli import main
 from coarseiso.factorfn import FactorFunction
 from coarseiso.groups import parse_group
 from coarseiso.spaces import (
@@ -53,6 +56,7 @@ from coarseiso.witness import (
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
 from oracles import blocks, distance, index, same_witness  # noqa: E402
+from test_cli import GOLDEN_WITNESSES  # noqa: E402
 
 _TOL = 1e-9
 
@@ -104,7 +108,7 @@ def old_finish(source, target, pairs, claims, extra_deltas=(), validity_cap=None
     bwd, fwd_check = oscillation(target, source, ti, si, deltas)
     assert (fwd, bwd) == (fwd_check, bwd_check)
     fwd, bwd = dict(zip(deltas, fwd)), dict(zip(deltas, bwd))
-    return WitnessMap(source, target, table, fwd, bwd, float(validity), claims)
+    return WitnessMap(source, target, fwd, bwd, float(validity), claims, table=table)
 
 
 def old_relabel(source, target, columns=None):
@@ -149,6 +153,31 @@ def old_product(f, g, point_budget=None):
             pairs.append((s, t))
     cap = min(f.validity_radius, g.validity_radius)
     return old_finish(source, target, pairs, (), validity_cap=cap, context="product")
+
+
+def old_alignment(u, v):
+    """The rank bijection between two towers, label by label: a point's
+    little-endian mixed-radix rank in u, decoded digit by digit in v."""
+    pairs, at = [], index(v)
+    for i, lab in enumerate(u.labels):
+        rank, weight = 0, 1
+        for digit, order in zip(lab, u.rule.orders):
+            rank, weight = rank + digit * weight, weight * order
+        digits = []
+        for order in v.rule.orders:
+            rank, digit = divmod(rank, order)
+            digits.append(digit)
+        pairs.append((i, at[tuple(digits)]))
+    return old_finish(u, v, pairs, (), context="alignment")
+
+
+def old_absorption(k, line, short, point_budget):
+    """The digit split n -> (n div k, n mod k) of each line label, looked up
+    in (short) x (k points)."""
+    target = product_space(short, k_point_space(k), point_budget)
+    at = index(target)
+    pairs = [(i, at[(n // k, n % k)]) for i, (n,) in enumerate(line.labels)]
+    return old_finish(line, target, pairs, (), context="absorption")
 
 
 def old_invert(f):
@@ -259,8 +288,8 @@ def test_finish_matches_the_tuple_code(data):
     source, target = data.draw(sup_products()), data.draw(sup_products())
     src, dst = data.draw(index_tables(source, target))
     cap, extra = data.draw(caps), data.draw(extra_scales)
-    new = outcome(witness_mod._finish, source, target, src, dst, (),
-                  extra_deltas=extra, validity_cap=cap, context="probe")
+    new = outcome(lambda: witness_mod._finish(
+        witness_mod._stage(source, target, src, dst, cap, "probe"), (), extra))
     old = outcome(old_finish, source, target, list(zip(src, dst)), (),
                   extra_deltas=extra, validity_cap=cap, context="probe")
     event(assert_same(new, old))
@@ -322,8 +351,7 @@ def relabel_cases(draw):
 def relabel_after(source, target, columns):
     """The table of _relabel_stage after a column order, measured as
     relabel_witness measures the plain one."""
-    r = witness_mod._relabel_stage(source, target, columns)
-    return witness_mod._finish(source, target, r.src, r.dst, (), context="relabel")
+    return witness_mod._finish(witness_mod._relabel_stage(source, target, columns))
 
 
 @settings(max_examples=80, deadline=None)
@@ -351,9 +379,9 @@ def old_operand(f):
 def test_chain_combinators_match_the_tuple_code(monkeypatch, g1, g2):
     """A whole chain run through the oracle combinators, stage by stage,
     against the array ones. The chain hands products spaces for identity
-    factors, and compositions bare relabel tables; the oracle takes a space
-    as relabel_witness(space, space), and builds each relabel table as the
-    tuple code's relabel witness."""
+    factors, and products and compositions bare tables; the oracle takes a
+    space as relabel_witness(space, space), and builds each relabel,
+    alignment, absorption and inverse table as the tuple code's witness."""
     g1, g2 = parse_group(g1), parse_group(g2)
     new = witness_mod.iso_witness_chain(g1, g2, radius=12, deltas=(3.0,))
     calls = {}
@@ -371,9 +399,84 @@ def test_chain_combinators_match_the_tuple_code(monkeypatch, g1, g2):
     oracle("invert_witness", old_invert)
     oracle("relabel_witness", old_relabel)
     oracle("_relabel_stage", old_relabel)
+    oracle("_alignment_stage", old_alignment)
+    oracle("_absorption_stage", old_absorption)
+    oracle("_invert_stage", old_invert)
     assert_same(new, witness_mod.iso_witness_chain(g1, g2, radius=12, deltas=(3.0,)))
-    # every table of the chain came from an oracle
-    assert calls.get("compose_witness") and calls.get("_relabel_stage")
+    # every table of the chain came from an oracle: a side with a
+    # multiplier of 2 or more reaches every stage
+    reached = {"compose_witness", "_relabel_stage"}
+    if witness_mod.coarse_isomorphic(g1, g2).multipliers != (1, 1):
+        reached |= {"product_witness", "_alignment_stage", "_absorption_stage", "_invert_stage"}
+    assert set(calls) == reached
+
+
+# the chains of TestChain in test_witness.py, by their arguments
+TEST_CHAIN_CASES = [
+    ("Z + C2", "Z", {}), ("C2^inf", "C2^inf + C4", {}), ("Z + C2^inf", "Z + C2^inf + C3", {}),
+    ("Z^2 + C6", "Z^2 + C6", {"radius": 6}), ("Z + C2", "Z", {"radius": 24}),
+    ("Z + C2", "Z", {"radius": 60}),
+]
+
+
+def stage_and_witness(name, args):
+    """What a private stage of the chain gives on args, and what its public
+    witness gives on the same spaces."""
+    stage = getattr(witness_mod, name)(*args)
+    if name == "_alignment_stage":
+        w = witness_mod.tower_alignment_witness(*args).witness
+    elif name == "_absorption_stage":
+        k, line, short, budget = args
+        w = witness_mod.absorption_witness(k, len(line) // 2, point_budget=budget)
+    else:
+        (f,) = args
+        w = invert_witness(witness_mod._finish(f) if isinstance(f, witness_mod._Stage) else f)
+    return stage, w
+
+
+def test_each_stage_is_its_witness_without_the_moduli(monkeypatch, capsys):
+    """On the spaces every TestChain chain and every pinned witness call
+    hands the alignment, absorption and inversion stages, each stage has
+    the table, validity and spaces of its public witness, and refuses what
+    the witness refuses with the same text."""
+    seen = []
+    for name in ("_alignment_stage", "_absorption_stage", "_invert_stage"):
+        fn = getattr(witness_mod, name)
+        monkeypatch.setattr(witness_mod, name,
+                            lambda *a, fn=fn, name=name: seen.append((name, a)) or fn(*a))
+    for g1, g2, kwargs in TEST_CHAIN_CASES:
+        witness_mod.iso_witness_chain(parse_group(g1), parse_group(g2), **kwargs)
+    for argv, *_ in GOLDEN_WITNESSES:
+        assert main(list(argv)) == 0
+    capsys.readouterr()
+    monkeypatch.undo()
+    assert {name for name, _ in seen} == {"_alignment_stage", "_absorption_stage",
+                                          "_invert_stage"}
+    for name, args in seen:
+        stage, w = stage_and_witness(name, args)
+        assert isinstance(stage, witness_mod._Stage)
+        assert np.array_equal(stage.src, w.src) and np.array_equal(stage.dst, w.dst)
+        assert stage.validity_radius == w.validity_radius
+        assert type(stage.validity_radius) is float
+        assert stage.source == w.source and stage.target == w.target
+        if name == "_alignment_stage":
+            # towers of another factor content, and a space that is no tower
+            u, v = args
+            for other, message in ((tower_space([*v.rule.orders, 2]),
+                                    "factor functions of the towers differ"),
+                                   (zball(2), "alignment needs tower-built spaces")):
+                refusals = {outcome(witness_mod._alignment_stage, u, other),
+                            outcome(witness_mod.tower_alignment_witness, u, other)}
+                assert refusals == {f"ValueError: {message}"}
+        elif name == "_invert_stage":
+            # the same table with two sources sent to one target
+            (f,) = args
+            dst = f.dst.copy()
+            dst[1] = dst[0]
+            tampered = witness_mod._Stage(f.source, f.target, f.src, dst, f.validity_radius)
+            refusals = {outcome(witness_mod._invert_stage, tampered),
+                        outcome(invert_witness, tampered)}
+            assert refusals == {"ValueError: invert: table is not injective"}
 
 
 # ---------------------------------------------------------------------------
@@ -604,14 +707,14 @@ def test_table_is_read_from_the_index_arrays():
     assert swapped.src.tolist() == [0, 1] and swapped.dst.tolist() == [1, 0]
     assert swapped.table == ((0, 1), (1, 0)) and not same_witness(swapped, w)
     assert same_witness(dataclasses.replace(w, forward_moduli=dict(w.forward_moduli)), w)
-    assert same_witness(WitnessMap(sp, sp, w.table, w.forward_moduli, w.backward_moduli,
-                                   w.validity_radius), w)
+    assert same_witness(WitnessMap(sp, sp, w.forward_moduli, w.backward_moduli,
+                                   w.validity_radius, table=w.table), w)
     # maps compare by identity, as nothing in the package compares them
     assert WitnessMap.__eq__ is object.__eq__ and WitnessMap.__hash__ is object.__hash__
     with pytest.raises(TypeError, match="needs its table"):
-        WitnessMap(sp, sp, None, {}, {}, 1.0)
+        WitnessMap(sp, sp, {}, {}, 1.0)
     with pytest.raises(ValueError, match="mismatched"):
-        WitnessMap(sp, sp, None, {}, {}, 1.0, src=[0, 1], dst=[0])
+        WitnessMap(sp, sp, {}, {}, 1.0, src=[0, 1], dst=[0])
 
 
 @pytest.mark.parametrize("pair, side, index", [
@@ -629,7 +732,7 @@ def test_a_table_index_that_is_no_point_is_refused(pair, side, index):
         dataclasses.replace(w, table=table)
     src, dst = zip(*table)
     with pytest.raises(ValueError, match=message):
-        WitnessMap(w.source, w.target, None, {}, {}, 1.0, src=src, dst=dst)
+        WitnessMap(w.source, w.target, {}, {}, 1.0, src=src, dst=dst)
 
 
 def test_table_indices_are_whole_numbers_within_both_spaces():
@@ -646,10 +749,10 @@ def test_table_indices_are_whole_numbers_within_both_spaces():
         with pytest.raises(ValueError, match=f"{side} index {index} is not one of"):
             dataclasses.replace(w, table=table)
     with pytest.raises(ValueError, match="source index inf is not one of"):
-        WitnessMap(w.source, w.target, None, {}, {}, 1.0, src=[0, math.inf], dst=[1, 2])
+        WitnessMap(w.source, w.target, {}, {}, 1.0, src=[0, math.inf], dst=[1, 2])
     # an empty table is no index at all
     for empty in (dataclasses.replace(w, table=()),
-                  WitnessMap(w.source, w.target, None, {}, {}, 1.0, src=[], dst=[])):
+                  WitnessMap(w.source, w.target, {}, {}, 1.0, src=[], dst=[])):
         assert len(empty) == 0 and empty.src.dtype == empty.dst.dtype == np.int64
     # swapping two images, as the benchmark's tamper check does, still builds
     swapped = list(w.table)
@@ -978,8 +1081,6 @@ def test_factorization_and_plane_jobs_make_no_label_tuples(monkeypatch, capsys):
     from coordinate rows: a factorization witness on Z + C2^inf (2,080
     points) and its verification, and a plane step and components job,
     make no label tuple."""
-    from coarseiso.cli import main
-
     built = []
     prop = FiniteSpace.labels
     monkeypatch.setattr(FiniteSpace, "labels", property(
