@@ -141,16 +141,12 @@ def _cmd_classify(args: argparse.Namespace) -> int:
 
 
 def _cmd_witness(args: argparse.Namespace) -> int:
-    g1, g2 = parse_group(args.g1), parse_group(args.g2)
-    verdict = coarse_isomorphic(g1, g2)
-    if not verdict.result:
-        print(f"error: groups are not coarsely isomorphic ({verdict.case_label})", file=sys.stderr)
-        return 2
-    deltas = _parse_deltas(args.deltas)
+    # a false verdict is the chain's ValueError, which main prints
+    verdict = coarse_isomorphic(parse_group(args.g1), parse_group(args.g2))
+    deltas = _check_deltas(x for x in (args.deltas or "").split(",") if x.strip())
     w = iso_witness_chain(
-        g1, g2, radius=_radius(args), depth=args.depth,
-        prime_bound=args.prime_bound, deltas=deltas or (),
-        point_budget=args.point_budget,
+        verdict, radius=_radius(args), depth=args.depth, prime_bound=args.prime_bound,
+        deltas=deltas, point_budget=args.point_budget,
     )
     report = verify_witness(w, deltas)
     payload = {
@@ -219,13 +215,6 @@ def _cmd_cover(args: argparse.Namespace) -> int:
                "bound": cover.rank + 1}
     _emit(payload, args)
     return 0
-
-
-def _parse_deltas(raw: Optional[str]) -> Optional[list[float]]:
-    if raw is None:
-        return None
-    out = _check_deltas(x for x in raw.split(",") if x.strip())
-    return out or None
 
 
 # every flag, in usage order; each command takes --format, --out and the

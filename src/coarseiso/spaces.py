@@ -782,8 +782,8 @@ def enumerate_summands(phi: FactorFunction, depth: int, prime_bound: int = 97) -
     stage = 0
     while len(out) < cap:
         stage += 1
-        if stage > 10**6:
-            raise ValueError("summand enumeration stalled")
+        if stage > 10**6:  # each stage emitted a summand of order >= 2, bar explicit zeros
+            raise BudgetError(f"depth {depth} asks for a tower beyond any point budget")
         for i, p in enumerate(primes, start=1):
             if i > stage:
                 break

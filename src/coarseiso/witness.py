@@ -20,7 +20,7 @@ import numpy as np
 
 from .analysis import oscillation
 from .factorfn import ff_sub, phi_of_nat
-from .groups import GroupDescription, coarse_isomorphic
+from .groups import Verdict
 from .spaces import (
     FiniteSpace,
     SupRule,
@@ -334,7 +334,7 @@ def _check_ball_claim(
             )
 
 
-def verify_witness(w: WitnessMap, deltas: Optional[Sequence[float]] = None) -> WitnessReport:
+def verify_witness(w: WitnessMap, deltas: Sequence[float] = ()) -> WitnessReport:
     """Re-measure a witness from its table alone.
 
     Checks totality and injectivity on the validity region, exact agreement
@@ -373,7 +373,7 @@ def verify_witness(w: WitnessMap, deltas: Optional[Sequence[float]] = None) -> W
                 f"{w.validity_radius}"
             )
     # given scales add to the recorded ones, never replace them
-    check = sorted(set(recorded).union(_check_deltas(() if deltas is None else deltas)))
+    check = sorted(set(recorded).union(_check_deltas(deltas)))
     check = [delta for delta in check if delta <= w.validity_radius + _TOL]
     fwd, bwd = (dict(zip(check, v)) for v in oscillation(w.source, w.target, si, ti, check))
     for delta in check:
@@ -544,18 +544,15 @@ def _absorption_stage(
     return _stage(line, target, np.arange(len(line)), ti, context="absorption")
 
 
-def absorption_witness(
-    k: int, radius: int, deltas: Sequence[float] = (), point_budget: Optional[int] = None
-) -> WitnessMap:
+def absorption_witness(k: int, radius: int, deltas: Sequence[float] = ()) -> WitnessMap:
     """Witness for folding a line ball into (shorter line ball) x (k points),
     by digit split n -> (n div k, n mod k) with floor division toward minus
     infinity."""
     k = int(k)
     if k < 2:
         raise ValueError("k must be >= 2")
-    line = zball(int(radius), point_budget=point_budget)
-    short = zball(math.ceil(radius / k), point_budget=point_budget)
-    return _finish(_absorption_stage(k, line, short, point_budget), (), deltas)
+    line, short = zball(int(radius)), zball(math.ceil(radius / k))
+    return _finish(_absorption_stage(k, line, short, None), (), deltas)
 
 
 def _match_rows(rows: np.ndarray, table: np.ndarray) -> np.ndarray:
@@ -576,10 +573,10 @@ def _relabel_stage(
 ) -> _Stage:
     """The table of the bijection matching labels, optionally after
     reordering the source's coordinates: target coordinate c is source
-    coordinate columns[c]. It is valid where _stage would find it valid: it
-    covers the source, so to the source's inner radius. Labels are matched
-    by a sort of both coordinate arrays, not one lookup per label; a source
-    label without a target is a ValueError that names it."""
+    coordinate columns[c]. It covers the source, so _stage finds it valid
+    to the source's inner radius. Labels are matched by a sort of both
+    coordinate arrays, not one lookup per label; a source label without a
+    target is a ValueError that names it."""
     rows = source.coords
     if columns is not None:
         rows = rows[:, list(columns)]
@@ -587,7 +584,7 @@ def _relabel_stage(
     missing = np.flatnonzero(ti < 0)
     if len(missing):
         raise ValueError(f"relabel: no target point for label {source.labels[missing[0]]}")
-    return _Stage(source, target, np.arange(len(source)), ti, float(source.inner_radius))
+    return _stage(source, target, np.arange(len(source)), ti, context="relabel")
 
 
 def relabel_witness(source: FiniteSpace, target: FiniteSpace) -> WitnessMap:
@@ -619,14 +616,10 @@ def compose_witness(
 
 
 def product_witness(
-    f: Union[WitnessMap, _Stage, FiniteSpace],
-    g: Union[WitnessMap, _Stage, FiniteSpace],
-    point_budget: Optional[int] = None,
+    f: Union[WitnessMap, _Stage], g: Union[WitnessMap, _Stage], point_budget: Optional[int] = None
 ) -> WitnessMap:
     """Coordinatewise product of two witnesses under the sup metric; either
-    factor may be a bare stage, and a space is the identity on it, as
-    relabel_witness(space, space) would record it."""
-    f, g = (_relabel_stage(x, x) if isinstance(x, FiniteSpace) else x for x in (f, g))
+    factor may be a bare stage, as the chain's identity factors are."""
     source = product_space(f.source, g.source, point_budget)
     target = product_space(f.target, g.target, point_budget)
     fs, ft, gs, gt = f.src, f.dst, g.src, g.dst
@@ -682,8 +675,7 @@ def component_multiplicity(w: WitnessMap, epsilon: float) -> int:
 
 
 def iso_witness_chain(
-    g1: GroupDescription,
-    g2: GroupDescription,
+    verdict: Verdict,
     radius: int = 24,
     depth: int = 4,
     prime_bound: int = 97,
@@ -691,7 +683,10 @@ def iso_witness_chain(
     point_budget: Optional[int] = None,
 ) -> WitnessMap:
     """End-to-end witness between truncations of two coarsely isomorphic
-    groups of equal finite rank.
+    groups of equal finite rank, read off their coarse_isomorphic verdict:
+    its first invariant, its multipliers n and m, and so the common
+    remainder phi1 - phi(n). A verdict of another relation, or a false
+    one, is a ValueError, and so is an infinite rank.
 
     Mirrors the classification: each side splits its torsion tower into the
     multiplier's part and the common remainder, folds the multiplier part
@@ -707,9 +702,9 @@ def iso_witness_chain(
     remainder); the column shuffle to (shorter line, k points, behind);
     and w3, the inverted absorption of (shorter line, k points) into the
     line, times what lies behind the line. Identity, relabel, alignment,
-    absorption and inversion steps are not witnesses of their own: the ball
-    and what lies behind enter the products as spaces, the others as bare
-    tables (_Stage), and the shuffle is a relabel table composed into w1. A
+    absorption and inversion steps are not witnesses of their own but bare
+    tables (_Stage): the ball and what lies behind enter the products as
+    identity relabels, and the shuffle is a relabel composed into w1. A
     side with k = 1 starts from (line ball, remainder), which at rank 1 is
     the middle space itself and at higher rank the same points grouped
     apart; that relabel, and its inverse on the right, is a bare table
@@ -724,14 +719,15 @@ def iso_witness_chain(
     summand of the remainder, the tower is faithful only below it
     (`Z + C2 + C101 ~ Z + C101` at bound 97 is valid to 0).
     """
+    if verdict.relation != "isomorphism":
+        raise ValueError(f"a coarse {verdict.relation} verdict names no isomorphism")
+    if not verdict.result:
+        raise ValueError(f"groups are not coarsely isomorphic ({verdict.case_label})")
     if radius < 0:
         raise ValueError("radius must be >= 0")
     if depth < 0:
         raise ValueError("depth must be >= 0")
     pb = point_budget
-    verdict = coarse_isomorphic(g1, g2)
-    if not verdict.result:
-        raise ValueError(f"groups are not coarsely isomorphic ({verdict.case_label})")
     c1 = verdict.invariants[0]
     if c1.r.is_infinite:
         raise ValueError("infinite rank carries no table-backed witness here")
@@ -769,11 +765,11 @@ def iso_witness_chain(
         )
         # both towers hold the remainder's summands, faithful as far as it is
         u, mixed = (sp.with_inner_radius(rest.inner_radius) for sp in (u, mixed))
-        w1 = product_witness(zpart, _alignment_stage(u, mixed), point_budget=pb)
+        w1 = product_witness(_relabel_stage(zpart, zpart), _alignment_stage(u, mixed), pb)
         # first is the shorter line ball, as k_abs divides common_r
         unfold = _invert_stage(_absorption_stage(k_abs, line, first, pb))
         # w3 starts from (shorter line, k points, behind)
-        w3 = product_witness(unfold, behind, point_budget=pb)
+        w3 = product_witness(unfold, _relabel_stage(behind, behind), pb)
         # (line, rest of the ball, k points, tower) -> (line, k points, rest,
         # tower); at rank 1 there is no rest of the ball and the columns stay
         tail = rank - 1

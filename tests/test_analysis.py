@@ -317,6 +317,13 @@ class TestCover:
         assert cover.blocks[0][0] == (-60_000,) and cover.blocks[-1] == ((60_000,),)
         assert elapsed < 2.0, elapsed
 
+    def test_a_cover_over_its_multiplicity_is_caught(self, monkeypatch):
+        # the exhaustive check the docstring promises: one block per point
+        # puts 3 blocks in every ball of radius 1 on the line, over rank + 1
+        monkeypatch.setattr(analysis_mod, "_brick_ids", lambda coords, eps, rank: coords[:, 0])
+        with pytest.raises(AssertionError, match=r"^cover multiplicity 3 exceeds 2$"):
+            asdim_cover(1, 1, 5)
+
     def test_rank_zero(self):
         cover = asdim_cover(0, 3, 10)
         assert cover.multiplicity == 1 and len(cover.blocks) == 1

@@ -21,7 +21,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import coarseiso
-from coarseiso import analysis, cli, spaces
+from coarseiso import analysis, cli, groups, spaces
 from coarseiso.cli import main
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
@@ -660,11 +660,33 @@ def test_witness_rejects_a_bad_delta(capsys, delta):
     assert err.startswith("error: delta must be >= 0, got ")
 
 
+def test_a_witness_run_classifies_once(capsys, monkeypatch):
+    # the chain reads the verdict the command prints; it classifies nothing again
+    calls, original = [], groups.coarse_isomorphic
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    for name, module in list(sys.modules.items()):
+        bound = getattr(module, "coarse_isomorphic", None)
+        if name.split(".")[0] == "coarseiso" and bound is original:
+            monkeypatch.setattr(module, "coarse_isomorphic", counting)
+    code, out, err = run(capsys, "witness", "Z + C2", "Z", "--radius", "16")
+    assert (code, err) == (0, "") and len(calls) == 1
+    code, out, err = run(capsys, "witness", "C2^inf", "C3^inf")
+    assert (code, out) == (2, "") and len(calls) == 2
+    assert err == "error: groups are not coarsely isomorphic (case-2-phi-mismatch)\n"
+
+
 @pytest.mark.parametrize("argv,message", [
     (("witness", "Z + C2", "Z", "--radius", "16", "--point-budget", "5"), "budget of 5"),
     (("witness", "Z", "Z", "--radius", "-5"), "radius must be >= 0"),
     (("witness", "C2", "C2", "--depth", "-1"), "depth must be >= 0"),
-], ids=["budget", "radius", "depth"])
+    # the summand walk refuses a tower past 10^6 summands before building it
+    (("witness", "C2^inf", "C2^inf", "--depth", "1500000"),
+     "error: depth 1500000 asks for a tower beyond any point budget\n"),
+], ids=["budget", "radius", "depth", "depth-past-summands"])
 def test_witness_rejects_out_of_range_sizes(capsys, argv, message):
     code, out, err = run(capsys, *argv)
     assert (code, out) == (2, "")

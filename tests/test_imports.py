@@ -359,9 +359,6 @@ def test_every_parameter_is_set():
         # a table of pairs in place of the arrays: only the benchmark's
         # self-check passes one, through dataclasses.replace (ROADMAP item 1)
         "witness.WitnessMap.__init__.table",
-        # the public constructor keeps the budget every space builder takes;
-        # the chain builds its absorption table from balls it holds
-        "witness.absorption_witness.point_budget",
     ]
 
 

@@ -15,13 +15,12 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "coarseiso"
 ENTRIES = json.loads((ROOT / "scripts" / "reach_allow.json").read_text())
-# a refusal of outside input; a violation report of a tampered witness;
-# the table a witness may be given in place of its arrays; a default of
-# MetricRule that only the tests' dense rule or a plane space outside the
-# program's paths reads; a branch of a program path that only other inputs
-# take; a dunder that only the interpreter calls; and a guard no input
-# reaches, which alone names no test
-CLASSES = {"refusal", "violation", "table", "default", "branch", "dunder", "guard"}
+# a refusal of outside input; a violation report of a tampered witness or
+# a broken cover; the table a witness may be given in place of its arrays;
+# a default of MetricRule that only the tests' dense rule or a plane space
+# outside the program's paths reads; a branch of a program path that only
+# other inputs take; and a dunder that only the interpreter calls
+CLASSES = {"refusal", "violation", "table", "default", "branch", "dunder"}
 
 
 def function_lines(path: Path) -> dict[str, list[str]]:
@@ -57,13 +56,9 @@ def test_each_listed_line_stands_in_its_function():
 def test_each_entry_names_a_class_and_a_test_that_exist():
     wrong = []
     for entry in ENTRIES:
-        test = entry["reached_by"]
-        if test is None:
-            ok = entry["class"] == "guard"
-        else:
-            path, _, name = test.partition("::")
-            name = name.split("[")[0].split("::")[-1]
-            ok = entry["class"] in CLASSES and f"def {name}(" in (ROOT / path).read_text()
-        if not ok:
+        path, _, name = (entry["reached_by"] or "").partition("::")
+        name = name.split("[")[0].split("::")[-1]
+        if not (entry["class"] in CLASSES and name
+                and f"def {name}(" in (ROOT / path).read_text()):
             wrong.append(entry)
     assert wrong == []

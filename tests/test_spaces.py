@@ -25,7 +25,7 @@ from hypothesis import strategies as st
 from coarseiso import spaces as spaces_mod
 from coarseiso.analysis import estimate_factorizing_step
 from coarseiso.factorfn import FactorFunction
-from coarseiso.groups import parse_group
+from coarseiso.groups import coarse_isomorphic, parse_group
 from coarseiso.primes import primes_upto
 from coarseiso.spaces import (
     BudgetError,
@@ -193,6 +193,15 @@ class TestBuilders:
         # asking deeper than the profile carries returns the whole profile
         assert enumerate_summands(ff({2: 2, 3: 1}), 6) == [2, 2, 3]
         assert enumerate_summands(ff({101: 2}), 4) == []  # above the bound
+
+    def test_summand_enumeration_past_a_million_stages_is_refused(self):
+        # each stage emits a summand of order 2, so the tower would hold
+        # 2^(10^6 + 1) points: a BudgetError that names the depth
+        from coarseiso.extnat import INF
+
+        with pytest.raises(BudgetError) as refused:
+            enumerate_summands(ff({2: INF}), 10**6 + 1)
+        assert str(refused.value) == "depth 1000001 asks for a tower beyond any point budget"
 
     def test_support_primes_past_the_first_64_are_walked_up_to_the_bound(self):
         # 313 is the 65th prime: a bound of 1000 keeps it, and C2 + C313 is
@@ -1953,7 +1962,8 @@ def test_space_ids_build_no_label_tuples():
 
     # the ends of `coarseiso witness "Z^2 + C4" "Z^2" --radius 100`: 41,004
     # source and 40,401 target points
-    w = iso_witness_chain(parse_group("Z^2 + C4"), parse_group("Z^2"), radius=100)
+    w = iso_witness_chain(coarse_isomorphic(parse_group("Z^2 + C4"), parse_group("Z^2")),
+                          radius=100)
     for sp in (w.source, w.target):
         assert sp._labels is None
         ident = space_id(sp)
@@ -1971,6 +1981,7 @@ def test_space_ids_build_no_label_tuples():
     ("witness.relabel_witness", "deltas"),
     ("witness.product_witness", "deltas"),
     ("witness.invert_witness", "deltas"),
+    ("witness.absorption_witness", "point_budget"),
     ("witness.relabel_witness", "columns"),
     ("analysis.estimate_factorizing_step", "max_tested"),
     ("analysis.estimate_factorizing_step", "window_fractions"),

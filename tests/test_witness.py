@@ -24,7 +24,7 @@ from hypothesis import strategies as st
 from coarseiso import witness as witness_mod
 from coarseiso.analysis import oscillation
 from coarseiso.factorfn import ff_sub, phi_of_nat
-from coarseiso.groups import coarse_isomorphic, parse_group
+from coarseiso.groups import coarse_equivalent, coarse_isomorphic, parse_group
 from coarseiso.spaces import (
     BudgetError,
     FiniteSpace,
@@ -58,6 +58,12 @@ sys.path.insert(0, str(Path(__file__).resolve().parent))
 
 from dense_rule import dense_space  # noqa: E402
 from oracles import distance, index  # noqa: E402
+
+
+def iso_verdict(g1: str, g2: str):
+    """The coarse_isomorphic verdict of two group descriptions: what
+    iso_witness_chain reads, as the CLI hands it over."""
+    return coarse_isomorphic(parse_group(g1), parse_group(g2))
 
 
 def brute_oscillation(source, target, pairs, delta):
@@ -164,7 +170,7 @@ class TestVerification:
 
     def test_backward_only_scale_is_checked(self):
         # a scale recorded only backward is measured and compared too
-        w = iso_witness_chain(parse_group("Z + C2"), parse_group("Z"), radius=16)
+        w = iso_witness_chain(iso_verdict("Z + C2", "Z"), radius=16)
         assert w.validity_radius == 7.0 and 3.0 not in w.forward_moduli
         backward = {**w.backward_moduli, 3.0: 999}
         rep = verify_witness(dataclasses.replace(w, backward_moduli=backward))
@@ -177,7 +183,7 @@ class TestVerification:
 
     def test_scale_above_validity_is_reported(self):
         # _finish records no scale above the validity radius
-        w = iso_witness_chain(parse_group("Z + C2"), parse_group("Z"), radius=16)
+        w = iso_witness_chain(iso_verdict("Z + C2", "Z"), radius=16)
         forward = {**w.forward_moduli, 1e6: 0}
         rep = verify_witness(dataclasses.replace(w, forward_moduli=forward))
         assert not rep.ok
@@ -191,15 +197,14 @@ class TestVerification:
         )
 
     def test_given_scales_add_to_the_recorded_ones(self):
-        w = iso_witness_chain(parse_group("Z + C2"), parse_group("Z"), radius=60,
-                              deltas=(1, 2, 5))
+        w = iso_witness_chain(iso_verdict("Z + C2", "Z"), radius=60, deltas=(1, 2, 5))
         assert sorted(w.forward_moduli) == [1.0, 2.0, 4.0, 5.0, 8.0]
         bad = dataclasses.replace(w, forward_moduli={**w.forward_moduli, 8.0: 99})
         rep = verify_witness(bad, [1, 2, 5])
         assert rep.violations == (
             f"forward modulus at delta=8.0: recorded 99, measured {w.forward_moduli[8.0]}",
         )
-        for deltas in ([1, 2, 5], [math.inf], [], None):
+        for deltas in ([1, 2, 5], [math.inf], []):
             rep = verify_witness(w, deltas)
             assert rep.ok
             assert (rep.forward, rep.backward) == (w.forward_moduli, w.backward_moduli)
@@ -455,7 +460,7 @@ def test_rank_two_chain_at_radius_100_takes_the_window_route(monkeypatch):
                         lambda *a: routes.append(route(*a)[0]) or route(*a))
     monkeypatch.setattr(analysis_mod, "_pair_oscillation",
                         lambda *a: pair_sizes.append(len(a[2])) or pair_pass(*a))
-    w = iso_witness_chain(parse_group("Z^2 + C4"), parse_group("Z^2"), radius=100)
+    w = iso_witness_chain(iso_verdict("Z^2 + C4", "Z^2"), radius=100)
     assert verify_witness(w).ok
     assert all(n < analysis_mod.WINDOW_MIN for n in pair_sizes), pair_sizes
     assert (routes.count("window"), routes.count("keyed"), routes.count("pairs")) == (6, 0, 0)
@@ -483,7 +488,7 @@ def test_chain_measures_no_identity_or_relabel_step(monkeypatch, pair, finished,
 
     monkeypatch.setattr(witness_mod, "_finish", recording_finish)
     monkeypatch.setattr(FiniteSpace, "__init__", recording_init)
-    iso_witness_chain(*map(parse_group, pair), radius=16)
+    iso_witness_chain(iso_verdict(*pair), radius=16)
     assert (len(witnesses), len(spaces)) == (finished, built)
     for w in witnesses:
         assert not (w.source == w.target and np.array_equal(w.src, w.dst)), w
@@ -499,7 +504,7 @@ def test_rank_zero_chain_aligns_one_tower_with_itself(monkeypatch):
         spaces.append(self)
 
     monkeypatch.setattr(FiniteSpace, "__init__", recording_init)
-    w = iso_witness_chain(parse_group("C2^inf"), parse_group("C4^inf"), depth=12)
+    w = iso_witness_chain(iso_verdict("C2^inf", "C4^inf"), depth=12)
     assert len(spaces) == 1 and len(spaces[0]) == 4096
     assert w.source is w.target and np.array_equal(w.src, w.dst)
 
@@ -529,9 +534,9 @@ def test_chain_stays_below_the_first_summand_the_bound_drops(pair, bound):
         # leave nothing of it: a witness valid to 0 is refused
         with pytest.raises(ValueError, match=r"valid only to 0: .* remainder tower is faithful "
                                              r"to 1 under prime bound 97 \(--prime-bound\)"):
-            iso_witness_chain(g1, g2, depth=depth, prime_bound=bound)
+            iso_witness_chain(verdict, depth=depth, prime_bound=bound)
         return
-    w = iso_witness_chain(g1, g2, depth=depth, prime_bound=bound)
+    w = iso_witness_chain(verdict, depth=depth, prime_bound=bound)
     assert w.validity_radius <= horizon
     assert verify_witness(w).ok
 
@@ -589,41 +594,52 @@ class TestCombinators:
 
 class TestChain:
     def test_absorbing_one_torsion_summand(self):
-        w = iso_witness_chain(parse_group("Z + C2"), parse_group("Z"))
+        w = iso_witness_chain(iso_verdict("Z + C2", "Z"))
         assert len(w) == 46
         assert w.validity_radius == 11.0
         assert verify_witness(w).ok
 
     def test_rank_zero_tower_route(self):
-        w = iso_witness_chain(parse_group("C2^inf"), parse_group("C2^inf + C4"))
+        w = iso_witness_chain(iso_verdict("C2^inf", "C2^inf + C4"))
         assert len(w) == 16
         assert w.validity_radius == 5.0
         assert verify_witness(w).ok
 
     def test_multiplier_on_the_right(self):
-        w = iso_witness_chain(parse_group("Z + C2^inf"), parse_group("Z + C2^inf + C3"))
+        w = iso_witness_chain(iso_verdict("Z + C2^inf", "Z + C2^inf + C3"))
         assert len(w) == 28
         assert w.validity_radius == 3.0
         assert verify_witness(w).ok
 
     def test_rank_two_self_chain(self):
-        w = iso_witness_chain(parse_group("Z^2 + C6"), parse_group("Z^2 + C6"),
-                              radius=6)
+        w = iso_witness_chain(iso_verdict("Z^2 + C6", "Z^2 + C6"), radius=6)
         assert len(w) == 1014
         assert w.validity_radius == 6.0
         assert verify_witness(w).ok
 
-    def test_rejects_non_isomorphic(self):
-        with pytest.raises(ValueError, match="rank-mismatch"):
-            iso_witness_chain(parse_group("Z"), parse_group("Z^2"))
+    @pytest.mark.parametrize("pair,case", [
+        (("Z", "Z^2"), "rank-mismatch"), (("C2^inf", "C3^inf"), "case-2-phi-mismatch"),
+    ])
+    def test_rejects_non_isomorphic(self, pair, case):
+        # the text the CLI prints for a false verdict, after "error: "
+        with pytest.raises(ValueError) as refused:
+            iso_witness_chain(iso_verdict(*pair))
+        assert str(refused.value) == f"groups are not coarsely isomorphic ({case})"
+
+    @pytest.mark.parametrize("pair", [("Z + C2", "Z"), ("Z", "Z^2")], ids=["true", "false"])
+    def test_rejects_an_equivalence_verdict(self, pair):
+        # a coarse equivalence, true or false, fixes no multipliers
+        with pytest.raises(ValueError) as refused:
+            iso_witness_chain(coarse_equivalent(*map(parse_group, pair)))
+        assert str(refused.value) == "a coarse equivalence verdict names no isomorphism"
 
     def test_rejects_infinite_rank(self):
         with pytest.raises(ValueError, match="infinite rank"):
-            iso_witness_chain(parse_group("Z^inf"), parse_group("Z^inf"))
+            iso_witness_chain(iso_verdict("Z^inf", "Z^inf"))
 
     def test_larger_radius_grows_validity(self):
-        small = iso_witness_chain(parse_group("Z + C2"), parse_group("Z"), radius=24)
-        big = iso_witness_chain(parse_group("Z + C2"), parse_group("Z"), radius=60)
+        small = iso_witness_chain(iso_verdict("Z + C2", "Z"), radius=24)
+        big = iso_witness_chain(iso_verdict("Z + C2", "Z"), radius=60)
         assert big.validity_radius > small.validity_radius
         assert verify_witness(big).ok
 
@@ -636,7 +652,7 @@ class TestChain:
     @pytest.mark.parametrize("pair", [("Z + C2", "Z"), ("C2", "C2")], ids=["rank-1", "rank-0"])
     def test_rejects_out_of_range_arguments(self, pair, kwargs, message):
         with pytest.raises(ValueError, match=message):
-            iso_witness_chain(*map(parse_group, pair), **kwargs)
+            iso_witness_chain(iso_verdict(*pair), **kwargs)
 
     @pytest.mark.parametrize("pair", [
         ("Z + C2", "Z"), ("Z^2 + C4", "Z^2"), ("C2^inf", "C4^inf"),
@@ -650,14 +666,14 @@ class TestChain:
             sizes.append(len(self))
 
         monkeypatch.setattr(FiniteSpace, "__init__", recording)
-        groups = [parse_group(g) for g in pair]
-        w = iso_witness_chain(*groups, radius=12, depth=3)
+        v = iso_verdict(*pair)
+        w = iso_witness_chain(v, radius=12, depth=3)
         largest = max(sizes)
         monkeypatch.setattr(FiniteSpace, "__init__", init)
-        within = iso_witness_chain(*groups, radius=12, depth=3, point_budget=largest)
+        within = iso_witness_chain(v, radius=12, depth=3, point_budget=largest)
         assert within.to_json() == w.to_json()
         with pytest.raises(BudgetError, match=f"{largest} points exceed the budget"):
-            iso_witness_chain(*groups, radius=12, depth=3, point_budget=largest - 1)
+            iso_witness_chain(v, radius=12, depth=3, point_budget=largest - 1)
 
 
 @pytest.mark.parametrize("pair", [
@@ -679,12 +695,12 @@ def test_chain_passes_its_point_budget_to_every_builder(monkeypatch, pair):
 
     for name in ("zball", "tower_space", "product_space", "canonical_ultrametric"):
         monkeypatch.setattr(witness_mod, name, recording(name))
-    groups = [parse_group(g) for g in pair]
-    iso_witness_chain(*groups, radius=12, depth=3, point_budget=10**5)
+    v = iso_verdict(*pair)
+    iso_witness_chain(v, radius=12, depth=3, point_budget=10**5)
     # every chain builds its remainder tower; at positive rank the sides
     # build their own towers too
     builders = {"canonical_ultrametric"}
-    if groups[0].free_rank_part != 0:
+    if v.invariants[0].r != 0:
         builders.add("tower_space")
     assert {name for name, _ in seen} >= builders
     assert [budget for _, budget in seen] == [10**5] * len(seen)
@@ -795,7 +811,13 @@ def test_every_violation_of_a_given_witness(make, violation):
     (lambda: component_multiplicity(_table_witness(
         product_space(zball(1), tower_space([2])), zball(1), [0], [0], validity=0.0), 1),
      "no table entries inside the validity region"),
-], ids=["alignment-rank-missing", "relabel-label-missing", "relabel-width", "no-entries"])
+    # TowerAlignment is a public record: here its second tower holds 3, not 2 x 2
+    (lambda: dataclasses.replace(
+        tower_alignment_witness(tower_space([2, 2]), tower_space([4], levels=[2])),
+        v_orders=(3,)).modulus(2.0),
+     "tower does not absorb the requested ball"),
+], ids=["alignment-rank-missing", "relabel-label-missing", "relabel-width", "no-entries",
+        "modulus-other-prime"])
 def test_every_refusal_of_outside_input(make, message):
     with pytest.raises(ValueError) as refused:
         make()

@@ -27,7 +27,7 @@ from coarseiso import witness as witness_mod
 from coarseiso.analysis import oscillation
 from coarseiso.cli import main
 from coarseiso.factorfn import FactorFunction
-from coarseiso.groups import parse_group
+from coarseiso.groups import coarse_isomorphic, parse_group
 from coarseiso.spaces import (
     FiniteSpace,
     SupRule,
@@ -57,6 +57,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent))
 
 from oracles import blocks, distance, index, same_witness  # noqa: E402
 from test_cli import GOLDEN_WITNESSES  # noqa: E402
+from test_witness import iso_verdict  # noqa: E402
 
 _TOL = 1e-9
 
@@ -367,23 +368,16 @@ def test_relabel_matches_the_tuple_code(case):
     event(assert_same(new, old).split(" for label")[0])
 
 
-def old_operand(f):
-    """A product operand as the tuple code took it: a space stands for the
-    identity witness on it."""
-    return old_relabel(f, f) if isinstance(f, FiniteSpace) else f
-
-
 @pytest.mark.parametrize("g1,g2", [
     ("Z^2 + C4", "Z^2"), ("Z^2", "Z^2 + C4"), ("Z + C2", "Z + C3"), ("Z", "Z"),
 ])
 def test_chain_combinators_match_the_tuple_code(monkeypatch, g1, g2):
     """A whole chain run through the oracle combinators, stage by stage,
-    against the array ones. The chain hands products spaces for identity
-    factors, and products and compositions bare tables; the oracle takes a
-    space as relabel_witness(space, space), and builds each relabel,
+    against the array ones. The chain hands products and compositions bare
+    tables, identity factors among them; the oracle builds each relabel,
     alignment, absorption and inverse table as the tuple code's witness."""
-    g1, g2 = parse_group(g1), parse_group(g2)
-    new = witness_mod.iso_witness_chain(g1, g2, radius=12, deltas=(3.0,))
+    verdict = iso_verdict(g1, g2)
+    new = witness_mod.iso_witness_chain(verdict, radius=12, deltas=(3.0,))
     calls = {}
 
     def oracle(name, fn):
@@ -393,20 +387,18 @@ def test_chain_combinators_match_the_tuple_code(monkeypatch, g1, g2):
         monkeypatch.setattr(witness_mod, name, run)
 
     oracle("compose_witness", old_compose)
-    oracle("product_witness",
-           lambda f, g, point_budget=None:
-           old_product(old_operand(f), old_operand(g), point_budget))
+    oracle("product_witness", old_product)
     oracle("invert_witness", old_invert)
     oracle("relabel_witness", old_relabel)
     oracle("_relabel_stage", old_relabel)
     oracle("_alignment_stage", old_alignment)
     oracle("_absorption_stage", old_absorption)
     oracle("_invert_stage", old_invert)
-    assert_same(new, witness_mod.iso_witness_chain(g1, g2, radius=12, deltas=(3.0,)))
+    assert_same(new, witness_mod.iso_witness_chain(verdict, radius=12, deltas=(3.0,)))
     # every table of the chain came from an oracle: a side with a
     # multiplier of 2 or more reaches every stage
     reached = {"compose_witness", "_relabel_stage"}
-    if witness_mod.coarse_isomorphic(g1, g2).multipliers != (1, 1):
+    if verdict.multipliers != (1, 1):
         reached |= {"product_witness", "_alignment_stage", "_absorption_stage", "_invert_stage"}
     assert set(calls) == reached
 
@@ -426,8 +418,8 @@ def stage_and_witness(name, args):
     if name == "_alignment_stage":
         w = witness_mod.tower_alignment_witness(*args).witness
     elif name == "_absorption_stage":
-        k, line, short, budget = args
-        w = witness_mod.absorption_witness(k, len(line) // 2, point_budget=budget)
+        k, line, _, _ = args
+        w = witness_mod.absorption_witness(k, len(line) // 2)
     else:
         (f,) = args
         w = invert_witness(witness_mod._finish(f) if isinstance(f, witness_mod._Stage) else f)
@@ -445,7 +437,7 @@ def test_each_stage_is_its_witness_without_the_moduli(monkeypatch, capsys):
         monkeypatch.setattr(witness_mod, name,
                             lambda *a, fn=fn, name=name: seen.append((name, a)) or fn(*a))
     for g1, g2, kwargs in TEST_CHAIN_CASES:
-        witness_mod.iso_witness_chain(parse_group(g1), parse_group(g2), **kwargs)
+        witness_mod.iso_witness_chain(iso_verdict(g1, g2), **kwargs)
     for argv, *_ in GOLDEN_WITNESSES:
         assert main(list(argv)) == 0
     capsys.readouterr()
@@ -513,7 +505,7 @@ def old_iso_witness_chain(g1, g2, radius=24, depth=4, prime_bound=97, deltas=(),
     if depth < 0:
         raise ValueError("depth must be >= 0")
     pb = point_budget
-    verdict = w.coarse_isomorphic(g1, g2)
+    verdict = coarse_isomorphic(g1, g2)
     if not verdict.result:
         raise ValueError(f"groups are not coarsely isomorphic ({verdict.case_label})")
     c1, c2 = verdict.invariants
@@ -570,7 +562,8 @@ def old_iso_witness_chain(g1, g2, radius=24, depth=4, prime_bound=97, deltas=(),
         shuffle = [0, 1 + tail, *range(1, 1 + tail), *range(2 + tail, width)]
         folded = product_space(product_space(first, k_point_space(k_abs), pb), behind, pb)
         w2 = old_relabel(w1.target, folded, columns=shuffle)
-        unfold = old_invert(w.absorption_witness(k_abs, k_abs * first_r, point_budget=pb))
+        folded_line = zball(k_abs * first_r, point_budget=pb)
+        unfold = old_invert(old_absorption(k_abs, folded_line, first, pb))
         w3 = old_product(unfold, old_relabel(behind, behind), point_budget=pb)
         return old_compose(old_compose(w1, w2), w3)
 
@@ -605,8 +598,8 @@ CHAIN_CASES = [
 @pytest.mark.parametrize("g1,g2,radius", CHAIN_CASES)
 def test_chain_matches_the_chain_that_measured_every_step(g1, g2, radius):
     g1, g2 = parse_group(g1), parse_group(g2)
-    new, old = (chain(g1, g2, radius=radius)
-                for chain in (witness_mod.iso_witness_chain, old_iso_witness_chain))
+    new = witness_mod.iso_witness_chain(coarse_isomorphic(g1, g2), radius=radius)
+    old = old_iso_witness_chain(g1, g2, radius=radius)
     assert_same(new, old)
     assert new.source.inner_radius == old.source.inner_radius
     assert new.target.inner_radius == old.target.inner_radius
@@ -619,8 +612,9 @@ def test_chain_matches_the_chain_that_measured_every_step(g1, g2, radius):
 ])
 def test_chain_with_extra_scales_matches_the_old_chain(g1, g2, radius):
     g1, g2 = parse_group(g1), parse_group(g2)
+    verdict = coarse_isomorphic(g1, g2)
     for deltas in [(0.5,), (3,), (100,), (0.5, 3, 100)]:
-        assert_same(outcome(witness_mod.iso_witness_chain, g1, g2, radius=radius, deltas=deltas),
+        assert_same(outcome(witness_mod.iso_witness_chain, verdict, radius=radius, deltas=deltas),
                     outcome(old_iso_witness_chain, g1, g2, radius=radius, deltas=deltas))
 
 
@@ -642,11 +636,13 @@ def test_chain_one_point_over_budget_fails_as_the_old_chain(monkeypatch, g1, g2,
     outcome(old_iso_witness_chain, g1, g2, radius=radius)
     monkeypatch.setattr(FiniteSpace, "__init__", init)
     largest = max(sizes)
-    new = outcome(witness_mod.iso_witness_chain, g1, g2, radius=radius, point_budget=largest - 1)
+    verdict = coarse_isomorphic(g1, g2)
+    new = outcome(witness_mod.iso_witness_chain, verdict, radius=radius, point_budget=largest - 1)
     assert new == f"BudgetError: {largest} points exceed the budget of {largest - 1}"
     assert new == outcome(old_iso_witness_chain, g1, g2, radius=radius,
                           point_budget=largest - 1)
-    assert_same(outcome(witness_mod.iso_witness_chain, g1, g2, radius=radius, point_budget=largest),
+    assert_same(outcome(witness_mod.iso_witness_chain, verdict, radius=radius,
+                        point_budget=largest),
                 outcome(old_iso_witness_chain, g1, g2, radius=radius, point_budget=largest))
 
 
@@ -763,7 +759,7 @@ def test_table_indices_are_whole_numbers_within_both_spaces():
 def test_chain_builds_no_label_tuple_of_its_end_spaces():
     """Building, verifying and serializing a rank-2 chain reads the end
     spaces' coordinates only."""
-    w = witness_mod.iso_witness_chain(parse_group("Z^2 + C4"), parse_group("Z^2"), radius=16)
+    w = witness_mod.iso_witness_chain(iso_verdict("Z^2 + C4", "Z^2"), radius=16)
     assert verify_witness(w).ok
     payload = w.to_json()
     assert w.source._labels is None and w.target._labels is None
@@ -788,7 +784,7 @@ def test_tower_chains_build_no_label_tuple(g1, g2, size, monkeypatch):
         return labels.fget(space)
 
     monkeypatch.setattr(FiniteSpace, "labels", property(traced))
-    w = witness_mod.iso_witness_chain(parse_group(g1), parse_group(g2), **size)
+    w = witness_mod.iso_witness_chain(iso_verdict(g1, g2), **size)
     assert verify_witness(w).ok
     w.to_json()
     assert built == []
