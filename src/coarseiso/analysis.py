@@ -208,7 +208,7 @@ def estimate_factorizing_step(space: FiniteSpace) -> StepEstimate:
 # empirical factor function
 
 
-def empirical_phi(space: FiniteSpace, prime_bound: int = 97) -> FactorFunction:
+def empirical_phi(space: FiniteSpace, prime_bound: int) -> FactorFunction:
     """Largest prime-power content of the realized ball orders around the
     basepoint, up to the faithfulness radius. Meaningful for ultrametric
     spaces, where balls are subgroups of the ambient model."""

@@ -34,6 +34,7 @@ from .groups import (
     render_group,
 )
 from .spaces import (
+    DEFAULT_POINT_BUDGET,
     FiniteSpace,
     build_truncation,
     epsilon_components,
@@ -143,7 +144,7 @@ def _cmd_classify(args: argparse.Namespace) -> int:
 def _cmd_witness(args: argparse.Namespace) -> int:
     # a false verdict is the chain's ValueError, which main prints
     verdict = coarse_isomorphic(parse_group(args.g1), parse_group(args.g2))
-    deltas = _check_deltas(x for x in (args.deltas or "").split(",") if x.strip())
+    deltas = _check_deltas(x for x in args.deltas.split(",") if x.strip())
     w = iso_witness_chain(
         verdict, radius=_radius(args), depth=args.depth, prime_bound=args.prime_bound,
         deltas=deltas, point_budget=args.point_budget,
@@ -225,9 +226,9 @@ _FLAGS = {
     "--depth": dict(type=int, default=4),
     "--epsilon": dict(type=float, default=1.0),
     "--c": dict(type=float, default=1.1),
-    "--deltas": dict(type=str, default=None, help="comma-separated scales"),
+    "--deltas": dict(type=str, default="", help="comma-separated scales"),
     "--format": dict(choices=("json", "table"), default="json"),
-    "--point-budget": dict(type=int, default=None),
+    "--point-budget": dict(type=int, default=DEFAULT_POINT_BUDGET),
     "--out": dict(type=str, default=None, help="also write the JSON payload here"),
 }
 

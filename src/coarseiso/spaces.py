@@ -50,6 +50,7 @@ from __future__ import annotations
 import copy
 import math
 import numbers
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence, Union
@@ -674,8 +675,9 @@ def _count_text(count: int) -> str:
     return str(count) if p < 30 else f"more than 10^{p}"
 
 
-def _check_budget(count: int, point_budget: Optional[int]) -> None:
-    budget = DEFAULT_POINT_BUDGET if point_budget is None else point_budget
+def _check_budget(count: int, budget: int) -> None:
+    """Refuse a count of points above the budget with a BudgetError that
+    words both numbers (_count_text)."""
     if count > budget:
         raise BudgetError(f"{_count_text(count)} points exceed the budget of {_count_text(budget)}")
 
@@ -710,7 +712,7 @@ def make_schedule(g: GroupDescription, radius: int) -> list[tuple[Union[str, int
 
 
 def build_truncation(
-    g: GroupDescription, radius: int = 8, point_budget: Optional[int] = None
+    g: GroupDescription, radius: int, point_budget: int = DEFAULT_POINT_BUDGET
 ) -> FiniteSpace:
     """Ball of the given radius around the identity in the exhaustion metric
     of make_schedule(g, radius); SupRule.group_ball checks its orders and
@@ -741,7 +743,7 @@ def _box_space(ranges: Sequence[range], rule: SupRule, inner_radius: Num) -> Fin
     return FiniteSpace(coords, rule, basepoint, inner_radius)
 
 
-def zball(radius: int, rank: int = 1, point_budget: Optional[int] = None) -> FiniteSpace:
+def zball(radius: int, rank: int = 1, point_budget: int = DEFAULT_POINT_BUDGET) -> FiniteSpace:
     """Sup-metric ball of Z^rank."""
     if radius < 0:
         raise ValueError("radius must be >= 0")
@@ -752,7 +754,7 @@ def zball(radius: int, rank: int = 1, point_budget: Optional[int] = None) -> Fin
 def tower_space(
     orders: Sequence[int],
     levels: Optional[Sequence[int]] = None,
-    point_budget: Optional[int] = None,
+    point_budget: int = DEFAULT_POINT_BUDGET,
 ) -> FiniteSpace:
     """Product of cyclic groups with the level ultrametric. Default levels
     are 2, 3, ..., matching the canonical enumeration."""
@@ -760,12 +762,14 @@ def tower_space(
     if levels is None:
         levels = tuple(range(2, len(orders) + 2))
     levels = tuple(int(l) for l in levels)
-    _check_budget(math.prod(orders), point_budget)
+    # one power per distinct order: a product over the orders one at a time
+    # is quadratic in their count (a 900,000-summand tower's refusal)
+    _check_budget(math.prod(o**c for o, c in Counter(orders).items()), point_budget)
     rule = SupRule.tower(orders, levels)
     return _box_space([range(o) for o in orders], rule, levels[-1] if levels else 0)
 
 
-def enumerate_summands(phi: FactorFunction, depth: int, prime_bound: int = 97) -> list[int]:
+def enumerate_summands(phi: FactorFunction, depth: int, prime_bound: int) -> list[int]:
     """First `depth` cyclic summand orders of the group determined by phi.
 
     Stage s emits one copy of prime p_i when i + (copies already emitted
@@ -809,8 +813,8 @@ def _walked_primes(phi: FactorFunction, depth: int, prime_bound: int) -> list[in
 def canonical_ultrametric(
     phi: FactorFunction,
     depth: int,
-    prime_bound: int = 97,
-    point_budget: Optional[int] = None,
+    prime_bound: int,
+    point_budget: int = DEFAULT_POINT_BUDGET,
 ) -> FiniteSpace:
     """Truncation of the canonical ultrametric group for phi: the product of
     its first `depth` cyclic summands up to the prime bound, summand i at
@@ -851,7 +855,7 @@ def subspace(space: FiniteSpace, indices: Sequence[int]) -> FiniteSpace:
 
 
 def product_space(
-    x: FiniteSpace, y: FiniteSpace, point_budget: Optional[int] = None
+    x: FiniteSpace, y: FiniteSpace, point_budget: int = DEFAULT_POINT_BUDGET
 ) -> FiniteSpace:
     """Cartesian product with the sup metric, built from the factors'
     coordinates, which must be integers; both rules must be sup rules."""
@@ -871,28 +875,36 @@ def example31_fixture(
     branches: int,
     grid_step: float,
     clamp: float,
-    point_budget: Optional[int] = None,
+    point_budget: int = DEFAULT_POINT_BUDGET,
 ) -> FiniteSpace:
     """Grid sample of the plane curve (x + 2 pi n, (-1)^n tan x) for
     n = 0..branches, x on the grid {k * grid_step} with |tan x| <= clamp.
-    tan runs once per grid x, by math.tan (numpy's may differ in the last
-    place), and its rounding and the branches as arrays (_round_decimals),
-    every label bit-identical to rounding it alone."""
+    The kept x are counted by a bisection on k, and a count above
+    point_budget is a BudgetError before any array is built. tan runs once
+    per kept x, by math.tan (numpy's may differ in the last place), and its
+    rounding and the branches as arrays (_round_decimals), every label
+    bit-identical to rounding it alone."""
     if branches < 1:
         raise ValueError("branches must be >= 1")
-    if grid_step <= 0 or clamp <= 0:
+    if not (grid_step > 0 and clamp > 0):  # NaN included
         raise ValueError("grid_step and clamp must be positive")
     # |tan x| <= clamp holds only for |x| <= atan(clamp) (the factor covers
-    # the rounding of atan and tan), so the grid stops there: its arrays
-    # grow with the points kept, not with the grid up to pi / 2
+    # the rounding of atan and tan), so no kept k passes kmax. tan is odd
+    # and increasing on (-pi/2, pi/2), so the kept x are k * grid_step for
+    # |k| <= K, and a bisection on k finds K
     kmax = int(math.floor(min(math.pi / 2, math.atan(clamp) * (1 + 2.0**-40)) / grid_step))
-    x = np.arange(-kmax, kmax + 1) * grid_step
-    x = x[np.abs(x) < math.pi / 2]
-    tan = np.fromiter(map(math.tan, x.tolist()), dtype=float, count=len(x))
-    keep = np.abs(tan) <= clamp
+    lo, hi = 0, kmax
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if mid * grid_step < math.pi / 2 and abs(math.tan(mid * grid_step)) <= clamp:
+            lo = mid
+        else:
+            hi = mid - 1
+    _check_budget((branches + 1) * (2 * lo + 1), point_budget)
+    xs = np.arange(-lo, lo + 1) * grid_step
+    tan = np.fromiter(map(math.tan, xs.tolist()), dtype=float, count=len(xs))
     # round is odd, so the odd branches negate the rounded value
-    xs, ys = x[keep], _round_decimals(tan[keep], PLANE_DECIMALS)
-    _check_budget((branches + 1) * len(xs), point_budget)
+    ys = _round_decimals(tan, PLANE_DECIMALS)
     n = np.arange(branches + 1)
     px = _round_decimals((xs + (2 * math.pi * n)[:, None]).ravel(), PLANE_DECIMALS)
     py = (np.where(n % 2, -1.0, 1.0)[:, None] * ys).ravel()

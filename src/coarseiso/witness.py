@@ -22,6 +22,7 @@ from .analysis import oscillation
 from .factorfn import ff_sub, phi_of_nat
 from .groups import Verdict
 from .spaces import (
+    DEFAULT_POINT_BUDGET,
     FiniteSpace,
     SupRule,
     _partition_from_keys,
@@ -77,7 +78,7 @@ class WitnessMap:
         forward_moduli: Dict[float, float],
         backward_moduli: Dict[float, float],
         validity_radius: float,
-        claims: Tuple[dict, ...] = (),
+        claims: Tuple[dict, ...],
         *,
         src: Optional[Sequence[int]] = None,
         dst: Optional[Sequence[int]] = None,
@@ -181,16 +182,17 @@ def _stage(
     target: FiniteSpace,
     src: Sequence[int],
     dst: Sequence[int],
-    validity_cap: Optional[float] = None,
-    context: str = "witness",
+    context: str,
+    validity_cap: float = math.inf,
 ) -> _Stage:
     """Normalize the table given as source and target index arrays and
     derive its validity radius.
 
     The table is kept sorted by source. The validity radius is the largest
     realized distance from the source basepoint whose closed ball the table
-    covers entirely, capped at validity_cap. A source point mapped twice,
-    or a table that leaves no region valid, is a ValueError.
+    covers entirely, capped at validity_cap (no cap by default). A source
+    point mapped twice, or a table that leaves no region valid, is a
+    ValueError led by context, the name of the step that built the table.
     """
     si = np.asarray(src, dtype=np.int64)
     ti = np.asarray(dst, dtype=np.int64)
@@ -208,8 +210,7 @@ def _stage(
     else:
         below = d[d < d[~have].min() - _TOL]
         validity = float(below.max()) if len(below) else -1.0
-    if validity_cap is not None:
-        validity = min(validity, float(validity_cap))
+    validity = min(validity, float(validity_cap))
     if validity < 0:
         raise ValueError(f"{context}: empty validity region")
     return _Stage(source, target, si, ti, validity)
@@ -532,10 +533,11 @@ def tower_alignment_witness(
 
 
 def _absorption_stage(
-    k: int, line: FiniteSpace, short: FiniteSpace, point_budget: Optional[int]
+    k: int, line: FiniteSpace, short: FiniteSpace, point_budget: int
 ) -> _Stage:
     """The table of absorption_witness from its two line balls, line of
-    radius r and short of radius ceil(r / k), onto (short) x (k points)."""
+    radius r and short of radius ceil(r / k), onto (short) x (k points),
+    which is held to point_budget."""
     radius, short_r = len(line) // 2, len(short) // 2
     target = product_space(short, k_point_space(k), point_budget)
     q, r = np.divmod(np.arange(-radius, radius + 1), k)
@@ -552,7 +554,7 @@ def absorption_witness(k: int, radius: int, deltas: Sequence[float] = ()) -> Wit
     if k < 2:
         raise ValueError("k must be >= 2")
     line, short = zball(int(radius)), zball(math.ceil(radius / k))
-    return _finish(_absorption_stage(k, line, short, None), (), deltas)
+    return _finish(_absorption_stage(k, line, short, DEFAULT_POINT_BUDGET), (), deltas)
 
 
 def _match_rows(rows: np.ndarray, table: np.ndarray) -> np.ndarray:
@@ -615,9 +617,8 @@ def compose_witness(
     return _finish(stage, (), deltas)
 
 
-def product_witness(
-    f: Union[WitnessMap, _Stage], g: Union[WitnessMap, _Stage], point_budget: Optional[int] = None
-) -> WitnessMap:
+def product_witness(f: Union[WitnessMap, _Stage], g: Union[WitnessMap, _Stage],
+                    point_budget: int = DEFAULT_POINT_BUDGET) -> WitnessMap:
     """Coordinatewise product of two witnesses under the sup metric; either
     factor may be a bare stage, as the chain's identity factors are."""
     source = product_space(f.source, g.source, point_budget)
@@ -676,11 +677,11 @@ def component_multiplicity(w: WitnessMap, epsilon: float) -> int:
 
 def iso_witness_chain(
     verdict: Verdict,
-    radius: int = 24,
-    depth: int = 4,
-    prime_bound: int = 97,
-    deltas: Sequence[float] = (),
-    point_budget: Optional[int] = None,
+    radius: int,
+    depth: int,
+    prime_bound: int,
+    deltas: Sequence[float],
+    point_budget: int,
 ) -> WitnessMap:
     """End-to-end witness between truncations of two coarsely isomorphic
     groups of equal finite rank, read off their coarse_isomorphic verdict:
@@ -711,13 +712,15 @@ def iso_witness_chain(
     composed into the end, as is the inverse of a right side with k >= 2.
     So the witnesses measured are w1, w3 and the two compositions of each
     side with k >= 2, and the end.
-    Every space built on the way is held to point_budget (None: the default
-    budget); a larger one is a BudgetError. A witness valid to less than 1
-    is refused with a ValueError that names its line ball's radius and the
-    remainder tower's inner radius: a small radius leaves the stages little
-    room (`Z^2 ~ Z^2 + C4` at radius 8), and where the prime bound drops a
-    summand of the remainder, the tower is faithful only below it
-    (`Z + C2 + C101 ~ Z + C101` at bound 97 is valid to 0).
+    The chain has no defaults of its own: radius, depth, prime_bound,
+    deltas and point_budget come from the CLI's flags. Every space built on
+    the way is held to point_budget; a larger one is a BudgetError. A
+    witness valid to less than 1 is refused with a ValueError that names
+    its line ball's radius and the remainder tower's inner radius: a small
+    radius leaves the stages little room (`Z^2 ~ Z^2 + C4` at radius 8),
+    and where the prime bound drops a summand of the remainder, the tower
+    is faithful only below it (`Z + C2 + C101 ~ Z + C101` at bound 97 is
+    valid to 0).
     """
     if verdict.relation != "isomorphism":
         raise ValueError(f"a coarse {verdict.relation} verdict names no isomorphism")

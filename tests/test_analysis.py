@@ -93,34 +93,34 @@ def rowwise_oscillation(source, target, src_idx, dst_idx, delta):
 
 class TestEmpiricalPhi:
     def test_canonical_model_recovers_its_profile(self):
-        sp = canonical_ultrametric(ff({2: 2, 3: 1}), 3)
-        assert empirical_phi(sp) == ff({2: 2, 3: 1})
+        sp = canonical_ultrametric(ff({2: 2, 3: 1}), 3, 97)
+        assert empirical_phi(sp, 97) == ff({2: 2, 3: 1})
 
     def test_truncation_caps_the_exponent(self):
         sp = build_truncation(parse_group("C2^inf"), radius=16)
-        assert empirical_phi(sp) == ff({2: 4})
+        assert empirical_phi(sp, 97) == ff({2: 4})
 
     def test_cantor_cube(self):
-        assert empirical_phi(tower_space([2] * 4, levels=[2, 4, 8, 16])) == ff({2: 4})
+        assert empirical_phi(tower_space([2] * 4, levels=[2, 4, 8, 16]), 97) == ff({2: 4})
 
     def test_single_point(self):
-        assert empirical_phi(k_point_space(1)) == FactorFunction()
+        assert empirical_phi(k_point_space(1), 97) == FactorFunction()
 
     def test_partial_mass_from_deeper_profile(self):
-        sp = canonical_ultrametric(ff({2: 3, 5: 1}), 4)
-        assert empirical_phi(sp) == ff({2: 3, 5: 1})
+        sp = canonical_ultrametric(ff({2: 3, 5: 1}), 4, 97)
+        assert empirical_phi(sp, 97) == ff({2: 3, 5: 1})
 
     def test_mass_above_depth_is_capped(self):
         # four maximal exponents only fit 12 of their 16 summands; the model
         # needs a raised point budget and reports the truncated content
         phi = ff({2: 4, 3: 4, 5: 4, 7: 4})
-        sp = canonical_ultrametric(phi, 12, point_budget=2_000_000)
+        sp = canonical_ultrametric(phi, 12, 97, point_budget=2_000_000)
         assert len(sp) == 1_134_000
-        assert empirical_phi(sp) == ff({2: 4, 3: 4, 5: 3, 7: 1})
+        assert empirical_phi(sp, 97) == ff({2: 4, 3: 4, 5: 3, 7: 1})
 
     def test_needs_ultrametric(self):
         with pytest.raises(ValueError):
-            empirical_phi(zball(4))
+            empirical_phi(zball(4), 97)
 
     def test_prime_bound_filters(self):
         sp = tower_space([101])
@@ -466,7 +466,7 @@ def test_oscillation_matches_brute_force_random_maps(sp, rnd):
 @given(small_towers)
 def test_empirical_phi_divides_full_profile(sp):
     # every ball order divides the full group order
-    phi = empirical_phi(sp)
+    phi = empirical_phi(sp, 97)
     total = math.prod(sp.rule.orders)
     for p in phi.support_primes:
         assert total % p ** phi.get(p).finite_value() == 0

@@ -1,6 +1,7 @@
 """No module of the package imports a name it never reads, no module
-defines a name or a method that the program never reads, or a defaulted
-parameter that the program never sets, and no module imports scipy
+defines a name or a method that the program never reads, a defaulted
+parameter that the program never sets, or a default that every program
+call overrides, and no module imports scipy
 (tests/test_cli.py checks that witness chains and plane components leave
 it unloaded). The checks use only the standard library's ast: a name
 counts as read where a module loads it, attributes and string annotations
@@ -18,7 +19,9 @@ A defaulted parameter is set where a call by its function's name (``f(...)``
 or ``x.f(...)``) passes it, by keyword or by position, and likewise across
 every function of that name; a call that unpacks ``*args`` or ``**kwargs``
 may set any. A call by a class's name (``A(...)``) is a call of its
-``__init__``; other dunders are exempt here too."""
+``__init__``; other dunders are exempt here too. A default is read where
+such a call leaves its parameter out; a call that unpacks arguments
+forwards what its own caller passed, so it counts neither way there."""
 
 from __future__ import annotations
 
@@ -271,12 +274,12 @@ def defaulted_parameters(source: str) -> list[tuple[str, str, str, Optional[int]
     return found
 
 
-def set_parameters(source: str) -> set:
-    """(name, key) for what each call of the source passes to the function
-    it calls by name (f(...) or x.f(...)): key is each keyword it passes,
-    each position below its count of positional arguments, "*" when it
-    unpacks positional arguments and "**" when it unpacks keywords."""
-    found = set()
+def calls(source: str) -> list[tuple[str, set]]:
+    """(name, keys) for each call of the source of a function by name
+    (f(...) or x.f(...)): keys holds each keyword it passes, each position
+    below its count of positional arguments, "*" when it unpacks positional
+    arguments and "**" when it unpacks keywords."""
+    found = []
     for node in ast.walk(ast.parse(source)):
         if not isinstance(node, ast.Call):
             continue
@@ -287,10 +290,11 @@ def set_parameters(source: str) -> set:
         else:
             continue
         starred = [i for i, arg in enumerate(node.args) if isinstance(arg, ast.Starred)]
-        found |= {(name, i) for i in range(starred[0] if starred else len(node.args))}
+        keys = set(range(starred[0] if starred else len(node.args)))
         if starred:
-            found.add((name, "*"))
-        found |= {(name, "**" if kw.arg is None else kw.arg) for kw in node.keywords}
+            keys.add("*")
+        keys |= {"**" if kw.arg is None else kw.arg for kw in node.keywords}
+        found.append((name, keys))
     return found
 
 
@@ -300,7 +304,8 @@ def unset_parameters(package: dict, outside: list = ()) -> list[str]:
     __init__, the module itself or an outside source passes, by keyword or
     by position, in module order."""
     readers = [source for module, source in package.items() if module != "__init__"]
-    passed = set().union(*map(set_parameters, [*readers, *outside]))
+    passed = {(name, key) for source in [*readers, *outside]
+              for name, keys in calls(source) for key in keys}
     unset = []
     for module, source in package.items():
         for owner, name, param, position in defaulted_parameters(source):
@@ -359,6 +364,81 @@ def test_every_parameter_is_set():
         # a table of pairs in place of the arrays: only the benchmark's
         # self-check passes one, through dataclasses.replace (ROADMAP item 1)
         "witness.WitnessMap.__init__.table",
+    ]
+
+
+def unread_defaults(package: dict, outside: list = ()) -> list[str]:
+    """module.[Class.]function.parameter for each defaulted parameter a
+    package module defines whose function some call by its name in the
+    package's other modules than __init__, the module itself or an outside
+    source makes, and every such call passes it, by keyword or by
+    position, in module order. A call that unpacks arguments forwards what
+    its own caller passed (perfbench's wrapper of the chain does), so it
+    counts neither way."""
+    readers = [source for module, source in package.items() if module != "__init__"]
+    made = [call for source in [*readers, *outside] for call in calls(source)]
+    unread = []
+    for module, source in package.items():
+        for owner, name, param, position in defaulted_parameters(source):
+            passed = {param} if position is None else {param, position}
+            called = owner if name == "__init__" else name
+            keys = [k for n, k in made if n == called and not {"*", "**"} & k]
+            if keys and all(passed & k for k in keys):
+                unread.append(".".join(filter(None, (module, owner, name, param))))
+    return unread
+
+
+@pytest.mark.parametrize("snippet, unread", [
+    ("def f(x, y=1): ...\nf(1, 2)\n", ["m.f.y"]),  # by position
+    ("def f(x, y=1): ...\nf(1, y=2)\nf(x=1, y=2)\n", ["m.f.y"]),  # by keyword
+    ("def f(x, y=1): ...\nf(1, 2)\nf(1)\n", []),  # one call that leaves it out reads it
+    ("def f(x, y=1): ...\n", []),  # no call: test_every_parameter_is_set's concern
+    ("def f(x=1, *, y=2): ...\nf(1, 2, 3)\n", ["m.f.x"]),  # positions set no keyword-only one
+    ("def f(x=1, *, y=2): ...\nf(y=1, x=2)\n", ["m.f.x", "m.f.y"]),
+    # an unpacking call forwards its caller's arguments and counts neither way
+    ("def f(x=1): ...\nf(1)\nf(*args)\n", ["m.f.x"]),
+    ("def f(x=1): ...\nf()\nf(**kwargs)\n", []),
+    ("def f(x=1): ...\nf(0, *args)\n", []),
+    ("def f(x=1): ...\nf(1)\n'f()'\n", ["m.f.x"]),  # text is no call
+    ("def f(x=1): ...\nf(1)\ng = f\ng()\n", ["m.f.x"]),  # a call by another name is not seen
+    # self and cls are no positions of a call; a static method has neither
+    ("class A:\n    def f(self, x=1): ...\nA().f(1)\n", ["m.A.f.x"]),
+    ("class A:\n    @classmethod\n    def f(cls, x=1): ...\nA.f()\n", []),
+    ("class A:\n    @staticmethod\n    def f(x, y=1): ...\nA.f(1, 2)\n", ["m.A.f.y"]),
+    # a call by the class's name calls __init__
+    ("class A:\n    def __init__(self, x=1): ...\nA(2)\n", ["m.A.__init__.x"]),
+    ("class A:\n    def __init__(self, x=1): ...\nA(2)\nA()\n", []),
+    # a call by a shared name calls every function of that name
+    ("def get(a, b=None): ...\nget(1, 2)\n{}.get(1)\n", []),
+    ("def f():\n    def g(x=1): ...\n    g(1)\n", []),  # nested functions are not scanned
+    # __init__ reads nothing; another module's call counts
+    ({"m": "def f(x=1): ...\n", "__init__": "from .m import f\nf()\n",
+      "n": "from .m import f\nf(2)\n"}, ["m.f.x"]),
+    ({"m": "def f(x=1): ...\nf(1)\n", "n": "from .m import f\nf()\n"}, []),
+])
+def test_what_counts_as_a_read_default(snippet, unread):
+    package = {"m": snippet} if isinstance(snippet, str) else snippet
+    assert unread_defaults(package) == unread
+
+
+def test_every_default_is_read():
+    # the same readers as test_every_parameter_is_set: a default that every
+    # call of the program overrides is a second home for a value the caller
+    # already holds (the CLI's flags hold the radius, depth, prime bound and
+    # point budget)
+    package = {path.stem: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
+    outside = [path.read_text() for path in sorted((ROOT / "perfbench").glob("*.py"))
+               if not path.name.startswith("test_")]
+    outside.append((ROOT / "tests" / "test_acceptance.py").read_text())
+    assert unread_defaults(package, outside) == [
+        # FactorFunction's field(default_factory=ExtNat) calls ExtNat() by
+        # reference, not by name, so the audit cannot see it read the 0
+        "extnat.ExtNat.__init__.value",
+        # a witness takes src and dst or a table in their place: only the
+        # benchmark's self-check passes a table, through dataclasses.replace
+        # (ROADMAP item 1)
+        "witness.WitnessMap.__init__.src",
+        "witness.WitnessMap.__init__.dst",
     ]
 
 

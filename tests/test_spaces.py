@@ -13,6 +13,7 @@ import json
 import math
 import struct
 import sys
+import tracemalloc
 import weakref
 from pathlib import Path
 from unittest import mock
@@ -169,7 +170,7 @@ class TestBuilders:
         validate_metric(sp)
 
     def test_canonical_ultrametric_frozen_example(self):
-        sp = canonical_ultrametric(ff({2: 2, 3: 1}), 3)
+        sp = canonical_ultrametric(ff({2: 2, 3: 1}), 3, 97)
         assert len(sp) == 12
         assert sp.rule.descriptor() == {
             "kind": "tower", "orders": [2, 2, 3], "levels": [2, 3, 4],
@@ -179,20 +180,20 @@ class TestBuilders:
         assert dist_values(sp) == [0.0, 2.0, 3.0, 4.0]
 
     def test_canonical_ultrametric_partial_depth_keeps_horizon(self):
-        sp = canonical_ultrametric(ff({2: 2, 3: 1}, default=1), 3)
+        sp = canonical_ultrametric(ff({2: 2, 3: 1}, default=1), 3, 97)
         assert sp.rule.descriptor()["orders"] == [2, 2, 3]
         assert sp.inner_radius == 4
 
     def test_summand_enumeration_groups_primes_ascending(self):
-        assert enumerate_summands(ff({2: 2, 3: 2}), 4) == [2, 2, 3, 3]
-        assert enumerate_summands(ff({2: 1, 3: 2, 5: 1}), 4) == [2, 3, 3, 5]
-        assert enumerate_summands(ff({2: 2, 3: 1}, default=1), 5) == [2, 2, 3, 5, 7]
-        assert enumerate_summands(ff({2: 2}), 0) == []
+        assert enumerate_summands(ff({2: 2, 3: 2}), 4, 97) == [2, 2, 3, 3]
+        assert enumerate_summands(ff({2: 1, 3: 2, 5: 1}), 4, 97) == [2, 3, 3, 5]
+        assert enumerate_summands(ff({2: 2, 3: 1}, default=1), 5, 97) == [2, 2, 3, 5, 7]
+        assert enumerate_summands(ff({2: 2}), 0, 97) == []
 
     def test_summand_enumeration_stops_at_the_profile(self):
         # asking deeper than the profile carries returns the whole profile
-        assert enumerate_summands(ff({2: 2, 3: 1}), 6) == [2, 2, 3]
-        assert enumerate_summands(ff({101: 2}), 4) == []  # above the bound
+        assert enumerate_summands(ff({2: 2, 3: 1}), 6, 97) == [2, 2, 3]
+        assert enumerate_summands(ff({101: 2}), 4, 97) == []  # above the bound
 
     def test_summand_enumeration_past_a_million_stages_is_refused(self):
         # each stage emits a summand of order 2, so the tower would hold
@@ -200,7 +201,7 @@ class TestBuilders:
         from coarseiso.extnat import INF
 
         with pytest.raises(BudgetError) as refused:
-            enumerate_summands(ff({2: INF}), 10**6 + 1)
+            enumerate_summands(ff({2: INF}), 10**6 + 1, 97)
         assert str(refused.value) == "depth 1000001 asks for a tower beyond any point budget"
 
     def test_support_primes_past_the_first_64_are_walked_up_to_the_bound(self):
@@ -269,12 +270,12 @@ class TestBuilders:
 
     def test_summand_enumeration_staged_diagonal(self):
         # finite exponents drain stage by stage, primes ascending
-        assert enumerate_summands(ff({2: 2, 5: 1, 7: 2}), 7) == [2, 2, 5, 7, 7]
+        assert enumerate_summands(ff({2: 2, 5: 1, 7: 2}), 7, 97) == [2, 2, 5, 7, 7]
         # an infinite exponent keeps recurring without starving later primes
-        assert enumerate_summands(ff({2: 2, 3: 1}, default=1), 5) == [2, 2, 3, 5, 7]
+        assert enumerate_summands(ff({2: 2, 3: 1}, default=1), 5, 97) == [2, 2, 3, 5, 7]
         from coarseiso.extnat import INF
 
-        assert enumerate_summands(ff({2: INF, 3: 1}), 4) == [2, 2, 3, 2]
+        assert enumerate_summands(ff({2: INF, 3: 1}), 4, 97) == [2, 2, 3, 2]
 
     def test_cantor_cube(self):
         # binary strings, d the largest 2^n over differing coordinates n
@@ -381,14 +382,20 @@ class TestExample31:
         assert xs[5] - xs[0] == pytest.approx(2 * math.pi, abs=1e-4)
 
     @staticmethod
-    def point_loop(branches, grid_step, clamp):
-        """The per-point builder the array build replaced: labels, basepoint."""
+    def grid_loop(grid_step, clamp):
+        """The kept x of the whole grid below pi / 2, one math.tan each."""
         kmax = int(math.floor((math.pi / 2) / grid_step))
         xs = []
         for k in range(-kmax, kmax + 1):
             x = k * grid_step
             if abs(x) < math.pi / 2 and abs(math.tan(x)) <= clamp:
                 xs.append(x)
+        return xs
+
+    @classmethod
+    def point_loop(cls, branches, grid_step, clamp):
+        """The per-point builder the array build replaced: labels, basepoint."""
+        xs = cls.grid_loop(grid_step, clamp)
         labels = []
         for n in range(branches + 1):
             sign = -1.0 if n % 2 else 1.0
@@ -469,11 +476,48 @@ class TestExample31:
         with pytest.raises(BudgetError, match="5999997 points exceed"):
             example31_fixture(2, 1e-9, 1e-3)
 
+    def test_the_budget_counts_the_grid_loop_s_points(self):
+        # the fixture counts its kept x by bisection before it builds any
+        # array: over seeded triples, and at the edges of tan's range, the
+        # count is the grid loop's, one point below it is refused, and at
+        # it the fixture builds that many points
+        rng = np.random.default_rng(44)
+        triples = [(1, 0.5, 1e300), (1, math.pi / 4, 1e300), (2, math.pi / 8, 1.0),
+                   (1, math.pi / 2, 5.0), (3, math.pi / 4, 1.0), (1, 0.5, 1e-3),
+                   (2, 1.0, math.tan(1.0))]
+        triples += [(int(rng.integers(1, 7)), float(10 ** rng.uniform(-4, 0.3)),
+                     float(10 ** rng.uniform(-3, 6))) for _ in range(60)]
+        for branches, step, clamp in triples:
+            count = (branches + 1) * len(self.grid_loop(step, clamp))
+            with pytest.raises(BudgetError) as refused:
+                example31_fixture(branches, step, clamp, point_budget=count - 1)
+            assert str(refused.value) == f"{count} points exceed the budget of {count - 1}"
+            if count <= 20_000:
+                assert len(example31_fixture(branches, step, clamp, point_budget=count)) == count
+
+    def test_a_refused_fine_grid_builds_no_array(self):
+        # 627,918 points at step 1e-5: the grid's arrays took a 25 MB traced
+        # peak before the budget refused them
+        tracemalloc.start()
+        try:
+            with pytest.raises(BudgetError) as refused:
+                example31_fixture(1, 1e-5, 1000.0, point_budget=10)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert str(refused.value) == "627918 points exceed the budget of 10"
+        assert peak < 10**6
+
     def test_rejects_bad_args(self):
         with pytest.raises(ValueError):
             example31_fixture(0, 0.5, 3)
         with pytest.raises(ValueError):
             example31_fixture(1, -0.1, 3)
+        # NaN fails every comparison: the bisection takes x = 0 as kept, so
+        # a NaN clamp would keep it alone, and a NaN step names no grid
+        for step, clamp in ((0.5, math.nan), (math.nan, 3)):
+            with pytest.raises(ValueError, match="^grid_step and clamp must be positive$"):
+                example31_fixture(1, step, clamp)
 
 
 @settings(max_examples=60, deadline=None)
@@ -1476,8 +1520,8 @@ GOLDEN = {
     "zball-rank2": lambda: zball(1, rank=2),
     "truncation": lambda: build_truncation(parse_group("Z + C2 + C3"), radius=2),
     "tower": lambda: tower_space([2, 3]),
-    "canonical-full": lambda: canonical_ultrametric(ff({2: 1, 3: 1}), 2),
-    "canonical-partial": lambda: canonical_ultrametric(ff({2: 5}), 2),
+    "canonical-full": lambda: canonical_ultrametric(ff({2: 1, 3: 1}), 2, 97),
+    "canonical-partial": lambda: canonical_ultrametric(ff({2: 5}), 2, 97),
     "k-point": lambda: k_point_space(3),
     "one-point": lambda: k_point_space(1),
     "cantor": lambda: tower_space([2, 2], levels=[2, 4]),
@@ -1736,7 +1780,7 @@ def test_zball_labels_match_the_product_loop(radius, rank):
 @pytest.mark.parametrize("orders", [[], [2], [3, 2], [2, 3, 5]])
 def test_tower_labels_match_the_product_loop(orders):
     assert_labels(tower_space(orders), old_box_labels([range(o) for o in orders]))
-    rewrapped = canonical_ultrametric(ff({2: 1, 3: 1, 5: 1}), len(orders))
+    rewrapped = canonical_ultrametric(ff({2: 1, 3: 1, 5: 1}), len(orders), 97)
     assert rewrapped.labels == tuple(old_box_labels([range(o) for o in rewrapped.rule.orders]))
 
 
@@ -1963,7 +2007,7 @@ def test_space_ids_build_no_label_tuples():
     # the ends of `coarseiso witness "Z^2 + C4" "Z^2" --radius 100`: 41,004
     # source and 40,401 target points
     w = iso_witness_chain(coarse_isomorphic(parse_group("Z^2 + C4"), parse_group("Z^2")),
-                          radius=100)
+                          radius=100, depth=4, prime_bound=97, deltas=(), point_budget=10**6)
     for sp in (w.source, w.target):
         assert sp._labels is None
         ident = space_id(sp)
@@ -2093,7 +2137,7 @@ NO_BOX = ("2 points of FiniteSpace(2 points, group-ball, R=5) fill no box: a sup
      "basepoint index out of range"),
     (lambda: build_truncation(parse_group("Z + C2"), radius=-1), ValueError,
      "radius must be >= 0"),
-    (lambda: canonical_ultrametric(FactorFunction.from_dict({2: 1}), -1), ValueError,
+    (lambda: canonical_ultrametric(FactorFunction.from_dict({2: 1}), -1, 97), ValueError,
      "depth must be >= 0"),
     (lambda: k_point_space(0), ValueError, "k must be >= 1"),
     # a sup space that fills no box: no coordinate keys read it
@@ -2125,6 +2169,17 @@ def test_budget_refusals_word_counts_of_any_size(make, message):
     with pytest.raises(BudgetError) as refused:
         make()
     assert str(refused.value) == message
+
+
+def test_a_long_tower_of_mixed_orders_is_refused_by_its_exact_count():
+    # 2^100000 * 3^50000 points, counted by one power per order, not by a
+    # product over the 150,000 orders one by one
+    count = 2**100000 * 3**50000
+    power = int(100000 * math.log10(2) + 50000 * math.log10(3))
+    assert 10**power < count <= 10**(power + 1)
+    with pytest.raises(BudgetError) as refused:
+        tower_space([2] * 100000 + [3] * 50000)
+    assert str(refused.value) == f"more than 10^{power} points exceed the budget of 1000000"
 
 
 def test_counts_past_30_digits_name_the_power_of_10_they_exceed():

@@ -21,6 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from coarseiso import cli
 from coarseiso import witness as witness_mod
 from coarseiso.analysis import oscillation
 from coarseiso.factorfn import ff_sub, phi_of_nat
@@ -64,6 +65,17 @@ def iso_verdict(g1: str, g2: str):
     """The coarse_isomorphic verdict of two group descriptions: what
     iso_witness_chain reads, as the CLI hands it over."""
     return coarse_isomorphic(parse_group(g1), parse_group(g2))
+
+
+def cli_chain(verdict, **given):
+    """iso_witness_chain of the verdict with the values the CLI passes for
+    the arguments not given: the defaults of --radius, --depth,
+    --prime-bound and --point-budget, and no extra scales."""
+    flags = cli._FLAGS
+    values = dict(radius=cli.DEFAULT_RADIUS, depth=flags["--depth"]["default"],
+                  prime_bound=flags["--prime-bound"]["default"], deltas=(),
+                  point_budget=flags["--point-budget"]["default"])
+    return iso_witness_chain(verdict, **{**values, **given})
 
 
 def brute_oscillation(source, target, pairs, delta):
@@ -130,7 +142,7 @@ class TestWitnessMap:
 
         sp = tower_space([2])
         with pytest.raises(ValueError, match="maps a source point twice"):
-            _stage(sp, sp, [0, 0], [0, 1])
+            _stage(sp, sp, [0, 0], [0, 1], "probe")
 
 
 class TestVerification:
@@ -170,7 +182,7 @@ class TestVerification:
 
     def test_backward_only_scale_is_checked(self):
         # a scale recorded only backward is measured and compared too
-        w = iso_witness_chain(iso_verdict("Z + C2", "Z"), radius=16)
+        w = cli_chain(iso_verdict("Z + C2", "Z"), radius=16)
         assert w.validity_radius == 7.0 and 3.0 not in w.forward_moduli
         backward = {**w.backward_moduli, 3.0: 999}
         rep = verify_witness(dataclasses.replace(w, backward_moduli=backward))
@@ -183,7 +195,7 @@ class TestVerification:
 
     def test_scale_above_validity_is_reported(self):
         # _finish records no scale above the validity radius
-        w = iso_witness_chain(iso_verdict("Z + C2", "Z"), radius=16)
+        w = cli_chain(iso_verdict("Z + C2", "Z"), radius=16)
         forward = {**w.forward_moduli, 1e6: 0}
         rep = verify_witness(dataclasses.replace(w, forward_moduli=forward))
         assert not rep.ok
@@ -197,7 +209,7 @@ class TestVerification:
         )
 
     def test_given_scales_add_to_the_recorded_ones(self):
-        w = iso_witness_chain(iso_verdict("Z + C2", "Z"), radius=60, deltas=(1, 2, 5))
+        w = cli_chain(iso_verdict("Z + C2", "Z"), radius=60, deltas=(1, 2, 5))
         assert sorted(w.forward_moduli) == [1.0, 2.0, 4.0, 5.0, 8.0]
         bad = dataclasses.replace(w, forward_moduli={**w.forward_moduli, 8.0: 99})
         rep = verify_witness(bad, [1, 2, 5])
@@ -311,7 +323,7 @@ class TestFactorization:
         target = dense_space(m, sp.basepoint, 550)
         idx = np.arange(len(sp))
         assert len(row_blocks(1101)) > 1
-        w = WitnessMap(sp, target, {}, {}, 550.0, table=tuple(zip(idx, idx)))
+        w = WitnessMap(sp, target, {}, {}, 550.0, (), table=tuple(zip(idx, idx)))
         assert isometry_messages(w, idx, idx) == [
             "slice (1,): images of (449, 1) and (499, 1) are at distance 51.0, not 50.0"
         ]
@@ -460,7 +472,7 @@ def test_rank_two_chain_at_radius_100_takes_the_window_route(monkeypatch):
                         lambda *a: routes.append(route(*a)[0]) or route(*a))
     monkeypatch.setattr(analysis_mod, "_pair_oscillation",
                         lambda *a: pair_sizes.append(len(a[2])) or pair_pass(*a))
-    w = iso_witness_chain(iso_verdict("Z^2 + C4", "Z^2"), radius=100)
+    w = cli_chain(iso_verdict("Z^2 + C4", "Z^2"), radius=100)
     assert verify_witness(w).ok
     assert all(n < analysis_mod.WINDOW_MIN for n in pair_sizes), pair_sizes
     assert (routes.count("window"), routes.count("keyed"), routes.count("pairs")) == (6, 0, 0)
@@ -488,7 +500,7 @@ def test_chain_measures_no_identity_or_relabel_step(monkeypatch, pair, finished,
 
     monkeypatch.setattr(witness_mod, "_finish", recording_finish)
     monkeypatch.setattr(FiniteSpace, "__init__", recording_init)
-    iso_witness_chain(iso_verdict(*pair), radius=16)
+    cli_chain(iso_verdict(*pair), radius=16)
     assert (len(witnesses), len(spaces)) == (finished, built)
     for w in witnesses:
         assert not (w.source == w.target and np.array_equal(w.src, w.dst)), w
@@ -504,7 +516,7 @@ def test_rank_zero_chain_aligns_one_tower_with_itself(monkeypatch):
         spaces.append(self)
 
     monkeypatch.setattr(FiniteSpace, "__init__", recording_init)
-    w = iso_witness_chain(iso_verdict("C2^inf", "C4^inf"), depth=12)
+    w = cli_chain(iso_verdict("C2^inf", "C4^inf"), depth=12)
     assert len(spaces) == 1 and len(spaces[0]) == 4096
     assert w.source is w.target and np.array_equal(w.src, w.dst)
 
@@ -534,9 +546,9 @@ def test_chain_stays_below_the_first_summand_the_bound_drops(pair, bound):
         # leave nothing of it: a witness valid to 0 is refused
         with pytest.raises(ValueError, match=r"valid only to 0: .* remainder tower is faithful "
                                              r"to 1 under prime bound 97 \(--prime-bound\)"):
-            iso_witness_chain(verdict, depth=depth, prime_bound=bound)
+            cli_chain(verdict, depth=depth, prime_bound=bound)
         return
-    w = iso_witness_chain(verdict, depth=depth, prime_bound=bound)
+    w = cli_chain(verdict, depth=depth, prime_bound=bound)
     assert w.validity_radius <= horizon
     assert verify_witness(w).ok
 
@@ -594,25 +606,25 @@ class TestCombinators:
 
 class TestChain:
     def test_absorbing_one_torsion_summand(self):
-        w = iso_witness_chain(iso_verdict("Z + C2", "Z"))
+        w = cli_chain(iso_verdict("Z + C2", "Z"))
         assert len(w) == 46
         assert w.validity_radius == 11.0
         assert verify_witness(w).ok
 
     def test_rank_zero_tower_route(self):
-        w = iso_witness_chain(iso_verdict("C2^inf", "C2^inf + C4"))
+        w = cli_chain(iso_verdict("C2^inf", "C2^inf + C4"))
         assert len(w) == 16
         assert w.validity_radius == 5.0
         assert verify_witness(w).ok
 
     def test_multiplier_on_the_right(self):
-        w = iso_witness_chain(iso_verdict("Z + C2^inf", "Z + C2^inf + C3"))
+        w = cli_chain(iso_verdict("Z + C2^inf", "Z + C2^inf + C3"))
         assert len(w) == 28
         assert w.validity_radius == 3.0
         assert verify_witness(w).ok
 
     def test_rank_two_self_chain(self):
-        w = iso_witness_chain(iso_verdict("Z^2 + C6", "Z^2 + C6"), radius=6)
+        w = cli_chain(iso_verdict("Z^2 + C6", "Z^2 + C6"), radius=6)
         assert len(w) == 1014
         assert w.validity_radius == 6.0
         assert verify_witness(w).ok
@@ -623,23 +635,23 @@ class TestChain:
     def test_rejects_non_isomorphic(self, pair, case):
         # the text the CLI prints for a false verdict, after "error: "
         with pytest.raises(ValueError) as refused:
-            iso_witness_chain(iso_verdict(*pair))
+            cli_chain(iso_verdict(*pair))
         assert str(refused.value) == f"groups are not coarsely isomorphic ({case})"
 
     @pytest.mark.parametrize("pair", [("Z + C2", "Z"), ("Z", "Z^2")], ids=["true", "false"])
     def test_rejects_an_equivalence_verdict(self, pair):
         # a coarse equivalence, true or false, fixes no multipliers
         with pytest.raises(ValueError) as refused:
-            iso_witness_chain(coarse_equivalent(*map(parse_group, pair)))
+            cli_chain(coarse_equivalent(*map(parse_group, pair)))
         assert str(refused.value) == "a coarse equivalence verdict names no isomorphism"
 
     def test_rejects_infinite_rank(self):
         with pytest.raises(ValueError, match="infinite rank"):
-            iso_witness_chain(iso_verdict("Z^inf", "Z^inf"))
+            cli_chain(iso_verdict("Z^inf", "Z^inf"))
 
     def test_larger_radius_grows_validity(self):
-        small = iso_witness_chain(iso_verdict("Z + C2", "Z"), radius=24)
-        big = iso_witness_chain(iso_verdict("Z + C2", "Z"), radius=60)
+        small = cli_chain(iso_verdict("Z + C2", "Z"), radius=24)
+        big = cli_chain(iso_verdict("Z + C2", "Z"), radius=60)
         assert big.validity_radius > small.validity_radius
         assert verify_witness(big).ok
 
@@ -652,7 +664,7 @@ class TestChain:
     @pytest.mark.parametrize("pair", [("Z + C2", "Z"), ("C2", "C2")], ids=["rank-1", "rank-0"])
     def test_rejects_out_of_range_arguments(self, pair, kwargs, message):
         with pytest.raises(ValueError, match=message):
-            iso_witness_chain(iso_verdict(*pair), **kwargs)
+            cli_chain(iso_verdict(*pair), **kwargs)
 
     @pytest.mark.parametrize("pair", [
         ("Z + C2", "Z"), ("Z^2 + C4", "Z^2"), ("C2^inf", "C4^inf"),
@@ -667,13 +679,13 @@ class TestChain:
 
         monkeypatch.setattr(FiniteSpace, "__init__", recording)
         v = iso_verdict(*pair)
-        w = iso_witness_chain(v, radius=12, depth=3)
+        w = cli_chain(v, radius=12, depth=3)
         largest = max(sizes)
         monkeypatch.setattr(FiniteSpace, "__init__", init)
-        within = iso_witness_chain(v, radius=12, depth=3, point_budget=largest)
+        within = cli_chain(v, radius=12, depth=3, point_budget=largest)
         assert within.to_json() == w.to_json()
         with pytest.raises(BudgetError, match=f"{largest} points exceed the budget"):
-            iso_witness_chain(v, radius=12, depth=3, point_budget=largest - 1)
+            cli_chain(v, radius=12, depth=3, point_budget=largest - 1)
 
 
 @pytest.mark.parametrize("pair", [
@@ -696,7 +708,7 @@ def test_chain_passes_its_point_budget_to_every_builder(monkeypatch, pair):
     for name in ("zball", "tower_space", "product_space", "canonical_ultrametric"):
         monkeypatch.setattr(witness_mod, name, recording(name))
     v = iso_verdict(*pair)
-    iso_witness_chain(v, radius=12, depth=3, point_budget=10**5)
+    cli_chain(v, radius=12, depth=3, point_budget=10**5)
     # every chain builds its remainder tower; at positive rank the sides
     # build their own towers too
     builders = {"canonical_ultrametric"}

@@ -29,6 +29,7 @@ from coarseiso.cli import main
 from coarseiso.factorfn import FactorFunction
 from coarseiso.groups import coarse_isomorphic, parse_group
 from coarseiso.spaces import (
+    DEFAULT_POINT_BUDGET,
     FiniteSpace,
     SupRule,
     build_truncation,
@@ -57,7 +58,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent))
 
 from oracles import blocks, distance, index, same_witness  # noqa: E402
 from test_cli import GOLDEN_WITNESSES  # noqa: E402
-from test_witness import iso_verdict  # noqa: E402
+from test_witness import cli_chain, iso_verdict  # noqa: E402
 
 _TOL = 1e-9
 
@@ -142,7 +143,7 @@ def old_compose(f, g, deltas=()):
     return old_finish(f.source, g.target, pairs, (), extra_deltas=deltas, context="compose")
 
 
-def old_product(f, g, point_budget=None):
+def old_product(f, g, point_budget=DEFAULT_POINT_BUDGET):
     source = product_space(f.source, g.source, point_budget)
     target = product_space(f.target, g.target, point_budget)
     pairs, source_at, target_at = [], index(source), index(target)
@@ -289,8 +290,9 @@ def test_finish_matches_the_tuple_code(data):
     source, target = data.draw(sup_products()), data.draw(sup_products())
     src, dst = data.draw(index_tables(source, target))
     cap, extra = data.draw(caps), data.draw(extra_scales)
+    given = {} if cap is None else {"validity_cap": cap}  # None: the stage's default, no cap
     new = outcome(lambda: witness_mod._finish(
-        witness_mod._stage(source, target, src, dst, cap, "probe"), (), extra))
+        witness_mod._stage(source, target, src, dst, "probe", **given), (), extra))
     old = outcome(old_finish, source, target, list(zip(src, dst)), (),
                   extra_deltas=extra, validity_cap=cap, context="probe")
     event(assert_same(new, old))
@@ -377,7 +379,7 @@ def test_chain_combinators_match_the_tuple_code(monkeypatch, g1, g2):
     tables, identity factors among them; the oracle builds each relabel,
     alignment, absorption and inverse table as the tuple code's witness."""
     verdict = iso_verdict(g1, g2)
-    new = witness_mod.iso_witness_chain(verdict, radius=12, deltas=(3.0,))
+    new = cli_chain(verdict, radius=12, deltas=(3.0,))
     calls = {}
 
     def oracle(name, fn):
@@ -394,7 +396,7 @@ def test_chain_combinators_match_the_tuple_code(monkeypatch, g1, g2):
     oracle("_alignment_stage", old_alignment)
     oracle("_absorption_stage", old_absorption)
     oracle("_invert_stage", old_invert)
-    assert_same(new, witness_mod.iso_witness_chain(verdict, radius=12, deltas=(3.0,)))
+    assert_same(new, cli_chain(verdict, radius=12, deltas=(3.0,)))
     # every table of the chain came from an oracle: a side with a
     # multiplier of 2 or more reaches every stage
     reached = {"compose_witness", "_relabel_stage"}
@@ -437,7 +439,7 @@ def test_each_stage_is_its_witness_without_the_moduli(monkeypatch, capsys):
         monkeypatch.setattr(witness_mod, name,
                             lambda *a, fn=fn, name=name: seen.append((name, a)) or fn(*a))
     for g1, g2, kwargs in TEST_CHAIN_CASES:
-        witness_mod.iso_witness_chain(iso_verdict(g1, g2), **kwargs)
+        cli_chain(iso_verdict(g1, g2), **kwargs)
     for argv, *_ in GOLDEN_WITNESSES:
         assert main(list(argv)) == 0
     capsys.readouterr()
@@ -486,7 +488,7 @@ def old_capped_enum(phi, depth, prime_bound):
     return enumerate_summands(phi, depth, prime_bound)
 
 
-def old_torsion_tower(orders, complete, point_budget=None):
+def old_torsion_tower(orders, complete, point_budget=DEFAULT_POINT_BUDGET):
     """Tower truncation; a fully enumerated finite torsion part is the whole
     group, so its metric is trusted at every radius."""
     sp = tower_space(orders, point_budget=point_budget)
@@ -494,7 +496,7 @@ def old_torsion_tower(orders, complete, point_budget=None):
 
 
 def old_iso_witness_chain(g1, g2, radius=24, depth=4, prime_bound=97, deltas=(),
-                          point_budget=None):
+                          point_budget=DEFAULT_POINT_BUDGET):
     """The chain before identity factors entered products as spaces and
     relabels were composed as bare tables: 10 measured witnesses for a side
     with k >= 2, a relabel for a side with k = 1, then an inverse and the
@@ -598,7 +600,7 @@ CHAIN_CASES = [
 @pytest.mark.parametrize("g1,g2,radius", CHAIN_CASES)
 def test_chain_matches_the_chain_that_measured_every_step(g1, g2, radius):
     g1, g2 = parse_group(g1), parse_group(g2)
-    new = witness_mod.iso_witness_chain(coarse_isomorphic(g1, g2), radius=radius)
+    new = cli_chain(coarse_isomorphic(g1, g2), radius=radius)
     old = old_iso_witness_chain(g1, g2, radius=radius)
     assert_same(new, old)
     assert new.source.inner_radius == old.source.inner_radius
@@ -614,7 +616,7 @@ def test_chain_with_extra_scales_matches_the_old_chain(g1, g2, radius):
     g1, g2 = parse_group(g1), parse_group(g2)
     verdict = coarse_isomorphic(g1, g2)
     for deltas in [(0.5,), (3,), (100,), (0.5, 3, 100)]:
-        assert_same(outcome(witness_mod.iso_witness_chain, verdict, radius=radius, deltas=deltas),
+        assert_same(outcome(cli_chain, verdict, radius=radius, deltas=deltas),
                     outcome(old_iso_witness_chain, g1, g2, radius=radius, deltas=deltas))
 
 
@@ -637,11 +639,11 @@ def test_chain_one_point_over_budget_fails_as_the_old_chain(monkeypatch, g1, g2,
     monkeypatch.setattr(FiniteSpace, "__init__", init)
     largest = max(sizes)
     verdict = coarse_isomorphic(g1, g2)
-    new = outcome(witness_mod.iso_witness_chain, verdict, radius=radius, point_budget=largest - 1)
+    new = outcome(cli_chain, verdict, radius=radius, point_budget=largest - 1)
     assert new == f"BudgetError: {largest} points exceed the budget of {largest - 1}"
     assert new == outcome(old_iso_witness_chain, g1, g2, radius=radius,
                           point_budget=largest - 1)
-    assert_same(outcome(witness_mod.iso_witness_chain, verdict, radius=radius,
+    assert_same(outcome(cli_chain, verdict, radius=radius,
                         point_budget=largest),
                 outcome(old_iso_witness_chain, g1, g2, radius=radius, point_budget=largest))
 
@@ -704,13 +706,13 @@ def test_table_is_read_from_the_index_arrays():
     assert swapped.table == ((0, 1), (1, 0)) and not same_witness(swapped, w)
     assert same_witness(dataclasses.replace(w, forward_moduli=dict(w.forward_moduli)), w)
     assert same_witness(WitnessMap(sp, sp, w.forward_moduli, w.backward_moduli,
-                                   w.validity_radius, table=w.table), w)
+                                   w.validity_radius, (), table=w.table), w)
     # maps compare by identity, as nothing in the package compares them
     assert WitnessMap.__eq__ is object.__eq__ and WitnessMap.__hash__ is object.__hash__
     with pytest.raises(TypeError, match="needs its table"):
-        WitnessMap(sp, sp, {}, {}, 1.0)
+        WitnessMap(sp, sp, {}, {}, 1.0, ())
     with pytest.raises(ValueError, match="mismatched"):
-        WitnessMap(sp, sp, {}, {}, 1.0, src=[0, 1], dst=[0])
+        WitnessMap(sp, sp, {}, {}, 1.0, (), src=[0, 1], dst=[0])
 
 
 @pytest.mark.parametrize("pair, side, index", [
@@ -728,7 +730,7 @@ def test_a_table_index_that_is_no_point_is_refused(pair, side, index):
         dataclasses.replace(w, table=table)
     src, dst = zip(*table)
     with pytest.raises(ValueError, match=message):
-        WitnessMap(w.source, w.target, {}, {}, 1.0, src=src, dst=dst)
+        WitnessMap(w.source, w.target, {}, {}, 1.0, (), src=src, dst=dst)
 
 
 def test_table_indices_are_whole_numbers_within_both_spaces():
@@ -745,10 +747,10 @@ def test_table_indices_are_whole_numbers_within_both_spaces():
         with pytest.raises(ValueError, match=f"{side} index {index} is not one of"):
             dataclasses.replace(w, table=table)
     with pytest.raises(ValueError, match="source index inf is not one of"):
-        WitnessMap(w.source, w.target, {}, {}, 1.0, src=[0, math.inf], dst=[1, 2])
+        WitnessMap(w.source, w.target, {}, {}, 1.0, (), src=[0, math.inf], dst=[1, 2])
     # an empty table is no index at all
     for empty in (dataclasses.replace(w, table=()),
-                  WitnessMap(w.source, w.target, {}, {}, 1.0, src=[], dst=[])):
+                  WitnessMap(w.source, w.target, {}, {}, 1.0, (), src=[], dst=[])):
         assert len(empty) == 0 and empty.src.dtype == empty.dst.dtype == np.int64
     # swapping two images, as the benchmark's tamper check does, still builds
     swapped = list(w.table)
@@ -759,7 +761,7 @@ def test_table_indices_are_whole_numbers_within_both_spaces():
 def test_chain_builds_no_label_tuple_of_its_end_spaces():
     """Building, verifying and serializing a rank-2 chain reads the end
     spaces' coordinates only."""
-    w = witness_mod.iso_witness_chain(iso_verdict("Z^2 + C4", "Z^2"), radius=16)
+    w = cli_chain(iso_verdict("Z^2 + C4", "Z^2"), radius=16)
     assert verify_witness(w).ok
     payload = w.to_json()
     assert w.source._labels is None and w.target._labels is None
@@ -784,7 +786,7 @@ def test_tower_chains_build_no_label_tuple(g1, g2, size, monkeypatch):
         return labels.fget(space)
 
     monkeypatch.setattr(FiniteSpace, "labels", property(traced))
-    w = witness_mod.iso_witness_chain(iso_verdict(g1, g2), **size)
+    w = cli_chain(iso_verdict(g1, g2), **size)
     assert verify_witness(w).ok
     w.to_json()
     assert built == []
@@ -948,7 +950,7 @@ FACTORED = [
       for g in ["Z + C2", "Z + C3", "Z^2 + C2", "C2^inf", "C3^inf", "Z + C6", "Z + C2^inf",
                 "Z + C2 + C3", "C4^inf", "Z", "C6 + C2^inf"] for r in (2, 5)),
     tower_space([2, 3]), tower_space([2, 2, 2]), tower_space([3, 2], levels=[1, 3]),
-    canonical_ultrametric(FactorFunction.from_dict({2: 2, 3: 1}), 3),
+    canonical_ultrametric(FactorFunction.from_dict({2: 2, 3: 1}), 3, 97),
     product_space(zball(3), tower_space([2], levels=[5])),
     product_space(tower_space([2]), build_truncation(parse_group("Z + C3"), radius=3)),
     product_space(zball(2), tower_space([2, 3])),
