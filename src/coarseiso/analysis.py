@@ -9,14 +9,12 @@ quotient construction is trustworthy.
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
-from .extnat import ExtNat
 from .factorfn import FactorFunction
 from .primes import factorize
 from .spaces import BudgetError, FiniteSpace, _check_epsilon, level_chain, row_blocks
@@ -153,6 +151,9 @@ def estimate_factorizing_step(space: FiniteSpace) -> StepEstimate:
     radius (significant: at least 1/8 of the largest block there, which
     discards sampling debris near a fixture's boundary). A candidate, of at
     most MAX_TESTED tested, is stable when the counts are window-independent.
+    The candidates come from the rule (MetricRule.step_candidates) and the
+    gaps of the last window's chain, the ball of the radius; each window of
+    a distinct size reads its chain once.
     """
     base = space.basepoint
     bd = space.base_dists
@@ -162,38 +163,33 @@ def estimate_factorizing_step(space: FiniteSpace) -> StepEstimate:
     windows = tuple(f * radius for f in WINDOW_FRACTIONS)
     delta_cap = windows[0]
 
-    # windows are nested balls, so windows of one size are one subset, and
-    # the chain of the candidate ball serves the window equal to it
+    # windows are nested balls, so windows of one size are one subset with
+    # one chain; the last window is the ball of the radius, whose chain
+    # gives the candidates
+    subsets = [np.flatnonzero(bd <= w) for w in windows]
     chains: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-    def chain(sub: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    for sub in subsets:
         if len(sub) not in chains:
             chains[len(sub)] = space.rule.chain(space, sub)
-        return chains[len(sub)]
-
-    candidates = space.rule.step_candidates(radius, lambda: chain(np.flatnonzero(bd <= radius)))
+    candidates = space.rule.step_candidates(radius, chains[len(subsets[-1])][1])
     tested = _select_tested([c for c in candidates if c <= delta_cap], MAX_TESTED)
-    subsets = [np.flatnonzero(bd <= w) for w in windows]
     inconclusive = len(subsets[0]) < 16 or len([c for c in tested if c > 0]) < 2
 
     # per window, the significant counts at each tested scale eps over its
     # coarser tested scales; eps is stable when every window counts as the
     # first does, so a later window counts only the scales still stable
-    top = bisect.bisect_right(tested, delta_cap)
     first: dict[int, np.ndarray] = {}
     still = list(range(len(tested)))
     for sub in subsets:
-        order, gap = chain(sub)
+        order, gap = chains[len(sub)]
         at = int(np.flatnonzero(sub[order] == base)[0])
-        lo, hi = _base_runs(gap, at, tested[:top])
+        lo, hi = _base_runs(gap, at, tested)
         counts = {k: _significant_counts(gap, at, tested[k], lo[k:], hi[k:]) for k in still}
         first = first or counts
         still = [k for k in still if np.array_equal(first[k], counts[k])]
-    stable = {eps: k in still for k, eps in enumerate(tested)}
 
-    unstable = [e for e in tested if not stable[e]]
-    estimate = max(unstable) if unstable else 0.0
-    stable_from = min(e for e in tested if stable[e])
+    estimate = max((e for k, e in enumerate(tested) if k not in still), default=0.0)
+    stable_from = tested[still[0]]
     return StepEstimate(
         estimate=estimate,
         stable_from=stable_from,
@@ -216,14 +212,11 @@ def empirical_phi(space: FiniteSpace, prime_bound: int) -> FactorFunction:
         raise ValueError("empirical phi is defined for ultrametric spaces")
     best: dict[int, int] = {}
     bd = space.base_dists
-    radius = float(space.inner_radius)
-    if not math.isfinite(radius):
-        radius = float(np.max(bd))
-    for eps in np.unique(bd[bd <= radius]):
+    for eps in np.unique(bd[bd <= float(space.inner_radius)]):
         for p, e in factorize(int(np.sum(bd <= eps))).items():
             if p <= prime_bound and e > best.get(p, 0):
                 best[p] = e
-    return FactorFunction.from_dict({p: ExtNat(e) for p, e in best.items()})
+    return FactorFunction.from_dict(best)
 
 
 # ---------------------------------------------------------------------------

@@ -57,7 +57,6 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .extnat import ExtNat
 from .factorfn import FactorFunction
 from .groups import GroupDescription
 from .primes import first_primes
@@ -148,10 +147,9 @@ class MetricRule:
         on a cyclic one in which they differ; None here."""
         return None
 
-    def step_candidates(self, radius: float, ball_chain) -> list[float]:
-        """Scales step estimation tests, up to the radius: the finite gaps
-        of ball_chain(), the chain of the basepoint ball of that radius."""
-        gap = ball_chain()[1]
+    def step_candidates(self, radius: float, gap: np.ndarray) -> list[float]:
+        """Scales step estimation tests, up to the radius: 0 and the finite
+        gaps of the chain of the basepoint ball of that radius."""
         return sorted({0.0} | set(gap[np.isfinite(gap)].tolist()))
 
     def quotient_parts(self, space: "FiniteSpace", eps: float) -> Optional[list[int]]:
@@ -347,9 +345,10 @@ class SupRule(MetricRule):
             raise _no_box(space, len(coords))
         return level_chain(coords, np.asarray(self.levels, dtype=float))
 
-    def step_candidates(self, radius: float, ball_chain) -> list[float]:
-        """The distance values the rule can realize: the cyclic levels, and
-        every integer up to the radius when a coordinate is free."""
+    def step_candidates(self, radius: float, gap: np.ndarray) -> list[float]:
+        """The distance values the rule can realize up to the radius: 0,
+        the cyclic levels, and every integer when a coordinate is free; the
+        ball chain's gaps are among them and are not read."""
         vals = {0.0} | {float(lvl) for o, lvl in zip(self.orders, self.levels) if o}
         if 0 in self.orders:
             vals |= {float(k) for k in range(1, int(radius) + 1)}
@@ -685,7 +684,8 @@ def _check_budget(count: int, budget: int) -> None:
 def make_schedule(g: GroupDescription, radius: int) -> list[tuple[Union[str, int], int]]:
     """Default exhaustion schedule: free generators at level 1, cyclic copies
     at doubling levels 2, 4, 8, ... round-robin across the summand types up
-    to the radius. A Call^t tail, one summand type per prime outside the
+    to the radius, each type until its copies are spent (one count per
+    order, an int or math.inf). A Call^t tail, one summand type per prime outside the
     listed orders, cannot be exhausted so and is refused."""
     schedule: list[tuple[Union[str, int], int]] = []
     if g.free_rank_part.is_infinite:
@@ -693,20 +693,16 @@ def make_schedule(g: GroupDescription, radius: int) -> list[tuple[Union[str, int
     if g.tail is not None:
         raise ValueError(f"a Call^{g.tail} tail has no finite truncation")
     schedule.extend(("Z", 1) for _ in range(g.free_rank_part.finite_value()))
-    pool: list[tuple[int, ExtNat]] = [(o, m) for o, m in g.summands]
-    remaining = {o: m for o, m in pool}
+    left = {o: math.inf if m.is_infinite else m.finite_value() for o, m in g.summands}
     level = 2
-    while level <= radius and pool:
-        for order, _ in list(pool):
+    while level <= radius and left:
+        for order in list(left):
             if level > radius:
                 break
-            m = remaining[order]
-            if m == 0:
-                pool = [(o, k) for o, k in pool if o != order]
-                continue
             schedule.append((order, level))
-            if m.is_finite:
-                remaining[order] = ExtNat(m.finite_value() - 1)
+            left[order] -= 1
+            if not left[order]:
+                del left[order]
             level *= 2
     return schedule
 
@@ -773,30 +769,35 @@ def enumerate_summands(phi: FactorFunction, depth: int, prime_bound: int) -> lis
     """First `depth` cyclic summand orders of the group determined by phi.
 
     Stage s emits one copy of prime p_i when i + (copies already emitted
-    for p_i) == s, primes ascending. Every prime with infinite multiplicity
-    recurs infinitely often, and a positive default walks through all primes
-    up to the bound. The walk stops early when it has spent every prime.
+    for p_i) == s, primes ascending: p_i emits once a stage from stage i
+    until its phi(p_i) copies are spent. Every prime with infinite
+    multiplicity recurs infinitely often, and a positive default walks
+    through all primes up to the bound. The walk stops early when it has
+    spent every prime. A prime joins the active list at its own stage and
+    leaves it when spent, so a stage visits only the primes that emit, and
+    the list is rebuilt only at a stage where one joins or leaves.
     """
     primes = _walked_primes(phi, depth, prime_bound)
-    values = [phi.get(p) for p in primes]
-    cap = depth
-    if all(v.is_finite for v in values):
-        cap = min(depth, sum(v.finite_value() for v in values))
+    # copies per walked prime, an int or math.inf: the j-th (from 0) emits
+    # once a stage at the stages j + 1 to j + copies[j]
+    copies = [math.inf if v.is_infinite else v.finite_value() for v in map(phi.get, primes)]
+    cap = min(depth, sum(copies))
     out: list[int] = []
-    stage = 0
+    active: list[int] = []
+    emit: list[int] = []  # the primes of the active indices
+    stage, spent = 0, math.inf  # spent: the first stage an active prime misses
     while len(out) < cap:
         stage += 1
         if stage > 10**6:  # each stage emitted a summand of order >= 2, bar explicit zeros
             raise BudgetError(f"depth {depth} asks for a tower beyond any point budget")
-        for i, p in enumerate(primes, start=1):
-            if i > stage:
-                break
-            copy = stage - i
-            if phi.get(p) > copy:
-                out.append(p)
-                if len(out) == cap:
-                    break
-    return out
+        if stage <= len(primes):
+            active.append(stage - 1)
+        if stage <= len(primes) or stage == spent:
+            active = [j for j in active if stage <= j + copies[j]]
+            emit = [primes[j] for j in active]
+            spent = min([j + copies[j] + 1 for j in active], default=math.inf)
+        out += emit
+    return out[:cap]
 
 
 def _walked_primes(phi: FactorFunction, depth: int, prime_bound: int) -> list[int]:
@@ -883,20 +884,29 @@ def example31_fixture(
     point_budget is a BudgetError before any array is built. tan runs once
     per kept x, by math.tan (numpy's may differ in the last place), and its
     rounding and the branches as arrays (_round_decimals), every label
-    bit-identical to rounding it alone."""
+    bit-identical to rounding it alone. The step must be finite; the count
+    is exact for any positive one, so a subnormal step is refused by the
+    budget with its true count. An infinite clamp keeps every x below pi/2."""
     if branches < 1:
         raise ValueError("branches must be >= 1")
     if not (grid_step > 0 and clamp > 0):  # NaN included
         raise ValueError("grid_step and clamp must be positive")
+    if grid_step == math.inf:
+        raise ValueError("grid_step must be finite")
     # |tan x| <= clamp holds only for |x| <= atan(clamp) (the factor covers
-    # the rounding of atan and tan), so no kept k passes kmax. tan is odd
-    # and increasing on (-pi/2, pi/2), so the kept x are k * grid_step for
+    # the rounding of atan and tan), so no kept k passes kmax, a quotient of
+    # Fractions, which a subnormal step cannot overflow. tan is odd and
+    # increasing on (-pi/2, pi/2), so the kept x are k * grid_step for
     # |k| <= K, and a bisection on k finds K
-    kmax = int(math.floor(min(math.pi / 2, math.atan(clamp) * (1 + 2.0**-40)) / grid_step))
+    kmax = Fraction(min(math.pi / 2, math.atan(clamp) * (1 + 2.0**-40))) // Fraction(grid_step)
     lo, hi = 0, kmax
     while lo < hi:
         mid = (lo + hi + 1) // 2
-        if mid * grid_step < math.pi / 2 and abs(math.tan(mid * grid_step)) <= clamp:
+        # float(mid) * grid_step rounded once, as the array below computes
+        # it; both factors scaled by 2^64, exactly, so that float(mid)
+        # cannot overflow when the step is subnormal
+        x = mid / 2**64 * (grid_step * 2**64)
+        if x < math.pi / 2 and abs(math.tan(x)) <= clamp:
             lo = mid
         else:
             hi = mid - 1

@@ -3,8 +3,9 @@ reads: the scalar distance of two points, the metric axioms of a space
 read on every triple, the chain and components of any space read from its
 distance rows alone, the heights of a minimum spanning tree of plane
 points, the equality of two witness maps, and the addition and text form
-of factor functions; and two lookups the program reads in other forms, a
-label's position and a partition's blocks."""
+of factor functions; two lookups the program reads in other forms, a
+label's position and a partition's blocks; and the summand walk and the
+exhaustion schedule as loops over ExtNat counts."""
 
 from __future__ import annotations
 
@@ -14,7 +15,15 @@ import numpy as np
 
 from coarseiso.extnat import INF, ExtNat
 from coarseiso.factorfn import FactorFunction
-from coarseiso.spaces import PLANE_DECIMALS, PlaneRule, SupRule, _connected_labels, row_blocks
+from coarseiso.spaces import (
+    PLANE_DECIMALS,
+    BudgetError,
+    PlaneRule,
+    SupRule,
+    _connected_labels,
+    _walked_primes,
+    row_blocks,
+)
 
 
 def distance(space, i: int, j: int):
@@ -197,3 +206,51 @@ def ff_parse(text: str) -> FactorFunction:
             raise ValueError(f"repeated prime {p}")
         values[p] = value
     return FactorFunction.from_dict(values, default)
+
+
+def stage_summands(phi: FactorFunction, depth: int, prime_bound) -> list[int]:
+    """enumerate_summands as a loop over every walked prime at every stage,
+    reading phi(p) as an ExtNat each time: stage s emits p_i when
+    phi(p_i) > s - i, primes ascending."""
+    primes = _walked_primes(phi, depth, prime_bound)
+    values = [phi.get(p) for p in primes]
+    cap = depth
+    if all(v.is_finite for v in values):
+        cap = min(depth, sum(v.finite_value() for v in values))
+    out: list[int] = []
+    stage = 0
+    while len(out) < cap:
+        stage += 1
+        if stage > 10**6:
+            raise BudgetError(f"depth {depth} asks for a tower beyond any point budget")
+        for i, p in enumerate(primes, start=1):
+            if i > stage:
+                break
+            if phi.get(p) > stage - i:
+                out.append(p)
+                if len(out) == cap:
+                    break
+    return out
+
+
+def extnat_schedule(g, radius: int) -> list:
+    """make_schedule's cyclic part with ExtNat counts: a pool of summand
+    types, each emitted round-robin at doubling levels from 2 up to the
+    radius, and dropped from the pool when its count reaches 0."""
+    schedule = [("Z", 1)] * g.free_rank_part.finite_value()
+    pool = list(g.summands)
+    remaining = dict(pool)
+    level = 2
+    while level <= radius and pool:
+        for order, _ in list(pool):
+            if level > radius:
+                break
+            m = remaining[order]
+            if m == 0:
+                pool = [(o, k) for o, k in pool if o != order]
+                continue
+            schedule.append((order, level))
+            if m.is_finite:
+                remaining[order] = ExtNat(m.finite_value() - 1)
+            level *= 2
+    return schedule

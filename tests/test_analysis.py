@@ -887,7 +887,7 @@ def sig_count_step(space):
     windows = tuple(f * radius for f in (0.5, 0.75, 1.0))
     delta_cap = windows[0]
     full = np.flatnonzero(bd <= radius)
-    candidates = space.rule.step_candidates(radius, lambda: space.rule.chain(space, full))
+    candidates = space.rule.step_candidates(radius, space.rule.chain(space, full)[1])
     tested = _select_tested([c for c in candidates if c <= delta_cap], 48)
     subsets = [np.flatnonzero(bd <= w) for w in windows]
     inconclusive = len(subsets[0]) < 16 or len([c for c in tested if c > 0]) < 2

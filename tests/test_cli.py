@@ -825,6 +825,29 @@ def test_fixture_components_keep_the_point_budget(capsys):
     assert "21 points exceed the budget of 1" in err
 
 
+@pytest.mark.parametrize("argv, err", [
+    (("components", "example31:1:inf", "--epsilon", "1"), "error: grid_step must be finite\n"),
+    (("step", "example31:2:inf"), "error: grid_step must be finite\n"),
+    (("components", "example31:1:1e-310", "--epsilon", "1"),
+     "error: more than 10^310 points exceed the budget of 1000000\n"),
+    (("step", "example31:1:5e-324"),
+     "error: more than 10^324 points exceed the budget of 1000000\n"),
+], ids=["inf-components", "inf-step", "subnormal-components", "subnormal-step"])
+def test_an_infinite_or_subnormal_fixture_step_exits_2(capsys, argv, err):
+    # an infinite step gave x = 0 * inf = NaN and no basepoint (IndexError),
+    # and a subnormal one overflowed the float atan(clamp) / step
+    assert run(capsys, *argv) == (2, "", err)
+
+
+def test_a_fixture_with_an_infinite_clamp_keeps_x_below_pi_over_2(capsys):
+    # tan stays finite on the grid, so an infinite clamp keeps what the
+    # largest finite one does
+    runs = [run(capsys, "components", f"example31:1:0.5:{clamp}", "--epsilon", "1")
+            for clamp in ("inf", "1e308")]
+    assert runs[0] == runs[1] and runs[0][0] == 0
+    assert json.loads(runs[0][1])["points"] == 14
+
+
 @pytest.mark.parametrize("argv, count", [
     (("components", "Z^100000", "--radius", "1"), "more than 10^47712"),
     (("witness", "C2^1000000", "C2^1000000", "--depth", "100000"), "more than 10^30102"),

@@ -488,3 +488,37 @@ def test_no_module_imports_scipy():
     # sup keys, plane chains and plane components all run on numpy alone
     found = {path.name: scipy_imports(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
     assert {name: bad for name, bad in found.items() if bad} == {}
+
+
+def extnat_imports(source: str) -> list[str]:
+    """Each name the source takes from the extnat module, at any depth, and
+    the module itself when it is imported whole."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found.extend(a.name for a in node.names if a.name.split(".")[-1] == "extnat")
+        elif isinstance(node, ast.ImportFrom):
+            if (node.module or "").split(".")[-1] == "extnat":
+                found.extend(a.name for a in node.names)
+            else:
+                found.extend(a.name for a in node.names if a.name == "extnat")
+    return found
+
+
+@pytest.mark.parametrize("snippet, imports", [
+    ("from .extnat import ExtNat\n", ["ExtNat"]),
+    ("from coarseiso.extnat import INF, ExtNat\n", ["INF", "ExtNat"]),
+    ("def f():\n    from . import extnat\n", ["extnat"]),
+    ("import coarseiso.extnat\n", ["coarseiso.extnat"]),
+    ("from .factorfn import FactorFunction\nimport math\n", []),
+])
+def test_what_counts_as_an_extnat_import(snippet, imports):
+    assert extnat_imports(snippet) == imports
+
+
+def test_the_metric_layer_counts_in_plain_numbers():
+    # the summand walk, the schedule and the step estimate count copies as
+    # ints and math.inf, and read an ExtNat only through its methods
+    found = {name: extnat_imports((PACKAGE / name).read_text())
+             for name in ("spaces.py", "analysis.py")}
+    assert found == {"spaces.py": [], "analysis.py": []}

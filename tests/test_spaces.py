@@ -11,6 +11,7 @@ import inspect
 import itertools
 import json
 import math
+import random
 import struct
 import sys
 import tracemalloc
@@ -26,7 +27,7 @@ from hypothesis import strategies as st
 from coarseiso import spaces as spaces_mod
 from coarseiso.analysis import estimate_factorizing_step
 from coarseiso.factorfn import FactorFunction
-from coarseiso.groups import coarse_isomorphic, parse_group
+from coarseiso.groups import GroupDescription, coarse_isomorphic, parse_group
 from coarseiso.primes import primes_upto
 from coarseiso.spaces import (
     BudgetError,
@@ -62,10 +63,12 @@ from dense_rule import as_dense, dense_space  # noqa: E402
 from oracles import (  # noqa: E402
     blocks,
     distance,
+    extnat_schedule,
     graph_components,
     index,
     prim_heights,
     single_linkage_heights,
+    stage_summands,
     validate_metric,
 )
 
@@ -132,6 +135,17 @@ class TestSchedules:
     def test_infinite_rank_rejected(self):
         with pytest.raises(ValueError):
             make_schedule(parse_group("Z^inf"), 8)
+
+    def test_schedule_matches_the_loop_over_extnat_counts(self):
+        # seeded groups: ranks 0 to 2, up to four orders with finite or
+        # infinite multiplicities, radii from 0 past the last level
+        rng = random.Random(45)
+        for _ in range(500):
+            orders = rng.sample([2, 3, 4, 6, 8, 9, 12, 25], rng.randint(0, 4))
+            g = GroupDescription(rng.randint(0, 2),
+                                 tuple((o, rng.choice([1, 2, 3, 7, None])) for o in orders))
+            radius = rng.choice([0, 1, 2, 3, 8, 100, 2**12, 2**40])
+            assert make_schedule(g, radius) == extnat_schedule(g, radius)
 
 
 class TestBuilders:
@@ -276,6 +290,23 @@ class TestBuilders:
         from coarseiso.extnat import INF
 
         assert enumerate_summands(ff({2: INF, 3: 1}), 4, 97) == [2, 2, 3, 2]
+
+    def test_summands_match_the_stage_loop_over_extnat_counts(self):
+        # seeded profiles with explicit zeros, finite and infinite values,
+        # defaults 0, 1 and inf, and bounds from 2 to inf: the active-list
+        # walk gives the list of the loop over every prime at every stage
+        rng = random.Random(45)
+        seen = set()
+        for _ in range(2000):
+            support = rng.sample([2, 3, 5, 7, 11, 13, 101, 313], rng.randint(0, 5))
+            values = {p: rng.choice([0, 1, 2, 3, 5, None]) for p in support}
+            default = rng.choice([0, 1, None])
+            phi = ff(values, default=default)
+            depth, bound = rng.randint(0, 30), rng.choice([2, 3, 5, 11, 97, 1000, math.inf])
+            assert enumerate_summands(phi, depth, bound) == stage_summands(phi, depth, bound)
+            seen |= {("default", default), ("bound", bound)}
+            seen |= {("value", v) for p, v in values.items() if p <= bound}
+        assert len(seen) == 3 + 7 + 6
 
     def test_cantor_cube(self):
         # binary strings, d the largest 2^n over differing coordinates n
@@ -518,6 +549,19 @@ class TestExample31:
         for step, clamp in ((0.5, math.nan), (math.nan, 3)):
             with pytest.raises(ValueError, match="^grid_step and clamp must be positive$"):
                 example31_fixture(1, step, clamp)
+        # an infinite step makes x = 0 * inf = NaN, so no point is the basepoint
+        with pytest.raises(ValueError, match="^grid_step must be finite$"):
+            example31_fixture(1, math.inf, 3)
+        # a subnormal step is counted exactly: atan(clamp) / step overflows
+        # a float, and so would float(k) for the k near it
+        for step, count in ((1e-310, "more than 10^310"), (5e-324, "more than 10^324")):
+            with pytest.raises(BudgetError) as refused:
+                example31_fixture(1, step, 1000, point_budget=10)
+            assert str(refused.value) == f"{count} points exceed the budget of 10"
+        # under a clamp of 3 steps, a subnormal step keeps |k| <= 3 (tan x
+        # is x there): 7 x on each of 2 branches
+        with pytest.raises(BudgetError, match="^14 points exceed the budget of 13$"):
+            example31_fixture(1, 5e-324, 1.5e-323, point_budget=13)
 
 
 @settings(max_examples=60, deadline=None)
