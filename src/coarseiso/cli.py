@@ -207,10 +207,10 @@ def _cmd_foelner(args: argparse.Namespace) -> int:
 def _cmd_cover(args: argparse.Namespace) -> int:
     g = parse_group(args.group)
     rank = g.free_rank_part
-    if rank.is_infinite or rank.finite_value() > 3:
+    if rank > 3:
         print("error: cover construction handles free rank 0..3", file=sys.stderr)
         return 2
-    cover = asdim_cover(rank.finite_value(), args.epsilon, _radius(args))
+    cover = asdim_cover(rank, args.epsilon, _radius(args))
     sizes = sorted((len(b) for b in cover.blocks), reverse=True)[:32]
     payload = {**cover.to_json(), "epsilon": _scale(cover.epsilon), "block_sizes": sizes,
                "bound": cover.rank + 1}

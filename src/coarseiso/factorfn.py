@@ -1,8 +1,9 @@
-"""Factor functions: maps from primes to extended naturals.
+"""Factor functions: maps from primes to counts in {0, 1, ..., inf}.
 
-A :class:`FactorFunction` assigns an exponent in ``{0, 1, ..., inf}`` to every
-prime. All but finitely many primes take a common ``default`` value, so the
-representation stores the default plus the finitely many explicit exceptions.
+A count is an ``int`` >= 0 or ``math.inf``; Python compares the two
+exactly. A :class:`FactorFunction` assigns a count to every prime. All but
+finitely many primes take a common ``default`` value, so the representation
+stores the default plus the finitely many explicit exceptions.
 
 Two factor functions are *almost equal* when the sum of pointwise absolute
 differences is finite (``|inf - inf| = 0``, ``|inf - k| = inf``). Since the
@@ -13,35 +14,49 @@ finite or both infinite.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Mapping
+import math
+from dataclasses import dataclass
+from typing import Mapping, Union
 
-from .extnat import INF, ExtNat, IntoExtNat
 from .primes import factorize, is_prime
 
 NAT_LIMIT = 10**6  # the largest integer phi_of_nat factors
 
+Count = Union[int, float]  # an int >= 0, or math.inf
+
+
+def checked_count(value: Count) -> Count:
+    """An outside count as given: an int >= 0 (not a bool) or math.inf;
+    anything else is a TypeError, and a negative int a ValueError."""
+    if isinstance(value, float) and value == math.inf:
+        return value
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise TypeError(f"a count must be an int or math.inf, got {value!r}")
+    if value < 0:
+        raise ValueError(f"a count must be nonnegative, got {value}")
+    return value
+
 
 @dataclass(frozen=True)
 class FactorFunction:
-    """Prime -> ExtNat map, equal to ``default`` off the explicit entries.
+    """Prime -> count map, equal to ``default`` off the explicit entries.
 
     ``entries`` is sorted by prime and stores no value equal to ``default``,
     so structural equality coincides with pointwise equality.
     """
 
-    entries: tuple[tuple[int, ExtNat], ...] = ()
-    default: ExtNat = field(default_factory=ExtNat)
+    entries: tuple[tuple[int, Count], ...] = ()
+    default: Count = 0
 
     def __post_init__(self) -> None:
-        default = ExtNat(self.default)
-        seen: dict[int, ExtNat] = {}
+        default = checked_count(self.default)
+        seen: dict[int, Count] = {}
         for p, v in self.entries:
             if not is_prime(p):
                 raise ValueError(f"{p} is not prime")
             if p in seen:
                 raise ValueError(f"duplicate prime {p}")
-            seen[p] = ExtNat(v)
+            seen[p] = checked_count(v)
         cleaned = tuple(
             (p, v) for p, v in sorted(seen.items()) if v != default
         )
@@ -50,13 +65,11 @@ class FactorFunction:
 
     @classmethod
     def from_dict(
-        cls, values: Mapping[int, IntoExtNat], default: IntoExtNat = 0
+        cls, values: Mapping[int, Count], default: Count = 0
     ) -> "FactorFunction":
-        return cls(
-            tuple((p, ExtNat(v)) for p, v in values.items()), ExtNat(default)
-        )
+        return cls(tuple(values.items()), default)
 
-    def get(self, p: int) -> ExtNat:
+    def get(self, p: int) -> Count:
         for q, v in self.entries:
             if q == p:
                 return v
@@ -68,14 +81,11 @@ class FactorFunction:
         return tuple(p for p, _ in self.entries)
 
     @property
-    def total_mass(self) -> ExtNat:
+    def total_mass(self) -> Count:
         """Sum of all values over all primes."""
         if self.default != 0:
-            return INF
-        total = ExtNat(0)
-        for _, v in self.entries:
-            total = total + v
-        return total
+            return math.inf
+        return sum(v for _, v in self.entries)
 
     def __str__(self) -> str:
         return ff_render(self)
@@ -93,8 +103,10 @@ def ff_almost_equal(f: FactorFunction, g: FactorFunction) -> bool:
     """Whether the pointwise absolute differences have finite sum."""
     if f.default != g.default:
         return False
+    # |inf - inf| = 0, so a prime's difference is finite exactly when its
+    # two values are both finite or both infinite
     return all(
-        f.get(p).absdiff(g.get(p)).is_finite for p in _union_primes(f, g)
+        (f.get(p) == math.inf) == (g.get(p) == math.inf) for p in _union_primes(f, g)
     )
 
 
@@ -106,14 +118,17 @@ def ff_le(f: FactorFunction, g: FactorFunction) -> bool:
 
 
 def ff_sub(f: FactorFunction, g: FactorFunction) -> FactorFunction:
-    """Pointwise difference; requires g <= f pointwise."""
-    new_default = f.default.minus(g.default)
-    values: dict[int, ExtNat] = {}
+    """Pointwise difference; requires g <= f pointwise. inf - inf = 0
+    (where float subtraction gives nan) and inf - k = inf."""
+    if g.default > f.default:
+        raise ValueError(f"cannot subtract {g.default} from {f.default}")
+    new_default = 0 if g.default == math.inf else f.default - g.default
+    values: dict[int, Count] = {}
     for p in _union_primes(f, g):
         fv, gv = f.get(p), g.get(p)
         if gv > fv:
             raise ValueError(f"difference undefined: value at prime {p} would be negative")
-        values[p] = fv.minus(gv)
+        values[p] = 0 if gv == math.inf else fv - gv
     return FactorFunction.from_dict(values, new_default)
 
 

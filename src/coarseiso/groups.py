@@ -6,8 +6,9 @@ A description denotes a countable direct sum
 
 where ``C o^k`` is a direct sum of ``k`` cyclic groups of order ``o`` and
 ``Call^t`` contributes ``t`` copies of Z_p for every prime outside the listed
-cyclic orders. ``F n`` admits an arbitrary finite group of order ``n``; its
-coarse type depends only on cardinality, so it normalizes to ``C n``.
+cyclic orders. ``F n^k`` admits ``k`` arbitrary finite groups of order
+``n``; their coarse type depends only on cardinality, so it normalizes to
+``C n^k``. Ranks and multiplicities are counts: an ``int`` or ``math.inf``.
 
 The classification invariants are the free rank r and the factorizing
 function phi, with phi(p) the total p-exponent available among the torsion
@@ -19,13 +20,15 @@ equal, or equal finite positive ranks with phi almost equal.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from typing import Optional
 
-from .extnat import INF, ExtNat
 from .factorfn import (
+    Count,
     FactorFunction,
+    checked_count,
     ff_almost_equal,
     ff_equal,
     ff_render,
@@ -37,9 +40,8 @@ MAX_MULTIPLICITY = 10**6
 MAX_ORDER = 10**9
 
 _TERM_Z = re.compile(r"^Z(?:\^(\d+|inf))?$")
-_TERM_C = re.compile(r"^C(\d+)(?:\^(\d+|inf))?$")
+_TERM_CF = re.compile(r"^([CF])(\d+)(?:\^(\d+|inf))?$")
 _TERM_CALL = re.compile(r"^Call\^(\d+|inf)$")
-_TERM_F = re.compile(r"^F(\d+)$")
 
 
 @dataclass(frozen=True)
@@ -51,29 +53,27 @@ class GroupDescription:
     primes not dividing any summand order, or None.
     """
 
-    free_rank_part: ExtNat = ExtNat(0)
-    summands: tuple[tuple[int, ExtNat], ...] = ()
-    tail: Optional[ExtNat] = None
+    free_rank_part: Count = 0
+    summands: tuple[tuple[int, Count], ...] = ()
+    tail: Optional[Count] = None
 
     def __post_init__(self) -> None:
-        merged: dict[int, ExtNat] = {}
+        merged: dict[int, Count] = {}
         for order, mult in self.summands:
             if order < 2:
                 raise ValueError(f"cyclic order must be >= 2, got {order}")
             if order > MAX_ORDER:
                 raise ValueError(f"order {order} exceeds limit {MAX_ORDER}")
-            mult = ExtNat(mult)
-            if mult.is_finite and mult.finite_value() > MAX_MULTIPLICITY:
+            mult = checked_count(mult)
+            if MAX_MULTIPLICITY < mult < math.inf:
                 raise ValueError(f"multiplicity overflow at order {order}")
             if mult == 0:
                 continue
-            merged[order] = merged.get(order, ExtNat(0)) + mult
-        rank = ExtNat(self.free_rank_part)
-        if rank.is_finite and rank.finite_value() > MAX_RANK:
+            merged[order] = merged.get(order, 0) + mult
+        rank = checked_count(self.free_rank_part)
+        if MAX_RANK < rank < math.inf:
             raise ValueError("free rank overflow")
-        tail = None if self.tail is None else ExtNat(self.tail)
-        if tail is not None and tail == 0:
-            tail = None
+        tail = None if self.tail is None else (checked_count(self.tail) or None)
         object.__setattr__(self, "free_rank_part", rank)
         object.__setattr__(self, "summands", tuple(sorted(merged.items())))
         object.__setattr__(self, "tail", tail)
@@ -86,7 +86,7 @@ class GroupDescription:
 class CanonicalForm:
     """Free rank r and factorizing function phi of the model Z^r x Z_phi."""
 
-    r: ExtNat
+    r: Count
     phi: FactorFunction
 
 
@@ -119,23 +119,20 @@ class Verdict:
         return payload
 
 
-def _parse_exponent(raw: str | None, position: int) -> ExtNat:
-    if raw is None:
-        return ExtNat(1)
-    if raw == "inf":
-        return INF
-    value = int(raw)
-    if value > MAX_MULTIPLICITY:
+def _parse_exponent(raw: str | None, position: int) -> Count:
+    """The count after a term's ^, or 1 where it has none."""
+    value = math.inf if raw == "inf" else int(raw or 1)
+    if MAX_MULTIPLICITY < value < math.inf:
         raise ValueError(f"exponent overflow at position {position}")
-    return ExtNat(value)
+    return value
 
 
 def parse_group(text: str) -> GroupDescription:
     """Parse the direct-sum grammar; raises ValueError with the position of
     the first offending term."""
-    rank = ExtNat(0)
-    summands: list[tuple[int, ExtNat]] = []
-    tail: Optional[ExtNat] = None
+    rank: Count = 0
+    summands: list[tuple[int, Count]] = []
+    tail: Optional[Count] = None
 
     offset = 0
     segments = text.split("+")
@@ -156,23 +153,13 @@ def parse_group(text: str) -> GroupDescription:
         if m := _TERM_Z.match(term):
             rank = rank + _parse_exponent(m.group(1), position)
             continue
-        if m := _TERM_F.match(term):
-            order = int(m.group(1))
+        if m := _TERM_CF.match(term):
+            order = int(m.group(2))
             if order < 2:
-                raise ValueError(
-                    f"syntax error at position {position}: "
-                    f"finite-group order must be >= 2 (F1 is trivial, write Z^0)"
-                )
-            summands.append((order, ExtNat(1)))
-            continue
-        if m := _TERM_C.match(term):
-            order = int(m.group(1))
-            if order < 2:
-                raise ValueError(
-                    f"syntax error at position {position}: "
-                    f"cyclic order must be >= 2, got {order}"
-                )
-            summands.append((order, _parse_exponent(m.group(2), position)))
+                reason = (f"cyclic order must be >= 2, got {order}" if m.group(1) == "C"
+                          else "finite-group order must be >= 2 (F1 is trivial, write Z^0)")
+                raise ValueError(f"syntax error at position {position}: {reason}")
+            summands.append((order, _parse_exponent(m.group(3), position)))
             continue
         raise ValueError(f"syntax error at position {position}: {stripped!r}")
 
@@ -182,9 +169,7 @@ def parse_group(text: str) -> GroupDescription:
 def render_group(g: GroupDescription) -> str:
     parts: list[str] = []
     r = g.free_rank_part
-    if r.is_infinite:
-        parts.append("Z^inf")
-    elif r == 1:
+    if r == 1:
         parts.append("Z")
     elif r != 0:
         parts.append(f"Z^{r}")
@@ -197,20 +182,21 @@ def render_group(g: GroupDescription) -> str:
     return " + ".join(parts)
 
 
-def free_rank(g: GroupDescription) -> ExtNat:
+def free_rank(g: GroupDescription) -> Count:
     return g.free_rank_part
 
 
 def factorizing_function_symbolic(g: GroupDescription) -> FactorFunction:
     """phi(p) = sum over summands of multiplicity * v_p(order), with the tail
     multiplicity for primes outside every summand order."""
-    default = g.tail if g.tail is not None else ExtNat(0)
-    values: dict[int, ExtNat] = {}
+    values: dict[int, Count] = {}
     for order, mult in g.summands:
         for p, exp in factorize(order).items():
-            contribution = mult * exp
-            values[p] = values.get(p, ExtNat(0)) + contribution
-    return FactorFunction.from_dict(values, default)
+            # 0 * inf, nan in floats, would be 0; it cannot arise, as
+            # GroupDescription drops zero multiplicities and factorize
+            # gives exponents >= 1
+            values[p] = values.get(p, 0) + mult * exp
+    return FactorFunction.from_dict(values, g.tail or 0)
 
 
 def canonical_form(g: GroupDescription) -> CanonicalForm:
@@ -218,9 +204,8 @@ def canonical_form(g: GroupDescription) -> CanonicalForm:
 
 
 def is_finitely_generated(g: GroupDescription) -> bool:
-    if g.free_rank_part.is_infinite or g.tail is not None:
-        return False
-    return all(mult.is_finite for _, mult in g.summands)
+    counts = (g.free_rank_part, *(mult for _, mult in g.summands))
+    return g.tail is None and math.inf not in counts
 
 
 def coarse_equivalent(g1: GroupDescription, g2: GroupDescription) -> Verdict:
@@ -237,7 +222,7 @@ def coarse_isomorphic(g1: GroupDescription, g2: GroupDescription) -> Verdict:
     c1, c2 = canonical_form(g1), canonical_form(g2)
     inv = (c1, c2)
     r1, r2 = c1.r, c2.r
-    if r1.is_infinite and r2.is_infinite:
+    if r1 == r2 == math.inf:
         return Verdict(True, "isomorphism", "case-1-both-ranks-infinite", inv)
     if r1 != r2:
         return Verdict(False, "isomorphism", "rank-mismatch", inv)
@@ -267,11 +252,11 @@ def find_multipliers(
     n = m = 1
     for p in sorted(set(fx.support_primes) | set(fy.support_primes)):
         a, b = fx.get(p), fy.get(p)
-        if a.is_infinite and b.is_infinite:
+        if a == b == math.inf:  # inf - inf = 0
             continue
-        if a.is_infinite or b.is_infinite:
+        if math.inf in (a, b):
             return None
-        diff = a.finite_value() - b.finite_value()
+        diff = a - b
         if diff > 0:
             n *= p**diff
         elif diff < 0:

@@ -684,16 +684,16 @@ def _check_budget(count: int, budget: int) -> None:
 def make_schedule(g: GroupDescription, radius: int) -> list[tuple[Union[str, int], int]]:
     """Default exhaustion schedule: free generators at level 1, cyclic copies
     at doubling levels 2, 4, 8, ... round-robin across the summand types up
-    to the radius, each type until its copies are spent (one count per
-    order, an int or math.inf). A Call^t tail, one summand type per prime outside the
+    to the radius, each type until its copies are spent (its multiplicity,
+    an int or math.inf). A Call^t tail, one summand type per prime outside the
     listed orders, cannot be exhausted so and is refused."""
     schedule: list[tuple[Union[str, int], int]] = []
-    if g.free_rank_part.is_infinite:
+    if g.free_rank_part == math.inf:
         raise ValueError("infinite free rank has no finite truncation")
     if g.tail is not None:
         raise ValueError(f"a Call^{g.tail} tail has no finite truncation")
-    schedule.extend(("Z", 1) for _ in range(g.free_rank_part.finite_value()))
-    left = {o: math.inf if m.is_infinite else m.finite_value() for o, m in g.summands}
+    schedule.extend(("Z", 1) for _ in range(g.free_rank_part))
+    left = dict(g.summands)
     level = 2
     while level <= radius and left:
         for order in list(left):
@@ -716,7 +716,7 @@ def build_truncation(
     if radius < 0:
         raise ValueError("radius must be >= 0")
     cyclic = [(o, level) for o, level in make_schedule(g, radius) if o != "Z"]
-    free_rank = g.free_rank_part.finite_value()
+    free_rank = g.free_rank_part
     _check_budget((2 * radius + 1) ** free_rank * math.prod(o for o, _ in cyclic), point_budget)
     rule = SupRule.group_ball(free_rank, [o for o, _ in cyclic], [l for _, l in cyclic])
     ranges = [range(-radius, radius + 1)] * free_rank + [range(o) for o, _ in cyclic]
@@ -754,13 +754,14 @@ def tower_space(
 ) -> FiniteSpace:
     """Product of cyclic groups with the level ultrametric. Default levels
     are 2, 3, ..., matching the canonical enumeration."""
+    # one power per distinct order (a product over the orders one at a time
+    # is quadratic in their count), counted before any per-level tuple is
+    # built, so that a refused tower builds none
+    _check_budget(math.prod(int(o) ** c for o, c in Counter(orders).items()), point_budget)
     orders = tuple(int(o) for o in orders)
     if levels is None:
         levels = tuple(range(2, len(orders) + 2))
     levels = tuple(int(l) for l in levels)
-    # one power per distinct order: a product over the orders one at a time
-    # is quadratic in their count (a 900,000-summand tower's refusal)
-    _check_budget(math.prod(o**c for o, c in Counter(orders).items()), point_budget)
     rule = SupRule.tower(orders, levels)
     return _box_space([range(o) for o in orders], rule, levels[-1] if levels else 0)
 
@@ -780,7 +781,7 @@ def enumerate_summands(phi: FactorFunction, depth: int, prime_bound: int) -> lis
     primes = _walked_primes(phi, depth, prime_bound)
     # copies per walked prime, an int or math.inf: the j-th (from 0) emits
     # once a stage at the stages j + 1 to j + copies[j]
-    copies = [math.inf if v.is_infinite else v.finite_value() for v in map(phi.get, primes)]
+    copies = list(map(phi.get, primes))
     cap = min(depth, sum(copies))
     out: list[int] = []
     active: list[int] = []
@@ -921,9 +922,13 @@ def example31_fixture(
     coords = np.stack([px, py], axis=1)
     # the branches hold disjoint x ranges and x ascends in each, so the rows
     # ascend already unless rounding gave two of them one x (a grid step
-    # below 1e-9 can)
+    # below 1e-9 can); sorted rows that still fail to ascend hold one label
+    # twice
     if not _ascends(coords):
         coords = coords[np.lexsort((py, px))]
+        if not _ascends(coords):
+            raise ValueError(f"grid_step {grid_step!r} is below the label resolution "
+                             f"1e-{PLANE_DECIMALS}: two kept points round to one label")
     base = int(np.flatnonzero((coords[:, 0] == 0) & (coords[:, 1] == 0))[0])
     space = FiniteSpace(coords, PlaneRule(), base, 0)
     # the whole sample is the known region; faithfulness ends at its extent

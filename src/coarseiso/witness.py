@@ -462,7 +462,7 @@ class TowerAlignment:
 
 def _prime_multiset(*orders: int) -> List[int]:
     return sorted(p for o in orders for p, e in phi_of_nat(int(o)).entries
-                  for _ in range(e.finite_value()))
+                  for _ in range(e))
 
 
 def _prefix_products(orders: Sequence[int]) -> List[int]:
@@ -732,9 +732,9 @@ def iso_witness_chain(
         raise ValueError("depth must be >= 0")
     pb = point_budget
     c1 = verdict.invariants[0]
-    if c1.r.is_infinite:
+    rank = c1.r
+    if rank == math.inf:
         raise ValueError("infinite rank carries no table-backed witness here")
-    rank = c1.r.finite_value()
     n, m = verdict.multipliers if verdict.multipliers else (1, 1)
 
     rest = canonical_ultrametric(ff_sub(c1.phi, phi_of_nat(n)), depth, prime_bound, pb)

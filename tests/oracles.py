@@ -4,17 +4,20 @@ read on every triple, the chain and components of any space read from its
 distance rows alone, the heights of a minimum spanning tree of plane
 points, the equality of two witness maps, and the addition and text form
 of factor functions; two lookups the program reads in other forms, a
-label's position and a partition's blocks; and the summand walk and the
-exhaustion schedule as loops over ExtNat counts."""
+label's position and a partition's blocks; and ExtNat, the reference
+count with its infinity conventions written out case by case, with the
+factor-function operations, the symbolic phi, the multipliers, the summand
+walk and the exhaustion schedule read through it."""
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
 
-from coarseiso.extnat import INF, ExtNat
 from coarseiso.factorfn import FactorFunction
+from coarseiso.primes import factorize
 from coarseiso.spaces import (
     PLANE_DECIMALS,
     BudgetError,
@@ -174,27 +177,23 @@ def ff_add(f: FactorFunction, g: FactorFunction) -> FactorFunction:
                                     f.default + g.default)
 
 
-def parse_extnat(text: str) -> ExtNat:
-    """An extended natural from its text: digits, or inf, infinity or oo."""
-    text = text.strip()
-    return INF if text in ("inf", "infinity", "oo") else ExtNat(int(text))
-
-
 def ff_parse(text: str) -> FactorFunction:
     """The factor function of comma-separated 'prime:exponent' clauses and
-    at most one 'default:exponent' clause; the inverse of ff_render."""
+    at most one 'default:exponent' clause, an exponent being digits or inf,
+    infinity or oo; the inverse of ff_render."""
     text = text.strip()
     if not text:
         return FactorFunction()
-    default = ExtNat(0)
-    values: dict[int, ExtNat] = {}
+    default = 0
+    values: dict = {}
     saw_default = False
     for chunk in text.split(","):
         key, sep, raw = chunk.partition(":")
         if not sep:
             raise ValueError(f"malformed clause {chunk!r}, expected 'prime:exponent'")
         key = key.strip()
-        value = parse_extnat(raw)
+        raw = raw.strip()
+        value = math.inf if raw in ("inf", "infinity", "oo") else int(raw)
         if key == "default":
             if saw_default:
                 raise ValueError("repeated default clause")
@@ -208,12 +207,160 @@ def ff_parse(text: str) -> FactorFunction:
     return FactorFunction.from_dict(values, default)
 
 
+@functools.total_ordering
+class ExtNat:
+    """A natural number or infinity, which it holds as None. It is built
+    from a count (an int >= 0 or math.inf) and gives one back by count().
+    Its arithmetic keeps the conventions case by case: inf + k = inf,
+    inf - inf = 0 and inf - k = inf, |inf - inf| = 0 and |inf - k| = inf,
+    and 0 * inf = 0."""
+
+    def __init__(self, value=0):
+        if isinstance(value, ExtNat):
+            value = value._value
+        elif value == math.inf:
+            value = None
+        elif value is not None and (not isinstance(value, int) or isinstance(value, bool)
+                                    or value < 0):
+            raise ValueError(f"not an extended natural: {value!r}")
+        self._value = value
+
+    @property
+    def is_finite(self) -> bool:
+        return self._value is not None
+
+    def finite_value(self) -> int:
+        if self._value is None:
+            raise ValueError("infinite ExtNat has no finite value")
+        return self._value
+
+    def count(self):
+        return math.inf if self._value is None else self._value
+
+    def __eq__(self, other) -> bool:
+        return self._value == ExtNat(other)._value
+
+    def __lt__(self, other) -> bool:
+        other = ExtNat(other)
+        if self._value is None:
+            return False
+        return other._value is None or self._value < other._value
+
+    def __add__(self, other) -> "ExtNat":
+        other = ExtNat(other)
+        if self._value is None or other._value is None:
+            return INF
+        return ExtNat(self._value + other._value)
+
+    def __mul__(self, other) -> "ExtNat":
+        other = ExtNat(other)
+        if self._value == 0 or other._value == 0:
+            return ExtNat(0)
+        if self._value is None or other._value is None:
+            return INF
+        return ExtNat(self._value * other._value)
+
+    def minus(self, other) -> "ExtNat":
+        """Truncated difference; other <= self unless self is infinite."""
+        other = ExtNat(other)
+        if self._value is None:
+            return ExtNat(0) if other._value is None else INF
+        if other._value is None or other._value > self._value:
+            raise ValueError(f"cannot subtract {other} from {self}")
+        return ExtNat(self._value - other._value)
+
+    def absdiff(self, other) -> "ExtNat":
+        other = ExtNat(other)
+        if self._value is None and other._value is None:
+            return ExtNat(0)
+        if self._value is None or other._value is None:
+            return INF
+        return ExtNat(abs(self._value - other._value))
+
+    def __repr__(self) -> str:
+        return f"ExtNat({self})"
+
+    def __str__(self) -> str:
+        return "inf" if self._value is None else str(self._value)
+
+
+INF = ExtNat(None)
+
+
+def _both_primes(f: FactorFunction, g: FactorFunction) -> list[int]:
+    return sorted(set(f.support_primes) | set(g.support_primes))
+
+
+def extnat_almost_equal(f: FactorFunction, g: FactorFunction) -> bool:
+    """ff_almost_equal by ExtNat.absdiff: the defaults agree and every
+    explicit prime's |f(p) - g(p)| is finite."""
+    return ExtNat(f.default) == ExtNat(g.default) and all(
+        ExtNat(f.get(p)).absdiff(g.get(p)).is_finite for p in _both_primes(f, g))
+
+
+def extnat_le(f: FactorFunction, g: FactorFunction) -> bool:
+    """ff_le by ExtNat's order."""
+    return ExtNat(f.default) <= ExtNat(g.default) and all(
+        ExtNat(f.get(p)) <= ExtNat(g.get(p)) for p in _both_primes(f, g))
+
+
+def extnat_sub(f: FactorFunction, g: FactorFunction):
+    """ff_sub by ExtNat.minus, as a factor function, or None where a
+    value of f - g would be negative."""
+    try:
+        default = ExtNat(f.default).minus(g.default)
+        values = {p: ExtNat(f.get(p)).minus(g.get(p)) for p in _both_primes(f, g)}
+    except ValueError:
+        return None
+    return FactorFunction.from_dict({p: v.count() for p, v in values.items()}, default.count())
+
+
+def extnat_total_mass(f: FactorFunction) -> ExtNat:
+    """The sum of f over all primes by ExtNat addition."""
+    if ExtNat(f.default) != 0:
+        return INF
+    total = ExtNat(0)
+    for _, v in f.entries:
+        total = total + ExtNat(v)
+    return total
+
+
+def extnat_multipliers(fx: FactorFunction, fy: FactorFunction):
+    """find_multipliers on two profiles by ExtNat: None when the defaults
+    differ or a prime is infinite on one side only, else the products of
+    p^(x(p) - y(p)) over the primes where x is larger, and where y is."""
+    if ExtNat(fx.default) != ExtNat(fy.default):
+        return None
+    n = m = 1
+    for p in _both_primes(fx, fy):
+        a, b = ExtNat(fx.get(p)), ExtNat(fy.get(p))
+        if not a.is_finite and not b.is_finite:
+            continue
+        if not a.is_finite or not b.is_finite:
+            return None
+        diff = a.finite_value() - b.finite_value()
+        n, m = (n * p**diff, m) if diff > 0 else (n, m * p**-diff)
+    return (n, m)
+
+
+def extnat_phi(g) -> FactorFunction:
+    """factorizing_function_symbolic by ExtNat: each summand's
+    multiplicity times its order's p-exponents (0 * inf = 0), summed, and
+    the tail, or 0, off the summands' primes."""
+    values: dict = {}
+    for order, mult in g.summands:
+        for p, exp in factorize(order).items():
+            values[p] = values.get(p, ExtNat(0)) + ExtNat(mult) * exp
+    return FactorFunction.from_dict({p: v.count() for p, v in values.items()},
+                                    0 if g.tail is None else g.tail)
+
+
 def stage_summands(phi: FactorFunction, depth: int, prime_bound) -> list[int]:
     """enumerate_summands as a loop over every walked prime at every stage,
     reading phi(p) as an ExtNat each time: stage s emits p_i when
     phi(p_i) > s - i, primes ascending."""
     primes = _walked_primes(phi, depth, prime_bound)
-    values = [phi.get(p) for p in primes]
+    values = [ExtNat(phi.get(p)) for p in primes]
     cap = depth
     if all(v.is_finite for v in values):
         cap = min(depth, sum(v.finite_value() for v in values))
@@ -226,7 +373,7 @@ def stage_summands(phi: FactorFunction, depth: int, prime_bound) -> list[int]:
         for i, p in enumerate(primes, start=1):
             if i > stage:
                 break
-            if phi.get(p) > stage - i:
+            if ExtNat(phi.get(p)) > stage - i:
                 out.append(p)
                 if len(out) == cap:
                     break
@@ -237,9 +384,9 @@ def extnat_schedule(g, radius: int) -> list:
     """make_schedule's cyclic part with ExtNat counts: a pool of summand
     types, each emitted round-robin at doubling levels from 2 up to the
     radius, and dropped from the pool when its count reaches 0."""
-    schedule = [("Z", 1)] * g.free_rank_part.finite_value()
+    schedule = [("Z", 1)] * ExtNat(g.free_rank_part).finite_value()
     pool = list(g.summands)
-    remaining = dict(pool)
+    remaining = {order: ExtNat(m) for order, m in pool}
     level = 2
     while level <= radius and pool:
         for order, _ in list(pool):

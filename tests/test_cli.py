@@ -832,10 +832,15 @@ def test_fixture_components_keep_the_point_budget(capsys):
      "error: more than 10^310 points exceed the budget of 1000000\n"),
     (("step", "example31:1:5e-324"),
      "error: more than 10^324 points exceed the budget of 1000000\n"),
-], ids=["inf-components", "inf-step", "subnormal-components", "subnormal-step"])
+    (("step", "example31:1:5e-324:1.5e-323", "--point-budget", "14"),
+     "error: grid_step 5e-324 is below the label resolution 1e-9: two kept points round "
+     "to one label\n"),
+], ids=["inf-components", "inf-step", "subnormal-components", "subnormal-step",
+        "subnormal-step-within-budget"])
 def test_an_infinite_or_subnormal_fixture_step_exits_2(capsys, argv, err):
     # an infinite step gave x = 0 * inf = NaN and no basepoint (IndexError),
-    # and a subnormal one overflowed the float atan(clamp) / step
+    # and a subnormal one overflowed the float atan(clamp) / step; one the
+    # budget admits was refused as "duplicate point labels"
     assert run(capsys, *argv) == (2, "", err)
 
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+import random
 import sys
 from pathlib import Path
 from unittest import mock
@@ -11,7 +13,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coarseiso import factorfn
-from coarseiso.extnat import INF, ExtNat
 from coarseiso.factorfn import (
     FactorFunction,
     ff_almost_equal,
@@ -21,18 +22,27 @@ from coarseiso.factorfn import (
     ff_sub,
     phi_of_nat,
 )
+from coarseiso.groups import CanonicalForm, find_multipliers
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
-from oracles import ff_add, ff_parse  # noqa: E402
+from oracles import (  # noqa: E402
+    ExtNat,
+    extnat_almost_equal,
+    extnat_le,
+    extnat_multipliers,
+    extnat_sub,
+    extnat_total_mass,
+    ff_add,
+    ff_parse,
+)
 
 SMALL_PRIMES = (2, 3, 5, 7, 11, 13)
 
-values = st.one_of(
-    st.integers(min_value=0, max_value=6).map(ExtNat),
-    st.just(INF),
-)
-defaults = st.sampled_from([ExtNat(0), ExtNat(1), ExtNat(2), INF])
+INF = math.inf
+
+values = st.one_of(st.integers(min_value=0, max_value=6), st.just(INF))
+defaults = st.sampled_from([0, 1, 2, INF])
 factor_functions = st.builds(
     FactorFunction.from_dict,
     st.dictionaries(st.sampled_from(SMALL_PRIMES), values, max_size=4),
@@ -42,10 +52,10 @@ finite_factor_functions = st.builds(
     FactorFunction.from_dict,
     st.dictionaries(
         st.sampled_from(SMALL_PRIMES),
-        st.integers(min_value=0, max_value=6).map(ExtNat),
+        st.integers(min_value=0, max_value=6),
         max_size=4,
     ),
-    st.sampled_from([ExtNat(0), ExtNat(1)]),
+    st.sampled_from([0, 1]),
 )
 
 
@@ -226,3 +236,78 @@ def test_every_refusal_of_outside_input(entries, message):
     with pytest.raises(ValueError) as refused:
         FactorFunction(entries=entries)
     assert type(refused.value) is ValueError and str(refused.value) == message
+
+
+REFUSED_COUNTS = [
+    (1.5, TypeError, "a count must be an int or math.inf, got 1.5"),
+    (True, TypeError, "a count must be an int or math.inf, got True"),
+    ("3", TypeError, "a count must be an int or math.inf, got '3'"),
+    (2.0, TypeError, "a count must be an int or math.inf, got 2.0"),
+    (None, TypeError, "a count must be an int or math.inf, got None"),
+    (-INF, TypeError, "a count must be an int or math.inf, got -inf"),
+    (-1, ValueError, "a count must be nonnegative, got -1"),
+]
+
+
+@pytest.mark.parametrize("value, error, message", REFUSED_COUNTS)
+@pytest.mark.parametrize("where", ["entry", "default"])
+def test_every_refused_count(where, value, error, message):
+    # a count is an int >= 0 or math.inf: a bool, a float other than inf,
+    # a string, None (no longer infinity) or a negative is refused
+    with pytest.raises(error) as refused:
+        if where == "entry":
+            FactorFunction.from_dict({2: value})
+        else:
+            FactorFunction.from_dict({}, value)
+    assert type(refused.value) is error and str(refused.value) == message
+
+
+def test_infinity_is_any_float_inf():
+    f = ff({2: float("inf")}, default=float("inf"))
+    assert f == ff({}, default=INF) and ff_render(ff({3: float("inf")})) == "3:inf"
+
+
+def test_sub_takes_inf_minus_inf_to_zero_in_the_default():
+    assert ff_sub(ff({2: 5}, default=INF), ff({2: 2}, default=INF)) == ff({2: 3})
+    assert ff_sub(ff({}, default=INF), ff({2: 3}, default=1)) == ff({}, default=INF)
+    with pytest.raises(ValueError, match="^cannot subtract inf from 1$"):
+        ff_sub(ff({}, default=1), ff({}, default=INF))
+    with pytest.raises(ValueError, match="^cannot subtract 1 from 0$"):
+        ff_sub(FactorFunction(), ff({}, default=1))
+
+
+def test_the_count_arithmetic_matches_the_extnat_reference():
+    # ff_sub (inf - inf = 0), ff_almost_equal (|inf - inf| = 0), ff_le,
+    # total_mass (inf + k = inf) and find_multipliers against ExtNat's
+    # case-by-case arithmetic, on seeded profiles over 0..6 and inf with
+    # defaults 0, 1 and inf; each g is paired with one drawn below f, so
+    # that ff_sub is defined on half of the pairs
+    rng = random.Random(46)
+    counts = [0, 1, 2, 3, 4, 5, 6, INF]
+
+    def below(v):
+        return rng.choice([c for c in counts if c <= v])
+
+    def profile():
+        primes = rng.sample(SMALL_PRIMES, rng.randint(0, 4))
+        return ff({p: rng.choice(counts) for p in primes}, rng.choice([0, 1, INF]))
+
+    defined = 0
+    for _ in range(1500):
+        f = profile()
+        primes = rng.sample(SMALL_PRIMES, rng.randint(0, 4))
+        low = ff({p: below(f.get(p)) for p in primes}, below(f.default))
+        for g in (profile(), low):
+            assert ff_almost_equal(f, g) == extnat_almost_equal(f, g), (f, g)
+            assert ff_le(g, f) == extnat_le(g, f), (f, g)
+            want = extnat_sub(f, g)
+            if want is None:
+                with pytest.raises(ValueError):
+                    ff_sub(f, g)
+            else:
+                defined += 1
+                assert ff_sub(f, g) == want, (f, g)
+            assert find_multipliers(CanonicalForm(1, f), CanonicalForm(1, g)) == \
+                extnat_multipliers(f, g), (f, g)
+        assert ExtNat(f.total_mass) == extnat_total_mass(f), f
+    assert 1500 <= defined < 3000

@@ -431,9 +431,6 @@ def test_every_default_is_read():
                if not path.name.startswith("test_")]
     outside.append((ROOT / "tests" / "test_acceptance.py").read_text())
     assert unread_defaults(package, outside) == [
-        # FactorFunction's field(default_factory=ExtNat) calls ExtNat() by
-        # reference, not by name, so the audit cannot see it read the 0
-        "extnat.ExtNat.__init__.value",
         # a witness takes src and dst or a table in their place: only the
         # benchmark's self-check passes a table, through dataclasses.replace
         # (ROADMAP item 1)
@@ -516,9 +513,8 @@ def test_what_counts_as_an_extnat_import(snippet, imports):
     assert extnat_imports(snippet) == imports
 
 
-def test_the_metric_layer_counts_in_plain_numbers():
-    # the summand walk, the schedule and the step estimate count copies as
-    # ints and math.inf, and read an ExtNat only through its methods
-    found = {name: extnat_imports((PACKAGE / name).read_text())
-             for name in ("spaces.py", "analysis.py")}
-    assert found == {"spaces.py": [], "analysis.py": []}
+def test_no_module_imports_extnat():
+    # every rank, multiplicity and exponent is an int or math.inf; the
+    # ExtNat reference lives in tests/oracles.py
+    found = {path.name: extnat_imports(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
+    assert {name: names for name, names in found.items() if names} == {}

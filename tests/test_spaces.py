@@ -143,7 +143,7 @@ class TestSchedules:
         for _ in range(500):
             orders = rng.sample([2, 3, 4, 6, 8, 9, 12, 25], rng.randint(0, 4))
             g = GroupDescription(rng.randint(0, 2),
-                                 tuple((o, rng.choice([1, 2, 3, 7, None])) for o in orders))
+                                 tuple((o, rng.choice([1, 2, 3, 7, math.inf])) for o in orders))
             radius = rng.choice([0, 1, 2, 3, 8, 100, 2**12, 2**40])
             assert make_schedule(g, radius) == extnat_schedule(g, radius)
 
@@ -212,10 +212,8 @@ class TestBuilders:
     def test_summand_enumeration_past_a_million_stages_is_refused(self):
         # each stage emits a summand of order 2, so the tower would hold
         # 2^(10^6 + 1) points: a BudgetError that names the depth
-        from coarseiso.extnat import INF
-
         with pytest.raises(BudgetError) as refused:
-            enumerate_summands(ff({2: INF}), 10**6 + 1, 97)
+            enumerate_summands(ff({2: math.inf}), 10**6 + 1, 97)
         assert str(refused.value) == "depth 1000001 asks for a tower beyond any point budget"
 
     def test_support_primes_past_the_first_64_are_walked_up_to_the_bound(self):
@@ -233,13 +231,13 @@ class TestBuilders:
 
     @settings(max_examples=300, deadline=None)
     @given(
-        st.sampled_from([0, 1, None]),
+        st.sampled_from([0, 1, math.inf]),
         st.dictionaries(st.sampled_from([2, 3, 5, 7, 101, 313, 1009]),
-                        st.sampled_from([0, 1, 2, 3, None]), max_size=4),
+                        st.sampled_from([0, 1, 2, 3, math.inf]), max_size=4),
         st.integers(min_value=0, max_value=8),
         st.sampled_from([2, 5, 97, 1000]),
     )
-    @example(None, {2: 1, 101: 1}, 4, 97)
+    @example(math.inf, {2: 1, 101: 1}, 4, 97)
     @example(0, {2: 1, 313: 1}, 4, 97)
     @example(0, {2: 3, 101: 1}, 4, 97)
     @example(0, {2: 2, 3: 1}, 3, 97)
@@ -255,7 +253,7 @@ class TestBuilders:
         assert sp.rule.levels == tuple(range(2, len(orders) + 2))
         if math.isinf(sp.inner_radius):
             # the whole finite profile
-            assert phi.total_mass.is_finite and len(orders) == phi.total_mass.finite_value()
+            assert len(orders) == phi.total_mass
             assert list(orders) == unbounded
             return
         # summand i sits at level i + 2: the same orders at every level up
@@ -267,7 +265,7 @@ class TestBuilders:
 
     @pytest.mark.parametrize("phi", [
         ff({}, default=1), ff({2: 0}, default=1), ff({2: 0, 3: 0, 5: 0, 7: 0}, default=2),
-        ff({2: 3, 3: 0, 11: None}, default=1), ff({5: 0, 313: 4}, default=None),
+        ff({2: 3, 3: 0, 11: math.inf}, default=1), ff({5: 0, 313: 4}, default=math.inf),
     ])
     @pytest.mark.parametrize("depth", [1, 4, 9])
     @pytest.mark.parametrize("bound", [2, 5, 97, 1000])
@@ -287,9 +285,7 @@ class TestBuilders:
         assert enumerate_summands(ff({2: 2, 5: 1, 7: 2}), 7, 97) == [2, 2, 5, 7, 7]
         # an infinite exponent keeps recurring without starving later primes
         assert enumerate_summands(ff({2: 2, 3: 1}, default=1), 5, 97) == [2, 2, 3, 5, 7]
-        from coarseiso.extnat import INF
-
-        assert enumerate_summands(ff({2: INF, 3: 1}), 4, 97) == [2, 2, 3, 2]
+        assert enumerate_summands(ff({2: math.inf, 3: 1}), 4, 97) == [2, 2, 3, 2]
 
     def test_summands_match_the_stage_loop_over_extnat_counts(self):
         # seeded profiles with explicit zeros, finite and infinite values,
@@ -299,8 +295,8 @@ class TestBuilders:
         seen = set()
         for _ in range(2000):
             support = rng.sample([2, 3, 5, 7, 11, 13, 101, 313], rng.randint(0, 5))
-            values = {p: rng.choice([0, 1, 2, 3, 5, None]) for p in support}
-            default = rng.choice([0, 1, None])
+            values = {p: rng.choice([0, 1, 2, 3, 5, math.inf]) for p in support}
+            default = rng.choice([0, 1, math.inf])
             phi = ff(values, default=default)
             depth, bound = rng.randint(0, 30), rng.choice([2, 3, 5, 11, 97, 1000, math.inf])
             assert enumerate_summands(phi, depth, bound) == stage_summands(phi, depth, bound)
@@ -562,6 +558,13 @@ class TestExample31:
         # is x there): 7 x on each of 2 branches
         with pytest.raises(BudgetError, match="^14 points exceed the budget of 13$"):
             example31_fixture(1, 5e-324, 1.5e-323, point_budget=13)
+        # a budget that admits them finds kept x that round to one label at
+        # PLANE_DECIMALS: the step is named, not a duplicate label
+        for step, clamp, budget in ((5e-324, 1.5e-323, 14), (3e-10, 1e-9, 10**6)):
+            with pytest.raises(ValueError) as refused:
+                example31_fixture(1, step, clamp, point_budget=budget)
+            assert str(refused.value) == (f"grid_step {step!r} is below the label resolution "
+                                          "1e-9: two kept points round to one label")
 
 
 @settings(max_examples=60, deadline=None)
@@ -2091,14 +2094,13 @@ def test_schedule_alias_is_gone():
     ("spaces", "validate_metric"), ("spaces", "_verify_ultrametric"),
     ("spaces", "EXHAUSTIVE_LIMIT"), ("spaces", "cantor_cube_truncation"),
     ("spaces", "quotient_space"), ("factorfn", "ff_add"), ("factorfn", "ff_parse"),
-    ("factorfn", "ZERO_FF"), ("extnat", "ExtNat.parse"), ("groups", "is_locally_finite"),
+    ("factorfn", "ZERO_FF"), ("groups", "is_locally_finite"),
     ("spaces", "FiniteSpace.d"), ("spaces", "SupRule.distance"),
     ("spaces", "PlaneRule.distance"), ("spaces", "FiniteSpace.index"),
     ("spaces", "ComponentPartition.blocks"), ("spaces", "FiniteSpace.to_json"),
     ("spaces", "FiniteSpace.from_json"), ("spaces", "_rule_from_descriptor"),
     ("witness", "TowerAlignment.to_json"), ("factorfn", "FactorFunction.as_dict"),
     ("spaces", "MetricRule.label_json"), ("spaces", "SupRule.label_json"),
-    ("extnat", "ExtNat.min"), ("extnat", "ExtNat.max"),
     ("spaces", "MetricRule.chain"), ("spaces", "MetricRule.components"),
     ("spaces", "MetricRule.checked_coords"),
 ])
@@ -2107,7 +2109,7 @@ def test_test_only_names_left_the_package(module, name):
     # factor-function parser and sum live in tests/oracles.py; the one-line
     # wrappers gave way to what they wrap; space serialization is gone, and
     # with it, once space ids hashed the rows, the rules' label writers;
-    # nothing in the package read ExtNat's min and max; the Prim chain and
+    # the Prim chain and
     # the threshold-graph components, which only the tests took, are
     # prim_chain and graph_components there; each rule checks its own
     # labels
@@ -2116,6 +2118,15 @@ def test_test_only_names_left_the_package(module, name):
     for part in path:
         owner = getattr(owner, part)
     assert not hasattr(owner, name) and not hasattr(importlib.import_module("coarseiso"), name)
+
+
+def test_the_extnat_module_left_the_package():
+    # ranks and exponents are ints or math.inf; the reference ExtNat is
+    # tests/oracles.py's
+    with pytest.raises(ModuleNotFoundError):
+        importlib.import_module("coarseiso.extnat")
+    root = importlib.import_module("coarseiso")
+    assert not hasattr(root, "ExtNat") and not hasattr(root, "INF")
 
 
 def test_partitions_compare_by_identity():
@@ -2224,6 +2235,21 @@ def test_a_long_tower_of_mixed_orders_is_refused_by_its_exact_count():
     with pytest.raises(BudgetError) as refused:
         tower_space([2] * 100000 + [3] * 50000)
     assert str(refused.value) == f"more than 10^{power} points exceed the budget of 1000000"
+
+
+def test_a_refused_canonical_tower_builds_no_per_level_tuple():
+    # the budget counts the 900,000 orders before any per-level tuple is
+    # laid out: the int orders and the levels, 7.2 MB each, came first
+    orders = [2] * 900_000
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetError) as refused:
+            tower_space(orders)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(refused.value) == "more than 10^270926 points exceed the budget of 1000000"
+    assert peak < 2 * 10**6
 
 
 def test_counts_past_30_digits_name_the_power_of_10_they_exceed():

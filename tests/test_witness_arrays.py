@@ -480,9 +480,7 @@ def test_each_stage_is_its_witness_without_the_moduli(monkeypatch, capsys):
 def old_capped_enum(phi, depth, prime_bound):
     """The chain's summands before its towers came from
     canonical_ultrametric."""
-    mass = phi.total_mass
-    if mass.is_finite:
-        depth = min(depth, mass.finite_value())
+    depth = min(depth, phi.total_mass)
     if depth <= 0:
         return []
     return enumerate_summands(phi, depth, prime_bound)
@@ -511,21 +509,21 @@ def old_iso_witness_chain(g1, g2, radius=24, depth=4, prime_bound=97, deltas=(),
     if not verdict.result:
         raise ValueError(f"groups are not coarsely isomorphic ({verdict.case_label})")
     c1, c2 = verdict.invariants
-    if c1.r.is_infinite:
+    rank = c1.r
+    if rank == math.inf:
         raise ValueError("infinite rank carries no table-backed witness here")
-    rank = c1.r.finite_value()
     n, m = verdict.multipliers if verdict.multipliers else (1, 1)
 
     diff = w.ff_sub(c1.phi, w.phi_of_nat(n))
     rest_orders = old_capped_enum(diff, depth, prime_bound)
-    full = diff.total_mass.is_finite and len(rest_orders) == diff.total_mass.finite_value()
+    full = len(rest_orders) == diff.total_mass
     rest = old_torsion_tower(rest_orders, full, pb)
 
     if rank == 0:
         orders1 = old_capped_enum(c1.phi, depth, prime_bound)
         orders2 = old_capped_enum(c2.phi, depth, prime_bound)
         mass = c1.phi.total_mass
-        full1 = mass.is_finite and len(orders1) == mass.finite_value()
+        full1 = len(orders1) == mass
         u1 = old_torsion_tower(orders1, full1, pb)
         u2 = old_torsion_tower(orders2, full1, pb)
         return w.tower_alignment_witness(u1, u2, deltas=deltas).witness
