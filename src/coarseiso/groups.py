@@ -60,16 +60,20 @@ class GroupDescription:
     def __post_init__(self) -> None:
         merged: dict[int, Count] = {}
         for order, mult in self.summands:
+            if not isinstance(order, int) or isinstance(order, bool):
+                raise TypeError(f"a cyclic order must be an int, got {order!r}")
             if order < 2:
                 raise ValueError(f"cyclic order must be >= 2, got {order}")
             if order > MAX_ORDER:
                 raise ValueError(f"order {order} exceeds limit {MAX_ORDER}")
             mult = checked_count(mult)
-            if MAX_MULTIPLICITY < mult < math.inf:
-                raise ValueError(f"multiplicity overflow at order {order}")
             if mult == 0:
                 continue
             merged[order] = merged.get(order, 0) + mult
+        # bounded after summing, as the free rank is: equal orders merge
+        for order, mult in merged.items():
+            if MAX_MULTIPLICITY < mult < math.inf:
+                raise ValueError(f"multiplicity overflow at order {order}")
         rank = checked_count(self.free_rank_part)
         if MAX_RANK < rank < math.inf:
             raise ValueError("free rank overflow")

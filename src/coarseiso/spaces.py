@@ -36,13 +36,18 @@ structure gives them: the epsilon-quotient of a structural tower or group
 ball is the tower of its cyclic coordinates above epsilon, and every other
 quotient is refused.
 
-No module imports scipy. A plane space reads its chain and tree once, by
-one Kruskal pass over the candidate pairs of bands (_band_edges,
-plane_chain): the points are sorted once into the Morton order of one fine
-cell grid, and every band reads its cells, buckets and sub-cells as runs
-of that order. The chain of any of its subsets is cut from the whole chain
-(PlaneRule.chain), and the bands a subset still needs read the whole
-space's grid. Plane components join by _connected_labels.
+No module imports scipy. A plane space reads its chain and tree once,
+from the candidate pairs of bands (_band_edges, plane_chain): the points
+are sorted once into the Morton order of one fine cell grid, and every
+band reads its cells, buckets and sub-cells as runs of that order. The
+index path carries what it can of the tree: a candidate no lighter than
+the path between its ends is dropped (the cycle property), the path edges
+lighter than every candidate left join in bulk (a path holds no cycle),
+and one Kruskal pass loops over the runs they leave (_path_chain). On the
+sampled curve, whose rows run along it, that leaves little. The chain of
+any of its subsets is cut from the whole chain (PlaneRule.chain), and the
+bands a subset still needs read the whole space's grid. Plane components
+join by _connected_labels.
 """
 
 from __future__ import annotations
@@ -424,11 +429,12 @@ class PlaneRule(MetricRule):
         chain of a component is a path with the same heights as its
         subtree. When the seeds leave m > 1 components, Kruskal joins the
         paths and the bands' candidate pairs between them (_band_edges,
-        steps 7 and 8). It takes every path edge lighter than the lightest
-        candidate first, and on a path those merge contiguous runs, so the
-        paths are cut into runs at every gap at least that candidate, and
-        Kruskal runs over the runs alone: the path edges between
-        consecutive runs, at their cut gaps, and the candidates. The bands
+        steps 7 and 8), as plane_chain joins the index path and its
+        candidates (_path_chain): the paths, one after another with inf
+        between them, are one path, whose edges lighter than the lightest
+        candidate join in bulk, as a path holds no cycle, and Kruskal runs
+        over the runs they leave. No candidate is dropped: each joins two
+        components, and the path between its ends crosses an inf. The bands
         read the grid the whole space's bands built and cached with its
         chain (_plane_grid): its t0, fine cells and Morton order, the
         order filtered to the subset (_grid_subset). A window sorts and
@@ -454,23 +460,11 @@ class PlaneRule(MetricRule):
         cuts[same] = _range_max(gap, at[same - 1] + 1, at[same] + 1)
         if not comp.any():
             return sub, cuts
-        # the runs start at every cut at least the lightest candidate;
-        # each finite one is a path edge from the run before it
         ja, jb, jw = _band_edges(space.coords[subset], labels, _grid_subset(space._tree[2], pos))
-        cut = cuts >= jw.min()
-        starts, run = np.flatnonzero(cut), np.cumsum(cut) - 1
-        inner = starts[np.isfinite(cuts[starts])]
         where = np.empty(n, dtype=np.int64)
-        where[sub] = run
-        runs, joins, _ = _kruskal_chain(len(starts), np.concatenate([run[inner] - 1, where[ja]]),
-                                        np.concatenate([run[inner], where[jb]]),
-                                        np.concatenate([cuts[inner], jw]))
-        # the runs in Kruskal's order, each with its gap at its start
-        cuts[starts[runs]] = joins
-        rank = np.empty(len(runs), dtype=np.int64)
-        rank[runs] = np.arange(len(runs))
-        k = np.argsort(rank[run], kind="stable")
-        return sub[k], cuts[k]
+        where[sub] = np.arange(n)
+        k, joins, _ = _path_chain(cuts, where[ja], where[jb], jw)
+        return sub[k], joins
 
     def components(self, space: "FiniteSpace", eps: float) -> np.ndarray:
         """From a grid of cells, without triangulating (_plane_components)."""
@@ -1020,24 +1014,56 @@ def _plane_pair_dists(pts: np.ndarray, ii: np.ndarray, jj: np.ndarray) -> np.nda
 
 
 def plane_edges(space: FiniteSpace) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """A minimum spanning tree (i, j, weight) of a plane space: the edges
-    the Kruskal pass of plane_chain joins, in joining order, each pair as
-    the bands gave it. Its edges inside a step window, as a set, are the
-    seeds that cut the window's chain (PlaneRule.chain)."""
+    """A minimum spanning tree (i, j, weight) of a plane space, each pair
+    as the bands gave it, by ascending weight, ties in the order the bands
+    gave them: the joins of a Kruskal pass over every candidate pair of the
+    bands, in joining order, when that pass joins the same tree. Under
+    ties plane_chain may join another minimum spanning tree, as the bands
+    may (_band_edges, step 3). Its edges inside a step
+    window, as a set, are the seeds that cut the window's chain
+    (PlaneRule.chain)."""
     plane_chain(space)
     return space._tree[1]
 
 
 def plane_chain(space: FiniteSpace) -> tuple[np.ndarray, np.ndarray]:
-    """The chain of a whole plane space, from one Kruskal pass over the
-    candidate pairs of its bands (_band_edges). The pass's joins, unsorted,
-    are its tree (plane_edges). Both are cached on the space, with the grid
-    of the bands (_plane_grid), which its windows reuse (PlaneRule.chain)."""
+    """The chain of a whole plane space, and its tree (plane_edges), from
+    the candidate pairs of its bands (_band_edges), which hold a minimum
+    spanning tree. Both are cached on the space, with the grid of the bands
+    (_plane_grid), which its windows reuse (PlaneRule.chain).
+
+    Kruskal loops only over what the index path leaves apart, which on a
+    curve sampled in order is little. The candidates joining rows k - 1
+    and k form a path in index order, with weight pw[k], or inf where the
+    bands gave no such pair. Every other candidate no lighter than the
+    largest pw between its ends is dropped: it is a heaviest edge of a
+    cycle whose other edges are all kept, so the kept edges join every two
+    points below any height the candidates join them below (the cycle
+    property), and every threshold component, at every height, stays.
+    _path_chain then joins the path's edges lighter than every kept
+    candidate in bulk, as a path holds no cycle, and runs Kruskal over the
+    runs they leave."""
     if space._tree is None:
         n = len(space)
         grid = _plane_grid(space.coords) if n > 1 else None
         ii, jj, ww = _band_edges(space.coords, np.arange(n), grid)
-        order, gap, joined = _kruskal_chain(n, ii, jj, ww)
+        # the index path, inf where the bands gave no neighbour pair, and
+        # the other candidates lighter than it between their ends: those
+        # whose path crosses an inf, and those the range maxima keep
+        lo, hi = np.minimum(ii, jj), np.maximum(ii, jj)
+        step = hi - lo == 1
+        pw, pe = np.full(n, math.inf), np.zeros(n, dtype=np.int64)
+        pw[hi[step]], pe[hi[step]] = ww[step], np.flatnonzero(step)
+        holes = np.cumsum(pw == math.inf)
+        keep = (holes[hi] != holes[lo]) & ~step
+        near = np.flatnonzero(~keep & ~step)
+        keep[near] = ww[near] < _range_max(pw, lo[near] + 1, hi[near] + 1)
+        keep = np.flatnonzero(keep)
+        order, gap, joined = _path_chain(pw, ii[keep], jj[keep], ww[keep])
+        # by weight, then as the bands gave them: the order a Kruskal pass
+        # over every candidate joins the same tree in
+        joined = np.sort(np.concatenate([pe, keep])[joined])
+        joined = joined[np.argsort(ww[joined], kind="stable")]
         space._tree = (order, gap), (ii[joined], jj[joined], ww[joined]), grid
     return space._tree[0]
 
@@ -1397,13 +1423,50 @@ def _connected_labels(n: int, ii: np.ndarray, jj: np.ndarray) -> np.ndarray:
             labels = jumped
 
 
+def _path_chain(gap: np.ndarray, ii: np.ndarray, jj: np.ndarray, ww: np.ndarray):
+    """Chain (order, gap) of the graph on the n = len(gap) nodes of a path
+    and extra edges (ii, jj, ww), and the edges joined, the bulk joins
+    first: path edge k, 1 <= k < n, joins nodes k - 1 and k at gap[k],
+    none where that is inf (gap[0] must be), and is named k; extra edge e
+    is named n + e.
+
+    Kruskal takes every path edge lighter than the lightest extra edge
+    first, and a path holds no cycle, so it joins them all: they merge
+    contiguous runs of the path, cut at every gap at least that edge.
+    Kruskal then runs over the runs alone (_kruskal_chain): the path edges
+    between consecutive runs, at their cut gaps, and the extra edges. The
+    runs keep path order inside, with their gaps, and come in Kruskal's
+    order, each starting at the height at which it joins."""
+    n = len(gap)
+    cut = gap >= ww.min(initial=math.inf)
+    starts, run = np.flatnonzero(cut), np.cumsum(cut) - 1
+    # each finite cut is a path edge from the run before it
+    inner = starts[gap[starts] < math.inf]
+    runs, joins, joined = _kruskal_chain(len(starts), np.concatenate([run[inner] - 1, run[ii]]),
+                                         np.concatenate([run[inner], run[jj]]),
+                                         np.concatenate([gap[inner], ww]))
+    out = gap.copy()
+    first = starts[runs]
+    out[first] = joins
+    # the runs in Kruskal's order, each in path order: a run laid out from
+    # position p0 holds node first + p - p0 at position p
+    size = np.diff(starts, append=n)[runs]
+    k = np.arange(n) + np.repeat(first - (np.cumsum(size) - size), size)
+    names = np.concatenate([inner, n + np.arange(len(ww))])
+    return k, out[k], np.concatenate([np.flatnonzero(~cut), names[joined]])
+
+
 def _kruskal_chain(n: int, ii: np.ndarray, jj: np.ndarray, ww: np.ndarray):
     """Chain (order, gap) of the graph on n nodes with edges (ii, jj, ww),
     and the positions of the edges joined, in joining order: the edges
     sorted by weight are joined by union-find, an edge whose ends are
     already joined skipped, and each cluster is kept as a linked list; a
     merge at height w appends one list to the other with w at the
-    junction. Nodes the edges leave apart are joined at height inf."""
+    junction, and the pass stops once one tree spans the nodes. Nodes the
+    edges leave apart are joined at height inf. The program's only
+    union-find loop, and a Python one: a plane space hands it only the runs
+    its index path leaves apart and the edges the path does not make
+    redundant (plane_chain, _path_chain)."""
     by = np.argsort(ww, kind="stable")
     parent = list(range(n))
     head, tail = list(range(n)), list(range(n))
@@ -1422,6 +1485,8 @@ def _kruskal_chain(n: int, ii: np.ndarray, jj: np.ndarray, ww: np.ndarray):
         tail[a] = tail[b]
         parent[b] = a
         joined.append(e)
+        if len(joined) == n - 1:
+            break
     order: list[int] = []
     for r in range(n):
         if parent[r] == r:

@@ -2,7 +2,8 @@
 reads: the scalar distance of two points, the metric axioms of a space
 read on every triple, the chain and components of any space read from its
 distance rows alone, the heights of a minimum spanning tree of plane
-points, the equality of two witness maps, and the addition and text form
+points, the cophenetic matrix a chain states and scipy's single-linkage
+one, the equality of two witness maps, and the addition and text form
 of factor functions; two lookups the program reads in other forms, a
 label's position and a partition's blocks; and ExtNat, the reference
 count with its infinity conventions written out case by case, with the
@@ -146,6 +147,27 @@ def prim_heights(pts) -> list[float]:
         left[k] = False
         np.minimum(best, rule.dists(pts[k], pts), out=best)
     return sorted(heights)
+
+
+def chain_cophenet(order, gap):
+    """Cophenetic matrix a chain states, in subset positions: the largest
+    gap between two points along the order."""
+    m = np.zeros((len(order), len(order)))
+    for i in range(len(order)):
+        m[order[i], order[i + 1:]] = np.maximum.accumulate(gap[i + 1:])
+    return np.maximum(m, m.T)
+
+
+def single_linkage_cophenet(sp, subset):
+    """scipy's single-linkage cophenetic matrix of the subset of a space,
+    on all its distances, in subset positions."""
+    from scipy.cluster.hierarchy import cophenet, linkage
+    from scipy.spatial.distance import squareform
+
+    if len(subset) < 2:
+        return np.zeros((len(subset), len(subset)))
+    d = sp.dmat()[np.ix_(subset, subset)]
+    return squareform(cophenet(linkage(squareform(d, checks=False), "single")))
 
 
 def single_linkage_heights(pts) -> list[float]:

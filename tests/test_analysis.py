@@ -51,10 +51,12 @@ sys.path.insert(0, str(Path(__file__).resolve().parent))
 from dense_rule import as_dense, dense_space  # noqa: E402
 from oracles import (  # noqa: E402
     blocks,
+    chain_cophenet,
     distance,
     index,
     prim_chain,
     prim_heights,
+    single_linkage_cophenet,
     single_linkage_heights,
 )
 
@@ -695,25 +697,6 @@ def test_repeated_indices_agree_on_every_path(source, target):
     assert want[0][0] > 0
     assert oscillation(source, target, src, dst, deltas) == want
     assert oscillation(as_dense(source), as_dense(target), src, dst, deltas) == want
-
-
-def chain_cophenet(order, gap):
-    """Cophenetic matrix a chain states, in subset positions: the largest
-    gap between two points along the order."""
-    m = np.zeros((len(order), len(order)))
-    for i in range(len(order)):
-        m[order[i], order[i + 1:]] = np.maximum.accumulate(gap[i + 1:])
-    return np.maximum(m, m.T)
-
-
-def single_linkage_cophenet(sp, subset):
-    from scipy.cluster.hierarchy import cophenet, linkage
-    from scipy.spatial.distance import squareform
-
-    if len(subset) < 2:
-        return np.zeros((len(subset), len(subset)))
-    d = sp.dmat()[np.ix_(subset, subset)]
-    return squareform(cophenet(linkage(squareform(d, checks=False), "single")))
 
 
 @st.composite
@@ -1747,11 +1730,15 @@ def test_step_work_is_pinned(monkeypatch):
     # every tested scale of a window is read from one chain: a step job
     # runs no connected-components pass (141 before the chains) and no
     # triangulation (three Qhull calls before the bands). The whole space's
-    # tree takes 7 bands, whose 9,063 candidates one Kruskal pass reads,
+    # tree takes 7 bands, whose 9,063 candidates one Kruskal pass read,
     # joining its 6,572 edges (16,533 joins when each window ran its own,
-    # and a Boruvka pass in the bands before). Its edges inside the 0.5
-    # and 0.75 windows join each window already, so they call no bands, and
-    # a later window counts only the scales still stable (141 counts before).
+    # and a Boruvka pass in the bands before). Now 6,492 candidates join
+    # index neighbours: Kruskal reads the 130 of them between the 211 runs
+    # their lighter edges join, and the 470 of the 2,571 others lighter
+    # than the path between their ends, and makes 210 joins. Its edges
+    # inside the 0.5 and 0.75 windows join each window already, so they
+    # call no bands, and a later window counts only the scales still
+    # stable (141 counts before).
     # The grid reads 6,572 neighbouring rows for t0; bands 1-4 read every
     # pair of their kept cell pairs directly, 20,191 pairs against 9,192
     # by buckets, and bands 5-7 read 7,721 by buckets
@@ -1809,7 +1796,7 @@ def test_step_work_is_pinned(monkeypatch):
     assert calls == {"Delaunay": 0, "epsilon_components": 0, "_plane_components": 0}
     assert chains == [[0.028285, 0.113139, 0.452556, 1.810223, 7.240894, 28.963576, 115.854303]]
     assert sum(reads) == 34484 and len(sp) == 6573
-    assert joined == [(9063, 6572)] and len(counted) == 101
+    assert joined == [(600, 210)] and len(counted) == 101
 
 
 def rowwise_foelner(space, c, epsilon):

@@ -60,6 +60,11 @@ class TestInvariants:
         assert code == 2
         assert "error" in err
 
+    def test_merged_multiplicity_past_the_bound_exits_two(self, capsys):
+        # each term is within the bound, their sum at order 2 is not
+        code, out, err = run(capsys, "invariants", "C2^1000000 + C2^1000000")
+        assert (code, out, err) == (2, "", "error: multiplicity overflow at order 2\n")
+
     def test_table_format(self, capsys):
         code, out, err = run(capsys, "invariants", "C2^inf", "--format", "table")
         assert code == 0

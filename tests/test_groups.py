@@ -304,6 +304,29 @@ def test_every_refusal_of_a_description_built_directly(make, message):
     assert type(refused.value) is ValueError and str(refused.value) == message
 
 
+@pytest.mark.parametrize("summands", [
+    ((2, 10**6), (2, 10**6)),
+    ((2, 10**6), (3, 1), (2, 1)),
+])
+def test_merged_multiplicities_are_bounded_after_summing(summands):
+    # as the free rank is: each term is within the bound, the sum is not
+    with pytest.raises(ValueError, match="^multiplicity overflow at order 2$"):
+        GroupDescription(summands=summands)
+    with pytest.raises(ValueError, match="^multiplicity overflow at order 2$"):
+        parse_group(" + ".join(f"C{o}^{k}" for o, k in summands))
+    merged = GroupDescription(summands=((2, 10**6 - 1), (2, 1), (2, INF), (3, 10**6)))
+    assert merged.summands == ((2, INF), (3, 10**6))
+
+
+@pytest.mark.parametrize("order", [4.0, 2.5, "4", True])
+def test_an_order_that_is_not_an_int_is_refused(order):
+    # worded as checked_count words a count; 4.0 and 2.5 were built, and
+    # "4" failed on a bare comparison
+    with pytest.raises(TypeError) as refused:
+        GroupDescription(summands=((order, 1),))
+    assert str(refused.value) == f"a cyclic order must be an int, got {order!r}"
+
+
 @pytest.mark.parametrize("value, error, message", [
     (1.5, TypeError, "a count must be an int or math.inf, got 1.5"),
     (True, TypeError, "a count must be an int or math.inf, got True"),

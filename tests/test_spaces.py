@@ -62,11 +62,13 @@ sys.path.insert(0, str(Path(__file__).resolve().parent))
 from dense_rule import as_dense, dense_space  # noqa: E402
 from oracles import (  # noqa: E402
     blocks,
+    chain_cophenet,
     distance,
     extnat_schedule,
     graph_components,
     index,
     prim_heights,
+    single_linkage_cophenet,
     single_linkage_heights,
     stage_summands,
     validate_metric,
@@ -745,6 +747,13 @@ def cloud(pts):
     return FiniteSpace(sorted(map(tuple, np.asarray(pts).tolist())), PlaneRule(), 0, 0)
 
 
+def gaussian_blobs(size):
+    """Five blobs of size points each, of unit spread, in a square of side 40."""
+    rng = np.random.default_rng(1)
+    centres = rng.uniform(-20, 20, size=(5, 2))
+    return cloud(np.concatenate([rng.normal(c, 1.0, size=(size, 2)) for c in centres]))
+
+
 def with_near_twins(pts, count, offset):
     """The points and a twin offset in x of each of the first count."""
     return np.concatenate([pts, pts[:count] + [offset, 0.0]])
@@ -769,21 +778,25 @@ class TestPlaneEdges:
     def test_tree_is_a_minimum_spanning_tree_random(self, sp):
         assert_minimum_spanning_tree(sp.coords, plane_edges(sp))
 
-    @pytest.mark.parametrize("make", [
-        lambda: example31_fixture(12, 0.02, 200),
-        lambda: cloud(lattice(7, 50, 0.25)),
-        lambda: cloud(np.random.default_rng(5).uniform(-5, 5, size=(800, 2))),
+    @pytest.mark.parametrize("make, unique", [
+        (lambda: example31_fixture(12, 0.02, 200), True),
+        (lambda: cloud(lattice(7, 50, 0.25)), False),
+        (lambda: cloud(np.random.default_rng(5).uniform(-5, 5, size=(800, 2))), True),
     ], ids=["fixture", "lattice-quarter", "uniform"])
-    def test_tree_is_the_kruskal_joins_in_joining_order(self, make):
-        # the edges the pass over the bands' candidates joins, as the
-        # bands gave them, so their weights ascend; no sorted copy is kept
+    def test_tree_is_the_kruskal_joins_in_joining_order(self, make, unique):
+        # the edges a pass over every candidate of the bands joins, as the
+        # bands gave them, in its order, so their weights ascend. Under
+        # ties the index path may join another minimum spanning tree
         sp = make()
         n = len(sp)
         ii, jj, ww = spaces_mod._band_edges(sp.coords, np.arange(n),
                                             spaces_mod._plane_grid(sp.coords))
         joined = _kruskal_chain(n, ii, jj, ww)[2]
         edges = plane_edges(sp)
-        assert all(np.array_equal(a, b[joined]) for a, b in zip(edges, (ii, jj, ww)))
+        if unique:
+            assert all(np.array_equal(a, b[joined]) for a, b in zip(edges, (ii, jj, ww)))
+        given = set(zip(ii.tolist(), jj.tolist(), ww.tolist()))
+        assert set(zip(*(a.tolist() for a in edges))) <= given
         assert np.all(np.diff(edges[2]) >= 0)
         assert_minimum_spanning_tree(sp.coords, edges)
 
@@ -840,9 +853,7 @@ class TestPlaneEdges:
             reads.append(len(ii))
             return real(pts, ii, jj)
 
-        rng = np.random.default_rng(1)
-        centres = rng.uniform(-20, 20, size=(5, 2))
-        sp = cloud(np.concatenate([rng.normal(c, 1.0, size=(400, 2)) for c in centres]))
+        sp = gaussian_blobs(400)
         monkeypatch.setattr(spaces_mod, "_plane_pair_dists", counting)
         edges = plane_edges(sp)
         monkeypatch.undo()
@@ -881,6 +892,113 @@ class TestPlaneEdges:
             assert sorted(order.tolist()) == list(range(len(sp))) and gap[0] == math.inf
             want = prim_heights(sp.coords)
             assert sorted(gap.tolist())[:-1] == want == single_linkage_heights(sp.coords)
+
+
+def sorted_cloud(pts):
+    """Plane space on points whose x ascends with the index."""
+    return FiniteSpace(sorted(map(tuple, np.round(np.asarray(pts), 9).tolist())),
+                       PlaneRule(), 0, 0)
+
+
+def sine_curve(count):
+    x = np.linspace(0, 12, count)
+    return sorted_cloud(np.stack([x, np.sin(x)], axis=1))
+
+
+def random_walk(count, seed):
+    rng = np.random.default_rng(seed)
+    return sorted_cloud(np.cumsum(np.stack([rng.uniform(0.01, 0.3, size=count),
+                                            rng.normal(0, 0.2, size=count)], axis=1), axis=0))
+
+
+def triangle_strip(count):
+    """Points k / 2 apart in x, alternately on two lines sqrt(3) / 2
+    apart: every index neighbour and every pair two apart is 1 away, so
+    path weights tie with each other and with the pairs beside the path."""
+    k = np.arange(count)
+    return sorted_cloud(np.stack([k / 2, (k % 2) * (math.sqrt(3) / 2)], axis=1))
+
+
+def broken_curves():
+    """Sine segments shifted apart in y, one after another in x: index
+    neighbours across a shift are far apart, so the bands give no such
+    pair, and the nearest pairs across are cross links off the path."""
+    x = np.linspace(0, 3, 40)
+    parts = [np.stack([x + 3.05 * k, np.sin(3 * x) + 2.5 * (k % 2)], axis=1) for k in range(4)]
+    return sorted_cloud(np.concatenate(parts))
+
+
+@st.composite
+def path_clouds(draw):
+    """Points along a walk whose x never falls, on a grid of quarters, so
+    that path weights tie, with jumps in y that leave index neighbours far
+    apart and gaps in x that leave the walk's pieces apart."""
+    x = y = 0
+    pts = {(0, 0)}
+    for dx, dy, jump in draw(st.lists(st.tuples(st.integers(0, 3), st.integers(-3, 3),
+                                                st.sampled_from(["", "", "", "up", "down", "gap"])),
+                                      min_size=1, max_size=60)):
+        x += dx + 8 * (jump == "gap")
+        y += dy + {"up": 12, "down": -12}.get(jump, 0)
+        pts.add((x, y))
+    return sorted_cloud(np.asarray(sorted(pts)) / 4)
+
+
+def assert_single_linkage_chain(sp):
+    """The whole space's chain states scipy's single-linkage cophenetic
+    matrix on all pairs, and its tree is a minimum spanning tree with
+    ascending weights."""
+    order, gap = spaces_mod.plane_chain(sp)
+    assert sorted(order.tolist()) == list(range(len(sp))) and gap[0] == math.inf
+    whole = np.arange(len(sp))
+    assert np.array_equal(chain_cophenet(order, gap), single_linkage_cophenet(sp, whole))
+    edges = plane_edges(sp)
+    assert np.all(np.diff(edges[2]) >= 0)
+    assert_minimum_spanning_tree(sp.coords, edges)
+
+
+class TestIndexPath:
+    """plane_chain's index path route, on curves and on clouds with little
+    path, against scipy's single linkage and an independent Prim."""
+
+    @pytest.mark.parametrize("make", [
+        lambda: example31_fixture(2, 0.05, 20),
+        lambda: example31_fixture(3, 0.1, 50),
+        lambda: example31_fixture(4, 0.02, 8),
+        lambda: sine_curve(300),
+        lambda: random_walk(400, 1),
+        lambda: random_walk(300, 2),
+        lambda: triangle_strip(2),
+        lambda: triangle_strip(61),
+        lambda: broken_curves(),
+        lambda: cloud(np.random.default_rng(5).uniform(-5, 5, size=(600, 2))),
+        lambda: gaussian_blobs(120),
+        lambda: cloud(lattice(20, 15)),
+        lambda: cloud(lattice(7, 50, 0.25)),
+        lambda: cloud(np.zeros((1, 2))),
+    ], ids=["tan-2", "tan-3", "tan-4", "sine", "walk-1", "walk-2", "strip-2", "strip-61",
+            "broken", "uniform", "blobs", "lattice", "lattice-quarter", "one-point"])
+    def test_chain_is_single_linkage(self, make):
+        assert_single_linkage_chain(make())
+
+    def test_the_cases_reach_what_they_are_for(self):
+        # the strip's pairs two apart tie with its path, and the broken
+        # curves leave index neighbours without a pair and link across
+        def candidates(sp):
+            ii, jj, ww = spaces_mod._band_edges(sp.coords, np.arange(len(sp)),
+                                                spaces_mod._plane_grid(sp.coords))
+            return np.abs(ii - jj) == 1, ww
+
+        step, ww = candidates(triangle_strip(61))
+        assert np.count_nonzero(step) == 60 and np.all(ww[step] == 1.0)
+        assert np.count_nonzero(ww[~step] == 1.0) == 59
+        step, ww = candidates(broken_curves())
+        assert 0 < np.count_nonzero(step) < 159 and np.count_nonzero(~step) >= 3
+
+    @settings(max_examples=120, deadline=None)
+    @given(path_clouds())
+    def test_chain_is_single_linkage_random(self, sp):
+        assert_single_linkage_chain(sp)
 
 
 def band_inputs(sp, subsets=()):
