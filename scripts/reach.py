@@ -38,24 +38,26 @@ SRC = ROOT / "src"
 ALLOW = ROOT / "scripts" / "reach_allow.json"
 
 
-def body_lines(package: Path) -> dict[tuple[str, int], str]:
-    """(file name, line) -> the function whose body holds the line, for
-    every line of the package's function bodies; lambdas and comprehensions
-    count as lines of the function around them."""
-    out: dict[tuple[str, int], str] = {}
+def body_lines(package: Path) -> dict[tuple[str, int], tuple[str, str]]:
+    """(file name, line) -> the function whose body holds the line and the
+    line's stripped text as compiled, for every line of the package's
+    function bodies; lambdas and comprehensions count as lines of the
+    function around them."""
+    out: dict[tuple[str, int], tuple[str, str]] = {}
 
-    def walk(code, name: str, owner) -> None:
+    def walk(code, name: str, text: list[str], owner) -> None:
         if code.co_flags & inspect.CO_NEWLOCALS:  # a function, not a module or class body
             owner = owner if code.co_name.startswith("<") and owner else code.co_qualname
             for _, _, line in code.co_lines():
                 if line is not None:
-                    out[(name, line)] = owner
+                    out[(name, line)] = owner, text[line - 1].strip()
         for const in code.co_consts:
             if inspect.iscode(const):
-                walk(const, name, owner)
+                walk(const, name, text, owner)
 
     for path in sorted(package.glob("*.py")):
-        walk(compile(path.read_text(), str(path), "exec"), path.name, None)
+        source = path.read_text()
+        walk(compile(source, str(path), "exec"), path.name, source.splitlines(), None)
     return out
 
 
@@ -64,7 +66,8 @@ def collect(package: Path, run, wanted=None) -> dict[tuple[str, int], str]:
     runs, with the test running then (run sets it as the returned dict's
     "test" entry); only lines in wanted when it is given. A frame stops
     being traced once every line of its code that could still count has
-    run, so hot loops cost little."""
+    run, so hot loops cost little. Module and class bodies are not traced:
+    a module imported while run() runs would mark each of its def lines."""
     files = {os.path.realpath(p): p.name for p in package.glob("*.py")}
     hits: dict = {"test": ""}
     # id of a code object -> the code (held, so that no id is reused) and
@@ -73,6 +76,8 @@ def collect(package: Path, run, wanted=None) -> dict[tuple[str, int], str]:
 
     def on_call(frame, event, arg):
         code = frame.f_code
+        if not code.co_flags & inspect.CO_NEWLOCALS:
+            return None
         if id(code) not in left:
             name = files.get(os.path.realpath(code.co_filename))
             lines = {(name, line) for _, _, line in code.co_lines() if line} if name else set()
@@ -91,13 +96,28 @@ def collect(package: Path, run, wanted=None) -> dict[tuple[str, int], str]:
 
         return on_line(frame, "call", None)
 
+    # restored after, so a tracer around this one (--attribute's, over a
+    # test that calls collect) keeps tracing
+    outer = sys.gettrace()
     sys.settrace(on_call)
     try:
         run(hits)
     finally:
-        sys.settrace(None)
+        sys.settrace(outer)
     hits.pop("test")
     return hits
+
+
+def unrun_lines(package: Path, run) -> tuple[list[tuple[str, int, str, str]], int]:
+    """(file name, line, function, text) of each function-body line of the
+    package that does not run while run() runs, in file and line order,
+    and the count of body lines; the text is the line's as compiled before
+    the run, so an edit to the package during the run shifts no name."""
+    lines = body_lines(package)
+    ran = collect(package, run)
+    unrun = [(name, line, *lines[name, line]) for name, line in sorted(lines)
+             if (name, line) not in ran]
+    return unrun, len(lines)
 
 
 def run_cli_tests_and_rounds(hits) -> None:
@@ -143,31 +163,28 @@ def main(argv=None) -> int:
     package = Path(coarseiso.__file__).resolve().parent
     if package != SRC / "coarseiso":
         raise SystemExit(f"reach: imported coarseiso from {package}, not {SRC}")
-    lines = body_lines(package)
-    ran = collect(package, run_cli_tests_and_rounds)
-    unrun = sorted(key for key in lines if key not in ran)
-    text = {name: (package / name).read_text().splitlines() for name in {n for n, _ in unrun}}
-    keyed = [(name, lines[name, line], text[name][line - 1].strip()) for name, line in unrun]
+    unrun, total = unrun_lines(package, run_cli_tests_and_rounds)
 
     if args.attribute:
-        reached = collect(package, run_tier_1, wanted=set(unrun))
+        reached = collect(package, run_tier_1, wanted={(name, line) for name, line, *_ in unrun})
         print(json.dumps([{"file": name, "function": function, "text": line_text,
                            "line": line, "reached_by": reached.get((name, line))}
-                          for (name, line), (_, function, line_text) in zip(unrun, keyed)],
-                         indent=1))
+                          for name, line, function, line_text in unrun], indent=1))
         return 0
 
     entries = json.loads(ALLOW.read_text())
     listed = collections.Counter((e["file"], e["function"], e["text"]) for e in entries)
     kinds = {(e["file"], e["function"], e["text"]): e["class"] for e in entries}
-    counted = collections.Counter(keyed)
+    counted = collections.Counter((name, function, line_text)
+                                  for name, _, function, line_text in unrun)
     stale = listed - counted
-    for (name, line), key in zip(unrun, keyed):
-        print(f"{name}:{line} {key[1]}: {kinds.get(key, 'NOT LISTED')}: {key[2]}")
+    for name, line, function, line_text in unrun:
+        print(f"{name}:{line} {function}: "
+              f"{kinds.get((name, function, line_text), 'NOT LISTED')}: {line_text}")
     for name, function, line_text in sorted(stale.elements()):
         print(f"{name} {function}: listed but ran: {line_text}")
     bad = sum((counted - listed).values()) + sum(stale.values())
-    print(f"reach: {len(unrun)} of {len(lines)} body lines unrun, {bad} not as listed",
+    print(f"reach: {len(unrun)} of {total} body lines unrun, {bad} not as listed",
           file=sys.stderr)
     return 1 if bad else 0
 

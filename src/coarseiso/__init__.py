@@ -1,129 +1,8 @@
 """Coarse classification of countable locally finite-by-abelian groups and
 shift-homogeneous ultrametric spaces: symbolic invariants, finite metric
-truncations, and executable witnesses behind each verdict."""
+truncations, and executable witnesses behind each verdict.
 
-from .analysis import (
-    Cover,
-    FoelnerSet,
-    StepEstimate,
-    asdim_cover,
-    empirical_phi,
-    estimate_factorizing_step,
-    foelner_search,
-    oscillation,
-)
-from .factorfn import (
-    FactorFunction,
-    ff_almost_equal,
-    ff_equal,
-    ff_le,
-    ff_render,
-    ff_sub,
-    phi_of_nat,
-)
-from .groups import (
-    CanonicalForm,
-    GroupDescription,
-    Verdict,
-    canonical_form,
-    coarse_equivalent,
-    coarse_isomorphic,
-    factorizing_function_symbolic,
-    find_multipliers,
-    free_rank,
-    is_finitely_generated,
-    parse_group,
-    render_group,
-)
-from .spaces import (
-    BudgetError,
-    ComponentPartition,
-    FiniteSpace,
-    build_truncation,
-    canonical_ultrametric,
-    enumerate_summands,
-    epsilon_components,
-    example31_fixture,
-    k_point_space,
-    make_schedule,
-    product_space,
-    quotient_with_projection,
-    subspace,
-    tower_space,
-    zball,
-)
-from .witness import (
-    TowerAlignment,
-    WitnessMap,
-    WitnessReport,
-    absorption_witness,
-    component_multiplicity,
-    compose_witness,
-    factorization_witness,
-    invert_witness,
-    iso_witness_chain,
-    product_witness,
-    relabel_witness,
-    tower_alignment_witness,
-    verify_witness,
-)
-
-__all__ = [
-    "FactorFunction",
-    "ff_almost_equal",
-    "ff_equal",
-    "ff_le",
-    "ff_render",
-    "ff_sub",
-    "phi_of_nat",
-    "CanonicalForm",
-    "GroupDescription",
-    "Verdict",
-    "canonical_form",
-    "coarse_equivalent",
-    "coarse_isomorphic",
-    "factorizing_function_symbolic",
-    "find_multipliers",
-    "free_rank",
-    "is_finitely_generated",
-    "parse_group",
-    "render_group",
-    "BudgetError",
-    "ComponentPartition",
-    "FiniteSpace",
-    "build_truncation",
-    "canonical_ultrametric",
-    "enumerate_summands",
-    "epsilon_components",
-    "example31_fixture",
-    "k_point_space",
-    "make_schedule",
-    "product_space",
-    "quotient_with_projection",
-    "subspace",
-    "tower_space",
-    "zball",
-    "Cover",
-    "FoelnerSet",
-    "StepEstimate",
-    "asdim_cover",
-    "empirical_phi",
-    "estimate_factorizing_step",
-    "foelner_search",
-    "oscillation",
-    "TowerAlignment",
-    "WitnessMap",
-    "WitnessReport",
-    "absorption_witness",
-    "component_multiplicity",
-    "compose_witness",
-    "factorization_witness",
-    "invert_witness",
-    "iso_witness_chain",
-    "product_witness",
-    "relabel_witness",
-    "tower_alignment_witness",
-    "verify_witness",
-]
-
-__version__ = "0.1.0"
+The package root exports nothing; each name is imported from its module.
+`primes`, `factorfn` and `groups` are the symbolic layer and import no
+numpy; `spaces`, `analysis` and `witness` are the metric layer; `cli` is
+the command line."""

@@ -186,10 +186,6 @@ def render_group(g: GroupDescription) -> str:
     return " + ".join(parts)
 
 
-def free_rank(g: GroupDescription) -> Count:
-    return g.free_rank_part
-
-
 def factorizing_function_symbolic(g: GroupDescription) -> FactorFunction:
     """phi(p) = sum over summands of multiplicity * v_p(order), with the tail
     multiplicity for primes outside every summand order."""
@@ -204,7 +200,7 @@ def factorizing_function_symbolic(g: GroupDescription) -> FactorFunction:
 
 
 def canonical_form(g: GroupDescription) -> CanonicalForm:
-    return CanonicalForm(free_rank(g), factorizing_function_symbolic(g))
+    return CanonicalForm(g.free_rank_part, factorizing_function_symbolic(g))
 
 
 def is_finitely_generated(g: GroupDescription) -> bool:
@@ -215,7 +211,7 @@ def is_finitely_generated(g: GroupDescription) -> bool:
 def coarse_equivalent(g1: GroupDescription, g2: GroupDescription) -> Verdict:
     """Ranks must coincide and both sides must share finite-generation."""
     inv = (canonical_form(g1), canonical_form(g2))
-    if free_rank(g1) != free_rank(g2):
+    if g1.free_rank_part != g2.free_rank_part:
         return Verdict(False, "equivalence", "rank-mismatch", inv)
     if is_finitely_generated(g1) != is_finitely_generated(g2):
         return Verdict(False, "equivalence", "generation-mismatch", inv)

@@ -6,9 +6,9 @@ call overrides, and no module imports scipy
 it unloaded). The checks use only the standard library's ast: a name
 counts as read where a module loads it, attributes and string annotations
 included.
-``__init__.py`` may import names it does not read, as its imports are the
-package's public names; they are the names of ``__all__``, and importing a
-name there is no read of it.
+``__init__.py`` is held to the same checks: the package root exports
+nothing, and a fresh ``import coarseiso`` loads no submodule, while the
+symbolic layer (``groups``, ``factorfn``, ``primes``) runs without numpy.
 
 Methods and properties are read by attribute name, as Python finds them:
 a name shared across classes, or with other objects (``to_json`` of every
@@ -26,6 +26,10 @@ forwards what its own caller passed, so it counts neither way there."""
 from __future__ import annotations
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 from typing import Optional
 
@@ -33,8 +37,6 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "coarseiso"
-# module-level names the interpreter and packaging read, not the program
-EXEMPT = {"__all__", "__version__"}
 
 
 def _annotations(tree: ast.AST):
@@ -107,7 +109,6 @@ def test_no_module_imports_a_name_it_never_reads():
     found = {
         path.name: unused_imports(path.read_text())
         for path in sorted(PACKAGE.glob("*.py"))
-        if path.name != "__init__.py"
     }
     assert found and {name: names for name, names in found.items() if names} == {}
 
@@ -144,7 +145,7 @@ def unread_names(package: dict, outside: list = ()) -> list[str]:
     that neither the package's other modules than __init__ nor an outside
     source reads, in module order."""
     readers = [source for module, source in package.items() if module != "__init__"]
-    read = set().union(*map(read_names, [*readers, *outside])) | EXEMPT
+    read = set().union(*map(read_names, [*readers, *outside]))
     return [f"{module}.{name}" for module, source in package.items()
             for name in defined_names(source) if name not in read]
 
@@ -157,12 +158,13 @@ def unread_names(package: dict, outside: list = ()) -> list[str]:
     ("a, (b, c) = 1, (2, 3)\nprint(a, c)\n", ["m.b"]),
     ("X: int = 1\nY: 'X'\n", ["m.Y"]),  # a string annotation reads its names
     ("def f(x: 'A') -> None: ...\nclass A: ...\nf\n", []),
-    ("__all__ = []\n__version__ = '1'\n", []),
+    ("__all__ = []\n__version__ = '1'\n", ["m.__all__", "m.__version__"]),  # no name is exempt
     ("class A:\n    def g(self): ...\n", ["m.A"]),  # methods are not module names
     ("import os\nos.X = 1\nX = 2\n", []),  # an attribute name counts
     ("'X'\nX = 1\n", ["m.X"]),  # text is no read
     # a re-export is no read: __init__ imports f, and nothing reads it
-    ({"m": "def f(): ...\n", "__init__": "from .m import f\n__all__ = ['f']\n"}, ["m.f"]),
+    ({"m": "def f(): ...\n", "__init__": "from .m import f\n__all__ = ['f']\n"},
+     ["m.f", "__init__.__all__"]),
 ])
 def test_what_counts_as_a_read(snippet, unread):
     package = {"m": snippet} if isinstance(snippet, str) else snippet
@@ -439,19 +441,32 @@ def test_every_default_is_read():
     ]
 
 
-def init_imports(source: str) -> list[str]:
-    """The names the source's from-imports take, in order."""
-    return [a.asname or a.name for node in ast.parse(source).body
-            if isinstance(node, ast.ImportFrom) for a in node.names]
+def printed_fresh(code: str) -> list[str]:
+    """The lines code prints in a fresh interpreter that imports coarseiso
+    from src/."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    return out.stdout.splitlines()
 
 
-def test_all_lists_the_names_init_imports():
-    import coarseiso
-
-    names = init_imports((PACKAGE / "__init__.py").read_text())
-    assert len(set(coarseiso.__all__)) == len(coarseiso.__all__)
-    assert len(set(names)) == len(names)
-    assert set(coarseiso.__all__) == set(names)
+def test_the_root_loads_nothing_and_the_symbolic_layer_no_numpy():
+    code = (
+        "import json, sys\n"
+        "import coarseiso\n"
+        "print(json.dumps(sorted(sys.modules)))\n"
+        "from coarseiso import groups\n"
+        "g, h = groups.parse_group('Z + C2^inf'), groups.parse_group('Z + C2^inf + C3')\n"
+        "assert groups.canonical_form(h).r == 1\n"
+        "assert groups.coarse_isomorphic(g, h).result\n"
+        "print(json.dumps(sorted(sys.modules)))\n"
+    )
+    root, symbolic = map(json.loads, printed_fresh(code))
+    assert [m for m in root if m.startswith("coarseiso.")] == []
+    assert [m for m in symbolic if m.startswith("coarseiso.")] == [
+        "coarseiso.factorfn", "coarseiso.groups", "coarseiso.primes"]
+    assert "numpy" not in symbolic
 
 
 def scipy_imports(source: str) -> list[str]:

@@ -3,13 +3,16 @@ src/coarseiso that scripts/reach.py finds unrun by the CLI tests, the
 acceptance criteria and one round of each benchmark workload, each with
 its class and the test that runs it. Here, cheaply, every listed line
 still stands in its function as often as it is listed, and names a class
-and a test that exist; reach.py itself traces too slowly for tier-1."""
+and a test that exist; reach.py itself traces too slowly for tier-1, so
+its tracer is checked on a tiny package."""
 
 from __future__ import annotations
 
 import ast
 import collections
+import importlib.util
 import json
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -62,3 +65,49 @@ def test_each_entry_names_a_class_and_a_test_that_exist():
                 and f"def {name}(" in (ROOT / path).read_text()):
             wrong.append(entry)
     assert wrong == []
+
+
+TINY = """def ran():
+    return 1
+
+
+def unrun():
+    return 2
+"""
+
+
+def test_reach_traces_function_bodies_and_names_lines_as_compiled(tmp_path, monkeypatch):
+    # the module is imported under the trace, so its body runs each def
+    # statement, and it is edited during the run: neither may change which
+    # lines are unrun or the text that names them; and a tracer around
+    # this one, as reach.py --attribute's around this test, is restored
+    spec = importlib.util.spec_from_file_location("reach", ROOT / "scripts" / "reach.py")
+    reach = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(reach)
+    package = tmp_path / "reach_tiny"
+    package.mkdir()
+    (package / "__init__.py").write_text("")
+    (package / "mod.py").write_text(TINY)
+    monkeypatch.syspath_prepend(str(tmp_path))
+
+    def run(hits):
+        import reach_tiny.mod
+
+        reach_tiny.mod.ran()
+        (package / "mod.py").write_text("# edited\n" + TINY)
+
+    def outer(frame, event, arg):
+        return None
+
+    around = sys.gettrace()
+    sys.settrace(outer)
+    try:
+        unrun, total = reach.unrun_lines(package, run)
+        restored = sys.gettrace()
+    finally:
+        sys.settrace(around)
+        for name in ("reach_tiny.mod", "reach_tiny"):
+            sys.modules.pop(name, None)
+    assert restored is outer
+    assert unrun == [("mod.py", 5, "unrun", "def unrun():"), ("mod.py", 6, "unrun", "return 2")]
+    assert total == 4
