@@ -19,15 +19,8 @@ import numpy as np
 
 from coarseiso.factorfn import FactorFunction
 from coarseiso.primes import factorize
-from coarseiso.spaces import (
-    PLANE_DECIMALS,
-    BudgetError,
-    PlaneRule,
-    SupRule,
-    _connected_labels,
-    _walked_primes,
-    row_blocks,
-)
+from coarseiso.plane import PLANE_DECIMALS, _connected_labels
+from coarseiso.spaces import BudgetError, PlaneRule, SupRule, _walked_primes, row_blocks
 
 
 def distance(space, i: int, j: int):

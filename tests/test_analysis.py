@@ -15,6 +15,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from coarseiso import analysis as analysis_mod
+from coarseiso import plane as plane_mod
 from coarseiso import primes as primes_mod
 from coarseiso import spaces as spaces_mod
 from coarseiso.analysis import (
@@ -27,11 +28,11 @@ from coarseiso.analysis import (
 )
 from coarseiso.factorfn import FactorFunction
 from coarseiso.groups import parse_group
+from coarseiso.plane import _kruskal_chain
 from coarseiso.spaces import (
     FiniteSpace,
     PlaneRule,
     SupRule,
-    _kruskal_chain,
     build_truncation,
     canonical_ultrametric,
     epsilon_components,
@@ -1036,7 +1037,7 @@ def test_kruskal_chain_skips_edges_inside_a_cluster(make):
     order, gap, joined = _kruskal_chain(n, ii, jj, sp.dmat()[ii, jj])
     assert np.array_equal(chain_cophenet(order, gap), single_linkage_cophenet(sp, np.arange(n)))
     assert len(joined) == n - 1
-    assert not np.any(spaces_mod._connected_labels(n, ii[joined], jj[joined]))
+    assert not np.any(plane_mod._connected_labels(n, ii[joined], jj[joined]))
 
 
 # sources that take the exhaustive path: free coordinates, plane samples
@@ -1094,7 +1095,7 @@ def test_block_oscillation_over_several_blocks_and_uncached_rows():
 def test_pair_pass_over_many_small_blocks(make, monkeypatch):
     # blocks of a few rows each: every row block reads only the columns from
     # its first row on, and the pairs i <= j still cover all pairs
-    monkeypatch.setattr(spaces_mod, "BLOCK_ENTRIES", 32)
+    monkeypatch.setattr(plane_mod, "BLOCK_ENTRIES", 32)
     source, target = make()
     rng = np.random.default_rng(3)
     n = min(len(source), len(target), 30)
@@ -1385,11 +1386,12 @@ def window_edges(sp, subset):
     with Prim's and scipy's single-linkage heights."""
     n = len(subset)
     si, sj, sw = window_seeds(sp, subset)
-    labels = spaces_mod._connected_labels(n, si, sj)
+    labels = plane_mod._connected_labels(n, si, sj)
     pos = np.full(len(sp), -1)
     pos[subset] = np.arange(n)
-    ii, jj, ww = spaces_mod._band_edges(sp.coords[subset], labels,
-                                        spaces_mod._grid_subset(sp._tree[2], pos))
+    grid = plane_mod.tree(sp.coords)[2]
+    ii, jj, ww = plane_mod._band_edges(sp.coords[subset], labels,
+                                       plane_mod._grid_subset(grid, pos))
     assert np.all(labels[ii] != labels[jj])
     edges = np.concatenate([si, ii]), np.concatenate([sj, jj]), np.concatenate([sw, ww])
     joined = _kruskal_chain(n, *edges)[2]
@@ -1442,7 +1444,7 @@ def test_window_edges_keep_every_single_linkage_height(sp, shape, data):
 def window_seeds(sp, subset):
     """The edges (i, j, weight) of the whole space's tree inside the
     subset, in subset positions."""
-    ii, jj, ww = spaces_mod.plane_edges(sp)
+    ii, jj, ww = plane_mod.tree(sp.coords)[1]
     pos = np.full(len(sp), -1)
     pos[subset] = np.arange(len(subset))
     inside = (pos[ii] >= 0) & (pos[jj] >= 0)
@@ -1458,7 +1460,7 @@ def test_plane_chain_of_lattice_masks_with_ties(step, keep):
                      PlaneRule(), 0, 0)
     for seed in range(4):
         subset = np.flatnonzero(np.random.default_rng(seed).random(len(sp)) < keep)
-        seeds = spaces_mod._connected_labels(len(subset), *window_seeds(sp, subset)[:2])
+        seeds = plane_mod._connected_labels(len(subset), *window_seeds(sp, subset)[:2])
         assert len(np.unique(seeds)) > 3
         assert_seeded_window(sp, subset)
 
@@ -1469,15 +1471,15 @@ def test_plane_chain_of_no_point_one_point_and_the_whole_space():
     whole = np.arange(len(sp))
     for subset in (whole[:0], whole[:1], whole[3:4], whole):
         assert_seeded_window(sp, subset)
-    assert sp.rule.chain(sp, whole) is spaces_mod.plane_chain(sp)
+    assert sp.rule.chain(sp, whole) is sp._tree[0]
 
 
 def test_range_max_over_every_range():
     values = np.random.default_rng(4).permutation(37).astype(float)
     lo, hi = np.triu_indices(38, k=1)
-    assert spaces_mod._range_max(values, lo, hi).tolist() == [
+    assert plane_mod._range_max(values, lo, hi).tolist() == [
         values[a:b].max() for a, b in zip(lo.tolist(), hi.tolist())]
-    assert spaces_mod._range_max(values, lo[:0], hi[:0]).shape == (0,)
+    assert plane_mod._range_max(values, lo[:0], hi[:0]).shape == (0,)
 
 
 @pytest.mark.parametrize("rows", [2, 3])
@@ -1498,7 +1500,7 @@ def test_seeded_window_on_a_lattice_where_ties_decide_the_tree(radius):
     sp = FiniteSpace(sorted((float(x), float(y)) for x in range(12) for y in range(12)),
                      PlaneRule(), 0, 0)
     subset = np.flatnonzero(sp.dists_from(index(sp)[(5.0, 6.0)]) <= radius)
-    seeds = spaces_mod._connected_labels(len(subset), *window_seeds(sp, subset)[:2])
+    seeds = plane_mod._connected_labels(len(subset), *window_seeds(sp, subset)[:2])
     assert len(np.unique(seeds)) > 1
     assert_seeded_window(sp, subset)
 
@@ -1512,7 +1514,7 @@ def test_seeded_window_of_spread_clusters_split_by_its_seeds():
                           for c in rng.uniform(-5e3, 5e3, size=(50, 2))])
     sp = FiniteSpace(sorted(set(map(tuple, pts.tolist()))), PlaneRule(), 0, 0)
     subset = np.flatnonzero(np.abs(sp.coords[:, 1] - 0.3 * sp.coords[:, 0]) < 2e3)
-    seeds = spaces_mod._connected_labels(len(subset), *window_seeds(sp, subset)[:2])
+    seeds = plane_mod._connected_labels(len(subset), *window_seeds(sp, subset)[:2])
     assert len(np.unique(seeds)) > 1
     assert_seeded_window(sp, subset)
 
@@ -1644,9 +1646,9 @@ def test_step_on_clouds_qhull_refused_matches_the_all_pairs_table(make):
     # the clouds take the band route like any other: the whole tree spans
     # them, and the step and components agree with the all-pairs table
     sp = make()
-    ii, jj, _ = spaces_mod.plane_edges(sp)
+    ii, jj, _ = plane_mod.tree(sp.coords)[1]
     assert len(ii) == len(sp) - 1
-    assert not np.any(spaces_mod._connected_labels(len(sp), ii, jj))
+    assert not np.any(plane_mod._connected_labels(len(sp), ii, jj))
     assert estimate_factorizing_step(sp) == estimate_factorizing_step(as_dense(sp))
     assert blocks(epsilon_components(sp, 0.5)) == blocks(epsilon_components(as_dense(sp), 0.5))
 
@@ -1659,13 +1661,13 @@ def test_components_build_no_tree_and_a_step_builds_the_whole_tree_once(monkeypa
     # and once, for its candidates, and a window calls the bands only when
     # the whole tree's edges inside it (seeds) leave it split
     calls = []
-    real = spaces_mod._band_edges
+    real = plane_mod._band_edges
 
     def recording(pts, labels, grid):
         calls.append((len(pts), int(np.count_nonzero(labels != np.arange(len(pts))))))
         return real(pts, labels, grid)
 
-    monkeypatch.setattr(spaces_mod, "_band_edges", recording)
+    monkeypatch.setattr(plane_mod, "_band_edges", recording)
     sp = make()
     epsilon_components(sp, 1.0)
     with pytest.raises(ValueError, match="structural quotient"):
@@ -1686,7 +1688,7 @@ def test_a_step_sorts_one_morton_order_per_space(monkeypatch, make):
     # the windows that call bands read the whole space's grid, restricted
     # to them, and sort no points of their own
     sorts, bands = [], []
-    morton_order, band_edges = spaces_mod._morton_order, spaces_mod._band_edges
+    morton_order, band_edges = plane_mod._morton_order, plane_mod._band_edges
 
     def sorting(cells):
         sorts.append(len(cells))
@@ -1696,8 +1698,8 @@ def test_a_step_sorts_one_morton_order_per_space(monkeypatch, make):
         bands.append(len(pts))
         return band_edges(pts, labels, grid)
 
-    monkeypatch.setattr(spaces_mod, "_morton_order", sorting)
-    monkeypatch.setattr(spaces_mod, "_band_edges", recording)
+    monkeypatch.setattr(plane_mod, "_morton_order", sorting)
+    monkeypatch.setattr(plane_mod, "_band_edges", recording)
     sp = make()
     estimate_factorizing_step(sp)
     assert len(bands) == 2 and bands[1] < len(sp)
@@ -1744,7 +1746,7 @@ def test_step_work_is_pinned(monkeypatch):
     # by buckets, and bands 5-7 read 7,721 by buckets
     import scipy.spatial
 
-    calls = {"Delaunay": 0, "epsilon_components": 0, "_plane_components": 0}
+    calls = {"Delaunay": 0, "epsilon_components": 0, "components": 0}
 
     def counting(module, name):
         real = getattr(module, name)
@@ -1757,10 +1759,10 @@ def test_step_work_is_pinned(monkeypatch):
 
     counting(scipy.spatial, "Delaunay")
     counting(spaces_mod, "epsilon_components")
-    counting(spaces_mod, "_plane_components")
+    counting(plane_mod, "components")
     chains, reads = [], []
-    band_edges, band_pairs, pair_dists = (spaces_mod._band_edges, spaces_mod._band_pairs,
-                                          spaces_mod._plane_pair_dists)
+    band_edges, band_pairs, pair_dists = (plane_mod._band_edges, plane_mod._band_pairs,
+                                          plane_mod._plane_pair_dists)
 
     def edges(pts, labels, grid):
         chains.append([])
@@ -1775,7 +1777,7 @@ def test_step_work_is_pinned(monkeypatch):
         return pair_dists(pts, ii, jj)
 
     joined, counted = [], []
-    kruskal_chain, significant_counts = spaces_mod._kruskal_chain, analysis_mod._significant_counts
+    kruskal_chain, significant_counts = plane_mod._kruskal_chain, analysis_mod._significant_counts
 
     def kruskal(n, ii, jj, ww):
         chain = kruskal_chain(n, ii, jj, ww)
@@ -1786,14 +1788,14 @@ def test_step_work_is_pinned(monkeypatch):
         counted.append(1)
         return significant_counts(*args)
 
-    monkeypatch.setattr(spaces_mod, "_band_edges", edges)
-    monkeypatch.setattr(spaces_mod, "_band_pairs", pairs)
-    monkeypatch.setattr(spaces_mod, "_plane_pair_dists", dists)
-    monkeypatch.setattr(spaces_mod, "_kruskal_chain", kruskal)
+    monkeypatch.setattr(plane_mod, "_band_edges", edges)
+    monkeypatch.setattr(plane_mod, "_band_pairs", pairs)
+    monkeypatch.setattr(plane_mod, "_plane_pair_dists", dists)
+    monkeypatch.setattr(plane_mod, "_kruskal_chain", kruskal)
     monkeypatch.setattr(analysis_mod, "_significant_counts", significant)
     sp = example31_fixture(20, 0.01, 1000)
     estimate_factorizing_step(sp)
-    assert calls == {"Delaunay": 0, "epsilon_components": 0, "_plane_components": 0}
+    assert calls == {"Delaunay": 0, "epsilon_components": 0, "components": 0}
     assert chains == [[0.028285, 0.113139, 0.452556, 1.810223, 7.240894, 28.963576, 115.854303]]
     assert sum(reads) == 34484 and len(sp) == 6573
     assert joined == [(600, 210)] and len(counted) == 101

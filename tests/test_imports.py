@@ -9,6 +9,8 @@ included.
 ``__init__.py`` is held to the same checks: the package root exports
 nothing, and a fresh ``import coarseiso`` loads no submodule, while the
 symbolic layer (``groups``, ``factorfn``, ``primes``) runs without numpy.
+``plane`` is a leaf: it imports the standard library and numpy alone, and
+a fresh ``import coarseiso.plane`` loads no other module of the package.
 
 Methods and properties are read by attribute name, as Python finds them:
 a name shared across classes, or with other objects (``to_json`` of every
@@ -533,3 +535,18 @@ def test_no_module_imports_extnat():
     # ExtNat reference lives in tests/oracles.py
     found = {path.name: extnat_imports(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
     assert {name: names for name, names in found.items() if names} == {}
+
+
+def test_the_plane_layer_is_a_leaf_on_numpy():
+    # coarseiso.plane loads no other module of the package, and imports
+    # the standard library and numpy alone
+    code = "import json, sys\nimport coarseiso.plane\nprint(json.dumps(sorted(sys.modules)))\n"
+    loaded = json.loads(printed_fresh(code)[0])
+    assert [m for m in loaded if m.startswith("coarseiso")] == ["coarseiso", "coarseiso.plane"]
+    tops = set()
+    for node in ast.walk(ast.parse((PACKAGE / "plane.py").read_text())):
+        if isinstance(node, ast.Import):
+            tops |= {a.name.split(".")[0] for a in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            tops.add("." * node.level + (node.module or "").split(".")[0])
+    assert "numpy" in tops and tops - {"numpy"} <= sys.stdlib_module_names

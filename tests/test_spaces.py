@@ -24,6 +24,7 @@ import pytest
 from hypothesis import assume, event, example, given, settings
 from hypothesis import strategies as st
 
+from coarseiso import plane as plane_mod
 from coarseiso import spaces as spaces_mod
 from coarseiso.analysis import estimate_factorizing_step
 from coarseiso.factorfn import FactorFunction
@@ -40,7 +41,6 @@ from coarseiso.spaces import (
     example31_fixture,
     k_point_space,
     make_schedule,
-    plane_edges,
     product_space,
     quotient_with_projection,
     row_blocks,
@@ -48,13 +48,8 @@ from coarseiso.spaces import (
     tower_space,
     zball,
 )
-from coarseiso.spaces import (
-    _connected_labels,
-    _grid_scale,
-    _kruskal_chain,
-    _partition_from_keys,
-    _round_decimals,
-)
+from coarseiso.plane import _connected_labels, _grid_scale, _kruskal_chain, round_decimals
+from coarseiso.spaces import _partition_from_keys
 from coarseiso.witness import space_id
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
@@ -459,7 +454,7 @@ class TestExample31:
         ])
         want = np.asarray([round(float(v), 9) for v in values])
         assert np.sum(np.round(values, 9) != want) > 100  # the naive rounding misses
-        assert np.array_equal(_round_decimals(values, 9).view(np.int64), want.view(np.int64))
+        assert np.array_equal(round_decimals(values, 9).view(np.int64), want.view(np.int64))
 
     @pytest.mark.parametrize("args, digest", [
         ((2, 0.5, 1000.0), "45bde4691acd4a61"), ((1, 0.25, 3.0), "22218d8f8525e7af"),
@@ -483,13 +478,13 @@ class TestExample31:
         # x rounded to whole numbers gives many points of a branch one x,
         # and y falls as x grows on an odd branch, so those rows need the sort;
         # the fixture rounds y first, and that call keeps its decimals
-        rounded, calls = spaces_mod._round_decimals, []
+        rounded, calls = plane_mod.round_decimals, []
 
         def coarse_x(values, decimals):
             calls.append(len(values))
             return rounded(values, decimals if len(calls) == 1 else 0)
 
-        monkeypatch.setattr(spaces_mod, "_round_decimals", coarse_x)
+        monkeypatch.setattr(plane_mod, "round_decimals", coarse_x)
         sorts = []
         lexsort = np.lexsort
         monkeypatch.setattr(np, "lexsort", lambda keys: sorts.append(len(keys)) or lexsort(keys))
@@ -668,7 +663,8 @@ class TestComponents:
     def test_plane_edges_freed_with_their_space(self):
         sp = example31_fixture(2, 0.25, 5)
         epsilon_components(sp, 1.0)
-        ref = weakref.ref(plane_edges(sp)[2])
+        sp.rule.chain(sp, np.arange(len(sp)))
+        ref = weakref.ref(sp._tree[1][2])
         del sp
         gc.collect()
         assert ref() is None
@@ -733,9 +729,9 @@ def band_edges(pts):
     scipy's single-linkage heights."""
     pts = np.asarray(pts, dtype=float)
     n = len(pts)
-    grid = spaces_mod._plane_grid(pts) if n > 1 else None
-    ii, jj, ww = spaces_mod._band_edges(pts, np.arange(n), grid)
-    assert np.all(ii != jj) and np.array_equal(ww, spaces_mod._plane_pair_dists(pts, ii, jj))
+    grid = plane_mod._plane_grid(pts) if n > 1 else None
+    ii, jj, ww = plane_mod._band_edges(pts, np.arange(n), grid)
+    assert np.all(ii != jj) and np.array_equal(ww, plane_mod._plane_pair_dists(pts, ii, jj))
     joined = _kruskal_chain(n, ii, jj, ww)[2]
     assert sorted(ww[joined].tolist()) == prim_heights(pts) == single_linkage_heights(pts)
     lo, hi, ww = np.minimum(ii, jj)[joined], np.maximum(ii, jj)[joined], ww[joined]
@@ -771,12 +767,12 @@ class TestPlaneEdges:
     ], ids=["fixture-0.01", "fixture-0.0125", "uniform", "normal", "lattice", "lattice-quarter"])
     def test_tree_is_a_minimum_spanning_tree(self, make):
         sp = make()
-        assert_minimum_spanning_tree(sp.coords, plane_edges(sp))
+        assert_minimum_spanning_tree(sp.coords, plane_mod.tree(sp.coords)[1])
 
     @settings(max_examples=40, deadline=None)
     @given(plane_spaces)
     def test_tree_is_a_minimum_spanning_tree_random(self, sp):
-        assert_minimum_spanning_tree(sp.coords, plane_edges(sp))
+        assert_minimum_spanning_tree(sp.coords, plane_mod.tree(sp.coords)[1])
 
     @pytest.mark.parametrize("make, unique", [
         (lambda: example31_fixture(12, 0.02, 200), True),
@@ -789,10 +785,10 @@ class TestPlaneEdges:
         # ties the index path may join another minimum spanning tree
         sp = make()
         n = len(sp)
-        ii, jj, ww = spaces_mod._band_edges(sp.coords, np.arange(n),
-                                            spaces_mod._plane_grid(sp.coords))
+        ii, jj, ww = plane_mod._band_edges(sp.coords, np.arange(n),
+                                           plane_mod._plane_grid(sp.coords))
         joined = _kruskal_chain(n, ii, jj, ww)[2]
-        edges = plane_edges(sp)
+        edges = plane_mod.tree(sp.coords)[1]
         if unique:
             assert all(np.array_equal(a, b[joined]) for a, b in zip(edges, (ii, jj, ww)))
         given = set(zip(ii.tolist(), jj.tolist(), ww.tolist()))
@@ -838,7 +834,7 @@ class TestPlaneEdges:
         sp = cloud(np.vstack([pts, pts[:1] + [1e-12, 0.0]]))
         assert len(sp) == 7001 > spaces_mod.DENSE_LIMIT
         est = estimate_factorizing_step(sp)
-        edges = plane_edges(sp)
+        edges = plane_mod.tree(sp.coords)[1]
         # the doubled pair reads 0, and the candidates are the tree's heights
         assert est.candidates == tuple(sorted({0.0, *edges[2].tolist()}))
         assert_minimum_spanning_tree(sp.coords, edges)
@@ -847,15 +843,15 @@ class TestPlaneEdges:
         # without the Morton split the bucket pairs of two blobs' cores read
         # about 600 point pairs a point; each read point pair counts once
         reads = []
-        real = spaces_mod._plane_pair_dists
+        real = plane_mod._plane_pair_dists
 
         def counting(pts, ii, jj):
             reads.append(len(ii))
             return real(pts, ii, jj)
 
         sp = gaussian_blobs(400)
-        monkeypatch.setattr(spaces_mod, "_plane_pair_dists", counting)
-        edges = plane_edges(sp)
+        monkeypatch.setattr(plane_mod, "_plane_pair_dists", counting)
+        edges = plane_mod.tree(sp.coords)[1]
         monkeypatch.undo()
         assert len(sp) == 2000 and sum(reads) < 20 * len(sp)
         assert_minimum_spanning_tree(sp.coords, edges)
@@ -888,7 +884,7 @@ class TestPlaneEdges:
         # Prim's and scipy's single linkage on all pairs
         for seed in range(3):
             sp = cloud(np.unique(make(np.random.default_rng(seed)), axis=0))
-            order, gap = spaces_mod.plane_chain(sp)
+            order, gap = plane_mod.tree(sp.coords)[0]
             assert sorted(order.tolist()) == list(range(len(sp))) and gap[0] == math.inf
             want = prim_heights(sp.coords)
             assert sorted(gap.tolist())[:-1] == want == single_linkage_heights(sp.coords)
@@ -948,17 +944,16 @@ def assert_single_linkage_chain(sp):
     """The whole space's chain states scipy's single-linkage cophenetic
     matrix on all pairs, and its tree is a minimum spanning tree with
     ascending weights."""
-    order, gap = spaces_mod.plane_chain(sp)
+    (order, gap), edges, _ = plane_mod.tree(sp.coords)
     assert sorted(order.tolist()) == list(range(len(sp))) and gap[0] == math.inf
     whole = np.arange(len(sp))
     assert np.array_equal(chain_cophenet(order, gap), single_linkage_cophenet(sp, whole))
-    edges = plane_edges(sp)
     assert np.all(np.diff(edges[2]) >= 0)
     assert_minimum_spanning_tree(sp.coords, edges)
 
 
 class TestIndexPath:
-    """plane_chain's index path route, on curves and on clouds with little
+    """plane.tree's index path route, on curves and on clouds with little
     path, against scipy's single linkage and an independent Prim."""
 
     @pytest.mark.parametrize("make", [
@@ -985,8 +980,8 @@ class TestIndexPath:
         # the strip's pairs two apart tie with its path, and the broken
         # curves leave index neighbours without a pair and link across
         def candidates(sp):
-            ii, jj, ww = spaces_mod._band_edges(sp.coords, np.arange(len(sp)),
-                                                spaces_mod._plane_grid(sp.coords))
+            ii, jj, ww = plane_mod._band_edges(sp.coords, np.arange(len(sp)),
+                                               plane_mod._plane_grid(sp.coords))
             return np.abs(ii - jj) == 1, ww
 
         step, ww = candidates(triangle_strip(61))
@@ -1006,17 +1001,17 @@ def band_inputs(sp, subsets=()):
     the whole space's grid, built without the band loop: at each scale
     t = t0 * 4^b the labels are the components of every pair at distance
     <= t / 4 (_band_edges, step 4), until one component is left."""
-    grid = spaces_mod._plane_grid(sp.coords)
+    grid = plane_mod._plane_grid(sp.coords)
     inputs = []
     for subset in [np.arange(len(sp)), *subsets]:
         pos = np.full(len(sp), -1)
         pos[subset] = np.arange(len(subset))
-        t, fine, order = spaces_mod._grid_subset(grid, pos)
+        t, fine, order = plane_mod._grid_subset(grid, pos)
         pts = sp.coords[subset]
         flips = (fine[1:, 0] ^ fine[:-1, 0]) | (fine[1:, 1] ^ fine[:-1, 1])
         i, j = np.triu_indices(len(pts), k=1)
-        r = spaces_mod._plane_pair_dists(pts, i, j)
-        labels, shift = np.arange(len(pts)), spaces_mod.SPLIT_LEVELS
+        r = plane_mod._plane_pair_dists(pts, i, j)
+        labels, shift = np.arange(len(pts)), plane_mod.SPLIT_LEVELS
         while labels.any():
             inputs.append((pts[order], fine, flips, labels[order], min(shift, 62), t))
             labels = _connected_labels(len(pts), i[r <= t], j[r <= t])
@@ -1030,10 +1025,10 @@ def band_weights(args, direct):
     joins two components at its PlaneRule distance, within the band's
     scale, one pair for each two components."""
     pts, _, _, comp, _, t = args
-    with mock.patch.object(spaces_mod, "DIRECT_PAIRS", math.inf if direct else -1):
-        i, j, r = spaces_mod._band_pairs(*args)
+    with mock.patch.object(plane_mod, "DIRECT_PAIRS", math.inf if direct else -1):
+        i, j, r = plane_mod._band_pairs(*args)
     assert np.all(comp[i] != comp[j]) and np.all(r <= t)
-    assert np.array_equal(r, spaces_mod._plane_pair_dists(pts, i, j))
+    assert np.array_equal(r, plane_mod._plane_pair_dists(pts, i, j))
     keys = [tuple(sorted(k)) for k in zip(comp[i].tolist(), comp[j].tolist())]
     assert len(set(keys)) == len(keys)
     return dict(zip(keys, r.tolist()))
@@ -1044,7 +1039,7 @@ def all_pairs_weights(args):
     <= t between each two components, over all point pairs."""
     pts, _, _, comp, _, t = args
     i, j = np.triu_indices(len(pts), k=1)
-    r = spaces_mod._plane_pair_dists(pts, i, j)
+    r = plane_mod._plane_pair_dists(pts, i, j)
     keep = (comp[i] != comp[j]) & (r <= t)
     want: dict = {}
     for a, b, w in zip(comp[i][keep].tolist(), comp[j][keep].tolist(), r[keep].tolist()):
@@ -1099,7 +1094,7 @@ def test_direct_and_bucket_reads_keep_the_same_lightest_pairs(case):
 def band_routes(monkeypatch, sp):
     """The read each band of the space's tree takes: buckets when it
     pairs buckets (_sub_pairs), else direct."""
-    routes, pairs, sub_pairs = [], spaces_mod._band_pairs, spaces_mod._sub_pairs
+    routes, pairs, sub_pairs = [], plane_mod._band_pairs, plane_mod._sub_pairs
 
     def recording(*args):
         routes.append("direct")
@@ -1109,9 +1104,9 @@ def band_routes(monkeypatch, sp):
         routes[-1] = "buckets"
         return sub_pairs(*args)
 
-    monkeypatch.setattr(spaces_mod, "_band_pairs", recording)
-    monkeypatch.setattr(spaces_mod, "_sub_pairs", bucketing)
-    plane_edges(sp)
+    monkeypatch.setattr(plane_mod, "_band_pairs", recording)
+    monkeypatch.setattr(plane_mod, "_sub_pairs", bucketing)
+    plane_mod.tree(sp.coords)
     monkeypatch.undo()
     return routes
 
@@ -1124,7 +1119,7 @@ def test_fixture_bands_read_directly_and_a_lattice_by_buckets(monkeypatch):
     assert band_routes(monkeypatch, sp) == ["direct"] * 4 + ["buckets"] * 3
     sp = cloud(lattice(80, 80, 0.25))
     assert band_routes(monkeypatch, sp)[0] == "buckets"
-    assert_minimum_spanning_tree(sp.coords, plane_edges(sp))
+    assert_minimum_spanning_tree(sp.coords, plane_mod.tree(sp.coords)[1])
 
 
 class TestFlatPlane:
@@ -1268,7 +1263,7 @@ class TestGridComponents:
     def test_dense_cells_expand_in_small_chunks(self, eps, monkeypatch):
         # clusters of 40 points a few cells apart: tens of chunks of 32
         # pairs, several inside one pair of cells
-        monkeypatch.setattr(spaces_mod, "BLOCK_ENTRIES", 32)
+        monkeypatch.setattr(plane_mod, "BLOCK_ENTRIES", 32)
         rng = np.random.default_rng(13)
         centres = [(0.0, 0.0), (eps + 0.02, 0.0), (0.0, eps + 0.1), (eps, eps)]
         radius = 0.04 * eps + 2e-10
@@ -1285,12 +1280,12 @@ class TestGridComponents:
         rng = np.random.default_rng(seed)
         pts = [(cx * eps / 4 + dx, cy * eps / 4 + dy) for cx, cy in centres
                for dx, dy in rng.normal(scale=eps / 20, size=(rng.integers(1, 30), 2))]
-        old = spaces_mod.BLOCK_ENTRIES
-        spaces_mod.BLOCK_ENTRIES = 32
+        old = plane_mod.BLOCK_ENTRIES
+        plane_mod.BLOCK_ENTRIES = 32
         try:
             self.check(plane_points(pts), eps)
         finally:
-            spaces_mod.BLOCK_ENTRIES = old
+            plane_mod.BLOCK_ENTRIES = old
 
 
     @settings(max_examples=60, deadline=None)
@@ -1310,7 +1305,7 @@ class TestGridComponents:
                for dx, dy in rng.normal(scale=eps / 4000, size=(size, 2))]
         sp = plane_points(pts)
         chunks, items = [], []
-        expand = spaces_mod._slot_chunks
+        expand = plane_mod._slot_chunks
 
         def recorded(slots):
             items.append(slots)
@@ -1318,12 +1313,12 @@ class TestGridComponents:
                 chunks.append(len(k))
                 yield k, t
 
-        old = spaces_mod.BLOCK_ENTRIES, spaces_mod._slot_chunks
-        spaces_mod.BLOCK_ENTRIES, spaces_mod._slot_chunks = limit, recorded
+        old = plane_mod.BLOCK_ENTRIES, plane_mod._slot_chunks
+        plane_mod.BLOCK_ENTRIES, plane_mod._slot_chunks = limit, recorded
         try:
             got = epsilon_components(sp, eps)
         finally:
-            spaces_mod.BLOCK_ENTRIES, spaces_mod._slot_chunks = old
+            plane_mod.BLOCK_ENTRIES, plane_mod._slot_chunks = old
         assert blocks(got) == blocks(graph_partition(sp, eps))
         assert max(items[0]) > limit and max(chunks) <= limit
         assert sum(chunks) == int(items[0].sum())
@@ -1335,12 +1330,12 @@ def test_slot_chunks_match_the_plain_expansion(sizes, limit):
     # every slot of every item, in order, in chunks of at most limit; all
     # but the last chunk full, so an item larger than a chunk is split
     sizes = np.asarray(sizes, dtype=np.int64)
-    old = spaces_mod.BLOCK_ENTRIES
-    spaces_mod.BLOCK_ENTRIES = limit
+    old = plane_mod.BLOCK_ENTRIES
+    plane_mod.BLOCK_ENTRIES = limit
     try:
-        chunks = list(spaces_mod._slot_chunks(sizes))
+        chunks = list(plane_mod._slot_chunks(sizes))
     finally:
-        spaces_mod.BLOCK_ENTRIES = old
+        plane_mod.BLOCK_ENTRIES = old
     want_k = [k for k, size in enumerate(sizes.tolist()) for _ in range(size)]
     want_t = [t for size in sizes.tolist() for t in range(size)]
     assert [len(k) for k, _ in chunks] == [min(limit, len(want_k) - lo)
