@@ -6,10 +6,11 @@ parent checkout and at this one, to show what a change prints differently.
 PARENT_DIR is a source checkout (its src/) of the parent, made for example
 with `git clone` and `git checkout SHA`. The corpus is built from this
 checkout: the pinned argvs of tests/test_cli.py (GOLDEN_WITNESSES,
-GOLDEN_PLANE, EVERY_COMMAND and FREE_CHAIN_ROUND, imported, not copied),
-the README's `$ coarseiso` calls (README_CALLS there), and ROUNDS rounds
-of each benchmark workload at SEED (perfbench/jobs.py). Each side runs the
-whole corpus in one fresh interpreter that imports coarseiso from its own
+GOLDEN_PLANE, EVERY_COMMAND, FREE_CHAIN_ROUND and the refusals and fixture
+edge cases of EDGE_CASES, imported, not copied), the README's `$ coarseiso`
+calls (README_CALLS there), the components calls of PLANE_EDGES, and
+ROUNDS rounds of each benchmark workload at SEED (perfbench/jobs.py).
+Each side runs the whole corpus in one fresh interpreter that imports coarseiso from its own
 src/: each argv through coarseiso.cli.main, in process, with stdout and
 stderr captured, and the sha1 of its exit code, stdout and stderr. The
 script prints both sha1s of each argv, then every argv whose sha1s differ,
@@ -29,6 +30,15 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SEED = 5
 ROUNDS = 2
+# components calls that reach both renumberings of the plane grid
+# (plane._squeeze) and the box bound of crowded cell pairs: a dense
+# fixture at a large epsilon, a micro epsilon, and a fixture whose tallest
+# branch reaches y = 1,256
+PLANE_EDGES = [
+    ("components", "example31:51:0.01", "--epsilon", "3.0"),
+    ("components", "example31:20:0.01", "--epsilon", "1e-9"),
+    ("components", "example31:4:0.01:1e308", "--epsilon", "1"),
+]
 
 # run in each side's interpreter: argv 1 is that side's src/, the corpus
 # comes on stdin, and one sha1 an argv goes to stdout
@@ -59,6 +69,7 @@ def corpus() -> list[tuple[str, ...]]:
 
     calls = [argv for argv, *_ in test_cli.GOLDEN_WITNESSES + test_cli.GOLDEN_PLANE]
     calls += test_cli.EVERY_COMMAND + test_cli.FREE_CHAIN_ROUND + test_cli.README_CALLS
+    calls += [argv for rows in test_cli.EDGE_CASES.values() for _, argv, _ in rows] + PLANE_EDGES
     for workload in jobs.WORKLOADS:
         calls += [job.argv for round_ in jobs.rounds(workload, SEED, ROUNDS) for job in round_]
     return list(dict.fromkeys(map(tuple, calls)))

@@ -1,11 +1,12 @@
 """Oracles the tests compare the package against and the program never
 reads: the scalar distance of two points, the metric axioms of a space
 read on every triple, the chain and components of any space read from its
-distance rows alone, the heights of a minimum spanning tree of plane
-points, the cophenetic matrix a chain states and scipy's single-linkage
-one, the equality of two witness maps, and the addition and text form
-of factor functions; two lookups the program reads in other forms, a
-label's position and a partition's blocks; and ExtNat, the reference
+distance rows alone, the plane grid's cell renumbering by one sort, the
+heights of a minimum spanning tree of plane points, the cophenetic matrix
+a chain states and scipy's single-linkage one, the equality of two
+witness maps, and the addition and text form of factor functions; two
+lookups the program reads in other forms, a label's position and a
+partition's blocks; and ExtNat, the reference
 count with its infinity conventions written out case by case, with the
 factor-function operations, the symbolic phi, the multipliers, the summand
 walk and the exhaustion schedule read through it."""
@@ -120,6 +121,14 @@ def graph_components(space, eps: float) -> np.ndarray:
         ii = np.concatenate([bi + blk.start, np.arange(n)])
         labels = _connected_labels(n, ii, np.concatenate([bj, labels]))
     return labels
+
+
+def sorted_squeeze(cells: np.ndarray) -> np.ndarray:
+    """The plane grid's renumbering of integer cells (plane._squeeze) by
+    one sort, whatever their range: the distinct values from 0, each gap
+    above 3 cut to 4."""
+    vals, where = np.unique(cells, return_inverse=True)
+    return np.concatenate(([0], np.cumsum(np.minimum(np.diff(vals), 4))))[where]
 
 
 def prim_heights(pts) -> list[float]:

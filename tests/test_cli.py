@@ -684,14 +684,100 @@ def test_a_witness_run_classifies_once(capsys, monkeypatch):
     assert err == "error: groups are not coarsely isomorphic (case-2-phi-mismatch)\n"
 
 
-@pytest.mark.parametrize("argv,message", [
-    (("witness", "Z + C2", "Z", "--radius", "16", "--point-budget", "5"), "budget of 5"),
-    (("witness", "Z", "Z", "--radius", "-5"), "radius must be >= 0"),
-    (("witness", "C2", "C2", "--depth", "-1"), "depth must be >= 0"),
-    # the summand walk refuses a tower past 10^6 summands before building it
-    (("witness", "C2^inf", "C2^inf", "--depth", "1500000"),
-     "error: depth 1500000 asks for a tower beyond any point budget\n"),
-], ids=["budget", "radius", "depth", "depth-past-summands"])
+# refusals (exit 2) and fixture edge cases, by the test that reads them:
+# rows (id, argv, text), text the stderr or the part of it the test checks.
+# scripts/same_bytes.py runs every argv
+EDGE_CASES = {
+    "witness-sizes": [
+        ("budget", ("witness", "Z + C2", "Z", "--radius", "16", "--point-budget", "5"),
+         "budget of 5"),
+        ("radius", ("witness", "Z", "Z", "--radius", "-5"), "radius must be >= 0"),
+        ("depth", ("witness", "C2", "C2", "--depth", "-1"), "depth must be >= 0"),
+        # the summand walk refuses a tower past 10^6 summands before building it
+        ("depth-past-summands", ("witness", "C2^inf", "C2^inf", "--depth", "1500000"),
+         "error: depth 1500000 asks for a tower beyond any point budget\n"),
+    ],
+    "witness-valid-to-0": [
+        ("rank-1-bound", ("witness", "Z + C2 + C101", "Z + C101"),
+         "radius 24 (--radius 24), and its remainder tower is faithful to 1"),
+        ("rank-2-bound", ("witness", "Z^2 + C4 + C101", "Z^2 + C101"),
+         "radius 24 (--radius 24), and its remainder tower is faithful to 1"),
+        ("rank-2-radius", ("witness", "Z^2", "Z^2 + C4", "--radius", "8"),
+         "radius 8 (--radius 8), and its remainder tower is faithful to inf"),
+    ],
+    "cover-unbounded": [
+        (None, ("cover", "Z^3", "--radius", "24", "--epsilon", "40"),
+         "error: checking balls of radius 40 on the 49^3 grid reads 1275989841 ids a grid row, "
+         "over the 3e7 of one slab\n"),
+        (None, ("cover", "Z", "--radius", "2", "--epsilon", "1e20"),
+         "error: cover epsilon 1e+20 gives a brick side beyond int64\n"),
+    ],
+    "no-finite-truncation": [
+        (None, ("components", "Call^inf", "--radius", "8"),
+         "a Call^inf tail has no finite truncation"),
+        (None, ("components", "C2 + Call^1"), "a Call^1 tail has no finite truncation"),
+        (None, ("step", "Z + Call^2", "--radius", "3"), "a Call^2 tail has no finite truncation"),
+        (None, ("foelner", "Call^inf"), "a Call^inf tail has no finite truncation"),
+        (None, ("cover", "Z", "--radius", "-1"), "radius must be >= 0"),
+        (None, ("cover", "Z^0", "--radius", "-1"), "radius must be >= 0"),
+    ],
+    "fixture-point-budget": [
+        (None, ("components", "example31:2:0.5", "--epsilon", "1", "--point-budget", "1"),
+         "21 points exceed the budget of 1"),
+    ],
+    "fixture-step": [
+        ("inf-components", ("components", "example31:1:inf", "--epsilon", "1"),
+         "error: grid_step must be finite\n"),
+        ("inf-step", ("step", "example31:2:inf"), "error: grid_step must be finite\n"),
+        ("subnormal-components", ("components", "example31:1:1e-310", "--epsilon", "1"),
+         "error: more than 10^310 points exceed the budget of 1000000\n"),
+        ("subnormal-step", ("step", "example31:1:5e-324"),
+         "error: more than 10^324 points exceed the budget of 1000000\n"),
+        ("subnormal-step-within-budget",
+         ("step", "example31:1:5e-324:1.5e-323", "--point-budget", "14"),
+         "error: grid_step 5e-324 is below the label resolution 1e-9: two kept points round to "
+         "one label\n"),
+    ],
+    "fixture-clamp": [
+        ("inf", ("components", "example31:1:0.5:inf", "--epsilon", "1"), ""),
+        ("1e308", ("components", "example31:1:0.5:1e308", "--epsilon", "1"), ""),
+    ],
+    "count-past-int-text": [
+        ("components", ("components", "Z^100000", "--radius", "1"),
+         "error: more than 10^47712 points exceed the budget of 1000000\n"),
+        ("witness", ("witness", "C2^1000000", "C2^1000000", "--depth", "100000"),
+         "error: more than 10^30102 points exceed the budget of 1000000\n"),
+    ],
+    "fixture-radius": [
+        ("components", ("components", "example31:2:0.5", "--radius", "3", "--epsilon", "1"),
+         "error: example31 sets its own extent; drop --radius\n"),
+        ("components-default-value",
+         ("components", "example31:2:0.5", "--radius", "24", "--epsilon", "1"),
+         "error: example31 sets its own extent; drop --radius\n"),
+        ("step", ("step", "example31:2:0.5", "--radius", "3"),
+         "error: example31 sets its own extent; drop --radius\n"),
+        ("foelner",
+         ("foelner", "example31:2:0.5", "--radius", "3", "--epsilon", "100", "--c", "1.01"),
+         "error: example31 sets its own extent; drop --radius\n"),
+    ],
+    "foelner-fixture-extent": [
+        (None, ("foelner", "example31:2:0.5", "--epsilon", "100", "--c", "1.01"),
+         "error: no box with |O_100.0(F)| <= 1.01|F| fits in the fixture's extent, radius "
+         "19.917651136\n"),
+    ],
+    "foelner-oversize-recount": [
+        (None, ("foelner", "example31:96:0.01"),
+         "error: 30361 points exceed the neighbourhood recount's limit of 30000\n"),
+    ],
+}
+
+
+def edge_cases(group):
+    """The rows of one EDGE_CASES group as pytest params (argv, text)."""
+    return [pytest.param(argv, text, id=name) for name, argv, text in EDGE_CASES[group]]
+
+
+@pytest.mark.parametrize("argv,message", edge_cases("witness-sizes"))
 def test_witness_rejects_out_of_range_sizes(capsys, argv, message):
     code, out, err = run(capsys, *argv)
     assert (code, out) == (2, "")
@@ -714,24 +800,17 @@ def test_torsion_past_the_prime_bound_is_pinned(capsys, bound, digest, validity,
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
-@pytest.mark.parametrize("argv,cap", [
-    (("Z + C2 + C101", "Z + C101"), "radius 24 (--radius 24), and its remainder tower is "
-                                    "faithful to 1"),
-    (("Z^2 + C4 + C101", "Z^2 + C101"), "radius 24 (--radius 24), and its remainder tower is "
-                                        "faithful to 1"),
-    (("Z^2", "Z^2 + C4", "--radius", "8"), "radius 8 (--radius 8), and its remainder tower is "
-                                           "faithful to inf"),
-], ids=["rank-1-bound", "rank-2-bound", "rank-2-radius"])
+@pytest.mark.parametrize("argv,cap", edge_cases("witness-valid-to-0"))
 def test_a_witness_valid_to_0_exits_2_naming_what_caps_it(capsys, argv, cap):
     # the bound drops C101, so the remainder is faithful to 1, and the
     # line's stages leave nothing of it; keeping C101 gives a witness. A
     # small radius leaves nothing either
-    code, out, err = run(capsys, "witness", *argv)
+    code, out, err = run(capsys, *argv)
     assert (code, out) == (2, "")
     assert err == (f"error: the witness is valid only to 0: its line ball has {cap} under prime "
                    "bound 97 (--prime-bound)\n")
-    if argv[0] == "Z + C2 + C101":
-        code, payload = run_json(capsys, "witness", *argv, "--prime-bound", "101")
+    if argv[1] == "Z + C2 + C101":
+        code, payload = run_json(capsys, *argv, "--prime-bound", "101")
         assert code == 0 and payload["verification"]["ok"]
         assert payload["witness"]["validity_radius"] == 11.0
 
@@ -743,23 +822,11 @@ def test_cover_refuses_unbounded_checks_before_building(capsys, monkeypatch):
         raise AssertionError("built")
 
     monkeypatch.setattr(analysis, "_max_ball_multiplicity", fail)
-    code, out, err = run(capsys, "cover", "Z^3", "--radius", "24", "--epsilon", "40")
-    assert (code, out) == (2, "")
-    assert err == ("error: checking balls of radius 40 on the 49^3 grid reads 1275989841 ids a "
-                   "grid row, over the 3e7 of one slab\n")
-    code, out, err = run(capsys, "cover", "Z", "--radius", "2", "--epsilon", "1e20")
-    assert (code, out) == (2, "")
-    assert err == "error: cover epsilon 1e+20 gives a brick side beyond int64\n"
+    for _, argv, err in EDGE_CASES["cover-unbounded"]:
+        assert run(capsys, *argv) == (2, "", err)
 
 
-@pytest.mark.parametrize("argv,message", [
-    (("components", "Call^inf", "--radius", "8"), "a Call^inf tail has no finite truncation"),
-    (("components", "C2 + Call^1"), "a Call^1 tail has no finite truncation"),
-    (("step", "Z + Call^2", "--radius", "3"), "a Call^2 tail has no finite truncation"),
-    (("foelner", "Call^inf"), "a Call^inf tail has no finite truncation"),
-    (("cover", "Z", "--radius", "-1"), "radius must be >= 0"),
-    (("cover", "Z^0", "--radius", "-1"), "radius must be >= 0"),
-])
+@pytest.mark.parametrize("argv,message", edge_cases("no-finite-truncation"))
 def test_spaces_without_a_finite_truncation_exit_2(capsys, argv, message):
     code, out, err = run(capsys, *argv)
     assert (code, out, err) == (2, "", f"error: {message}\n")
@@ -824,24 +891,13 @@ def test_an_unread_flag_exits_2(capsys, argv):
 
 
 def test_fixture_components_keep_the_point_budget(capsys):
-    code, out, err = run(capsys, "components", "example31:2:0.5", "--epsilon", "1",
-                         "--point-budget", "1")
+    [(_, argv, message)] = EDGE_CASES["fixture-point-budget"]
+    code, out, err = run(capsys, *argv)
     assert (code, out) == (2, "")
-    assert "21 points exceed the budget of 1" in err
+    assert message in err
 
 
-@pytest.mark.parametrize("argv, err", [
-    (("components", "example31:1:inf", "--epsilon", "1"), "error: grid_step must be finite\n"),
-    (("step", "example31:2:inf"), "error: grid_step must be finite\n"),
-    (("components", "example31:1:1e-310", "--epsilon", "1"),
-     "error: more than 10^310 points exceed the budget of 1000000\n"),
-    (("step", "example31:1:5e-324"),
-     "error: more than 10^324 points exceed the budget of 1000000\n"),
-    (("step", "example31:1:5e-324:1.5e-323", "--point-budget", "14"),
-     "error: grid_step 5e-324 is below the label resolution 1e-9: two kept points round "
-     "to one label\n"),
-], ids=["inf-components", "inf-step", "subnormal-components", "subnormal-step",
-        "subnormal-step-within-budget"])
+@pytest.mark.parametrize("argv, err", edge_cases("fixture-step"))
 def test_an_infinite_or_subnormal_fixture_step_exits_2(capsys, argv, err):
     # an infinite step gave x = 0 * inf = NaN and no basepoint (IndexError),
     # and a subnormal one overflowed the float atan(clamp) / step; one the
@@ -852,50 +908,36 @@ def test_an_infinite_or_subnormal_fixture_step_exits_2(capsys, argv, err):
 def test_a_fixture_with_an_infinite_clamp_keeps_x_below_pi_over_2(capsys):
     # tan stays finite on the grid, so an infinite clamp keeps what the
     # largest finite one does
-    runs = [run(capsys, "components", f"example31:1:0.5:{clamp}", "--epsilon", "1")
-            for clamp in ("inf", "1e308")]
-    assert runs[0] == runs[1] and runs[0][0] == 0
+    runs = [run(capsys, *argv) for _, argv, _ in EDGE_CASES["fixture-clamp"]]
+    assert runs[0] == runs[1] and runs[0][0] == 0 and runs[0][2] == ""
     assert json.loads(runs[0][1])["points"] == 14
 
 
-@pytest.mark.parametrize("argv, count", [
-    (("components", "Z^100000", "--radius", "1"), "more than 10^47712"),
-    (("witness", "C2^1000000", "C2^1000000", "--depth", "100000"), "more than 10^30102"),
-], ids=["components", "witness"])
-def test_a_count_past_python_int_text_is_a_budget_refusal(capsys, argv, count):
+@pytest.mark.parametrize("argv, err", edge_cases("count-past-int-text"))
+def test_a_count_past_python_int_text_is_a_budget_refusal(capsys, argv, err):
     # 3^100000 and 2^100000 points: written out in full, past 4,300 digits,
     # the count was Python's "Exceeds the limit" message
-    assert run(capsys, *argv) == (2, "", f"error: {count} points exceed the budget of 1000000\n")
+    assert run(capsys, *argv) == (2, "", err)
 
 
-@pytest.mark.parametrize("argv", [
-    ("components", "example31:2:0.5", "--radius", "3", "--epsilon", "1"),
-    ("components", "example31:2:0.5", "--radius", "24", "--epsilon", "1"),
-    ("step", "example31:2:0.5", "--radius", "3"),
-    ("foelner", "example31:2:0.5", "--radius", "3", "--epsilon", "100", "--c", "1.01"),
-], ids=["components", "components-default-value", "step", "foelner"])
-def test_a_fixture_with_a_radius_exits_2(capsys, argv):
+@pytest.mark.parametrize("argv, err", edge_cases("fixture-radius"))
+def test_a_fixture_with_a_radius_exits_2(capsys, argv, err):
     # the fixture sets its own extent, so a radius given with it would be
     # ignored; one equal to the default is refused too
-    code, out, err = run(capsys, *argv)
-    assert (code, out) == (2, "")
-    assert err == "error: example31 sets its own extent; drop --radius\n"
+    assert run(capsys, *argv) == (2, "", err)
 
 
 def test_foelner_on_a_fixture_names_its_extent(capsys):
     # the search ran to the fixture's own extent, which --radius cannot
     # enlarge; a group description keeps the --radius advice
-    code, out, err = run(capsys, "foelner", "example31:2:0.5", "--epsilon", "100", "--c", "1.01")
-    assert (code, out) == (2, "")
-    assert err == ("error: no box with |O_100.0(F)| <= 1.01|F| fits in the fixture's extent, "
-                   "radius 19.917651136\n")
+    [(_, argv, err)] = EDGE_CASES["foelner-fixture-extent"]
+    assert run(capsys, *argv) == (2, "", err)
 
 
 def test_foelner_refuses_an_oversize_recount(capsys):
     # 30,361 plane points, above the 30,000 whose neighbourhoods are recounted
-    code, out, err = run(capsys, "foelner", "example31:96:0.01")
-    assert (code, out) == (2, "")
-    assert err == "error: 30361 points exceed the neighbourhood recount's limit of 30000\n"
+    [(_, argv, err)] = EDGE_CASES["foelner-oversize-recount"]
+    assert run(capsys, *argv) == (2, "", err)
 
 
 def test_a_fixture_without_a_radius_and_a_group_with_one_still_run(capsys):

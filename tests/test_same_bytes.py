@@ -1,7 +1,9 @@
 """The corpus of scripts/same_bytes.py, cheaply: every argv parses, and the
-corpus holds every argv that tests/test_cli.py pins at module level and
-every README call. Running the corpus at a parent and at a change takes
-minutes, so tier-1 only checks what it would run."""
+corpus holds every argv that tests/test_cli.py pins at module level, its
+refusals and fixture edge cases (EDGE_CASES), the script's components
+calls (PLANE_EDGES) and every README call. Running the corpus at a
+parent and at a change takes minutes, so tier-1 only checks what it would
+run."""
 
 from __future__ import annotations
 
@@ -52,6 +54,12 @@ def test_the_corpus_holds_every_pinned_argv_and_readme_call():
     assert len(pinned) >= 28
     assert set(pinned) | set(map(tuple, test_cli.README_CALLS)) <= set(CORPUS)
     assert len(CORPUS) == len(set(CORPUS))
+
+
+def test_the_corpus_holds_every_edge_case_and_plane_edge():
+    table = [argv for rows in test_cli.EDGE_CASES.values() for _, argv, _ in rows]
+    assert len(table) >= 30
+    assert set(table) | set(same_bytes.PLANE_EDGES) <= set(CORPUS)
 
 
 def test_every_corpus_argv_parses():

@@ -65,6 +65,7 @@ from oracles import (  # noqa: E402
     prim_heights,
     single_linkage_cophenet,
     single_linkage_heights,
+    sorted_squeeze,
     stage_summands,
     validate_metric,
 )
@@ -1184,6 +1185,42 @@ class TestGridComponents:
         assert epsilon_components(sp, 0.5).count == 1
         assert epsilon_components(sp, np.nextafter(0.5, 0)).count == 2
 
+    def test_crowded_cell_pair_rounded_onto_epsilon_is_read(self):
+        # two points in each of two cells 2 apart, a cell pair of 4 point
+        # pairs, so its boxes are bounded before it is read. Its closest
+        # pair has hypot 0.50000000016, which rounds to eps = 0.5: the gap
+        # of the boxes exceeds eps, and only the rounding terms of the
+        # bound keep the pair read
+        pts = np.array([(0.9994, 0.9992), (1.0, 1.0), (1.3, 1.4000000002), (1.3006, 1.4008000002)])
+        cells = np.floor(pts * _grid_scale(float(np.max(np.abs(pts))), 0.5)[0])
+        assert (cells[0] == cells[1]).all() and (cells[2] == cells[3]).all()
+        assert np.abs(cells[2] - cells[1]).max() == 2
+        assert math.hypot(*(pts[2] - pts[1])) > 0.5
+        sp = plane_points(pts)
+        assert distance(sp, 1, 2) == 0.5 and rounded_distances(sp) == [0.001, 0.5, 0.501, 0.502]
+        assert epsilon_components(sp, 0.5).count == 1
+        assert epsilon_components(sp, np.nextafter(0.5, 0)).count == 2
+
+    def test_only_crowded_cell_pairs_are_bounded(self, monkeypatch):
+        # on example31:51:0.01 every cell pair left to read at eps <= 2
+        # holds one point a side, so no box is read; at eps 3.0 the boxes
+        # of 771 cells skip every crowded cell pair left, and the reads fall
+        # from 43,532 to the 1,837 pairs of single points, 208 of them hits
+        sp = example31_fixture(51, 0.01, 1000.0)
+        boxes, reads = [], []
+        run_boxes, pair_dists = plane_mod._run_boxes, plane_mod._plane_pair_dists
+        monkeypatch.setattr(plane_mod, "_run_boxes",
+                            lambda pts, starts: boxes.append(len(starts)) or run_boxes(pts, starts))
+        monkeypatch.setattr(plane_mod, "_plane_pair_dists",
+                            lambda pts, i, j: reads.append(len(i)) or pair_dists(pts, i, j))
+        got = {}
+        for eps in (0.5, 1.0, 2.0, 3.0):
+            boxes.clear()
+            reads.clear()
+            plane_mod.components(sp.coords, eps)
+            got[eps] = (boxes.copy(), sum(reads))
+        assert got == {0.5: ([0], 936), 1.0: ([0], 728), 2.0: ([0], 624), 3.0: ([771], 1837)}
+
     @pytest.mark.parametrize("shape", [(9, 7, 1.0), (12, 5, 0.25), (6, 6, 0.1)])
     def test_co_circular_lattices_with_holes(self, shape):
         # every unit square is co-circular; dropping a third of the points
@@ -1295,11 +1332,11 @@ class TestGridComponents:
            st.integers(0, 2**32 - 1), st.sampled_from([0.5, 1.0, 3.0]), st.integers(1, 8))
     def test_chunks_split_a_crowded_cell_pair(self, centres, sizes, seed, eps, limit):
         # clusters crowded into single cells of side about eps / 2.83. Two
-        # of them sit mid-cell 1.02 eps apart, 3 cells, far from the rest,
-        # so their cell pair is read and never joined: at least 9 slots,
-        # more than a chunk
+        # of them sit inside cells 0.98 eps apart, 3 cells, far from the
+        # rest, so their cell pair is never joined untested, and its boxes
+        # lie within eps, so it is read: at least 9 slots, more than a chunk
         rng = np.random.default_rng(seed)
-        spots = [(0.18 * eps, 0.18 * eps), (1.2 * eps, 0.18 * eps)]
+        spots = [(0.18 * eps, 0.18 * eps), (1.16 * eps, 0.18 * eps)]
         spots += [(40 * eps + cx * eps / 3, cy * eps / 3) for cx, cy in centres]
         pts = [(x + dx, y + dy) for (x, y), size in zip(spots, sizes)
                for dx, dy in rng.normal(scale=eps / 4000, size=(size, 2))]
@@ -1342,6 +1379,39 @@ def test_slot_chunks_match_the_plain_expansion(sizes, limit):
                                            for lo in range(0, len(want_k), limit)]
     assert [x for k, _ in chunks for x in k.tolist()] == want_k
     assert [x for _, t in chunks for x in t.tolist()] == want_t
+
+
+@st.composite
+def cell_column(draw, n):
+    """n integer cells whose range falls below, at or above 4 * n, shifted
+    to negative values or to near +-2^53."""
+    span = 0 if n == 1 else draw(st.one_of(st.sampled_from([4 * n - 1, 4 * n, 4 * n + 1]),
+                                           st.integers(0, 8 * n), st.integers(0, 2**54)))
+    base = draw(st.one_of(st.sampled_from([0, -span - 7, -2**53, 2**53 - span]),
+                          st.integers(-2**53, 2**53 - span)))
+    inner = draw(st.lists(st.integers(0, span), min_size=max(n - 2, 0), max_size=max(n - 2, 0)))
+    cells = draw(st.permutations(([0, span] if n > 1 else [0]) + inner))
+    return np.array([base + c for c in cells], dtype=np.int64)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 12).flatmap(lambda n: st.tuples(cell_column(n), cell_column(n))),
+       st.sampled_from([1, 3]), st.booleans())
+@example((np.array([0, 12, 5]), np.array([-2**53, -2**53 + 3, -2**53 + 1])), 3, False)
+def test_squeeze_keeps_the_cell_pairs_of_the_sorted_renumbering(columns, reach, itself):
+    # shifted or sorted, the cells keep their order and every difference
+    # up to 3, and their range stays below 4 * n; _cell_pairs then reads
+    # the same arrays as from the renumbering that always sorts
+    for cells in columns:
+        got = plane_mod._squeeze(cells)
+        assert got.min() == 0 and got.max() < 4 * len(cells)
+        want, diff = np.subtract.outer(cells, cells), np.subtract.outer(got, got)
+        assert np.array_equal(np.sign(diff), np.sign(want))
+        near = np.abs(want) <= 3
+        assert np.array_equal(diff[near], want[near]) and (np.abs(diff[~near]) > 3).all()
+    got = plane_mod._cell_pairs(*map(plane_mod._squeeze, columns), reach, itself)
+    want = plane_mod._cell_pairs(*map(sorted_squeeze, columns), reach, itself)
+    assert all(np.array_equal(g, w) for g, w in zip(got, want))
 
 
 def assert_least_index_labels(n, ii, jj):
