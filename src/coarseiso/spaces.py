@@ -419,11 +419,16 @@ class FiniteSpace:
 
     The points are the rows of one (n, k) array, ``coords``: integers
     under a sup rule and finite (x, y) pairs under a plane rule, which the
-    rule's kernel reads. The labels, given as an array or a sequence of
-    rows, become that array at once. Every route, subspaces and quotients
-    included, checks the same things: the rule's width and values
-    (the rule's checked_coords), distinct rows, and a basepoint in range.
-    Label tuples are made only when something reads them
+    rule's kernel reads. Labels from outside, given to this constructor as
+    an array or a sequence of rows, are checked once here, at the
+    boundary: the rule's width and values (the rule's checked_coords),
+    distinct rows, and a basepoint in range. They then become that array,
+    column-major float64. The builders of this module (_box_space, so the
+    balls, towers and truncations; product_space, quotient_with_projection
+    and example31_fixture) make rows that pass every check by
+    construction, already in that layout, and store them as given
+    (_built); subspace takes its indices from its caller and so stays on
+    the checked route. Label tuples are made only when something reads them
     (MetricRule.label_lists). ``ultrametric`` and ``structural`` are read
     from the rule and the points, never given.
     """
@@ -435,11 +440,18 @@ class FiniteSpace:
         basepoint: int,
         inner_radius: Num,
     ):
-        self.coords = rule.checked_coords(labels)
-        if _has_equal_rows(self.coords):
+        coords = rule.checked_coords(labels)
+        if _has_equal_rows(coords):
             raise ValueError("duplicate point labels")
-        if not 0 <= basepoint < len(self.coords):
+        if not 0 <= basepoint < len(coords):
             raise ValueError("basepoint index out of range")
+        self._store(coords, rule, basepoint, inner_radius)
+
+    def _store(self, coords: np.ndarray, rule: MetricRule, basepoint: int,
+               inner_radius: Num) -> "FiniteSpace":
+        """Store rows as given and return the space: every space passes
+        through here, the builders' through _built."""
+        self.coords = coords
         self._labels: Optional[tuple[Label, ...]] = None
         self.rule = rule
         self.basepoint = basepoint
@@ -447,6 +459,7 @@ class FiniteSpace:
         self._structural: Optional[bool] = None
         self._base_dists: Optional[np.ndarray] = None
         self._tree: Optional[tuple] = None  # a plane space's chain, tree and grid (plane.tree)
+        return self
 
     def with_inner_radius(self, inner_radius: Num) -> "FiniteSpace":
         """The same points, rule and basepoint, faithful up to another
@@ -525,6 +538,15 @@ class FiniteSpace:
             m[blk] = self.dists_block(blk, slice(None))
         return m
 
+
+def _built(coords: np.ndarray, rule: MetricRule, basepoint: int,
+           inner_radius: Num) -> FiniteSpace:
+    """A space on rows its builder made: rows that pass every check of the
+    public constructor, as the column-major float64 array checked_coords
+    returns, stored as given (FiniteSpace._store)."""
+    return FiniteSpace.__new__(FiniteSpace)._store(coords, rule, basepoint, inner_radius)
+
+
 def _label_array(labels, width: int, width_error: str) -> np.ndarray:
     """The (n, width) array of label rows given as an array or a sequence
     of rows, in their own dtype, which must be numeric. Widths are read
@@ -575,9 +597,8 @@ def _ascends(coords: np.ndarray) -> bool:
 
 def _has_equal_rows(coords: np.ndarray) -> bool:
     """Whether two rows of an (n, k) array are equal. Rows that already
-    ascend, as the constructors lay them out, are distinct; others are
-    put in lexicographic order by a lexsort and neighbours compared, so no
-    packed key can overflow."""
+    ascend are distinct; others are put in lexicographic order by a lexsort
+    and neighbours compared, so no packed key can overflow."""
     if coords.shape[1] == 0:
         return len(coords) > 1
     return not _ascends(coords) and not _ascends(coords[np.lexsort(coords.T[::-1])])
@@ -647,7 +668,8 @@ def _box_space(ranges: Sequence[range], rule: SupRule, inner_radius: Num) -> Fin
     """The integer box of the ranges, pointed at its all-zero label. Points
     run in itertools.product order, the last coordinate fastest, so the
     coordinates and the basepoint's index come from the ranges by
-    arithmetic."""
+    arithmetic, and the rows ascend and are distinct. Every range must
+    hold 0, and a cyclic coordinate's range must be range(order)."""
     sizes = [len(r) for r in ranges]
     basepoint = 0
     for r in ranges:
@@ -656,7 +678,7 @@ def _box_space(ranges: Sequence[range], rule: SupRule, inner_radius: Num) -> Fin
     for c, r in enumerate(ranges):
         column = np.repeat(np.arange(r.start, r.stop, dtype=float), math.prod(sizes[c + 1 :]))
         coords[:, c] = np.tile(column, math.prod(sizes[:c]))
-    return FiniteSpace(coords, rule, basepoint, inner_radius)
+    return _built(coords, rule, basepoint, inner_radius)
 
 
 def zball(radius: int, rank: int = 1, point_budget: int = DEFAULT_POINT_BUDGET) -> FiniteSpace:
@@ -780,7 +802,9 @@ def product_space(
     x: FiniteSpace, y: FiniteSpace, point_budget: int = DEFAULT_POINT_BUDGET
 ) -> FiniteSpace:
     """Cartesian product with the sup metric, built from the factors'
-    coordinates, which must be integers; both rules must be sup rules."""
+    coordinates; both rules must be sup rules. Distinct rows of each factor
+    give distinct rows of the product, pointed at the pair of the factors'
+    basepoints."""
     rule = SupRule.product(x.rule, y.rule)
     _check_budget(len(x) * len(y), point_budget)
     inner = min(x.inner_radius, y.inner_radius)
@@ -790,7 +814,7 @@ def product_space(
     coords = np.empty((len(x) * len(y), width + len(y.rule.orders)), order="F")
     coords[:, :width] = np.repeat(x.coords, len(y), axis=0)
     coords[:, width:] = np.tile(y.coords, (len(x), 1))
-    return FiniteSpace(coords, rule, x.basepoint * len(y) + y.basepoint, inner)
+    return _built(coords, rule, x.basepoint * len(y) + y.basepoint, inner)
 
 
 def example31_fixture(
@@ -839,18 +863,19 @@ def example31_fixture(
     n = np.arange(branches + 1)
     px = plane.round_decimals((xs + (2 * math.pi * n)[:, None]).ravel(), plane.PLANE_DECIMALS)
     py = (np.where(n % 2, -1.0, 1.0)[:, None] * ys).ravel()
-    coords = np.stack([px, py], axis=1)
+    coords = np.empty((len(px), 2), order="F")
+    coords[:, 0], coords[:, 1] = px, py
     # the branches hold disjoint x ranges and x ascends in each, so the rows
     # ascend already unless rounding gave two of them one x (a grid step
     # below 1e-9 can); sorted rows that still fail to ascend hold one label
-    # twice
+    # twice. Rows that ascend are distinct, so the space stores them as given
     if not _ascends(coords):
-        coords = coords[np.lexsort((py, px))]
+        coords = np.asfortranarray(coords[np.lexsort((py, px))])
         if not _ascends(coords):
             raise ValueError(f"grid_step {grid_step!r} is below the label resolution "
                              f"1e-{plane.PLANE_DECIMALS}: two kept points round to one label")
     base = int(np.flatnonzero((coords[:, 0] == 0) & (coords[:, 1] == 0))[0])
-    space = FiniteSpace(coords, PlaneRule(), base, 0)
+    space = _built(coords, PlaneRule(), base, 0)
     # the whole sample is the known region; faithfulness ends at its extent
     space.inner_radius = float(np.max(space.base_dists))
     return space
@@ -953,8 +978,10 @@ def quotient_with_projection(
                          "tower or group ball, epsilon >= 1 where a coordinate is free, "
                          "and distinct retained levels")
     partition = epsilon_components(space, epsilon)
-    coords = space.coords[list(partition.representatives)][:, parts]
+    # the blocks are keyed by the retained coordinates, so their
+    # representatives' retained rows are distinct cyclic values
+    coords = np.asfortranarray(space.coords[list(partition.representatives)][:, parts])
     rule = SupRule.tower([space.rule.orders[c] for c in parts],
                          [space.rule.levels[c] for c in parts])
-    q = FiniteSpace(coords, rule, int(partition.point_block[space.basepoint]), space.inner_radius)
+    q = _built(coords, rule, int(partition.point_block[space.basepoint]), space.inner_radius)
     return q, partition

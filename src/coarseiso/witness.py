@@ -25,6 +25,7 @@ from .spaces import (
     DEFAULT_POINT_BUDGET,
     FiniteSpace,
     SupRule,
+    _check_budget,
     _partition_from_keys,
     _row_groups,
     canonical_ultrametric,
@@ -617,18 +618,26 @@ def compose_witness(
     return _finish(stage, (), deltas)
 
 
+def _product_stage(f: Union[WitnessMap, _Stage], g: Union[WitnessMap, _Stage],
+                   source: FiniteSpace, target: FiniteSpace) -> _Stage:
+    """The table of product_witness between source and target, the
+    products of the factors' sources and of their targets as product_space
+    builds them."""
+    fs, ft, gs, gt = f.src, f.dst, g.src, g.dst
+    # product_space puts the pair (a, b) at a * |second factor| + b
+    si = (fs[:, None] * len(g.source) + gs).ravel()
+    ti = (ft[:, None] * len(g.target) + gt).ravel()
+    cap = min(f.validity_radius, g.validity_radius)
+    return _stage(source, target, si, ti, validity_cap=cap, context="product")
+
+
 def product_witness(f: Union[WitnessMap, _Stage], g: Union[WitnessMap, _Stage],
                     point_budget: int = DEFAULT_POINT_BUDGET) -> WitnessMap:
     """Coordinatewise product of two witnesses under the sup metric; either
     factor may be a bare stage, as the chain's identity factors are."""
     source = product_space(f.source, g.source, point_budget)
     target = product_space(f.target, g.target, point_budget)
-    fs, ft, gs, gt = f.src, f.dst, g.src, g.dst
-    # product_space puts the pair (a, b) at a * |second factor| + b
-    si = (fs[:, None] * len(g.source) + gs).ravel()
-    ti = (ft[:, None] * len(g.target) + gt).ravel()
-    cap = min(f.validity_radius, g.validity_radius)
-    return _finish(_stage(source, target, si, ti, validity_cap=cap, context="product"))
+    return _finish(_product_stage(f, g, source, target))
 
 
 def _invert_stage(f: Union[WitnessMap, _Stage]) -> _Stage:
@@ -714,13 +723,17 @@ def iso_witness_chain(
     side with k >= 2, and the end.
     The chain has no defaults of its own: radius, depth, prime_bound,
     deltas and point_budget come from the CLI's flags. Every space built on
-    the way is held to point_budget; a larger one is a BudgetError. A
-    witness valid to less than 1 is refused with a ValueError that names
-    its line ball's radius and the remainder tower's inner radius: a small
-    radius leaves the stages little room (`Z^2 ~ Z^2 + C4` at radius 8),
-    and where the prime bound drops a summand of the remainder, the tower
-    is faithful only below it (`Z + C2 + C101 ~ Z + C101` at bound 97 is
-    valid to 0).
+    the way is held to point_budget; a larger one is a BudgetError, and the
+    line is counted before the multiplier n is factored, so that a
+    multiplier past the factorization limit is refused by the budget.
+    Each space is built once: w3 ends on the middle space, and at rank 2
+    the rest of the ball is the line. A witness valid to less than 1 is
+    refused with a ValueError that names the two caps that bind it: the
+    shortest line ball, the line's radius over the larger multiplier, which
+    every side with k >= 2 folds its line onto (`Z^2 ~ Z^2 + C4` at radius
+    8 leaves it radius 2), and the remainder tower's inner radius, where
+    the prime bound drops a summand of the remainder, the tower is faithful
+    only below it (`Z + C2 + C101 ~ Z + C101` at bound 97 is valid to 0).
     """
     if verdict.relation != "isomorphism":
         raise ValueError(f"a coarse {verdict.relation} verdict names no isomorphism")
@@ -736,7 +749,14 @@ def iso_witness_chain(
     if rank == math.inf:
         raise ValueError("infinite rank carries no table-backed witness here")
     n, m = verdict.multipliers if verdict.multipliers else (1, 1)
+    base_r = max(2, int(radius) // max(n * m, 1))
+    common_r = n * m * base_r
 
+    # the line is counted against the point budget before phi(n) is
+    # factored: a multiplier past the factorization limit asks for a line
+    # of more than 2 n m points. At rank 0, n = 1 and there is no line
+    if rank:
+        _check_budget(2 * common_r + 1, pb)
     rest = canonical_ultrametric(ff_sub(c1.phi, phi_of_nat(n)), depth, prime_bound, pb)
     if rank == 0:
         # n = m = 1 and the two profiles are equal: one tower, aligned
@@ -744,13 +764,11 @@ def iso_witness_chain(
         return tower_alignment_witness(rest, rest, deltas=deltas).witness
 
     rest_orders = list(rest.rule.orders)
-    base_r = max(2, int(radius) // max(n * m, 1))
-    common_r = n * m * base_r
-
     # the middle space is the line, then behind it the ball's other rank - 1
-    # free coordinates and the common remainder
+    # free coordinates and the common remainder; at rank 2 the rest of the
+    # ball is one more line, equal to the line
     line = zball(common_r, point_budget=pb)
-    ball_tail = zball(common_r, rank - 1, pb) if rank > 1 else None
+    ball_tail = None if rank == 1 else line if rank == 2 else zball(common_r, rank - 1, pb)
     behind = rest if rank == 1 else product_space(ball_tail, rest, pb)
     middle = product_space(line, behind, pb)
 
@@ -771,8 +789,10 @@ def iso_witness_chain(
         w1 = product_witness(_relabel_stage(zpart, zpart), _alignment_stage(u, mixed), pb)
         # first is the shorter line ball, as k_abs divides common_r
         unfold = _invert_stage(_absorption_stage(k_abs, line, first, pb))
-        # w3 starts from (shorter line, k points, behind)
-        w3 = product_witness(unfold, _relabel_stage(behind, behind), pb)
+        # w3 starts from (shorter line, k points, behind) and ends on the
+        # middle space itself, the product of its factors' targets
+        w3_source = product_space(unfold.source, behind, pb)
+        w3 = _finish(_product_stage(unfold, _relabel_stage(behind, behind), w3_source, middle))
         # (line, rest of the ball, k points, tower) -> (line, k points, rest,
         # tower); at rank 1 there is no rest of the ball and the columns stay
         tail = rank - 1
@@ -793,9 +813,11 @@ def iso_witness_chain(
     back = _invert_stage(side(m)) if m > 1 else _relabel_stage(middle, start)
     w = compose_witness(left, back, deltas=deltas)
     if w.validity_radius < 1:
+        k = max(n, m)
         raise ValueError(
-            f"the witness is valid only to {w.validity_radius:g}: its line ball has radius "
-            f"{common_r} (--radius {radius}), and its remainder tower is faithful to "
-            f"{rest.inner_radius} under prime bound {prime_bound} (--prime-bound)"
+            f"the witness is valid only to {w.validity_radius:g}: its shortest line ball has "
+            f"radius {common_r // k} (the line's {common_r} over the multiplier {k}; --radius "
+            f"{radius}), and its remainder tower is faithful to {rest.inner_radius} under "
+            f"prime bound {prime_bound} (--prime-bound)"
         )
     return w

@@ -696,14 +696,31 @@ EDGE_CASES = {
         # the summand walk refuses a tower past 10^6 summands before building it
         ("depth-past-summands", ("witness", "C2^inf", "C2^inf", "--depth", "1500000"),
          "error: depth 1500000 asks for a tower beyond any point budget\n"),
+        # n = 805306368 = 2^28 * 3 is past the factorization limit; the line
+        # of radius 2 n m * 5 is counted first, and within a budget that holds
+        # it the limit refuses, before anything is built
+        ("multiplier-past-factorization",
+         ("witness", "Z^2 + C16^3 + C16^3 + C12^3 + C8 + C2", "Z^2 + C4 + C12^2 + C5^2"),
+         "error: 80530636801 points exceed the budget of 1000000\n"),
+        ("multiplier-past-factorization-within-budget",
+         ("witness", "Z^2 + C16^3 + C16^3 + C12^3 + C8 + C2", "Z^2 + C4 + C12^2 + C5^2",
+          "--point-budget", "80530636801"),
+         "error: 805306368 exceeds the factorization limit 1000000\n"),
     ],
     "witness-valid-to-0": [
         ("rank-1-bound", ("witness", "Z + C2 + C101", "Z + C101"),
-         "radius 24 (--radius 24), and its remainder tower is faithful to 1"),
+         "radius 12 (the line's 24 over the multiplier 2; --radius 24), and its remainder "
+         "tower is faithful to 1"),
         ("rank-2-bound", ("witness", "Z^2 + C4 + C101", "Z^2 + C101"),
-         "radius 24 (--radius 24), and its remainder tower is faithful to 1"),
+         "radius 6 (the line's 24 over the multiplier 4; --radius 24), and its remainder "
+         "tower is faithful to 1"),
         ("rank-2-radius", ("witness", "Z^2", "Z^2 + C4", "--radius", "8"),
-         "radius 8 (--radius 8), and its remainder tower is faithful to inf"),
+         "radius 2 (the line's 8 over the multiplier 4; --radius 8), and its remainder tower "
+         "is faithful to inf"),
+        # m = 16 folds the line of radius 32 onto one of radius 2
+        ("rank-1-short-ball", ("witness", "Z + C9^3", "Z + C9^3 + C2 + C8", "--radius", "32"),
+         "radius 2 (the line's 32 over the multiplier 16; --radius 32), and its remainder "
+         "tower is faithful to 5"),
     ],
     "cover-unbounded": [
         (None, ("cover", "Z^3", "--radius", "24", "--epsilon", "40"),
@@ -804,15 +821,19 @@ def test_torsion_past_the_prime_bound_is_pinned(capsys, bound, digest, validity,
 def test_a_witness_valid_to_0_exits_2_naming_what_caps_it(capsys, argv, cap):
     # the bound drops C101, so the remainder is faithful to 1, and the
     # line's stages leave nothing of it; keeping C101 gives a witness. A
-    # small radius leaves nothing either
+    # short line ball leaves nothing either, and a longer one gives a witness
     code, out, err = run(capsys, *argv)
     assert (code, out) == (2, "")
-    assert err == (f"error: the witness is valid only to 0: its line ball has {cap} under prime "
-                   "bound 97 (--prime-bound)\n")
+    assert err == (f"error: the witness is valid only to 0: its shortest line ball has {cap} "
+                   "under prime bound 97 (--prime-bound)\n")
     if argv[1] == "Z + C2 + C101":
         code, payload = run_json(capsys, *argv, "--prime-bound", "101")
         assert code == 0 and payload["verification"]["ok"]
         assert payload["witness"]["validity_radius"] == 11.0
+    if argv[1] == "Z + C9^3":
+        code, payload = run_json(capsys, *argv[:3], "--radius", "64")
+        assert code == 0 and payload["verification"]["ok"]
+        assert payload["witness"]["validity_radius"] == 1.0
 
 
 def test_cover_refuses_unbounded_checks_before_building(capsys, monkeypatch):

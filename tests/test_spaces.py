@@ -1494,6 +1494,15 @@ class TestSubspace:
         with pytest.raises(ValueError):
             subspace(zb, [index(zb)[(v,)] for v in (1, 2)])
 
+    @pytest.mark.parametrize("make", [lambda: zball(3), lambda: tower_space([2, 3]),
+                                      lambda: example31_fixture(1, 0.5, 3)],
+                             ids=["ball", "tower", "fixture"])
+    def test_a_repeated_index_is_refused(self, make):
+        # subspace takes its indices from its caller, so its rows are checked
+        sp = make()
+        with pytest.raises(ValueError, match="duplicate point labels"):
+            subspace(sp, [sp.basepoint, 0, sp.basepoint])
+
     def test_points_5_apart_are_two_1_components(self):
         # given labels took a structural flag by default, and coordinate
         # keys read these two points as one 1-component; they fill no box,
@@ -1978,6 +1987,101 @@ def test_row_kernel_matches_coordinate_recount(built, data):
         want = [recount(sp.labels, coords, i, j) for j in range(len(sp))]
         assert sp.dists_from(i).tolist() == want
         assert [distance(sp, i, j) for j in range(len(sp))] == want
+
+
+# ---------------------------------------------------------------------------
+# builders store their rows as given, and each space would pass every check
+
+
+def assert_passes_the_public_checks(sp):
+    """The rows of a built space are what the public constructor makes of
+    them: checked_coords returns them with the same values, dtype and memory
+    order, no two are equal, and the basepoint is the all-zero row, as every
+    builder says."""
+    checked = sp.rule.checked_coords(sp.coords)
+    assert np.array_equal(checked, sp.coords)
+    assert checked.dtype == sp.coords.dtype == np.float64
+    assert (checked.flags.f_contiguous, checked.flags.c_contiguous) == (
+        sp.coords.flags.f_contiguous, sp.coords.flags.c_contiguous)
+    assert not spaces_mod._has_equal_rows(sp.coords)
+    assert 0 <= sp.basepoint < len(sp) and not sp.coords[sp.basepoint].any()
+
+
+def _within(build, *args):
+    """build(*args, point_budget=3000), or no example where that refuses."""
+    try:
+        return build(*args, point_budget=3000)
+    except BudgetError:
+        assume(False)
+
+
+_increasing_levels = st.lists(st.integers(1, 3), max_size=4).map(
+    lambda steps: list(itertools.accumulate(steps)))
+
+built_leaves = st.one_of(
+    st.tuples(st.integers(0, 6), st.integers(0, 3)).map(lambda t: _within(zball, *t)),
+    st.lists(st.integers(2, 5), max_size=4).map(lambda orders: _within(tower_space, orders)),
+    st.tuples(st.lists(st.integers(2, 5), min_size=4, max_size=4), _increasing_levels).map(
+        lambda t: _within(tower_space, t[0][:len(t[1])], t[1])),
+    st.integers(1, 5).map(k_point_space),
+    st.tuples(st.integers(0, 2), st.lists(st.sampled_from([2, 3, 4, 6, 9]), max_size=3),
+              st.integers(0, 5)).map(
+        lambda t: _within(build_truncation,
+                          parse_group(" + ".join([f"Z^{t[0]}"] + [f"C{o}" for o in t[1]])),
+                          t[2])),
+    st.tuples(st.dictionaries(st.sampled_from([2, 3, 5, 7]), st.sampled_from([1, 2, math.inf]),
+                              max_size=3),
+              st.sampled_from([0, 1]), st.integers(0, 5), st.sampled_from([3, 5, 7, 11])).map(
+        lambda t: _within(canonical_ultrametric, ff(t[0], t[1]), t[2], t[3])),
+).map(lambda sp: (sp, (sp,)))
+
+
+def _drawn_product(pair):
+    (x, xs), (y, ys) = pair
+    sp = _within(product_space, x, y)
+    return sp, xs + ys + (sp,)
+
+
+def _drawn_quotient(drawn):
+    (sp, seen), eps = drawn
+    if sp.rule.quotient_parts(sp, eps) is None:
+        return sp, seen
+    q = quotient_with_projection(sp, eps)[0]
+    return q, seen + (q,)
+
+
+built_sup_spaces = st.recursive(
+    built_leaves,
+    lambda inner: st.one_of(st.tuples(inner, inner).map(_drawn_product),
+                            st.tuples(inner, st.sampled_from([1, 2, 3, 4.5, 6])).map(
+                                _drawn_quotient)),
+    max_leaves=4,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(built_sup_spaces)
+def test_sup_builders_store_rows_that_pass_the_public_checks(drawn):
+    _, seen = drawn
+    for sp in seen:
+        assert_passes_the_public_checks(sp)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 3), st.floats(0.05, 1.5), st.floats(0.3, 60.0), st.booleans())
+def test_the_fixture_stores_rows_that_pass_the_public_checks(branches, step, clamp, coarse):
+    # coarse: x rounded to whole numbers, so that the rows of odd branches
+    # need the fixture's sort (test_rows_that_rounding_leaves_out_of_order_are_sorted)
+    rounded, calls = plane_mod.round_decimals, []
+
+    def coarse_x(values, decimals):
+        calls.append(len(values))
+        return rounded(values, decimals if len(calls) == 1 or not coarse else 0)
+
+    with mock.patch.object(plane_mod, "round_decimals", coarse_x):
+        sp = example31_fixture(branches, step, clamp)
+    assert_passes_the_public_checks(sp)
+    assert sp.coords[sp.basepoint].tolist() == [0.0, 0.0]
 
 
 # ---------------------------------------------------------------------------

@@ -22,6 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coarseiso import cli
+from coarseiso import spaces as spaces_mod
 from coarseiso import witness as witness_mod
 from coarseiso.analysis import oscillation
 from coarseiso.factorfn import ff_sub, phi_of_nat
@@ -480,42 +481,65 @@ def test_rank_two_chain_at_radius_100_takes_the_window_route(monkeypatch):
 
 
 @pytest.mark.parametrize("pair,finished,built", [
-    (("Z + C2", "Z"), 5, 12),
-    (("Z^2 + C4", "Z^2"), 5, 17),
+    (("Z + C2", "Z"), 5, 11),
+    (("Z^2 + C4", "Z^2"), 5, 15),
 ], ids=["rank-1", "rank-2"])
 def test_chain_measures_no_identity_or_relabel_step(monkeypatch, pair, finished, built):
     # a side with k >= 2 measures 4 witnesses (its two products and two
     # compositions) and the end 1; identity factors, relabels, the
     # alignment, the absorption and inverses are tables, not witnesses
     witnesses, spaces = [], []
-    finish, init = witness_mod._finish, FiniteSpace.__init__
+    finish, store = witness_mod._finish, FiniteSpace._store
 
     def recording_finish(*args, **kwargs):
         witnesses.append(finish(*args, **kwargs))
         return witnesses[-1]
 
-    def recording_init(self, *args, **kwargs):
-        init(self, *args, **kwargs)
+    def recording_store(self, *args, **kwargs):
         spaces.append(self)
+        return store(self, *args, **kwargs)
 
     monkeypatch.setattr(witness_mod, "_finish", recording_finish)
-    monkeypatch.setattr(FiniteSpace, "__init__", recording_init)
+    monkeypatch.setattr(FiniteSpace, "_store", recording_store)
     cli_chain(iso_verdict(*pair), radius=16)
     assert (len(witnesses), len(spaces)) == (finished, built)
     for w in witnesses:
         assert not (w.source == w.target and np.array_equal(w.src, w.dst)), w
 
 
+def test_a_witness_job_checks_no_row_it_built(monkeypatch, capsys):
+    # every space of the chain comes from a builder, which stores its rows
+    # as given; only labels handed to the public constructor are checked
+    calls = []
+
+    def recording(name, fn):
+        def wrapped(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return wrapped
+
+    for owner, name in [(spaces_mod.SupRule, "checked_coords"),
+                        (spaces_mod.PlaneRule, "checked_coords"),
+                        (spaces_mod, "_has_equal_rows")]:
+        monkeypatch.setattr(owner, name, recording(name, getattr(owner, name)))
+    code = cli.main(["witness", "Z + C12", "Z + C3", "--radius", "70"])
+    assert code == 0 and json.loads(capsys.readouterr().out)["verification"]["ok"]
+    assert calls == []
+    # the recorders see the checks of a hand-given space
+    FiniteSpace([(0,), (1,)], spaces_mod.SupRule.group_ball(1), 0, 1)
+    assert calls == ["checked_coords", "_has_equal_rows"]
+
+
 def test_rank_zero_chain_aligns_one_tower_with_itself(monkeypatch):
     # n = m = 1 at rank 0 and the profiles are equal, so the chain builds
     # the canonical tower once and measures one witness on it
-    spaces, init = [], FiniteSpace.__init__
+    spaces, store = [], FiniteSpace._store
 
-    def recording_init(self, *args, **kwargs):
-        init(self, *args, **kwargs)
+    def recording_store(self, *args, **kwargs):
         spaces.append(self)
+        return store(self, *args, **kwargs)
 
-    monkeypatch.setattr(FiniteSpace, "__init__", recording_init)
+    monkeypatch.setattr(FiniteSpace, "_store", recording_store)
     w = cli_chain(iso_verdict("C2^inf", "C4^inf"), depth=12)
     assert len(spaces) == 1 and len(spaces[0]) == 4096
     assert w.source is w.target and np.array_equal(w.src, w.dst)
@@ -671,17 +695,17 @@ class TestChain:
     ], ids=["rank-1", "rank-2", "rank-0"])
     def test_every_built_space_keeps_the_point_budget(self, monkeypatch, pair):
         sizes = []
-        init = FiniteSpace.__init__
+        store = FiniteSpace._store
 
-        def recording(self, labels, *args, **kwargs):
-            init(self, labels, *args, **kwargs)
-            sizes.append(len(self))
+        def recording(self, coords, *args, **kwargs):
+            sizes.append(len(coords))
+            return store(self, coords, *args, **kwargs)
 
-        monkeypatch.setattr(FiniteSpace, "__init__", recording)
+        monkeypatch.setattr(FiniteSpace, "_store", recording)
         v = iso_verdict(*pair)
         w = cli_chain(v, radius=12, depth=3)
         largest = max(sizes)
-        monkeypatch.setattr(FiniteSpace, "__init__", init)
+        monkeypatch.setattr(FiniteSpace, "_store", store)
         within = cli_chain(v, radius=12, depth=3, point_budget=largest)
         assert within.to_json() == w.to_json()
         with pytest.raises(BudgetError, match=f"{largest} points exceed the budget"):

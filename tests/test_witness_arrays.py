@@ -570,11 +570,13 @@ def old_iso_witness_chain(g1, g2, radius=24, depth=4, prime_bound=97, deltas=(),
     left = side(n, m * base_r)
     right = side(m, n * base_r)
     end = old_compose(left, old_invert(right), deltas=deltas)
-    # the chain's refusal of a witness valid to less than 1
+    # the chain's refusal of a witness valid to less than 1, naming the
+    # shortest line ball, which the side of the larger multiplier folds onto
     if end.validity_radius < 1:
         raise ValueError(
-            f"the witness is valid only to {end.validity_radius:g}: its line ball has radius "
-            f"{common_r} (--radius {radius}), and its remainder tower is faithful to "
+            f"the witness is valid only to {end.validity_radius:g}: its shortest line ball has "
+            f"radius {common_r // max(n, m)} (the line's {common_r} over the multiplier "
+            f"{max(n, m)}; --radius {radius}), and its remainder tower is faithful to "
             f"{rest.inner_radius} under prime bound {prime_bound} (--prime-bound)"
         )
     return end
@@ -626,15 +628,15 @@ def test_chain_with_extra_scales_matches_the_old_chain(g1, g2, radius):
 def test_chain_one_point_over_budget_fails_as_the_old_chain(monkeypatch, g1, g2, radius):
     g1, g2 = parse_group(g1), parse_group(g2)
     sizes = []
-    init = FiniteSpace.__init__
+    store = FiniteSpace._store
 
-    def recording(self, *args, **kwargs):
-        init(self, *args, **kwargs)
-        sizes.append(len(self))
+    def recording(self, coords, *args, **kwargs):
+        sizes.append(len(coords))
+        return store(self, coords, *args, **kwargs)
 
-    monkeypatch.setattr(FiniteSpace, "__init__", recording)
+    monkeypatch.setattr(FiniteSpace, "_store", recording)
     outcome(old_iso_witness_chain, g1, g2, radius=radius)
-    monkeypatch.setattr(FiniteSpace, "__init__", init)
+    monkeypatch.setattr(FiniteSpace, "_store", store)
     largest = max(sizes)
     verdict = coarse_isomorphic(g1, g2)
     new = outcome(cli_chain, verdict, radius=radius, point_budget=largest - 1)
