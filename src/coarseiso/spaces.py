@@ -790,8 +790,12 @@ def k_point_space(k: int) -> FiniteSpace:
 
 def subspace(space: FiniteSpace, indices: Sequence[int]) -> FiniteSpace:
     """Induced metric on a subset of points, in index order, pointed at the
-    ambient basepoint, which must belong to the subset."""
+    ambient basepoint, which must belong to the subset. An index outside
+    range(len(space)) is a ValueError that names it, not a wrap-around."""
     idx = np.asarray(sorted(int(i) for i in indices), dtype=np.int64)
+    bad = idx[(idx < 0) | (idx >= len(space))]
+    if len(bad):
+        raise ValueError(f"subset index {bad[0]} is not one of the space's {len(space)} points")
     where = np.flatnonzero(idx == space.basepoint)
     if not len(where):
         raise ValueError("basepoint must belong to the subset")

@@ -168,8 +168,8 @@ def _inside(space: FiniteSpace, idx: np.ndarray, radius: float) -> np.ndarray:
 class _Stage(NamedTuple):
     """A table and its validity radius, with no moduli: what _finish
     measures, and what the combinators read as they read a WitnessMap's.
-    The chain's identity, relabel, alignment, absorption and inversion
-    steps are stages; only its products and compositions are measured."""
+    The chain's identity, relabel, alignment, fold and inversion steps are
+    stages; only its products and compositions are measured."""
 
     source: FiniteSpace
     target: FiniteSpace
@@ -533,20 +533,6 @@ def tower_alignment_witness(
     return TowerAlignment(tuple(uo), tuple(ul), tuple(vo), tuple(vl), tuple(pairs), witness)
 
 
-def _absorption_stage(
-    k: int, line: FiniteSpace, short: FiniteSpace, point_budget: int
-) -> _Stage:
-    """The table of absorption_witness from its two line balls, line of
-    radius r and short of radius ceil(r / k), onto (short) x (k points),
-    which is held to point_budget."""
-    radius, short_r = len(line) // 2, len(short) // 2
-    target = product_space(short, k_point_space(k), point_budget)
-    q, r = np.divmod(np.arange(-radius, radius + 1), k)
-    # (q, r) sits at (q + short_r) * k + r: q runs from -short_r, r from 0
-    ti = (q + short_r) * k + r
-    return _stage(line, target, np.arange(len(line)), ti, context="absorption")
-
-
 def absorption_witness(k: int, radius: int, deltas: Sequence[float] = ()) -> WitnessMap:
     """Witness for folding a line ball into (shorter line ball) x (k points),
     by digit split n -> (n div k, n mod k) with floor division toward minus
@@ -554,8 +540,34 @@ def absorption_witness(k: int, radius: int, deltas: Sequence[float] = ()) -> Wit
     k = int(k)
     if k < 2:
         raise ValueError("k must be >= 2")
-    line, short = zball(int(radius)), zball(math.ceil(radius / k))
-    return _finish(_absorption_stage(k, line, short, DEFAULT_POINT_BUDGET), (), deltas)
+    line, short_r = zball(int(radius)), math.ceil(radius / k)
+    target = product_space(zball(short_r), k_point_space(k))
+    q, r = np.divmod(line.coords[:, 0], k)
+    # (q, r) sits at (q + short_r) * k + r: q runs from -short_r, r from 0
+    ti = (q + short_r) * k + r
+    return _finish(_stage(line, target, np.arange(len(line)), ti, context="absorption"), (), deltas)
+
+
+def _fold_stage(source: FiniteSpace, target: FiniteSpace, k: int,
+                validity_cap: float) -> _Stage:
+    """The fold of a chain's side with multiplier k onto its middle space:
+    the point (q, tail, d, rest) of source, the shorter line q, the rest of
+    the ball, the digit d at level 1 and the remainder tower, goes to
+    (q k + d, tail, rest) wherever q k + d lies on the target's line. Rows
+    are matched as _relabel_stage matches them.
+
+    Validity: k divides the line's radius, so the points left out are
+    those with q at the short radius and d >= 1. They lie at exactly the
+    short radius, as they did in the source of the inverted absorption
+    this fold replaces (the shorter line times the k points, times what
+    lies behind the line), so both are valid to one less than it, under
+    the same cap: the inner radius of what lies behind the line."""
+    digit = source.rule.orders.count(0)  # the digit follows the free columns
+    rows = np.delete(source.coords, digit, axis=1)
+    rows[:, 0] = source.coords[:, 0] * k + source.coords[:, digit]
+    ti = _match_rows(rows, target.coords)
+    si = np.flatnonzero(ti >= 0)
+    return _stage(source, target, si, ti[si], validity_cap=validity_cap, context="fold")
 
 
 def _match_rows(rows: np.ndarray, table: np.ndarray) -> np.ndarray:
@@ -571,19 +583,12 @@ def _match_rows(rows: np.ndarray, table: np.ndarray) -> np.ndarray:
     return where[group[len(table):]]
 
 
-def _relabel_stage(
-    source: FiniteSpace, target: FiniteSpace, columns: Optional[Sequence[int]] = None
-) -> _Stage:
-    """The table of the bijection matching labels, optionally after
-    reordering the source's coordinates: target coordinate c is source
-    coordinate columns[c]. It covers the source, so _stage finds it valid
-    to the source's inner radius. Labels are matched by a sort of both
-    coordinate arrays, not one lookup per label; a source label without a
-    target is a ValueError that names it."""
-    rows = source.coords
-    if columns is not None:
-        rows = rows[:, list(columns)]
-    ti = _match_rows(rows, target.coords)
+def _relabel_stage(source: FiniteSpace, target: FiniteSpace) -> _Stage:
+    """The table of the bijection matching labels. It covers the source, so
+    _stage finds it valid to the source's inner radius. Labels are matched
+    by a sort of both coordinate arrays, not one lookup per label; a source
+    label without a target is a ValueError that names it."""
+    ti = _match_rows(source.coords, target.coords)
     missing = np.flatnonzero(ti < 0)
     if len(missing):
         raise ValueError(f"relabel: no target point for label {source.labels[missing[0]]}")
@@ -618,26 +623,17 @@ def compose_witness(
     return _finish(stage, (), deltas)
 
 
-def _product_stage(f: Union[WitnessMap, _Stage], g: Union[WitnessMap, _Stage],
-                   source: FiniteSpace, target: FiniteSpace) -> _Stage:
-    """The table of product_witness between source and target, the
-    products of the factors' sources and of their targets as product_space
-    builds them."""
-    fs, ft, gs, gt = f.src, f.dst, g.src, g.dst
-    # product_space puts the pair (a, b) at a * |second factor| + b
-    si = (fs[:, None] * len(g.source) + gs).ravel()
-    ti = (ft[:, None] * len(g.target) + gt).ravel()
-    cap = min(f.validity_radius, g.validity_radius)
-    return _stage(source, target, si, ti, validity_cap=cap, context="product")
-
-
 def product_witness(f: Union[WitnessMap, _Stage], g: Union[WitnessMap, _Stage],
                     point_budget: int = DEFAULT_POINT_BUDGET) -> WitnessMap:
     """Coordinatewise product of two witnesses under the sup metric; either
     factor may be a bare stage, as the chain's identity factors are."""
     source = product_space(f.source, g.source, point_budget)
     target = product_space(f.target, g.target, point_budget)
-    return _finish(_product_stage(f, g, source, target))
+    # product_space puts the pair (a, b) at a * |second factor| + b
+    si = (f.src[:, None] * len(g.source) + g.src).ravel()
+    ti = (f.dst[:, None] * len(g.target) + g.dst).ravel()
+    cap = min(f.validity_radius, g.validity_radius)
+    return _finish(_stage(source, target, si, ti, validity_cap=cap, context="product"))
 
 
 def _invert_stage(f: Union[WitnessMap, _Stage]) -> _Stage:
@@ -707,33 +703,33 @@ def iso_witness_chain(
     and the profiles are equal, so the witness aligns the one canonical
     tower with itself.
 
-    A side with multiplier k >= 2 starts from (ball, tower) and runs three
+    A side with multiplier k >= 2 starts from (ball, tower) and runs two
     stages: w1, the ball times the tower alignment to (k points,
-    remainder); the column shuffle to (shorter line, k points, behind);
-    and w3, the inverted absorption of (shorter line, k points) into the
-    line, times what lies behind the line. Identity, relabel, alignment,
-    absorption and inversion steps are not witnesses of their own but bare
-    tables (_Stage): the ball and what lies behind enter the products as
-    identity relabels, and the shuffle is a relabel composed into w1. A
-    side with k = 1 starts from (line ball, remainder), which at rank 1 is
-    the middle space itself and at higher rank the same points grouped
-    apart; that relabel, and its inverse on the right, is a bare table
-    composed into the end, as is the inverse of a right side with k >= 2.
-    So the witnesses measured are w1, w3 and the two compositions of each
+    remainder), and the fold (_fold_stage), which puts the digit of the k
+    points on the shorter line, (q, d) -> q k + d, and lands on the middle
+    space. Identity, relabel, alignment, fold and inversion steps are not
+    witnesses of their own but bare tables (_Stage): the ball enters w1 as
+    an identity relabel, and the fold is composed into w1. A side with
+    k = 1 starts from (line ball, remainder), which at rank 1 is the
+    middle space itself and at higher rank the same points grouped apart;
+    that relabel, and its inverse on the right, is a bare table composed
+    into the end, as is the inverse of a right side with k >= 2. So the
+    witnesses measured are w1 and its composition with the fold for each
     side with k >= 2, and the end.
     The chain has no defaults of its own: radius, depth, prime_bound,
     deltas and point_budget come from the CLI's flags. Every space built on
     the way is held to point_budget; a larger one is a BudgetError, and the
-    line is counted before the multiplier n is factored, so that a
-    multiplier past the factorization limit is refused by the budget.
-    Each space is built once: w3 ends on the middle space, and at rank 2
-    the rest of the ball is the line. A witness valid to less than 1 is
-    refused with a ValueError that names the two caps that bind it: the
-    shortest line ball, the line's radius over the larger multiplier, which
-    every side with k >= 2 folds its line onto (`Z^2 ~ Z^2 + C4` at radius
-    8 leaves it radius 2), and the remainder tower's inner radius, where
-    the prime bound drops a summand of the remainder, the tower is faithful
-    only below it (`Z + C2 + C101 ~ Z + C101` at bound 97 is valid to 0).
+    line is counted, and both multipliers factored, before anything is
+    built, so that a multiplier past the factorization limit is refused by
+    the budget or by that limit at once. Each space is built once: the
+    fold ends on the middle space, and at rank 2 the rest of the ball is
+    the line. A witness valid to less than 1 is refused with a ValueError
+    that names the two caps that bind it: the shortest line ball, the
+    line's radius over the larger multiplier, which every side with k >= 2
+    folds its line onto (`Z^2 ~ Z^2 + C4` at radius 8 leaves it radius 2),
+    and the remainder tower's inner radius, where the prime bound drops a
+    summand of the remainder, the tower is faithful only below it
+    (`Z + C2 + C101 ~ Z + C101` at bound 97 is valid to 0).
     """
     if verdict.relation != "isomorphism":
         raise ValueError(f"a coarse {verdict.relation} verdict names no isomorphism")
@@ -752,11 +748,14 @@ def iso_witness_chain(
     base_r = max(2, int(radius) // max(n * m, 1))
     common_r = n * m * base_r
 
-    # the line is counted against the point budget before phi(n) is
-    # factored: a multiplier past the factorization limit asks for a line
-    # of more than 2 n m points. At rank 0, n = 1 and there is no line
+    # the line is counted against the point budget, and both multipliers
+    # are factored, before anything is built: a multiplier past the
+    # factorization limit asks for a line of more than 2 n m points, and
+    # is refused by the budget or by that limit. At rank 0, n = m = 1 and
+    # there is no line
     if rank:
         _check_budget(2 * common_r + 1, pb)
+    primes = {k: _prime_multiset(k) for k in (n, m)}
     rest = canonical_ultrametric(ff_sub(c1.phi, phi_of_nat(n)), depth, prime_bound, pb)
     if rank == 0:
         # n = m = 1 and the two profiles are equal: one tower, aligned
@@ -774,11 +773,10 @@ def iso_witness_chain(
 
     def side(k_abs: int) -> WitnessMap:
         """The chain of a side with multiplier k_abs >= 2 into the middle
-        space."""
-        first_r = common_r // k_abs
-        first = zball(first_r, point_budget=pb)
+        space: w1, then the fold of its digit onto the line."""
+        first = zball(common_r // k_abs, point_budget=pb)
         zpart = first if rank == 1 else product_space(first, ball_tail, pb)
-        u = tower_space(rest_orders + _prime_multiset(k_abs), point_budget=pb)
+        u = tower_space(rest_orders + primes[k_abs], point_budget=pb)
         mixed = tower_space(
             [k_abs] + rest_orders,
             levels=[1] + list(range(2, len(rest_orders) + 2)),
@@ -787,19 +785,7 @@ def iso_witness_chain(
         # both towers hold the remainder's summands, faithful as far as it is
         u, mixed = (sp.with_inner_radius(rest.inner_radius) for sp in (u, mixed))
         w1 = product_witness(_relabel_stage(zpart, zpart), _alignment_stage(u, mixed), pb)
-        # first is the shorter line ball, as k_abs divides common_r
-        unfold = _invert_stage(_absorption_stage(k_abs, line, first, pb))
-        # w3 starts from (shorter line, k points, behind) and ends on the
-        # middle space itself, the product of its factors' targets
-        w3_source = product_space(unfold.source, behind, pb)
-        w3 = _finish(_product_stage(unfold, _relabel_stage(behind, behind), w3_source, middle))
-        # (line, rest of the ball, k points, tower) -> (line, k points, rest,
-        # tower); at rank 1 there is no rest of the ball and the columns stay
-        tail = rank - 1
-        width = len(w1.target.rule.orders)
-        shuffle = [0, 1 + tail, *range(1, 1 + tail), *range(2 + tail, width)]
-        w2 = _relabel_stage(w1.target, w3.source, shuffle)
-        return compose_witness(compose_witness(w1, w2), w3)
+        return compose_witness(w1, _fold_stage(w1.target, middle, k_abs, behind.inner_radius))
 
     # the start space (line ball, remainder) of a side with k = 1 is the
     # middle space at rank 1; at higher rank the ball is grouped apart from

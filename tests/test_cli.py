@@ -706,6 +706,10 @@ EDGE_CASES = {
          ("witness", "Z^2 + C16^3 + C16^3 + C12^3 + C8 + C2", "Z^2 + C4 + C12^2 + C5^2",
           "--point-budget", "80530636801"),
          "error: 805306368 exceeds the factorization limit 1000000\n"),
+        # m = 2^20 on the right is factored with n, before anything is built
+        ("right-multiplier-past-factorization",
+         ("witness", "Z", "Z + C1048576", "--point-budget", "5000000"),
+         "error: 1048576 exceeds the factorization limit 1000000\n"),
     ],
     "witness-valid-to-0": [
         ("rank-1-bound", ("witness", "Z + C2 + C101", "Z + C101"),
@@ -799,6 +803,21 @@ def test_witness_rejects_out_of_range_sizes(capsys, argv, message):
     code, out, err = run(capsys, *argv)
     assert (code, out) == (2, "")
     assert message in err
+
+
+@pytest.mark.parametrize("name", ["multiplier-past-factorization-within-budget",
+                                  "right-multiplier-past-factorization"])
+def test_a_multiplier_past_the_factorization_limit_is_refused_before_any_build(
+        capsys, monkeypatch, name):
+    # both multipliers are factored before the remainder, the line or the
+    # middle space is built
+    [(argv, err)] = [(argv, err) for row, argv, err in EDGE_CASES["witness-sizes"]
+                     if row == name]
+    stored, store = [], spaces.FiniteSpace._store
+    monkeypatch.setattr(spaces.FiniteSpace, "_store",
+                        lambda self, *args: stored.append(len(args[0])) or store(self, *args))
+    assert run(capsys, *argv) == (2, "", err)
+    assert stored == []
 
 
 @pytest.mark.parametrize("bound,digest,validity,size", [

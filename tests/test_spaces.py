@@ -1503,6 +1503,14 @@ class TestSubspace:
         with pytest.raises(ValueError, match="duplicate point labels"):
             subspace(sp, [sp.basepoint, 0, sp.basepoint])
 
+    @pytest.mark.parametrize("indices, bad", [([-1, 2], -1), ([2, 7], 7), ([5, 2], 5)])
+    def test_an_index_outside_the_space_is_refused(self, indices, bad):
+        # numpy would read -1 as the last point and refuse 7 with an
+        # IndexError; both are a ValueError that names the index
+        with pytest.raises(ValueError, match=f"^subset index {bad} is not one of the "
+                                             f"space's 5 points$"):
+            subspace(zball(2), indices)
+
     def test_points_5_apart_are_two_1_components(self):
         # given labels took a structural flag by default, and coordinate
         # keys read these two points as one 1-component; they fill no box,
@@ -2361,6 +2369,7 @@ def test_space_ids_build_no_label_tuples():
     ("witness.invert_witness", "deltas"),
     ("witness.absorption_witness", "point_budget"),
     ("witness.relabel_witness", "columns"),
+    ("witness._relabel_stage", "columns"),
     ("analysis.estimate_factorizing_step", "max_tested"),
     ("analysis.estimate_factorizing_step", "window_fractions"),
     ("spaces.subspace", "basepoint"),

@@ -462,9 +462,9 @@ def test_finish_and_verify_measure_each_direction_once(monkeypatch):
 def test_rank_two_chain_at_radius_100_takes_the_window_route(monkeypatch):
     # every table of the chain and its verification at or above WINDOW_MIN
     # takes the window route; the pair pass reads only smaller tables. The
-    # chain measures 5 witnesses, and verification re-measures the last.
-    # The small tables (the alignment, the absorption and its inverse) are
-    # stages now, so no table takes the keyed route or the pair pass
+    # chain measures 3 witnesses, and verification re-measures the last.
+    # The small tables (the alignment and the fold) are stages, so no table
+    # takes the keyed route or the pair pass
     from coarseiso import analysis as analysis_mod
 
     routes, pair_sizes = [], []
@@ -476,18 +476,18 @@ def test_rank_two_chain_at_radius_100_takes_the_window_route(monkeypatch):
     w = cli_chain(iso_verdict("Z^2 + C4", "Z^2"), radius=100)
     assert verify_witness(w).ok
     assert all(n < analysis_mod.WINDOW_MIN for n in pair_sizes), pair_sizes
-    assert (routes.count("window"), routes.count("keyed"), routes.count("pairs")) == (6, 0, 0)
+    assert (routes.count("window"), routes.count("keyed"), routes.count("pairs")) == (4, 0, 0)
     assert len(pair_sizes) == 0
 
 
 @pytest.mark.parametrize("pair,finished,built", [
-    (("Z + C2", "Z"), 5, 11),
-    (("Z^2 + C4", "Z^2"), 5, 15),
+    (("Z + C2", "Z"), 3, 8),
+    (("Z^2 + C4", "Z^2"), 3, 12),
 ], ids=["rank-1", "rank-2"])
 def test_chain_measures_no_identity_or_relabel_step(monkeypatch, pair, finished, built):
-    # a side with k >= 2 measures 4 witnesses (its two products and two
-    # compositions) and the end 1; identity factors, relabels, the
-    # alignment, the absorption and inverses are tables, not witnesses
+    # a side with k >= 2 measures 2 witnesses (its product and its
+    # composition with the fold) and the end 1; identity factors, relabels,
+    # the alignment, the fold and inverses are tables, not witnesses
     witnesses, spaces = [], []
     finish, store = witness_mod._finish, FiniteSpace._store
 
@@ -617,15 +617,6 @@ class TestCombinators:
         table = tuple((s, 0) for s, _ in w.table)
         with pytest.raises(ValueError):
             invert_witness(dataclasses.replace(w, table=table))
-
-    def test_relabel_with_translation(self):
-        # the chain relabels after a column order by a bare stage, which
-        # compose_witness measures
-        sp = tower_space([2, 2])
-        w = compose_witness(witness_mod._relabel_stage(sp, sp, (1, 0)), identity_witness(sp))
-        assert sorted(w.table) == [(0, 0), (1, 2), (2, 1), (3, 3)]
-        assert verify_witness(w).ok
-        assert w.forward_moduli == w.backward_moduli
 
 
 class TestChain:

@@ -6,9 +6,10 @@ sorted (source, target) tuples, labels looked up through `index(space)`,
 validity and restriction from per-pair loops. Every case must give the same
 table, validity radius, moduli and error message. The staged factorization
 and the claim checks that grouped points by label tuples are kept the same
-way, against the coordinate relabel and the array checks. `old_alignment`
-and `old_absorption` are written in the same style for the chain's
-alignment and absorption tables, which had no tuple code of their own.
+way, against the coordinate relabel and the array checks. `old_alignment`,
+`old_absorption` and `old_fold` are written in the same style for the
+chain's alignment, absorption and fold tables, which had no tuple code of
+their own.
 """
 
 from __future__ import annotations
@@ -123,6 +124,20 @@ def old_relabel(source, target, columns=None):
             raise ValueError(f"relabel: no target point for label {lab}")
         pairs.append((i, j))
     return old_finish(source, target, pairs, (), context="relabel")
+
+
+def old_fold(source, target, k, validity_cap):
+    """The fold of a side of the chain, label by label: (q, tail, d, rest)
+    -> (q k + d, tail, rest), looked up in the target, where d is the
+    first coordinate of order k; a label with no target point is left
+    out."""
+    digit = source.rule.orders.index(k)
+    pairs, at = [], index(target)
+    for i, lab in enumerate(source.labels):
+        j = at.get((lab[0] * k + lab[digit], *lab[1:digit], *lab[digit + 1:]))
+        if j is not None:
+            pairs.append((i, j))
+    return old_finish(source, target, pairs, (), validity_cap=validity_cap, context="fold")
 
 
 def old_compose(f, g, deltas=()):
@@ -330,42 +345,23 @@ def test_invert_matches_the_tuple_code(f):
 
 @st.composite
 def relabel_cases(draw):
-    """A source box, a target box whose free part is padded or cut and
-    which may hold the factors in the other order, and a column order:
-    the one that undoes the swap, or any order of the source's columns,
-    which may send a free coordinate onto a cyclic one."""
+    """A source box and a target box whose free part is padded or cut and
+    which may hold the factors in the other order."""
     r, rank, pad = draw(st.integers(0, 3)), draw(st.integers(1, 2)), draw(st.integers(-1, 2))
     other = draw(st.sampled_from(
         [k_point_space(1), k_point_space(2), tower_space([3]), tower_space([2, 3])]
     ))
-    swap = draw(st.booleans())
     source = product_space(zball(r, rank), other)
     big = zball(max(0, r + pad), rank)
-    target = product_space(other, big) if swap else product_space(big, other)
-    width = len(source.rule.orders)
-    if draw(st.integers(0, 3)):
-        columns = list(range(rank, width)) + list(range(rank)) if swap else list(range(width))
-    else:
-        columns = draw(st.permutations(range(width)))
-    plain = columns == list(range(width)) and draw(st.booleans())
-    return source, target, None if plain else columns
-
-
-def relabel_after(source, target, columns):
-    """The table of _relabel_stage after a column order, measured as
-    relabel_witness measures the plain one."""
-    return witness_mod._finish(witness_mod._relabel_stage(source, target, columns))
+    target = product_space(other, big) if draw(st.booleans()) else product_space(big, other)
+    return source, target
 
 
 @settings(max_examples=80, deadline=None)
 @given(relabel_cases())
 def test_relabel_matches_the_tuple_code(case):
-    source, target, columns = case
-    if columns is None:
-        new = outcome(relabel_witness, source, target)
-    else:  # the chain's relabel after a column order: a stage, measured
-        new = outcome(relabel_after, source, target, columns)
-    old = outcome(old_relabel, source, target, columns)
+    new = outcome(relabel_witness, *case)
+    old = outcome(old_relabel, *case)
     # a missing target names the same first missing source label
     event(assert_same(new, old).split(" for label")[0])
 
@@ -377,7 +373,7 @@ def test_chain_combinators_match_the_tuple_code(monkeypatch, g1, g2):
     """A whole chain run through the oracle combinators, stage by stage,
     against the array ones. The chain hands products and compositions bare
     tables, identity factors among them; the oracle builds each relabel,
-    alignment, absorption and inverse table as the tuple code's witness."""
+    alignment, fold and inverse table as the tuple code's witness."""
     verdict = iso_verdict(g1, g2)
     new = cli_chain(verdict, radius=12, deltas=(3.0,))
     calls = {}
@@ -394,14 +390,18 @@ def test_chain_combinators_match_the_tuple_code(monkeypatch, g1, g2):
     oracle("relabel_witness", old_relabel)
     oracle("_relabel_stage", old_relabel)
     oracle("_alignment_stage", old_alignment)
-    oracle("_absorption_stage", old_absorption)
+    oracle("_fold_stage", old_fold)
     oracle("_invert_stage", old_invert)
     assert_same(new, cli_chain(verdict, radius=12, deltas=(3.0,)))
     # every table of the chain came from an oracle: a side with a
-    # multiplier of 2 or more reaches every stage
+    # multiplier of 2 or more reaches every stage, and only the right side
+    # is inverted
+    n, m = verdict.multipliers or (1, 1)
     reached = {"compose_witness", "_relabel_stage"}
-    if verdict.multipliers != (1, 1):
-        reached |= {"product_witness", "_alignment_stage", "_absorption_stage", "_invert_stage"}
+    if max(n, m) > 1:
+        reached |= {"product_witness", "_alignment_stage", "_fold_stage"}
+    if m > 1:
+        reached.add("_invert_stage")
     assert set(calls) == reached
 
 
@@ -419,9 +419,6 @@ def stage_and_witness(name, args):
     stage = getattr(witness_mod, name)(*args)
     if name == "_alignment_stage":
         w = witness_mod.tower_alignment_witness(*args).witness
-    elif name == "_absorption_stage":
-        k, line, _, _ = args
-        w = witness_mod.absorption_witness(k, len(line) // 2)
     else:
         (f,) = args
         w = invert_witness(witness_mod._finish(f) if isinstance(f, witness_mod._Stage) else f)
@@ -430,11 +427,11 @@ def stage_and_witness(name, args):
 
 def test_each_stage_is_its_witness_without_the_moduli(monkeypatch, capsys):
     """On the spaces every TestChain chain and every pinned witness call
-    hands the alignment, absorption and inversion stages, each stage has
+    hands the alignment and inversion stages, each stage has
     the table, validity and spaces of its public witness, and refuses what
     the witness refuses with the same text."""
     seen = []
-    for name in ("_alignment_stage", "_absorption_stage", "_invert_stage"):
+    for name in ("_alignment_stage", "_invert_stage"):
         fn = getattr(witness_mod, name)
         monkeypatch.setattr(witness_mod, name,
                             lambda *a, fn=fn, name=name: seen.append((name, a)) or fn(*a))
@@ -444,8 +441,7 @@ def test_each_stage_is_its_witness_without_the_moduli(monkeypatch, capsys):
         assert main(list(argv)) == 0
     capsys.readouterr()
     monkeypatch.undo()
-    assert {name for name, _ in seen} == {"_alignment_stage", "_absorption_stage",
-                                          "_invert_stage"}
+    assert {name for name, _ in seen} == {"_alignment_stage", "_invert_stage"}
     for name, args in seen:
         stage, w = stage_and_witness(name, args)
         assert isinstance(stage, witness_mod._Stage)
