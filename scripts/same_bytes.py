@@ -8,7 +8,10 @@ with `git clone` and `git checkout SHA`. The corpus is built from this
 checkout: the pinned argvs of tests/test_cli.py (GOLDEN_WITNESSES,
 GOLDEN_PLANE, EVERY_COMMAND, FREE_CHAIN_ROUND and the refusals and fixture
 edge cases of EDGE_CASES, imported, not copied), the README's `$ coarseiso`
-calls (README_CALLS there), the components calls of PLANE_EDGES, and
+calls (README_CALLS there), the components calls of PLANE_EDGES, the
+witness calls of the drawn pairs (tests/test_drawn_pairs.py, at the seed
+and count of its test), each with its radius, depth, prime bound, scales
+and point budget, and
 ROUNDS rounds of each benchmark workload at SEED (perfbench/jobs.py).
 Each side runs the whole corpus in one fresh interpreter that imports coarseiso from its own
 src/: each argv through coarseiso.cli.main, in process, with stdout and
@@ -40,6 +43,10 @@ PLANE_EDGES = [
     ("components", "example31:4:0.01:1e308", "--epsilon", "1"),
 ]
 
+# the seed and count of the drawn pairs' test (tests/test_same_bytes.py
+# checks that they match)
+DRAWN = (52, 160)
+
 # run in each side's interpreter: argv 1 is that side's src/, the corpus
 # comes on stdin, and one sha1 an argv goes to stdout
 WORKER = """
@@ -66,13 +73,25 @@ def corpus() -> list[tuple[str, ...]]:
             sys.path.insert(0, str(ROOT / path))
     import jobs
     import test_cli
+    import test_drawn_pairs
 
     calls = [argv for argv, *_ in test_cli.GOLDEN_WITNESSES + test_cli.GOLDEN_PLANE]
     calls += test_cli.EVERY_COMMAND + test_cli.FREE_CHAIN_ROUND + test_cli.README_CALLS
     calls += [argv for rows in test_cli.EDGE_CASES.values() for _, argv, _ in rows] + PLANE_EDGES
+    calls += drawn_pair_calls(test_drawn_pairs)
     for workload in jobs.WORKLOADS:
         calls += [job.argv for round_ in jobs.rounds(workload, SEED, ROUNDS) for job in round_]
     return list(dict.fromkeys(map(tuple, calls)))
+
+
+def drawn_pair_calls(module) -> list[tuple[str, ...]]:
+    """The witness argv of each drawn pair of tests/test_drawn_pairs.py, at
+    the seed and count its test draws."""
+    return [("witness", g1, g2, "--radius", str(args["radius"]), "--depth", str(args["depth"]),
+             "--prime-bound", str(args["prime_bound"]),
+             "--deltas", ",".join(map(str, args["deltas"])),
+             "--point-budget", str(args["point_budget"]))
+            for g1, g2, args in module.draws(*DRAWN)]
 
 
 def sums(root: Path, calls: list[tuple[str, ...]]) -> list[str]:

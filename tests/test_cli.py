@@ -577,6 +577,22 @@ def test_cli_leaves_sympy_unloaded(argv):
     assert modules_after(argv, "sympy") == "[]"
 
 
+def test_a_closed_stdout_exits_1_with_nothing_on_stderr():
+    # the reader takes one byte and closes the pipe. The radius-100 witness
+    # prints some 300 kB, more than a pipe holds, so a later write finds
+    # the pipe closed: the CLI exits 1, and the interpreter's final flush
+    # writes no traceback
+    src = str(Path(coarseiso.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    argv = ["witness", "Z^2 + C4", "Z^2", "--radius", "100"]
+    with subprocess.Popen([sys.executable, "-m", "coarseiso.cli", *argv], env=env,
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        assert proc.stdout.read(1) == b"{"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert (proc.wait(), err) == (1, b"")
+
+
 @pytest.mark.parametrize("argv", [
     ("components", "Z + C2", "--radius", "3", "--epsilon", "nan"),
     ("components", "example31:2:0.1", "--epsilon", "nan"),

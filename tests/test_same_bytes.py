@@ -1,7 +1,8 @@
 """The corpus of scripts/same_bytes.py, cheaply: every argv parses, and the
 corpus holds every argv that tests/test_cli.py pins at module level, its
 refusals and fixture edge cases (EDGE_CASES), the script's components
-calls (PLANE_EDGES) and every README call. Running the corpus at a
+calls (PLANE_EDGES), every README call and the witness call of every
+drawn pair (tests/test_drawn_pairs.py). Running the corpus at a
 parent and at a change takes minutes, so tier-1 only checks what it would
 run."""
 
@@ -16,6 +17,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
 import test_cli  # noqa: E402
+import test_drawn_pairs  # noqa: E402
 from coarseiso.cli import _parser  # noqa: E402
 
 spec = importlib.util.spec_from_file_location("same_bytes", ROOT / "scripts" / "same_bytes.py")
@@ -60,6 +62,20 @@ def test_the_corpus_holds_every_edge_case_and_plane_edge():
     table = [argv for rows in test_cli.EDGE_CASES.values() for _, argv, _ in rows]
     assert len(table) >= 30
     assert set(table) | set(same_bytes.PLANE_EDGES) <= set(CORPUS)
+
+
+def test_the_corpus_holds_every_drawn_pair():
+    # the script draws at the seed and count of the drawn pairs' test
+    test = ast.parse((ROOT / "tests" / "test_drawn_pairs.py").read_text())
+    (call,) = [node for node in ast.walk(test) if isinstance(node, ast.Call)
+               and isinstance(node.func, ast.Name) and node.func.id == "draws"]
+    assert tuple(kw.value.value for kw in call.keywords) == same_bytes.DRAWN
+    drawn = same_bytes.drawn_pair_calls(test_drawn_pairs)
+    assert len(drawn) == same_bytes.DRAWN[1] and set(drawn) <= set(CORPUS)
+    args = next(test_drawn_pairs.draws(*same_bytes.DRAWN))[2]
+    assert drawn[0][3:] == ("--radius", str(args["radius"]), "--depth", str(args["depth"]),
+                            "--prime-bound", "97", "--deltas", ",".join(map(str, args["deltas"])),
+                            "--point-budget", "20000")
 
 
 def test_every_corpus_argv_parses():

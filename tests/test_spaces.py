@@ -2366,6 +2366,7 @@ def test_space_ids_build_no_label_tuples():
     ("witness.factorization_witness", "deltas"),
     ("witness.relabel_witness", "deltas"),
     ("witness.product_witness", "deltas"),
+    ("witness.product_witness", "point_budget"),
     ("witness.invert_witness", "deltas"),
     ("witness.absorption_witness", "point_budget"),
     ("witness.relabel_witness", "columns"),
@@ -2398,7 +2399,7 @@ def test_schedule_alias_is_gone():
     ("witness", "TowerAlignment.to_json"), ("factorfn", "FactorFunction.as_dict"),
     ("spaces", "MetricRule.label_json"), ("spaces", "SupRule.label_json"),
     ("spaces", "MetricRule.chain"), ("spaces", "MetricRule.components"),
-    ("spaces", "MetricRule.checked_coords"),
+    ("spaces", "MetricRule.checked_coords"), ("witness", "_fold_stage"),
 ])
 def test_test_only_names_left_the_package(module, name):
     # the metric and distance oracles, the label and block lookups, and the
@@ -2408,7 +2409,8 @@ def test_test_only_names_left_the_package(module, name):
     # the Prim chain and
     # the threshold-graph components, which only the tests took, are
     # prim_chain and graph_components there; each rule checks its own
-    # labels
+    # labels; the chain's fold, which the side stage took in, is
+    # fold_stage there
     owner = importlib.import_module(f"coarseiso.{module}")
     *path, name = name.split(".")
     for part in path:

@@ -462,9 +462,9 @@ def test_finish_and_verify_measure_each_direction_once(monkeypatch):
 def test_rank_two_chain_at_radius_100_takes_the_window_route(monkeypatch):
     # every table of the chain and its verification at or above WINDOW_MIN
     # takes the window route; the pair pass reads only smaller tables. The
-    # chain measures 3 witnesses, and verification re-measures the last.
-    # The small tables (the alignment and the fold) are stages, so no table
-    # takes the keyed route or the pair pass
+    # chain measures 2 witnesses, and verification re-measures the last.
+    # The small tables (the alignment, inside the side) are stages, so no
+    # table takes the keyed route or the pair pass
     from coarseiso import analysis as analysis_mod
 
     routes, pair_sizes = [], []
@@ -476,18 +476,19 @@ def test_rank_two_chain_at_radius_100_takes_the_window_route(monkeypatch):
     w = cli_chain(iso_verdict("Z^2 + C4", "Z^2"), radius=100)
     assert verify_witness(w).ok
     assert all(n < analysis_mod.WINDOW_MIN for n in pair_sizes), pair_sizes
-    assert (routes.count("window"), routes.count("keyed"), routes.count("pairs")) == (4, 0, 0)
+    assert (routes.count("window"), routes.count("keyed"), routes.count("pairs")) == (3, 0, 0)
     assert len(pair_sizes) == 0
 
 
 @pytest.mark.parametrize("pair,finished,built", [
-    (("Z + C2", "Z"), 3, 8),
-    (("Z^2 + C4", "Z^2"), 3, 12),
+    (("Z + C2", "Z"), 2, 7),
+    (("Z^2 + C4", "Z^2"), 2, 11),
 ], ids=["rank-1", "rank-2"])
 def test_chain_measures_no_identity_or_relabel_step(monkeypatch, pair, finished, built):
-    # a side with k >= 2 measures 2 witnesses (its product and its
-    # composition with the fold) and the end 1; identity factors, relabels,
-    # the alignment, the fold and inverses are tables, not witnesses
+    # a side with k >= 2 measures 1 witness (its one stage, which builds
+    # no space between the ball times the tower and the middle space) and
+    # the end 1; relabels, the alignment and inverses are tables, not
+    # witnesses
     witnesses, spaces = [], []
     finish, store = witness_mod._finish, FiniteSpace._store
 
@@ -580,18 +581,18 @@ def test_chain_stays_below_the_first_summand_the_bound_drops(pair, bound):
 class TestCombinators:
     def test_compose_identities(self):
         sp = tower_space([2, 3])
-        w = compose_witness(identity_witness(sp), identity_witness(sp))
+        w = compose_witness(identity_witness(sp), identity_witness(sp), ())
         assert w.table == identity_witness(sp).table
         assert verify_witness(w).ok
 
     def test_compose_needs_matching_interface(self):
         with pytest.raises(ValueError):
-            compose_witness(identity_witness(zball(2)), identity_witness(zball(3)))
+            compose_witness(identity_witness(zball(2)), identity_witness(zball(3)), ())
 
     def test_compose_validity_shrinks_to_reachable(self):
         f = absorption_witness(2, 10)
         g = invert_witness(f)
-        round_trip = compose_witness(f, g)
+        round_trip = compose_witness(f, g, ())
         assert round_trip.validity_radius <= f.validity_radius
         assert verify_witness(round_trip).ok
         for s, t in round_trip.table:

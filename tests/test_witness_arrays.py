@@ -9,7 +9,7 @@ and the claim checks that grouped points by label tuples are kept the same
 way, against the coordinate relabel and the array checks. `old_alignment`,
 `old_absorption` and `old_fold` are written in the same style for the
 chain's alignment, absorption and fold tables, which had no tuple code of
-their own.
+their own, and `old_side` composes them as the chain's side stage does.
 """
 
 from __future__ import annotations
@@ -33,6 +33,7 @@ from coarseiso.spaces import (
     DEFAULT_POINT_BUDGET,
     FiniteSpace,
     SupRule,
+    _check_budget,
     build_truncation,
     canonical_ultrametric,
     enumerate_summands,
@@ -57,7 +58,7 @@ from coarseiso.witness import (
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
-from oracles import blocks, distance, index, same_witness  # noqa: E402
+from oracles import blocks, distance, fold_stage, index, same_witness  # noqa: E402
 from test_cli import GOLDEN_WITNESSES  # noqa: E402
 from test_witness import cli_chain, iso_verdict  # noqa: E402
 
@@ -138,6 +139,15 @@ def old_fold(source, target, k, validity_cap):
         if j is not None:
             pairs.append((i, j))
     return old_finish(source, target, pairs, (), validity_cap=validity_cap, context="fold")
+
+
+def old_side(zpart, u, mixed, middle, k, validity_cap, point_budget):
+    """A side of the chain as the tuple code's steps: the ball's identity
+    times the alignment (w1), composed with the fold; handed back as the
+    stage the chain measures."""
+    w1 = old_product(old_relabel(zpart, zpart), old_alignment(u, mixed), point_budget)
+    w = old_compose(w1, old_fold(w1.target, middle, k, validity_cap))
+    return witness_mod._Stage(w.source, w.target, w.src, w.dst, w.validity_radius)
 
 
 def old_compose(f, g, deltas=()):
@@ -371,9 +381,9 @@ def test_relabel_matches_the_tuple_code(case):
 ])
 def test_chain_combinators_match_the_tuple_code(monkeypatch, g1, g2):
     """A whole chain run through the oracle combinators, stage by stage,
-    against the array ones. The chain hands products and compositions bare
-    tables, identity factors among them; the oracle builds each relabel,
-    alignment, fold and inverse table as the tuple code's witness."""
+    against the array ones. The chain hands its composition bare tables;
+    the oracle builds each relabel, side and inverse table as the tuple
+    code's witness, a side as the product and composition it replaced."""
     verdict = iso_verdict(g1, g2)
     new = cli_chain(verdict, radius=12, deltas=(3.0,))
     calls = {}
@@ -385,24 +395,78 @@ def test_chain_combinators_match_the_tuple_code(monkeypatch, g1, g2):
         monkeypatch.setattr(witness_mod, name, run)
 
     oracle("compose_witness", old_compose)
-    oracle("product_witness", old_product)
     oracle("invert_witness", old_invert)
     oracle("relabel_witness", old_relabel)
     oracle("_relabel_stage", old_relabel)
-    oracle("_alignment_stage", old_alignment)
-    oracle("_fold_stage", old_fold)
+    oracle("_side_stage", old_side)
     oracle("_invert_stage", old_invert)
     assert_same(new, cli_chain(verdict, radius=12, deltas=(3.0,)))
     # every table of the chain came from an oracle: a side with a
-    # multiplier of 2 or more reaches every stage, and only the right side
-    # is inverted
+    # multiplier of 1 is a relabel, any other is a side stage, and only the
+    # right side is inverted
     n, m = verdict.multipliers or (1, 1)
-    reached = {"compose_witness", "_relabel_stage"}
+    reached = {"compose_witness"}
+    if min(n, m) == 1:
+        reached.add("_relabel_stage")
     if max(n, m) > 1:
-        reached |= {"product_witness", "_alignment_stage", "_fold_stage"}
+        reached.add("_side_stage")
     if m > 1:
         reached.add("_invert_stage")
     assert set(calls) == reached
+
+
+def replaced_side(zpart, u, mixed, middle, k, validity_cap, point_budget):
+    """What a side stage replaced: the ball's identity times the alignment,
+    composed with the fold as its own stage. The product held its spaces to
+    the point budget."""
+    _check_budget(len(zpart) * len(u), point_budget)
+    w1 = product_witness(witness_mod._relabel_stage(zpart, zpart),
+                         witness_mod._alignment_stage(u, mixed))
+    return compose_witness(w1, fold_stage(w1.target, middle, k, validity_cap), ())
+
+
+@st.composite
+def side_chains(draw):
+    """A chain whose left side has a multiplier k from 2 to 16: Z^rank + Ck
+    + rest ~ Z^rank + rest, with a prime bound that drops C7 from rest, so
+    that its tower is faithful only below the first summand dropped."""
+    k, rank = draw(st.integers(2, 16)), draw(st.integers(1, 3))
+    rest = draw(st.lists(st.sampled_from(["C2", "C3", "C4", "C5", "C9"]), max_size=2)) + ["C7"]
+    groups = [" + ".join([f"Z^{rank}", f"C{k}", *rest]), " + ".join([f"Z^{rank}", *rest])]
+    args = dict(radius=draw(st.integers(4, 40)), depth=draw(st.integers(2, 5)),
+                prime_bound=draw(st.sampled_from([2, 3, 5])))
+    return groups, args
+
+
+@settings(max_examples=60, deadline=None)
+@given(side_chains())
+def test_side_stage_is_the_composition_it_replaces(case):
+    """On the spaces the chain hands each side, the side stage has the
+    table, validity and spaces of the product and composition it
+    replaced, or refuses with the same text."""
+    (g1, g2), args = case
+    seen, side = [], witness_mod._side_stage
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(witness_mod, "_side_stage", lambda *a: seen.append(a) or side(*a))
+        outcome(cli_chain, iso_verdict(g1, g2), point_budget=20_000, **args)
+    if not seen:
+        event("refused before a side")
+    for zpart, u, mixed, middle, k, cap, pb in seen:
+        new, old = (outcome(fn, zpart, u, mixed, middle, k, cap, pb)
+                    for fn in (side, replaced_side))
+        if isinstance(new, str) or isinstance(old, str):
+            assert new == old
+            event(old)
+            continue
+        assert isinstance(new, witness_mod._Stage)
+        assert np.array_equal(new.src, old.src) and np.array_equal(new.dst, old.dst)
+        assert new.validity_radius == old.validity_radius
+        assert type(new.validity_radius) is float
+        assert new.source == old.source and new.target == old.target
+        short = int(zpart.coords[:, 0].max())
+        event(f"k = {k}")
+        event("the cap is below the short radius less one" if cap < short - 1
+              else "the cap is at or above the short radius less one")
 
 
 # the chains of TestChain in test_witness.py, by their arguments
