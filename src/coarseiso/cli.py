@@ -4,7 +4,8 @@ Subcommands mirror the library surface: symbolic invariants and verdicts,
 then space-level reports (components, step estimate, Foelner sets, covers)
 and witness construction. Verdict commands use exit code 0 for a true
 relation, 1 for false, 2 for errors; everything else uses 0/2. A stdout
-that its reader closes early is exit code 1, with nothing on stderr.
+that its reader closes early is exit code 1, with nothing on stderr. An
+--out file that cannot be written is an error, with nothing on stdout.
 """
 
 from __future__ import annotations
@@ -310,6 +311,11 @@ def main(argv: Optional[list[str]] = None) -> int:
         # to the null device, so the interpreter's final flush stays quiet
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
+    except OSError as exc:
+        # after BrokenPipeError, which is one: an --out path that cannot be
+        # written, before anything is printed
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -481,18 +481,27 @@ def _prefix_products(orders: Sequence[int]) -> List[int]:
     return out
 
 
+def _tower_rank(space: FiniteSpace) -> np.ndarray:
+    """Each point's little-endian mixed-radix rank in a tower, in int64."""
+    weights = np.asarray(_prefix_products(space.rule.orders)[:-1], dtype=np.int64)
+    return space.coords.astype(np.int64) @ weights
+
+
 def _alignment_stage(u_space: FiniteSpace, v_space: FiniteSpace) -> _Stage:
     """The table of tower_alignment_witness: a point's little-endian
     mixed-radix rank in the first tower, decoded in the second, as arrays
     matched to the second tower's rows as relabel_witness matches. Towers
-    of different factor content are a ValueError."""
+    of different factor content are a ValueError, and so are towers whose
+    order product passes 2^63 - 1, as their ranks would wrap in int64."""
     if not all(isinstance(sp.rule, SupRule) and sp.rule.layout == "tower"
                for sp in (u_space, v_space)):
         raise ValueError("alignment needs tower-built spaces")
     uo, vo = u_space.rule.orders, v_space.rule.orders
     if _prime_multiset(*uo) != _prime_multiset(*vo):
         raise ValueError("factor functions of the towers differ")
-    rank = u_space.coords.astype(np.int64) @ np.asarray(_prefix_products(uo)[:-1], dtype=np.int64)
+    if math.prod(uo) > np.iinfo(np.int64).max:
+        raise ValueError(f"alignment: the towers' order product {math.prod(uo)} passes 2^63 - 1")
+    rank = _tower_rank(u_space)
     digits = np.empty((len(u_space), len(vo)))
     for c, o in enumerate(vo):
         rank, digits[:, c] = np.divmod(rank, o)
@@ -556,24 +565,27 @@ def absorption_witness(k: int, radius: int, deltas: Sequence[float] = ()) -> Wit
     return _finish(_stage(line, target, np.arange(len(line)), ti, context="absorption"), (), deltas)
 
 
-def _side_stage(zpart: FiniteSpace, u: FiniteSpace, mixed: FiniteSpace, middle: FiniteSpace,
+def _side_stage(zpart: FiniteSpace, u: FiniteSpace, rest: FiniteSpace, middle: FiniteSpace,
                 k: int, validity_cap: float, point_budget: int) -> _Stage:
     """The table of a chain's side with multiplier k, from zpart x u
-    straight to the middle space. The alignment (_alignment_stage) sends
-    the tower point a to (d, r) in mixed, the digit d of the k points at
-    level 1 and the remainder r; so the point (z, a), with z = (q, tail)
-    the shorter line q and the rest of the ball, goes to (q k + d, tail,
-    r) wherever q k + d lies on the middle space's line. Rows are matched
-    as _relabel_stage matches them.
+    straight to the middle space, by index arithmetic on boxes. The tower
+    point a has the little-endian mixed-radix rank rho in u, as in
+    _alignment_stage; d = rho mod k is the digit of the k points at level
+    1, and rho div k is the rank in the remainder of its point r. So the
+    point (z, a), with z = (q, t) the shorter line q and the point t of the
+    rest of the ball, goes to (q k + d, t, r) wherever q k + d lies on the
+    middle space's line.
 
     Table and validity are those of w1, the ball's identity times the
-    alignment, composed with the fold of w1's target zpart x mixed onto the
-    middle space; neither w1 nor its target is built. An entry is kept
-    where (z, a) lies within w1's validity, the inner radius of zpart x u,
-    where (z, d, r) lies within the fold's, and where it has an image. The
-    fold's validity is the rule of _covered_radius on w1's target, whose
-    distances are the larger of z's and (d, r)'s, capped at validity_cap,
-    the inner radius of what lies behind the line.
+    alignment onto (k points at level 1, remainder), composed with the
+    fold of w1's target onto the middle space; neither w1 nor its target
+    is built. An entry is kept where (z, a) lies within w1's validity, the
+    inner radius of zpart x u, where (z, d, r) lies within the fold's, and
+    where it has an image. The fold's validity is the rule of
+    _covered_radius on w1's target, whose distances are the larger of z's
+    and (d, r)'s, capped at validity_cap, the inner radius of what lies
+    behind the line; (d, r) lies at the larger of 1 (where d is not 0) and
+    r's distance in the remainder, whose inner radius it keeps.
 
     k divides the line's radius, so the points of w1's target that the
     fold leaves out are those with q at the short radius and d >= 1. They
@@ -583,23 +595,22 @@ def _side_stage(zpart: FiniteSpace, u: FiniteSpace, mixed: FiniteSpace, middle: 
     R. Such an a is nonzero only in the remainder's first R - 1 summands,
     so its rank, and with it r, is below their product, and (d, r) lies
     within R too. So the stage without the cap keeps the same entries."""
-    align = _alignment_stage(u, mixed)
     source = product_space(zpart, u, point_budget)
-    # (z, a) sits at z |u| + a; the alignment covers u in order, so the
-    # image of a is (d, r) = mixed's row align.dst[a]
-    image = mixed.coords[align.dst]
-    width = zpart.coords.shape[1]
-    rows = np.empty((len(source), width + image.shape[1] - 1))
-    rows[:, :width] = source.coords[:, :width]
-    rows[:, width:] = np.tile(image[:, 1:], (len(zpart), 1))
-    rows[:, 0] = rows[:, 0] * k + np.tile(image[:, 0], len(zpart))
-    ti = _match_rows(rows, middle.coords)
-    dist = np.maximum.outer(zpart.base_dists, mixed.base_dists[align.dst]).ravel()
-    fold = _covered_radius(dist, ti >= 0, min(zpart.inner_radius, mixed.inner_radius),
-                           validity_cap)
-    keep = (ti >= 0) & (dist <= fold + _TOL) & _inside(source, slice(None), source.inner_radius)
-    si = np.flatnonzero(keep)
-    return _stage(source, middle, si, ti[si], context="fold")
+    rank, d = np.divmod(_tower_rank(u), k)
+    # the point of rest at each rank: ranks permute rest's box indices
+    r = np.argsort(_tower_rank(rest))[rank]
+    # middle = line x (ball tail) x rest and zpart = (shorter line) x (ball
+    # tail), each box running its first coordinate slowest: z sits at
+    # q_idx |tail| + t, and (x, t, r) at ((x + line_r) |tail| + t) |rest| + r
+    line_r = int(middle.coords[-1, 0])
+    tail = len(middle) // ((2 * line_r + 1) * len(rest))
+    x = zpart.coords[:, 0, None].astype(np.int64) * k + d
+    ti = (((x + line_r) * tail + np.arange(len(zpart))[:, None] % tail) * len(rest) + r).ravel()
+    on_line = (np.abs(x) <= line_r).ravel()
+    dist = np.maximum.outer(zpart.base_dists, np.maximum(d != 0, rest.base_dists[r])).ravel()
+    fold = _covered_radius(dist, on_line, min(zpart.inner_radius, rest.inner_radius), validity_cap)
+    keep = on_line & (dist <= fold + _TOL) & _inside(source, slice(None), source.inner_radius)
+    return _stage(source, middle, np.flatnonzero(keep), ti[keep], context="fold")
 
 
 def _match_rows(rows: np.ndarray, table: np.ndarray) -> np.ndarray:
@@ -735,14 +746,15 @@ def iso_witness_chain(
     tower with itself.
 
     A side with multiplier k >= 2 starts from (ball, tower) and is one
-    stage (_side_stage): the tower alignment to (k points, remainder), and
-    the fold that puts the digit of the k points on the shorter line,
-    (q, d) -> q k + d, landing on the middle space. A side with k = 1
-    starts from (line ball, remainder), which at rank 1 is the middle space
-    itself and at higher rank the same points grouped apart; that relabel,
-    and its inverse on the right, is a bare table (_Stage) composed into
-    the end, as is the inverse of a right side with k >= 2. So the
-    witnesses measured are each side with k >= 2, and the end.
+    stage of index arithmetic (_side_stage): a tower point's rank splits
+    into the digit d of the k points and the remainder's point, and the
+    digit goes onto the shorter line, (q, d) -> q k + d, landing on the
+    middle space. A side with k = 1 starts from (line ball, remainder),
+    which at rank 1 is the middle space itself and at higher rank the same
+    points grouped apart; that relabel, and its inverse on the right, is a
+    bare table (_Stage) composed into the end, as is the inverse of a right
+    side with k >= 2. So the witnesses measured are each side with k >= 2,
+    and the end.
     The chain has no defaults of its own: radius, depth, prime_bound,
     deltas and point_budget come from the CLI's flags. Every space built on
     the way is held to point_budget; a larger one is a BudgetError, and the
@@ -789,7 +801,6 @@ def iso_witness_chain(
         # with itself
         return tower_alignment_witness(rest, rest, deltas=deltas).witness
 
-    rest_orders = list(rest.rule.orders)
     # the middle space is the line, then behind it the ball's other rank - 1
     # free coordinates and the common remainder; at rank 2 the rest of the
     # ball is one more line, equal to the line
@@ -805,15 +816,10 @@ def iso_witness_chain(
         a chain measure more than verifying it."""
         first = zball(common_r // k_abs, point_budget=pb)
         zpart = first if rank == 1 else product_space(first, ball_tail, pb)
-        u = tower_space(rest_orders + primes[k_abs], point_budget=pb)
-        mixed = tower_space(
-            [k_abs] + rest_orders,
-            levels=[1] + list(range(2, len(rest_orders) + 2)),
-            point_budget=pb,
-        )
-        # both towers hold the remainder's summands, faithful as far as it is
-        u, mixed = (sp.with_inner_radius(rest.inner_radius) for sp in (u, mixed))
-        return _finish(_side_stage(zpart, u, mixed, middle, k_abs, behind.inner_radius, pb))
+        # the tower holds the remainder's summands, faithful as far as it is
+        u = tower_space(list(rest.rule.orders) + primes[k_abs], point_budget=pb)
+        u = u.with_inner_radius(rest.inner_radius)
+        return _finish(_side_stage(zpart, u, rest, middle, k_abs, behind.inner_radius, pb))
 
     # the start space (line ball, remainder) of a side with k = 1 is the
     # middle space at rank 1; at higher rank the ball is grouped apart from

@@ -594,6 +594,20 @@ def test_a_closed_stdout_exits_1_with_nothing_on_stderr():
 
 
 @pytest.mark.parametrize("argv", [
+    ("classify", "iso", "C4", "C4"),
+    ("invariants", "Z"),
+], ids=["classify", "invariants"])
+@pytest.mark.parametrize("where", ["missing-directory", "directory"])
+def test_an_out_path_that_cannot_be_written_exits_2(capsys, tmp_path, argv, where):
+    # a verdict command exits 2, not 1, which would read as "false"; the
+    # file is opened before anything is printed
+    out = tmp_path / "missing" / "x.json" if where == "missing-directory" else tmp_path
+    code, stdout, err = run(capsys, *argv, "--out", str(out))
+    assert (code, stdout) == (2, "")
+    assert err.startswith("error: ") and str(out) in err
+
+
+@pytest.mark.parametrize("argv", [
     ("components", "Z + C2", "--radius", "3", "--epsilon", "nan"),
     ("components", "example31:2:0.1", "--epsilon", "nan"),
 ], ids=["sup", "plane"])

@@ -30,6 +30,7 @@ from coarseiso.groups import coarse_equivalent, coarse_isomorphic, parse_group
 from coarseiso.spaces import (
     BudgetError,
     FiniteSpace,
+    SupRule,
     build_truncation,
     enumerate_summands,
     example31_fixture,
@@ -481,14 +482,14 @@ def test_rank_two_chain_at_radius_100_takes_the_window_route(monkeypatch):
 
 
 @pytest.mark.parametrize("pair,finished,built", [
-    (("Z + C2", "Z"), 2, 7),
-    (("Z^2 + C4", "Z^2"), 2, 11),
+    (("Z + C2", "Z"), 2, 6),
+    (("Z^2 + C4", "Z^2"), 2, 10),
 ], ids=["rank-1", "rank-2"])
 def test_chain_measures_no_identity_or_relabel_step(monkeypatch, pair, finished, built):
     # a side with k >= 2 measures 1 witness (its one stage, which builds
-    # no space between the ball times the tower and the middle space) and
-    # the end 1; relabels, the alignment and inverses are tables, not
-    # witnesses
+    # no space between the ball times the tower and the middle space, and
+    # no tower of the multiplier's points) and the end 1; relabels and
+    # inverses are tables, not witnesses
     witnesses, spaces = [], []
     finish, store = witness_mod._finish, FiniteSpace._store
 
@@ -829,6 +830,13 @@ def test_every_violation_of_a_given_witness(make, violation):
     assert not report.ok and report.violations == (violation,)
 
 
+def _tower_rows(orders, row):
+    """A hand-built tower space of the zero row and row, too large to
+    build whole."""
+    rule = SupRule.tower(orders, range(2, len(orders) + 2))
+    return FiniteSpace([[0] * len(orders), row], rule, 0, len(orders) + 1)
+
+
 @pytest.mark.parametrize("make, message", [
     (lambda: tower_alignment_witness(tower_space([2, 2]), subspace(tower_space([4]), [0, 1, 2])),
      "alignment: a rank has no point in the second tower"),
@@ -844,8 +852,17 @@ def test_every_violation_of_a_given_witness(make, violation):
         tower_alignment_witness(tower_space([2, 2]), tower_space([4], levels=[2])),
         v_orders=(3,)).modulus(2.0),
      "tower does not absorb the requested ball"),
+    # ranks past int64: (0, ..., 0, 1, 2) in a [3] * 40 tower has rank 7 * 3^38,
+    # whose true image (0, ..., 0, 7) the [9] * 20 tower holds; a wrapped rank
+    # would find no point there. A [2] * 64 tower would overflow on conversion
+    (lambda: tower_alignment_witness(_tower_rows([3] * 40, [0] * 38 + [1, 2]),
+                                     _tower_rows([9] * 20, [0] * 19 + [7])),
+     f"alignment: the towers' order product {3 ** 40} passes 2^63 - 1"),
+    (lambda: tower_alignment_witness(_tower_rows([2] * 64, [0] * 63 + [1]),
+                                     _tower_rows([2] * 64, [0] * 63 + [1])),
+     f"alignment: the towers' order product {2 ** 64} passes 2^63 - 1"),
 ], ids=["alignment-rank-missing", "relabel-label-missing", "relabel-width", "no-entries",
-        "modulus-other-prime"])
+        "modulus-other-prime", "alignment-rank-past-int64", "alignment-order-past-int64"])
 def test_every_refusal_of_outside_input(make, message):
     with pytest.raises(ValueError) as refused:
         make()

@@ -9,7 +9,8 @@ and the claim checks that grouped points by label tuples are kept the same
 way, against the coordinate relabel and the array checks. `old_alignment`,
 `old_absorption` and `old_fold` are written in the same style for the
 chain's alignment, absorption and fold tables, which had no tuple code of
-their own, and `old_side` composes them as the chain's side stage does.
+their own, and `old_side` composes them, through the mixed tower of the k
+points and the remainder, as the chain's side stage once did.
 """
 
 from __future__ import annotations
@@ -141,11 +142,20 @@ def old_fold(source, target, k, validity_cap):
     return old_finish(source, target, pairs, (), validity_cap=validity_cap, context="fold")
 
 
-def old_side(zpart, u, mixed, middle, k, validity_cap, point_budget):
+def mixed_tower(rest, k):
+    """The tower a side aligned its tower onto before its stage became
+    index arithmetic: the k points at level 1, then the remainder's
+    summands at their levels, faithful as far as the remainder is."""
+    mixed = tower_space([k, *rest.rule.orders], levels=[1, *rest.rule.levels])
+    return mixed.with_inner_radius(rest.inner_radius)
+
+
+def old_side(zpart, u, rest, middle, k, validity_cap, point_budget):
     """A side of the chain as the tuple code's steps: the ball's identity
-    times the alignment (w1), composed with the fold; handed back as the
-    stage the chain measures."""
-    w1 = old_product(old_relabel(zpart, zpart), old_alignment(u, mixed), point_budget)
+    times the alignment onto the mixed tower (w1), composed with the fold;
+    handed back as the stage the chain measures."""
+    w1 = old_product(old_relabel(zpart, zpart), old_alignment(u, mixed_tower(rest, k)),
+                     point_budget)
     w = old_compose(w1, old_fold(w1.target, middle, k, validity_cap))
     return witness_mod._Stage(w.source, w.target, w.src, w.dst, w.validity_radius)
 
@@ -415,13 +425,13 @@ def test_chain_combinators_match_the_tuple_code(monkeypatch, g1, g2):
     assert set(calls) == reached
 
 
-def replaced_side(zpart, u, mixed, middle, k, validity_cap, point_budget):
-    """What a side stage replaced: the ball's identity times the alignment,
-    composed with the fold as its own stage. The product held its spaces to
-    the point budget."""
+def replaced_side(zpart, u, rest, middle, k, validity_cap, point_budget):
+    """What a side stage replaced: the ball's identity times the alignment
+    onto the mixed tower, composed with the fold as its own stage. The
+    product held its spaces to the point budget."""
     _check_budget(len(zpart) * len(u), point_budget)
     w1 = product_witness(witness_mod._relabel_stage(zpart, zpart),
-                         witness_mod._alignment_stage(u, mixed))
+                         witness_mod._alignment_stage(u, mixed_tower(rest, k)))
     return compose_witness(w1, fold_stage(w1.target, middle, k, validity_cap), ())
 
 
@@ -451,8 +461,8 @@ def test_side_stage_is_the_composition_it_replaces(case):
         outcome(cli_chain, iso_verdict(g1, g2), point_budget=20_000, **args)
     if not seen:
         event("refused before a side")
-    for zpart, u, mixed, middle, k, cap, pb in seen:
-        new, old = (outcome(fn, zpart, u, mixed, middle, k, cap, pb)
+    for zpart, u, rest, middle, k, cap, pb in seen:
+        new, old = (outcome(fn, zpart, u, rest, middle, k, cap, pb)
                     for fn in (side, replaced_side))
         if isinstance(new, str) or isinstance(old, str):
             assert new == old
@@ -467,6 +477,29 @@ def test_side_stage_is_the_composition_it_replaces(case):
         event(f"k = {k}")
         event("the cap is below the short radius less one" if cap < short - 1
               else "the cap is at or above the short radius less one")
+
+
+@pytest.mark.parametrize("rank, k, line_r, cap", [
+    (1, 2, 4, 0.5), (2, 3, 6, 0.5), (1, 2, 5, math.inf), (2, 3, 8, math.inf),
+], ids=["cap-below-1", "cap-below-1-rank-2", "line-past-k-short", "line-past-k-short-rank-2"])
+def test_side_stage_off_the_chains_spaces(rank, k, line_r, cap):
+    """Where the chain never goes, the side stage still has the table,
+    validity and spaces of the composition it replaced. On the chain's
+    spaces the cap is at least 1 and the line's radius is k times a short
+    radius of at least 2, so the digit's level 1 and the line's ends
+    decide no entry. Here they do: a cap below 1 keeps only what lies
+    within it, and a line that k does not divide ends where the last digit
+    lands."""
+    rest = tower_space([2, 3])
+    u = tower_space([2, 3, *witness_mod._prime_multiset(k)]).with_inner_radius(rest.inner_radius)
+    tail = zball(line_r, rank - 1)
+    zpart = product_space(zball(2), tail) if rank > 1 else zball(2)
+    middle = product_space(zball(line_r), product_space(tail, rest) if rank > 1 else rest)
+    args = (zpart, u, rest, middle, k, cap, DEFAULT_POINT_BUDGET)
+    new, old = witness_mod._side_stage(*args), replaced_side(*args)
+    assert np.array_equal(new.src, old.src) and np.array_equal(new.dst, old.dst)
+    assert new.validity_radius == old.validity_radius
+    assert new.source == old.source and new.target == old.target
 
 
 # the chains of TestChain in test_witness.py, by their arguments
