@@ -455,13 +455,14 @@ def foelner_search(space: FiniteSpace, c: float, epsilon: float) -> Optional[Foe
     """First basepoint ball F = O_k with |O_epsilon(F)| <= c|F|, growing k
     while the enlarged set stays inside the faithfulness radius. Epsilon
     must be finite and >= 0: no ball fits an infinite neighbourhood inside
-    the radius. A ValueError is raised otherwise, and a neighbourhood
+    the radius. c must exceed 1, which a NaN does not; an infinite c takes
+    the first ball. A ValueError is raised otherwise, and a neighbourhood
     recount (no rule shortcut) on more than RECOUNT_LIMIT points is a
     BudgetError."""
     if not math.isfinite(_check_epsilon(epsilon)):
         raise ValueError(f"foelner epsilon must be finite, got {epsilon}")
-    if c <= 1:
-        raise ValueError("growth factor must exceed 1")
+    if not c > 1:  # NaN included
+        raise ValueError(f"growth factor must exceed 1, got {c}")
     bd = space.base_dists
     radius = float(space.inner_radius)
     if not math.isfinite(radius):

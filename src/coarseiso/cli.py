@@ -201,7 +201,7 @@ def _cmd_foelner(args: argparse.Namespace) -> int:
         print(f"error: no box with |O_{args.epsilon}(F)| <= {args.c}|F| fits in {room}",
               file=sys.stderr)
         return 2
-    payload = {**f.to_json(), "c": args.c, "epsilon": _scale(args.epsilon),
+    payload = {**f.to_json(), "c": _scale(args.c), "epsilon": _scale(args.epsilon),
                "satisfied": f.ratio <= args.c}
     _emit(payload, args)
     return 0

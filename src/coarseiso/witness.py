@@ -204,25 +204,22 @@ def _stage(
         raise ValueError(f"{context}: table maps a source point twice")
     have = np.zeros(len(source), dtype=bool)
     have[si] = True
-    validity = _covered_radius(source.base_dists, have, source.inner_radius, validity_cap)
+    validity = min(_covered_radius(source.base_dists, have, source.inner_radius), float(validity_cap))
     if validity < 0:
         raise ValueError(f"{context}: empty validity region")
     return _Stage(source, target, si, ti, validity)
 
 
-def _covered_radius(d: np.ndarray, have: np.ndarray, inner_radius: float,
-                    cap: float) -> float:
+def _covered_radius(d: np.ndarray, have: np.ndarray, inner_radius: float) -> float:
     """The validity rule of every stage, on the distances d of a space's
     points from its basepoint and the mask have of the points a table
     covers: the largest realized distance whose closed ball have covers
-    entirely, the space's inner radius where it covers every point, capped
-    at cap; -1.0 where the basepoint itself is left out."""
+    entirely, the space's inner radius where it covers every point; -1.0
+    where the basepoint itself is left out."""
     if have.all():
-        validity = float(inner_radius)
-    else:
-        below = d[d < d[~have].min() - _TOL]
-        validity = float(below.max()) if len(below) else -1.0
-    return min(validity, float(cap))
+        return float(inner_radius)
+    below = d[d < d[~have].min() - _TOL]
+    return float(below.max()) if len(below) else -1.0
 
 
 def _finish(
@@ -553,11 +550,14 @@ def tower_alignment_witness(
 def absorption_witness(k: int, radius: int, deltas: Sequence[float] = ()) -> WitnessMap:
     """Witness for folding a line ball into (shorter line ball) x (k points),
     by digit split n -> (n div k, n mod k) with floor division toward minus
-    infinity."""
-    k = int(k)
+    infinity. k and radius are ints (not bools): anything else is a
+    TypeError, as no value is truncated."""
+    for name, value in (("k", k), ("radius", radius)):
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise TypeError(f"{name} must be an int, got {value!r}")
     if k < 2:
         raise ValueError("k must be >= 2")
-    line, short_r = zball(int(radius)), math.ceil(radius / k)
+    line, short_r = zball(radius), math.ceil(radius / k)
     target = product_space(zball(short_r), k_point_space(k))
     q, r = np.divmod(line.coords[:, 0], k)
     # (q, r) sits at (q + short_r) * k + r: q runs from -short_r, r from 0
@@ -566,7 +566,7 @@ def absorption_witness(k: int, radius: int, deltas: Sequence[float] = ()) -> Wit
 
 
 def _side_stage(zpart: FiniteSpace, u: FiniteSpace, rest: FiniteSpace, middle: FiniteSpace,
-                k: int, validity_cap: float, point_budget: int) -> _Stage:
+                k: int, point_budget: int) -> _Stage:
     """The table of a chain's side with multiplier k, from zpart x u
     straight to the middle space, by index arithmetic on boxes. The tower
     point a has the little-endian mixed-radix rank rho in u, as in
@@ -583,23 +583,25 @@ def _side_stage(zpart: FiniteSpace, u: FiniteSpace, rest: FiniteSpace, middle: F
     inner radius of zpart x u, where (z, d, r) lies within the fold's, and
     where it has an image. The fold's validity is the rule of
     _covered_radius on w1's target, whose distances are the larger of z's
-    and (d, r)'s, capped at validity_cap, the inner radius of what lies
-    behind the line; (d, r) lies at the larger of 1 (where d is not 0) and
+    and (d, r)'s; (d, r) lies at the larger of 1 (where d is not 0) and
     r's distance in the remainder, whose inner radius it keeps.
 
     k divides the line's radius, so the points of w1's target that the
     fold leaves out are those with q at the short radius and d >= 1. They
     lie at exactly the short radius, so the fold is valid to one less than
-    it. The cap never binds: it lies below that only where it is the
-    remainder's inner radius R, and w1's validity already keeps a within
-    R. Such an a is nonzero only in the remainder's first R - 1 summands,
-    so its rank, and with it r, is below their product, and (d, r) lies
-    within R too. So the stage without the cap keeps the same entries."""
+    it. No cap is applied at the inner radius of what lies behind the line
+    in the middle space (the ball's tail, of the line's radius, and the
+    remainder), as none would bind. Such a cap lies below one less than the
+    short radius only where it is the remainder's inner radius R, and w1's
+    validity already keeps a within R. Such an a is nonzero only in the
+    remainder's first R - 1 summands, so its rank, and with it r, is below
+    their product, and (d, r) lies within R too. So a cap would keep the
+    same entries."""
     source = product_space(zpart, u, point_budget)
     rank, d = np.divmod(_tower_rank(u), k)
     # the point of rest at each rank: ranks permute rest's box indices
     r = np.argsort(_tower_rank(rest))[rank]
-    # middle = line x (ball tail) x rest and zpart = (shorter line) x (ball
+    # middle = (line x ball tail) x rest and zpart = (shorter line) x (ball
     # tail), each box running its first coordinate slowest: z sits at
     # q_idx |tail| + t, and (x, t, r) at ((x + line_r) |tail| + t) |rest| + r
     line_r = int(middle.coords[-1, 0])
@@ -608,7 +610,7 @@ def _side_stage(zpart: FiniteSpace, u: FiniteSpace, rest: FiniteSpace, middle: F
     ti = (((x + line_r) * tail + np.arange(len(zpart))[:, None] % tail) * len(rest) + r).ravel()
     on_line = (np.abs(x) <= line_r).ravel()
     dist = np.maximum.outer(zpart.base_dists, np.maximum(d != 0, rest.base_dists[r])).ravel()
-    fold = _covered_radius(dist, on_line, min(zpart.inner_radius, rest.inner_radius), validity_cap)
+    fold = _covered_radius(dist, on_line, min(zpart.inner_radius, rest.inner_radius))
     keep = on_line & (dist <= fold + _TOL) & _inside(source, slice(None), source.inner_radius)
     return _stage(source, middle, np.flatnonzero(keep), ti[keep], context="fold")
 
@@ -749,12 +751,12 @@ def iso_witness_chain(
     stage of index arithmetic (_side_stage): a tower point's rank splits
     into the digit d of the k points and the remainder's point, and the
     digit goes onto the shorter line, (q, d) -> q k + d, landing on the
-    middle space. A side with k = 1 starts from (line ball, remainder),
-    which at rank 1 is the middle space itself and at higher rank the same
-    points grouped apart; that relabel, and its inverse on the right, is a
-    bare table (_Stage) composed into the end, as is the inverse of a right
-    side with k >= 2. So the witnesses measured are each side with k >= 2,
-    and the end.
+    middle space (ball, remainder), grouped as each side's source is. A
+    side with k = 1 starts from (ball, remainder) too, so it is the middle
+    space itself, and no other start space is built: its identity, on the
+    left or the right, is a bare table (_Stage) composed into the end, as
+    is the inverse of a right side with k >= 2. So the witnesses measured
+    are each side with k >= 2, and the end.
     The chain has no defaults of its own: radius, depth, prime_bound,
     deltas and point_budget come from the CLI's flags. Every space built on
     the way is held to point_budget; a larger one is a BudgetError, and the
@@ -801,13 +803,18 @@ def iso_witness_chain(
         # with itself
         return tower_alignment_witness(rest, rest, deltas=deltas).witness
 
-    # the middle space is the line, then behind it the ball's other rank - 1
-    # free coordinates and the common remainder; at rank 2 the rest of the
-    # ball is one more line, equal to the line
+    # the middle space is (ball, common remainder), the ball the line and,
+    # at rank >= 2, its tail of the other rank - 1 free coordinates; at rank
+    # 2 the tail is one more line, equal to the line. Before the ball is
+    # built the budget is held to the tail times the remainder, then to the
+    # middle space, and a refusal names the first count past it
     line = zball(common_r, point_budget=pb)
     ball_tail = None if rank == 1 else line if rank == 2 else zball(common_r, rank - 1, pb)
-    behind = rest if rank == 1 else product_space(ball_tail, rest, pb)
-    middle = product_space(line, behind, pb)
+    if rank > 1:
+        _check_budget(len(ball_tail) * len(rest), pb)
+        _check_budget(len(line) * len(ball_tail) * len(rest), pb)
+    ball = line if rank == 1 else product_space(line, ball_tail, pb)
+    middle = product_space(ball, rest, pb)
 
     def side(k_abs: int) -> WitnessMap:
         """The chain of a side with multiplier k_abs >= 2 into the middle
@@ -819,18 +826,11 @@ def iso_witness_chain(
         # the tower holds the remainder's summands, faithful as far as it is
         u = tower_space(list(rest.rule.orders) + primes[k_abs], point_budget=pb)
         u = u.with_inner_radius(rest.inner_radius)
-        return _finish(_side_stage(zpart, u, rest, middle, k_abs, behind.inner_radius, pb))
+        return _finish(_side_stage(zpart, u, rest, middle, k_abs, pb))
 
-    # the start space (line ball, remainder) of a side with k = 1 is the
-    # middle space at rank 1; at higher rank the ball is grouped apart from
-    # the remainder, and only the layout differs. It holds as many points
-    # as the middle space, so building it before the sides moves no
-    # BudgetError
-    start = middle
-    if rank > 1 and min(n, m) == 1:
-        start = product_space(product_space(line, ball_tail, pb), rest, pb)
-    left = side(n) if n > 1 else _relabel_stage(start, middle)
-    back = _invert_stage(side(m)) if m > 1 else _relabel_stage(middle, start)
+    # a side with k = 1 is the middle space itself
+    left = side(n) if n > 1 else _relabel_stage(middle, middle)
+    back = _invert_stage(side(m)) if m > 1 else _relabel_stage(middle, middle)
     w = compose_witness(left, back, deltas=deltas)
     if w.validity_radius < 1:
         k = max(n, m)

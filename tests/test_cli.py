@@ -637,6 +637,23 @@ def test_infinite_epsilon_prints_strict_json(capsys):
     assert (code, out) == (2, "") and "epsilon" in err
 
 
+@pytest.mark.parametrize("c", ["nan", "1", "0.5", "-inf"])
+def test_foelner_refuses_a_growth_factor_not_above_1(capsys, c):
+    # a NaN factor got past a check of c <= 1, searched the whole radius
+    # and exited 2 with "no box with |O_1.0(F)| <= nan|F| fits"; "--c=" lets
+    # argparse read -inf as a value
+    code, out, err = run(capsys, "foelner", "Z", "--radius", "20", f"--c={c}")
+    assert (code, out, err) == (2, "", f"error: growth factor must exceed 1, got {float(c)}\n")
+
+
+def test_foelner_with_an_infinite_growth_factor_prints_strict_json(capsys):
+    # the first ball satisfies any bound; the factor was written Infinity
+    code, out, err = run(capsys, "foelner", "Z", "--radius", "20", "--c", "inf")
+    assert (code, err) == (0, "")
+    payload = strict_json(out)
+    assert (payload["c"], payload["k"], payload["satisfied"]) == ("inf", 0, True)
+
+
 @pytest.mark.parametrize("command", [
     ("foelner", "Z", "--radius", "20", "--c", "1.1"),
     ("cover", "Z^2", "--radius", "10"),
@@ -740,6 +757,21 @@ EDGE_CASES = {
         ("right-multiplier-past-factorization",
          ("witness", "Z", "Z + C1048576", "--point-budget", "5000000"),
          "error: 1048576 exceeds the factorization limit 1000000\n"),
+        # at rank >= 2 the budget is held to the ball's tail times the
+        # remainder, then to the middle space, before the ball is built: the
+        # first refusal names 49 x 1,024, the others 31 x 31^2 x 16 and 33 x
+        # 33^2 x 2, not the ball's 31^3 or 33^3
+        ("tail-times-remainder",
+         ("witness", "Z^2 + C2^inf", "Z^2 + C2^inf", "--depth", "10", "--point-budget", "20000"),
+         "error: 50176 points exceed the budget of 20000\n"),
+        ("middle-rank-3",
+         ("witness", "Z^3 + C4^2", "Z^3 + C4^2", "--radius", "15", "--depth", "4",
+          "--point-budget", "20000"),
+         "error: 476656 points exceed the budget of 20000\n"),
+        ("middle-rank-3-multipliers",
+         ("witness", "Z^3 + C2", "Z^3 + C16", "--radius", "6", "--depth", "5",
+          "--point-budget", "20000"),
+         "error: 71874 points exceed the budget of 20000\n"),
     ],
     "witness-valid-to-0": [
         ("rank-1-bound", ("witness", "Z + C2 + C101", "Z + C101"),

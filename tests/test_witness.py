@@ -483,13 +483,14 @@ def test_rank_two_chain_at_radius_100_takes_the_window_route(monkeypatch):
 
 @pytest.mark.parametrize("pair,finished,built", [
     (("Z + C2", "Z"), 2, 6),
-    (("Z^2 + C4", "Z^2"), 2, 10),
+    (("Z^2 + C4", "Z^2"), 2, 8),
 ], ids=["rank-1", "rank-2"])
 def test_chain_measures_no_identity_or_relabel_step(monkeypatch, pair, finished, built):
     # a side with k >= 2 measures 1 witness (its one stage, which builds
     # no space between the ball times the tower and the middle space, and
     # no tower of the multiplier's points) and the end 1; relabels and
-    # inverses are tables, not witnesses
+    # inverses are tables, not witnesses. A side with k = 1 is the middle
+    # space, so no other start space is built
     witnesses, spaces = [], []
     finish, store = witness_mod._finish, FiniteSpace._store
 
@@ -837,33 +838,44 @@ def _tower_rows(orders, row):
     return FiniteSpace([[0] * len(orders), row], rule, 0, len(orders) + 1)
 
 
-@pytest.mark.parametrize("make, message", [
+@pytest.mark.parametrize("make, error, message", [
     (lambda: tower_alignment_witness(tower_space([2, 2]), subspace(tower_space([4]), [0, 1, 2])),
-     "alignment: a rank has no point in the second tower"),
-    (lambda: relabel_witness(zball(2), tower_space([2])), "relabel: no target point for label (-2,)"),
+     ValueError, "alignment: a rank has no point in the second tower"),
+    (lambda: relabel_witness(zball(2), tower_space([2])), ValueError,
+     "relabel: no target point for label (-2,)"),
     # labels of another width match no target row
-    (lambda: relabel_witness(zball(1), zball(1, 2)), "relabel: no target point for label (-1,)"),
+    (lambda: relabel_witness(zball(1), zball(1, 2)), ValueError,
+     "relabel: no target point for label (-1,)"),
     # the one entry, label (-1, 0), lies 1 from the basepoint, outside radius 0
     (lambda: component_multiplicity(_table_witness(
         product_space(zball(1), tower_space([2])), zball(1), [0], [0], validity=0.0), 1),
-     "no table entries inside the validity region"),
+     ValueError, "no table entries inside the validity region"),
     # TowerAlignment is a public record: here its second tower holds 3, not 2 x 2
     (lambda: dataclasses.replace(
         tower_alignment_witness(tower_space([2, 2]), tower_space([4], levels=[2])),
         v_orders=(3,)).modulus(2.0),
-     "tower does not absorb the requested ball"),
+     ValueError, "tower does not absorb the requested ball"),
     # ranks past int64: (0, ..., 0, 1, 2) in a [3] * 40 tower has rank 7 * 3^38,
     # whose true image (0, ..., 0, 7) the [9] * 20 tower holds; a wrapped rank
     # would find no point there. A [2] * 64 tower would overflow on conversion
     (lambda: tower_alignment_witness(_tower_rows([3] * 40, [0] * 38 + [1, 2]),
                                      _tower_rows([9] * 20, [0] * 19 + [7])),
-     f"alignment: the towers' order product {3 ** 40} passes 2^63 - 1"),
+     ValueError, f"alignment: the towers' order product {3 ** 40} passes 2^63 - 1"),
     (lambda: tower_alignment_witness(_tower_rows([2] * 64, [0] * 63 + [1]),
                                      _tower_rows([2] * 64, [0] * 63 + [1])),
-     f"alignment: the towers' order product {2 ** 64} passes 2^63 - 1"),
+     ValueError, f"alignment: the towers' order product {2 ** 64} passes 2^63 - 1"),
+    # an absorption's multiplier and radius are ints, never truncated: 2.5
+    # folded by 2, and a radius of 4.7 gave the ball of radius 4
+    (lambda: absorption_witness(2.5, 4), TypeError, "k must be an int, got 2.5"),
+    (lambda: absorption_witness(2, 4.7), TypeError, "radius must be an int, got 4.7"),
+    (lambda: absorption_witness(True, 4), TypeError, "k must be an int, got True"),
+    (lambda: absorption_witness(2, False), TypeError, "radius must be an int, got False"),
+    (lambda: absorption_witness(2, "4"), TypeError, "radius must be an int, got '4'"),
 ], ids=["alignment-rank-missing", "relabel-label-missing", "relabel-width", "no-entries",
-        "modulus-other-prime", "alignment-rank-past-int64", "alignment-order-past-int64"])
-def test_every_refusal_of_outside_input(make, message):
-    with pytest.raises(ValueError) as refused:
+        "modulus-other-prime", "alignment-rank-past-int64", "alignment-order-past-int64",
+        "absorption-k-float", "absorption-radius-float", "absorption-k-bool",
+        "absorption-radius-bool", "absorption-radius-str"])
+def test_every_refusal_of_outside_input(make, error, message):
+    with pytest.raises(error) as refused:
         make()
-    assert type(refused.value) is ValueError and str(refused.value) == message
+    assert type(refused.value) is error and str(refused.value) == message

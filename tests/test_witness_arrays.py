@@ -150,10 +150,19 @@ def mixed_tower(rest, k):
     return mixed.with_inner_radius(rest.inner_radius)
 
 
+def behind_cap(zpart, rest, middle):
+    """The cap the chain once passed a side stage, and the oracles still
+    apply: the inner radius of what lies behind the line in the middle
+    space, the remainder at rank 1, and above it the ball's tail, of the
+    line's radius, and the remainder."""
+    rank = zpart.rule.orders.count(0)
+    return rest.inner_radius if rank == 1 else min(int(middle.coords[-1, 0]), rest.inner_radius)
+
+
 def old_side(zpart, u, rest, middle, k, validity_cap, point_budget):
     """A side of the chain as the tuple code's steps: the ball's identity
-    times the alignment onto the mixed tower (w1), composed with the fold;
-    handed back as the stage the chain measures."""
+    times the alignment onto the mixed tower (w1), composed with the fold
+    under the cap; handed back as the stage the chain measures."""
     w1 = old_product(old_relabel(zpart, zpart), old_alignment(u, mixed_tower(rest, k)),
                      point_budget)
     w = old_compose(w1, old_fold(w1.target, middle, k, validity_cap))
@@ -408,7 +417,8 @@ def test_chain_combinators_match_the_tuple_code(monkeypatch, g1, g2):
     oracle("invert_witness", old_invert)
     oracle("relabel_witness", old_relabel)
     oracle("_relabel_stage", old_relabel)
-    oracle("_side_stage", old_side)
+    oracle("_side_stage", lambda zpart, u, rest, middle, k, pb: old_side(
+        zpart, u, rest, middle, k, behind_cap(zpart, rest, middle), pb))
     oracle("_invert_stage", old_invert)
     assert_same(new, cli_chain(verdict, radius=12, deltas=(3.0,)))
     # every table of the chain came from an oracle: a side with a
@@ -427,8 +437,8 @@ def test_chain_combinators_match_the_tuple_code(monkeypatch, g1, g2):
 
 def replaced_side(zpart, u, rest, middle, k, validity_cap, point_budget):
     """What a side stage replaced: the ball's identity times the alignment
-    onto the mixed tower, composed with the fold as its own stage. The
-    product held its spaces to the point budget."""
+    onto the mixed tower, composed with the fold as its own stage under the
+    cap. The product held its spaces to the point budget."""
     _check_budget(len(zpart) * len(u), point_budget)
     w1 = product_witness(witness_mod._relabel_stage(zpart, zpart),
                          witness_mod._alignment_stage(u, mixed_tower(rest, k)))
@@ -453,7 +463,9 @@ def side_chains(draw):
 def test_side_stage_is_the_composition_it_replaces(case):
     """On the spaces the chain hands each side, the side stage has the
     table, validity and spaces of the product and composition it
-    replaced, or refuses with the same text."""
+    replaced, or refuses with the same text. The stage applies no cap and
+    the composition the one the chain once passed, so the cap never
+    binds."""
     (g1, g2), args = case
     seen, side = [], witness_mod._side_stage
     with pytest.MonkeyPatch.context() as mp:
@@ -461,9 +473,10 @@ def test_side_stage_is_the_composition_it_replaces(case):
         outcome(cli_chain, iso_verdict(g1, g2), point_budget=20_000, **args)
     if not seen:
         event("refused before a side")
-    for zpart, u, rest, middle, k, cap, pb in seen:
-        new, old = (outcome(fn, zpart, u, rest, middle, k, cap, pb)
-                    for fn in (side, replaced_side))
+    for zpart, u, rest, middle, k, pb in seen:
+        cap = behind_cap(zpart, rest, middle)
+        new = outcome(side, zpart, u, rest, middle, k, pb)
+        old = outcome(replaced_side, zpart, u, rest, middle, k, cap, pb)
         if isinstance(new, str) or isinstance(old, str):
             assert new == old
             event(old)
@@ -479,24 +492,26 @@ def test_side_stage_is_the_composition_it_replaces(case):
               else "the cap is at or above the short radius less one")
 
 
-@pytest.mark.parametrize("rank, k, line_r, cap", [
-    (1, 2, 4, 0.5), (2, 3, 6, 0.5), (1, 2, 5, math.inf), (2, 3, 8, math.inf),
-], ids=["cap-below-1", "cap-below-1-rank-2", "line-past-k-short", "line-past-k-short-rank-2"])
-def test_side_stage_off_the_chains_spaces(rank, k, line_r, cap):
+@pytest.mark.parametrize("rank, k, line_r", [(1, 2, 5), (2, 3, 8), (1, 3, 4), (2, 3, 4)],
+                         ids=["line-past-k-short", "line-past-k-short-rank-2",
+                              "line-below-2k", "line-below-2k-rank-2"])
+def test_side_stage_off_the_chains_spaces(rank, k, line_r):
     """Where the chain never goes, the side stage still has the table,
     validity and spaces of the composition it replaced. On the chain's
-    spaces the cap is at least 1 and the line's radius is k times a short
-    radius of at least 2, so the digit's level 1 and the line's ends
-    decide no entry. Here they do: a cap below 1 keeps only what lies
-    within it, and a line that k does not divide ends where the last digit
-    lands."""
+    spaces the line's radius is k times a short radius of at least 2, so
+    the line's ends and the digit's level 1 decide no entry. Here they do:
+    a line that k does not divide ends where the last digit lands, and a
+    line of radius below 2k - 1 leaves out a point (1, d) at distance 1,
+    so the fold is valid to 0 and only the digit's level 1 leaves out the
+    points (0, d) with d >= 1."""
     rest = tower_space([2, 3])
     u = tower_space([2, 3, *witness_mod._prime_multiset(k)]).with_inner_radius(rest.inner_radius)
     tail = zball(line_r, rank - 1)
     zpart = product_space(zball(2), tail) if rank > 1 else zball(2)
-    middle = product_space(zball(line_r), product_space(tail, rest) if rank > 1 else rest)
-    args = (zpart, u, rest, middle, k, cap, DEFAULT_POINT_BUDGET)
-    new, old = witness_mod._side_stage(*args), replaced_side(*args)
+    middle = product_space(product_space(zball(line_r), tail) if rank > 1 else zball(line_r), rest)
+    args = (zpart, u, rest, middle, k)
+    new = witness_mod._side_stage(*args, DEFAULT_POINT_BUDGET)
+    old = replaced_side(*args, math.inf, DEFAULT_POINT_BUDGET)
     assert np.array_equal(new.src, old.src) and np.array_equal(new.dst, old.dst)
     assert new.validity_radius == old.validity_radius
     assert new.source == old.source and new.target == old.target
