@@ -167,7 +167,7 @@ def _inside(space: FiniteSpace, idx: np.ndarray, radius: float) -> np.ndarray:
 class _Stage(NamedTuple):
     """A table and its validity radius, with no moduli: what _finish
     measures, and what the combinators read as they read a WitnessMap's.
-    The chain's relabel, side and inversion steps are stages; it measures
+    The chain's identity, side and inversion steps are stages; it measures
     each side with a multiplier of 2 or more, and the end."""
 
     source: FiniteSpace
@@ -628,22 +628,17 @@ def _match_rows(rows: np.ndarray, table: np.ndarray) -> np.ndarray:
     return where[group[len(table):]]
 
 
-def _relabel_stage(source: FiniteSpace, target: FiniteSpace) -> _Stage:
-    """The table of the bijection matching labels. It covers the source, so
-    _stage finds it valid to the source's inner radius. Labels are matched
-    by a sort of both coordinate arrays, not one lookup per label; a source
-    label without a target is a ValueError that names it."""
+def relabel_witness(source: FiniteSpace, target: FiniteSpace) -> WitnessMap:
+    """Bijection matching labels. Covers regroupings of iterated products,
+    which leave all sup-metric distances unchanged. The table covers the
+    source, so _stage finds it valid to the source's inner radius. Labels
+    are matched by a sort of both coordinate arrays, not one lookup per
+    label; a source label without a target is a ValueError that names it."""
     ti = _match_rows(source.coords, target.coords)
     missing = np.flatnonzero(ti < 0)
     if len(missing):
         raise ValueError(f"relabel: no target point for label {source.labels[missing[0]]}")
-    return _stage(source, target, np.arange(len(source)), ti, context="relabel")
-
-
-def relabel_witness(source: FiniteSpace, target: FiniteSpace) -> WitnessMap:
-    """Bijection matching labels (_relabel_stage). Covers regroupings of
-    iterated products, which leave all sup-metric distances unchanged."""
-    return _finish(_relabel_stage(source, target))
+    return _finish(_stage(source, target, np.arange(len(source)), ti, context="relabel"))
 
 
 # ---------------------------------------------------------------------------
@@ -828,9 +823,11 @@ def iso_witness_chain(
         u = u.with_inner_radius(rest.inner_radius)
         return _finish(_side_stage(zpart, u, rest, middle, k_abs, pb))
 
-    # a side with k = 1 is the middle space itself
-    left = side(n) if n > 1 else _relabel_stage(middle, middle)
-    back = _invert_stage(side(m)) if m > 1 else _relabel_stage(middle, middle)
+    # a side with k = 1 is the middle space itself, under the identity
+    same = np.arange(len(middle))
+    identity = _stage(middle, middle, same, same, context="identity")
+    left = side(n) if n > 1 else identity
+    back = _invert_stage(side(m)) if m > 1 else identity
     w = compose_witness(left, back, deltas=deltas)
     if w.validity_radius < 1:
         k = max(n, m)

@@ -2370,7 +2370,6 @@ def test_space_ids_build_no_label_tuples():
     ("witness.invert_witness", "deltas"),
     ("witness.absorption_witness", "point_budget"),
     ("witness.relabel_witness", "columns"),
-    ("witness._relabel_stage", "columns"),
     ("analysis.estimate_factorizing_step", "max_tested"),
     ("analysis.estimate_factorizing_step", "window_fractions"),
     ("spaces.subspace", "basepoint"),

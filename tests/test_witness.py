@@ -738,9 +738,9 @@ def test_chain_passes_its_point_budget_to_every_builder(monkeypatch, pair):
 
 @pytest.mark.parametrize("deltas", [(math.nan,), (2.0, -0.5)], ids=["nan", "negative"])
 def test_bad_scales_are_rejected_before_measuring(deltas):
-    sp = zball(3)
+    sp, same = zball(3), np.arange(7)
     with pytest.raises(ValueError, match="delta must be >= 0"):
-        witness_mod._finish(witness_mod._relabel_stage(sp, sp), (), deltas)
+        witness_mod._finish(witness_mod._stage(sp, sp, same, same, "identity"), (), deltas)
     with pytest.raises(ValueError, match="delta must be >= 0"):
         verify_witness(identity_witness(sp), deltas)
 

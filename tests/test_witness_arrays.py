@@ -401,7 +401,7 @@ def test_relabel_matches_the_tuple_code(case):
 def test_chain_combinators_match_the_tuple_code(monkeypatch, g1, g2):
     """A whole chain run through the oracle combinators, stage by stage,
     against the array ones. The chain hands its composition bare tables;
-    the oracle builds each relabel, side and inverse table as the tuple
+    the oracle builds each identity, side and inverse table as the tuple
     code's witness, a side as the product and composition it replaced."""
     verdict = iso_verdict(g1, g2)
     new = cli_chain(verdict, radius=12, deltas=(3.0,))
@@ -413,21 +413,31 @@ def test_chain_combinators_match_the_tuple_code(monkeypatch, g1, g2):
             return fn(*args, **kwargs)
         monkeypatch.setattr(witness_mod, name, run)
 
-    oracle("compose_witness", old_compose)
+    def old_identity(f):
+        # a bare stage reaching the composition is the identity of a side
+        # with k = 1 on the middle space, rebuilt as the tuple code's relabel
+        if not isinstance(f, witness_mod._Stage):
+            return f
+        assert f.source is f.target and np.array_equal(f.src, f.dst)
+        assert np.array_equal(f.src, np.arange(len(f.source)))
+        calls["identity"] = calls.get("identity", 0) + 1
+        return old_relabel(f.source, f.target)
+
+    oracle("compose_witness", lambda f, g, deltas: old_compose(
+        old_identity(f), old_identity(g), deltas))
     oracle("invert_witness", old_invert)
     oracle("relabel_witness", old_relabel)
-    oracle("_relabel_stage", old_relabel)
     oracle("_side_stage", lambda zpart, u, rest, middle, k, pb: old_side(
         zpart, u, rest, middle, k, behind_cap(zpart, rest, middle), pb))
     oracle("_invert_stage", old_invert)
     assert_same(new, cli_chain(verdict, radius=12, deltas=(3.0,)))
     # every table of the chain came from an oracle: a side with a
-    # multiplier of 1 is a relabel, any other is a side stage, and only the
-    # right side is inverted
+    # multiplier of 1 is the identity, any other is a side stage, and only
+    # the right side is inverted
     n, m = verdict.multipliers or (1, 1)
     reached = {"compose_witness"}
     if min(n, m) == 1:
-        reached.add("_relabel_stage")
+        reached.add("identity")
     if max(n, m) > 1:
         reached.add("_side_stage")
     if m > 1:
@@ -440,7 +450,7 @@ def replaced_side(zpart, u, rest, middle, k, validity_cap, point_budget):
     onto the mixed tower, composed with the fold as its own stage under the
     cap. The product held its spaces to the point budget."""
     _check_budget(len(zpart) * len(u), point_budget)
-    w1 = product_witness(witness_mod._relabel_stage(zpart, zpart),
+    w1 = product_witness(relabel_witness(zpart, zpart),
                          witness_mod._alignment_stage(u, mixed_tower(rest, k)))
     return compose_witness(w1, fold_stage(w1.target, middle, k, validity_cap), ())
 
